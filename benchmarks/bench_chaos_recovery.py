@@ -15,7 +15,8 @@ at the same seed and reports the detection → re-registration latency
 from __future__ import annotations
 
 from conftest import run_once
-from repro.faults import render_snapshot, run_scenario
+from repro.faults import run_scenario
+from repro.util.snapshots import render_snapshot
 
 SEED = 42
 #: Worst acceptable detection -> re-registration latency (virtual ms).

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Perf diffing: measure an optimization with before/after snapshots.
+"""Perf diffing: compare two runs with before/after snapshots.
 
-The docs/PERFORMANCE.md evidence loop, end to end: run the co-located
-ping-heavy scenario twice from the same seed — once with the hot-path
-optimizations disabled (`legacy_hot_paths=True`: no token-verification
-cache, no ping coalescing) and once with the defaults — then diff the
-two registry snapshots with `repro.obs.diff` and print the table a perf
-PR would paste.  The same table is available from the CLI:
+The docs/PERFORMANCE.md evidence loop for *virtual* metrics, end to end:
+run the co-located ping-heavy scenario twice from the same seed — once
+under the `json` wire codec and once under `compact` — then diff the two
+registry snapshots with `repro.obs.diff` and print the table a PR would
+paste.  The same table is available from the CLI:
 
     repro metrics --diff before.json after.json
 
@@ -23,34 +22,20 @@ DURATION_MS = 30_000.0
 def main() -> None:
     # 1. both sides of the experiment, same seed, same virtual duration
     print("running ping-heavy scenario (12 co-located entities) twice...")
-    before = run_ping_heavy(
-        seed=SEED, duration_ms=DURATION_MS, legacy_hot_paths=True
-    )
-    after = run_ping_heavy(seed=SEED, duration_ms=DURATION_MS)
+    before = run_ping_heavy(seed=SEED, duration_ms=DURATION_MS, codec="json")
+    after = run_ping_heavy(seed=SEED, duration_ms=DURATION_MS, codec="compact")
 
-    # 2. the headline numbers a perf PR leads with
-    def verify_sum(snapshot):
-        hist = snapshot["histograms"].get("crypto.ms.token_verify", {"count": 0})
-        return hist.get("count", 0) * hist.get("mean", 0.0)
-
-    v_before, v_after = verify_sum(before), verify_sum(after)
+    # 2. the headline numbers a PR leads with
     b_before = before["counters"]["transport.bytes.sent"]
     b_after = after["counters"]["transport.bytes.sent"]
     print()
     print(
-        f"token verification cost: {v_before:.1f} -> {v_after:.1f} ms "
-        f"({100.0 * (1.0 - v_after / v_before):.1f}% less)"
-    )
-    print(
-        f"wire bytes sent:         {b_before} -> {b_after} "
+        f"wire bytes sent: {b_before} -> {b_after} "
         f"({100.0 * (1.0 - b_after / b_before):.1f}% less)"
     )
-    print(
-        "cache hits: "
-        f"{after['counters'].get('auth.token.cache.hit', 0)}, "
-        "coalesced pings: "
-        f"{after['counters'].get('tracker.pings.coalesced', 0)}"
-    )
+    # behaviour must not move with the codec: same pings, same cache hits
+    for name in ("tracker.pings.sent", "auth.token.cache.hit"):
+        print(f"{name}: {before['counters'][name]} -> {after['counters'][name]}")
 
     # 3. the full per-instrument delta table (changed rows only)
     print()

@@ -4,10 +4,9 @@ The worst case for per-ping overhead: many traced entities share one host
 machine behind one broker, so every ping interval the tracker's broker
 verifies the same authorization token repeatedly and sends a burst of
 near-identical ping frames down the same wire.  This is the scenario
-``benchmarks/bench_token_cache.py`` runs twice — once with
-``legacy_hot_paths=True`` (no token cache, no ping coalescing) and once
-with the optimized defaults — to produce the committed before/after
-snapshots under ``benchmarks/results/`` (docs/PERFORMANCE.md).
+``benchmarks/bench_wire_codec.py`` and the ``perf-gate`` CI job run once
+per wire codec to produce and guard the committed snapshots under
+``benchmarks/results/`` (docs/PERFORMANCE.md).
 
 Determinism matters here exactly as in the chaos scenarios: message ids
 ride on the wire, so :func:`run_ping_heavy` rewinds the process-global id
@@ -39,14 +38,9 @@ def run_ping_heavy(
     seed: int = 42,
     duration_ms: float = 60_000.0,
     entity_count: int = DEFAULT_ENTITY_COUNT,
-    legacy_hot_paths: bool = False,
     codec: str = "json",
 ) -> dict:
     """Run the co-located ping-heavy scenario; returns the full snapshot.
-
-    ``legacy_hot_paths`` disables the token-verification cache, ping
-    coalescing and the TDN discovery cache so the same seed reproduces the
-    pre-optimization cost profile (the "before" side of a perf diff).
 
     ``codec`` selects the wire codec explicitly (never the environment):
     the perf-gate CI job runs this scenario once per codec and diffs the
@@ -59,10 +53,6 @@ def run_ping_heavy(
         broker_ids=["b1", "b2", "b3"],
         seed=seed,
         ping_policy=HOTPATH_PING_POLICY,
-        token_cache=not legacy_hot_paths,
-        ping_coalescing=not legacy_hot_paths,
-        tdn_query_cache=not legacy_hot_paths,
-        per_direction_link_rng=not legacy_hot_paths,
         codec=codec,
     )
     entities = [

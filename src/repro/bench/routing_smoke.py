@@ -8,15 +8,15 @@ detach retracts the tracker's interest fabric-wide, so the tail of the run
 must forward nothing toward the now-empty broker.
 
 The routing-relevant counters of the final metrics snapshot form a small
-JSON document that CI compares against the committed seed snapshot
-(``benchmarks/results/routing_seed.json``).  Any increase in
-``broker.msgs.unroutable`` or ``broker.interest.stale_forwards`` — or any
-drift in delivery counts — fails the bench-smoke job.
+JSON document that CI compares byte-for-byte against the committed seed
+snapshot (``benchmarks/results/routing_seed.json``,
+:func:`repro.util.snapshots.snapshot_drift`): the seed pins
+``broker.msgs.unroutable`` and ``broker.interest.stale_forwards`` at 0, so
+any waste — or any drift in delivery counts — fails the bench-smoke job.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 #: Counters whose values define the routing contract.  Missing counters
@@ -32,19 +32,9 @@ ROUTING_COUNTERS = (
     "broker.interest.stale_forwards",
 )
 
-#: Per-topic-family delivery counters are collected by prefix; every name
-#: under it must match the seed exactly (unchanged delivery is the
-#: correctness bar for any routing optimization).
+#: Per-topic-family delivery counters are collected by prefix (unchanged
+#: delivery is the correctness bar for any routing optimization).
 DELIVERED_PREFIX = "broker.delivered."
-
-#: Counters that must never exceed the seed value (waste / bug signals).
-MUST_NOT_REGRESS = (
-    "broker.msgs.unroutable",
-    "broker.interest.stale_forwards",
-)
-
-#: Counters that must match the seed exactly (routing determinism).
-MUST_MATCH = ("broker.msgs.delivered",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,17 +78,12 @@ def run_routing_smoke(
     seed: int = 42,
     duration_ms: float = 30_000.0,
     detach_at_ms: float = 20_000.0,
-    legacy_hot_paths: bool = False,
     federation: bool = False,
 ) -> dict:
     """Run the scenario and return the routing counters as a snapshot dict.
 
-    ``legacy_hot_paths`` disables the token-verification cache, ping
-    coalescing, the TDN discovery cache (docs/PERFORMANCE.md) and the
-    per-direction duplex-link jitter streams, reproducing the
-    pre-optimization wire behaviour pinned by
-    ``benchmarks/results/routing_seed_legacy.json``.  The codec is pinned
-    to ``json`` so committed seeds stay valid under the CI codec matrix.
+    The codec is pinned to ``json`` so committed seeds stay valid under
+    the CI codec matrix.
 
     ``federation`` runs the same scenario on the summarized-interest
     control plane; with this scenario's handful of patterns the
@@ -112,10 +97,6 @@ def run_routing_smoke(
     dep = build_deployment(
         broker_ids=["b1", "b2", "b3"],
         seed=seed,
-        token_cache=not legacy_hot_paths,
-        ping_coalescing=not legacy_hot_paths,
-        tdn_query_cache=not legacy_hot_paths,
-        per_direction_link_rng=not legacy_hot_paths,
         federation=federation,
         codec="json",
     )
@@ -147,31 +128,3 @@ def run_routing_smoke(
         "counters": counters,
         "interest_patterns_gauge": registry.gauge_value("broker.interest.patterns"),
     }
-
-
-def compare_to_seed(snapshot: dict, seed_snapshot: dict) -> list[str]:
-    """Return human-readable regression findings; empty when clean."""
-    findings: list[str] = []
-    live = snapshot["counters"]
-    seed = seed_snapshot["counters"]
-    for name in MUST_NOT_REGRESS:
-        if live.get(name, 0) > seed.get(name, 0):
-            findings.append(
-                f"{name} regressed: {live.get(name, 0)} > seed {seed.get(name, 0)}"
-            )
-    delivered = {
-        name
-        for name in (*live, *seed)
-        if name.startswith(DELIVERED_PREFIX)
-    }
-    for name in (*MUST_MATCH, *sorted(delivered)):
-        if live.get(name, 0) != seed.get(name, 0):
-            findings.append(
-                f"{name} drifted: {live.get(name, 0)} != seed {seed.get(name, 0)}"
-            )
-    return findings
-
-
-def render_snapshot(snapshot: dict) -> str:
-    """Stable JSON form used for the committed seed file and CI dumps."""
-    return json.dumps(snapshot, indent=2, sort_keys=True) + "\n"

@@ -35,6 +35,7 @@ from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message, reset_message_ids
 from repro.messaging.topics import Topic
 from repro.sim.engine import Simulator
+from repro.util.snapshots import render_snapshot, snapshot_drift
 
 #: The committed CI smoke point (kept small: seconds, tens of MB).
 SMOKE_BROKERS = 8
@@ -135,47 +136,6 @@ def run_scale_point(
     }
 
 
-def compare_to_seed(snapshot: dict, seed_snapshot: dict) -> list[str]:
-    """Exact-match comparison against the committed scale seed.
-
-    Scale runs are bit-identical per seed (same reasoning as the chaos
-    gate): any drift is either nondeterminism or a behaviour change that
-    needs a deliberate seed refresh.
-    """
-    findings: list[str] = []
-    for field in (
-        "scenario",
-        "brokers",
-        "entities",
-        "events",
-        "seed",
-        "federation",
-        "received",
-        "control_floods",
-        "interest_patterns_gauge",
-        "fed_patterns_gauge",
-        "shards_gauge",
-        "digest_summaries",
-    ):
-        if snapshot.get(field) != seed_snapshot.get(field):
-            findings.append(
-                f"{field} drifted: {snapshot.get(field)!r} != "
-                f"seed {seed_snapshot.get(field)!r}"
-            )
-    live, seed = snapshot.get("counters", {}), seed_snapshot.get("counters", {})
-    for name in sorted({*live, *seed}):
-        if live.get(name, 0) != seed.get(name, 0):
-            findings.append(
-                f"{name} drifted: {live.get(name, 0)} != seed {seed.get(name, 0)}"
-            )
-    return findings
-
-
-def render_snapshot(snapshot: dict) -> str:
-    """Stable JSON form used for the committed seed file and CI dumps."""
-    return json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI for one scale point: CI's ``scale-smoke`` gate.
 
@@ -220,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.compare:
         with open(args.compare, encoding="utf-8") as handle:
             seed_snapshot = json.load(handle)
-        findings = compare_to_seed(snapshot, seed_snapshot)
+        findings = snapshot_drift(snapshot, seed_snapshot)
         for finding in findings:
             print(f"SCALE-SMOKE: {finding}", file=sys.stderr)
         if findings:

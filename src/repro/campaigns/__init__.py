@@ -16,7 +16,7 @@ Layout:
   churn-mobile, the §5 adversarial families, and the gossip /
   all-pairs baselines;
 * :mod:`repro.campaigns.runner` — sequential or subprocess-parallel
-  execution plus the byte-stable snapshot and its seed-gate compare;
+  execution plus the byte-stable campaign snapshot;
 * :mod:`repro.campaigns.report` — markdown tables + SVG figures from a
   snapshot.
 """
@@ -24,8 +24,6 @@ Layout:
 from repro.campaigns.report import generate_report
 from repro.campaigns.runner import (
     campaign_snapshot,
-    compare_to_snapshot,
-    render_snapshot,
     run_campaign,
     run_point,
 )
@@ -52,13 +50,11 @@ __all__ = [
     "CampaignSpec",
     "WorkloadFamily",
     "campaign_snapshot",
-    "compare_to_snapshot",
     "expand",
     "generate_report",
     "ignored_axes",
     "load_spec",
     "observe_deployments",
-    "render_snapshot",
     "run_campaign",
     "run_point",
     "unused_parameters",

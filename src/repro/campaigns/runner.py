@@ -11,8 +11,9 @@ byte-identical to a sequential run.
 
 The campaign snapshot (:func:`campaign_snapshot`) is deliberately free
 of wall-clock, RSS, or host-dependent values: CI gates the committed
-smoke snapshot byte-for-byte with :func:`compare_to_snapshot`, exactly
-like the chaos and scale seeds (docs/CAMPAIGNS.md).
+smoke snapshot byte-for-byte with
+:func:`repro.util.snapshots.snapshot_drift`, exactly like the chaos and
+scale seeds (docs/CAMPAIGNS.md).
 """
 
 from __future__ import annotations
@@ -171,35 +172,3 @@ def campaign_snapshot(
         "point_count": len(results),
         "results": results,
     }
-
-
-def render_snapshot(snapshot: dict) -> str:
-    """Canonical byte-stable JSON form of a campaign snapshot."""
-    return json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
-
-
-def compare_to_snapshot(live: dict, seed: dict) -> list[str]:
-    """Findings where a live snapshot diverges from a committed seed.
-
-    Empty list means byte-identical payloads.  Findings are coarse on
-    purpose — point-level, not leaf-level — because any drift at all
-    fails the gate; the diff itself is what the developer inspects.
-    """
-    findings: list[str] = []
-    for field in ("campaign", "seed", "point_count"):
-        if live.get(field) != seed.get(field):
-            findings.append(
-                f"{field}: live={live.get(field)!r} seed={seed.get(field)!r}"
-            )
-    if live.get("spec") != seed.get("spec"):
-        findings.append("spec block differs")
-    live_results = live.get("results", [])
-    seed_results = seed.get("results", [])
-    for index in range(max(len(live_results), len(seed_results))):
-        live_record = live_results[index] if index < len(live_results) else None
-        seed_record = seed_results[index] if index < len(seed_results) else None
-        if live_record == seed_record:
-            continue
-        label = (live_record or seed_record or {}).get("family", "?")
-        findings.append(f"point {index} ({label}) differs")
-    return findings

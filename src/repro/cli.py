@@ -97,7 +97,8 @@ def _cmd_metrics(args) -> int:
         return 0
 
     if args.routing_smoke:
-        from repro.bench.routing_smoke import render_snapshot, run_routing_smoke
+        from repro.bench.routing_smoke import run_routing_smoke
+        from repro.util.snapshots import render_snapshot
 
         snapshot = run_routing_smoke(
             seed=args.seed, duration_ms=float(args.duration) * 1000.0
@@ -211,7 +212,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_faults(args) -> int:
     """Run one chaos scenario and print (or dump as JSON) its snapshot."""
-    from repro.faults import render_snapshot, run_scenario
+    from repro.faults import run_scenario
+    from repro.util.snapshots import render_snapshot
 
     duration_ms = None if args.duration is None else float(args.duration) * 1000.0
     snapshot = run_scenario(args.scenario, seed=args.seed, duration_ms=duration_ms)
@@ -258,16 +260,15 @@ def _cmd_campaign(args) -> int:
     import pathlib
 
     from repro.campaigns import (
-        compare_to_snapshot,
         expand,
         generate_report,
         load_spec,
-        render_snapshot,
         run_campaign,
         run_point,
         unused_parameters,
     )
     from repro.errors import ReproError
+    from repro.util.snapshots import render_snapshot, snapshot_drift
 
     try:
         if args.action == "report":
@@ -330,7 +331,7 @@ def _cmd_campaign(args) -> int:
         seed_snapshot = _json.loads(
             pathlib.Path(args.compare).read_text(encoding="utf-8")
         )
-        findings = compare_to_snapshot(snapshot, seed_snapshot)
+        findings = snapshot_drift(snapshot, seed_snapshot)
         if findings:
             print(f"campaign drift vs {args.compare}:", file=sys.stderr)
             for finding in findings:

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.auth.cache import DEFAULT_TOKEN_CACHE_CAPACITY, TokenVerificationCache
+from repro.auth.cache import TokenVerificationCache
 from repro.auth.credentials import EntityCredentials
 from repro.auth.verification import TokenVerifier, TraceAuthorizationGuard
 from repro.crypto.certificates import CertificateAuthority
@@ -228,26 +228,14 @@ def build_deployment(
     gauge_interval_ms: float = 60_000.0,
     skew_tolerance_ms: float = 100.0,
     extra_links: Iterable[tuple[str, str]] = (),
-    token_cache: bool = True,
-    token_cache_capacity: int = DEFAULT_TOKEN_CACHE_CAPACITY,
-    ping_coalescing: bool = True,
     codec: str | None = None,
-    tdn_query_cache: bool = True,
     federation: FederationConfig | bool | None = None,
-    per_direction_link_rng: bool = True,
 ) -> Deployment:
     """Build a complete deployment.
 
     ``topology`` is ``"chain"`` (the paper's Figure 1 line of brokers),
     ``"star"`` (first broker is the hub), or ``"none"`` (add links via
     ``extra_links`` only).
-
-    ``token_cache``, ``ping_coalescing`` and ``tdn_query_cache`` toggle the
-    hot-path optimizations of docs/PERFORMANCE.md (the token-verification
-    LRU, batched pings to co-located entities, and the TDN discovery
-    cache).  All default on; disabling them reproduces the
-    pre-optimization wire behaviour bit-for-bit, which is what the legacy
-    seed snapshots under ``benchmarks/results/*_legacy.json`` pin.
 
     ``codec`` names the wire codec every link sizes payloads with
     (``repro.wire``): an explicit argument wins, then the ``REPRO_CODEC``
@@ -262,12 +250,6 @@ def build_deployment(
     hot-set / digest parameters.  Off by default — the committed seed
     scenarios pin the verbatim plane — and bit-identical to it anyway
     while every broker's pattern count stays within the hot-set limit.
-
-    ``per_direction_link_rng`` controls duplex-link jitter derivation:
-    each direction of a broker-to-broker link draws from its own named
-    stream (the fixed behaviour), so traffic on one direction cannot
-    perturb latencies on the other.  ``False`` restores the historical
-    shared stream that the ``*_legacy.json`` seed snapshots pin.
     """
     from repro.wire.codec import CODEC_ENV_VAR, get_codec
 
@@ -291,7 +273,6 @@ def build_deployment(
         ntp_model=ntp_model,
         codec=resolved_codec,
         federation=federation,
-        per_direction_link_rng=per_direction_link_rng,
     )
 
     ids = list(broker_ids)
@@ -314,21 +295,15 @@ def build_deployment(
     tdn = TDNCluster(
         sim, ca, tdn_machines, monitor=monitor,
         uuid_seed=network.streams.derive_seed("tdn-uuids"),
-        query_cache=tdn_query_cache,
     )
 
     trusted_keys = tdn_public_keys(tdn)
 
     def _make_verifier() -> TokenVerifier:
-        cache = (
-            TokenVerificationCache(
-                capacity=token_cache_capacity, metrics=monitor.metrics
-            )
-            if token_cache
-            else None
-        )
         return TokenVerifier(
-            trusted_keys, skew_tolerance_ms=skew_tolerance_ms, cache=cache
+            trusted_keys,
+            skew_tolerance_ms=skew_tolerance_ms,
+            cache=TokenVerificationCache(metrics=monitor.metrics),
         )
 
     # trackers share this verifier; each broker's guard gets its own so a
@@ -358,7 +333,6 @@ def build_deployment(
             monitor=monitor,
             ping_policy=ping_policy,
             gauge_interval_ms=gauge_interval_ms,
-            ping_coalescing=ping_coalescing,
             client_locator=_locate_client_host,
         )
 

@@ -90,12 +90,6 @@ class KeyMaterialError(CryptoError, ValueError):
     """A key was malformed, of the wrong type, or of the wrong size."""
 
 
-#: Deprecated alias for :class:`KeyMaterialError`.  The old trailing-underscore
-#: name both hid its intent and pattern-matched the builtin ``KeyError`` that
-#: the ERR01 linter rule bans; prefer the new name.
-KeyError_ = KeyMaterialError
-
-
 class CryptoInputError(CryptoError, ValueError):
     """Non-key cryptographic input was invalid (block size, algorithm, modulus)."""
 

@@ -18,8 +18,6 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.faults.scenarios import (
     SCENARIOS,
     build_chaos_deployment,
-    compare_to_seed,
-    render_snapshot,
     run_scenario,
     scenario_plan,
 )
@@ -31,8 +29,6 @@ __all__ = [
     "FaultPlan",
     "SCENARIOS",
     "build_chaos_deployment",
-    "compare_to_seed",
-    "render_snapshot",
     "run_scenario",
     "scenario_plan",
 ]

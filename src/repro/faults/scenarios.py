@@ -8,13 +8,12 @@ ping policy so detection happens inside a short run.
 
 ``run_scenario`` returns a small JSON snapshot of fault and recovery
 counters; CI runs the ``broker-crash`` scenario and compares the output
-against ``benchmarks/results/chaos_seed.json`` exactly (the same gating
-pattern as ``bench/routing_smoke.py``).
+against ``benchmarks/results/chaos_seed.json`` exactly
+(:func:`repro.util.snapshots.snapshot_drift`, the same gate as
+``bench/routing_smoke.py``).
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.errors import ConfigurationError
 from repro.messaging.message import reset_message_ids
@@ -156,16 +155,8 @@ def scenario_plan(name: str) -> FaultPlan:
     return builder()
 
 
-def build_chaos_deployment(
-    seed: int = 42, legacy_hot_paths: bool = False, federation: bool = False
-):
+def build_chaos_deployment(seed: int = 42, federation: bool = False):
     """The shared three-broker-ring deployment every scenario runs on.
-
-    ``legacy_hot_paths`` disables the token-verification cache, ping
-    coalescing, the TDN discovery cache (docs/PERFORMANCE.md) and the
-    per-direction duplex-link jitter streams so the run reproduces the
-    pre-optimization behaviour pinned by
-    ``benchmarks/results/chaos_seed_legacy.json``.
 
     ``federation`` swaps in the summarized-interest control plane
     (:mod:`repro.messaging.federation`); at chaos-scenario pattern counts
@@ -183,10 +174,6 @@ def build_chaos_deployment(
         seed=seed,
         ping_policy=CHAOS_PING_POLICY,
         extra_links=[("b1", "b3")],
-        token_cache=not legacy_hot_paths,
-        ping_coalescing=not legacy_hot_paths,
-        tdn_query_cache=not legacy_hot_paths,
-        per_direction_link_rng=not legacy_hot_paths,
         federation=federation,
         codec="json",
     )
@@ -197,7 +184,6 @@ def run_scenario(
     name: str,
     seed: int = 42,
     duration_ms: float | None = None,
-    legacy_hot_paths: bool = False,
     federation: bool = False,
     analytics_store=None,
     deployment_probe=None,
@@ -220,9 +206,7 @@ def run_scenario(
     # and hence sampled latencies), so the bit-identical-replay promise needs
     # the process-global counter rewound before every run.
     reset_message_ids()
-    dep = build_chaos_deployment(
-        seed, legacy_hot_paths=legacy_hot_paths, federation=federation
-    )
+    dep = build_chaos_deployment(seed, federation=federation)
     if analytics_store is not None:
         dep.attach_analytics(analytics_store)
     entity = dep.add_traced_entity(ENTITY_ID)
@@ -267,47 +251,3 @@ def run_scenario(
             "reverted": len(dep.journal.records("fault.reverted")),
         },
     }
-
-
-def compare_to_seed(snapshot: dict, seed_snapshot: dict) -> list[str]:
-    """Exact-match comparison; returns human-readable findings, empty = clean.
-
-    Chaos runs are bit-identical per seed, so unlike the routing gate the
-    chaos gate pins *everything*: fault counts, recovery latency moments,
-    delivery totals.  Any drift means either nondeterminism crept in or a
-    behaviour change needs a deliberate seed-snapshot refresh.
-    """
-    findings: list[str] = []
-    for field in ("scenario", "seed", "duration_ms"):
-        if snapshot.get(field) != seed_snapshot.get(field):
-            findings.append(
-                f"{field} mismatch: {snapshot.get(field)!r} != "
-                f"seed {seed_snapshot.get(field)!r}"
-            )
-    live, seed = snapshot.get("counters", {}), seed_snapshot.get("counters", {})
-    for name in sorted({*live, *seed}):
-        if live.get(name, 0) != seed.get(name, 0):
-            findings.append(
-                f"{name} drifted: {live.get(name, 0)} != seed {seed.get(name, 0)}"
-            )
-    if snapshot.get("recovery") != seed_snapshot.get("recovery"):
-        findings.append(
-            f"recovery drifted: {snapshot.get('recovery')} != "
-            f"seed {seed_snapshot.get('recovery')}"
-        )
-    if snapshot.get("faults_active_end") != seed_snapshot.get("faults_active_end"):
-        findings.append(
-            f"faults_active_end drifted: {snapshot.get('faults_active_end')} != "
-            f"seed {seed_snapshot.get('faults_active_end')}"
-        )
-    if snapshot.get("journal") != seed_snapshot.get("journal"):
-        findings.append(
-            f"journal transition counts drifted: {snapshot.get('journal')} != "
-            f"seed {seed_snapshot.get('journal')}"
-        )
-    return findings
-
-
-def render_snapshot(snapshot: dict) -> str:
-    """Stable JSON form used for the committed seed file and CI dumps."""
-    return json.dumps(snapshot, indent=2, sort_keys=True) + "\n"

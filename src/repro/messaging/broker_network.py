@@ -44,7 +44,6 @@ class BrokerNetwork:
         ntp_model: NTPSkewModel | None = None,
         codec: str | None = None,
         federation: FederationConfig | bool | None = None,
-        per_direction_link_rng: bool = True,
     ) -> None:
         self.sim = sim
         self.streams = RandomStreams(seed)
@@ -56,11 +55,6 @@ class BrokerNetwork:
         self._cost_calibration = dict(cost_calibration or PAPER_CALIBRATION)
         self._cost_scale = cost_scale
         self._ntp_model = ntp_model
-        #: Jitter-stream derivation for duplex broker links.  ``True``
-        #: (the fixed behaviour) gives each direction its own stream;
-        #: ``False`` reproduces the historical shared-stream draws that
-        #: the ``*_legacy.json`` seed snapshots pin.
-        self.per_direction_link_rng = per_direction_link_rng
 
         #: Summarized-interest control plane (``repro.messaging.federation``);
         #: ``None`` keeps the verbatim per-pattern flooding path.
@@ -180,15 +174,10 @@ class BrokerNetwork:
         broker_a, broker_b = self.broker(a), self.broker(b)
         prof = profile or self.default_profile
         lo, hi = min(a, b), max(a, b)
-        if self.per_direction_link_rng:
-            # independent jitter streams per direction: draws on a->b can
-            # never perturb the latencies sampled on b->a
-            rng_ab = self.streams.stream(f"link.{lo}.{hi}:{a}->{b}")
-            rng_ba = self.streams.stream(f"link.{lo}.{hi}:{b}->{a}")
-        else:
-            # legacy shared stream (both directions interleave draws);
-            # kept only so *_legacy.json seed snapshots stay reproducible
-            rng_ab = rng_ba = self.streams.stream(f"link.{lo}.{hi}")
+        # independent jitter streams per direction: draws on a->b can
+        # never perturb the latencies sampled on b->a
+        rng_ab = self.streams.stream(f"link.{lo}.{hi}:{a}->{b}")
+        rng_ba = self.streams.stream(f"link.{lo}.{hi}:{b}->{a}")
 
         link_ab = Link(
             self.sim, prof,

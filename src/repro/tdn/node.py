@@ -62,7 +62,6 @@ class TDNNode:
         uuid_generator: UUIDGenerator,
         monitor: Monitor | None = None,
         service_delay_ms: float = 3.0,
-        query_cache: bool = True,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -74,9 +73,8 @@ class TDNNode:
         self._keys = KeyPair.generate(machine.rng)
         self.certificate = trust_anchor.issue(name, self._keys.public)
         self.store = AdvertisementStore()
-        #: Positive-answer discovery cache (docs/PERFORMANCE.md); ``None``
-        #: when disabled reproduces the always-scan query path exactly.
-        self.query_cache = DiscoveryCache() if query_cache else None
+        #: Positive-answer discovery cache (docs/PERFORMANCE.md).
+        self.query_cache = DiscoveryCache()
         self.failed = False
         self._peers: list["TDNNode"] = []
         self.replication_delay_ms = 2.0
@@ -93,8 +91,7 @@ class TDNNode:
     def recover(self) -> None:
         """Bring the node back; its query cache restarts cold."""
         self.failed = False
-        if self.query_cache is not None:
-            self.query_cache.clear()
+        self.query_cache.clear()
 
     # ------------------------------------------------------------ topic creation
 
@@ -256,16 +253,14 @@ class TDNNode:
             self.monitor.increment("tdn.discovery_requests")
 
             cache = self.query_cache
-            key: tuple | None = None
-            if cache is not None:
-                key = DiscoveryCache.key("one", query.descriptor, credentials)
-                cached = cache.lookup(key, self.store.version, now)
-                if cached is not MISS:
-                    metrics.counter("tdn.query.cache.hit").inc()
-                    self.monitor.increment("tdn.discovery_answered")
-                    metrics.counter("tdn.queries.answered").inc()
-                    return cached
-                metrics.counter("tdn.query.cache.miss").inc()
+            key = DiscoveryCache.key("one", query.descriptor, credentials)
+            cached = cache.lookup(key, self.store.version, now)
+            if cached is not MISS:
+                metrics.counter("tdn.query.cache.hit").inc()
+                self.monitor.increment("tdn.discovery_answered")
+                metrics.counter("tdn.queries.answered").inc()
+                return cached
+            metrics.counter("tdn.query.cache.miss").inc()
 
             candidates = self.store.find_matching(query, now)
             for advertisement in candidates:
@@ -275,13 +270,12 @@ class TDNNode:
                 ):
                     self.monitor.increment("tdn.discovery_answered")
                     metrics.counter("tdn.queries.answered").inc()
-                    if cache is not None:
-                        cache.store(
-                            key,
-                            self.store.version,
-                            _cache_horizon_ms([advertisement], credentials),
-                            advertisement,
-                        )
+                    cache.store(
+                        key,
+                        self.store.version,
+                        _cache_horizon_ms([advertisement], credentials),
+                        advertisement,
+                    )
                     return advertisement
             self.monitor.increment("tdn.discovery_ignored")
             metrics.counter("tdn.queries.ignored").inc()
@@ -306,16 +300,14 @@ class TDNNode:
             self.monitor.increment("tdn.discovery_requests")
 
             cache = self.query_cache
-            key: tuple | None = None
-            if cache is not None:
-                key = DiscoveryCache.key("all", query.descriptor, credentials)
-                cached = cache.lookup(key, self.store.version, now)
-                if cached is not MISS:
-                    metrics.counter("tdn.query.cache.hit").inc()
-                    self.monitor.increment("tdn.discovery_answered")
-                    metrics.counter("tdn.queries.answered").inc()
-                    return list(cached)
-                metrics.counter("tdn.query.cache.miss").inc()
+            key = DiscoveryCache.key("all", query.descriptor, credentials)
+            cached = cache.lookup(key, self.store.version, now)
+            if cached is not MISS:
+                metrics.counter("tdn.query.cache.hit").inc()
+                self.monitor.increment("tdn.discovery_answered")
+                metrics.counter("tdn.queries.answered").inc()
+                return list(cached)
+            metrics.counter("tdn.query.cache.miss").inc()
 
             permitted: list[TopicAdvertisement] = []
             seen_descriptors: set[str] = set()
@@ -331,13 +323,12 @@ class TDNNode:
             if permitted:
                 self.monitor.increment("tdn.discovery_answered")
                 metrics.counter("tdn.queries.answered").inc()
-                if cache is not None:
-                    cache.store(
-                        key,
-                        self.store.version,
-                        _cache_horizon_ms(permitted, credentials),
-                        tuple(permitted),
-                    )
+                cache.store(
+                    key,
+                    self.store.version,
+                    _cache_horizon_ms(permitted, credentials),
+                    tuple(permitted),
+                )
             else:
                 self.monitor.increment("tdn.discovery_ignored")
                 metrics.counter("tdn.queries.ignored").inc()
@@ -364,7 +355,6 @@ class TDNCluster:
         machines: list[Machine],
         monitor: Monitor | None = None,
         uuid_seed: int = 0,
-        query_cache: bool = True,
     ) -> None:
         if not machines:
             raise DiscoveryError("a TDN cluster needs at least one node")
@@ -379,7 +369,6 @@ class TDNCluster:
                 trust_anchor=trust_anchor,
                 uuid_generator=generator,
                 monitor=self.monitor,
-                query_cache=query_cache,
             )
             for i, machine in enumerate(machines)
         ]

@@ -39,10 +39,10 @@ from repro.security.confidentiality import wrap_trace_body
 from repro.security.keydist import build_key_payload
 from repro.sim.engine import Event
 from repro.sim.monitor import Monitor
-from repro.tracing.coalesce import DEFAULT_COALESCE_WINDOW_MS, PingCoalescer
+from repro.tracing.coalesce import PingCoalescer
 from repro.tracing.failure import AdaptivePingPolicy, DetectorVerdict, FailureDetector
 from repro.tracing.interest import InterestCategory, InterestRegistry
-from repro.tracing.pings import Ping, PingResponse
+from repro.tracing.pings import PingResponse
 from repro.tracing.registration import (
     RegistrationError_Response,
     RegistrationResponse,
@@ -98,8 +98,6 @@ class TraceManager:
         detector_factory=FailureDetector,
         ping_jitter_frac: float = 0.05,
         gate_by_interest: bool = True,
-        ping_coalescing: bool = False,
-        coalesce_window_ms: float = DEFAULT_COALESCE_WINDOW_MS,
         client_locator=None,
     ) -> None:
         self.broker = broker
@@ -119,13 +117,7 @@ class TraceManager:
         # batch same-window pings to co-located entities into one frame;
         # client_locator maps an entity id to its host (machine name) so
         # the coalescer knows who shares a wire (docs/PERFORMANCE.md)
-        self.coalescer = (
-            PingCoalescer(
-                self, window_ms=coalesce_window_ms, locate_host=client_locator
-            )
-            if ping_coalescing
-            else None
-        )
+        self.coalescer = PingCoalescer(self, locate_host=client_locator)
         # installed by a fault controller; when present, FAILED verdicts
         # open a recovery window and successful registrations close it
         self.recovery_probe = None
@@ -619,29 +611,17 @@ class TraceManager:
                 # handle_broker_restart() clears the stale window then.
                 yield self.sim.timeout(session.current_interval_ms)
                 continue
-            if self.coalescer is not None:
-                # hand the due ping to the coalescer and sleep until its
-                # flush; the flush (scheduled first, so it fires first on
-                # the tie) issues, records and numbers the ping for us
-                delay = self.coalescer.submit(session)
-                if delay > 0.0:
-                    yield self.sim.timeout(delay)
-                if not session.active or session.declared_failed:
-                    break
-                if self.broker.failed:
-                    # died inside the flush window: nothing was issued
-                    continue
-            else:
-                ping = Ping(
-                    number=session.next_ping_number(), issued_ms=self.machine.now()
-                )
-                session.history.record_ping(ping)
-                self._publish_plain(
-                    session.topics.broker_to_entity(session.session_id).canonical,
-                    ping.to_dict(),
-                )
-                self.monitor.increment("trace.pings_sent")
-                self.monitor.metrics.counter("tracker.pings.sent").inc()
+            # hand the due ping to the coalescer and sleep until its
+            # flush; the flush (scheduled first, so it fires first on
+            # the tie) issues, records and numbers the ping for us
+            delay = self.coalescer.submit(session)
+            if delay > 0.0:
+                yield self.sim.timeout(delay)
+            if not session.active or session.declared_failed:
+                break
+            if self.broker.failed:
+                # died inside the flush window: nothing was issued
+                continue
 
             # wait until this ping can be judged, but never longer than the
             # ping interval itself (a deadline above the interval must not
@@ -704,15 +684,10 @@ class TraceManager:
             )
             remaining = max(0.0, session.current_interval_ms - judge_wait)
             if remaining:
-                # real schedulers drift: a few percent of timer jitter also
-                # keeps colocated sessions from phase-locking their bursts.
-                # With the coalescer the flush slack plays that role instead,
-                # and phase lock is *wanted*: same-interval sessions flushed
-                # together stay merged and keep sharing one wire frame.
-                if self.ping_jitter_frac and self.coalescer is None:
-                    remaining *= 1.0 + self.machine.rng.uniform(
-                        -self.ping_jitter_frac, self.ping_jitter_frac
-                    )
+                # no timer jitter here: the coalescer's flush slack absorbs
+                # scheduler drift, and phase lock is *wanted* — same-interval
+                # sessions flushed together stay merged and keep sharing one
+                # wire frame
                 yield self.sim.timeout(remaining)
 
     # ----------------------------------------------------------- interest (3.5)

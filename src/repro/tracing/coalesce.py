@@ -18,8 +18,8 @@ the batch (its host agent is alive even when the entity process is not),
 only its own response is suppressed.
 
 Singleton groups are published as plain legacy ``ping`` frames, so a
-deployment with no co-location sends bit-identical bytes per ping and
-differs from the uncoalesced build only by the flush-window delay.
+deployment with no co-location sends the same bytes per ping as one
+frame per session would.
 """
 
 from __future__ import annotations
@@ -112,11 +112,9 @@ class PingCoalescer:
     def __init__(
         self,
         manager: "TraceManager",
-        window_ms: float = DEFAULT_COALESCE_WINDOW_MS,
         locate_host: Callable[[str], str | None] | None = None,
     ) -> None:
         self.manager = manager
-        self.window_ms = window_ms
         self.locate_host = locate_host
         self._pending: list["TraceSession"] = []
         self._flush_at: float | None = None
@@ -125,14 +123,16 @@ class PingCoalescer:
         """Queue one session's due ping; returns the delay until its flush.
 
         The first submitter of a window opens it with slack proportional
-        to its own ping interval (capped at ``window_ms``); later
-        submitters whose pings come due before the flush join for free.
+        to its own ping interval (capped at ``DEFAULT_COALESCE_WINDOW_MS``);
+        later submitters whose pings come due before the flush join for free.
         Sessions flushed together resume together, so same-interval
         co-located sessions that merge once stay merged.
         """
         sim = self.manager.sim
         if self._flush_at is None:
-            slack = min(self.window_ms, SLACK_FRAC * session.current_interval_ms)
+            slack = min(
+                DEFAULT_COALESCE_WINDOW_MS, SLACK_FRAC * session.current_interval_ms
+            )
             self._flush_at = sim.now + slack
             sim.call_at(self._flush_at, self._flush)
         self._pending.append(session)

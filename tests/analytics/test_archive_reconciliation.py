@@ -17,11 +17,12 @@ import pathlib
 
 from repro import build_deployment
 from repro.analytics import AnalyticsStore, build_timelines
-from repro.bench.routing_smoke import compare_to_seed, run_routing_smoke
+from repro.bench.routing_smoke import run_routing_smoke
 from repro.messaging.message import reset_message_ids
 from repro.tracing.archive import AvailabilityArchive, EntityRecord
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.forecast import NetworkForecaster
+from repro.util.snapshots import snapshot_drift
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 ROUTING_SEED = REPO_ROOT / "benchmarks" / "results" / "routing_seed.json"
@@ -30,7 +31,7 @@ ROUTING_SEED = REPO_ROOT / "benchmarks" / "results" / "routing_seed.json"
 def test_routing_smoke_still_matches_committed_seed():
     live = run_routing_smoke(seed=42)
     seed = json.loads(ROUTING_SEED.read_text())
-    findings = compare_to_seed(live, seed)
+    findings = snapshot_drift(live, seed)
     assert not findings, "routing drift after archive reconciliation:\n" + (
         "\n".join(findings)
     )

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import compare_to_seed, render_snapshot, run_scenario
+from repro.faults import run_scenario
+from repro.util.snapshots import render_snapshot, snapshot_drift
 
 SEED_FILE = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "results"
@@ -36,7 +37,7 @@ def seed_snapshot():
 
 class TestAgainstCommittedSeed:
     def test_no_regressions(self, live_snapshot, seed_snapshot):
-        findings = compare_to_seed(live_snapshot, seed_snapshot)
+        findings = snapshot_drift(live_snapshot, seed_snapshot)
         assert not findings, "\n".join(findings)
 
     def test_snapshot_is_reproducible_exactly(self, live_snapshot, seed_snapshot):
@@ -60,24 +61,24 @@ class TestCompareToSeed:
         for delta in (-1, 1):
             bad = json.loads(render_snapshot(seed_snapshot))
             bad["counters"]["broker.msgs.delivered"] += delta
-            assert compare_to_seed(bad, seed_snapshot)
+            assert snapshot_drift(bad, seed_snapshot)
 
     def test_flags_recovery_drift(self, seed_snapshot):
         bad = json.loads(render_snapshot(seed_snapshot))
         bad["recovery"]["max_ms"] = bad["recovery"].get("max_ms", 0.0) + 1.0
-        findings = compare_to_seed(bad, seed_snapshot)
+        findings = snapshot_drift(bad, seed_snapshot)
         assert any("recovery" in f for f in findings)
 
     def test_flags_unreverted_fault(self, seed_snapshot):
         bad = json.loads(render_snapshot(seed_snapshot))
         bad["faults_active_end"] = 1.0
-        findings = compare_to_seed(bad, seed_snapshot)
+        findings = snapshot_drift(bad, seed_snapshot)
         assert any("faults_active_end" in f for f in findings)
 
     def test_flags_scenario_mismatch(self, seed_snapshot):
         bad = json.loads(render_snapshot(seed_snapshot))
         bad["scenario"] = "entity-churn"
-        assert compare_to_seed(bad, seed_snapshot)
+        assert snapshot_drift(bad, seed_snapshot)
 
     def test_clean_on_identical_snapshots(self, seed_snapshot):
-        assert compare_to_seed(seed_snapshot, seed_snapshot) == []
+        assert snapshot_drift(seed_snapshot, seed_snapshot) == []

@@ -7,7 +7,8 @@ stale interest) or alters what gets delivered fails here.  To re-seed
 after an *intentional* routing change::
 
     PYTHONPATH=src python -c "
-    from repro.bench.routing_smoke import run_routing_smoke, render_snapshot
+    from repro.bench.routing_smoke import run_routing_smoke
+    from repro.util.snapshots import render_snapshot
     open('benchmarks/results/routing_seed.json', 'w').write(
         render_snapshot(run_routing_smoke()))"
 """
@@ -17,11 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.routing_smoke import (
-    compare_to_seed,
-    render_snapshot,
-    run_routing_smoke,
-)
+from repro.bench.routing_smoke import run_routing_smoke
+from repro.util.snapshots import render_snapshot, snapshot_drift
 
 SEED_FILE = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "results"
@@ -41,7 +39,7 @@ def seed_snapshot():
 
 class TestAgainstCommittedSeed:
     def test_no_regressions(self, live_snapshot, seed_snapshot):
-        findings = compare_to_seed(live_snapshot, seed_snapshot)
+        findings = snapshot_drift(live_snapshot, seed_snapshot)
         assert not findings, "\n".join(findings)
 
     def test_snapshot_is_reproducible_exactly(self, live_snapshot, seed_snapshot):
@@ -66,20 +64,20 @@ class TestCompareToSeed:
     def test_flags_waste_counter_increase(self, seed_snapshot):
         bad = json.loads(render_snapshot(seed_snapshot))
         bad["counters"]["broker.interest.stale_forwards"] += 1
-        findings = compare_to_seed(bad, seed_snapshot)
+        findings = snapshot_drift(bad, seed_snapshot)
         assert any("stale_forwards" in f for f in findings)
 
     def test_flags_delivery_drift_either_direction(self, seed_snapshot):
         for delta in (-1, 1):
             bad = json.loads(render_snapshot(seed_snapshot))
             bad["counters"]["broker.msgs.delivered"] += delta
-            assert compare_to_seed(bad, seed_snapshot)
+            assert snapshot_drift(bad, seed_snapshot)
 
     def test_flags_new_delivered_family_member(self, seed_snapshot):
         bad = json.loads(render_snapshot(seed_snapshot))
         bad["counters"]["broker.delivered.phantom"] = 3
-        findings = compare_to_seed(bad, seed_snapshot)
+        findings = snapshot_drift(bad, seed_snapshot)
         assert any("phantom" in f for f in findings)
 
     def test_clean_on_identical_snapshots(self, seed_snapshot):
-        assert compare_to_seed(seed_snapshot, seed_snapshot) == []
+        assert snapshot_drift(seed_snapshot, seed_snapshot) == []

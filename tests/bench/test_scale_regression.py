@@ -9,11 +9,10 @@ from repro.bench.scale import (
     SMOKE_BROKERS,
     SMOKE_ENTITIES,
     SMOKE_EVENTS,
-    compare_to_seed,
-    render_snapshot,
     run_scale_point,
 )
 from repro.errors import ConfigurationError
+from repro.util.snapshots import render_snapshot, snapshot_drift
 
 SEED_FILE = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "results" / "scale_seed.json"
@@ -32,7 +31,7 @@ def seed_snapshot():
 
 class TestAgainstCommittedSeed:
     def test_no_drift(self, live_snapshot, seed_snapshot):
-        assert compare_to_seed(live_snapshot, seed_snapshot) == []
+        assert snapshot_drift(live_snapshot, seed_snapshot) == []
 
     def test_snapshot_is_reproducible_exactly(self, live_snapshot, seed_snapshot):
         assert render_snapshot(live_snapshot) == render_snapshot(seed_snapshot)
@@ -64,16 +63,16 @@ class TestCompareToSeed:
     def test_flags_counter_drift(self, seed_snapshot):
         live = json.loads(json.dumps(seed_snapshot))
         live["counters"]["broker.msgs.delivered"] += 1
-        assert compare_to_seed(live, seed_snapshot)
+        assert snapshot_drift(live, seed_snapshot)
 
     def test_flags_shape_drift(self, seed_snapshot):
         live = json.loads(json.dumps(seed_snapshot))
         live["control_floods"] += 1
-        findings = compare_to_seed(live, seed_snapshot)
+        findings = snapshot_drift(live, seed_snapshot)
         assert any("control_floods" in finding for finding in findings)
 
     def test_clean_on_identical(self, seed_snapshot):
-        assert compare_to_seed(seed_snapshot, seed_snapshot) == []
+        assert snapshot_drift(seed_snapshot, seed_snapshot) == []
 
 
 class TestValidation:

@@ -10,15 +10,14 @@ from repro.campaigns import (
     Axis,
     CampaignSpec,
     campaign_snapshot,
-    compare_to_snapshot,
     expand,
     load_spec,
-    render_snapshot,
     run_campaign,
     run_point,
 )
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
+from repro.util.snapshots import render_snapshot, snapshot_drift
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SMOKE_SPEC = REPO_ROOT / "benchmarks" / "campaigns" / "smoke.json"
@@ -91,22 +90,29 @@ class TestRunCampaign:
 class TestCompare:
     def test_identical_snapshots_have_no_findings(self):
         seed = json.loads(SMOKE_SEED.read_text())
-        assert compare_to_snapshot(copy.deepcopy(seed), seed) == []
+        assert snapshot_drift(copy.deepcopy(seed), seed) == []
 
     def test_drift_is_reported_per_point(self):
         seed = json.loads(SMOKE_SEED.read_text())
         live = copy.deepcopy(seed)
         live["results"][0]["metrics"]["counters"]["tracker.pings.sent"] += 1
         live["seed"] = 43
-        findings = compare_to_snapshot(live, seed)
-        assert any("seed" in f for f in findings)
-        assert any("point 0" in f for f in findings)
+        findings = snapshot_drift(live, seed)
+        assert any(f.startswith("seed drifted") for f in findings)
+        assert any(
+            f.startswith("results[0].metrics.counters.tracker.pings.sent")
+            for f in findings
+        )
 
     def test_missing_points_are_reported(self):
         seed = json.loads(SMOKE_SEED.read_text())
         live = copy.deepcopy(seed)
         live["results"] = live["results"][:-1]
-        assert any("point" in f for f in compare_to_snapshot(live, seed))
+        last = len(seed["results"]) - 1
+        assert any(
+            f.startswith(f"results[{last}].") and "missing" in f
+            for f in snapshot_drift(live, seed)
+        )
 
 
 class TestSmokeSeedMirror:

@@ -14,7 +14,6 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     build_chaos_deployment,
-    render_snapshot,
     run_scenario,
     scenario_plan,
 )
@@ -28,6 +27,7 @@ from repro.faults.scenarios import (
 from repro.messaging.message import reset_message_ids
 from repro.tracing.topics import TraceTopicSet
 from repro.tracing.traces import TraceType
+from repro.util.snapshots import render_snapshot
 
 
 def run_chaos(plan, seed=42, until=60_000.0):

@@ -14,11 +14,11 @@ import pytest
 
 from repro.bench.routing_smoke import run_routing_smoke
 from repro.faults.scenarios import SCENARIOS, run_scenario
-from repro.faults.scenarios import render_snapshot as render_chaos
 from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
 from repro.messaging.topics import Topic
 from repro.sim.engine import Simulator
+from repro.util.snapshots import render_snapshot
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
@@ -117,12 +117,12 @@ class TestScenarioEquivalence:
         produces the identical snapshot under federation."""
         federated = run_scenario(scenario, federation=True)
         verbatim = run_scenario(scenario, federation=False)
-        assert render_chaos(federated) == render_chaos(verbatim)
+        assert render_snapshot(federated) == render_snapshot(verbatim)
 
     def test_broker_crash_matches_committed_seed(self):
         snapshot = run_scenario("broker-crash", federation=True)
         committed = json.loads((RESULTS / "chaos_seed.json").read_text())
-        assert render_chaos(snapshot) == render_chaos(committed)
+        assert render_snapshot(snapshot) == render_snapshot(committed)
 
 
 class TestLateJoiner:

@@ -3,18 +3,15 @@
 The bug under test: both directions of a broker-to-broker link used to
 share one RNG stream, so traffic on a->b advanced the stream and
 perturbed the latencies sampled on b->a.  The fix derives one named
-stream per direction; the legacy shared stream survives only behind
-``per_direction_link_rng=False`` for the ``*_legacy.json`` seeds.
+stream per direction.
 """
 
 from repro.messaging.broker_network import BrokerNetwork
 from repro.sim.engine import Simulator
 
 
-def build(per_direction: bool, seed: int = 7) -> BrokerNetwork:
-    network = BrokerNetwork(
-        Simulator(), seed=seed, per_direction_link_rng=per_direction
-    )
+def build(seed: int = 7) -> BrokerNetwork:
+    network = BrokerNetwork(Simulator(), seed=seed)
     network.build_chain(["b1", "b2"])
     return network
 
@@ -27,18 +24,14 @@ def link_rngs(network: BrokerNetwork):
 
 class TestPerDirectionStreams:
     def test_directions_have_independent_streams(self):
-        ab, ba = link_rngs(build(per_direction=True))
+        ab, ba = link_rngs(build())
         assert ab is not ba
-
-    def test_legacy_mode_shares_one_stream(self):
-        ab, ba = link_rngs(build(per_direction=False))
-        assert ab is ba
 
     def test_draws_on_one_direction_leave_the_other_untouched(self):
         """The regression proper: consuming a->b draws must not change
         the sequence b->a will sample."""
-        noisy = build(per_direction=True)
-        quiet = build(per_direction=True)
+        noisy = build()
+        quiet = build()
         noisy_ab, noisy_ba = link_rngs(noisy)
         _, quiet_ba = link_rngs(quiet)
 
@@ -48,23 +41,9 @@ class TestPerDirectionStreams:
             quiet_ba.random() for _ in range(10)
         ]
 
-    def test_legacy_mode_documents_the_coupling(self):
-        """Same experiment on the shared stream: draws *do* interfere —
-        the historical behaviour the legacy seeds pin."""
-        noisy = build(per_direction=False)
-        quiet = build(per_direction=False)
-        noisy_ab, noisy_ba = link_rngs(noisy)
-        _, quiet_ba = link_rngs(quiet)
-
-        for _ in range(100):
-            noisy_ab.random()
-        assert [noisy_ba.random() for _ in range(10)] != [
-            quiet_ba.random() for _ in range(10)
-        ]
-
     def test_streams_deterministic_per_seed(self):
-        one_ab, one_ba = link_rngs(build(per_direction=True, seed=3))
-        two_ab, two_ba = link_rngs(build(per_direction=True, seed=3))
+        one_ab, one_ba = link_rngs(build(seed=3))
+        two_ab, two_ba = link_rngs(build(seed=3))
         assert [one_ab.random() for _ in range(5)] == [
             two_ab.random() for _ in range(5)
         ]

@@ -207,23 +207,6 @@ class TestDiscoveryIntegration:
         node.recover()
         assert len(node.query_cache) == 0
 
-    def test_disabled_cache_preserves_legacy_path(self, rng):
-        sim = Simulator()
-        ca = CertificateAuthority("ca", rng)
-        machines = [Machine(sim, "m0", CryptoCostModel.free(), rng)]
-        cluster = TDNCluster(sim, ca, machines, uuid_seed=7, query_cache=False)
-        entity = EntityCredentials.issue("svc-1", ca, rng)
-        tracker = EntityCredentials.issue("tracker-1", ca, rng)
-        create_topic(sim, cluster, entity)
-        query = DiscoveryQuery.for_entity("svc-1")
-        for _ in range(2):
-            assert sim.run_process(
-                cluster.discover(query, tracker.certificate)
-            ) is not None
-        metrics = cluster.monitor.metrics
-        assert metrics.counter("tdn.query.cache.hit").value == 0
-        assert metrics.counter("tdn.query.cache.miss").value == 0
-
     def test_discover_all_uses_cache(self, setup):
         sim, ca, cluster, entity, tracker = setup
         create_topic(sim, cluster, entity)

