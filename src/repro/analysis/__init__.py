@@ -24,12 +24,18 @@ CRY02   *(project)* Key-material taint tracking: no key reaches observable
         or wire sinks through assignments or one call-graph hop.
 OBS01   Instrument name literals must match ``<family>.<noun>[.<detail>]``
         against the documented family list (docs/OBSERVABILITY.md).
-OBS02   *(project)* Every registered instrument is documented in
-        docs/OBSERVABILITY.md.
+OBS02   *(project)* Registered instruments and docs/OBSERVABILITY.md agree,
+        in both directions.
 WIRE01  *(project)* Message-kind and wire-field vocabularies must agree
         across producers, handlers, and the codecs.
 ERR01   No ``raise`` of builtin exception types where a ``ReproError``
         subclass exists (see ``repro.errors``).
+DOC01   *(project)* Public modules, classes and functions of the packages
+        the docs send readers into carry a docstring.
+DOC02   *(project)* Relative links in README.md and docs/*.md resolve, and
+        every docs/ page is reachable from README.md.
+DOC03   *(project)* EXPERIMENTS.md sections end with the command that
+        regenerates each benchmark they cite.
 ======  ======================================================================
 
 *(project)* rules run over a whole-tree :class:`~repro.analysis.project.

@@ -17,6 +17,7 @@ with the shared index instead of once per file.
 from __future__ import annotations
 
 import ast
+import os
 from pathlib import Path
 from typing import Iterator
 
@@ -115,6 +116,22 @@ class ProjectIndex:
     def iter_modules(self) -> Iterator[ModuleInfo]:
         """Modules in deterministic (path-sorted) order."""
         return iter(sorted(self.modules.values(), key=lambda m: m.path))
+
+    def repo_root(self) -> Path | None:
+        """Nearest ancestor of the indexed ``repro/__init__.py`` holding ``README.md``.
+
+        The rules that check code against markdown (OBS02, DOC01-03) find
+        ``docs/`` and ``EXPERIMENTS.md`` from here; a run that does not
+        index the ``repro`` package root (fixture packages, single files)
+        has no such root, and those rules stay inert.
+        """
+        package = self.modules.get("repro")
+        if package is None or not package.path.endswith("repro/__init__.py"):
+            return None
+        for parent in Path(package.path).resolve().parents:
+            if (parent / "README.md").is_file():
+                return parent
+        return None
 
     def iter_functions(self) -> Iterator[tuple[ModuleInfo, str, FunctionNode]]:
         """Every function/method as ``(module, qualname, node)``."""
@@ -248,6 +265,22 @@ class ProjectChecker(Checker):
         if severity is not None and severity != finding.severity:
             finding = Finding(**{**finding.to_dict(), "severity": severity})
         return finding
+
+    def doc_finding(self, path: Path, line: int, message: str) -> Finding:
+        """A finding anchored at a markdown line instead of an AST node."""
+        return Finding(
+            rule=self.rule,
+            severity=self.severity,
+            path=Path(os.path.relpath(path)).as_posix(),
+            line=line,
+            message=message,
+            hint=self.default_hint,
+        )
+
+
+def line_at(text: str, offset: int) -> int:
+    """1-based line number of character ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1
 
 
 def run_project_checkers(

@@ -6,6 +6,11 @@ from repro.analysis.base import Checker
 from repro.analysis.rules.crypto_hygiene import SecretExposureChecker
 from repro.analysis.rules.determinism import SetIterationChecker, WallClockChecker
 from repro.analysis.rules.determinism_flow import DeterminismFlowChecker
+from repro.analysis.rules.docs import (
+    DocLinkChecker,
+    ExperimentsFooterChecker,
+    PublicDocstringChecker,
+)
 from repro.analysis.rules.error_taxonomy import BuiltinRaiseChecker
 from repro.analysis.rules.key_taint import KeyMaterialFlowChecker
 from repro.analysis.rules.observability import (
@@ -16,10 +21,10 @@ from repro.analysis.rules.sim_process import BlockingSimProcessChecker
 from repro.analysis.rules.wire_schema import WireSchemaChecker
 
 #: Checker classes in catalogue order (DET01, DET02, DET03, SIM01, CRY01,
-#: CRY02, OBS01, OBS02, WIRE01, ERR01).  DET03, CRY02, OBS02 and WIRE01
-#: are project-wide rules: they run once per analysis over the shared
-#: :class:`~repro.analysis.project.ProjectIndex` and are inert in
-#: single-file mode (``analyze_source``).
+#: CRY02, OBS01, OBS02, WIRE01, ERR01, DOC01, DOC02, DOC03).  DET03, CRY02,
+#: OBS02, WIRE01 and DOC01-03 are project-wide rules: they run once per
+#: analysis over the shared :class:`~repro.analysis.project.ProjectIndex`
+#: and are inert in single-file mode (``analyze_source``).
 ALL_CHECKER_CLASSES: tuple[type[Checker], ...] = (
     WallClockChecker,
     SetIterationChecker,
@@ -31,6 +36,9 @@ ALL_CHECKER_CLASSES: tuple[type[Checker], ...] = (
     UndocumentedInstrumentChecker,
     WireSchemaChecker,
     BuiltinRaiseChecker,
+    PublicDocstringChecker,
+    DocLinkChecker,
+    ExperimentsFooterChecker,
 )
 
 

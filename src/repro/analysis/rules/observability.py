@@ -7,22 +7,19 @@ segment, so a misspelled family silently drops a number out of every
 dashboard and paper-comparison table built on the snapshot.
 
 OBS01 checks the *shape* per file; OBS02 checks *documentation* per
-project: every instrument the code registers must appear in
-docs/OBSERVABILITY.md.  The extraction helpers here are the single
-source of truth — ``tools/check_metric_docs.py`` is a thin wrapper over
-them, so the doc gate and ``repro analyze`` can never disagree about
-what counts as an instrument.
+project, in both directions: every instrument the code registers must
+appear in docs/OBSERVABILITY.md, and every instrument that document
+lists must still be registered somewhere.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Collection, Iterator
 
 from repro.analysis.base import SEVERITY_ERROR, Checker, FileContext, Finding
-from repro.analysis.project import ProjectChecker, ProjectIndex
+from repro.analysis.project import ModuleInfo, ProjectChecker, ProjectIndex, line_at
 
 #: Documented instrument families (docs/OBSERVABILITY.md + docs/ANALYSIS.md).
 KNOWN_FAMILIES = frozenset(
@@ -135,7 +132,7 @@ class InstrumentNameChecker(Checker):
             )
 
 
-# -- shared instrument extraction (OBS02 + tools/check_metric_docs.py) ------------
+# -- instrument extraction (OBS02) -------------------------------------------------
 
 #: Backticked dotted tokens in docs/OBSERVABILITY.md that share a family
 #: prefix but are journal/monitor event names, not registry instruments.
@@ -150,64 +147,38 @@ NON_INSTRUMENT_DOC_TOKENS = frozenset(
 
 _DOC_TOKEN_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_<>\-]+)+)`")
 
-
-def module_string_constants(tree: ast.Module) -> dict[str, str]:
-    """Module-level ``NAME = "literal"`` assignments (instrument aliases)."""
-    constants: dict[str, str] = {}
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)
-        ):
-            constants[node.targets[0].id] = node.value.value
-    return constants
+#: Instrument name (or f-string prefix) -> every call registering it.
+Sites = dict[str, list[tuple[ModuleInfo, ast.Call]]]
 
 
-def instrument_registrations(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.Call, str | None, str | None]]:
-    """Registry factory calls as ``(call, exact name, f-string prefix)``.
+def registered_instruments(index: ProjectIndex) -> tuple[Sites, Sites]:
+    """(exact instrument names, f-string literal prefixes) over ``index``.
 
-    Exactly one of the last two is non-None per yielded registration;
-    calls whose name argument cannot be resolved statically (a bare
-    variable that is not a module constant) are skipped, matching OBS01.
+    Registry factory calls whose name argument cannot be resolved
+    statically (a bare variable that is not a module constant) are
+    skipped, matching OBS01.
     """
-    constants = module_string_constants(tree)
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in INSTRUMENT_FACTORIES
-            and node.args
-            and InstrumentNameChecker._receiver_is_registry(node.func.value)
-        ):
-            continue
-        arg = node.args[0]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            yield node, arg.value, None
-        elif isinstance(arg, ast.Name) and arg.id in constants:
-            yield node, constants[arg.id], None
-        elif isinstance(arg, ast.JoinedStr) and arg.values:
-            first = arg.values[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                yield node, None, first.value
-
-
-def collect_code_names_from_trees(
-    trees: Iterable[ast.Module],
-) -> tuple[set[str], set[str]]:
-    """(exact instrument names, f-string literal prefixes) over ``trees``."""
-    names: set[str] = set()
-    prefixes: set[str] = set()
-    for tree in trees:
-        for _node, name, prefix in instrument_registrations(tree):
-            if name is not None:
-                names.add(name)
-            else:
-                prefixes.add(prefix)
+    names: Sites = {}
+    prefixes: Sites = {}
+    for info in index.iter_modules():
+        for node in ast.walk(info.ctx.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in INSTRUMENT_FACTORIES
+                and node.args
+                and InstrumentNameChecker._receiver_is_registry(node.func.value)
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                names.setdefault(arg.value, []).append((info, node))
+            elif isinstance(arg, ast.Name) and arg.id in info.constants:
+                names.setdefault(info.constants[arg.id], []).append((info, node))
+            elif isinstance(arg, ast.JoinedStr) and arg.values:
+                first = arg.values[0]
+                if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                    prefixes.setdefault(first.value, []).append((info, node))
     return names, prefixes
 
 
@@ -232,116 +203,95 @@ def doc_instrument_names(text: str) -> tuple[set[str], set[str]]:
 
 
 def instrument_drift(
-    code_names: set[str],
-    code_prefixes: set[str],
-    doc_names: set[str],
-    doc_prefixes: set[str],
-) -> list[str]:
-    """Human-readable drift findings, both directions, sorted."""
-    findings: list[str] = []
+    code_names: Collection[str],
+    code_prefixes: Collection[str],
+    doc_names: Collection[str],
+    doc_prefixes: Collection[str],
+) -> tuple[list[str], list[str], list[str], list[str]]:
+    """Sorted ``(undocumented names, undocumented prefixes, stale names, stale prefixes)``.
 
-    def documented(name: str) -> bool:
-        return name in doc_names or any(
-            name.startswith(prefix) for prefix in doc_prefixes
+    Undocumented tokens are registered in code but missing from the doc;
+    stale tokens are documented but registered nowhere.  A name is covered
+    exactly or by a prefix of the other side; a prefix is covered by an
+    equal prefix or by any exact name under it.
+    """
+
+    def uncovered(
+        names: Collection[str],
+        prefixes: Collection[str],
+        other_names: Collection[str],
+        other_prefixes: Collection[str],
+    ) -> tuple[list[str], list[str]]:
+        return (
+            sorted(
+                name
+                for name in names
+                if name not in other_names
+                and not any(name.startswith(prefix) for prefix in other_prefixes)
+            ),
+            sorted(
+                prefix
+                for prefix in prefixes
+                if prefix not in other_prefixes
+                and not any(name.startswith(prefix) for name in other_names)
+            ),
         )
 
-    for name in sorted(code_names):
-        if not documented(name):
-            findings.append(
-                f"undocumented instrument: {name!r} is registered in code "
-                "but missing from docs/OBSERVABILITY.md"
-            )
-    for prefix in sorted(code_prefixes):
-        if not (
-            prefix in doc_prefixes
-            or any(name.startswith(prefix) for name in doc_names)
-        ):
-            findings.append(
-                f"undocumented instrument prefix: f-string names under "
-                f"{prefix!r} have no entry in docs/OBSERVABILITY.md"
-            )
-
-    def exists_in_code(name: str) -> bool:
-        return name in code_names or any(
-            name.startswith(prefix) for prefix in code_prefixes
-        )
-
-    for name in sorted(doc_names):
-        if not exists_in_code(name):
-            findings.append(
-                f"stale documentation: {name!r} appears in "
-                "docs/OBSERVABILITY.md but no code registers it"
-            )
-    for prefix in sorted(doc_prefixes):
-        if not (
-            prefix in code_prefixes
-            or any(name.startswith(prefix) for name in code_names)
-        ):
-            findings.append(
-                f"stale documentation: placeholder family {prefix!r}* has "
-                "no matching instrument in code"
-            )
-    return findings
+    return (
+        *uncovered(code_names, code_prefixes, doc_names, doc_prefixes),
+        *uncovered(doc_names, doc_prefixes, code_names, code_prefixes),
+    )
 
 
 class UndocumentedInstrumentChecker(ProjectChecker):
-    """OBS02: every registered instrument is listed in OBSERVABILITY.md.
+    """OBS02: code and docs/OBSERVABILITY.md list the same instruments.
 
-    The code-to-doc direction of the metric-docs gate, with source
-    locations; the doc-to-code (staleness) direction has no code anchor
-    and stays with ``tools/check_metric_docs.py``.  Projects without a
-    ``docs/OBSERVABILITY.md`` (fixture packages) are skipped entirely.
+    Code-to-doc findings sit on the registration call; doc-to-code
+    (staleness) findings sit on the ``docs/OBSERVABILITY.md`` line naming
+    the instrument nobody registers.  Runs that do not index the
+    ``repro`` package root (fixture packages) are skipped entirely.
     """
 
     rule = "OBS02"
     description = (
-        "registered instrument names must be documented in "
-        "docs/OBSERVABILITY.md (exactly or under a <placeholder> prefix)"
+        "registered instrument names and docs/OBSERVABILITY.md must agree "
+        "(exactly or under a <placeholder> prefix), in both directions"
     )
     severity = SEVERITY_ERROR
-    default_hint = "add the instrument to the family table in docs/OBSERVABILITY.md"
+    default_hint = "keep the family tables in docs/OBSERVABILITY.md in step with the code"
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        doc_text = self._find_doc(index)
-        if doc_text is None:
+        root = index.repo_root()
+        doc = root / "docs" / "OBSERVABILITY.md" if root is not None else None
+        if doc is None or not doc.is_file():
             return
-        doc_names, doc_prefixes = doc_instrument_names(doc_text)
-
-        def documented(name: str) -> bool:
-            return name in doc_names or any(
-                name.startswith(prefix) for prefix in doc_prefixes
+        text = doc.read_text(encoding="utf-8")
+        names, prefixes = registered_instruments(index)
+        missing_names, missing_prefixes, stale_names, stale_prefixes = instrument_drift(
+            names, prefixes, *doc_instrument_names(text)
+        )
+        for name in missing_names:
+            for info, node in names[name]:
+                yield self.project_finding(
+                    info,
+                    node,
+                    f"instrument {name!r} is registered here but not "
+                    "documented in docs/OBSERVABILITY.md",
+                )
+        for prefix in missing_prefixes:
+            for info, node in prefixes[prefix]:
+                yield self.project_finding(
+                    info,
+                    node,
+                    f"dynamic instruments under {prefix!r} have no entry "
+                    "in docs/OBSERVABILITY.md",
+                )
+        stale = [(f"`{name}`", repr(name)) for name in stale_names] + [
+            (f"`{prefix}<", f"placeholder family {prefix!r}*") for prefix in stale_prefixes
+        ]
+        for needle, what in stale:
+            yield self.doc_finding(
+                doc,
+                line_at(text, text.index(needle)),
+                f"stale documentation: {what} is listed here but no code registers it",
             )
-
-        for info in index.iter_modules():
-            for node, name, prefix in instrument_registrations(info.ctx.tree):
-                if name is not None and not documented(name):
-                    yield self.project_finding(
-                        info,
-                        node,
-                        f"instrument {name!r} is registered here but not "
-                        "documented in docs/OBSERVABILITY.md",
-                    )
-                elif prefix is not None and not (
-                    prefix in doc_prefixes
-                    or any(doc.startswith(prefix) for doc in doc_names)
-                ):
-                    yield self.project_finding(
-                        info,
-                        node,
-                        f"dynamic instruments under {prefix!r} have no entry "
-                        "in docs/OBSERVABILITY.md",
-                    )
-
-    @staticmethod
-    def _find_doc(index: ProjectIndex) -> str | None:
-        """docs/OBSERVABILITY.md contents, climbing up from any module."""
-        for info in index.iter_modules():
-            current = Path(info.path).resolve().parent
-            while True:
-                candidate = current / "docs" / "OBSERVABILITY.md"
-                if candidate.is_file():
-                    return candidate.read_text(encoding="utf-8")
-                if current.parent == current:
-                    break
-                current = current.parent
-        return None

@@ -27,7 +27,6 @@ O(patterns × brokers) interest table no host could hold.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.errors import ConfigurationError
@@ -35,7 +34,7 @@ from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message, reset_message_ids
 from repro.messaging.topics import Topic
 from repro.sim.engine import Simulator
-from repro.util.snapshots import render_snapshot, snapshot_drift
+from repro.util.snapshots import render_snapshot
 
 #: The committed CI smoke point (kept small: seconds, tens of MB).
 SMOKE_BROKERS = 8
@@ -137,12 +136,12 @@ def run_scale_point(
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI for one scale point: CI's ``scale-smoke`` gate.
+    """CLI for one scale point: CI's scale-smoke gate.
 
-    Runs the point, optionally compares the snapshot exactly against a
-    committed seed file, and optionally enforces a peak-RSS ceiling
-    (``resource.ru_maxrss``) so interest-table memory can never silently
-    regress past what the fabric is budgeted.
+    Runs the point and prints its canonical snapshot, which CI compares
+    to ``benchmarks/results/scale_seed.json`` with ``diff -u``; optionally
+    enforces a peak-RSS ceiling (``resource.ru_maxrss``) so interest-table
+    memory can never silently regress past what the fabric is budgeted.
     """
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--brokers", type=int, default=SMOKE_BROKERS)
@@ -153,11 +152,6 @@ def main(argv: list[str] | None = None) -> int:
         "--verbatim",
         action="store_true",
         help="run the legacy per-pattern control plane instead of federation",
-    )
-    parser.add_argument(
-        "--compare",
-        metavar="SEED_JSON",
-        help="committed seed snapshot to compare against (exact match)",
     )
     parser.add_argument(
         "--max-rss-mb",
@@ -177,16 +171,6 @@ def main(argv: list[str] | None = None) -> int:
     sys.stdout.write(render_snapshot(snapshot))
 
     status = 0
-    if args.compare:
-        with open(args.compare, encoding="utf-8") as handle:
-            seed_snapshot = json.load(handle)
-        findings = snapshot_drift(snapshot, seed_snapshot)
-        for finding in findings:
-            print(f"SCALE-SMOKE: {finding}", file=sys.stderr)
-        if findings:
-            status = 1
-        else:
-            print(f"scale smoke clean vs {args.compare}", file=sys.stderr)
     if args.max_rss_mb is not None:
         import resource
 

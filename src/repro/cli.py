@@ -252,8 +252,8 @@ def _cmd_campaign(args) -> int:
     ``snapshot.json`` plus report artifacts under ``--out``; with
     ``--point I`` it runs exactly one matrix point and prints its
     result record as JSON (the subprocess-parallel child mode); with
-    ``--compare SEED`` it exits 1 unless the live snapshot matches the
-    committed seed byte-for-byte.  ``campaign report`` re-renders the
+    ``--json`` it prints the canonical snapshot, which CI compares to the
+    committed seed with ``diff -u``.  ``campaign report`` re-renders the
     report artifacts from an existing snapshot file.
     """
     import json as _json
@@ -268,7 +268,7 @@ def _cmd_campaign(args) -> int:
         unused_parameters,
     )
     from repro.errors import ReproError
-    from repro.util.snapshots import render_snapshot, snapshot_drift
+    from repro.util.snapshots import render_snapshot
 
     try:
         if args.action == "report":
@@ -326,19 +326,6 @@ def _cmd_campaign(args) -> int:
             print(f"wrote {snapshot_path}")
             for path in written:
                 print(f"wrote {path}")
-
-    if args.compare:
-        seed_snapshot = _json.loads(
-            pathlib.Path(args.compare).read_text(encoding="utf-8")
-        )
-        findings = snapshot_drift(snapshot, seed_snapshot)
-        if findings:
-            print(f"campaign drift vs {args.compare}:", file=sys.stderr)
-            for finding in findings:
-                print(f"  {finding}", file=sys.stderr)
-            return 1
-        if not args.json:
-            print(f"matches committed seed {args.compare}")
     return 0
 
 
@@ -707,9 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--out", metavar="DIR", default=None,
                               help="write snapshot.json + report artifacts "
                                    "into DIR")
-    campaign_run.add_argument("--compare", metavar="SEED_FILE", default=None,
-                              help="exit 1 unless the live snapshot matches "
-                                   "this committed seed snapshot")
     campaign_run.add_argument("--parallel", type=int, default=1,
                               help="run points in N subprocesses "
                                    "(default: sequential in-process)")

@@ -9,7 +9,6 @@ benchmarks and examples all build on this.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -251,15 +250,13 @@ def build_deployment(
     scenarios pin the verbatim plane — and bit-identical to it anyway
     while every broker's pattern count stays within the hot-set limit.
     """
-    from repro.wire.codec import CODEC_ENV_VAR, get_codec
+    from repro.wire.codec import codec_name_from_env, get_codec
 
-    resolved_codec = codec
-    if resolved_codec is None:
-        # None (not "json") when the environment is silent, so a profile's
-        # own codec field still applies as the next fallback tier.
-        resolved_codec = os.environ.get(CODEC_ENV_VAR, "").strip() or None
-    if resolved_codec is not None:
-        get_codec(resolved_codec)  # fail fast on unknown names
+    if codec is None:
+        resolved_codec = codec_name_from_env()
+    else:
+        get_codec(codec)  # fail fast on unknown names
+        resolved_codec = codec
 
     sim = Simulator()
     monitor = Monitor()

@@ -19,7 +19,7 @@ from repro.tracing.session import TraceSession
 from repro.tracing.entity import TracedEntity
 from repro.tracing.broker_ops import TraceManager
 from repro.tracing.tracker import Tracker
-from repro.tracing.archive import AvailabilityArchive, EntityRecord
+from repro.tracing.archive import AvailabilityArchive
 from repro.tracing.forecast import NetworkForecaster, SeriesForecaster
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "TraceManager",
     "Tracker",
     "AvailabilityArchive",
-    "EntityRecord",
     "NetworkForecaster",
     "SeriesForecaster",
 ]

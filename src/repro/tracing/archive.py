@@ -9,12 +9,10 @@ Since the analytics store landed (docs/ANALYTICS.md) the archive is a
 :class:`~repro.analytics.TraceIngestor` so every verified trace is
 persisted as a ``trace.observed`` store event, and the per-entity
 records are materialized *from those stored events* via the shared
-interval algebra in :mod:`repro.analytics.availability`.  The pre-store
-API is preserved as a shim — :class:`EntityRecord` extends
-:class:`~repro.analytics.EntityTimeline` with the old
-``observe(ReceivedTrace)`` entry point, :class:`Interval` is re-exported
-— and record references stay live: materialization runs on every trace
-arrival, so a record handed out earlier keeps updating.
+interval algebra in :mod:`repro.analytics.availability`.  A record is a
+:class:`~repro.analytics.EntityTimeline`, and record references stay
+live: materialization runs on every trace arrival, so a record handed
+out earlier keeps updating.
 
 Availability semantics (defined once, in
 :mod:`repro.analytics.availability`): an entity is **up** from its JOIN
@@ -25,29 +23,12 @@ REVERTING_TO_SILENT_MODE trace; FAILURE_SUSPICION marks the entity
 
 from __future__ import annotations
 
-from repro.analytics.availability import (
-    TRACE_OBSERVED,
-    EntityTimeline,
-    Interval,
-)
+from repro.analytics.availability import TRACE_OBSERVED, EntityTimeline
 from repro.analytics.ingest import TraceIngestor
 from repro.analytics.store import AnalyticsStore
 from repro.tracing.tracker import ReceivedTrace, Tracker
 
-__all__ = ["AvailabilityArchive", "EntityRecord", "Interval"]
-
-
-class EntityRecord(EntityTimeline):
-    """Deprecated name for :class:`~repro.analytics.EntityTimeline`.
-
-    Kept so pre-store callers (and tests) that build records directly and
-    feed them :class:`~repro.tracing.tracker.ReceivedTrace` objects keep
-    working; new code should use the timeline API on analytics events.
-    """
-
-    def observe(self, trace: ReceivedTrace) -> None:
-        """Advance the record with one received trace (legacy entry point)."""
-        self.apply(trace.trace_type.value, trace.received_ms)
+__all__ = ["AvailabilityArchive"]
 
 
 class AvailabilityArchive:
@@ -62,7 +43,7 @@ class AvailabilityArchive:
     def __init__(self, tracker: Tracker, store: AnalyticsStore | None = None) -> None:
         self.tracker = tracker
         self.store = store if store is not None else AnalyticsStore()
-        self._records: dict[str, EntityRecord] = {}
+        self._records: dict[str, EntityTimeline] = {}
         self._seen_seq = 0
         # the ingestor persists the trace (chaining any prior hook), then
         # our hook folds the newly stored events into the record view —
@@ -87,19 +68,19 @@ class AvailabilityArchive:
         for event in fresh:
             record = self._records.get(event.entity)
             if record is None:
-                record = EntityRecord(entity_id=event.entity)
+                record = EntityTimeline(entity_id=event.entity)
                 self._records[event.entity] = record
             record.apply(str(event.fields.get("trace_type", "")), event.time_ms)
             if event.seq > self._seen_seq:
                 self._seen_seq = event.seq
 
     @property
-    def records(self) -> dict[str, EntityRecord]:
+    def records(self) -> dict[str, EntityTimeline]:
         """Entity id -> record, refreshed from the store on access."""
         self._materialize()
         return self._records
 
-    def record_of(self, entity_id: str) -> EntityRecord | None:
+    def record_of(self, entity_id: str) -> EntityTimeline | None:
         self._materialize()
         return self._records.get(entity_id)
 

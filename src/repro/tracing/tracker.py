@@ -336,9 +336,6 @@ class Tracker:
             self.monitor.metrics.histogram("tracker.keydist.latency_ms").observe(
                 watched.keydist_latency_ms
             )
-        self.monitor.record(
-            "tracker.key_received_ms", self.sim.now, self.machine.now()
-        )
 
     # ------------------------------------------------------------------ traces
 
@@ -475,7 +472,6 @@ class Tracker:
         metrics = self.monitor.metrics
         metrics.counter("tracker.traces.received").inc()
         if latency is not None:
-            self.monitor.record("tracker.trace_latency_ms", self.sim.now, latency)
             metrics.histogram("tracker.trace.latency_ms").observe(latency)
             metrics.histogram(
                 f"tracker.trace.latency_ms.{trace_type.value.lower()}"

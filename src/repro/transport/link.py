@@ -132,7 +132,6 @@ class Link:
         self.delivered_count += 1
         if self._monitor:
             self._monitor.increment(f"{self.name}.delivered")
-            self._monitor.record(f"{self.name}.latency_ms", self.sim.now, latency)
             metrics.counter("transport.msgs.delivered").inc()
             metrics.histogram("transport.latency_ms").observe(latency)
             metrics.gauge("transport.inflight").inc()

@@ -39,7 +39,7 @@ from repro.wire.compact import CompactCodec
 from repro.wire.json_codec import JsonCodec
 from repro.wire.pool import FramePool
 
-#: Environment variable consulted by :func:`default_codec_name`; the CI
+#: Environment variable consulted by :func:`codec_name_from_env`; the CI
 #: test matrix sets it to run the tier-1 suite under each codec.
 CODEC_ENV_VAR = "REPRO_CODEC"
 
@@ -110,22 +110,31 @@ def resolve_codec(spec: str | Codec | None) -> Codec:
     return spec
 
 
-def default_codec_name() -> str:
-    """The deployment-level default codec: ``$REPRO_CODEC`` or ``json``.
+def codec_name_from_env() -> str | None:
+    """``$REPRO_CODEC`` validated against the registry; ``None`` when unset.
 
-    Only :func:`repro.deployment.build_deployment` consults this — the CI
-    matrix flips the whole suite to ``compact`` through it, while harnesses
-    that compare against committed seed snapshots pin ``codec="json"``
-    explicitly and stay immune to the environment.
+    The one reader of the variable.  :func:`repro.deployment.build_deployment`
+    needs ``None`` (not ``"json"``) when the environment is silent, so a
+    transport profile's own codec still applies as the next fallback tier.
     """
     name = os.environ.get(CODEC_ENV_VAR, "").strip()
     if not name:
-        return "json"
+        return None
     if name not in _REGISTRY:
         raise ConfigurationError(
             f"{CODEC_ENV_VAR}={name!r} is not a registered codec: {codec_names()}"
         )
     return name
+
+
+def default_codec_name() -> str:
+    """The deployment-level default codec: ``$REPRO_CODEC`` or ``json``.
+
+    The CI matrix flips the whole suite to ``compact`` through the
+    variable, while harnesses that compare against committed seed
+    snapshots pin ``codec="json"`` explicitly and stay immune to it.
+    """
+    return codec_name_from_env() or "json"
 
 
 register_codec(JsonCodec())

@@ -16,10 +16,10 @@ import json
 import pathlib
 
 from repro import build_deployment
-from repro.analytics import AnalyticsStore, build_timelines
+from repro.analytics import AnalyticsStore, EntityTimeline, build_timelines
 from repro.bench.routing_smoke import run_routing_smoke
 from repro.messaging.message import reset_message_ids
-from repro.tracing.archive import AvailabilityArchive, EntityRecord
+from repro.tracing.archive import AvailabilityArchive
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.forecast import NetworkForecaster
 from repro.util.snapshots import snapshot_drift
@@ -101,10 +101,10 @@ class TestStoreBackedArchive:
             assert record.down_count == timeline.down_count
 
     def test_entity_record_shim_still_observes(self):
-        """The deprecation shim: EntityRecord.observe(trace) keeps working."""
+        """Archive records are the analytics timelines themselves, no shim."""
         _, _, archive, _ = _run_once(attach_views=True)
         record = archive.record_of("svc")
-        assert isinstance(record, EntityRecord)
+        assert type(record) is EntityTimeline
         assert record.down_count >= 1  # the crash produced an outage
 
     def test_forecaster_persists_network_metrics(self):

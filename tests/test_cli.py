@@ -146,7 +146,7 @@ class TestCommands:
         assert "svc" in out
 
     def test_faults_text(self, capsys):
-        assert main(["faults", "--scenario", "entity-churn", "--duration", "30000"]) == 0
+        assert main(["faults", "--scenario", "entity-churn", "--duration", "30"]) == 0
         out = capsys.readouterr().out
         assert "chaos scenario: entity-churn" in out
         assert "faults injected" in out

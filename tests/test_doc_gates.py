@@ -1,53 +1,58 @@
-"""Tier-1 mirrors of the CI doc gates (tools/check_metric_docs.py,
-tools/check_docstrings.py, tools/check_experiments.py), so drift fails
-locally before it fails CI."""
+"""Tier-1 view of the doc rules OBS02, DOC01 and DOC03 (`repro analyze`),
+so drift fails locally, with the finding text, before it fails CI."""
 
-import importlib.util
 import pathlib
 
 import pytest
 
+from repro.analysis.base import FileContext
+from repro.analysis.project import ProjectIndex
+from repro.analysis.rules import docs
+from repro.analysis.rules.observability import (
+    doc_instrument_names,
+    registered_instruments,
+)
+from repro.analysis.runner import (
+    analyze_paths,
+    format_findings_text,
+    iter_python_files,
+    select_checkers,
+)
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def _load(tool_name):
-    spec = importlib.util.spec_from_file_location(
-        tool_name, REPO_ROOT / "tools" / f"{tool_name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+SRC = REPO_ROOT / "src"
+BENCH_DIR = REPO_ROOT / "benchmarks"
 
 
 @pytest.fixture(scope="module")
-def metric_docs():
-    return _load("check_metric_docs")
+def findings():
+    return analyze_paths([SRC], select_checkers(["OBS02", "DOC01", "DOC03"]))
 
 
-@pytest.fixture(scope="module")
-def docstrings():
-    return _load("check_docstrings")
-
-
-@pytest.fixture(scope="module")
-def experiments():
-    return _load("check_experiments")
+def assert_rule_clean(findings, rule):
+    hits = [finding for finding in findings if finding.rule == rule]
+    assert not hits, format_findings_text(hits)
 
 
 class TestMetricDocs:
-    def test_gate_is_clean(self, metric_docs):
-        assert metric_docs.main() == 0
+    def test_gate_is_clean(self, findings):
+        assert_rule_clean(findings, "OBS02")
 
-    def test_code_scan_sees_known_instruments(self, metric_docs):
-        names, prefixes = metric_docs.collect_code_names()
+    def test_code_scan_sees_known_instruments(self):
+        index = ProjectIndex()
+        for path in iter_python_files([SRC]):
+            index.add(FileContext(str(path), path.read_text(encoding="utf-8")))
+        names, prefixes = registered_instruments(index)
         assert "broker.msgs.delivered" in names
         assert "auth.token.cache.hit" in names
         # the constant-resolved gauge and an f-string family prefix
         assert "broker.interest.patterns" in names
         assert any(p.startswith("crypto.ms.") for p in prefixes)
 
-    def test_doc_scan_sees_placeholders(self, metric_docs):
-        exact, placeholders = metric_docs.collect_doc_names()
+    def test_doc_scan_sees_placeholders(self):
+        exact, placeholders = doc_instrument_names(
+            (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        )
         assert "transport.bytes.sent" in exact
         assert "crypto.ms." in placeholders
         # journal/monitor event names are excluded, not instruments
@@ -55,11 +60,11 @@ class TestMetricDocs:
 
 
 class TestDocstrings:
-    def test_gate_is_clean(self, docstrings):
-        assert docstrings.main() == 0
+    def test_gate_is_clean(self, findings):
+        assert_rule_clean(findings, "DOC01")
 
-    def test_covers_the_promised_packages(self, docstrings):
-        assert set(docstrings.COVERED) == {
+    def test_covers_the_promised_packages(self):
+        assert set(docs.COVERED) == {
             "analytics",
             "auth",
             "bench",
@@ -71,24 +76,20 @@ class TestDocstrings:
 
 
 class TestExperiments:
-    def test_gate_is_clean(self, experiments):
-        assert experiments.process(write=False) == 0
+    def test_gate_is_clean(self, findings):
+        assert_rule_clean(findings, "DOC03")
 
-    def test_cited_benches_exist_and_are_classified(self, experiments):
-        text = experiments.EXPERIMENTS.read_text(encoding="utf-8")
-        cited = experiments.cited_in(text)
+    def test_cited_benches_exist_and_are_classified(self):
+        text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        cited = docs.cited_in(text)
         assert "bench_table3_hops.py" in cited
         assert "bench_scale.py" in cited
         for name in cited:
-            assert (experiments.BENCH_DIR / name).exists()
-        assert experiments.bench_style(
-            experiments.BENCH_DIR / "bench_table3_hops.py"
-        ) == "pytest"
-        assert experiments.bench_style(
-            experiments.BENCH_DIR / "bench_scale.py"
-        ) == "script"
+            assert (BENCH_DIR / name).exists()
+        assert docs.bench_style(BENCH_DIR / "bench_table3_hops.py") == "pytest"
+        assert docs.bench_style(BENCH_DIR / "bench_scale.py") == "script"
 
-    def test_script_style_footer_carries_the_warning(self, experiments):
-        footer = experiments.footer_block(["bench_scale.py"])
+    def test_script_style_footer_carries_the_warning(self):
+        footer = docs.footer_block(BENCH_DIR, ["bench_scale.py"])
         assert "not collected by `pytest benchmarks/`" in footer
         assert "PYTHONPATH=src python benchmarks/bench_scale.py" in footer

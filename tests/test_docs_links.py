@@ -1,77 +1,85 @@
-"""Tier-1 mirror of the CI docs link-checker (tools/check_doc_links.py)."""
+"""Tier-1 view of the doc rules DOC02 (links, reachability) and OBS02
+restricted to the ``analytics.`` instrument family."""
 
-import importlib.util
 import pathlib
 
 import pytest
 
+from repro.analysis.rules import docs
+from repro.analysis.runner import analyze_paths, format_findings_text, select_checkers
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-TOOL = REPO_ROOT / "tools" / "check_doc_links.py"
 
 
 @pytest.fixture(scope="module")
-def checker():
-    spec = importlib.util.spec_from_file_location("check_doc_links", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def findings():
+    return analyze_paths([REPO_ROOT / "src"], select_checkers(["DOC02", "OBS02"]))
 
 
-def test_no_broken_relative_links(checker):
-    findings = checker.broken_links(REPO_ROOT)
-    assert not findings, "broken doc links:\n" + "\n".join(findings)
+def test_no_broken_relative_links(findings):
+    hits = [f for f in findings if f.rule == "DOC02" and "relative link" in f.message]
+    assert not hits, format_findings_text(hits)
 
 
-def test_checker_covers_readme_and_docs(checker):
-    files = {p.name for p in checker.doc_files(REPO_ROOT)}
+def test_checker_covers_readme_and_docs():
+    files = {p.name for p in docs.doc_files(REPO_ROOT)}
     assert "README.md" in files
     assert "FAULTS.md" in files
     assert "ARCHITECTURE.md" in files
 
 
-def test_checker_detects_breakage(checker, tmp_path):
+def test_checker_detects_breakage(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text(
         "[ok](docs/REAL.md) [bad](docs/MISSING.md) [ext](https://example.com) "
         "[anchor](#section)\n"
     )
     (tmp_path / "docs" / "REAL.md").write_text("[up](../README.md#quick)\n")
-    findings = checker.broken_links(tmp_path)
-    assert findings == ["README.md: docs/MISSING.md"]
+    assert docs.broken_links(tmp_path) == [
+        (tmp_path / "README.md", 1, "docs/MISSING.md")
+    ]
 
 
-def test_every_doc_reachable_from_readme(checker):
-    findings = checker.unreachable_docs(REPO_ROOT)
-    assert not findings, "docs unreachable from README:\n" + "\n".join(findings)
+def test_every_doc_reachable_from_readme(findings):
+    hits = [f for f in findings if f.rule == "DOC02" and "reachable" in f.message]
+    assert not hits, format_findings_text(hits)
 
 
-def test_reachability_detects_orphan(checker, tmp_path):
+def test_reachability_detects_orphan(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text("[a](docs/A.md)\n")
     (tmp_path / "docs" / "A.md").write_text("[b](B.md#anchor)\n")
     (tmp_path / "docs" / "B.md").write_text("no links\n")
     (tmp_path / "docs" / "ORPHAN.md").write_text("nobody links here\n")
-    assert checker.unreachable_docs(tmp_path) == ["docs/ORPHAN.md"]
+    assert docs.unreachable_docs(tmp_path) == [tmp_path / "docs" / "ORPHAN.md"]
 
 
-def test_analytics_instruments_documented(checker):
-    findings = checker.undocumented_analytics_instruments(REPO_ROOT)
-    assert not findings, (
-        "analytics instruments missing from docs/OBSERVABILITY.md:\n"
-        + "\n".join(findings)
-    )
+def analytics_findings(findings):
+    return [f for f in findings if f.rule == "OBS02" and "'analytics." in f.message]
 
 
-def test_analytics_instrument_check_detects_gap(checker, tmp_path):
+def test_analytics_instruments_documented(findings):
+    hits = analytics_findings(findings)
+    assert not hits, format_findings_text(hits)
+
+
+def test_analytics_instrument_check_detects_gap(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
     (tmp_path / "docs").mkdir()
-    (tmp_path / "src").mkdir()
+    (tmp_path / "README.md").write_text("[obs](docs/OBSERVABILITY.md)\n")
     (tmp_path / "docs" / "OBSERVABILITY.md").write_text(
-        "documented: `analytics.events.ingested`\n"
+        "documented: `analytics.events.ingested`\n\nstale: `analytics.store.gone`\n"
     )
-    (tmp_path / "src" / "mod.py").write_text(
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
         'registry.counter("analytics.events.ingested")\n'
         'registry.gauge("analytics.store.undocumented")\n'
     )
-    assert checker.undocumented_analytics_instruments(tmp_path) == [
-        "`analytics.store.undocumented`"
-    ]
+    hits = analytics_findings(
+        analyze_paths([tmp_path / "src"], select_checkers(["OBS02"]))
+    )
+    assert {(pathlib.Path(f.path).name, f.line, f.message.split("'")[1]) for f in hits} == {
+        ("mod.py", 2, "analytics.store.undocumented"),
+        ("OBSERVABILITY.md", 3, "analytics.store.gone"),
+    }

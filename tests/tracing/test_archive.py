@@ -3,7 +3,8 @@
 import pytest
 
 from repro import build_deployment
-from repro.tracing.archive import AvailabilityArchive, EntityRecord, Interval
+from repro.analytics import EntityTimeline, Interval
+from repro.tracing.archive import AvailabilityArchive
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.tracker import ReceivedTrace
 from repro.tracing.traces import TraceType
@@ -13,6 +14,11 @@ def trace(kind, t, entity="svc"):
     return ReceivedTrace(
         trace_type=kind, entity_id=entity, received_ms=t, latency_ms=None, payload={}
     )
+
+
+def observe(record, received):
+    """Fold one received trace into a timeline, as the archive's store view does."""
+    record.apply(received.trace_type.value, received.received_ms)
 
 
 class TestInterval:
@@ -32,60 +38,60 @@ class TestInterval:
 
 class TestEntityRecord:
     def test_join_opens_interval(self):
-        record = EntityRecord("svc")
-        record.observe(trace(TraceType.JOIN, 100.0))
+        record = EntityTimeline("svc")
+        observe(record, trace(TraceType.JOIN, 100.0))
         assert record.up
         assert record.availability(200.0) == 1.0
 
     def test_failed_closes_interval(self):
-        record = EntityRecord("svc")
-        record.observe(trace(TraceType.JOIN, 0.0))
-        record.observe(trace(TraceType.FAILED, 100.0))
+        record = EntityTimeline("svc")
+        observe(record, trace(TraceType.JOIN, 0.0))
+        observe(record, trace(TraceType.FAILED, 100.0))
         assert not record.up
         assert record.down_count == 1
         assert record.availability(200.0) == pytest.approx(0.5)
 
     def test_rejoin_after_failure(self):
-        record = EntityRecord("svc")
-        record.observe(trace(TraceType.JOIN, 0.0))
-        record.observe(trace(TraceType.FAILED, 100.0))
-        record.observe(trace(TraceType.JOIN, 150.0))
+        record = EntityTimeline("svc")
+        observe(record, trace(TraceType.JOIN, 0.0))
+        observe(record, trace(TraceType.FAILED, 100.0))
+        observe(record, trace(TraceType.JOIN, 150.0))
         assert record.up
         assert record.availability(200.0) == pytest.approx(150.0 / 200.0)
         assert record.mean_time_to_recover_ms() == pytest.approx(50.0)
 
     def test_suspicion_does_not_close(self):
-        record = EntityRecord("svc")
-        record.observe(trace(TraceType.JOIN, 0.0))
-        record.observe(trace(TraceType.FAILURE_SUSPICION, 50.0))
+        record = EntityTimeline("svc")
+        observe(record, trace(TraceType.JOIN, 0.0))
+        observe(record, trace(TraceType.FAILURE_SUSPICION, 50.0))
         assert record.up
         assert record.suspect_since_ms == 50.0
-        record.observe(trace(TraceType.ALLS_WELL, 60.0))
+        observe(record, trace(TraceType.ALLS_WELL, 60.0))
         assert record.suspect_since_ms is None
 
     def test_heartbeats_keep_interval_open_not_duplicated(self):
-        record = EntityRecord("svc")
-        record.observe(trace(TraceType.JOIN, 0.0))
+        record = EntityTimeline("svc")
+        observe(record, trace(TraceType.JOIN, 0.0))
         for t in (10.0, 20.0, 30.0):
-            record.observe(trace(TraceType.ALLS_WELL, t))
+            observe(record, trace(TraceType.ALLS_WELL, t))
         assert len(record.intervals) == 1
 
     def test_was_up_at(self):
-        record = EntityRecord("svc")
-        record.observe(trace(TraceType.JOIN, 0.0))
-        record.observe(trace(TraceType.SHUTDOWN, 100.0))
-        record.observe(trace(TraceType.JOIN, 200.0))
+        record = EntityTimeline("svc")
+        observe(record, trace(TraceType.JOIN, 0.0))
+        observe(record, trace(TraceType.SHUTDOWN, 100.0))
+        observe(record, trace(TraceType.JOIN, 200.0))
         assert record.was_up_at(50.0, now_ms=300.0)
         assert not record.was_up_at(150.0, now_ms=300.0)
         assert record.was_up_at(250.0, now_ms=300.0)
 
     def test_mttr_none_without_recovery(self):
-        record = EntityRecord("svc")
-        record.observe(trace(TraceType.JOIN, 0.0))
+        record = EntityTimeline("svc")
+        observe(record, trace(TraceType.JOIN, 0.0))
         assert record.mean_time_to_recover_ms() is None
 
     def test_no_data(self):
-        record = EntityRecord("svc")
+        record = EntityTimeline("svc")
         assert record.availability(100.0) == 0.0
         assert not record.was_up_at(50.0, 100.0)
 
