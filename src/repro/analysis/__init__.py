@@ -18,10 +18,10 @@ DET02   No iteration over sets in scheduling/routing code (ordering hazard).
 DET03   *(project)* No wall-clock/global-RNG value may *flow* into message
         ids, seeds, or encoded wire frames (taint tracking, one call hop).
 SIM01   Simulation process generators must not call blocking stdlib I/O.
-CRY01   Key material must not reach journals, logs, f-strings, or ``repr``;
-        no constant IVs or ECB-shaped block encryption.
-CRY02   *(project)* Key-material taint tracking: no key reaches observable
-        or wire sinks through assignments or one call-graph hop.
+CRY01   No constant IVs or ECB-shaped block encryption.
+CRY02   *(project)* Key-material taint tracking: no key reaches journals,
+        logs, f-strings, ``repr`` or wire sinks, named at the sink or
+        through assignments and one call-graph hop.
 OBS01   Instrument name literals must match ``<family>.<noun>[.<detail>]``
         against the documented family list (docs/OBSERVABILITY.md).
 OBS02   *(project)* Registered instruments and docs/OBSERVABILITY.md agree,

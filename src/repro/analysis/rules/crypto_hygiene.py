@@ -1,14 +1,13 @@
-"""CRY01 — crypto hygiene.
+"""CRY01 — degenerate cipher modes, and the key-name vocabulary CRY02 uses.
 
-Two failure families the paper's security sections (4-5) make fatal:
+A constant IV (or raw per-block encryption, i.e. ECB) makes equal heartbeat
+plaintexts produce equal ciphertexts, which is exactly the traffic-analysis
+leak §5.1's per-session trace keys exist to prevent.
 
-* **Key material in observable output.**  Trace keys and private keys must
-  never reach the journal, a log line, an f-string message or ``repr`` —
-  any of those ends up in exported snapshots that untrusted trackers read.
-* **Degenerate cipher modes.**  A constant IV (or raw per-block encryption,
-  i.e. ECB) makes equal heartbeat plaintexts produce equal ciphertexts,
-  which is exactly the traffic-analysis leak §5.1's per-session trace keys
-  exist to prevent.
+The other family the paper's security sections (4-5) make fatal, key
+material in observable output, is the flow-sensitive CRY02 rule
+(:mod:`repro.analysis.rules.key_taint`); what counts as a secret name and
+as an observable sink is defined here, once, for it.
 """
 
 from __future__ import annotations
@@ -96,12 +95,6 @@ def _secret_expr_name(node: ast.expr) -> str | None:
     parts = access_chain(node)
     if not parts or is_metadata_name(parts[-1]):
         return None
-    if isinstance(node, ast.Subscript) and parts in (["key"], ["keys"]):
-        # ``key[:8]`` / ``keys[i]``: indexing a *generically* named value is
-        # a mapping lookup or a slice of something derived (a hex digest, an
-        # id), not the key material itself.  Specific names (``trace_key``)
-        # still flag.
-        return None
     for part in reversed(parts):
         if is_secret_name(part):
             return part
@@ -111,9 +104,8 @@ def _secret_expr_name(node: ast.expr) -> str | None:
 def observable_sink_label(func: ast.expr) -> str | None:
     """Human label when ``func`` is an observable sink callable, else None.
 
-    Shared with the flow-sensitive CRY02 rule so both agree on what counts
-    as "observable output": logging-shaped calls, ``print``, and
-    ``.record(...)`` on a journal-shaped receiver.
+    What CRY02 counts as "observable output": logging-shaped calls,
+    ``print``, and ``.record(...)`` on a journal-shaped receiver.
     """
     if isinstance(func, ast.Name):
         return f"{func.id}()" if func.id in LOG_CALL_NAMES else None
@@ -133,65 +125,17 @@ def observable_sink_label(func: ast.expr) -> str | None:
 
 
 class SecretExposureChecker(Checker):
-    """CRY01: key material out of logs; no constant IVs; no ECB shapes.
-
-    This is the *syntactic* rule: it only sees key material named at the
-    sink itself.  When the project-wide CRY02 taint rule runs it covers the
-    same direct flows plus everything reached through assignments and
-    one-hop calls, so CRY01 acts as the fallback for single-file analysis
-    (``analyze_source``) and keeps sole ownership of the cipher-shape
-    checks (constant IV / ECB).
-    """
+    """CRY01: no constant IVs; no ECB shapes."""
 
     rule = "CRY01"
-    description = (
-        "key/secret-named values must not reach journals, logs, f-strings or "
-        "repr; ciphers must not use constant IVs or ECB-shaped calls"
-    )
+    description = "ciphers must not use constant IVs or ECB-shaped calls"
     severity = SEVERITY_ERROR
-    default_hint = "log a fingerprint (digest) or the key's metadata, never the key"
+    default_hint = "use the CBC helpers in repro.crypto.aes with a fresh IV per message"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.JoinedStr):
-                yield from self._check_fstring(ctx, node)
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node)
-
-    # -- key material reaching observable output ---------------------------------
-
-    def _check_fstring(self, ctx: FileContext, node: ast.JoinedStr) -> Iterator[Finding]:
-        for value in node.values:
-            if not isinstance(value, ast.FormattedValue):
-                continue
-            name = _secret_expr_name(value.value)
-            if name is not None:
-                yield ctx.finding(
-                    self, value, f"key material {name!r} interpolated into an f-string"
-                )
-
-    def _check_call(self, ctx: FileContext, call: ast.Call) -> Iterator[Finding]:
-        func = call.func
-        # repr(secret) / str(secret)
-        if isinstance(func, ast.Name) and func.id in {"repr", "str"} and call.args:
-            name = _secret_expr_name(call.args[0])
-            if name is not None:
-                yield ctx.finding(
-                    self, call, f"{func.id}() of key material {name!r}"
-                )
-        sink_label = observable_sink_label(func)
-        if sink_label is not None:
-            for arg in [*call.args, *(kw.value for kw in call.keywords)]:
-                name = _secret_expr_name(arg)
-                if name is not None:
-                    yield ctx.finding(
-                        self,
-                        call,
-                        f"key material {name!r} passed to {sink_label}",
-                    )
-        yield from self._check_cipher_shape(ctx, call)
-
-    # -- degenerate cipher modes --------------------------------------------------
+            if isinstance(node, ast.Call):
+                yield from self._check_cipher_shape(ctx, node)
 
     def _check_cipher_shape(self, ctx: FileContext, call: ast.Call) -> Iterator[Finding]:
         for keyword in call.keywords:

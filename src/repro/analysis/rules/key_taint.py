@@ -1,20 +1,23 @@
 """CRY02 — flow-sensitive key-material taint tracking.
 
-CRY01 only fires when key material is *named* at the sink; a key flowing
+Trace keys and private keys must never reach the journal, a log line, an
+f-string message or ``repr`` — any of those ends up in exported snapshots
+that untrusted trackers read — whether the key is named at the sink, flows
 through an intermediate variable (``k = self.trace_key; journal.record(
-key=k)``) or a helper function one module away is invisible to it.  CRY02
-runs the :mod:`repro.analysis.dataflow` engine over the whole
+key=k)``) or through a helper function one module away.  CRY02 runs the
+:mod:`repro.analysis.dataflow` engine over the whole
 :class:`~repro.analysis.project.ProjectIndex`:
 
-* **Sources** — secret-named names/attributes (CRY01's heuristic), key
+* **Sources** — secret-named names/attributes (the name heuristic of
+  :mod:`~repro.analysis.rules.crypto_hygiene`), key
   constructors (``SymmetricKey``/``KeyPair``/``generate_*key*`` and their
   ``from_dict``), and functions whose one-hop summary says they return key
   material.
 * **Sanitizers** — digests, fingerprints, hybrid sealing
   (:func:`~repro.crypto.signing.seal_for`), signing, encryption: once key
   material has been hashed or encrypted its rendering is safe to observe.
-* **Sinks** — everything CRY01 polices (journal ``.record``, logging
-  calls, f-strings, ``repr``/``str``) plus the wire-shaped exits: message
+* **Sinks** — the observable ones (journal ``.record``, logging calls,
+  f-strings, ``repr``/``str``) plus the wire-shaped exits: message
   bodies handed to ``publish``/``send`` calls, ``wire_dict``/codec
   ``encode`` arguments, and instrument names.
 
@@ -229,8 +232,6 @@ class KeyMaterialFlowChecker(ProjectChecker):
         found: list[Finding],
         seen: set[tuple[int, str]],
     ) -> None:
-        # Direct secret-at-sink flows are CRY01's findings; CRY02 reports
-        # them too (it subsumes CRY01 in project runs — the runner dedups).
         message = f"key material from {label!r} flows into {sink}"
         key = (getattr(node, "lineno", 1), message)
         if key in seen:

@@ -120,7 +120,7 @@ def analyze_paths(
             findings.extend(run_project_checkers(index, [checker]))
             _observe_rule_ms(registry, checker.rule, _now_ms() - started)
 
-    return sorted(_drop_shadowed(findings), key=Finding.sort_key)
+    return sorted(findings, key=Finding.sort_key)
 
 
 def _observe_rule_ms(
@@ -128,29 +128,6 @@ def _observe_rule_ms(
 ) -> None:
     if registry is not None:
         registry.histogram(f"analysis.project.ms.{rule.lower()}").observe(elapsed_ms)
-
-
-def _drop_shadowed(findings: list[Finding]) -> list[Finding]:
-    """Drop CRY01 key-material findings that CRY02 re-reports flow-sensitively.
-
-    In a project run CRY02 subsumes CRY01's name-at-sink heuristic; keeping
-    both would double-count every direct leak.  CRY01's cipher-shape
-    findings (constant IV / ECB) are its own and always survive.
-    """
-    cry02_sites = {
-        (f.path, f.line) for f in findings if f.rule == "CRY02"
-    }
-    if not cry02_sites:
-        return findings
-    return [
-        f
-        for f in findings
-        if not (
-            f.rule == "CRY01"
-            and "key material" in f.message
-            and (f.path, f.line) in cry02_sites
-        )
-    ]
 
 
 def rule_counts(findings: Iterable[Finding], rules: Iterable[str]) -> dict[str, int]:

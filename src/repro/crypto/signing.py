@@ -21,7 +21,7 @@ from typing import Any
 
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
-from repro.errors import DecryptionError, SignatureError
+from repro.errors import DecryptionError, MalformedEnvelopeError, SignatureError
 from repro.util.serialization import canonical_decode, canonical_encode
 
 
@@ -46,11 +46,15 @@ class SignedEnvelope:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SignedEnvelope":
-        return cls(
-            payload=data["payload"],
-            signature=bytes(data["signature"]),
-            signer_fingerprint=bytes(data["signer_fingerprint"]),
-        )
+        """Parse the wire mapping; raises :class:`MalformedEnvelopeError`."""
+        try:
+            return cls(
+                payload=data["payload"],
+                signature=bytes(data["signature"]),
+                signer_fingerprint=bytes(data["signer_fingerprint"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedEnvelopeError(f"malformed signed envelope: {exc!r}") from exc
 
 
 def sign_payload(payload: Any, private_key: RSAPrivateKey) -> SignedEnvelope:

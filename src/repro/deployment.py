@@ -71,7 +71,6 @@ class Deployment:
         restrictions: DiscoveryRestrictions | None = None,
         secured: bool = False,
         use_symmetric_channel: bool = False,
-        monitor: Monitor | None = None,
     ) -> TracedEntity:
         """Create a traced entity with CA-issued credentials."""
         machine = self.network.machine(machine_name or f"machine-{entity_id}")
@@ -83,7 +82,7 @@ class Deployment:
             machine=machine,
             credentials=credentials,
             tdn=self.tdn,
-            monitor=monitor or self.monitor,
+            monitor=self.monitor,
             restrictions=restrictions,
             secured=secured,
             use_symmetric_channel=use_symmetric_channel,
@@ -96,7 +95,6 @@ class Deployment:
         tracker_id: str,
         machine_name: str | None = None,
         interests: frozenset[InterestCategory] = ALL_CATEGORIES,
-        monitor: Monitor | None = None,
         proactive_interest: bool = True,
         verify_traces: bool = True,
     ) -> Tracker:
@@ -111,7 +109,7 @@ class Deployment:
             credentials=credentials,
             tdn=self.tdn,
             token_verifier=self.token_verifier,
-            monitor=monitor or self.monitor,
+            monitor=self.monitor,
             interests=interests,
             proactive_interest=proactive_interest,
             verify_traces=verify_traces,
@@ -327,7 +325,6 @@ def build_deployment(
             broker=broker,
             ca=ca,
             tdn_public_keys=trusted_keys,
-            monitor=monitor,
             ping_policy=ping_policy,
             gauge_interval_ms=gauge_interval_ms,
             client_locator=_locate_client_host,

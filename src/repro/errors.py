@@ -98,6 +98,14 @@ class SignatureError(CryptoError):
     """A digital signature failed to verify."""
 
 
+class MalformedEnvelopeError(SignatureError, ValueError):
+    """A signed envelope's wire mapping lacks a field or holds a wrong type.
+
+    Also a :class:`ValueError`, so parsers of an enclosing mapping (token,
+    registration request) report it as their own malformed-input error.
+    """
+
+
 class DecryptionError(CryptoError):
     """A ciphertext could not be decrypted (wrong key, corrupt data, padding)."""
 

@@ -10,11 +10,12 @@ step of the protocol leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.crypto.certificates import Certificate
 from repro.crypto.rsa import RSAPublicKey
-from repro.crypto.signing import SignedEnvelope
-from repro.errors import DiscoveryError
+from repro.crypto.signing import SignedEnvelope, verify_payload
+from repro.errors import DiscoveryError, SignatureError
 from repro.tdn.query import DiscoveryRestrictions
 from repro.util.identifiers import EntityId, RequestId, UUID128
 
@@ -98,6 +99,22 @@ class TopicAdvertisement:
             "lifetime": self.lifetime.to_dict(),
             "issuing_tdn": self.issuing_tdn,
         }
+
+    def verify_provenance(self, trusted_tdn_keys: Mapping[str, RSAPublicKey]) -> None:
+        """Check that a trusted TDN signed exactly these fields.
+
+        Raises :class:`SignatureError`.  The three messages travel in the
+        broker's registration rejections, so their bytes are wire format.
+        """
+        tdn_key = trusted_tdn_keys.get(self.issuing_tdn)
+        if tdn_key is None:
+            raise SignatureError("advertisement from unknown TDN")
+        if self.signature.payload != self.signed_fields():
+            raise SignatureError("advertisement fields mismatch")
+        try:
+            verify_payload(self.signature, tdn_key)
+        except SignatureError as exc:
+            raise SignatureError("advertisement signature invalid") from exc
 
     def to_dict(self) -> dict:
         """Wire rendering (embedded in registration messages)."""

@@ -336,10 +336,8 @@ class TDNNode:
 
     def verify_advertisement(self, advertisement: TopicAdvertisement) -> bool:
         """Validate a presented advertisement's TDN signature and fields."""
-        if advertisement.signature.payload != advertisement.signed_fields():
-            return False
         try:
-            verify_payload(advertisement.signature, self._keys.public)
+            advertisement.verify_provenance({self.name: self._keys.public})
         except SignatureError:
             return False
         return True

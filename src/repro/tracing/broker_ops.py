@@ -29,16 +29,17 @@ from repro.crypto.signing import (
 from repro.errors import (
     CertificateError,
     DecryptionError,
+    InterestError,
+    MalformedEnvelopeError,
     RegistrationError,
     SignatureError,
-    TopicError,
 )
 from repro.messaging.broker import Broker
 from repro.messaging.message import Message
+from repro.messaging.topics import Topic
 from repro.security.confidentiality import wrap_trace_body
 from repro.security.keydist import build_key_payload
 from repro.sim.engine import Event
-from repro.sim.monitor import Monitor
 from repro.tracing.coalesce import PingCoalescer
 from repro.tracing.failure import AdaptivePingPolicy, DetectorVerdict, FailureDetector
 from repro.tracing.interest import InterestCategory, InterestRegistry
@@ -50,36 +51,15 @@ from repro.tracing.registration import (
 )
 from repro.tracing.session import TraceSession
 from repro.tracing.topics import REGISTRATION_TOPIC, TraceTopicSet
-from repro.tracing.traces import (
-    CHANGE_NOTIFICATION_TYPES,
-    STATE_TRANSITION_TYPES,
-    EntityState,
-    LoadInformation,
-    TraceType,
-)
+from repro.tracing.traces import EntityState, LoadInformation, TraceType, category_of
 from repro.util.identifiers import SessionId, UUIDGenerator
 from repro.util.serialization import canonical_decode
 
 #: Ping responses per derived NETWORK_METRICS trace.
-DEFAULT_METRICS_EVERY = 5
+METRICS_EVERY = 5
 
 #: How often the broker re-gauges tracker interest.
 DEFAULT_GAUGE_INTERVAL_MS = 60_000.0
-
-
-def category_of(trace_type: TraceType) -> InterestCategory:
-    """Which interest category gates a trace type (Table 2 mapping)."""
-    if trace_type in CHANGE_NOTIFICATION_TYPES:
-        return InterestCategory.CHANGE_NOTIFICATIONS
-    if trace_type in STATE_TRANSITION_TYPES:
-        return InterestCategory.STATE_TRANSITIONS
-    if trace_type is TraceType.ALLS_WELL:
-        return InterestCategory.ALL_UPDATES
-    if trace_type is TraceType.LOAD_INFORMATION:
-        return InterestCategory.LOAD
-    if trace_type is TraceType.NETWORK_METRICS:
-        return InterestCategory.NETWORK_METRICS
-    raise TopicError(f"{trace_type} has no gating category")
 
 
 class TraceManager:
@@ -90,14 +70,8 @@ class TraceManager:
         broker: Broker,
         ca: CertificateAuthority,
         tdn_public_keys: dict[str, RSAPublicKey],
-        monitor: Monitor | None = None,
         ping_policy: AdaptivePingPolicy | None = None,
         gauge_interval_ms: float = DEFAULT_GAUGE_INTERVAL_MS,
-        metrics_every: int = DEFAULT_METRICS_EVERY,
-        interest_ttl_ms: float = 120_000.0,
-        detector_factory=FailureDetector,
-        ping_jitter_frac: float = 0.05,
-        gate_by_interest: bool = True,
         client_locator=None,
     ) -> None:
         self.broker = broker
@@ -105,15 +79,14 @@ class TraceManager:
         self.machine = broker.machine
         self.ca = ca
         self.tdn_public_keys = dict(tdn_public_keys)
-        self.monitor = monitor or broker.monitor
+        self.monitor = broker.monitor
         self.ping_policy = ping_policy or AdaptivePingPolicy()
         self.gauge_interval_ms = gauge_interval_ms
-        self.metrics_every = metrics_every
-        self.interest_ttl_ms = interest_ttl_ms
-        self.detector_factory = detector_factory
-        self.ping_jitter_frac = ping_jitter_frac
+        # assigned after construction by their one caller each
+        self.interest_ttl_ms = 120_000.0
+        self.detector_factory = FailureDetector
         # section 3.5 gating; disable only for the EXP-A4 ablation
-        self.gate_by_interest = gate_by_interest
+        self.gate_by_interest = True
         # batch same-window pings to co-located entities into one frame;
         # client_locator maps an entity id to its host (machine name) so
         # the coalescer knows who shares a wire (docs/PERFORMANCE.md)
@@ -130,9 +103,6 @@ class TraceManager:
         )
         self.sessions: dict[str, TraceSession] = {}          # by session hex
         self.sessions_by_entity: dict[str, TraceSession] = {}
-        self._keyed_trackers: dict[str, set[str]] = {}        # session hex -> trackers
-        self._response_counts: dict[str, int] = {}
-        self._session_queues: dict[str, object] = {}
 
         self.broker.subscribe_local(
             REGISTRATION_TOPIC.canonical, self._on_registration_message
@@ -161,62 +131,19 @@ class TraceManager:
             self.monitor.increment("trace.registration_not_local")
             return
 
-        response_topic = TraceTopicSet(
-            request.advertisement.trace_topic, request.entity_id
-        ).registration_response(request.entity_id, request.request_id.value)
-
-        # 1. credentials must verify against the trust anchor
-        yield from self.machine.charge(CryptoOp.CERT_VERIFY)
-        try:
-            self.ca.verify(request.credentials, now_ms=self.machine.now())
-        except CertificateError as exc:
-            yield from self._reject_registration(request, response_topic, str(exc))
-            return
-
-        # 2. proof of possession: the signature must decrypt with the
-        #    entity's public key and match the message digest (section 3.2)
-        yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
-        if request.signature.payload != request.expected_payload():
-            yield from self._reject_registration(
-                request, response_topic, "signature covers different fields"
-            )
-            return
-        try:
-            verify_payload(request.signature, request.credentials.public_key)
-        except SignatureError as exc:
-            yield from self._reject_registration(request, response_topic, str(exc))
-            return
-
-        # 3. the advertisement must be TDN-signed and owned by the requester
-        yield from self.machine.charge(CryptoOp.CERT_VERIFY)
         advertisement = request.advertisement
-        tdn_key = self.tdn_public_keys.get(advertisement.issuing_tdn)
-        if tdn_key is None:
-            yield from self._reject_registration(
-                request, response_topic, "advertisement from unknown TDN"
-            )
-            return
-        if advertisement.signature.payload != advertisement.signed_fields():
-            yield from self._reject_registration(
-                request, response_topic, "advertisement fields mismatch"
-            )
-            return
-        try:
-            verify_payload(advertisement.signature, tdn_key)
-        except SignatureError:
-            yield from self._reject_registration(
-                request, response_topic, "advertisement signature invalid"
-            )
-            return
-        if advertisement.owner_subject != request.credentials.subject:
-            yield from self._reject_registration(
-                request, response_topic, "trace topic owned by another entity"
-            )
-            return
-        if not advertisement.lifetime.alive_at(self.machine.now()):
-            yield from self._reject_registration(
-                request, response_topic, "trace topic lifetime expired"
-            )
+        topics = TraceTopicSet(advertisement.trace_topic, request.entity_id)
+        response_topic = topics.registration_response(
+            request.entity_id, request.request_id.value
+        )
+
+        reason = yield from self._registration_fault(request)
+        if reason is not None:
+            yield from self.machine.compute(0.1)
+            error = RegistrationError_Response(request.request_id, reason)
+            self._publish_plain(response_topic, error.to_dict())
+            self.monitor.increment("trace.registrations_rejected")
+            self.monitor.log(self.sim.now, "registration_rejected", reason=reason)
             return
 
         # a re-registration supersedes the entity's previous session: the
@@ -229,7 +156,6 @@ class TraceManager:
 
         # success: mint a session and wire the topics
         session_id = SessionId(self._session_ids.next())
-        topics = TraceTopicSet(advertisement.trace_topic, request.entity_id)
         # interest continuity: trackers that were following the superseded
         # session are still subscribed (publication topics derive from the
         # trace topic), so the new session inherits their registrations
@@ -243,32 +169,27 @@ class TraceManager:
             advertisement=advertisement,
             topics=topics,
             started_ms=self.sim.now,
+            # entity messages are handled strictly in arrival order per
+            # session (verification times differ per message kind, so
+            # concurrent handlers could otherwise reorder, e.g. a state
+            # report overtaking the token delivery it depends on)
+            inbox=self.sim.queue(name=f"session-{session_id.value.hex[:8]}"),
             ping_policy=self.ping_policy,
             detector=self.detector_factory(),
             interest=interest,
         )
         session.history.metrics = self.monitor.metrics
-        key = session_id.value.hex
-        self.sessions[key] = session
+        self.sessions[session.hex_id] = session
         self.sessions_by_entity[str(request.entity_id)] = session
-        self._keyed_trackers[key] = set()
-        self._response_counts[key] = 0
-
-        # entity messages are handled strictly in arrival order per session
-        # (verification times differ per message kind, so concurrent
-        # handlers could otherwise reorder, e.g. a state report overtaking
-        # the token delivery it depends on)
-        work_queue = self.sim.queue(name=f"session-{key[:8]}")
-        self._session_queues[key] = work_queue
         self.sim.process(
-            self._session_worker(session, work_queue),
+            self._session_worker(session),
             name=f"{self.broker.broker_id}.worker.{request.entity_id}",
         )
 
         # the broker subscribes to the entity->broker session topic ...
         self.broker.subscribe_local(
             topics.entity_to_broker(session_id).canonical,
-            lambda msg, s=session: self._on_entity_message(s, msg),
+            session.inbox.put,
         )
         # ... and to the interest-response topic (section 3.5)
         self.broker.subscribe_local(
@@ -288,7 +209,7 @@ class TraceManager:
         sealed = seal_for(
             response.to_dict(), request.credentials.public_key, self.machine.rng
         )
-        self._publish_plain(response_topic.canonical, sealed.to_dict())
+        self._publish_plain(response_topic, sealed.to_dict())
         self.monitor.increment("trace.sessions_created")
         # audit evidence: every session the counter above counts must be
         # reconstructible from the journal (repro.analytics.audit)
@@ -298,7 +219,7 @@ class TraceManager:
             principal=str(request.entity_id),
             entity=str(request.entity_id),
             broker=self.broker.broker_id,
-            session=key[:8],
+            session=session.hex_id[:8],
             superseded_previous=previous is not None,
         )
         if self.recovery_probe is not None:
@@ -306,20 +227,47 @@ class TraceManager:
                 str(request.entity_id), self.sim.now
             )
 
-    def _reject_registration(
-        self, request: TraceRegistrationRequest, response_topic, reason: str
-    ) -> Generator[Event, None, None]:
-        yield from self.machine.compute(0.1)
-        error = RegistrationError_Response(request.request_id, reason)
-        self._publish_plain(response_topic.canonical, error.to_dict())
-        self.monitor.increment("trace.registrations_rejected")
-        self.monitor.log(self.sim.now, "registration_rejected", reason=reason)
+    def _registration_fault(
+        self, request: TraceRegistrationRequest
+    ) -> Generator[Event, None, str | None]:
+        """Run the section 3.2 checks: why the request fails, or None.
 
-    def _publish_plain(self, topic: str, body: dict) -> None:
-        from repro.messaging.topics import Topic
+        The reason rides the wire in the rejection, and its length feeds
+        simulated latency, so the strings are part of the protocol.
+        """
+        # 1. credentials must verify against the trust anchor
+        yield from self.machine.charge(CryptoOp.CERT_VERIFY)
+        try:
+            self.ca.verify(request.credentials, now_ms=self.machine.now())
+        except CertificateError as exc:
+            return str(exc)
 
+        # 2. proof of possession: the signature must decrypt with the
+        #    entity's public key and match the message digest (section 3.2)
+        yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
+        if request.signature.payload != request.expected_payload():
+            return "signature covers different fields"
+        try:
+            verify_payload(request.signature, request.credentials.public_key)
+        except SignatureError as exc:
+            return str(exc)
+
+        # 3. the advertisement must be TDN-signed and owned by the requester
+        yield from self.machine.charge(CryptoOp.CERT_VERIFY)
+        advertisement = request.advertisement
+        try:
+            advertisement.verify_provenance(self.tdn_public_keys)
+        except SignatureError as exc:
+            return str(exc)
+        if advertisement.owner_subject != request.credentials.subject:
+            return "trace topic owned by another entity"
+        if not advertisement.lifetime.alive_at(self.machine.now()):
+            return "trace topic lifetime expired"
+        return None
+
+    def _publish_plain(self, topic: Topic, body: dict) -> None:
         message = Message(
-            topic=Topic.parse(topic),
+            topic=topic,
             body=body,
             source=self.broker.broker_id,
             created_ms=self.machine.now(),
@@ -328,46 +276,29 @@ class TraceManager:
 
     # --------------------------------------------------------- entity messages
 
-    def _on_entity_message(self, session: TraceSession, message: Message) -> None:
-        queue = self._session_queues.get(session.session_id.value.hex)
-        if queue is None:  # pragma: no cover - sessions always get a worker
-            self.sim.process(
-                self._handle_entity_message(session, message),
-                name=f"{self.broker.broker_id}.entity_msg",
-            )
-            return
-        queue.put(message)
-
-    def _session_worker(self, session: TraceSession, queue) -> None:
+    def _session_worker(self, session: TraceSession) -> Generator[Event, None, None]:
         """FIFO handler loop for one session's entity messages."""
         while True:
-            message = yield queue.get()
-            yield from self._handle_entity_message(session, message)
-
-    def _handle_entity_message(
-        self, session: TraceSession, message: Message
-    ) -> Generator[Event, None, None]:
-        body = yield from self._authenticate_entity_message(session, message)
-        if body is None:
-            self.monitor.increment("trace.entity_messages_rejected")
-            return
-        kind = body.get("kind")
-        if kind == "ping_response":
-            yield from self._handle_ping_response(session, body)
-        elif kind == "state_transition":
-            yield from self._handle_state_report(session, body)
-        elif kind == "load":
-            yield from self._handle_load_report(session, body)
-        elif kind == "token_delivery":
-            yield from self._handle_token_delivery(session, body)
-        elif kind == "trace_key":
-            yield from self._handle_trace_key(session, body)
-        elif kind == "channel_key":
-            yield from self._handle_channel_key(session, body)
-        elif kind == "disable_tracing":
-            yield from self._handle_disable(session)
-        else:
-            self.monitor.increment("trace.entity_messages_unknown")
+            message = yield session.inbox.get()
+            body = yield from self._authenticate_entity_message(session, message)
+            if body is None:
+                self.monitor.increment("trace.entity_messages_rejected")
+                continue
+            kind = body.get("kind")
+            if kind == "ping_response":
+                yield from self._handle_ping_response(session, body)
+            elif kind == "state_transition":
+                yield from self._handle_state_report(session, body)
+            elif kind == "load":
+                yield from self._handle_load_report(session, body)
+            elif kind == "token_delivery":
+                yield from self._handle_token_delivery(session, body)
+            elif kind == "trace_key" or kind == "channel_key":
+                yield from self._handle_symmetric_key(session, kind, body)
+            elif kind == "disable_tracing":
+                yield from self._handle_disable(session)
+            else:
+                self.monitor.increment("trace.entity_messages_unknown")
 
     def _authenticate_entity_message(
         self, session: TraceSession, message: Message
@@ -393,20 +324,35 @@ class TraceManager:
         if message.signature is None or not isinstance(body, dict):
             return None
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
-        envelope = SignedEnvelope.from_dict(message.signature)
-        if envelope.payload != body:
-            return None
         try:
+            envelope = SignedEnvelope.from_dict(message.signature)
+            if envelope.payload != body:
+                return None
             verify_payload(envelope, session.advertisement.owner_public_key)
-        except SignatureError:
+        except SignatureError as exc:
+            self._journal_if_malformed(exc, session, message)
             return None
         return body
 
+    def _journal_if_malformed(
+        self, exc: Exception, session: TraceSession, message: Message
+    ) -> None:
+        """A signature mapping that does not parse leaves evidence; one that
+        parses and fails to verify is only counted."""
+        if isinstance(exc, MalformedEnvelopeError):
+            self.monitor.journal.record(
+                self.sim.now,
+                "envelope.malformed",
+                principal=message.source,
+                entity=str(session.entity_id),
+                broker=self.broker.broker_id,
+                session=session.hex_id[:8],
+                reason=str(exc),
+            )
+
     # ------------------------------------------------------------ message kinds
 
-    def _open_sealed_control(
-        self, session: TraceSession, body: dict
-    ) -> Generator[Event, None, dict | None]:
+    def _open_sealed_control(self, body: dict) -> Generator[Event, None, dict | None]:
         yield from self.machine.charge(CryptoOp.OPEN_SEALED)
         try:
             sealed = SealedPayload.from_dict(body["sealed"])
@@ -419,7 +365,7 @@ class TraceManager:
     def _handle_token_delivery(
         self, session: TraceSession, body: dict
     ) -> Generator[Event, None, None]:
-        payload = yield from self._open_sealed_control(session, body)
+        payload = yield from self._open_sealed_control(body)
         if payload is None:
             return
         try:
@@ -454,31 +400,22 @@ class TraceManager:
                 name=f"{self.broker.broker_id}.gauge.{session.entity_id}",
             )
 
-    def _handle_trace_key(
-        self, session: TraceSession, body: dict
+    def _handle_symmetric_key(
+        self, session: TraceSession, kind: str, body: dict
     ) -> Generator[Event, None, None]:
-        payload = yield from self._open_sealed_control(session, body)
-        if payload is None:
-            return
-        try:
-            session.trace_key = SymmetricKey.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            self.monitor.increment("trace.trace_key_malformed")
-            return
-        self.monitor.increment("trace.trace_keys_received")
+        """Install a sealed ``trace_key`` (§5.1) or ``channel_key`` (§6.3).
 
-    def _handle_channel_key(
-        self, session: TraceSession, body: dict
-    ) -> Generator[Event, None, None]:
-        payload = yield from self._open_sealed_control(session, body)
+        Counted as ``trace.<kind>s_received`` / ``trace.<kind>_malformed``.
+        """
+        payload = yield from self._open_sealed_control(body)
         if payload is None:
             return
         try:
-            session.channel_key = SymmetricKey.from_dict(payload)
+            setattr(session, kind, SymmetricKey.from_dict(payload))
         except (KeyError, TypeError, ValueError):
-            self.monitor.increment("trace.channel_key_malformed")
+            self.monitor.increment(f"trace.{kind}_malformed")
             return
-        self.monitor.increment("trace.channel_keys_received")
+        self.monitor.increment(f"trace.{kind}s_received")
 
     def _handle_ping_response(
         self, session: TraceSession, body: dict
@@ -508,9 +445,8 @@ class TraceManager:
             origin_stamp_ms=response.entity_stamp_ms,
         )
 
-        key = session.session_id.value.hex
-        self._response_counts[key] = self._response_counts.get(key, 0) + 1
-        if self._response_counts[key] % self.metrics_every == 0:
+        session.response_count += 1
+        if session.response_count % METRICS_EVERY == 0:
             metrics = session.history.network_metrics(
                 self.machine.now(), self.ping_policy.response_deadline_ms
             )
@@ -585,9 +521,7 @@ class TraceManager:
         responses — the restart bug this method and
         ``PingHistory.reset_incarnation`` exist to fix.
         """
-        for session in self.sessions.values():
-            if not session.active:
-                continue
+        for session in self.active_sessions():
             session.history.reset_incarnation()
             if not session.declared_failed:
                 session.detector.reset()
@@ -600,10 +534,7 @@ class TraceManager:
         deadline = self.ping_policy.response_deadline_ms
         # random initial phase: colocated sessions must not ping in lockstep
         # (their registration times are often harmonically related)
-        if self.ping_jitter_frac:
-            yield self.sim.timeout(
-                self.machine.rng.uniform(0.0, session.current_interval_ms)
-            )
+        yield self.sim.timeout(self.machine.rng.uniform(0.0, session.current_interval_ms))
         while session.active and not session.declared_failed:
             if self.broker.failed:
                 # the broker process is down: a dead host issues no pings
@@ -722,23 +653,22 @@ class TraceManager:
             self.monitor.increment("trace.interest_unsigned")
             return
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
-        envelope = SignedEnvelope.from_dict(message.signature)
-        if envelope.payload != body:
-            self.monitor.increment("trace.interest_tampered")
-            return
         try:
+            envelope = SignedEnvelope.from_dict(message.signature)
+            if envelope.payload != body:
+                self.monitor.increment("trace.interest_tampered")
+                return
             cred = body["credentials"]
             tracker_key = RSAPublicKey(int(cred["n"]), int(cred["e"]))
             verify_payload(envelope, tracker_key)
-        except (KeyError, TypeError, ValueError, SignatureError):
+        except (KeyError, TypeError, ValueError, SignatureError) as exc:
             self.monitor.increment("trace.interest_bad_signature")
+            self._journal_if_malformed(exc, session, message)
             return
         try:
-            from repro.tracing.interest import InterestCategory as IC
-
-            categories = frozenset(IC(c) for c in body["categories"])
+            categories = InterestCategory.parse_many(body["categories"])
             tracker_id = str(body["tracker_id"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, InterestError):
             self.monitor.increment("trace.interest_malformed")
             return
 
@@ -752,14 +682,12 @@ class TraceManager:
         self.monitor.increment("trace.interest_recorded")
 
         # secured sessions: distribute the trace key once per tracker (§5.1)
-        key = session.session_id.value.hex
         if (
             session.secured
-            and session.trace_key is not None
-            and tracker_id not in self._keyed_trackers.get(key, set())
+            and tracker_id not in session.keyed_trackers
             and body.get("response_topic")
         ):
-            self._keyed_trackers.setdefault(key, set()).add(tracker_id)
+            session.keyed_trackers.add(tracker_id)
             yield from self._distribute_trace_key(
                 session, tracker_id, tracker_key, str(body["response_topic"])
             )
@@ -779,7 +707,7 @@ class TraceManager:
             tracker_key,
             self.machine.rng,
         )
-        self._publish_plain(response_topic, payload.to_dict())
+        self._publish_plain(Topic.parse(response_topic), payload.to_dict())
         self.monitor.increment("trace.keys_distributed")
         # audit evidence for the key hand-off (repro.analytics.audit)
         self.monitor.journal.record(
@@ -813,26 +741,25 @@ class TraceManager:
         if session.token.expired(now):
             self.monitor.increment("trace.token_expired")
             return
-        if not force and self.gate_by_interest:
-            category = category_of(trace_type)
-            if not session.interest.interested_in(category, now):
-                self.monitor.increment("trace.suppressed_no_interest")
-                return
-            # a tracker can unsubscribe (or its broker can detach it) while
-            # its gauged interest is still inside the TTL window; the
-            # indexed matcher makes "anyone subscribed at all?" an
-            # O(topic-depth) check, so skip the signing cost for traces
-            # no subscriber anywhere would receive
-            topic = session.topics.topic_for_trace(trace_type)
-            if not self.broker.has_any_subscriber(topic.canonical):
-                self.monitor.increment("trace.suppressed_no_subscriber")
-                return
+        gated = not force and self.gate_by_interest
+        if gated and not session.interest.interested_in(category_of(trace_type), now):
+            self.monitor.increment("trace.suppressed_no_interest")
+            return
+        topic = session.topics.topic_for_trace(trace_type)
+        # a tracker can unsubscribe (or its broker can detach it) while its
+        # gauged interest is still inside the TTL window; the indexed
+        # matcher makes "anyone subscribed at all?" an O(topic-depth) check,
+        # so skip the signing cost for traces no subscriber anywhere would
+        # receive
+        if gated and not self.broker.has_any_subscriber(topic.canonical):
+            self.monitor.increment("trace.suppressed_no_subscriber")
+            return
 
         body = {
             "trace_type": trace_type.value,
             "entity_id": str(session.entity_id),
             "trace_topic": session.advertisement.trace_topic.hex,
-            "session": session.session_id.value.hex,
+            "session": session.hex_id,
             "seq": session.next_trace_seq(),
             "payload": payload,
             "origin_stamp_ms": origin_stamp_ms,
@@ -848,11 +775,8 @@ class TraceManager:
             yield from self.machine.charge(CryptoOp.TRACE_SIGN)
         envelope = sign_payload(body, session.token_private_key)
 
-        from repro.messaging.topics import Topic
-
-        topic = session.topics.topic_for_trace(trace_type)
         message = Message(
-            topic=Topic.parse(topic.canonical),
+            topic=topic,
             body=body,
             source=self.broker.broker_id,
             created_ms=now,

@@ -170,7 +170,7 @@ class PingCoalescer:
             if len(issued) == 1:
                 session, ping = issued[0]
                 manager._publish_plain(
-                    session.topics.broker_to_entity(session.session_id).canonical,
+                    session.topics.broker_to_entity(session.session_id),
                     ping.to_dict(),
                 )
                 continue
@@ -187,8 +187,7 @@ class PingCoalescer:
                 ],
             }
             manager._publish_plain(
-                delegate.topics.broker_to_entity(delegate.session_id).canonical,
-                body,
+                delegate.topics.broker_to_entity(delegate.session_id), body
             )
             metrics.counter("tracker.pings.coalesced").inc(len(issued) - 1)
             metrics.histogram("tracker.ping.batch_size").observe(float(len(issued)))

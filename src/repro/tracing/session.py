@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from repro.auth.tokens import AuthorizationToken
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey
+from repro.sim.engine import Queue
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.tracing.failure import AdaptivePingPolicy, FailureDetector
 from repro.tracing.interest import InterestRegistry
@@ -25,6 +26,8 @@ class TraceSession:
     advertisement: TopicAdvertisement
     topics: TraceTopicSet
     started_ms: float
+    #: entity messages awaiting the session worker, in arrival order
+    inbox: Queue
     ping_policy: AdaptivePingPolicy = field(default_factory=AdaptivePingPolicy)
     detector: FailureDetector = field(default_factory=FailureDetector)
     history: PingHistory = field(default_factory=PingHistory)
@@ -48,10 +51,18 @@ class TraceSession:
     active: bool = True            # set False on silent mode / shutdown
     declared_failed: bool = False
     suspicion_announced: bool = False
+    response_count: int = 0        # matched ping responses (NETWORK_METRICS cadence)
+    #: trackers already sent this session's trace key (section 5.1)
+    keyed_trackers: set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if self.current_interval_ms <= 0:
             self.current_interval_ms = self.ping_policy.base_interval_ms
+
+    @property
+    def hex_id(self) -> str:
+        """The session id as hex: the manager's index key and the wire form."""
+        return self.session_id.value.hex
 
     @property
     def secured(self) -> bool:

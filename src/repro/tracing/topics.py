@@ -10,14 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import TopicError
 from repro.messaging.topics import Topic
 from repro.tracing.interest import InterestCategory
-from repro.tracing.traces import (
-    CHANGE_NOTIFICATION_TYPES,
-    STATE_TRANSITION_TYPES,
-    TraceType,
-)
+from repro.tracing.traces import TRACE_CATEGORY, TraceType
 from repro.util.identifiers import EntityId, SessionId, UUID128
 
 #: The topic every traced entity uses to register with a broker (§3.2).
@@ -123,34 +118,14 @@ class TraceTopicSet:
 
     def topic_for_trace(self, trace_type: TraceType) -> Topic:
         """The publication topic Table 2 assigns to a trace type."""
-        if trace_type in CHANGE_NOTIFICATION_TYPES:
-            return self.change_notifications
-        if trace_type in STATE_TRANSITION_TYPES:
-            return self.state_transitions
-        if trace_type is TraceType.ALLS_WELL:
-            return self.all_updates
-        if trace_type is TraceType.LOAD_INFORMATION:
-            return self.load
-        if trace_type is TraceType.NETWORK_METRICS:
-            return self.network_metrics
-        if trace_type is TraceType.GUAGE_INTEREST:
+        category = TRACE_CATEGORY[trace_type]
+        if category is None:
             return self.interest_request
-        raise TopicError(f"no publication topic for {trace_type}")
+        return self.topic_for_category(category)
 
     def topic_for_category(self, category: InterestCategory) -> Topic:
-        return {
-            InterestCategory.CHANGE_NOTIFICATIONS: self.change_notifications,
-            InterestCategory.ALL_UPDATES: self.all_updates,
-            InterestCategory.STATE_TRANSITIONS: self.state_transitions,
-            InterestCategory.LOAD: self.load,
-            InterestCategory.NETWORK_METRICS: self.network_metrics,
-        }[category]
+        # the five stream properties above are named after the category values
+        return getattr(self, category.value)
 
     def all_publication_topics(self) -> list[Topic]:
-        return [
-            self.change_notifications,
-            self.all_updates,
-            self.state_transitions,
-            self.load,
-            self.network_metrics,
-        ]
+        return [self.topic_for_category(category) for category in InterestCategory]

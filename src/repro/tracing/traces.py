@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
+from repro.errors import TopicError, ValidationError
+from repro.tracing.interest import InterestCategory
 
 
 class EntityState(enum.Enum):
@@ -61,27 +62,46 @@ class TraceType(enum.Enum):
         return cls(state.value)
 
 
+#: Table 2: the interest category that gates each trace type, and through
+#: it the publication topic the trace goes out on
+#: (:meth:`~repro.tracing.topics.TraceTopicSet.topic_for_trace`).
+#: GUAGE_INTEREST is the one ungated type; it goes out on the
+#: interest-request topic.
+TRACE_CATEGORY: dict[TraceType, InterestCategory | None] = {
+    TraceType.JOIN: InterestCategory.CHANGE_NOTIFICATIONS,
+    TraceType.FAILURE_SUSPICION: InterestCategory.CHANGE_NOTIFICATIONS,
+    TraceType.FAILED: InterestCategory.CHANGE_NOTIFICATIONS,
+    TraceType.DISCONNECT: InterestCategory.CHANGE_NOTIFICATIONS,
+    TraceType.REVERTING_TO_SILENT_MODE: InterestCategory.CHANGE_NOTIFICATIONS,
+    TraceType.INITIALIZING: InterestCategory.STATE_TRANSITIONS,
+    TraceType.RECOVERING: InterestCategory.STATE_TRANSITIONS,
+    TraceType.READY: InterestCategory.STATE_TRANSITIONS,
+    TraceType.SHUTDOWN: InterestCategory.STATE_TRANSITIONS,
+    TraceType.ALLS_WELL: InterestCategory.ALL_UPDATES,
+    TraceType.LOAD_INFORMATION: InterestCategory.LOAD,
+    TraceType.NETWORK_METRICS: InterestCategory.NETWORK_METRICS,
+    TraceType.GUAGE_INTEREST: None,
+}
+
+
+def category_of(trace_type: TraceType) -> InterestCategory:
+    """Which interest category gates a trace type (Table 2 mapping)."""
+    category = TRACE_CATEGORY[trace_type]
+    if category is None:
+        raise TopicError(f"{trace_type} has no gating category")
+    return category
+
+
+def _types_in(category: InterestCategory) -> frozenset[TraceType]:
+    return frozenset(t for t, c in TRACE_CATEGORY.items() if c is category)
+
+
 #: Trace types that signal a change in the status of the traced entity and
 #: are therefore published on the ChangeNotifications topic (Table 2).
-CHANGE_NOTIFICATION_TYPES = frozenset(
-    {
-        TraceType.JOIN,
-        TraceType.FAILURE_SUSPICION,
-        TraceType.FAILED,
-        TraceType.DISCONNECT,
-        TraceType.REVERTING_TO_SILENT_MODE,
-    }
-)
+CHANGE_NOTIFICATION_TYPES = _types_in(InterestCategory.CHANGE_NOTIFICATIONS)
 
 #: Trace types carrying entity state transitions (StateTransitions topic).
-STATE_TRANSITION_TYPES = frozenset(
-    {
-        TraceType.INITIALIZING,
-        TraceType.RECOVERING,
-        TraceType.READY,
-        TraceType.SHUTDOWN,
-    }
-)
+STATE_TRANSITION_TYPES = _types_in(InterestCategory.STATE_TRANSITIONS)
 
 
 @dataclass(frozen=True, slots=True)

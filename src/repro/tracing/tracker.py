@@ -21,7 +21,13 @@ from repro.crypto.costmodel import CryptoOp
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPublicKey
 from repro.crypto.signing import SignedEnvelope, verify_payload
-from repro.errors import DecryptionError, DiscoveryError, SignatureError, TokenError
+from repro.errors import (
+    DecryptionError,
+    DiscoveryError,
+    MalformedEnvelopeError,
+    SignatureError,
+    TokenError,
+)
 from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
 from repro.security.confidentiality import unwrap_trace_body
@@ -415,15 +421,27 @@ class Tracker:
                 else CryptoOp.TRACE_VERIFY
             )
             yield from self.machine.charge(op)
-            envelope = SignedEnvelope.from_dict(message.signature)
-            if envelope.payload != body:
-                self.monitor.increment("tracker.traces_tampered")
-                return
             token_key: RSAPublicKey = token.token_public_key
             try:
+                envelope = SignedEnvelope.from_dict(message.signature)
+                if envelope.payload != body:
+                    self.monitor.increment("tracker.traces_tampered")
+                    return
                 verify_payload(envelope, token_key)
-            except SignatureError:
+            except SignatureError as exc:
                 self.monitor.increment("tracker.traces_bad_signature")
+                if isinstance(exc, MalformedEnvelopeError):
+                    # a signature that parses and fails is only counted; a
+                    # mapping that does not parse leaves evidence
+                    self.monitor.journal.record(
+                        self.sim.now,
+                        "envelope.malformed",
+                        topic=message.topic.canonical,
+                        principal=message.source,
+                        entity=str(watched.topics.entity_id),
+                        tracker=self.tracker_id,
+                        reason=str(exc),
+                    )
                 return
 
         if message.encrypted or body.get("secured"):

@@ -43,8 +43,8 @@ class TestSanitizedFixture:
 
 class TestShadowingCry01:
     def test_project_run_drops_duplicate_cry01(self, tmp_path):
-        # a direct name-at-sink leak is found by both rules; the runner
-        # keeps the flow-sensitive CRY02 finding only
+        # a direct name-at-sink leak is one finding: CRY02's (CRY01 has no
+        # key-material arm any more, so there is nothing to de-duplicate)
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("")

@@ -4,6 +4,7 @@ import pytest
 
 from repro import build_deployment
 from repro.errors import DiscoveryError
+from repro.messaging.message import Message
 from repro.tdn.query import DiscoveryRestrictions
 from repro.tracing.traces import TraceType
 
@@ -131,3 +132,53 @@ class TestMessageIntegrity:
         imposter.client.publish(topic, body, signature=envelope.to_dict())
         dep.sim.run(until=8_000)
         assert session.active  # the forged disable was ignored
+
+    def test_malformed_signature_mapping_is_rejected_not_fatal(self):
+        """A signature mapping without its bytes is counted and journaled on
+        all three verifying paths; it used to raise KeyError out of the
+        session worker, after which the healthy entity was declared FAILED."""
+        dep = build_deployment(broker_ids=["b1", "b2"], seed=1)
+        entity = dep.add_traced_entity("svc")
+        tracker = dep.add_tracker("w")
+        tracker.connect("b2")
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        tracker.track("svc")
+        dep.sim.run(until=10_000)
+        session = dep.manager_of("b1").session_of("svc")
+        counters = (
+            "trace.entity_messages_rejected",
+            "trace.interest_bad_signature",
+            "tracker.traces_bad_signature",
+        )
+        before = [dep.monitor.count(name) for name in counters]
+        malformed = {"payload": {}}
+
+        entity.client.publish(
+            session.topics.entity_to_broker(session.session_id),
+            {"kind": "ping_response"},
+            signature=malformed,
+        )
+        tracker.client.publish(
+            session.topics.interest_response, {"tracker_id": "w"}, signature=malformed
+        )
+        dep.network.broker("b1").publish_from_broker(
+            Message(
+                topic=session.topics.all_updates,
+                body={"trace_type": "FAILED", "entity_id": "svc"},
+                source="b1",
+                created_ms=dep.sim.now,
+                signature=malformed,
+                auth_token=session.token.to_dict(),
+            )
+        )
+        injected_at = dep.sim.now
+        dep.sim.run(until=injected_at + 40_000)
+
+        assert [dep.monitor.count(name) for name in counters] == [n + 1 for n in before]
+        records = dep.journal.records("envelope.malformed")
+        assert len(records) == 3
+        assert records[0].fields["session"] == session.hex_id[:8]
+        assert all(record.fields["entity"] == "svc" for record in records)
+        assert session.active and not tracker.traces_of_type(TraceType.FAILED)
+        assert tracker.traces_of_type(TraceType.ALLS_WELL)[-1].received_ms > injected_at + 30_000

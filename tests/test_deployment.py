@@ -3,6 +3,7 @@
 import pytest
 
 from repro import build_deployment
+from repro.tracing.broker_ops import TraceManager
 from repro.transport.udp import udp_profile
 
 
@@ -64,6 +65,28 @@ class TestBuildDeployment:
         removed = "_".join(pieces)
         with pytest.raises(TypeError, match=removed):
             build_deployment(broker_ids=["a"], **{removed: False})
+
+    @pytest.mark.parametrize(
+        "target, removed",
+        [
+            ("TraceManager", "monitor"),
+            ("TraceManager", "metrics_every"),
+            ("TraceManager", "ping_jitter_frac"),
+            # still attributes, assigned after construction by their one caller
+            ("TraceManager", "interest_ttl_ms"),
+            ("TraceManager", "detector_factory"),
+            ("TraceManager", "gate_by_interest"),
+            ("add_traced_entity", "monitor"),
+            ("add_tracker", "monitor"),
+        ],
+    )
+    def test_retired_tracing_options_are_rejected(self, target, removed):
+        dep = build_deployment(broker_ids=["a"])
+        with pytest.raises(TypeError, match=removed):
+            if target == "TraceManager":
+                TraceManager(dep.network.broker("a"), dep.ca, {}, **{removed: None})
+            else:
+                getattr(dep, target)("x", **{removed: None})
 
 
 class TestPrincipalFactories:

@@ -4,11 +4,17 @@ Integration flows are in tests/integration/; these hit the rejection and
 bookkeeping paths directly.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import build_deployment
 from repro.auth.credentials import EntityCredentials
+from repro.auth.tokens import AuthorizationToken, TokenRights
+from repro.auth.verification import TokenVerifier
 from repro.crypto.certificates import CertificateAuthority
+from repro.errors import RegistrationError, SignatureError, TokenError
+from repro.tdn.advertisement import TopicLifetime
 from repro.tracing.broker_ops import category_of
 from repro.tracing.interest import InterestCategory
 from repro.tracing.traces import TraceType
@@ -37,6 +43,11 @@ class TestCategoryOf:
             category_of(TraceType.NETWORK_METRICS)
             is InterestCategory.NETWORK_METRICS
         )
+        # every type but GUAGE_INTEREST is gated by exactly one category,
+        # and every category gates something
+        gated = {t: category_of(t) for t in TraceType if t is not TraceType.GUAGE_INTEREST}
+        assert len(gated) == len(TraceType) - 1
+        assert set(gated.values()) == set(InterestCategory)
 
     def test_gauge_has_no_category(self):
         with pytest.raises(ValueError):
@@ -84,6 +95,63 @@ class TestRegistrationRejections:
         dep.sim.run(until=dep.sim.now + 15_000)
         assert proc.triggered and not proc.ok
         assert dep.monitor.count("trace.registrations_rejected") >= 1
+
+    @pytest.mark.parametrize(
+        "doctor, reason",
+        [
+            (lambda ad: ad, None),
+            (
+                lambda ad: replace(ad, issuing_tdn="tdn-9"),
+                "advertisement from unknown TDN",
+            ),
+            (
+                lambda ad: replace(ad, lifetime=TopicLifetime(ad.lifetime.created_ms, 1e12)),
+                "advertisement fields mismatch",
+            ),
+            (
+                lambda ad: replace(
+                    ad, signature=replace(ad.signature, signature=bytes(64))
+                ),
+                "advertisement signature invalid",
+            ),
+        ],
+        ids=["good", "unknown-tdn", "edited-field", "bad-signature"],
+    )
+    def test_advertisement_provenance(self, dep, doctor, reason):
+        """One check, three callers: the issuing TDN node, the token
+        verifier and registration step 3 agree on every row, and the broker
+        sends the reason verbatim."""
+        entity = dep.add_traced_entity("svc")
+        dep.sim.run_process(entity.create_trace_topic())
+        entity.connect("b1")
+        advertisement = entity.advertisement = doctor(entity.advertisement)
+        trusted = dep.token_verifier.trusted_tdn_keys
+
+        if reason is None:
+            advertisement.verify_provenance(trusted)
+        else:
+            with pytest.raises(SignatureError, match=f"^{reason}$"):
+                advertisement.verify_provenance(trusted)
+
+        assert dep.tdn.nodes[0].verify_advertisement(advertisement) is (reason is None)
+
+        token, _ = AuthorizationToken.create(
+            advertisement, entity.credentials.keys.private, TokenRights.PUBLISH,
+            dep.sim.now, 10_000.0, entity.machine.rng,
+        )
+        verifier = TokenVerifier(trusted)
+        if reason is None:
+            verifier.verify(token.to_dict(), dep.sim.now)
+        else:
+            with pytest.raises(TokenError, match=f"^{reason}$"):
+                verifier.verify(token.to_dict(), dep.sim.now)
+
+        proc = dep.sim.process(entity.register())
+        dep.sim.run(until=dep.sim.now + 15_000)
+        assert proc.triggered and proc.ok is (reason is None)
+        if reason is not None:
+            with pytest.raises(RegistrationError, match=f"rejected registration: {reason}$"):
+                _ = proc.value
 
     def test_expired_topic_lifetime_rejected(self, dep):
         entity = dep.add_traced_entity("svc")

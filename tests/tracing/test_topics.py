@@ -5,7 +5,7 @@ import pytest
 from repro.messaging.constrained import AllowedActions, ConstrainedTopic, Distribution
 from repro.tracing.interest import InterestCategory
 from repro.tracing.topics import REGISTRATION_TOPIC, TraceTopicSet
-from repro.tracing.traces import TraceType
+from repro.tracing.traces import TraceType, category_of
 from repro.util.identifiers import EntityId, SessionId, UUID128
 
 
@@ -55,6 +55,17 @@ class TestPublicationTopics:
             topics.topic_for_trace(TraceType.GUAGE_INTEREST)
             == topics.interest_request
         )
+        # Table 2 is total: every trace type goes out on exactly one topic,
+        # a category's publication topic or (GUAGE_INTEREST alone) the
+        # interest-request topic
+        streams = topics.all_publication_topics()
+        assert len(set(streams)) == len(InterestCategory)
+        for trace_type in TraceType:
+            topic = topics.topic_for_trace(trace_type)
+            if trace_type is TraceType.GUAGE_INTEREST:
+                assert topic not in streams
+            else:
+                assert topic == topics.topic_for_category(category_of(trace_type))
 
     def test_topic_for_category_mapping(self, topics):
         assert (
