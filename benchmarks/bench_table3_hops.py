@@ -11,39 +11,23 @@ import pytest
 
 from conftest import run_once
 from repro.bench import paper_data
-from repro.bench.experiments.hops import run_hops_sweep, slope_per_hop
-from repro.bench.tables import ComparisonRow, render_comparison, render_series
-from repro.transport.tcp import TCP_CLUSTER
-from repro.transport.udp import UDP_CLUSTER
+from repro.bench.experiments.hops import (
+    comparison_rows,
+    run_hops_sweep,
+    slope_per_hop,
+)
+from repro.bench.tables import render_comparison, render_series
 
 DURATION_MS = 120_000.0
-
-PAPER_BLOCKS = {
-    ("TCP", False): paper_data.TABLE3_TCP_AUTH,
-    ("TCP", True): paper_data.TABLE3_TCP_AUTH_SEC,
-    ("UDP", False): paper_data.TABLE3_UDP_AUTH,
-    ("UDP", True): paper_data.TABLE3_UDP_AUTH_SEC,
-}
 
 
 def test_table3_hops(benchmark, report, save_figure):
     results = run_once(benchmark, run_hops_sweep, duration_ms=DURATION_MS)
 
-    rows = []
+    rows = comparison_rows(results)
     series: dict[str, list[tuple[float, float]]] = {}
     for result in results:
         mode = "auth+sec" if result.secured else "auth"
-        paper_mean, paper_std = PAPER_BLOCKS[(result.transport, result.secured)][
-            result.hops
-        ]
-        rows.append(
-            ComparisonRow(
-                label=f"{result.transport} {mode} {result.hops} hops",
-                paper_mean=paper_mean,
-                paper_std=paper_std,
-                measured=result.summary,
-            )
-        )
         series.setdefault(f"{result.transport}/{mode}", []).append(
             (result.hops, result.summary.mean)
         )
@@ -112,8 +96,5 @@ def test_table3_hops(benchmark, report, save_figure):
             )
 
     # absolute calibration: every cell within 10% of the paper's mean
-    for result in results:
-        paper_mean, _ = PAPER_BLOCKS[(result.transport, result.secured)][result.hops]
-        assert result.summary.mean == pytest.approx(paper_mean, rel=0.10), (
-            f"{result.transport} secured={result.secured} {result.hops} hops"
-        )
+    for row in rows:
+        assert row.measured.mean == pytest.approx(row.paper_mean, rel=0.10), row.label

@@ -5,25 +5,14 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.bench import paper_data
-from repro.bench.experiments.keydist import run_keydist_sweep
-from repro.bench.tables import ComparisonRow, render_comparison
+from repro.bench.experiments.keydist import comparison_rows, run_keydist_sweep
+from repro.bench.tables import render_comparison
 
 
 def test_table3_keydist(benchmark, report):
     results = run_once(benchmark, run_keydist_sweep)
 
-    rows = []
-    for result in results:
-        paper_mean, paper_std = paper_data.TABLE3_KEYDIST[result.hops]
-        rows.append(
-            ComparisonRow(
-                label=f"key distribution, {result.hops} hops",
-                paper_mean=paper_mean,
-                paper_std=paper_std,
-                measured=result.summary,
-            )
-        )
+    rows = comparison_rows(results)
     report(
         "table3_keydist",
         render_comparison("Table 3: Key Distribution Overhead (ms)", rows)
@@ -39,8 +28,5 @@ def test_table3_keydist(benchmark, report):
     assert means == sorted(means)
     assert all(m > 60.0 for m in means)
     # each cell within 25% of the paper's mean
-    for result in results:
-        paper_mean, _ = paper_data.TABLE3_KEYDIST[result.hops]
-        assert result.summary.mean == pytest.approx(paper_mean, rel=0.25), (
-            f"{result.hops} hops"
-        )
+    for row in rows:
+        assert row.measured.mean == pytest.approx(row.paper_mean, rel=0.25), row.label

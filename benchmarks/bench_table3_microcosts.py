@@ -10,28 +10,18 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.bench import paper_data
 from repro.bench.experiments.microcosts import (
+    comparison_rows,
     measure_real_primitives,
     run_calibrated_micro,
 )
-from repro.bench.tables import ComparisonRow, render_comparison
+from repro.bench.tables import render_comparison
 
 
 def test_table3_microcosts(benchmark, report):
     results = run_once(benchmark, run_calibrated_micro, samples=2_000)
 
-    rows = []
-    for result in results:
-        paper_mean, paper_std = paper_data.TABLE3_MICRO[result.label]
-        rows.append(
-            ComparisonRow(
-                label=result.label,
-                paper_mean=paper_mean,
-                paper_std=paper_std,
-                measured=result.calibrated,
-            )
-        )
+    rows = comparison_rows(results)
     real = measure_real_primitives(iterations=10)
     real_lines = ["", "Actual pure-Python primitive timings (wall-clock ms):"]
     for name, summary in sorted(real.items()):
@@ -47,11 +37,8 @@ def test_table3_microcosts(benchmark, report):
     )
 
     # calibration must match the paper's micro rows closely
-    for result in results:
-        paper_mean, _ = paper_data.TABLE3_MICRO[result.label]
-        assert result.calibrated.mean == pytest.approx(paper_mean, rel=0.08), (
-            result.label
-        )
+    for row in rows:
+        assert row.measured.mean == pytest.approx(row.paper_mean, rel=0.08), row.label
 
     # orderings the paper's section 6.3 argument relies on
     by_label = {r.label: r.calibrated.mean for r in results}

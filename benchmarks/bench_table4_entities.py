@@ -12,9 +12,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.bench import paper_data
-from repro.bench.experiments.entities import run_entities_sweep
-from repro.bench.tables import ComparisonRow, render_comparison
+from repro.bench.experiments.entities import comparison_rows, run_entities_sweep
+from repro.bench.tables import render_comparison
 
 DURATION_MS = 45_000.0
 
@@ -22,17 +21,7 @@ DURATION_MS = 45_000.0
 def test_table4_entities(benchmark, report):
     results = run_once(benchmark, run_entities_sweep, duration_ms=DURATION_MS)
 
-    rows = []
-    for result in results:
-        paper_mean, paper_std = paper_data.TABLE4_ENTITIES[result.entity_count]
-        rows.append(
-            ComparisonRow(
-                label=f"{result.entity_count} traced entities",
-                paper_mean=paper_mean,
-                paper_std=paper_std,
-                measured=result.summary,
-            )
-        )
+    rows = comparison_rows(results)
     routing_lines = ["", "routing counters per case:"]
     for result in results:
         if result.routing is not None:
@@ -56,6 +45,5 @@ def test_table4_entities(benchmark, report):
     # super-linear: the 20->30 jump exceeds the 10->20 jump
     assert means[2] - means[1] > means[1] - means[0]
     # each cell within 25% of the paper's mean
-    for result in ordered:
-        paper_mean, _ = paper_data.TABLE4_ENTITIES[result.entity_count]
-        assert result.summary.mean == pytest.approx(paper_mean, rel=0.25)
+    for row in rows:
+        assert row.measured.mean == pytest.approx(row.paper_mean, rel=0.25), row.label

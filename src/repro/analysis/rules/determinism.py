@@ -54,9 +54,9 @@ class WallClockChecker(Checker):
     default_hint = "use sim.clock / RandomStreams.stream(name) (see repro/sim/random.py)"
 
     def applies_to(self, ctx: FileContext) -> bool:
-        # The stream factory and the asyncio realtime bridge are the two
-        # places allowed to touch the host's clock and RNG machinery.
-        return not (ctx.is_module("sim/random.py") or ctx.in_package_dir("runtime"))
+        # The stream factory is the one place allowed to touch the host's
+        # clock and RNG machinery.
+        return not ctx.is_module("sim/random.py")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

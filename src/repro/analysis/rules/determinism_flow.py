@@ -127,9 +127,9 @@ class DeterminismFlowChecker(ProjectChecker):
 
     @staticmethod
     def _exempt(info: ModuleInfo) -> bool:
-        # Same carve-out as DET01: the stream factory and the realtime
-        # bridge legitimately touch the host clock/RNG.
-        return info.ctx.is_module("sim/random.py") or info.ctx.in_package_dir("runtime")
+        # Same carve-out as DET01: the stream factory legitimately
+        # touches the host clock/RNG.
+        return info.ctx.is_module("sim/random.py")
 
     def _check_function(
         self,

@@ -23,7 +23,7 @@ BANNED_BUILTIN_RAISES: dict[str, str] = {
     "ValueError": "ValidationError / ConfigurationError (repro.errors)",
     "TypeError": "SerializationTypeError or a ValidationError subclass",
     "RuntimeError": "SimulationError / BenchmarkError (repro.errors)",
-    "KeyError": "SeriesNotFoundError or a ReproError+KeyError subclass",
+    "KeyError": "a ReproError+KeyError subclass",
     "IndexError": "a ReproError subclass carrying the lookup context",
     "LookupError": "a ReproError subclass carrying the lookup context",
     "ArithmeticError": "StatsError or a ValidationError subclass",

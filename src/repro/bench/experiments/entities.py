@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import BenchmarkError
+from repro.bench import paper_data
 from repro.bench.routing_smoke import RoutingCounters
+from repro.bench.tables import ComparisonRow
 from repro.bench.topology import single_broker_colocated
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.traces import TraceType
@@ -105,4 +107,16 @@ def run_entities_sweep(
             count, tracker_count=tracker_count, duration_ms=duration_ms, seed=seed
         )
         for count in counts
+    ]
+
+
+def comparison_rows(results: list[EntitiesResult]) -> list[ComparisonRow]:
+    """Paper-vs-measured rows of Table 4."""
+    return [
+        ComparisonRow(
+            f"{r.entity_count} traced entities",
+            *paper_data.TABLE4_ENTITIES[r.entity_count],
+            measured=r.summary,
+        )
+        for r in results
     ]

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import BenchmarkError, ConfigurationError
+from repro.bench import paper_data
+from repro.bench.tables import ComparisonRow
 from repro.bench.topology import hops_chain
 from repro.transport.base import TransportProfile
 from repro.transport.tcp import TCP_CLUSTER
@@ -19,6 +21,14 @@ from repro.util.stats import StatSummary
 
 #: Virtual time allotted for startup (registration, token, interest).
 SETUP_MS = 3_000.0
+
+#: Table 3's four macro blocks, keyed by (transport, secured).
+PAPER_BLOCKS = {
+    ("TCP", False): paper_data.TABLE3_TCP_AUTH,
+    ("TCP", True): paper_data.TABLE3_TCP_AUTH_SEC,
+    ("UDP", False): paper_data.TABLE3_UDP_AUTH,
+    ("UDP", True): paper_data.TABLE3_UDP_AUTH_SEC,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,6 +124,18 @@ def run_signing_opt_sweep(
                 )
             )
     return results
+
+
+def comparison_rows(results: list[HopsResult]) -> list[ComparisonRow]:
+    """Paper-vs-measured rows of Table 3, one per :func:`run_hops_sweep` cell."""
+    return [
+        ComparisonRow(
+            f"{r.transport} {'auth+sec' if r.secured else 'auth'} {r.hops} hops",
+            *PAPER_BLOCKS[(r.transport, r.secured)][r.hops],
+            measured=r.summary,
+        )
+        for r in results
+    ]
 
 
 def slope_per_hop(results: list[HopsResult]) -> float:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import BenchmarkError
+from repro.bench import paper_data
+from repro.bench.tables import ComparisonRow
 from repro.bench.topology import hops_chain
 from repro.transport.base import TransportProfile
 from repro.transport.tcp import TCP_CLUSTER
@@ -87,4 +89,16 @@ def run_keydist_sweep(
     return [
         run_keydist_case(hops, tracker_count=tracker_count, seed=seed)
         for hops in hops_list
+    ]
+
+
+def comparison_rows(results: list[KeyDistResult]) -> list[ComparisonRow]:
+    """Paper-vs-measured rows of the Table 3 key-distribution block."""
+    return [
+        ComparisonRow(
+            f"key distribution, {r.hops} hops",
+            *paper_data.TABLE3_KEYDIST[r.hops],
+            measured=r.summary,
+        )
+        for r in results
     ]

@@ -17,6 +17,8 @@ import random
 import time
 from dataclasses import dataclass
 
+from repro.bench import paper_data
+from repro.bench.tables import ComparisonRow
 from repro.crypto.aes import generate_aes_key
 from repro.crypto.costmodel import CryptoCostModel, CryptoOp
 from repro.crypto.keys import SymmetricKey
@@ -66,6 +68,14 @@ def run_calibrated_micro(samples: int = 500, seed: int = 3) -> list[MicroResult]
             )
         )
     return results
+
+
+def comparison_rows(results: list[MicroResult]) -> list[ComparisonRow]:
+    """Paper-vs-calibrated rows of the Table 3 micro block."""
+    return [
+        ComparisonRow(r.label, *paper_data.TABLE3_MICRO[r.label], measured=r.calibrated)
+        for r in results
+    ]
 
 
 def measure_real_primitives(iterations: int = 20, seed: int = 4) -> dict[str, StatSummary]:

@@ -3,10 +3,10 @@
 The worst case for per-ping overhead: many traced entities share one host
 machine behind one broker, so every ping interval the tracker's broker
 verifies the same authorization token repeatedly and sends a burst of
-near-identical ping frames down the same wire.  This is the scenario
-``benchmarks/bench_wire_codec.py`` and the ``perf-gate`` CI job run once
-per wire codec to produce and guard the committed snapshots under
-``benchmarks/results/`` (docs/PERFORMANCE.md).
+near-identical ping frames down the same wire.  :func:`run_codec_smoke`
+runs it once per wire codec; the ``bench-smoke`` CI job regenerates that
+document and diffs it against ``benchmarks/results/codec_seed.json``
+(docs/PERFORMANCE.md).
 
 Determinism matters here exactly as in the chaos scenarios: message ids
 ride on the wire, so :func:`run_ping_heavy` rewinds the process-global id
@@ -43,8 +43,8 @@ def run_ping_heavy(
     """Run the co-located ping-heavy scenario; returns the full snapshot.
 
     ``codec`` selects the wire codec explicitly (never the environment):
-    the perf-gate CI job runs this scenario once per codec and diffs the
-    snapshots, so the codec must be a function argument, not ambient state.
+    :func:`run_codec_smoke` runs this scenario once per codec, so the
+    codec must be a function argument, not ambient state.
     """
     from repro import build_deployment
 
@@ -68,3 +68,47 @@ def run_ping_heavy(
         tracker.track(str(entity.entity_id))
     dep.sim.run(until=duration_ms)
     return dep.snapshot()
+
+
+#: The hot-path cost triangle (wire bytes, forwarding work, charged
+#: verification) plus the counters that prove both codecs did the same
+#: protocol work.  Missing counters read as zero.
+CODEC_SMOKE_COUNTERS = (
+    "transport.bytes.sent",
+    "codec.encode.memo.hit",
+    "broker.msgs.forwarded_out",
+    "broker.msgs.delivered",
+    "tracker.traces.received",
+)
+CODEC_SMOKE_HISTOGRAM_SUMS = ("broker.fanout", "crypto.ms.token_verify")
+
+
+def run_codec_smoke(seed: int = 42) -> dict:
+    """Run the ping-heavy scenario under each wire codec.
+
+    Returns the small document CI compares byte-for-byte against
+    ``benchmarks/results/codec_seed.json``: per codec, the wire bytes,
+    the ``broker.fanout`` and ``crypto.ms.token_verify`` sums, and the
+    delivery counters a codec swap must leave untouched.
+    """
+    duration_ms = 60_000.0
+    codecs: dict[str, dict] = {}
+    for codec in ("json", "compact"):
+        snapshot = run_ping_heavy(seed=seed, duration_ms=duration_ms, codec=codec)
+        counters, histograms = snapshot["counters"], snapshot["histograms"]
+        leaves = {name: counters.get(name, 0) for name in CODEC_SMOKE_COUNTERS}
+        for name in CODEC_SMOKE_HISTOGRAM_SUMS:
+            # count * mean carries the running mean's last-bit noise
+            # (2878.0000000000073 for an integer-valued histogram)
+            hist = histograms[name]
+            leaves[f"{name}.sum"] = round(hist["count"] * hist["mean"], 6)
+        leaves["tracker.detection.latency_ms.count"] = histograms.get(
+            "tracker.detection.latency_ms", {"count": 0}
+        )["count"]
+        codecs[codec] = leaves
+    return {
+        "scenario": "ping-heavy",
+        "seed": seed,
+        "duration_ms": duration_ms,
+        "codecs": codecs,
+    }

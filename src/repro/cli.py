@@ -55,18 +55,31 @@ def _cmd_info(_args) -> int:
     return 0
 
 
-def _cmd_quickstart(args) -> int:
-    from repro import build_deployment, TraceType
-
-    dep = build_deployment(broker_ids=["b1", "b2", "b3"], seed=args.seed)
-    entity = dep.add_traced_entity("demo-service")
-    tracker = dep.add_tracker("demo-tracker")
-    tracker.connect("b3")
+def _start_tracing(dep, entity_id, tracker_id, tracker_broker, secured=False):
+    """Register one traced entity at ``b1`` and point one tracker at it."""
+    entity = dep.add_traced_entity(entity_id, secured=secured)
+    tracker = dep.add_tracker(tracker_id)
+    tracker.connect(tracker_broker)
     entity.start("b1")
     dep.sim.run(until=3_000)
-    tracker.track("demo-service")
-    dep.sim.run(until=float(args.duration) * 1000.0)
+    tracker.track(entity_id)
+    return entity, tracker
 
+
+def _run_quickstart(args):
+    """The minimal scenario: one traced entity, one tracker, three brokers."""
+    from repro import build_deployment
+
+    dep = build_deployment(broker_ids=["b1", "b2", "b3"], seed=args.seed)
+    _, tracker = _start_tracing(dep, "demo-service", "demo-tracker", "b3")
+    dep.sim.run(until=float(args.duration) * 1000.0)
+    return dep, tracker
+
+
+def _cmd_quickstart(args) -> int:
+    from repro import TraceType
+
+    _, tracker = _run_quickstart(args)
     latencies = tracker.latencies(TraceType.ALLS_WELL)
     print(f"traces received: {len(tracker.received)}")
     for kind in sorted({t.trace_type.value for t in tracker.received}):
@@ -78,27 +91,11 @@ def _cmd_quickstart(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    """Run the quickstart scenario, then dump the metrics snapshot."""
-    from repro import build_deployment
-
-    if args.diff:
-        import json as _json
-
-        from repro.obs.diff import diff_snapshots, load_snapshot, render_diff
-
-        before_path, after_path = args.diff
-        diff = diff_snapshots(
-            load_snapshot(before_path), load_snapshot(after_path)
-        )
-        if args.json:
-            print(_json.dumps(diff, indent=2, sort_keys=True))
-        else:
-            print(render_diff(diff, only_changed=not args.all))
-        return 0
+    """Dump the quickstart run's metrics snapshot, or a seed-gate document."""
+    from repro.util.snapshots import render_snapshot
 
     if args.routing_smoke:
         from repro.bench.routing_smoke import run_routing_smoke
-        from repro.util.snapshots import render_snapshot
 
         snapshot = run_routing_smoke(
             seed=args.seed, duration_ms=float(args.duration) * 1000.0
@@ -106,23 +103,13 @@ def _cmd_metrics(args) -> int:
         print(render_snapshot(snapshot), end="")
         return 0
 
-    if args.ping_heavy:
-        import json as _json
+    if args.codec_smoke:
+        from repro.bench.hotpath import run_codec_smoke
 
-        from repro.bench.hotpath import run_ping_heavy
-
-        snapshot = run_ping_heavy(seed=args.seed, codec=args.codec)
-        print(_json.dumps(snapshot, indent=2, sort_keys=True))
+        print(render_snapshot(run_codec_smoke(seed=args.seed)), end="")
         return 0
 
-    dep = build_deployment(broker_ids=["b1", "b2", "b3"], seed=args.seed)
-    entity = dep.add_traced_entity("demo-service")
-    tracker = dep.add_tracker("demo-tracker")
-    tracker.connect("b3")
-    entity.start("b1")
-    dep.sim.run(until=3_000)
-    tracker.track("demo-service")
-    dep.sim.run(until=float(args.duration) * 1000.0)
+    dep, _ = _run_quickstart(args)
 
     if args.json:
         print(dep.metrics.to_json())
@@ -257,7 +244,6 @@ def _cmd_campaign(args) -> int:
     report artifacts from an existing snapshot file.
     """
     import json as _json
-    import pathlib
 
     from repro.campaigns import (
         expand,
@@ -331,59 +317,27 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.bench.tables import render_comparison, render_series
-    from repro.bench import paper_data
-    from repro.bench.tables import ComparisonRow
 
     name = args.experiment
     if name == "hops":
-        from repro.bench.experiments.hops import run_hops_sweep
+        from repro.bench.experiments import hops
 
-        results = run_hops_sweep(
+        results = hops.run_hops_sweep(
             hops_list=tuple(args.hops), duration_ms=args.duration * 1000.0
         )
-        blocks = {
-            ("TCP", False): paper_data.TABLE3_TCP_AUTH,
-            ("TCP", True): paper_data.TABLE3_TCP_AUTH_SEC,
-            ("UDP", False): paper_data.TABLE3_UDP_AUTH,
-            ("UDP", True): paper_data.TABLE3_UDP_AUTH_SEC,
-        }
-        rows = [
-            ComparisonRow(
-                label=f"{r.transport} {'auth+sec' if r.secured else 'auth'} {r.hops} hops",
-                paper_mean=blocks[(r.transport, r.secured)][r.hops][0],
-                paper_std=blocks[(r.transport, r.secured)][r.hops][1],
-                measured=r.summary,
-            )
-            for r in results
-        ]
+        rows = hops.comparison_rows(results)
         print(render_comparison("Table 3: trace routing overhead (ms)", rows))
     elif name == "micro":
-        from repro.bench.experiments.microcosts import run_calibrated_micro
+        from repro.bench.experiments import microcosts
 
-        results = run_calibrated_micro(samples=1_000)
-        rows = [
-            ComparisonRow(
-                label=r.label,
-                paper_mean=paper_data.TABLE3_MICRO[r.label][0],
-                paper_std=paper_data.TABLE3_MICRO[r.label][1],
-                measured=r.calibrated,
-            )
-            for r in results
-        ]
+        results = microcosts.run_calibrated_micro(samples=1_000)
+        rows = microcosts.comparison_rows(results)
         print(render_comparison("Table 3: per-operation security costs (ms)", rows))
     elif name == "keydist":
-        from repro.bench.experiments.keydist import run_keydist_sweep
+        from repro.bench.experiments import keydist
 
-        results = run_keydist_sweep()
-        rows = [
-            ComparisonRow(
-                label=f"key distribution, {r.hops} hops",
-                paper_mean=paper_data.TABLE3_KEYDIST[r.hops][0],
-                paper_std=paper_data.TABLE3_KEYDIST[r.hops][1],
-                measured=r.summary,
-            )
-            for r in results
-        ]
+        results = keydist.run_keydist_sweep()
+        rows = keydist.comparison_rows(results)
         print(render_comparison("Table 3: key distribution overhead (ms)", rows))
     elif name == "trackers":
         from repro.bench.experiments.trackers import run_trackers_sweep
@@ -398,18 +352,10 @@ def _cmd_bench(args) -> int:
             )
         )
     elif name == "entities":
-        from repro.bench.experiments.entities import run_entities_sweep
+        from repro.bench.experiments import entities
 
-        results = run_entities_sweep(duration_ms=args.duration * 1000.0)
-        rows = [
-            ComparisonRow(
-                label=f"{r.entity_count} traced entities",
-                paper_mean=paper_data.TABLE4_ENTITIES[r.entity_count][0],
-                paper_std=paper_data.TABLE4_ENTITIES[r.entity_count][1],
-                measured=r.summary,
-            )
-            for r in results
-        ]
+        results = entities.run_entities_sweep(duration_ms=args.duration * 1000.0)
+        rows = entities.comparison_rows(results)
         print(render_comparison("Table 4: overhead vs traced entities (ms)", rows))
     elif name == "msgcount":
         from repro.bench.experiments.ablations import run_message_count_sweep
@@ -438,9 +384,6 @@ def _cmd_bench(args) -> int:
         for r in run_adaptive_ping_ablation():
             print(f"{r.label:<26s} detect={r.detection_ms:.0f} ms "
                   f"pings={r.pings_sent}")
-    else:  # pragma: no cover - argparse restricts choices
-        print(f"unknown experiment {name!r}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -529,12 +472,7 @@ def _cmd_demo(args) -> int:
                 max_interval_ms=2_000.0, response_deadline_ms=300.0,
             ),
         )
-        entity = dep.add_traced_entity("svc")
-        tracker = dep.add_tracker("w")
-        tracker.connect("b2")
-        entity.start("b1")
-        dep.sim.run(until=3_000)
-        tracker.track("svc")
+        entity, tracker = _start_tracing(dep, "svc", "w", "b2")
         dep.sim.run(until=10_000)
         print("crashing the entity at t=10s ...")
         entity.crash()
@@ -545,12 +483,7 @@ def _cmd_demo(args) -> int:
             print(f"  {kind.value:<20s} {when}")
     elif args.scenario == "secure":
         dep = build_deployment(broker_ids=["b1", "b2"], seed=args.seed)
-        entity = dep.add_traced_entity("svc", secured=True)
-        tracker = dep.add_tracker("w")
-        tracker.connect("b2")
-        entity.start("b1")
-        dep.sim.run(until=3_000)
-        tracker.track("svc")
+        _, tracker = _start_tracing(dep, "svc", "w", "b2", secured=True)
         dep.sim.run(until=30_000)
         print(f"trace key distributed: {tracker.trace_key_for('svc') is not None}")
         print(f"decrypted heartbeats:  {len(tracker.traces_of_type(TraceType.ALLS_WELL))}")
@@ -558,25 +491,20 @@ def _cmd_demo(args) -> int:
         from repro.tracing.archive import AvailabilityArchive
 
         dep = build_deployment(broker_ids=["b1"], seed=args.seed)
-        entity = dep.add_traced_entity("svc")
-        tracker = dep.add_tracker("w")
-        tracker.connect("b1")
+        entity, tracker = _start_tracing(dep, "svc", "w", "b1")
         archive = AvailabilityArchive(tracker)
-        entity.start("b1")
-        dep.sim.run(until=3_000)
-        tracker.track("svc")
         dep.sim.run(until=30_000)
         entity.crash()
         dep.sim.run(until=90_000)
         dep.sim.process(entity.reregister())
         dep.sim.run(until=150_000)
         print(archive.report(dep.sim.now))
-    else:  # pragma: no cover
-        return 2
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.faults.scenarios import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Secure & authorized availability tracking (IPDPS 2007 reproduction)",
@@ -617,22 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the deterministic routing smoke scenario "
                               "(quickstart + detach) and emit its routing-"
                               "counter snapshot as JSON")
-    metrics.add_argument("--ping-heavy", action="store_true",
-                         help="run the ping-heavy hot-path scenario "
-                              "(repro.bench.hotpath) and emit the full "
-                              "metrics snapshot as JSON; combine with "
-                              "--codec to compare wire codecs")
-    metrics.add_argument("--codec", default="json",
-                         help="wire codec for --ping-heavy (a repro.wire "
-                              "registry name; default %(default)s)")
-    metrics.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
-                         default=None,
-                         help="instead of simulating, diff two snapshot JSON "
-                              "files and print per-instrument deltas "
-                              "(docs/PERFORMANCE.md); --json for machine-"
-                              "readable output")
-    metrics.add_argument("--all", action="store_true",
-                         help="with --diff: include unchanged instruments")
+    metrics.add_argument("--codec-smoke", action="store_true",
+                         help="run the ping-heavy hot-path scenario once per "
+                              "wire codec (repro.bench.hotpath) and emit the "
+                              "codec seed document as JSON")
 
     analyze = sub.add_parser(
         "analyze", help="run the repro.analysis domain linter (exit 1 on findings)"
@@ -667,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--scenario",
         required=True,
-        choices=["broker-crash", "link-partition", "packet-loss",
-                 "delay-spike", "entity-churn"],
+        choices=list(SCENARIOS),
         help="scenario from the docs/FAULTS.md catalog",
     )
     faults.add_argument("--seed", type=int, default=42)
@@ -723,8 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     analytics_run.add_argument(
         "--scenario",
         required=True,
-        choices=["broker-crash", "link-partition", "packet-loss",
-                 "delay-spike", "entity-churn"],
+        choices=list(SCENARIOS),
         help="scenario from the docs/FAULTS.md catalog",
     )
     analytics_run.add_argument("--seed", type=int, default=42)

@@ -36,14 +36,6 @@ class SimulationError(ReproError):
     """The discrete-event simulator was driven into an invalid state."""
 
 
-class SeriesNotFoundError(ReproError, KeyError):
-    """A monitor was asked for a time series it never recorded."""
-
-    def __str__(self) -> str:
-        # KeyError.__str__ repr()s its argument; keep the plain message.
-        return str(self.args[0]) if self.args else ""
-
-
 class BenchmarkError(ReproError, RuntimeError):
     """An experiment run produced no usable measurement."""
 

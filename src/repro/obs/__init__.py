@@ -10,7 +10,6 @@ keeping private accumulators.  Naming convention and instrument taxonomy:
 ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.diff import diff_snapshots, load_snapshot, render_diff
 from repro.obs.instruments import (
     DEFAULT_BUCKETS_MS,
     Counter,
@@ -30,7 +29,4 @@ __all__ = [
     "JournalRecord",
     "MetricsRegistry",
     "Timer",
-    "diff_snapshots",
-    "load_snapshot",
-    "render_diff",
 ]

@@ -4,8 +4,7 @@ A :class:`Timer` brackets a code region and records its duration into a
 :class:`~repro.obs.instruments.Histogram`.  The clock is injected — inside
 the simulator it is the :class:`~repro.util.clock.VirtualClock` (or a
 node's skewed view of it), so measured spans are in *virtual* milliseconds
-and deterministic run-to-run; the live asyncio runtime can pass a
-:class:`~repro.util.clock.WallClock` instead.
+and deterministic run-to-run.
 
 Timers are re-entrant-safe in the simple sense that each ``with`` block
 measures independently, and they work inside simulation process bodies::

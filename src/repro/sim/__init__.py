@@ -16,7 +16,7 @@ from repro.sim.engine import (
     Resource,
     Simulator,
 )
-from repro.sim.monitor import Monitor, Series
+from repro.sim.monitor import Monitor
 from repro.sim.random import RandomStreams
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "Monitor",
-    "Series",
     "RandomStreams",
 ]

@@ -1,92 +1,40 @@
 """Measurement capture for simulations.
 
-A :class:`Monitor` owns named time series and counters; protocol components
-record into it and benchmark harnesses read summaries out of it.  Keeping
-measurement separate from protocol logic means the tracing code contains no
-benchmark-specific branches.
+A :class:`Monitor` owns scenario-local counters and the event log;
+protocol components record into it and benchmark harnesses read them
+out.  Keeping measurement separate from protocol logic means the tracing
+code contains no benchmark-specific branches.
 
 The monitor is also the distribution point for the unified observability
 layer (:mod:`repro.obs`): it owns one :class:`~repro.obs.MetricsRegistry`
 and one :class:`~repro.obs.EventJournal` per deployment, which instrumented
 components reach through ``monitor.metrics`` / ``monitor.journal``.  The
-legacy counter/series API remains for scenario-local bookkeeping; the
-registry carries the convention-named instrument families
-(``broker.*``, ``tracker.*``, ``transport.*``, ``tdn.*``, ``crypto.*``)
-that ``snapshot()`` consumers and the ``repro metrics`` CLI read.
+counter API remains for scenario-local bookkeeping; the registry carries
+the convention-named instrument families (``broker.*``, ``tracker.*``,
+``transport.*``, ``tdn.*``, ``crypto.*``) that ``Deployment.snapshot()``
+consumers and the ``repro metrics`` CLI read.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 
-from repro.errors import SeriesNotFoundError, StatsError
 from repro.obs import EventJournal, MetricsRegistry
-from repro.util.stats import RunningStats, StatSummary
-
-
-@dataclass(slots=True)
-class Series:
-    """A named sequence of (time_ms, value) observations."""
-
-    name: str
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def record(self, time_ms: float, value: float) -> None:
-        self.times.append(time_ms)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def summary(self) -> StatSummary:
-        rs = RunningStats()
-        rs.extend(self.values)
-        return rs.summary()
-
-    def last(self) -> float:
-        if not self.values:
-            raise StatsError(f"series {self.name!r} is empty")
-        return self.values[-1]
 
 
 class Monitor:
-    """Collection of series, counters and event logs for one simulation."""
+    """Counters and the event log for one simulation."""
 
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
         journal: EventJournal | None = None,
     ) -> None:
-        self._series: dict[str, Series] = {}
         self._counters: dict[str, int] = defaultdict(int)
         #: The deployment-wide instrument registry (repro.obs).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: The deployment-wide structured event journal (repro.obs).
         self.journal = journal if journal is not None else EventJournal()
-
-    # -- series ---------------------------------------------------------------
-
-    def series(self, name: str) -> Series:
-        """Get-or-create the series called ``name``."""
-        if name not in self._series:
-            self._series[name] = Series(name)
-        return self._series[name]
-
-    def record(self, name: str, time_ms: float, value: float) -> None:
-        self.series(name).record(time_ms, value)
-
-    def has_series(self, name: str) -> bool:
-        return name in self._series and len(self._series[name]) > 0
-
-    def series_names(self) -> list[str]:
-        return sorted(self._series)
-
-    def summary(self, name: str) -> StatSummary:
-        if name not in self._series:
-            raise SeriesNotFoundError(f"no series named {name!r}")
-        return self._series[name].summary()
 
     # -- counters --------------------------------------------------------------
 
@@ -117,49 +65,3 @@ class Monitor:
             (record.time_ms, record.kind, record.details())
             for record in self.journal.records(kind)
         ]
-
-    # -- export ------------------------------------------------------------------
-
-    def to_dict(self, include_samples: bool = False) -> dict:
-        """JSON-serializable snapshot of counters, series and events.
-
-        By default each series exports its summary statistics only; with
-        ``include_samples`` the raw (time, value) points are included too.
-        """
-        series_out: dict[str, dict] = {}
-        for name, series in self._series.items():
-            if not len(series):
-                continue
-            summary = series.summary()
-            entry: dict = {
-                "count": summary.count,
-                "mean": summary.mean,
-                "std_dev": summary.std_dev,
-                "std_error": summary.std_error,
-                "min": summary.minimum,
-                "max": summary.maximum,
-            }
-            if include_samples:
-                entry["times"] = list(series.times)
-                entry["values"] = list(series.values)
-            series_out[name] = entry
-        return {
-            "counters": dict(self._counters),
-            "series": series_out,
-            "events": [
-                {"time_ms": t, "kind": kind, "details": details}
-                for t, kind, details in self.events()
-            ],
-            "metrics": self.metrics.snapshot(),
-        }
-
-    def to_json(self, include_samples: bool = False, indent: int = 2) -> str:
-        """The :meth:`to_dict` snapshot rendered as JSON text."""
-        import json
-
-        return json.dumps(
-            self.to_dict(include_samples=include_samples),
-            indent=indent,
-            sort_keys=True,
-            default=str,
-        )

@@ -1,7 +1,7 @@
 """Foundational utilities: identifiers, clocks, statistics, serialization."""
 
 from repro.util.identifiers import UUID128, EntityId, RequestId, SessionId, SequenceCounter
-from repro.util.clock import Clock, VirtualClock, WallClock, SkewedClock, NTPSkewModel
+from repro.util.clock import Clock, VirtualClock, SkewedClock, NTPSkewModel
 from repro.util.stats import RunningStats, StatSummary, summarize
 from repro.util.serialization import canonical_encode, canonical_decode
 
@@ -13,7 +13,6 @@ __all__ = [
     "SequenceCounter",
     "Clock",
     "VirtualClock",
-    "WallClock",
     "SkewedClock",
     "NTPSkewModel",
     "RunningStats",

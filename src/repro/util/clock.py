@@ -1,4 +1,4 @@
-"""Clock abstractions: virtual simulation time, wall time, and NTP skew.
+"""Clock abstractions: virtual simulation time and NTP skew.
 
 All times in this library are float **milliseconds**, matching the units the
 paper reports.  The authorization-token validity check (section 4.3) tolerates
@@ -10,7 +10,6 @@ that band so token-expiry edge cases can be exercised in tests.
 from __future__ import annotations
 
 import random
-import time
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigurationError, ValidationError
@@ -48,16 +47,6 @@ class VirtualClock(Clock):
         if dt < 0:
             raise ValidationError(f"negative advance: {dt}")
         self._now += dt
-
-
-class WallClock(Clock):
-    """Real time, for the asyncio live runtime."""
-
-    def __init__(self) -> None:
-        self._epoch = time.monotonic()  # repro: noqa[DET01] the wall-clock bridge itself
-
-    def now(self) -> float:
-        return (time.monotonic() - self._epoch) * 1000.0  # repro: noqa[DET01]
 
 
 class SkewedClock(Clock):

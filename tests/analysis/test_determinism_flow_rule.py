@@ -80,12 +80,3 @@ class TestSinkVocabulary:
         )
         assert det03(pkg) == []
 
-    def test_runtime_package_is_exempt(self, tmp_path):
-        root = tmp_path / "src" / "repro" / "runtime"
-        root.mkdir(parents=True)
-        for d in (tmp_path / "src" / "repro", root):
-            (d / "__init__.py").write_text("")
-        (root / "bridge.py").write_text(
-            "import time\n\n\ndef f(codec):\n    return codec.encode(time.time())\n"
-        )
-        assert det03(tmp_path / "src") == []

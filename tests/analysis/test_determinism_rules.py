@@ -54,10 +54,6 @@ class TestDET01StaysQuiet:
         source = "import random\nrng = random.Random()\n"
         assert det01(source, path="src/repro/sim/random.py") == []
 
-    def test_runtime_package_is_exempt(self):
-        source = "import time\nt = time.monotonic()\n"
-        assert det01(source, path="src/repro/runtime/realtime.py") == []
-
     def test_noqa_suppresses(self):
         source = "import time\nstamp = time.time()  # repro: noqa[DET01]\n"
         assert det01(source) == []

@@ -1,6 +1,5 @@
 """Campaign execution, snapshot assembly, and the seed-gate mirror."""
 
-import copy
 import json
 import pathlib
 
@@ -17,7 +16,7 @@ from repro.campaigns import (
 )
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.util.snapshots import render_snapshot, snapshot_drift
+from repro.util.snapshots import render_snapshot
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SMOKE_SPEC = REPO_ROOT / "benchmarks" / "campaigns" / "smoke.json"
@@ -85,34 +84,6 @@ class TestRunCampaign:
         assert text.endswith("\n")
         assert json.loads(text) == snapshot
         assert text == render_snapshot(json.loads(text))  # stable re-render
-
-
-class TestCompare:
-    def test_identical_snapshots_have_no_findings(self):
-        seed = json.loads(SMOKE_SEED.read_text())
-        assert snapshot_drift(copy.deepcopy(seed), seed) == []
-
-    def test_drift_is_reported_per_point(self):
-        seed = json.loads(SMOKE_SEED.read_text())
-        live = copy.deepcopy(seed)
-        live["results"][0]["metrics"]["counters"]["tracker.pings.sent"] += 1
-        live["seed"] = 43
-        findings = snapshot_drift(live, seed)
-        assert any(f.startswith("seed drifted") for f in findings)
-        assert any(
-            f.startswith("results[0].metrics.counters.tracker.pings.sent")
-            for f in findings
-        )
-
-    def test_missing_points_are_reported(self):
-        seed = json.loads(SMOKE_SEED.read_text())
-        live = copy.deepcopy(seed)
-        live["results"] = live["results"][:-1]
-        last = len(seed["results"]) - 1
-        assert any(
-            f.startswith(f"results[{last}].") and "missing" in f
-            for f in snapshot_drift(live, seed)
-        )
 
 
 class TestSmokeSeedMirror:

@@ -81,5 +81,6 @@ class TestScale:
                 for w in trackers
             )
 
-        assert fingerprint(1402) == fingerprint(1402)
-        assert fingerprint(1402) != fingerprint(1403)
+        first = fingerprint(1402)
+        assert first == fingerprint(1402)
+        assert first != fingerprint(1403)

@@ -1,46 +1,7 @@
 """Tests for the simulation monitor."""
 
-import pytest
-
-from repro.sim.monitor import Monitor, Series
-
-
-class TestSeries:
-    def test_record_and_summary(self):
-        series = Series("latency")
-        series.record(0.0, 10.0)
-        series.record(1.0, 20.0)
-        assert len(series) == 2
-        assert series.summary().mean == pytest.approx(15.0)
-        assert series.last() == 20.0
-
-    def test_empty_last_raises(self):
-        with pytest.raises(ValueError):
-            Series("x").last()
-
 
 class TestMonitor:
-    def test_series_get_or_create(self, monitor):
-        a = monitor.series("s")
-        b = monitor.series("s")
-        assert a is b
-
-    def test_record_shortcut(self, monitor):
-        monitor.record("lat", 1.0, 5.0)
-        monitor.record("lat", 2.0, 7.0)
-        assert monitor.summary("lat").count == 2
-
-    def test_has_series(self, monitor):
-        assert not monitor.has_series("x")
-        monitor.series("x")  # created but empty
-        assert not monitor.has_series("x")
-        monitor.record("x", 0.0, 1.0)
-        assert monitor.has_series("x")
-
-    def test_summary_unknown_raises(self, monitor):
-        with pytest.raises(KeyError):
-            monitor.summary("nope")
-
     def test_counters(self, monitor):
         monitor.increment("msgs")
         monitor.increment("msgs", 4)
@@ -53,40 +14,3 @@ class TestMonitor:
         monitor.log(2.0, "terminated", who="mallory")
         assert len(monitor.events()) == 2
         assert monitor.events("violation") == [(1.0, "violation", {"who": "mallory"})]
-
-    def test_series_names_sorted(self, monitor):
-        monitor.record("b", 0, 1)
-        monitor.record("a", 0, 1)
-        assert monitor.series_names() == ["a", "b"]
-
-
-class TestExport:
-    def test_to_dict_shape(self, monitor):
-        monitor.increment("msgs", 3)
-        monitor.record("lat", 1.0, 5.0)
-        monitor.record("lat", 2.0, 7.0)
-        monitor.log(1.5, "violation", who="eve")
-        data = monitor.to_dict()
-        assert data["counters"] == {"msgs": 3}
-        assert data["series"]["lat"]["count"] == 2
-        assert data["series"]["lat"]["mean"] == pytest.approx(6.0)
-        assert "times" not in data["series"]["lat"]
-        assert data["events"][0]["kind"] == "violation"
-
-    def test_to_dict_with_samples(self, monitor):
-        monitor.record("lat", 1.0, 5.0)
-        data = monitor.to_dict(include_samples=True)
-        assert data["series"]["lat"]["times"] == [1.0]
-        assert data["series"]["lat"]["values"] == [5.0]
-
-    def test_to_json_parses(self, monitor):
-        import json
-
-        monitor.increment("x")
-        monitor.record("s", 0.0, 1.0)
-        parsed = json.loads(monitor.to_json())
-        assert parsed["counters"]["x"] == 1
-
-    def test_empty_series_excluded(self, monitor):
-        monitor.series("hollow")
-        assert "hollow" not in monitor.to_dict()["series"]

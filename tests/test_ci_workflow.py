@@ -38,7 +38,6 @@ def test_has_lint_analyze_test_bench_and_perf_jobs(workflow):
         "analyze",
         "test",
         "bench-smoke",
-        "perf-gate",
     }
 
 
@@ -155,18 +154,13 @@ def test_analyze_job_gates_analytics_seed_and_report_drift(workflow):
     assert "git diff --exit-code benchmarks/results/analytics" in smoke
 
 
-def test_perf_gate_runs_both_codecs_against_committed_baselines(workflow):
-    runs = [step.get("run") or "" for step in workflow["jobs"]["perf-gate"]["steps"]]
-    assert any(
-        "repro.bench.perf_gate" in run and "wire_codec_before.json" in run
-        for run in runs
+def test_bench_smoke_gates_both_codecs_against_the_committed_seed(workflow):
+    runs = [step.get("run") or "" for step in workflow["jobs"]["bench-smoke"]["steps"]]
+    gate = next(run for run in runs if "--codec-smoke" in run)
+    assert "python -m repro metrics --codec-smoke > codec_snapshot.json" in gate
+    assert gate.rstrip().endswith(
+        "diff -u benchmarks/results/codec_seed.json codec_snapshot.json"
     )
-    assert any(
-        "repro.bench.perf_gate" in run and "wire_codec_after.json" in run
-        for run in runs
-    )
-    assert any("--codec json" in run for run in runs)
-    assert any("--codec compact" in run for run in runs)
 
 
 def test_analyze_job_enforces_the_baseline_ratchet(workflow):

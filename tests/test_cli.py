@@ -27,13 +27,6 @@ class TestParser:
         assert args.json is True
         assert args.seed == 5
 
-    def test_metrics_diff_flags(self):
-        args = build_parser().parse_args(
-            ["metrics", "--diff", "before.json", "after.json", "--all"]
-        )
-        assert args.diff == ["before.json", "after.json"]
-        assert args.all is True
-
     def test_faults_flags(self):
         args = build_parser().parse_args(
             ["faults", "--scenario", "broker-crash", "--json", "--seed", "7"]
@@ -159,26 +152,3 @@ class TestCommands:
         assert main(["faults", "--scenario", "broker-crash", "--json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot == run_scenario("broker-crash")
-
-    def test_metrics_diff_renders_table(self, capsys, tmp_path):
-        import json
-
-        before = tmp_path / "before.json"
-        after = tmp_path / "after.json"
-        before.write_text(json.dumps({"counters": {"broker.msgs.delivered": 10}}))
-        after.write_text(json.dumps({"counters": {"broker.msgs.delivered": 7}}))
-        assert main(["metrics", "--diff", str(before), str(after)]) == 0
-        out = capsys.readouterr().out
-        assert "broker.msgs.delivered" in out
-        assert "-3" in out and "-30.0%" in out
-
-    def test_metrics_diff_json(self, capsys, tmp_path):
-        import json
-
-        before = tmp_path / "before.json"
-        after = tmp_path / "after.json"
-        before.write_text(json.dumps({"counters": {"a.b": 1}}))
-        after.write_text(json.dumps({"counters": {"a.b": 2}}))
-        assert main(["metrics", "--diff", str(before), str(after), "--json"]) == 0
-        diff = json.loads(capsys.readouterr().out)
-        assert diff["counters"]["a.b"]["delta"] == 1.0

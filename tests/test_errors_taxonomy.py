@@ -31,10 +31,6 @@ class TestBuiltinCompatibility:
     def test_benchmark_errors_are_runtime_errors(self):
         assert issubclass(errors.BenchmarkError, RuntimeError)
 
-    def test_series_lookup_is_a_key_error_with_plain_str(self):
-        assert issubclass(errors.SeriesNotFoundError, KeyError)
-        assert str(errors.SeriesNotFoundError("no series named 'x'")) == "no series named 'x'"
-
 
 class TestKeyMaterialErrorRename:
     def test_key_material_error_is_crypto_and_value_error(self):
@@ -84,12 +80,6 @@ class TestRaisedTypes:
 
         with pytest.raises(errors.SerializationTypeError):
             canonical_encode(object())
-
-    def test_monitor_series_lookup(self):
-        from repro.sim.monitor import Monitor
-
-        with pytest.raises(errors.SeriesNotFoundError):
-            Monitor().summary("ghost")
 
     def test_aes_key_material(self):
         from repro.crypto.aes import AESKey

@@ -8,7 +8,6 @@ from repro.util.clock import (
     NTPSkewModel,
     SkewedClock,
     VirtualClock,
-    WallClock,
 )
 
 
@@ -38,14 +37,6 @@ class TestVirtualClock:
         clock = VirtualClock(10.0)
         clock.advance_to(10.0)
         assert clock.now() == 10.0
-
-
-class TestWallClock:
-    def test_monotone_nonnegative(self):
-        clock = WallClock()
-        a = clock.now()
-        b = clock.now()
-        assert 0.0 <= a <= b
 
 
 class TestSkewedClock:

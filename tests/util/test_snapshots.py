@@ -11,6 +11,7 @@ from repro.util.snapshots import render_snapshot, snapshot_drift
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 SEED_FILES = (
     "routing_seed.json",
+    "codec_seed.json",
     "chaos_seed.json",
     "scale_seed.json",
     "campaigns/smoke/snapshot.json",
