@@ -1,18 +1,20 @@
-"""Fabric-scale curve: entities vs RSS and per-event routing cost.
+"""Fabric-scale curve: entities vs RSS and forwards per event.
 
 Drives ``repro.bench.scale`` over a sweep of fabric sizes — up to the
 64-broker / 100 000-entity point the scalability claim (§4) is about —
 and commits the measured curve under ``benchmarks/results/``:
 
 * ``scale_curve.json`` — one record per point: the deterministic
-  snapshot plus peak RSS (``ru_maxrss``) and per-event wall time
+  snapshot plus peak RSS (``ru_maxrss``)
 * ``scale_curve.txt`` — the rendered table EXPERIMENTS.md cites
 
 Each point runs in its **own subprocess** so ``ru_maxrss`` is the true
 peak of that point alone, not whatever larger point ran earlier in the
-process.  Per-event time is isolated by running every point twice in
-the child — once with zero events (setup only: subscriptions, summary
-exchange) and once with the full event count — and dividing the delta.
+process.  Per-event cost is the deterministic ``fwd/event`` column
+(``broker.msgs.forwarded_out`` / events): every event is published
+diametrically opposite its subscriber, so it crosses brokers/2 ring
+links.  Host time per event is the wall-clock benchmark's job
+(``benchmarks/perf/run.py``, docs/PERFORMANCE.md).
 
 The verbatim control plane rides along at the small points for
 comparison; past ~20k entities its O(entities × brokers) interest table
@@ -82,21 +84,9 @@ def run_child(brokers: int, entities: int, events: int, federation: bool) -> dic
 def child_main(args: argparse.Namespace) -> None:
     """Measure one point in-process and print the JSON record."""
     import resource
-    import time
 
     from repro.bench.scale import run_scale_point
 
-    started = time.perf_counter()
-    run_scale_point(
-        brokers=args.brokers,
-        entities=args.entities,
-        events=0,
-        seed=args.seed,
-        federation=not args.verbatim,
-    )
-    setup_s = time.perf_counter() - started
-
-    started = time.perf_counter()
     snapshot = run_scale_point(
         brokers=args.brokers,
         entities=args.entities,
@@ -104,34 +94,28 @@ def child_main(args: argparse.Namespace) -> None:
         seed=args.seed,
         federation=not args.verbatim,
     )
-    total_s = time.perf_counter() - started
-
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     snapshot["rss_mb"] = round(rss_kb / 1024.0, 1)
-    snapshot["setup_s"] = round(setup_s, 3)
-    snapshot["total_s"] = round(total_s, 3)
-    snapshot["per_event_us"] = (
-        round((total_s - setup_s) / args.events * 1e6, 1) if args.events else None
-    )
     json.dump(snapshot, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
 def render_table(records: list[dict]) -> str:
     lines = [
-        "fabric-scale curve (seed %d): control floods, RSS and per-event cost"
+        "fabric-scale curve (seed %d): control floods, RSS and forwards per event"
         % SEED,
         "",
         f"{'plane':<9} {'brokers':>7} {'entities':>9} {'floods':>7} "
-        f"{'fp.fwd':>7} {'RSS MiB':>8} {'us/event':>9}",
+        f"{'fp.fwd':>7} {'RSS MiB':>8} {'fwd/event':>9}",
     ]
     for record in records:
         plane = "federated" if record["federation"] else "verbatim"
+        forwards = record["counters"]["broker.msgs.forwarded_out"] / record["events"]
         lines.append(
             f"{plane:<9} {record['brokers']:>7} {record['entities']:>9} "
             f"{record['control_floods']:>7} "
             f"{record['counters']['fed.forwards.false_positive']:>7} "
-            f"{record['rss_mb']:>8.1f} {record['per_event_us']:>9.1f}"
+            f"{record['rss_mb']:>8.1f} {forwards:>9.1f}"
         )
     lines += [
         "",
@@ -141,7 +125,10 @@ def render_table(records: list[dict]) -> str:
         "pattern (plus an O(entities x brokers) interest table, which is",
         "why it has no large points).  fp.fwd: digest false-positive",
         "forwards — the budgeted cost of summarization, re-checked and",
-        "dropped at the destination's exact index.",
+        "dropped at the destination's exact index.  fwd/event:",
+        "broker.msgs.forwarded_out / events — each event is published",
+        "diametrically opposite its subscriber, so it crosses brokers/2",
+        "ring links (plus the false-positive forwards).",
     ]
     return "\n".join(lines)
 

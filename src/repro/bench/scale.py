@@ -12,7 +12,7 @@ digest false positives, pattern/shard gauges.
 Everything here is reproducible bit-for-bit per seed (RandomStreams +
 blake2b digests, no wall clock), which is what lets CI gate a reduced
 point against the committed ``benchmarks/results/scale_seed.json``.
-The *measured* curve — RSS and per-event wall time per point, one
+The *measured* curve — RSS and forwards per event per point, one
 subprocess per point — lives in ``benchmarks/bench_scale.py``, which
 drives :func:`run_scale_point` and commits
 ``benchmarks/results/scale_curve.{txt,json}``.

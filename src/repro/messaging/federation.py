@@ -23,6 +23,12 @@ the scalability claim (§4) is about.  This module replaces it with
   peer, counted by ``fed.summary.replays``) instead of a replay of every
   pattern ever announced.
 
+Cost model: the digest is a byte array its owner updates in place, so
+announce / retract are O(1), a flush is O(changed brokers) with one
+``digest_bits // 8``-byte copy each (8 KiB by default), and a probe is
+O(topic depth) byte tests per peer, whatever the digest width or the
+number of patterns behind it.
+
 Digest summaries can yield **false positives** — a broker may forward a
 frame to a peer with no matching subscriber.  Routing stays correct
 because delivery always re-checks the receiving broker's exact
@@ -98,6 +104,17 @@ def _digest_bits(key: str, modulus: int) -> tuple[int, int]:
     return (value >> 32) % modulus, value % modulus
 
 
+def _locate(bit: int) -> tuple[int, int]:
+    """Where digest bit ``bit`` lives in the byte form: ``(index, mask)``."""
+    return bit >> 3, 1 << (bit & 7)
+
+
+def _byte_tests(key: str, modulus: int) -> tuple[int, int, int, int]:
+    """``key``'s two digest bits as ``(index, mask, index, mask)`` byte tests."""
+    b1, b2 = _digest_bits(key, modulus)
+    return (*_locate(b1), *_locate(b2))
+
+
 def _literal_prefix(segments: list[str]) -> str:
     """The '/'-joined literal run before the first wildcard segment."""
     literal: list[str] = []
@@ -128,8 +145,10 @@ def pattern_digest_keys(pattern: str) -> tuple[str, ...]:
 class TopicProbe:
     """Pre-hashed digest probes for one concrete topic.
 
-    Computing the blake2 positions once per topic lets a router test the
-    same topic against every peer summary with pure integer operations.
+    Computing the blake2 positions once per topic, as ``(byte index,
+    mask)`` pairs, lets a router test the same topic against every peer
+    summary with two indexed byte tests per probe: O(topic depth) per
+    peer, independent of the digest width.
     """
 
     __slots__ = ("topic", "exact_bits", "prefix_bits")
@@ -137,11 +156,11 @@ class TopicProbe:
     def __init__(self, topic: str, modulus: int) -> None:
         segments = split_topic(topic)
         self.topic = "/".join(segments)
-        self.exact_bits = _digest_bits(f"e:{self.topic}", modulus)
+        self.exact_bits = _byte_tests(f"e:{self.topic}", modulus)
         # a wildcard pattern's literal prefix is always a *proper* prefix
         # of any topic it matches, so only proper prefixes are probed
         self.prefix_bits = tuple(
-            _digest_bits("p:" + "/".join(segments[:depth]), modulus)
+            _byte_tests("p:" + "/".join(segments[:depth]), modulus)
             for depth in range(1, len(segments))
         )
 
@@ -156,13 +175,15 @@ class InterestSummary:
         broker_id: str,
         version: int,
         hot: tuple[str, ...],
-        digest: int,
+        digest: bytes,
         match_all: bool,
         pattern_count: int,
     ) -> None:
         self.broker_id = broker_id
         self.version = version
         self.hot = hot
+        #: ``digest_bits // 8`` bytes (bit layout: :func:`_locate`); empty
+        #: while the hot set carries every pattern
         self.digest = digest
         self.match_all = match_all
         self.pattern_count = pattern_count
@@ -194,11 +215,11 @@ class InterestSummary:
             return True
         digest = self.digest
         if digest:
-            b1, b2 = probe.exact_bits
-            if (digest >> b1) & 1 and (digest >> b2) & 1:
+            i1, m1, i2, m2 = probe.exact_bits
+            if digest[i1] & m1 and digest[i2] & m2:
                 return True
-            for b1, b2 in probe.prefix_bits:
-                if (digest >> b1) & 1 and (digest >> b2) & 1:
+            for i1, m1, i2, m2 in probe.prefix_bits:
+                if digest[i1] & m1 and digest[i2] & m2:
                     return True
         return False
 
@@ -214,11 +235,15 @@ class _InterestAccumulator:
     """Mutable per-broker interest state behind the published summaries.
 
     Keeps a counting form of the digest (bit -> reference count) so
-    retractions can clear bits exactly, and rebuilds the broadcast-form
-    :class:`InterestSummary` on demand.
+    retractions can clear bits exactly, and owns the digest bytes
+    themselves: ``add`` / ``remove`` flip a bit in place exactly when its
+    count crosses 0<->1 (O(1) per pattern), and :meth:`build_summary`
+    snapshots them with one copy, never a per-bit rebuild.
     """
 
-    __slots__ = ("broker_id", "config", "patterns", "bit_counts", "match_all_count")
+    __slots__ = (
+        "broker_id", "config", "patterns", "bit_counts", "digest", "match_all_count",
+    )
 
     def __init__(self, broker_id: str, config: FederationConfig) -> None:
         self.broker_id = broker_id
@@ -226,6 +251,8 @@ class _InterestAccumulator:
         #: pattern -> its digest bit positions (cached for exact removal)
         self.patterns: dict[str, tuple[int, ...]] = {}
         self.bit_counts: dict[int, int] = {}
+        #: bit ``n`` is set iff ``n in bit_counts``
+        self.digest = bytearray(config.digest_bits // 8)
         self.match_all_count = 0
 
     def add(self, pattern: str) -> bool:
@@ -239,7 +266,11 @@ class _InterestAccumulator:
         for key in keys:
             for bit in _digest_bits(key, self.config.digest_bits):
                 bits.append(bit)
-                self.bit_counts[bit] = self.bit_counts.get(bit, 0) + 1
+                count = self.bit_counts.get(bit, 0)
+                if not count:
+                    index, mask = _locate(bit)
+                    self.digest[index] |= mask
+                self.bit_counts[bit] = count + 1
         self.patterns[pattern] = tuple(bits)
         return True
 
@@ -257,6 +288,8 @@ class _InterestAccumulator:
                 self.bit_counts[bit] = remaining
             else:
                 del self.bit_counts[bit]
+                index, mask = _locate(bit)
+                self.digest[index] &= ~mask
         return True
 
     @property
@@ -269,18 +302,15 @@ class _InterestAccumulator:
                 broker_id=self.broker_id,
                 version=version,
                 hot=tuple(sorted(self.patterns)),
-                digest=0,
+                digest=b"",
                 match_all=False,
                 pattern_count=len(self.patterns),
             )
-        digest = 0
-        for bit in self.bit_counts:
-            digest |= 1 << bit
         return InterestSummary(
             broker_id=self.broker_id,
             version=version,
             hot=(),
-            digest=digest,
+            digest=bytes(self.digest),
             match_all=self.match_all_count > 0,
             pattern_count=len(self.patterns),
         )
@@ -416,8 +446,8 @@ class FederatedInterestPlane:
             probe = self.probe(topic)
             cached = frozenset(
                 broker_id
-                for broker_id in sorted(self._summaries)
-                if self._summaries[broker_id].matches(probe)
+                for broker_id, summary in self._summaries.items()
+                if summary.matches(probe)
             )
             if len(self._match_memo) >= _MATCH_MEMO_LIMIT:
                 self._match_memo.clear()

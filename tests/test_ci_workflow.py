@@ -103,6 +103,13 @@ def test_bench_smoke_compiles_and_runs_bench_tests(workflow):
     assert "diff -u benchmarks/results/routing_seed.json routing_snapshot.json" in gate
 
 
+def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):
+    # benchmarks/perf/spans.py patches its entry points by name; only its own
+    # self-test notices a rename before the next benchmark run does
+    runs = [step.get("run") or "" for step in workflow["jobs"]["bench-smoke"]["steps"]]
+    assert "python -m pytest benchmarks/perf -q" in runs
+
+
 def test_chaos_smoke_gates_scenario_against_seed(workflow):
     runs = [step.get("run") or "" for step in workflow["jobs"]["bench-smoke"]["steps"]]
     gate = next(run for run in runs if "repro faults" in run)
