@@ -1,16 +1,23 @@
 """Pure-Python AES-128/192/256 with CBC mode and PKCS#7 padding.
 
-The paper encrypts traces with 192-bit AES keys (section 6).  This is a
-straightforward FIPS-197 implementation: byte-oriented, table-free except
-for the S-boxes, and deliberately simple rather than fast — the simulator
-charges virtual time from the calibrated cost model, not from the wall
-clock, so raw speed is irrelevant to benchmark fidelity.
+The paper encrypts traces with 192-bit AES keys (section 6).  This is the
+standard table form of FIPS-197: a state column is one big-endian 32-bit
+int, a round is four lookups and four XORs per column in tables derived
+from the S-boxes at import, and decryption runs the equivalent inverse
+cipher over its own schedule.  An :class:`AESKey` expands both schedules
+once, when it is built, and CBC works on words end to end.  Virtual time
+is charged from the calibrated cost model, never from the wall clock; the
+speed only decides how long a secured run takes on the host.
+
+Lookups indexed by secret bytes are a cache-timing channel.  That is
+acceptable only because DESIGN.md scopes this crypto as simulation-grade.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 from repro.errors import CryptoInputError, DecryptionError, KeyMaterialError, PaddingError
 
@@ -62,122 +69,137 @@ def _xtime(a: int) -> int:
     return a & 0xFF
 
 
-def _gmul(a: int, b: int) -> int:
-    """General GF(2^8) multiplication (peasant algorithm)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
+# --- round tables --------------------------------------------------------------
+# A state column is one big-endian 32-bit int: row 0 is the most significant
+# byte.  _TE[r][x] is the column MixColumns makes of SubBytes(x) sitting in
+# row r, so a round is four lookups and four XORs per column; _TD[r][x] is the
+# same for InvSubBytes followed by InvMixColumns.
 
+
+def _build_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Derive the encryption and decryption round tables from the S-boxes."""
+    te0, td0 = [], []
+    for x in range(256):
+        s = _SBOX[x]
+        s2 = _xtime(s)
+        te0.append(s2 << 24 | s << 16 | s << 8 | (s2 ^ s))  # 02 01 01 03
+        s = _INV_SBOX[x]
+        s2 = _xtime(s)
+        s4 = _xtime(s2)
+        s8 = _xtime(s4)
+        td0.append(  # 0e 09 0d 0b
+            (s8 ^ s4 ^ s2) << 24 | (s8 ^ s) << 16 | (s8 ^ s4 ^ s) << 8 | (s8 ^ s2 ^ s)
+        )
+    # rows 1-3 are row 0 rotated right by one more byte each
+    return tuple(
+        tuple(tuple((w >> r | w << 32 - r) & 0xFFFFFFFF for w in row0) for r in (0, 8, 16, 24))
+        for row0 in (te0, td0)
+    )
+
+
+_TE, _TD = _build_tables()
 
 # --- key schedule ------------------------------------------------------------
 
+_Schedule = tuple[tuple[int, ...], tuple[int, ...]]
 
-def _expand_key(key: bytes) -> list[list[int]]:
-    """AES key expansion: returns round keys as lists of 16 ints."""
+
+def _sub_word(w: int) -> int:
+    """SubWord: the S-box applied to each byte of a word."""
+    sb = _SBOX
+    return sb[w >> 24] << 24 | sb[w >> 16 & 255] << 16 | sb[w >> 8 & 255] << 8 | sb[w & 255]
+
+
+def _expand_key(key: bytes) -> _Schedule:
+    """AES key expansion: the encryption and the decryption word schedule.
+
+    The second is that of the *equivalent inverse cipher* (FIPS-197 5.3.5):
+    round keys in reverse order, InvMixColumns applied to all but the outer
+    two, so decryption runs the same lookup-and-XOR round as encryption.
+    """
     nk = len(key) // 4
-    rounds = {4: 10, 6: 12, 8: 14}[nk]
-    words: list[list[int]] = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
-    for i in range(nk, 4 * (rounds + 1)):
-        temp = list(words[i - 1])
+    total = 4 * ({4: 10, 6: 12, 8: 14}[nk] + 1)
+    words = list(struct.unpack(f">{nk}I", key))
+    for i in range(nk, total):
+        temp = words[i - 1]
         if i % nk == 0:
-            temp = temp[1:] + temp[:1]
-            temp = [_SBOX[b] for b in temp]
-            temp[0] ^= _RCON[i // nk - 1]
+            temp = _sub_word((temp << 8 | temp >> 24) & 0xFFFFFFFF) ^ _RCON[i // nk - 1] << 24
         elif nk > 6 and i % nk == 4:
-            temp = [_SBOX[b] for b in temp]
-        words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
-    round_keys: list[list[int]] = []
-    for r in range(rounds + 1):
-        rk: list[int] = []
-        for w in words[4 * r : 4 * r + 4]:
-            rk.extend(w)
-        round_keys.append(rk)
-    return round_keys
+            temp = _sub_word(temp)
+        words.append(words[i - nk] ^ temp)
+    td0, td1, td2, td3 = _TD
+    inverse = words[-4:]
+    for r in range(total - 8, 0, -4):
+        # _TD undoes a SubBytes first, so feed it S-box outputs
+        inverse += [
+            td0[w >> 24] ^ td1[w >> 16 & 255] ^ td2[w >> 8 & 255] ^ td3[w & 255]
+            for w in map(_sub_word, words[r : r + 4])
+        ]
+    return tuple(words), tuple(inverse + words[:4])
 
 
 # --- block operations ---------------------------------------------------------
-# State is a flat list of 16 bytes in column-major order, matching FIPS-197:
-# state[r + 4*c] is row r, column c.
+
+_BLOCK = struct.Struct(">4I")
+_Words = tuple[int, int, int, int]
 
 
-def _add_round_key(state: list[int], rk: list[int]) -> None:
-    for i in range(16):
-        state[i] ^= rk[i]
+def _encrypt_words(s0: int, s1: int, s2: int, s3: int, rk: tuple[int, ...]) -> _Words:
+    """Encrypt one block given as four column words."""
+    t0, t1, t2, t3 = _TE
+    s0, s1, s2, s3 = s0 ^ rk[0], s1 ^ rk[1], s2 ^ rk[2], s3 ^ rk[3]
+    for i in range(4, len(rk) - 4, 4):
+        s0, s1, s2, s3 = (
+            t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ rk[i],
+            t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ rk[i + 1],
+            t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ rk[i + 2],
+            t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ rk[i + 3],
+        )
+    # final round: SubBytes + ShiftRows, no MixColumns
+    b = _SBOX
+    k0, k1, k2, k3 = rk[-4:]
+    return (
+        k0 ^ b[s0 >> 24] << 24 ^ b[s1 >> 16 & 255] << 16 ^ b[s2 >> 8 & 255] << 8 ^ b[s3 & 255],
+        k1 ^ b[s1 >> 24] << 24 ^ b[s2 >> 16 & 255] << 16 ^ b[s3 >> 8 & 255] << 8 ^ b[s0 & 255],
+        k2 ^ b[s2 >> 24] << 24 ^ b[s3 >> 16 & 255] << 16 ^ b[s0 >> 8 & 255] << 8 ^ b[s1 & 255],
+        k3 ^ b[s3 >> 24] << 24 ^ b[s0 >> 16 & 255] << 16 ^ b[s1 >> 8 & 255] << 8 ^ b[s2 & 255],
+    )
 
 
-def _sub_bytes(state: list[int], box: bytes) -> None:
-    for i in range(16):
-        state[i] = box[state[i]]
+def _decrypt_words(s0: int, s1: int, s2: int, s3: int, rk: tuple[int, ...]) -> _Words:
+    """Decrypt one block of column words; ``rk`` is the inverse schedule."""
+    t0, t1, t2, t3 = _TD
+    s0, s1, s2, s3 = s0 ^ rk[0], s1 ^ rk[1], s2 ^ rk[2], s3 ^ rk[3]
+    for i in range(4, len(rk) - 4, 4):
+        s0, s1, s2, s3 = (
+            t0[s0 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s1 & 255] ^ rk[i],
+            t0[s1 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s2 & 255] ^ rk[i + 1],
+            t0[s2 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s3 & 255] ^ rk[i + 2],
+            t0[s3 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s0 & 255] ^ rk[i + 3],
+        )
+    # final round: InvShiftRows + InvSubBytes, no InvMixColumns
+    b = _INV_SBOX
+    k0, k1, k2, k3 = rk[-4:]
+    return (
+        k0 ^ b[s0 >> 24] << 24 ^ b[s3 >> 16 & 255] << 16 ^ b[s2 >> 8 & 255] << 8 ^ b[s1 & 255],
+        k1 ^ b[s1 >> 24] << 24 ^ b[s0 >> 16 & 255] << 16 ^ b[s3 >> 8 & 255] << 8 ^ b[s2 & 255],
+        k2 ^ b[s2 >> 24] << 24 ^ b[s1 >> 16 & 255] << 16 ^ b[s0 >> 8 & 255] << 8 ^ b[s3 & 255],
+        k3 ^ b[s3 >> 24] << 24 ^ b[s2 >> 16 & 255] << 16 ^ b[s1 >> 8 & 255] << 8 ^ b[s0 & 255],
+    )
 
 
-_SHIFT_MAP = [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11]
-_INV_SHIFT_MAP = [0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3]
-
-
-def _shift_rows(state: list[int]) -> list[int]:
-    return [state[_SHIFT_MAP[i]] for i in range(16)]
-
-
-def _inv_shift_rows(state: list[int]) -> list[int]:
-    return [state[_INV_SHIFT_MAP[i]] for i in range(16)]
-
-
-def _mix_columns(state: list[int]) -> None:
-    for c in range(4):
-        i = 4 * c
-        a0, a1, a2, a3 = state[i : i + 4]
-        state[i + 0] = _xtime(a0) ^ (_xtime(a1) ^ a1) ^ a2 ^ a3
-        state[i + 1] = a0 ^ _xtime(a1) ^ (_xtime(a2) ^ a2) ^ a3
-        state[i + 2] = a0 ^ a1 ^ _xtime(a2) ^ (_xtime(a3) ^ a3)
-        state[i + 3] = (_xtime(a0) ^ a0) ^ a1 ^ a2 ^ _xtime(a3)
-
-
-def _inv_mix_columns(state: list[int]) -> None:
-    for c in range(4):
-        i = 4 * c
-        a0, a1, a2, a3 = state[i : i + 4]
-        state[i + 0] = _gmul(a0, 14) ^ _gmul(a1, 11) ^ _gmul(a2, 13) ^ _gmul(a3, 9)
-        state[i + 1] = _gmul(a0, 9) ^ _gmul(a1, 14) ^ _gmul(a2, 11) ^ _gmul(a3, 13)
-        state[i + 2] = _gmul(a0, 13) ^ _gmul(a1, 9) ^ _gmul(a2, 14) ^ _gmul(a3, 11)
-        state[i + 3] = _gmul(a0, 11) ^ _gmul(a1, 13) ^ _gmul(a2, 9) ^ _gmul(a3, 14)
-
-
-def encrypt_block(block: bytes, round_keys: list[list[int]]) -> bytes:
+def encrypt_block(block: bytes, round_keys: _Schedule) -> bytes:
     """Encrypt one 16-byte block."""
     if len(block) != BLOCK_SIZE:
         raise CryptoInputError(f"block must be {BLOCK_SIZE} bytes")
-    state = list(block)
-    _add_round_key(state, round_keys[0])
-    for r in range(1, len(round_keys) - 1):
-        _sub_bytes(state, _SBOX)
-        state = _shift_rows(state)
-        _mix_columns(state)
-        _add_round_key(state, round_keys[r])
-    _sub_bytes(state, _SBOX)
-    state = _shift_rows(state)
-    _add_round_key(state, round_keys[-1])
-    return bytes(state)
+    return _BLOCK.pack(*_encrypt_words(*_BLOCK.unpack(block), round_keys[0]))
 
 
-def decrypt_block(block: bytes, round_keys: list[list[int]]) -> bytes:
+def decrypt_block(block: bytes, round_keys: _Schedule) -> bytes:
     """Decrypt one 16-byte block."""
     if len(block) != BLOCK_SIZE:
         raise CryptoInputError(f"block must be {BLOCK_SIZE} bytes")
-    state = list(block)
-    _add_round_key(state, round_keys[-1])
-    for r in range(len(round_keys) - 2, 0, -1):
-        state = _inv_shift_rows(state)
-        _sub_bytes(state, _INV_SBOX)
-        _add_round_key(state, round_keys[r])
-        _inv_mix_columns(state)
-    state = _inv_shift_rows(state)
-    _sub_bytes(state, _INV_SBOX)
-    _add_round_key(state, round_keys[0])
-    return bytes(state)
+    return _BLOCK.pack(*_decrypt_words(*_BLOCK.unpack(block), round_keys[1]))
 
 
 # --- key object, CBC mode, padding -------------------------------------------
@@ -185,22 +207,32 @@ def decrypt_block(block: bytes, round_keys: list[list[int]]) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class AESKey:
-    """An AES key of 128, 192 (the paper's choice) or 256 bits."""
+    """An AES key of 128, 192 (the paper's choice) or 256 bits.
 
-    material: bytes
+    Equality and hash are on ``material`` alone, and neither it nor the
+    schedule derived from it appears in the repr.
+    """
+
+    material: bytes = field(repr=False)
+    _schedule: _Schedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.material) not in (16, 24, 32):
             raise KeyMaterialError(
                 f"AES key must be 16/24/32 bytes, got {len(self.material)}"
             )
+        object.__setattr__(self, "_schedule", _expand_key(self.material))
+
+    def __repr__(self) -> str:
+        return f"AESKey(bits={self.bits})"
 
     @property
     def bits(self) -> int:
         return len(self.material) * 8
 
-    def round_keys(self) -> list[list[int]]:
-        return _expand_key(self.material)
+    def round_keys(self) -> _Schedule:
+        """The expanded schedule, computed once; opaque to callers."""
+        return self._schedule
 
 
 def generate_aes_key(rng: random.Random, bits: int = 192) -> AESKey:
@@ -230,16 +262,18 @@ def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
 
 def aes_cbc_encrypt(key: AESKey, plaintext: bytes, rng: random.Random) -> bytes:
     """CBC-encrypt with PKCS#7 padding; the random IV is prepended."""
-    round_keys = key.round_keys()
+    rk = key.round_keys()[0]
     iv = bytes(rng.randrange(256) for _ in range(BLOCK_SIZE))
     padded = pkcs7_pad(plaintext)
-    out = bytearray(iv)
-    prev = iv
-    for i in range(0, len(padded), BLOCK_SIZE):
-        block = bytes(a ^ b for a, b in zip(padded[i : i + BLOCK_SIZE], prev, strict=True))
-        prev = encrypt_block(block, round_keys)
+    words = struct.unpack(f">{len(padded) // 4}I", padded)
+    out = list(_BLOCK.unpack(iv))
+    p0, p1, p2, p3 = out
+    for i in range(0, len(words), 4):
+        p0, p1, p2, p3 = prev = _encrypt_words(
+            words[i] ^ p0, words[i + 1] ^ p1, words[i + 2] ^ p2, words[i + 3] ^ p3, rk
+        )
         out += prev
-    return bytes(out)
+    return struct.pack(f">{len(out)}I", *out)
 
 
 def aes_cbc_decrypt(key: AESKey, ciphertext: bytes) -> bytes:
@@ -248,13 +282,11 @@ def aes_cbc_decrypt(key: AESKey, ciphertext: bytes) -> bytes:
         raise DecryptionError(
             f"ciphertext length {len(ciphertext)} invalid for CBC"
         )
-    round_keys = key.round_keys()
-    iv = ciphertext[:BLOCK_SIZE]
-    out = bytearray()
-    prev = iv
-    for i in range(BLOCK_SIZE, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[i : i + BLOCK_SIZE]
-        plain = decrypt_block(block, round_keys)
-        out += bytes(a ^ b for a, b in zip(plain, prev, strict=True))
-        prev = block
-    return pkcs7_unpad(bytes(out))
+    rk = key.round_keys()[1]
+    words = struct.unpack(f">{len(ciphertext) // 4}I", ciphertext)
+    out: list[int] = []
+    for i in range(4, len(words), 4):
+        d0, d1, d2, d3 = _decrypt_words(words[i], words[i + 1], words[i + 2], words[i + 3], rk)
+        # chain on the previous ciphertext block (the IV for the first)
+        out += (d0 ^ words[i - 4], d1 ^ words[i - 3], d2 ^ words[i - 2], d3 ^ words[i - 1])
+    return pkcs7_unpad(struct.pack(f">{len(out)}I", *out))

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
+from repro.crypto.aes import AESKey
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.errors import DecryptionError, MalformedEnvelopeError, SignatureError
@@ -125,8 +126,6 @@ def seal_for(
 
 def open_sealed(sealed: SealedPayload, private_key: RSAPrivateKey) -> Any:
     """Decrypt a :class:`SealedPayload`; raises :class:`DecryptionError`."""
-    from repro.crypto.aes import AESKey  # local import avoids cycle at module load
-
     key_material = private_key.decrypt(sealed.wrapped_key)
     session_key = SymmetricKey(
         key=AESKey(key_material), algorithm=sealed.algorithm, padding=sealed.padding

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import aes
 from repro.crypto.aes import (
     AESKey,
     aes_cbc_decrypt,
@@ -15,6 +16,7 @@ from repro.crypto.aes import (
     pkcs7_pad,
     pkcs7_unpad,
 )
+from repro.crypto.keys import SymmetricKey
 from repro.errors import DecryptionError, KeyMaterialError, PaddingError
 
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -34,6 +36,157 @@ FIPS_VECTORS = [
     ),
 ]
 
+# NIST SP 800-38A appendix F.2.1 / F.2.3 / F.2.5 (CBC-AES128/192/256.Encrypt)
+SP800_38A_IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+SP800_38A_PLAINTEXT = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710"
+)
+SP800_38A_VECTORS = [
+    # (key hex, ciphertext blocks 1-4 hex)
+    (
+        "2b7e151628aed2a6abf7158809cf4f3c",
+        "7649abac8119b246cee98e9b12e9197d"
+        "5086cb9b507219ee95db113a917678b2"
+        "73bed6b8e3c1743b7116e69e22229516"
+        "3ff1caa1681fac09120eca307586e1a7",
+    ),
+    (
+        "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+        "4f021db243bc633d7178183a9fa071e8"
+        "b4d9ada9ad7dedf4e5e738763f69145a"
+        "571b242012fb7ae07fa9baac3df102e0"
+        "08b0e27988598881d920a9e64f5615cd",
+    ),
+    (
+        "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+        "f58c4c04d6e5f1ba779eabfb5f7bfbd6"
+        "9cfc4e967edb808d679f777bc6702c7d"
+        "39f23369a9d9bacfa530e26304231461"
+        "b2eb05e2c39be9fcda6c19078c6a9d1b",
+    ),
+]
+
+# --- plain FIPS-197 reference ----------------------------------------------------
+# Byte state in column-major order (state[r + 4*c] is row r, column c), one
+# function per step, nothing shared with repro.crypto.aes: the oracle for the
+# table-driven cipher.
+
+
+def _gmul(a, b):
+    """GF(2^8) multiplication (peasant algorithm)."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        a = (a << 1) ^ (0x11B if a & 0x80 else 0)
+        b >>= 1
+    return result
+
+
+def _ref_sboxes():
+    box, p, q = [0x63] * 256, 1, 1
+    for _ in range(255):
+        p, q = _gmul(p, 3), _gmul(q, 0xF6)  # 0xF6 = 1/3, so q stays the inverse of p
+        s = q
+        for shift in range(1, 5):
+            s ^= (q << shift | q >> 8 - shift) & 0xFF
+        box[p] = s ^ 0x63
+    return box, [box.index(v) for v in range(256)]
+
+
+REF_SBOX, REF_INV_SBOX = _ref_sboxes()
+REF_SHIFT = [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11]
+
+
+def _sub_bytes(state, box):
+    return [box[b] for b in state]
+
+
+def _shift_rows(state):
+    return [state[i] for i in REF_SHIFT]
+
+
+def _inv_shift_rows(state):
+    return [state[REF_SHIFT.index(i)] for i in range(16)]
+
+
+def _mix_columns(state, row):
+    """Multiply each column by the circulant matrix whose first row is ``row``."""
+    out = []
+    for c in range(0, 16, 4):
+        for r in range(4):
+            acc = 0
+            for k in range(4):
+                acc ^= _gmul(state[c + k], row[(k - r) % 4])
+            out.append(acc)
+    return out
+
+
+def _add_round_key(state, rk):
+    return [a ^ b for a, b in zip(state, rk, strict=True)]
+
+
+def ref_round_keys(key):
+    nk, rcon = len(key) // 4, 1
+    words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
+    for i in range(nk, 4 * (nk + 7)):
+        temp = words[i - 1]
+        if i % nk == 0:
+            temp = _sub_bytes(temp[1:] + temp[:1], REF_SBOX)
+            temp[0] ^= rcon
+            rcon = _gmul(rcon, 2)
+        elif nk > 6 and i % nk == 4:
+            temp = _sub_bytes(temp, REF_SBOX)
+        words.append(_add_round_key(words[i - nk], temp))
+    return [sum(words[r : r + 4], []) for r in range(0, len(words), 4)]
+
+
+def ref_encrypt_block(block, rks):
+    state = _add_round_key(list(block), rks[0])
+    for rk in rks[1:-1]:
+        state = _mix_columns(_shift_rows(_sub_bytes(state, REF_SBOX)), (2, 3, 1, 1))
+        state = _add_round_key(state, rk)
+    return bytes(_add_round_key(_shift_rows(_sub_bytes(state, REF_SBOX)), rks[-1]))
+
+
+def ref_decrypt_block(block, rks):
+    state = _add_round_key(list(block), rks[-1])
+    for rk in rks[-2:0:-1]:
+        state = _add_round_key(_sub_bytes(_inv_shift_rows(state), REF_INV_SBOX), rk)
+        state = _mix_columns(state, (14, 11, 13, 9))
+    return bytes(_add_round_key(_sub_bytes(_inv_shift_rows(state), REF_INV_SBOX), rks[0]))
+
+
+def ref_cbc_encrypt(key, plaintext, rng):
+    rks = ref_round_keys(key)
+    prev = bytes(rng.randrange(256) for _ in range(16))
+    pad = 16 - len(plaintext) % 16
+    padded = plaintext + bytes([pad]) * pad
+    out = [prev]
+    for i in range(0, len(padded), 16):
+        prev = ref_encrypt_block(_add_round_key(padded[i : i + 16], prev), rks)
+        out.append(prev)
+    return b"".join(out)
+
+
+key_material = st.sampled_from([16, 24, 32]).flatmap(
+    lambda size: st.binary(min_size=size, max_size=size)
+)
+
+
+class _FixedIV:
+    """Stands in for ``random.Random``: ``randrange`` yields the IV bytes in order."""
+
+    def __init__(self, iv):
+        self._bytes = iter(iv)
+
+    def randrange(self, stop):
+        assert stop == 256
+        return next(self._bytes)
+
 
 class TestKnownAnswers:
     @pytest.mark.parametrize("key_hex,ct_hex", FIPS_VECTORS)
@@ -47,6 +200,43 @@ class TestKnownAnswers:
         assert (
             decrypt_block(bytes.fromhex(ct_hex), key.round_keys()) == FIPS_PLAINTEXT
         )
+
+    @pytest.mark.parametrize(
+        "key_hex,blocks_hex", SP800_38A_VECTORS, ids=["aes128", "aes192", "aes256"]
+    )
+    def test_sp800_38a_cbc(self, key_hex, blocks_hex):
+        key = AESKey(bytes.fromhex(key_hex))
+        ciphertext = aes_cbc_encrypt(key, SP800_38A_PLAINTEXT, _FixedIV(SP800_38A_IV))
+        # IV, the four vector blocks, then one block of PKCS#7 padding
+        assert len(ciphertext) == 96
+        assert ciphertext[:80] == SP800_38A_IV + bytes.fromhex(blocks_hex)
+        assert aes_cbc_decrypt(key, ciphertext) == SP800_38A_PLAINTEXT
+
+
+class TestAgainstReference:
+    def test_reference_meets_fips197(self):
+        for key_hex, ct_hex in FIPS_VECTORS:
+            rks = ref_round_keys(bytes.fromhex(key_hex))
+            assert ref_encrypt_block(FIPS_PLAINTEXT, rks).hex() == ct_hex
+            assert ref_decrypt_block(bytes.fromhex(ct_hex), rks) == FIPS_PLAINTEXT
+
+    @given(key_material, st.binary(min_size=16, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_the_reference(self, material, block):
+        rks = ref_round_keys(material)
+        schedule = AESKey(material).round_keys()
+        assert encrypt_block(block, schedule) == ref_encrypt_block(block, rks)
+        assert decrypt_block(block, schedule) == ref_decrypt_block(block, rks)
+
+    @given(key_material, st.binary(max_size=300), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_cbc_equals_the_reference_and_draws_the_same_iv(self, material, plaintext, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        ciphertext = aes_cbc_encrypt(AESKey(material), plaintext, rng)
+        assert ciphertext == ref_cbc_encrypt(material, plaintext, ref_rng)
+        # same draws in the same order: every committed seed depends on it
+        assert rng.random() == ref_rng.random()
+        assert aes_cbc_decrypt(AESKey(material), ciphertext) == plaintext
 
 
 class TestAESKey:
@@ -70,6 +260,38 @@ class TestAESKey:
             encrypt_block(b"tooshort", key.round_keys())
         with pytest.raises(ValueError):
             decrypt_block(b"x" * 17, key.round_keys())
+
+    def test_repr_shows_bits_and_no_secret(self, rng):
+        key = generate_aes_key(rng)
+        secrets = [repr(key.material)[2:-1], key.material.hex()]
+        for schedule in key.round_keys():
+            secrets += [text for word in schedule for text in (str(word), f"{word:x}")]
+        for shown in (repr(key), repr(SymmetricKey(key))):
+            assert "AESKey(bits=192)" in shown
+            assert not [secret for secret in secrets if secret in shown]
+
+    def test_equality_and_hash_are_on_material_alone(self, rng):
+        key = generate_aes_key(rng)
+        twin = AESKey(bytes(bytearray(key.material)))
+        assert key == twin and hash(key) == hash(twin)
+        assert key != generate_aes_key(rng)
+        assert SymmetricKey(key) == SymmetricKey(twin)
+
+    def test_schedule_is_expanded_once_per_key(self, rng, monkeypatch):
+        expansions = []
+        expand_key = aes._expand_key
+
+        def counting(material):
+            expansions.append(material)
+            return expand_key(material)
+
+        monkeypatch.setattr(aes, "_expand_key", counting)
+        key = generate_aes_key(rng)
+        assert len(expansions) == 1
+        ciphertexts = [aes_cbc_encrypt(key, b"a trace", rng) for _ in range(50)]
+        assert all(aes_cbc_decrypt(key, c) == b"a trace" for c in ciphertexts)
+        assert len(expansions) == 1
+        assert key.round_keys() is key.round_keys()
 
 
 class TestPKCS7:

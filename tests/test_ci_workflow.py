@@ -107,7 +107,11 @@ def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):
     # benchmarks/perf/spans.py patches its entry points by name; only its own
     # self-test notices a rename before the next benchmark run does
     runs = [step.get("run") or "" for step in workflow["jobs"]["bench-smoke"]["steps"]]
-    assert "python -m pytest benchmarks/perf -q" in runs
+    # exactly one id is deselected; ci.yml says why and ROADMAP says when it comes back
+    assert (
+        "python -m pytest benchmarks/perf -q"
+        " --deselect benchmarks/perf/test_perf.py::test_zero_call_predictions_hold"
+    ) in runs
 
 
 def test_chaos_smoke_gates_scenario_against_seed(workflow):
