@@ -463,19 +463,23 @@ class Broker:
                 self.monitor.increment("messages.delivered_broker_local")
                 fanout += 1
 
+        # a client subscribed through several matching patterns gets one
+        # copy: its own index runs the handlers of every pattern per copy
+        sent: set[str] = set()
         for _pattern, subscribers in self._subs.match_clients(topic):
             # delivery order is arbitrary in a real broker (hash order);
             # shuffling avoids privileging any subscriber in the fan-out
             ordered = subscribers
             self.machine.rng.shuffle(ordered)
             for client_id in ordered:
-                if client_id == exclude_client:
+                if client_id == exclude_client or client_id in sent:
                     continue
                 link = self._client_links.get(client_id)
                 if link is None:
                     continue
                 yield from self.machine.compute(self.per_delivery_ms)
                 link.send(message)
+                sent.add(client_id)
                 self.monitor.increment("messages.delivered_client")
                 fanout += 1
 

@@ -4,17 +4,22 @@ An entity is connected to one broker and uses it to funnel messages to the
 broker network (section 2).  The client object holds the entity's half of
 the duplex link, tracks its subscriptions, and dispatches delivered
 messages to local handlers.
+
+Handlers live in a private :class:`~repro.messaging.matching.SubscriptionIndex`,
+the segment trie brokers match with: a tracker subscribes to a handful of
+exact topics per tracked entity (section 3), and finding the handlers of
+one delivered trace must not cost more the more entities it tracks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Callable
 
 from repro.errors import NotConnectedError
 from repro.messaging.broker import Broker
+from repro.messaging.matching import SubscriptionIndex
 from repro.messaging.message import Message
-from repro.messaging.topics import Topic, topic_matches
+from repro.messaging.topics import Topic
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
@@ -28,6 +33,12 @@ class BrokerClient:
 
     Wiring (links in both directions) is performed by
     :meth:`repro.messaging.broker_network.BrokerNetwork.connect_client`.
+
+    Subscription patterns are canonicalized (``/a/b`` and ``a/b`` are one
+    subscription).  A message matching several of this client's patterns
+    runs their handlers in sorted-pattern order, then registration order
+    within a pattern: the index's order, never hash or insertion order
+    (the DET02 contract brokers already follow).
     """
 
     def __init__(
@@ -43,7 +54,9 @@ class BrokerClient:
         self.monitor = monitor or Monitor()
         self._broker: Broker | None = None
         self._link_to_broker: Link | None = None
-        self._handlers: dict[str, list[Handler]] = defaultdict(list)
+        # no registry: the broker.interest.* gauges count broker-side
+        # entries, and every subscription here has one there already
+        self._subs = SubscriptionIndex()
 
     # ----------------------------------------------------------------- wiring
 
@@ -102,37 +115,33 @@ class BrokerClient:
         """Subscribe; broker-side validation may raise UnauthorizedError."""
         text = pattern.canonical if isinstance(pattern, Topic) else pattern
         self.broker.add_client_subscription(self.client_id, text)
-        self._handlers[text].append(handler)
+        self._subs.add_handler(text, handler)
 
     def unsubscribe(self, pattern: str | Topic, handler: Handler | None = None) -> None:
         """Remove one handler (or all) for a pattern; retracts the
         server-side subscription when the last local handler goes."""
         text = pattern.canonical if isinstance(pattern, Topic) else pattern
-        if handler is None:
-            self._handlers.pop(text, None)
-        else:
-            handlers = self._handlers.get(text)
-            if handlers and handler in handlers:
-                handlers.remove(handler)
-            if not handlers:
-                self._handlers.pop(text, None)
-        if text not in self._handlers:
+        for each in self._subs.handlers_for(text) if handler is None else (handler,):
+            self._subs.remove_handler(text, each)
+        if text not in self._subs:  # emptied entries are pruned
             self.broker.remove_client_subscription(self.client_id, text)
 
     def subscriptions(self) -> list[str]:
-        """Patterns this client currently subscribes to, sorted."""
-        return sorted(self._handlers)
+        """Canonical patterns this client currently subscribes to, sorted."""
+        return self._subs.patterns()
 
     # -------------------------------------------------------------- delivery
 
     def _receive(self, message: Message) -> None:
-        """Delivery callback for the broker-to-client link."""
+        """Delivery callback for the broker-to-client link.
+
+        The matched handler lists are copies, so a handler may
+        unsubscribe itself or a sibling while the message is dispatched.
+        """
         self.monitor.increment("received")
-        topic = message.topic.canonical
-        for pattern, handlers in list(self._handlers.items()):
-            if topic_matches(pattern, topic):
-                for handler in list(handlers):
-                    handler(message)
+        for _pattern, handlers in self._subs.match_handlers(message.topic.canonical):
+            for handler in handlers:
+                handler(message)
 
     def __repr__(self) -> str:
         broker = self._broker.broker_id if self._broker else None

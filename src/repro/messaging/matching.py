@@ -14,6 +14,13 @@ One index instance holds all three kinds of interest a broker tracks:
 * **broker-local handlers** — the broker's own subscriptions (sessions),
 * **remote interest** — peer brokers with subscribers for a pattern.
 
+A :class:`~repro.messaging.client.BrokerClient` holds an index of its own
+too, using only the handler kind: a tracker of N entities subscribes to
+O(N) exact topics, and each delivered message must find its handlers in
+O(topic depth) there for the same reason it must at the broker.  Client
+indexes are built without a registry, so the deployment-wide
+``broker.interest.*`` gauges count broker-side entries only.
+
 Wildcards follow the topic grammar: ``*`` matches exactly one segment and
 a trailing ``>`` matches one or more remaining segments.  Patterns are
 canonicalized on insertion (a tolerated leading ``/`` is stripped), so
@@ -325,6 +332,12 @@ class SubscriptionIndex:
         """Client ids subscribed to exactly ``pattern``, sorted."""
         entry = self._lookup(pattern)
         return sorted(entry.clients) if entry is not None else []
+
+    def handlers_for(self, pattern: str) -> list[Callable]:
+        """Handlers registered on exactly ``pattern``, in registration
+        order; the list is a copy."""
+        entry = self._lookup(pattern)
+        return list(entry.handlers) if entry is not None else []
 
     def remote_for(self, pattern: str) -> set[str]:
         """Peer brokers interested in exactly ``pattern``."""

@@ -15,7 +15,7 @@ in sorted key order).
 from __future__ import annotations
 
 import struct
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import SerializationDecodeError, SerializationTypeError
 
@@ -30,72 +30,105 @@ _TAG_LIST = b"l"
 _TAG_DICT = b"d"
 _TAG_END = b"e"
 
+#: Tag + decimal length + ``:`` of the three length-prefixed kinds, as one
+#: bytes-``%`` format each.
+_HEAD_INT = _TAG_INT + b"%d:"
+_HEAD_STR = _TAG_STR + b"%d:"
+_HEAD_BYTES = _TAG_BYTES + b"%d:"
+
+#: The ``isinstance`` order that decides which arm encodes a value whose
+#: type is not exactly a builtin (``OrderedDict``, ``bytearray``, an
+#: ``IntEnum`` ...).  ``bool`` cannot be subclassed, so ``True`` / ``False``
+#: never reach it.
+_SUBCLASS_ORDER: tuple[tuple[Any, type], ...] = (
+    (int, int),
+    (float, float),
+    (str, str),
+    ((bytes, bytearray, memoryview), bytes),
+    ((list, tuple), list),
+    (dict, dict),
+)
+
 
 def canonical_encode(value: Any) -> bytes:
     """Encode ``value`` to its unique canonical byte string."""
-    out = bytearray()
-    _encode_into(value, out)
-    return bytes(out)
+    parts: list[bytes] = []
+    _encode_into(value, parts.append, type(value))
+    return b"".join(parts)
 
 
 def canonical_encode_into(value: Any, out: bytearray) -> int:
     """Append the canonical encoding of ``value`` to ``out``.
 
     The streaming variant of :func:`canonical_encode`: callers that size
-    many payloads (``repro.wire``) reuse one pooled scratch buffer instead
-    of allocating a fresh ``bytes`` per encode.  Returns the number of
-    bytes appended.
+    many payloads (``repro.wire``) render into one pooled scratch buffer.
+    The pieces are joined before they are appended, so an encode that
+    raises leaves ``out`` as it was.  Returns the number of bytes
+    appended.
     """
-    before = len(out)
-    _encode_into(value, out)
-    return len(out) - before
+    # not through canonical_encode: benchmarks/perf/spans.py wraps both
+    # public names, and a nested call would count every encode twice
+    parts: list[bytes] = []
+    _encode_into(value, parts.append, type(value))
+    encoded = b"".join(parts)
+    out += encoded
+    return len(encoded)
 
 
-def _encode_into(value: Any, out: bytearray) -> None:
-    if value is None:
-        out += _TAG_NONE
-    elif value is True:
-        out += _TAG_TRUE
-    elif value is False:
-        out += _TAG_FALSE
-    elif isinstance(value, int):
-        rendered = str(value).encode("ascii")
-        out += _TAG_INT
-        out += str(len(rendered)).encode("ascii")
-        out += b":"
-        out += rendered
-    elif isinstance(value, float):
-        # Fixed 8-byte IEEE-754 big-endian: bit-exact round trip.
-        out += _TAG_FLOAT
-        out += struct.pack(">d", value)
-    elif isinstance(value, str):
-        data = value.encode("utf-8")
-        out += _TAG_STR
-        out += str(len(data)).encode("ascii")
-        out += b":"
-        out += data
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        data = bytes(value)
-        out += _TAG_BYTES
-        out += str(len(data)).encode("ascii")
-        out += b":"
-        out += data
-    elif isinstance(value, (list, tuple)):
-        out += _TAG_LIST
-        for item in value:
-            _encode_into(item, out)
-        out += _TAG_END
-    elif isinstance(value, dict):
-        out += _TAG_DICT
-        keys = list(value.keys())
-        for key in keys:
+def _encode_into(value: Any, emit: Callable[[bytes], None], kind: type) -> None:
+    """Hand the pieces of ``value``'s encoding to ``emit``, in order.
+
+    ``kind`` is ``type(value)``: the arms test it by identity, most
+    frequent first (a token is mostly ``str`` keys and leaves), and each
+    works on subclasses too.  A ``kind`` that is no arm's builtin type
+    falls to the end, is resolved once through :data:`_SUBCLASS_ORDER`
+    and re-enters under the builtin it stands for.
+    """
+    if kind is str:
+        data = value.encode()
+        emit(_HEAD_STR % len(data))
+        emit(data)
+    elif kind is dict:
+        emit(_TAG_DICT)
+        # before sorted(): mixed keys must not surface as its TypeError
+        for key in value:
             if not isinstance(key, str):
                 raise SerializationTypeError(f"dict keys must be str, got {type(key).__name__}")
-        for key in sorted(keys):
-            _encode_into(key, out)
-            _encode_into(value[key], out)
-        out += _TAG_END
+        for key in sorted(value):
+            data = key.encode()
+            emit(_HEAD_STR % len(data))
+            emit(data)
+            item = value[key]
+            _encode_into(item, emit, type(item))
+        emit(_TAG_END)
+    elif kind is int:
+        rendered = str(value).encode("ascii")
+        emit(_HEAD_INT % len(rendered))
+        emit(rendered)
+    elif kind is float:
+        # Fixed 8-byte IEEE-754 big-endian: bit-exact round trip.
+        emit(_TAG_FLOAT)
+        emit(struct.pack(">d", value))
+    elif kind is list or kind is tuple:
+        emit(_TAG_LIST)
+        for item in value:
+            _encode_into(item, emit, type(item))
+        emit(_TAG_END)
+    elif value is None:
+        emit(_TAG_NONE)
+    elif value is True:
+        emit(_TAG_TRUE)
+    elif value is False:
+        emit(_TAG_FALSE)
+    elif kind is bytes:
+        data = bytes(value)
+        emit(_HEAD_BYTES % len(data))
+        emit(data)
     else:
+        for bases, builtin in _SUBCLASS_ORDER:
+            if isinstance(value, bases):
+                _encode_into(value, emit, builtin)
+                return
         raise SerializationTypeError(f"cannot canonically encode {type(value).__name__}")
 
 

@@ -37,6 +37,9 @@ _MESSAGE_KEYS = frozenset(
 )
 _FRAME_KEYS = _MESSAGE_KEYS | {"destinations"}
 
+#: Encoded size of the one dict key a :class:`RoutedFrame` adds.
+_DESTINATIONS_KEY_SIZE = len(canonical_encode("destinations"))
+
 
 def message_from_wire_dict(data: dict) -> Message:
     """Rebuild a :class:`Message` from its ``wire_dict()`` rendering.
@@ -102,6 +105,4 @@ class JsonCodec:
         value — which makes frame sizing additive over the memoized
         message size.
         """
-        return len(canonical_encode("destinations")) + len(
-            canonical_encode(list(frame.destinations))
-        )
+        return _DESTINATIONS_KEY_SIZE + len(canonical_encode(list(frame.destinations)))

@@ -69,6 +69,26 @@ class TestLocalPubSub:
         sim.run()
         assert got == [1]
 
+    def test_overlapping_patterns_deliver_one_copy_per_client(self, net):
+        """One copy per client per message, not one per matching pattern:
+        the client runs the handlers of all its matching patterns itself."""
+        sim, network = net
+        pub = make_client(network, "pub", "b1")
+        sub = make_client(network, "sub", "b1")
+        other = make_client(network, "other", "b1")
+        got = []
+        sub.subscribe("m/>", lambda m: got.append("wild"))
+        sub.subscribe("m/cpu", lambda m: got.append("exact"))
+        other.subscribe("m/cpu", lambda m: got.append("other"))
+        broker = network.broker("b1")
+        delivered = broker.metrics.counter("broker.msgs.delivered")
+        before = delivered.value
+        pub.publish("m/cpu", 1)
+        sim.run()
+        assert [who for who in got if who != "other"] == ["wild", "exact"]
+        assert got.count("other") == 1
+        assert delivered.value - before == 2  # clients, not (client, pattern) pairs
+
 
 class TestMultiHopRouting:
     def test_two_hop_delivery(self, net):

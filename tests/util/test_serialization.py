@@ -1,9 +1,14 @@
 """Tests for the canonical serialization layer."""
 
+import hashlib
+import struct
+from collections import OrderedDict, defaultdict
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.errors import SerializationTypeError
+from repro.util.serialization import canonical_decode, canonical_encode, canonical_encode_into
 
 # strategy for canonically-encodable values
 scalars = st.one_of(
@@ -94,16 +99,198 @@ class TestCanonicality:
             assert canonical_encode(a) != canonical_encode(b)
 
 
+def _reference_encode(value) -> bytes:
+    """The ``isinstance`` ladder the encoder was before it dispatched on
+    exact types, kept verbatim: the oracle for every output byte."""
+    out = bytearray()
+    _reference_encode_into(value, out)
+    return bytes(out)
+
+
+def _reference_encode_into(value, out: bytearray) -> None:
+    if value is None:
+        out += b"N"
+    elif value is True:
+        out += b"T"
+    elif value is False:
+        out += b"F"
+    elif isinstance(value, int):
+        rendered = str(value).encode("ascii")
+        out += b"i"
+        out += str(len(rendered)).encode("ascii")
+        out += b":"
+        out += rendered
+    elif isinstance(value, float):
+        # Fixed 8-byte IEEE-754 big-endian: bit-exact round trip.
+        out += b"f"
+        out += struct.pack(">d", value)
+    elif isinstance(value, str):
+        data = value.encode("utf-8")
+        out += b"s"
+        out += str(len(data)).encode("ascii")
+        out += b":"
+        out += data
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        data = bytes(value)
+        out += b"b"
+        out += str(len(data)).encode("ascii")
+        out += b":"
+        out += data
+    elif isinstance(value, (list, tuple)):
+        out += b"l"
+        for item in value:
+            _reference_encode_into(item, out)
+        out += b"e"
+    elif isinstance(value, dict):
+        out += b"d"
+        keys = list(value.keys())
+        for key in keys:
+            if not isinstance(key, str):
+                raise SerializationTypeError(f"dict keys must be str, got {type(key).__name__}")
+        for key in sorted(keys):
+            _reference_encode_into(key, out)
+            _reference_encode_into(value[key], out)
+        out += b"e"
+    else:
+        raise SerializationTypeError(f"cannot canonically encode {type(value).__name__}")
+
+
+class _Text(str):
+    """A ``str`` subclass, as a ``str``-mixin enum member is."""
+
+
+class _Count(int):
+    """An ``int`` subclass, as an ``IntEnum`` member is."""
+
+
+# Everything the format accepts, exact builtins and the non-exact types
+# that resolve through the isinstance order alike.
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**512), max_value=2**512),
+    st.integers(min_value=2**511, max_value=2**512),
+    st.integers().map(_Count),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf")]),
+    st.text(max_size=40),
+    st.text(max_size=10).map(_Text),
+    st.binary(max_size=300),
+    st.binary(max_size=40).map(bytearray),
+    st.binary(max_size=40).map(memoryview),
+)
+_keys = st.one_of(st.text(max_size=10), st.text(max_size=5).map(_Text))
+
+
+def _defaultdict(items):
+    return defaultdict(list, items)
+
+
+_any_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_keys, children, max_size=6),
+        st.dictionaries(_keys, children, max_size=6).map(OrderedDict),
+        st.dictionaries(_keys, children, max_size=6).map(_defaultdict),
+    ),
+    max_leaves=25,
+)
+
+# A token as section 4.3 puts it on every trace: the signed advertisement
+# (fields + the TDN's signature over them) inside the owner-signed grant.
+_ADVERTISEMENT_FIELDS = {
+    "descriptor": "5d1f0c6e9a3b47d2a8e4c1f07b92d6e3",
+    "issuing_tdn": "tdn-1",
+    "lifetime": {"created_ms": 28.511692978895873, "duration_ms": 3600000.0},
+    "owner_e": 65537,
+    "owner_n": 2**511 + 0x1F2E3D4C5B6A79880123456789ABCDEF,
+    "owner_subject": "svc-quotes-7",
+    "restrictions": {"allowed_subjects": None, "denied_subjects": []},
+    "trace_topic": "10726f9831f3c71ed767ef8278e3e021",
+}
+_GRANT = {
+    "rights": "publish",
+    "token_e": 65537,
+    "token_n": 2**511 + 0x0FEDCBA9876543210112233445566778,
+    "trace_topic": "10726f9831f3c71ed767ef8278e3e021",
+    "valid_from_ms": 149.9083462094061,
+    "valid_until_ms": 600149.9083462094,
+}
+TOKEN_FIXTURE = {
+    "advertisement": {
+        "fields": _ADVERTISEMENT_FIELDS,
+        "signature": {
+            "payload": _ADVERTISEMENT_FIELDS,
+            "signature": bytes(range(64)),
+            "signer_fingerprint": bytes(range(100, 120)),
+        },
+    },
+    "owner_signature": {
+        "payload": _GRANT,
+        "signature": bytes(range(255, 191, -1)),
+        "signer_fingerprint": bytes(range(20)),
+    },
+    **_GRANT,
+}
+TOKEN_FIXTURE_SHA256 = "57c1280194e44da59c5e4f01417695047b3a391e70071fe89b9da8fd06f1406a"
+
+
+class TestAgainstTheLadder:
+    @given(_any_values)
+    def test_every_byte_equals_the_reference(self, value):
+        assert canonical_encode(value) == _reference_encode(value)
+
+    @given(_any_values)
+    def test_streaming_variant_appends_the_same_bytes(self, value):
+        out = bytearray(b"kept")
+        appended = canonical_encode_into(value, out)
+        assert bytes(out) == b"kept" + _reference_encode(value)
+        assert appended == len(out) - 4
+
+    def test_token_fixture_golden_digest(self):
+        encoded = canonical_encode(TOKEN_FIXTURE)
+        assert encoded == _reference_encode(TOKEN_FIXTURE)
+        assert len(encoded) == 1891
+        assert hashlib.sha256(encoded).hexdigest() == TOKEN_FIXTURE_SHA256
+        assert canonical_decode(encoded) == TOKEN_FIXTURE
+
+    def test_signed_zero_keeps_its_sign(self):
+        assert canonical_encode(0.0) != canonical_encode(-0.0)
+        assert str(canonical_decode(canonical_encode(-0.0))) == "-0.0"
+
+
 class TestErrors:
     def test_rejects_non_str_dict_keys(self):
         with pytest.raises(TypeError):
             canonical_encode({1: "x"})
+
+    def test_mixed_keys_raise_the_taxonomy_error_not_sorted_s(self):
+        # the all-str check runs before sorted(), whose own TypeError
+        # ("'<' not supported between 'str' and 'int'") must never surface
+        with pytest.raises(SerializationTypeError, match="dict keys must be str, got int"):
+            canonical_encode({1: "a", "b": 2})
+        with pytest.raises(SerializationTypeError, match="dict keys must be str, got int"):
+            canonical_encode(OrderedDict([("b", 2), (1, "a")]))
 
     def test_rejects_unsupported_types(self):
         with pytest.raises(TypeError):
             canonical_encode(object())
         with pytest.raises(TypeError):
             canonical_encode({"a": set()})
+
+    def test_unsupported_leaf_deep_inside_is_named(self):
+        with pytest.raises(SerializationTypeError, match="cannot canonically encode set"):
+            canonical_encode({"outer": [1, "two", {"inner": [set()]}]})
+        with pytest.raises(SerializationTypeError, match="cannot canonically encode complex"):
+            canonical_encode({"outer": (1, [2j])})
+
+    def test_a_failed_encode_leaves_the_buffer_alone(self):
+        out = bytearray(b"kept")
+        with pytest.raises(SerializationTypeError):
+            canonical_encode_into({"a": [1, object()]}, out)
+        assert out == b"kept"
 
     def test_rejects_trailing_bytes(self):
         data = canonical_encode(1) + b"garbage"
