@@ -373,7 +373,8 @@ class Broker:
                 self.metrics.counter("broker.msgs.rejected").inc()
                 return
 
-        if self.broker_id in frame.destinations:
+        remaining = frame.destinations
+        if self.broker_id in remaining:
             if not self._subs.has_local_match(message.topic.canonical):
                 if (
                     self._fed_plane is not None
@@ -391,7 +392,7 @@ class Broker:
                     self.monitor.increment("messages.forwarded_stale")
                     self.metrics.counter("broker.interest.stale_forwards").inc()
             yield from self._deliver_local(message)
-        remaining = tuple(d for d in frame.destinations if d != self.broker_id)
+            remaining = tuple(d for d in remaining if d != self.broker_id)
         if remaining:
             self._forward(message.with_hop(), remaining, exclude_neighbor=neighbor_id)
 

@@ -7,6 +7,7 @@ fraction of the simulated duration.
 
 import pytest
 
+from repro.bench import paper_data
 from repro.bench.experiments.entities import run_entities_case
 from repro.bench.experiments.hops import (
     HopsResult,
@@ -36,6 +37,9 @@ class TestHopsRunner:
         short = run_hops_case(2, duration_ms=20_000.0)
         long = run_hops_case(5, duration_ms=20_000.0)
         assert long.summary.mean > short.summary.mean
+        # ... and by Table 3's ~7 ms per hop: every hop verifies the token
+        lo, hi = paper_data.EXPECTED_HOP_SLOPE_MS
+        assert lo <= (long.summary.mean - short.summary.mean) / 3 <= hi
 
     def test_slope_per_hop(self):
         results = [

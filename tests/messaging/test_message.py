@@ -1,5 +1,7 @@
 """Tests for the message envelope."""
 
+import dataclasses
+
 from repro.messaging.message import Message
 from repro.messaging.topics import Topic
 from repro.transport.base import wire_size
@@ -21,6 +23,27 @@ class TestMessage:
         assert message.hops == 0
         assert hopped.hops == 2
         assert hopped.message_id == message.message_id
+
+    def test_with_hop_copies_every_other_field(self):
+        # with_hop builds its copy by hand: walk the dataclass so that a
+        # field added later cannot be dropped silently
+        message = Message(
+            Topic.parse("a/b"),
+            {"k": 1},
+            "src",
+            created_ms=12.5,
+            signature={"sig": b"x"},
+            auth_token={"tok": 1},
+            encrypted=True,
+            hops=3,
+        )
+        hopped = message.with_hop()
+        assert hopped.hops == 4
+        for field in dataclasses.fields(Message):
+            value = getattr(message, field.name)
+            assert value != field.default, f"{field.name} left at its default"
+            if field.name != "hops":
+                assert getattr(hopped, field.name) is value, field.name
 
     def test_wire_dict_complete(self):
         message = make(signature={"sig": b"x"}, auth_token={"tok": 1}, encrypted=True)

@@ -1,40 +1,33 @@
+# The engine as it stood at commit 19418e7, verbatim below this comment: every
+# trigger is a heap entry of its own and ``Resource.use`` always goes through
+# ``request()``.  Kept as the oracle of ``test_engine_oracle.py`` (random
+# programs must log identically on both engines); nothing in ``src/`` imports
+# it.  Known defect, fixed in the engine and so never drawn there: a process
+# interrupted while queued in ``use`` leaks the slot.
 """The discrete-event engine: events, processes, queues and resources.
 
 The design follows the classic process-interaction style (SimPy-like):
 
 * :class:`Event` — a one-shot occurrence with an optional value; callbacks
-  run when it fires.  Firing is split into *trigger* (take the next
-  sequence number at the current time) and *callback execution* (the heap
-  entry under that ``(time, sequence)`` key) so that same-timestamp
+  run when it fires.  Firing is split into *trigger* (enqueue on the event
+  heap at the current time) and *callback execution* so that same-timestamp
   causality is preserved deterministically by a monotone sequence number.
-  A trigger nobody is waiting for is *not* enqueued: the event only
-  remembers the key its fire would have had.  A callback added while that
-  position is still ahead of the simulation enqueues the fire under the
-  remembered key, so it runs exactly where it always would have; once the
-  simulation has passed the position the event counts as fired.  Every
-  other entry keeps its sequence number either way, so skipping the empty
-  fires reorders nothing.
 * :class:`Process` — wraps a generator; each ``yield``ed event suspends the
   process until the event fires.  A process is itself an event that fires
   with the generator's return value, enabling joins.
 * :class:`Queue` — unbounded FIFO connecting producer and consumer processes.
 * :class:`Resource` — a capacity-limited server; used to model each machine's
   CPU so that colocated crypto workloads contend (this is what reproduces
-  Table 4's growing means and deviations).  Tie rule: :meth:`Resource.use`
-  takes a free slot in the step that asks for it and sets its hold timer
-  there, not one zero-delay grant step later, so against a timer that
-  expires at the very same float instant and was set by something that
-  ran right after the asking step, the hold timer fires first (a full
-  resource still queues FIFO and grants in a step of its own).
+  Table 4's growing means and deviations).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable
 
-from repro.errors import SimulationError, ValidationError
+from repro.errors import SimulationError
 from repro.util.clock import VirtualClock
 
 ProcessGenerator = Generator["Event", Any, Any]
@@ -49,42 +42,21 @@ class Event:
     there.
     """
 
-    __slots__ = (
-        "sim",
-        "_callbacks",
-        "_value",
-        "_exception",
-        "_state",
-        "_name",
-        "_fire_key",
-    )
+    __slots__ = ("sim", "_callbacks", "_value", "_exception", "_state", "name")
 
     PENDING = 0
     TRIGGERED = 1
     FIRED = 2
 
-    def __init__(self, sim: "Simulator", name: str | tuple[str, Any] = "") -> None:
+    def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
-        self._name = name
+        self.name = name
         self._callbacks: list[Callable[[Event], None]] = []
         self._value: Any = None
         self._exception: BaseException | None = None
         self._state = Event.PENDING
-        # (time, sequence) of a fire that was not enqueued because nobody
-        # was waiting when the event triggered; None in every other case
-        self._fire_key: tuple[float, int] | None = None
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        """The event's name; one given as ``(template, argument)`` is formatted here.
-
-        Timeouts, queue gets and requests are made per message and named
-        only in ``repr`` and error text, so they do not pay for an f-string.
-        """
-        name = self._name
-        return name if isinstance(name, str) else name[0].format(name[1])
 
     @property
     def triggered(self) -> bool:
@@ -92,18 +64,15 @@ class Event:
 
     @property
     def fired(self) -> bool:
-        if self._state == Event.FIRED:
-            return True
-        key = self._fire_key
-        return key is not None and key <= self.sim._reached
+        return self._state == Event.FIRED
 
     @property
     def ok(self) -> bool:
-        return self._state != Event.PENDING and self._exception is None
+        return self.triggered and self._exception is None
 
     @property
     def value(self) -> Any:
-        if self._state == Event.PENDING:
+        if not self.triggered:
             raise SimulationError(f"event {self.name!r} has no value yet")
         if self._exception is not None:
             raise self._exception
@@ -112,16 +81,6 @@ class Event:
     # -- wiring -------------------------------------------------------------
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        key = self._fire_key
-        if key is not None:
-            # triggered with nobody waiting, so the fire was not enqueued
-            self._fire_key = None
-            sim = self.sim
-            if key > sim._reached:
-                # first subscriber, in time: fire where it always would have
-                heappush(sim._heap, (key[0], key[1], self._fire))
-            else:
-                self._state = Event.FIRED
         if self._state == Event.FIRED:
             # late subscriber: run at the current timestamp, preserving order
             self.sim._schedule_call(0.0, lambda: fn(self))
@@ -130,29 +89,21 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self._state != Event.PENDING:
+        if self.triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
         self._value = value
-        self._trigger()
+        self._state = Event.TRIGGERED
+        self.sim._schedule_call(0.0, self._fire)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception."""
-        if self._state != Event.PENDING:
+        if self.triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
         self._exception = exception
-        self._trigger()
-        return self
-
-    def _trigger(self) -> None:
         self._state = Event.TRIGGERED
-        sim = self.sim
-        if self._callbacks:
-            heappush(sim._heap, (sim.clock._now, sim._seq, self._fire))
-        else:
-            # nobody to call: keep the fire's place without enqueueing it
-            self._fire_key = (sim.clock._now, sim._seq)
-        sim._seq += 1
+        self.sim._schedule_call(0.0, self._fire)
+        return self
 
     def _fire(self) -> None:
         self._state = Event.FIRED
@@ -161,10 +112,7 @@ class Event:
             fn(self)
 
     def __repr__(self) -> str:
-        if self.fired:
-            state = "fired"
-        else:
-            state = "pending" if self._state == Event.PENDING else "triggered"
+        state = {0: "pending", 1: "triggered", 2: "fired"}[self._state]
         return f"<Event {self.name!r} {state}>"
 
 
@@ -185,21 +133,20 @@ class Process(Event):
         super().__init__(sim, name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Event | None = None
-        # deferred, not run here: a first segment may do anything
-        sim._schedule_call(0.0, self._resume)
+        sim._schedule_call(0.0, lambda: self._resume(None, None))
 
     @property
     def is_alive(self) -> bool:
-        return self._state == Event.PENDING
+        return not self.triggered
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
-        if self._state != Event.PENDING:
+        if self.triggered:
             return
         self.sim._schedule_call(0.0, lambda: self._resume(None, Interrupt(cause)))
 
-    def _resume(self, send_value: Any = None, throw_exc: BaseException | None = None) -> None:
-        if self._state != Event.PENDING:
+    def _resume(self, send_value: Any, throw_exc: BaseException | None) -> None:
+        if self.triggered:
             return
         self._waiting_on = None
         try:
@@ -232,11 +179,11 @@ class Process(Event):
         target.add_callback(self._on_event)
 
     def _on_event(self, event: Event) -> None:
-        if self._state != Event.PENDING:
+        if self.triggered:
             return
         if self._waiting_on is not event:
             return  # stale callback after an interrupt redirected the process
-        if event._exception is None:
+        if event.ok:
             self._resume(event._value, None)
         else:
             self._resume(None, event._exception)
@@ -258,10 +205,10 @@ class AllOf(Event):
             child.add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        if self._state != Event.PENDING:
+        if self.triggered:
             return
-        if event._exception is not None:
-            self.fail(event._exception)
+        if not event.ok:
+            self.fail(event._exception)  # type: ignore[arg-type]
             return
         self._remaining -= 1
         if self._remaining == 0:
@@ -282,12 +229,12 @@ class AnyOf(Event):
             child.add_callback(lambda ev, i=index: self._on_child(i, ev))
 
     def _on_child(self, index: int, event: Event) -> None:
-        if self._state != Event.PENDING:
+        if self.triggered:
             return
-        if event._exception is None:
+        if event.ok:
             self.succeed((index, event._value))
         else:
-            self.fail(event._exception)
+            self.fail(event._exception)  # type: ignore[arg-type]
 
 
 class Queue:
@@ -315,7 +262,7 @@ class Queue:
             self._items.append(item)
 
     def get(self) -> Event:
-        event = Event(self.sim, ("{}.get", self.name))
+        event = Event(self.sim, f"{self.name}.get")
         if self._items:
             event.succeed(self._items.popleft())
         else:
@@ -351,7 +298,7 @@ class Resource:
 
     def request(self) -> Event:
         """Event firing when one slot has been granted to the caller."""
-        event = Event(self.sim, ("{}.request", self.name))
+        event = Event(self.sim, f"{self.name}.request")
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed(self)
@@ -374,21 +321,7 @@ class Resource:
         Usage from a process: ``yield sim.process(resource.use(5.0))`` or
         inline ``yield from resource.use(5.0)``.
         """
-        if self._in_use < self.capacity:
-            # a free slot is taken here and now; only a full resource queues
-            self._in_use += 1
-        else:
-            request = self.request()
-            try:
-                yield request
-            except BaseException:
-                # interrupted or closed while queued: leave the line, or pass
-                # on a slot that was granted in the meantime
-                if request._state == Event.PENDING:
-                    self._waiters.remove(request)
-                else:
-                    self.release()
-                raise
+        yield self.request()
         try:
             yield self.sim.timeout(duration)
         finally:
@@ -403,28 +336,25 @@ class Simulator:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._running = False
-        # heap position the simulation has reached: every entry keyed at or
-        # before it has run (read by events whose fire was not enqueued)
-        self._reached: tuple[float, int] = (self.clock._now, -1)
 
     # -- time ---------------------------------------------------------------
 
     @property
     def now(self) -> float:
         """Current virtual time in milliseconds."""
-        return self.clock._now
+        return self.clock.now()
 
     # -- scheduling primitives ------------------------------------------------
 
     def _schedule_call(self, delay: float, fn: Callable[[], None]) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        heappush(self._heap, (self.clock._now + delay, self._seq, fn))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
         self._seq += 1
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute virtual time ``when``."""
-        self._schedule_call(when - self.clock._now, fn)
+        self._schedule_call(when - self.now, fn)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` milliseconds."""
@@ -439,11 +369,10 @@ class Simulator:
         """Event that fires ``delay`` ms from now."""
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
-        event = Event(self, ("timeout({})", delay))
+        event = Event(self, f"timeout({delay})")
         event._value = value
         event._state = Event.TRIGGERED
-        heappush(self._heap, (self.clock._now + delay, self._seq, event._fire))
-        self._seq += 1
+        self._schedule_call(delay, event._fire)
         return event
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
@@ -464,21 +393,12 @@ class Simulator:
 
     # -- the loop ---------------------------------------------------------------
 
-    def _reach_now(self) -> None:
-        """Nothing scheduled so far is due any more: all of it counts as run."""
-        self._reached = (self.clock._now, self._seq - 1)
-
     def step(self) -> bool:
         """Execute the next scheduled call; False if the heap is empty."""
         if not self._heap:
-            self._reach_now()
             return False
-        when, seq, fn = heappop(self._heap)
-        clock = self.clock
-        if when < clock._now:
-            raise ValidationError(f"clock cannot move backward: {when} < {clock._now}")
-        clock._now = when
-        self._reached = (when, seq)
+        when, _, fn = heapq.heappop(self._heap)
+        self.clock.advance_to(when)
         fn()
         return True
 
@@ -492,31 +412,26 @@ class Simulator:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         try:
-            heap = self._heap
             steps = 0
-            while heap:
-                if until is not None and heap[0][0] > until:
+            while self._heap:
+                when = self._heap[0][0]
+                if until is not None and when > until:
                     break
-                # one call per entry: profilers patch and count Simulator.step
                 self.step()
                 steps += 1
                 if steps >= max_steps:
                     raise SimulationError(
                         f"simulation exceeded {max_steps} steps (livelock?)"
                     )
-            if until is not None and self.clock._now < until:
-                self.clock._now = until
-            if until is None or until == self.clock._now:
-                # everything up to now has run (unless ``until`` lay in the
-                # past, where the run was a no-op)
-                self._reach_now()
+            if until is not None and self.now < until:
+                self.clock.advance_to(until)
         finally:
             self._running = False
 
     def run_process(self, generator: ProcessGenerator, name: str = "") -> Any:
         """Spawn a process, run to completion, and return its result."""
         proc = self.process(generator, name)
-        while proc._state == Event.PENDING:
+        while not proc.triggered:
             if not self.step():
                 raise SimulationError(
                     f"deadlock: process {proc.name!r} never completed"

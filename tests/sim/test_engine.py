@@ -6,6 +6,24 @@ from repro.errors import SimulationError
 from repro.sim.engine import Event, Interrupt, Simulator
 
 
+def three_users(sim, cpu, hold):
+    """Processes a, b, c, each holding ``cpu`` for ``hold`` ms; (log, processes)."""
+    done = []
+
+    def user(name):
+        yield from cpu.use(hold)
+        done.append((sim.now, name))
+
+    return done, [sim.process(user(name)) for name in "abc"]
+
+
+def count_steps(sim) -> int:
+    steps = 0
+    while sim.step():
+        steps += 1
+    return steps
+
+
 class TestClockAndScheduling:
     def test_time_starts_at_zero(self, sim):
         assert sim.now == 0.0
@@ -319,6 +337,149 @@ class TestResource:
         sim.process(worker())
         sim.run()
         assert resource.in_use == 0
+
+    def test_interrupted_waiter_leaves_the_queue(self, sim):
+        cpu = sim.resource(1)
+        done, (_a, b, _c) = three_users(sim, cpu, 10.0)
+        sim.call_later(5.0, lambda: b.interrupt())
+        sim.run()
+        # b's dead request must not be handed the slot a releases
+        assert done == [(10.0, "a"), (20.0, "c")]
+        assert cpu.in_use == 0
+        assert cpu.queue_length == 0
+
+    def test_waiter_interrupted_after_the_grant_passes_the_slot_on(self, sim):
+        cpu = sim.resource(1)
+        # scheduled first, so at t=10 it runs before a's timer: the interrupt
+        # is on its way when a's release grants b the slot
+        sim.call_later(10.0, lambda: b.interrupt())
+        done, (_a, b, _c) = three_users(sim, cpu, 10.0)
+        sim.run()
+        assert done == [(10.0, "a"), (20.0, "c")]
+        assert cpu.in_use == 0
+        assert cpu.queue_length == 0
+
+    def test_closed_waiter_leaves_the_queue(self, sim):
+        cpu = sim.resource(1)
+        holder = cpu.use(1.0)
+        next(holder)
+        waiter = cpu.use(1.0)
+        next(waiter)
+        assert (cpu.in_use, cpu.queue_length) == (1, 1)
+        waiter.close()
+        assert (cpu.in_use, cpu.queue_length) == (1, 0)
+        holder.close()
+        assert (cpu.in_use, cpu.queue_length) == (0, 0)
+
+
+class TestStepCounts:
+    """What an operation costs in heap entries (``step()`` returns)."""
+
+    def test_unjoined_completion_costs_no_step(self, sim):
+        def lone():
+            yield sim.timeout(1.0)
+
+        sim.process(lone())
+        assert count_steps(sim) == 2  # start, timer
+
+    def test_joined_completion_costs_one(self, sim):
+        def child():
+            yield sim.timeout(1.0)
+
+        def parent():
+            yield sim.process(child())
+
+        sim.process(parent())
+        assert count_steps(sim) == 4  # two starts, timer, the join's fire
+
+    def test_compute_on_a_free_cpu_costs_two_steps(self, sim, machine):
+        sim.process(machine.compute(2.0))
+        assert count_steps(sim) == 2  # start, timer: no grant in between
+        assert sim.now == 2.0
+        assert machine.cpu.in_use == 0
+
+    def test_compute_on_a_full_cpu_queues_fifo(self, sim):
+        cpu = sim.resource(1)
+        done, _ = three_users(sim, cpu, 5.0)
+        sim.run(until=1.0)  # the three starts
+        assert (cpu.in_use, cpu.queue_length) == (1, 2)
+        # a's timer, then a grant and a timer for each of the two waiters
+        assert count_steps(sim) == 5
+        assert done == [(5.0, "a"), (10.0, "b"), (15.0, "c")]
+        assert (cpu.in_use, cpu.queue_length) == (0, 0)
+
+
+class TestUnjoinedCompletion:
+    """A fire nobody waits for is not enqueued, and keeps its place."""
+
+    @staticmethod
+    def _finished_at_once(sim):
+        def child():
+            return "v"
+            yield
+
+        return sim.process(child())
+
+    def test_callback_added_before_the_position_runs_in_place(self, sim):
+        log = []
+        proc = self._finished_at_once(sim)  # entry 0; its fire keeps place 3
+
+        def subscribe():  # entry 1
+            sim.call_later(0.0, lambda: log.append("scheduled after the completion"))
+            proc.add_callback(lambda ev: log.append(f"callback {ev.value}"))
+
+        sim.call_later(0.0, subscribe)
+        sim.call_later(0.0, lambda: log.append("scheduled before it"))  # entry 2
+        sim.run()
+        assert log == [
+            "scheduled before it",
+            "callback v",
+            "scheduled after the completion",
+        ]
+
+    def test_callback_added_after_the_position_runs_late(self, sim):
+        log = []
+        proc = self._finished_at_once(sim)
+
+        def subscribe():
+            sim.call_later(0.0, lambda: log.append("scheduled first"))
+            proc.add_callback(lambda ev: log.append(f"callback {ev.value}"))
+
+        sim.call_later(1.0, subscribe)
+        sim.run()
+        assert log == ["scheduled first", "callback v"]
+
+    def test_value_ok_and_fired(self, sim):
+        seen = []
+        proc = self._finished_at_once(sim)
+
+        def look():
+            seen.append((proc.triggered, proc.ok, proc.value, proc.fired, repr(proc)))
+
+        sim.call_later(0.0, look)  # ahead of the place the fire keeps
+        sim.call_later(1.0, look)
+        sim.run()
+        assert seen == [
+            (True, True, "v", False, "<Event 'child' triggered>"),
+            (True, True, "v", True, "<Event 'child' fired>"),
+        ]
+
+    def test_fired_once_the_heap_has_drained(self, sim):
+        proc = self._finished_at_once(sim)
+        assert not proc.triggered
+        assert count_steps(sim) == 1
+        assert proc.fired
+        other = self._finished_at_once(sim)
+        sim.run()
+        assert other.fired and other.value == "v"
+
+    def test_a_run_into_the_past_fires_nothing(self, sim):
+        sim.run(until=10.0)
+        event = sim.event().succeed(1)
+        sim.run(until=5.0)
+        assert event.triggered and not event.fired
+        sim.run(until=10.0)
+        assert event.fired
 
 
 class TestProcessFailure:

@@ -1,0 +1,149 @@
+"""The engine against its predecessor, on random programs.
+
+``reference_engine`` is the engine as it was before fires nobody waits for
+stopped going on the heap and before ``Resource.use`` took a free slot in
+the asking step.  Hypothesis draws a program, both engines run it, and the
+full ``(time, who, what)`` logs and the final ``now`` must be equal:
+
+* with ties everywhere (small-integer durations) and ``Resource.use`` left
+  out — skipping empty fires and the cheaper steps reorder *nothing*;
+* with everything enabled and durations no two of which (nor of whose
+  sums) coincide — taking a free slot early reorders nothing either, as
+  long as no two timers land on the same float instant (the tie rule in
+  the engine's module docstring).
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import engine
+from tests.sim import reference_engine
+
+#: a duration placeholder; :func:`concretize` turns it into milliseconds
+ms = st.tuples(st.just("ms"), st.integers(0, 3))
+slot = st.integers(0, 1)
+
+_always = [
+    st.tuples(st.just("timeout"), ms),
+    st.tuples(st.just("put"), slot),
+    st.tuples(st.just("get"), slot),
+    st.tuples(st.just("any_of"), ms, ms),
+    st.tuples(st.just("all_of"), st.lists(ms, max_size=3)),
+    st.tuples(st.just("watch"), st.integers(0, 30)),
+    st.tuples(st.just("stale"), ms),
+    st.just(("boom",)),
+]
+_use = st.tuples(st.just("use"), slot, ms)
+#: never drawn beside ``use``: the reference leaks the slot of a waiter
+#: interrupted in the queue, which the engine no longer does
+_interrupt = st.tuples(st.just("interrupt"), st.integers(0, 30))
+
+
+def op_lists(with_use: bool, depth: int = 2):
+    ops = [*_always, _use if with_use else _interrupt]
+    if depth:
+        children = op_lists(with_use, depth - 1)
+        ops.append(st.tuples(st.just("spawn"), children))
+        ops.append(st.tuples(st.just("join"), children))
+    return st.lists(st.one_of(ops), min_size=1, max_size=5)
+
+
+def programs(with_use: bool):
+    return st.lists(st.tuples(ms, op_lists(with_use)), min_size=1, max_size=5)
+
+
+def concretize(node, duration):
+    """The program with every ``("ms", n)`` placeholder made a float."""
+    if isinstance(node, tuple) and node and node[0] == "ms":
+        return duration(node[1])
+    if isinstance(node, (tuple, list)):
+        return type(node)(concretize(child, duration) for child in node)
+    return node
+
+
+def run_program(eng, program):
+    """Interpret ``program`` on one engine module; its log and final time."""
+    sim = eng.Simulator()
+    log = []
+    resources = [sim.resource(1, "r0"), sim.resource(2, "r1")]
+    queues = [sim.queue("q0"), sim.queue("q1")]
+    procs = []
+
+    def note(who, what):
+        log.append((sim.now, who, what))
+
+    def spawn(who, ops):
+        proc = sim.process(body(who, ops), name=who)
+        procs.append(proc)
+        return proc
+
+    def body(who, ops):
+        for index, op in enumerate(ops):
+            kind = op[0]
+            label = f"{index}:{kind}"
+            try:
+                if kind == "timeout":
+                    yield sim.timeout(op[1])
+                elif kind == "use":
+                    yield from resources[op[1]].use(op[2])
+                    label += f" {[(r.in_use, r.queue_length) for r in resources]}"
+                elif kind == "put":
+                    queues[op[1]].put(f"{who}.{index}")
+                elif kind == "get":
+                    label += f" {(yield queues[op[1]].get())}"
+                elif kind == "any_of":
+                    first = yield sim.any_of([sim.timeout(op[1], "x"), sim.timeout(op[2], "y")])
+                    label += f" {first}"
+                elif kind == "all_of":
+                    label += f" {(yield sim.all_of([sim.timeout(d, d) for d in op[1]]))}"
+                elif kind == "watch":
+                    # subscribe to an arbitrary earlier process, finished or not
+                    target = procs[op[1] % len(procs)]
+                    label += f" {target.name} {target.triggered} {target.fired} {target!r}"
+                    target.add_callback(lambda ev, who=who: note(who, f"saw {ev.name} {ev.ok}"))
+                elif kind == "stale":
+                    # succeeded long before anybody yields it
+                    early = sim.event("early").succeed(who)
+                    yield sim.timeout(op[1])
+                    label += f" {early.fired} {(yield early)}"
+                elif kind == "interrupt":
+                    procs[op[1] % len(procs)].interrupt(who)
+                elif kind == "boom":
+                    raise ValueError(f"{who} went boom")
+                elif kind == "spawn":
+                    spawn(f"{who}/{index}", op[1])
+                elif kind == "join":
+                    label += f" {(yield spawn(f'{who}/{index}', op[1]))}"
+            except eng.Interrupt as interrupt:
+                label += f" interrupted by {interrupt.cause}"
+            except ValueError as exc:
+                if kind == "boom":
+                    note(who, label)
+                    raise
+                label += f" failed: {exc}"
+            note(who, label)
+        return who
+
+    for index, (delay, ops) in enumerate(program):
+        sim.call_later(delay, lambda index=index, ops=ops: spawn(f"p{index}", ops))
+    # in slices, like every harness: what reads as fired between runs counts
+    for until in (2.0, 5.0, None):
+        sim.run(until=until)
+        note("-", [(p.name, p.triggered, p.fired, p.ok) for p in procs])
+    return log, sim.now
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs(with_use=False))
+def test_ties_everywhere_without_use_log_identically(program):
+    program = concretize(program, float)
+    assert run_program(engine, program) == run_program(reference_engine, program)
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs(with_use=True), st.integers(0, 2**32))
+def test_distinct_durations_log_identically(program, seed):
+    rng = random.Random(seed)
+    program = concretize(program, lambda n: n + rng.uniform(0.05, 0.95))
+    assert run_program(engine, program) == run_program(reference_engine, program)

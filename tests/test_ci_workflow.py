@@ -31,7 +31,7 @@ def test_concurrency_cancels_superseded_runs(workflow):
     assert "github.ref" in concurrency["group"]
 
 
-def test_has_lint_analyze_test_bench_and_perf_jobs(workflow):
+def test_has_lint_analyze_test_and_bench_smoke_jobs(workflow):
     jobs = workflow["jobs"]
     assert set(jobs) == {
         "lint",
@@ -116,6 +116,15 @@ def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):
         " --deselect benchmarks/perf/test_perf.py"
         "::test_every_entry_point_is_hit_where_the_table_says"
     ) in runs
+
+
+def test_bench_smoke_gates_the_benchmark_sim_digests(workflow):
+    # "all four sim_digests equal the parent's" is a committed seed, not a PR's word
+    runs = [step.get("run") or "" for step in workflow["jobs"]["bench-smoke"]["steps"]]
+    gate = next(run for run in runs if "perf_smoke_digests" in run)
+    assert "python benchmarks/perf/run.py --smoke --trace 0" in gate
+    assert "awk '/sim_digest/ {print $1, $NF}' > perf_smoke_digests.txt" in gate
+    assert "diff -u benchmarks/results/perf_smoke_digests.txt perf_smoke_digests.txt" in gate
 
 
 def test_chaos_smoke_gates_scenario_against_seed(workflow):
