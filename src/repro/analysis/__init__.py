@@ -15,8 +15,6 @@ Rules
 DET01   No wall-clock reads or global ``random`` use outside the designated
         modules — simulation code draws from ``RandomStreams`` / the clock.
 DET02   No iteration over sets in scheduling/routing code (ordering hazard).
-DET03   *(project)* No wall-clock/global-RNG value may *flow* into message
-        ids, seeds, or encoded wire frames (taint tracking, one call hop).
 SIM01   Simulation process generators must not call blocking stdlib I/O.
 CRY01   No constant IVs or ECB-shaped block encryption.
 CRY02   *(project)* Key-material taint tracking: no key reaches journals,
@@ -43,10 +41,9 @@ ProjectIndex` (module table, import resolution, call graph) and are inert
 in single-file ``analyze_source`` mode.
 
 Suppress a finding on one line with ``# repro: noqa[RULE]`` (or a bare
-``# repro: noqa`` to silence every rule on that line); baseline a set of
-accepted findings with ``repro analyze --baseline analysis_baseline.json``
-(see :mod:`repro.analysis.baseline`).  See ``docs/ANALYSIS.md`` for the
-full rule catalogue with examples.
+``# repro: noqa`` to silence every rule on that line); that is the only
+way to accept one.  See ``docs/ANALYSIS.md`` for the full rule catalogue
+with examples.
 """
 
 from repro.analysis.base import (  # noqa: F401
@@ -55,11 +52,6 @@ from repro.analysis.base import (  # noqa: F401
     Finding,
     Severity,
     analyze_source,
-)
-from repro.analysis.baseline import (  # noqa: F401
-    compare_to_baseline,
-    load_baseline,
-    write_baseline,
 )
 from repro.analysis.project import (  # noqa: F401
     ProjectChecker,
@@ -70,6 +62,5 @@ from repro.analysis.runner import (  # noqa: F401
     analyze_paths,
     format_findings_json,
     format_findings_text,
-    record_stats,
 )
 from repro.analysis.sarif import format_sarif, to_sarif  # noqa: F401

@@ -3,9 +3,8 @@
 The engine is deliberately small: a forward, statement-ordered pass over
 one function body, with an environment mapping local names to taint
 labels.  What counts as a *source*, a *sanitizer*, or how taint survives
-attribute/subscript access is injected through a :class:`TaintSpec`, so
-the same machinery drives CRY02 (key material) and DET03 (wall-clock /
-global-RNG values) with different vocabularies.
+attribute/subscript access is injected through a :class:`TaintSpec`; CRY02
+(key material) supplies the vocabulary.
 
 Cross-function reach is one hop, via :class:`FunctionSummary`:
 
@@ -17,8 +16,8 @@ Cross-function reach is one hop, via :class:`FunctionSummary`:
 
 Summaries are computed without consulting other summaries, which keeps
 the whole analysis a two-pass affair with no fixpoint iteration — exactly
-the "one-hop propagation through the call graph" contract CRY02/DET03
-document.  Loop bodies are traversed twice so loop-carried assignments
+the "one-hop propagation through the call graph" contract CRY02
+documents.  Loop bodies are traversed twice so loop-carried assignments
 converge for this depth.
 """
 
@@ -32,7 +31,7 @@ from repro.analysis.base import FileContext
 from repro.analysis.project import FunctionNode, ModuleInfo, ProjectIndex
 
 #: ``taint_of`` result: a short human-readable label naming the source
-#: ("trace_key", "time.time", ...), or ``None`` for clean values.
+#: ("trace_key", "KeyPair.generate", ...), or ``None`` for clean values.
 TaintLabel = str
 
 
@@ -40,8 +39,8 @@ TaintLabel = str
 class TaintSpec:
     """Rule-specific taint vocabulary injected into the engine."""
 
-    #: Label for a call that *introduces* taint (key constructor, clock
-    #: read), given its resolved dotted origin (may be ``None``).
+    #: Label for a call that *introduces* taint (a key constructor),
+    #: given its resolved dotted origin (may be ``None``).
     source_call: Callable[[str | None, ast.Call], TaintLabel | None]
     #: Label for a non-call expression that is a source by itself
     #: (e.g. a secret-named name or attribute).
@@ -53,9 +52,6 @@ class TaintSpec:
     propagate_access: Callable[[str, TaintLabel], TaintLabel | None] = (
         lambda part, label: label
     )
-    #: Whether an unrecognized call with a tainted argument returns taint
-    #: (``int(time.time())`` must; rules opt in).
-    propagate_call_args: bool = True
 
 
 @dataclass
@@ -180,11 +176,11 @@ class TaintTracker:
                 propagated = spec.propagate_access(node.func.attr, base)
                 if propagated is not None:
                     return propagated
-        if spec.propagate_call_args:
-            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                label = self.taint_of(arg)
-                if label is not None:
-                    return label
+        # An unrecognized call with a tainted argument returns taint.
+        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+            label = self.taint_of(arg)
+            if label is not None:
+                return label
         return None
 
     # -- environment updates ---------------------------------------------------

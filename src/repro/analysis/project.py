@@ -3,11 +3,11 @@
 The per-file :class:`~repro.analysis.base.Checker` framework sees one AST
 at a time, which is exactly as far as a *syntactic* rule can reach.  The
 flow-sensitive rule families (CRY02 key-material taint, WIRE01 wire-schema
-drift, DET03 determinism flow) need to answer cross-module questions —
-"does this function return key material?", "is this message kind handled
-anywhere?" — so this module builds a :class:`ProjectIndex` over every file
-in one analysis run: dotted module names, a per-module function/method
-table, and import-aware call resolution.
+drift) need to answer cross-module questions — "does this function return
+key material?", "is this message kind handled anywhere?" — so this module
+builds a :class:`ProjectIndex` over every file in one analysis run: dotted
+module names, a per-module function/method table, and import-aware call
+resolution.
 
 Rules that need the index subclass :class:`ProjectChecker` and implement
 :meth:`ProjectChecker.check_project`; the runner invokes them once per run

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.analysis.base import Checker
 from repro.analysis.rules.crypto_hygiene import SecretExposureChecker
 from repro.analysis.rules.determinism import SetIterationChecker, WallClockChecker
-from repro.analysis.rules.determinism_flow import DeterminismFlowChecker
 from repro.analysis.rules.docs import (
     DocLinkChecker,
     ExperimentsFooterChecker,
@@ -20,15 +19,14 @@ from repro.analysis.rules.observability import (
 from repro.analysis.rules.sim_process import BlockingSimProcessChecker
 from repro.analysis.rules.wire_schema import WireSchemaChecker
 
-#: Checker classes in catalogue order (DET01, DET02, DET03, SIM01, CRY01,
-#: CRY02, OBS01, OBS02, WIRE01, ERR01, DOC01, DOC02, DOC03).  DET03, CRY02,
-#: OBS02, WIRE01 and DOC01-03 are project-wide rules: they run once per
+#: Checker classes in catalogue order (DET01, DET02, SIM01, CRY01, CRY02,
+#: OBS01, OBS02, WIRE01, ERR01, DOC01, DOC02, DOC03).  CRY02, OBS02,
+#: WIRE01 and DOC01-03 are project-wide rules: they run once per
 #: analysis over the shared :class:`~repro.analysis.project.ProjectIndex`
 #: and are inert in single-file mode (``analyze_source``).
 ALL_CHECKER_CLASSES: tuple[type[Checker], ...] = (
     WallClockChecker,
     SetIterationChecker,
-    DeterminismFlowChecker,
     BlockingSimProcessChecker,
     SecretExposureChecker,
     KeyMaterialFlowChecker,

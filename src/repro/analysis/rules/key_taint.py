@@ -142,7 +142,6 @@ def make_key_taint_spec() -> TaintSpec:
         source_expr=_source_expr,
         sanitizer=_sanitizer,
         propagate_access=_propagate_access,
-        propagate_call_args=True,
     )
 
 

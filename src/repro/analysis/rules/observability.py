@@ -21,10 +21,9 @@ from typing import Collection, Iterator
 from repro.analysis.base import SEVERITY_ERROR, Checker, FileContext, Finding
 from repro.analysis.project import ModuleInfo, ProjectChecker, ProjectIndex, line_at
 
-#: Documented instrument families (docs/OBSERVABILITY.md + docs/ANALYSIS.md).
+#: Documented instrument families (docs/OBSERVABILITY.md).
 KNOWN_FAMILIES = frozenset(
     {
-        "analysis",
         "analytics",
         "auth",
         "broker",

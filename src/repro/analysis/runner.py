@@ -1,16 +1,13 @@
 """Running the checkers over trees of files, and rendering the results.
 
-Three output shapes, one per consumer: ``text`` for humans at a terminal,
-``json`` (stable schema — see :func:`format_findings_json`) for CI and
-tooling, and :func:`record_stats` for the metrics registry so linter
-trends can be cited in snapshots like any other instrument
-(``analysis.findings.<rule>``).
+Two output shapes here, one per consumer: ``text`` for humans at a
+terminal and ``json`` (stable schema — see :func:`format_findings_json`)
+for CI and tooling; SARIF lives in :mod:`repro.analysis.sarif`.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -18,7 +15,6 @@ from repro.analysis.base import Checker, FileContext, Finding, run_checkers
 from repro.analysis.project import ProjectChecker, ProjectIndex, run_project_checkers
 from repro.analysis.rules import default_checkers
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry
 
 #: Directories never worth parsing.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".ruff_cache", ".pytest_cache"})
@@ -68,24 +64,14 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def _now_ms() -> float:
-    """Analyzer wall-clock for self-instrumentation (not simulation code)."""
-    return time.perf_counter() * 1000.0  # repro: noqa[DET01]
-
-
 def analyze_paths(
     paths: Iterable[str | Path],
     checkers: Iterable[Checker] | None = None,
-    registry: MetricsRegistry | None = None,
 ) -> list[Finding]:
     """All findings over every Python file reachable from ``paths``.
 
     Per-file rules run file by file; :class:`ProjectChecker` rules run
     once over a shared :class:`ProjectIndex` of every file in the run.
-    With a ``registry``, the analyzer instruments itself:
-    ``analysis.project.files`` (files indexed),
-    ``analysis.project.index_ms`` (index build time) and
-    ``analysis.project.ms.<rule>`` (per-rule wall time).
     """
     active = list(checkers) if checkers is not None else default_checkers()
     file_checkers = [c for c in active if not isinstance(c, ProjectChecker)]
@@ -99,35 +85,14 @@ def analyze_paths(
             raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
     findings: list[Finding] = []
-    for checker in file_checkers:
-        started = _now_ms()
-        for ctx in contexts:
-            findings.extend(run_checkers(ctx, [checker]))
-        _observe_rule_ms(registry, checker.rule, _now_ms() - started)
-
+    for ctx in contexts:
+        findings.extend(run_checkers(ctx, file_checkers))
     if project_checkers:
-        started = _now_ms()
         index = ProjectIndex()
         for ctx in contexts:
             index.add(ctx)
-        if registry is not None:
-            registry.gauge("analysis.project.files").set(len(contexts))
-            registry.histogram("analysis.project.index_ms").observe(
-                _now_ms() - started
-            )
-        for checker in project_checkers:
-            started = _now_ms()
-            findings.extend(run_project_checkers(index, [checker]))
-            _observe_rule_ms(registry, checker.rule, _now_ms() - started)
-
+        findings.extend(run_project_checkers(index, project_checkers))
     return sorted(findings, key=Finding.sort_key)
-
-
-def _observe_rule_ms(
-    registry: MetricsRegistry | None, rule: str, elapsed_ms: float
-) -> None:
-    if registry is not None:
-        registry.histogram(f"analysis.project.ms.{rule.lower()}").observe(elapsed_ms)
 
 
 def rule_counts(findings: Iterable[Finding], rules: Iterable[str]) -> dict[str, int]:
@@ -164,18 +129,3 @@ def format_findings_json(findings: Sequence[Finding], rules: Sequence[str]) -> s
         indent=2,
         sort_keys=True,
     )
-
-
-def record_stats(
-    findings: Iterable[Finding],
-    registry: MetricsRegistry,
-    rules: Sequence[str] | None = None,
-) -> None:
-    """Publish per-rule finding counts as ``analysis.findings.<rule>``.
-
-    Quiet rules get a zero-valued counter so snapshot consumers can tell
-    "rule ran clean" from "rule never ran".
-    """
-    counts = rule_counts(findings, rules if rules is not None else all_rule_ids())
-    for rule, count in counts.items():
-        registry.counter(f"analysis.findings.{rule.lower()}").inc(count)

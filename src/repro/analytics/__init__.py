@@ -41,7 +41,6 @@ from repro.analytics.backends import (
     backend_names,
     create_backend,
     ingest_events,
-    register_backend,
 )
 from repro.analytics.events import AnalyticsEvent
 from repro.analytics.ingest import TraceIngestor, ingest_journal
@@ -77,7 +76,6 @@ __all__ = [
     "create_backend",
     "ingest_events",
     "ingest_journal",
-    "register_backend",
     "render_report_json",
     "render_report_markdown",
     "render_report_text",

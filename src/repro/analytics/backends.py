@@ -1,7 +1,6 @@
 """Pluggable storage backends for the availability analytics store.
 
-The seam mirrors the wire-codec registry (``repro.wire``): a small named
-registry of interchangeable implementations behind one query contract, so
+Two interchangeable implementations sit behind one query contract, so
 tests run against the in-memory backend while persistent deployments keep
 the same event log in sqlite.  Both backends must return *identical*
 query results for the same ingested run — ``tests/analytics`` pins that
@@ -18,7 +17,7 @@ import json
 import sqlite3
 from typing import Callable, Iterable
 
-from repro.errors import AnalyticsError, ConfigurationError
+from repro.errors import AnalyticsError
 
 from repro.analytics.events import AnalyticsEvent
 
@@ -269,7 +268,7 @@ class SqliteBackend(AnalyticsBackend):
         self._conn.close()
 
 
-#: name -> factory, the backend seam's registry (sorted for stable errors).
+#: name -> factory for the two built-in backends.
 _BACKENDS: dict[str, Callable[..., AnalyticsBackend]] = {
     "memory": MemoryBackend,
     "sqlite": SqliteBackend,
@@ -277,19 +276,12 @@ _BACKENDS: dict[str, Callable[..., AnalyticsBackend]] = {
 
 
 def backend_names() -> list[str]:
-    """Registered backend names, sorted."""
+    """Built-in backend names, sorted."""
     return sorted(_BACKENDS)
 
 
-def register_backend(name: str, factory: Callable[..., AnalyticsBackend]) -> None:
-    """Register (or replace) a backend factory under ``name``."""
-    if not name or not name.islower():
-        raise ConfigurationError(f"backend name must be lowercase, got {name!r}")
-    _BACKENDS[name] = factory
-
-
 def create_backend(name: str, **kwargs) -> AnalyticsBackend:
-    """Instantiate a registered backend by name.
+    """Instantiate a built-in backend by name.
 
     ``kwargs`` are passed to the factory (``path=`` for sqlite).
     """

@@ -15,17 +15,12 @@ counter before building the deployment.
 
 from __future__ import annotations
 
+from repro.faults.scenarios import CHAOS_PING_POLICY
 from repro.messaging.message import reset_message_ids
-from repro.tracing.failure import AdaptivePingPolicy
 
 #: Fast cadence so a 60 s virtual run packs in many verification-bearing
 #: traces and ping rounds per entity.
-HOTPATH_PING_POLICY = AdaptivePingPolicy(
-    base_interval_ms=500.0,
-    min_interval_ms=125.0,
-    max_interval_ms=1_000.0,
-    response_deadline_ms=200.0,
-)
+HOTPATH_PING_POLICY = CHAOS_PING_POLICY
 
 #: Every traced entity lives on this one machine — the co-location that
 #: makes ping coalescing bite.

@@ -34,8 +34,8 @@ from typing import Callable
 from repro.errors import ConfigurationError
 from repro.faults.controller import FaultController
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.faults.scenarios import build_ring_deployment
 from repro.messaging.message import reset_message_ids
-from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.traces import TraceType
 
 #: Counters every tracing-deployment family snapshots (all deterministic).
@@ -110,51 +110,20 @@ class WorkloadFamily:
         return resolved
 
 
-def _ping_policy(interval_ms: float) -> AdaptivePingPolicy:
-    """The fast campaign ping policy, scaled from one base interval."""
-    return AdaptivePingPolicy(
-        base_interval_ms=interval_ms,
-        min_interval_ms=interval_ms / 4.0,
-        max_interval_ms=interval_ms * 2.0,
-        response_deadline_ms=interval_ms * 0.4,
-    )
+#: ``(histogram, fields)`` of the MTTR distribution (count, moments, pXX).
+_RECOVERY = ("trace.recovery_ms", ("mean", "min", "max", "p50", "p90", "p99"))
+#: ``(histogram, fields)`` of the FAILED-verdict latency distribution.
+_DETECTION = ("tracker.detection.latency_ms", ("mean", "max"))
 
 
-def _ring_deployment(brokers: int, seed: int, ping_interval_ms: float):
-    """A ring of ``brokers`` brokers with the campaign ping policy.
-
-    The codec is pinned to ``json`` for the same reason the chaos
-    scenarios pin it: campaign snapshots are compared byte-for-byte and
-    wire sizes feed sampled latencies.
-    """
-    from repro import build_deployment
-
-    if brokers < 2:
-        raise ConfigurationError(f"need at least 2 brokers, got {brokers}")
-    ids = [f"b{i + 1}" for i in range(brokers)]
-    return build_deployment(
-        broker_ids=ids,
-        seed=seed,
-        ping_policy=_ping_policy(ping_interval_ms),
-        extra_links=[(ids[0], ids[-1])] if brokers > 2 else [],
-        codec="json",
-    )
-
-
-def _recovery_block(dep) -> dict:
-    """MTTR distribution from ``trace.recovery_ms`` (count, moments, pXX)."""
-    histogram = dep.metrics.snapshot()["histograms"].get("trace.recovery_ms")
+def _distribution_block(dep, name: str, fields: tuple[str, ...]) -> dict:
+    """``count`` plus the rounded ``<field>_ms`` of one latency histogram."""
+    histogram = dep.metrics.snapshot()["histograms"].get(name)
     if not histogram or not histogram.get("count"):
         return {"count": 0}
-    return {
-        "count": histogram["count"],
-        "mean_ms": round(histogram["mean"], 3),
-        "min_ms": round(histogram["min"], 3),
-        "max_ms": round(histogram["max"], 3),
-        "p50_ms": round(histogram["p50"], 3),
-        "p90_ms": round(histogram["p90"], 3),
-        "p99_ms": round(histogram["p99"], 3),
-    }
+    block = {"count": histogram["count"]}
+    block.update((f"{field}_ms", round(histogram[field], 3)) for field in fields)
+    return block
 
 
 def _availability_block(dep, entities: int, window_ms: float) -> dict:
@@ -178,20 +147,6 @@ def _availability_block(dep, entities: int, window_ms: float) -> dict:
         "downtime_ms": round(downtime_ms, 3),
         "availability_pct": round(100.0 * (1.0 - downtime_ms / total_ms), 4),
         "unrecovered": detected - completed,
-    }
-
-
-def _detection_block(dep) -> dict:
-    """FAILED-verdict latency distribution (``tracker.detection.latency_ms``)."""
-    histogram = dep.metrics.snapshot()["histograms"].get(
-        "tracker.detection.latency_ms"
-    )
-    if not histogram or not histogram.get("count"):
-        return {"count": 0}
-    return {
-        "count": histogram["count"],
-        "mean_ms": round(histogram["mean"], 3),
-        "max_ms": round(histogram["max"], 3),
     }
 
 
@@ -264,7 +219,7 @@ def run_churn_mobile(params: dict, seed: int) -> dict:
     reset_message_ids()
     params = workload_family("churn-mobile").resolve(params)
     duration_ms = float(params["duration_ms"])
-    dep = _ring_deployment(
+    dep = build_ring_deployment(
         int(params["brokers"]), seed, float(params["ping_interval_ms"])
     )
     entity_ids, tracker = _bootstrap_tracing(dep, int(params["entities"]))
@@ -279,18 +234,18 @@ def run_churn_mobile(params: dict, seed: int) -> dict:
         )
         + dep.metrics.counter_value("faults.injected.packet_loss")
         + dep.metrics.counter_value("faults.injected.delay_spike"),
-        "recovery": _recovery_block(dep),
+        "recovery": _distribution_block(dep, *_RECOVERY),
         "availability": _availability_block(
             dep, int(params["entities"]), duration_ms - _TRACK_AT_MS
         ),
-        "detection": _detection_block(dep),
+        "detection": _distribution_block(dep, *_DETECTION),
         "failed_verdicts": len(tracker.traces_of_type(TraceType.FAILED)),
     }
 
 
 def _attack_deployment(params: dict, seed: int):
     """Shared §5.2 setup: victim on b1, tracker on the last broker."""
-    dep = _ring_deployment(
+    dep = build_ring_deployment(
         int(params["brokers"]), seed, float(params["ping_interval_ms"])
     )
     victim = dep.add_traced_entity("svc")
@@ -474,7 +429,7 @@ def run_malicious_termination(params: dict, seed: int) -> dict:
         "counters": _counters(dep),
         "attack": {"attempts": attacker.attempts},
         "defense": _defense_block(dep, attacker_broker),
-        "recovery": _recovery_block(dep),
+        "recovery": _distribution_block(dep, *_RECOVERY),
         "genuine_churn_cycles": int(params["churn_cycles"]),
         "failed_verdicts_seen": len(tracker.traces_of_type(TraceType.FAILED)),
     }

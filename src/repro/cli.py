@@ -19,8 +19,7 @@ Commands
     snapshot (text, or JSON with ``--json``).
 ``analyze``
     Run the repro.analysis domain linter over source trees (exit 1 on
-    findings; ``--format json`` for the stable machine-readable report,
-    ``--stats`` for per-rule counts via the metrics registry).
+    findings; ``--format json`` for the stable machine-readable report).
 ``faults``
     Run one chaos scenario from the repro.faults catalog and print its
     fault/recovery summary (``--json`` for the CI seed-snapshot form).
@@ -125,40 +124,27 @@ def _cmd_metrics(args) -> int:
 def _cmd_analyze(args) -> int:
     """Run the domain linter; exit 0 clean, 1 on findings, 2 on bad usage.
 
-    With ``--baseline`` the exit code ratchets instead: 0 as long as no
-    ``(rule, path)`` finding count exceeds the committed baseline, 1 on
-    any new finding.  ``--update-baseline`` rewrites the baseline file;
-    ``--add-noqa`` suppresses findings in place; ``--sarif`` additionally
-    emits a SARIF 2.1.0 report for code-scanning upload.
+    ``--sarif`` additionally emits a SARIF 2.1.0 report for code-scanning
+    upload.
     """
     from repro.analysis import (
         analyze_paths,
-        compare_to_baseline,
         format_findings_json,
         format_findings_text,
         format_sarif,
-        load_baseline,
-        record_stats,
-        write_baseline,
     )
-    from repro.analysis.autofix import add_noqa
     from repro.analysis.runner import select_checkers
     from repro.errors import ConfigurationError
-    from repro.obs.registry import MetricsRegistry
 
-    registry = MetricsRegistry() if args.stats else None
     try:
-        if args.update_baseline and not args.baseline:
-            raise ConfigurationError("--update-baseline requires --baseline FILE")
         checkers = select_checkers(args.rules)
-        findings = analyze_paths(args.paths, checkers, registry=registry)
+        findings = analyze_paths(args.paths, checkers)
     except ConfigurationError as exc:
         print(f"repro analyze: {exc}", file=sys.stderr)
         return 2
-    rules = [checker.rule for checker in checkers]
 
     if args.format == "json":
-        print(format_findings_json(findings, rules))
+        print(format_findings_json(findings, [c.rule for c in checkers]))
     else:
         print(format_findings_text(findings))
     if args.sarif:
@@ -168,32 +154,6 @@ def _cmd_analyze(args) -> int:
         else:
             with open(args.sarif, "w", encoding="utf-8") as handle:
                 handle.write(report + "\n")
-    if args.stats:
-        record_stats(findings, registry, rules)
-        print()
-        print(registry.render_text())
-
-    if args.add_noqa:
-        edits = add_noqa(findings)
-        total = sum(edits.values())
-        print(f"added noqa comments to {total} line(s) in {len(edits)} file(s)")
-        return 0
-    if args.update_baseline:
-        write_baseline(findings, args.baseline)
-        print(f"baseline written: {args.baseline}")
-        return 0
-    if args.baseline:
-        try:
-            accepted = load_baseline(args.baseline)
-        except ConfigurationError as exc:
-            print(f"repro analyze: {exc}", file=sys.stderr)
-            return 2
-        regressions, improvements = compare_to_baseline(findings, accepted)
-        for line in improvements:
-            print(f"baseline: {line}")
-        for line in regressions:
-            print(f"NEW FINDING vs baseline: {line}")
-        return 1 if regressions else 0
     return 1 if findings else 0
 
 
@@ -560,22 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--rules", type=lambda s: [r for r in s.split(",") if r],
                          default=None, metavar="RULE[,RULE...]",
                          help="restrict to a comma-separated subset of rules")
-    analyze.add_argument("--stats", action="store_true",
-                         help="also print per-rule counts as analysis.findings.* "
-                              "metrics-registry counters plus analysis.project.* "
-                              "timing instruments")
-    analyze.add_argument("--baseline", metavar="FILE", default=None,
-                         help="ratchet mode: exit 0 unless a (rule, path) count "
-                              "exceeds the accepted counts in FILE")
-    analyze.add_argument("--update-baseline", action="store_true",
-                         help="with --baseline: rewrite FILE from the current "
-                              "findings and exit 0")
     analyze.add_argument("--sarif", metavar="FILE", default=None,
                          help="also write a SARIF 2.1.0 report to FILE "
                               "('-' for stdout)")
-    analyze.add_argument("--add-noqa", action="store_true",
-                         help="insert '# repro: noqa[RULE]' comments on every "
-                              "finding (in place) and exit 0")
 
     faults = sub.add_parser(
         "faults", help="run a deterministic chaos scenario (repro.faults)"

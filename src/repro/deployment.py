@@ -10,13 +10,12 @@ benchmarks and examples all build on this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from repro.auth.cache import TokenVerificationCache
 from repro.auth.credentials import EntityCredentials
 from repro.auth.verification import TokenVerifier, TraceAuthorizationGuard
 from repro.crypto.certificates import CertificateAuthority
-from repro.crypto.costmodel import CryptoOp, OpCost
 from repro.crypto.rsa import RSAPublicKey
 from repro.errors import ConfigurationError
 from repro.messaging.broker_network import BrokerNetwork
@@ -218,8 +217,6 @@ def build_deployment(
     seed: int = 0,
     profile: TransportProfile = TCP_CLUSTER,
     tdn_node_count: int = 2,
-    cost_calibration: Mapping[CryptoOp, OpCost] | None = None,
-    cost_scale: float = 1.0,
     ntp_model: NTPSkewModel | None = None,
     ping_policy: AdaptivePingPolicy | None = None,
     gauge_interval_ms: float = 60_000.0,
@@ -263,8 +260,6 @@ def build_deployment(
         seed=seed,
         monitor=monitor,
         default_profile=profile,
-        cost_calibration=cost_calibration,
-        cost_scale=cost_scale,
         ntp_model=ntp_model,
         codec=resolved_codec,
         federation=federation,

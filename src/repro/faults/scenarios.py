@@ -22,14 +22,23 @@ from repro.tracing.failure import AdaptivePingPolicy
 from repro.faults.controller import FaultController
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 
-#: Fast detection so scenarios resolve within a ~90 s virtual run while
-#: keeping the paper's 3-miss / 6-miss thresholds.
-CHAOS_PING_POLICY = AdaptivePingPolicy(
-    base_interval_ms=500.0,
-    min_interval_ms=125.0,
-    max_interval_ms=1_000.0,
-    response_deadline_ms=200.0,
-)
+
+def fast_ping_policy(interval_ms: float) -> AdaptivePingPolicy:
+    """The fast ping policy, scaled from one base interval.
+
+    Detection happens inside a short run while the paper's 3-miss /
+    6-miss thresholds stay as they are.
+    """
+    return AdaptivePingPolicy(
+        base_interval_ms=interval_ms,
+        min_interval_ms=interval_ms / 4.0,
+        max_interval_ms=interval_ms * 2.0,
+        response_deadline_ms=interval_ms * 0.4,
+    )
+
+
+#: 500 / 125 / 1 000 / 200 ms: scenarios resolve within a ~90 s virtual run.
+CHAOS_PING_POLICY = fast_ping_policy(500.0)
 
 #: Counters the seed snapshot pins exactly (all deterministic per seed).
 CHAOS_COUNTERS = (
@@ -155,8 +164,10 @@ def scenario_plan(name: str) -> FaultPlan:
     return builder()
 
 
-def build_chaos_deployment(seed: int = 42, federation: bool = False):
-    """The shared three-broker-ring deployment every scenario runs on.
+def build_ring_deployment(
+    brokers: int, seed: int, ping_interval_ms: float, federation: bool = False
+):
+    """A ring of ``b1`` … ``b<brokers>`` under :func:`fast_ping_policy`.
 
     ``federation`` swaps in the summarized-interest control plane
     (:mod:`repro.messaging.federation`); at chaos-scenario pattern counts
@@ -164,20 +175,29 @@ def build_chaos_deployment(seed: int = 42, federation: bool = False):
     bit-for-bit (the federation equivalence suite pins this).
 
     The codec is pinned to ``json`` regardless of ``REPRO_CODEC``: chaos
-    snapshots are compared bit-for-bit against committed seeds, and those
-    seeds encode json wire sizes.
+    and campaign snapshots are compared bit-for-bit against committed
+    seeds, and those seeds encode json wire sizes.
     """
     from repro import build_deployment
 
-    dep = build_deployment(
-        broker_ids=["b1", "b2", "b3"],
+    if brokers < 2:
+        raise ConfigurationError(f"need at least 2 brokers, got {brokers}")
+    ids = [f"b{i + 1}" for i in range(brokers)]
+    return build_deployment(
+        broker_ids=ids,
         seed=seed,
-        ping_policy=CHAOS_PING_POLICY,
-        extra_links=[("b1", "b3")],
+        ping_policy=fast_ping_policy(ping_interval_ms),
+        extra_links=[(ids[0], ids[-1])] if brokers > 2 else [],
         federation=federation,
         codec="json",
     )
-    return dep
+
+
+def build_chaos_deployment(seed: int = 42, federation: bool = False):
+    """The shared three-broker-ring deployment every scenario runs on."""
+    return build_ring_deployment(
+        3, seed, CHAOS_PING_POLICY.base_interval_ms, federation=federation
+    )
 
 
 def run_scenario(

@@ -12,9 +12,9 @@ system, off the critical path of trace routing).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.crypto.costmodel import CryptoCostModel, CryptoOp, OpCost, PAPER_CALIBRATION
+from repro.crypto.costmodel import PAPER_CALIBRATION, CryptoCostModel
 from repro.errors import ConfigurationError, RoutingError
 from repro.messaging.broker import Broker, RoutedFrame
 from repro.messaging.client import BrokerClient
@@ -39,8 +39,6 @@ class BrokerNetwork:
         seed: int = 0,
         monitor: Monitor | None = None,
         default_profile: TransportProfile = TCP_CLUSTER,
-        cost_calibration: Mapping[CryptoOp, OpCost] | None = None,
-        cost_scale: float = 1.0,
         ntp_model: NTPSkewModel | None = None,
         codec: str | None = None,
         federation: FederationConfig | bool | None = None,
@@ -52,8 +50,6 @@ class BrokerNetwork:
         #: Wire codec name for every link this fabric creates; ``None``
         #: falls through to each profile's ``codec`` and then ``json``.
         self.codec = codec
-        self._cost_calibration = dict(cost_calibration or PAPER_CALIBRATION)
-        self._cost_scale = cost_scale
         self._ntp_model = ntp_model
 
         #: Summarized-interest control plane (``repro.messaging.federation``);
@@ -89,9 +85,8 @@ class BrokerNetwork:
         """
         if name not in self._machines:
             cost_model = CryptoCostModel(
-                calibration=self._cost_calibration,
+                calibration=PAPER_CALIBRATION,
                 seed=self.streams.derive_seed(f"cost.{name}"),
-                scale=self._cost_scale,
                 metrics=self.monitor.metrics,
             )
             if self._ntp_model is not None:

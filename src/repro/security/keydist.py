@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import SealedPayload, open_sealed, seal_for
-from repro.errors import DecryptionError
+from repro.errors import DecryptionError, ValidationError
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,6 +38,10 @@ class KeyDistributionPayload:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KeyDistributionPayload":
+        if data.get("kind") != "key_distribution":
+            raise ValidationError(
+                f"not a key-distribution payload: kind={data.get('kind')!r}"
+            )
         return cls(
             trace_topic_hex=str(data["trace_topic"]),
             sealed=SealedPayload.from_dict(data["sealed"]),

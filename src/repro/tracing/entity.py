@@ -376,7 +376,12 @@ class TracedEntity:
         if self._crashed or self._silent:
             return
         if isinstance(body, dict) and body.get("kind") == "ping":
-            self._on_relayed_ping(Ping.from_dict(body))
+            try:
+                ping = Ping.from_dict(body)
+            except (KeyError, TypeError, ValueError):
+                self.monitor.increment("entity.pings_malformed")
+                return
+            self._on_relayed_ping(ping)
 
     def _on_relayed_ping(self, ping: Ping) -> None:
         """Answer one ping (direct or relayed) unless crashed or silent."""

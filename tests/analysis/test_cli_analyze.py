@@ -1,4 +1,4 @@
-"""The ``repro analyze`` subcommand: exit codes, formats, stats."""
+"""The ``repro analyze`` subcommand: exit codes, formats, suppression, SARIF."""
 
 import json
 
@@ -70,14 +70,6 @@ class TestJsonFormat:
 
 
 class TestStats:
-    def test_stats_render_registry_counters(self, dirty_file, capsys):
-        assert main(["analyze", str(dirty_file), "--stats"]) == 1
-        out = capsys.readouterr().out
-        assert "analysis.findings.det01" in out
-        assert "analysis.findings.err01" in out
-        # quiet rules are rendered too, at zero
-        assert "analysis.findings.obs01" in out
-
     def test_noqa_marked_file_is_clean(self, tmp_path, capsys):
         target = tmp_path / "src" / "repro" / "sim" / "example.py"
         target.parent.mkdir(parents=True)
@@ -85,48 +77,6 @@ class TestStats:
             "import time\nstamp = time.time()  # repro: noqa[DET01]\n"
         )
         assert main(["analyze", str(target)]) == 0
-
-
-class TestBaselineRatchet:
-    def test_update_baseline_writes_and_exits_zero(self, dirty_file, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        code = main(
-            ["analyze", str(dirty_file), "--baseline", str(baseline), "--update-baseline"]
-        )
-        assert code == 0
-        assert "baseline written" in capsys.readouterr().out
-        assert json.loads(baseline.read_text())["schema_version"] == 1
-
-    def test_known_findings_pass_the_gate(self, dirty_file, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        main(["analyze", str(dirty_file), "--baseline", str(baseline), "--update-baseline"])
-        capsys.readouterr()
-        assert main(["analyze", str(dirty_file), "--baseline", str(baseline)]) == 0
-
-    def test_new_finding_fails_the_gate(self, dirty_file, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        main(["analyze", str(dirty_file), "--baseline", str(baseline), "--update-baseline"])
-        capsys.readouterr()
-        dirty_file.write_text(DIRTY + "\n\ndef g():\n    raise KeyError('extra')\n")
-        assert main(["analyze", str(dirty_file), "--baseline", str(baseline)]) == 1
-        assert "NEW FINDING vs baseline" in capsys.readouterr().out
-
-    def test_fixed_finding_passes_and_reports_improvement(
-        self, dirty_file, tmp_path, capsys
-    ):
-        baseline = tmp_path / "baseline.json"
-        main(["analyze", str(dirty_file), "--baseline", str(baseline), "--update-baseline"])
-        capsys.readouterr()
-        dirty_file.write_text(CLEAN)
-        assert main(["analyze", str(dirty_file), "--baseline", str(baseline)]) == 0
-        assert "--update-baseline" in capsys.readouterr().out
-
-    def test_update_without_baseline_path_exits_two(self, clean_file, capsys):
-        assert main(["analyze", str(clean_file), "--update-baseline"]) == 2
-
-    def test_missing_baseline_file_exits_two(self, clean_file, tmp_path, capsys):
-        code = main(["analyze", str(clean_file), "--baseline", str(tmp_path / "ghost.json")])
-        assert code == 2
 
 
 class TestSarifOutput:
@@ -142,19 +92,3 @@ class TestSarifOutput:
         target = tmp_path / "out.sarif"
         assert main(["analyze", str(clean_file), "--sarif", str(target)]) == 0
         assert json.loads(target.read_text())["runs"][0]["results"] == []
-
-
-class TestAddNoqa:
-    def test_add_noqa_rewrites_and_run_goes_clean(self, dirty_file, capsys):
-        assert main(["analyze", str(dirty_file), "--add-noqa"]) == 0
-        out = capsys.readouterr().out
-        assert "added noqa" in out
-        text = dirty_file.read_text()
-        assert "# repro: noqa[DET01]" in text
-        assert "# repro: noqa[ERR01]" in text
-        assert main(["analyze", str(dirty_file)]) == 0
-
-    def test_add_noqa_on_clean_tree_changes_nothing(self, clean_file, capsys):
-        before = clean_file.read_text()
-        assert main(["analyze", str(clean_file), "--add-noqa"]) == 0
-        assert clean_file.read_text() == before

@@ -17,9 +17,11 @@ def det02(source, path=MESSAGING_PATH):
 
 class TestDET01Fires:
     def test_time_time(self):
-        findings = det01("import time\nstamp = time.time()\n")
-        assert [f.rule for f in findings] == ["DET01"]
-        assert "time.time" in findings[0].message
+        # the read is flagged where it happens, whatever it then flows into
+        for use in ("stamp = time.time()", "streams.reset(seed=time.time())"):
+            findings = det01(f"import time\n{use}\n")
+            assert [f.rule for f in findings] == ["DET01"]
+            assert "time.time" in findings[0].message
 
     def test_datetime_now_via_from_import(self):
         findings = det01("from datetime import datetime\nnow = datetime.now()\n")
@@ -30,14 +32,16 @@ class TestDET01Fires:
         assert len(findings) == 1
 
     def test_module_level_random(self):
-        findings = det01("import random\nx = random.random()\n")
-        assert len(findings) == 1
-        assert "global RNG" in findings[0].message
+        for use in ("x = random.random()", "make(message_id=random.randrange(9))"):
+            findings = det01(f"import random\n{use}\n")
+            assert len(findings) == 1
+            assert "global RNG" in findings[0].message
 
     def test_unseeded_random_instance(self):
-        findings = det01("import random\nrng = random.Random()\n")
-        assert len(findings) == 1
-        assert "unseeded" in findings[0].message
+        for tail in ("", "frame = codec.encode({'n': rng.random()})\n"):
+            findings = det01(f"import random\nrng = random.Random()\n{tail}")
+            assert len(findings) == 1
+            assert "unseeded" in findings[0].message
 
 
 class TestDET01StaysQuiet:

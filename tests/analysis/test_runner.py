@@ -1,4 +1,4 @@
-"""File walking, rule selection, JSON schema, and metrics-registry stats."""
+"""File walking, rule selection, and the text / JSON renderings."""
 
 import json
 
@@ -10,12 +10,10 @@ from repro.analysis.runner import (
     format_findings_json,
     format_findings_text,
     iter_python_files,
-    record_stats,
     rule_counts,
     select_checkers,
 )
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry
 
 DIRTY = "def f():\n    raise ValueError('x')\n"
 CLEAN = "def f():\n    return 1\n"
@@ -101,20 +99,5 @@ class TestRendering:
 
 
 class TestRecordStats:
-    def test_counts_land_in_the_metrics_registry(self, fake_tree):
-        registry = MetricsRegistry()
-        findings = analyze_paths([fake_tree])
-        record_stats(findings, registry)
-        assert registry.counter_value("analysis.findings.err01") == 1
-        # zero-filled for quiet rules: "ran clean" is distinguishable from
-        # "never ran"
-        assert "analysis.findings.obs01" in registry.names()
-        assert registry.counter_value("analysis.findings.obs01") == 0
-
-    def test_counts_respect_rule_subset(self):
-        registry = MetricsRegistry()
-        record_stats([], registry, rules=["DET01"])
-        assert registry.names() == ["analysis.findings.det01"]
-
     def test_rule_counts_helper(self):
         assert rule_counts([], ["A", "B"]) == {"A": 0, "B": 0}

@@ -124,6 +124,10 @@ def sample_findings():
     ]
 
 
+def _uri(result):
+    return result["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]
+
+
 class TestSarifStructure:
     def test_validates_against_embedded_subset_schema(self):
         doc = to_sarif(sample_findings(), default_checkers())
@@ -151,6 +155,13 @@ class TestSarifStructure:
         assert location["region"]["startLine"] == 33
         assert "(hint: update the dispatchers)" in wire["message"]["text"]
         assert cry["level"] == "warning"
+        assert _uri(cry) == "src/repro/tracing/entity.py"  # relative: unchanged
+        # no src/ segment: the path keeps its shape, minus the leading slash
+        outside = Finding(
+            rule="DOC02", severity="error", path="/tmp/pkg/mod.py", line=1, message="m"
+        )
+        (result,) = to_sarif([outside], default_checkers())["runs"][0]["results"]
+        assert _uri(result) == "tmp/pkg/mod.py"
 
     def test_rule_index_points_into_rules_array(self):
         doc = to_sarif(sample_findings(), default_checkers())

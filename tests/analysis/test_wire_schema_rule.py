@@ -62,9 +62,9 @@ class TestVocabularyExtraction:
         handled = set(handled_kinds(index))
         # the protocol's core kinds are produced and dispatched on
         assert {"ping", "ping_response", "sym", "trace_key"} <= produced & handled
-        # key_distribution is dispatched by *topic*, not kind — the one
-        # committed baseline entry (see analysis_baseline.json)
-        assert "key_distribution" in produced - handled
+        # key_distribution is dispatched by topic; the receiver still
+        # checks the kind before it opens the sealed payload
+        assert produced <= handled
 
     def test_real_static_table_and_field_parity(self):
         index = index_of(REPO / "src" / "repro")

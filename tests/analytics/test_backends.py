@@ -9,9 +9,8 @@ from repro.analytics import (
     backend_names,
     create_backend,
     ingest_events,
-    register_backend,
 )
-from repro.errors import AnalyticsError, ConfigurationError
+from repro.errors import AnalyticsError
 
 #: A small but shape-covering log: duplicate kinds, shared timestamps,
 #: null entities/values, nested fields.
@@ -105,10 +104,6 @@ class TestRegistry:
     def test_unknown_backend_names_the_registry(self):
         with pytest.raises(AnalyticsError, match="memory, sqlite"):
             create_backend("mongodb")
-
-    def test_register_backend_rejects_bad_names(self):
-        with pytest.raises(ConfigurationError):
-            register_backend("NotLower", MemoryBackend)
 
     def test_sqlite_persists_across_connections(self, tmp_path):
         path = str(tmp_path / "analytics.db")

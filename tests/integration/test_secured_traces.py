@@ -1,8 +1,13 @@
 """Confidentiality end to end: trace keys, key distribution, decryption."""
 
+import random
+
 import pytest
 
 from repro import build_deployment
+from repro.crypto.keys import SymmetricKey
+from repro.messaging.message import Message
+from repro.security.keydist import build_key_payload
 from repro.tracing.traces import TraceType
 
 
@@ -41,6 +46,38 @@ class TestKeyDistribution:
     def test_key_receipt_time_recorded(self, dep):
         _, (tracker,) = bootstrap_secured(dep)
         assert tracker.key_received_ms_for("svc") is not None
+
+    def test_wrong_kind_on_the_key_topic_is_rejected(self, dep):
+        """A well-sealed body of another kind is not a key delivery."""
+        entity = dep.add_traced_entity("svc", secured=True)
+        tracker = dep.add_tracker("watcher", proactive_interest=False)
+        tracker.connect("b2")
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        tracker.track("svc")
+        dep.sim.run(until=5_000)
+        topics = dep.manager_of("b1").session_of("svc").topics
+
+        rng = random.Random(7)
+        body = build_key_payload(
+            SymmetricKey.generate(rng),
+            topics.trace_topic.hex,
+            tracker.credentials.public_key,
+            rng,
+        ).to_dict()
+        body["kind"] = "ping"
+        dep.network.broker("b2").publish_from_broker(
+            Message(
+                topic=topics.key_delivery("watcher"),
+                body=body,
+                source="b2",
+                created_ms=dep.sim.now,
+            )
+        )
+        dep.sim.run(until=8_000)
+
+        assert tracker.monitor.count("tracker.key_payload_rejected") == 1
+        assert tracker.trace_key_for("svc") is None
 
 
 class TestEncryptedTraces:

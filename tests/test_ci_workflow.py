@@ -187,12 +187,12 @@ def test_bench_smoke_gates_both_codecs_against_the_committed_seed(workflow):
     )
 
 
-def test_analyze_job_enforces_the_baseline_ratchet(workflow):
+def test_analyze_job_fails_on_any_finding(workflow):
     runs = [step.get("run") or "" for step in workflow["jobs"]["analyze"]["steps"]]
     gate = next(run for run in runs if "repro analyze src" in run)
-    assert "--baseline analysis_baseline.json" in gate
+    assert "--baseline" not in gate
+    assert "--stats" not in gate
     assert "--sarif analysis.sarif" in gate
-    assert "--stats" in gate
 
 
 def test_analyze_job_uploads_sarif_to_code_scanning(workflow):

@@ -58,6 +58,8 @@ class TestBuildDeployment:
             ("ping", "coalescing"),
             ("tdn", "query", "cache"),
             ("per", "direction", "link", "rng"),
+            ("cost", "calibration"),
+            ("cost", "scale"),
         ],
         ids="-".join,
     )

@@ -4,6 +4,7 @@ import pytest
 
 from repro import build_deployment
 from repro.errors import RegistrationError
+from repro.messaging.message import Message
 from repro.tracing.traces import EntityState
 
 
@@ -91,6 +92,26 @@ class TestCrashSemantics:
         answered = dep.monitor.count("entity.pings_answered")
         dep.sim.run(until=15_000)
         assert dep.monitor.count("entity.pings_answered") == answered
+
+
+class TestMalformedPing:
+    def test_malformed_ping_is_counted_and_dropped(self, dep):
+        entity = dep.add_traced_entity("svc")
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        dep.network.broker("b1").publish_from_broker(
+            Message(
+                topic=entity.topics.broker_to_entity(entity.session_id),
+                body={"kind": "ping", "number": "x", "issued_ms": 0.0},
+                source="b1",
+                created_ms=dep.sim.now,
+            )
+        )
+        dep.sim.run(until=3_500)
+        assert dep.monitor.count("entity.pings_malformed") == 1
+        answered = dep.monitor.count("entity.pings_answered")
+        dep.sim.run(until=10_000)
+        assert dep.monitor.count("entity.pings_answered") > answered
 
 
 class TestTrackerPreconditions:
