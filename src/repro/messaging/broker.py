@@ -20,6 +20,7 @@ deterministic shortest-path multicast with no duplicates or loops.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from typing import Callable, Generator, Iterable, Protocol
 
 from repro.errors import NotConnectedError, RoutingError, UnauthorizedError
@@ -31,6 +32,7 @@ from repro.messaging.constrained import (
 from repro.messaging.matching import SubscriptionIndex
 from repro.messaging.message import Message, RoutedFrame
 from repro.messaging.topics import Topic, topic_matches
+from repro.obs import Counter
 from repro.sim.engine import Event, Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
@@ -106,6 +108,10 @@ class Broker:
         self.processing_ms = processing_ms
         self.per_delivery_ms = per_delivery_ms
         self.violation_limit = violation_limit
+        # sim process names, one per way a message enters this broker
+        self._ingress_name = f"{broker_id}.ingress"
+        self._fwd_name = f"{broker_id}.fwd"
+        self._selfpub_name = f"{broker_id}.selfpub"
 
         # fabric wiring (populated by BrokerNetwork)
         self.neighbor_links: dict[str, Link] = {}
@@ -131,6 +137,21 @@ class Broker:
 
         # failure model: a failed broker drops everything it receives
         self.failed = False
+
+    # Per-hop instruments: resolved on first use and held as the instrument
+    # (docs/OBSERVABILITY.md "Adding an instrument"), never in ``__init__``.
+
+    @cached_property
+    def _msgs_ingress(self) -> Counter:
+        return self.metrics.counter("broker.msgs.ingress")
+
+    @cached_property
+    def _msgs_forwarded_in(self) -> Counter:
+        return self.metrics.counter("broker.msgs.forwarded_in")
+
+    @cached_property
+    def _msgs_forwarded_out(self) -> Counter:
+        return self.metrics.counter("broker.msgs.forwarded_out")
 
     # ------------------------------------------------------------------ wiring
 
@@ -298,7 +319,7 @@ class Broker:
             return
         self.sim.process(
             self._ingress(message, origin=client_id, from_neighbor=False),
-            name=f"{self.broker_id}.ingress",
+            name=self._ingress_name,
         )
 
     def receive_from_neighbor(self, neighbor_id: str, frame: RoutedFrame) -> None:
@@ -309,7 +330,7 @@ class Broker:
             return
         self.sim.process(
             self._neighbor_ingress(neighbor_id, frame),
-            name=f"{self.broker_id}.fwd",
+            name=self._fwd_name,
         )
 
     def publish_from_broker(self, message: Message) -> None:
@@ -322,7 +343,7 @@ class Broker:
             return
         self.sim.process(
             self._ingress(message, origin=self.broker_id, from_neighbor=False, self_origin=True),
-            name=f"{self.broker_id}.selfpub",
+            name=self._selfpub_name,
         )
 
     # -------------------------------------------------------------- processing
@@ -336,7 +357,7 @@ class Broker:
     ) -> Generator[Event, None, None]:
         yield from self.machine.compute(self.processing_ms)
         self.monitor.increment("messages.received")
-        self.metrics.counter("broker.msgs.ingress").inc()
+        self._msgs_ingress.inc()
 
         constrained: ConstrainedTopic | None = None
         if is_constrained(message.topic.canonical):
@@ -364,7 +385,7 @@ class Broker:
         message = frame.message
         yield from self.machine.compute(self.processing_ms)
         self.monitor.increment("messages.forwarded_in")
-        self.metrics.counter("broker.msgs.forwarded_in").inc()
+        self._msgs_forwarded_in.inc()
 
         for guard in self.publish_guards:
             ok = yield from guard(self, message, neighbor_id, True)
@@ -449,7 +470,7 @@ class Broker:
                 )
             link.send(RoutedFrame(message, tuple(sorted(dests))))
             self.monitor.increment("messages.forwarded_out")
-            self.metrics.counter("broker.msgs.forwarded_out").inc()
+            self._msgs_forwarded_out.inc()
 
     def _deliver_local(
         self, message: Message, exclude_client: str | None = None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -60,8 +60,7 @@ class TransportProfile:
         return self.loss_probability > 0 and rng.random() < self.loss_probability
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveryReceipt:
+class DeliveryReceipt(NamedTuple):
     """What a link reports about one send attempt."""
 
     delivered: bool

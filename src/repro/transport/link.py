@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Any, Callable
 
+from repro.obs import Counter, Gauge, Histogram
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Monitor
 from repro.transport.base import DeliveryReceipt, TransportProfile
@@ -48,6 +50,8 @@ class Link:
         self.profile = profile
         self.receiver = receiver
         self.name = name or f"link-{id(self):x}"
+        self._delivered_key = f"{self.name}.delivered"
+        self._dropped_key = f"{self.name}.dropped"
         self.codec = resolve_codec(codec or profile.codec)
         self._frame_size = frame_size
         self._rng = rng
@@ -63,15 +67,43 @@ class Link:
         # healthy path so no extra RNG draws happen outside a chaos run.
         self.disruption: Any = None
 
+    # Per-send instruments: each is resolved on its first use and held as
+    # the instrument, so a send does no registry lookup by name and an
+    # idle (or always-dropping) link registers nothing it never touched.
+
+    @cached_property
+    def _msgs_sent(self) -> Counter:
+        return self._metrics.counter("transport.msgs.sent")
+
+    @cached_property
+    def _bytes_sent(self) -> Counter:
+        return self._metrics.counter("transport.bytes.sent")
+
+    @cached_property
+    def _codec_bytes(self) -> Counter:
+        return self._metrics.counter(f"codec.bytes.{self.codec.name}")
+
+    @cached_property
+    def _msgs_delivered(self) -> Counter:
+        return self._metrics.counter("transport.msgs.delivered")
+
+    @cached_property
+    def _latency_ms(self) -> Histogram:
+        return self._metrics.histogram("transport.latency_ms")
+
+    @cached_property
+    def _inflight(self) -> Gauge:
+        return self._metrics.gauge("transport.inflight")
+
     def send(self, payload: Any) -> DeliveryReceipt:
         """Send ``payload``; schedules receiver callback in virtual time."""
         size = self._frame_size(payload, self.codec, self._metrics)
         self.sent_count += 1
         metrics = self._metrics
-        if metrics:
-            metrics.counter("transport.msgs.sent").inc()
-            metrics.counter("transport.bytes.sent").inc(size)
-            metrics.counter(f"codec.bytes.{self.codec.name}").inc(size)
+        if metrics is not None:
+            self._msgs_sent.inc()
+            self._bytes_sent.inc(size)
+            self._codec_bytes.inc(size)
         latency = self.profile.sample_latency_ms(size, self._rng)
         retransmits = 0
 
@@ -82,8 +114,8 @@ class Link:
                 # An injected drop is a blackhole: it bypasses the reliable
                 # retransmission path on purpose (see transport/disruption.py).
                 self.dropped_count += 1
-                if self._monitor:
-                    self._monitor.increment(f"{self.name}.dropped")
+                if self._monitor is not None:
+                    self._monitor.increment(self._dropped_key)
                     metrics.counter("transport.msgs.dropped").inc()
                     self._monitor.journal.record(
                         self.sim.now,
@@ -98,8 +130,8 @@ class Link:
         if self.profile.sample_loss(self._rng):
             if not self.profile.reliable:
                 self.dropped_count += 1
-                if self._monitor:
-                    self._monitor.increment(f"{self.name}.dropped")
+                if self._monitor is not None:
+                    self._monitor.increment(self._dropped_key)
                     metrics.counter("transport.msgs.dropped").inc()
                     self._monitor.journal.record(
                         self.sim.now, "link.drop", size_bytes=size, link=self.name
@@ -112,7 +144,7 @@ class Link:
                 if not self.profile.sample_loss(self._rng):
                     break
             self.retransmit_count += retransmits
-            if metrics:
+            if metrics is not None:
                 metrics.counter("transport.retransmits").inc(retransmits)
 
         arrival = self.sim.now + latency
@@ -121,7 +153,7 @@ class Link:
             latency = arrival - self.sim.now
         if self.profile.ordered:
             self._last_arrival = arrival
-        elif arrival < self._latest_arrival and self._monitor:
+        elif arrival < self._latest_arrival and self._monitor is not None:
             # this payload overtakes one sent earlier: a reordered delivery
             metrics.counter("transport.msgs.reordered").inc()
             self._monitor.journal.record(
@@ -130,17 +162,17 @@ class Link:
         self._latest_arrival = max(self._latest_arrival, arrival)
 
         self.delivered_count += 1
-        if self._monitor:
-            self._monitor.increment(f"{self.name}.delivered")
-            metrics.counter("transport.msgs.delivered").inc()
-            metrics.histogram("transport.latency_ms").observe(latency)
-            metrics.gauge("transport.inflight").inc()
+        if self._monitor is not None:
+            self._monitor.increment(self._delivered_key)
+            self._msgs_delivered.inc()
+            self._latency_ms.observe(latency)
+            self._inflight.inc()
         self.sim.call_at(arrival, lambda: self._deliver(payload))
         return DeliveryReceipt(True, latency, retransmits, size)
 
     def _deliver(self, payload: Any) -> None:
-        if self._metrics:
-            self._metrics.gauge("transport.inflight").dec()
+        if self._metrics is not None:
+            self._inflight.dec()
         self.receiver(payload)
 
 

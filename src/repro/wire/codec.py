@@ -14,7 +14,7 @@ fixes that hot path three ways:
   of a message is immutable — it is computed once per (codec, message) and
   reused by every forward, with :class:`RoutedFrame` sizes derived
   additively from the memoized message size plus the codec's exact
-  destination overhead;
+  destination overhead, itself memoized per (codec, destination tuple);
 * a **frame pool**: the encode that does happen renders into a pooled
   scratch buffer (:class:`repro.wire.pool.FramePool`) instead of
   allocating per send.
@@ -53,6 +53,9 @@ _ENCODE_MS_PER_KB_DEFAULT = 0.020
 
 #: Bound on the (codec, message_id) -> size memo; LRU beyond this.
 SIZE_MEMO_CAPACITY = 4096
+
+#: Bound on the (codec, destination tuple) -> overhead memo; oldest out.
+OVERHEAD_MEMO_CAPACITY = 1024
 
 
 @runtime_checkable
@@ -147,6 +150,11 @@ _POOL = FramePool()
 #: (codec name, message id) -> encoded size of the bare message frame.
 _SIZE_MEMO: OrderedDict[tuple[str, int], int] = OrderedDict()
 
+#: (codec instance, destination tuple) -> bytes the destinations add to a
+#: routed frame.  Keyed by instance, not name, so re-registering a name
+#: can never serve the replaced codec's overhead.
+_OVERHEAD_MEMO: dict[tuple[Codec, tuple[str, ...]], int] = {}
+
 #: Actual encode invocations per codec name — the "encode at most once per
 #: (codec, message)" assertion in the test suite reads this.
 _ENCODE_COUNTS: dict[str, int] = {}
@@ -155,6 +163,7 @@ _ENCODE_COUNTS: dict[str, int] = {}
 def clear_size_memo() -> None:
     """Drop every memoized size (fired by ``reset_message_ids``)."""
     _SIZE_MEMO.clear()
+    _OVERHEAD_MEMO.clear()
 
 
 register_reset_hook(clear_size_memo)
@@ -216,19 +225,39 @@ def _message_size(message: Message, codec: Codec, metrics: Any) -> int:
     return size
 
 
+def _frame_overhead(frame: RoutedFrame, codec: Codec) -> int:
+    """``codec.frame_overhead(frame)``, computed once per destination tuple.
+
+    The overhead is a pure function of the destinations
+    (docs/WIRE_FORMAT.md), and a frame crossing N brokers towards one
+    destination set carries an equal tuple at every hop.
+    """
+    destinations = frame.destinations
+    if type(destinations) is not tuple:
+        destinations = tuple(destinations)
+    key = (codec, destinations)
+    overhead = _OVERHEAD_MEMO.get(key)
+    if overhead is None:
+        overhead = codec.frame_overhead(frame)
+        if len(_OVERHEAD_MEMO) >= OVERHEAD_MEMO_CAPACITY:
+            del _OVERHEAD_MEMO[next(iter(_OVERHEAD_MEMO))]
+        _OVERHEAD_MEMO[key] = overhead
+    return overhead
+
+
 def frame_size(payload: Any, codec: str | Codec | None = None, metrics: Any = None) -> int:
     """Bytes ``payload`` occupies on the wire under ``codec``.
 
     Messages are sized once per (codec, message) and memoized; routed
     frames reuse the memoized message size plus the codec's exact
-    destination overhead, so broker forwarding never re-renders the
-    message body.  Plain values are encoded directly (uncached — they
-    carry no identity to key a memo on).
+    destination overhead (memoized per destination tuple), so broker
+    forwarding re-renders neither.  Plain values are encoded directly
+    (uncached — they carry no identity to key a memo on).
     """
     resolved = resolve_codec(codec)
     if isinstance(payload, RoutedFrame):
-        return _message_size(payload.message, resolved, metrics) + resolved.frame_overhead(
-            payload
+        return _message_size(payload.message, resolved, metrics) + _frame_overhead(
+            payload, resolved
         )
     if isinstance(payload, Message):
         return _message_size(payload, resolved, metrics)

@@ -1,7 +1,10 @@
 """Tier-1 view of the doc rules OBS02, DOC01 and DOC03 (`repro analyze`),
-so drift fails locally, with the finding text, before it fails CI."""
+so drift fails locally, with the finding text, before it fails CI; plus
+the docs/PERFORMANCE.md trajectory tables against the files they quote."""
 
+import json
 import pathlib
+import re
 
 import pytest
 
@@ -93,3 +96,30 @@ class TestExperiments:
         footer = docs.footer_block(BENCH_DIR, ["bench_scale.py"])
         assert "not collected by `pytest benchmarks/`" in footer
         assert "PYTHONPATH=src python benchmarks/bench_scale.py" in footer
+
+
+class TestTrajectoryTables:
+    """docs/PERFORMANCE.md "Trajectory" quotes every ``BENCH_<n>.json``."""
+
+    def test_every_bench_file_has_its_row_in_each_workload_table(self):
+        text = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
+        section = text.split("\n## Trajectory\n", 1)[1].split("\n## ", 1)[0]
+        tables = {
+            match.group(1): match.group(2).splitlines()
+            for match in re.finditer(r"^`([a-z-]+)`:\n\n((?:\|.*\n)+)", section, re.M)
+        }
+        bench_files = sorted(REPO_ROOT.glob("BENCH_*.json"))
+        assert bench_files
+        for path in bench_files:
+            workloads = json.loads(path.read_text(encoding="utf-8"))["workloads"]
+            assert set(workloads) <= set(tables), path.name
+            for workload, result in workloads.items():
+                setup_s, run_s, us_per_delivered, peak_rss_mb = (
+                    result["end_to_end"][metric]["value"]
+                    for metric in ("setup_s", "run_s", "us_per_delivered", "peak_rss_mb")
+                )
+                row = (
+                    f"| `{path.name}` | {setup_s:.3f} s | {run_s:.3f} s "
+                    f"| {us_per_delivered:.1f} µs | {peak_rss_mb:.1f} MiB |"
+                )
+                assert row in tables[workload], f"{workload}: expected {row}"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.transport.disruption import LinkDisruption
 from repro.transport.link import DuplexLink, Link
 from repro.transport.tcp import tcp_profile
 from repro.transport.udp import udp_profile
@@ -105,3 +106,48 @@ class TestDuplexLink:
             rng=random.Random(0),
         )
         assert duplex.profile.name == "UDP"
+
+
+class TestInstrumentsAppearOnFirstUse:
+    """Held instruments are resolved by the send that first needs them,
+    never at construction: a zero-valued name would move every snapshot."""
+
+    def monitored_link(self, sim, monitor):
+        return Link(
+            sim, tcp_profile(), receiver=lambda payload: None,
+            rng=random.Random(0), name="test-link", monitor=monitor, codec="json",
+        )
+
+    def test_idle_link_registers_nothing(self, sim, monitor):
+        self.monitored_link(sim, monitor)
+        assert monitor.metrics.names() == []
+
+    def test_always_dropping_link_never_registers_the_delivery_side(self, sim, monitor):
+        link = self.monitored_link(sim, monitor)
+        link.disruption = LinkDisruption(random.Random(1), loss_probability=1.0)
+        receipts = [link.send(i) for i in range(3)]
+        sim.run()
+        assert not any(receipt.delivered for receipt in receipts)
+        names = set(monitor.metrics.names())
+        assert {
+            "transport.msgs.dropped",
+            "transport.msgs.sent",
+            "transport.bytes.sent",
+            "codec.bytes.json",
+        } <= names
+        assert not names & {
+            "transport.msgs.delivered",
+            "transport.latency_ms",
+            "transport.inflight",
+        }
+        assert monitor.count("test-link.dropped") == 3
+        assert monitor.count("test-link.delivered") == 0
+
+    def test_empty_registry_still_counts_the_first_send(self, sim, monitor):
+        """An empty registry is falsy (it has ``__len__``); the link must
+        test for ``None``, not truth, or the first send goes uncounted."""
+        link = self.monitored_link(sim, monitor)
+        link._frame_size = lambda payload, codec, metrics: 10  # registers nothing
+        link.send("x")
+        assert monitor.metrics.counter_value("transport.msgs.sent") == 1
+        assert monitor.metrics.counter_value("transport.bytes.sent") == 10

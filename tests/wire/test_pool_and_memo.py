@@ -8,10 +8,19 @@ scratch buffers, and memo invalidation when the message-id counter rewinds.
 
 from __future__ import annotations
 
+import random
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
 from repro.messaging.message import Message, RoutedFrame, reset_message_ids
 from repro.messaging.topics import Topic
 from repro.obs import MetricsRegistry
-from repro.wire import frame_size, get_codec, size_memo_stats
+from repro.sim.engine import Simulator
+from repro.transport.link import Link
+from repro.transport.tcp import tcp_profile
+from repro.wire import codec as codec_module
+from repro.wire import frame_size, get_codec, json_codec, register_codec, size_memo_stats
 from repro.wire.pool import FramePool
 
 
@@ -106,3 +115,95 @@ class TestSizeMemo:
         assert histogram.count == 1
         # modeled cost: strictly positive, far below a real millisecond
         assert 0.0 < histogram.mean < 1.0
+
+
+class TestOverheadMemo:
+    """A destination set is sized once per codec, not once per hop."""
+
+    def test_fifty_frames_to_one_destination_set_encode_it_once(self, monkeypatch):
+        reset_message_ids()
+        encodes = []
+        original = json_codec.canonical_encode
+
+        def counting(value):
+            encodes.append(value)
+            return original(value)
+
+        monkeypatch.setattr(json_codec, "canonical_encode", counting)
+        link = Link(
+            Simulator(), tcp_profile(), receiver=lambda frame: None,
+            rng=random.Random(0), codec="json",
+        )
+        for body in range(50):
+            link.send(RoutedFrame(make_message(body=body), ("b-7",)))
+        assert encodes == [["b-7"]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.text(min_size=1, max_size=8), max_size=4).map(tuple),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from(["json", "compact"]),
+    )
+    def test_memoized_size_is_the_encoded_size_and_the_memo_is_bounded(
+        self, destination_sets, codec_name
+    ):
+        """Oracle: a real encode.  Capacity 4 against up to 12 drawn sets
+        (plus the empty one) runs the eviction, repeats run the hits."""
+        reset_message_ids()
+        codec = get_codec(codec_name)
+        message = make_message(body={"number": 7})
+        with mock.patch.object(codec_module, "OVERHEAD_MEMO_CAPACITY", 4):
+            for destinations in [(), *destination_sets, *destination_sets]:
+                frame = RoutedFrame(message, destinations)
+                assert frame_size(frame, codec_name) == len(codec.encode(frame))
+                assert len(codec_module._OVERHEAD_MEMO) <= 4
+
+    def test_capacity_holds_at_its_real_value(self):
+        reset_message_ids()
+        message = make_message()
+        for index in range(codec_module.OVERHEAD_MEMO_CAPACITY + 10):
+            frame_size(RoutedFrame(message, (f"b-{index}",)), "json")
+        assert len(codec_module._OVERHEAD_MEMO) == codec_module.OVERHEAD_MEMO_CAPACITY
+
+    def test_list_destinations_are_coerced(self):
+        reset_message_ids()
+        message = make_message()
+        as_list = RoutedFrame(message, ["b-1", "b-2"])
+        assert frame_size(as_list, "json") == frame_size(
+            RoutedFrame(message, ("b-1", "b-2")), "json"
+        )
+
+    def test_reregistered_name_is_sized_by_the_new_instance(self):
+        class FixedOverheadCodec:
+            name = "fixed-overhead-test"
+
+            def __init__(self, overhead):
+                self.overhead = overhead
+
+            def encode(self, payload):
+                return b"x" * 10
+
+            def encode_into(self, payload, out):
+                out.extend(self.encode(payload))
+                return 10
+
+            def decode(self, data):
+                raise NotImplementedError
+
+            def frame_overhead(self, frame):
+                return self.overhead
+
+        reset_message_ids()
+        frame = RoutedFrame(make_message(), ("b-1",))
+        try:
+            register_codec(FixedOverheadCodec(3))
+            assert frame_size(frame, "fixed-overhead-test") == 13
+            register_codec(FixedOverheadCodec(5))
+            assert frame_size(frame, "fixed-overhead-test") == 15
+        finally:
+            # keep the process-global registry clean for other tests
+            codec_module._REGISTRY.pop("fixed-overhead-test", None)
+            reset_message_ids()
