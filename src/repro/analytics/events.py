@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.util.serialization import Fields
+
 
 @dataclass(frozen=True, slots=True)
 class AnalyticsEvent:
@@ -43,12 +45,13 @@ class AnalyticsEvent:
     @classmethod
     def from_dict(cls, data: Mapping) -> "AnalyticsEvent":
         """Rebuild an event from its :meth:`to_dict` form."""
+        fields = Fields(data, cls)
         return cls(
-            seq=int(data["seq"]),
-            time_ms=float(data["time_ms"]),
-            kind=str(data["kind"]),
-            entity=data.get("entity"),
-            broker=data.get("broker"),
-            value=(float(data["value"]) if data.get("value") is not None else None),
-            fields=dict(data.get("fields", {})),
+            seq=fields.integer("seq"),
+            time_ms=fields.number("time_ms"),
+            kind=fields.text("kind"),
+            entity=fields.text("entity", None),
+            broker=fields.text("broker", None),
+            value=fields.number("value", None),
+            fields=dict(fields.mapping("fields", {})),
         )

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import SignedEnvelope, sign_payload, verify_payload
-from repro.errors import SignatureError, TokenError
+from repro.errors import MalformedFrameError, SignatureError, TokenError
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.util.identifiers import UUID128
+from repro.util.serialization import Fields
 
 
 class TokenRights(enum.Enum):
@@ -151,13 +152,16 @@ class AuthorizationToken:
     def from_dict(cls, data: dict) -> "AuthorizationToken":
         """Parse a wire-form token; raises ``TokenError`` when malformed."""
         try:
-            return cls(
-                advertisement=TopicAdvertisement.from_dict(data["advertisement"]),
-                token_public_key=RSAPublicKey(int(data["token_n"]), int(data["token_e"])),
-                rights=TokenRights(data["rights"]),
-                valid_from_ms=float(data["valid_from_ms"]),
-                valid_until_ms=float(data["valid_until_ms"]),
-                owner_signature=SignedEnvelope.from_dict(data["owner_signature"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            with Fields(data, cls) as fields:
+                return cls(
+                    advertisement=TopicAdvertisement.from_dict(fields.value("advertisement")),
+                    token_public_key=RSAPublicKey(
+                        fields.integer("token_n"), fields.integer("token_e")
+                    ),
+                    rights=fields.member("rights", TokenRights),
+                    valid_from_ms=fields.number("valid_from_ms"),
+                    valid_until_ms=fields.number("valid_until_ms"),
+                    owner_signature=SignedEnvelope.from_dict(fields.value("owner_signature")),
+                )
+        except MalformedFrameError as exc:
             raise TokenError(f"malformed token: {exc}") from exc

@@ -24,6 +24,7 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, ValidationError
+from repro.util.serialization import Fields
 
 #: Axis values must stay JSON scalars so specs and snapshots round-trip.
 _SCALAR_TYPES = (int, float, str, bool)
@@ -127,22 +128,21 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
         """Parse a spec dict; raises on malformed or non-scalar input."""
-        try:
-            return cls(
-                name=str(data["name"]),
-                description=str(data.get("description", "")),
-                workloads=tuple(str(w) for w in data["workloads"]),
-                baselines=tuple(str(b) for b in data.get("baselines", ())),
-                axes=tuple(
-                    Axis(name=str(axis["name"]), values=tuple(axis["values"]))
-                    for axis in data.get("axes", ())
-                ),
-                fixed=dict(data.get("fixed", {})),
-                repetitions=int(data.get("repetitions", 1)),
-                base_seed=int(data.get("base_seed", 42)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed campaign spec: {exc}") from exc
+        fields = Fields(data, cls)
+        axes = [Fields(axis, Axis) for axis in fields.items("axes", ())]
+        return cls(
+            name=fields.text("name"),
+            description=fields.text("description", ""),
+            workloads=fields.texts("workloads"),
+            baselines=fields.texts("baselines", ()),
+            axes=tuple(
+                Axis(name=axis.text("name"), values=tuple(axis.items("values")))
+                for axis in axes
+            ),
+            fixed=dict(fields.mapping("fixed", {})),
+            repetitions=fields.integer("repetitions", 1),
+            base_seed=fields.integer("base_seed", 42),
+        )
 
 
 def load_spec(path: str | pathlib.Path) -> CampaignSpec:

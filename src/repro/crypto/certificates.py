@@ -35,19 +35,24 @@ class Certificate:
     not_after_ms: float
     signature: bytes
 
+    def to_dict(self) -> dict:
+        """Wire rendering (embedded in registration requests)."""
+        return {
+            "subject": self.subject,
+            "issuer": self.issuer,
+            "n": self.public_key.n,
+            "e": self.public_key.e,
+            "serial": self.serial,
+            "not_before_ms": self.not_before_ms,
+            "not_after_ms": self.not_after_ms,
+            "signature": self.signature,
+        }
+
     def to_be_signed(self) -> bytes:
-        """The canonical bytes the issuer signs."""
-        return canonical_encode(
-            {
-                "subject": self.subject,
-                "issuer": self.issuer,
-                "n": self.public_key.n,
-                "e": self.public_key.e,
-                "serial": self.serial,
-                "not_before_ms": self.not_before_ms,
-                "not_after_ms": self.not_after_ms,
-            }
-        )
+        """The canonical bytes the issuer signs: every field but the signature."""
+        fields = self.to_dict()
+        del fields["signature"]
+        return canonical_encode(fields)
 
     def fingerprint(self) -> bytes:
         return self.public_key.fingerprint()

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from repro.crypto.aes import AESKey, aes_cbc_decrypt, aes_cbc_encrypt, generate_aes_key
 from repro.crypto.rsa import RSAKeyPair, generate_rsa_keypair
-
 from repro.errors import KeyMaterialError
+from repro.util.serialization import Fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,19 +32,16 @@ class SymmetricKey:
     def generate(cls, rng: random.Random, bits: int = 192) -> "SymmetricKey":
         return cls(key=generate_aes_key(rng, bits))
 
-    def encrypt(self, plaintext: bytes, rng: random.Random) -> bytes:
+    def _supported(self) -> "SymmetricKey":
         if self.algorithm != "AES/CBC" or self.padding != "PKCS7":
-            raise KeyMaterialError(
-                f"unsupported scheme {self.algorithm}/{self.padding}"
-            )
-        return aes_cbc_encrypt(self.key, plaintext, rng)
+            raise KeyMaterialError(f"unsupported scheme {self.algorithm}/{self.padding}")
+        return self
+
+    def encrypt(self, plaintext: bytes, rng: random.Random) -> bytes:
+        return aes_cbc_encrypt(self._supported().key, plaintext, rng)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        if self.algorithm != "AES/CBC" or self.padding != "PKCS7":
-            raise KeyMaterialError(
-                f"unsupported scheme {self.algorithm}/{self.padding}"
-            )
-        return aes_cbc_decrypt(self.key, ciphertext)
+        return aes_cbc_decrypt(self._supported().key, ciphertext)
 
     def to_dict(self) -> dict:
         """Serializable form for embedding in a key-distribution payload."""
@@ -56,11 +53,13 @@ class SymmetricKey:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SymmetricKey":
-        return cls(
-            key=AESKey(bytes(data["key"])),
-            algorithm=str(data["algorithm"]),
-            padding=str(data["padding"]),
-        )
+        with Fields(data, cls) as fields:
+            # a key nobody can use is refused on receipt, not at the first trace
+            return cls(
+                key=AESKey(fields.octets("key")),
+                algorithm=fields.text("algorithm"),
+                padding=fields.text("padding"),
+            )._supported()
 
 
 @dataclass(slots=True)

@@ -35,6 +35,12 @@ class RSAPublicKey:
     n: int
     e: int
 
+    def __post_init__(self) -> None:
+        # a received key must not be able to raise OverflowError out of
+        # fingerprint() or verify() later
+        if self.n <= 0 or not 0 < self.e < 1 << 32:
+            raise KeyMaterialError("RSA public key needs n > 0 and 0 < e < 2**32")
+
     @property
     def bits(self) -> int:
         return self.n.bit_length()

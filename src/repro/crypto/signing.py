@@ -22,8 +22,15 @@ from typing import Any
 from repro.crypto.aes import AESKey
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
-from repro.errors import DecryptionError, MalformedEnvelopeError, SignatureError
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.errors import (
+    DecryptionError,
+    KeyMaterialError,
+    MalformedEnvelopeError,
+    MalformedFrameError,
+    SerializationDecodeError,
+    SignatureError,
+)
+from repro.util.serialization import Fields, canonical_decode, canonical_encode
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,13 +56,14 @@ class SignedEnvelope:
     def from_dict(cls, data: dict) -> "SignedEnvelope":
         """Parse the wire mapping; raises :class:`MalformedEnvelopeError`."""
         try:
+            fields = Fields(data, cls)
             return cls(
-                payload=data["payload"],
-                signature=bytes(data["signature"]),
-                signer_fingerprint=bytes(data["signer_fingerprint"]),
+                payload=fields.value("payload"),
+                signature=fields.octets("signature"),
+                signer_fingerprint=fields.octets("signer_fingerprint"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedEnvelopeError(f"malformed signed envelope: {exc!r}") from exc
+        except MalformedFrameError as exc:
+            raise MalformedEnvelopeError(str(exc)) from exc
 
 
 def sign_payload(payload: Any, private_key: RSAPrivateKey) -> SignedEnvelope:
@@ -82,6 +90,21 @@ def verify_payload(envelope: SignedEnvelope, public_key: RSAPublicKey) -> Any:
     return envelope.payload
 
 
+def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> bool:
+    """Check the ``signature`` mapping a message carries beside its ``body``.
+
+    False when the envelope parses but signs some other payload (the body
+    was swapped after signing).  Raises :class:`MalformedEnvelopeError`
+    when the mapping does not parse and :class:`SignatureError` when the
+    signature does not verify under ``public_key``.
+    """
+    envelope = SignedEnvelope.from_dict(signature)
+    if envelope.payload != body:
+        return False
+    verify_payload(envelope, public_key)
+    return True
+
+
 @dataclass(frozen=True, slots=True)
 class SealedPayload:
     """Hybrid-encrypted payload: AES body + RSA-wrapped key."""
@@ -101,11 +124,12 @@ class SealedPayload:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SealedPayload":
+        fields = Fields(data, cls)
         return cls(
-            wrapped_key=bytes(data["wrapped_key"]),
-            algorithm=str(data["algorithm"]),
-            padding=str(data["padding"]),
-            ciphertext=bytes(data["ciphertext"]),
+            wrapped_key=fields.octets("wrapped_key"),
+            algorithm=fields.text("algorithm"),
+            padding=fields.text("padding"),
+            ciphertext=fields.octets("ciphertext"),
         )
 
 
@@ -127,11 +151,8 @@ def seal_for(
 def open_sealed(sealed: SealedPayload, private_key: RSAPrivateKey) -> Any:
     """Decrypt a :class:`SealedPayload`; raises :class:`DecryptionError`."""
     key_material = private_key.decrypt(sealed.wrapped_key)
-    session_key = SymmetricKey(
-        key=AESKey(key_material), algorithm=sealed.algorithm, padding=sealed.padding
-    )
-    plaintext = session_key.decrypt(sealed.ciphertext)
     try:
-        return canonical_decode(plaintext)
-    except ValueError as exc:
-        raise DecryptionError("sealed payload decoded to garbage") from exc
+        session_key = SymmetricKey(AESKey(key_material), sealed.algorithm, sealed.padding)
+        return canonical_decode(session_key.decrypt(sealed.ciphertext))
+    except (KeyMaterialError, SerializationDecodeError) as exc:
+        raise DecryptionError(f"sealed payload unwraps to garbage: {exc}") from exc

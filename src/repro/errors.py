@@ -24,6 +24,14 @@ class ValidationError(ReproError, ValueError):
     """A runtime value failed a domain validity check (range, format, units)."""
 
 
+class MalformedFrameError(ValidationError):
+    """A received mapping lacks a field or holds a value of the wrong type.
+
+    The one error of :class:`repro.util.serialization.Fields`, and so of
+    every ``from_dict``: it names the class being decoded and the key.
+    """
+
+
 class StatsError(ValidationError):
     """A statistics accumulator cannot answer (no samples, bad percentile)."""
 
@@ -90,11 +98,11 @@ class SignatureError(CryptoError):
     """A digital signature failed to verify."""
 
 
-class MalformedEnvelopeError(SignatureError, ValueError):
+class MalformedEnvelopeError(SignatureError, MalformedFrameError):
     """A signed envelope's wire mapping lacks a field or holds a wrong type.
 
-    Also a :class:`ValueError`, so parsers of an enclosing mapping (token,
-    registration request) report it as their own malformed-input error.
+    Also a :class:`MalformedFrameError`, so parsers of an enclosing mapping
+    (token, registration request) report it as their own malformed input.
     """
 
 

@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, ValidationError
+from repro.util.serialization import Fields
 
 
 class FaultKind(enum.Enum):
@@ -113,27 +114,19 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultEvent":
-        """Parse one event dict; raises ``ConfigurationError`` if invalid."""
-        try:
-            return cls(
-                kind=FaultKind(data["kind"]),
-                at_ms=float(data["at_ms"]),
-                target=str(data["target"]),
-                duration_ms=(
-                    None if data.get("duration_ms") is None
-                    else float(data["duration_ms"])
-                ),
-                peer=(None if data.get("peer") is None else str(data["peer"])),
-                loss_probability=float(data.get("loss_probability", 0.0)),
-                extra_delay_ms=float(data.get("extra_delay_ms", 0.0)),
-                failover_to=(
-                    None if data.get("failover_to") is None
-                    else str(data["failover_to"])
-                ),
-                detect_after_ms=float(data.get("detect_after_ms", 2000.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed fault event: {exc}") from exc
+        """Parse one event dict; raises a ``ValidationError`` if invalid."""
+        fields = Fields(data, cls)
+        return cls(
+            kind=fields.member("kind", FaultKind),
+            at_ms=fields.number("at_ms"),
+            target=fields.text("target"),
+            duration_ms=fields.number("duration_ms", None),
+            peer=fields.text("peer", None),
+            loss_probability=fields.number("loss_probability", 0.0),
+            extra_delay_ms=fields.number("extra_delay_ms", 0.0),
+            failover_to=fields.text("failover_to", None),
+            detect_after_ms=fields.number("detect_after_ms", 2000.0),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,16 +161,12 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Parse a plan dict; raises ``ConfigurationError`` if invalid."""
-        try:
-            return cls(
-                name=str(data["name"]),
-                events=tuple(
-                    FaultEvent.from_dict(event) for event in data["events"]
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed fault plan: {exc}") from exc
+        """Parse a plan dict; raises a ``ValidationError`` if invalid."""
+        fields = Fields(data, cls)
+        return cls(
+            name=fields.text("name"),
+            events=tuple(FaultEvent.from_dict(event) for event in fields.items("events")),
+        )
 
     def __len__(self) -> int:
         return len(self.events)

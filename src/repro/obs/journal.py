@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from repro.util.serialization import Fields
+
 
 @dataclass(frozen=True, slots=True)
 class JournalRecord:
@@ -55,15 +57,14 @@ class JournalRecord:
     @classmethod
     def from_dict(cls, data: Mapping) -> "JournalRecord":
         """Rebuild a record from its :meth:`to_dict` form."""
+        fields = Fields(data, cls)
         return cls(
-            time_ms=float(data["time_ms"]),
-            kind=str(data["kind"]),
-            topic=data.get("topic"),
-            principal=data.get("principal"),
-            size_bytes=(
-                int(data["size_bytes"]) if data.get("size_bytes") is not None else None
-            ),
-            fields=dict(data.get("fields", {})),
+            time_ms=fields.number("time_ms"),
+            kind=fields.text("kind"),
+            topic=fields.text("topic", None),
+            principal=fields.text("principal", None),
+            size_bytes=fields.integer("size_bytes", None),
+            fields=dict(fields.mapping("fields", {})),
         )
 
     def render(self) -> str:

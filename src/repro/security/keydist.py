@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import SealedPayload, open_sealed, seal_for
-from repro.errors import DecryptionError, ValidationError
+from repro.errors import MalformedFrameError
+from repro.util.serialization import Fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,13 +39,13 @@ class KeyDistributionPayload:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KeyDistributionPayload":
-        if data.get("kind") != "key_distribution":
-            raise ValidationError(
-                f"not a key-distribution payload: kind={data.get('kind')!r}"
-            )
+        fields = Fields(data, cls)
+        kind = fields.text("kind")
+        if kind != "key_distribution":
+            raise MalformedFrameError(f"not a key-distribution payload: kind={kind!r}")
         return cls(
-            trace_topic_hex=str(data["trace_topic"]),
-            sealed=SealedPayload.from_dict(data["sealed"]),
+            trace_topic_hex=fields.text("trace_topic"),
+            sealed=SealedPayload.from_dict(fields.value("sealed")),
         )
 
 
@@ -63,7 +64,4 @@ def open_key_payload(
     payload: KeyDistributionPayload, tracker_private_key: RSAPrivateKey
 ) -> SymmetricKey:
     """Tracker side: recover the secret trace key."""
-    data = open_sealed(payload.sealed, tracker_private_key)
-    if not isinstance(data, dict):
-        raise DecryptionError("key payload decrypted to a non-dict")
-    return SymmetricKey.from_dict(data)
+    return SymmetricKey.from_dict(open_sealed(payload.sealed, tracker_private_key))

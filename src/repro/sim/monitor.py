@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.errors import MalformedFrameError
 from repro.obs import EventJournal, MetricsRegistry
 
 
@@ -59,6 +60,15 @@ class Monitor:
             size_bytes=details.pop("size_bytes", None),
             **details,
         )
+
+    def log_malformed(self, time_ms: float, exc: Exception, source: str, **where) -> None:
+        """Journal ``envelope.malformed`` when ``exc`` says a frame from
+        ``source`` did not parse; a signature that parses and fails to
+        verify is only counted."""
+        if isinstance(exc, MalformedFrameError):
+            self.journal.record(
+                time_ms, "envelope.malformed", principal=source, reason=str(exc), **where
+            )
 
     def events(self, kind: str | None = None) -> list[tuple[float, str, dict]]:
         return [

@@ -18,6 +18,7 @@ from repro.crypto.signing import SignedEnvelope, verify_payload
 from repro.errors import DiscoveryError, SignatureError
 from repro.tdn.query import DiscoveryRestrictions
 from repro.util.identifiers import EntityId, RequestId, UUID128
+from repro.util.serialization import Fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +40,8 @@ class TopicLifetime:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TopicLifetime":
-        return cls(float(data["created_ms"]), float(data["duration_ms"]))
+        fields = Fields(data, cls)
+        return cls(fields.number("created_ms"), fields.number("duration_ms"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,14 +127,17 @@ class TopicAdvertisement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TopicAdvertisement":
-        fields = data["fields"]
-        return cls(
-            trace_topic=UUID128.from_hex(fields["trace_topic"]),
-            descriptor=str(fields["descriptor"]),
-            owner_subject=str(fields["owner_subject"]),
-            owner_public_key=RSAPublicKey(int(fields["owner_n"]), int(fields["owner_e"])),
-            restrictions=DiscoveryRestrictions.from_dict(fields["restrictions"]),
-            lifetime=TopicLifetime.from_dict(fields["lifetime"]),
-            issuing_tdn=str(fields["issuing_tdn"]),
-            signature=SignedEnvelope.from_dict(data["signature"]),
-        )
+        with Fields(data, cls) as outer:
+            fields = Fields(outer.value("fields"), cls)
+            return cls(
+                trace_topic=UUID128.from_hex(fields.text("trace_topic")),
+                descriptor=fields.text("descriptor"),
+                owner_subject=fields.text("owner_subject"),
+                owner_public_key=RSAPublicKey(
+                    fields.integer("owner_n"), fields.integer("owner_e")
+                ),
+                restrictions=DiscoveryRestrictions.from_dict(fields.value("restrictions")),
+                lifetime=TopicLifetime.from_dict(fields.value("lifetime")),
+                issuing_tdn=fields.text("issuing_tdn"),
+                signature=SignedEnvelope.from_dict(outer.value("signature")),
+            )

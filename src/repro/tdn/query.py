@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from repro.crypto.certificates import Certificate, CertificateAuthority
 from repro.errors import CertificateError, DiscoveryError
 from repro.util.identifiers import EntityId
+from repro.util.serialization import Fields
 
 
 def trace_descriptor(entity_id: EntityId | str) -> str:
@@ -131,8 +132,9 @@ class DiscoveryRestrictions:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscoveryRestrictions":
-        allowed = data.get("allowed_subjects")
+        fields = Fields(data, cls)
+        allowed = fields.texts("allowed_subjects", None)
         return cls(
             allowed_subjects=None if allowed is None else frozenset(allowed),
-            denied_subjects=frozenset(data.get("denied_subjects", ())),
+            denied_subjects=frozenset(fields.texts("denied_subjects", ())),
         )

@@ -10,6 +10,7 @@ key when the entity asked for confidentiality.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Generator
 
 from repro.auth.credentials import EntityCredentials
@@ -20,19 +21,22 @@ from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import (
     SealedPayload,
-    SignedEnvelope,
     open_sealed,
     seal_for,
     sign_payload,
     verify_payload,
+    verify_signed_body,
 )
 from repro.errors import (
     CertificateError,
     DecryptionError,
     InterestError,
-    MalformedEnvelopeError,
+    MalformedFrameError,
     RegistrationError,
+    SerializationDecodeError,
     SignatureError,
+    TokenError,
+    TopicError,
 )
 from repro.messaging.broker import Broker
 from repro.messaging.message import Message
@@ -53,7 +57,7 @@ from repro.tracing.session import TraceSession
 from repro.tracing.topics import REGISTRATION_TOPIC, TraceTopicSet
 from repro.tracing.traces import EntityState, LoadInformation, TraceType, category_of
 from repro.util.identifiers import SessionId, UUIDGenerator
-from repro.util.serialization import canonical_decode
+from repro.util.serialization import Fields, canonical_decode
 
 #: Ping responses per derived NETWORK_METRICS trace.
 METRICS_EVERY = 5
@@ -203,8 +207,7 @@ class TraceManager:
             request_id=request.request_id,
             session_id=session_id,
             broker_id=self.broker.broker_id,
-            broker_public_key_n=self.credentials.public_key.n,
-            broker_public_key_e=self.credentials.public_key.e,
+            broker_public_key=self.credentials.public_key,
         )
         sealed = seal_for(
             response.to_dict(), request.credentials.public_key, self.machine.rng
@@ -315,9 +318,9 @@ class TraceManager:
                 return None
             yield from self.machine.charge(CryptoOp.TRACE_DECRYPT)
             try:
-                plaintext = session.channel_key.decrypt(bytes(body["ciphertext"]))
-                decoded = canonical_decode(plaintext)
-            except (DecryptionError, ValueError, KeyError, TypeError):
+                ciphertext = Fields(body, "sym frame").octets("ciphertext")
+                decoded = canonical_decode(session.channel_key.decrypt(ciphertext))
+            except (DecryptionError, MalformedFrameError, SerializationDecodeError):
                 return None
             return decoded if isinstance(decoded, dict) else None
 
@@ -325,39 +328,34 @@ class TraceManager:
             return None
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            envelope = SignedEnvelope.from_dict(message.signature)
-            if envelope.payload != body:
+            owner_key = session.advertisement.owner_public_key
+            if not verify_signed_body(message.signature, body, owner_key):
                 return None
-            verify_payload(envelope, session.advertisement.owner_public_key)
         except SignatureError as exc:
-            self._journal_if_malformed(exc, session, message)
+            self._log_malformed(exc, session, message)
             return None
         return body
 
-    def _journal_if_malformed(
+    def _log_malformed(
         self, exc: Exception, session: TraceSession, message: Message
     ) -> None:
-        """A signature mapping that does not parse leaves evidence; one that
-        parses and fails to verify is only counted."""
-        if isinstance(exc, MalformedEnvelopeError):
-            self.monitor.journal.record(
-                self.sim.now,
-                "envelope.malformed",
-                principal=message.source,
-                entity=str(session.entity_id),
-                broker=self.broker.broker_id,
-                session=session.hex_id[:8],
-                reason=str(exc),
-            )
+        self.monitor.log_malformed(
+            self.sim.now,
+            exc,
+            message.source,
+            entity=str(session.entity_id),
+            broker=self.broker.broker_id,
+            session=session.hex_id[:8],
+        )
 
     # ------------------------------------------------------------ message kinds
 
     def _open_sealed_control(self, body: dict) -> Generator[Event, None, dict | None]:
         yield from self.machine.charge(CryptoOp.OPEN_SEALED)
         try:
-            sealed = SealedPayload.from_dict(body["sealed"])
+            sealed = SealedPayload.from_dict(body.get("sealed"))
             payload = open_sealed(sealed, self.credentials.keys.private)
-        except (DecryptionError, KeyError, TypeError, ValueError):
+        except (DecryptionError, MalformedFrameError):
             self.monitor.increment("trace.sealed_control_rejected")
             return None
         return payload if isinstance(payload, dict) else None
@@ -369,15 +367,12 @@ class TraceManager:
         if payload is None:
             return
         try:
-            token = AuthorizationToken.from_dict(payload["token"])
-            private = payload["token_private"]
+            token = AuthorizationToken.from_dict(payload.get("token"))
+            private = Fields(payload.get("token_private"), RSAPrivateKey)
             token_private = RSAPrivateKey(
-                n=int(private["n"]), e=int(private["e"]), d=int(private["d"]),
-                p=int(private["p"]), q=int(private["q"]),
-                d_p=int(private["d_p"]), d_q=int(private["d_q"]),
-                q_inv=int(private["q_inv"]),
+                **{f.name: private.integer(f.name) for f in dataclasses.fields(RSAPrivateKey)}
             )
-        except (KeyError, TypeError, ValueError):
+        except (MalformedFrameError, TokenError):
             self.monitor.increment("trace.token_delivery_malformed")
             return
         first_token = session.token is None
@@ -412,7 +407,7 @@ class TraceManager:
             return
         try:
             setattr(session, kind, SymmetricKey.from_dict(payload))
-        except (KeyError, TypeError, ValueError):
+        except MalformedFrameError:
             self.monitor.increment(f"trace.{kind}_malformed")
             return
         self.monitor.increment(f"trace.{kind}s_received")
@@ -422,7 +417,7 @@ class TraceManager:
     ) -> Generator[Event, None, None]:
         try:
             response = PingResponse.from_dict(body)
-        except (KeyError, TypeError, ValueError):
+        except MalformedFrameError:
             self.monitor.increment("trace.ping_responses_malformed")
             return
         matched = session.history.record_response(response, self.machine.now())
@@ -459,8 +454,10 @@ class TraceManager:
         self, session: TraceSession, body: dict
     ) -> Generator[Event, None, None]:
         try:
-            state = EntityState(body["state"])
-        except (KeyError, ValueError):
+            fields = Fields(body, "state report")
+            state = fields.member("state", EntityState)
+            stamp_ms = fields.number("stamp_ms", None)
+        except MalformedFrameError:
             self.monitor.increment("trace.state_reports_malformed")
             return
         session.entity_state = state
@@ -468,7 +465,7 @@ class TraceManager:
             session,
             TraceType.for_state(state),
             {"state": state.value},
-            origin_stamp_ms=body.get("stamp_ms"),
+            origin_stamp_ms=stamp_ms,
         )
         if state is EntityState.SHUTDOWN:
             session.active = False
@@ -477,15 +474,16 @@ class TraceManager:
         self, session: TraceSession, body: dict
     ) -> Generator[Event, None, None]:
         try:
-            load = LoadInformation.from_dict(body["load"])
-        except (KeyError, TypeError, ValueError):
+            load = LoadInformation.from_dict(body.get("load"))
+            stamp_ms = Fields(body, "load report").number("stamp_ms", None)
+        except MalformedFrameError:
             self.monitor.increment("trace.load_reports_malformed")
             return
         yield from self.publish_trace(
             session,
             TraceType.LOAD_INFORMATION,
             load.to_dict(),
-            origin_stamp_ms=body.get("stamp_ms"),
+            origin_stamp_ms=stamp_ms,
         )
 
     def _handle_disable(self, session: TraceSession) -> Generator[Event, None, None]:
@@ -647,28 +645,28 @@ class TraceManager:
         self, session: TraceSession, message: Message
     ) -> Generator[Event, None, None]:
         body = message.body
-        if not isinstance(body, dict):
-            return
         if message.signature is None:
             self.monitor.increment("trace.interest_unsigned")
             return
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            envelope = SignedEnvelope.from_dict(message.signature)
-            if envelope.payload != body:
+            with Fields(body, "interest response") as fields:
+                cred = Fields(fields.value("credentials"), "interest credentials")
+                tracker_key = RSAPublicKey(cred.integer("n"), cred.integer("e"))
+            if not verify_signed_body(message.signature, body, tracker_key):
                 self.monitor.increment("trace.interest_tampered")
                 return
-            cred = body["credentials"]
-            tracker_key = RSAPublicKey(int(cred["n"]), int(cred["e"]))
-            verify_payload(envelope, tracker_key)
-        except (KeyError, TypeError, ValueError, SignatureError) as exc:
+        except (MalformedFrameError, SignatureError) as exc:
             self.monitor.increment("trace.interest_bad_signature")
-            self._journal_if_malformed(exc, session, message)
+            self._log_malformed(exc, session, message)
             return
         try:
-            categories = InterestCategory.parse_many(body["categories"])
-            tracker_id = str(body["tracker_id"])
-        except (KeyError, TypeError, InterestError):
+            categories = InterestCategory.parse_many(fields.texts("categories"))
+            tracker_id = fields.text("tracker_id")
+            response_topic = fields.text("response_topic", None)
+            key_topic = Topic.parse(response_topic) if response_topic else None
+            subject = cred.text("subject", "")
+        except (MalformedFrameError, InterestError, TopicError):
             self.monitor.increment("trace.interest_malformed")
             return
 
@@ -676,28 +674,23 @@ class TraceManager:
             tracker_id,
             categories,
             self.machine.now(),
-            response_topic=body.get("response_topic"),
-            credential_subject=str(cred.get("subject", "")),
+            response_topic=response_topic,
+            credential_subject=subject,
         )
         self.monitor.increment("trace.interest_recorded")
 
         # secured sessions: distribute the trace key once per tracker (§5.1)
-        if (
-            session.secured
-            and tracker_id not in session.keyed_trackers
-            and body.get("response_topic")
-        ):
+        unkeyed = session.secured and tracker_id not in session.keyed_trackers
+        if unkeyed and key_topic is not None:
             session.keyed_trackers.add(tracker_id)
-            yield from self._distribute_trace_key(
-                session, tracker_id, tracker_key, str(body["response_topic"])
-            )
+            yield from self._distribute_trace_key(session, tracker_id, tracker_key, key_topic)
 
     def _distribute_trace_key(
         self,
         session: TraceSession,
         tracker_id: str,
         tracker_key: RSAPublicKey,
-        response_topic: str,
+        key_topic: Topic,
     ) -> Generator[Event, None, None]:
         yield from self.machine.charge(CryptoOp.CERT_VERIFY)
         yield from self.machine.charge(CryptoOp.SEAL_PAYLOAD)
@@ -707,7 +700,7 @@ class TraceManager:
             tracker_key,
             self.machine.rng,
         )
-        self._publish_plain(Topic.parse(response_topic), payload.to_dict())
+        self._publish_plain(key_topic, payload.to_dict())
         self.monitor.increment("trace.keys_distributed")
         # audit evidence for the key hand-off (repro.analytics.audit)
         self.monitor.journal.record(

@@ -27,7 +27,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 from weakref import WeakKeyDictionary
 
+from repro.errors import MalformedFrameError
 from repro.tracing.pings import Ping
+from repro.util.serialization import Fields
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.sim.machine import Machine
@@ -78,20 +80,24 @@ def relay_ping_batch(machine: "Machine", body: dict) -> int:
     """Demultiplex one ``ping_batch`` frame to the host's registered sinks.
 
     Returns how many entries found a sink.  Entries for entities not on
-    this machine (or long gone) are dropped silently — the broker judges
-    the missing responses exactly as it judges any lost ping.
+    this machine (or long gone), and entries whose ping does not parse,
+    are dropped silently — the broker judges the missing responses exactly
+    as it judges any lost ping.  A frame whose ``pings`` is not a list of
+    mappings raises :class:`MalformedFrameError` before any sink is called.
     """
-    sinks = _PING_SINKS.get(machine)
+    entries = [
+        Fields(entry, "ping_batch entry")
+        for entry in Fields(body, PING_BATCH_KIND).items("pings")
+    ]
+    sinks = _PING_SINKS.get(machine) or {}
     delivered = 0
-    for entry in body.get("pings", ()):
-        sink = sinks.get(str(entry.get("entity_id"))) if sinks else None
-        if sink is None:
-            continue
+    for entry in entries:
         try:
-            ping = Ping(
-                number=int(entry["number"]), issued_ms=float(entry["issued_ms"])
-            )
-        except (KeyError, TypeError, ValueError):
+            sink = sinks.get(entry.text("entity_id"))
+            if sink is None:
+                continue
+            ping = Ping(entry.integer("number"), entry.number("issued_ms"))
+        except MalformedFrameError:
             continue
         sink(ping)
         delivered += 1

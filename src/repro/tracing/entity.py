@@ -15,6 +15,7 @@ Lifecycle:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Generator
 
 from repro.auth.credentials import EntityCredentials
@@ -22,8 +23,13 @@ from repro.auth.tokens import AuthorizationToken, TokenRights
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPublicKey
-from repro.crypto.signing import open_sealed, seal_for
-from repro.errors import RegistrationError, ValidationError
+from repro.crypto.signing import SealedPayload, open_sealed, seal_for
+from repro.errors import (
+    DecryptionError,
+    MalformedFrameError,
+    RegistrationError,
+    ValidationError,
+)
 from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
 from repro.sim.engine import Event, Simulator
@@ -231,13 +237,15 @@ class TracedEntity:
             raise RegistrationError(
                 f"broker rejected registration: {message.body['error']}"
             )
-        from repro.crypto.signing import SealedPayload
-
         yield from self.machine.charge(CryptoOp.OPEN_SEALED)
-        response_dict = open_sealed(
-            SealedPayload.from_dict(message.body), self.credentials.keys.private
-        )
-        response = RegistrationResponse.from_dict(response_dict)
+        try:
+            response = RegistrationResponse.from_dict(
+                open_sealed(
+                    SealedPayload.from_dict(message.body), self.credentials.keys.private
+                )
+            )
+        except (DecryptionError, MalformedFrameError) as exc:
+            raise RegistrationError(f"unreadable registration response: {exc}") from exc
         if response.request_id != request_id:
             raise RegistrationError("response correlates to a different request")
         self.session_id = response.session_id
@@ -277,12 +285,7 @@ class TracedEntity:
             "token_delivery",
             {
                 "token": token.to_dict(),
-                "token_private": {
-                    "n": token_private.n, "e": token_private.e, "d": token_private.d,
-                    "p": token_private.p, "q": token_private.q,
-                    "d_p": token_private.d_p, "d_q": token_private.d_q,
-                    "q_inv": token_private.q_inv,
-                },
+                "token_private": dataclasses.asdict(token_private),
             },
         )
         self.monitor.increment("entity.tokens_delivered")
@@ -364,24 +367,20 @@ class TracedEntity:
     def _on_broker_message(self, message: Message) -> None:
         """Pings (and future broker-initiated control) arrive here."""
         body = message.body
-        if isinstance(body, dict) and body.get("kind") == "ping_batch":
-            # host-level demultiplexing happens *before* the crash/silent
-            # check: the host agent relays co-located siblings' pings even
-            # when this entity's own process is down; each sink applies its
-            # own entity's liveness gates
-            from repro.tracing.coalesce import relay_ping_batch
+        kind = body.get("kind") if isinstance(body, dict) else None
+        try:
+            if kind == "ping_batch":
+                # host-level demultiplexing happens whatever this entity's
+                # own state: the host agent relays co-located siblings'
+                # pings even when this entity's process is down; each sink
+                # applies its own entity's liveness gates
+                from repro.tracing.coalesce import relay_ping_batch
 
-            relay_ping_batch(self.machine, body)
-            return
-        if self._crashed or self._silent:
-            return
-        if isinstance(body, dict) and body.get("kind") == "ping":
-            try:
-                ping = Ping.from_dict(body)
-            except (KeyError, TypeError, ValueError):
-                self.monitor.increment("entity.pings_malformed")
-                return
-            self._on_relayed_ping(ping)
+                relay_ping_batch(self.machine, body)
+            elif kind == "ping" and not (self._crashed or self._silent):
+                self._on_relayed_ping(Ping.from_dict(body))
+        except MalformedFrameError:
+            self.monitor.increment("entity.pings_malformed")
 
     def _on_relayed_ping(self, ping: Ping) -> None:
         """Answer one ping (direct or relayed) unless crashed or silent."""

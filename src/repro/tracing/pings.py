@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.obs import MetricsRegistry
 from repro.tracing.traces import NetworkMetrics
+from repro.util.serialization import Fields
 
 #: Window size of the broker's per-entity ping history.
 PING_HISTORY_WINDOW = 10
@@ -53,7 +54,8 @@ class Ping:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Ping":
-        return cls(number=int(data["number"]), issued_ms=float(data["issued_ms"]))
+        fields = Fields(data, cls)
+        return cls(number=fields.integer("number"), issued_ms=fields.number("issued_ms"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,10 +82,11 @@ class PingResponse:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PingResponse":
+        fields = Fields(data, cls)
         return cls(
-            number=int(data["number"]),
-            issued_ms=float(data["issued_ms"]),
-            entity_stamp_ms=float(data["entity_stamp_ms"]),
+            number=fields.integer("number"),
+            issued_ms=fields.number("issued_ms"),
+            entity_stamp_ms=fields.number("entity_stamp_ms"),
         )
 
     def matches(self, ping: Ping) -> bool:

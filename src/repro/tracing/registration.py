@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from repro.crypto.certificates import Certificate
 from repro.crypto.rsa import RSAPublicKey
 from repro.crypto.signing import SignedEnvelope
-from repro.errors import RegistrationError
+from repro.errors import MalformedFrameError, RegistrationError
 from repro.obs import EventJournal, MetricsRegistry
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.util.identifiers import EntityId, RequestId, SessionId, UUID128
+from repro.util.serialization import Fields
 
 
 @dataclass(slots=True)
@@ -113,16 +114,7 @@ class TraceRegistrationRequest:
     def to_dict(self) -> dict:
         return {
             "entity_id": str(self.entity_id),
-            "credentials": {
-                "subject": self.credentials.subject,
-                "issuer": self.credentials.issuer,
-                "n": self.credentials.public_key.n,
-                "e": self.credentials.public_key.e,
-                "serial": self.credentials.serial,
-                "not_before_ms": self.credentials.not_before_ms,
-                "not_after_ms": self.credentials.not_after_ms,
-                "signature": self.credentials.signature,
-            },
+            "credentials": self.credentials.to_dict(),
             "advertisement": self.advertisement.to_dict(),
             "request_id": self.request_id.value,
             "signature": self.signature.to_dict(),
@@ -131,24 +123,25 @@ class TraceRegistrationRequest:
     @classmethod
     def from_dict(cls, data: dict) -> "TraceRegistrationRequest":
         try:
-            cred = data["credentials"]
-            certificate = Certificate(
-                subject=str(cred["subject"]),
-                issuer=str(cred["issuer"]),
-                public_key=RSAPublicKey(int(cred["n"]), int(cred["e"])),
-                serial=int(cred["serial"]),
-                not_before_ms=float(cred["not_before_ms"]),
-                not_after_ms=float(cred["not_after_ms"]),
-                signature=bytes(cred["signature"]),
-            )
-            return cls(
-                entity_id=EntityId(str(data["entity_id"])),
-                credentials=certificate,
-                advertisement=TopicAdvertisement.from_dict(data["advertisement"]),
-                request_id=RequestId(int(data["request_id"])),
-                signature=SignedEnvelope.from_dict(data["signature"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            with Fields(data, cls) as fields:
+                cred = Fields(fields.value("credentials"), Certificate)
+                certificate = Certificate(
+                    subject=cred.text("subject"),
+                    issuer=cred.text("issuer"),
+                    public_key=RSAPublicKey(cred.integer("n"), cred.integer("e")),
+                    serial=cred.integer("serial"),
+                    not_before_ms=cred.number("not_before_ms"),
+                    not_after_ms=cred.number("not_after_ms", unbounded=True),
+                    signature=cred.octets("signature"),
+                )
+                return cls(
+                    entity_id=EntityId(fields.text("entity_id")),
+                    credentials=certificate,
+                    advertisement=TopicAdvertisement.from_dict(fields.value("advertisement")),
+                    request_id=RequestId(fields.integer("request_id")),
+                    signature=SignedEnvelope.from_dict(fields.value("signature")),
+                )
+        except MalformedFrameError as exc:
             raise RegistrationError(f"malformed registration request: {exc}") from exc
 
 
@@ -159,31 +152,28 @@ class RegistrationResponse:
     request_id: RequestId
     session_id: SessionId
     broker_id: str
-    broker_public_key_n: int
-    broker_public_key_e: int
+    broker_public_key: RSAPublicKey
 
     def to_dict(self) -> dict:
         return {
             "request_id": self.request_id.value,
             "session_id": self.session_id.value.hex,
             "broker_id": self.broker_id,
-            "broker_n": self.broker_public_key_n,
-            "broker_e": self.broker_public_key_e,
+            "broker_n": self.broker_public_key.n,
+            "broker_e": self.broker_public_key.e,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegistrationResponse":
-        return cls(
-            request_id=RequestId(int(data["request_id"])),
-            session_id=SessionId(UUID128.from_hex(data["session_id"])),
-            broker_id=str(data["broker_id"]),
-            broker_public_key_n=int(data["broker_n"]),
-            broker_public_key_e=int(data["broker_e"]),
-        )
-
-    @property
-    def broker_public_key(self) -> RSAPublicKey:
-        return RSAPublicKey(self.broker_public_key_n, self.broker_public_key_e)
+        with Fields(data, cls) as fields:
+            return cls(
+                request_id=RequestId(fields.integer("request_id")),
+                session_id=SessionId(UUID128.from_hex(fields.text("session_id"))),
+                broker_id=fields.text("broker_id"),
+                broker_public_key=RSAPublicKey(
+                    fields.integer("broker_n"), fields.integer("broker_e")
+                ),
+            )
 
 
 @dataclass(frozen=True, slots=True)

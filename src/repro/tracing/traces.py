@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.errors import TopicError, ValidationError
 from repro.tracing.interest import InterestCategory
+from repro.util.serialization import Fields
 
 
 class EntityState(enum.Enum):
@@ -137,12 +138,13 @@ class LoadInformation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LoadInformation":
-        return cls(
-            cpu_utilization=float(data["cpu_utilization"]),
-            memory_used_mb=float(data["memory_used_mb"]),
-            memory_total_mb=float(data["memory_total_mb"]),
-            workload=int(data["workload"]),
-        )
+        with Fields(data, cls) as fields:
+            return cls(
+                cpu_utilization=fields.number("cpu_utilization"),
+                memory_used_mb=fields.number("memory_used_mb"),
+                memory_total_mb=fields.number("memory_total_mb"),
+                workload=fields.integer("workload"),
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,10 +182,11 @@ class NetworkMetrics:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkMetrics":
-        return cls(
-            loss_rate=float(data["loss_rate"]),
-            mean_rtt_ms=float(data["mean_rtt_ms"]),
-            jitter_ms=float(data["jitter_ms"]),
-            out_of_order_rate=float(data["out_of_order_rate"]),
-            bandwidth_estimate_kbps=float(data["bandwidth_estimate_kbps"]),
-        )
+        with Fields(data, cls) as fields:
+            return cls(
+                loss_rate=fields.number("loss_rate"),
+                mean_rtt_ms=fields.number("mean_rtt_ms"),
+                jitter_ms=fields.number("jitter_ms"),
+                out_of_order_rate=fields.number("out_of_order_rate"),
+                bandwidth_estimate_kbps=fields.number("bandwidth_estimate_kbps"),
+            )

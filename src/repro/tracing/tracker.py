@@ -15,16 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
+from repro.auth.cache import token_digest
 from repro.auth.credentials import EntityCredentials
+from repro.auth.tokens import AuthorizationToken
 from repro.auth.verification import TokenVerifier
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.keys import SymmetricKey
-from repro.crypto.rsa import RSAPublicKey
-from repro.crypto.signing import SignedEnvelope, verify_payload
+from repro.crypto.signing import verify_signed_body
 from repro.errors import (
     DecryptionError,
     DiscoveryError,
-    MalformedEnvelopeError,
+    MalformedFrameError,
     SignatureError,
     TokenError,
 )
@@ -42,6 +43,7 @@ from repro.tracing.interest import ALL_CATEGORIES, InterestCategory
 from repro.tracing.topics import TraceTopicSet
 from repro.tracing.traces import TraceType
 from repro.util.identifiers import EntityId
+from repro.util.serialization import Fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +106,7 @@ class Tracker:
         self._watched: dict[str, _WatchedEntity] = {}
         # tokens already verified (by digest of their wire form): a token is
         # re-verified only when it changes, e.g. after a near-expiry refresh
-        self._verified_tokens: dict[bytes, object] = {}
+        self._verified_tokens: dict[bytes, AuthorizationToken] = {}
         # per-session trace sequence tracking for gap detection
         self._last_seq: dict[str, int] = {}
         self.missed_trace_count = 0
@@ -208,22 +210,7 @@ class Tracker:
         self.client.unsubscribe(topics.interest_request)
         self.client.unsubscribe(topics.key_delivery(self.tracker_id))
 
-        body = {
-            "tracker_id": self.tracker_id,
-            "categories": [],  # empty = retraction
-            "response_topic": None,
-            "credentials": {
-                "subject": self.credentials.subject,
-                "n": self.credentials.public_key.n,
-                "e": self.credentials.public_key.e,
-            },
-            "stamp_ms": self.machine.now(),
-        }
-        yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-        envelope = self.credentials.sign(body)
-        self.client.publish(
-            topics.interest_response, body, signature=envelope.to_dict()
-        )
+        yield from self._publish_interest(topics, [], None)  # empty = retraction
         self.monitor.increment("tracker.untracked")
         return True
 
@@ -280,19 +267,33 @@ class Tracker:
             and now - watched.last_response_ms < self.interest_refresh_ms
         ):
             return
-        if isinstance(message.body, dict):
-            stamp = message.body.get("broker_stamp_ms")
-            if stamp is not None:
-                watched.last_gauge_stamp_ms = float(stamp)
+        try:
+            watched.last_gauge_stamp_ms = Fields(message.body, "gauge").number(
+                "broker_stamp_ms", watched.last_gauge_stamp_ms
+            )
+        except MalformedFrameError:
+            pass  # the gauge is answered all the same, it just times no key hand-off
         yield from self._send_interest_response(watched)
 
     def _send_interest_response(
         self, watched: _WatchedEntity
     ) -> Generator[Event, None, None]:
+        yield from self._publish_interest(
+            watched.topics,
+            sorted(c.value for c in self.interests),
+            watched.topics.key_delivery(self.tracker_id).canonical,
+        )
+        watched.last_response_ms = self.machine.now()
+        self.monitor.increment("tracker.interest_responses")
+
+    def _publish_interest(
+        self, topics: TraceTopicSet, categories: list[str], response_topic: str | None
+    ) -> Generator[Event, None, None]:
+        """Sign and publish one interest response (section 3.5)."""
         body = {
             "tracker_id": self.tracker_id,
-            "categories": sorted(c.value for c in self.interests),
-            "response_topic": watched.topics.key_delivery(self.tracker_id).canonical,
+            "categories": categories,
+            "response_topic": response_topic,
             "credentials": {
                 "subject": self.credentials.subject,
                 "n": self.credentials.public_key.n,
@@ -302,11 +303,7 @@ class Tracker:
         }
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
         envelope = self.credentials.sign(body)
-        self.client.publish(
-            watched.topics.interest_response, body, signature=envelope.to_dict()
-        )
-        watched.last_response_ms = self.machine.now()
-        self.monitor.increment("tracker.interest_responses")
+        self.client.publish(topics.interest_response, body, signature=envelope.to_dict())
 
     # --------------------------------------------------------- key distribution
 
@@ -319,15 +316,13 @@ class Tracker:
     def _handle_key_delivery(
         self, watched: _WatchedEntity, message: Message
     ) -> Generator[Event, None, None]:
-        if not isinstance(message.body, dict):
-            return
         yield from self.machine.charge(CryptoOp.OPEN_SEALED)
         try:
             payload = KeyDistributionPayload.from_dict(message.body)
             watched.trace_key = open_key_payload(
                 payload, self.credentials.keys.private
             )
-        except (DecryptionError, KeyError, TypeError, ValueError):
+        except (DecryptionError, MalformedFrameError):
             self.monitor.increment("tracker.key_payload_rejected")
             return
         watched.key_received_ms = self.machine.now()
@@ -351,7 +346,9 @@ class Tracker:
             name=f"tracker.{self.tracker_id}.trace",
         )
 
-    def _check_token(self, message: Message) -> Generator[Event, None, object]:
+    def _check_token(
+        self, message: Message
+    ) -> Generator[Event, None, AuthorizationToken | None]:
         """Verify the attached authorization token; None on failure.
 
         Verification cost is paid once per distinct token: subsequent
@@ -366,8 +363,6 @@ class Tracker:
         if message.auth_token is None:
             self.monitor.increment("tracker.traces_without_token")
             return None
-        from repro.auth.cache import token_digest
-
         digest = token_digest(message.auth_token)
         cache = self.token_verifier.cache
         if cache is not None:
@@ -377,11 +372,8 @@ class Tracker:
             if cached_token is not None:
                 return cached_token
         else:
-            cached = self._verified_tokens.get(digest)
-            if cached is not None:
-                from repro.auth.tokens import AuthorizationToken
-
-                token: AuthorizationToken = cached  # type: ignore[assignment]
+            token = self._verified_tokens.get(digest)
+            if token is not None:
                 if token.expired(
                     self.machine.now(), self.token_verifier.skew_tolerance_ms
                 ):
@@ -421,27 +413,20 @@ class Tracker:
                 else CryptoOp.TRACE_VERIFY
             )
             yield from self.machine.charge(op)
-            token_key: RSAPublicKey = token.token_public_key
             try:
-                envelope = SignedEnvelope.from_dict(message.signature)
-                if envelope.payload != body:
+                if not verify_signed_body(message.signature, body, token.token_public_key):
                     self.monitor.increment("tracker.traces_tampered")
                     return
-                verify_payload(envelope, token_key)
             except SignatureError as exc:
                 self.monitor.increment("tracker.traces_bad_signature")
-                if isinstance(exc, MalformedEnvelopeError):
-                    # a signature that parses and fails is only counted; a
-                    # mapping that does not parse leaves evidence
-                    self.monitor.journal.record(
-                        self.sim.now,
-                        "envelope.malformed",
-                        topic=message.topic.canonical,
-                        principal=message.source,
-                        entity=str(watched.topics.entity_id),
-                        tracker=self.tracker_id,
-                        reason=str(exc),
-                    )
+                self.monitor.log_malformed(
+                    self.sim.now,
+                    exc,
+                    message.source,
+                    topic=message.topic.canonical,
+                    entity=str(watched.topics.entity_id),
+                    tracker=self.tracker_id,
+                )
                 return
 
         if message.encrypted or body.get("secured"):
@@ -456,16 +441,20 @@ class Tracker:
                 return
 
         try:
-            trace_type = TraceType(body["trace_type"])
-        except (KeyError, ValueError):
+            fields = Fields(body, "trace")
+            trace_type = fields.member("trace_type", TraceType)
+            entity_id = fields.text("entity_id")
+            origin = fields.number("origin_stamp_ms", None)
+            payload = fields.mapping("payload", {})
+            session_key = fields.text("session", None)
+            seq = fields.integer("seq", None)
+        except MalformedFrameError:
             self.monitor.increment("tracker.traces_malformed")
             return
 
         # gap detection: a jump in the session-scoped sequence number means
         # traces were lost in transit (possible on unreliable transports)
-        session_key = body.get("session")
-        seq = body.get("seq")
-        if isinstance(session_key, str) and isinstance(seq, int):
+        if session_key is not None and seq is not None:
             last = self._last_seq.get(session_key)
             if last is not None and seq > last + 1:
                 gap = seq - last - 1
@@ -475,14 +464,13 @@ class Tracker:
                 self._last_seq[session_key] = seq
 
         now = self.machine.now()
-        origin = body.get("origin_stamp_ms")
-        latency = (now - float(origin)) if origin is not None else None
+        latency = (now - origin) if origin is not None else None
         received = ReceivedTrace(
             trace_type=trace_type,
-            entity_id=str(body.get("entity_id")),
+            entity_id=entity_id,
             received_ms=now,
             latency_ms=latency,
-            payload=body.get("payload") or {},
+            payload=payload,
         )
         self.received.append(received)
         self.monitor.increment("tracker.traces_received")

@@ -11,10 +11,13 @@ never repeats within a simulation run).
 from __future__ import annotations
 
 import random
+import string
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import ValidationError
+
+_HEX_DIGITS = frozenset(string.hexdigits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +48,7 @@ class UUID128:
     def from_hex(cls, text: str) -> "UUID128":
         """Parse a 32-hex-digit string (dashes tolerated)."""
         cleaned = text.replace("-", "")
-        if len(cleaned) != 32:
+        if len(cleaned) != 32 or not _HEX_DIGITS.issuperset(cleaned):
             raise ValidationError(f"expected 32 hex digits, got {text!r}")
         return cls(int(cleaned, 16))
 

@@ -10,14 +10,25 @@ binary format (a deterministic subset of a bencoding-like scheme).
 Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
 ``list``/``tuple`` (decoded as list), and ``dict`` with ``str`` keys (encoded
 in sorted key order).
+
+:class:`Fields` is the receiving side of the same type universe: the one
+place a decoded mapping becomes typed values (docs/WIRE_FORMAT.md,
+"Decoding").
 """
 
 from __future__ import annotations
 
+import math
 import struct
+import sys
 from typing import Any, Callable
 
-from repro.errors import SerializationDecodeError, SerializationTypeError
+from repro.errors import (
+    MalformedFrameError,
+    ReproError,
+    SerializationDecodeError,
+    SerializationTypeError,
+)
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -135,7 +146,8 @@ def _encode_into(value: Any, emit: Callable[[bytes], None], kind: type) -> None:
 def canonical_decode(data: bytes) -> Any:
     """Decode bytes produced by :func:`canonical_encode`.
 
-    Raises ``ValueError`` on malformed or trailing data.
+    Raises :class:`SerializationDecodeError` (a ``ValueError``) on
+    malformed or trailing data.
     """
     value, offset = _decode_from(data, 0)
     if offset != len(data):
@@ -169,7 +181,10 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         chunk = data[offset : offset + length]
         if len(chunk) != length:
             raise SerializationDecodeError("truncated int")
-        return int(chunk), offset + length
+        try:
+            return int(chunk), offset + length
+        except ValueError:
+            raise SerializationDecodeError(f"bad int {chunk!r}") from None
     if tag == _TAG_FLOAT:
         chunk = data[offset : offset + 8]
         if len(chunk) != 8:
@@ -180,7 +195,10 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         chunk = data[offset : offset + length]
         if len(chunk) != length:
             raise SerializationDecodeError("truncated str")
-        return chunk.decode("utf-8"), offset + length
+        try:
+            return chunk.decode("utf-8"), offset + length
+        except UnicodeDecodeError:
+            raise SerializationDecodeError("str is not UTF-8") from None
     if tag == _TAG_BYTES:
         length, offset = _read_length(data, offset)
         chunk = data[offset : offset + length]
@@ -213,3 +231,102 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
             value, offset = _decode_from(data, offset)
             result[key] = value
     raise SerializationDecodeError(f"unknown tag {tag!r} at offset {offset - 1}")
+
+
+_REQUIRED: Any = object()
+_FLOAT_MAX = sys.float_info.max
+
+
+def _typed(kinds: tuple[type, ...], what: str) -> Callable[..., Any]:
+    """The :class:`Fields` read of one kind: the exact type, or the default."""
+
+    def read(self: "Fields", key: str, default: Any = _REQUIRED) -> Any:
+        value = self._data.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise self._bad(key, "is missing")
+            return default
+        if type(value) not in kinds:
+            raise self._bad(key, f"must be {what}, got {type(value).__name__}")
+        return value
+
+    return read
+
+
+class Fields:
+    """Typed reads of one received mapping: a receiver never converts, it checks.
+
+    Every read is by **exact type**: an int is never a ``bool``, ``str`` or
+    ``float``; a number is an ``int`` or ``float`` that is finite; bytes
+    are ``bytes`` / ``bytearray`` and never ``bytes(x)``, which turns an
+    integer into an allocation of that size.  With a ``default``, a key
+    that is absent or ``None`` reads as the default; without one it is
+    malformed.  A failed read raises :class:`MalformedFrameError` naming
+    ``owner`` (the class being decoded) and the key, and as a context
+    manager the reader reports a well-typed value that the constructor
+    inside the block refuses (a range, a key size, an empty id) as that
+    same error.
+    """
+
+    __slots__ = ("_data", "_owner")
+
+    def __init__(self, data: Any, owner: type | str) -> None:
+        self._owner = owner if type(owner) is str else owner.__name__
+        if type(data) is not dict:
+            raise self._bad("mapping", f"expected, got {type(data).__name__}")
+        self._data = data
+
+    def _bad(self, key: str, problem: str) -> MalformedFrameError:
+        return MalformedFrameError(f"{self._owner}: {key!r} {problem}")
+
+    def __enter__(self) -> "Fields":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, traceback: Any) -> None:
+        named = isinstance(exc, ReproError) and isinstance(exc, ValueError)
+        if named and not isinstance(exc, MalformedFrameError):
+            raise MalformedFrameError(f"{self._owner}: {exc}") from exc
+
+    def value(self, key: str) -> Any:
+        """Whatever canonical value ``key`` holds (``None`` included)."""
+        if key not in self._data:
+            raise self._bad(key, "is missing")
+        return self._data[key]
+
+    integer = _typed((int,), "an int")
+    text = _typed((str,), "a str")
+    mapping = _typed((dict,), "a mapping")
+    items = _typed((list, tuple), "a list")
+    _number = _typed((int, float), "a number")
+    _octets = _typed((bytes, bytearray), "bytes")
+
+    def number(self, key: str, default: Any = _REQUIRED, unbounded: bool = False) -> Any:
+        """A finite float; ``unbounded`` admits the infinities too, for an
+        expiry that means "never"."""
+        value = self._number(key, default)
+        if value is default:
+            return value
+        if not (-_FLOAT_MAX <= value <= _FLOAT_MAX or unbounded and abs(value) == math.inf):
+            raise self._bad(key, "must be a finite number")
+        return float(value)
+
+    def octets(self, key: str, default: Any = _REQUIRED) -> Any:
+        value = self._octets(key, default)
+        return value if value is default else bytes(value)
+
+    def texts(self, key: str, default: Any = _REQUIRED) -> Any:
+        """A list whose every element is a str, as a tuple."""
+        value = self.items(key, default)
+        if value is default:
+            return value
+        if any(type(item) is not str for item in value):
+            raise self._bad(key, "must be a list of str")
+        return tuple(value)
+
+    def member(self, key: str, enum_class: Any) -> Any:
+        """The member of ``enum_class`` whose value is the str under ``key``."""
+        value = self.text(key)
+        try:
+            return enum_class(value)
+        except ValueError:
+            raise self._bad(key, f"names no {enum_class.__name__}: {value!r}") from None

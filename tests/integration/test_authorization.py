@@ -134,9 +134,11 @@ class TestMessageIntegrity:
         assert session.active  # the forged disable was ignored
 
     def test_malformed_signature_mapping_is_rejected_not_fatal(self):
-        """A signature mapping without its bytes is counted and journaled on
-        all three verifying paths; it used to raise KeyError out of the
-        session worker, after which the healthy entity was declared FAILED."""
+        """A signature mapping without its bytes, or with an integer where
+        the bytes belong, is counted and journaled on all three verifying
+        paths.  The first used to raise KeyError out of the session worker
+        and the second MemoryError (``bytes(1 << 44)``), after which the
+        healthy entity was declared FAILED."""
         dep = build_deployment(broker_ids=["b1", "b2"], seed=1)
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
@@ -152,33 +154,36 @@ class TestMessageIntegrity:
             "tracker.traces_bad_signature",
         )
         before = [dep.monitor.count(name) for name in counters]
-        malformed = {"payload": {}}
-
-        entity.client.publish(
-            session.topics.entity_to_broker(session.session_id),
-            {"kind": "ping_response"},
-            signature=malformed,
-        )
-        tracker.client.publish(
-            session.topics.interest_response, {"tracker_id": "w"}, signature=malformed
-        )
-        dep.network.broker("b1").publish_from_broker(
-            Message(
-                topic=session.topics.all_updates,
-                body={"trace_type": "FAILED", "entity_id": "svc"},
-                source="b1",
-                created_ms=dep.sim.now,
+        for malformed in (
+            {"payload": {}},
+            {"payload": {}, "signature": 1 << 44, "signer_fingerprint": b""},
+        ):
+            entity.client.publish(
+                session.topics.entity_to_broker(session.session_id),
+                {"kind": "ping_response"},
                 signature=malformed,
-                auth_token=session.token.to_dict(),
             )
-        )
+            tracker.client.publish(
+                session.topics.interest_response, {"tracker_id": "w"}, signature=malformed
+            )
+            dep.network.broker("b1").publish_from_broker(
+                Message(
+                    topic=session.topics.all_updates,
+                    body={"trace_type": "FAILED", "entity_id": "svc"},
+                    source="b1",
+                    created_ms=dep.sim.now,
+                    signature=malformed,
+                    auth_token=session.token.to_dict(),
+                )
+            )
         injected_at = dep.sim.now
         dep.sim.run(until=injected_at + 40_000)
 
-        assert [dep.monitor.count(name) for name in counters] == [n + 1 for n in before]
+        assert [dep.monitor.count(name) for name in counters] == [n + 2 for n in before]
         records = dep.journal.records("envelope.malformed")
-        assert len(records) == 3
+        assert len(records) == 6
         assert records[0].fields["session"] == session.hex_id[:8]
+        assert records[0].fields["broker"] == "b1"
         assert all(record.fields["entity"] == "svc" for record in records)
         assert session.active and not tracker.traces_of_type(TraceType.FAILED)
         assert tracker.traces_of_type(TraceType.ALLS_WELL)[-1].received_ms > injected_at + 30_000

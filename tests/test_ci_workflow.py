@@ -103,6 +103,12 @@ def test_bench_smoke_compiles_and_runs_bench_tests(workflow):
     assert "diff -u benchmarks/results/routing_seed.json routing_snapshot.json" in gate
 
 
+def test_bench_smoke_runs_the_deep_decode_contract(workflow):
+    # tier-1 deselects the `deep` marker (pyproject addopts); this step is where it runs
+    runs = [step.get("run") or "" for step in workflow["jobs"]["bench-smoke"]["steps"]]
+    assert "python -m pytest tests/test_decode_contract.py -m deep -q" in runs
+
+
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):
     # benchmarks/perf/spans.py patches its entry points by name; only its own
     # self-test notices a rename before the next benchmark run does

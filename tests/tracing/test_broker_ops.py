@@ -189,6 +189,47 @@ class TestEntityMessageHandling:
         dep.sim.run(until=dep.sim.now + 2_000)
         assert dep.monitor.count("trace.state_reports_malformed") == 1
 
+    @pytest.mark.parametrize(
+        "kind, report",
+        [
+            ("state", {"kind": "state_transition", "state": "READY"}),
+            (
+                "load",
+                {
+                    "kind": "load",
+                    "load": {
+                        "cpu_utilization": 0.5,
+                        "memory_used_mb": 1.0,
+                        "memory_total_mb": 2.0,
+                        "workload": 1,
+                    },
+                },
+            ),
+        ],
+    )
+    def test_report_with_a_bad_stamp_is_rejected_at_the_broker(self, dep, kind, report):
+        """Used to be signed into a trace whose ``float(origin)`` raised
+        ValueError in every subscribed tracker's handler process."""
+        entity = registered_entity(dep)
+        tracker = dep.add_tracker("w")
+        tracker.connect("b1")
+        tracker.track("svc")
+        dep.sim.run(until=dep.sim.now + 2_000)
+        received = len(tracker.received)
+        stamps = ["soon", float("nan"), float("inf"), True]
+        for stamp in stamps:
+            body = {**report, "stamp_ms": stamp}
+            entity.client.publish(
+                entity.topics.entity_to_broker(entity.session_id),
+                body,
+                signature=entity.credentials.sign(body).to_dict(),
+            )
+        dep.sim.run(until=dep.sim.now + 500)
+        assert dep.monitor.count(f"trace.{kind}_reports_malformed") == len(stamps)
+        assert dep.monitor.count("tracker.traces_malformed") == 0
+        reported = (TraceType.READY, TraceType.LOAD_INFORMATION)
+        assert not [t for t in tracker.received[received:] if t.trace_type in reported]
+
     def test_messages_processed_in_order(self, dep):
         """The per-session worker preserves arrival order even though the
         handlers charge different CPU durations."""

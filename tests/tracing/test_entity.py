@@ -1,8 +1,11 @@
 """Unit-level tests of the traced entity's error paths and edge cases."""
 
+import random
+
 import pytest
 
 from repro import build_deployment
+from repro.crypto.signing import seal_for
 from repro.errors import RegistrationError
 from repro.messaging.message import Message
 from repro.tracing.traces import EntityState
@@ -38,6 +41,33 @@ class TestRegistrationTimeout:
         entity = dep.add_traced_entity("svc")
         entity.registration_timeout_ms = 2_000.0
         dep.network.fail_broker("b1")  # broker drops everything
+        proc = entity.start("b1")
+        dep.sim.run(until=30_000)
+        assert proc.triggered and not proc.ok
+        with pytest.raises(RegistrationError):
+            _ = proc.value
+
+
+class TestMalformedRegistrationResponse:
+    @pytest.mark.parametrize("layer", ["sealed-body", "opened-payload"])
+    def test_unreadable_response_ends_in_registration_error(self, dep, layer):
+        """Used to leave ``register`` with a KeyError (sealed body) or a
+        ValueError (payload) instead of the named error."""
+        entity = dep.add_traced_entity("svc")
+        manager = dep.manager_of("b1")
+        publish = manager._publish_plain
+
+        def corrupting(topic, body):
+            if "Registration-Response" in topic.canonical:
+                if layer == "sealed-body":
+                    body = {"wrapped_key": 7}
+                else:
+                    body = seal_for(
+                        {"request_id": "x"}, entity.credentials.public_key, random.Random(1)
+                    ).to_dict()
+            publish(topic, body)
+
+        manager._publish_plain = corrupting
         proc = entity.start("b1")
         dep.sim.run(until=30_000)
         assert proc.triggered and not proc.ok
@@ -103,6 +133,27 @@ class TestMalformedPing:
             Message(
                 topic=entity.topics.broker_to_entity(entity.session_id),
                 body={"kind": "ping", "number": "x", "issued_ms": 0.0},
+                source="b1",
+                created_ms=dep.sim.now,
+            )
+        )
+        dep.sim.run(until=3_500)
+        assert dep.monitor.count("entity.pings_malformed") == 1
+        answered = dep.monitor.count("entity.pings_answered")
+        dep.sim.run(until=10_000)
+        assert dep.monitor.count("entity.pings_answered") > answered
+
+
+    @pytest.mark.parametrize("pings", [7, [7], [{"entity_id": "svc", "number": 1}, None]])
+    def test_malformed_ping_batch_is_counted_and_dropped(self, dep, pings):
+        """``"pings": 7`` used to raise TypeError out of ``Simulator.run``."""
+        entity = dep.add_traced_entity("svc")
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        dep.network.broker("b1").publish_from_broker(
+            Message(
+                topic=entity.topics.broker_to_entity(entity.session_id),
+                body={"kind": "ping_batch", "pings": pings},
                 source="b1",
                 created_ms=dep.sim.now,
             )
