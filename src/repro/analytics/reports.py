@@ -8,7 +8,7 @@ and the evidence-kind inventory the audit gate checks.  The renderers
 (:func:`render_report_text`, :func:`render_report_markdown`) are pure
 functions of that dict, following the campaign report's rule: generated
 artifacts are regenerable byte-for-byte from the committed snapshot, so
-CI's ``analytics-smoke`` step fails on any drift.
+CI's seed step (``repro seeds``, ``git diff``) fails on any drift.
 """
 
 from __future__ import annotations

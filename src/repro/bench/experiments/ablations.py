@@ -187,7 +187,7 @@ def run_gossip_comparison(
 
 @dataclass(frozen=True, slots=True)
 class GatingResult:
-    """EXP-A3: publications suppressed/delivered with interest gating."""
+    """EXP-A4: publications suppressed/delivered with interest gating."""
 
     gated: bool
     published: int
@@ -236,7 +236,7 @@ def run_interest_gating_ablation(
 
 @dataclass(frozen=True, slots=True)
 class ThresholdResult:
-    """EXP-A4: false suspicions/failures at one threshold setting."""
+    """EXP-A5: false suspicions/failures at one threshold setting."""
 
     suspicion_threshold: int
     failure_threshold: int
@@ -346,7 +346,7 @@ def run_threshold_sensitivity(
 
 @dataclass(frozen=True, slots=True)
 class AdaptivePingResult:
-    """EXP-A5: detection latency and ping cost for one ping policy."""
+    """EXP-A3: detection latency and ping cost for one ping policy."""
 
     label: str
     detection_ms: float

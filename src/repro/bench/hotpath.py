@@ -4,9 +4,9 @@ The worst case for per-ping overhead: many traced entities share one host
 machine behind one broker, so every ping interval the tracker's broker
 verifies the same authorization token repeatedly and sends a burst of
 near-identical ping frames down the same wire.  :func:`run_codec_smoke`
-runs it once per wire codec; the ``bench-smoke`` CI job regenerates that
-document and diffs it against ``benchmarks/results/codec_seed.json``
-(docs/PERFORMANCE.md).
+runs it once per wire codec; that document is committed as
+``benchmarks/results/codec_seed.json`` (the ``codec`` row of
+:mod:`repro.seeds`, docs/PERFORMANCE.md).
 
 Determinism matters here exactly as in the chaos scenarios: message ids
 ride on the wire, so :func:`run_ping_heavy` rewinds the process-global id
@@ -81,7 +81,7 @@ CODEC_SMOKE_HISTOGRAM_SUMS = ("broker.fanout", "crypto.ms.token_verify")
 def run_codec_smoke(seed: int = 42) -> dict:
     """Run the ping-heavy scenario under each wire codec.
 
-    Returns the small document CI compares byte-for-byte against
+    Returns the small document committed as
     ``benchmarks/results/codec_seed.json``: per codec, the wire bytes,
     the ``broker.fanout`` and ``crypto.ms.token_verify`` sums, and the
     delivery counters a codec swap must leave untouched.

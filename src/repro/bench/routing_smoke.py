@@ -1,4 +1,4 @@
-"""Deterministic routing smoke scenario for CI regression checks.
+"""Deterministic routing smoke scenario behind the committed routing seed.
 
 Runs the quickstart deployment (three chained brokers, one traced entity,
 one tracker) with a detach phase appended: mid-run the tracker's client is
@@ -8,11 +8,10 @@ detach retracts the tracker's interest fabric-wide, so the tail of the run
 must forward nothing toward the now-empty broker.
 
 The routing-relevant counters of the final metrics snapshot form a small
-JSON document that CI compares byte-for-byte against the committed seed
-snapshot (``benchmarks/results/routing_seed.json``,
-:func:`repro.util.snapshots.snapshot_drift`): the seed pins
+JSON document committed as ``benchmarks/results/routing_seed.json`` (the
+``routing`` row of :mod:`repro.seeds`): the seed pins
 ``broker.msgs.unroutable`` and ``broker.interest.stale_forwards`` at 0, so
-any waste — or any drift in delivery counts — fails the bench-smoke job.
+any waste — or any drift in delivery counts — shows when it is regenerated.
 """
 
 from __future__ import annotations

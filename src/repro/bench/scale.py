@@ -10,8 +10,8 @@ counters: control-plane floods, summary updates, delivery totals,
 digest false positives, pattern/shard gauges.
 
 Everything here is reproducible bit-for-bit per seed (RandomStreams +
-blake2b digests, no wall clock), which is what lets CI gate a reduced
-point against the committed ``benchmarks/results/scale_seed.json``.
+blake2b digests, no wall clock), which is what lets the reduced point
+below be a committed seed (``scale_seed.json``, a :mod:`repro.seeds` row).
 The *measured* curve — RSS and forwards per event per point, one
 subprocess per point — lives in ``benchmarks/bench_scale.py``, which
 drives :func:`run_scale_point` and commits
@@ -26,17 +26,13 @@ O(patterns × brokers) interest table no host could hold.
 
 from __future__ import annotations
 
-import argparse
-import sys
-
 from repro.errors import ConfigurationError
 from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message, reset_message_ids
 from repro.messaging.topics import Topic
 from repro.sim.engine import Simulator
-from repro.util.snapshots import render_snapshot
 
-#: The committed CI smoke point (kept small: seconds, tens of MB).
+#: The committed seed's point (kept small: under a second, tens of MB).
 SMOKE_BROKERS = 8
 SMOKE_ENTITIES = 5_000
 SMOKE_EVENTS = 500
@@ -133,59 +129,3 @@ def run_scale_point(
         "shards_gauge": metrics.gauge_value("broker.interest.shards"),
         "digest_summaries": digest_summaries,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI for one scale point: CI's scale-smoke gate.
-
-    Runs the point and prints its canonical snapshot, which CI compares
-    to ``benchmarks/results/scale_seed.json`` with ``diff -u``; optionally
-    enforces a peak-RSS ceiling (``resource.ru_maxrss``) so interest-table
-    memory can never silently regress past what the fabric is budgeted.
-    """
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--brokers", type=int, default=SMOKE_BROKERS)
-    parser.add_argument("--entities", type=int, default=SMOKE_ENTITIES)
-    parser.add_argument("--events", type=int, default=SMOKE_EVENTS)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--verbatim",
-        action="store_true",
-        help="run the legacy per-pattern control plane instead of federation",
-    )
-    parser.add_argument(
-        "--max-rss-mb",
-        type=float,
-        default=None,
-        help="fail if peak RSS exceeds this many MiB",
-    )
-    args = parser.parse_args(argv)
-
-    snapshot = run_scale_point(
-        brokers=args.brokers,
-        entities=args.entities,
-        events=args.events,
-        seed=args.seed,
-        federation=not args.verbatim,
-    )
-    sys.stdout.write(render_snapshot(snapshot))
-
-    status = 0
-    if args.max_rss_mb is not None:
-        import resource
-
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        rss_mb = rss_kb / 1024.0
-        print(f"peak RSS: {rss_mb:.1f} MiB (ceiling {args.max_rss_mb})", file=sys.stderr)
-        if rss_mb > args.max_rss_mb:
-            print(
-                f"SCALE-SMOKE: peak RSS {rss_mb:.1f} MiB exceeds "
-                f"ceiling {args.max_rss_mb} MiB",
-                file=sys.stderr,
-            )
-            status = 1
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())

@@ -11,8 +11,8 @@ artifact set committed under ``benchmarks/results/campaigns/<name>/``:
 * ``fig_availability.svg`` / ``fig_baselines.svg`` — :mod:`svgplot`
   figures (deterministic, dependency-free SVG).
 
-The report is *generated*, never hand-edited: CI re-renders it from
-the committed snapshot and fails on any diff, the same drift-checking
+The report is *generated*, never hand-edited: CI re-renders the smoke
+campaign's (``repro seeds``) and fails on any diff, the same drift-checking
 treatment EXPERIMENTS.md footers get from the ``DOC03`` analysis rule.
 """
 
@@ -267,7 +267,7 @@ def generate_report(snapshot: dict, out_dir: str | pathlib.Path) -> list[pathlib
 
     Returns the list of files written.  Output is a pure function of
     the snapshot, so regenerating from the committed snapshot must be a
-    no-op diff (CI's ``bench-smoke`` job enforces this).
+    no-op diff (the ``campaign`` row of :mod:`repro.seeds` enforces this).
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,11 +22,15 @@ Commands
     findings; ``--format json`` for the stable machine-readable report).
 ``faults``
     Run one chaos scenario from the repro.faults catalog and print its
-    fault/recovery summary (``--json`` for the CI seed-snapshot form).
+    fault/recovery summary (``--json`` for the canonical snapshot).
 ``campaign``
     Run a declarative parameter-sweep campaign (``campaign run --spec
     FILE``) or regenerate its report artifacts from a committed
     snapshot (``campaign report --snapshot FILE``); docs/CAMPAIGNS.md.
+``seeds``
+    Regenerate every committed seed under ``benchmarks/results/`` from
+    the :mod:`repro.seeds` table; ``git diff --exit-code
+    benchmarks/results`` afterwards is the CI gate.  No flags.
 """
 
 from __future__ import annotations
@@ -90,24 +94,7 @@ def _cmd_quickstart(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    """Dump the quickstart run's metrics snapshot, or a seed-gate document."""
-    from repro.util.snapshots import render_snapshot
-
-    if args.routing_smoke:
-        from repro.bench.routing_smoke import run_routing_smoke
-
-        snapshot = run_routing_smoke(
-            seed=args.seed, duration_ms=float(args.duration) * 1000.0
-        )
-        print(render_snapshot(snapshot), end="")
-        return 0
-
-    if args.codec_smoke:
-        from repro.bench.hotpath import run_codec_smoke
-
-        print(render_snapshot(run_codec_smoke(seed=args.seed)), end="")
-        return 0
-
+    """Dump the quickstart run's metrics snapshot."""
     dep, _ = _run_quickstart(args)
 
     if args.json:
@@ -199,9 +186,8 @@ def _cmd_campaign(args) -> int:
     ``snapshot.json`` plus report artifacts under ``--out``; with
     ``--point I`` it runs exactly one matrix point and prints its
     result record as JSON (the subprocess-parallel child mode); with
-    ``--json`` it prints the canonical snapshot, which CI compares to the
-    committed seed with ``diff -u``.  ``campaign report`` re-renders the
-    report artifacts from an existing snapshot file.
+    ``--json`` it prints the canonical snapshot.  ``campaign report``
+    re-renders the report artifacts from an existing snapshot file.
     """
     import json as _json
 
@@ -352,11 +338,10 @@ def _cmd_analytics(args) -> int:
 
     ``analytics run`` executes one chaos scenario with the store
     attached, enforces the audit-completeness gate, and writes (or
-    prints) the store snapshot JSON — this is how the committed seed
-    under ``benchmarks/results/analytics/`` is produced.  ``analytics
-    report`` renders the SLO report (text, JSON or markdown) from such a
-    snapshot, deterministically: CI regenerates the committed report
-    from the committed snapshot and fails on any byte of drift.
+    prints) the store snapshot JSON.  ``analytics report`` renders the
+    SLO report (text, JSON or markdown) from such a snapshot,
+    deterministically (the committed pair under
+    ``benchmarks/results/analytics/`` is a :mod:`repro.seeds` row).
     """
     from repro.analytics import (
         AnalyticsStore,
@@ -374,24 +359,15 @@ def _cmd_analytics(args) -> int:
         store = AnalyticsStore(backend=args.backend, **(
             {"path": args.db} if args.backend == "sqlite" and args.db else {}
         ))
-        audit_failures: list[str] = []
-
-        def _probe(dep) -> None:
-            if args.no_audit:
-                return
-            try:
-                assert_audit_complete(dep)
-            except AuditIncompleteError as exc:
-                audit_failures.append(str(exc))
-
-        run_scenario(
-            args.scenario,
-            seed=args.seed,
-            analytics_store=store,
-            deployment_probe=_probe,
-        )
-        if audit_failures:
-            print(audit_failures[0], file=sys.stderr)
+        try:
+            run_scenario(
+                args.scenario,
+                seed=args.seed,
+                analytics_store=store,
+                deployment_probe=None if args.no_audit else assert_audit_complete,
+            )
+        except AuditIncompleteError as exc:
+            print(exc, file=sys.stderr)
             return 1
         if args.out:
             store.save(args.out)
@@ -417,6 +393,23 @@ def _cmd_analytics(args) -> int:
         return 0
 
     return 2  # pragma: no cover - argparse restricts actions
+
+
+def _cmd_seeds(_args) -> int:
+    """Run every :data:`repro.seeds.SEED_GROUPS` producer into the tree; exit 1
+    when one refuses (the analytics row's audit gate).  Drift is ``git diff``'s."""
+    from repro.errors import ReproError
+    from repro.seeds import RESULTS_DIR, SEED_GROUPS
+
+    for name, group in SEED_GROUPS.items():
+        try:
+            group.produce(RESULTS_DIR)
+        except ReproError as exc:
+            print(f"repro seeds: {name}: {exc}", file=sys.stderr)
+            return 1
+        for file in group.files:
+            print(f"{name}: wrote {RESULTS_DIR / file}")
+    return 0
 
 
 def _cmd_demo(args) -> int:
@@ -501,14 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="virtual seconds to simulate")
     metrics.add_argument("--json", action="store_true",
                          help="emit the snapshot as JSON")
-    metrics.add_argument("--routing-smoke", action="store_true",
-                         help="run the deterministic routing smoke scenario "
-                              "(quickstart + detach) and emit its routing-"
-                              "counter snapshot as JSON")
-    metrics.add_argument("--codec-smoke", action="store_true",
-                         help="run the ping-heavy hot-path scenario once per "
-                              "wire codec (repro.bench.hotpath) and emit the "
-                              "codec seed document as JSON")
 
     analyze = sub.add_parser(
         "analyze", help="run the repro.analysis domain linter (exit 1 on findings)"
@@ -538,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="virtual seconds to simulate "
                              "(default: the scenario's own horizon)")
     faults.add_argument("--json", action="store_true",
-                        help="emit the seed-snapshot JSON form used by CI")
+                        help="emit the canonical snapshot JSON")
 
     campaign = sub.add_parser(
         "campaign",
@@ -613,6 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="write the rendering to FILE "
                                        "(default: print it)")
 
+    sub.add_parser(
+        "seeds",
+        help="regenerate every committed seed under benchmarks/results "
+             "(then: git diff --exit-code benchmarks/results)",
+    )
+
     return parser
 
 
@@ -628,6 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         "faults": _cmd_faults,
         "campaign": _cmd_campaign,
         "analytics": _cmd_analytics,
+        "seeds": _cmd_seeds,
     }
     return handlers[args.command](args)
 

@@ -1,4 +1,4 @@
-"""The chaos scenario catalog (docs/FAULTS.md) and its CI seed gating.
+"""The chaos scenario catalog (docs/FAULTS.md).
 
 Each scenario is a deterministic deployment-plus-:class:`FaultPlan` pair
 run from a single seed: three brokers in a ring (the paper's Figure 1
@@ -7,10 +7,9 @@ fabric), one traced entity on ``b1``, one tracker on ``b3``, and a fast
 ping policy so detection happens inside a short run.
 
 ``run_scenario`` returns a small JSON snapshot of fault and recovery
-counters; CI runs the ``broker-crash`` scenario and compares the output
-against ``benchmarks/results/chaos_seed.json`` exactly
-(:func:`repro.util.snapshots.snapshot_drift`, the same gate as
-``bench/routing_smoke.py``).
+counters; the ``broker-crash`` one is committed as
+``benchmarks/results/chaos_seed.json`` (the ``chaos`` row of
+:mod:`repro.seeds`, which also runs it into the analytics seed).
 """
 
 from __future__ import annotations

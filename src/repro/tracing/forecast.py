@@ -17,9 +17,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MalformedFrameError
 from repro.tracing.tracker import ReceivedTrace, Tracker
 from repro.tracing.traces import TraceType
+from repro.util.serialization import Fields
 
 
 def _last(values: list[float]) -> float:
@@ -128,24 +129,34 @@ class NetworkForecaster:
 
     def _observe(self, trace: ReceivedTrace) -> None:
         if trace.trace_type is TraceType.NETWORK_METRICS:
-            entity = trace.entity_id
-            if entity not in self.rtt:
-                self.rtt[entity] = SeriesForecaster(self.window)
-                self.loss[entity] = SeriesForecaster(self.window)
-            rtt_ms = float(trace.payload["mean_rtt_ms"])
-            loss_rate = float(trace.payload["loss_rate"])
-            self.rtt[entity].observe(rtt_ms)
-            self.loss[entity].observe(loss_rate)
-            if self.store is not None:
-                self.store.append(
-                    trace.received_ms,
-                    "network.metrics",
-                    entity=entity,
-                    value=rtt_ms,
-                    loss_rate=loss_rate,
-                )
+            self._sample(trace)
         if self._previous_hook is not None:
             self._previous_hook(trace)
+
+    def _sample(self, trace: ReceivedTrace) -> None:
+        # the payload is signed, not typed; raising here would end the tracker's
+        # trace process before the hooks chained behind this one run
+        try:
+            fields = Fields(trace.payload, "network_metrics")
+            rtt_ms = fields.number("mean_rtt_ms")
+            loss_rate = fields.number("loss_rate")
+        except MalformedFrameError:
+            self.tracker.monitor.increment("tracker.traces_malformed")
+            return
+        entity = trace.entity_id
+        if entity not in self.rtt:
+            self.rtt[entity] = SeriesForecaster(self.window)
+            self.loss[entity] = SeriesForecaster(self.window)
+        self.rtt[entity].observe(rtt_ms)
+        self.loss[entity].observe(loss_rate)
+        if self.store is not None:
+            self.store.append(
+                trace.received_ms,
+                "network.metrics",
+                entity=entity,
+                value=rtt_ms,
+                loss_rate=loss_rate,
+            )
 
     def forecast_rtt_ms(self, entity_id: str) -> float | None:
         forecaster = self.rtt.get(entity_id)

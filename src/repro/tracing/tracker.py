@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
-from repro.auth.cache import token_digest
 from repro.auth.credentials import EntityCredentials
 from repro.auth.tokens import AuthorizationToken
 from repro.auth.verification import TokenVerifier
@@ -104,9 +103,6 @@ class Tracker:
         self.received: list[ReceivedTrace] = []
         self.on_trace: Callable[[ReceivedTrace], None] | None = None
         self._watched: dict[str, _WatchedEntity] = {}
-        # tokens already verified (by digest of their wire form): a token is
-        # re-verified only when it changes, e.g. after a near-expiry refresh
-        self._verified_tokens: dict[bytes, AuthorizationToken] = {}
         # per-session trace sequence tracking for gap detection
         self._last_seq: dict[str, int] = {}
         self.missed_trace_count = 0
@@ -351,47 +347,18 @@ class Tracker:
     ) -> Generator[Event, None, AuthorizationToken | None]:
         """Verify the attached authorization token; None on failure.
 
-        Verification cost is paid once per distinct token: subsequent
-        messages carrying a byte-identical token hit the cache (until the
-        entity refreshes the token, which changes its bytes).  Expiry is
-        still checked on every message.  When the verifier carries a
-        :class:`~repro.auth.cache.TokenVerificationCache` (the default from
-        ``build_deployment``), lookups ride that shared, instrumented LRU;
-        otherwise the tracker's private digest map preserves the legacy
-        behaviour exactly.
+        The cost is paid once per distinct token (until the entity refreshes
+        it, which changes its bytes); expiry is checked on every message
+        (:meth:`~repro.auth.verification.TokenVerifier.check`).
         """
         if message.auth_token is None:
             self.monitor.increment("tracker.traces_without_token")
             return None
-        digest = token_digest(message.auth_token)
-        cache = self.token_verifier.cache
-        if cache is not None:
-            cached_token = cache.lookup(
-                digest, self.machine.now(), self.token_verifier.skew_tolerance_ms
-            )
-            if cached_token is not None:
-                return cached_token
-        else:
-            token = self._verified_tokens.get(digest)
-            if token is not None:
-                if token.expired(
-                    self.machine.now(), self.token_verifier.skew_tolerance_ms
-                ):
-                    self.monitor.increment("tracker.tokens_rejected")
-                    del self._verified_tokens[digest]
-                    return None
-                return token
-        yield from self.machine.charge(CryptoOp.TOKEN_VERIFY)
         try:
-            token = self.token_verifier.verify(message.auth_token, self.machine.now())
+            return (yield from self.token_verifier.check(message.auth_token, self.machine))
         except TokenError:
             self.monitor.increment("tracker.tokens_rejected")
             return None
-        if cache is not None:
-            cache.store(digest, token)
-        else:
-            self._verified_tokens[digest] = token
-        return token
 
     def _handle_trace(
         self, watched: _WatchedEntity, message: Message

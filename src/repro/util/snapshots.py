@@ -1,9 +1,9 @@
 """Canonical rendering and exact comparison of committed seed snapshots.
 
 Every seeded harness (routing smoke, chaos scenarios, fabric scale,
-campaigns) returns a JSON-serializable snapshot dict, commits its
-canonical rendering under ``benchmarks/results/`` and gates later runs
-against it.  Runs are bit-identical per seed, so the gate is exact: any
+campaigns) returns a JSON-serializable snapshot dict; :mod:`repro.seeds`
+commits its canonical rendering under ``benchmarks/results/`` and later
+runs are gated against it.  Runs are bit-identical per seed, so the gate is exact: any
 drift is either nondeterminism or a behaviour change that needs a
 deliberate seed refresh.
 """

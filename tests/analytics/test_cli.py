@@ -1,14 +1,13 @@
-"""Tier-1 mirror of CI's analytics-smoke step: committed artifacts are
-byte-for-byte regenerable, and the run CLI enforces the audit gate."""
-
-import pathlib
+"""The ``repro analytics`` CLI, held to the committed analytics seed: either
+backend's ``run`` writes it and ``report`` renders its report (that the
+library producer regenerates both is ``tests/test_seeds.py``)."""
 
 from repro.cli import build_parser, main
+from repro.seeds import RESULTS_DIR, SEED_GROUPS
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-ANALYTICS_DIR = REPO_ROOT / "benchmarks" / "results" / "analytics"
-SEED_SNAPSHOT = ANALYTICS_DIR / "analytics_seed.json"
-SEED_REPORT = ANALYTICS_DIR / "report.md"
+SEED_SNAPSHOT, SEED_REPORT = (
+    RESULTS_DIR / file for file in SEED_GROUPS["analytics"].files
+)
 
 
 class TestParser:
@@ -33,7 +32,7 @@ class TestParser:
 
 class TestSeedMirror:
     def test_run_reproduces_committed_seed_snapshot(self, tmp_path, capsys):
-        out = tmp_path / "analytics_seed.json"
+        out = tmp_path / "memory.json"
         code = main(
             ["analytics", "run", "--scenario", "broker-crash",
              "--out", str(out)]
@@ -55,7 +54,7 @@ class TestSeedMirror:
     def test_sqlite_backend_produces_the_identical_snapshot(
         self, tmp_path, capsys
     ):
-        out = tmp_path / "sqlite_seed.json"
+        out = tmp_path / "sqlite.json"
         code = main(
             ["analytics", "run", "--scenario", "broker-crash",
              "--backend", "sqlite", "--db", str(tmp_path / "a.db"),

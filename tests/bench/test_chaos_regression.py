@@ -1,46 +1,18 @@
-"""Chaos regression gate: live scenario vs the committed seed snapshot.
+"""The chaos seed's ``broker-crash`` run really crashed, detected and recovered.
 
-``benchmarks/results/chaos_seed.json`` records the full snapshot of the
-``broker-crash`` chaos scenario (fault counts, recovery latency moments,
-delivery totals).  Chaos runs are bit-identical per seed, so the gate
-pins everything exactly — any drift is either nondeterminism creeping in
-or a behaviour change that needs a deliberate re-seed.  To re-seed after
-an *intentional* change::
-
-    PYTHONPATH=src python -m repro faults --scenario broker-crash --json \
-        > benchmarks/results/chaos_seed.json
+The byte-exact comparison with the committed seed is ``tests/test_seeds.py``;
+this reads the same cached run.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
-from repro.faults import run_scenario
-from repro.util.snapshots import snapshot_drift
-
-SEED_FILE = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-    / "chaos_seed.json"
-)
-
 
 @pytest.fixture(scope="module")
-def live_snapshot():
-    return run_scenario("broker-crash")
-
-
-@pytest.fixture(scope="module")
-def seed_snapshot():
-    return json.loads(SEED_FILE.read_text())
+def live_snapshot(live_seed):
+    return live_seed("chaos")
 
 
 class TestAgainstCommittedSeed:
-    def test_no_regressions(self, live_snapshot, seed_snapshot):
-        """If this fails after an intentional change, re-seed (docstring)."""
-        findings = snapshot_drift(live_snapshot, seed_snapshot)
-        assert not findings, "\n".join(findings)
-
     def test_scenario_sanity(self, live_snapshot):
         counters = live_snapshot["counters"]
         assert counters["faults.injected.broker_crash"] == 1

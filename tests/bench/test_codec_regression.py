@@ -1,50 +1,18 @@
-"""Codec regression gate: live per-codec counters vs the committed seed.
+"""What the codec seed (ping-heavy scenario, once per wire codec) must show.
 
-``benchmarks/results/codec_seed.json`` records what the ping-heavy
-scenario costs under each wire codec (wire bytes, forwarding work,
-charged token verification) and what it delivers.  The run is
-bit-identical per seed, so the gate is exact.  To re-seed after an
-*intentional* change::
-
-    PYTHONPATH=src python -m repro metrics --codec-smoke \
-        > benchmarks/results/codec_seed.json
+The byte-exact comparison with the committed seed is ``tests/test_seeds.py``;
+these read the same cached run and hold the claims the document exists for.
 """
-
-import contextlib
-import io
-import json
-from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.util.snapshots import snapshot_drift
-
-SEED_FILE = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-    / "codec_seed.json"
-)
-
 
 @pytest.fixture(scope="module")
-def live_snapshot():
-    """One run of the command the ``bench-smoke`` CI step pipes to ``diff -u``."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main(["metrics", "--codec-smoke"]) == 0
-    return json.loads(stdout.getvalue())
-
-
-@pytest.fixture(scope="module")
-def seed_snapshot():
-    return json.loads(SEED_FILE.read_text())
+def live_snapshot(live_seed):
+    return live_seed("codec")
 
 
 class TestAgainstCommittedSeed:
-    def test_no_drift(self, live_snapshot, seed_snapshot):
-        findings = snapshot_drift(live_snapshot, seed_snapshot)
-        assert not findings, "\n".join(findings)
-
     def test_compact_codec_pays_off(self, live_snapshot):
         before = live_snapshot["codecs"]["json"]
         after = live_snapshot["codecs"]["compact"]

@@ -1,52 +1,19 @@
-"""Routing regression gate: live counters vs the committed seed snapshot.
+"""The routing seed's scenario (quickstart + tracker detach) is the one meant.
 
-``benchmarks/results/routing_seed.json`` records the routing counters of
-the deterministic smoke scenario (quickstart + tracker detach).  Any code
-change that makes routing wasteful (unroutable messages, forwards on
-stale interest) or alters what gets delivered fails here.  To re-seed
-after an *intentional* routing change::
-
-    PYTHONPATH=src python -c "
-    from repro.bench.routing_smoke import run_routing_smoke
-    from repro.util.snapshots import render_snapshot
-    open('benchmarks/results/routing_seed.json', 'w').write(
-        render_snapshot(run_routing_smoke()))"
+The byte-exact comparison with the committed seed is ``tests/test_seeds.py``;
+these read the same cached run and say what a correct one looks like, so a
+re-seed that bakes in waste still fails.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
-from repro.bench.routing_smoke import run_routing_smoke
-from repro.util.snapshots import snapshot_drift
-
-SEED_FILE = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-    / "routing_seed.json"
-)
-
 
 @pytest.fixture(scope="module")
-def live_snapshot():
-    return run_routing_smoke()
-
-
-@pytest.fixture(scope="module")
-def seed_snapshot():
-    return json.loads(SEED_FILE.read_text())
+def live_snapshot(live_seed):
+    return live_seed("routing")
 
 
 class TestAgainstCommittedSeed:
-    def test_no_regressions(self, live_snapshot, seed_snapshot):
-        """The whole snapshot is deterministic, so the gate is exact.
-
-        If this fails after an intentional routing change, regenerate the
-        seed file (see module docstring) and review the diff in the PR.
-        """
-        findings = snapshot_drift(live_snapshot, seed_snapshot)
-        assert not findings, "\n".join(findings)
-
     def test_scenario_sanity(self, live_snapshot):
         counters = live_snapshot["counters"]
         # the tracker really subscribed and later really detached

@@ -1,7 +1,8 @@
-"""The committed fabric-scale seed must stay reproducible and gated."""
+"""The fabric-scale seed point keeps the economics it was committed for.
 
-import json
-from pathlib import Path
+The byte-exact comparison with the committed seed is ``tests/test_seeds.py``;
+these read the same cached run.
+"""
 
 import pytest
 
@@ -12,27 +13,14 @@ from repro.bench.scale import (
     run_scale_point,
 )
 from repro.errors import ConfigurationError
-from repro.util.snapshots import snapshot_drift
-
-SEED_FILE = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "results" / "scale_seed.json"
-)
 
 
 @pytest.fixture(scope="module")
-def live_snapshot():
-    return run_scale_point()
-
-
-@pytest.fixture(scope="module")
-def seed_snapshot():
-    return json.loads(SEED_FILE.read_text())
+def live_snapshot(live_seed):
+    return live_seed("scale")
 
 
 class TestAgainstCommittedSeed:
-    def test_no_drift(self, live_snapshot, seed_snapshot):
-        assert snapshot_drift(live_snapshot, seed_snapshot) == []
-
     def test_scale_economics_hold(self, live_snapshot):
         """The claims the tentpole exists for, pinned at the smoke point."""
         assert live_snapshot["brokers"] == SMOKE_BROKERS

@@ -1,7 +1,6 @@
-"""Campaign execution, snapshot assembly, and the seed-gate mirror."""
+"""Campaign execution and snapshot assembly."""
 
 import json
-import pathlib
 
 import pytest
 
@@ -10,19 +9,15 @@ from repro.campaigns import (
     CampaignSpec,
     campaign_snapshot,
     expand,
-    load_spec,
     run_campaign,
     run_point,
 )
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
+from repro.seeds import RESULTS_DIR, SEED_GROUPS
 from repro.util.snapshots import render_snapshot
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-SMOKE_SPEC = REPO_ROOT / "benchmarks" / "campaigns" / "smoke.json"
-SMOKE_SEED = (
-    REPO_ROOT / "benchmarks" / "results" / "campaigns" / "smoke" / "snapshot.json"
-)
+SMOKE_SEED = RESULTS_DIR / SEED_GROUPS["campaign"].files[0]
 
 #: A two-point campaign cheap enough to execute in-process.
 TINY = CampaignSpec(
@@ -87,13 +82,7 @@ class TestRunCampaign:
 
 
 class TestSmokeSeedMirror:
-    """Tier-1 mirror of CI's campaign-smoke job: the committed snapshot
-    must be exactly reproducible from the committed spec at seed 42."""
-
-    def test_smoke_campaign_reproduces_committed_snapshot(self):
-        spec = load_spec(SMOKE_SPEC)
-        live = run_campaign(spec, seed=42)
-        assert render_snapshot(live) == SMOKE_SEED.read_text()
+    """The committed smoke snapshot (reproduced by ``tests/test_seeds.py``)."""
 
     def test_committed_snapshot_satisfies_the_issue_contract(self):
         seed = json.loads(SMOKE_SEED.read_text())

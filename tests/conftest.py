@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.rsa import generate_rsa_keypair
+from repro.seeds import SEED_GROUPS
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
@@ -59,3 +61,29 @@ def free_cost_model() -> CryptoCostModel:
 @pytest.fixture
 def machine(sim, rng) -> Machine:
     return Machine(sim, "m0", CryptoCostModel(seed=1), rng)
+
+
+@pytest.fixture(scope="session")
+def seed_run(tmp_path_factory):
+    """``seed_run(name)``: the results directory that :data:`SEED_GROUPS` row's
+    producer wrote into -- run once per session, however many tests read it
+    (``tests/test_seeds.py`` compares it with the committed files)."""
+    produced = {}
+
+    def run(name: str):
+        if name not in produced:
+            produced[name] = tmp_path_factory.mktemp(f"seeds-{name}")
+            SEED_GROUPS[name].produce(produced[name])
+        return produced[name]
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def live_seed(seed_run):
+    """``live_seed(name)``: that run's JSON snapshot (the row's first file)."""
+
+    def load(name: str) -> dict:
+        return json.loads((seed_run(name) / SEED_GROUPS[name].files[0]).read_text())
+
+    return load

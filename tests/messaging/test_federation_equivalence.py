@@ -8,7 +8,6 @@ seed snapshots keep gating a fabric whose control plane was swapped out.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -17,10 +16,13 @@ from repro.faults.scenarios import SCENARIOS, run_scenario
 from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
 from repro.messaging.topics import Topic
+from repro.seeds import RESULTS_DIR, SEED_GROUPS
 from repro.sim.engine import Simulator
 from repro.util.snapshots import render_snapshot
 
-RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+
+def committed_seed(name: str) -> dict:
+    return json.loads((RESULTS_DIR / SEED_GROUPS[name].files[0]).read_text())
 
 
 def build_fabric(topology: str, federation: bool, seed: int = 23) -> tuple:
@@ -104,7 +106,7 @@ class TestScenarioEquivalence:
         drift.  The pattern-entry gauge is legitimately *lower*: peers no
         longer mirror remote interest into their local indexes."""
         snapshot = run_routing_smoke(federation=True)
-        committed = json.loads((RESULTS / "routing_seed.json").read_text())
+        committed = committed_seed("routing")
         assert snapshot["counters"] == committed["counters"]
         assert (
             snapshot["interest_patterns_gauge"]
@@ -121,7 +123,7 @@ class TestScenarioEquivalence:
 
     def test_broker_crash_matches_committed_seed(self):
         snapshot = run_scenario("broker-crash", federation=True)
-        committed = json.loads((RESULTS / "chaos_seed.json").read_text())
+        committed = committed_seed("chaos")
         assert render_snapshot(snapshot) == render_snapshot(committed)
 
 

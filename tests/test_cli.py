@@ -78,6 +78,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_seeds_takes_no_flags(self):
+        assert build_parser().parse_args(["seeds"]).command == "seeds"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["seeds", "--only", "routing"])
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -152,3 +157,33 @@ class TestCommands:
         assert main(["faults", "--scenario", "broker-crash", "--json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot == run_scenario("broker-crash")
+
+    def test_seeds_walks_the_table_and_stops_at_a_refusing_producer(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the real table is tests/test_seeds.py's; here: one row written, one refusing
+        # (as the analytics row's audit gate does), one never reached
+        from repro import seeds
+        from repro.errors import AuditIncompleteError
+
+        def refuse(results):
+            raise AuditIncompleteError("audit incomplete: 1 rule(s) unbalanced")
+
+        def written(results):
+            (results / "a.json").write_text("{}\n")
+
+        monkeypatch.setattr(seeds, "RESULTS_DIR", tmp_path)
+        monkeypatch.setattr(
+            seeds,
+            "SEED_GROUPS",
+            {
+                "first": seeds.SeedGroup(("a.json",), written),
+                "gated": seeds.SeedGroup(("b.json",), refuse),
+                "never": seeds.SeedGroup(("c.json",), written),
+            },
+        )
+        assert main(["seeds"]) == 1
+        captured = capsys.readouterr()
+        assert f"first: wrote {tmp_path / 'a.json'}" in captured.out
+        assert "never" not in captured.out
+        assert captured.err == "repro seeds: gated: audit incomplete: 1 rule(s) unbalanced\n"

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro import build_deployment
 from repro.tracing.forecast import NetworkForecaster, SeriesForecaster
+from repro.tracing.tracker import ReceivedTrace
+from repro.tracing.traces import TraceType
 
 
 class TestSeriesForecaster:
@@ -86,3 +88,23 @@ class TestNetworkForecasterLive:
         tracker.connect("b1")
         forecaster = NetworkForecaster(tracker)
         assert forecaster.forecast_rtt_ms("ghost") is None
+
+    def test_a_sampleless_metrics_trace_is_counted_and_the_chained_hook_still_runs(self):
+        # a verified NETWORK_METRICS trace is signed, not typed; raising out of the
+        # hook ends the tracker's trace process before an earlier-attached ingestor runs
+        dep = build_deployment(broker_ids=["b1"], seed=912)
+        tracker = dep.add_tracker("w")
+        seen = []
+        tracker.on_trace = seen.append
+        forecaster = NetworkForecaster(tracker)
+        traces = [
+            ReceivedTrace(TraceType.NETWORK_METRICS, "svc", 1.0, None, payload)
+            for payload in ({}, {"mean_rtt_ms": "soon", "loss_rate": 0.0})
+        ]
+
+        for trace in traces:
+            tracker.on_trace(trace)
+
+        assert seen == traces
+        assert forecaster.forecast_rtt_ms("svc") is None
+        assert tracker.monitor.count("tracker.traces_malformed") == 2
