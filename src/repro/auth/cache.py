@@ -4,16 +4,17 @@ Token verification costs a calibrated ``TOKEN_VERIFY`` charge (about 2 ms
 of virtual time, Table 3) and the paper requires it on *every* constrained
 trace frame at *every* hop (section 4.3).  Tokens, however, are stable for
 their whole validity window: the same byte-identical token rides thousands
-of consecutive frames.  This cache extends the per-topic advertisement
+of consecutive frames.  This cache extends the advertisement
 cache of :mod:`repro.auth.verification` down to whole tokens — a broker
 (or tracker) pays the full verification once per distinct token and then
 answers from the cache until the token expires, is revoked, or is evicted.
 
-Cache keys are the SHA-1 digest of the token's canonical wire form, so a
-refreshed token (new validity window, new bytes) can never alias a stale
-entry.  Every ``lookup``/``store`` outcome is counted on the deployment
-registry (``auth.token.cache.{hit,miss,evicted}``) so perf PRs can cite
-hit rates straight from a snapshot (docs/PERFORMANCE.md).
+Cache keys are the SHA-1 digest of the token's canonical bytes as they
+travel (``AuthorizationToken.wire``), so a refreshed token (new validity
+window, new bytes) can never alias a stale entry.  Every
+``lookup``/``store`` outcome is counted on the deployment registry
+(``auth.token.cache.{hit,miss,evicted}``) so perf PRs can cite hit rates
+straight from a snapshot (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -22,17 +23,24 @@ from collections import OrderedDict
 
 from repro.auth.tokens import AuthorizationToken
 from repro.crypto.digest import sha1_digest
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TokenError
 from repro.obs import MetricsRegistry
-from repro.util.serialization import canonical_encode
+from repro.util.serialization import Canonical
 
 #: Default entry capacity; sized for "every live session on one broker".
 DEFAULT_TOKEN_CACHE_CAPACITY = 256
 
 
-def token_digest(token_dict: dict) -> bytes:
-    """Stable cache key: SHA-1 over the token's canonical wire form."""
-    return sha1_digest(canonical_encode(token_dict))
+def token_digest(wire: Canonical) -> bytes:
+    """Stable cache key: SHA-1 over the token's canonical bytes, as received.
+
+    Nothing is encoded or decoded: the digest covers exactly the bytes a
+    cache miss would decode and verify.  Anything but a :class:`Canonical`
+    is a :class:`TokenError`, checked before the bytes are touched.
+    """
+    if type(wire) is not Canonical:
+        raise TokenError(f"token must travel as Canonical bytes, got {type(wire).__name__}")
+    return sha1_digest(wire.data)
 
 
 class TokenVerificationCache:

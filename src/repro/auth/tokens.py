@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
@@ -26,7 +26,7 @@ from repro.crypto.signing import SignedEnvelope, sign_payload, verify_payload
 from repro.errors import MalformedFrameError, SignatureError, TokenError
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.util.identifiers import UUID128
-from repro.util.serialization import Fields
+from repro.util.serialization import Canonical, Fields
 
 
 class TokenRights(enum.Enum):
@@ -38,7 +38,12 @@ class TokenRights(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class AuthorizationToken:
-    """A signed delegation of rights over a trace topic."""
+    """A signed delegation of rights over a trace topic.
+
+    ``wire`` is the canonical encoding of :meth:`to_dict`, computed once
+    when the token is built: it is what every trace carries
+    (``Message.auth_token``) and what a verifier hashes for its cache key.
+    """
 
     advertisement: TopicAdvertisement
     token_public_key: RSAPublicKey
@@ -46,6 +51,10 @@ class AuthorizationToken:
     valid_from_ms: float
     valid_until_ms: float
     owner_signature: SignedEnvelope
+    wire: Canonical = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wire", Canonical.of(self.to_dict()))
 
     # -- creation ---------------------------------------------------------------
 

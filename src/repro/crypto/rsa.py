@@ -27,6 +27,10 @@ DEFAULT_KEY_BITS = 512
 #: DER prefix of DigestInfo for SHA-1 (RFC 8017 section 9.2 notes).
 _SHA1_DIGEST_INFO_PREFIX = bytes.fromhex("3021300906052b0e03021a05000414")
 
+#: Shortest modulus (bytes) that can sign: EMSA-PKCS1-v1_5 needs the SHA-1
+#: DigestInfo plus 11 bytes of header and padding: 46.
+MIN_SIGNING_MODULUS_BYTES = len(_SHA1_DIGEST_INFO_PREFIX) + 20 + 11
+
 
 @dataclass(frozen=True, slots=True)
 class RSAPublicKey:
@@ -178,7 +182,7 @@ def generate_rsa_keypair(
 def _emsa_pkcs1_v15(message: bytes, em_len: int) -> bytes:
     """EMSA-PKCS1-v1_5 encoding of SHA-1(message) into ``em_len`` bytes."""
     t = _SHA1_DIGEST_INFO_PREFIX + _digest.sha1_digest(message)
-    if em_len < len(t) + 11:
+    if em_len < MIN_SIGNING_MODULUS_BYTES:
         raise KeyMaterialError("modulus too small for EMSA-PKCS1-v1_5 with SHA-1")
     ps = b"\xff" * (em_len - len(t) - 3)
     return b"\x00\x01" + ps + b"\x00" + t

@@ -24,6 +24,7 @@ from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
 from repro.transport.link import Link
+from repro.util.serialization import Canonical
 
 Handler = Callable[[Message], None]
 
@@ -91,7 +92,7 @@ class BrokerClient:
         topic: str | Topic,
         body: Any,
         signature: dict | None = None,
-        auth_token: dict | None = None,
+        auth_token: Canonical | None = None,
         encrypted: bool = False,
     ) -> Message:
         """Publish a message; it travels the client link to the broker."""

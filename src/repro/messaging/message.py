@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.messaging.topics import Topic
+from repro.util.serialization import Canonical
 
 _message_ids = itertools.count(1)
 
@@ -66,8 +67,10 @@ class Message:
     ``body`` is the application payload (canonically encodable, or raw
     ``bytes`` when encrypted).  ``signature`` holds a serialized
     :class:`~repro.crypto.signing.SignedEnvelope` dict covering the body;
-    ``auth_token`` holds a serialized authorization token dict.  ``hops``
-    counts broker-to-broker forwards for diagnostics.
+    ``auth_token`` holds an authorization token's canonical bytes
+    (:attr:`AuthorizationToken.wire <repro.auth.tokens.AuthorizationToken.wire>`),
+    encoded once where the token was issued.  ``hops`` counts
+    broker-to-broker forwards for diagnostics.
     """
 
     topic: Topic
@@ -76,7 +79,7 @@ class Message:
     message_id: int = field(default_factory=lambda: next(_message_ids))
     created_ms: float = 0.0
     signature: dict | None = None
-    auth_token: dict | None = None
+    auth_token: Canonical | None = None
     encrypted: bool = False
     hops: int = 0
 

@@ -103,7 +103,7 @@ class SpuriousTracePublisher:
             topics.change_notifications,
             body,
             signature=envelope.to_dict(),
-            auth_token=token.to_dict(),
+            auth_token=token.wire,
         )
         yield self.sim.timeout(0.0)
 

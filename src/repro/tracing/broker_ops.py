@@ -18,7 +18,7 @@ from repro.auth.tokens import AuthorizationToken
 from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.keys import SymmetricKey
-from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
+from repro.crypto.rsa import MIN_SIGNING_MODULUS_BYTES, RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import (
     SealedPayload,
     open_sealed,
@@ -295,7 +295,7 @@ class TraceManager:
             elif kind == "load":
                 yield from self._handle_load_report(session, body)
             elif kind == "token_delivery":
-                yield from self._handle_token_delivery(session, body)
+                yield from self._handle_token_delivery(session, message, body)
             elif kind == "trace_key" or kind == "channel_key":
                 yield from self._handle_symmetric_key(session, kind, body)
             elif kind == "disable_tracing":
@@ -361,19 +361,16 @@ class TraceManager:
         return payload if isinstance(payload, dict) else None
 
     def _handle_token_delivery(
-        self, session: TraceSession, body: dict
+        self, session: TraceSession, message: Message, body: dict
     ) -> Generator[Event, None, None]:
         payload = yield from self._open_sealed_control(body)
         if payload is None:
             return
         try:
-            token = AuthorizationToken.from_dict(payload.get("token"))
-            private = Fields(payload.get("token_private"), RSAPrivateKey)
-            token_private = RSAPrivateKey(
-                **{f.name: private.integer(f.name) for f in dataclasses.fields(RSAPrivateKey)}
-            )
-        except (MalformedFrameError, TokenError):
+            token, token_private = _read_token_delivery(payload)
+        except MalformedFrameError as exc:
             self.monitor.increment("trace.token_delivery_malformed")
+            self._log_malformed(exc, session, message)
             return
         first_token = session.token is None
         session.token = token
@@ -774,7 +771,7 @@ class TraceManager:
             source=self.broker.broker_id,
             created_ms=now,
             signature=envelope.to_dict(),
-            auth_token=session.token.to_dict(),
+            auth_token=session.token.wire,
             encrypted=secured,
         )
         self.broker.publish_from_broker(message)
@@ -788,3 +785,31 @@ class TraceManager:
 
     def active_sessions(self) -> list[TraceSession]:
         return [s for s in self.sessions.values() if s.active]
+
+
+def _read_token_delivery(payload: dict) -> tuple[AuthorizationToken, RSAPrivateKey]:
+    """The delivered token and the key this broker will sign its traces with.
+
+    Raises :class:`MalformedFrameError` for anything but a key the first
+    ``publish_trace`` can sign with under this token: the private half of
+    ``token_public_key``, with a modulus long enough for EMSA-PKCS1-v1_5
+    over SHA-1, and CRT factors of it with non-negative exponents.
+    """
+    try:
+        token = AuthorizationToken.from_dict(payload.get("token"))
+    except TokenError as exc:
+        raise MalformedFrameError(f"token delivery: {exc}") from exc
+    fields = Fields(payload.get("token_private"), RSAPrivateKey)
+    key = RSAPrivateKey(
+        **{f.name: fields.integer(f.name) for f in dataclasses.fields(RSAPrivateKey)}
+    )
+    public = token.token_public_key
+    if (key.n, key.e) != (public.n, public.e):
+        problem = "is not the private half of the token's key"
+    elif key.byte_length < MIN_SIGNING_MODULUS_BYTES:
+        problem = f"has a {key.byte_length}-byte modulus, under {MIN_SIGNING_MODULUS_BYTES}"
+    elif not (1 < min(key.p, key.q) and key.p * key.q == key.n and min(key.d_p, key.d_q) >= 0):
+        problem = "has CRT parameters that cannot sign"
+    else:
+        return token, key
+    raise MalformedFrameError(f"token delivery: 'token_private' {problem}")

@@ -11,6 +11,11 @@ Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
 ``list``/``tuple`` (decoded as list), and ``dict`` with ``str`` keys (encoded
 in sorted key order).
 
+:class:`Canonical` holds a value as its encoded bytes: placed anywhere in
+a container, it encodes to exactly the bytes the plain value would, so a
+value encoded once (an authorization token, where it is issued) is spliced
+into every frame that carries it instead of being re-encoded.
+
 :class:`Fields` is the receiving side of the same type universe: the one
 place a decoded mapping becomes typed values (docs/WIRE_FORMAT.md,
 "Decoding").
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import (
@@ -135,6 +141,9 @@ def _encode_into(value: Any, emit: Callable[[bytes], None], kind: type) -> None:
         data = bytes(value)
         emit(_HEAD_BYTES % len(data))
         emit(data)
+    elif kind is Canonical:
+        # after every builtin arm: only a container carrying one pays the test
+        emit(value.data)
     else:
         for bases, builtin in _SUBCLASS_ORDER:
             if isinstance(value, bases):
@@ -147,12 +156,21 @@ def canonical_decode(data: bytes) -> Any:
     """Decode bytes produced by :func:`canonical_encode`.
 
     Raises :class:`SerializationDecodeError` (a ``ValueError``) on
-    malformed or trailing data.
+    malformed or trailing data, and on containers nested deeper than
+    :data:`MAX_DECODE_DEPTH`.
     """
-    value, offset = _decode_from(data, 0)
+    value, offset = _decode_from(data, 0, 0)
     if offset != len(data):
         raise SerializationDecodeError(f"trailing bytes after canonical value at offset {offset}")
     return value
+
+
+#: Deepest container nesting :func:`canonical_decode` accepts; a token nests
+#: four deep.  Received bytes must not be able to exhaust the call stack.
+MAX_DECODE_DEPTH = 64
+
+#: More digits than any buffer length has (and fewer than ``int``'s limit).
+_MAX_LENGTH_DIGITS = 19
 
 
 def _read_length(data: bytes, offset: int) -> tuple[int, int]:
@@ -160,12 +178,12 @@ def _read_length(data: bytes, offset: int) -> tuple[int, int]:
     if end < 0:
         raise SerializationDecodeError("missing length delimiter")
     text = data[offset:end]
-    if not text or not text.lstrip(b"-").isdigit():
-        raise SerializationDecodeError(f"bad length field {text!r}")
+    if not text or len(text) > _MAX_LENGTH_DIGITS or not text.lstrip(b"-").isdigit():
+        raise SerializationDecodeError(f"bad length field {text[:24]!r}")
     return int(text), end + 1
 
 
-def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
+def _decode_from(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
     if offset >= len(data):
         raise SerializationDecodeError("unexpected end of canonical data")
     tag = data[offset : offset + 1]
@@ -205,6 +223,9 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         if len(chunk) != length:
             raise SerializationDecodeError("truncated bytes")
         return chunk, offset + length
+    if (tag == _TAG_LIST or tag == _TAG_DICT) and depth >= MAX_DECODE_DEPTH:
+        raise SerializationDecodeError(f"containers nested deeper than {MAX_DECODE_DEPTH}")
+    depth += 1
     if tag == _TAG_LIST:
         items: list[Any] = []
         while True:
@@ -212,7 +233,7 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
                 raise SerializationDecodeError("unterminated list")
             if data[offset : offset + 1] == _TAG_END:
                 return items, offset + 1
-            item, offset = _decode_from(data, offset)
+            item, offset = _decode_from(data, offset, depth)
             items.append(item)
     if tag == _TAG_DICT:
         result: dict[str, Any] = {}
@@ -222,15 +243,46 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
                 raise SerializationDecodeError("unterminated dict")
             if data[offset : offset + 1] == _TAG_END:
                 return result, offset + 1
-            key, offset = _decode_from(data, offset)
+            key, offset = _decode_from(data, offset, depth)
             if not isinstance(key, str):
                 raise SerializationDecodeError("dict key must decode to str")
             if previous_key is not None and key <= previous_key:
                 raise SerializationDecodeError("dict keys not in canonical order")
             previous_key = key
-            value, offset = _decode_from(data, offset)
+            value, offset = _decode_from(data, offset, depth)
             result[key] = value
     raise SerializationDecodeError(f"unknown tag {tag!r} at offset {offset - 1}")
+
+
+@dataclass(frozen=True, slots=True)
+class Canonical:
+    """A canonical value held as its encoded bytes.
+
+    :func:`canonical_encode` emits ``data`` verbatim wherever a
+    ``Canonical`` sits, so a container holding ``Canonical.of(v)`` encodes
+    to exactly the bytes of the same container holding ``v``.  Equal
+    bytes are equal values; ``data`` is whatever was received, and
+    :attr:`value` raises :class:`SerializationDecodeError` when it does
+    not decode.
+    """
+
+    data: bytes
+
+    def __post_init__(self) -> None:
+        if type(self.data) is not bytes:
+            raise SerializationTypeError(
+                f"Canonical holds bytes, got {type(self.data).__name__}"
+            )
+
+    @classmethod
+    def of(cls, value: Any) -> "Canonical":
+        """Encode ``value`` once."""
+        return cls(canonical_encode(value))
+
+    @property
+    def value(self) -> Any:
+        """The held value, decoded afresh on every read."""
+        return canonical_decode(self.data)
 
 
 _REQUIRED: Any = object()

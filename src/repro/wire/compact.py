@@ -41,6 +41,7 @@ from typing import Any
 from repro.errors import SerializationDecodeError, SerializationTypeError
 from repro.messaging.message import Message, RoutedFrame
 from repro.messaging.topics import Topic
+from repro.util.serialization import Canonical
 
 MAGIC = 0xC3
 VERSION = 0x01
@@ -362,7 +363,8 @@ def _encode_message_body(message: Message, out: bytearray) -> None:
     if flags & FLAG_SIGNATURE:
         _encode_value(message.signature, ctx, out)
     if flags & FLAG_AUTH_TOKEN:
-        _encode_value(message.auth_token, ctx, out)
+        # the value, not the held bytes: its strings intern against this frame
+        _encode_value(message.auth_token.value, ctx, out)
 
 
 def _decode_message_body(data: bytes, offset: int) -> tuple[Message, int]:
@@ -391,7 +393,8 @@ def _decode_message_body(data: bytes, offset: int) -> tuple[Message, int]:
         signature, offset = _decode_value(data, offset, ctx)
     auth_token = None
     if flags & FLAG_AUTH_TOKEN:
-        auth_token, offset = _decode_value(data, offset, ctx)
+        token_value, offset = _decode_value(data, offset, ctx)
+        auth_token = Canonical.of(token_value)
     message = Message(
         topic=Topic("/".join(segments)),
         body=body,

@@ -7,7 +7,9 @@ over ``wire_dict()``, exactly the rendering ``wire_size`` used before the
 codec seam existed.  That byte-for-byte equivalence is a hard requirement:
 every committed seed snapshot (``benchmarks/results/*.json``) pins wire
 sizes produced by this encoding, so the default codec must never change
-them.
+them.  An authorization token rides as a
+:class:`~repro.util.serialization.Canonical`, whose bytes are spliced into
+the frame unchanged: the same bytes its plain dict would encode to.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Any
 from repro.messaging.message import Message, RoutedFrame
 from repro.messaging.topics import Topic
 from repro.util.serialization import (
+    Canonical,
     canonical_decode,
     canonical_encode,
     canonical_encode_into,
@@ -45,8 +48,10 @@ def message_from_wire_dict(data: dict) -> Message:
     """Rebuild a :class:`Message` from its ``wire_dict()`` rendering.
 
     ``hops`` never rides the wire (it is link-local diagnostics), so the
-    reconstructed message always carries ``hops=0``.
+    reconstructed message always carries ``hops=0``.  The token comes back
+    in the form it travelled in: its canonical bytes.
     """
+    auth_token = data["auth_token"]
     return Message(
         topic=Topic(data["topic"]),
         body=data["body"],
@@ -54,7 +59,7 @@ def message_from_wire_dict(data: dict) -> Message:
         message_id=data["message_id"],
         created_ms=data["created_ms"],
         signature=data["signature"],
-        auth_token=data["auth_token"],
+        auth_token=None if auth_token is None else Canonical.of(auth_token),
         encrypted=data["encrypted"],
     )
 

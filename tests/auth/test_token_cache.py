@@ -7,6 +7,8 @@ a revoked token stops working even while cached, and a restarted broker
 starts with a cold cache.
 """
 
+import sys
+
 import pytest
 
 from repro.auth import (
@@ -18,6 +20,7 @@ from repro.auth import (
 )
 from repro.errors import ConfigurationError, TokenError
 from repro.obs import MetricsRegistry
+from repro.util import serialization
 
 from tests.auth.test_verification import make_advertisement
 
@@ -35,6 +38,16 @@ def token(keypair, second_keypair, rng):
     return make_token(keypair, second_keypair, rng)
 
 
+def _holds_a_token_mapping(value) -> bool:
+    if isinstance(value, dict):
+        if "token_n" in value and "owner_signature" in value:
+            return True
+        return any(_holds_a_token_mapping(item) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_holds_a_token_mapping(item) for item in value)
+    return False
+
+
 class TestCacheUnit:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -42,7 +55,7 @@ class TestCacheUnit:
 
     def test_store_then_lookup_hits(self, token):
         cache = TokenVerificationCache()
-        digest = token_digest(token.to_dict())
+        digest = token_digest(token.wire)
         assert cache.lookup(digest, now_ms=0.0) is None
         cache.store(digest, token)
         assert cache.lookup(digest, now_ms=100.0) is token
@@ -50,14 +63,14 @@ class TestCacheUnit:
 
     def test_expired_entry_is_a_miss_and_is_dropped(self, token):
         cache = TokenVerificationCache()
-        digest = token_digest(token.to_dict())
+        digest = token_digest(token.wire)
         cache.store(digest, token)
         assert cache.lookup(digest, now_ms=10_500.0) is None
         assert digest not in cache
 
     def test_skew_tolerance_keeps_borderline_entries_alive(self, token):
         cache = TokenVerificationCache()
-        digest = token_digest(token.to_dict())
+        digest = token_digest(token.wire)
         cache.store(digest, token)
         assert cache.lookup(digest, 10_050.0, skew_tolerance_ms=100.0) is token
 
@@ -66,7 +79,7 @@ class TestCacheUnit:
         tokens = [
             make_token(keypair, second_keypair, rng, topic_value=i) for i in (1, 2, 3)
         ]
-        digests = [token_digest(t.to_dict()) for t in tokens]
+        digests = [token_digest(t.wire) for t in tokens]
         cache.store(digests[0], tokens[0])
         cache.store(digests[1], tokens[1])
         # touch the oldest so the *other* entry becomes LRU
@@ -78,7 +91,7 @@ class TestCacheUnit:
     def test_counters_recorded(self, token):
         metrics = MetricsRegistry()
         cache = TokenVerificationCache(capacity=1, metrics=metrics)
-        digest = token_digest(token.to_dict())
+        digest = token_digest(token.wire)
         counters = metrics.snapshot()["counters"]
         assert counters["auth.token.cache.hit"] == 0  # materialized zeros
         cache.lookup(digest, now_ms=0.0)  # miss
@@ -92,7 +105,7 @@ class TestCacheUnit:
 
     def test_clear_and_discard(self, token):
         cache = TokenVerificationCache()
-        digest = token_digest(token.to_dict())
+        digest = token_digest(token.wire)
         cache.store(digest, token)
         cache.discard(digest)
         assert len(cache) == 0
@@ -108,21 +121,21 @@ class TestVerifierIntegration:
     ):
         cache = TokenVerificationCache()
         verifier = TokenVerifier({"tdn-0": second_keypair.public}, cache=cache)
-        token_dict = token.to_dict()
-        digest = token_digest(token_dict)
-        cache.store(digest, verifier.verify(token_dict, now_ms=0.0))
-        verifier.revoke(token_dict)
-        assert verifier.is_revoked(token_dict)
+        wire = token.wire
+        digest = token_digest(wire)
+        cache.store(digest, verifier.verify(wire, now_ms=0.0))
+        verifier.revoke(wire)
+        assert verifier.is_revoked(wire)
         assert digest not in cache  # revocation purges the cache entry
         with pytest.raises(TokenError):
-            verifier.verify(token_dict, now_ms=1.0)
+            verifier.verify(wire, now_ms=1.0)
 
     def test_expiry_forces_reverification(self, second_keypair, token):
         cache = TokenVerificationCache()
         verifier = TokenVerifier({"tdn-0": second_keypair.public}, cache=cache)
-        token_dict = token.to_dict()
-        digest = token_digest(token_dict)
-        cache.store(digest, verifier.verify(token_dict, now_ms=0.0))
+        wire = token.wire
+        digest = token_digest(wire)
+        cache.store(digest, verifier.verify(wire, now_ms=0.0))
         # inside the window the cache answers; past it the entry is purged
         assert cache.lookup(digest, 9_000.0, verifier.skew_tolerance_ms) is not None
         assert cache.lookup(digest, 10_200.0, verifier.skew_tolerance_ms) is None
@@ -147,6 +160,53 @@ class TestDeploymentIntegration:
         dep.network.fail_broker("b1")
         dep.restart_broker("b1", neighbors=["b2"])
         assert len(cache) == 0
+
+    def test_steady_state_neither_encodes_nor_builds_a_token(self, monkeypatch):
+        """The token is encoded once, where it is issued: past set-up, no
+        frame sizing, signing or cache key renders a token mapping, and no
+        token is turned back into one, while every hop still hits the cache."""
+        from repro import build_deployment
+
+        dep = build_deployment(broker_ids=["b1", "b2", "b3"], seed=7)
+        entity = dep.add_traced_entity("svc")
+        tracker = dep.add_tracker("w")
+        tracker.connect("b3")
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        tracker.track("svc")
+        dep.sim.run(until=20_000)
+
+        # recorded, not raised: a simulation process would swallow the raise
+        token_encodes = []
+
+        def watch_for_tokens(encode):
+            def checked(value, *rest):
+                if _holds_a_token_mapping(value):
+                    token_encodes.append(value)
+                return encode(value, *rest)
+
+            return checked
+
+        for name in ("canonical_encode", "canonical_encode_into"):
+            original = getattr(serialization, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("repro") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, watch_for_tokens(original))
+        to_dict_calls = []
+        to_dict = AuthorizationToken.to_dict
+
+        def counted_to_dict(token):
+            to_dict_calls.append(token)
+            return to_dict(token)
+
+        monkeypatch.setattr(AuthorizationToken, "to_dict", counted_to_dict)
+        hits = dep.metrics.counter_value("auth.token.cache.hit")
+        received = len(tracker.received)
+        dep.sim.run(until=60_000)
+
+        assert token_encodes == [] and to_dict_calls == []
+        assert len(tracker.received) > received
+        assert dep.metrics.counter_value("auth.token.cache.hit") > hits
 
     def test_every_broker_gets_its_own_verifier(self):
         from repro import build_deployment

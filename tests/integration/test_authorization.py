@@ -3,10 +3,12 @@
 import pytest
 
 from repro import build_deployment
+from repro.crypto.signing import sign_payload
 from repro.errors import DiscoveryError
 from repro.messaging.message import Message
 from repro.tdn.query import DiscoveryRestrictions
 from repro.tracing.traces import TraceType
+from repro.util.serialization import Canonical
 
 
 @pytest.fixture
@@ -87,6 +89,64 @@ class TestTokenEnforcement:
         dep.sim.process(refresh())
         dep.sim.run(until=40_000)
         assert any(t.received_ms > 16_000 for t in tracker.received)
+
+
+#: Tokens that are not one, by what breaks: the wire type, the bytes, the value.
+MALFORMED_TOKENS = {
+    "not-canonical": lambda token: token.to_dict(),
+    "undecodable": lambda token: Canonical(token.wire.data[:-1]),
+    "not-a-token": lambda token: Canonical.of([token.to_dict()]),
+}
+
+
+class TestMalformedTokens:
+    """A malformed token is counted where it is checked, never raised: the
+    type is checked first, then the bytes hashed, then decoded on a miss."""
+
+    @pytest.fixture
+    def tracked(self, dep):
+        entity = dep.add_traced_entity("svc")
+        tracker = dep.add_tracker("w")
+        tracker.connect("b2")
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        tracker.track("svc")
+        dep.sim.run(until=10_000)
+        return dep.manager_of("b1").session_of("svc"), tracker
+
+    def _forged_failure(self, dep, session, malformed):
+        body = {"trace_type": "FAILED", "entity_id": "svc", "payload": {}}
+        return Message(
+            topic=session.topics.change_notifications,
+            body=body,
+            source="b1",
+            created_ms=dep.sim.now,
+            signature=sign_payload(body, session.token_private_key).to_dict(),
+            auth_token=MALFORMED_TOKENS[malformed](session.token),
+        )
+
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED_TOKENS))
+    def test_at_the_broker_guard(self, dep, tracked, malformed):
+        session, tracker = tracked
+        before = dep.monitor.count("auth.invalid_token")
+        dep.network.broker("b1").publish_from_broker(
+            self._forged_failure(dep, session, malformed)
+        )
+        dep.sim.run(until=dep.sim.now + 5_000)
+        assert dep.monitor.count("auth.invalid_token") == before + 1
+        assert not tracker.traces_of_type(TraceType.FAILED)
+        assert tracker.traces_of_type(TraceType.ALLS_WELL)[-1].received_ms > dep.sim.now - 5_000
+
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED_TOKENS))
+    def test_at_the_tracker(self, dep, tracked, malformed):
+        session, tracker = tracked
+        before = dep.monitor.count("tracker.tokens_rejected")
+        # delivered as the tracker's link would, past every broker guard
+        tracker.client._receive(self._forged_failure(dep, session, malformed))
+        dep.sim.run(until=dep.sim.now + 5_000)
+        assert dep.monitor.count("tracker.tokens_rejected") == before + 1
+        assert not tracker.traces_of_type(TraceType.FAILED)
+        assert tracker.traces_of_type(TraceType.ALLS_WELL)[-1].received_ms > dep.sim.now - 5_000
 
 
 class TestMessageIntegrity:
@@ -173,7 +233,7 @@ class TestMessageIntegrity:
                     source="b1",
                     created_ms=dep.sim.now,
                     signature=malformed,
-                    auth_token=session.token.to_dict(),
+                    auth_token=session.token.wire,
                 )
             )
         injected_at = dep.sim.now

@@ -138,7 +138,7 @@ class TestCompromisedBroker:
                 body=body,
                 source="b1",
                 signature=envelope.to_dict(),
-                auth_token=token.to_dict(),
+                auth_token=token.wire,
             )
         )
         dep.sim.run(until=10_000)

@@ -104,8 +104,16 @@ def test_bench_smoke_compiles_and_runs_bench_tests(workflow):
 
 def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     # tier-1 deselects the `deep` marker (pyproject addopts); this step is where it runs
-    runs = [step.get("run") or "" for step in workflow["jobs"]["bench-smoke"]["steps"]]
-    assert "python -m pytest tests/test_decode_contract.py -m deep -q" in runs
+    steps = workflow["jobs"]["bench-smoke"]["steps"]
+    name = "Decode contract, deep example budget"
+    (step,) = [step for step in steps if step.get("name") == name]
+    assert step["run"] == "python -m pytest tests/test_decode_contract.py -m deep -q"
+    # the step runs two contracts; its comment (lost to the YAML parser) names both
+    text = WORKFLOW.read_text()
+    comment = text[: text.index(f"      - name: {name}")]
+    comment = comment[comment.rindex("\n      - ") :]
+    assert "from_dict" in comment
+    assert "canonical_decode" in comment and "TokenVerifier.verify" in comment
 
 
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):

@@ -11,8 +11,15 @@ decode to a value or raise a :class:`ReproError`, never ``KeyError`` /
 ``TypeError`` / ``AttributeError`` / ``OverflowError`` / ``MemoryError`` or
 a bare ``ValueError``.
 
-``-m deep`` runs the same contract with twenty times the examples (CI,
-``bench-smoke`` job).
+The second contract is the json codec's decode side, on the bytes an
+authorization token travels as (``AuthorizationToken.wire``): every
+single-byte flip, deletion and truncation of a real token's bytes must
+decode to a value or raise :class:`SerializationDecodeError`, and verify to
+a token or raise :class:`TokenError`.
+
+``-m deep`` runs both contracts with larger budgets (CI, ``bench-smoke``
+job): twenty times the ``from_dict`` examples, and every byte offset of the
+token instead of every seventh.
 """
 
 import collections.abc
@@ -22,6 +29,7 @@ import functools
 import importlib
 import inspect
 import pkgutil
+import random
 import types
 import typing
 
@@ -30,13 +38,18 @@ from hypothesis import HealthCheck, Phase, given, reject, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.auth.tokens import AuthorizationToken, TokenRights
+from repro.auth.verification import TokenVerifier
 from repro.crypto.aes import AESKey
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPublicKey
-from repro.errors import ReproError
+from repro.errors import ReproError, SerializationDecodeError, TokenError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.tracing.traces import LoadInformation
 from repro.util.identifiers import UUID128, EntityId
+from repro.util.serialization import Canonical, canonical_decode
+
+from tests.auth.test_verification import make_advertisement
 
 EXAMPLES = 6
 
@@ -240,3 +253,53 @@ def test_discovery_finds_the_known_classes():
     names = {cls.__name__ for cls in CLASSES}
     assert len(CLASSES) >= 19
     assert {"SignedEnvelope", "AuthorizationToken", "Ping", "FaultPlan"} <= names
+
+
+# -- the json codec's decode side: the bytes a token travels as -------------------
+
+#: XOR masks of a single-byte flip: the low bit, the high bit, every bit.
+_FLIPS = (0x01, 0x80, 0xFF)
+
+
+def _byte_mutants(data: bytes, stride: int):
+    """Every flip, deletion and truncation at each ``stride``-th offset."""
+    for offset in range(0, len(data), stride):
+        for mask in _FLIPS:
+            yield data[:offset] + bytes([data[offset] ^ mask]) + data[offset + 1 :]
+        yield data[:offset] + data[offset + 1 :]
+        yield data[:offset]
+
+
+@pytest.fixture(scope="module")
+def token_wire(keypair, second_keypair):
+    advertisement = make_advertisement(keypair, second_keypair)
+    token, _ = AuthorizationToken.create(
+        advertisement, keypair.private, TokenRights.PUBLISH, 0.0, 10_000.0, random.Random(5)
+    )
+    return token.wire
+
+
+def _token_bytes_contract(stride: int):
+    def test(token_wire, second_keypair):
+        verifier = TokenVerifier({"tdn-0": second_keypair.public})
+        assert verifier.verify(token_wire, now_ms=1.0).wire == token_wire
+        for mutant in _byte_mutants(token_wire.data, stride):
+            for read, named in (
+                (canonical_decode, SerializationDecodeError),
+                (lambda data: verifier.verify(Canonical(data), now_ms=1.0), TokenError),
+            ):
+                try:
+                    read(mutant)
+                except named:
+                    pass
+                except Exception as exc:
+                    pytest.fail(
+                        f"{getattr(read, '__name__', 'TokenVerifier.verify')} of "
+                        f"{mutant[:60]!r}... raised {type(exc).__name__}: {exc!s:.80}"
+                    )
+
+    return test
+
+
+test_token_bytes_decode_contract = _token_bytes_contract(stride=7)
+test_token_bytes_decode_contract_deep = pytest.mark.deep(_token_bytes_contract(stride=1))

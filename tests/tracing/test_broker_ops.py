@@ -4,15 +4,18 @@ Integration flows are in tests/integration/; these hit the rejection and
 bookkeeping paths directly.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
 
+import repro.auth.tokens as tokens_module
 from repro import build_deployment
 from repro.auth.credentials import EntityCredentials
 from repro.auth.tokens import AuthorizationToken, TokenRights
 from repro.auth.verification import TokenVerifier
 from repro.crypto.certificates import CertificateAuthority
+from repro.crypto.keys import KeyPair
 from repro.errors import RegistrationError, SignatureError, TokenError
 from repro.tdn.advertisement import TopicLifetime
 from repro.tracing.broker_ops import category_of
@@ -141,10 +144,10 @@ class TestRegistrationRejections:
         )
         verifier = TokenVerifier(trusted)
         if reason is None:
-            verifier.verify(token.to_dict(), dep.sim.now)
+            verifier.verify(token.wire, dep.sim.now)
         else:
             with pytest.raises(TokenError, match=f"^{reason}$"):
-                verifier.verify(token.to_dict(), dep.sim.now)
+                verifier.verify(token.wire, dep.sim.now)
 
         proc = dep.sim.process(entity.register())
         dep.sim.run(until=dep.sim.now + 15_000)
@@ -249,6 +252,58 @@ class TestEntityMessageHandling:
             if t.trace_type in (TraceType.RECOVERING, TraceType.READY)
         ]
         assert states == [TraceType.RECOVERING, TraceType.READY]
+
+
+class _ShortKeyPair:
+    """Token key pairs that are self-consistent but 16 bytes long."""
+
+    @staticmethod
+    def generate(rng):
+        return KeyPair.generate(rng, bits=128)
+
+
+class TestTokenDelivery:
+    @pytest.mark.parametrize("unusable", ["short-modulus", "foreign-key", "unusable-crt"])
+    def test_a_token_key_that_cannot_sign_is_refused_and_a_later_one_accepted(
+        self, dep, monkeypatch, unusable
+    ):
+        """A delivered key the broker cannot sign with used to be accepted:
+        a 128-bit one raised KeyMaterialError (``p = 0``: ValueError) out of
+        the JOIN ``publish_trace``, which killed the session worker, so no
+        JOIN, no ping or gauge loop, an inbox nobody read and nothing
+        counted; a key of another pair signed traces no tracker accepts."""
+        create = AuthorizationToken.create.__func__
+
+        def unusable_create(cls, *args, **kwargs):
+            token, private = create(cls, *args, **kwargs)
+            if unusable == "foreign-key":
+                private = KeyPair.generate(random.Random(7)).private
+            elif unusable == "unusable-crt":
+                private = replace(private, p=0)
+            return token, private
+
+        if unusable == "short-modulus":
+            monkeypatch.setattr(tokens_module, "KeyPair", _ShortKeyPair)
+        monkeypatch.setattr(AuthorizationToken, "create", classmethod(unusable_create))
+        entity = registered_entity(dep)
+        session = dep.manager_of("b1").session_of("svc")
+
+        assert dep.monitor.count("trace.token_delivery_malformed") == 1
+        assert session.token is None and dep.monitor.count("trace.published.JOIN") == 0
+        (record,) = dep.journal.records("envelope.malformed")
+        assert record.fields["broker"] == "b1"
+        assert record.fields["session"] == session.hex_id[:8]
+        assert "'token_private'" in record.fields["reason"]
+        # the worker survived: the READY report behind the delivery was handled
+        assert session.entity_state.value == "READY"
+
+        monkeypatch.undo()
+        dep.sim.run_process(entity.deliver_token())
+        dep.sim.run(until=dep.sim.now + 2_000)
+        assert session.token == entity.token
+        assert dep.monitor.count("trace.tokens_received") == 1
+        assert dep.monitor.count("trace.published.JOIN") == 1
+        assert dep.monitor.count("trace.token_delivery_malformed") == 1
 
 
 class TestSessionBookkeeping:

@@ -7,8 +7,14 @@ from collections import OrderedDict, defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import SerializationTypeError
-from repro.util.serialization import canonical_decode, canonical_encode, canonical_encode_into
+from repro.errors import SerializationDecodeError, SerializationTypeError
+from repro.util.serialization import (
+    MAX_DECODE_DEPTH,
+    Canonical,
+    canonical_decode,
+    canonical_encode,
+    canonical_encode_into,
+)
 
 # strategy for canonically-encodable values
 scalars = st.one_of(
@@ -261,6 +267,62 @@ class TestAgainstTheLadder:
         assert str(canonical_decode(canonical_encode(-0.0))) == "-0.0"
 
 
+_HOLE = object()
+
+# Containers with holes where a value goes: as a list item, a dict value,
+# at any depth, any number of times (zero included).
+_with_holes = st.recursive(
+    st.one_of(scalars, st.just(_HOLE)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _fill(tree, value):
+    if tree is _HOLE:
+        return value
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_fill(item, value) for item in tree)
+    if isinstance(tree, dict):
+        return {key: _fill(item, value) for key, item in tree.items()}
+    return tree
+
+
+class TestCanonical:
+    """A value held as its bytes encodes as the value, wherever it sits."""
+
+    @given(_with_holes, _any_values)
+    def test_spliced_bytes_equal_the_plain_value(self, tree, value):
+        plain, spliced = _fill(tree, value), _fill(tree, Canonical.of(value))
+        assert canonical_encode(spliced) == canonical_encode(plain)
+        out = bytearray(b"kept")
+        assert canonical_encode_into(spliced, out) == len(out) - 4
+        assert bytes(out) == b"kept" + canonical_encode(plain)
+
+    @given(_any_values)
+    def test_value_decodes_the_held_bytes(self, value):
+        held = Canonical.of(value)
+        assert held.data == _reference_encode(value)
+        assert held.value == _tuples_to_lists(value)
+        assert held == Canonical(held.data)
+
+    def test_holds_bytes_only(self):
+        with pytest.raises(SerializationTypeError, match="Canonical holds bytes, got str"):
+            Canonical("d1:ae")
+        with pytest.raises(SerializationTypeError):
+            Canonical(bytearray(b"N"))
+
+    def test_bytes_that_do_not_decode_fail_on_read_not_on_hold(self):
+        held = Canonical(b"d")
+        with pytest.raises(SerializationDecodeError):
+            held.value
+        assert canonical_encode([held]) == b"lde"
+
+
 class TestErrors:
     def test_rejects_non_str_dict_keys(self):
         with pytest.raises(TypeError):
@@ -324,6 +386,20 @@ class TestErrors:
     def test_rejects_unterminated_list(self):
         with pytest.raises(ValueError):
             canonical_decode(b"l" + canonical_encode(1))
+
+    def test_nesting_is_bounded_so_no_input_exhausts_the_stack(self):
+        nested = b"l" * MAX_DECODE_DEPTH + b"e" * MAX_DECODE_DEPTH
+        assert canonical_decode(nested) is not None
+        with pytest.raises(SerializationDecodeError, match="nested deeper"):
+            canonical_decode(b"l" + nested + b"e")
+        with pytest.raises(SerializationDecodeError, match="nested deeper"):
+            canonical_decode(b"l" * 100_000)
+
+    def test_a_length_field_of_any_size_is_a_decode_error(self):
+        # int() refuses more than 4300 digits with a bare ValueError
+        for digits in (20, 5_000):
+            with pytest.raises(SerializationDecodeError, match="bad length field"):
+                canonical_decode(b"s" + b"9" * digits + b":x")
 
 
 def _tuples_to_lists(value):

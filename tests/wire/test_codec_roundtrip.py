@@ -2,7 +2,7 @@
 
 The generators deliberately push on the compact format's edges — unicode
 and deep (but protocol-realistic, <=10 segment) topics, raw ``bytes``
-encrypted bodies, RSA-sized integers in signature/auth-token dicts, and
+encrypted bodies, RSA-sized integers in signature dicts and auth-token bytes, and
 huge message ids — and assert ``decode(encode(m)) == m`` plus the two
 structural invariants the sizing layer relies on: compact never renders
 larger than json, and a routed frame's size is exactly the message size
@@ -11,13 +11,18 @@ plus the codec's declared destination overhead.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import build_deployment
 from repro.errors import SerializationDecodeError
 from repro.messaging.message import Message, RoutedFrame
 from repro.messaging.topics import Topic
+from repro.util.serialization import Canonical
 from repro.wire import CompactCodec, JsonCodec
+from repro.wire.codec import clear_size_memo, frame_size
 
 JSON = JsonCodec()
 COMPACT = CompactCodec()
@@ -76,6 +81,9 @@ artifact_dicts = st.one_of(
     ),
 )
 
+# An authorization token travels as its canonical bytes (AuthorizationToken.wire).
+wire_tokens = artifact_dicts.map(lambda d: None if d is None else Canonical.of(d))
+
 encrypted_bodies = st.binary(min_size=0, max_size=200)
 
 messages = st.builds(
@@ -86,7 +94,7 @@ messages = st.builds(
     message_id=st.integers(min_value=1, max_value=2**64 - 1),
     created_ms=st.floats(min_value=0, max_value=1e12, allow_nan=False),
     signature=artifact_dicts,
-    auth_token=artifact_dicts,
+    auth_token=wire_tokens,
     encrypted=st.just(False),
 )
 
@@ -97,7 +105,7 @@ encrypted_messages = st.builds(
     source=st.text(min_size=1, max_size=20),
     message_id=st.integers(min_value=1, max_value=2**64 - 1),
     signature=artifact_dicts,
-    auth_token=artifact_dicts,
+    auth_token=wire_tokens,
     encrypted=st.just(True),
 )
 
@@ -212,3 +220,65 @@ class TestCompactDecodeErrors:
         good = COMPACT.encode({"k": 1})
         with pytest.raises(SerializationDecodeError):
             COMPACT.decode(good + b"\x00")
+
+
+# ------------------------------------------------------- the token, spliced
+
+
+class _InlineToken(dict):
+    """The token as traces carried it before it travelled as bytes: a plain
+    mapping inside the envelope (json encodes a dict subclass as the dict;
+    compact reads ``.value``, which for this form is the mapping itself)."""
+
+    @property
+    def value(self):
+        return dict(self)
+
+
+@pytest.fixture(scope="module")
+def real_trace():
+    """One ALLS_WELL trace as a broker published it, token attached."""
+    dep = build_deployment(broker_ids=["b1", "b2"], seed=3, codec="json")
+    entity = dep.add_traced_entity("svc")
+    tracker = dep.add_tracker("w")
+    tracker.connect("b2")
+    entity.start("b1")
+    dep.sim.run(until=3_000)
+    tracker.track("svc")
+    captured = []
+    tracker.client.subscribe(entity.topics.all_updates.canonical, captured.append)
+    dep.sim.run(until=20_000)
+    session = dep.manager_of("b1").session_of("svc")
+    assert session.token.wire == entity.token.wire  # the bytes the entity issued
+    return captured[-1], session.token
+
+
+class TestTokenSplice:
+    def test_a_trace_carries_the_token_it_was_issued_with(self, real_trace):
+        message, token = real_trace
+        # attached as encoded when the broker read the delivery, not re-encoded
+        assert type(message.auth_token) is Canonical
+        assert message.auth_token is token.wire
+
+    @codec_params()
+    def test_bytes_and_size_equal_the_inline_token_form(self, codec, real_trace):
+        message, token = real_trace
+        as_mapping = _InlineToken(token.to_dict())
+        inline = replace(message, auth_token=as_mapping)
+        frame = RoutedFrame(message, ("b1", "b2"))
+        inline_frame = replace(frame, message=inline)
+        assert codec.encode(message) == codec.encode(inline)
+        assert codec.encode(frame) == codec.encode(inline_frame)
+        # both forms share a message id: clear the size memo between them
+        clear_size_memo()
+        sizes = [frame_size(message, codec), frame_size(frame, codec)]
+        clear_size_memo()
+        assert sizes == [frame_size(inline, codec), frame_size(inline_frame, codec)]
+        assert sizes[0] == len(codec.encode(message))
+
+    @codec_params()
+    def test_decode_gives_the_token_back_as_bytes(self, codec, real_trace):
+        message, token = real_trace
+        decoded = codec.decode(codec.encode(message))
+        assert decoded == replace(message, hops=0)
+        assert type(decoded.auth_token) is Canonical and decoded.auth_token == token.wire
