@@ -122,10 +122,6 @@ class AllPairsHeartbeatSystem:
 
     # ------------------------------------------------------------------ stats
 
-    def detection_time(self, checker: int, peer: int) -> float | None:
-        """When `checker` declared `peer` failed, or None."""
-        return self._detections.get((checker, peer))
-
     def believes_failed(self, checker: int, peer: int) -> bool:
         return self.peer_views[checker][peer].failed
 

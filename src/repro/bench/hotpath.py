@@ -7,16 +7,11 @@ near-identical ping frames down the same wire.  :func:`run_codec_smoke`
 runs it once per wire codec; that document is committed as
 ``benchmarks/results/codec_seed.json`` (the ``codec`` row of
 :mod:`repro.seeds`, docs/PERFORMANCE.md).
-
-Determinism matters here exactly as in the chaos scenarios: message ids
-ride on the wire, so :func:`run_ping_heavy` rewinds the process-global id
-counter before building the deployment.
 """
 
 from __future__ import annotations
 
 from repro.faults.scenarios import CHAOS_PING_POLICY
-from repro.messaging.message import reset_message_ids
 
 #: Fast cadence so a 60 s virtual run packs in many verification-bearing
 #: traces and ping rounds per entity.
@@ -43,7 +38,6 @@ def run_ping_heavy(
     """
     from repro import build_deployment
 
-    reset_message_ids()
     dep = build_deployment(
         broker_ids=["b1", "b2", "b3"],
         seed=seed,
@@ -77,8 +71,11 @@ CODEC_SMOKE_COUNTERS = (
 )
 CODEC_SMOKE_HISTOGRAM_SUMS = ("broker.fanout", "crypto.ms.token_verify")
 
+#: The seed the committed ``codec_seed.json`` is run at.
+CODEC_SMOKE_SEED = 42
 
-def run_codec_smoke(seed: int = 42) -> dict:
+
+def run_codec_smoke() -> dict:
     """Run the ping-heavy scenario under each wire codec.
 
     Returns the small document committed as
@@ -89,7 +86,9 @@ def run_codec_smoke(seed: int = 42) -> dict:
     duration_ms = 60_000.0
     codecs: dict[str, dict] = {}
     for codec in ("json", "compact"):
-        snapshot = run_ping_heavy(seed=seed, duration_ms=duration_ms, codec=codec)
+        snapshot = run_ping_heavy(
+            seed=CODEC_SMOKE_SEED, duration_ms=duration_ms, codec=codec
+        )
         counters, histograms = snapshot["counters"], snapshot["histograms"]
         leaves = {name: counters.get(name, 0) for name in CODEC_SMOKE_COUNTERS}
         for name in CODEC_SMOKE_HISTOGRAM_SUMS:
@@ -103,7 +102,7 @@ def run_codec_smoke(seed: int = 42) -> dict:
         codecs[codec] = leaves
     return {
         "scenario": "ping-heavy",
-        "seed": seed,
+        "seed": CODEC_SMOKE_SEED,
         "duration_ms": duration_ms,
         "codecs": codecs,
     }

@@ -35,6 +35,12 @@ ROUTING_COUNTERS = (
 #: delivery is the correctness bar for any routing optimization).
 DELIVERED_PREFIX = "broker.delivered."
 
+#: The committed ``routing_seed.json`` run: seed, horizon, and when the
+#: tracker detaches.
+SEED = 42
+DURATION_MS = 30_000.0
+DETACH_AT_MS = 20_000.0
+
 
 @dataclass(frozen=True, slots=True)
 class RoutingCounters:
@@ -73,12 +79,7 @@ class RoutingCounters:
         )
 
 
-def run_routing_smoke(
-    seed: int = 42,
-    duration_ms: float = 30_000.0,
-    detach_at_ms: float = 20_000.0,
-    federation: bool = False,
-) -> dict:
+def run_routing_smoke(federation: bool = False) -> dict:
     """Run the scenario and return the routing counters as a snapshot dict.
 
     The codec is pinned to ``json`` so committed seeds stay valid under
@@ -95,7 +96,7 @@ def run_routing_smoke(
 
     dep = build_deployment(
         broker_ids=["b1", "b2", "b3"],
-        seed=seed,
+        seed=SEED,
         federation=federation,
         codec="json",
     )
@@ -105,13 +106,13 @@ def run_routing_smoke(
     entity.start("b1")
     dep.sim.run(until=3_000)
     tracker.track("demo-service")
-    dep.sim.run(until=detach_at_ms)
+    dep.sim.run(until=DETACH_AT_MS)
 
     # Detach phase: the tracker's broker loses its last subscriber for the
     # entity's trace topics; interest must be retracted fabric-wide and the
     # remaining publishes must not be forwarded toward b3.
     dep.network.broker("b3").detach_client("demo-tracker")
-    dep.sim.run(until=duration_ms)
+    dep.sim.run(until=DURATION_MS)
 
     registry = dep.metrics
     counters = {name: registry.counter_value(name) for name in ROUTING_COUNTERS}
@@ -121,9 +122,9 @@ def run_routing_smoke(
             counters[name] = all_counters[name]
     return {
         "scenario": "quickstart+detach",
-        "seed": seed,
-        "duration_ms": duration_ms,
-        "detach_at_ms": detach_at_ms,
+        "seed": SEED,
+        "duration_ms": DURATION_MS,
+        "detach_at_ms": DETACH_AT_MS,
         "counters": counters,
         "interest_patterns_gauge": registry.gauge_value("broker.interest.patterns"),
     }

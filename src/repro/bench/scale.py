@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.messaging.broker_network import BrokerNetwork
-from repro.messaging.message import Message, reset_message_ids
+from repro.messaging.message import Message
 from repro.messaging.topics import Topic
 from repro.sim.engine import Simulator
 
@@ -74,7 +74,6 @@ def run_scale_point(
     """
     if brokers < 2:
         raise ConfigurationError(f"need at least 2 brokers, got {brokers}")
-    reset_message_ids()
     sim = Simulator()
     network = BrokerNetwork(sim, seed=seed, federation=federation)
     ids = [f"b{i:03d}" for i in range(brokers)]

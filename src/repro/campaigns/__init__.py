@@ -39,7 +39,6 @@ from repro.campaigns.spec import (
 from repro.campaigns.workloads import (
     WORKLOADS,
     WorkloadFamily,
-    observe_deployments,
     workload_family,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "generate_report",
     "ignored_axes",
     "load_spec",
-    "observe_deployments",
     "run_campaign",
     "run_point",
     "unused_parameters",

@@ -2,8 +2,8 @@
 
 :func:`run_campaign` executes the matrix :func:`~repro.campaigns.spec.expand`
 produces.  The default is sequential and in-process — every family
-resets the message-id stream and builds its own deployment, so points
-are isolated without process boundaries.  With ``parallel > 1`` each
+builds its own deployment, which owns all of its state, so points are
+isolated without process boundaries.  With ``parallel > 1`` each
 point runs in its own subprocess (``repro campaign run --point I``),
 the same isolation trick :mod:`benchmarks.bench_scale` uses, and the
 parent reassembles results *in matrix order* so the snapshot is
@@ -34,12 +34,15 @@ _POINTS_COMPLETED = "campaign.points.completed"
 _POINTS_FAILED = "campaign.points.failed"
 
 
-def run_point(point: CampaignPoint) -> dict:
-    """Execute one campaign point and return its result record."""
+def run_point(point: CampaignPoint, probe=None) -> dict:
+    """Execute one campaign point and return its result record.
+
+    ``probe`` is handed to the family run (``repro.campaigns.workloads.Probe``).
+    """
     from repro.campaigns.workloads import workload_family
 
     family = workload_family(point.family)
-    metrics = family.run(dict(point.params), point.seed)
+    metrics = family.run(dict(point.params), point.seed, probe)
     return {
         "index": point.index,
         "family": point.family,
@@ -90,6 +93,7 @@ def run_campaign(
     spec_path: str | pathlib.Path | None = None,
     registry: MetricsRegistry | None = None,
     progress=None,
+    probe=None,
 ) -> dict:
     """Run every point of ``spec`` and return the campaign snapshot.
 
@@ -99,9 +103,17 @@ def run_campaign(
     so the snapshot is identical to a sequential run.  ``registry``
     receives the ``campaign.*`` engine instruments; ``progress`` is an
     optional callable invoked with one line per completed point.
+    ``probe`` is called with the live deployment after every tracing
+    point (``repro.campaigns.workloads.Probe``); it runs in this process,
+    so it needs ``parallel == 1``.
     """
     if parallel < 1:
         raise ConfigurationError(f"parallel must be >= 1, got {parallel}")
+    if probe is not None and parallel > 1:
+        raise ConfigurationError(
+            "a deployment probe needs parallel=1: subprocess points "
+            "build their deployments out of its reach"
+        )
     if parallel > 1 and spec_path is None:
         raise ConfigurationError(
             "parallel campaign execution needs the spec file path "
@@ -123,7 +135,7 @@ def run_campaign(
     if parallel == 1:
         for point in points:
             try:
-                record = run_point(point)
+                record = run_point(point, probe)
             except Exception:
                 registry.counter(_POINTS_FAILED).inc()
                 raise

@@ -27,7 +27,6 @@ Families:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,7 +34,6 @@ from repro.errors import ConfigurationError
 from repro.faults.controller import FaultController
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.faults.scenarios import build_ring_deployment
-from repro.messaging.message import reset_message_ids
 from repro.tracing.traces import TraceType
 
 #: Counters every tracing-deployment family snapshots (all deterministic).
@@ -56,33 +54,12 @@ CAMPAIGN_COUNTERS = (
 #: Virtual instant entities/trackers are bootstrapped by and tracking begins.
 _TRACK_AT_MS = 3_000.0
 
-#: Active deployment probe (``observe_deployments``); families that build a
-#: tracing deployment hand it to the probe after their horizon, which is how
-#: the analytics audit gate inspects campaign runs without changing any
-#: family's snapshot shape.
-_DEPLOYMENT_PROBE: Callable | None = None
-
-
-@contextmanager
-def observe_deployments(probe: Callable):
-    """Call ``probe(deployment)`` after every tracing-family run inside.
-
-    Baseline families build no deployment and are never probed.  The
-    probe only *reads* (counters, journal, analytics) — run outcomes are
-    already sealed by the time it fires, so snapshots stay bit-identical.
-    """
-    global _DEPLOYMENT_PROBE
-    previous = _DEPLOYMENT_PROBE
-    _DEPLOYMENT_PROBE = probe
-    try:
-        yield
-    finally:
-        _DEPLOYMENT_PROBE = previous
-
-
-def _probe(dep) -> None:
-    if _DEPLOYMENT_PROBE is not None:
-        _DEPLOYMENT_PROBE(dep)
+#: Called with the live deployment after a tracing family's horizon
+#: (``run_campaign(probe=...)``); the analytics audit gate inspects
+#: campaign runs this way.  It only *reads* (counters, journal,
+#: analytics): the run's outcome is sealed by then, so snapshots stay
+#: bit-identical.  Baseline families build no deployment and never call it.
+Probe = Callable[[object], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +71,8 @@ class WorkloadFamily:
     description: str
     accepts: frozenset[str]
     defaults: dict
-    run: Callable[[dict, int], dict]
+    #: ``run(params, seed, probe=None)``
+    run: Callable[[dict, int, Probe | None], dict]
 
     def resolve(self, params: dict) -> dict:
         """Defaults overlaid with ``params``; rejects unknown names."""
@@ -214,9 +192,8 @@ def _bootstrap_tracing(dep, entities: int):
     return ids, tracker
 
 
-def run_churn_mobile(params: dict, seed: int) -> dict:
+def run_churn_mobile(params: dict, seed: int, probe: Probe | None = None) -> dict:
     """Run one churn-mobile point: seeded churn plus optional loss/delay."""
-    reset_message_ids()
     params = workload_family("churn-mobile").resolve(params)
     duration_ms = float(params["duration_ms"])
     dep = build_ring_deployment(
@@ -226,7 +203,8 @@ def run_churn_mobile(params: dict, seed: int) -> dict:
     controller = FaultController(dep, _churn_plan(entity_ids, params))
     controller.start()
     dep.sim.run(until=duration_ms)
-    _probe(dep)
+    if probe is not None:
+        probe(dep)
     return {
         "counters": _counters(dep),
         "faults_injected": dep.metrics.counter_value(
@@ -272,11 +250,10 @@ def _defense_block(dep, attacker_broker: str) -> dict:
     }
 
 
-def run_unauthorized_publisher(params: dict, seed: int) -> dict:
+def run_unauthorized_publisher(params: dict, seed: int, probe: Probe | None = None) -> dict:
     """§5.2 spurious-trace attack: tokenless flood plus one forged token."""
     from repro.security.dos import SpuriousTracePublisher
 
-    reset_message_ids()
     params = workload_family("unauthorized-publisher").resolve(params)
     dep, victim, tracker = _attack_deployment(params, seed)
     attacker = SpuriousTracePublisher(
@@ -298,7 +275,8 @@ def run_unauthorized_publisher(params: dict, seed: int) -> dict:
         name="attack.flood",
     )
     dep.sim.run(until=float(params["duration_ms"]))
-    _probe(dep)
+    if probe is not None:
+        probe(dep)
     return {
         "counters": _counters(dep),
         "attack": {"attempts": attacker.attempts},
@@ -308,7 +286,7 @@ def run_unauthorized_publisher(params: dict, seed: int) -> dict:
     }
 
 
-def run_token_replay_flood(params: dict, seed: int) -> dict:
+def run_token_replay_flood(params: dict, seed: int, probe: Probe | None = None) -> dict:
     """Replay attack: re-publish a captured, validly signed trace frame.
 
     A sniffer subscribes to the victim's ``AllUpdates`` topic and
@@ -321,7 +299,6 @@ def run_token_replay_flood(params: dict, seed: int) -> dict:
     ``token_verifies_during_flood`` stays zero — and after three
     violations the attacker is terminated and blacklisted (§5.2).
     """
-    reset_message_ids()
     params = workload_family("token-replay-flood").resolve(params)
     dep, victim, tracker = _attack_deployment(params, seed)
 
@@ -358,7 +335,8 @@ def run_token_replay_flood(params: dict, seed: int) -> dict:
     else:  # pragma: no cover - bootstrap always publishes within 14 s
         verify_before = 0
     dep.sim.run(until=float(params["duration_ms"]))
-    _probe(dep)
+    if probe is not None:
+        probe(dep)
     return {
         "counters": _counters(dep),
         "attack": {
@@ -380,7 +358,7 @@ def run_token_replay_flood(params: dict, seed: int) -> dict:
     }
 
 
-def run_malicious_termination(params: dict, seed: int) -> dict:
+def run_malicious_termination(params: dict, seed: int, probe: Probe | None = None) -> dict:
     """§5.2 under churn: forged FAILED floods race a real churn cycle.
 
     The victim genuinely churns (crash + rejoin via the fault
@@ -392,7 +370,6 @@ def run_malicious_termination(params: dict, seed: int) -> dict:
     """
     from repro.security.dos import SpuriousTracePublisher
 
-    reset_message_ids()
     params = workload_family("malicious-termination").resolve(params)
     dep, victim, tracker = _attack_deployment(params, seed)
     churn = FaultPlan(
@@ -424,7 +401,8 @@ def run_malicious_termination(params: dict, seed: int) -> dict:
         name="attack.termination-flood",
     )
     dep.sim.run(until=float(params["duration_ms"]))
-    _probe(dep)
+    if probe is not None:
+        probe(dep)
     return {
         "counters": _counters(dep),
         "attack": {"attempts": attacker.attempts},
@@ -435,7 +413,7 @@ def run_malicious_termination(params: dict, seed: int) -> dict:
     }
 
 
-def run_baseline_gossip(params: dict, seed: int) -> dict:
+def run_baseline_gossip(params: dict, seed: int, probe: Probe | None = None) -> dict:
     """Gossip failure detection (§7 / Ref [7]) on the campaign grid."""
     from repro.baselines.gossip import GossipFailureDetector
     from repro.sim.engine import Simulator
@@ -468,7 +446,7 @@ def run_baseline_gossip(params: dict, seed: int) -> dict:
     }
 
 
-def run_baseline_allpairs(params: dict, seed: int) -> dict:
+def run_baseline_allpairs(params: dict, seed: int, probe: Probe | None = None) -> dict:
     """All-pairs heartbeating (§1) on the campaign grid."""
     from repro.baselines.allpairs import AllPairsHeartbeatSystem
     from repro.sim.engine import Simulator

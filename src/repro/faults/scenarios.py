@@ -15,7 +15,6 @@ counters; the ``broker-crash`` one is committed as
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.messaging.message import reset_message_ids
 from repro.tracing.failure import AdaptivePingPolicy
 
 from repro.faults.controller import FaultController
@@ -221,10 +220,6 @@ def run_scenario(
     if duration_ms is None:
         duration_ms = SCENARIOS[name][1]
 
-    # Message ids ride on the wire (their digit width changes payload sizes
-    # and hence sampled latencies), so the bit-identical-replay promise needs
-    # the process-global counter rewound before every run.
-    reset_message_ids()
     dep = build_chaos_deployment(seed, federation=federation)
     if analytics_store is not None:
         dep.attach_analytics(analytics_store)

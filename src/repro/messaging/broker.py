@@ -20,8 +20,9 @@ deterministic shortest-path multicast with no duplicates or loops.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 from functools import cached_property
-from typing import Callable, Generator, Iterable, Protocol
+from typing import Callable, Generator, Iterable, Iterator, Protocol
 
 from repro.errors import NotConnectedError, RoutingError, UnauthorizedError
 from repro.messaging.constrained import (
@@ -95,6 +96,7 @@ class Broker:
         sim: Simulator,
         broker_id: str,
         machine: Machine,
+        message_ids: Iterator[int],
         monitor: Monitor | None = None,
         processing_ms: float = DEFAULT_PROCESSING_MS,
         per_delivery_ms: float = DEFAULT_PER_DELIVERY_MS,
@@ -103,6 +105,8 @@ class Broker:
         self.sim = sim
         self.broker_id = broker_id
         self.machine = machine
+        # the network's id counter (BrokerNetwork.message_ids)
+        self._message_ids = message_ids
         self.monitor = monitor or Monitor()
         self.metrics = self.monitor.metrics
         self.processing_ms = processing_ms
@@ -334,7 +338,13 @@ class Broker:
         )
 
     def publish_from_broker(self, message: Message) -> None:
-        """The broker itself publishes (trace generation, section 3.3)."""
+        """The broker itself publishes (trace generation, section 3.3).
+
+        The message enters the network here, so it is stamped with the
+        network's next id whatever id it carried (even when this broker
+        is down and drops it).
+        """
+        message = replace(message, message_id=next(self._message_ids))
         if self.failed:
             # a crashed broker generates nothing — its trace processes may
             # still be scheduled, but no self-publication leaves the host
@@ -543,10 +553,6 @@ class Broker:
         return self._violations.get(principal, 0)
 
     # ------------------------------------------------------------------ misc
-
-    def local_subscriber_count(self, topic: str) -> int:
-        """How many local client subscriptions match ``topic``."""
-        return self._subs.client_count(topic)
 
     def has_any_subscriber(self, topic: str) -> bool:
         """Anyone (local client, broker handler, or remote broker) interested?"""

@@ -12,11 +12,12 @@ system, off the critical path of trace routing).
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 from repro.crypto.costmodel import PAPER_CALIBRATION, CryptoCostModel
 from repro.errors import ConfigurationError, RoutingError
-from repro.messaging.broker import Broker, RoutedFrame
+from repro.messaging.broker import Broker
 from repro.messaging.client import BrokerClient
 from repro.messaging.federation import FederatedInterestPlane, FederationConfig
 from repro.messaging.routing import all_next_hops, hop_distance
@@ -43,6 +44,9 @@ class BrokerNetwork:
         codec: str | None = None,
         federation: FederationConfig | bool | None = None,
     ) -> None:
+        # Deferred import: repro.wire imports the messaging package back.
+        from repro.wire.codec import SizeMemo
+
         self.sim = sim
         self.streams = RandomStreams(seed)
         self.monitor = monitor or Monitor()
@@ -51,6 +55,13 @@ class BrokerNetwork:
         #: falls through to each profile's ``codec`` and then ``json``.
         self.codec = codec
         self._ntp_model = ntp_model
+        #: Message ids, drawn where a message enters this network (a
+        #: client publish or a broker's own publication).  Their digit
+        #: width rides the wire, so a run's sizes depend on this counter
+        #: alone, never on what else ran in the process.
+        self.message_ids = itertools.count(1)
+        #: Encoded sizes, keyed by message id: shared by every link here.
+        self.size_memo = SizeMemo()
 
         #: Summarized-interest control plane (``repro.messaging.federation``);
         #: ``None`` keeps the verbatim per-pattern flooding path.
@@ -129,6 +140,7 @@ class BrokerNetwork:
             sim=self.sim,
             broker_id=broker_id,
             machine=machine,
+            message_ids=self.message_ids,
             monitor=self.monitor,
             **kwargs,
         )
@@ -178,11 +190,13 @@ class BrokerNetwork:
             self.sim, prof,
             receiver=lambda frame: broker_b.receive_from_neighbor(a, frame),
             rng=rng_ab, name=f"{a}->{b}", monitor=self.monitor, codec=self.codec,
+            memo=self.size_memo,
         )
         link_ba = Link(
             self.sim, prof,
             receiver=lambda frame: broker_a.receive_from_neighbor(b, frame),
             rng=rng_ba, name=f"{b}->{a}", monitor=self.monitor, codec=self.codec,
+            memo=self.size_memo,
         )
         broker_a.attach_neighbor(b, link_ab)
         broker_b.attach_neighbor(a, link_ba)
@@ -221,7 +235,11 @@ class BrokerNetwork:
             raise ConfigurationError(f"duplicate client id {client_id!r}")
         machine = self.machine(machine_name or f"machine-{client_id}")
         client = BrokerClient(
-            sim=self.sim, client_id=client_id, machine=machine, monitor=self.monitor
+            sim=self.sim,
+            client_id=client_id,
+            machine=machine,
+            message_ids=self.message_ids,
+            monitor=self.monitor,
         )
         self._clients[client_id] = client
         return client
@@ -299,13 +317,13 @@ class BrokerNetwork:
             self.sim, prof,
             receiver=lambda msg, c=client.client_id: broker.receive_from_client(c, msg),
             rng=rng, name=f"{client.client_id}->{broker_id}", monitor=self.monitor,
-            codec=self.codec,
+            codec=self.codec, memo=self.size_memo,
         )
         to_client = Link(
             self.sim, prof,
             receiver=client._receive,
             rng=rng, name=f"{broker_id}->{client.client_id}", monitor=self.monitor,
-            codec=self.codec,
+            codec=self.codec, memo=self.size_memo,
         )
         broker.attach_client(client.client_id, to_client)
         client.attach(broker, to_broker)
@@ -455,7 +473,3 @@ class BrokerNetwork:
         for other in self._brokers.values():
             other.drop_remote_interest(pattern, broker_id)
         self.monitor.increment("control.retractions")
-
-    def route_of(self, message_frame: RoutedFrame) -> tuple[str, ...]:
-        """The destination list a routed frame is addressed to."""
-        return message_frame.destinations

@@ -13,7 +13,7 @@ one delivered trace must not cost more the more entities it tracks.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.errors import NotConnectedError
 from repro.messaging.broker import Broker
@@ -47,11 +47,14 @@ class BrokerClient:
         sim: Simulator,
         client_id: str,
         machine: Machine,
+        message_ids: Iterator[int],
         monitor: Monitor | None = None,
     ) -> None:
         self.sim = sim
         self.client_id = client_id
         self.machine = machine
+        # the network's id counter (BrokerNetwork.message_ids)
+        self._message_ids = message_ids
         self.monitor = monitor or Monitor()
         self._broker: Broker | None = None
         self._link_to_broker: Link | None = None
@@ -103,6 +106,7 @@ class BrokerClient:
             topic=parsed,
             body=body,
             source=self.client_id,
+            message_id=next(self._message_ids),
             created_ms=self.machine.now(),
             signature=signature,
             auth_token=auth_token,

@@ -339,11 +339,6 @@ class SubscriptionIndex:
         entry = self._lookup(pattern)
         return list(entry.handlers) if entry is not None else []
 
-    def remote_for(self, pattern: str) -> set[str]:
-        """Peer brokers interested in exactly ``pattern``."""
-        entry = self._lookup(pattern)
-        return set(entry.remote) if entry is not None else set()
-
     def patterns(self) -> list[str]:
         """Every live pattern in the index, sorted."""
         return sorted(self._by_pattern)

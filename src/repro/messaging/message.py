@@ -14,50 +14,20 @@ destinations — shared by the broker (which splits it per next hop) and the
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.messaging.topics import Topic
 from repro.util.serialization import Canonical
 
-_message_ids = itertools.count(1)
 
-#: Callbacks invoked by :func:`reset_message_ids`.  Caches keyed by message
-#: id (the ``repro.wire`` encoded-size memo) register here so a rewound id
-#: counter can never alias a stale entry onto a fresh message.
-_reset_hooks: list[Callable[[], None]] = []
+def reset_message_ids() -> None:
+    """Does nothing; ``benchmarks/perf/workloads.py`` still calls it.
 
-
-def register_reset_hook(hook: Callable[[], None]) -> None:
-    """Run ``hook`` whenever the message-id counter is rewound.
-
-    Message ids are unique per process *until* a deterministic-replay
-    harness calls :func:`reset_message_ids`; any cache keyed by message id
-    must be dropped at that moment.  Registering the same hook twice is a
-    no-op.
+    Message ids are drawn from a counter each
+    :class:`~repro.messaging.broker_network.BrokerNetwork` owns, so every
+    deployment starts at 1 and there is nothing to rewind.
     """
-    if hook not in _reset_hooks:
-        _reset_hooks.append(hook)
-
-
-def reset_message_ids(start: int = 1) -> None:
-    """Rewind the process-global message-id counter.
-
-    Message ids appear in :meth:`Message.wire_dict`, so their *digit width*
-    feeds into wire-size accounting and therefore into sampled virtual
-    latencies.  Harnesses that promise bit-identical replays at a fixed seed
-    (``repro.faults.run_scenario``) must rewind the counter before each run;
-    otherwise the timeline depends on how many messages earlier deployments
-    in the same process happened to create.
-
-    Also fires every :func:`register_reset_hook` callback, which clears the
-    message-id-keyed encoded-size memo in ``repro.wire``.
-    """
-    global _message_ids
-    _message_ids = itertools.count(start)
-    for hook in _reset_hooks:
-        hook()
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,12 +41,16 @@ class Message:
     (:attr:`AuthorizationToken.wire <repro.auth.tokens.AuthorizationToken.wire>`),
     encoded once where the token was issued.  ``hops`` counts
     broker-to-broker forwards for diagnostics.
+
+    ``message_id`` is 0 until the message enters a network:
+    ``BrokerClient.publish`` and ``Broker.publish_from_broker`` draw it
+    from the network's counter, so ids are unique per deployment.
     """
 
     topic: Topic
     body: Any
     source: str
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    message_id: int = 0
     created_ms: float = 0.0
     signature: dict | None = None
     auth_token: Canonical | None = None

@@ -25,7 +25,6 @@ frame per session would.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
-from weakref import WeakKeyDictionary
 
 from repro.errors import MalformedFrameError
 from repro.tracing.pings import Ping
@@ -50,34 +49,13 @@ SLACK_FRAC = 0.05
 #: Wire ``kind`` of a batched ping frame.
 PING_BATCH_KIND = "ping_batch"
 
-#: Host-level demultiplexers: machine -> entity id -> ping sink.  Keyed
-#: weakly so dead deployments do not pin their machines (and sinks) alive.
-_PING_SINKS: "WeakKeyDictionary[Machine, dict[str, Callable[[Ping], None]]]" = (
-    WeakKeyDictionary()
-)
-
-
-def register_ping_sink(
-    machine: "Machine", entity_id: str, sink: Callable[[Ping], None]
-) -> None:
-    """Register the host-level ping demultiplexer for one entity.
-
-    Called by :class:`~repro.tracing.entity.TracedEntity` when it
-    subscribes to its broker->entity session topic; a re-registration for
-    the same id overwrites (latest session wins).
-    """
-    _PING_SINKS.setdefault(machine, {})[entity_id] = sink
-
-
-def unregister_ping_sink(machine: "Machine", entity_id: str) -> None:
-    """Forget an entity's ping sink; a no-op when absent."""
-    sinks = _PING_SINKS.get(machine)
-    if sinks is not None:
-        sinks.pop(entity_id, None)
-
 
 def relay_ping_batch(machine: "Machine", body: dict) -> int:
-    """Demultiplex one ``ping_batch`` frame to the host's registered sinks.
+    """Demultiplex one ``ping_batch`` frame to the host's ping sinks.
+
+    ``machine.ping_sinks`` maps entity id to sink; a
+    :class:`~repro.tracing.entity.TracedEntity` sets its entry when it
+    subscribes to its broker->entity session topic (latest session wins).
 
     Returns how many entries found a sink.  Entries for entities not on
     this machine (or long gone), and entries whose ping does not parse,
@@ -89,7 +67,7 @@ def relay_ping_batch(machine: "Machine", body: dict) -> int:
         Fields(entry, "ping_batch entry")
         for entry in Fields(body, PING_BATCH_KIND).items("pings")
     ]
-    sinks = _PING_SINKS.get(machine) or {}
+    sinks = machine.ping_sinks
     delivered = 0
     for entry in entries:
         try:

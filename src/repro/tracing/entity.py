@@ -253,14 +253,12 @@ class TracedEntity:
         self.monitor.increment("entity.registered")
 
         # subscribe to the broker->entity session topic for pings, and
-        # register the host-level sink so pings multiplexed into a
+        # set the host-level sink so pings multiplexed into a
         # co-located sibling's ping_batch frame still reach this entity
         self.client.subscribe(
             self.topics.broker_to_entity(self.session_id), self._on_broker_message
         )
-        from repro.tracing.coalesce import register_ping_sink
-
-        register_ping_sink(self.machine, str(self.entity_id), self._on_relayed_ping)
+        self.machine.ping_sinks[str(self.entity_id)] = self._on_relayed_ping
 
     def _on_registration_response(self, message: Message) -> None:
         if self._registration_event is not None and not self._registration_event.triggered:

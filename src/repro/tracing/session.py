@@ -69,11 +69,6 @@ class TraceSession:
         """Are this session's traces confidentiality-protected?"""
         return self.trace_key is not None
 
-    @property
-    def uses_symmetric_channel(self) -> bool:
-        """Is the section-6.3 signing optimization active?"""
-        return self.channel_key is not None
-
     def next_ping_number(self) -> int:
         number = self.ping_number
         self.ping_number += 1

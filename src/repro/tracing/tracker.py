@@ -473,12 +473,5 @@ class Tracker:
         watched = self._watched.get(entity_id)
         return watched.key_received_ms if watched else None
 
-    def key_distribution_latency_ms(self, entity_id: str) -> float | None:
-        """Gauge-to-key latency: the section 5.1 distribution round trip."""
-        watched = self._watched.get(entity_id)
-        if watched is None:
-            return None
-        return watched.keydist_latency_ms
-
     def __repr__(self) -> str:
         return f"<Tracker {self.tracker_id} watching {sorted(self._watched)}>"

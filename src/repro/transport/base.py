@@ -32,8 +32,8 @@ class TransportProfile:
     ordered: bool
     retransmit_timeout_ms: float = 0.0
     max_retransmits: int = 8
-    #: Wire codec links on this transport size payloads with (a name in the
-    #: ``repro.wire`` registry).  ``None`` defers to the link's own setting
+    #: Wire codec links on this transport size payloads with (``json`` or
+    #: ``compact``, see ``repro.wire``).  ``None`` defers to the link's own setting
     #: and ultimately to the ``json`` default.
     codec: str | None = None
 
@@ -74,8 +74,8 @@ def wire_size(payload: Any, codec: str | None = None) -> int:
 
     Delegates to :func:`repro.wire.codec.frame_size`: message envelopes are
     sized through the named codec (default ``json`` — the canonical
-    encoding, byte-identical to the pre-codec behaviour) with memoized
-    per-message sizes; plain values must be canonically encodable.
+    encoding, byte-identical to the pre-codec behaviour), with no memo
+    kept between calls; plain values must be canonically encodable.
 
     The import is deferred because ``repro.wire`` imports the messaging
     package, which imports this module back through the broker fabric.

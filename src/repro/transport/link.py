@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs import Counter, Gauge, Histogram
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Monitor
 from repro.transport.base import DeliveryReceipt, TransportProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.wire.codec import SizeMemo
 
 Handler = Callable[[Any], None]
 
@@ -28,8 +31,10 @@ class Link:
 
     Sizing: every send is sized through the link's wire codec
     (``codec`` argument, else ``profile.codec``, else ``json``) via the
-    memoized hot path in :mod:`repro.wire.codec` — a message forwarded
-    over many links is rendered once per codec, not once per send.
+    memoized hot path in :mod:`repro.wire.codec`.  A network hands all of
+    its links one ``memo``, so a message forwarded over many links is
+    rendered once per codec, not once per send; a link built without one
+    keeps its own.
     """
 
     def __init__(
@@ -41,10 +46,11 @@ class Link:
         name: str = "",
         monitor: Monitor | None = None,
         codec: str | None = None,
+        memo: SizeMemo | None = None,
     ) -> None:
         # Deferred import: repro.wire reaches back into the messaging
         # package, which imports repro.transport during its own init.
-        from repro.wire.codec import frame_size, resolve_codec
+        from repro.wire.codec import SizeMemo, frame_size, resolve_codec
 
         self.sim = sim
         self.profile = profile
@@ -54,6 +60,7 @@ class Link:
         self._dropped_key = f"{self.name}.dropped"
         self.codec = resolve_codec(codec or profile.codec)
         self._frame_size = frame_size
+        self._memo = memo if memo is not None else SizeMemo()
         self._rng = rng
         self._monitor = monitor
         self._metrics = monitor.metrics if monitor is not None else None
@@ -97,7 +104,7 @@ class Link:
 
     def send(self, payload: Any) -> DeliveryReceipt:
         """Send ``payload``; schedules receiver callback in virtual time."""
-        size = self._frame_size(payload, self.codec, self._metrics)
+        size = self._frame_size(payload, self.codec, self._metrics, self._memo)
         self.sent_count += 1
         metrics = self._metrics
         if metrics is not None:

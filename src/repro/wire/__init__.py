@@ -1,43 +1,35 @@
-"""Pluggable wire codecs, frame pooling, and memoized frame sizing.
+"""Pluggable wire codecs and memoized frame sizing.
 
 The codec seam the 64-broker federation scenario will ride: every link
-sizes (and can round-trip) its payloads through a named :class:`Codec`
-from the registry here — ``json`` (the legacy canonical rendering, byte
+sizes (and can round-trip) its payloads through one of two :class:`Codec`
+implementations — ``json`` (the legacy canonical rendering, byte
 compatible with every committed seed snapshot) or ``compact`` (the binary
 format of docs/WIRE_FORMAT.md).  See :mod:`repro.wire.codec` for the hot
-path design (size memo + frame pool).
+path design (a per-network size memo).
 """
 
 from repro.wire.codec import (
     CODEC_ENV_VAR,
     Codec,
+    SizeMemo,
     codec_names,
-    default_codec_name,
-    frame_pool,
     frame_size,
     get_codec,
     modeled_encode_ms,
-    register_codec,
     resolve_codec,
-    size_memo_stats,
 )
 from repro.wire.compact import CompactCodec
 from repro.wire.json_codec import JsonCodec
-from repro.wire.pool import FramePool
 
 __all__ = [
     "CODEC_ENV_VAR",
     "Codec",
     "CompactCodec",
-    "FramePool",
     "JsonCodec",
+    "SizeMemo",
     "codec_names",
-    "default_codec_name",
-    "frame_pool",
     "frame_size",
     "get_codec",
     "modeled_encode_ms",
-    "register_codec",
     "resolve_codec",
-    "size_memo_stats",
 ]

@@ -427,7 +427,7 @@ class CompactCodec:
         return bytes(out)
 
     def encode_into(self, payload: Any, out: bytearray) -> int:
-        """Append the compact frame to a pooled buffer; returns bytes added."""
+        """Append the compact frame to ``out``; returns bytes added."""
         before = len(out)
         out.append(MAGIC)
         out.append(VERSION)

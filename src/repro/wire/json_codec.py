@@ -77,7 +77,7 @@ class JsonCodec:
         return canonical_encode(payload)
 
     def encode_into(self, payload: Any, out: bytearray) -> int:
-        """Append the encoding to a pooled buffer; returns bytes appended."""
+        """Append the encoding to ``out``; returns bytes appended."""
         wire_dict = getattr(payload, "wire_dict", None)
         if callable(wire_dict):
             return canonical_encode_into(wire_dict(), out)

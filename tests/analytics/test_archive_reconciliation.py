@@ -14,17 +14,12 @@ regressions:
 
 from repro import build_deployment
 from repro.analytics import AnalyticsStore, EntityTimeline, build_timelines
-from repro.messaging.message import reset_message_ids
 from repro.tracing.archive import AvailabilityArchive
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.forecast import NetworkForecaster
-from repro.wire import frame_pool
 
 
 def _run_once(attach_views):
-    # message ids ride on the wire; rewind the process-global counter so
-    # back-to-back runs are comparable (same discipline as run_scenario)
-    reset_message_ids()
     dep = build_deployment(
         broker_ids=["b1", "b2"],
         seed=11,
@@ -55,9 +50,6 @@ def _run_once(attach_views):
 
 class TestZeroDrift:
     def test_attached_views_do_not_change_the_run(self):
-        # the scratch-buffer pool is process-wide: left cold, whichever run encodes
-        # first counts the one frame.pool.miss and the two snapshots differ by it
-        frame_pool().release(frame_pool().acquire())
         bare, *_ = _run_once(attach_views=False)
         viewed, _, _, _ = _run_once(attach_views=True)
         bare_snapshot = bare.metrics.snapshot()

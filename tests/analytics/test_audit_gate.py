@@ -15,7 +15,7 @@ import pytest
 
 from repro import build_deployment
 from repro.analytics import DEFAULT_RULES, AnalyticsStore, assert_audit_complete
-from repro.campaigns import expand, load_spec, observe_deployments, run_campaign
+from repro.campaigns import expand, load_spec, run_campaign
 from repro.errors import AuditIncompleteError
 from repro.faults import SCENARIOS, run_scenario
 from repro.obs.journal import EventJournal
@@ -65,8 +65,7 @@ class TestCampaignSmokeAuditsClean:
             audited.append(dep)
 
         spec = load_spec(SMOKE_SPEC)
-        with observe_deployments(probe):
-            run_campaign(spec, seed=42)
+        run_campaign(spec, seed=42, probe=probe)
         # every non-baseline point builds (at least) one deployment
         workload_points = sum(
             1 for point in expand(spec, seed=42) if point.kind != "baseline"

@@ -24,7 +24,6 @@ from repro.faults.scenarios import (
     TRACKER_BROKER,
     TRACKER_ID,
 )
-from repro.messaging.message import reset_message_ids
 from repro.tracing.topics import TraceTopicSet
 from repro.tracing.traces import TraceType
 from repro.util.snapshots import render_snapshot
@@ -32,8 +31,6 @@ from repro.util.snapshots import render_snapshot
 
 def run_chaos(plan, seed=42, until=60_000.0):
     """Bootstrapped chaos deployment with ``plan`` driven to ``until``."""
-    # message-id digit width feeds wire sizes; rewind for replay equality
-    reset_message_ids()
     dep = build_chaos_deployment(seed)
     entity = dep.add_traced_entity(ENTITY_ID)
     tracker = dep.add_tracker(TRACKER_ID)

@@ -2,8 +2,10 @@
 
 import dataclasses
 
+from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
 from repro.messaging.topics import Topic
+from repro.sim.engine import Simulator
 from repro.transport.base import wire_size
 
 
@@ -15,7 +17,18 @@ def make(topic="a/b", body=None, **kwargs):
 
 class TestMessage:
     def test_ids_unique(self):
-        assert make().message_id != make().message_id
+        """Ids come from the network a message enters, one counter per network."""
+        sim = Simulator()
+        network = BrokerNetwork(sim, seed=1)
+        network.add_broker("b1")
+        client = network.add_client("c")
+        network.connect_client(client, "b1")
+        published = [client.publish("a/b", {"k": i}) for i in range(3)]
+        assert make().message_id == 0  # not yet in a network
+        assert [m.message_id for m in published] == [1, 2, 3]
+        other = BrokerNetwork(Simulator(), seed=1)
+        other.add_broker("b1")
+        assert next(other.message_ids) == 1  # untouched by the first network
 
     def test_with_hop_increments(self):
         message = make()
@@ -31,6 +44,7 @@ class TestMessage:
             Topic.parse("a/b"),
             {"k": 1},
             "src",
+            message_id=7,
             created_ms=12.5,
             signature={"sig": b"x"},
             auth_token={"tok": 1},

@@ -1,6 +1,6 @@
 """Tests for ping coalescing (repro.tracing.coalesce).
 
-Unit coverage of the host-level relay registry and batch demultiplexer,
+Unit coverage of the host-level ping sinks and batch demultiplexer,
 then deployment-level properties: co-located entities actually share wire
 frames, a crashed delegate still relays its siblings' pings (only its own
 response is suppressed, so *it* — and nobody else — is declared failed),
@@ -12,12 +12,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
-from repro.tracing.coalesce import (
-    PING_BATCH_KIND,
-    register_ping_sink,
-    relay_ping_batch,
-    unregister_ping_sink,
-)
+from repro.tracing.coalesce import PING_BATCH_KIND, relay_ping_batch
 from repro.tracing.failure import AdaptivePingPolicy
 
 FAST_POLICY = AdaptivePingPolicy(
@@ -51,8 +46,8 @@ class TestRelayRegistry:
 
     def test_relay_delivers_to_registered_sinks(self, host):
         got = []
-        register_ping_sink(host, "a", lambda ping: got.append(("a", ping.number)))
-        register_ping_sink(host, "b", lambda ping: got.append(("b", ping.number)))
+        host.ping_sinks["a"] = lambda ping: got.append(("a", ping.number))
+        host.ping_sinks["b"] = lambda ping: got.append(("b", ping.number))
         delivered = relay_ping_batch(
             host, batch_body(("a", 1, 0.0), ("b", 7, 0.0))
         )
@@ -61,7 +56,7 @@ class TestRelayRegistry:
 
     def test_unknown_and_malformed_entries_dropped(self, host):
         got = []
-        register_ping_sink(host, "a", lambda ping: got.append(ping.number))
+        host.ping_sinks["a"] = lambda ping: got.append(ping.number)
         body = batch_body(("a", 3, 1.0), ("stranger", 9, 1.0))
         body["pings"].append({"entity_id": "a"})  # malformed: no number
         body["pings"].append({"entity_id": "a", "number": "x", "issued_ms": "y"})
@@ -70,12 +65,11 @@ class TestRelayRegistry:
 
     def test_reregistration_overwrites_and_unregister_forgets(self, host):
         first, second = [], []
-        register_ping_sink(host, "a", lambda ping: first.append(ping))
-        register_ping_sink(host, "a", lambda ping: second.append(ping))
+        host.ping_sinks["a"] = lambda ping: first.append(ping)
+        host.ping_sinks["a"] = lambda ping: second.append(ping)
         relay_ping_batch(host, batch_body(("a", 1, 0.0)))
         assert not first and len(second) == 1
-        unregister_ping_sink(host, "a")
-        unregister_ping_sink(host, "a")  # absent: no-op
+        del host.ping_sinks["a"]
         assert relay_ping_batch(host, batch_body(("a", 2, 0.0))) == 0
 
     def test_relay_on_unknown_machine_is_empty(self, host):
@@ -84,10 +78,6 @@ class TestRelayRegistry:
 
 def build_colocated(entity_count=3, seed=11, shared_host=True):
     from repro import build_deployment
-    from repro.messaging.message import reset_message_ids
-
-    # message-id digit width feeds wire sizes; rewind for comparable runs
-    reset_message_ids()
     dep = build_deployment(
         broker_ids=["b1", "b2"],
         seed=seed,

@@ -147,7 +147,7 @@ class TestInstrumentsAppearOnFirstUse:
         """An empty registry is falsy (it has ``__len__``); the link must
         test for ``None``, not truth, or the first send goes uncounted."""
         link = self.monitored_link(sim, monitor)
-        link._frame_size = lambda payload, codec, metrics: 10  # registers nothing
+        link._frame_size = lambda payload, codec, metrics, memo: 10  # registers nothing
         link.send("x")
         assert monitor.metrics.counter_value("transport.msgs.sent") == 1
         assert monitor.metrics.counter_value("transport.bytes.sent") == 10

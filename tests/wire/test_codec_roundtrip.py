@@ -22,7 +22,7 @@ from repro.messaging.message import Message, RoutedFrame
 from repro.messaging.topics import Topic
 from repro.util.serialization import Canonical
 from repro.wire import CompactCodec, JsonCodec
-from repro.wire.codec import clear_size_memo, frame_size
+from repro.wire.codec import frame_size
 
 JSON = JsonCodec()
 COMPACT = CompactCodec()
@@ -269,10 +269,8 @@ class TestTokenSplice:
         inline_frame = replace(frame, message=inline)
         assert codec.encode(message) == codec.encode(inline)
         assert codec.encode(frame) == codec.encode(inline_frame)
-        # both forms share a message id: clear the size memo between them
-        clear_size_memo()
+        # both forms share a message id: size each without a memo
         sizes = [frame_size(message, codec), frame_size(frame, codec)]
-        clear_size_memo()
         assert sizes == [frame_size(inline, codec), frame_size(inline_frame, codec)]
         assert sizes[0] == len(codec.encode(message))
 

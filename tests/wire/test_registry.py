@@ -1,4 +1,4 @@
-"""Codec registry, resolution precedence, and the ``REPRO_CODEC`` knob."""
+"""The codec table, resolution precedence, and the ``REPRO_CODEC`` knob."""
 
 from __future__ import annotations
 
@@ -8,17 +8,15 @@ from repro.errors import ConfigurationError
 from repro.wire import (
     CODEC_ENV_VAR,
     codec_names,
-    default_codec_name,
     get_codec,
-    register_codec,
     resolve_codec,
 )
+from repro.wire.codec import codec_name_from_env
 
 
 class TestRegistry:
     def test_builtin_codecs_registered(self):
-        assert "json" in codec_names()
-        assert "compact" in codec_names()
+        assert codec_names() == ("compact", "json")
 
     def test_unknown_codec_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="unknown wire codec"):
@@ -32,33 +30,6 @@ class TestRegistry:
         assert resolve_codec("compact") is compact
         assert resolve_codec(compact) is compact
 
-    def test_custom_codec_registers_and_resolves(self):
-        class EchoCodec:
-            name = "echo-test"
-
-            def encode(self, payload):
-                return repr(payload).encode()
-
-            def encode_into(self, payload, out):
-                data = self.encode(payload)
-                out.extend(data)
-                return len(data)
-
-            def decode(self, data):
-                raise NotImplementedError
-
-            def frame_overhead(self, frame):
-                return 0
-
-        register_codec(EchoCodec())
-        try:
-            assert resolve_codec("echo-test").name == "echo-test"
-        finally:
-            # keep the process-global registry clean for other tests
-            from repro.wire.codec import _REGISTRY
-
-            _REGISTRY.pop("echo-test", None)
-
 
 class TestEnvDefault:
     def test_env_var_name(self):
@@ -66,17 +37,18 @@ class TestEnvDefault:
 
     def test_unset_env_defaults_to_json(self, monkeypatch):
         monkeypatch.delenv(CODEC_ENV_VAR, raising=False)
-        assert default_codec_name() == "json"
+        assert codec_name_from_env() is None
+        assert resolve_codec(codec_name_from_env()).name == "json"
 
     def test_env_selects_codec(self, monkeypatch):
         monkeypatch.setenv(CODEC_ENV_VAR, "compact")
-        assert default_codec_name() == "compact"
+        assert codec_name_from_env() == "compact"
 
     def test_blank_env_is_ignored(self, monkeypatch):
         monkeypatch.setenv(CODEC_ENV_VAR, "  ")
-        assert default_codec_name() == "json"
+        assert codec_name_from_env() is None
 
     def test_invalid_env_fails_fast(self, monkeypatch):
         monkeypatch.setenv(CODEC_ENV_VAR, "msgpack")
         with pytest.raises(ConfigurationError, match="REPRO_CODEC"):
-            default_codec_name()
+            codec_name_from_env()
