@@ -87,9 +87,9 @@ def main() -> None:
     print(f"\nscheduler saw {len(load_traces)} load reports and "
           f"{len(scheduler.received) - len(load_traces)} other traces "
           "(selective interest keeps its stream lean)")
-    detection = dep.monitor.events("failure_declared")
+    detection = dep.journal.records("failure_declared")
     if detection:
-        print(f"storage-01 failure declared at t={detection[0][0]/1000:.2f}s "
+        print(f"storage-01 failure declared at t={detection[0].time_ms/1000:.2f}s "
               "by its hosting broker")
 
 

@@ -32,7 +32,6 @@ KNOWN_FAMILIES = frozenset(
         "crypto",
         "faults",
         "fed",
-        "frame",
         "tdn",
         "trace",
         "tracker",

@@ -87,15 +87,15 @@ DEFAULT_RULES: tuple[EvidenceRule, ...] = (
         name="violations",
         mutation="authorization/DoS violation recorded against a client",
         evidence_kind="violation",
-        counted_by="monitor counter 'dos.violations'",
-        count=_monitor_counter("dos.violations"),
+        counted_by="metrics counter 'broker.violations'",
+        count=_metrics_counter("broker.violations"),
     ),
     EvidenceRule(
         name="terminations",
         mutation="client forcibly terminated",
         evidence_kind="terminated",
-        counted_by="monitor counter 'dos.terminated'",
-        count=_monitor_counter("dos.terminated"),
+        counted_by="metrics counter 'broker.dos.terminated'",
+        count=_metrics_counter("broker.dos.terminated"),
     ),
     EvidenceRule(
         name="failovers",

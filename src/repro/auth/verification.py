@@ -171,13 +171,13 @@ class TraceAuthorizationGuard:
         if not self.applies_to(message):
             return True
         if message.auth_token is None:
-            broker.monitor.increment("auth.missing_token")
+            broker.metrics.counter("auth.missing_token").inc()
             return False
         try:
             yield from self.verifier.check(message.auth_token, broker.machine)
         except TokenError as exc:
-            broker.monitor.increment("auth.invalid_token")
-            broker.monitor.log(
+            broker.metrics.counter("auth.invalid_token").inc()
+            broker.monitor.journal.record(
                 broker.sim.now, "token_rejected", origin=origin, reason=str(exc)
             )
             return False

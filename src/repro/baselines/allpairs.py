@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
-from repro.sim.monitor import Monitor
 from repro.transport.base import TransportProfile
 from repro.transport.udp import UDP_CLUSTER
 
@@ -47,7 +46,6 @@ class AllPairsHeartbeatSystem:
         failure_timeout_ms: float = 3_500.0,
         profile: TransportProfile = UDP_CLUSTER,
         seed: int = 0,
-        monitor: Monitor | None = None,
     ) -> None:
         if entity_count < 2:
             raise ConfigurationError("need at least two entities")
@@ -56,7 +54,6 @@ class AllPairsHeartbeatSystem:
         self.heartbeat_interval_ms = heartbeat_interval_ms
         self.failure_timeout_ms = failure_timeout_ms
         self.profile = profile
-        self.monitor = monitor or Monitor()
         self._rng = random.Random(seed)
         self.messages_sent = 0
         self._crashed: set[int] = set()
@@ -88,7 +85,6 @@ class AllPairsHeartbeatSystem:
                 if receiver == sender:
                     continue
                 self.messages_sent += 1
-                self.monitor.increment("allpairs.messages")
                 latency = self.profile.sample_latency_ms(64, self._rng)
                 if self.profile.sample_loss(self._rng):
                     continue
@@ -118,7 +114,6 @@ class AllPairsHeartbeatSystem:
                 if now - state.last_heartbeat_ms > self.failure_timeout_ms:
                     state.failed = True
                     self._detections[(checker, peer)] = now
-                    self.monitor.increment("allpairs.detections")
 
     # ------------------------------------------------------------------ stats
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
-from repro.sim.monitor import Monitor
 from repro.transport.base import TransportProfile
 from repro.transport.udp import UDP_CLUSTER
 
@@ -73,7 +72,6 @@ class GossipFailureDetector:
         fanout: int = 2,
         profile: TransportProfile = UDP_CLUSTER,
         seed: int = 0,
-        monitor: Monitor | None = None,
     ) -> None:
         if node_count < 2:
             raise ConfigurationError("need at least two nodes")
@@ -85,7 +83,6 @@ class GossipFailureDetector:
         self.fail_timeout_ms = fail_timeout_ms
         self.fanout = fanout
         self.profile = profile
-        self.monitor = monitor or Monitor()
         self._rng = random.Random(seed)
         self.nodes = [GossipNode(self, i) for i in range(node_count)]
         self.messages_sent = 0
@@ -112,7 +109,6 @@ class GossipFailureDetector:
             peers = [i for i in range(self.node_count) if i != node.node_id]
             for target_id in self._rng.sample(peers, self.fanout):
                 self.messages_sent += 1
-                self.monitor.increment("gossip.messages")
                 latency = self.profile.sample_latency_ms(
                     32 + 8 * self.node_count, self._rng
                 )
@@ -131,7 +127,6 @@ class GossipFailureDetector:
                 if now - entry.last_increase_ms > self.fail_timeout_ms:
                     entry.suspected = True
                     self._detections[(node.node_id, peer)] = now
-                    self.monitor.increment("gossip.detections")
 
             yield self.sim.timeout(self.gossip_interval_ms)
 

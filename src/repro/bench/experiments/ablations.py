@@ -90,11 +90,11 @@ def run_message_count_case(
 
 
 def _tracing_message_count(dep) -> int:
-    counters = dep.monitor.counters()
+    metrics = dep.metrics
     return (
-        counters.get("messages.received", 0)
-        + counters.get("messages.forwarded_in", 0)
-        + counters.get("messages.delivered_client", 0)
+        metrics.counter_value("broker.msgs.ingress")
+        + metrics.counter_value("broker.msgs.forwarded_in")
+        + metrics.counter_value("broker.messages.delivered_client")
     )
 
 
@@ -225,7 +225,7 @@ def run_interest_gating_ablation(
                 gated=gated,
                 published=counters.get("trace.published_total", 0),
                 suppressed=counters.get("trace.suppressed_no_interest", 0),
-                delivered=counters.get("messages.delivered_client", 0),
+                delivered=dep.metrics.counter_value("broker.messages.delivered_client"),
             )
         )
     return results

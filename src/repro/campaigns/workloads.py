@@ -242,8 +242,8 @@ def _defense_block(dep, attacker_broker: str) -> dict:
     return {
         "rejected": dep.metrics.counter_value("broker.msgs.rejected"),
         "violations": dep.metrics.counter_value("broker.violations"),
-        "terminated": dep.monitor.count("dos.terminated"),
-        "dropped_blacklisted": dep.monitor.count("dos.dropped_blacklisted"),
+        "terminated": dep.metrics.counter_value("broker.dos.terminated"),
+        "dropped_blacklisted": dep.metrics.counter_value("broker.dos.dropped_blacklisted"),
         "attacker_blacklisted": dep.network.broker(
             attacker_broker
         ).is_blacklisted("attacker"),
@@ -348,12 +348,12 @@ def run_token_replay_flood(params: dict, seed: int, probe: Probe | None = None) 
             - verify_before,
         },
         "defense": {
-            "rejected_constrained": dep.monitor.count(
-                "messages.rejected_constrained"
+            "rejected_constrained": dep.metrics.counter_value(
+                "broker.messages.rejected_constrained"
             ),
-            "violations": dep.monitor.count("dos.violations"),
-            "terminated": dep.monitor.count("dos.terminated"),
-            "dropped_blacklisted": dep.monitor.count("dos.dropped_blacklisted"),
+            "violations": dep.metrics.counter_value("broker.violations"),
+            "terminated": dep.metrics.counter_value("broker.dos.terminated"),
+            "dropped_blacklisted": dep.metrics.counter_value("broker.dos.dropped_blacklisted"),
         },
     }
 

@@ -7,10 +7,6 @@ Commands
     Package, paper and experiment-index summary.
 ``quickstart``
     Run the minimal tracing scenario and print what the tracker saw.
-``bench``
-    Run one experiment family and print its paper-vs-measured table
-    (``hops``, ``micro``, ``keydist``, ``trackers``, ``entities``,
-    ``msgcount``, ``gossip``, ``adaptive``).
 ``demo``
     Run a scenario: ``failure`` (crash detection), ``secure``
     (confidential traces), ``availability`` (archive report).
@@ -50,9 +46,8 @@ def _cmd_info(_args) -> int:
     print("       Secure and Authorized Tracking of the Availability of")
     print("       Entities in Distributed Systems'")
     print()
-    print("experiments: hops (Table 3/Fig 2), micro (Table 3), keydist (Table 3),")
-    print("             trackers (Fig 4), entities (Table 4), msgcount / gossip /")
-    print("             adaptive (ablations)")
+    print("experiments: Tables 3-4, Figures 2-5 and the ablations, one")
+    print("             benchmarks/bench_*.py script each (EXPERIMENTS.md)")
     print(f"calibrated crypto operations: {len(PAPER_CALIBRATION)}")
     print("docs: README.md, DESIGN.md, EXPERIMENTS.md")
     return 0
@@ -261,78 +256,6 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.tables import render_comparison, render_series
-
-    name = args.experiment
-    if name == "hops":
-        from repro.bench.experiments import hops
-
-        results = hops.run_hops_sweep(
-            hops_list=tuple(args.hops), duration_ms=args.duration * 1000.0
-        )
-        rows = hops.comparison_rows(results)
-        print(render_comparison("Table 3: trace routing overhead (ms)", rows))
-    elif name == "micro":
-        from repro.bench.experiments import microcosts
-
-        results = microcosts.run_calibrated_micro(samples=1_000)
-        rows = microcosts.comparison_rows(results)
-        print(render_comparison("Table 3: per-operation security costs (ms)", rows))
-    elif name == "keydist":
-        from repro.bench.experiments import keydist
-
-        results = keydist.run_keydist_sweep()
-        rows = keydist.comparison_rows(results)
-        print(render_comparison("Table 3: key distribution overhead (ms)", rows))
-    elif name == "trackers":
-        from repro.bench.experiments.trackers import run_trackers_sweep
-
-        results = run_trackers_sweep(
-            counts=(10, 30, 50, 70, 100), duration_ms=args.duration * 1000.0
-        )
-        print(
-            render_series(
-                "Figure 4: trace time vs trackers", "trackers",
-                {"trace time (ms)": [(r.tracker_count, r.summary.mean) for r in results]},
-            )
-        )
-    elif name == "entities":
-        from repro.bench.experiments import entities
-
-        results = entities.run_entities_sweep(duration_ms=args.duration * 1000.0)
-        rows = entities.comparison_rows(results)
-        print(render_comparison("Table 4: overhead vs traced entities (ms)", rows))
-    elif name == "msgcount":
-        from repro.bench.experiments.ablations import run_message_count_sweep
-
-        results = run_message_count_sweep(populations=(10, 20, 40))
-        print(
-            render_series(
-                "EXP-A1: message load", "N",
-                {
-                    "all-pairs msgs/s": [(r.population, r.allpairs_msgs_per_s) for r in results],
-                    "tracing msgs/s": [(r.population, r.tracing_msgs_per_s) for r in results],
-                },
-            )
-        )
-    elif name == "gossip":
-        from repro.bench.experiments.ablations import run_gossip_comparison
-
-        g = run_gossip_comparison()
-        print(f"gossip:  detect {g.gossip_detect_first_ms:.0f}-"
-              f"{g.gossip_detect_last_ms:.0f} ms, {g.gossip_msgs_per_s:.1f} msgs/s")
-        print(f"tracing: detect {g.tracing_detect_ms:.0f} ms, "
-              f"{g.tracing_msgs_per_s:.1f} msgs/s")
-    elif name == "adaptive":
-        from repro.bench.experiments.ablations import run_adaptive_ping_ablation
-
-        for r in run_adaptive_ping_ablation():
-            print(f"{r.label:<26s} detect={r.detection_ms:.0f} ms "
-                  f"pings={r.pings_sent}")
-    return 0
-
-
 def _cmd_analytics(args) -> int:
     """Drive the availability analytics store (docs/ANALYTICS.md).
 
@@ -472,16 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     quickstart.add_argument("--duration", type=float, default=30.0,
                             help="virtual seconds to simulate")
 
-    bench = sub.add_parser("bench", help="run one experiment family")
-    bench.add_argument(
-        "experiment",
-        choices=["hops", "micro", "keydist", "trackers", "entities",
-                 "msgcount", "gossip", "adaptive"],
-    )
-    bench.add_argument("--hops", type=int, nargs="+", default=[2, 3, 4, 5, 6])
-    bench.add_argument("--duration", type=float, default=60.0,
-                       help="virtual seconds per case")
-
     demo = sub.add_parser("demo", help="run a scenario")
     demo.add_argument("scenario", choices=["failure", "secure", "availability"])
     demo.add_argument("--seed", type=int, default=7)
@@ -612,7 +525,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "info": _cmd_info,
         "quickstart": _cmd_quickstart,
-        "bench": _cmd_bench,
         "demo": _cmd_demo,
         "metrics": _cmd_metrics,
         "analyze": _cmd_analyze,

@@ -142,8 +142,9 @@ class Broker:
         # failure model: a failed broker drops everything it receives
         self.failed = False
 
-    # Per-hop instruments: resolved on first use and held as the instrument
-    # (docs/OBSERVABILITY.md "Adding an instrument"), never in ``__init__``.
+    # Per-hop, per-delivery and per-subscribe instruments: resolved on first
+    # use and held as the instrument (docs/OBSERVABILITY.md "Adding an
+    # instrument"), never in ``__init__``.
 
     @cached_property
     def _msgs_ingress(self) -> Counter:
@@ -156,6 +157,22 @@ class Broker:
     @cached_property
     def _msgs_forwarded_out(self) -> Counter:
         return self.metrics.counter("broker.msgs.forwarded_out")
+
+    @cached_property
+    def _delivered_broker_local(self) -> Counter:
+        return self.metrics.counter("broker.messages.delivered_broker_local")
+
+    @cached_property
+    def _delivered_client(self) -> Counter:
+        return self.metrics.counter("broker.messages.delivered_client")
+
+    @cached_property
+    def _subscriptions_client(self) -> Counter:
+        return self.metrics.counter("broker.subscriptions.client")
+
+    @cached_property
+    def _subscriptions_broker(self) -> Counter:
+        return self.metrics.counter("broker.subscriptions.broker")
 
     # ------------------------------------------------------------------ wiring
 
@@ -241,7 +258,7 @@ class Broker:
                     f"{client_id!r} may not subscribe to constrained topic {pattern!r}"
                 )
         self._subs.add_client(pattern, client_id)
-        self.monitor.increment("subscriptions.client")
+        self._subscriptions_client.inc()
         self._propagate_interest(pattern, suppressed=False)
 
     def remove_client_subscription(self, client_id: str, pattern: str) -> None:
@@ -266,7 +283,7 @@ class Broker:
                 )
             suppressed = constrained.suppressed()
         self._subs.add_handler(pattern, handler)
-        self.monitor.increment("subscriptions.broker")
+        self._subscriptions_broker.inc()
         self._propagate_interest(pattern, suppressed=suppressed)
 
     def unsubscribe_local(self, pattern: str, handler: LocalHandler) -> None:
@@ -284,14 +301,12 @@ class Broker:
             return
         if self._retract is not None:
             self._retract(pattern, self.broker_id)
-            self.monitor.increment("control.interest_retractions")
             self.metrics.counter("broker.interest.retracted").inc()
 
     def _propagate_interest(self, pattern: str, suppressed: bool) -> None:
         if suppressed or self._announce is None:
             return
         self._announce(pattern, self.broker_id)
-        self.monitor.increment("control.interest_announcements")
         self.metrics.counter("broker.interest.announced").inc()
 
     def note_remote_interest(self, pattern: str, broker_id: str) -> None:
@@ -314,11 +329,11 @@ class Broker:
     def receive_from_client(self, client_id: str, message: Message) -> None:
         """Link-delivery callback for messages a connected client published."""
         if self.failed:
-            self.monitor.increment("messages.dropped_broker_failed")
+            self.metrics.counter("broker.messages.dropped_broker_failed").inc()
             self.metrics.counter("broker.msgs.dropped").inc()
             return
         if client_id in self._blacklist:
-            self.monitor.increment("dos.dropped_blacklisted")
+            self.metrics.counter("broker.dos.dropped_blacklisted").inc()
             self.metrics.counter("broker.msgs.dropped").inc()
             return
         self.sim.process(
@@ -329,7 +344,7 @@ class Broker:
     def receive_from_neighbor(self, neighbor_id: str, frame: RoutedFrame) -> None:
         """Link-delivery callback for broker-to-broker frames."""
         if self.failed:
-            self.monitor.increment("messages.dropped_broker_failed")
+            self.metrics.counter("broker.messages.dropped_broker_failed").inc()
             self.metrics.counter("broker.msgs.dropped").inc()
             return
         self.sim.process(
@@ -348,7 +363,7 @@ class Broker:
         if self.failed:
             # a crashed broker generates nothing — its trace processes may
             # still be scheduled, but no self-publication leaves the host
-            self.monitor.increment("messages.dropped_broker_failed")
+            self.metrics.counter("broker.messages.dropped_broker_failed").inc()
             self.metrics.counter("broker.msgs.dropped").inc()
             return
         self.sim.process(
@@ -366,7 +381,6 @@ class Broker:
         self_origin: bool = False,
     ) -> Generator[Event, None, None]:
         yield from self.machine.compute(self.processing_ms)
-        self.monitor.increment("messages.received")
         self._msgs_ingress.inc()
 
         constrained: ConstrainedTopic | None = None
@@ -375,7 +389,7 @@ class Broker:
             publisher = self.broker_id if self_origin else origin
             if not constrained.may_publish(publisher, is_broker=self_origin):
                 self._record_violation(origin, f"publish on {message.topic}")
-                self.monitor.increment("messages.rejected_constrained")
+                self.metrics.counter("broker.messages.rejected_constrained").inc()
                 self.metrics.counter("broker.msgs.rejected").inc()
                 return
 
@@ -383,7 +397,7 @@ class Broker:
             ok = yield from guard(self, message, origin, from_neighbor)
             if not ok:
                 self._record_violation(origin, f"guard rejected {message.topic}")
-                self.monitor.increment("messages.rejected_guard")
+                self.metrics.counter("broker.messages.rejected_guard").inc()
                 self.metrics.counter("broker.msgs.rejected").inc()
                 return
 
@@ -394,13 +408,12 @@ class Broker:
     ) -> Generator[Event, None, None]:
         message = frame.message
         yield from self.machine.compute(self.processing_ms)
-        self.monitor.increment("messages.forwarded_in")
         self._msgs_forwarded_in.inc()
 
         for guard in self.publish_guards:
             ok = yield from guard(self, message, neighbor_id, True)
             if not ok:
-                self.monitor.increment("messages.rejected_guard")
+                self.metrics.counter("broker.messages.rejected_guard").inc()
                 self.metrics.counter("broker.msgs.rejected").inc()
                 return
 
@@ -414,13 +427,11 @@ class Broker:
                     # a digest summary matched a topic nobody here wants:
                     # the tolerated cost of summarized interest, distinct
                     # from the stale-interest bug class below
-                    self.monitor.increment("messages.fed_false_positive")
                     self.metrics.counter("fed.forwards.false_positive").inc()
                 else:
                     # a peer forwarded to us on stale interest: nobody here
                     # consumes this topic anymore (the bug class the interest
                     # lifecycle is meant to prevent) — count it loudly
-                    self.monitor.increment("messages.forwarded_stale")
                     self.metrics.counter("broker.interest.stale_forwards").inc()
             yield from self._deliver_local(message)
             remaining = tuple(d for d in remaining if d != self.broker_id)
@@ -440,7 +451,7 @@ class Broker:
         if constrained is not None and constrained.suppressed():
             publisher = self.broker_id if self_origin else origin
             if constrained._is_constrainer(publisher, is_broker=self_origin):
-                self.monitor.increment("messages.suppressed")
+                self.metrics.counter("broker.messages.suppressed").inc()
                 return
 
         destinations = self._interested_brokers(message.topic.canonical)
@@ -464,7 +475,6 @@ class Broker:
             if next_hop is None:
                 # destination currently unreachable (failed broker or
                 # partition): drop that leg, deliver the rest
-                self.monitor.increment("messages.unroutable")
                 self.metrics.counter("broker.msgs.unroutable").inc()
                 continue
             by_next_hop[next_hop].append(dest)
@@ -479,7 +489,6 @@ class Broker:
                     f"{self.broker_id!r} has no link to next hop {next_hop!r}"
                 )
             link.send(RoutedFrame(message, tuple(sorted(dests))))
-            self.monitor.increment("messages.forwarded_out")
             self._msgs_forwarded_out.inc()
 
     def _deliver_local(
@@ -492,7 +501,7 @@ class Broker:
             for handler in handlers:
                 yield from self.machine.compute(self.per_delivery_ms)
                 handler(message)
-                self.monitor.increment("messages.delivered_broker_local")
+                self._delivered_broker_local.inc()
                 fanout += 1
 
         # a client subscribed through several matching patterns gets one
@@ -512,7 +521,7 @@ class Broker:
                 yield from self.machine.compute(self.per_delivery_ms)
                 link.send(message)
                 sent.add(client_id)
-                self.monitor.increment("messages.delivered_client")
+                self._delivered_client.inc()
                 fanout += 1
 
         if fanout:
@@ -528,9 +537,8 @@ class Broker:
 
     def _record_violation(self, principal: str, what: str) -> None:
         self._violations[principal] += 1
-        self.monitor.increment("dos.violations")
         self.metrics.counter("broker.violations").inc()
-        self.monitor.log(self.sim.now, "violation", principal=principal, what=what)
+        self.monitor.journal.record(self.sim.now, "violation", principal=principal, what=what)
         if (
             self._violations[principal] >= self.violation_limit
             and principal in self._client_links
@@ -541,8 +549,8 @@ class Broker:
         """Terminate communications with a malicious entity (section 5.2)."""
         self._blacklist.add(client_id)
         self.detach_client(client_id)
-        self.monitor.increment("dos.terminated")
-        self.monitor.log(self.sim.now, "terminated", principal=client_id)
+        self.metrics.counter("broker.dos.terminated").inc()
+        self.monitor.journal.record(self.sim.now, "terminated", principal=client_id)
 
     def is_blacklisted(self, client_id: str) -> bool:
         """Whether a principal was terminated for violations (§5.2)."""

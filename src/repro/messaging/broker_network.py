@@ -472,4 +472,4 @@ class BrokerNetwork:
                 del self._interest[pattern]
         for other in self._brokers.values():
             other.drop_remote_interest(pattern, broker_id)
-        self.monitor.increment("control.retractions")
+        self.monitor.metrics.counter("broker.interest.retraction_floods").inc()

@@ -13,6 +13,7 @@ one delivered trace must not cost more the more entities it tracks.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Iterator
 
 from repro.errors import NotConnectedError
@@ -20,6 +21,7 @@ from repro.messaging.broker import Broker
 from repro.messaging.matching import SubscriptionIndex
 from repro.messaging.message import Message
 from repro.messaging.topics import Topic
+from repro.obs import Counter
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
@@ -61,6 +63,17 @@ class BrokerClient:
         # no registry: the broker.interest.* gauges count broker-side
         # entries, and every subscription here has one there already
         self._subs = SubscriptionIndex()
+
+    # Per-publish and per-delivery instruments, held on first use
+    # (docs/OBSERVABILITY.md "Adding an instrument").
+
+    @cached_property
+    def _published(self) -> Counter:
+        return self.monitor.metrics.counter("broker.clients.published")
+
+    @cached_property
+    def _received(self) -> Counter:
+        return self.monitor.metrics.counter("broker.clients.received")
 
     # ----------------------------------------------------------------- wiring
 
@@ -113,7 +126,7 @@ class BrokerClient:
             encrypted=encrypted,
         )
         self._link_to_broker.send(message)
-        self.monitor.increment("published")
+        self._published.inc()
         return message
 
     def subscribe(self, pattern: str | Topic, handler: Handler) -> None:
@@ -143,7 +156,7 @@ class BrokerClient:
         The matched handler lists are copies, so a handler may
         unsubscribe itself or a sibling while the message is dispatched.
         """
-        self.monitor.increment("received")
+        self._received.inc()
         for _pattern, handlers in self._subs.match_handlers(message.topic.canonical):
             for handler in handlers:
                 handler(message)

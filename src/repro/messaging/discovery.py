@@ -57,7 +57,7 @@ class BrokerDiscoveryService:
     ) -> Generator[Event, None, Broker]:
         """Process body: resolve one valid broker after the modeled delay."""
         yield self.sim.timeout(self.response_delay_ms)
-        self.monitor.increment("broker_discovery.requests")
+        self.monitor.metrics.counter("broker.discovery.requests").inc()
         if not self._brokers:
             raise DiscoveryError("no live brokers registered")
         ordered = sorted(self._brokers)

@@ -1,18 +1,22 @@
 """Measurement capture for simulations.
 
-A :class:`Monitor` owns scenario-local counters and the event log;
-protocol components record into it and benchmark harnesses read them
-out.  Keeping measurement separate from protocol logic means the tracing
-code contains no benchmark-specific branches.
-
-The monitor is also the distribution point for the unified observability
-layer (:mod:`repro.obs`): it owns one :class:`~repro.obs.MetricsRegistry`
-and one :class:`~repro.obs.EventJournal` per deployment, which instrumented
+A :class:`Monitor` is the distribution point for the observability layer
+(:mod:`repro.obs`): it owns one :class:`~repro.obs.MetricsRegistry` and one
+:class:`~repro.obs.EventJournal` per deployment, which instrumented
 components reach through ``monitor.metrics`` / ``monitor.journal``.  The
-counter API remains for scenario-local bookkeeping; the registry carries
-the convention-named instrument families (``broker.*``, ``tracker.*``,
-``transport.*``, ``tdn.*``, ``crypto.*``) that ``Deployment.snapshot()``
-consumers and the ``repro metrics`` CLI read.
+registry carries every convention-named instrument (``broker.*``,
+``tracker.*``, ``transport.*``, ``tdn.*``, ``crypto.*``) that
+``Deployment.snapshot()`` consumers and the ``repro metrics`` CLI read.
+
+The monitor's own counters (:meth:`Monitor.increment`) are what is left of
+a second counting system.  The fabric below the tracing layer (brokers,
+clients, links, the TDN, the authorization guard) reports to the registry
+only.  Two sources still count here: the tracing layer
+(``src/repro/tracing/``) and the control plane's ``control.floods``.
+They stay only
+because the wall-clock benchmark hashes ``counters()`` into its
+``sim_digest`` and reads ``control.floods`` and ``trace.published.*`` by
+name (ROADMAP item 5(a)); folding them moves that harness first.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.obs import EventJournal, MetricsRegistry
 
 
 class Monitor:
-    """Counters and the event log for one simulation."""
+    """The registry, the journal and the tracing layer's counters."""
 
     def __init__(
         self,
@@ -48,18 +52,7 @@ class Monitor:
     def counters(self) -> dict[str, int]:
         return dict(self._counters)
 
-    # -- event log ---------------------------------------------------------------
-
-    def log(self, time_ms: float, kind: str, **details) -> None:
-        """Append a structured event (stored in the shared journal)."""
-        self.journal.record(
-            time_ms,
-            kind,
-            topic=details.pop("topic", None),
-            principal=details.pop("principal", None),
-            size_bytes=details.pop("size_bytes", None),
-            **details,
-        )
+    # -- journal -----------------------------------------------------------------
 
     def log_malformed(self, time_ms: float, exc: Exception, source: str, **where) -> None:
         """Journal ``envelope.malformed`` when ``exc`` says a frame from
@@ -69,9 +62,3 @@ class Monitor:
             self.journal.record(
                 time_ms, "envelope.malformed", principal=source, reason=str(exc), **where
             )
-
-    def events(self, kind: str | None = None) -> list[tuple[float, str, dict]]:
-        return [
-            (record.time_ms, record.kind, record.details())
-            for record in self.journal.records(kind)
-        ]

@@ -151,7 +151,6 @@ class TDNNode:
         )
         self.store.put(advertisement)
         self._replicate(advertisement)
-        self.monitor.increment("tdn.topics_created")
         self.monitor.metrics.counter("tdn.advertisements.created").inc()
         self.monitor.metrics.gauge("tdn.advertisements.stored").set(
             float(len(self.store))
@@ -215,7 +214,7 @@ class TDNNode:
         )
         self.store.put(renewed)
         self._replicate(renewed)
-        self.monitor.increment("tdn.topics_renewed")
+        self.monitor.metrics.counter("tdn.topics_renewed").inc()
         return renewed
 
     def _replicate(self, advertisement: TopicAdvertisement) -> None:
@@ -226,7 +225,7 @@ class TDNNode:
                 self.replication_delay_ms,
                 lambda p=peer: p.store.put(advertisement),
             )
-            self.monitor.increment("tdn.replications")
+            self.monitor.metrics.counter("tdn.replications").inc()
 
     # ---------------------------------------------------------------- discovery
 
@@ -250,14 +249,12 @@ class TDNNode:
         with metrics.timer("tdn.query.latency_ms", self.sim.clock):
             yield self.sim.timeout(self.service_delay_ms)
             now = self.machine.now()
-            self.monitor.increment("tdn.discovery_requests")
 
             cache = self.query_cache
             key = DiscoveryCache.key("one", query.descriptor, credentials)
             cached = cache.lookup(key, self.store.version, now)
             if cached is not MISS:
                 metrics.counter("tdn.query.cache.hit").inc()
-                self.monitor.increment("tdn.discovery_answered")
                 metrics.counter("tdn.queries.answered").inc()
                 return cached
             metrics.counter("tdn.query.cache.miss").inc()
@@ -268,7 +265,6 @@ class TDNNode:
                 if advertisement.restrictions.permits(
                     credentials, self.trust_anchor, now
                 ):
-                    self.monitor.increment("tdn.discovery_answered")
                     metrics.counter("tdn.queries.answered").inc()
                     cache.store(
                         key,
@@ -277,7 +273,6 @@ class TDNNode:
                         advertisement,
                     )
                     return advertisement
-            self.monitor.increment("tdn.discovery_ignored")
             metrics.counter("tdn.queries.ignored").inc()
             return None
 
@@ -297,14 +292,12 @@ class TDNNode:
         with metrics.timer("tdn.query.latency_ms", self.sim.clock):
             yield self.sim.timeout(self.service_delay_ms)
             now = self.machine.now()
-            self.monitor.increment("tdn.discovery_requests")
 
             cache = self.query_cache
             key = DiscoveryCache.key("all", query.descriptor, credentials)
             cached = cache.lookup(key, self.store.version, now)
             if cached is not MISS:
                 metrics.counter("tdn.query.cache.hit").inc()
-                self.monitor.increment("tdn.discovery_answered")
                 metrics.counter("tdn.queries.answered").inc()
                 return list(cached)
             metrics.counter("tdn.query.cache.miss").inc()
@@ -321,7 +314,6 @@ class TDNNode:
                     permitted.append(advertisement)
                     seen_descriptors.add(advertisement.descriptor)
             if permitted:
-                self.monitor.increment("tdn.discovery_answered")
                 metrics.counter("tdn.queries.answered").inc()
                 cache.store(
                     key,
@@ -330,7 +322,6 @@ class TDNNode:
                     tuple(permitted),
                 )
             else:
-                self.monitor.increment("tdn.discovery_ignored")
                 metrics.counter("tdn.queries.ignored").inc()
             return permitted
 

@@ -147,7 +147,7 @@ class TraceManager:
             error = RegistrationError_Response(request.request_id, reason)
             self._publish_plain(response_topic, error.to_dict())
             self.monitor.increment("trace.registrations_rejected")
-            self.monitor.log(self.sim.now, "registration_rejected", reason=reason)
+            self.monitor.journal.record(self.sim.now, "registration_rejected", reason=reason)
             return
 
         # a re-registration supersedes the entity's previous session: the
@@ -573,7 +573,7 @@ class TraceManager:
                     TraceType.FAILURE_SUSPICION,
                     {"entity_id": str(session.entity_id), "missed_pings": misses},
                 )
-                self.monitor.log(
+                self.monitor.journal.record(
                     self.sim.now, "failure_suspicion", entity=str(session.entity_id)
                 )
             elif verdict is DetectorVerdict.FAILED:
@@ -597,7 +597,7 @@ class TraceManager:
                     TraceType.FAILED,
                     {"entity_id": str(session.entity_id), "missed_pings": misses},
                 )
-                self.monitor.log(
+                self.monitor.journal.record(
                     self.sim.now, "failure_declared", entity=str(session.entity_id)
                 )
                 break

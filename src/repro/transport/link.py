@@ -56,8 +56,6 @@ class Link:
         self.profile = profile
         self.receiver = receiver
         self.name = name or f"link-{id(self):x}"
-        self._delivered_key = f"{self.name}.delivered"
-        self._dropped_key = f"{self.name}.dropped"
         self.codec = resolve_codec(codec or profile.codec)
         self._frame_size = frame_size
         self._memo = memo if memo is not None else SizeMemo()
@@ -122,7 +120,6 @@ class Link:
                 # retransmission path on purpose (see transport/disruption.py).
                 self.dropped_count += 1
                 if self._monitor is not None:
-                    self._monitor.increment(self._dropped_key)
                     metrics.counter("transport.msgs.dropped").inc()
                     self._monitor.journal.record(
                         self.sim.now,
@@ -138,7 +135,6 @@ class Link:
             if not self.profile.reliable:
                 self.dropped_count += 1
                 if self._monitor is not None:
-                    self._monitor.increment(self._dropped_key)
                     metrics.counter("transport.msgs.dropped").inc()
                     self._monitor.journal.record(
                         self.sim.now, "link.drop", size_bytes=size, link=self.name
@@ -170,7 +166,6 @@ class Link:
 
         self.delivered_count += 1
         if self._monitor is not None:
-            self._monitor.increment(self._delivered_key)
             self._msgs_delivered.inc()
             self._latency_ms.observe(latency)
             self._inflight.inc()

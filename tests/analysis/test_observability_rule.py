@@ -16,6 +16,12 @@ class TestOBS01Fires:
         assert [f.rule for f in findings] == ["OBS01"]
         assert "bogus" in findings[0].message
 
+    def test_retired_frame_family(self):
+        """``frame.pool.*`` went with the frame pool; the family went with it."""
+        findings = obs01("def f(metrics):\n    metrics.counter('frame.pool.hit').inc()\n")
+        assert [f.rule for f in findings] == ["OBS01"]
+        assert "'frame'" in findings[0].message and "not documented" in findings[0].message
+
     def test_single_segment_name(self):
         findings = obs01("def f(metrics):\n    metrics.counter('broker').inc()\n")
         assert len(findings) == 1

@@ -8,6 +8,15 @@ fraction of the simulated duration.
 import pytest
 
 from repro.bench import paper_data
+from repro.bench.experiments import hops, microcosts
+from repro.bench.experiments.ablations import (
+    AdaptivePingResult,
+    GatingResult,
+    MessageCountResult,
+    run_adaptive_ping_ablation,
+    run_interest_gating_ablation,
+    run_message_count_case,
+)
 from repro.bench.experiments.entities import run_entities_case
 from repro.bench.experiments.hops import (
     HopsResult,
@@ -22,6 +31,7 @@ from repro.bench.experiments.microcosts import (
     run_calibrated_micro,
 )
 from repro.bench.experiments.trackers import growth_ratio, run_trackers_case
+from repro.bench.tables import render_comparison
 from repro.util.stats import summarize
 
 
@@ -32,6 +42,13 @@ class TestHopsRunner:
         assert result.transport == "TCP"
         assert result.summary.count >= 10
         assert 50.0 < result.summary.mean < 110.0
+
+    def test_comparison_row_names_the_case(self):
+        result = run_hops_case(2, duration_ms=15_000.0)
+        [row] = hops.comparison_rows([result])
+        assert row.label == "TCP auth 2 hops"
+        assert row.measured is result.summary
+        assert "TCP auth 2 hops" in render_comparison("Table 3", [row])
 
     def test_latency_grows_with_hops(self):
         short = run_hops_case(2, duration_ms=20_000.0)
@@ -69,6 +86,12 @@ class TestMicroRunner:
         assert [r.label for r in results] == [label for label, _ in MICRO_ROWS]
         assert all(r.calibrated.count == 50 for r in results)
 
+    def test_comparison_rows_carry_paper_means(self):
+        rows = microcosts.comparison_rows(run_calibrated_micro(samples=50))
+        by_label = {row.label: row for row in rows}
+        assert 24.0 < by_label["Sign Trace Message"].paper_mean < 25.0
+        assert "Sign Trace Message" in render_comparison("Table 3", rows)
+
     def test_real_primitives_measured(self):
         timings = measure_real_primitives(iterations=3)
         assert set(timings) == {"rsa_sign", "rsa_verify", "aes_encrypt", "aes_decrypt"}
@@ -101,3 +124,32 @@ class TestKeydistRunner:
         assert result.hops == 2
         assert result.samples >= 3
         assert result.summary.mean > 40.0
+
+
+class TestAblations:
+    """Small cases of the ablations that read fabric counters, with their
+    outputs pinned: moving where a counter is kept must not move a result."""
+
+    def test_message_count_case(self):
+        result = run_message_count_case(3, watchers_per_entity=1, duration_ms=10_000.0)
+        assert result == MessageCountResult(
+            population=3, watchers=3, allpairs_msgs_per_s=6.0, tracing_msgs_per_s=16.8
+        )
+
+    def test_interest_gating_ablation(self):
+        results = run_interest_gating_ablation(entity_count=2, duration_ms=10_000.0)
+        assert results == [
+            GatingResult(gated=True, published=4, suppressed=34, delivered=30),
+            GatingResult(gated=False, published=38, suppressed=0, delivered=30),
+        ]
+
+    def test_adaptive_ping_ablation(self):
+        # wire sizes differ per codec ($REPRO_CODEC), and with them link
+        # latencies by a fraction of a millisecond
+        adaptive, fixed = run_adaptive_ping_ablation()
+        assert adaptive == AdaptivePingResult(
+            "adaptive (section 3.3)", pytest.approx(2512.4, abs=1.0), 6
+        )
+        assert fixed == AdaptivePingResult(
+            "fixed interval", pytest.approx(10819.9, abs=1.0), 6
+        )

@@ -28,7 +28,7 @@ class TestClockSkew:
         tracker.track("svc")
         dep.sim.run(until=30_000)
         assert tracker.traces_of_type(TraceType.ALLS_WELL)
-        assert dep.monitor.count("auth.invalid_token") == 0
+        assert dep.metrics.counter_value("auth.invalid_token") == 0
         assert dep.monitor.count("tracker.tokens_rejected") == 0
 
     def test_skew_beyond_tolerance_rejects_tokens(self):
@@ -46,7 +46,7 @@ class TestClockSkew:
         tracker.track("svc")
         dep.sim.run(until=20_000)
         assert not tracker.traces_of_type(TraceType.ALLS_WELL)
-        assert dep.monitor.count("auth.invalid_token") > 0
+        assert dep.metrics.counter_value("auth.invalid_token") > 0
 
     def test_latency_measurement_immune_to_skew(self):
         """Colocating entity and measuring tracker removes skew from the

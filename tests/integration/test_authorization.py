@@ -55,7 +55,7 @@ class TestTokenEnforcement:
         dep.sim.run(until=20_000)
         assert tracker.received
         assert dep.monitor.count("tracker.tokens_rejected") == 0
-        assert dep.monitor.count("auth.invalid_token") == 0
+        assert dep.metrics.counter_value("auth.invalid_token") == 0
 
     def test_expired_token_stops_publication(self):
         dep = build_deployment(broker_ids=["b1"], seed=401)
@@ -128,12 +128,12 @@ class TestMalformedTokens:
     @pytest.mark.parametrize("malformed", sorted(MALFORMED_TOKENS))
     def test_at_the_broker_guard(self, dep, tracked, malformed):
         session, tracker = tracked
-        before = dep.monitor.count("auth.invalid_token")
+        before = dep.metrics.counter_value("auth.invalid_token")
         dep.network.broker("b1").publish_from_broker(
             self._forged_failure(dep, session, malformed)
         )
         dep.sim.run(until=dep.sim.now + 5_000)
-        assert dep.monitor.count("auth.invalid_token") == before + 1
+        assert dep.metrics.counter_value("auth.invalid_token") == before + 1
         assert not tracker.traces_of_type(TraceType.FAILED)
         assert tracker.traces_of_type(TraceType.ALLS_WELL)[-1].received_ms > dep.sim.now - 5_000
 

@@ -39,7 +39,7 @@ class TestSpuriousTraces:
         # rejected at the first line of defense: the constrained-topic rule
         # (entities may not publish on Broker/Publish-Only topics); the token
         # guard would catch it too if the constraint were ever bypassed
-        assert dep.monitor.count("messages.rejected_constrained") >= 1
+        assert dep.metrics.counter_value("broker.messages.rejected_constrained") >= 1
 
     def test_forged_token_trace_discarded(self, dep):
         entity, tracker = bootstrap(dep)
@@ -54,7 +54,7 @@ class TestSpuriousTraces:
         )
         dep.sim.run(until=10_000)
         assert not tracker.traces_of_type(TraceType.FAILED)
-        assert dep.monitor.count("messages.rejected_constrained") >= 1
+        assert dep.metrics.counter_value("broker.messages.rejected_constrained") >= 1
 
     def test_flood_triggers_termination(self, dep):
         entity, tracker = bootstrap(dep)
@@ -68,7 +68,7 @@ class TestSpuriousTraces:
         dep.sim.run(until=20_000)
         broker = dep.network.broker("b2")
         assert broker.is_blacklisted("mallory")
-        assert dep.monitor.count("dos.terminated") >= 1
+        assert dep.metrics.counter_value("broker.dos.terminated") >= 1
         # the victim's trace stream is unaffected throughout
         assert tracker.traces_of_type(TraceType.ALLS_WELL)
         assert not tracker.traces_of_type(TraceType.FAILED)
@@ -109,7 +109,7 @@ class TestCompromisedBroker:
         )
         dep.sim.run(until=10_000)
         assert len(tracker.traces_of_type(TraceType.FAILED)) == before
-        assert dep.monitor.count("auth.missing_token") >= 1
+        assert dep.metrics.counter_value("auth.missing_token") >= 1
 
     def test_forged_token_broker_publication_not_routed(self, dep):
         entity, tracker = bootstrap(dep)
@@ -143,7 +143,7 @@ class TestCompromisedBroker:
         )
         dep.sim.run(until=10_000)
         assert not tracker.traces_of_type(TraceType.FAILED)
-        assert dep.monitor.count("auth.invalid_token") >= 1
+        assert dep.metrics.counter_value("auth.invalid_token") >= 1
 
 
 class TestLocationHiding:

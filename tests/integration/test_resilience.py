@@ -80,7 +80,7 @@ class TestBrokerFailure:
         late = [t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
                 if t.received_ms > marker + 1_000]
         assert not late
-        assert dep.monitor.count("messages.dropped_broker_failed") > 0
+        assert dep.metrics.counter_value("broker.messages.dropped_broker_failed") > 0
 
     def test_routing_steers_around_failed_broker(self, dep):
         # ring topology so b2's failure leaves a path b1-b3

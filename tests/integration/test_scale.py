@@ -48,9 +48,9 @@ class TestScale:
             seen = {t.entity_id for t in tracker.traces_of_type(TraceType.ALLS_WELL)}
             assert len(seen) == 3, f"{tracker.tracker_id} saw {seen}"
         # zero security violations in a healthy system
-        assert dep.monitor.count("auth.invalid_token") == 0
+        assert dep.metrics.counter_value("auth.invalid_token") == 0
         assert dep.monitor.count("tracker.traces_bad_signature") == 0
-        assert dep.monitor.count("dos.violations") == 0
+        assert dep.metrics.counter_value("broker.violations") == 0
 
     def test_mixed_failures_isolated(self):
         dep, entities, trackers = build_scenario(seed=1401)

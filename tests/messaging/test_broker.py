@@ -105,10 +105,10 @@ class TestMultiHopRouting:
     def test_no_interest_no_forwarding(self, net):
         sim, network = net
         pub = make_client(network, "pub", "b1")
-        before = network.broker("b1").monitor.count("messages.forwarded_out")
+        before = network.broker("b1").metrics.counter_value("broker.msgs.forwarded_out")
         pub.publish("nobody/listens", 1)
         sim.run()
-        after = network.broker("b1").monitor.count("messages.forwarded_out")
+        after = network.broker("b1").metrics.counter_value("broker.msgs.forwarded_out")
         assert after == before
 
     def test_multiple_subscribers_across_brokers(self, net):
@@ -164,7 +164,7 @@ class TestConstrainedEnforcement:
         client.publish("Constrained/Traces/Broker/Publish-Only/tt/Load", {"cpu": 1})
         sim.run()
         assert got == []
-        assert network.broker("b1").monitor.count("messages.rejected_constrained") == 1
+        assert network.broker("b1").metrics.counter_value("broker.messages.rejected_constrained") == 1
 
     def test_broker_publish_on_publish_only_allowed(self, net):
         sim, network = net
@@ -217,12 +217,12 @@ class TestDoSDefense:
         broker = network.broker("b1")
         mallory = make_client(network, "mallory", "b1")
         broker.terminate_client("mallory")
-        before = broker.monitor.count("messages.received")
+        before = broker.metrics.counter_value("broker.msgs.ingress")
         # the link still exists client-side; sends are dropped at ingress
         mallory.publish("any/topic", 1)
         sim.run()
-        assert broker.monitor.count("messages.received") == before
-        assert broker.monitor.count("dos.dropped_blacklisted") >= 1
+        assert broker.metrics.counter_value("broker.msgs.ingress") == before
+        assert broker.metrics.counter_value("broker.dos.dropped_blacklisted") >= 1
 
     def test_blacklisted_cannot_resubscribe(self, net):
         sim, network = net
@@ -258,7 +258,7 @@ class TestGuards:
         pub.publish("t/x", 1)
         sim.run()
         assert got == []
-        assert broker.monitor.count("messages.rejected_guard") == 1
+        assert broker.metrics.counter_value("broker.messages.rejected_guard") == 1
 
     def test_guard_charges_time(self, net):
         sim, network = net
@@ -296,7 +296,7 @@ class TestPublishSuppression:
         )
         sim.run()
         assert got_local and not got_remote
-        assert broker.monitor.count("messages.suppressed") == 1
+        assert broker.metrics.counter_value("broker.messages.suppressed") == 1
 
     def test_disseminate_publication_propagates(self, net):
         sim, network = net
@@ -316,10 +316,10 @@ class TestBrokerFailureFlag:
         sim, network = net
         client = make_client(network, "c", "b1")
         network.broker("b1").failed = True
-        before = network.broker("b1").monitor.count("messages.received")
+        before = network.broker("b1").metrics.counter_value("broker.msgs.ingress")
         client.publish("any/topic", 1)
         sim.run()
-        assert network.broker("b1").monitor.count("messages.received") == before
+        assert network.broker("b1").metrics.counter_value("broker.msgs.ingress") == before
 
 
 class TestInterestRetraction:
@@ -335,14 +335,14 @@ class TestInterestRetraction:
         pub.publish("retract/topic", 1)
         sim.run()
         assert len(got) == 1
-        forwarded_before = network.broker("b1").monitor.count("messages.forwarded_out")
+        forwarded_before = network.broker("b1").metrics.counter_value("broker.msgs.forwarded_out")
 
         sub.unsubscribe("retract/topic", handler)
         pub.publish("retract/topic", 2)
         sim.run()
         assert len(got) == 1  # nothing new delivered
         # and nothing was even forwarded toward b3
-        assert network.broker("b1").monitor.count("messages.forwarded_out") \
+        assert network.broker("b1").metrics.counter_value("broker.msgs.forwarded_out") \
             == forwarded_before
 
     def test_retraction_only_when_last_subscriber_leaves(self, net):

@@ -96,10 +96,10 @@ def test_second_frame_looks_up_no_hop_instrument_by_name(line, monkeypatch):
 
 def test_idle_brokers_and_links_register_nothing(line):
     _sim, network, _got = line
-    # the subscription announced interest; wiring three brokers and four
-    # links added no instrument of their own
+    # the subscription counted itself and announced interest; wiring three
+    # brokers and four links added no instrument of their own
     assert [
         name
         for name in network.monitor.metrics.names()
         if not name.startswith("broker.interest.")
-    ] == []
+    ] == ["broker.subscriptions.broker"]

@@ -210,7 +210,7 @@ class TestStaleForwardDetection:
         sim.run()
         registry = network.monitor.metrics
         assert registry.counter_value("broker.interest.stale_forwards") == 1
-        assert network.monitor.count("messages.forwarded_stale") == 1
+        assert network.monitor.metrics.counter_value("broker.interest.stale_forwards") == 1
 
     def test_healthy_forwarding_is_not_stale(self, net):
         sim, network = net

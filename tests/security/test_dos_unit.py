@@ -67,7 +67,7 @@ class TestSpuriousPublisher:
         assert broker.is_blacklisted("mallory")
         limit = broker.violation_limit
         violations = broker.violation_count("mallory")
-        dropped = dep.monitor.count("dos.dropped_blacklisted")
+        dropped = dep.metrics.counter_value("broker.dos.dropped_blacklisted")
         # termination kicks in at the limit; a couple of in-flight messages
         # may still be judged, everything after is dropped at ingress
         assert limit <= violations <= limit + 5

@@ -10,7 +10,13 @@ class TestMonitor:
         assert monitor.counters() == {"msgs": 5}
 
     def test_event_log(self, monitor):
-        monitor.log(1.0, "violation", who="mallory")
-        monitor.log(2.0, "terminated", who="mallory")
-        assert len(monitor.events()) == 2
-        assert monitor.events("violation") == [(1.0, "violation", {"who": "mallory"})]
+        """Events go to the journal the monitor hands out; there is no
+        second log on the monitor itself."""
+        monitor.journal.record(1.0, "violation", principal="mallory", what="x")
+        monitor.journal.record(2.0, "terminated", principal="mallory")
+        assert monitor.journal.kinds() == {"violation": 1, "terminated": 1}
+        [record] = monitor.journal.records("violation")
+        assert (record.time_ms, record.details()) == (
+            1.0, {"principal": "mallory", "what": "x"}
+        )
+        assert not hasattr(monitor, "log") and not hasattr(monitor, "events")

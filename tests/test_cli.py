@@ -10,12 +10,6 @@ class TestParser:
         args = build_parser().parse_args(["info"])
         assert args.command == "info"
 
-    def test_bench_choices(self):
-        args = build_parser().parse_args(["bench", "micro"])
-        assert args.experiment == "micro"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "nonsense"])
-
     def test_demo_choices(self):
         args = build_parser().parse_args(["demo", "failure", "--seed", "9"])
         assert args.scenario == "failure"
@@ -95,22 +89,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ALLS_WELL" in out
         assert "mean heartbeat latency" in out
-
-    def test_bench_micro(self, capsys):
-        assert main(["bench", "micro"]) == 0
-        out = capsys.readouterr().out
-        assert "Sign Trace Message" in out
-        assert "24." in out
-
-    def test_bench_hops_small(self, capsys):
-        assert main(["bench", "hops", "--hops", "2", "--duration", "15"]) == 0
-        out = capsys.readouterr().out
-        assert "TCP auth 2 hops" in out
-
-    def test_bench_adaptive(self, capsys):
-        assert main(["bench", "adaptive"]) == 0
-        out = capsys.readouterr().out
-        assert "adaptive" in out and "fixed" in out
 
     def test_metrics_text(self, capsys):
         assert main(["metrics", "--duration", "15"]) == 0

@@ -12,6 +12,11 @@ fails on:
   ``set()``, ``dict()``, ``list()``, ``OrderedDict()``, ``deque()``,
   ``defaultdict(...)``), an ``itertools.count``, a ``WeakKeyDictionary`` /
   ``WeakValueDictionary``, or a pool (any constructor named ``...Pool``).
+
+A third walk keeps the deployment's counts in one place: below the
+tracing layer every event is counted in the registry, so a
+``Monitor.increment`` call outside ``repro/tracing/`` fails, naming
+``file:line``, unless it is ``control.floods``.
 """
 
 from __future__ import annotations
@@ -121,6 +126,42 @@ def test_guard_flags_each_kind(tmp_path):
     )
     flagged = [site.split(": ", 1)[1].split(" = ")[0] for site in process_state_sites(package)]
     assert flagged == ["global A", "A", "B", "C", "D", "E", "F", "G", "H", "I"]
+
+
+#: The harness reads ``monitor.control.floods`` by name until it hashes the
+#: registry instead (ROADMAP item 5(a)); every other fabric count is the
+#: registry's.
+_MONITOR_COUNTS_OUTSIDE_TRACING = frozenset({"control.floods"})
+
+
+def monitor_increment_sites(root: pathlib.Path = SRC) -> list[str]:
+    """``path:line`` of every ``.increment(...)`` outside ``repro/tracing/``
+    other than the counts the frozen benchmark harness still reads."""
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root.parent).as_posix()
+        if relative.startswith("repro/tracing/"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "increment"
+            ):
+                continue
+            name = node.args[0] if node.args else None
+            if isinstance(name, ast.Constant) and name.value in _MONITOR_COUNTS_OUTSIDE_TRACING:
+                continue
+            sites.append(f"{relative}:{node.lineno}")
+    return sites
+
+
+def test_the_fabric_counts_only_in_the_registry():
+    sites = monitor_increment_sites()
+    assert not sites, "Monitor.increment outside tracing/ (use the registry):\n" + "\n".join(
+        sites
+    )
 
 
 def _chaos_deployment(seed: int):

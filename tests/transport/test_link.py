@@ -140,8 +140,8 @@ class TestInstrumentsAppearOnFirstUse:
             "transport.latency_ms",
             "transport.inflight",
         }
-        assert monitor.count("test-link.dropped") == 3
-        assert monitor.count("test-link.delivered") == 0
+        assert monitor.metrics.counter_value("transport.msgs.dropped") == 3
+        assert (link.dropped_count, link.delivered_count) == (3, 0)
 
     def test_empty_registry_still_counts_the_first_send(self, sim, monitor):
         """An empty registry is falsy (it has ``__len__``); the link must
