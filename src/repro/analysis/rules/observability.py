@@ -30,6 +30,7 @@ KNOWN_FAMILIES = frozenset(
         "campaign",
         "codec",
         "crypto",
+        "entity",
         "faults",
         "fed",
         "tdn",
@@ -132,17 +133,6 @@ class InstrumentNameChecker(Checker):
 
 # -- instrument extraction (OBS02) -------------------------------------------------
 
-#: Backticked dotted tokens in docs/OBSERVABILITY.md that share a family
-#: prefix but are journal/monitor event names, not registry instruments.
-NON_INSTRUMENT_DOC_TOKENS = frozenset(
-    {
-        "trace.suppressed_no_subscriber",
-        "trace.sessions_created",
-        "trace.sessions_superseded",
-        "trace.keys_distributed",
-    }
-)
-
 _DOC_TOKEN_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_<>\-]+)+)`")
 
 #: Instrument name (or f-string prefix) -> every call registering it.
@@ -190,8 +180,6 @@ def doc_instrument_names(text: str) -> tuple[set[str], set[str]]:
     placeholder_prefixes: set[str] = set()
     for token in _DOC_TOKEN_RE.findall(text):
         if token.split(".", 1)[0] not in KNOWN_FAMILIES:
-            continue
-        if token in NON_INSTRUMENT_DOC_TOKENS:
             continue
         if "<" in token:
             placeholder_prefixes.add(token.split("<", 1)[0])

@@ -38,8 +38,6 @@ from repro.analytics.backends import (
     AnalyticsBackend,
     MemoryBackend,
     SqliteBackend,
-    backend_names,
-    create_backend,
     ingest_events,
 )
 from repro.analytics.events import AnalyticsEvent
@@ -70,10 +68,8 @@ __all__ = [
     "TraceIngestor",
     "assert_audit_complete",
     "audit_deployment",
-    "backend_names",
     "build_report",
     "build_timelines",
-    "create_backend",
     "ingest_events",
     "ingest_journal",
     "render_report_json",

@@ -43,10 +43,6 @@ class EvidenceRule:
     count: Callable[["Deployment"], int]
 
 
-def _monitor_counter(name: str) -> Callable[["Deployment"], int]:
-    return lambda dep: dep.monitor.count(name)
-
-
 def _metrics_counter(name: str) -> Callable[["Deployment"], int]:
     return lambda dep: dep.metrics.counter_value(name)
 
@@ -73,15 +69,15 @@ DEFAULT_RULES: tuple[EvidenceRule, ...] = (
         name="sessions",
         mutation="trace session registered",
         evidence_kind="session.created",
-        counted_by="monitor counter 'trace.sessions_created'",
-        count=_monitor_counter("trace.sessions_created"),
+        counted_by="metrics counter 'trace.sessions_created'",
+        count=_metrics_counter("trace.sessions_created"),
     ),
     EvidenceRule(
         name="keys",
         mutation="trace key (re-)distributed to trackers",
         evidence_kind="key.distributed",
-        counted_by="monitor counter 'trace.keys_distributed'",
-        count=_monitor_counter("trace.keys_distributed"),
+        counted_by="metrics counter 'trace.keys_distributed'",
+        count=_metrics_counter("trace.keys_distributed"),
     ),
     EvidenceRule(
         name="violations",

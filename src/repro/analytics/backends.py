@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Callable, Iterable
-
-from repro.errors import AnalyticsError
+from typing import Iterable
 
 from repro.analytics.events import AnalyticsEvent
 
@@ -25,7 +23,7 @@ from repro.analytics.events import AnalyticsEvent
 class AnalyticsBackend:
     """Contract every storage backend implements (append-only + queries)."""
 
-    #: registry name; subclasses override.
+    #: the name ``AnalyticsStore.summary()`` reports; subclasses override.
     name = "abstract"
 
     def append(
@@ -266,32 +264,6 @@ class SqliteBackend(AnalyticsBackend):
     def close(self) -> None:
         """Close the sqlite connection."""
         self._conn.close()
-
-
-#: name -> factory for the two built-in backends.
-_BACKENDS: dict[str, Callable[..., AnalyticsBackend]] = {
-    "memory": MemoryBackend,
-    "sqlite": SqliteBackend,
-}
-
-
-def backend_names() -> list[str]:
-    """Built-in backend names, sorted."""
-    return sorted(_BACKENDS)
-
-
-def create_backend(name: str, **kwargs) -> AnalyticsBackend:
-    """Instantiate a built-in backend by name.
-
-    ``kwargs`` are passed to the factory (``path=`` for sqlite).
-    """
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        raise AnalyticsError(
-            f"unknown analytics backend {name!r}; known: {', '.join(backend_names())}"
-        ) from None
-    return factory(**kwargs)
 
 
 def ingest_events(

@@ -24,7 +24,7 @@ from typing import Mapping
 from repro.errors import AnalyticsError
 from repro.obs.registry import MetricsRegistry
 
-from repro.analytics.backends import AnalyticsBackend, MemoryBackend, create_backend
+from repro.analytics.backends import AnalyticsBackend, MemoryBackend
 from repro.analytics.events import AnalyticsEvent
 
 #: Instrument names the store registers when bound to a registry
@@ -38,17 +38,9 @@ class AnalyticsStore:
 
     def __init__(
         self,
-        backend: AnalyticsBackend | str | None = None,
+        backend: AnalyticsBackend | None = None,
         metrics: MetricsRegistry | None = None,
-        **backend_kwargs,
     ) -> None:
-        if isinstance(backend, str):
-            backend = create_backend(backend, **backend_kwargs)
-        elif backend_kwargs:
-            raise AnalyticsError(
-                "backend keyword arguments need a backend *name*, "
-                f"got backend={backend!r}"
-            )
         self.backend: AnalyticsBackend = (
             backend if backend is not None else MemoryBackend()
         )
@@ -139,7 +131,7 @@ class AnalyticsStore:
 
     @classmethod
     def from_json(
-        cls, text: str, backend: AnalyticsBackend | str | None = None
+        cls, text: str, backend: AnalyticsBackend | None = None
     ) -> "AnalyticsStore":
         """Rebuild a store from an :meth:`export_json` document."""
         try:
@@ -168,7 +160,7 @@ class AnalyticsStore:
     def load(
         cls,
         path: str | pathlib.Path,
-        backend: AnalyticsBackend | str | None = None,
+        backend: AnalyticsBackend | None = None,
     ) -> "AnalyticsStore":
         """Read a snapshot file written by :meth:`save`."""
         return cls.from_json(

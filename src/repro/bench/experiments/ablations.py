@@ -219,12 +219,16 @@ def run_interest_gating_ablation(
             entity = dep.add_traced_entity(f"svc-{i}")
             dep.sim.call_later(250.0 * i, lambda e=entity: e.start("b1"))
         dep.sim.run(until=250.0 * entity_count + 5_000.0 + duration_ms)
-        counters = dep.monitor.counters()
+        published = sum(
+            count
+            for name, count in dep.monitor.counters().items()
+            if name.startswith("trace.published.")
+        )
         results.append(
             GatingResult(
                 gated=gated,
-                published=counters.get("trace.published_total", 0),
-                suppressed=counters.get("trace.suppressed_no_interest", 0),
+                published=published,
+                suppressed=dep.metrics.counter_value("trace.suppressed_no_interest"),
                 delivered=dep.metrics.counter_value("broker.messages.delivered_client"),
             )
         )
@@ -383,7 +387,7 @@ def run_adaptive_ping_ablation(seed: int = 23) -> list[AdaptivePingResult]:
         dep.sim.run(until=5_000.0)
         watcher.track("svc")
         dep.sim.run(until=10_000.0)
-        pings_before = dep.monitor.count("trace.pings_sent")
+        pings_before = dep.metrics.counter_value("tracker.pings.sent")
         crash_at = dep.sim.now
         entity.crash()
         dep.sim.run(until=crash_at + 120_000.0)
@@ -394,7 +398,7 @@ def run_adaptive_ping_ablation(seed: int = 23) -> list[AdaptivePingResult]:
             AdaptivePingResult(
                 label=label,
                 detection_ms=failed[0].received_ms - crash_at,
-                pings_sent=dep.monitor.count("trace.pings_sent") - pings_before,
+                pings_sent=dep.metrics.counter_value("tracker.pings.sent") - pings_before,
             )
         )
     return results

@@ -268,6 +268,7 @@ def _cmd_analytics(args) -> int:
     """
     from repro.analytics import (
         AnalyticsStore,
+        SqliteBackend,
         build_report,
         render_report_json,
         render_report_markdown,
@@ -279,9 +280,7 @@ def _cmd_analytics(args) -> int:
         from repro.faults import run_scenario
         from repro.analytics import assert_audit_complete
 
-        store = AnalyticsStore(backend=args.backend, **(
-            {"path": args.db} if args.backend == "sqlite" and args.db else {}
-        ))
+        store = AnalyticsStore(SqliteBackend(args.db) if args.db else None)
         try:
             run_scenario(
                 args.scenario,
@@ -289,14 +288,16 @@ def _cmd_analytics(args) -> int:
                 analytics_store=store,
                 deployment_probe=None if args.no_audit else assert_audit_complete,
             )
+            if args.out:
+                store.save(args.out)
+                print(f"wrote {store.count()} events to {args.out}")
+            else:
+                print(store.export_json())
         except AuditIncompleteError as exc:
             print(exc, file=sys.stderr)
             return 1
-        if args.out:
-            store.save(args.out)
-            print(f"wrote {store.count()} events to {args.out}")
-        else:
-            print(store.export_json())
+        finally:
+            store.close()
         return 0
 
     if args.action == "report":
@@ -487,12 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario from the docs/FAULTS.md catalog",
     )
     analytics_run.add_argument("--seed", type=int, default=42)
-    analytics_run.add_argument("--backend", choices=["memory", "sqlite"],
-                               default="memory",
-                               help="analytics backend (default: memory)")
     analytics_run.add_argument("--db", metavar="FILE", default=None,
-                               help="sqlite database path "
-                                    "(default: in-memory)")
+                               help="keep the events in this sqlite database "
+                                    "(default: in memory)")
     analytics_run.add_argument("--out", metavar="FILE", default=None,
                                help="write the store snapshot JSON to FILE "
                                     "(default: print it)")

@@ -233,9 +233,9 @@ def build_deployment(
 
     ``codec`` names the wire codec every link sizes payloads with
     (``repro.wire``): an explicit argument wins, then the ``REPRO_CODEC``
-    environment variable (the CI codec matrix), then the transport
-    profile's own ``codec`` field, then ``json``.  Harnesses that compare
-    against committed seed snapshots pin ``codec="json"`` explicitly.
+    environment variable (the CI codec matrix), then ``json``.  Harnesses
+    that compare against committed seed snapshots pin ``codec="json"``
+    explicitly.
 
     ``federation`` switches the broker fabric's control plane from
     verbatim per-pattern interest flooding to summarized interest

@@ -82,7 +82,6 @@ class PublishGuard(Protocol):
 __all__ = [
     "Broker",
     "PublishGuard",
-    "RoutedFrame",  # moved to messaging/message.py; re-exported for compat
     "iter_matching_patterns",
     "topic_family",
 ]

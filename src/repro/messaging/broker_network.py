@@ -52,7 +52,7 @@ class BrokerNetwork:
         self.monitor = monitor or Monitor()
         self.default_profile = default_profile
         #: Wire codec name for every link this fabric creates; ``None``
-        #: falls through to each profile's ``codec`` and then ``json``.
+        #: is ``json``.
         self.codec = codec
         self._ntp_model = ntp_model
         #: Message ids, drawn where a message enters this network (a

@@ -5,18 +5,17 @@ A :class:`Monitor` is the distribution point for the observability layer
 :class:`~repro.obs.EventJournal` per deployment, which instrumented
 components reach through ``monitor.metrics`` / ``monitor.journal``.  The
 registry carries every convention-named instrument (``broker.*``,
-``tracker.*``, ``transport.*``, ``tdn.*``, ``crypto.*``) that
+``tracker.*``, ``entity.*``, ``transport.*``, ``tdn.*``, ``crypto.*``) that
 ``Deployment.snapshot()`` consumers and the ``repro metrics`` CLI read.
 
 The monitor's own counters (:meth:`Monitor.increment`) are what is left of
-a second counting system.  The fabric below the tracing layer (brokers,
-clients, links, the TDN, the authorization guard) reports to the registry
-only.  Two sources still count here: the tracing layer
-(``src/repro/tracing/``) and the control plane's ``control.floods``.
-They stay only
-because the wall-clock benchmark hashes ``counters()`` into its
-``sim_digest`` and reads ``control.floods`` and ``trace.published.*`` by
-name (ROADMAP item 5(a)); folding them moves that harness first.
+a second counting system: three calls in the whole package.  Every other
+component, the tracing layer included, reports to the registry only.  The
+three are ``trace.published.<type>`` (``TraceManager.publish_trace``) and
+the control plane's two ``control.floods``.  They stay only because the
+wall-clock benchmark hashes ``counters()`` into its ``sim_digest`` and
+reads ``control.floods`` and ``trace.published.FAILED`` by name (ROADMAP
+item 5(a)); folding them moves that harness first.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.obs import EventJournal, MetricsRegistry
 
 
 class Monitor:
-    """The registry, the journal and the tracing layer's counters."""
+    """The registry, the journal and the counts the benchmark still reads."""
 
     def __init__(
         self,

@@ -124,7 +124,7 @@ class TraceManager:
         try:
             request = TraceRegistrationRequest.from_dict(message.body)
         except RegistrationError:
-            self.monitor.increment("trace.registration_malformed")
+            self.monitor.metrics.counter("trace.registration_malformed").inc()
             return
 
         # Registration is an exchange between an entity and the broker it is
@@ -132,7 +132,7 @@ class TraceManager:
         # but only the hosting broker (the one holding the client link)
         # processes the request.
         if str(request.entity_id) not in self.broker.client_ids:
-            self.monitor.increment("trace.registration_not_local")
+            self.monitor.metrics.counter("trace.registration_not_local").inc()
             return
 
         advertisement = request.advertisement
@@ -146,7 +146,7 @@ class TraceManager:
             yield from self.machine.compute(0.1)
             error = RegistrationError_Response(request.request_id, reason)
             self._publish_plain(response_topic, error.to_dict())
-            self.monitor.increment("trace.registrations_rejected")
+            self.monitor.metrics.counter("trace.registrations_rejected").inc()
             self.monitor.journal.record(self.sim.now, "registration_rejected", reason=reason)
             return
 
@@ -156,7 +156,7 @@ class TraceManager:
         previous = self.sessions_by_entity.get(str(request.entity_id))
         if previous is not None and previous.active:
             previous.active = False
-            self.monitor.increment("trace.sessions_superseded")
+            self.monitor.metrics.counter("trace.sessions_superseded").inc()
 
         # success: mint a session and wire the topics
         session_id = SessionId(self._session_ids.next())
@@ -213,7 +213,7 @@ class TraceManager:
             response.to_dict(), request.credentials.public_key, self.machine.rng
         )
         self._publish_plain(response_topic, sealed.to_dict())
-        self.monitor.increment("trace.sessions_created")
+        self.monitor.metrics.counter("trace.sessions_created").inc()
         # audit evidence: every session the counter above counts must be
         # reconstructible from the journal (repro.analytics.audit)
         self.monitor.journal.record(
@@ -285,7 +285,7 @@ class TraceManager:
             message = yield session.inbox.get()
             body = yield from self._authenticate_entity_message(session, message)
             if body is None:
-                self.monitor.increment("trace.entity_messages_rejected")
+                self.monitor.metrics.counter("trace.entity_messages_rejected").inc()
                 continue
             kind = body.get("kind")
             if kind == "ping_response":
@@ -301,7 +301,7 @@ class TraceManager:
             elif kind == "disable_tracing":
                 yield from self._handle_disable(session)
             else:
-                self.monitor.increment("trace.entity_messages_unknown")
+                self.monitor.metrics.counter("trace.entity_messages_unknown").inc()
 
     def _authenticate_entity_message(
         self, session: TraceSession, message: Message
@@ -356,7 +356,7 @@ class TraceManager:
             sealed = SealedPayload.from_dict(body.get("sealed"))
             payload = open_sealed(sealed, self.credentials.keys.private)
         except (DecryptionError, MalformedFrameError):
-            self.monitor.increment("trace.sealed_control_rejected")
+            self.monitor.metrics.counter("trace.sealed_control_rejected").inc()
             return None
         return payload if isinstance(payload, dict) else None
 
@@ -369,13 +369,13 @@ class TraceManager:
         try:
             token, token_private = _read_token_delivery(payload)
         except MalformedFrameError as exc:
-            self.monitor.increment("trace.token_delivery_malformed")
+            self.monitor.metrics.counter("trace.token_delivery_malformed").inc()
             self._log_malformed(exc, session, message)
             return
         first_token = session.token is None
         session.token = token
         session.token_private_key = token_private
-        self.monitor.increment("trace.tokens_received")
+        self.monitor.metrics.counter("trace.tokens_received").inc()
         if first_token:
             # the very first registration triggers the JOIN trace and the
             # ping + gauge loops (section 3.3, 3.5)
@@ -405,9 +405,9 @@ class TraceManager:
         try:
             setattr(session, kind, SymmetricKey.from_dict(payload))
         except MalformedFrameError:
-            self.monitor.increment(f"trace.{kind}_malformed")
+            self.monitor.metrics.counter(f"trace.{kind}_malformed").inc()
             return
-        self.monitor.increment(f"trace.{kind}s_received")
+        self.monitor.metrics.counter(f"trace.{kind}s_received").inc()
 
     def _handle_ping_response(
         self, session: TraceSession, body: dict
@@ -415,13 +415,13 @@ class TraceManager:
         try:
             response = PingResponse.from_dict(body)
         except MalformedFrameError:
-            self.monitor.increment("trace.ping_responses_malformed")
+            self.monitor.metrics.counter("trace.ping_responses_malformed").inc()
             return
         matched = session.history.record_response(response, self.machine.now())
         if not matched:
-            self.monitor.increment("trace.ping_responses_unmatched")
+            self.monitor.metrics.counter("trace.ping_responses_unmatched").inc()
             return
-        self.monitor.increment("trace.ping_responses")
+        self.monitor.metrics.counter("trace.ping_responses").inc()
 
         # a response clears suspicion
         if session.suspicion_announced and session.detector.verdict is not DetectorVerdict.FAILED:
@@ -455,7 +455,7 @@ class TraceManager:
             state = fields.member("state", EntityState)
             stamp_ms = fields.number("stamp_ms", None)
         except MalformedFrameError:
-            self.monitor.increment("trace.state_reports_malformed")
+            self.monitor.metrics.counter("trace.state_reports_malformed").inc()
             return
         session.entity_state = state
         yield from self.publish_trace(
@@ -474,7 +474,7 @@ class TraceManager:
             load = LoadInformation.from_dict(body.get("load"))
             stamp_ms = Fields(body, "load report").number("stamp_ms", None)
         except MalformedFrameError:
-            self.monitor.increment("trace.load_reports_malformed")
+            self.monitor.metrics.counter("trace.load_reports_malformed").inc()
             return
         yield from self.publish_trace(
             session,
@@ -643,7 +643,7 @@ class TraceManager:
     ) -> Generator[Event, None, None]:
         body = message.body
         if message.signature is None:
-            self.monitor.increment("trace.interest_unsigned")
+            self.monitor.metrics.counter("trace.interest_unsigned").inc()
             return
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
@@ -651,10 +651,10 @@ class TraceManager:
                 cred = Fields(fields.value("credentials"), "interest credentials")
                 tracker_key = RSAPublicKey(cred.integer("n"), cred.integer("e"))
             if not verify_signed_body(message.signature, body, tracker_key):
-                self.monitor.increment("trace.interest_tampered")
+                self.monitor.metrics.counter("trace.interest_tampered").inc()
                 return
         except (MalformedFrameError, SignatureError) as exc:
-            self.monitor.increment("trace.interest_bad_signature")
+            self.monitor.metrics.counter("trace.interest_bad_signature").inc()
             self._log_malformed(exc, session, message)
             return
         try:
@@ -664,7 +664,7 @@ class TraceManager:
             key_topic = Topic.parse(response_topic) if response_topic else None
             subject = cred.text("subject", "")
         except (MalformedFrameError, InterestError, TopicError):
-            self.monitor.increment("trace.interest_malformed")
+            self.monitor.metrics.counter("trace.interest_malformed").inc()
             return
 
         session.interest.record(
@@ -674,7 +674,7 @@ class TraceManager:
             response_topic=response_topic,
             credential_subject=subject,
         )
-        self.monitor.increment("trace.interest_recorded")
+        self.monitor.metrics.counter("trace.interest_recorded").inc()
 
         # secured sessions: distribute the trace key once per tracker (§5.1)
         unkeyed = session.secured and tracker_id not in session.keyed_trackers
@@ -698,7 +698,7 @@ class TraceManager:
             self.machine.rng,
         )
         self._publish_plain(key_topic, payload.to_dict())
-        self.monitor.increment("trace.keys_distributed")
+        self.monitor.metrics.counter("trace.keys_distributed").inc()
         # audit evidence for the key hand-off (repro.analytics.audit)
         self.monitor.journal.record(
             self.machine.now(),
@@ -725,15 +725,15 @@ class TraceManager:
         (JOIN, GUAGE_INTEREST, DISCONNECT, REVERTING_TO_SILENT_MODE).
         """
         if session.token is None or session.token_private_key is None:
-            self.monitor.increment("trace.publish_without_token")
+            self.monitor.metrics.counter("trace.publish_without_token").inc()
             return
         now = self.machine.now()
         if session.token.expired(now):
-            self.monitor.increment("trace.token_expired")
+            self.monitor.metrics.counter("trace.token_expired").inc()
             return
         gated = not force and self.gate_by_interest
         if gated and not session.interest.interested_in(category_of(trace_type), now):
-            self.monitor.increment("trace.suppressed_no_interest")
+            self.monitor.metrics.counter("trace.suppressed_no_interest").inc()
             return
         topic = session.topics.topic_for_trace(trace_type)
         # a tracker can unsubscribe (or its broker can detach it) while its
@@ -742,7 +742,7 @@ class TraceManager:
         # so skip the signing cost for traces no subscriber anywhere would
         # receive
         if gated and not self.broker.has_any_subscriber(topic.canonical):
-            self.monitor.increment("trace.suppressed_no_subscriber")
+            self.monitor.metrics.counter("trace.suppressed_no_subscriber").inc()
             return
 
         body = {
@@ -776,7 +776,6 @@ class TraceManager:
         )
         self.broker.publish_from_broker(message)
         self.monitor.increment(f"trace.published.{trace_type.value}")
-        self.monitor.increment("trace.published_total")
 
     # ------------------------------------------------------------------- lookup
 

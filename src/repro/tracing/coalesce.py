@@ -149,7 +149,6 @@ class PingCoalescer:
                 ping = Ping(number=session.next_ping_number(), issued_ms=now)
                 session.history.record_ping(ping)
                 issued.append((session, ping))
-                manager.monitor.increment("trace.pings_sent")
                 metrics.counter("tracker.pings.sent").inc()
             if len(issued) == 1:
                 session, ping = issued[0]

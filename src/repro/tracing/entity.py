@@ -170,7 +170,7 @@ class TracedEntity:
         self.topics = TraceTopicSet(
             trace_topic=self.advertisement.trace_topic, entity_id=self.entity_id
         )
-        self.monitor.increment("entity.topics_created")
+        self.monitor.metrics.counter("entity.topics_created").inc()
 
     def connect(self, broker_id: str, transport_profile=None) -> None:
         """Step 2-3: connect a client to the (discovered) broker."""
@@ -214,7 +214,7 @@ class TracedEntity:
             self.client.subscribe(response_topic, self._on_registration_response)
 
             self.client.publish(REGISTRATION_TOPIC, request.to_dict())
-            self.monitor.increment("entity.registrations_sent")
+            self.monitor.metrics.counter("entity.registrations_sent").inc()
 
             outcome = self.sim.any_of(
                 [
@@ -227,7 +227,7 @@ class TracedEntity:
             if index == 0:
                 message = value
                 break
-            self.monitor.increment("entity.registration_retries")
+            self.monitor.metrics.counter("entity.registration_retries").inc()
         if message is None:
             raise RegistrationError(
                 f"registration of {self.entity_id} timed out after "
@@ -250,7 +250,7 @@ class TracedEntity:
             raise RegistrationError("response correlates to a different request")
         self.session_id = response.session_id
         self.broker_public_key = response.broker_public_key
-        self.monitor.increment("entity.registered")
+        self.monitor.metrics.counter("entity.registered").inc()
 
         # subscribe to the broker->entity session topic for pings, and
         # set the host-level sink so pings multiplexed into a
@@ -286,7 +286,7 @@ class TracedEntity:
                 "token_private": dataclasses.asdict(token_private),
             },
         )
-        self.monitor.increment("entity.tokens_delivered")
+        self.monitor.metrics.counter("entity.tokens_delivered").inc()
 
     def refresh_token(self) -> Generator[Event, None, None]:
         """Generate and deliver a fresh token (near-expiry renewal, §4.3)."""
@@ -307,7 +307,7 @@ class TracedEntity:
         self.advertisement = yield from self.tdn.renew_topic(
             self.advertisement, signature, additional_lifetime_ms
         )
-        self.monitor.increment("entity.topics_renewed")
+        self.monitor.metrics.counter("entity.topics_renewed").inc()
 
     def establish_trace_key(self) -> Generator[Event, None, None]:
         """Section 5.1: generate the secret trace key and send it securely."""
@@ -315,7 +315,7 @@ class TracedEntity:
         yield from self.machine.charge(CryptoOp.SYM_KEYGEN)
         self.trace_key = SymmetricKey.generate(self.machine.rng)
         yield from self._send_sealed("trace_key", self.trace_key.to_dict())
-        self.monitor.increment("entity.trace_keys_established")
+        self.monitor.metrics.counter("entity.trace_keys_established").inc()
 
     def establish_channel_key(self) -> Generator[Event, None, None]:
         """Section 6.3: shared symmetric key replacing per-message signing."""
@@ -323,7 +323,7 @@ class TracedEntity:
         yield from self.machine.charge(CryptoOp.SYM_KEYGEN)
         self.channel_key = SymmetricKey.generate(self.machine.rng)
         yield from self._send_sealed("channel_key", self.channel_key.to_dict())
-        self.monitor.increment("entity.channel_keys_established")
+        self.monitor.metrics.counter("entity.channel_keys_established").inc()
 
     def _send_sealed(self, kind: str, payload: dict) -> Generator[Event, None, None]:
         """Seal a control payload to the broker and send it, signed."""
@@ -378,7 +378,7 @@ class TracedEntity:
             elif kind == "ping" and not (self._crashed or self._silent):
                 self._on_relayed_ping(Ping.from_dict(body))
         except MalformedFrameError:
-            self.monitor.increment("entity.pings_malformed")
+            self.monitor.metrics.counter("entity.pings_malformed").inc()
 
     def _on_relayed_ping(self, ping: Ping) -> None:
         """Answer one ping (direct or relayed) unless crashed or silent."""
@@ -395,7 +395,7 @@ class TracedEntity:
             entity_stamp_ms=self.machine.now(),
         )
         yield from self._send_session_message(response.to_dict())
-        self.monitor.increment("entity.pings_answered")
+        self.monitor.metrics.counter("entity.pings_answered").inc()
 
     # ------------------------------------------------------------------- reports
 
@@ -410,20 +410,20 @@ class TracedEntity:
         yield from self._send_session_message(
             {"kind": "state_transition", "state": new_state.value}
         )
-        self.monitor.increment("entity.state_reports")
+        self.monitor.metrics.counter("entity.state_reports").inc()
 
     def report_load(self, load: LoadInformation) -> Generator[Event, None, None]:
         """Report host load (section 3.3)."""
         yield from self._send_session_message(
             {"kind": "load", "load": load.to_dict()}
         )
-        self.monitor.increment("entity.load_reports")
+        self.monitor.metrics.counter("entity.load_reports").inc()
 
     def disable_tracing(self) -> Generator[Event, None, None]:
         """Revert to silent mode; the broker announces and stops pinging."""
         yield from self._send_session_message({"kind": "disable_tracing"})
         self._silent = True
-        self.monitor.increment("entity.silent_mode")
+        self.monitor.metrics.counter("entity.silent_mode").inc()
 
     def shutdown(self) -> Generator[Event, None, None]:
         """Graceful shutdown: report SHUTDOWN, then go silent."""

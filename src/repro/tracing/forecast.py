@@ -141,7 +141,7 @@ class NetworkForecaster:
             rtt_ms = fields.number("mean_rtt_ms")
             loss_rate = fields.number("loss_rate")
         except MalformedFrameError:
-            self.tracker.monitor.increment("tracker.traces_malformed")
+            self.tracker.monitor.metrics.counter("tracker.traces_malformed").inc()
             return
         entity = trace.entity_id
         if entity not in self.rtt:

@@ -145,7 +145,7 @@ class Tracker:
             query, self.credentials.certificate
         )
         if advertisement is None:
-            self.monitor.increment("tracker.discovery_denied")
+            self.monitor.metrics.counter("tracker.discovery_denied").inc()
             raise DiscoveryError(
                 f"tracker {self.tracker_id!r} cannot discover the trace topic "
                 f"of {eid} (unauthorized or nonexistent)"
@@ -176,7 +176,7 @@ class Tracker:
             topics.key_delivery(self.tracker_id),
             lambda msg, w=watched: self._on_key_delivery(w, msg),
         )
-        self.monitor.increment("tracker.tracking")
+        self.monitor.metrics.counter("tracker.tracking").inc()
 
         if self.proactive_interest:
             yield from self._send_interest_response(watched)
@@ -207,7 +207,7 @@ class Tracker:
         self.client.unsubscribe(topics.key_delivery(self.tracker_id))
 
         yield from self._publish_interest(topics, [], None)  # empty = retraction
-        self.monitor.increment("tracker.untracked")
+        self.monitor.metrics.counter("tracker.untracked").inc()
         return True
 
     def track_matching(self, entity_pattern: str):
@@ -237,7 +237,7 @@ class Tracker:
                 continue
             yield from self._wire_subscriptions(entity_id, advertisement)
             tracked.append(advertisement)
-        self.monitor.increment("tracker.pattern_discoveries")
+        self.monitor.metrics.counter("tracker.pattern_discoveries").inc()
         return tracked
 
     # --------------------------------------------------------------- interest
@@ -254,7 +254,7 @@ class Tracker:
         token = yield from self._check_token(message)
         if token is None:
             return
-        self.monitor.increment("tracker.gauges_received")
+        self.monitor.metrics.counter("tracker.gauges_received").inc()
         # a recently refreshed interest registration need not be re-signed
         # for every periodic gauge — it is still live at the broker
         now = self.machine.now()
@@ -280,7 +280,7 @@ class Tracker:
             watched.topics.key_delivery(self.tracker_id).canonical,
         )
         watched.last_response_ms = self.machine.now()
-        self.monitor.increment("tracker.interest_responses")
+        self.monitor.metrics.counter("tracker.interest_responses").inc()
 
     def _publish_interest(
         self, topics: TraceTopicSet, categories: list[str], response_topic: str | None
@@ -319,7 +319,7 @@ class Tracker:
                 payload, self.credentials.keys.private
             )
         except (DecryptionError, MalformedFrameError):
-            self.monitor.increment("tracker.key_payload_rejected")
+            self.monitor.metrics.counter("tracker.key_payload_rejected").inc()
             return
         watched.key_received_ms = self.machine.now()
         if watched.last_gauge_stamp_ms is not None:
@@ -327,7 +327,6 @@ class Tracker:
             watched.keydist_latency_ms = (
                 watched.key_received_ms - watched.last_gauge_stamp_ms
             )
-        self.monitor.increment("tracker.keys_received")
         self.monitor.metrics.counter("tracker.keys.received").inc()
         if watched.keydist_latency_ms is not None:
             self.monitor.metrics.histogram("tracker.keydist.latency_ms").observe(
@@ -352,12 +351,12 @@ class Tracker:
         (:meth:`~repro.auth.verification.TokenVerifier.check`).
         """
         if message.auth_token is None:
-            self.monitor.increment("tracker.traces_without_token")
+            self.monitor.metrics.counter("tracker.traces_without_token").inc()
             return None
         try:
             return (yield from self.token_verifier.check(message.auth_token, self.machine))
         except TokenError:
-            self.monitor.increment("tracker.tokens_rejected")
+            self.monitor.metrics.counter("tracker.tokens_rejected").inc()
             return None
 
     def _handle_trace(
@@ -372,7 +371,7 @@ class Tracker:
             if token is None:
                 return
             if message.signature is None:
-                self.monitor.increment("tracker.traces_unsigned")
+                self.monitor.metrics.counter("tracker.traces_unsigned").inc()
                 return
             op = (
                 CryptoOp.TRACE_VERIFY_ENCRYPTED
@@ -382,10 +381,10 @@ class Tracker:
             yield from self.machine.charge(op)
             try:
                 if not verify_signed_body(message.signature, body, token.token_public_key):
-                    self.monitor.increment("tracker.traces_tampered")
+                    self.monitor.metrics.counter("tracker.traces_tampered").inc()
                     return
             except SignatureError as exc:
-                self.monitor.increment("tracker.traces_bad_signature")
+                self.monitor.metrics.counter("tracker.traces_bad_signature").inc()
                 self.monitor.log_malformed(
                     self.sim.now,
                     exc,
@@ -398,13 +397,13 @@ class Tracker:
 
         if message.encrypted or body.get("secured"):
             if watched.trace_key is None:
-                self.monitor.increment("tracker.traces_no_key_yet")
+                self.monitor.metrics.counter("tracker.traces_no_key_yet").inc()
                 return
             yield from self.machine.charge(CryptoOp.SECURE_UNWRAP)
             try:
                 body = unwrap_trace_body(body, watched.trace_key)
             except DecryptionError:
-                self.monitor.increment("tracker.traces_undecryptable")
+                self.monitor.metrics.counter("tracker.traces_undecryptable").inc()
                 return
 
         try:
@@ -416,7 +415,7 @@ class Tracker:
             session_key = fields.text("session", None)
             seq = fields.integer("seq", None)
         except MalformedFrameError:
-            self.monitor.increment("tracker.traces_malformed")
+            self.monitor.metrics.counter("tracker.traces_malformed").inc()
             return
 
         # gap detection: a jump in the session-scoped sequence number means
@@ -426,7 +425,7 @@ class Tracker:
             if last is not None and seq > last + 1:
                 gap = seq - last - 1
                 self.missed_trace_count += gap
-                self.monitor.increment("tracker.traces_missed", gap)
+                self.monitor.metrics.counter("tracker.traces_missed").inc(gap)
             if last is None or seq > last:
                 self._last_seq[session_key] = seq
 
@@ -440,15 +439,13 @@ class Tracker:
             payload=payload,
         )
         self.received.append(received)
-        self.monitor.increment("tracker.traces_received")
-        self.monitor.increment(f"tracker.traces_received.{trace_type.value}")
         metrics = self.monitor.metrics
+        detail = trace_type.value.lower()
         metrics.counter("tracker.traces.received").inc()
+        metrics.counter(f"tracker.traces_received.{detail}").inc()
         if latency is not None:
             metrics.histogram("tracker.trace.latency_ms").observe(latency)
-            metrics.histogram(
-                f"tracker.trace.latency_ms.{trace_type.value.lower()}"
-            ).observe(latency)
+            metrics.histogram(f"tracker.trace.latency_ms.{detail}").observe(latency)
         if self.on_trace is not None:
             self.on_trace(received)
 

@@ -7,7 +7,7 @@ transport, and a :class:`Link` is one directed channel between two simulated
 nodes carrying opaque payloads with those semantics.
 """
 
-from repro.transport.base import TransportProfile, DeliveryReceipt, wire_size
+from repro.transport.base import TransportProfile, DeliveryReceipt
 from repro.transport.disruption import LinkDisruption
 from repro.transport.link import Link, DuplexLink
 from repro.transport.tcp import tcp_profile, TCP_CLUSTER
@@ -16,7 +16,6 @@ from repro.transport.udp import udp_profile, UDP_CLUSTER
 __all__ = [
     "TransportProfile",
     "DeliveryReceipt",
-    "wire_size",
     "Link",
     "DuplexLink",
     "LinkDisruption",

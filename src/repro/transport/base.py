@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -32,10 +32,6 @@ class TransportProfile:
     ordered: bool
     retransmit_timeout_ms: float = 0.0
     max_retransmits: int = 8
-    #: Wire codec links on this transport size payloads with (``json`` or
-    #: ``compact``, see ``repro.wire``).  ``None`` defers to the link's own setting
-    #: and ultimately to the ``json`` default.
-    codec: str | None = None
 
     def __post_init__(self) -> None:
         if self.base_latency_ms < 0 or self.jitter_ms < 0 or self.per_kb_ms < 0:
@@ -68,18 +64,3 @@ class DeliveryReceipt(NamedTuple):
     retransmits: int
     size_bytes: int
 
-
-def wire_size(payload: Any, codec: str | None = None) -> int:
-    """Bytes the payload occupies on the wire under ``codec``.
-
-    Delegates to :func:`repro.wire.codec.frame_size`: message envelopes are
-    sized through the named codec (default ``json`` — the canonical
-    encoding, byte-identical to the pre-codec behaviour), with no memo
-    kept between calls; plain values must be canonically encodable.
-
-    The import is deferred because ``repro.wire`` imports the messaging
-    package, which imports this module back through the broker fabric.
-    """
-    from repro.wire.codec import frame_size
-
-    return frame_size(payload, codec)

@@ -30,7 +30,7 @@ class Link:
     loss sample silently drops the payload (the receiver sees nothing).
 
     Sizing: every send is sized through the link's wire codec
-    (``codec`` argument, else ``profile.codec``, else ``json``) via the
+    (``codec`` argument, else ``json``) via the
     memoized hot path in :mod:`repro.wire.codec`.  A network hands all of
     its links one ``memo``, so a message forwarded over many links is
     rendered once per codec, not once per send; a link built without one
@@ -56,7 +56,7 @@ class Link:
         self.profile = profile
         self.receiver = receiver
         self.name = name or f"link-{id(self):x}"
-        self.codec = resolve_codec(codec or profile.codec)
+        self.codec = resolve_codec(codec)
         self._frame_size = frame_size
         self._memo = memo if memo is not None else SizeMemo()
         self._rng = rng

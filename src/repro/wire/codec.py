@@ -8,7 +8,7 @@ fixes that hot path two ways:
 
 * a fixed table of two :class:`Codec` implementations (``json`` — the
   legacy canonical rendering — and ``compact`` — the binary format of
-  :mod:`repro.wire.compact`), selected per link / transport profile;
+  :mod:`repro.wire.compact`), selected per link;
 * a bounded :class:`SizeMemo`, one per
   :class:`~repro.messaging.broker_network.BrokerNetwork`:
   :class:`~repro.messaging.message.Message` is a frozen dataclass and
@@ -108,9 +108,8 @@ def resolve_codec(spec: str | Codec | None) -> Codec:
 def codec_name_from_env() -> str | None:
     """``$REPRO_CODEC`` validated against the codec names; ``None`` when unset.
 
-    The one reader of the variable.  :func:`repro.deployment.build_deployment`
-    needs ``None`` (not ``"json"``) when the environment is silent, so a
-    transport profile's own codec still applies as the next fallback tier.
+    The one reader of the variable, called by
+    :func:`repro.deployment.build_deployment` when no codec is passed.
     """
     name = os.environ.get(CODEC_ENV_VAR, "").strip()
     if not name:

@@ -3,8 +3,8 @@
 "json" names the *role* this codec plays — the self-describing,
 schema-free rendering every deployment can fall back to — not the text
 format: bytes are produced by :func:`repro.util.serialization.canonical_encode`
-over ``wire_dict()``, exactly the rendering ``wire_size`` used before the
-codec seam existed.  That byte-for-byte equivalence is a hard requirement:
+over ``wire_dict()``, exactly the rendering every send was sized with before
+the codec seam existed.  That byte-for-byte equivalence is a hard requirement:
 every committed seed snapshot (``benchmarks/results/*.json``) pins wire
 sizes produced by this encoding, so the default codec must never change
 them.  An authorization token rides as a

@@ -14,21 +14,14 @@ from repro.obs import MetricsRegistry
 from repro.obs.journal import EventJournal
 
 
-class _Monitor:
-    def __init__(self, counters=None):
-        self._counters = dict(counters or {})
-
-    def count(self, name):
-        return self._counters.get(name, 0)
-
-
 class _Deployment:
     """The attribute surface DEFAULT_RULES reads, nothing more."""
 
-    def __init__(self, monitor_counters=None):
-        self.monitor = _Monitor(monitor_counters)
+    def __init__(self, counters=None):
         self.metrics = MetricsRegistry()
         self.journal = EventJournal()
+        for name, value in (counters or {}).items():
+            self.metrics.counter(name).inc(value)
 
 
 def _rule(evidence_kind="session.created", mutations=1):
@@ -68,7 +61,7 @@ class TestAuditDeployment:
         assert all(f.complete for f in findings)  # all-zero deployment balances
 
     def test_evidence_counts_come_from_the_journal(self):
-        dep = _Deployment(monitor_counters={"trace.sessions_created": 2})
+        dep = _Deployment(counters={"trace.sessions_created": 2})
         dep.journal.record(1.0, "session.created", principal="a")
         dep.journal.record(2.0, "session.created", principal="b")
         findings = {f.rule.name: f for f in audit_deployment(dep)}
@@ -76,7 +69,7 @@ class TestAuditDeployment:
         assert findings["sessions"].evidence == 2
 
     def test_journal_kinds_override_audits_a_snapshot(self):
-        dep = _Deployment(monitor_counters={"trace.sessions_created": 1})
+        dep = _Deployment(counters={"trace.sessions_created": 1})
         findings = audit_deployment(
             dep, journal_kinds={"session.created": 1}
         )
@@ -107,7 +100,7 @@ class TestAssertAuditComplete:
         assert len(findings) == len(DEFAULT_RULES)
 
     def test_raises_listing_every_unbalanced_rule(self):
-        dep = _Deployment(monitor_counters={"trace.sessions_created": 1})
+        dep = _Deployment(counters={"trace.sessions_created": 1})
         dep.metrics.counter("broker.dos.terminated").inc()
         with pytest.raises(AuditIncompleteError) as excinfo:
             assert_audit_complete(dep)

@@ -6,11 +6,8 @@ from repro.analytics import (
     AnalyticsEvent,
     MemoryBackend,
     SqliteBackend,
-    backend_names,
-    create_backend,
     ingest_events,
 )
-from repro.errors import AnalyticsError
 
 #: A small but shape-covering log: duplicate kinds, shared timestamps,
 #: null entities/values, nested fields.
@@ -45,9 +42,9 @@ def _fill(backend):
     return backend
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=[MemoryBackend, SqliteBackend], ids=["memory", "sqlite"])
 def backend(request):
-    instance = create_backend(request.param)
+    instance = request.param()
     yield _fill(instance)
     instance.close()
 
@@ -98,13 +95,6 @@ class TestBackendEquivalence:
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        assert backend_names() == ["memory", "sqlite"]
-
-    def test_unknown_backend_names_the_registry(self):
-        with pytest.raises(AnalyticsError, match="memory, sqlite"):
-            create_backend("mongodb")
-
     def test_sqlite_persists_across_connections(self, tmp_path):
         path = str(tmp_path / "analytics.db")
         first = _fill(SqliteBackend(path=path))

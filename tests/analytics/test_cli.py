@@ -2,6 +2,7 @@
 backend's ``run`` writes it and ``report`` renders its report (that the
 library producer regenerates both is ``tests/test_seeds.py``)."""
 
+from repro.analytics import AnalyticsStore, SqliteBackend
 from repro.cli import build_parser, main
 from repro.seeds import RESULTS_DIR, SEED_GROUPS
 
@@ -14,11 +15,11 @@ class TestParser:
     def test_run_flags(self):
         args = build_parser().parse_args(
             ["analytics", "run", "--scenario", "broker-crash",
-             "--backend", "sqlite", "--seed", "7"]
+             "--db", "a.db", "--seed", "7"]
         )
         assert args.command == "analytics"
         assert args.action == "run"
-        assert args.backend == "sqlite"
+        assert args.db == "a.db"
         assert args.seed == 7
 
     def test_report_flags(self):
@@ -57,12 +58,22 @@ class TestSeedMirror:
         out = tmp_path / "sqlite.json"
         code = main(
             ["analytics", "run", "--scenario", "broker-crash",
-             "--backend", "sqlite", "--db", str(tmp_path / "a.db"),
-             "--out", str(out)]
+             "--db", str(tmp_path / "a.db"), "--out", str(out)]
         )
         capsys.readouterr()
         assert code == 0
         assert out.read_bytes() == SEED_SNAPSHOT.read_bytes()
+
+    def test_db_alone_keeps_the_seed_events_in_that_file(self, tmp_path, capsys):
+        db = tmp_path / "a.db"
+        code = main(["analytics", "run", "--scenario", "broker-crash", "--db", str(db)])
+        capsys.readouterr()
+        assert code == 0
+        stored = SqliteBackend(str(db))
+        events = [e.to_dict() for e in stored.events()]
+        stored.close()
+        assert events
+        assert events == [e.to_dict() for e in AnalyticsStore.load(SEED_SNAPSHOT).events()]
 
     def test_report_text_format_prints_to_stdout(self, capsys):
         code = main(

@@ -20,15 +20,6 @@ class TestStoreBasics:
     def test_default_backend_is_memory(self):
         assert AnalyticsStore().backend.name == "memory"
 
-    def test_backend_by_name_with_kwargs(self, tmp_path):
-        store = AnalyticsStore("sqlite", path=str(tmp_path / "a.db"))
-        assert store.backend.name == "sqlite"
-        store.close()
-
-    def test_backend_kwargs_without_name_rejected(self):
-        with pytest.raises(AnalyticsError, match="backend \\*name\\*"):
-            AnalyticsStore(SqliteBackend(), path="nope")
-
     def test_summary(self):
         store = _populate(AnalyticsStore())
         assert store.summary() == {
@@ -73,7 +64,7 @@ class TestSnapshotRoundTrip:
     def test_round_trip_into_sqlite_backend(self, tmp_path):
         store = _populate(AnalyticsStore())
         path = store.save(tmp_path / "snap.json")
-        loaded = AnalyticsStore.load(path, backend="sqlite")
+        loaded = AnalyticsStore.load(path, backend=SqliteBackend())
         assert loaded.backend.name == "sqlite"
         assert loaded.export_json() == store.export_json()
         loaded.close()

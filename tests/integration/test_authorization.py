@@ -54,7 +54,7 @@ class TestTokenEnforcement:
         tracker.track("svc")
         dep.sim.run(until=20_000)
         assert tracker.received
-        assert dep.monitor.count("tracker.tokens_rejected") == 0
+        assert dep.metrics.counter_value("tracker.tokens_rejected") == 0
         assert dep.metrics.counter_value("auth.invalid_token") == 0
 
     def test_expired_token_stops_publication(self):
@@ -68,7 +68,7 @@ class TestTokenEnforcement:
         tracker.track("svc")
         dep.sim.run(until=60_000)
         # publication halted once the token expired (entity never refreshed)
-        assert dep.monitor.count("trace.token_expired") > 0
+        assert dep.metrics.counter_value("trace.token_expired") > 0
         last_received = max(t.received_ms for t in tracker.received)
         assert last_received < 12_000.0
 
@@ -140,11 +140,11 @@ class TestMalformedTokens:
     @pytest.mark.parametrize("malformed", sorted(MALFORMED_TOKENS))
     def test_at_the_tracker(self, dep, tracked, malformed):
         session, tracker = tracked
-        before = dep.monitor.count("tracker.tokens_rejected")
+        before = dep.metrics.counter_value("tracker.tokens_rejected")
         # delivered as the tracker's link would, past every broker guard
         tracker.client._receive(self._forged_failure(dep, session, malformed))
         dep.sim.run(until=dep.sim.now + 5_000)
-        assert dep.monitor.count("tracker.tokens_rejected") == before + 1
+        assert dep.metrics.counter_value("tracker.tokens_rejected") == before + 1
         assert not tracker.traces_of_type(TraceType.FAILED)
         assert tracker.traces_of_type(TraceType.ALLS_WELL)[-1].received_ms > dep.sim.now - 5_000
 
@@ -162,7 +162,7 @@ class TestMessageIntegrity:
         envelope = entity.credentials.sign({"something": "else"})
         entity.client.publish(topic, body, signature=envelope.to_dict())
         dep.sim.run(until=6_000)
-        assert dep.monitor.count("trace.entity_messages_rejected") >= 1
+        assert dep.metrics.counter_value("trace.entity_messages_rejected") >= 1
         assert session.entity_state.value != "SHUTDOWN"
 
     def test_unsigned_entity_message_rejected(self, dep):
@@ -213,7 +213,7 @@ class TestMessageIntegrity:
             "trace.interest_bad_signature",
             "tracker.traces_bad_signature",
         )
-        before = [dep.monitor.count(name) for name in counters]
+        before = [dep.metrics.counter_value(name) for name in counters]
         for malformed in (
             {"payload": {}},
             {"payload": {}, "signature": 1 << 44, "signer_fingerprint": b""},
@@ -239,7 +239,7 @@ class TestMessageIntegrity:
         injected_at = dep.sim.now
         dep.sim.run(until=injected_at + 40_000)
 
-        assert [dep.monitor.count(name) for name in counters] == [n + 2 for n in before]
+        assert [dep.metrics.counter_value(name) for name in counters] == [n + 2 for n in before]
         records = dep.journal.records("envelope.malformed")
         assert len(records) == 6
         assert records[0].fields["session"] == session.hex_id[:8]

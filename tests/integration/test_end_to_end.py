@@ -98,9 +98,9 @@ class TestInterestGating:
         entity = dep.add_traced_entity("svc")
         entity.start("b1")
         dep.sim.run(until=20_000)
-        assert dep.monitor.count("trace.pings_sent") > 5
+        assert dep.metrics.counter_value("tracker.pings.sent") > 5
         assert dep.monitor.count("trace.published.ALLS_WELL") == 0
-        assert dep.monitor.count("trace.suppressed_no_interest") > 5
+        assert dep.metrics.counter_value("trace.suppressed_no_interest") > 5
 
     def test_selective_interest(self, dep):
         entity, tracker = bootstrap(
@@ -131,7 +131,7 @@ class TestInterestGating:
         dep.sim.run(until=30_000)
         published = dep.monitor.count("trace.published.ALLS_WELL")
         assert published > 0
-        suppressed = dep.monitor.count("trace.suppressed_no_interest")
+        suppressed = dep.metrics.counter_value("trace.suppressed_no_interest")
         assert suppressed > 0  # publications stopped after expiry
 
 
@@ -145,9 +145,9 @@ class TestLifecycle:
         assert shutdown_traces
         session = dep.manager_of("b1").session_of("svc")
         assert not session.active
-        pings_at_shutdown = dep.monitor.count("trace.pings_sent")
+        pings_at_shutdown = dep.metrics.counter_value("tracker.pings.sent")
         dep.sim.run(until=25_000)
-        assert dep.monitor.count("trace.pings_sent") <= pings_at_shutdown + 1
+        assert dep.metrics.counter_value("tracker.pings.sent") <= pings_at_shutdown + 1
 
     def test_silent_mode(self, dep):
         entity, tracker = bootstrap(dep)

@@ -34,7 +34,7 @@ class TestTopicRenewal:
         tracker.connect("b2")
         tracker.track("svc")
         dep.sim.run(until=110_000.0)
-        assert dep.monitor.count("tracker.tracking") == 1
+        assert dep.metrics.counter_value("tracker.tracking") == 1
 
     def test_non_owner_cannot_renew(self, dep):
         entity = dep.add_traced_entity("svc")
@@ -131,7 +131,7 @@ class TestGapDetection:
         assert received > 0
         # with 25% per-link loss across several links, some traces vanish
         assert tracker.missed_trace_count > 0
-        assert dep.monitor.count("tracker.traces_missed") == tracker.missed_trace_count
+        assert dep.metrics.counter_value("tracker.traces_missed") == tracker.missed_trace_count
 
 
 class TestRegistrationRetries:
@@ -162,7 +162,7 @@ class TestRegistrationRetries:
         entity.start("b1")
         dep.sim.run(until=60_000)
         # with 60% loss per leg, at least one retry is near-certain
-        assert dep.monitor.count("entity.registration_retries") >= 1
+        assert dep.metrics.counter_value("entity.registration_retries") >= 1
 
 
 class TestUntrack:
@@ -189,7 +189,7 @@ class TestUntrack:
         # well before the interest TTL would have expired
         published_after = dep.monitor.count("trace.published.ALLS_WELL")
         assert published_after <= published_at_untrack + 2
-        assert dep.monitor.count("trace.suppressed_no_interest") > 0
+        assert dep.metrics.counter_value("trace.suppressed_no_interest") > 0
 
     def test_untrack_unknown_entity_returns_false(self, dep):
         tracker = dep.add_tracker("w")

@@ -52,9 +52,9 @@ class TestCrashDetection:
         entity, _ = bootstrap(dep)
         entity.crash()
         dep.sim.run(until=40_000)
-        pings = dep.monitor.count("trace.pings_sent")
+        pings = dep.metrics.counter_value("tracker.pings.sent")
         dep.sim.run(until=80_000)
-        assert dep.monitor.count("trace.pings_sent") == pings
+        assert dep.metrics.counter_value("tracker.pings.sent") == pings
 
     def test_healthy_entity_never_suspected(self, dep):
         _, tracker = bootstrap(dep)

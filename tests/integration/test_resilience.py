@@ -52,7 +52,7 @@ class TestReregistration:
         dep.sim.process(entity.reregister())
         dep.sim.run(until=20_000)
         manager = dep.manager_of("b1")
-        assert dep.monitor.count("trace.sessions_superseded") == 1
+        assert dep.metrics.counter_value("trace.sessions_superseded") == 1
         active = [s for s in manager.sessions.values() if s.active]
         assert len(active) == 1
 

@@ -49,7 +49,7 @@ class TestScale:
             assert len(seen) == 3, f"{tracker.tracker_id} saw {seen}"
         # zero security violations in a healthy system
         assert dep.metrics.counter_value("auth.invalid_token") == 0
-        assert dep.monitor.count("tracker.traces_bad_signature") == 0
+        assert dep.metrics.counter_value("tracker.traces_bad_signature") == 0
         assert dep.metrics.counter_value("broker.violations") == 0
 
     def test_mixed_failures_isolated(self):

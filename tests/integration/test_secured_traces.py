@@ -41,7 +41,7 @@ class TestKeyDistribution:
     def test_key_distributed_once_per_tracker(self, dep):
         _, trackers = bootstrap_secured(dep, tracker_count=3)
         dep.sim.run(until=60_000)
-        assert dep.monitor.count("trace.keys_distributed") == 3
+        assert dep.metrics.counter_value("trace.keys_distributed") == 3
 
     def test_key_receipt_time_recorded(self, dep):
         _, (tracker,) = bootstrap_secured(dep)
@@ -76,7 +76,7 @@ class TestKeyDistribution:
         )
         dep.sim.run(until=8_000)
 
-        assert tracker.monitor.count("tracker.key_payload_rejected") == 1
+        assert tracker.monitor.metrics.counter_value("tracker.key_payload_rejected") == 1
         assert tracker.trace_key_for("svc") is None
 
 
@@ -146,5 +146,5 @@ class TestUnauthorizedAccess:
 
         assert keyed.traces_of_type(TraceType.ALLS_WELL)
         assert not snoop.traces_of_type(TraceType.ALLS_WELL)
-        assert snoop.monitor.count("tracker.traces_no_key_yet") > 0 or \
-            dep.monitor.count("tracker.traces_no_key_yet") > 0
+        assert snoop.monitor.metrics.counter_value("tracker.traces_no_key_yet") > 0 or \
+            dep.metrics.counter_value("tracker.traces_no_key_yet") > 0

@@ -6,7 +6,7 @@ from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
 from repro.messaging.topics import Topic
 from repro.sim.engine import Simulator
-from repro.transport.base import wire_size
+from repro.wire.codec import frame_size
 
 
 def make(topic="a/b", body=None, **kwargs):
@@ -70,12 +70,12 @@ class TestMessage:
     def test_wire_size_grows_with_payload(self):
         small = make(body={"k": 1})
         large = make(body={"k": "x" * 2000})
-        assert wire_size(large) > wire_size(small) + 1500
+        assert frame_size(large) > frame_size(small) + 1500
 
     def test_signed_message_larger_on_wire(self):
         plain = make()
         signed = make(signature={"payload": {"k": 1}, "sig": b"s" * 64})
-        assert wire_size(signed) > wire_size(plain)
+        assert frame_size(signed) > frame_size(plain)
 
     def test_describe(self):
         text = make().describe()

@@ -58,8 +58,8 @@ class TestMetricDocs:
         )
         assert "transport.bytes.sent" in exact
         assert "crypto.ms." in placeholders
-        # journal/monitor event names are excluded, not instruments
-        assert "trace.suppressed_no_subscriber" not in exact
+        # a tracing-layer count is an instrument like any other
+        assert "trace.suppressed_no_subscriber" in exact
 
 
 class TestDocstrings:

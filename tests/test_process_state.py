@@ -13,10 +13,12 @@ fails on:
   ``defaultdict(...)``), an ``itertools.count``, a ``WeakKeyDictionary`` /
   ``WeakValueDictionary``, or a pool (any constructor named ``...Pool``).
 
-A third walk keeps the deployment's counts in one place: below the
-tracing layer every event is counted in the registry, so a
-``Monitor.increment`` call outside ``repro/tracing/`` fails, naming
-``file:line``, unless it is ``control.floods``.
+A third walk keeps the deployment's counts in one place: every event is
+counted in the registry, so a ``Monitor.increment`` call anywhere under
+``src/repro`` fails, naming ``file:line``, unless it is one of the counts
+the benchmark harness still reads by name: ``trace.published.<type>`` or
+``control.floods``.  Its behavioural twin runs a chaos scenario and reads
+what the monitor and the registry hold afterwards.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.faults.scenarios import (
     TRACKER_BROKER,
     TRACKER_ID,
     build_chaos_deployment,
+    run_scenario,
     scenario_plan,
 )
 
@@ -128,20 +131,28 @@ def test_guard_flags_each_kind(tmp_path):
     assert flagged == ["global A", "A", "B", "C", "D", "E", "F", "G", "H", "I"]
 
 
-#: The harness reads ``monitor.control.floods`` by name until it hashes the
-#: registry instead (ROADMAP item 5(a)); every other fabric count is the
-#: registry's.
-_MONITOR_COUNTS_OUTSIDE_TRACING = frozenset({"control.floods"})
+#: The harness reads ``monitor.control.floods`` and
+#: ``monitor.trace.published.FAILED`` by name until it hashes the registry
+#: instead (ROADMAP item 5(a)); every other count is the registry's.
+_MONITOR_COUNTS = frozenset({"control.floods"})
+_MONITOR_COUNT_PREFIXES = ("trace.published.",)
+
+
+def _harness_count(name: ast.expr | None) -> bool:
+    """Whether ``name`` is a count the frozen benchmark harness reads."""
+    if isinstance(name, ast.Constant):
+        return name.value in _MONITOR_COUNTS
+    if isinstance(name, ast.JoinedStr) and isinstance(name.values[0], ast.Constant):
+        return name.values[0].value in _MONITOR_COUNT_PREFIXES
+    return False
 
 
 def monitor_increment_sites(root: pathlib.Path = SRC) -> list[str]:
-    """``path:line`` of every ``.increment(...)`` outside ``repro/tracing/``
-    other than the counts the frozen benchmark harness still reads."""
+    """``path:line`` of every ``.increment(...)`` under ``root`` other than
+    the counts the frozen benchmark harness still reads."""
     sites = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root.parent).as_posix()
-        if relative.startswith("repro/tracing/"):
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if not (
@@ -150,18 +161,29 @@ def monitor_increment_sites(root: pathlib.Path = SRC) -> list[str]:
                 and node.func.attr == "increment"
             ):
                 continue
-            name = node.args[0] if node.args else None
-            if isinstance(name, ast.Constant) and name.value in _MONITOR_COUNTS_OUTSIDE_TRACING:
-                continue
-            sites.append(f"{relative}:{node.lineno}")
+            if not _harness_count(node.args[0] if node.args else None):
+                sites.append(f"{relative}:{node.lineno}")
     return sites
 
 
-def test_the_fabric_counts_only_in_the_registry():
+def test_every_count_is_in_the_registry():
     sites = monitor_increment_sites()
-    assert not sites, "Monitor.increment outside tracing/ (use the registry):\n" + "\n".join(
-        sites
-    )
+    assert not sites, "Monitor.increment (use the registry):\n" + "\n".join(sites)
+
+
+def test_a_chaos_run_leaves_only_harness_counts_on_the_monitor():
+    deployments = []
+    run_scenario("broker-crash", deployment_probe=deployments.append)
+    (dep,) = deployments
+    leftover = [
+        name
+        for name in dep.monitor.counters()
+        if name not in _MONITOR_COUNTS and not name.startswith(_MONITOR_COUNT_PREFIXES)
+    ]
+    assert not leftover, f"counted on the monitor, not the registry: {leftover}"
+    counters = dep.snapshot()["counters"]
+    assert counters["trace.sessions_created"] >= 1
+    assert counters["entity.pings_answered"] >= 1
 
 
 def _chaos_deployment(seed: int):

@@ -97,7 +97,7 @@ class TestRegistrationRejections:
         proc = dep.sim.process(imposter.register())
         dep.sim.run(until=dep.sim.now + 15_000)
         assert proc.triggered and not proc.ok
-        assert dep.monitor.count("trace.registrations_rejected") >= 1
+        assert dep.metrics.counter_value("trace.registrations_rejected") >= 1
 
     @pytest.mark.parametrize(
         "doctor, reason",
@@ -172,7 +172,7 @@ class TestEntityMessageHandling:
         entity = registered_entity(dep)
         dep.sim.run_process(entity._send_session_message({"kind": "mystery"}))
         dep.sim.run(until=dep.sim.now + 2_000)
-        assert dep.monitor.count("trace.entity_messages_unknown") == 1
+        assert dep.metrics.counter_value("trace.entity_messages_unknown") == 1
 
     def test_malformed_load_report_counted(self, dep):
         entity = registered_entity(dep)
@@ -180,7 +180,7 @@ class TestEntityMessageHandling:
             entity._send_session_message({"kind": "load", "load": {"bogus": 1}})
         )
         dep.sim.run(until=dep.sim.now + 2_000)
-        assert dep.monitor.count("trace.load_reports_malformed") == 1
+        assert dep.metrics.counter_value("trace.load_reports_malformed") == 1
 
     def test_malformed_state_report_counted(self, dep):
         entity = registered_entity(dep)
@@ -190,7 +190,7 @@ class TestEntityMessageHandling:
             )
         )
         dep.sim.run(until=dep.sim.now + 2_000)
-        assert dep.monitor.count("trace.state_reports_malformed") == 1
+        assert dep.metrics.counter_value("trace.state_reports_malformed") == 1
 
     @pytest.mark.parametrize(
         "kind, report",
@@ -228,8 +228,8 @@ class TestEntityMessageHandling:
                 signature=entity.credentials.sign(body).to_dict(),
             )
         dep.sim.run(until=dep.sim.now + 500)
-        assert dep.monitor.count(f"trace.{kind}_reports_malformed") == len(stamps)
-        assert dep.monitor.count("tracker.traces_malformed") == 0
+        assert dep.metrics.counter_value(f"trace.{kind}_reports_malformed") == len(stamps)
+        assert dep.metrics.counter_value("tracker.traces_malformed") == 0
         reported = (TraceType.READY, TraceType.LOAD_INFORMATION)
         assert not [t for t in tracker.received[received:] if t.trace_type in reported]
 
@@ -288,7 +288,7 @@ class TestTokenDelivery:
         entity = registered_entity(dep)
         session = dep.manager_of("b1").session_of("svc")
 
-        assert dep.monitor.count("trace.token_delivery_malformed") == 1
+        assert dep.metrics.counter_value("trace.token_delivery_malformed") == 1
         assert session.token is None and dep.monitor.count("trace.published.JOIN") == 0
         (record,) = dep.journal.records("envelope.malformed")
         assert record.fields["broker"] == "b1"
@@ -301,9 +301,9 @@ class TestTokenDelivery:
         dep.sim.run_process(entity.deliver_token())
         dep.sim.run(until=dep.sim.now + 2_000)
         assert session.token == entity.token
-        assert dep.monitor.count("trace.tokens_received") == 1
+        assert dep.metrics.counter_value("trace.tokens_received") == 1
         assert dep.monitor.count("trace.published.JOIN") == 1
-        assert dep.monitor.count("trace.token_delivery_malformed") == 1
+        assert dep.metrics.counter_value("trace.token_delivery_malformed") == 1
 
 
 class TestSessionBookkeeping:

@@ -109,19 +109,19 @@ class TestCrashSemantics:
         entity = dep.add_traced_entity("svc")
         entity.start("b1")
         dep.sim.run(until=3_000)
-        answered_before = dep.monitor.count("entity.pings_answered")
+        answered_before = dep.metrics.counter_value("entity.pings_answered")
         entity.crash()
         dep.sim.run(until=10_000)
-        assert dep.monitor.count("entity.pings_answered") <= answered_before + 1
+        assert dep.metrics.counter_value("entity.pings_answered") <= answered_before + 1
 
     def test_silent_entity_ignores_pings(self, dep):
         entity = dep.add_traced_entity("svc")
         entity.start("b1")
         dep.sim.run(until=3_000)
         dep.sim.run_process(entity.disable_tracing())
-        answered = dep.monitor.count("entity.pings_answered")
+        answered = dep.metrics.counter_value("entity.pings_answered")
         dep.sim.run(until=15_000)
-        assert dep.monitor.count("entity.pings_answered") == answered
+        assert dep.metrics.counter_value("entity.pings_answered") == answered
 
 
 class TestMalformedPing:
@@ -138,10 +138,10 @@ class TestMalformedPing:
             )
         )
         dep.sim.run(until=3_500)
-        assert dep.monitor.count("entity.pings_malformed") == 1
-        answered = dep.monitor.count("entity.pings_answered")
+        assert dep.metrics.counter_value("entity.pings_malformed") == 1
+        answered = dep.metrics.counter_value("entity.pings_answered")
         dep.sim.run(until=10_000)
-        assert dep.monitor.count("entity.pings_answered") > answered
+        assert dep.metrics.counter_value("entity.pings_answered") > answered
 
 
     @pytest.mark.parametrize("pings", [7, [7], [{"entity_id": "svc", "number": 1}, None]])
@@ -159,10 +159,10 @@ class TestMalformedPing:
             )
         )
         dep.sim.run(until=3_500)
-        assert dep.monitor.count("entity.pings_malformed") == 1
-        answered = dep.monitor.count("entity.pings_answered")
+        assert dep.metrics.counter_value("entity.pings_malformed") == 1
+        answered = dep.metrics.counter_value("entity.pings_answered")
         dep.sim.run(until=10_000)
-        assert dep.monitor.count("entity.pings_answered") > answered
+        assert dep.metrics.counter_value("entity.pings_answered") > answered
 
 
 class TestTrackerPreconditions:

@@ -107,4 +107,4 @@ class TestNetworkForecasterLive:
 
         assert seen == traces
         assert forecaster.forecast_rtt_ms("svc") is None
-        assert tracker.monitor.count("tracker.traces_malformed") == 2
+        assert tracker.monitor.metrics.counter_value("tracker.traces_malformed") == 2

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.transport.base import TransportProfile, wire_size
+from repro.transport.base import TransportProfile
 from repro.transport.tcp import TCP_CLUSTER, tcp_profile
 from repro.transport.udp import UDP_CLUSTER, udp_profile
+from repro.wire.codec import frame_size
 
 
 class TestProfiles:
@@ -63,12 +64,12 @@ class TestProfiles:
 
 class TestWireSize:
     def test_size_of_plain_values(self):
-        assert wire_size(b"1234") > 4
-        assert wire_size({"a": 1}) > wire_size({})
+        assert frame_size(b"1234") > 4
+        assert frame_size({"a": 1}) > frame_size({})
 
     def test_uses_wire_dict_when_available(self):
         class Enveloped:
             def wire_dict(self):
                 return {"payload": "x" * 100}
 
-        assert wire_size(Enveloped()) > 100
+        assert frame_size(Enveloped()) > 100
