@@ -32,7 +32,7 @@ from repro.messaging.constrained import (
 )
 from repro.messaging.matching import SubscriptionIndex
 from repro.messaging.message import Message, RoutedFrame
-from repro.messaging.topics import Topic, topic_matches
+from repro.messaging.topics import topic_matches, validate_topic
 from repro.obs import Counter
 from repro.sim.engine import Event, Simulator
 from repro.sim.machine import Machine
@@ -120,12 +120,13 @@ class Broker:
         self.neighbor_links: dict[str, Link] = {}
         self.routing_table: dict[str, str] = {}
         self._announce: Callable[[str, str], None] | None = None
-        self._retract: Callable[[str, str], None] | None = None
+        # returns whether the pattern had been announced for this broker
+        self._retract: Callable[[str, str], bool] | None = None
         # summarized-interest plane; when set, remote routing queries go
         # through peer summaries instead of verbatim remote-interest rows
         self._fed_plane = None
 
-        # subscription state: one segment-trie index holds client
+        # subscription state: one index holds client
         # subscriptions, broker-local handlers and remote interest, so
         # every "who matches this topic" query is O(topic depth)
         self._subs = SubscriptionIndex(metrics=self.metrics)
@@ -173,6 +174,14 @@ class Broker:
     def _subscriptions_broker(self) -> Counter:
         return self.metrics.counter("broker.subscriptions.broker")
 
+    @cached_property
+    def _interest_announced(self) -> Counter:
+        return self.metrics.counter("broker.interest.announced")
+
+    @cached_property
+    def _interest_retracted(self) -> Counter:
+        return self.metrics.counter("broker.interest.retracted")
+
     # ------------------------------------------------------------------ wiring
 
     def attach_neighbor(self, broker_id: str, link: Link) -> None:
@@ -186,9 +195,14 @@ class Broker:
     def set_interest_announcer(
         self,
         announce: Callable[[str, str], None],
-        retract: Callable[[str, str], None] | None = None,
+        retract: Callable[[str, str], bool] | None = None,
     ) -> None:
-        """Callbacks the fabric provides to flood/retract subscription interest."""
+        """Callbacks the fabric provides to flood/retract subscription interest.
+
+        ``retract`` returns whether the pattern had been announced for the
+        broker, so a pattern that never was (a suppressed one) is not
+        counted as retracted.
+        """
         self._announce = announce
         self._retract = retract
 
@@ -248,9 +262,8 @@ class Broker:
             raise UnauthorizedError(f"{client_id!r} is blacklisted")
         if client_id not in self._client_links:
             raise NotConnectedError(f"{client_id!r} is not connected to {self.broker_id!r}")
-        pattern = Topic.parse(pattern, allow_wildcards=True).canonical
-        if is_constrained(pattern):
-            constrained = ConstrainedTopic.parse(pattern)
+        pattern, constrained = self._parse_pattern(pattern)
+        if constrained is not None:
             if not constrained.may_subscribe(client_id, is_broker=False):
                 self._record_violation(client_id, f"subscribe to {pattern}")
                 raise UnauthorizedError(
@@ -272,10 +285,9 @@ class Broker:
         subscription from propagating to other brokers — the hosting broker
         alone consumes traffic on such topics (section 3.1).
         """
-        pattern = Topic.parse(pattern, allow_wildcards=True).canonical
+        pattern, constrained = self._parse_pattern(pattern)
         suppressed = False
-        if is_constrained(pattern):
-            constrained = ConstrainedTopic.parse(pattern)
+        if constrained is not None:
             if not constrained.may_subscribe(self.broker_id, is_broker=True):
                 raise UnauthorizedError(
                     f"broker {self.broker_id!r} may not subscribe to {pattern!r}"
@@ -290,23 +302,35 @@ class Broker:
         if self._subs.remove_handler(pattern, handler):
             self._maybe_retract_interest(SubscriptionIndex.canonical(pattern))
 
+    @staticmethod
+    def _parse_pattern(pattern: str) -> tuple[str, ConstrainedTopic | None]:
+        """Validate ``pattern`` with one split: its canonical spelling (the
+        string itself unless it had a leading ``/``) and, for a
+        constrained pattern, its parsed form."""
+        segments = validate_topic(pattern, allow_wildcards=True)
+        canonical = pattern[1:] if pattern[0] == "/" else pattern
+        if segments[0] != CONSTRAINED_KEYWORD:
+            return canonical, None
+        return canonical, ConstrainedTopic.parse(canonical)
+
     def _maybe_retract_interest(self, pattern: str) -> None:
         """Tell the fabric nobody here wants ``pattern`` anymore.
 
         Called when the last local subscription (client or broker) for a
         pattern disappears; peers stop forwarding matching traffic to us.
+        A retraction mirrors an announcement: a pattern the fabric was
+        never told about (a suppressed one) is not counted.
         """
         if self._subs.has_local(pattern):
             return
-        if self._retract is not None:
-            self._retract(pattern, self.broker_id)
-            self.metrics.counter("broker.interest.retracted").inc()
+        if self._retract is not None and self._retract(pattern, self.broker_id):
+            self._interest_retracted.inc()
 
     def _propagate_interest(self, pattern: str, suppressed: bool) -> None:
         if suppressed or self._announce is None:
             return
         self._announce(pattern, self.broker_id)
-        self.metrics.counter("broker.interest.announced").inc()
+        self._interest_announced.inc()
 
     def note_remote_interest(self, pattern: str, broker_id: str) -> None:
         """The fabric records that ``broker_id`` has subscribers for ``pattern``."""

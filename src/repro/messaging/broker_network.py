@@ -460,16 +460,21 @@ class BrokerNetwork:
             other.note_remote_interest(pattern, broker_id)
         self.monitor.increment("control.floods")
 
-    def _retract_interest(self, pattern: str, broker_id: str) -> None:
-        """Flood an interest retraction (last subscriber gone)."""
+    def _retract_interest(self, pattern: str, broker_id: str) -> bool:
+        """Flood an interest retraction (last subscriber gone).
+
+        Returns whether ``broker_id`` had announced ``pattern``; a pattern
+        it never announced (a suppressed one) floods nothing.
+        """
         if self.federation is not None:
-            self.federation.retract(pattern, broker_id)
-            return
+            return self.federation.retract(pattern, broker_id)
         owners = self._interest.get(pattern)
-        if owners is not None:
-            owners.discard(broker_id)
-            if not owners:
-                del self._interest[pattern]
+        if owners is None or broker_id not in owners:
+            return False
+        owners.discard(broker_id)
+        if not owners:
+            del self._interest[pattern]
         for other in self._brokers.values():
             other.drop_remote_interest(pattern, broker_id)
         self.monitor.metrics.counter("broker.interest.retraction_floods").inc()
+        return True

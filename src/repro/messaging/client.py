@@ -6,7 +6,7 @@ the duplex link, tracks its subscriptions, and dispatches delivered
 messages to local handlers.
 
 Handlers live in a private :class:`~repro.messaging.matching.SubscriptionIndex`,
-the segment trie brokers match with: a tracker subscribes to a handful of
+the index brokers match with: a tracker subscribes to a handful of
 exact topics per tracked entity (section 3), and finding the handlers of
 one delivered trace must not cost more the more entities it tracks.
 """
@@ -153,7 +153,7 @@ class BrokerClient:
     def _receive(self, message: Message) -> None:
         """Delivery callback for the broker-to-client link.
 
-        The matched handler lists are copies, so a handler may
+        The matched handlers are immutable tuples, so a handler may
         unsubscribe itself or a sibling while the message is dispatched.
         """
         self._received.inc()

@@ -50,6 +50,7 @@ critical path of trace routing").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import blake2b
 from typing import Iterator
 
@@ -60,6 +61,7 @@ from repro.messaging.topics import (
     split_topic,
     topic_matches,
 )
+from repro.obs import Gauge
 from repro.sim.monitor import Monitor
 
 #: Patterns a broker may hold before its summary switches from the exact
@@ -133,6 +135,9 @@ def pattern_digest_keys(pattern: str) -> tuple[str, ...]:
     every topic they match starts with it).  Wildcard patterns with no
     literal prefix produce no keys; they force ``match_all`` instead.
     """
+    if "*" not in pattern and ">" not in pattern:
+        # no wildcard segment is possible: skip the split
+        return (f"e:{pattern}",)
     segments = split_topic(pattern)
     if not any(s in (WILDCARD_ONE, WILDCARD_MANY) for s in segments):
         return (f"e:{pattern}",)
@@ -238,7 +243,9 @@ class _InterestAccumulator:
     retractions can clear bits exactly, and owns the digest bytes
     themselves: ``add`` / ``remove`` flip a bit in place exactly when its
     count crosses 0<->1 (O(1) per pattern), and :meth:`build_summary`
-    snapshots them with one copy, never a per-bit rebuild.
+    snapshots them with one copy, never a per-bit rebuild.  A pattern's
+    bits are a pure function of its text, so ``remove`` recomputes them
+    rather than keeping them per pattern.
     """
 
     __slots__ = (
@@ -248,39 +255,42 @@ class _InterestAccumulator:
     def __init__(self, broker_id: str, config: FederationConfig) -> None:
         self.broker_id = broker_id
         self.config = config
-        #: pattern -> its digest bit positions (cached for exact removal)
-        self.patterns: dict[str, tuple[int, ...]] = {}
+        self.patterns: set[str] = set()
         self.bit_counts: dict[int, int] = {}
         #: bit ``n`` is set iff ``n in bit_counts``
         self.digest = bytearray(config.digest_bits // 8)
         self.match_all_count = 0
 
+    def _bits(self, pattern: str) -> tuple[int, ...]:
+        """The digest bits of ``pattern``; none for a match-all wildcard."""
+        bits: tuple[int, ...] = ()
+        for key in pattern_digest_keys(pattern):
+            bits += _digest_bits(key, self.config.digest_bits)
+        return bits
+
     def add(self, pattern: str) -> bool:
         """Record local interest; True if this changed the state."""
         if pattern in self.patterns:
             return False
-        bits: list[int] = []
-        keys = pattern_digest_keys(pattern)
-        if not keys:
+        self.patterns.add(pattern)
+        bits = self._bits(pattern)
+        if not bits:
             self.match_all_count += 1
-        for key in keys:
-            for bit in _digest_bits(key, self.config.digest_bits):
-                bits.append(bit)
-                count = self.bit_counts.get(bit, 0)
-                if not count:
-                    index, mask = _locate(bit)
-                    self.digest[index] |= mask
-                self.bit_counts[bit] = count + 1
-        self.patterns[pattern] = tuple(bits)
+        for bit in bits:
+            count = self.bit_counts.get(bit, 0)
+            if not count:
+                index, mask = _locate(bit)
+                self.digest[index] |= mask
+            self.bit_counts[bit] = count + 1
         return True
 
     def remove(self, pattern: str) -> bool:
         """Retract local interest; True if this changed the state."""
-        bits = self.patterns.pop(pattern, None)
-        if bits is None:
+        if pattern not in self.patterns:
             return False
+        self.patterns.remove(pattern)
+        bits = self._bits(pattern)
         if not bits:
-            # only match-all wildcard patterns digest to zero bits
             self.match_all_count -= 1
         for bit in bits:
             remaining = self.bit_counts[bit] - 1
@@ -372,19 +382,30 @@ class FederatedInterestPlane:
 
     # ----------------------------------------------------------- announcements
 
+    @cached_property
+    def _patterns_gauge(self) -> Gauge:
+        # held on first use (docs/OBSERVABILITY.md "Adding an instrument")
+        return self.metrics.gauge("fed.interest.patterns")
+
     def announce(self, pattern: str, broker_id: str) -> None:
         """Record that ``broker_id`` gained local interest in ``pattern``."""
         accumulator = self._accumulator(broker_id)
         if accumulator.add(pattern):
-            self.metrics.gauge("fed.interest.patterns").inc()
+            self._patterns_gauge.inc()
             self._dirty.add(broker_id)
 
-    def retract(self, pattern: str, broker_id: str) -> None:
-        """Record that ``broker_id`` lost its last local subscriber."""
+    def retract(self, pattern: str, broker_id: str) -> bool:
+        """Record that ``broker_id`` lost its last local subscriber.
+
+        True if ``pattern`` had been announced for ``broker_id`` (and is
+        now retracted); False, changing nothing, if it never was.
+        """
         accumulator = self._accumulator(broker_id)
-        if accumulator.remove(pattern):
-            self.metrics.gauge("fed.interest.patterns").dec()
-            self._dirty.add(broker_id)
+        if not accumulator.remove(pattern):
+            return False
+        self._patterns_gauge.dec()
+        self._dirty.add(broker_id)
+        return True
 
     def _accumulator(self, broker_id: str) -> _InterestAccumulator:
         accumulator = self._accumulators.get(broker_id)

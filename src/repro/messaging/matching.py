@@ -1,12 +1,21 @@
-"""Indexed subscription matching: the segment-trie ``SubscriptionIndex``.
+"""Indexed subscription matching: the ``SubscriptionIndex``.
 
 A broker answers "who is interested in this concrete topic?" for every
 message it routes (section 2).  The naive answer — re-testing every
 subscription pattern with :func:`~repro.messaging.topics.topic_matches` —
 costs O(patterns) per message and dominated broker CPU once deployments
-grew past a handful of subscriptions.  This module replaces those linear
-scans with a trie keyed by topic segments, answering match queries in
-O(topic depth) independent of how many patterns are stored.
+grew past a handful of subscriptions.  This module answers match queries
+in O(topic depth) independent of how many patterns are stored:
+
+* a **literal** (wildcard-free) pattern matches only the identical
+  topic, so it lives in one dict keyed by its canonical text and a query
+  finds it with one exact lookup;
+* a **wildcard** pattern also lives in a trie keyed by topic segments,
+  which a query walks once per topic.
+
+At the 100k-entity scale nearly every pattern is literal (one exact
+topic per traced entity), so nearly every pattern costs one dict entry
+and no trie node.
 
 One index instance holds all three kinds of interest a broker tracks:
 
@@ -24,7 +33,9 @@ indexes are built without a registry, so the deployment-wide
 Wildcards follow the topic grammar: ``*`` matches exactly one segment and
 a trailing ``>`` matches one or more remaining segments.  Patterns are
 canonicalized on insertion (a tolerated leading ``/`` is stripped), so
-``/a/b`` and ``a/b`` share one entry.
+``/a/b`` and ``a/b`` share one entry.  A pattern that arrives canonical
+is stored as the very string it arrived as, so the broker, this index
+and the federation plane share one string per pattern.
 
 Lifecycle correctness is part of the contract: every removal prunes
 entries and trie nodes that became empty, so a retracted pattern costs
@@ -41,7 +52,8 @@ seeded stream, as :meth:`Broker._deliver_local` does.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import AbstractSet, Callable, Iterable
 
 from repro.messaging.topics import (
     WILDCARD_MANY,
@@ -49,6 +61,7 @@ from repro.messaging.topics import (
     split_topic,
     validate_topic,
 )
+from repro.obs import Gauge
 from repro.obs.registry import MetricsRegistry
 
 #: Registry gauge tracking live pattern entries (deployment-wide total).
@@ -57,17 +70,54 @@ PATTERNS_GAUGE = "broker.interest.patterns"
 #: Registry gauge tracking live first-segment shards (deployment-wide).
 SHARDS_GAUGE = "broker.interest.shards"
 
+#: The ``clients`` / ``remote`` of an entry nobody has written to yet:
+#: shared and immutable, replaced by the entry's own set on first write.
+_NOBODY: AbstractSet[str] = frozenset()
+
+
+def _validated(pattern: str) -> str:
+    """``pattern``'s canonical spelling; TopicValidationError if invalid.
+
+    A wildcard-free pattern is checked by string tests alone — exactly
+    the grammar :func:`~repro.messaging.topics.split_topic` enforces (no
+    empty segment, one tolerated leading ``/``) — so a caller that has
+    already split it does not pay a second split here.
+    """
+    if isinstance(pattern, str) and "*" not in pattern and ">" not in pattern:
+        text = pattern[1:] if pattern[:1] == "/" else pattern
+        if text and text[0] != "/" and text[-1] != "/" and "//" not in text:
+            return text
+    validate_topic(pattern, allow_wildcards=True)
+    return pattern[1:] if pattern[0] == "/" else pattern
+
+
+def _wildcard_segments(canonical: str) -> list[str] | None:
+    """The segments of a canonical wildcard pattern; None for a literal."""
+    if "*" not in canonical and ">" not in canonical:
+        return None
+    segments = canonical.split("/")
+    if WILDCARD_ONE in segments or WILDCARD_MANY in segments:
+        return segments
+    return None
+
 
 class PatternEntry:
-    """Everything stored for one subscription pattern."""
+    """Everything stored for one subscription pattern.
+
+    ``clients`` and ``remote`` start as one shared empty frozenset and
+    ``handlers`` as the empty tuple; an entry allocates a set only for
+    the kinds of interest it actually gets.
+    """
 
     __slots__ = ("pattern", "clients", "handlers", "remote")
 
     def __init__(self, pattern: str) -> None:
         self.pattern = pattern
-        self.clients: dict[str, bool] = {}
-        self.handlers: list[Callable] = []
-        self.remote: set[str] = set()
+        self.clients: AbstractSet[str] = _NOBODY
+        #: registration order; replaced, never mutated, so a matched
+        #: tuple is safe to iterate while handlers (un)subscribe
+        self.handlers: tuple[Callable, ...] = ()
+        self.remote: AbstractSet[str] = _NOBODY
 
     def is_empty(self) -> bool:
         """No clients, handlers, or remote interest left at all."""
@@ -95,23 +145,38 @@ class _TrieNode:
 
 
 class SubscriptionIndex:
-    """Segment trie over subscription patterns with pruning removals.
+    """Exact lookup for literal patterns plus a segment trie for wildcards.
 
-    The trie is **sharded by first topic segment**: each first segment
-    (including the ``*`` and ``>`` wildcards) owns an independent subtrie,
-    so a match query touches at most three shards — the topic's literal
-    root, ``*`` and ``>`` — regardless of how many root segments exist,
-    and a shard whose last pattern is retracted frees its whole subtrie
-    at once.  Segment strings are interned on insertion
-    (:func:`sys.intern`): at the 100k-entity scale most segments are
-    shared constants (``Constrained``, ``Traces``, trace-type suffixes),
-    and interning keeps one copy per process instead of one per pattern.
+    Every pattern has an entry in one dict keyed by its canonical text.
+    Wildcard patterns are also reachable through a trie whose root's
+    children are first topic segments (including ``*`` and ``>``), so a
+    match query descends into at most three of them — the topic's first
+    segment, ``*`` and ``>``.  Trie segment strings are interned on
+    insertion (:func:`sys.intern`); literal patterns are never split into
+    segments at all.
+
+    A *shard* is a distinct first segment over all live patterns, literal
+    and wildcard alike, kept by a reference count.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
-        self._shards: dict[str, _TrieNode] = {}
         self._by_pattern: dict[str, PatternEntry] = {}
+        #: first segment -> live patterns starting with it
+        self._shards: dict[str, int] = {}
+        #: wildcard patterns only
+        self._trie = _TrieNode()
         self._metrics = metrics
+
+    # Gauges: resolved on first use and held (docs/OBSERVABILITY.md
+    # "Adding an instrument"); only touched when the index has a registry.
+
+    @cached_property
+    def _patterns_gauge(self) -> Gauge:
+        return self._metrics.gauge(PATTERNS_GAUGE)
+
+    @cached_property
+    def _shards_gauge(self) -> Gauge:
+        return self._metrics.gauge(SHARDS_GAUGE)
 
     # ------------------------------------------------------------ entry access
 
@@ -121,63 +186,77 @@ class SubscriptionIndex:
         return "/".join(split_topic(pattern))
 
     def _get_or_create(self, pattern: str) -> PatternEntry:
-        segments = [sys.intern(s) for s in validate_topic(pattern, allow_wildcards=True)]
-        canonical = sys.intern("/".join(segments))
+        canonical = _validated(pattern)
         entry = self._by_pattern.get(canonical)
         if entry is not None:
             return entry
-        node = self._shards.get(segments[0])
-        if node is None:
-            node = self._shards[segments[0]] = _TrieNode()
-            if self._metrics is not None:
-                self._metrics.gauge(SHARDS_GAUGE).inc()
-        for segment in segments[1:]:
-            node = node.children.setdefault(segment, _TrieNode())
-        entry = PatternEntry(canonical)
-        node.entry = entry
-        self._by_pattern[canonical] = entry
+        entry = self._by_pattern[canonical] = PatternEntry(canonical)
+        first = canonical.partition("/")[0]
+        live = self._shards.get(first, 0)
+        self._shards[first] = live + 1
         if self._metrics is not None:
-            self._metrics.gauge(PATTERNS_GAUGE).inc()
+            self._patterns_gauge.inc()
+            if not live:
+                self._shards_gauge.inc()
+        segments = _wildcard_segments(canonical)
+        if segments is not None:
+            node = self._trie
+            for segment in segments:
+                node = node.children.setdefault(sys.intern(segment), _TrieNode())
+            node.entry = entry
         return entry
 
     def _lookup(self, pattern: str) -> PatternEntry | None:
-        return self._by_pattern.get(self.canonical(pattern))
+        entry = self._by_pattern.get(pattern)
+        if entry is None and pattern[:1] == "/":
+            entry = self._by_pattern.get(pattern[1:])
+        return entry
 
     def _prune_if_empty(self, entry: PatternEntry) -> None:
         """Drop an empty entry and every trie node it leaves childless."""
         if not entry.is_empty():
             return
-        del self._by_pattern[entry.pattern]
+        pattern = entry.pattern
+        del self._by_pattern[pattern]
+        first = pattern.partition("/")[0]
+        live = self._shards[first] - 1
+        if live:
+            self._shards[first] = live
+        else:
+            del self._shards[first]
         if self._metrics is not None:
-            self._metrics.gauge(PATTERNS_GAUGE).dec()
-        segments = entry.pattern.split("/")
-        path = [self._shards[segments[0]]]
-        for segment in segments[1:]:
+            self._patterns_gauge.dec()
+            if not live:
+                self._shards_gauge.dec()
+        segments = _wildcard_segments(pattern)
+        if segments is None:
+            return
+        path = [self._trie]
+        for segment in segments:
             path.append(path[-1].children[segment])
         path[-1].entry = None
-        for depth in range(len(segments) - 1, 0, -1):
+        for depth in range(len(segments), 0, -1):
             child = path[depth]
-            if child.entry is None and not child.children:
-                del path[depth - 1].children[segments[depth]]
-            else:
+            if child.entry is not None or child.children:
                 break
-        shard = path[0]
-        if shard.entry is None and not shard.children:
-            del self._shards[segments[0]]
-            if self._metrics is not None:
-                self._metrics.gauge(SHARDS_GAUGE).dec()
+            del path[depth - 1].children[segments[depth - 1]]
 
     # --------------------------------------------------------------- mutation
 
     def add_client(self, pattern: str, client_id: str) -> None:
         """Record a client subscription on ``pattern``."""
-        self._get_or_create(pattern).clients[client_id] = True
+        entry = self._get_or_create(pattern)
+        if entry.clients:
+            entry.clients.add(client_id)
+        else:
+            entry.clients = {client_id}
 
     def remove_client(self, pattern: str, client_id: str) -> bool:
         """Remove one client subscription; True if it was present."""
         entry = self._lookup(pattern)
-        if entry is None or entry.clients.pop(client_id, None) is None:
+        if entry is None or client_id not in entry.clients:
             return False
+        entry.clients.discard(client_id)
         self._prune_if_empty(entry)
         return True
 
@@ -190,8 +269,9 @@ class SubscriptionIndex:
         """
         orphaned: list[str] = []
         for entry in list(self._by_pattern.values()):
-            if entry.clients.pop(client_id, None) is None:
+            if client_id not in entry.clients:
                 continue
+            entry.clients.discard(client_id)
             if not entry.has_local():
                 orphaned.append(entry.pattern)
             self._prune_if_empty(entry)
@@ -199,20 +279,27 @@ class SubscriptionIndex:
 
     def add_handler(self, pattern: str, handler: Callable) -> None:
         """Record a broker-local handler subscription on ``pattern``."""
-        self._get_or_create(pattern).handlers.append(handler)
+        entry = self._get_or_create(pattern)
+        entry.handlers = (*entry.handlers, handler)
 
     def remove_handler(self, pattern: str, handler: Callable) -> bool:
         """Remove one handler; True if it was present."""
         entry = self._lookup(pattern)
         if entry is None or handler not in entry.handlers:
             return False
-        entry.handlers.remove(handler)
+        handlers = entry.handlers
+        at = handlers.index(handler)
+        entry.handlers = handlers[:at] + handlers[at + 1:]
         self._prune_if_empty(entry)
         return True
 
     def add_remote(self, pattern: str, broker_id: str) -> None:
         """Record a peer broker's interest in ``pattern``."""
-        self._get_or_create(pattern).remote.add(broker_id)
+        entry = self._get_or_create(pattern)
+        if entry.remote:
+            entry.remote.add(broker_id)
+        else:
+            entry.remote = {broker_id}
 
     def remove_remote(self, pattern: str, broker_id: str) -> bool:
         """Retract one peer's interest, pruning the entry if it empties."""
@@ -228,14 +315,17 @@ class SubscriptionIndex:
     def _matching_entries(self, topic: str) -> list[PatternEntry]:
         """Entries whose pattern matches the concrete ``topic``.
 
-        Probes at most three shards — the topic's literal first segment,
-        ``*`` and ``>`` — then walks each subtrie once (literal child,
-        ``*`` child and a terminal ``>`` child per level), so the cost is
-        O(topic depth), not O(stored patterns).  Results come back in
-        sorted-pattern order.
+        One exact lookup finds the literal pattern equal to ``topic``.
+        Wildcard patterns are found by one walk of the trie (literal
+        child, ``*`` child and a terminal ``>`` child per level), so the
+        cost is O(topic depth), not O(stored patterns).  Results come
+        back in sorted-pattern order.
         """
+        exact = self._lookup(topic)
+        found: list[PatternEntry] = [] if exact is None else [exact]
+        if not self._trie.children:
+            return found
         segments = split_topic(topic)
-        found: list[PatternEntry] = []
 
         def collect(node: _TrieNode, index: int) -> None:
             many = node.children.get(WILDCARD_MANY)
@@ -252,18 +342,7 @@ class SubscriptionIndex:
             if star is not None:
                 collect(star, index + 1)
 
-        # A bare ``>`` pattern lives in its own shard and matches any
-        # (non-empty) topic; the grammar keeps ``>`` terminal, so that
-        # shard is a single node probed without descending.
-        many_shard = self._shards.get(WILDCARD_MANY)
-        if many_shard is not None and many_shard.entry is not None and segments:
-            found.append(many_shard.entry)
-        literal_shard = self._shards.get(segments[0]) if segments else None
-        if literal_shard is not None:
-            collect(literal_shard, 1)
-        star_shard = self._shards.get(WILDCARD_ONE)
-        if star_shard is not None and segments:
-            collect(star_shard, 1)
+        collect(self._trie, 0)
         found.sort(key=lambda entry: entry.pattern)
         return found
 
@@ -279,11 +358,12 @@ class SubscriptionIndex:
             if entry.clients
         ]
 
-    def match_handlers(self, topic: str) -> list[tuple[str, list[Callable]]]:
+    def match_handlers(self, topic: str) -> list[tuple[str, tuple[Callable, ...]]]:
         """``(pattern, handlers)`` per matching pattern, handlers in
-        registration order; the list is a copy, safe to mutate under."""
+        registration order; the tuple is immutable, so a handler may
+        (un)subscribe while it is iterated."""
         return [
-            (entry.pattern, list(entry.handlers))
+            (entry.pattern, entry.handlers)
             for entry in self._matching_entries(topic)
             if entry.handlers
         ]
@@ -350,14 +430,15 @@ class SubscriptionIndex:
 
     @property
     def shard_count(self) -> int:
-        """Live first-segment shards (tests assert shard pruning)."""
+        """Distinct first segments over live patterns (tests assert pruning)."""
         return len(self._shards)
 
     def node_count(self) -> int:
-        """Trie nodes currently allocated (shard roots included); tests
-        use this to assert that retraction actually prunes."""
-        total = len(self._shards)
-        stack = list(self._shards.values())
+        """Trie nodes currently allocated below the root; only wildcard
+        patterns have any.  Tests use this to assert that retraction
+        actually prunes."""
+        total = 0
+        stack = [self._trie]
         while stack:
             node = stack.pop()
             total += len(node.children)
@@ -374,7 +455,7 @@ class SubscriptionIndex:
 def linear_match_patterns(patterns: Iterable[str], topic: str) -> list[str]:
     """Reference implementation: the old linear scan over every pattern.
 
-    Kept for the equivalence test suite, which checks the trie against
+    Kept for the equivalence test suite, which checks the index against
     this oracle over randomized corpora.
     """
     from repro.messaging.topics import topic_matches

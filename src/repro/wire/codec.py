@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
+from functools import cached_property
 from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
 from repro.messaging.message import Message, RoutedFrame
+from repro.obs import Counter, Histogram
 from repro.wire.compact import CompactCodec
 from repro.wire.json_codec import JsonCodec
 
@@ -127,14 +129,27 @@ def modeled_encode_ms(codec_name: str, size_bytes: int) -> float:
     return ENCODE_BASE_MS + per_kb * (size_bytes / 1024.0)
 
 
-def _encode_size(payload: Any, codec: Codec, metrics: Any) -> int:
-    """Render ``payload`` into a scratch buffer and return its byte length."""
-    size = codec.encode_into(payload, bytearray())
-    if metrics is not None:
-        metrics.histogram("codec.encode.ms").observe(
-            modeled_encode_ms(codec.name, size)
-        )
-    return size
+class _MemoInstruments:
+    """A memo's three instruments in one registry, each held on first use.
+
+    Resolved lazily so a registry only ever shows the names a run touched
+    (docs/OBSERVABILITY.md "Adding an instrument").
+    """
+
+    def __init__(self, metrics: Any) -> None:
+        self.metrics = metrics
+
+    @cached_property
+    def hit(self) -> Counter:
+        return self.metrics.counter("codec.encode.memo.hit")
+
+    @cached_property
+    def miss(self) -> Counter:
+        return self.metrics.counter("codec.encode.memo.miss")
+
+    @cached_property
+    def encode_ms(self) -> Histogram:
+        return self.metrics.histogram("codec.encode.ms")
 
 
 class SizeMemo:
@@ -144,13 +159,29 @@ class SizeMemo:
     because a network draws every id it carries from its own counter; a
     message that never entered a network (id 0) is sized but not kept.
     Destination overheads are a pure function of (codec, destinations).
+    The memo also holds its instruments for the registry it is sized
+    under — one per network — instead of looking them up per send.
     """
 
-    __slots__ = ("sizes", "overheads")
+    __slots__ = ("sizes", "overheads", "_instruments")
 
     def __init__(self) -> None:
         self.sizes: OrderedDict[tuple[str, int], int] = OrderedDict()
         self.overheads: dict[tuple[Codec, tuple[str, ...]], int] = {}
+        self._instruments: _MemoInstruments | None = None
+
+    def _held(self, metrics: Any) -> _MemoInstruments:
+        held = self._instruments
+        if held is None or held.metrics is not metrics:
+            held = self._instruments = _MemoInstruments(metrics)
+        return held
+
+    def _encode_size(self, payload: Any, codec: Codec, metrics: Any) -> int:
+        """Render ``payload`` into a scratch buffer and return its byte length."""
+        size = codec.encode_into(payload, bytearray())
+        if metrics is not None:
+            self._held(metrics).encode_ms.observe(modeled_encode_ms(codec.name, size))
+        return size
 
     def message_size(self, message: Message, codec: Codec, metrics: Any) -> int:
         """``message``'s encoded size under ``codec``, encoded on a miss only."""
@@ -160,11 +191,11 @@ class SizeMemo:
         if size is not None:
             sizes.move_to_end(key)
             if metrics is not None:
-                metrics.counter("codec.encode.memo.hit").inc()
+                self._held(metrics).hit.inc()
             return size
-        size = _encode_size(message, codec, metrics)
+        size = self._encode_size(message, codec, metrics)
         if metrics is not None:
-            metrics.counter("codec.encode.memo.miss").inc()
+            self._held(metrics).miss.inc()
         if message.message_id:
             sizes[key] = size
             if len(sizes) > SIZE_MEMO_CAPACITY:
@@ -216,4 +247,4 @@ def frame_size(
         )
     if isinstance(payload, Message):
         return memo.message_size(payload, resolved, metrics)
-    return _encode_size(payload, resolved, metrics)
+    return memo._encode_size(payload, resolved, metrics)

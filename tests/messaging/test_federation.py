@@ -66,6 +66,16 @@ class TestDigestKeys:
         assert pattern_digest_keys("a/>") == ("p:a",)
         assert pattern_digest_keys("a/*/c") == ("p:a",)
 
+    def test_wildcard_characters_inside_a_segment_are_literal(self):
+        assert pattern_digest_keys("a*b/c>") == ("e:a*b/c>",)
+
+    def test_retract_reports_whether_anything_was_announced(self, monitor):
+        plane = make_plane(monitor)
+        assert not plane.retract("a/b", "b1")
+        plane.announce("a/b", "b1")
+        assert plane.retract("a/b", "b1")
+        assert not plane.retract("a/b", "b1")
+
     def test_rootless_wildcard_has_no_keys(self):
         """``>`` and ``*/...`` can only be covered by match_all."""
         assert pattern_digest_keys(">") == ()

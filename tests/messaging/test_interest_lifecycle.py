@@ -140,6 +140,27 @@ class TestRetractionSymmetry:
         assert b3.subscription_index.has_local("sym/topic")
         assert b3.subscription_index.clients_for("sym/topic") == ["staying", "sub"]
 
+    @pytest.mark.parametrize("federation", [False, True], ids=["verbatim", "federated"])
+    def test_unannounced_suppressed_pattern_is_not_retracted(self, federation):
+        """A suppressed broker-local pattern is never announced, so its
+        unsubscribe must neither count a retraction nor flood one."""
+        network = BrokerNetwork(Simulator(), seed=11, federation=federation)
+        network.build_chain(["b1", "b2"])
+        b1, handler = network.broker("b1"), lambda m: None
+        b1.subscribe_local("Constrained/Traces/Limited/sess-1", handler)
+        b1.unsubscribe_local("Constrained/Traces/Limited/sess-1", handler)
+        registry = network.monitor.metrics
+        assert registry.counter_value("broker.interest.announced") == 0
+        assert registry.counter_value("broker.interest.retracted") == 0
+        assert registry.counter_value("broker.interest.retraction_floods") == 0
+        # an announced pattern still retracts, on either plane
+        b1.subscribe_local("open/topic", handler)
+        b1.unsubscribe_local("open/topic", handler)
+        assert registry.counter_value("broker.interest.retracted") == 1
+        assert registry.counter_value("broker.interest.retraction_floods") == (
+            0 if federation else 1
+        )
+
     def test_note_remote_interest_ignores_self(self, net):
         _, network = net
         b3 = network.broker("b3")

@@ -1,14 +1,24 @@
-"""Tests for the segment-trie SubscriptionIndex (messaging/matching.py)."""
+"""Tests for the SubscriptionIndex (messaging/matching.py)."""
 
+import gc
+import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import TopicError
+from repro.messaging import topics
+from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.matching import (
     SubscriptionIndex,
     linear_match_patterns,
 )
+from repro.obs import MetricsRegistry
+from repro.sim.engine import Simulator
 
 
 def index_with_clients(patterns):
@@ -66,20 +76,29 @@ class TestBasicMatching:
 class TestLifecycle:
     def test_remove_client_prunes_entry_and_nodes(self):
         index = SubscriptionIndex()
-        index.add_client("a/b/c", "c1")
+        index.add_client("a/b/*", "c1")
         assert index.node_count() == 3
-        assert index.remove_client("a/b/c", "c1")
+        assert index.remove_client("a/b/*", "c1")
         assert index.pattern_count == 0
         assert index.node_count() == 0
         assert index.match_patterns("a/b/c") == []
 
     def test_remove_client_keeps_shared_prefix(self):
         index = SubscriptionIndex()
+        index.add_client("a/b/*", "c1")
+        index.add_client("a/b/>", "c2")
+        index.remove_client("a/b/*", "c1")
+        assert index.patterns() == ["a/b/>"]
+        assert index.node_count() == 3  # a, a/b, a/b/>
+
+    def test_literal_patterns_allocate_no_trie_nodes(self):
+        index = SubscriptionIndex()
         index.add_client("a/b/c", "c1")
-        index.add_client("a/b/d", "c2")
-        index.remove_client("a/b/c", "c1")
-        assert index.patterns() == ["a/b/d"]
-        assert index.node_count() == 3  # a, a/b, a/b/d
+        index.add_handler("a/b/d", lambda m: None)
+        index.add_remote("a/b/e", "b2")
+        assert index.pattern_count == 3
+        assert index.node_count() == 0
+        assert index.match_patterns("a/b/c") == ["a/b/c"]
 
     def test_remove_unknown_is_false(self):
         index = SubscriptionIndex()
@@ -118,8 +137,6 @@ class TestLifecycle:
         assert index.pattern_count == 0
 
     def test_patterns_gauge_tracks_live_entries(self):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         index = SubscriptionIndex(metrics=registry)
         index.add_client("a/b", "c1")
@@ -191,16 +208,25 @@ class TestSharding:
 
     def test_single_segment_pattern_lives_on_shard_node(self):
         index = SubscriptionIndex()
-        index.add_client("root", "c1")
+        index.add_client("*", "c1")
         assert index.shard_count == 1
         assert index.node_count() == 1
-        assert index.match_patterns("root") == ["root"]
-        index.remove_client("root", "c1")
+        assert index.match_patterns("root") == ["*"]
+        index.remove_client("*", "c1")
+        assert index.shard_count == 0
+        assert index.node_count() == 0
+
+    def test_literal_and_wildcard_patterns_share_a_shard(self):
+        index = SubscriptionIndex()
+        index.add_client("a/x", "c1")
+        index.add_client("a/*", "c1")
+        assert index.shard_count == 1
+        index.remove_client("a/*", "c1")
+        assert index.shard_count == 1  # a/x still starts with a
+        index.remove_client("a/x", "c1")
         assert index.shard_count == 0
 
     def test_shards_gauge_tracks_lifecycle(self):
-        from repro.obs.registry import MetricsRegistry
-
         metrics = MetricsRegistry()
         index = SubscriptionIndex(metrics=metrics)
         index.add_client("a/x", "c1")
@@ -211,15 +237,21 @@ class TestSharding:
         assert metrics.gauge_value("broker.interest.shards") == 0
 
     def test_segments_are_interned(self):
-        """Shared segment strings collapse to one object per process."""
+        """Shared trie segment strings collapse to one object per process."""
         index = SubscriptionIndex()
-        index.add_client("Constrained/Traces/one", "c1")
-        index.add_client("Constrained/Traces/two", "c2")
-        (shard,) = index._shards.values()
-        (key,) = shard.children.keys()
-        import sys
-
+        index.add_client("Constrained/Traces/one/>", "c1")
+        index.add_client("Constrained/Traces/two/*", "c2")
+        (first,) = index._trie.children.values()
+        (key,) = first.children.keys()
         assert key is sys.intern("Traces")
+
+    def test_canonical_pattern_string_is_stored_as_given(self):
+        """A canonical pattern is kept as the caller's string, not a copy."""
+        index = SubscriptionIndex()
+        pattern = "/".join(["Traces", "e1", "Change"])
+        index.add_handler(pattern, lambda m: None)
+        (stored,) = index._by_pattern
+        assert stored is pattern
 
 
 def random_pattern(rng: random.Random) -> str:
@@ -276,3 +308,198 @@ class TestEquivalenceWithLinearScan:
                     alive.values(), topic
                 )
         assert index.node_count() == 0
+
+
+# ------------------------------------------------------------ stateful model
+
+MACHINE_SEGMENTS = ("a", "b", "c")
+
+#: every concrete topic of depth 1..3 over the machine's segments
+MACHINE_TOPICS = tuple(
+    "/".join(parts)
+    for depth in (1, 2, 3)
+    for parts in itertools.product(MACHINE_SEGMENTS, repeat=depth)
+)
+
+literal_patterns = st.lists(
+    st.sampled_from(MACHINE_SEGMENTS), min_size=1, max_size=3
+).map("/".join)
+wildcard_patterns = st.builds(
+    lambda head, tail: "/".join([*head, tail]),
+    st.lists(st.sampled_from((*MACHINE_SEGMENTS, "*")), max_size=2),
+    st.sampled_from(("*", ">")),
+)
+# a tolerated leading '/' must land on the same entry
+machine_patterns = st.builds(
+    lambda slash, pattern: "/" + pattern if slash else pattern,
+    st.booleans(),
+    st.one_of(literal_patterns, wildcard_patterns),
+)
+machine_ids = st.sampled_from(("x1", "x2", "x3"))
+
+
+def _handler(name):
+    def handler(message):
+        return name
+
+    return handler
+
+
+MACHINE_HANDLERS = tuple(_handler(name) for name in ("h1", "h2"))
+
+
+class IndexMachine(RuleBasedStateMachine):
+    """Interleaved add/remove of literal and wildcard patterns against a
+    plain-dict model; the linear scan is the match oracle."""
+
+    def __init__(self):
+        super().__init__()
+        self.metrics = MetricsRegistry()
+        self.index = SubscriptionIndex(metrics=self.metrics)
+        self.clients: dict[str, set[str]] = {}
+        self.handlers: dict[str, list] = {}
+        self.remote: dict[str, set[str]] = {}
+
+    @staticmethod
+    def canonical(pattern):
+        return pattern[1:] if pattern.startswith("/") else pattern
+
+    def live(self):
+        return {
+            pattern
+            for table in (self.clients, self.handlers, self.remote)
+            for pattern, held in table.items()
+            if held
+        }
+
+    @rule(pattern=machine_patterns, client=machine_ids)
+    def add_client(self, pattern, client):
+        self.index.add_client(pattern, client)
+        self.clients.setdefault(self.canonical(pattern), set()).add(client)
+
+    @rule(pattern=machine_patterns, client=machine_ids)
+    def remove_client(self, pattern, client):
+        held = self.clients.get(self.canonical(pattern), set())
+        assert self.index.remove_client(pattern, client) == (client in held)
+        held.discard(client)
+
+    @rule(client=machine_ids)
+    def remove_client_everywhere(self, client):
+        orphaned = []
+        for pattern, held in self.clients.items():
+            if client in held:
+                held.discard(client)
+                if not held and not self.handlers.get(pattern):
+                    orphaned.append(pattern)
+        assert self.index.remove_client_everywhere(client) == sorted(orphaned)
+
+    @rule(pattern=machine_patterns, handler=st.sampled_from(MACHINE_HANDLERS))
+    def add_handler(self, pattern, handler):
+        self.index.add_handler(pattern, handler)
+        self.handlers.setdefault(self.canonical(pattern), []).append(handler)
+
+    @rule(pattern=machine_patterns, handler=st.sampled_from(MACHINE_HANDLERS))
+    def remove_handler(self, pattern, handler):
+        held = self.handlers.get(self.canonical(pattern), [])
+        assert self.index.remove_handler(pattern, handler) == (handler in held)
+        if handler in held:
+            held.remove(handler)
+
+    @rule(pattern=machine_patterns, broker=machine_ids)
+    def add_remote(self, pattern, broker):
+        self.index.add_remote(pattern, broker)
+        self.remote.setdefault(self.canonical(pattern), set()).add(broker)
+
+    @rule(pattern=machine_patterns, broker=machine_ids)
+    def remove_remote(self, pattern, broker):
+        held = self.remote.get(self.canonical(pattern), set())
+        assert self.index.remove_remote(pattern, broker) == (broker in held)
+        held.discard(broker)
+
+    @invariant()
+    def matches_the_linear_scan(self):
+        live = self.live()
+        for topic in MACHINE_TOPICS:
+            assert self.index.match_patterns(topic) == linear_match_patterns(live, topic)
+
+    @invariant()
+    def counts_and_gauges_follow_the_model(self):
+        live = self.live()
+        assert self.index.pattern_count == len(live)
+        assert self.index.patterns() == sorted(live)
+        assert self.metrics.gauge_value("broker.interest.patterns") == len(live)
+        shards = {pattern.split("/")[0] for pattern in live}
+        assert self.index.shard_count == len(shards)
+        assert self.metrics.gauge_value("broker.interest.shards") == len(shards)
+        if not live:
+            assert self.index.node_count() == 0
+
+    @invariant()
+    def handlers_keep_registration_order(self):
+        for pattern, held in self.handlers.items():
+            assert self.index.handlers_for(pattern) == held
+
+
+TestIndexMachine = IndexMachine.TestCase
+TestIndexMachine.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+
+
+@pytest.mark.deep
+class TestIndexMachineDeep(IndexMachine.TestCase):
+    settings = settings(max_examples=500, stateful_step_count=50, deadline=None)
+
+
+# ------------------------------------------------------- the subscribe path
+
+
+def federated_brokers(count):
+    network = BrokerNetwork(Simulator(), seed=3, federation=True)
+    ids = [f"b{i}" for i in range(count)]
+    network.build_chain(ids)
+    return network, [network.broker(broker_id) for broker_id in ids]
+
+
+class TestLiteralSubscribePath:
+    def test_literal_subscribe_local_splits_once(self, monkeypatch):
+        """Broker, index and federation plane share one parse."""
+        network, (broker, _peer) = federated_brokers(2)
+        calls = []
+        original = topics.split_topic
+
+        def counted(topic):
+            calls.append(topic)
+            return original(topic)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro.") and (
+                getattr(module, "split_topic", None) is original
+            ):
+                monkeypatch.setattr(module, "split_topic", counted)
+        pattern = "/".join(["Traces", "e1", "Change"])
+        broker.subscribe_local(pattern, lambda m: None)
+        assert calls == [pattern]
+        # and the three layers hold that one string
+        (stored,) = broker.subscription_index._by_pattern
+        (announced,) = network.federation._accumulators[broker.broker_id].patterns
+        assert stored is pattern and announced is pattern
+
+    def test_literal_pattern_costs_at_most_500_traced_bytes(self):
+        """20 000 literal broker subscriptions on a federated net: the
+        string, one index entry and one digest entry each, no trie."""
+        _network, (broker,) = federated_brokers(1)
+        handler = MACHINE_HANDLERS[0]
+        broker.subscribe_local("Traces/warm/Change", handler)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(20_000):
+                broker.subscribe_local(f"Traces/{i:06x}/Change", handler)
+            gc.collect()
+            per_pattern = (tracemalloc.get_traced_memory()[0] - before) / 20_000
+        finally:
+            tracemalloc.stop()
+        assert broker.subscription_index.node_count() == 0
+        assert per_pattern <= 500, f"{per_pattern:.0f} traced bytes per pattern"

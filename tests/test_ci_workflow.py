@@ -105,15 +105,20 @@ def test_bench_smoke_compiles_and_runs_bench_tests(workflow):
 def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     # tier-1 deselects the `deep` marker (pyproject addopts); this step is where it runs
     steps = workflow["jobs"]["bench-smoke"]["steps"]
-    name = "Decode contract, deep example budget"
+    name = "Deep example budgets"
     (step,) = [step for step in steps if step.get("name") == name]
-    assert step["run"] == "python -m pytest tests/test_decode_contract.py -m deep -q"
-    # the step runs two contracts; its comment (lost to the YAML parser) names both
+    assert step["run"] == (
+        "python -m pytest tests/test_decode_contract.py tests/messaging/test_matching.py"
+        " -m deep -q"
+    )
+    # the step runs two contracts and a state machine; its comment (lost to the YAML
+    # parser) names all three
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
     assert "from_dict" in comment
     assert "canonical_decode" in comment and "TokenVerifier.verify" in comment
+    assert "SubscriptionIndex state machine" in comment
 
 
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):
