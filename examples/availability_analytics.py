@@ -42,7 +42,7 @@ def main() -> None:
     tracker = dep.add_tracker("analytics")
     tracker.connect("b2")
 
-    store = AnalyticsStore()          # or AnalyticsStore("sqlite", path=...)
+    store = AnalyticsStore()
     archive = AvailabilityArchive(tracker, store=store)
     forecaster = NetworkForecaster(tracker, store=store)
 
@@ -85,9 +85,7 @@ def main() -> None:
     ingest_journal(store, dep.journal)
     store.set_meta(example="availability_analytics", now_ms=dep.sim.now)
 
-    summary = store.summary()
-    print(f"\n== persistent store: {summary['events']} events "
-          f"({summary['backend']} backend) ==")
+    print(f"\n== persistent store: {store.count()} events ==")
     print(render_report_text(build_report(store)))
 
 

@@ -4,9 +4,8 @@ The package turns one run's transient observability — the in-flight
 :class:`~repro.obs.journal.EventJournal` and the trackers' verified
 trace streams — into a durable, queryable record:
 
-* :mod:`repro.analytics.store` — the append-only event log over a
-  pluggable backend (:mod:`repro.analytics.backends`: in-memory for
-  tests, sqlite for persistence), with JSON snapshot round-tripping.
+* :mod:`repro.analytics.store` — the append-only event log, held in
+  memory, whose one on-disk form is its JSON snapshot.
 * :mod:`repro.analytics.ingest` — the feeds: a tracker ``on_trace``
   adapter and a post-run journal copy.
 * :mod:`repro.analytics.availability` — the up/down interval algebra
@@ -34,12 +33,6 @@ from repro.analytics.availability import (
     Interval,
     build_timelines,
 )
-from repro.analytics.backends import (
-    AnalyticsBackend,
-    MemoryBackend,
-    SqliteBackend,
-    ingest_events,
-)
 from repro.analytics.events import AnalyticsEvent
 from repro.analytics.ingest import TraceIngestor, ingest_journal
 from repro.analytics.reports import (
@@ -56,21 +49,17 @@ __all__ = [
     "SUSPECT_MARKER",
     "TRACE_OBSERVED",
     "UP_MARKERS",
-    "AnalyticsBackend",
     "AnalyticsEvent",
     "AnalyticsStore",
     "AuditFinding",
     "EntityTimeline",
     "EvidenceRule",
     "Interval",
-    "MemoryBackend",
-    "SqliteBackend",
     "TraceIngestor",
     "assert_audit_complete",
     "audit_deployment",
     "build_report",
     "build_timelines",
-    "ingest_events",
     "ingest_journal",
     "render_report_json",
     "render_report_markdown",

@@ -131,7 +131,7 @@ def build_timelines(
     Pass an existing ``timelines`` dict to extend incrementally (the
     archive's live view does this); events of other kinds and events with
     no entity are ignored.  Events are applied in (time, seq) order so
-    the result is independent of backend iteration details.
+    the result is independent of the order they are passed in.
     """
     timelines = timelines if timelines is not None else {}
     relevant = [

@@ -2,11 +2,11 @@
 
 Where a :class:`~repro.obs.journal.JournalRecord` narrates a protocol
 moment for an operator, an :class:`AnalyticsEvent` is the *persisted*
-form of that moment: sequence-numbered by the backend that stored it, with
+form of that moment: sequence-numbered by the store that holds it, with
 the columns availability queries group by (``entity``, ``broker``) and an
 optional numeric ``value`` (a latency, a recovery time) promoted out of
-the free-form ``fields`` so backends can index and aggregate without
-parsing JSON.
+the free-form ``fields`` so queries filter and aggregate without looking
+inside them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.util.serialization import Fields
 
 @dataclass(frozen=True, slots=True)
 class AnalyticsEvent:
-    """One stored analytics event; ``seq`` is assigned by the backend."""
+    """One stored analytics event; ``seq`` is its 1-based position in the store."""
 
     seq: int
     time_ms: float

@@ -7,24 +7,26 @@ after which SLO-style questions — uptime per entity, outage histograms,
 MTTR percentiles — are answered by pure queries over the persisted log
 (``repro.analytics.reports``), never by re-running the simulation.
 
-Storage is pluggable (:mod:`repro.analytics.backends`): the in-memory
-backend serves tests and short scripts, sqlite persists across processes,
-and both answer every query identically.  ``export_json`` /
-``from_json`` round-trip the whole store (events + run metadata), which
-is how the committed seed snapshot under ``benchmarks/results/analytics/``
-is produced and replayed byte-for-byte in CI.
+The log is a list of :class:`~repro.analytics.events.AnalyticsEvent`
+whose ``seq`` is the 1-based position.  It has one on-disk form:
+``export_json`` / ``from_json`` (``save`` / ``load``) round-trip the
+whole store (events + run metadata), which is how the committed seed
+snapshot under ``benchmarks/results/analytics/`` is produced and
+replayed byte-for-byte in CI.  A malformed or unreadable snapshot ends
+in :class:`~repro.errors.AnalyticsError` or
+:class:`~repro.errors.MalformedFrameError`, never a bare builtin.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
-from typing import Mapping
 
 from repro.errors import AnalyticsError
 from repro.obs.registry import MetricsRegistry
+from repro.util.serialization import Fields
 
-from repro.analytics.backends import AnalyticsBackend, MemoryBackend
 from repro.analytics.events import AnalyticsEvent
 
 #: Instrument names the store registers when bound to a registry
@@ -34,16 +36,10 @@ _STORE_EVENTS = "analytics.store.events"
 
 
 class AnalyticsStore:
-    """Append-only analytics event log over a pluggable backend."""
+    """Append-only analytics event log, queried in ``seq`` order."""
 
-    def __init__(
-        self,
-        backend: AnalyticsBackend | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.backend: AnalyticsBackend = (
-            backend if backend is not None else MemoryBackend()
-        )
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
+        self._events: list[AnalyticsEvent] = []
         self.meta: dict = {}
         self._metrics = metrics
 
@@ -53,18 +49,30 @@ class AnalyticsStore:
         self,
         time_ms: float,
         kind: str,
+        /,
         entity: str | None = None,
         broker: str | None = None,
         value: float | None = None,
         **fields,
     ) -> AnalyticsEvent:
-        """Append one event at virtual time ``time_ms`` and return it."""
-        event = self.backend.append(
-            time_ms, kind, entity=entity, broker=broker, value=value, fields=fields
+        """Append one event at virtual time ``time_ms`` and return it.
+
+        ``time_ms`` and ``kind`` are positional-only, so ``fields`` may
+        carry keys of those names.
+        """
+        event = AnalyticsEvent(
+            seq=len(self._events) + 1,
+            time_ms=float(time_ms),
+            kind=kind,
+            entity=entity,
+            broker=broker,
+            value=(float(value) if value is not None else None),
+            fields=fields,
         )
+        self._events.append(event)
         if self._metrics is not None:
             self._metrics.counter(_EVENTS_INGESTED).inc()
-            self._metrics.gauge(_STORE_EVENTS).set(self.backend.count())
+            self._metrics.gauge(_STORE_EVENTS).set(len(self._events))
         return event
 
     def set_meta(self, **meta) -> None:
@@ -84,30 +92,35 @@ class AnalyticsStore:
         since_ms: float | None = None,
         until_ms: float | None = None,
     ) -> list[AnalyticsEvent]:
-        """Events matching every given filter, in ``seq`` order."""
-        return self.backend.events(
-            kind=kind, entity=entity, since_ms=since_ms, until_ms=until_ms
-        )
+        """Events matching every given filter (``since_ms`` inclusive,
+        ``until_ms`` exclusive), in ``seq`` order."""
+        return [
+            event
+            for event in self._events
+            if (kind is None or event.kind == kind)
+            and (entity is None or event.entity == entity)
+            and (since_ms is None or event.time_ms >= since_ms)
+            and (until_ms is None or event.time_ms < until_ms)
+        ]
 
     def kinds(self) -> dict[str, int]:
         """Event kind -> occurrence count."""
-        return self.backend.kinds()
+        counts: dict[str, int] = {}
+        for event in self._events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
+        return counts
 
     def entities(self) -> list[str]:
         """Distinct entities mentioned by any event, sorted."""
-        return self.backend.entities()
+        return sorted({e.entity for e in self._events if e.entity is not None})
 
     def count(self) -> int:
         """Total stored events."""
-        return self.backend.count()
+        return len(self._events)
 
     def summary(self) -> dict:
         """Small JSON block for ``Deployment.snapshot()`` embedding."""
-        return {
-            "backend": self.backend.name,
-            "events": self.count(),
-            "kinds": self.kinds(),
-        }
+        return {"events": self.count(), "kinds": self.kinds()}
 
     # ------------------------------------------------------------------- export
 
@@ -116,7 +129,7 @@ class AnalyticsStore:
         return json.dumps(
             {
                 "meta": dict(self.meta),
-                "events": [event.to_dict() for event in self.events()],
+                "events": [event.to_dict() for event in self._events],
             },
             indent=indent,
             sort_keys=True,
@@ -130,43 +143,29 @@ class AnalyticsStore:
         return path
 
     @classmethod
-    def from_json(
-        cls, text: str, backend: AnalyticsBackend | None = None
-    ) -> "AnalyticsStore":
-        """Rebuild a store from an :meth:`export_json` document."""
+    def from_json(cls, text: str) -> "AnalyticsStore":
+        """Rebuild a store from an :meth:`export_json` document.
+
+        Events are renumbered by position, so ``seq`` is 1..n whatever the
+        document says.
+        """
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise AnalyticsError(f"invalid analytics snapshot: {exc}") from None
-        if not isinstance(data, Mapping) or "events" not in data:
-            raise AnalyticsError(
-                "analytics snapshot must be an object with an 'events' array"
-            )
-        store = cls(backend=backend)
-        store.meta = dict(data.get("meta", {}))
-        for row in data["events"]:
+        document = Fields(data, cls)
+        store = cls()
+        store.meta = dict(document.mapping("meta", {}))
+        for seq, row in enumerate(document.items("events"), start=1):
             event = AnalyticsEvent.from_dict(row)
-            store.backend.append(
-                event.time_ms,
-                event.kind,
-                entity=event.entity,
-                broker=event.broker,
-                value=event.value,
-                fields=dict(event.fields),
-            )
+            store._events.append(dataclasses.replace(event, seq=seq))
         return store
 
     @classmethod
-    def load(
-        cls,
-        path: str | pathlib.Path,
-        backend: AnalyticsBackend | None = None,
-    ) -> "AnalyticsStore":
+    def load(cls, path: str | pathlib.Path) -> "AnalyticsStore":
         """Read a snapshot file written by :meth:`save`."""
-        return cls.from_json(
-            pathlib.Path(path).read_text(encoding="utf-8"), backend=backend
-        )
-
-    def close(self) -> None:
-        """Close the underlying backend."""
-        self.backend.close()
+        try:
+            text = pathlib.Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise AnalyticsError(f"cannot read analytics snapshot {path}: {exc}") from None
+        return cls.from_json(text)

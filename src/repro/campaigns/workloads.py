@@ -69,10 +69,15 @@ class WorkloadFamily:
     name: str
     kind: str  # "protocol" | "adversarial" | "baseline"
     description: str
-    accepts: frozenset[str]
+    #: every parameter the family takes, each with its default
     defaults: dict
     #: ``run(params, seed, probe=None)``
     run: Callable[[dict, int, Probe | None], dict]
+
+    @property
+    def accepts(self) -> frozenset[str]:
+        """The parameter names the family takes: the keys of ``defaults``."""
+        return frozenset(self.defaults)
 
     def resolve(self, params: dict) -> dict:
         """Defaults overlaid with ``params``; rejects unknown names."""
@@ -495,19 +500,6 @@ WORKLOADS: dict[str, WorkloadFamily] = {
                 "mobile-trace churn: entities leave and rejoin on a "
                 "staggered schedule, optionally under loss/delay windows"
             ),
-            accepts=frozenset(
-                {
-                    "brokers",
-                    "entities",
-                    "churn_cycles",
-                    "churn_period_ms",
-                    "offline_ms",
-                    "loss",
-                    "delay_ms",
-                    "ping_interval_ms",
-                    "duration_ms",
-                }
-            ),
             defaults={
                 **_COMMON_DEFAULTS,
                 "entities": 2,
@@ -526,9 +518,6 @@ WORKLOADS: dict[str, WorkloadFamily] = {
                 "§5.2 spurious-trace attack: tokenless + forged-token "
                 "floods, discarded and terminated by the first broker"
             ),
-            accepts=frozenset(
-                {"brokers", "flood", "ping_interval_ms", "duration_ms"}
-            ),
             defaults={**_COMMON_DEFAULTS, "duration_ms": 40_000.0, "flood": 10},
             run=run_unauthorized_publisher,
         ),
@@ -540,9 +529,6 @@ WORKLOADS: dict[str, WorkloadFamily] = {
                 "re-published; §4.1 constrained topics reject it before "
                 "any crypto and the attacker is terminated"
             ),
-            accepts=frozenset(
-                {"brokers", "flood", "ping_interval_ms", "duration_ms"}
-            ),
             defaults={**_COMMON_DEFAULTS, "duration_ms": 40_000.0, "flood": 10},
             run=run_token_replay_flood,
         ),
@@ -552,17 +538,6 @@ WORKLOADS: dict[str, WorkloadFamily] = {
             description=(
                 "§5.2 under churn: forged FAILED floods race a genuine "
                 "churn cycle; recovery completes, forgeries never land"
-            ),
-            accepts=frozenset(
-                {
-                    "brokers",
-                    "flood",
-                    "churn_cycles",
-                    "churn_period_ms",
-                    "offline_ms",
-                    "ping_interval_ms",
-                    "duration_ms",
-                }
             ),
             defaults={
                 **_COMMON_DEFAULTS,
@@ -580,7 +555,6 @@ WORKLOADS: dict[str, WorkloadFamily] = {
                 "gossip failure detection (Ref [7]) on the same grid, "
                 "for the frontier comparison tables"
             ),
-            accepts=frozenset({"entities", "ping_interval_ms", "duration_ms"}),
             defaults={
                 "entities": 2,
                 "ping_interval_ms": 500.0,
@@ -595,7 +569,6 @@ WORKLOADS: dict[str, WorkloadFamily] = {
                 "all-pairs heartbeating (§1) on the same grid, for the "
                 "frontier comparison tables"
             ),
-            accepts=frozenset({"entities", "ping_interval_ms", "duration_ms"}),
             defaults={
                 "entities": 2,
                 "ping_interval_ms": 500.0,

@@ -264,23 +264,23 @@ def _cmd_analytics(args) -> int:
     prints) the store snapshot JSON.  ``analytics report`` renders the
     SLO report (text, JSON or markdown) from such a snapshot,
     deterministically (the committed pair under
-    ``benchmarks/results/analytics/`` is a :mod:`repro.seeds` row).
+    ``benchmarks/results/analytics/`` is a :mod:`repro.seeds` row); an
+    unreadable or malformed snapshot is exit 2 with a one-line message.
     """
     from repro.analytics import (
         AnalyticsStore,
-        SqliteBackend,
         build_report,
         render_report_json,
         render_report_markdown,
         render_report_text,
     )
+    from repro.errors import AuditIncompleteError, ReproError
 
     if args.action == "run":
-        from repro.errors import AuditIncompleteError
         from repro.faults import run_scenario
         from repro.analytics import assert_audit_complete
 
-        store = AnalyticsStore(SqliteBackend(args.db) if args.db else None)
+        store = AnalyticsStore()
         try:
             run_scenario(
                 args.scenario,
@@ -288,20 +288,22 @@ def _cmd_analytics(args) -> int:
                 analytics_store=store,
                 deployment_probe=None if args.no_audit else assert_audit_complete,
             )
-            if args.out:
-                store.save(args.out)
-                print(f"wrote {store.count()} events to {args.out}")
-            else:
-                print(store.export_json())
         except AuditIncompleteError as exc:
             print(exc, file=sys.stderr)
             return 1
-        finally:
-            store.close()
+        if args.out:
+            store.save(args.out)
+            print(f"wrote {store.count()} events to {args.out}")
+        else:
+            print(store.export_json())
         return 0
 
     if args.action == "report":
-        store = AnalyticsStore.load(args.snapshot)
+        try:
+            store = AnalyticsStore.load(args.snapshot)
+        except ReproError as exc:
+            print(f"repro analytics: {exc}", file=sys.stderr)
+            return 2
         report = build_report(store)
         renderers = {
             "text": render_report_text,
@@ -488,9 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario from the docs/FAULTS.md catalog",
     )
     analytics_run.add_argument("--seed", type=int, default=42)
-    analytics_run.add_argument("--db", metavar="FILE", default=None,
-                               help="keep the events in this sqlite database "
-                                    "(default: in memory)")
     analytics_run.add_argument("--out", metavar="FILE", default=None,
                                help="write the store snapshot JSON to FILE "
                                     "(default: print it)")

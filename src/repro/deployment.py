@@ -157,7 +157,7 @@ class Deployment:
         """One JSON-serializable view of every instrument's current state.
 
         With an analytics store attached the snapshot grows an
-        ``analytics`` block (backend, event count, kind inventory) so
+        ``analytics`` block (event count, kind inventory) so
         harness output records what the persistent log captured.
         """
         snapshot = self.monitor.metrics.snapshot()

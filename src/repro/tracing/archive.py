@@ -23,7 +23,7 @@ REVERTING_TO_SILENT_MODE trace; FAILURE_SUSPICION marks the entity
 
 from __future__ import annotations
 
-from repro.analytics.availability import TRACE_OBSERVED, EntityTimeline
+from repro.analytics.availability import TRACE_OBSERVED, EntityTimeline, build_timelines
 from repro.analytics.ingest import TraceIngestor
 from repro.analytics.store import AnalyticsStore
 from repro.tracing.tracker import ReceivedTrace, Tracker
@@ -62,17 +62,11 @@ class AvailabilityArchive:
         fresh = [
             event
             for event in self.store.events(kind=TRACE_OBSERVED)
-            if event.seq > self._seen_seq and event.entity is not None
+            if event.seq > self._seen_seq
         ]
-        fresh.sort(key=lambda event: (event.time_ms, event.seq))
-        for event in fresh:
-            record = self._records.get(event.entity)
-            if record is None:
-                record = EntityTimeline(entity_id=event.entity)
-                self._records[event.entity] = record
-            record.apply(str(event.fields.get("trace_type", "")), event.time_ms)
-            if event.seq > self._seen_seq:
-                self._seen_seq = event.seq
+        if fresh:
+            build_timelines(fresh, self._records)
+            self._seen_seq = fresh[-1].seq
 
     @property
     def records(self) -> dict[str, EntityTimeline]:

@@ -1,13 +1,9 @@
-"""The storage seam: both built-in backends answer every query identically."""
+"""The store's query contract, on a live log and on the same log read back
+from its snapshot, the one on-disk form."""
 
 import pytest
 
-from repro.analytics import (
-    AnalyticsEvent,
-    MemoryBackend,
-    SqliteBackend,
-    ingest_events,
-)
+from repro.analytics import AnalyticsEvent, AnalyticsStore
 
 #: A small but shape-covering log: duplicate kinds, shared timestamps,
 #: null entities/values, nested fields.
@@ -20,89 +16,58 @@ EVENTS = [
     (500.0, "recovery.completed", "svc-a", None, 150.0, {"recovery_ms": 150.0}),
 ]
 
-#: Every filter combination the query contract supports.
+#: Every filter combination the query contract supports, with the seqs it selects.
 QUERIES = [
-    {},
-    {"kind": "trace.observed"},
-    {"kind": "no.such.kind"},
-    {"entity": "svc-a"},
-    {"entity": "svc-a", "kind": "trace.observed"},
-    {"since_ms": 200.0},
-    {"until_ms": 200.0},
-    {"since_ms": 200.0, "until_ms": 400.0},
-    {"kind": "trace.observed", "since_ms": 150.0, "until_ms": 360.0},
+    ({}, [1, 2, 3, 4, 5, 6]),
+    ({"kind": "trace.observed"}, [1, 2, 4]),
+    ({"kind": "no.such.kind"}, []),
+    ({"entity": "svc-a"}, [1, 3, 4, 6]),
+    ({"entity": "svc-a", "kind": "trace.observed"}, [1, 4]),
+    ({"since_ms": 200.0}, [2, 3, 4, 5, 6]),
+    ({"until_ms": 200.0}, [1]),
+    ({"since_ms": 200.0, "until_ms": 400.0}, [2, 3, 4]),
+    ({"kind": "trace.observed", "since_ms": 150.0, "until_ms": 360.0}, [2, 4]),
 ]
 
 
-def _fill(backend):
+def _fill(store):
     for time_ms, kind, entity, broker, value, fields in EVENTS:
-        backend.append(
-            time_ms, kind, entity=entity, broker=broker, value=value, fields=fields
-        )
-    return backend
+        store.append(time_ms, kind, entity=entity, broker=broker, value=value, **fields)
+    return store
 
 
-@pytest.fixture(params=[MemoryBackend, SqliteBackend], ids=["memory", "sqlite"])
-def backend(request):
-    instance = request.param()
-    yield _fill(instance)
-    instance.close()
+@pytest.fixture(params=["memory", "snapshot"])
+def store(request, tmp_path):
+    live = _fill(AnalyticsStore())
+    if request.param == "memory":
+        return live
+    return AnalyticsStore.load(live.save(tmp_path / "snapshot.json"))
 
 
 class TestQueryContract:
-    def test_seq_is_one_based_append_order(self, backend):
-        assert [e.seq for e in backend.events()] == list(
-            range(1, len(EVENTS) + 1)
-        )
+    def test_seq_is_one_based_append_order(self, store):
+        assert [e.seq for e in store.events()] == list(range(1, len(EVENTS) + 1))
 
-    def test_count_kinds_entities(self, backend):
-        assert backend.count() == len(EVENTS)
-        assert backend.kinds()["trace.observed"] == 3
-        assert backend.entities() == ["svc-a", "svc-b"]
+    def test_count_kinds_entities(self, store):
+        assert store.count() == len(EVENTS)
+        assert store.kinds()["trace.observed"] == 3
+        assert store.entities() == ["svc-a", "svc-b"]
 
-    def test_until_is_exclusive_since_inclusive(self, backend):
-        window = backend.events(since_ms=200.0, until_ms=350.0)
+    def test_until_is_exclusive_since_inclusive(self, store):
+        window = store.events(since_ms=200.0, until_ms=350.0)
         assert {e.time_ms for e in window} == {200.0}
 
-    def test_fields_round_trip(self, backend):
-        [injected] = backend.events(kind="fault.injected")
+    def test_fields_round_trip(self, store):
+        [injected] = store.events(kind="fault.injected")
         assert injected.fields == {"target": "b1", "kind": "crash"}
 
-
-class TestBackendEquivalence:
-    """The docs/ANALYTICS.md promise: identical results for the same log."""
-
-    def test_every_query_matches_across_backends(self):
-        memory = _fill(MemoryBackend())
-        sqlite = _fill(SqliteBackend())
-        for query in QUERIES:
-            assert [e.to_dict() for e in memory.events(**query)] == [
-                e.to_dict() for e in sqlite.events(**query)
-            ], f"backends disagree on {query!r}"
-        assert memory.kinds() == sqlite.kinds()
-        assert memory.entities() == sqlite.entities()
-        assert memory.count() == sqlite.count()
-        sqlite.close()
-
-    def test_ingest_events_replays_a_log_exactly(self):
-        source = _fill(MemoryBackend())
-        target = SqliteBackend()
-        assert ingest_events(target, source.events()) == len(EVENTS)
-        assert [e.to_dict() for e in target.events()] == [
-            e.to_dict() for e in source.events()
-        ]
-        target.close()
-
-
-class TestRegistry:
-    def test_sqlite_persists_across_connections(self, tmp_path):
-        path = str(tmp_path / "analytics.db")
-        first = _fill(SqliteBackend(path=path))
-        first.close()
-        second = SqliteBackend(path=path)
-        assert second.count() == len(EVENTS)
-        assert second.kinds() == _fill(MemoryBackend()).kinds()
-        second.close()
+    @pytest.mark.parametrize(
+        ("query", "seqs"),
+        QUERIES,
+        ids=[",".join(f"{k}={v}" for k, v in query.items()) or "all" for query, _ in QUERIES],
+    )
+    def test_query_selects_these_seqs(self, store, query, seqs):
+        assert [e.seq for e in store.events(**query)] == seqs
 
 
 class TestEventModel:

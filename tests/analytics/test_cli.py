@@ -1,8 +1,9 @@
-"""The ``repro analytics`` CLI, held to the committed analytics seed: either
-backend's ``run`` writes it and ``report`` renders its report (that the
-library producer regenerates both is ``tests/test_seeds.py``)."""
+"""The ``repro analytics`` CLI, held to the committed analytics seed: ``run``
+writes it and ``report`` renders its report (that the library producer
+regenerates both is ``tests/test_seeds.py``)."""
 
-from repro.analytics import AnalyticsStore, SqliteBackend
+import pytest
+
 from repro.cli import build_parser, main
 from repro.seeds import RESULTS_DIR, SEED_GROUPS
 
@@ -15,12 +16,13 @@ class TestParser:
     def test_run_flags(self):
         args = build_parser().parse_args(
             ["analytics", "run", "--scenario", "broker-crash",
-             "--db", "a.db", "--seed", "7"]
+             "--out", "a.json", "--seed", "7"]
         )
         assert args.command == "analytics"
         assert args.action == "run"
-        assert args.db == "a.db"
+        assert args.out == "a.json"
         assert args.seed == 7
+        assert not hasattr(args, "db")
 
     def test_report_flags(self):
         args = build_parser().parse_args(
@@ -52,29 +54,6 @@ class TestSeedMirror:
         assert code == 0
         assert out.read_bytes() == SEED_REPORT.read_bytes()
 
-    def test_sqlite_backend_produces_the_identical_snapshot(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "sqlite.json"
-        code = main(
-            ["analytics", "run", "--scenario", "broker-crash",
-             "--db", str(tmp_path / "a.db"), "--out", str(out)]
-        )
-        capsys.readouterr()
-        assert code == 0
-        assert out.read_bytes() == SEED_SNAPSHOT.read_bytes()
-
-    def test_db_alone_keeps_the_seed_events_in_that_file(self, tmp_path, capsys):
-        db = tmp_path / "a.db"
-        code = main(["analytics", "run", "--scenario", "broker-crash", "--db", str(db)])
-        capsys.readouterr()
-        assert code == 0
-        stored = SqliteBackend(str(db))
-        events = [e.to_dict() for e in stored.events()]
-        stored.close()
-        assert events
-        assert events == [e.to_dict() for e in AnalyticsStore.load(SEED_SNAPSHOT).events()]
-
     def test_report_text_format_prints_to_stdout(self, capsys):
         code = main(
             ["analytics", "report", "--snapshot", str(SEED_SNAPSHOT)]
@@ -83,3 +62,29 @@ class TestSeedMirror:
         assert code == 0
         assert "availability report" in captured.out
         assert "evidence:" in captured.out
+
+
+class TestMalformedSnapshot:
+    """A snapshot ``report`` cannot read is one named line and exit 2."""
+
+    @pytest.mark.parametrize(
+        ("content", "problem"),
+        [
+            ('{"events": 5}', "'events' must be a list"),
+            ('{"events": [], "meta": [1, 2]}', "'meta' must be a mapping"),
+            ('{"meta": {}}', "'events' is missing"),
+            (None, "cannot read analytics snapshot"),
+        ],
+        ids=["events-not-a-list", "meta-not-a-mapping", "no-events", "missing-file"],
+    )
+    def test_report_names_the_problem(self, tmp_path, capsys, content, problem):
+        snapshot = tmp_path / "snapshot.json"
+        if content is not None:
+            snapshot.write_text(content, encoding="utf-8")
+        code = main(["analytics", "report", "--snapshot", str(snapshot)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("repro analytics: ")
+        assert problem in captured.err
+        assert "Traceback" not in captured.err

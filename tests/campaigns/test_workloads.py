@@ -37,7 +37,8 @@ class TestRegistry:
         for family in WORKLOADS.values():
             assert family.kind in {"protocol", "adversarial", "baseline"}
             assert family.description
-            assert set(family.defaults) <= family.accepts, family.name
+            # every accepted parameter has a default: accepts is the defaults' keys
+            assert family.accepts == frozenset(family.defaults) != frozenset(), family.name
 
     def test_resolve_overlays_defaults_and_rejects_unknowns(self):
         family = workload_family("churn-mobile")

@@ -109,16 +109,17 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     (step,) = [step for step in steps if step.get("name") == name]
     assert step["run"] == (
         "python -m pytest tests/test_decode_contract.py tests/messaging/test_matching.py"
-        " -m deep -q"
+        " tests/analytics/test_store.py -m deep -q"
     )
-    # the step runs two contracts and a state machine; its comment (lost to the YAML
-    # parser) names all three
+    # the step runs two contracts, a state machine and a round-trip property; its
+    # comment (lost to the YAML parser) names all four
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
     assert "from_dict" in comment
     assert "canonical_decode" in comment and "TokenVerifier.verify" in comment
     assert "SubscriptionIndex state machine" in comment
+    assert "from_json(export_json())" in comment
 
 
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):
