@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pathlib
 
 from repro.errors import AnalyticsError
@@ -137,9 +138,20 @@ class AnalyticsStore:
         )
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Write :meth:`export_json` (plus trailing newline) to ``path``."""
+        """Write :meth:`export_json` (plus trailing newline) to ``path``.
+
+        The text goes to a temporary file beside ``path`` that replaces it
+        only once written, so a failed write raises :class:`AnalyticsError`
+        and leaves any earlier snapshot at ``path`` intact.
+        """
         path = pathlib.Path(path)
-        path.write_text(self.export_json() + "\n", encoding="utf-8")
+        partial = path.with_name(f".{path.name}.partial")
+        try:
+            partial.write_text(self.export_json() + "\n", encoding="utf-8")
+            os.replace(partial, path)
+        except OSError as exc:
+            partial.unlink(missing_ok=True)
+            raise AnalyticsError(f"cannot write analytics snapshot {path}: {exc}") from None
         return path
 
     @classmethod

@@ -39,7 +39,6 @@ def hops_chain(
     broker_ids = [f"broker-{i}" for i in range(hops - 1)]
     dep = build_deployment(
         broker_ids=broker_ids,
-        topology="chain",
         seed=seed,
         profile=profile,
         ping_policy=ping_policy,
@@ -74,7 +73,6 @@ def star_with_trackers(
         raise ConfigurationError("tracker_count must be non-negative")
     dep = build_deployment(
         broker_ids=["broker-entity", "broker-trackers"],
-        topology="chain",
         seed=seed,
         profile=profile,
     )
@@ -116,7 +114,6 @@ def single_broker_colocated(
     """
     dep = build_deployment(
         broker_ids=["broker-0"],
-        topology="none",
         seed=seed,
         profile=profile,
         ping_policy=ping_policy,

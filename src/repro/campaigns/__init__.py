@@ -15,8 +15,8 @@ Layout:
 * :mod:`repro.campaigns.workloads` — the workload-family registry:
   churn-mobile, the §5 adversarial families, and the gossip /
   all-pairs baselines;
-* :mod:`repro.campaigns.runner` — sequential or subprocess-parallel
-  execution plus the byte-stable campaign snapshot;
+* :mod:`repro.campaigns.runner` — in-process execution in matrix order
+  plus the byte-stable campaign snapshot;
 * :mod:`repro.campaigns.report` — markdown tables + SVG figures from a
   snapshot.
 """

@@ -175,23 +175,19 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    """Run a campaign (or one point of it), or regenerate its report.
+    """Run a campaign, or regenerate its report.
 
     ``campaign run`` executes the spec's full matrix and writes
     ``snapshot.json`` plus report artifacts under ``--out``; with
-    ``--point I`` it runs exactly one matrix point and prints its
-    result record as JSON (the subprocess-parallel child mode); with
     ``--json`` it prints the canonical snapshot.  ``campaign report``
     re-renders the report artifacts from an existing snapshot file.
     """
     import json as _json
 
     from repro.campaigns import (
-        expand,
         generate_report,
         load_spec,
         run_campaign,
-        run_point,
         unused_parameters,
     )
     from repro.errors import ReproError
@@ -216,24 +212,8 @@ def _cmd_campaign(args) -> int:
                 file=sys.stderr,
             )
 
-        if args.point is not None:
-            points = expand(spec, seed=args.seed)
-            if not 0 <= args.point < len(points):
-                print(
-                    f"repro campaign: point {args.point} out of range "
-                    f"(matrix has {len(points)} points)",
-                    file=sys.stderr,
-                )
-                return 2
-            print(_json.dumps(run_point(points[args.point]), sort_keys=True))
-            return 0
-
         snapshot = run_campaign(
-            spec,
-            seed=args.seed,
-            parallel=args.parallel,
-            spec_path=args.spec,
-            progress=None if args.json else print,
+            spec, seed=args.seed, progress=None if args.json else print
         )
     except ReproError as exc:
         print(f"repro campaign: {exc}", file=sys.stderr)
@@ -457,12 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--out", metavar="DIR", default=None,
                               help="write snapshot.json + report artifacts "
                                    "into DIR")
-    campaign_run.add_argument("--parallel", type=int, default=1,
-                              help="run points in N subprocesses "
-                                   "(default: sequential in-process)")
-    campaign_run.add_argument("--point", type=int, default=None, metavar="I",
-                              help="run exactly one matrix point and print "
-                                   "its JSON record (child mode)")
     campaign_run.add_argument("--json", action="store_true",
                               help="print the full snapshot JSON instead of "
                                    "progress lines")

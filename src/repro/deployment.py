@@ -213,23 +213,20 @@ def tdn_public_keys(tdn: TDNCluster) -> dict[str, RSAPublicKey]:
 
 def build_deployment(
     broker_ids: Iterable[str] = ("b1", "b2"),
-    topology: str = "chain",
     seed: int = 0,
     profile: TransportProfile = TCP_CLUSTER,
-    tdn_node_count: int = 2,
     ntp_model: NTPSkewModel | None = None,
     ping_policy: AdaptivePingPolicy | None = None,
     gauge_interval_ms: float = 60_000.0,
-    skew_tolerance_ms: float = 100.0,
     extra_links: Iterable[tuple[str, str]] = (),
     codec: str | None = None,
     federation: FederationConfig | bool | None = None,
 ) -> Deployment:
     """Build a complete deployment.
 
-    ``topology`` is ``"chain"`` (the paper's Figure 1 line of brokers),
-    ``"star"`` (first broker is the hub), or ``"none"`` (add links via
-    ``extra_links`` only).
+    The brokers form a chain in ``broker_ids`` order (the paper's Figure 1
+    line of brokers); ``extra_links`` adds further broker links.  Two TDN
+    nodes serve discovery, and token checks allow 100 ms of clock skew.
 
     ``codec`` names the wire codec every link sizes payloads with
     (``repro.wire``): an explicit argument wins, then the ``REPRO_CODEC``
@@ -268,20 +265,14 @@ def build_deployment(
     ids = list(broker_ids)
     for broker_id in ids:
         network.add_broker(broker_id)
-    if topology == "chain":
-        for left, right in zip(ids, ids[1:], strict=False):
-            network.connect_brokers(left, right)
-    elif topology == "star" and len(ids) > 1:
-        for spoke in ids[1:]:
-            network.connect_brokers(ids[0], spoke)
-    elif topology not in ("chain", "star", "none"):
-        raise ConfigurationError(f"unknown topology {topology!r}")
+    for left, right in zip(ids, ids[1:], strict=False):
+        network.connect_brokers(left, right)
     for left, right in extra_links:
         network.connect_brokers(left, right)
 
     ca = CertificateAuthority("repro-root-ca", network.streams.stream("ca"))
 
-    tdn_machines = [network.machine(f"machine-tdn-{i}") for i in range(tdn_node_count)]
+    tdn_machines = [network.machine(f"machine-tdn-{i}") for i in range(2)]
     tdn = TDNCluster(
         sim, ca, tdn_machines, monitor=monitor,
         uuid_seed=network.streams.derive_seed("tdn-uuids"),
@@ -291,9 +282,7 @@ def build_deployment(
 
     def _make_verifier() -> TokenVerifier:
         return TokenVerifier(
-            trusted_keys,
-            skew_tolerance_ms=skew_tolerance_ms,
-            cache=TokenVerificationCache(metrics=monitor.metrics),
+            trusted_keys, cache=TokenVerificationCache(metrics=monitor.metrics)
         )
 
     # trackers share this verifier; each broker's guard gets its own so a

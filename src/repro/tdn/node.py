@@ -29,25 +29,9 @@ from repro.tdn.advertisement import (
     TopicCreationRequest,
     TopicLifetime,
 )
-from repro.tdn.cache import MISS, DiscoveryCache
 from repro.tdn.query import DiscoveryQuery
 from repro.tdn.registry import AdvertisementStore
 from repro.util.identifiers import UUIDGenerator
-
-
-def _cache_horizon_ms(
-    advertisements: list[TopicAdvertisement], credentials
-) -> float:
-    """Earliest instant a cached positive answer could stop being true.
-
-    The answer holds while every returned advertisement is still alive and
-    the requester's certificate has not expired; any store mutation is
-    handled separately via the store version.
-    """
-    horizon = min(ad.lifetime.expires_ms for ad in advertisements)
-    if credentials is not None:
-        horizon = min(horizon, credentials.not_after_ms)
-    return horizon
 
 
 class TDNNode:
@@ -73,8 +57,6 @@ class TDNNode:
         self._keys = KeyPair.generate(machine.rng)
         self.certificate = trust_anchor.issue(name, self._keys.public)
         self.store = AdvertisementStore()
-        #: Positive-answer discovery cache (docs/PERFORMANCE.md).
-        self.query_cache = DiscoveryCache()
         self.failed = False
         self._peers: list["TDNNode"] = []
         self.replication_delay_ms = 2.0
@@ -89,9 +71,8 @@ class TDNNode:
         self.failed = True
 
     def recover(self) -> None:
-        """Bring the node back; its query cache restarts cold."""
+        """Bring the node back."""
         self.failed = False
-        self.query_cache.clear()
 
     # ------------------------------------------------------------ topic creation
 
@@ -237,10 +218,6 @@ class TDNNode:
         Unauthorized requests get *no response* — the paper's TDN simply
         ignores them, so the requester cannot distinguish "not authorized"
         from "no such topic".
-
-        A cached positive answer (same query, same certificate, store
-        untouched, nothing expired) skips the store scan and per-candidate
-        certificate verifications; the service delay is still paid.
         """
         if self.failed:
             raise DiscoveryError(f"TDN {self.name!r} is down")
@@ -249,16 +226,6 @@ class TDNNode:
         with metrics.timer("tdn.query.latency_ms", self.sim.clock):
             yield self.sim.timeout(self.service_delay_ms)
             now = self.machine.now()
-
-            cache = self.query_cache
-            key = DiscoveryCache.key("one", query.descriptor, credentials)
-            cached = cache.lookup(key, self.store.version, now)
-            if cached is not MISS:
-                metrics.counter("tdn.query.cache.hit").inc()
-                metrics.counter("tdn.queries.answered").inc()
-                return cached
-            metrics.counter("tdn.query.cache.miss").inc()
-
             candidates = self.store.find_matching(query, now)
             for advertisement in candidates:
                 yield from self.machine.charge(CryptoOp.CERT_VERIFY)
@@ -266,12 +233,6 @@ class TDNNode:
                     credentials, self.trust_anchor, now
                 ):
                     metrics.counter("tdn.queries.answered").inc()
-                    cache.store(
-                        key,
-                        self.store.version,
-                        _cache_horizon_ms([advertisement], credentials),
-                        advertisement,
-                    )
                     return advertisement
             metrics.counter("tdn.queries.ignored").inc()
             return None
@@ -292,16 +253,6 @@ class TDNNode:
         with metrics.timer("tdn.query.latency_ms", self.sim.clock):
             yield self.sim.timeout(self.service_delay_ms)
             now = self.machine.now()
-
-            cache = self.query_cache
-            key = DiscoveryCache.key("all", query.descriptor, credentials)
-            cached = cache.lookup(key, self.store.version, now)
-            if cached is not MISS:
-                metrics.counter("tdn.query.cache.hit").inc()
-                metrics.counter("tdn.queries.answered").inc()
-                return list(cached)
-            metrics.counter("tdn.query.cache.miss").inc()
-
             permitted: list[TopicAdvertisement] = []
             seen_descriptors: set[str] = set()
             for advertisement in self.store.find_matching(query, now):
@@ -315,12 +266,6 @@ class TDNNode:
                     seen_descriptors.add(advertisement.descriptor)
             if permitted:
                 metrics.counter("tdn.queries.answered").inc()
-                cache.store(
-                    key,
-                    self.store.version,
-                    _cache_horizon_ms(permitted, credentials),
-                    tuple(permitted),
-                )
             else:
                 metrics.counter("tdn.queries.ignored").inc()
             return permitted

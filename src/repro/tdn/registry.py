@@ -12,25 +12,14 @@ class AdvertisementStore:
     Indexed both by trace topic UUID and by descriptor.  Expired
     advertisements (topic lifetime elapsed) are treated as absent and
     reaped lazily.
-
-    Every mutation (``put``, ``remove`` — including lazy expiry reaping)
-    bumps :attr:`version`; the discovery cache (:mod:`repro.tdn.cache`)
-    records the version at fill time so any advertisement change silently
-    invalidates cached query answers.
     """
 
     def __init__(self) -> None:
         self._by_topic: dict[UUID128, TopicAdvertisement] = {}
         self._by_descriptor: dict[str, list[UUID128]] = {}
-        self._version = 0
 
     def __len__(self) -> int:
         return len(self._by_topic)
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (the cache-invalidation signal)."""
-        return self._version
 
     def put(self, advertisement: TopicAdvertisement) -> None:
         topic = advertisement.trace_topic
@@ -39,7 +28,6 @@ class AdvertisementStore:
             self._remove_descriptor_index(self._by_topic[topic])
         self._by_topic[topic] = advertisement
         self._by_descriptor.setdefault(advertisement.descriptor, []).append(topic)
-        self._version += 1
 
     def _remove_descriptor_index(self, advertisement: TopicAdvertisement) -> None:
         topics = self._by_descriptor.get(advertisement.descriptor)
@@ -52,7 +40,6 @@ class AdvertisementStore:
         advertisement = self._by_topic.pop(topic, None)
         if advertisement is not None:
             self._remove_descriptor_index(advertisement)
-            self._version += 1
 
     def get(self, topic: UUID128, now_ms: float) -> TopicAdvertisement | None:
         advertisement = self._by_topic.get(topic)

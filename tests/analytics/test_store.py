@@ -1,5 +1,7 @@
 """AnalyticsStore: append/query, metrics binding, snapshot I/O."""
 
+import errno
+import pathlib
 import re
 
 import pytest
@@ -89,6 +91,21 @@ class TestSnapshotRoundTrip:
         (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
         with pytest.raises(AnalyticsError, match="cannot read analytics snapshot"):
             AnalyticsStore.load(tmp_path / "binary.json")
+
+    def test_failed_write_keeps_the_earlier_snapshot(self, tmp_path, monkeypatch):
+        path = AnalyticsStore().save(tmp_path / "snap.json")
+        before = path.read_bytes()
+
+        def disk_full(self, data, encoding=None, **_):
+            with open(self, "w", encoding=encoding) as handle:
+                handle.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
+        with pytest.raises(AnalyticsError, match="cannot write analytics snapshot"):
+            _populate(AnalyticsStore()).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
 
     def test_seq_is_the_position_whatever_the_document_says(self):
         text = '{"events": [{"seq": 9, "time_ms": 1.0, "kind": "a"},' \

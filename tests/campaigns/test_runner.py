@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.campaigns import (
     Axis,
     CampaignSpec,
@@ -12,7 +10,6 @@ from repro.campaigns import (
     run_campaign,
     run_point,
 )
-from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.seeds import RESULTS_DIR, SEED_GROUPS
 from repro.util.snapshots import render_snapshot
@@ -66,12 +63,6 @@ class TestRunCampaign:
         snapshot = run_campaign(TINY, seed=99)
         assert snapshot["seed"] == 99
         assert all(r["seed"] == 99 for r in snapshot["results"])
-
-    def test_parallel_needs_the_spec_path(self):
-        with pytest.raises(ConfigurationError):
-            run_campaign(TINY, parallel=2)
-        with pytest.raises(ConfigurationError):
-            run_campaign(TINY, parallel=0)
 
     def test_render_snapshot_is_canonical(self):
         snapshot = run_campaign(TINY)

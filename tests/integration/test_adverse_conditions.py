@@ -18,7 +18,6 @@ class TestClockSkew:
             broker_ids=["b1", "b2"],
             seed=1000,
             ntp_model=NTPSkewModel(seed=5),
-            skew_tolerance_ms=100.0,
         )
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")

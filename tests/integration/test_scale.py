@@ -16,7 +16,6 @@ def build_scenario(seed=1400):
     """5 brokers in a ring+chord, 12 entities, 18 trackers."""
     dep = build_deployment(
         broker_ids=[f"b{i}" for i in range(5)],
-        topology="chain",
         seed=seed,
         ping_policy=POLICY,
         extra_links=[("b0", "b4"), ("b1", "b3")],

@@ -138,6 +138,41 @@ class TestDiscovery:
         )
         assert found is None
 
+    # every query runs the store scan and its certificate checks, so an
+    # earlier answer never decides a later one
+    def _ask(self, sim, cluster, tracker):
+        query = DiscoveryQuery.for_entity("svc-1")
+        one = sim.run_process(cluster.discover(query, tracker.certificate))
+        every = sim.run_process(cluster.discover_all(query, tracker.certificate))
+        return one, every
+
+    def test_answered_topic_is_not_discovered_once_expired(self, setup):
+        sim, ca, cluster, entity, tracker = setup
+        request, signature = creation_request(entity, lifetime=50.0)
+        ad = sim.run_process(cluster.create_topic(request, signature))
+        one, every = self._ask(sim, cluster, tracker)
+        assert one.trace_topic == ad.trace_topic
+        assert [found.trace_topic for found in every] == [ad.trace_topic]
+        sim.run(until=200.0)
+        assert self._ask(sim, cluster, tracker) == (None, [])
+
+    def test_recreated_topic_is_discovered_newest(self, setup):
+        sim, ca, cluster, entity, tracker = setup
+        first = self._create(sim, cluster, entity)
+        assert self._ask(sim, cluster, tracker)[0].trace_topic == first.trace_topic
+        second = self._create(sim, cluster, entity)
+        one, every = self._ask(sim, cluster, tracker)
+        assert one.trace_topic == second.trace_topic
+        assert [found.trace_topic for found in every] == [second.trace_topic]
+
+    def test_unanswered_query_is_answered_once_the_topic_exists(self, setup):
+        sim, ca, cluster, entity, tracker = setup
+        assert self._ask(sim, cluster, tracker) == (None, [])
+        ad = self._create(sim, cluster, entity)
+        one, every = self._ask(sim, cluster, tracker)
+        assert one.trace_topic == ad.trace_topic
+        assert [found.trace_topic for found in every] == [ad.trace_topic]
+
 
 class TestFailureTolerance:
     def test_survives_node_failure(self, setup):

@@ -43,16 +43,14 @@ class TestParser:
             [
                 "campaign", "run",
                 "--spec", "benchmarks/campaigns/smoke.json",
-                "--seed", "7", "--parallel", "4", "--json",
+                "--seed", "7", "--json",
             ]
         )
         assert args.command == "campaign"
         assert args.action == "run"
         assert args.spec == "benchmarks/campaigns/smoke.json"
         assert args.seed == 7
-        assert args.parallel == 4
         assert args.json is True
-        assert args.point is None
 
     def test_campaign_report_flags(self):
         args = build_parser().parse_args(

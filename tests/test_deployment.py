@@ -9,23 +9,12 @@ from repro.transport.udp import udp_profile
 
 class TestBuildDeployment:
     def test_chain_topology(self):
-        dep = build_deployment(broker_ids=["a", "b", "c"], topology="chain")
+        dep = build_deployment(broker_ids=["a", "b", "c"])
         assert dep.network.hop_distance("a", "c") == 2
 
-    def test_star_topology(self):
-        dep = build_deployment(broker_ids=["hub", "s1", "s2"], topology="star")
-        assert dep.network.hop_distance("s1", "s2") == 2
-        assert dep.network.hop_distance("hub", "s1") == 1
-
-    def test_none_topology_with_extra_links(self):
-        dep = build_deployment(
-            broker_ids=["a", "b"], topology="none", extra_links=[("a", "b")]
-        )
-        assert dep.network.hop_distance("a", "b") == 1
-
-    def test_unknown_topology_rejected(self):
-        with pytest.raises(ValueError):
-            build_deployment(broker_ids=["a"], topology="mesh-of-doom")
+    def test_extra_links_add_to_the_chain(self):
+        dep = build_deployment(broker_ids=["a", "b", "c"], extra_links=[("a", "c")])
+        assert dep.network.hop_distance("a", "c") == 1
 
     def test_every_broker_has_manager_and_guard(self):
         dep = build_deployment(broker_ids=["a", "b"])
@@ -37,12 +26,8 @@ class TestBuildDeployment:
         dep = build_deployment(broker_ids=["a", "b"])
         assert dep.discovery.known_brokers() == ["a", "b"]
 
-    def test_tdn_cluster_size(self):
-        dep = build_deployment(broker_ids=["a"], tdn_node_count=3)
-        assert len(dep.tdn.nodes) == 3
-
     def test_verifier_trusts_all_tdns(self):
-        dep = build_deployment(broker_ids=["a"], tdn_node_count=2)
+        dep = build_deployment(broker_ids=["a"])
         assert set(dep.token_verifier.trusted_tdn_keys) == {"tdn-0", "tdn-1"}
 
     def test_profile_is_default_for_links(self):

@@ -87,8 +87,8 @@ class TestRaisedTypes:
         with pytest.raises(errors.KeyMaterialError):
             AESKey(b"short")
 
-    def test_deployment_topology(self):
+    def test_deployment_codec(self):
         from repro.deployment import build_deployment
 
         with pytest.raises(errors.ConfigurationError):
-            build_deployment(broker_ids=["a", "b"], topology="moebius")
+            build_deployment(broker_ids=["a", "b"], codec="morse")

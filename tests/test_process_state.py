@@ -19,6 +19,11 @@ counted in the registry, so a ``Monitor.increment`` call anywhere under
 the benchmark harness still reads by name: ``trace.published.<type>`` or
 ``control.floods``.  Its behavioural twin runs a chaos scenario and reads
 what the monitor and the registry hold afterwards.
+
+A fourth walk keeps a run in one thread of one process: no module under
+``src/repro`` imports ``subprocess``, ``multiprocessing``, ``threading``
+or ``concurrent.futures``.  Concurrency is the simulator's, in virtual
+time.
 """
 
 from __future__ import annotations
@@ -221,3 +226,64 @@ def test_interleaved_deployments_reproduce_their_solo_runs():
             _step(dep, tracker, until)
     for seed, (dep, _) in pair.items():
         assert dep.snapshot() == solo[seed], f"seed {seed} drifted when interleaved"
+
+
+#: Modules that would run part of a deployment outside its one thread.
+_CONCURRENCY_MODULES = ("subprocess", "multiprocessing", "threading", "concurrent.futures")
+
+
+def _imported_names(node: ast.stmt) -> list[str]:
+    """Every dotted module name an import statement can bind."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def concurrency_import_sites(root: pathlib.Path = SRC) -> list[str]:
+    """``path:line: module`` for every import statement under ``root`` that
+    binds a concurrency module or a name from one."""
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root.parent).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = [
+                name
+                for name in _imported_names(node)
+                if any(name == m or name.startswith(f"{m}.") for m in _CONCURRENCY_MODULES)
+            ]
+            if names:
+                sites.append(f"{relative}:{node.lineno}: {names[0]}")
+    return sites
+
+
+def test_no_module_runs_work_outside_the_simulator():
+    sites = concurrency_import_sites()
+    assert not sites, "concurrency import (run in process, in virtual time):\n" + "\n".join(sites)
+
+
+def test_concurrency_guard_flags_each_spelling(tmp_path):
+    package = tmp_path / "repro"
+    package.mkdir()
+    (package / "bad.py").write_text(
+        "import subprocess\n"
+        "import multiprocessing.pool\n"
+        "from threading import Thread\n"
+        "from concurrent import futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrency_notes, threadingx\n"
+        "from . import threading\n"
+        "def f():\n"
+        "    import subprocess as sp\n"
+    )
+    flagged = [site.split(": ", 1)[1] for site in concurrency_import_sites(package)]
+    assert flagged == [
+        "subprocess",
+        "multiprocessing.pool",
+        "threading",
+        "concurrent.futures",
+        "concurrent.futures",
+        "subprocess",
+    ]
