@@ -109,10 +109,10 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     (step,) = [step for step in steps if step.get("name") == name]
     assert step["run"] == (
         "python -m pytest tests/test_decode_contract.py tests/messaging/test_matching.py"
-        " tests/analytics/test_store.py -m deep -q"
+        " tests/analytics/test_store.py tests/crypto/test_primes.py -m deep -q"
     )
-    # the step runs two contracts, a state machine and a round-trip property; its
-    # comment (lost to the YAML parser) names all four
+    # the step runs two contracts, a state machine, a round-trip property and the
+    # prime-generation oracle; its comment (lost to the YAML parser) names all five
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -120,6 +120,7 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "canonical_decode" in comment and "TokenVerifier.verify" in comment
     assert "SubscriptionIndex state machine" in comment
     assert "from_json(export_json())" in comment
+    assert "generate_prime" in comment
 
 
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):
