@@ -6,24 +6,17 @@ consumer builds on top of them:
 
 * an AnalyticsStore persisting every trace (plus the run's journal
   evidence) into a queryable, snapshot-able event log,
-* an AvailabilityArchive — per-entity uptime records (availability %,
-  outage count, MTTR) materialized from that store,
 * a NetworkForecaster running NWS-style predictors (the paper's Ref [4])
   over NETWORK_METRICS traces to answer "what RTT should I expect?",
-* the SLO report (`repro.analytics.reports`) answering the same
-  questions offline, straight from the persisted events.
+* the SLO report (`repro.analytics.reports`) answering "how available
+  was each entity?" (uptime %, outage count, MTTR) straight from the
+  persisted events.
 
 Run:  python examples/availability_analytics.py
 """
 
 from repro import build_deployment
-from repro.analytics import (
-    AnalyticsStore,
-    build_report,
-    ingest_journal,
-    render_report_text,
-)
-from repro.tracing.archive import AvailabilityArchive
+from repro.analytics import build_report, build_timelines, render_report_markdown
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.forecast import NetworkForecaster
 
@@ -42,8 +35,7 @@ def main() -> None:
     tracker = dep.add_tracker("analytics")
     tracker.connect("b2")
 
-    store = AnalyticsStore()
-    archive = AvailabilityArchive(tracker, store=store)
+    store = dep.attach_analytics()
     forecaster = NetworkForecaster(tracker, store=store)
 
     flaky.start("b1")
@@ -61,14 +53,16 @@ def main() -> None:
 
     dep.sim.run(until=300_000)
 
-    print("== availability after 5 virtual minutes ==")
-    print(archive.report(dep.sim.now))
+    # fold the journal in so the persisted log also holds audit evidence
+    # (sessions created, keys distributed, recoveries), then query it
+    dep.finalize_analytics(example="availability_analytics")
+    report = build_report(store)
 
-    flaky_record = archive.record_of("flaky-worker")
-    mttr = flaky_record.mean_time_to_recover_ms()
-    print(f"\nflaky-worker: {flaky_record.down_count} outages, "
-          f"MTTR {mttr/1000:.1f}s, was it up at t=100s? "
-          f"{flaky_record.was_up_at(100_000, dep.sim.now)}")
+    flaky_row = report["entities"]["flaky-worker"]
+    flaky_timeline = build_timelines(store.events())["flaky-worker"]
+    print(f"flaky-worker: {flaky_row['outages']} outages, "
+          f"MTTR {flaky_row['mttr_ms'] / 1000:.1f}s, was it up at t=100s? "
+          f"{flaky_timeline.was_up_at(100_000, dep.sim.now)}")
 
     print("\n== network forecasts (NWS-style predictor selection) ==")
     for name in ("flaky-worker", "steady-worker"):
@@ -80,13 +74,8 @@ def main() -> None:
         print(f"  {name:<14s} expected RTT {rtt:6.2f} ms "
               f"(best predictor: {best})")
 
-    # fold the journal in so the persisted log also holds audit evidence
-    # (sessions created, keys distributed, recoveries), then query offline
-    ingest_journal(store, dep.journal)
-    store.set_meta(example="availability_analytics", now_ms=dep.sim.now)
-
     print(f"\n== persistent store: {store.count()} events ==")
-    print(render_report_text(build_report(store)))
+    print(render_report_markdown(report))
 
 
 if __name__ == "__main__":

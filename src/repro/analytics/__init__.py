@@ -9,9 +9,9 @@ trace streams — into a durable, queryable record:
 * :mod:`repro.analytics.ingest` — the feeds: a tracker ``on_trace``
   adapter and a post-run journal copy.
 * :mod:`repro.analytics.availability` — the up/down interval algebra
-  shared by the live archive and the offline reports.
+  the reports fold the stored ``trace.observed`` events through.
 * :mod:`repro.analytics.reports` — SLO-style queries (uptime %, outage
-  histograms, MTTR percentiles) rendered as text/JSON/markdown by
+  histograms, MTTR percentiles) rendered as markdown or JSON by
   ``repro analytics report``.
 * :mod:`repro.analytics.audit` — the audit-completeness gate: every
   counted state mutation must have matching journal evidence.
@@ -39,7 +39,6 @@ from repro.analytics.reports import (
     build_report,
     render_report_json,
     render_report_markdown,
-    render_report_text,
 )
 from repro.analytics.store import AnalyticsStore
 
@@ -63,5 +62,4 @@ __all__ = [
     "ingest_journal",
     "render_report_json",
     "render_report_markdown",
-    "render_report_text",
 ]

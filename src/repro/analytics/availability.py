@@ -1,16 +1,14 @@
-"""Availability timelines: interval algebra shared by archive and reports.
+"""Availability timelines: the interval algebra behind the SLO report.
 
 This module is the single home of the up/down semantics the paper's
-trace types imply (formerly private to ``repro.tracing.archive``): an
-entity is **up** from JOIN (or first READY) until FAILED, DISCONNECT,
-SHUTDOWN or REVERTING_TO_SILENT_MODE; FAILURE_SUSPICION marks it
-*suspect* but not yet down; RECOVERING counts as up.  A later JOIN/READY
-after a down-marker opens a new interval.
+trace types imply: an entity is **up** from JOIN (or first READY) until
+FAILED, DISCONNECT, SHUTDOWN or REVERTING_TO_SILENT_MODE;
+FAILURE_SUSPICION marks it *suspect* but not yet down; RECOVERING counts
+as up.  A later JOIN/READY after a down-marker opens a new interval.
 
 Timelines are built from persisted ``trace.observed`` analytics events
-(:func:`build_timelines`), so every consumer — the live
-:class:`~repro.tracing.archive.AvailabilityArchive`, the SLO report
-queries, the CLI — derives identical numbers from the same stored log.
+(:func:`build_timelines`), so the SLO report, the CLI and any library
+caller derive identical numbers from the same stored log.
 """
 
 from __future__ import annotations
@@ -122,18 +120,14 @@ class EntityTimeline:
         return sum(gaps) / len(gaps) if gaps else None
 
 
-def build_timelines(
-    events: Iterable[AnalyticsEvent],
-    timelines: dict[str, EntityTimeline] | None = None,
-) -> dict[str, EntityTimeline]:
+def build_timelines(events: Iterable[AnalyticsEvent]) -> dict[str, EntityTimeline]:
     """Fold ``trace.observed`` events into per-entity timelines.
 
-    Pass an existing ``timelines`` dict to extend incrementally (the
-    archive's live view does this); events of other kinds and events with
-    no entity are ignored.  Events are applied in (time, seq) order so
-    the result is independent of the order they are passed in.
+    Events of other kinds and events with no entity are ignored.  Events
+    are applied in (time, seq) order so the result is independent of the
+    order they are passed in.
     """
-    timelines = timelines if timelines is not None else {}
+    timelines: dict[str, EntityTimeline] = {}
     relevant = [
         e for e in events if e.kind == TRACE_OBSERVED and e.entity is not None
     ]

@@ -3,7 +3,7 @@
 Two feeds populate an :class:`~repro.analytics.store.AnalyticsStore`:
 
 * :class:`TraceIngestor` hooks a tracker's ``on_trace`` callback (the
-  same chaining seam the availability archive and forecaster use) and
+  same chaining seam the network forecaster uses) and
   persists every verified trace as a ``trace.observed`` event *while the
   run executes* — appends consume no virtual time and draw no random
   numbers, so an instrumented run stays bit-identical to a bare one
@@ -53,7 +53,7 @@ class TraceIngestor:
             trace_type=trace.trace_type.value,
             tracker=self.tracker.tracker_id,
         )
-        metrics = self.store._metrics
+        metrics = self.store.metrics
         if metrics is not None:
             metrics.counter(_TRACES).inc()
         if self._previous_hook is not None:
@@ -88,7 +88,7 @@ def ingest_journal(store: AnalyticsStore, journal: "EventJournal") -> int:
             **fields,
         )
         copied += 1
-    metrics = store._metrics
+    metrics = store.metrics
     if metrics is not None:
         metrics.counter(_JOURNAL_RECORDS).inc(copied)
     return copied

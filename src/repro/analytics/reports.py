@@ -5,7 +5,7 @@ dict — uptime %, outage counts and durations per entity, an outage
 histogram, MTTR percentiles from persisted ``recovery.completed``
 evidence (the ``trace.recovery_ms`` values), per-broker fault exposure,
 and the evidence-kind inventory the audit gate checks.  The renderers
-(:func:`render_report_text`, :func:`render_report_markdown`) are pure
+(:func:`render_report_markdown`, :func:`render_report_json`) are pure
 functions of that dict, following the campaign report's rule: generated
 artifacts are regenerable byte-for-byte from the committed snapshot, so
 CI's seed step (``repro seeds``, ``git diff``) fails on any drift.
@@ -23,6 +23,8 @@ OUTAGE_BOUNDS_MS = (100.0, 500.0, 1_000.0, 5_000.0, 15_000.0, 60_000.0)
 
 #: Journal kinds that count as fault exposure for a broker.
 _BROKER_FAULT_KINDS = ("fault.injected", "fault.reverted")
+#: The one fault kind whose target is an entity; every other targets a broker.
+_ENTITY_FAULT = "entity_crash"
 
 
 def _percentile(values: list[float], fraction: float) -> float:
@@ -110,7 +112,7 @@ def build_report(store: AnalyticsStore, now_ms: float | None = None) -> dict:
     for event in events:
         if event.kind in _BROKER_FAULT_KINDS:
             target = event.fields.get("target")
-            if isinstance(target, str) and target.startswith("b"):
+            if isinstance(target, str) and event.fields.get("fault") != _ENTITY_FAULT:
                 entry = _broker_entry(target)
                 key = (
                     "faults_injected"
@@ -166,71 +168,6 @@ _BROKER_COLUMNS = (
     ("failovers in", "failovers_in"),
     ("sessions", "sessions_created"),
 )
-
-
-def render_report_text(report: dict) -> str:
-    """Fixed-width text rendering (the ``repro analytics report`` default)."""
-    lines: list[str] = []
-    meta = report.get("meta", {})
-    title_bits = [f"now={report['now_ms']:g}ms"]
-    if meta.get("scenario"):
-        title_bits.insert(0, f"scenario={meta['scenario']}")
-    if meta.get("seed") is not None:
-        title_bits.append(f"seed={meta['seed']}")
-    lines.append("availability report (" + " ".join(title_bits) + ")")
-    lines.append("")
-
-    header = f"{'entity':<20s} " + " ".join(
-        f"{name:>12s}" for name, _ in _ENTITY_COLUMNS
-    )
-    lines.append(header)
-    for entity_id, row in report["entities"].items():
-        cells = " ".join(f"{_fmt(row[key]):>12s}" for _, key in _ENTITY_COLUMNS)
-        lines.append(f"{entity_id:<20s} {cells}")
-    if not report["entities"]:
-        lines.append("(no trace.observed events)")
-
-    mttr = report["mttr"]
-    lines.append("")
-    if mttr["count"]:
-        lines.append(
-            f"MTTR over {mttr['count']} recover(ies) [{mttr['source']}]: "
-            f"mean {_fmt(mttr['mean_ms'])} ms · p50 {_fmt(mttr['p50_ms'])} ms · "
-            f"p90 {_fmt(mttr['p90_ms'])} ms · p99 {_fmt(mttr['p99_ms'])} ms"
-        )
-    else:
-        lines.append("MTTR: no completed recoveries")
-
-    histogram = report["outage_histogram"]
-    if histogram["total"]:
-        lines.append("")
-        lines.append("outage durations:")
-        lower = 0.0
-        for bound, count in zip(
-            histogram["bounds_ms"], histogram["counts"], strict=False
-        ):
-            lines.append(f"  [{lower:>8g}, {bound:>8g}) ms  {count}")
-            lower = bound
-        lines.append(f"  [{lower:>8g},      inf) ms  {histogram['counts'][-1]}")
-
-    if report["brokers"]:
-        lines.append("")
-        lines.append(
-            f"{'broker':<10s} "
-            + " ".join(f"{name:>14s}" for name, _ in _BROKER_COLUMNS)
-        )
-        for broker_id, row in report["brokers"].items():
-            cells = " ".join(f"{_fmt(row[key]):>14s}" for _, key in _BROKER_COLUMNS)
-            lines.append(f"{broker_id:<10s} {cells}")
-
-    lines.append("")
-    lines.append(
-        "evidence: "
-        + ", ".join(
-            f"{kind}={count}" for kind, count in sorted(report["evidence"].items())
-        )
-    )
-    return "\n".join(lines)
 
 
 def render_report_markdown(report: dict) -> str:

@@ -39,10 +39,11 @@ _STORE_EVENTS = "analytics.store.events"
 class AnalyticsStore:
     """Append-only analytics event log, queried in ``seq`` order."""
 
-    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
+    def __init__(self) -> None:
         self._events: list[AnalyticsEvent] = []
         self.meta: dict = {}
-        self._metrics = metrics
+        #: The registry appends and the ingest feeds count into; see :meth:`bind_metrics`.
+        self.metrics: MetricsRegistry | None = None
 
     # ------------------------------------------------------------------ writes
 
@@ -71,9 +72,9 @@ class AnalyticsStore:
             fields=fields,
         )
         self._events.append(event)
-        if self._metrics is not None:
-            self._metrics.counter(_EVENTS_INGESTED).inc()
-            self._metrics.gauge(_STORE_EVENTS).set(len(self._events))
+        if self.metrics is not None:
+            self.metrics.counter(_EVENTS_INGESTED).inc()
+            self.metrics.gauge(_STORE_EVENTS).set(len(self._events))
         return event
 
     def set_meta(self, **meta) -> None:
@@ -82,7 +83,7 @@ class AnalyticsStore:
 
     def bind_metrics(self, metrics: MetricsRegistry) -> None:
         """Attach a registry so appends count into ``analytics.*``."""
-        self._metrics = metrics
+        self.metrics = metrics
 
     # ------------------------------------------------------------------ queries
 

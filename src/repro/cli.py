@@ -8,8 +8,8 @@ Commands
 ``quickstart``
     Run the minimal tracing scenario and print what the tracker saw.
 ``demo``
-    Run a scenario: ``failure`` (crash detection), ``secure``
-    (confidential traces), ``availability`` (archive report).
+    Run a scenario: ``failure`` (crash detection) or ``secure``
+    (confidential traces).
 ``metrics``
     Run the quickstart scenario and print the full repro.obs metrics
     snapshot (text, or JSON with ``--json``).
@@ -242,7 +242,7 @@ def _cmd_analytics(args) -> int:
     ``analytics run`` executes one chaos scenario with the store
     attached, enforces the audit-completeness gate, and writes (or
     prints) the store snapshot JSON.  ``analytics report`` renders the
-    SLO report (text, JSON or markdown) from such a snapshot,
+    SLO report (markdown or JSON) from such a snapshot,
     deterministically (the committed pair under
     ``benchmarks/results/analytics/`` is a :mod:`repro.seeds` row); an
     unreadable or malformed snapshot is exit 2 with a one-line message.
@@ -252,7 +252,6 @@ def _cmd_analytics(args) -> int:
         build_report,
         render_report_json,
         render_report_markdown,
-        render_report_text,
     )
     from repro.errors import AuditIncompleteError, ReproError
 
@@ -285,12 +284,8 @@ def _cmd_analytics(args) -> int:
             print(f"repro analytics: {exc}", file=sys.stderr)
             return 2
         report = build_report(store)
-        renderers = {
-            "text": render_report_text,
-            "json": render_report_json,
-            "markdown": render_report_markdown,
-        }
-        rendered = renderers[args.format](report) + "\n"
+        renderer = render_report_json if args.format == "json" else render_report_markdown
+        rendered = renderer(report) + "\n"
         if args.out:
             pathlib.Path(args.out).write_text(rendered, encoding="utf-8")
             print(f"wrote {args.out}")
@@ -346,18 +341,6 @@ def _cmd_demo(args) -> int:
         dep.sim.run(until=30_000)
         print(f"trace key distributed: {tracker.trace_key_for('svc') is not None}")
         print(f"decrypted heartbeats:  {len(tracker.traces_of_type(TraceType.ALLS_WELL))}")
-    elif args.scenario == "availability":
-        from repro.tracing.archive import AvailabilityArchive
-
-        dep = build_deployment(broker_ids=["b1"], seed=args.seed)
-        entity, tracker = _start_tracing(dep, "svc", "w", "b1")
-        archive = AvailabilityArchive(tracker)
-        dep.sim.run(until=30_000)
-        entity.crash()
-        dep.sim.run(until=90_000)
-        dep.sim.process(entity.reregister())
-        dep.sim.run(until=150_000)
-        print(archive.report(dep.sim.now))
     return 0
 
 
@@ -379,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="virtual seconds to simulate")
 
     demo = sub.add_parser("demo", help="run a scenario")
-    demo.add_argument("scenario", choices=["failure", "secure", "availability"])
+    demo.add_argument("scenario", choices=["failure", "secure"])
     demo.add_argument("--seed", type=int, default=7)
 
     metrics = sub.add_parser(
@@ -475,9 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     analytics_report.add_argument("--snapshot", required=True, metavar="FILE",
                                   help="store snapshot JSON "
                                        "(see benchmarks/results/analytics/)")
-    analytics_report.add_argument("--format",
-                                  choices=["text", "json", "markdown"],
-                                  default="text")
+    analytics_report.add_argument("--format", choices=["markdown", "json"],
+                                  default="markdown")
     analytics_report.add_argument("--out", metavar="FILE", default=None,
                                   help="write the rendering to FILE "
                                        "(default: print it)")

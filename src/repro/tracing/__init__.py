@@ -7,6 +7,10 @@ publishes typed traces (push) over derived constrained topics — but only
 when trackers have expressed interest.  Trackers discover the trace topic
 (if authorized), subscribe to the trace types they care about, and verify
 every trace they receive.
+
+Consumer-side availability numbers (uptime %, outages, MTTR) are
+:mod:`repro.analytics`'s; :mod:`repro.tracing.forecast` predicts network
+metrics from the NETWORK_METRICS traces a tracker receives.
 """
 
 from repro.tracing.traces import TraceType, EntityState, LoadInformation, NetworkMetrics
@@ -19,7 +23,6 @@ from repro.tracing.session import TraceSession
 from repro.tracing.entity import TracedEntity
 from repro.tracing.broker_ops import TraceManager
 from repro.tracing.tracker import Tracker
-from repro.tracing.archive import AvailabilityArchive
 from repro.tracing.forecast import NetworkForecaster, SeriesForecaster
 
 __all__ = [
@@ -42,7 +45,6 @@ __all__ = [
     "TracedEntity",
     "TraceManager",
     "Tracker",
-    "AvailabilityArchive",
     "NetworkForecaster",
     "SeriesForecaster",
 ]

@@ -1,20 +1,16 @@
-"""The archive/forecaster are views over the store — and change nothing.
+"""The store feed and the forecaster observe a run — and change nothing.
 
-The availability archive and network forecaster predate the analytics
-store; reconciling them onto it (docs/ANALYTICS.md) must not perturb any
-behaviour the seeds pin (``tests/test_seeds.py``: the routing seed's
-scenario runs through the tracker hook seam the ingestor chains).  Two
-regressions:
+The network forecaster predates the analytics store; reconciling it onto
+the store (docs/ANALYTICS.md) must not perturb any behaviour the seeds
+pin (``tests/test_seeds.py``: the routing seed's scenario runs through
+the tracker hook seam the ingestor chains).  Two regressions:
 
-* a deployment with archive + forecaster attached produces the same
-  registry snapshot as a bare one (the views add zero drift);
-* the archive's records equal timelines built directly from the
-  persisted events (the view genuinely derives from the store).
+* a deployment with the store and the forecaster attached produces the
+  same registry snapshot as a bare one (the observers add zero drift);
+* the forecaster persists its samples into the same store.
 """
 
 from repro import build_deployment
-from repro.analytics import AnalyticsStore, EntityTimeline, build_timelines
-from repro.tracing.archive import AvailabilityArchive
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.forecast import NetworkForecaster
 
@@ -31,11 +27,9 @@ def _run_once(attach_views):
     entity = dep.add_traced_entity("svc")
     tracker = dep.add_tracker("watcher")
     tracker.connect("b2")
-    store = None
-    archive = forecaster = None
+    store = forecaster = None
     if attach_views:
-        store = AnalyticsStore()
-        archive = AvailabilityArchive(tracker, store=store)
+        store = dep.attach_analytics()
         forecaster = NetworkForecaster(tracker, store=store)
     entity.start("b1")
     dep.sim.run(until=3_000)
@@ -45,16 +39,17 @@ def _run_once(attach_views):
     dep.sim.run(until=30_000)
     dep.sim.process(entity.reregister())
     dep.sim.run(until=45_000)
-    return dep, store, archive, forecaster
+    return dep, store, forecaster
 
 
 class TestZeroDrift:
     def test_attached_views_do_not_change_the_run(self):
         bare, *_ = _run_once(attach_views=False)
-        viewed, _, _, _ = _run_once(attach_views=True)
+        viewed, store, _ = _run_once(attach_views=True)
+        assert store.count() > 0
         bare_snapshot = bare.metrics.snapshot()
         viewed_snapshot = viewed.metrics.snapshot()
-        # the views add analytics.* instruments; everything else is equal
+        # the store adds analytics.* instruments; everything else is equal
         viewed_snapshot["counters"] = {
             name: value
             for name, value in viewed_snapshot["counters"].items()
@@ -69,25 +64,9 @@ class TestZeroDrift:
         assert viewed.monitor.counters() == bare.monitor.counters()
 
 
-class TestStoreBackedArchive:
-    def test_records_equal_timelines_from_the_store(self):
-        _, store, archive, _ = _run_once(attach_views=True)
-        timelines = build_timelines(store.events(kind="trace.observed"))
-        assert set(archive.records) == set(timelines)
-        for entity_id, timeline in timelines.items():
-            record = archive.record_of(entity_id)
-            assert record.intervals == timeline.intervals
-            assert record.down_count == timeline.down_count
-
-    def test_entity_record_shim_still_observes(self):
-        """Archive records are the analytics timelines themselves, no shim."""
-        _, _, archive, _ = _run_once(attach_views=True)
-        record = archive.record_of("svc")
-        assert type(record) is EntityTimeline
-        assert record.down_count >= 1  # the crash produced an outage
-
+class TestStoreBackedForecaster:
     def test_forecaster_persists_network_metrics(self):
-        _, store, _, forecaster = _run_once(attach_views=True)
+        _, store, forecaster = _run_once(attach_views=True)
         samples = store.events(kind="network.metrics")
         assert samples, "no NETWORK_METRICS samples persisted"
         assert all(e.entity == "svc" for e in samples)

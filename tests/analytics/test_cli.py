@@ -31,6 +31,13 @@ class TestParser:
         )
         assert args.action == "report"
         assert args.format == "markdown"
+        assert build_parser().parse_args(
+            ["analytics", "report", "--snapshot", "x.json"]
+        ).format == "markdown"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["analytics", "report", "--snapshot", "x.json", "--format", "text"]
+            )
 
 
 class TestSeedMirror:
@@ -54,14 +61,13 @@ class TestSeedMirror:
         assert code == 0
         assert out.read_bytes() == SEED_REPORT.read_bytes()
 
-    def test_report_text_format_prints_to_stdout(self, capsys):
+    def test_report_default_format_prints_markdown_to_stdout(self, capsys):
         code = main(
             ["analytics", "report", "--snapshot", str(SEED_SNAPSHOT)]
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "availability report" in captured.out
-        assert "evidence:" in captured.out
+        assert captured.out == SEED_REPORT.read_text(encoding="utf-8")
 
 
 class TestMalformedSnapshot:

@@ -43,12 +43,13 @@ class TestTraceIngestor:
         TraceIngestor(store, tracker)
         trace = _trace()
         tracker.on_trace(trace)
-        assert seen == [trace]  # archive/forecaster hooks keep firing
+        assert seen == [trace]  # an earlier hook (the forecaster's) keeps firing
         assert store.count() == 1
 
     def test_ingestion_is_instrumented(self):
         registry = MetricsRegistry()
-        store = AnalyticsStore(metrics=registry)
+        store = AnalyticsStore()
+        store.bind_metrics(registry)
         tracker = _StubTracker()
         TraceIngestor(store, tracker)
         tracker.on_trace(_trace())
@@ -83,7 +84,8 @@ class TestJournalIngest:
 
     def test_journal_copy_is_instrumented(self):
         registry = MetricsRegistry()
-        store = AnalyticsStore(metrics=registry)
+        store = AnalyticsStore()
+        store.bind_metrics(registry)
         journal = EventJournal()
         journal.record(1.0, "violation", principal="x")
         journal.record(2.0, "violation", principal="x")

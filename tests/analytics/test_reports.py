@@ -6,7 +6,6 @@ from repro.analytics import (
     build_timelines,
     render_report_json,
     render_report_markdown,
-    render_report_text,
 )
 from repro.analytics.reports import _percentile
 
@@ -89,27 +88,39 @@ class TestBuildReport:
         assert report["brokers"]["b2"]["failovers_in"] == 1
         assert report["evidence"]["fault.failover"] == 1
 
+    def test_fault_targets_are_attributed_by_fault_kind_not_name(self):
+        """An entity crash is no broker fault, whatever the entity is called,
+        and a broker fault counts whatever the broker is called."""
+        store = _store_with_one_outage()
+        store.append(2_000.0, "fault.injected", fault="entity_crash", target="backup-svc")
+        store.append(3_000.0, "fault.reverted", fault="entity_crash", target="backup-svc")
+        store.append(4_000.0, "fault.injected", fault="broker_crash", target="edge-1")
+        store.append(5_000.0, "fault.reverted", fault="broker_crash", target="edge-1")
+        brokers = build_report(store)["brokers"]
+        assert set(brokers) == {"edge-1"}
+        assert brokers["edge-1"]["faults_injected"] == 1
+        assert brokers["edge-1"]["faults_reverted"] == 1
+
     def test_empty_store_reports_cleanly(self):
         report = build_report(AnalyticsStore())
         assert report["entities"] == {}
         assert report["mttr"]["count"] == 0
-        text = render_report_text(report)
-        assert "(no trace.observed events)" in text
+        markdown = render_report_markdown(report)
+        assert "No completed recoveries in this run." in markdown
+        assert "No completed outages in this run." in markdown
 
 
 class TestRenderers:
     def test_renderers_are_pure_and_deterministic(self):
         report = build_report(_store_with_one_outage())
-        for renderer in (
-            render_report_text, render_report_markdown, render_report_json
-        ):
+        for renderer in (render_report_markdown, render_report_json):
             assert renderer(report) == renderer(report)
 
-    def test_text_surfaces_the_headline_numbers(self):
-        text = render_report_text(build_report(_store_with_one_outage()))
-        assert "scenario=unit" in text
-        assert "svc" in text
-        assert "evidence: trace.observed=3" in text
+    def test_markdown_surfaces_the_headline_numbers(self):
+        markdown = render_report_markdown(build_report(_store_with_one_outage()))
+        assert "scenario `unit`" in markdown
+        assert "| svc | up | 74.576 | 1 | 15000 |" in markdown
+        assert "| `trace.observed` | 3 |" in markdown
 
     def test_markdown_carries_the_regeneration_footer(self):
         markdown = render_report_markdown(build_report(_store_with_one_outage()))

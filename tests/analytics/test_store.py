@@ -32,7 +32,9 @@ class TestStoreBasics:
 
     def test_append_counts_into_bound_registry(self):
         registry = MetricsRegistry()
-        store = AnalyticsStore(metrics=registry)
+        store = AnalyticsStore()
+        store.bind_metrics(registry)
+        assert store.metrics is registry
         _populate(store)
         assert registry.counter_value("analytics.events.ingested") == 3
         assert registry.gauge_value("analytics.store.events") == 3

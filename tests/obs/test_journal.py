@@ -1,4 +1,4 @@
-"""EventJournal: typed records, filtering, text/JSON round-trip."""
+"""EventJournal: typed records, filtering, kind counts."""
 
 from repro.obs import EventJournal, JournalRecord
 
@@ -13,12 +13,7 @@ class TestRecording:
         assert entry.topic == "Constrained/Trace"
         assert entry.principal == "mallory"
         assert entry.size_bytes == 128
-        assert entry.details() == {
-            "what": "publish",
-            "topic": "Constrained/Trace",
-            "principal": "mallory",
-            "size_bytes": 128,
-        }
+        assert entry.fields == {"what": "publish"}
 
     def test_filtering_and_kinds(self):
         journal = EventJournal()
@@ -28,27 +23,10 @@ class TestRecording:
         assert len(journal) == 3
         assert [r.time_ms for r in journal.records("link.drop")] == [1.0, 3.0]
         assert journal.kinds() == {"link.drop": 2, "violation": 1}
+        assert list(journal) == journal.records()
 
 
 class TestExport:
-    def test_text_export_lines(self):
-        journal = EventJournal()
-        journal.record(5.0, "terminated", principal="mallory")
-        journal.record(9.0, "terminated", principal="eve")
-        text = journal.export_text(kind="terminated", limit=1)
-        assert text == "t=9.000ms terminated principal=eve"
-
-    def test_json_round_trip(self):
-        journal = EventJournal()
-        journal.record(1.5, "link.reorder", size_bytes=42, link="b1->b2")
-        journal.record(2.5, "violation", principal="eve", what="subscribe")
-        restored = EventJournal.from_json(journal.export_json())
-        assert len(restored) == 2
-        assert restored.records("violation")[0] == journal.records("violation")[0]
-        first = restored.records("link.reorder")[0]
-        assert first.size_bytes == 42
-        assert first.fields["link"] == "b1->b2"
-
     def test_record_equality_is_structural(self):
         a = JournalRecord(1.0, "x", principal="p", fields={"k": "v"})
         b = JournalRecord(1.0, "x", principal="p", fields={"k": "v"})

@@ -16,7 +16,7 @@ class TestMonitor:
         monitor.journal.record(2.0, "terminated", principal="mallory")
         assert monitor.journal.kinds() == {"violation": 1, "terminated": 1}
         [record] = monitor.journal.records("violation")
-        assert (record.time_ms, record.details()) == (
-            1.0, {"principal": "mallory", "what": "x"}
+        assert (record.time_ms, record.principal, record.fields) == (
+            1.0, "mallory", {"what": "x"}
         )
         assert not hasattr(monitor, "log") and not hasattr(monitor, "events")

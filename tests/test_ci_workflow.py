@@ -109,10 +109,12 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     (step,) = [step for step in steps if step.get("name") == name]
     assert step["run"] == (
         "python -m pytest tests/test_decode_contract.py tests/messaging/test_matching.py"
-        " tests/analytics/test_store.py tests/crypto/test_primes.py -m deep -q"
+        " tests/analytics/test_store.py tests/crypto/test_primes.py"
+        " tests/analytics/test_availability.py -m deep -q"
     )
-    # the step runs two contracts, a state machine, a round-trip property and the
-    # prime-generation oracle; its comment (lost to the YAML parser) names all five
+    # the step runs two contracts, a state machine, a round-trip property, the
+    # prime-generation oracle and the timelines property; its comment (lost to the
+    # YAML parser) names all six
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -121,6 +123,7 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "SubscriptionIndex state machine" in comment
     assert "from_json(export_json())" in comment
     assert "generate_prime" in comment
+    assert "build_timelines" in comment
 
 
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):

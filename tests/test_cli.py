@@ -14,6 +14,8 @@ class TestParser:
         args = build_parser().parse_args(["demo", "failure", "--seed", "9"])
         assert args.scenario == "failure"
         assert args.seed == 9
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["demo", "availability"])
 
     def test_metrics_flags(self):
         args = build_parser().parse_args(["metrics", "--json", "--seed", "5"])
@@ -112,12 +114,6 @@ class TestCommands:
         assert main(["demo", "secure"]) == 0
         out = capsys.readouterr().out
         assert "trace key distributed: True" in out
-
-    def test_demo_availability(self, capsys):
-        assert main(["demo", "availability"]) == 0
-        out = capsys.readouterr().out
-        assert "uptime" in out
-        assert "svc" in out
 
     def test_faults_text(self, capsys):
         assert main(["faults", "--scenario", "entity-churn", "--duration", "30"]) == 0

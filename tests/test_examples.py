@@ -63,7 +63,7 @@ class TestExamples:
         assert "2 outages" in out
         assert "expected RTT" in out
         assert "persistent store:" in out
-        assert "availability report" in out
+        assert "# Availability report" in out
         assert "session.created" in out  # journal evidence reached the store
 
     def test_chaos_recovery(self, capsys):
