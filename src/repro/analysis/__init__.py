@@ -17,28 +17,27 @@ DET01   No wall-clock reads or global ``random`` use outside the designated
 DET02   No iteration over sets in scheduling/routing code (ordering hazard).
 SIM01   Simulation process generators must not call blocking stdlib I/O.
 CRY01   No constant IVs or ECB-shaped block encryption.
-CRY02   *(project)* Key-material taint tracking: no key reaches journals,
-        logs, f-strings, ``repr`` or wire sinks, named at the sink or
-        through assignments and one call-graph hop.
+CRY02   Key-material taint tracking: no key reaches journals, logs,
+        f-strings, ``repr`` or wire sinks, named at the sink or through
+        assignments and one call-graph hop.
 OBS01   Instrument name literals must match ``<family>.<noun>[.<detail>]``
         against the documented family list (docs/OBSERVABILITY.md).
-OBS02   *(project)* Registered instruments and docs/OBSERVABILITY.md agree,
-        in both directions.
-WIRE01  *(project)* Message-kind and wire-field vocabularies must agree
-        across producers, handlers, and the codecs.
+OBS02   Registered instruments and docs/OBSERVABILITY.md agree, in both
+        directions.
+WIRE01  Message-kind and wire-field vocabularies must agree across
+        producers, handlers, and the codecs.
 ERR01   No ``raise`` of builtin exception types where a ``ReproError``
         subclass exists (see ``repro.errors``).
-DOC01   *(project)* Public modules, classes and functions of the packages
-        the docs send readers into carry a docstring.
-DOC02   *(project)* Relative links in README.md and docs/*.md resolve, and
-        every docs/ page is reachable from README.md.
-DOC03   *(project)* EXPERIMENTS.md sections end with the command that
-        regenerates each benchmark they cite.
+DOC01   Public modules, classes and functions of the packages the docs
+        send readers into carry a docstring.
+DOC02   Relative links in README.md and docs/*.md resolve, and every
+        docs/ page is reachable from README.md.
+DOC03   EXPERIMENTS.md sections end with the command that regenerates
+        each benchmark they cite.
 ======  ======================================================================
 
-*(project)* rules run over a whole-tree :class:`~repro.analysis.project.
-ProjectIndex` (module table, import resolution, call graph) and are inert
-in single-file ``analyze_source`` mode.
+Every rule reads one :class:`~repro.analysis.project.ProjectIndex` of
+the whole run (module table, import resolution, call graph).
 
 Suppress a finding on one line with ``# repro: noqa[RULE]`` (or a bare
 ``# repro: noqa`` to silence every rule on that line); that is the only
@@ -51,16 +50,14 @@ from repro.analysis.base import (  # noqa: F401
     FileContext,
     Finding,
     Severity,
-    analyze_source,
 )
-from repro.analysis.project import (  # noqa: F401
-    ProjectChecker,
-    ProjectIndex,
-)
+from repro.analysis.project import ProjectIndex  # noqa: F401
 from repro.analysis.runner import (  # noqa: F401
     all_rule_ids,
+    analyze_index,
     analyze_paths,
-    format_findings_json,
+    analyze_source,
     format_findings_text,
+    index_paths,
 )
 from repro.analysis.sarif import format_sarif, to_sarif  # noqa: F401

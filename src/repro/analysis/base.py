@@ -1,6 +1,7 @@
 """Checker framework: findings, per-file context, and ``# repro: noqa``.
 
-A *checker* is a small class with a rule id that walks one file's AST and
+A *checker* is a small class with a rule id that reads one
+:class:`~repro.analysis.project.ProjectIndex` (every file of a run) and
 yields :class:`Finding` records.  The framework owns everything rules
 should not re-implement: parsing, import resolution (so ``from time import
 monotonic as mono`` still resolves to ``time.monotonic``), line-level
@@ -10,15 +11,19 @@ suppression, and stable ordering of results.
 from __future__ import annotations
 
 import ast
+import os
 import re
 from dataclasses import asdict, dataclass
-from pathlib import PurePath
-from typing import Iterable, Iterator, Sequence
+from pathlib import Path, PurePath
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 
+if TYPE_CHECKING:
+    from repro.analysis.project import ProjectIndex
+
 #: Severity levels, mirroring compiler convention.  Both fail ``repro
-#: analyze``; the split exists so consumers can triage JSON output.
+#: analyze``; the split exists so consumers can triage the SARIF report.
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 Severity = str
@@ -27,6 +32,11 @@ _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?")
 
 #: Sentinel meaning "a bare ``# repro: noqa`` suppresses every rule here".
 _ALL_RULES = "*"
+
+
+def cwd_relative(path: str | Path) -> str:
+    """``path`` relative to the working directory, with ``/`` separators."""
+    return Path(os.path.relpath(path)).as_posix()
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,10 @@ class FileContext:
         self.path = PurePath(path).as_posix()
         self.source = source
         self.lines: list[str] = source.splitlines()
-        self.tree = ast.parse(source, filename=self.path)
+        try:
+            self.tree = ast.parse(source, filename=self.path)
+        except SyntaxError as exc:
+            raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
         self._noqa: dict[int, set[str]] = self._parse_noqa(self.lines)
         self.imports: dict[str, str] = self._collect_imports(self.tree)
 
@@ -97,7 +110,9 @@ class FileContext:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    aliases[alias.asname or alias.name.split(".")[0]] = alias.name
+                    # ``import pkg.mod`` binds ``pkg``; only ``as`` binds the module.
+                    name = alias.name if alias.asname else alias.name.split(".")[0]
+                    aliases[alias.asname or name] = name
             elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
                 for alias in node.names:
                     aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
@@ -135,10 +150,11 @@ class FileContext:
         node: ast.AST,
         message: str,
         hint: str = "",
+        severity: Severity | None = None,
     ) -> Finding:
         return Finding(
             rule=checker.rule,
-            severity=checker.severity,
+            severity=severity or checker.severity,
             path=self.path,
             line=getattr(node, "lineno", 1),
             message=message,
@@ -151,7 +167,8 @@ class Checker:
 
     Subclasses set :attr:`rule` (the id findings and ``noqa`` comments
     use), :attr:`description`, a :attr:`severity` and optionally a
-    :attr:`default_hint`, then implement :meth:`check`.
+    :attr:`default_hint`, then implement :meth:`check` over the whole
+    index; a rule about single files loops over ``index.iter_modules()``.
     """
 
     rule: str = ""
@@ -159,42 +176,16 @@ class Checker:
     severity: Severity = SEVERITY_ERROR
     default_hint: str = ""
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
         raise NotImplementedError  # the one builtin ERR01 permits: abstract method
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        """Rules may exempt whole files (e.g. the RandomStreams module)."""
-        return True
-
-
-def run_checkers(ctx: FileContext, checkers: Iterable[Checker]) -> list[Finding]:
-    """All unsuppressed findings from ``checkers`` over one file, sorted."""
-    findings = [
-        finding
-        for checker in checkers
-        if checker.applies_to(ctx)
-        for finding in checker.check(ctx)
-        if not ctx.suppressed(finding.rule, finding.line)
-    ]
-    return sorted(findings, key=Finding.sort_key)
-
-
-def analyze_source(
-    source: str,
-    path: str = "<string>",
-    checkers: Iterable[Checker] | None = None,
-) -> list[Finding]:
-    """Analyze one in-memory source blob (the test-fixture entry point).
-
-    ``path`` participates in rule scoping — pass a representative path such
-    as ``src/repro/sim/example.py`` to exercise directory-scoped rules.
-    """
-    if checkers is None:
-        from repro.analysis.rules import default_checkers
-
-        checkers = default_checkers()
-    try:
-        ctx = FileContext(path, source)
-    except SyntaxError as exc:
-        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-    return run_checkers(ctx, checkers)
+    def doc_finding(self, path: Path, line: int, message: str) -> Finding:
+        """A finding anchored at a markdown line instead of an AST node."""
+        return Finding(
+            rule=self.rule,
+            severity=self.severity,
+            path=cwd_relative(path),
+            line=line,
+            message=message,
+            hint=self.default_hint,
+        )

@@ -1,27 +1,21 @@
 """Project-wide indexing: modules, symbol tables, and the call graph.
 
-The per-file :class:`~repro.analysis.base.Checker` framework sees one AST
-at a time, which is exactly as far as a *syntactic* rule can reach.  The
+Every rule reads one :class:`ProjectIndex` built over every file in one
+analysis run.  A syntactic rule walks its modules one by one; the
 flow-sensitive rule families (CRY02 key-material taint, WIRE01 wire-schema
-drift) need to answer cross-module questions — "does this function return
-key material?", "is this message kind handled anywhere?" — so this module
-builds a :class:`ProjectIndex` over every file in one analysis run: dotted
-module names, a per-module function/method table, and import-aware call
+drift) answer cross-module questions — "does this function return key
+material?", "is this message kind handled anywhere?" — from its dotted
+module names, per-module function/method tables, and import-aware call
 resolution.
-
-Rules that need the index subclass :class:`ProjectChecker` and implement
-:meth:`ProjectChecker.check_project`; the runner invokes them once per run
-with the shared index instead of once per file.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 from pathlib import Path
 from typing import Iterator
 
-from repro.analysis.base import Checker, FileContext, Finding
+from repro.analysis.base import FileContext
 
 FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 
@@ -59,11 +53,6 @@ class ModuleInfo:
             ):
                 self.constants[node.targets[0].id] = node.value.value
 
-    def classes(self) -> Iterator[ast.ClassDef]:
-        for node in self.ctx.tree.body:
-            if isinstance(node, ast.ClassDef):
-                yield node
-
 
 def module_name_for(path: str | Path) -> str:
     """Dotted module name for ``path``, walking up through ``__init__.py``.
@@ -93,17 +82,17 @@ class ProjectIndex:
         self.modules: dict[str, ModuleInfo] = {}
         self._by_path: dict[str, ModuleInfo] = {}
 
-    def add(self, ctx: FileContext, name: str | None = None) -> ModuleInfo:
-        """Index one parsed file (name derived from the path by default)."""
-        info = ModuleInfo(name if name is not None else module_name_for(ctx.path), ctx)
-        # Last add wins on name collisions (two roots shipping an ``x.py``);
-        # path lookup stays exact either way.
+    def add(self, ctx: FileContext) -> ModuleInfo:
+        """Index one parsed file under the module name its path gives."""
+        info = ModuleInfo(module_name_for(ctx.path), ctx)
+        # Last add wins on name collisions (two roots shipping an ``x.py``)
+        # for call resolution; iteration and path lookup see every file.
         self.modules[info.name] = info
         self._by_path[info.ctx.path] = info
         return info
 
     def by_path(self, path: str) -> ModuleInfo | None:
-        return self._by_path.get(PathStrCache.posix(path))
+        return self._by_path.get(path)
 
     def find_module(self, *suffixes: str) -> ModuleInfo | None:
         """First module whose posix path ends with any of ``suffixes``."""
@@ -114,8 +103,8 @@ class ProjectIndex:
         return None
 
     def iter_modules(self) -> Iterator[ModuleInfo]:
-        """Modules in deterministic (path-sorted) order."""
-        return iter(sorted(self.modules.values(), key=lambda m: m.path))
+        """Every indexed file in deterministic (path-sorted) order."""
+        return (self._by_path[path] for path in sorted(self._by_path))
 
     def repo_root(self) -> Path | None:
         """Nearest ancestor of the indexed ``repro/__init__.py`` holding ``README.md``.
@@ -191,14 +180,6 @@ class ProjectIndex:
         return None
 
 
-class PathStrCache:
-    """Tiny helper namespace so path normalization stays in one place."""
-
-    @staticmethod
-    def posix(path: str) -> str:
-        return Path(path).as_posix()
-
-
 def call_param_pairs(
     index: ProjectIndex,
     module: ModuleInfo,
@@ -237,61 +218,6 @@ def enclosing_class_map(info: ModuleInfo) -> dict[str, str | None]:
     return owners
 
 
-class ProjectChecker(Checker):
-    """A rule that runs once over the whole :class:`ProjectIndex`.
-
-    File-mode :meth:`check` is a deliberate no-op so project rules can sit
-    in the same catalogue as per-file rules; ``analyze_source`` (the
-    single-blob fixture entry point) simply skips them.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        raise NotImplementedError  # abstract method
-
-    # -- shared finding construction -------------------------------------------
-
-    def project_finding(
-        self,
-        module: ModuleInfo,
-        node: ast.AST,
-        message: str,
-        hint: str = "",
-        severity: str | None = None,
-    ) -> Finding:
-        finding = module.ctx.finding(self, node, message, hint)
-        if severity is not None and severity != finding.severity:
-            finding = Finding(**{**finding.to_dict(), "severity": severity})
-        return finding
-
-    def doc_finding(self, path: Path, line: int, message: str) -> Finding:
-        """A finding anchored at a markdown line instead of an AST node."""
-        return Finding(
-            rule=self.rule,
-            severity=self.severity,
-            path=Path(os.path.relpath(path)).as_posix(),
-            line=line,
-            message=message,
-            hint=self.default_hint,
-        )
-
-
 def line_at(text: str, offset: int) -> int:
     """1-based line number of character ``offset`` in ``text``."""
     return text.count("\n", 0, offset) + 1
-
-
-def run_project_checkers(
-    index: ProjectIndex, checkers: list[ProjectChecker]
-) -> list[Finding]:
-    """All unsuppressed project-rule findings over ``index``, sorted."""
-    findings: list[Finding] = []
-    for checker in checkers:
-        for finding in checker.check_project(index):
-            module = index.by_path(finding.path)
-            if module is not None and module.ctx.suppressed(finding.rule, finding.line):
-                continue
-            findings.append(finding)
-    return sorted(findings, key=Finding.sort_key)

@@ -20,10 +20,7 @@ from repro.analysis.rules.sim_process import BlockingSimProcessChecker
 from repro.analysis.rules.wire_schema import WireSchemaChecker
 
 #: Checker classes in catalogue order (DET01, DET02, SIM01, CRY01, CRY02,
-#: OBS01, OBS02, WIRE01, ERR01, DOC01, DOC02, DOC03).  CRY02, OBS02,
-#: WIRE01 and DOC01-03 are project-wide rules: they run once per
-#: analysis over the shared :class:`~repro.analysis.project.ProjectIndex`
-#: and are inert in single-file mode (``analyze_source``).
+#: OBS01, OBS02, WIRE01, ERR01, DOC01, DOC02, DOC03).
 ALL_CHECKER_CLASSES: tuple[type[Checker], ...] = (
     WallClockChecker,
     SetIterationChecker,

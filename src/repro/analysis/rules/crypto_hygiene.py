@@ -17,6 +17,7 @@ import re
 from typing import Iterator
 
 from repro.analysis.base import SEVERITY_ERROR, Checker, FileContext, Finding
+from repro.analysis.project import ProjectIndex
 
 #: Identifier components that mark a value as key material.
 SECRET_PARTS = frozenset(
@@ -132,10 +133,11 @@ class SecretExposureChecker(Checker):
     severity = SEVERITY_ERROR
     default_hint = "use the CBC helpers in repro.crypto.aes with a fresh IV per message"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_cipher_shape(ctx, node)
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
+        for info in index.iter_modules():
+            for node in ast.walk(info.ctx.tree):
+                if isinstance(node, ast.Call):
+                    yield from self._check_cipher_shape(info.ctx, node)
 
     def _check_cipher_shape(self, ctx: FileContext, call: ast.Call) -> Iterator[Finding]:
         for keyword in call.keywords:

@@ -19,6 +19,7 @@ from repro.analysis.base import (
     FileContext,
     Finding,
 )
+from repro.analysis.project import ProjectIndex
 
 #: Wall-clock reads banned outside the virtual-clock / realtime bridge.
 WALL_CLOCK_ORIGINS = frozenset(
@@ -53,12 +54,14 @@ class WallClockChecker(Checker):
     severity = SEVERITY_ERROR
     default_hint = "use sim.clock / RandomStreams.stream(name) (see repro/sim/random.py)"
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        # The stream factory is the one place allowed to touch the host's
-        # clock and RNG machinery.
-        return not ctx.is_module("sim/random.py")
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
+        for info in index.iter_modules():
+            # The stream factory is the one place allowed to touch the
+            # host's clock and RNG machinery.
+            if not info.ctx.is_module("sim/random.py"):
+                yield from self._check_calls(info.ctx)
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def _check_calls(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -95,10 +98,12 @@ class SetIterationChecker(Checker):
     severity = SEVERITY_WARNING
     default_hint = "wrap the iterable in sorted(...) to pin the order"
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_package_dir("sim", "messaging", "tracing")
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
+        for info in index.iter_modules():
+            if info.ctx.in_package_dir("sim", "messaging", "tracing"):
+                yield from self._check_loops(info.ctx)
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def _check_loops(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.For):
                 iterables = [node.iter]

@@ -8,8 +8,8 @@ DOC02 — no relative link is broken and no ``docs/`` page falls out of
 the navigation graph README.md promises; DOC03 — every EXPERIMENTS.md
 section ends with the exact command that regenerates the tables it cites.
 
-All three are project rules rooted at :meth:`ProjectIndex.repo_root`, so
-they are inert on fixture packages and single-file runs.
+All three are rooted at :meth:`ProjectIndex.repo_root`, so they are
+inert on fixture packages and single-file runs.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import re
 from pathlib import Path
 from typing import Iterator
 
-from repro.analysis.base import Finding
+from repro.analysis.base import Checker, Finding
 from repro.analysis.project import (
     FunctionNode,
     ModuleInfo,
-    ProjectChecker,
     ProjectIndex,
     line_at,
 )
@@ -33,7 +32,7 @@ from repro.analysis.project import (
 COVERED = ("analytics", "auth", "bench", "campaigns", "faults", "messaging", "obs")
 
 
-class PublicDocstringChecker(ProjectChecker):
+class PublicDocstringChecker(Checker):
     """DOC01: public modules, classes, functions and methods carry a docstring.
 
     Public means a name without a leading underscore.  Dunder methods are
@@ -50,14 +49,14 @@ class PublicDocstringChecker(ProjectChecker):
     )
     default_hint = "say what it is for; an undocumented public surface here is a doc bug"
 
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
         if index.repo_root() is None:
             return
         for info in index.iter_modules():
             if not info.ctx.in_package_dir(*COVERED):
                 continue
             if ast.get_docstring(info.ctx.tree) is None:
-                yield self.project_finding(info, info.ctx.tree, "module has no docstring")
+                yield info.ctx.finding(self, info.ctx.tree, "module has no docstring")
             yield from self._undocumented(info, info.ctx.tree)
 
     def _undocumented(
@@ -69,7 +68,7 @@ class PublicDocstringChecker(ProjectChecker):
             is_class = isinstance(node, ast.ClassDef)
             if ast.get_docstring(node) is None:
                 what = f"class {node.name}" if is_class else f"function {prefix}{node.name}()"
-                yield self.project_finding(info, node, f"public {what} has no docstring")
+                yield info.ctx.finding(self, node, f"public {what} has no docstring")
             if is_class:
                 yield from self._undocumented(info, node, prefix=f"{node.name}.")
 
@@ -125,7 +124,7 @@ def unreachable_docs(root: Path) -> list[Path]:
     return [doc for doc in doc_files(root)[1:] if doc.resolve() not in reachable]
 
 
-class DocLinkChecker(ProjectChecker):
+class DocLinkChecker(Checker):
     """DOC02: doc links resolve and no docs/ page is orphaned.
 
     A broken link is reported on its own line; a ``docs/*.md`` that no
@@ -140,7 +139,7 @@ class DocLinkChecker(ProjectChecker):
     )
     default_hint = "fix the target, or link the page from README.md's document map"
 
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
         root = index.repo_root()
         if root is None:
             return
@@ -223,7 +222,7 @@ def footer_drift(root: Path) -> Iterator[tuple[int, str]]:
                 )
 
 
-class ExperimentsFooterChecker(ProjectChecker):
+class ExperimentsFooterChecker(Checker):
     """DOC03: EXPERIMENTS.md sections end with a current regeneration footer.
 
     Findings sit on the section heading; every cited benchmark must exist.
@@ -236,7 +235,7 @@ class ExperimentsFooterChecker(ProjectChecker):
     )
     default_hint = "paste the footer from the message as the section's last lines"
 
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
         root = index.repo_root()
         if root is None or not (root / "EXPERIMENTS.md").is_file():
             return

@@ -13,7 +13,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import SEVERITY_ERROR, Checker, FileContext, Finding
+from repro.analysis.base import SEVERITY_ERROR, Checker, Finding
+from repro.analysis.project import ProjectIndex
 
 #: Builtin exception types banned in ``raise`` statements, with the
 #: taxonomy home that replaces each (the hint shown on findings).
@@ -45,17 +46,19 @@ class BuiltinRaiseChecker(Checker):
     severity = SEVERITY_ERROR
     default_hint = "pick or add a subclass in repro/errors.py"
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Raise) or node.exc is None:
-                continue
-            exc = node.exc
-            callee = exc.func if isinstance(exc, ast.Call) else exc
-            origin = ctx.resolve(callee)
-            if origin in BANNED_BUILTIN_RAISES:
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"raise of builtin {origin} inside the library",
-                    hint=f"use {BANNED_BUILTIN_RAISES[origin]}",
-                )
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
+        for info in index.iter_modules():
+            ctx = info.ctx
+            for node in ast.walk(ctx.tree):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                exc = node.exc
+                callee = exc.func if isinstance(exc, ast.Call) else exc
+                origin = ctx.resolve(callee)
+                if origin in BANNED_BUILTIN_RAISES:
+                    yield ctx.finding(
+                        self,
+                        node,
+                        f"raise of builtin {origin} inside the library",
+                        hint=f"use {BANNED_BUILTIN_RAISES[origin]}",
+                    )

@@ -6,10 +6,11 @@ of the documented families.  Snapshot consumers group by that first
 segment, so a misspelled family silently drops a number out of every
 dashboard and paper-comparison table built on the snapshot.
 
-OBS01 checks the *shape* per file; OBS02 checks *documentation* per
-project, in both directions: every instrument the code registers must
-appear in docs/OBSERVABILITY.md, and every instrument that document
-lists must still be registered somewhere.
+OBS01 checks the *shape* of each name; OBS02 checks *documentation*, in
+both directions: every instrument the code registers must appear in
+docs/OBSERVABILITY.md, and every instrument that document lists must
+still be registered somewhere.  Both read the same registry calls
+(:func:`registry_calls`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from typing import Collection, Iterator
 
 from repro.analysis.base import SEVERITY_ERROR, Checker, FileContext, Finding
-from repro.analysis.project import ModuleInfo, ProjectChecker, ProjectIndex, line_at
+from repro.analysis.project import ModuleInfo, ProjectIndex, line_at
 
 #: Documented instrument families (docs/OBSERVABILITY.md).
 KNOWN_FAMILIES = frozenset(
@@ -48,6 +49,29 @@ _FULL_NAME_RE = re.compile(rf"^{_SEGMENT}(\.{_SEGMENT})+$")
 _PREFIX_RE = re.compile(rf"^{_SEGMENT}\.")
 
 
+def _receiver_is_registry(receiver: ast.expr) -> bool:
+    """Heuristic: the object owning ``.counter``/... looks like a registry."""
+    tail = (
+        receiver.id
+        if isinstance(receiver, ast.Name)
+        else receiver.attr if isinstance(receiver, ast.Attribute) else ""
+    ).lower()
+    return "metric" in tail or "registr" in tail
+
+
+def registry_calls(ctx: FileContext) -> Iterator[tuple[ast.Call, ast.expr]]:
+    """``(call, name argument)`` per registry factory call in one file."""
+    for node in ast.walk(ctx.tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in INSTRUMENT_FACTORIES
+            and node.args
+            and _receiver_is_registry(node.func.value)
+        ):
+            yield node, node.args[0]
+
+
 class InstrumentNameChecker(Checker):
     """OBS01: instrument name literals must match the documented scheme."""
 
@@ -61,26 +85,10 @@ class InstrumentNameChecker(Checker):
         "families: " + ", ".join(sorted(KNOWN_FAMILIES)) + " (docs/OBSERVABILITY.md)"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in INSTRUMENT_FACTORIES
-                and node.args
-                and self._receiver_is_registry(node.func.value)
-            ):
-                yield from self._check_name(ctx, node, node.args[0])
-
-    @staticmethod
-    def _receiver_is_registry(receiver: ast.expr) -> bool:
-        """Heuristic: the object owning ``.counter``/... looks like a registry."""
-        tail = (
-            receiver.id
-            if isinstance(receiver, ast.Name)
-            else receiver.attr if isinstance(receiver, ast.Attribute) else ""
-        ).lower()
-        return "metric" in tail or "registr" in tail
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
+        for info in index.iter_modules():
+            for call, name_arg in registry_calls(info.ctx):
+                yield from self._check_name(info.ctx, call, name_arg)
 
     def _check_name(
         self, ctx: FileContext, call: ast.Call, name_arg: ast.expr
@@ -149,16 +157,7 @@ def registered_instruments(index: ProjectIndex) -> tuple[Sites, Sites]:
     names: Sites = {}
     prefixes: Sites = {}
     for info in index.iter_modules():
-        for node in ast.walk(info.ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in INSTRUMENT_FACTORIES
-                and node.args
-                and InstrumentNameChecker._receiver_is_registry(node.func.value)
-            ):
-                continue
-            arg = node.args[0]
+        for node, arg in registry_calls(info.ctx):
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                 names.setdefault(arg.value, []).append((info, node))
             elif isinstance(arg, ast.Name) and arg.id in info.constants:
@@ -229,7 +228,7 @@ def instrument_drift(
     )
 
 
-class UndocumentedInstrumentChecker(ProjectChecker):
+class UndocumentedInstrumentChecker(Checker):
     """OBS02: code and docs/OBSERVABILITY.md list the same instruments.
 
     Code-to-doc findings sit on the registration call; doc-to-code
@@ -246,7 +245,7 @@ class UndocumentedInstrumentChecker(ProjectChecker):
     severity = SEVERITY_ERROR
     default_hint = "keep the family tables in docs/OBSERVABILITY.md in step with the code"
 
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
         root = index.repo_root()
         doc = root / "docs" / "OBSERVABILITY.md" if root is not None else None
         if doc is None or not doc.is_file():
@@ -258,16 +257,16 @@ class UndocumentedInstrumentChecker(ProjectChecker):
         )
         for name in missing_names:
             for info, node in names[name]:
-                yield self.project_finding(
-                    info,
+                yield info.ctx.finding(
+                    self,
                     node,
                     f"instrument {name!r} is registered here but not "
                     "documented in docs/OBSERVABILITY.md",
                 )
         for prefix in missing_prefixes:
             for info, node in prefixes[prefix]:
-                yield self.project_finding(
-                    info,
+                yield info.ctx.finding(
+                    self,
                     node,
                     f"dynamic instruments under {prefix!r} have no entry "
                     "in docs/OBSERVABILITY.md",

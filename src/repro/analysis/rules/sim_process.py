@@ -12,6 +12,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.base import SEVERITY_ERROR, Checker, FileContext, Finding
+from repro.analysis.project import ProjectIndex
 
 #: ``open()`` mode characters that imply mutation of the host filesystem.
 _WRITE_MODE_CHARS = frozenset("wax+")
@@ -47,20 +48,21 @@ class BlockingSimProcessChecker(Checker):
     severity = SEVERITY_ERROR
     default_hint = "yield sim.timeout(...) for delays; move real I/O outside the process"
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_package_dir(
-            "sim", "messaging", "tracing", "tdn", "security", "baselines"
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
+        for info in index.iter_modules():
+            ctx = info.ctx
+            if not ctx.in_package_dir(
+                "sim", "messaging", "tracing", "tdn", "security", "baselines"
+            ):
                 continue
-            if not _is_generator(node):
-                continue
-            for inner in _walk_same_scope(node):
-                if isinstance(inner, ast.Call):
-                    yield from self._check_call(ctx, node.name, inner)
+            for node in ast.walk(ctx.tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if not _is_generator(node):
+                    continue
+                for inner in _walk_same_scope(node):
+                    if isinstance(inner, ast.Call):
+                        yield from self._check_call(ctx, node.name, inner)
 
     def _check_call(
         self, ctx: FileContext, process_name: str, call: ast.Call

@@ -29,10 +29,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.base import SEVERITY_ERROR, SEVERITY_WARNING, Finding
+from repro.analysis.base import SEVERITY_ERROR, SEVERITY_WARNING, Checker, Finding
 from repro.analysis.project import (
     ModuleInfo,
-    ProjectChecker,
     ProjectIndex,
     call_param_pairs,
     enclosing_class_map,
@@ -216,7 +215,7 @@ def encoder_attribute_reads(compact: ModuleInfo) -> set[str] | None:
     }
 
 
-class WireSchemaChecker(ProjectChecker):
+class WireSchemaChecker(Checker):
     """WIRE01: kind and field vocabularies must agree across the stack."""
 
     rule = "WIRE01"
@@ -231,7 +230,7 @@ class WireSchemaChecker(ProjectChecker):
         "and wire/compact.py STATIC_STRINGS — update all of them together"
     )
 
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
         produced = produced_kinds(index)
         handled = handled_kinds(index)
         yield from self._check_kind_coverage(produced, handled)
@@ -249,16 +248,16 @@ class WireSchemaChecker(ProjectChecker):
     ) -> Iterator[Finding]:
         for kind in sorted(set(produced) - set(handled)):
             for module, node in produced[kind]:
-                yield self.project_finding(
-                    module,
+                yield module.ctx.finding(
+                    self,
                     node,
                     f"message kind {kind!r} is produced here but no handler "
                     "compares against it — receivers will drop it",
                 )
         for kind in sorted(set(handled) - set(produced)):
             for module, node in handled[kind]:
-                yield self.project_finding(
-                    module,
+                yield module.ctx.finding(
+                    self,
                     node,
                     f"message kind {kind!r} is dispatched on here but nothing "
                     "produces it — dead arm or renamed producer",
@@ -273,8 +272,8 @@ class WireSchemaChecker(ProjectChecker):
             return
         for kind in sorted(set(produced) - interned):
             module, node = produced[kind][0]
-            yield self.project_finding(
-                module,
+            yield module.ctx.finding(
+                self,
                 node,
                 f"message kind {kind!r} is not in the compact codec's static "
                 "intern table; every frame spells it out inline",
@@ -295,15 +294,15 @@ class WireSchemaChecker(ProjectChecker):
         anchor_wire = message_module.functions["Message.wire_dict"]
         anchor_enc = compact.functions["_encode_message_body"]
         for field in sorted(fields - encoded):
-            yield self.project_finding(
-                message_module,
+            yield message_module.ctx.finding(
+                self,
                 anchor_wire,
                 f"wire_dict() field {field!r} is never read by the compact "
                 "codec's _encode_message_body — compact frames drop it",
             )
         for attr in sorted(encoded - fields):
-            yield self.project_finding(
-                compact,
+            yield compact.ctx.finding(
+                self,
                 anchor_enc,
                 f"compact codec encodes attribute {attr!r} that wire_dict() "
                 "does not carry — json and compact frames disagree",
@@ -314,8 +313,8 @@ class WireSchemaChecker(ProjectChecker):
             if isinstance(node, ast.Attribute)
         }
         for extra in sorted(extras - compact_attrs):
-            yield self.project_finding(
-                message_module,
+            yield message_module.ctx.finding(
+                self,
                 message_module.functions["RoutedFrame.wire_dict"],
                 f"RoutedFrame wire_dict() extra {extra!r} has no counterpart "
                 "in the compact codec",

@@ -1,26 +1,23 @@
-"""Running the checkers over trees of files, and rendering the results.
+"""Indexing trees of files, running the rules, and the terminal report.
 
-Two output shapes here, one per consumer: ``text`` for humans at a
-terminal and ``json`` (stable schema — see :func:`format_findings_json`)
-for CI and tooling; SARIF lives in :mod:`repro.analysis.sarif`.
+An analysis is two steps: :func:`index_paths` parses every file into one
+:class:`~repro.analysis.project.ProjectIndex`, and :func:`analyze_index`
+runs each rule once over it.  The text report here is for humans at a
+terminal; the machine-readable one is SARIF (:mod:`repro.analysis.sarif`).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.base import Checker, FileContext, Finding, run_checkers
-from repro.analysis.project import ProjectChecker, ProjectIndex, run_project_checkers
+from repro.analysis.base import Checker, FileContext, Finding
+from repro.analysis.project import ProjectIndex
 from repro.analysis.rules import default_checkers
 from repro.errors import ConfigurationError
 
 #: Directories never worth parsing.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".ruff_cache", ".pytest_cache"})
-
-#: Version of the JSON output schema; bump on breaking shape changes.
-JSON_SCHEMA_VERSION = 1
 
 
 def all_rule_ids() -> list[str]:
@@ -64,43 +61,53 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
                 yield candidate
 
 
+def index_paths(paths: Iterable[str | Path]) -> ProjectIndex:
+    """One :class:`ProjectIndex` of every Python file reachable from ``paths``."""
+    index = ProjectIndex()
+    for path in iter_python_files(paths):
+        index.add(FileContext(str(path), path.read_text(encoding="utf-8")))
+    return index
+
+
+def analyze_index(
+    index: ProjectIndex, checkers: Iterable[Checker] | None = None
+) -> list[Finding]:
+    """All findings of ``checkers`` (default: every rule) over ``index``, sorted.
+
+    This is the one place ``# repro: noqa`` is applied: a finding on a
+    line of an indexed file that suppresses its rule is dropped.
+    """
+    findings: list[Finding] = []
+    for checker in checkers if checkers is not None else default_checkers():
+        for finding in checker.check(index):
+            module = index.by_path(finding.path)
+            if module is None or not module.ctx.suppressed(finding.rule, finding.line):
+                findings.append(finding)
+    return sorted(findings, key=Finding.sort_key)
+
+
 def analyze_paths(
     paths: Iterable[str | Path],
     checkers: Iterable[Checker] | None = None,
 ) -> list[Finding]:
-    """All findings over every Python file reachable from ``paths``.
+    """All findings over every Python file reachable from ``paths``."""
+    return analyze_index(index_paths(paths), checkers)
 
-    Per-file rules run file by file; :class:`ProjectChecker` rules run
-    once over a shared :class:`ProjectIndex` of every file in the run.
+
+def analyze_source(
+    source: str,
+    path: str = "<string>",
+    checkers: Iterable[Checker] | None = None,
+) -> list[Finding]:
+    """Analyze one in-memory source blob (the test-fixture entry point).
+
+    ``path`` participates in rule scoping — pass a representative path such
+    as ``src/repro/sim/example.py`` to exercise directory-scoped rules.  The
+    one-module index has no repository root, so the doc rules stay inert.
     """
-    active = list(checkers) if checkers is not None else default_checkers()
-    file_checkers = [c for c in active if not isinstance(c, ProjectChecker)]
-    project_checkers = [c for c in active if isinstance(c, ProjectChecker)]
-
-    contexts: list[FileContext] = []
-    for path in iter_python_files(paths):
-        try:
-            contexts.append(FileContext(str(path), path.read_text(encoding="utf-8")))
-        except SyntaxError as exc:
-            raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-
-    findings: list[Finding] = []
-    for ctx in contexts:
-        findings.extend(run_checkers(ctx, file_checkers))
-    if project_checkers:
-        index = ProjectIndex()
-        for ctx in contexts:
-            index.add(ctx)
-        findings.extend(run_project_checkers(index, project_checkers))
-    return sorted(findings, key=Finding.sort_key)
-
-
-def rule_counts(findings: Iterable[Finding], rules: Iterable[str]) -> dict[str, int]:
-    """Finding count per rule id, zero-filled for quiet rules."""
-    counts = {rule: 0 for rule in rules}
-    for finding in findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
-    return counts
+    index = ProjectIndex()
+    index.add(FileContext(path, source))
+    return analyze_index(index, checkers)
 
 
 def format_findings_text(findings: Sequence[Finding]) -> str:
@@ -109,23 +116,3 @@ def format_findings_text(findings: Sequence[Finding]) -> str:
     noun = "finding" if len(findings) == 1 else "findings"
     lines.append(f"{len(findings)} {noun}")
     return "\n".join(lines)
-
-
-def format_findings_json(findings: Sequence[Finding], rules: Sequence[str]) -> str:
-    """Stable machine-readable report.
-
-    Schema (version 1)::
-
-        {"schema_version": 1,
-         "findings": [{"rule", "severity", "path", "line", "message", "hint"}],
-         "counts": {"<rule>": <int>, ...}}
-    """
-    return json.dumps(
-        {
-            "schema_version": JSON_SCHEMA_VERSION,
-            "findings": [finding.to_dict() for finding in findings],
-            "counts": rule_counts(findings, rules),
-        },
-        indent=2,
-        sort_keys=True,
-    )

@@ -14,10 +14,9 @@ validates the output against the published JSON Schema.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.base import SEVERITY_WARNING, Checker, Finding
+from repro.analysis.base import SEVERITY_WARNING, Checker, Finding, cwd_relative
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -26,13 +25,6 @@ SARIF_SCHEMA_URI = (
 )
 
 _TOOL_NAME = "repro-analyze"
-
-
-def _repo_relative(path: str) -> str:
-    """``%SRCROOT%``-relative URI: sliced from the last ``src/`` segment."""
-    posix = Path(path).as_posix()
-    idx = posix.rfind("/src/")
-    return posix[idx + 1 :] if idx >= 0 else posix.lstrip("/")
 
 
 def _rule_entry(checker: Checker) -> dict:
@@ -61,7 +53,8 @@ def _result(finding: Finding, rule_index: dict[str, int]) -> dict:
             {
                 "physicalLocation": {
                     "artifactLocation": {
-                        "uri": _repo_relative(finding.path),
+                        # %SRCROOT% is the working directory (the repo root in CI)
+                        "uri": cwd_relative(finding.path),
                         "uriBaseId": "%SRCROOT%",
                     },
                     "region": {"startLine": max(finding.line, 1)},

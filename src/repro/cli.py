@@ -15,7 +15,7 @@ Commands
     snapshot (text, or JSON with ``--json``).
 ``analyze``
     Run the repro.analysis domain linter over source trees (exit 1 on
-    findings; ``--format json`` for the stable machine-readable report).
+    findings; ``--sarif`` for the machine-readable SARIF report).
 ``faults``
     Run one chaos scenario from the repro.faults catalog and print its
     fault/recovery summary (``--json`` for the canonical snapshot).
@@ -109,12 +109,7 @@ def _cmd_analyze(args) -> int:
     ``--sarif`` additionally emits a SARIF 2.1.0 report for code-scanning
     upload.
     """
-    from repro.analysis import (
-        analyze_paths,
-        format_findings_json,
-        format_findings_text,
-        format_sarif,
-    )
+    from repro.analysis import analyze_paths, format_findings_text, format_sarif
     from repro.analysis.runner import select_checkers
     from repro.errors import ConfigurationError
 
@@ -125,10 +120,7 @@ def _cmd_analyze(args) -> int:
         print(f"repro analyze: {exc}", file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        print(format_findings_json(findings, [c.rule for c in checkers]))
-    else:
-        print(format_findings_text(findings))
+    print(format_findings_text(findings))
     if args.sarif:
         report = format_sarif(findings, checkers)
         if args.sarif == "-":
@@ -379,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("paths", nargs="*", default=["src"],
                          help="files or directories to analyze (default: src)")
-    analyze.add_argument("--format", choices=["text", "json"], default="text",
-                         help="report format")
     analyze.add_argument("--rules", type=lambda s: [r for r in s.split(",") if r],
                          default=None, metavar="RULE[,RULE...]",
                          help="restrict to a comma-separated subset of rules")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.base import FileContext, Finding, analyze_source
+from repro.analysis.base import FileContext, Finding
+from repro.analysis.runner import analyze_source
 from repro.errors import ConfigurationError
 
 SIM_PATH = "src/repro/sim/example.py"
@@ -59,6 +60,14 @@ class TestImportResolution:
         )
         call = ctx.tree.body[1].value
         assert ctx.resolve(call.func) == "time.monotonic"
+
+    def test_dotted_import_binds_the_top_package(self):
+        ctx = FileContext(
+            SIM_PATH, "import pkg.helpers\nimport pkg.helpers as h\npkg.helpers.dump()\nh.dump()\n"
+        )
+        plain, aliased = (stmt.value for stmt in ctx.tree.body[2:])
+        assert ctx.resolve(plain.func) == "pkg.helpers.dump"
+        assert ctx.resolve(aliased.func) == "pkg.helpers.dump"
 
     def test_self_rooted_chain_keeps_attribute_dotted_path(self):
         ctx = FileContext(SIM_PATH, "def f(self):\n    return self.rng.random()\n")

@@ -1,4 +1,4 @@
-"""The ``repro analyze`` subcommand: exit codes, formats, suppression, SARIF."""
+"""The ``repro analyze`` subcommand: exit codes, suppression, SARIF."""
 
 import json
 
@@ -51,24 +51,6 @@ class TestRuleSelection:
         assert "ERR01" in out and "DET01" not in out
 
 
-class TestJsonFormat:
-    def test_json_report_schema(self, dirty_file, capsys):
-        assert main(["analyze", str(dirty_file), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
-        rules = {f["rule"] for f in payload["findings"]}
-        assert {"DET01", "ERR01"} <= rules
-        for record in payload["findings"]:
-            assert set(record) == {
-                "rule", "severity", "path", "line", "message", "hint",
-            }
-
-    def test_json_clean_report(self, clean_file, capsys):
-        assert main(["analyze", str(clean_file), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"] == []
-
-
 class TestStats:
     def test_noqa_marked_file_is_clean(self, tmp_path, capsys):
         target = tmp_path / "src" / "repro" / "sim" / "example.py"
@@ -81,7 +63,7 @@ class TestStats:
 
 class TestSarifOutput:
     def test_sarif_to_stdout(self, dirty_file, capsys):
-        assert main(["analyze", str(dirty_file), "--format", "json", "--sarif", "-"]) == 1
+        assert main(["analyze", str(dirty_file), "--sarif", "-"]) == 1
         out = capsys.readouterr().out
         sarif = json.loads(out[out.index('{\n  "$schema"'):])
         assert sarif["version"] == "2.1.0"

@@ -8,9 +8,8 @@ it, through a project run with both rules on.
 import pytest
 
 from repro.analysis import analyze_paths
-from repro.analysis.base import analyze_source
 from repro.analysis.rules.crypto_hygiene import SecretExposureChecker, is_secret_name
-from repro.analysis.runner import select_checkers
+from repro.analysis.runner import analyze_source, select_checkers
 
 CRYPTO_PATH = "src/repro/security/example.py"
 

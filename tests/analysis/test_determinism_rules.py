@@ -1,7 +1,7 @@
 """DET01 (wall clock / global RNG) and DET02 (set-iteration ordering)."""
 
-from repro.analysis.base import analyze_source
 from repro.analysis.rules.determinism import SetIterationChecker, WallClockChecker
+from repro.analysis.runner import analyze_source
 
 SIM_PATH = "src/repro/sim/example.py"
 MESSAGING_PATH = "src/repro/messaging/example.py"

@@ -1,7 +1,7 @@
 """ERR01 — raise ReproError subclasses, not builtin exception types."""
 
-from repro.analysis.base import analyze_source
 from repro.analysis.rules.error_taxonomy import BuiltinRaiseChecker
+from repro.analysis.runner import analyze_source
 
 UTIL_PATH = "src/repro/util/example.py"
 

@@ -1,7 +1,7 @@
 """OBS01 — instrument names must match ``<family>.<noun>[.<detail>]``."""
 
-from repro.analysis.base import analyze_source
 from repro.analysis.rules.observability import KNOWN_FAMILIES, InstrumentNameChecker
+from repro.analysis.runner import analyze_source
 
 BROKER_PATH = "src/repro/messaging/example.py"
 

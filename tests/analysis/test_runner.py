@@ -1,16 +1,12 @@
-"""File walking, rule selection, and the text / JSON renderings."""
-
-import json
+"""File walking, rule selection, and the text rendering."""
 
 import pytest
 
 from repro.analysis.runner import (
     all_rule_ids,
     analyze_paths,
-    format_findings_json,
     format_findings_text,
     iter_python_files,
-    rule_counts,
     select_checkers,
 )
 from repro.errors import ConfigurationError
@@ -78,26 +74,3 @@ class TestRendering:
         text = format_findings_text(analyze_paths([fake_tree]))
         assert text.endswith("1 finding")
         assert "ERR01" in text
-
-    def test_json_schema_is_stable(self, fake_tree):
-        findings = analyze_paths([fake_tree])
-        payload = json.loads(format_findings_json(findings, all_rule_ids()))
-        assert payload["schema_version"] == 1
-        assert set(payload) == {"schema_version", "findings", "counts"}
-        (record,) = payload["findings"]
-        assert set(record) == {"rule", "severity", "path", "line", "message", "hint"}
-        assert record["rule"] == "ERR01"
-        assert record["line"] == 2
-        # quiet rules appear zero-filled so consumers can diff runs
-        assert payload["counts"]["ERR01"] == 1
-        assert payload["counts"]["OBS01"] == 0
-
-    def test_empty_json_report(self):
-        payload = json.loads(format_findings_json([], all_rule_ids()))
-        assert payload["findings"] == []
-        assert set(payload["counts"]) == set(all_rule_ids())
-
-
-class TestRecordStats:
-    def test_rule_counts_helper(self):
-        assert rule_counts([], ["A", "B"]) == {"A": 0, "B": 0}

@@ -7,12 +7,16 @@ results, physical locations) is embedded here and enforced with
 """
 
 import json
+from pathlib import Path
 
 import jsonschema
 
 from repro.analysis.base import Finding
 from repro.analysis.rules import default_checkers
 from repro.analysis.sarif import SARIF_VERSION, format_sarif, to_sarif
+from repro.cli import main
+
+REPO = Path(__file__).resolve().parents[2]
 
 #: Subset of sarif-schema-2.1.0.json: required properties + types for the
 #: parts of a log file ``upload-sarif`` consumes.
@@ -109,7 +113,7 @@ def sample_findings():
         Finding(
             rule="WIRE01",
             severity="error",
-            path="/root/repo/src/repro/security/keydist.py",
+            path=str(Path.cwd() / "src" / "repro" / "security" / "keydist.py"),
             line=33,
             message="message kind 'key_distribution' is produced here",
             hint="update the dispatchers",
@@ -150,18 +154,33 @@ class TestSarifStructure:
         wire, cry = doc["runs"][0]["results"]
         assert wire["ruleId"] == "WIRE01" and wire["level"] == "error"
         location = wire["locations"][0]["physicalLocation"]
-        # absolute path normalized to repo-relative for %SRCROOT% anchoring
+        # absolute path made relative to the working directory, which %SRCROOT% names
         assert location["artifactLocation"]["uri"] == "src/repro/security/keydist.py"
         assert location["region"]["startLine"] == 33
         assert "(hint: update the dispatchers)" in wire["message"]["text"]
         assert cry["level"] == "warning"
         assert _uri(cry) == "src/repro/tracing/entity.py"  # relative: unchanged
-        # no src/ segment: the path keeps its shape, minus the leading slash
+        # outside the working directory: still relative to it
         outside = Finding(
-            rule="DOC02", severity="error", path="/tmp/pkg/mod.py", line=1, message="m"
+            rule="DOC02",
+            severity="error",
+            path=str(Path.cwd().parent / "pkg" / "mod.py"),
+            line=1,
+            message="m",
         )
         (result,) = to_sarif([outside], default_checkers())["runs"][0]["results"]
-        assert _uri(result) == "tmp/pkg/mod.py"
+        assert _uri(result) == "../pkg/mod.py"
+
+    def test_absolute_paths_outside_src_are_cwd_relative(self, monkeypatch, capsys):
+        # `repro analyze /abs/checkout/tests/... --sarif -` run from the checkout
+        monkeypatch.chdir(REPO)
+        fixture = REPO / "tests" / "analysis" / "fixtures" / "keyleak"
+        assert main(["analyze", str(fixture), "--rules", "CRY02", "--sarif", "-"]) == 1
+        out = capsys.readouterr().out
+        results = json.loads(out[out.index('{\n  "$schema"') :])["runs"][0]["results"]
+        assert {_uri(result) for result in results} == {
+            "tests/analysis/fixtures/keyleak/announce.py"
+        }
 
     def test_rule_index_points_into_rules_array(self):
         doc = to_sarif(sample_findings(), default_checkers())

@@ -1,7 +1,7 @@
 """SIM01 — blocking stdlib I/O inside simulation process generators."""
 
-from repro.analysis.base import analyze_source
 from repro.analysis.rules.sim_process import BlockingSimProcessChecker
+from repro.analysis.runner import analyze_source
 
 TRACING_PATH = "src/repro/tracing/example.py"
 

@@ -2,9 +2,7 @@
 
 from pathlib import Path
 
-from repro.analysis import analyze_paths
-from repro.analysis.base import FileContext
-from repro.analysis.project import ProjectIndex
+from repro.analysis import analyze_paths, index_paths
 from repro.analysis.rules.wire_schema import (
     encoder_attribute_reads,
     handled_kinds,
@@ -14,22 +12,11 @@ from repro.analysis.rules.wire_schema import (
 )
 from repro.analysis.runner import select_checkers
 
-REPO = Path(__file__).resolve().parent.parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def wire01(path):
     return analyze_paths([path], select_checkers(["WIRE01"]))
-
-
-def index_of(*paths):
-    index = ProjectIndex()
-    for root in paths:
-        for path in sorted(Path(root).rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            index.add(FileContext(str(path), path.read_text()))
-    return index
 
 
 class TestUnhandledKindFixture:
@@ -49,15 +36,15 @@ class TestUnhandledKindFixture:
 
 class TestVocabularyExtraction:
     def test_fixture_produced_kinds_resolve_constants(self):
-        sites = produced_kinds(index_of(FIXTURES / "unhandled_kind"))
+        sites = produced_kinds(index_paths([FIXTURES / "unhandled_kind"]))
         assert set(sites) == {"shutdown_notice", "ping"}
 
     def test_fixture_handled_kinds(self):
-        sites = handled_kinds(index_of(FIXTURES / "unhandled_kind"))
+        sites = handled_kinds(index_paths([FIXTURES / "unhandled_kind"]))
         assert set(sites) == {"ping"}
 
-    def test_real_tree_kind_vocabulary(self):
-        index = index_of(REPO / "src" / "repro")
+    def test_real_tree_kind_vocabulary(self, analyzed_tree):
+        index, _findings, _seconds = analyzed_tree
         produced = set(produced_kinds(index))
         handled = set(handled_kinds(index))
         # the protocol's core kinds are produced and dispatched on
@@ -66,8 +53,8 @@ class TestVocabularyExtraction:
         # checks the kind before it opens the sealed payload
         assert produced <= handled
 
-    def test_real_static_table_and_field_parity(self):
-        index = index_of(REPO / "src" / "repro")
+    def test_real_static_table_and_field_parity(self, analyzed_tree):
+        index, _findings, _seconds = analyzed_tree
         compact = index.find_module("wire/compact.py")
         message_module = index.find_module("messaging/message.py")
         interned = static_interned_strings(compact)

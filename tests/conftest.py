@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import analyze_index, index_paths
 from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.rsa import generate_rsa_keypair
@@ -87,3 +90,13 @@ def live_seed(seed_run):
         return json.loads((seed_run(name) / SEED_GROUPS[name].files[0]).read_text())
 
     return load
+
+
+@pytest.fixture(scope="session")
+def analyzed_tree():
+    """``(index, findings, seconds)`` of one timed ``repro analyze`` of the
+    shipped ``src/repro`` tree, shared by every test that reads that tree."""
+    started = time.perf_counter()
+    index = index_paths([Path(__file__).resolve().parent.parent / "src" / "repro"])
+    findings = analyze_index(index)
+    return index, findings, time.perf_counter() - started

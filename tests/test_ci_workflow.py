@@ -42,11 +42,6 @@ def test_has_lint_analyze_test_and_bench_smoke_jobs(workflow):
     }
 
 
-def test_analyze_job_runs_domain_linter(workflow):
-    runs = [step.get("run") or "" for step in workflow["jobs"]["analyze"]["steps"]]
-    assert any("repro analyze src" in run for run in runs)
-
-
 def _all_runs(workflow):
     return [
         step.get("run") or ""
@@ -55,12 +50,36 @@ def _all_runs(workflow):
     ]
 
 
+def _analyze_gate(workflow):
+    runs = [step.get("run") or "" for step in workflow["jobs"]["analyze"]["steps"]]
+    return next(run for run in runs if "repro analyze src" in run)
+
+
+def test_analyze_job_runs_domain_linter(workflow):
+    # one step runs every rule over src, writing the SARIF CI uploads
+    assert _analyze_gate(workflow) == "python -m repro analyze src --sarif analysis.sarif"
+
+
 def test_analyze_job_runs_doc_gates(workflow):
     # OBS02 and DOC01/DOC02 are default rules of the one analyze step
     assert not any("tools/" in run for run in _all_runs(workflow))
-    runs = [step.get("run") or "" for step in workflow["jobs"]["analyze"]["steps"]]
-    gate = next(run for run in runs if "repro analyze src" in run)
-    assert "--rules" not in gate
+    assert "--rules" not in _analyze_gate(workflow)
+
+
+def test_analyze_job_runs_experiments_footer_gate(workflow):
+    # DOC03 rides the same analyze step; no step anywhere compares inside python
+    runs = _all_runs(workflow)
+    assert not any("tools/" in run or "--compare" in run for run in runs)
+    assert sum("repro analyze" in run for run in runs) == 1
+
+
+def test_analyze_job_fails_on_any_finding(workflow):
+    gate = _analyze_gate(workflow)
+    assert "--baseline" not in gate
+    assert "--stats" not in gate
+    assert "--sarif analysis.sarif" in gate
+    for banned in ("--rules", "--baseline", "--stats"):
+        assert not any(banned in run for run in _all_runs(workflow)), banned
 
 
 def test_test_matrix_covers_supported_pythons_and_codecs(workflow):
@@ -176,21 +195,6 @@ def test_seed_gates_are_byte_exact_diffs_not_inline_python(workflow):
             assert "_legacy" not in run
             # a looser-than-tier-1 comparison can only hide in inline code
             assert "<<" not in run and "python -c" not in run
-
-
-def test_analyze_job_runs_experiments_footer_gate(workflow):
-    # DOC03 rides the same analyze step; no step anywhere compares inside python
-    runs = _all_runs(workflow)
-    assert not any("tools/" in run or "--compare" in run for run in runs)
-    assert sum("repro analyze" in run for run in runs) == 1
-
-
-def test_analyze_job_fails_on_any_finding(workflow):
-    runs = [step.get("run") or "" for step in workflow["jobs"]["analyze"]["steps"]]
-    gate = next(run for run in runs if "repro analyze src" in run)
-    assert "--baseline" not in gate
-    assert "--stats" not in gate
-    assert "--sarif analysis.sarif" in gate
 
 
 def test_analyze_job_uploads_sarif_to_code_scanning(workflow):

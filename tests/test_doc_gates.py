@@ -1,50 +1,25 @@
-"""Tier-1 view of the doc rules OBS02, DOC01 and DOC03 (`repro analyze`),
-so drift fails locally, with the finding text, before it fails CI; plus
-the docs/PERFORMANCE.md trajectory tables against the files they quote."""
+"""The helpers behind the doc rules OBS02, DOC01 and DOC03 (`repro analyze`;
+``tests/analysis/test_self_check.py`` requires the shipped tree clean of
+them), plus the docs/PERFORMANCE.md trajectory tables against the files
+they quote."""
 
 import json
 import pathlib
 import re
 
-import pytest
-
-from repro.analysis.base import FileContext
-from repro.analysis.project import ProjectIndex
 from repro.analysis.rules import docs
 from repro.analysis.rules.observability import (
     doc_instrument_names,
     registered_instruments,
 )
-from repro.analysis.runner import (
-    analyze_paths,
-    format_findings_text,
-    iter_python_files,
-    select_checkers,
-)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src"
 BENCH_DIR = REPO_ROOT / "benchmarks"
 
 
-@pytest.fixture(scope="module")
-def findings():
-    return analyze_paths([SRC], select_checkers(["OBS02", "DOC01", "DOC03"]))
-
-
-def assert_rule_clean(findings, rule):
-    hits = [finding for finding in findings if finding.rule == rule]
-    assert not hits, format_findings_text(hits)
-
-
 class TestMetricDocs:
-    def test_gate_is_clean(self, findings):
-        assert_rule_clean(findings, "OBS02")
-
-    def test_code_scan_sees_known_instruments(self):
-        index = ProjectIndex()
-        for path in iter_python_files([SRC]):
-            index.add(FileContext(str(path), path.read_text(encoding="utf-8")))
+    def test_code_scan_sees_known_instruments(self, analyzed_tree):
+        index, _findings, _seconds = analyzed_tree
         names, prefixes = registered_instruments(index)
         assert "broker.msgs.delivered" in names
         assert "auth.token.cache.hit" in names
@@ -63,9 +38,6 @@ class TestMetricDocs:
 
 
 class TestDocstrings:
-    def test_gate_is_clean(self, findings):
-        assert_rule_clean(findings, "DOC01")
-
     def test_covers_the_promised_packages(self):
         assert set(docs.COVERED) == {
             "analytics",
@@ -79,9 +51,6 @@ class TestDocstrings:
 
 
 class TestExperiments:
-    def test_gate_is_clean(self, findings):
-        assert_rule_clean(findings, "DOC03")
-
     def test_cited_benches_exist_and_are_classified(self):
         text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
         cited = docs.cited_in(text)

@@ -1,24 +1,13 @@
-"""Tier-1 view of the doc rules DOC02 (links, reachability) and OBS02
-restricted to the ``analytics.`` instrument family."""
+"""The doc rules DOC02 (links, reachability) and OBS02 restricted to the
+``analytics.`` instrument family detect what they promise to
+(``tests/analysis/test_self_check.py`` requires the shipped tree clean)."""
 
 import pathlib
 
-import pytest
-
 from repro.analysis.rules import docs
-from repro.analysis.runner import analyze_paths, format_findings_text, select_checkers
+from repro.analysis.runner import analyze_paths, select_checkers
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="module")
-def findings():
-    return analyze_paths([REPO_ROOT / "src"], select_checkers(["DOC02", "OBS02"]))
-
-
-def test_no_broken_relative_links(findings):
-    hits = [f for f in findings if f.rule == "DOC02" and "relative link" in f.message]
-    assert not hits, format_findings_text(hits)
 
 
 def test_checker_covers_readme_and_docs():
@@ -40,11 +29,6 @@ def test_checker_detects_breakage(tmp_path):
     ]
 
 
-def test_every_doc_reachable_from_readme(findings):
-    hits = [f for f in findings if f.rule == "DOC02" and "reachable" in f.message]
-    assert not hits, format_findings_text(hits)
-
-
 def test_reachability_detects_orphan(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text("[a](docs/A.md)\n")
@@ -56,11 +40,6 @@ def test_reachability_detects_orphan(tmp_path):
 
 def analytics_findings(findings):
     return [f for f in findings if f.rule == "OBS02" and "'analytics." in f.message]
-
-
-def test_analytics_instruments_documented(findings):
-    hits = analytics_findings(findings)
-    assert not hits, format_findings_text(hits)
 
 
 def test_analytics_instrument_check_detects_gap(tmp_path):
