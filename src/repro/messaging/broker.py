@@ -34,7 +34,7 @@ from repro.messaging.matching import SubscriptionIndex
 from repro.messaging.message import Message, RoutedFrame
 from repro.messaging.topics import topic_matches, validate_topic
 from repro.obs import Counter
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Process, Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
 from repro.transport.link import Link
@@ -370,10 +370,7 @@ class Broker:
             self.metrics.counter("broker.messages.dropped_broker_failed").inc()
             self.metrics.counter("broker.msgs.dropped").inc()
             return
-        self.sim.process(
-            self._neighbor_ingress(neighbor_id, frame),
-            name=self._fwd_name,
-        )
+        Process(self.sim, self._neighbor_ingress(neighbor_id, frame), self._fwd_name)
 
     def publish_from_broker(self, message: Message) -> None:
         """The broker itself publishes (trace generation, section 3.3).
@@ -492,26 +489,47 @@ class Broker:
         destinations: tuple[str, ...],
         exclude_neighbor: str | None,
     ) -> None:
-        by_next_hop: dict[str, list[str]] = defaultdict(list)
+        routing_table = self.routing_table
+        by_next_hop: dict[str, list[str]] = {}
         for dest in destinations:
-            next_hop = self.routing_table.get(dest)
+            next_hop = routing_table.get(dest)
             if next_hop is None:
                 # destination currently unreachable (failed broker or
                 # partition): drop that leg, deliver the rest
                 self.metrics.counter("broker.msgs.unroutable").inc()
                 continue
-            by_next_hop[next_hop].append(dest)
-        for next_hop, dests in sorted(by_next_hop.items()):
+            leg = by_next_hop.get(next_hop)
+            if leg is None:
+                by_next_hop[next_hop] = [dest]
+            else:
+                leg.append(dest)
+        # a single leg to a single destination, the common case, needs no sort
+        legs = by_next_hop.items()
+        if len(by_next_hop) > 1:
+            legs = sorted(legs)
+        for next_hop, dests in legs:
+            if len(dests) > 1:
+                dests.sort()
             if next_hop == exclude_neighbor:
                 # shortest-path split never routes back where it came from;
-                # guard against pathological topology changes mid-flight
+                # a topology change while the frame was in flight can ask
+                # for it, and the leg is dropped, loudly
+                self.metrics.counter("broker.messages.dropped_backtrack").inc()
+                self.metrics.counter("broker.msgs.dropped").inc()
+                self.monitor.journal.record(
+                    self.sim.now,
+                    "route.backtrack",
+                    broker=self.broker_id,
+                    neighbor=next_hop,
+                    destinations=tuple(dests),
+                )
                 continue
             link = self.neighbor_links.get(next_hop)
             if link is None:
                 raise RoutingError(
                     f"{self.broker_id!r} has no link to next hop {next_hop!r}"
                 )
-            link.send(RoutedFrame(message, tuple(sorted(dests))))
+            link.send(RoutedFrame(message, tuple(dests)))
             self._msgs_forwarded_out.inc()
 
     def _deliver_local(

@@ -14,7 +14,7 @@ destinations — shared by the broker (which splits it per next hop) and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.messaging.topics import Topic
@@ -79,20 +79,22 @@ class Message:
     def with_hop(self) -> "Message":
         """Copy with the hop counter incremented (broker forward).
 
-        One positional call in field order: this runs once per forwarded
-        frame, and the generic dataclass copy costs several times as much.
+        This runs once per forwarded frame, so the copy's slots are filled
+        through their descriptors: the generated ``__init__`` pays an
+        ``object.__setattr__`` per field, at twice the cost.  The copy is
+        as frozen as any other message.
         """
-        return Message(
-            self.topic,
-            self.body,
-            self.source,
-            self.message_id,
-            self.created_ms,
-            self.signature,
-            self.auth_token,
-            self.encrypted,
-            self.hops + 1,
-        )
+        hopped = object.__new__(Message)
+        _set_topic(hopped, self.topic)
+        _set_body(hopped, self.body)
+        _set_source(hopped, self.source)
+        _set_message_id(hopped, self.message_id)
+        _set_created_ms(hopped, self.created_ms)
+        _set_signature(hopped, self.signature)
+        _set_auth_token(hopped, self.auth_token)
+        _set_encrypted(hopped, self.encrypted)
+        _set_hops(hopped, self.hops + 1)
+        return hopped
 
     def describe(self) -> str:
         """Compact id/topic/source/hops summary for logs."""
@@ -102,15 +104,40 @@ class Message:
         )
 
 
-@dataclass(frozen=True, slots=True)
+#: Every field's slot setter, in declaration order (``with_hop``); a field
+#: added to :class:`Message` without one here fails at import.
+(
+    _set_topic,
+    _set_body,
+    _set_source,
+    _set_message_id,
+    _set_created_ms,
+    _set_signature,
+    _set_auth_token,
+    _set_encrypted,
+    _set_hops,
+) = (Message.__dict__[field.name].__set__ for field in fields(Message))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class RoutedFrame:
     """Broker-to-broker envelope: a message plus remaining destinations."""
 
     message: Message
     destinations: tuple[str, ...]
 
+    def __init__(self, message: Message, destinations: tuple[str, ...]) -> None:
+        # one frame per hop: slot descriptors, not object.__setattr__ (see
+        # Message.with_hop); still frozen
+        _set_frame_message(self, message)
+        _set_frame_destinations(self, destinations)
+
     def wire_dict(self) -> dict:
         """The message's wire form plus the destination list."""
         frame = self.message.wire_dict()
         frame["destinations"] = list(self.destinations)
         return frame
+
+
+_set_frame_message = RoutedFrame.__dict__["message"].__set__
+_set_frame_destinations = RoutedFrame.__dict__["destinations"].__set__

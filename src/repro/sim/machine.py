@@ -48,9 +48,15 @@ class Machine:
         return self.clock.now()
 
     def compute(self, duration_ms: float) -> Generator[Event, None, None]:
-        """Hold the CPU for ``duration_ms`` of work (process body)."""
+        """Hold the CPU for ``duration_ms`` of work (process body).
+
+        Returns the CPU's own ``use`` generator rather than wrapping it in
+        a second one, so each resume of the caller crosses one frame less.
+        The work is counted busy when the body is made, which a caller's
+        ``yield from`` does in the same step it starts it.
+        """
         self._busy_ms_total += duration_ms
-        yield from self.cpu.use(duration_ms)
+        return self.cpu.use(duration_ms)
 
     def charge(self, op: CryptoOp) -> Generator[Event, None, float]:
         """Charge one cryptographic operation to this machine's CPU.

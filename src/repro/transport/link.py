@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs import Counter, Gauge, Histogram
@@ -64,10 +64,6 @@ class Link:
         self._metrics = monitor.metrics if monitor is not None else None
         self._last_arrival = 0.0
         self._latest_arrival = 0.0
-        self.sent_count = 0
-        self.delivered_count = 0
-        self.dropped_count = 0
-        self.retransmit_count = 0
         # Optional fault window installed by repro.faults; ``None`` on the
         # healthy path so no extra RNG draws happen outside a chaos run.
         self.disruption: Any = None
@@ -102,14 +98,14 @@ class Link:
 
     def send(self, payload: Any) -> DeliveryReceipt:
         """Send ``payload``; schedules receiver callback in virtual time."""
+        profile, rng, sim = self.profile, self._rng, self.sim
         size = self._frame_size(payload, self.codec, self._metrics, self._memo)
-        self.sent_count += 1
         metrics = self._metrics
         if metrics is not None:
             self._msgs_sent.inc()
             self._bytes_sent.inc(size)
             self._codec_bytes.inc(size)
-        latency = self.profile.sample_latency_ms(size, self._rng)
+        latency = profile.sample_latency_ms(size, rng)
         retransmits = 0
 
         disruption = self.disruption
@@ -118,11 +114,10 @@ class Link:
             if drop:
                 # An injected drop is a blackhole: it bypasses the reliable
                 # retransmission path on purpose (see transport/disruption.py).
-                self.dropped_count += 1
                 if self._monitor is not None:
                     metrics.counter("transport.msgs.dropped").inc()
                     self._monitor.journal.record(
-                        self.sim.now,
+                        sim.now,
                         "link.drop",
                         size_bytes=size,
                         link=self.name,
@@ -131,45 +126,45 @@ class Link:
                 return DeliveryReceipt(False, latency, 0, size)
             latency += extra_delay_ms
 
-        if self.profile.sample_loss(self._rng):
-            if not self.profile.reliable:
-                self.dropped_count += 1
+        # a loss-free profile draws nothing here (sample_loss would not)
+        if profile.loss_probability > 0 and profile.sample_loss(rng):
+            if not profile.reliable:
                 if self._monitor is not None:
                     metrics.counter("transport.msgs.dropped").inc()
                     self._monitor.journal.record(
-                        self.sim.now, "link.drop", size_bytes=size, link=self.name
+                        sim.now, "link.drop", size_bytes=size, link=self.name
                     )
                 return DeliveryReceipt(False, latency, 0, size)
             # reliable: pay retransmission penalties until a send survives
-            while retransmits < self.profile.max_retransmits:
+            while retransmits < profile.max_retransmits:
                 retransmits += 1
-                latency += self.profile.retransmit_timeout_ms
-                if not self.profile.sample_loss(self._rng):
+                latency += profile.retransmit_timeout_ms
+                if not profile.sample_loss(rng):
                     break
-            self.retransmit_count += retransmits
             if metrics is not None:
                 metrics.counter("transport.retransmits").inc(retransmits)
 
-        arrival = self.sim.now + latency
-        if self.profile.ordered and arrival < self._last_arrival:
-            arrival = self._last_arrival
-            latency = arrival - self.sim.now
-        if self.profile.ordered:
+        now = sim.now
+        arrival = now + latency
+        if profile.ordered:
+            if arrival < self._last_arrival:
+                arrival = self._last_arrival
+                latency = arrival - now
             self._last_arrival = arrival
         elif arrival < self._latest_arrival and self._monitor is not None:
             # this payload overtakes one sent earlier: a reordered delivery
             metrics.counter("transport.msgs.reordered").inc()
             self._monitor.journal.record(
-                self.sim.now, "link.reorder", size_bytes=size, link=self.name
+                now, "link.reorder", size_bytes=size, link=self.name
             )
-        self._latest_arrival = max(self._latest_arrival, arrival)
+        if arrival > self._latest_arrival:
+            self._latest_arrival = arrival
 
-        self.delivered_count += 1
-        if self._monitor is not None:
+        if metrics is not None:
             self._msgs_delivered.inc()
             self._latency_ms.observe(latency)
             self._inflight.inc()
-        self.sim.call_at(arrival, lambda: self._deliver(payload))
+        sim.call_at(arrival, partial(self._deliver, payload))
         return DeliveryReceipt(True, latency, retransmits, size)
 
     def _deliver(self, payload: Any) -> None:

@@ -77,11 +77,11 @@ def canonical_encode(value: Any) -> bytes:
 def canonical_encode_into(value: Any, out: bytearray) -> int:
     """Append the canonical encoding of ``value`` to ``out``.
 
-    The streaming variant of :func:`canonical_encode`: callers that size
-    many payloads (``repro.wire``) render into one pooled scratch buffer.
-    The pieces are joined before they are appended, so an encode that
-    raises leaves ``out`` as it was.  Returns the number of bytes
-    appended.
+    The streaming variant of :func:`canonical_encode`: a caller that only
+    needs a size (``repro.wire``'s size memo) renders into a fresh
+    ``bytearray`` and keeps the returned count.  The pieces are joined
+    before they are appended, so an encode that raises leaves ``out`` as
+    it was.  Returns the number of bytes appended.
     """
     # not through canonical_encode: benchmarks/perf/spans.py wraps both
     # public names, and a nested call would count every encode twice

@@ -136,6 +136,36 @@ class TestMultiHopRouting:
         assert got[0].hops == 1  # direct link preferred
 
 
+class TestBacktrackingLeg:
+    def test_a_leg_routed_back_where_it_came_from_is_counted_and_journaled(self):
+        # ring b0-b1-b2-b3, subscriber on b2; b0 routes to b2 through b1.
+        # Cutting b1-b2 while the frame is on b0 -> b1 leaves b1 a next hop
+        # of b0, the neighbor the frame came from: the leg is dropped, and
+        # the drop is named rather than lost without a trace
+        sim = Simulator()
+        network = BrokerNetwork(sim, seed=0)
+        network.build_chain(["b0", "b1", "b2", "b3"])
+        network.connect_brokers("b3", "b0")
+        got = []
+        network.broker("b2").subscribe_local("ring/topic", got.append)
+        assert network.broker("b0").routing_table["b2"] == "b1"
+        metrics = network.monitor.metrics
+        network.broker("b0").publish_from_broker(
+            Message(topic=Topic("ring/topic"), body=1, source="b0")
+        )
+        while metrics.counter_value("broker.msgs.forwarded_out") == 0:
+            sim.step()
+        network.partition_link("b1", "b2")
+        sim.run()
+        assert got == []
+        assert metrics.counter_value("broker.messages.dropped_backtrack") == 1
+        assert metrics.counter_value("broker.msgs.dropped") == 1
+        # a topology change, not an unroutable destination: b2 is reachable
+        assert metrics.counter_value("broker.msgs.unroutable") == 0
+        (record,) = network.monitor.journal.records("route.backtrack")
+        assert record.fields == {"broker": "b1", "neighbor": "b0", "destinations": ("b2",)}
+
+
 class TestConstrainedEnforcement:
     def test_subscribe_only_rejects_entity_subscription(self, net):
         sim, network = net

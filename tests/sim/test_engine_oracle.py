@@ -15,6 +15,7 @@ full ``(time, who, what)`` logs and the final ``now`` must be equal:
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import engine
@@ -134,16 +135,29 @@ def run_program(eng, program):
     return log, sim.now
 
 
-@settings(max_examples=200, deadline=None)
-@given(programs(with_use=False))
-def test_ties_everywhere_without_use_log_identically(program):
-    program = concretize(program, float)
-    assert run_program(engine, program) == run_program(reference_engine, program)
+def _ties_everywhere(examples: int):
+    @settings(max_examples=examples, deadline=None)
+    @given(programs(with_use=False))
+    def test(program):
+        program = concretize(program, float)
+        assert run_program(engine, program) == run_program(reference_engine, program)
+
+    return test
 
 
-@settings(max_examples=200, deadline=None)
-@given(programs(with_use=True), st.integers(0, 2**32))
-def test_distinct_durations_log_identically(program, seed):
-    rng = random.Random(seed)
-    program = concretize(program, lambda n: n + rng.uniform(0.05, 0.95))
-    assert run_program(engine, program) == run_program(reference_engine, program)
+def _distinct_durations(examples: int):
+    @settings(max_examples=examples, deadline=None)
+    @given(programs(with_use=True), st.integers(0, 2**32))
+    def test(program, seed):
+        rng = random.Random(seed)
+        program = concretize(program, lambda n: n + rng.uniform(0.05, 0.95))
+        assert run_program(engine, program) == run_program(reference_engine, program)
+
+    return test
+
+
+test_ties_everywhere_without_use_log_identically = _ties_everywhere(200)
+test_distinct_durations_log_identically = _distinct_durations(200)
+#: the deep budget (``-m deep``; CI's "Deep example budgets" step)
+test_ties_everywhere_without_use_log_identically_deep = pytest.mark.deep(_ties_everywhere(5_000))
+test_distinct_durations_log_identically_deep = pytest.mark.deep(_distinct_durations(5_000))

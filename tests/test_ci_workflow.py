@@ -129,11 +129,11 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert step["run"] == (
         "python -m pytest tests/test_decode_contract.py tests/messaging/test_matching.py"
         " tests/analytics/test_store.py tests/crypto/test_primes.py"
-        " tests/analytics/test_availability.py -m deep -q"
+        " tests/analytics/test_availability.py tests/sim/test_engine_oracle.py -m deep -q"
     )
     # the step runs two contracts, a state machine, a round-trip property, the
-    # prime-generation oracle and the timelines property; its comment (lost to the
-    # YAML parser) names all six
+    # prime-generation oracle, the timelines property and the engine oracle; its
+    # comment (lost to the YAML parser) names all seven
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -143,6 +143,7 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "from_json(export_json())" in comment
     assert "generate_prime" in comment
     assert "build_timelines" in comment
+    assert "reference_engine" in comment
 
 
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):

@@ -11,13 +11,14 @@ from repro.transport.tcp import tcp_profile
 from repro.transport.udp import udp_profile
 
 
-def collect_link(sim, profile, seed=0):
+def collect_link(sim, profile, seed=0, monitor=None):
     received = []
     link = Link(
         sim, profile,
         receiver=lambda payload: received.append((sim.now, payload)),
         rng=random.Random(seed),
         name="test-link",
+        monitor=monitor,
     )
     return link, received
 
@@ -47,24 +48,24 @@ class TestDelivery:
         assert sorted(payloads) == list(range(200))
         assert payloads != list(range(200))  # at least one reordering
 
-    def test_udp_drops_on_loss(self, sim):
+    def test_udp_drops_on_loss(self, sim, monitor):
         link, received = collect_link(
-            sim, udp_profile(loss_probability=0.5), seed=5
+            sim, udp_profile(loss_probability=0.5), seed=5, monitor=monitor
         )
         receipts = [link.send(i) for i in range(400)]
         sim.run()
         delivered = sum(1 for r in receipts if r.delivered)
         assert delivered == len(received)
         assert 120 < delivered < 280  # ~50% of 400
-        assert link.dropped_count == 400 - delivered
+        assert monitor.metrics.counter_value("transport.msgs.dropped") == 400 - delivered
 
-    def test_tcp_retransmits_instead_of_dropping(self, sim):
+    def test_tcp_retransmits_instead_of_dropping(self, sim, monitor):
         profile = tcp_profile(loss_probability=0.3, retransmit_timeout_ms=40.0)
-        link, received = collect_link(sim, profile, seed=6)
+        link, received = collect_link(sim, profile, seed=6, monitor=monitor)
         receipts = [link.send(i) for i in range(200)]
         sim.run()
         assert len(received) == 200  # nothing lost
-        assert link.retransmit_count > 0
+        assert monitor.metrics.counter_value("transport.retransmits") > 0
         retransmitted = [r for r in receipts if r.retransmits > 0]
         assert retransmitted
         # every retransmission pays at least one timeout penalty
@@ -77,12 +78,12 @@ class TestDelivery:
         if first.retransmits == 0:
             assert first.latency_ms < 40.0
 
-    def test_counters(self, sim):
-        link, _ = collect_link(sim, tcp_profile())
+    def test_counters(self, sim, monitor):
+        link, _ = collect_link(sim, tcp_profile(), monitor=monitor)
         link.send(1)
         link.send(2)
-        assert link.sent_count == 2
-        assert link.delivered_count == 2
+        assert monitor.metrics.counter_value("transport.msgs.sent") == 2
+        assert monitor.metrics.counter_value("transport.msgs.delivered") == 2
 
 
 class TestDuplexLink:
@@ -141,7 +142,7 @@ class TestInstrumentsAppearOnFirstUse:
             "transport.inflight",
         }
         assert monitor.metrics.counter_value("transport.msgs.dropped") == 3
-        assert (link.dropped_count, link.delivered_count) == (3, 0)
+        assert monitor.metrics.counter_value("transport.msgs.delivered") == 0
 
     def test_empty_registry_still_counts_the_first_send(self, sim, monitor):
         """An empty registry is falsy (it has ``__len__``); the link must
