@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Generator, Iterable, Iterator, Protocol
 
-from repro.errors import NotConnectedError, RoutingError, UnauthorizedError
+from repro.errors import NotConnectedError, UnauthorizedError
 from repro.messaging.constrained import (
     CONSTRAINED_KEYWORD,
     ConstrainedTopic,
@@ -370,7 +370,21 @@ class Broker:
             self.metrics.counter("broker.messages.dropped_broker_failed").inc()
             self.metrics.counter("broker.msgs.dropped").inc()
             return
-        Process(self.sim, self._neighbor_ingress(neighbor_id, frame), self._fwd_name)
+        if self.publish_guards or self.broker_id in frame.destinations:
+            Process(self.sim, self._neighbor_ingress(neighbor_id, frame), self._fwd_name)
+        else:
+            # a pass-through waits only on its CPU hold: plain heap
+            # callbacks under the keys the process would have had
+            self.sim.call_later(
+                0.0,
+                partial(
+                    self.machine.compute_then,
+                    self.processing_ms,
+                    self._pass_through,
+                    neighbor_id,
+                    frame,
+                ),
+            )
 
     def publish_from_broker(self, message: Message) -> None:
         """The broker itself publishes (trace generation, section 3.3).
@@ -458,6 +472,14 @@ class Broker:
         if remaining:
             self._forward(message.with_hop(), remaining, exclude_neighbor=neighbor_id)
 
+    def _pass_through(self, neighbor_id: str, frame: RoutedFrame) -> None:
+        """What :meth:`_neighbor_ingress` does after its hold, for a frame
+        with no guard to pass and no local delivery."""
+        self._msgs_forwarded_in.inc()
+        self._forward(frame.message.with_hop(), frame.destinations, exclude_neighbor=neighbor_id)
+        # the seq number the finished process would have taken
+        self.sim.skip_seq()
+
     def _dispatch(
         self,
         message: Message,
@@ -526,9 +548,18 @@ class Broker:
                 continue
             link = self.neighbor_links.get(next_hop)
             if link is None:
-                raise RoutingError(
-                    f"{self.broker_id!r} has no link to next hop {next_hop!r}"
+                # a routing table naming a neighbor this broker has no link
+                # to: the leg is dropped, loudly
+                self.metrics.counter("broker.messages.dropped_no_link").inc()
+                self.metrics.counter("broker.msgs.dropped").inc()
+                self.monitor.journal.record(
+                    self.sim.now,
+                    "route.no_link",
+                    broker=self.broker_id,
+                    next_hop=next_hop,
+                    destinations=tuple(dests),
                 )
+                continue
             link.send(RoutedFrame(message, tuple(dests)))
             self._msgs_forwarded_out.inc()
 

@@ -26,6 +26,8 @@ The design follows the classic process-interaction style (SimPy-like):
   expires at the very same float instant and was set by something that
   ran right after the asking step, the hold timer fires first (a full
   resource still queues FIFO and grants in a step of its own).
+  :meth:`Resource.use_then` is the same hold for a caller that would only
+  wait on it: plain heap callbacks under the same keys, no process.
 """
 
 from __future__ import annotations
@@ -408,6 +410,33 @@ class Resource:
         finally:
             self.release()
 
+    def use_then(self, duration: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Continuation form of :meth:`use`: hold ``duration`` ms, then ``fn(*args)``.
+
+        For a caller that would only wait on the hold: no process, no
+        generator.  It pushes what a process running ``yield from
+        use(duration)`` pushes, under the same keys: a free slot is taken
+        in this step and its timer set here; a full resource queues a
+        :meth:`request` whose grant step sets the timer.  The timer entry
+        releases the slot, then calls ``fn(*args)``.
+        """
+        if duration < 0:
+            raise SimulationError(f"negative timeout: {duration}")
+
+        def expire() -> None:
+            self.release()
+            fn(*args)
+
+        sim = self.sim
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            heappush(sim._heap, (sim.clock._now + duration, sim._seq, expire))
+            sim._seq += 1
+        else:
+            self.request()._callbacks.append(
+                lambda _granted: sim._schedule_call(duration, expire)
+            )
+
 
 class Simulator:
     """The event loop: a heap of (time, seq, callable)."""
@@ -443,6 +472,15 @@ class Simulator:
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` milliseconds."""
         self._schedule_call(delay, fn)
+
+    def skip_seq(self) -> None:
+        """Take one sequence number and schedule nothing.
+
+        For a continuation that stands in for a process: the process's
+        finish took a number (a trigger nobody waits for), so taking it
+        here keeps every later key where it was.
+        """
+        self._seq += 1
 
     # -- event factories -------------------------------------------------------
 

@@ -58,6 +58,16 @@ class Machine:
         self._busy_ms_total += duration_ms
         return self.cpu.use(duration_ms)
 
+    def compute_then(self, duration_ms: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Hold the CPU for ``duration_ms``, then call ``fn(*args)``.
+
+        The continuation form of :meth:`compute`
+        (:meth:`~repro.sim.engine.Resource.use_then`): the same heap
+        entries under the same keys and the same busy time, counted here.
+        """
+        self._busy_ms_total += duration_ms
+        self.cpu.use_then(duration_ms, fn, *args)
+
     def charge(self, op: CryptoOp) -> Generator[Event, None, float]:
         """Charge one cryptographic operation to this machine's CPU.
 

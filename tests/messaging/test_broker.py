@@ -166,6 +166,30 @@ class TestBacktrackingLeg:
         assert record.fields == {"broker": "b1", "neighbor": "b0", "destinations": ("b2",)}
 
 
+class TestLegWithoutLink:
+    def test_a_leg_whose_next_hop_has_no_link_is_counted_and_journaled(self):
+        # line b0-b1-b2-b3, subscriber on b3; b1's route to b3 names a
+        # neighbor it has no link to.  The leg is dropped, and the drop is
+        # named rather than lost inside the hop
+        sim = Simulator()
+        network = BrokerNetwork(sim, seed=0)
+        network.build_chain(["b0", "b1", "b2", "b3"])
+        got = []
+        network.broker("b3").subscribe_local("line/topic", got.append)
+        network.broker("b1").routing_table["b3"] = "bX"
+        metrics = network.monitor.metrics
+        network.broker("b0").publish_from_broker(
+            Message(topic=Topic("line/topic"), body=1, source="b0")
+        )
+        sim.run()
+        assert got == []
+        assert metrics.counter_value("broker.messages.dropped_no_link") == 1
+        assert metrics.counter_value("broker.msgs.dropped") == 1
+        assert metrics.counter_value("broker.msgs.unroutable") == 0
+        (record,) = network.monitor.journal.records("route.no_link")
+        assert record.fields == {"broker": "b1", "next_hop": "bX", "destinations": ("b3",)}
+
+
 class TestConstrainedEnforcement:
     def test_subscribe_only_rejects_entity_subscription(self, net):
         sim, network = net

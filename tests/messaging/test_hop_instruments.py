@@ -20,7 +20,8 @@ from repro.sim.engine import Simulator
 TOPIC = "Traces/e-1/Change"
 
 #: The instruments of the healthy send -> _deliver -> receive_from_neighbor
-#: -> _neighbor_ingress -> _forward path (plus ``_ingress`` at the origin).
+#: -> _pass_through -> _forward path (plus ``_ingress`` at the origin and
+#: ``_neighbor_ingress`` at the destination).
 HELD = frozenset(
     {
         "transport.msgs.sent",

@@ -1,10 +1,13 @@
 """The schedule of a forwarded frame, pinned step by step.
 
-A pass-through hop is three heap entries: the link's delivery, the start
-of the receiving broker's ``_neighbor_ingress`` process, and the timer of
-its CPU hold, after which the frame is forwarded.  Making the hop cheaper
-in host time must not add, drop or reorder any of them: every committed
-seed and the benchmark's ``sim_digest`` hang on that order.
+A pass-through hop is three heap entries: the link's delivery, the
+receiving broker's start entry, and the timer of its CPU hold
+(``Machine.compute_then``), after which the frame is forwarded.  Only a
+frame that waits on more than the hold (a publish guard, a local
+delivery) runs as a ``_neighbor_ingress`` process, under the same keys.
+Making the hop cheaper in host time must not add, drop or reorder any of
+the entries: every committed seed and the benchmark's ``sim_digest`` hang
+on that order.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import pytest
 from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
 from repro.messaging.topics import Topic
-from repro.sim.engine import Simulator
+from repro.sim.engine import Process, Simulator
 from repro.transport.tcp import tcp_profile
 
 TOPIC = "Traces/e-1/Change"
@@ -80,3 +83,22 @@ def steps_to_deliver(brokers: int) -> int:
 def test_one_pass_through_hop_is_three_steps(brokers):
     # delivery, ingress start, CPU timer
     assert steps_to_deliver(brokers + 1) - steps_to_deliver(brokers) == 3
+
+
+@pytest.mark.parametrize("brokers", [3, 5, 8])
+def test_a_longer_line_builds_no_more_processes(brokers, monkeypatch):
+    # the origin's ingress and the destination's ingress; the pass-through
+    # hops between them build none
+    built = []
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    sim, network, got = line(brokers)
+    publish(network, "x")
+    sim.run()
+    assert len(got) == 1
+    assert len(built) == 2

@@ -11,6 +11,12 @@ full ``(time, who, what)`` logs and the final ``now`` must be equal:
   sums) coincide — taking a free slot early reorders nothing either, as
   long as no two timers land on the same float instant (the tie rule in
   the engine's module docstring).
+
+A third property holds the continuation hold to the generator hold on
+one engine: the same arrivals on a capacity-k CPU, once as processes
+running ``yield from machine.compute(d)`` and once as start entries
+calling ``machine.compute_then(d, …)``, execute the same ``(time, seq)``
+keys, ties and queued grants included.
 """
 
 import random
@@ -18,7 +24,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.costmodel import CryptoCostModel
 from repro.sim import engine
+from repro.sim.machine import Machine
 from tests.sim import reference_engine
 
 #: a duration placeholder; :func:`concretize` turns it into milliseconds
@@ -156,8 +164,68 @@ def _distinct_durations(examples: int):
     return test
 
 
+#: arrivals on one CPU: (delay, durations of holds run back to back);
+#: small integers tie everywhere, and up to six holders queue for up to three slots
+arrivals = st.lists(
+    st.tuples(st.integers(0, 3), st.lists(st.integers(0, 3), min_size=1, max_size=3)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def run_holds(capacity, program, continuation):
+    """Run ``program``'s holds one way; executed keys, last seq, callbacks, busy ms."""
+    sim = engine.Simulator()
+    machine = Machine(sim, "m", CryptoCostModel.free(), random.Random(0), cpu_capacity=capacity)
+    called = []
+
+    def holder(who, durations):
+        for index, duration in enumerate(durations):
+            yield from machine.compute(float(duration))
+            called.append((sim.now, who, index))
+
+    def hold_then(who, index, durations):
+        called.append((sim.now, who, index))
+        if index + 1 < len(durations):
+            machine.compute_then(float(durations[index + 1]), hold_then, who, index + 1, durations)
+        else:
+            # where the generator form's finished process takes its number
+            sim.skip_seq()
+
+    def arrive(who, durations):
+        if continuation:
+            sim.call_later(
+                0.0,
+                lambda: machine.compute_then(float(durations[0]), hold_then, who, 0, durations),
+            )
+        else:
+            sim.process(holder(who, durations), name=who)
+
+    for number, (delay, durations) in enumerate(program):
+        sim.call_later(float(delay), lambda who=f"h{number}", d=durations: arrive(who, d))
+    keys = []
+    while sim._heap:
+        keys.append(sim._heap[0][:2])
+        sim.step()
+    return keys, sim._seq, called, machine.busy_ms_total, machine.cpu.in_use
+
+
+def _continuation_hold(examples: int):
+    @settings(max_examples=examples, deadline=None)
+    @given(st.integers(1, 3), arrivals)
+    def test(capacity, program):
+        generator = run_holds(capacity, program, continuation=False)
+        assert run_holds(capacity, program, continuation=True) == generator
+
+    return test
+
+
 test_ties_everywhere_without_use_log_identically = _ties_everywhere(200)
 test_distinct_durations_log_identically = _distinct_durations(200)
+test_continuation_hold_runs_the_generator_hold_keys = _continuation_hold(200)
 #: the deep budget (``-m deep``; CI's "Deep example budgets" step)
 test_ties_everywhere_without_use_log_identically_deep = pytest.mark.deep(_ties_everywhere(5_000))
 test_distinct_durations_log_identically_deep = pytest.mark.deep(_distinct_durations(5_000))
+test_continuation_hold_runs_the_generator_hold_keys_deep = pytest.mark.deep(
+    _continuation_hold(5_000)
+)

@@ -132,8 +132,8 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
         " tests/analytics/test_availability.py tests/sim/test_engine_oracle.py -m deep -q"
     )
     # the step runs two contracts, a state machine, a round-trip property, the
-    # prime-generation oracle, the timelines property and the engine oracle; its
-    # comment (lost to the YAML parser) names all seven
+    # prime-generation oracle, the timelines property, the engine oracle and the
+    # continuation oracle; its comment (lost to the YAML parser) names all eight
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -144,6 +144,7 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "generate_prime" in comment
     assert "build_timelines" in comment
     assert "reference_engine" in comment
+    assert "continuation oracle" in comment and "compute_then" in comment
 
 
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):
