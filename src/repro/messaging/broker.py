@@ -30,9 +30,9 @@ from repro.messaging.constrained import (
     ConstrainedTopic,
     is_constrained,
 )
-from repro.messaging.matching import SubscriptionIndex
+from repro.messaging.matching import SubscriptionIndex, canonical_pattern
 from repro.messaging.message import Message, RoutedFrame
-from repro.messaging.topics import topic_matches, validate_topic
+from repro.messaging.topics import topic_matches
 from repro.obs import Counter
 from repro.sim.engine import Event, Process, Simulator
 from repro.sim.machine import Machine
@@ -276,7 +276,7 @@ class Broker:
     def remove_client_subscription(self, client_id: str, pattern: str) -> None:
         """Drop one client subscription, retracting interest if last."""
         if self._subs.remove_client(pattern, client_id):
-            self._maybe_retract_interest(SubscriptionIndex.canonical(pattern))
+            self._maybe_retract_interest(canonical_pattern(pattern))
 
     def subscribe_local(self, pattern: str, handler: LocalHandler) -> None:
         """The broker's own subscription (e.g. to a session topic).
@@ -300,16 +300,15 @@ class Broker:
     def unsubscribe_local(self, pattern: str, handler: LocalHandler) -> None:
         """Remove a broker-own subscription, retracting interest if last."""
         if self._subs.remove_handler(pattern, handler):
-            self._maybe_retract_interest(SubscriptionIndex.canonical(pattern))
+            self._maybe_retract_interest(canonical_pattern(pattern))
 
     @staticmethod
     def _parse_pattern(pattern: str) -> tuple[str, ConstrainedTopic | None]:
-        """Validate ``pattern`` with one split: its canonical spelling (the
-        string itself unless it had a leading ``/``) and, for a
-        constrained pattern, its parsed form."""
-        segments = validate_topic(pattern, allow_wildcards=True)
-        canonical = pattern[1:] if pattern[0] == "/" else pattern
-        if segments[0] != CONSTRAINED_KEYWORD:
+        """Validate ``pattern``: its canonical spelling (the string itself
+        unless it had a leading ``/``) and, for a constrained pattern, its
+        parsed form.  A literal, unconstrained pattern is never split."""
+        canonical = canonical_pattern(pattern)
+        if canonical.partition("/")[0] != CONSTRAINED_KEYWORD:
             return canonical, None
         return canonical, ConstrainedTopic.parse(canonical)
 

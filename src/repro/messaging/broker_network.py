@@ -144,15 +144,16 @@ class BrokerNetwork:
             monitor=self.monitor,
             **kwargs,
         )
-        broker.set_interest_announcer(self._announce_interest, self._retract_interest)
         self._brokers[broker_id] = broker
         self._adjacency[broker_id] = set()
         if self.federation is not None:
             # late joiners receive one summary per established peer
             # (fed.summary.replays), not a replay of every pattern
             self.federation.register_broker(broker_id)
+            broker.set_interest_announcer(self.federation.announce, self.federation.retract)
             broker.set_federation(self.federation)
         else:
+            broker.set_interest_announcer(self._announce_interest, self._retract_interest)
             # replay interest flooded before this broker existed, so a late
             # joiner routes toward established subscribers like everyone else
             for pattern in sorted(self._interest):
@@ -442,19 +443,15 @@ class BrokerNetwork:
 
     # ------------------------------------------------------------ control plane
 
-    def _announce_interest(self, pattern: str, broker_id: str) -> None:
-        """Propagate subscription interest through the control plane.
+    # A federated network hands each broker the plane's own ``announce`` /
+    # ``retract`` instead (add_broker): they only update the owner's
+    # interest summary, and the re-broadcast is batched into the next
+    # routing epoch by FederatedInterestPlane.flush, which is where
+    # ``control.floods`` is counted.
 
-        Verbatim mode floods the pattern to every broker (one
-        ``control.floods`` message per pattern).  Federated mode only
-        updates the owner's interest summary; the re-broadcast is batched
-        into the next routing epoch by
-        :meth:`~repro.messaging.federation.FederatedInterestPlane.flush`,
-        which is where ``control.floods`` is counted.
-        """
-        if self.federation is not None:
-            self.federation.announce(pattern, broker_id)
-            return
+    def _announce_interest(self, pattern: str, broker_id: str) -> None:
+        """Flood subscription interest to every broker (verbatim plane):
+        one ``control.floods`` message per pattern."""
         self._interest.setdefault(pattern, set()).add(broker_id)
         for other in self._brokers.values():
             other.note_remote_interest(pattern, broker_id)
@@ -466,8 +463,6 @@ class BrokerNetwork:
         Returns whether ``broker_id`` had announced ``pattern``; a pattern
         it never announced (a suppressed one) floods nothing.
         """
-        if self.federation is not None:
-            return self.federation.retract(pattern, broker_id)
         owners = self._interest.get(pattern)
         if owners is None or broker_id not in owners:
             return False

@@ -249,12 +249,14 @@ class _InterestAccumulator:
     """
 
     __slots__ = (
-        "broker_id", "config", "patterns", "bit_counts", "digest", "match_all_count",
+        "broker_id", "config", "modulus", "patterns", "bit_counts", "digest",
+        "match_all_count",
     )
 
     def __init__(self, broker_id: str, config: FederationConfig) -> None:
         self.broker_id = broker_id
         self.config = config
+        self.modulus = config.digest_bits
         self.patterns: set[str] = set()
         self.bit_counts: dict[int, int] = {}
         #: bit ``n`` is set iff ``n in bit_counts``
@@ -263,9 +265,12 @@ class _InterestAccumulator:
 
     def _bits(self, pattern: str) -> tuple[int, ...]:
         """The digest bits of ``pattern``; none for a match-all wildcard."""
+        if "*" not in pattern and ">" not in pattern:
+            # a literal's one key, as pattern_digest_keys gives it
+            return _digest_bits("e:" + pattern, self.modulus)
         bits: tuple[int, ...] = ()
         for key in pattern_digest_keys(pattern):
-            bits += _digest_bits(key, self.config.digest_bits)
+            bits += _digest_bits(key, self.modulus)
         return bits
 
     def add(self, pattern: str) -> bool:
@@ -276,12 +281,12 @@ class _InterestAccumulator:
         bits = self._bits(pattern)
         if not bits:
             self.match_all_count += 1
+        counts = self.bit_counts
         for bit in bits:
-            count = self.bit_counts.get(bit, 0)
+            count = counts.get(bit, 0)
             if not count:
-                index, mask = _locate(bit)
-                self.digest[index] |= mask
-            self.bit_counts[bit] = count + 1
+                self.digest[bit >> 3] |= 1 << (bit & 7)
+            counts[bit] = count + 1
         return True
 
     def remove(self, pattern: str) -> bool:
@@ -292,14 +297,14 @@ class _InterestAccumulator:
         bits = self._bits(pattern)
         if not bits:
             self.match_all_count -= 1
+        counts = self.bit_counts
         for bit in bits:
-            remaining = self.bit_counts[bit] - 1
+            remaining = counts[bit] - 1
             if remaining:
-                self.bit_counts[bit] = remaining
+                counts[bit] = remaining
             else:
-                del self.bit_counts[bit]
-                index, mask = _locate(bit)
-                self.digest[index] &= ~mask
+                del counts[bit]
+                self.digest[bit >> 3] &= ~(1 << (bit & 7))
         return True
 
     @property

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Callable
 
 from repro.messaging.topics import (
     WILDCARD_MANY,
@@ -75,13 +75,15 @@ SHARDS_GAUGE = "broker.interest.shards"
 _NOBODY: AbstractSet[str] = frozenset()
 
 
-def _validated(pattern: str) -> str:
+def canonical_pattern(pattern: str) -> str:
     """``pattern``'s canonical spelling; TopicValidationError if invalid.
 
     A wildcard-free pattern is checked by string tests alone — exactly
     the grammar :func:`~repro.messaging.topics.split_topic` enforces (no
-    empty segment, one tolerated leading ``/``) — so a caller that has
-    already split it does not pay a second split here.
+    empty segment, one tolerated leading ``/``) — so a literal
+    subscription is never split into segments.  Anything else goes
+    through :func:`~repro.messaging.topics.validate_topic`, which raises
+    the same error type and message a split would.
     """
     if isinstance(pattern, str) and "*" not in pattern and ">" not in pattern:
         text = pattern[1:] if pattern[:1] == "/" else pattern
@@ -180,13 +182,8 @@ class SubscriptionIndex:
 
     # ------------------------------------------------------------ entry access
 
-    @staticmethod
-    def canonical(pattern: str) -> str:
-        """Canonical spelling of a pattern (leading ``/`` stripped)."""
-        return "/".join(split_topic(pattern))
-
     def _get_or_create(self, pattern: str) -> PatternEntry:
-        canonical = _validated(pattern)
+        canonical = canonical_pattern(pattern)
         entry = self._by_pattern.get(canonical)
         if entry is not None:
             return entry
@@ -450,14 +447,3 @@ class SubscriptionIndex:
 
     def __contains__(self, pattern: str) -> bool:
         return self._lookup(pattern) is not None
-
-
-def linear_match_patterns(patterns: Iterable[str], topic: str) -> list[str]:
-    """Reference implementation: the old linear scan over every pattern.
-
-    Kept for the equivalence test suite, which checks the index against
-    this oracle over randomized corpora.
-    """
-    from repro.messaging.topics import topic_matches
-
-    return sorted(p for p in patterns if topic_matches(p, topic))

@@ -13,12 +13,15 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.errors import TopicError
 from repro.messaging import topics
 from repro.messaging.broker_network import BrokerNetwork
-from repro.messaging.matching import (
-    SubscriptionIndex,
-    linear_match_patterns,
-)
+from repro.messaging.matching import SubscriptionIndex
+from repro.messaging.topics import topic_matches
 from repro.obs import MetricsRegistry
 from repro.sim.engine import Simulator
+
+
+def linear_match_patterns(patterns, topic):
+    """The oracle: a linear scan testing every pattern against ``topic``."""
+    return sorted(p for p in patterns if topic_matches(p, topic))
 
 
 def index_with_clients(patterns):
@@ -462,8 +465,9 @@ def federated_brokers(count):
 
 
 class TestLiteralSubscribePath:
-    def test_literal_subscribe_local_splits_once(self, monkeypatch):
-        """Broker, index and federation plane share one parse."""
+    def test_literal_subscribe_and_unsubscribe_split_nothing(self, monkeypatch):
+        """Broker, index and federation plane recognise a literal by string
+        tests alone, on the way in and on the way out, and hold one string."""
         network, (broker, _peer) = federated_brokers(2)
         calls = []
         original = topics.split_topic
@@ -478,12 +482,18 @@ class TestLiteralSubscribePath:
             ):
                 monkeypatch.setattr(module, "split_topic", counted)
         pattern = "/".join(["Traces", "e1", "Change"])
-        broker.subscribe_local(pattern, lambda m: None)
-        assert calls == [pattern]
+        handler = MACHINE_HANDLERS[0]
+        broker.subscribe_local(pattern, handler)
+        assert calls == []
         # and the three layers hold that one string
         (stored,) = broker.subscription_index._by_pattern
-        (announced,) = network.federation._accumulators[broker.broker_id].patterns
+        accumulator = network.federation._accumulators[broker.broker_id]
+        (announced,) = accumulator.patterns
         assert stored is pattern and announced is pattern
+        # the tolerated leading "/" is stripped by string tests too
+        broker.unsubscribe_local("/" + pattern, handler)
+        assert calls == []
+        assert not broker.subscription_index._by_pattern and not accumulator.patterns
 
     def test_literal_pattern_costs_at_most_500_traced_bytes(self):
         """20 000 literal broker subscriptions on a federated net: the

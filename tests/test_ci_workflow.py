@@ -129,11 +129,14 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert step["run"] == (
         "python -m pytest tests/test_decode_contract.py tests/messaging/test_matching.py"
         " tests/analytics/test_store.py tests/crypto/test_primes.py"
-        " tests/analytics/test_availability.py tests/sim/test_engine_oracle.py -m deep -q"
+        " tests/analytics/test_availability.py tests/sim/test_engine_oracle.py"
+        " tests/messaging/test_routing_properties.py tests/messaging/test_parse_oracle.py"
+        " -m deep -q"
     )
     # the step runs two contracts, a state machine, a round-trip property, the
-    # prime-generation oracle, the timelines property, the engine oracle and the
-    # continuation oracle; its comment (lost to the YAML parser) names all eight
+    # prime-generation oracle, the timelines property, the engine oracle, the
+    # continuation oracle, the route-table oracle and the parse oracle; its comment
+    # (lost to the YAML parser) names all ten
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -145,6 +148,8 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "build_timelines" in comment
     assert "reference_engine" in comment
     assert "continuation oracle" in comment and "compute_then" in comment
+    assert "route-table oracle" in comment and "all_next_hops" in comment
+    assert "parse oracle" in comment and "Broker._parse_pattern" in comment
 
 
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):

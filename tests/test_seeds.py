@@ -20,7 +20,7 @@ from repro.util.snapshots import snapshot_drift
 HARNESS_OWNED = "perf_smoke_digests.txt"
 
 #: Paper artefacts the ``benchmarks/bench_*.py`` runs write and nothing regenerates in
-#: tier-1 or CI yet; ROADMAP item 7 empties this by moving the names into the table.
+#: tier-1 or CI yet; ROADMAP item 10 empties this by moving the names into the table.
 NOT_YET_GATED = (
     "ablation_adaptive_ping.txt",
     "ablation_interest_gating.txt",
