@@ -71,8 +71,6 @@ SANITIZER_NAMES = frozenset(
         "fingerprint",
         "digest",
         "sha1_digest",
-        "sha256_digest",
-        "hmac_sha1",
         "sha1",
         "sha256",
         "hash",

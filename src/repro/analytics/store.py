@@ -112,17 +112,9 @@ class AnalyticsStore:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
 
-    def entities(self) -> list[str]:
-        """Distinct entities mentioned by any event, sorted."""
-        return sorted({e.entity for e in self._events if e.entity is not None})
-
     def count(self) -> int:
         """Total stored events."""
         return len(self._events)
-
-    def summary(self) -> dict:
-        """Small JSON block for ``Deployment.snapshot()`` embedding."""
-        return {"events": self.count(), "kinds": self.kinds()}
 
     # ------------------------------------------------------------------- export
 

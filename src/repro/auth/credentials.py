@@ -8,7 +8,7 @@ from typing import Any
 
 from repro.crypto.certificates import Certificate, CertificateAuthority
 from repro.crypto.keys import KeyPair
-from repro.crypto.signing import SignedEnvelope, sign_payload, verify_payload
+from repro.crypto.signing import SignedEnvelope, sign_payload
 
 
 @dataclass(slots=True)
@@ -41,10 +41,6 @@ class EntityCredentials:
     def sign(self, payload: Any) -> SignedEnvelope:
         """Sign ``payload``, demonstrating possession of the private key."""
         return sign_payload(payload, self.keys.private)
-
-    def verify_own(self, envelope: SignedEnvelope) -> Any:
-        """Verify an envelope allegedly signed by *this* entity."""
-        return verify_payload(envelope, self.keys.public)
 
     @property
     def public_key(self):

@@ -25,7 +25,6 @@ from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import SignedEnvelope, sign_payload, verify_payload
 from repro.errors import MalformedFrameError, SignatureError, TokenError
 from repro.tdn.advertisement import TopicAdvertisement
-from repro.util.identifiers import UUID128
 from repro.util.serialization import Canonical, Fields
 
 
@@ -137,11 +136,6 @@ class AuthorizationToken:
             verify_payload(self.owner_signature, self.advertisement.owner_public_key)
         except SignatureError as exc:
             raise TokenError(f"token not signed by topic owner: {exc}") from exc
-
-    @property
-    def trace_topic(self) -> UUID128:
-        """The trace topic this token authorizes (from the advertisement)."""
-        return self.advertisement.trace_topic
 
     # -- wire form ----------------------------------------------------------------
 

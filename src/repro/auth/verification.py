@@ -64,10 +64,6 @@ class TokenVerifier:
         if self.cache is not None:
             self.cache.discard(digest)
 
-    def is_revoked(self, wire: Canonical) -> bool:
-        """Whether these exact token bytes (by digest) have been revoked."""
-        return token_digest(wire) in self._revoked
-
     def verify(self, wire: Canonical, now_ms: float) -> AuthorizationToken:
         """Full validation; raises :class:`TokenError` on any failure.
 

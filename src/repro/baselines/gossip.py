@@ -138,13 +138,6 @@ class GossipFailureDetector:
             t for (node, p), t in self._detections.items() if p == peer
         )
 
-    def detection_spread_ms(self, peer: int) -> float:
-        """Gossip's consistency problem: first vs last detector gap."""
-        times = self.detection_times_for(peer)
-        if len(times) < 2:
-            return 0.0
-        return times[-1] - times[0]
-
     def all_live_nodes_suspect(self, peer: int) -> bool:
         return all(
             node.suspects(peer)

@@ -56,19 +56,6 @@ class ReplicatedResult:
             self.mean_of_means + self.ci95_half_width,
         )
 
-    def contains(self, value: float) -> bool:
-        """Is ``value`` inside the 95% confidence interval?"""
-        low, high = self.ci95
-        return low <= value <= high
-
-    def describe(self) -> str:
-        """One-line human summary: mean, CI bounds, seed count."""
-        low, high = self.ci95
-        return (
-            f"{self.label}: {self.mean_of_means:.2f} ms "
-            f"(95% CI [{low:.2f}, {high:.2f}], {len(self.seeds)} seeds)"
-        )
-
 
 def replicate(
     label: str,

@@ -32,7 +32,6 @@ from repro.campaigns.spec import (
     CampaignPoint,
     CampaignSpec,
     expand,
-    ignored_axes,
     load_spec,
     unused_parameters,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "campaign_snapshot",
     "expand",
     "generate_report",
-    "ignored_axes",
     "load_spec",
     "run_campaign",
     "run_point",

@@ -5,10 +5,9 @@ produces.  Every family builds its own deployment, which owns all of its
 state, so points are isolated without process boundaries.
 
 The campaign snapshot (:func:`campaign_snapshot`) is deliberately free
-of wall-clock, RSS, or host-dependent values: CI gates the committed
-smoke snapshot byte-for-byte with
-:func:`repro.util.snapshots.snapshot_drift`, exactly like the chaos and
-scale seeds (docs/CAMPAIGNS.md).
+of wall-clock, RSS, or host-dependent values: ``repro seeds`` rewrites the
+committed smoke snapshot and CI's ``git diff`` gates it byte for byte,
+exactly like the chaos and scale seeds (docs/CAMPAIGNS.md).
 """
 
 from __future__ import annotations

@@ -102,13 +102,6 @@ class CampaignSpec:
                     "JSON scalar"
                 )
 
-    def grid_size(self) -> int:
-        """Grid cells per family (product of axis lengths)."""
-        size = 1
-        for axis in self.axes:
-            size *= len(axis.values)
-        return size
-
     def to_dict(self) -> dict:
         """JSON-ready spec form; :meth:`from_dict` round-trips it."""
         return {
@@ -188,7 +181,7 @@ def expand(spec: CampaignSpec, seed: int | None = None) -> tuple[CampaignPoint, 
     it understands, so baselines sweep the same campaign without
     repeating identical work for axes they ignore.  (A parameter no
     family accepts is a spec bug; :func:`unused_parameters` surfaces
-    those, and reports footnote per-family projections.)
+    those.)
     """
     from repro.campaigns.workloads import workload_family
 
@@ -223,14 +216,6 @@ def expand(spec: CampaignSpec, seed: int | None = None) -> tuple[CampaignPoint, 
                     )
                 )
     return tuple(points)
-
-
-def ignored_axes(spec: CampaignSpec, family_name: str) -> tuple[str, ...]:
-    """Swept axes a family projects away (for report footnotes)."""
-    from repro.campaigns.workloads import workload_family
-
-    family = workload_family(family_name)
-    return tuple(a.name for a in spec.axes if a.name not in family.accepts)
 
 
 def unused_parameters(spec: CampaignSpec) -> tuple[str, ...]:

@@ -13,7 +13,7 @@ wrong key genuinely fails to decrypt.
    protect real data.
 """
 
-from repro.crypto.digest import sha1_digest, sha256_digest, Digest
+from repro.crypto.digest import sha1_digest
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, RSAPrivateKey, generate_rsa_keypair
 from repro.crypto.aes import AESKey, aes_cbc_encrypt, aes_cbc_decrypt, generate_aes_key
 from repro.crypto.keys import SymmetricKey, KeyPair
@@ -23,8 +23,6 @@ from repro.crypto.costmodel import CryptoCostModel, CryptoOp, PAPER_CALIBRATION
 
 __all__ = [
     "sha1_digest",
-    "sha256_digest",
-    "Digest",
     "RSAKeyPair",
     "RSAPublicKey",
     "RSAPrivateKey",

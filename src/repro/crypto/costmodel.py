@@ -122,10 +122,6 @@ class CryptoCostModel:
         self.scale = scale
         self._metrics = metrics
 
-    def bind_metrics(self, metrics: "MetricsRegistry | None") -> None:
-        """Route every subsequent sample into ``crypto.*`` instruments."""
-        self._metrics = metrics
-
     def mean_ms(self, op: CryptoOp) -> float:
         """Deterministic mean cost (used by analytic predictions in tests)."""
         return self._costs[op].mean_ms * self.scale
@@ -140,14 +136,3 @@ class CryptoCostModel:
             self._metrics.counter(f"crypto.ops.{op.value}").inc()
             self._metrics.histogram(f"crypto.ms.{op.value}").observe(sampled)
         return sampled
-
-    def zero(self) -> "CryptoCostModel":
-        """A model that charges (almost) nothing — for functional tests."""
-        zeroed = {op: OpCost(0.0, 0.0, 0.0) for op in CryptoOp}
-        return CryptoCostModel(calibration=zeroed, seed=0)
-
-    @classmethod
-    def free(cls) -> "CryptoCostModel":
-        """Model charging zero time for every operation."""
-        zeroed = {op: OpCost(0.0, 0.0, 0.0) for op in CryptoOp}
-        return cls(calibration=zeroed, seed=0)

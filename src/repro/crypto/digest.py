@@ -1,61 +1,15 @@
 """Message digests.
 
 The paper uses 160-bit SHA-1 for message checksums and signature digests.
-We delegate to :mod:`hashlib` (these are not the simulation's interesting
-parts) but wrap them behind one seam so the digest algorithm is swappable
-and so a :class:`Digest` value can travel inside messages.
+We delegate to :mod:`hashlib`: these are not the simulation's interesting
+parts.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac as _hmac
-from dataclasses import dataclass
-
-from repro.errors import CryptoInputError
 
 
 def sha1_digest(data: bytes) -> bytes:
     """160-bit SHA-1 digest (the paper's choice)."""
     return hashlib.sha1(data).digest()
-
-
-def sha256_digest(data: bytes) -> bytes:
-    """256-bit SHA-256 digest (offered as a modern alternative)."""
-    return hashlib.sha256(data).digest()
-
-
-_ALGORITHMS = {
-    "sha1": sha1_digest,
-    "sha256": sha256_digest,
-}
-
-
-@dataclass(frozen=True, slots=True)
-class Digest:
-    """An algorithm-tagged digest value, safe to embed in messages."""
-
-    algorithm: str
-    value: bytes
-
-    @classmethod
-    def compute(cls, data: bytes, algorithm: str = "sha1") -> "Digest":
-        try:
-            fn = _ALGORITHMS[algorithm]
-        except KeyError:
-            raise CryptoInputError(f"unknown digest algorithm {algorithm!r}") from None
-        return cls(algorithm=algorithm, value=fn(data))
-
-    def matches(self, data: bytes) -> bool:
-        """Constant-time comparison against the digest of ``data``."""
-        other = Digest.compute(data, self.algorithm)
-        return _hmac.compare_digest(self.value, other.value)
-
-    @property
-    def hex(self) -> str:
-        return self.value.hex()
-
-
-def hmac_sha1(key: bytes, data: bytes) -> bytes:
-    """HMAC-SHA1 keyed digest (used by the symmetric-channel optimization)."""
-    return _hmac.new(key, data, hashlib.sha1).digest()

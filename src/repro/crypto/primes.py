@@ -6,7 +6,7 @@ is reproducible inside a seeded simulation run.
 
 Two error bounds, one per input:
 
-* ``is_probable_prime(n)`` on an arbitrary ``n``: at most 4^-rounds
+* the full test (every drawn witness run) on an arbitrary ``n``: at most 4^-rounds
   (Rabin's worst case; 2^-80 at the default 40 rounds).
 * ``generate_prime`` at 256 bits or more, where the candidate is random:
   every candidate still draws 40 witnesses, but only the first
@@ -59,15 +59,6 @@ def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
         if x == n - 1:
             return True
     return False
-
-
-def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 40) -> bool:
-    """Miller-Rabin primality test.
-
-    Deterministic for n below ~3.3e24; above that, ``rounds`` random
-    witnesses give error probability at most 4^-rounds for any ``n``.
-    """
-    return _probable_prime(n, rng, rounds, rounds)
 
 
 def _probable_prime(n: int, rng: random.Random | None, rounds: int, run: int) -> bool:

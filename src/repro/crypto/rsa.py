@@ -46,10 +46,6 @@ class RSAPublicKey:
             raise KeyMaterialError("RSA public key needs n > 0 and 0 < e < 2**32")
 
     @property
-    def bits(self) -> int:
-        return self.n.bit_length()
-
-    @property
     def byte_length(self) -> int:
         return (self.n.bit_length() + 7) // 8
 

@@ -154,16 +154,8 @@ class Deployment:
         return self.monitor.journal
 
     def snapshot(self) -> dict:
-        """One JSON-serializable view of every instrument's current state.
-
-        With an analytics store attached the snapshot grows an
-        ``analytics`` block (event count, kind inventory) so
-        harness output records what the persistent log captured.
-        """
-        snapshot = self.monitor.metrics.snapshot()
-        if self.analytics is not None:
-            snapshot["analytics"] = self.analytics.summary()
-        return snapshot
+        """One JSON-serializable view of every instrument's current state."""
+        return self.monitor.metrics.snapshot()
 
     def attach_analytics(
         self, store: "AnalyticsStore | None" = None

@@ -145,13 +145,6 @@ class FaultPlan:
         """Events sorted by injection time (stable for equal times)."""
         return tuple(sorted(self.events, key=lambda e: e.at_ms))
 
-    def horizon_ms(self) -> float:
-        """Latest instant the plan touches (injection or revert)."""
-        horizon = 0.0
-        for event in self.events:
-            horizon = max(horizon, event.revert_at_ms or event.at_ms)
-        return horizon
-
     def to_dict(self) -> dict:
         """JSON-ready plan form (events in timeline order)."""
         return {

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import replace
 from functools import cached_property, partial
-from typing import Callable, Generator, Iterable, Iterator, Protocol
+from typing import Callable, Generator, Iterator, Protocol
 
 from repro.errors import NotConnectedError, UnauthorizedError
 from repro.messaging.constrained import (
@@ -32,7 +32,9 @@ from repro.messaging.constrained import (
 )
 from repro.messaging.matching import SubscriptionIndex, canonical_pattern
 from repro.messaging.message import Message, RoutedFrame
-from repro.messaging.topics import topic_matches
+# bound here so the wall-clock harness's self-test can check that its span
+# recorder also patches names other modules imported (benchmarks/perf/test_perf.py)
+from repro.messaging.topics import topic_matches  # noqa: F401
 from repro.obs import Counter
 from repro.sim.engine import Event, Process, Simulator
 from repro.sim.machine import Machine
@@ -82,7 +84,6 @@ class PublishGuard(Protocol):
 __all__ = [
     "Broker",
     "PublishGuard",
-    "iter_matching_patterns",
     "topic_family",
 ]
 
@@ -214,11 +215,6 @@ class Broker:
         :class:`~repro.messaging.federation.FederatedInterestPlane`.
         """
         self._fed_plane = plane
-
-    @property
-    def federated(self) -> bool:
-        """Whether this broker routes on summarized interest."""
-        return self._fed_plane is not None
 
     def attach_client(self, client_id: str, link_to_client: Link) -> None:
         """Wire the outbound link used to deliver to a local client."""
@@ -627,10 +623,6 @@ class Broker:
         """Whether a principal was terminated for violations (§5.2)."""
         return client_id in self._blacklist
 
-    def violation_count(self, principal: str) -> int:
-        """Guard violations recorded against a principal so far."""
-        return self._violations.get(principal, 0)
-
     # ------------------------------------------------------------------ misc
 
     def has_any_subscriber(self, topic: str) -> bool:
@@ -641,15 +633,5 @@ class Broker:
             )
         return self._subs.has_any_match(topic, exclude_remote=self.broker_id)
 
-    @property
-    def subscription_index(self) -> SubscriptionIndex:
-        """The broker's interest index (read-mostly; tests and tools)."""
-        return self._subs
-
     def __repr__(self) -> str:
         return f"<Broker {self.broker_id}>"
-
-
-def iter_matching_patterns(patterns: Iterable[str], topic: str) -> list[str]:
-    """Utility for tests: which of ``patterns`` match ``topic``."""
-    return [p for p in patterns if topic_matches(p, topic)]

@@ -20,7 +20,7 @@ from repro.errors import ConfigurationError, RoutingError
 from repro.messaging.broker import Broker
 from repro.messaging.client import BrokerClient
 from repro.messaging.federation import FederatedInterestPlane, FederationConfig
-from repro.messaging.routing import all_next_hops, hop_distance
+from repro.messaging.routing import all_next_hops
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
@@ -117,10 +117,6 @@ class BrokerNetwork:
             )
         return self._machines[name]
 
-    def machines(self) -> list[Machine]:
-        """Every machine in the deployment, sorted by name."""
-        return [self._machines[k] for k in sorted(self._machines)]
-
     # ----------------------------------------------------------------- brokers
 
     def add_broker(
@@ -205,22 +201,6 @@ class BrokerNetwork:
         self._adjacency[b].add(a)
         self._recompute_routes()
 
-    def build_chain(
-        self, broker_ids: Iterable[str], profile: TransportProfile | None = None
-    ) -> list[Broker]:
-        """Convenience: a linear chain (the paper's Figure 1 topology)."""
-        ids = list(broker_ids)
-        brokers = [
-            self._brokers.get(bid) or self.add_broker(bid) for bid in ids
-        ]
-        for left, right in zip(ids, ids[1:], strict=False):
-            self.connect_brokers(left, right, profile)
-        return brokers
-
-    def hop_distance(self, a: str, b: str) -> int:
-        """Broker-to-broker hop count over the current topology."""
-        return hop_distance(self._adjacency, a, b)
-
     def _recompute_routes(self) -> None:
         tables = all_next_hops(self._adjacency)
         for broker_id, table in tables.items():
@@ -264,42 +244,6 @@ class BrokerNetwork:
             client.disconnect()
         for broker_id in sorted(self._brokers):
             self._brokers[broker_id].purge_client_subscriptions(client_id)
-
-    def stale_interest_entries(self, client_id: str | None = None) -> list[str]:
-        """Fabric-interest rows with no live local subscriber behind them.
-
-        Diagnostic (tests assert this is empty after ``remove_client``):
-        every ``(pattern, owner)`` the control plane still advertises must
-        be backed by a local subscription on the owning broker, and if
-        ``client_id`` is given, no broker may still index a subscription
-        for that client.
-        """
-        stale: list[str] = []
-        if self.federation is not None:
-            advertised = [
-                (pattern, owner)
-                for owner in self.federation.brokers()
-                for pattern in self.federation.patterns_of(owner)
-            ]
-        else:
-            advertised = [
-                (pattern, owner)
-                for pattern in sorted(self._interest)
-                for owner in sorted(self._interest[pattern])
-            ]
-        for pattern, owner in advertised:
-            broker = self._brokers.get(owner)
-            if broker is None or not broker.subscription_index.has_local(pattern):
-                stale.append(f"{pattern} advertised by {owner} with no local subscriber")
-        if client_id is not None:
-            for broker_id in sorted(self._brokers):
-                index = self._brokers[broker_id].subscription_index
-                for pattern in index.patterns():
-                    if client_id in index.clients_for(pattern):
-                        stale.append(
-                            f"{pattern} on {broker_id} still lists client {client_id}"
-                        )
-        return stale
 
     def connect_client(
         self,
@@ -372,10 +316,6 @@ class BrokerNetwork:
             self._adjacency[a].add(b)
             self._adjacency[b].add(a)
         self._recompute_routes()
-
-    def is_partitioned(self, a: str, b: str) -> bool:
-        """Whether the ``a``–``b`` edge is currently administratively severed."""
-        return (min(a, b), max(a, b)) in self._partitioned
 
     def links_of(self, broker_id: str) -> tuple[Link, ...]:
         """Every directed :class:`Link` touching a broker, both directions.

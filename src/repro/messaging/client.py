@@ -144,10 +144,6 @@ class BrokerClient:
         if text not in self._subs:  # emptied entries are pruned
             self.broker.remove_client_subscription(self.client_id, text)
 
-    def subscriptions(self) -> list[str]:
-        """Canonical patterns this client currently subscribes to, sorted."""
-        return self._subs.patterns()
-
     # -------------------------------------------------------------- delivery
 
     def _receive(self, message: Message) -> None:

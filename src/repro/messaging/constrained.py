@@ -166,18 +166,6 @@ class ConstrainedTopic:
             suffixes=tuple(rest[index:]),
         )
 
-    @classmethod
-    def build(
-        cls,
-        event_type: str = DEFAULT_EVENT_TYPE,
-        constrainer: str = BROKER_CONSTRAINER,
-        allowed_actions: AllowedActions = AllowedActions.PUBLISH_SUBSCRIBE,
-        distribution: Distribution = Distribution.DISSEMINATE,
-        *suffixes: str,
-    ) -> "ConstrainedTopic":
-        """Construct directly from elements."""
-        return cls(event_type, constrainer, allowed_actions, distribution, tuple(suffixes))
-
     # -- rendering ---------------------------------------------------------------
 
     def topic(self) -> Topic:

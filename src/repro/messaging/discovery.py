@@ -48,10 +48,6 @@ class BrokerDiscoveryService:
         """Remove a broker (e.g. crashed) from the discoverable set."""
         self._brokers.pop(broker_id, None)
 
-    def known_brokers(self) -> list[str]:
-        """Ids of every currently discoverable broker, sorted."""
-        return sorted(self._brokers)
-
     def discover(
         self, policy: PlacementPolicy = PlacementPolicy.ROUND_ROBIN
     ) -> Generator[Event, None, Broker]:

@@ -381,10 +381,6 @@ class FederatedInterestPlane:
             broker_id, self.config
         )
 
-    def brokers(self) -> list[str]:
-        """Every broker with an interest accumulator, sorted."""
-        return sorted(self._accumulators)
-
     # ----------------------------------------------------------- announcements
 
     @cached_property
@@ -500,15 +496,6 @@ class FederatedInterestPlane:
         self.flush()
         summary = self._summaries.get(broker_id)
         return summary is None or summary.exact
-
-    def summary_of(self, broker_id: str) -> InterestSummary | None:
-        """The currently flushed summary (tests / introspection)."""
-        self.flush()
-        return self._summaries.get(broker_id)
-
-    def patterns_of(self, broker_id: str) -> list[str]:
-        """The verbatim local patterns behind a broker's summary."""
-        return sorted(self._accumulator(broker_id).patterns)
 
     def iter_summaries(self) -> Iterator[InterestSummary]:
         """Flush pending changes, then yield every broker summary."""

@@ -374,12 +374,6 @@ class SubscriptionIndex:
             interested.discard(exclude)
         return interested
 
-    def client_count(self, topic: str) -> int:
-        """Total client subscriptions matching ``topic``."""
-        return sum(
-            len(entry.clients) for entry in self._matching_entries(topic)
-        )
-
     def has_local_match(self, topic: str) -> bool:
         """Any local consumer (client or handler) for ``topic``?"""
         return any(
@@ -405,42 +399,11 @@ class SubscriptionIndex:
         entry = self._lookup(pattern)
         return entry is not None and entry.has_local()
 
-    def clients_for(self, pattern: str) -> list[str]:
-        """Client ids subscribed to exactly ``pattern``, sorted."""
-        entry = self._lookup(pattern)
-        return sorted(entry.clients) if entry is not None else []
-
     def handlers_for(self, pattern: str) -> list[Callable]:
         """Handlers registered on exactly ``pattern``, in registration
         order; the list is a copy."""
         entry = self._lookup(pattern)
         return list(entry.handlers) if entry is not None else []
-
-    def patterns(self) -> list[str]:
-        """Every live pattern in the index, sorted."""
-        return sorted(self._by_pattern)
-
-    @property
-    def pattern_count(self) -> int:
-        """Number of live pattern entries."""
-        return len(self._by_pattern)
-
-    @property
-    def shard_count(self) -> int:
-        """Distinct first segments over live patterns (tests assert pruning)."""
-        return len(self._shards)
-
-    def node_count(self) -> int:
-        """Trie nodes currently allocated below the root; only wildcard
-        patterns have any.  Tests use this to assert that retraction
-        actually prunes."""
-        total = 0
-        stack = [self._trie]
-        while stack:
-            node = stack.pop()
-            total += len(node.children)
-            stack.extend(node.children.values())
-        return total
 
     def __len__(self) -> int:
         return len(self._by_pattern)

@@ -96,13 +96,6 @@ class Message:
         _set_hops(hopped, self.hops + 1)
         return hopped
 
-    def describe(self) -> str:
-        """Compact id/topic/source/hops summary for logs."""
-        return (
-            f"Message(id={self.message_id}, topic={self.topic}, "
-            f"source={self.source!r}, hops={self.hops})"
-        )
-
 
 #: Every field's slot setter, in declaration order (``with_hop``); a field
 #: added to :class:`Message` without one here fails at import.

@@ -11,22 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable, Mapping
 
-from repro.errors import RoutingError
-
 NodeId = Hashable
-
-
-def bfs_next_hops(
-    adjacency: Mapping[NodeId, set[NodeId]], source: NodeId
-) -> dict[NodeId, NodeId]:
-    """Next-hop table from ``source`` to every reachable node.
-
-    ``result[dest]`` is the neighbor of ``source`` on a shortest path to
-    ``dest``.  Deterministic: neighbors are explored in sorted-repr order.
-    """
-    if source not in adjacency:
-        raise RoutingError(f"unknown source node {source!r}")
-    return _walk(_sorted_adjacency(adjacency), source)
 
 
 def all_next_hops(
@@ -63,24 +48,3 @@ def _walk(
                 next_hop[neighbor] = first_hop
                 queue.append((neighbor, first_hop))
     return next_hop
-
-
-def hop_distance(
-    adjacency: Mapping[NodeId, set[NodeId]], a: NodeId, b: NodeId
-) -> int:
-    """Shortest hop count between two brokers (0 if identical)."""
-    if a == b:
-        return 0
-    if a not in adjacency:
-        raise RoutingError(f"unknown node {a!r}")
-    visited = {a}
-    queue: deque[tuple[NodeId, int]] = deque([(a, 0)])
-    while queue:
-        node, dist = queue.popleft()
-        for neighbor in adjacency.get(node, ()):
-            if neighbor == b:
-                return dist + 1
-            if neighbor not in visited:
-                visited.add(neighbor)
-                queue.append((neighbor, dist + 1))
-    raise RoutingError(f"no path from {a!r} to {b!r}")

@@ -100,14 +100,5 @@ class Topic:
         """The canonical form split into its path segments."""
         return _cached_segments(self.canonical)
 
-    def child(self, *extra: str) -> "Topic":
-        """This topic extended by additional segments."""
-        return Topic.parse("/".join((self.canonical, *extra)))
-
-    def matches(self, concrete: "Topic | str") -> bool:
-        """Treat self as a subscription pattern and test ``concrete``."""
-        other = concrete.canonical if isinstance(concrete, Topic) else concrete
-        return topic_matches(self.canonical, other)
-
     def __str__(self) -> str:
         return self.canonical

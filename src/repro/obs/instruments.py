@@ -135,11 +135,6 @@ class Histogram:
         return self._stats.std_dev
 
     @property
-    def minimum(self) -> float:
-        """Smallest sample observed."""
-        return self._stats.minimum
-
-    @property
     def maximum(self) -> float:
         """Largest sample observed."""
         return self._stats.maximum

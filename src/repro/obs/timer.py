@@ -43,10 +43,3 @@ class Timer:
         # spans that raise are still spans: record them so error paths are
         # visible in latency distributions rather than silently missing
         self.histogram.observe(self.last_ms)
-
-    def observe_span(self, start_ms: float, end_ms: float) -> float:
-        """Record an externally measured span (for callback-style code)."""
-        duration = end_ms - start_ms
-        self.histogram.observe(duration)
-        self.last_ms = duration
-        return duration

@@ -7,7 +7,6 @@ one seed, a simulation is bit-for-bit reproducible.
 """
 
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
     Event,
     Interrupt,
@@ -25,7 +24,6 @@ __all__ = [
     "Process",
     "Queue",
     "Resource",
-    "AllOf",
     "AnyOf",
     "Interrupt",
     "Monitor",

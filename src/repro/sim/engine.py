@@ -100,10 +100,6 @@ class Event:
         return key is not None and key <= self.sim._reached
 
     @property
-    def ok(self) -> bool:
-        return self._state != Event.PENDING and self._exception is None
-
-    @property
     def value(self) -> Any:
         if self._state == Event.PENDING:
             raise SimulationError(f"event {self.name!r} has no value yet")
@@ -199,10 +195,6 @@ class Process(Event):
         heappush(sim._heap, (sim.clock._now, sim._seq, self._resume))
         sim._seq += 1
 
-    @property
-    def is_alive(self) -> bool:
-        return self._state == Event.PENDING
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._state != Event.PENDING:
@@ -256,32 +248,6 @@ class Process(Event):
             self._resume(event._value, None)
         else:
             self._resume(None, event._exception)
-
-
-class AllOf(Event):
-    """Fires when all child events have fired; value is their value list."""
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, "all_of")
-        self._children = list(events)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self._children:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._state != Event.PENDING:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([child._value for child in self._children])
 
 
 class AnyOf(Event):
@@ -356,14 +322,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def request(self) -> Event:
         """Event firing when one slot has been granted to the caller."""
@@ -512,12 +470,6 @@ class Simulator:
     def queue(self, name: str = "") -> Queue:
         return Queue(self, name)
 
-    def resource(self, capacity: int = 1, name: str = "") -> Resource:
-        return Resource(self, capacity, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
@@ -571,13 +523,3 @@ class Simulator:
                 self._reach_now()
         finally:
             self._running = False
-
-    def run_process(self, generator: ProcessGenerator, name: str = "") -> Any:
-        """Spawn a process, run to completion, and return its result."""
-        proc = self.process(generator, name)
-        while proc._state == Event.PENDING:
-            if not self.step():
-                raise SimulationError(
-                    f"deadlock: process {proc.name!r} never completed"
-                )
-        return proc.value

@@ -37,6 +37,7 @@ class Machine:
         self.rng = rng
         self.clock = clock if clock is not None else SkewedClock(sim.clock, 0.0)
         self.cpu = Resource(sim, cpu_capacity, name=f"{name}.cpu")
+        #: CPU-milliseconds of work accepted, queued or not
         self._busy_ms_total = 0.0
         #: Host-level ping demultiplexer: entity id -> sink for the pings
         #: a co-located sibling's ``ping_batch`` frame carries
@@ -79,22 +80,6 @@ class Machine:
             self._busy_ms_total += duration
             yield from self.cpu.use(duration)
         return duration
-
-    @property
-    def busy_ms_total(self) -> float:
-        """Cumulative CPU-milliseconds of work accepted by this machine."""
-        return self._busy_ms_total
-
-    def utilization(self, since_ms: float = 0.0) -> float:
-        """Mean CPU utilization over [since_ms, now] across all cores.
-
-        A value near 1.0 means the machine runs at saturation — the
-        regime that produces Table 4's inflated latencies.
-        """
-        elapsed = self.sim.now - since_ms
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_ms_total / (elapsed * self.cpu.capacity)
 
     def __repr__(self) -> str:
         return f"<Machine {self.name}>"

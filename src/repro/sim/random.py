@@ -29,7 +29,3 @@ class RandomStreams:
         """A 64-bit seed derived from (master_seed, name) via SHA-256."""
         material = f"{self.master_seed}:{name}".encode("utf-8")
         return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-
-    def fork(self, name: str) -> "RandomStreams":
-        """A child stream-space, e.g. one per simulated node."""
-        return RandomStreams(self.derive_seed(name))

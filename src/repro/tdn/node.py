@@ -270,14 +270,6 @@ class TDNNode:
                 metrics.counter("tdn.queries.ignored").inc()
             return permitted
 
-    def verify_advertisement(self, advertisement: TopicAdvertisement) -> bool:
-        """Validate a presented advertisement's TDN signature and fields."""
-        try:
-            advertisement.verify_provenance({self.name: self._keys.public})
-        except SignatureError:
-            return False
-        return True
-
 
 class TDNCluster:
     """The replicated set of TDN nodes."""
@@ -308,15 +300,6 @@ class TDNCluster:
         ]
         for node in self.nodes:
             node.set_peers(self.nodes)
-
-    def node(self, name: str) -> TDNNode:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise DiscoveryError(f"no TDN named {name!r}")
-
-    def live_nodes(self) -> list[TDNNode]:
-        return [n for n in self.nodes if not n.failed]
 
     def create_topic(
         self, request: TopicCreationRequest, signature: SignedEnvelope

@@ -91,5 +91,3 @@ class AdvertisementStore:
             self.remove(topic)
         return len(expired)
 
-    def topics(self) -> list[UUID128]:
-        return sorted(self._by_topic, key=lambda t: t.value)

@@ -481,10 +481,6 @@ class TracedEntity:
         session = yield from self.reregister()
         return session
 
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
     # --------------------------------------------------------------------- misc
 
     def _require_session(self) -> None:

@@ -83,10 +83,6 @@ class SeriesForecaster:
         else:
             self._ewma = self.ewma_alpha * value + (1 - self.ewma_alpha) * self._ewma
 
-    @property
-    def sample_count(self) -> int:
-        return len(self._values)
-
     def best_predictor(self) -> str:
         """Name of the predictor with the lowest mean squared error."""
         scored = [p for p in self._predictors if p.predictions > 0]
@@ -103,9 +99,6 @@ class SeriesForecaster:
             if predictor.name == best:
                 return predictor.fn(list(self._values))
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def errors(self) -> dict[str, float]:
-        return {p.name: p.mse() for p in self._predictors}
 
 
 class NetworkForecaster:
@@ -160,8 +153,4 @@ class NetworkForecaster:
 
     def forecast_rtt_ms(self, entity_id: str) -> float | None:
         forecaster = self.rtt.get(entity_id)
-        return forecaster.forecast() if forecaster else None
-
-    def forecast_loss_rate(self, entity_id: str) -> float | None:
-        forecaster = self.loss.get(entity_id)
         return forecaster.forecast() if forecaster else None

@@ -71,9 +71,6 @@ class InterestRegistry:
             credential_subject=credential_subject,
         )
 
-    def retract(self, tracker_id: str) -> None:
-        self._trackers.pop(tracker_id, None)
-
     def _reap(self, now_ms: float) -> None:
         expired = [t for t, i in self._trackers.items() if i.expires_ms < now_ms]
         for tracker in expired:
@@ -83,31 +80,6 @@ class InterestRegistry:
         """Is anyone currently interested in ``category``?"""
         self._reap(now_ms)
         return any(category in i.categories for i in self._trackers.values())
-
-    def any_interest(self, now_ms: float) -> bool:
-        self._reap(now_ms)
-        return bool(self._trackers)
-
-    def trackers_for(self, category: InterestCategory, now_ms: float) -> list[str]:
-        self._reap(now_ms)
-        return sorted(
-            t for t, i in self._trackers.items() if category in i.categories
-        )
-
-    def response_topic_of(self, tracker_id: str) -> str | None:
-        interest = self._trackers.get(tracker_id)
-        return interest.response_topic if interest else None
-
-    def subject_of(self, tracker_id: str) -> str | None:
-        interest = self._trackers.get(tracker_id)
-        return interest.credential_subject if interest else None
-
-    def active_categories(self, now_ms: float) -> frozenset[InterestCategory]:
-        self._reap(now_ms)
-        categories: set[InterestCategory] = set()
-        for interest in self._trackers.values():
-            categories |= interest.categories
-        return frozenset(categories)
 
     def __len__(self) -> int:
         return len(self._trackers)

@@ -89,9 +89,6 @@ class PingResponse:
             entity_stamp_ms=fields.number("entity_stamp_ms"),
         )
 
-    def matches(self, ping: Ping) -> bool:
-        return self.number == ping.number and self.issued_ms == ping.issued_ms
-
 
 @dataclass(slots=True)
 class _PingRecord:

@@ -126,6 +126,3 @@ class TraceTopicSet:
     def topic_for_category(self, category: InterestCategory) -> Topic:
         # the five stream properties above are named after the category values
         return getattr(self, category.value)
-
-    def all_publication_topics(self) -> list[Topic]:
-        return [self.topic_for_category(category) for category in InterestCategory]

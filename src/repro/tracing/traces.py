@@ -124,10 +124,6 @@ class LoadInformation:
         if self.workload < 0:
             raise ValidationError("workload must be non-negative")
 
-    @property
-    def memory_utilization(self) -> float:
-        return self.memory_used_mb / self.memory_total_mb
-
     def to_dict(self) -> dict:
         return {
             "cpu_utilization": self.cpu_utilization,

@@ -466,9 +466,5 @@ class Tracker:
         watched = self._watched.get(entity_id)
         return watched.trace_key if watched else None
 
-    def key_received_ms_for(self, entity_id: str) -> float | None:
-        watched = self._watched.get(entity_id)
-        return watched.key_received_ms if watched else None
-
     def __repr__(self) -> str:
         return f"<Tracker {self.tracker_id} watching {sorted(self._watched)}>"

@@ -9,7 +9,7 @@ nodes carrying opaque payloads with those semantics.
 
 from repro.transport.base import TransportProfile, DeliveryReceipt
 from repro.transport.disruption import LinkDisruption
-from repro.transport.link import Link, DuplexLink
+from repro.transport.link import Link
 from repro.transport.tcp import tcp_profile, TCP_CLUSTER
 from repro.transport.udp import udp_profile, UDP_CLUSTER
 
@@ -17,7 +17,6 @@ __all__ = [
     "TransportProfile",
     "DeliveryReceipt",
     "Link",
-    "DuplexLink",
     "LinkDisruption",
     "tcp_profile",
     "TCP_CLUSTER",

@@ -171,30 +171,3 @@ class Link:
         if self._metrics is not None:
             self._inflight.dec()
         self.receiver(payload)
-
-
-class DuplexLink:
-    """A symmetric pair of directed links between two endpoints."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        profile: TransportProfile,
-        receiver_a: Handler,
-        receiver_b: Handler,
-        rng: random.Random,
-        name: str = "",
-        monitor: Monitor | None = None,
-        codec: str | None = None,
-    ) -> None:
-        self.name = name or f"duplex-{id(self):x}"
-        self.a_to_b = Link(
-            sim, profile, receiver_b, rng, f"{self.name}.a2b", monitor, codec=codec
-        )
-        self.b_to_a = Link(
-            sim, profile, receiver_a, rng, f"{self.name}.b2a", monitor, codec=codec
-        )
-
-    @property
-    def profile(self) -> TransportProfile:
-        return self.a_to_b.profile

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 
-from repro.errors import ConfigurationError, ValidationError
+from repro.errors import ConfigurationError
 
 #: The paper's stated NTP synchronization band, in milliseconds.
 NTP_SKEW_MIN_MS = 30.0
@@ -28,25 +28,13 @@ class Clock(ABC):
 
 
 class VirtualClock(Clock):
-    """Simulation clock advanced explicitly by the event loop."""
+    """Simulation clock; only the event loop moves it (``Simulator.step``)."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
 
     def now(self) -> float:
         return self._now
-
-    def advance_to(self, t: float) -> None:
-        """Move the clock forward to absolute time ``t`` (never backward)."""
-        if t < self._now:
-            raise ValidationError(f"clock cannot move backward: {t} < {self._now}")
-        self._now = t
-
-    def advance_by(self, dt: float) -> None:
-        """Move the clock forward by ``dt`` milliseconds."""
-        if dt < 0:
-            raise ValidationError(f"negative advance: {dt}")
-        self._now += dt
 
 
 class SkewedClock(Clock):

@@ -39,11 +39,6 @@ class UUID128:
         """The canonical 32-hex-digit rendering (no dashes)."""
         return f"{self.value:032x}"
 
-    @property
-    def bytes(self) -> bytes:
-        """Big-endian 16-byte rendering."""
-        return self.value.to_bytes(16, "big")
-
     @classmethod
     def from_hex(cls, text: str) -> "UUID128":
         """Parse a 32-hex-digit string (dashes tolerated)."""
@@ -51,12 +46,6 @@ class UUID128:
         if len(cleaned) != 32 or not _HEX_DIGITS.issuperset(cleaned):
             raise ValidationError(f"expected 32 hex digits, got {text!r}")
         return cls(int(cleaned, 16))
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "UUID128":
-        if len(data) != 16:
-            raise ValidationError(f"expected 16 bytes, got {len(data)}")
-        return cls(int.from_bytes(data, "big"))
 
     def __str__(self) -> str:
         return self.hex
@@ -144,9 +133,6 @@ class SequenceCounter:
         value = self._next
         self._next += 1
         return value
-
-    def peek(self) -> int:
-        return self._next
 
     def next_request_id(self) -> RequestId:
         return RequestId(self.next())

@@ -26,19 +26,6 @@ class StatSummary:
     minimum: float
     maximum: float
 
-    def row(self, label: str, precision: int = 2) -> str:
-        """One formatted table row: label, mean, std dev, std error."""
-        return (
-            f"{label:<40s} {self.mean:>10.{precision}f} "
-            f"{self.std_dev:>10.{precision}f} {self.std_error:>10.{precision}f}"
-        )
-
-    @staticmethod
-    def header() -> str:
-        return (
-            f"{'Operation':<40s} {'Mean':>10s} {'Std.Dev':>10s} {'Std.Err':>10s}"
-        )
-
 
 class RunningStats:
     """Welford online mean/variance accumulator.
@@ -125,50 +112,9 @@ class RunningStats:
             maximum=self._max,
         )
 
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Combine two accumulators (parallel-friendly Chan et al. merge)."""
-        merged = RunningStats()
-        if self._n == 0:
-            merged._n, merged._mean, merged._m2 = other._n, other._mean, other._m2
-            merged._min, merged._max = other._min, other._max
-            return merged
-        if other._n == 0:
-            merged._n, merged._mean, merged._m2 = self._n, self._mean, self._m2
-            merged._min, merged._max = self._min, self._max
-            return merged
-        n = self._n + other._n
-        delta = other._mean - self._mean
-        merged._n = n
-        merged._mean = self._mean + delta * other._n / n
-        merged._m2 = self._m2 + other._m2 + delta * delta * self._n * other._n / n
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        return merged
-
 
 def summarize(samples: Sequence[float]) -> StatSummary:
     """Summary of a finished sample set."""
     rs = RunningStats()
     rs.extend(samples)
     return rs.summary()
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile, q in [0, 100]."""
-    if not samples:
-        raise StatsError("no samples")
-    if not 0.0 <= q <= 100.0:
-        raise StatsError(f"percentile out of range: {q}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    value = ordered[low] * (1.0 - frac) + ordered[high] * frac
-    # guard against floating-point rounding (e.g. denormals) drifting the
-    # interpolant outside the bracketing samples
-    return min(max(value, ordered[low]), ordered[high])

@@ -51,7 +51,6 @@ class TestQueryContract:
     def test_count_kinds_entities(self, store):
         assert store.count() == len(EVENTS)
         assert store.kinds()["trace.observed"] == 3
-        assert store.entities() == ["svc-a", "svc-b"]
 
     def test_until_is_exclusive_since_inclusive(self, store):
         window = store.events(since_ms=200.0, until_ms=350.0)

@@ -25,10 +25,8 @@ def _populate(store):
 class TestStoreBasics:
     def test_summary(self):
         store = _populate(AnalyticsStore())
-        assert store.summary() == {
-            "events": 3,
-            "kinds": {"trace.observed": 2, "session.created": 1},
-        }
+        assert store.count() == 3
+        assert store.kinds() == {"trace.observed": 2, "session.created": 1}
 
     def test_append_counts_into_bound_registry(self):
         registry = MetricsRegistry()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.auth.credentials import EntityCredentials
+from repro.crypto.signing import verify_payload
 from repro.errors import SignatureError
 
 
@@ -16,14 +17,14 @@ class TestEntityCredentials:
     def test_sign_and_verify_own(self, ca, rng):
         creds = EntityCredentials.issue("svc-1", ca, rng)
         envelope = creds.sign({"hello": 1})
-        assert creds.verify_own(envelope) == {"hello": 1}
+        assert verify_payload(envelope, creds.public_key) == {"hello": 1}
 
     def test_signature_not_transferable(self, ca, rng):
         alice = EntityCredentials.issue("alice", ca, rng)
         bob = EntityCredentials.issue("bob", ca, rng)
         envelope = alice.sign({"x": 1})
         with pytest.raises(SignatureError):
-            bob.verify_own(envelope)
+            verify_payload(envelope, bob.public_key)
 
     def test_public_key_matches_certificate(self, ca, rng):
         creds = EntityCredentials.issue("svc", ca, rng)

@@ -111,7 +111,7 @@ class TestWireForm:
             advertisement, keypair.private, TokenRights.PUBLISH, 0.0, 100.0, rng
         )
         restored = AuthorizationToken.from_dict(token.to_dict())
-        assert restored.trace_topic == token.trace_topic
+        assert restored.advertisement.trace_topic == token.advertisement.trace_topic
         assert restored.token_public_key == token.token_public_key
         restored.verify_owner_signature()
 

@@ -52,7 +52,7 @@ class TestGossipDetection:
         sim.run(until=200_000)
         times = detector.detection_times_for(0)
         assert len(times) == 11
-        assert detector.detection_spread_ms(0) > 0.0
+        assert times[-1] - times[0] > 0.0
 
     def test_recovered_counter_clears_suspicion(self):
         sim, detector = make(n=4, fail_timeout_ms=3_000.0)

@@ -9,6 +9,7 @@ from repro.bench.topology import (
     star_with_trackers,
 )
 from repro.transport.udp import udp_profile
+from tests.support import network_hops
 
 
 class TestHopsChain:
@@ -19,7 +20,7 @@ class TestHopsChain:
     def test_six_hops_is_five_broker_chain(self):
         dep, entity, tracker = hops_chain(6)
         assert len(dep.network.brokers()) == 5
-        assert dep.network.hop_distance("broker-0", "broker-4") == 4
+        assert network_hops(dep.network, "broker-0", "broker-4") == 4
 
     def test_entity_and_tracker_colocated(self):
         """The paper's clock-synchronization trick."""

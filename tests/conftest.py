@@ -17,6 +17,7 @@ from repro.seeds import SEED_GROUPS
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
+from tests import support
 
 
 @pytest.fixture
@@ -58,7 +59,7 @@ def ca(rng) -> CertificateAuthority:
 @pytest.fixture
 def free_cost_model() -> CryptoCostModel:
     """Cost model charging zero time — for purely functional tests."""
-    return CryptoCostModel.free()
+    return support.free_cost_model()
 
 
 @pytest.fixture

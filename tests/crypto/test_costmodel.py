@@ -9,6 +9,7 @@ from repro.crypto.costmodel import (
     PAPER_CALIBRATION,
 )
 from repro.errors import ConfigurationError
+from tests.support import free_cost_model
 
 
 class TestCalibrationTable:
@@ -64,7 +65,7 @@ class TestSampling:
             CryptoCostModel(scale=0.0)
 
     def test_free_model_charges_nothing(self):
-        model = CryptoCostModel.free()
+        model = free_cost_model()
         assert all(model.sample_ms(op) == 0.0 for op in CryptoOp)
 
     def test_missing_calibration_rejected(self):

@@ -1,8 +1,6 @@
 """Tests for repro.crypto.digest."""
 
-import pytest
-
-from repro.crypto.digest import Digest, hmac_sha1, sha1_digest, sha256_digest
+from repro.crypto.digest import sha1_digest
 
 
 class TestDigestFunctions:
@@ -13,52 +11,5 @@ class TestDigestFunctions:
             == "a9993e364706816aba3e25717850c26c9cd0d89d"
         )
 
-    def test_sha256_known_answer(self):
-        assert (
-            sha256_digest(b"abc").hex()
-            == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        )
-
     def test_sha1_is_160_bits(self):
         assert len(sha1_digest(b"")) == 20
-
-    def test_sha256_is_256_bits(self):
-        assert len(sha256_digest(b"")) == 32
-
-
-class TestDigestValue:
-    def test_compute_and_match(self):
-        digest = Digest.compute(b"payload")
-        assert digest.algorithm == "sha1"
-        assert digest.matches(b"payload")
-        assert not digest.matches(b"tampered")
-
-    def test_sha256_variant(self):
-        digest = Digest.compute(b"payload", "sha256")
-        assert digest.algorithm == "sha256"
-        assert digest.matches(b"payload")
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            Digest.compute(b"x", "md5000")
-
-    def test_hex(self):
-        assert Digest.compute(b"abc").hex == sha1_digest(b"abc").hex()
-
-
-class TestHMAC:
-    def test_keyed(self):
-        a = hmac_sha1(b"key1", b"data")
-        b = hmac_sha1(b"key2", b"data")
-        assert a != b
-        assert len(a) == 20
-
-    def test_deterministic(self):
-        assert hmac_sha1(b"k", b"d") == hmac_sha1(b"k", b"d")
-
-    def test_rfc2202_vector(self):
-        # RFC 2202 test case 1
-        assert (
-            hmac_sha1(b"\x0b" * 20, b"Hi There").hex()
-            == "b617318655057264e28bc0b6fb378c8ef146be00"
-        )

@@ -49,4 +49,4 @@ class TestKeyPair:
 
     def test_custom_bits(self, rng):
         pair = KeyPair.generate(rng, bits=256)
-        assert pair.public.bits == 256
+        assert pair.public.n.bit_length() == 256

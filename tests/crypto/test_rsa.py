@@ -14,7 +14,7 @@ class TestKeyGeneration:
         private = keypair.private
         assert private.n == private.p * private.q
         assert private.public.n == private.n
-        assert keypair.public.bits == 512
+        assert keypair.public.n.bit_length() == 512
 
     def test_crt_parameters(self, keypair):
         private = keypair.private

@@ -27,6 +27,7 @@ from repro.faults.scenarios import (
 from repro.tracing.topics import TraceTopicSet
 from repro.tracing.traces import TraceType
 from repro.util.snapshots import render_snapshot
+from tests.support import index_patterns
 
 
 def run_chaos(plan, seed=42, until=60_000.0):
@@ -120,8 +121,8 @@ class TestEntityChurn:
 
         for broker in dep.network.brokers():
             connected = set(broker.client_ids)
-            index = broker.subscription_index
-            for pattern in index.patterns():
+            index = broker._subs
+            for pattern in index_patterns(index):
                 entry = index._by_pattern[pattern]
                 # an index entry must never be empty (pruning invariant)
                 assert not entry.is_empty(), pattern

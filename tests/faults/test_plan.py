@@ -84,13 +84,6 @@ class TestPlan:
         )
         assert [e.at_ms for e in plan.timeline()] == [100.0, 200.0, 300.0]
 
-    def test_horizon_includes_reverts(self):
-        plan = FaultPlan(
-            name="p",
-            events=(crash(at_ms=100.0, duration_ms=500.0), crash(at_ms=400.0)),
-        )
-        assert plan.horizon_ms() == 600.0
-
     def test_len(self):
         assert len(FaultPlan(name="p", events=(crash(),))) == 1
 

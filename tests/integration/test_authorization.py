@@ -9,6 +9,7 @@ from repro.messaging.message import Message
 from repro.tdn.query import DiscoveryRestrictions
 from repro.tracing.traces import TraceType
 from repro.util.serialization import Canonical
+from tests.support import succeeded
 
 
 @pytest.fixture
@@ -27,7 +28,7 @@ class TestDiscoveryRestrictions:
         dep.sim.run(until=3_000)
         proc = stranger.track("svc")
         dep.sim.run(until=5_000)
-        assert proc.triggered and not proc.ok
+        assert proc.triggered and not succeeded(proc)
         with pytest.raises(DiscoveryError):
             _ = proc.value
 

@@ -5,6 +5,7 @@ import pytest
 from repro import build_deployment
 from repro.security.dos import SpuriousTracePublisher, attack_surface
 from repro.tracing.traces import TraceType
+from tests.support import run_process
 
 
 @pytest.fixture
@@ -157,5 +158,5 @@ class TestLocationHiding:
         """Section 5.2: if the trace topic leaks, register a fresh one."""
         entity, tracker = bootstrap(dep)
         old_topic = entity.advertisement.trace_topic
-        dep.sim.run_process(entity.create_trace_topic())
+        run_process(dep.sim, entity.create_trace_topic())
         assert entity.advertisement.trace_topic != old_topic

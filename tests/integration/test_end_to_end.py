@@ -5,6 +5,7 @@ import pytest
 from repro import build_deployment
 from repro.tracing.interest import InterestCategory
 from repro.tracing.traces import EntityState, LoadInformation, TraceType
+from tests.support import run_process
 
 
 @pytest.fixture
@@ -89,7 +90,7 @@ class TestTraceFlow:
     def test_illegal_state_transition_rejected_locally(self, dep):
         entity, _ = bootstrap(dep)
         with pytest.raises(ValueError):
-            dep.sim.run_process(entity.report_state(EntityState.INITIALIZING))
+            run_process(dep.sim, entity.report_state(EntityState.INITIALIZING))
 
 
 class TestInterestGating:

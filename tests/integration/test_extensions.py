@@ -7,6 +7,7 @@ from repro.errors import RegistrationError
 from repro.messaging.discovery import PlacementPolicy
 from repro.tracing.traces import TraceType
 from repro.transport.udp import udp_profile
+from tests.support import run_process, succeeded
 
 
 @pytest.fixture
@@ -18,17 +19,17 @@ class TestTopicRenewal:
     def test_owner_extends_lifetime(self, dep):
         entity = dep.add_traced_entity("svc")
         entity.topic_lifetime_ms = 60_000.0
-        dep.sim.run_process(entity.create_trace_topic())
+        run_process(dep.sim, entity.create_trace_topic())
         old_expiry = entity.advertisement.lifetime.expires_ms
-        dep.sim.run_process(entity.renew_topic(120_000.0))
+        run_process(dep.sim, entity.renew_topic(120_000.0))
         assert entity.advertisement.lifetime.expires_ms == old_expiry + 120_000.0
         assert dep.metrics.counter_value("tdn.topics_renewed") == 1
 
     def test_renewed_topic_discoverable_past_original_expiry(self, dep):
         entity = dep.add_traced_entity("svc")
         entity.topic_lifetime_ms = 20_000.0
-        dep.sim.run_process(entity.create_trace_topic())
-        dep.sim.run_process(entity.renew_topic(600_000.0))
+        run_process(dep.sim, entity.create_trace_topic())
+        run_process(dep.sim, entity.renew_topic(600_000.0))
         dep.sim.run(until=100_000.0)  # past the original 20s lifetime
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
@@ -39,35 +40,35 @@ class TestTopicRenewal:
     def test_non_owner_cannot_renew(self, dep):
         entity = dep.add_traced_entity("svc")
         imposter = dep.add_traced_entity("imposter")
-        dep.sim.run_process(entity.create_trace_topic())
+        run_process(dep.sim, entity.create_trace_topic())
         payload = {
             "renew": entity.advertisement.trace_topic.hex,
             "additional_lifetime_ms": 1e9,
         }
         forged = imposter.credentials.sign(payload)
         with pytest.raises(RegistrationError):
-            dep.sim.run_process(
+            run_process(dep.sim, 
                 dep.tdn.renew_topic(entity.advertisement, forged, 1e9)
             )
 
     def test_expired_topic_cannot_be_renewed(self, dep):
         entity = dep.add_traced_entity("svc")
         entity.topic_lifetime_ms = 1_000.0
-        dep.sim.run_process(entity.create_trace_topic())
+        run_process(dep.sim, entity.create_trace_topic())
         dep.sim.run(until=10_000.0)  # lifetime elapsed
         with pytest.raises(RegistrationError):
-            dep.sim.run_process(entity.renew_topic(60_000.0))
+            run_process(dep.sim, entity.renew_topic(60_000.0))
 
     def test_zero_extension_rejected(self, dep):
         entity = dep.add_traced_entity("svc")
-        dep.sim.run_process(entity.create_trace_topic())
+        run_process(dep.sim, entity.create_trace_topic())
         with pytest.raises(RegistrationError):
-            dep.sim.run_process(entity.renew_topic(0.0))
+            run_process(dep.sim, entity.renew_topic(0.0))
 
     def test_renewal_replicates(self, dep):
         entity = dep.add_traced_entity("svc")
-        dep.sim.run_process(entity.create_trace_topic())
-        dep.sim.run_process(entity.renew_topic(60_000.0))
+        run_process(dep.sim, entity.create_trace_topic())
+        run_process(dep.sim, entity.renew_topic(60_000.0))
         dep.sim.run(until=dep.sim.now + 100.0)  # replication callbacks
         for node in dep.tdn.nodes:
             stored = node.store.get(entity.advertisement.trace_topic, dep.sim.now)
@@ -80,7 +81,7 @@ class TestDiscoveredStartup:
         entity = dep.add_traced_entity("svc")
         proc = entity.start_discovered(dep.discovery)
         dep.sim.run(until=5_000)
-        assert proc.ok
+        assert succeeded(proc)
         assert entity.session_id is not None
         assert entity.client.broker.broker_id in ("b1", "b2")
 
@@ -94,7 +95,7 @@ class TestDiscoveredStartup:
             dep.discovery, policy=PlacementPolicy.LEAST_LOADED
         )
         dep.sim.run(until=5_000)
-        assert proc.ok
+        assert succeeded(proc)
         assert entity.client.broker.broker_id == "b2"
 
 
@@ -147,7 +148,7 @@ class TestRegistrationRetries:
         entity.registration_attempts = 8
         proc = entity.start("b1")
         dep.sim.run(until=60_000)
-        assert proc.ok, proc._exception
+        assert succeeded(proc), proc._exception
         assert entity.session_id is not None
 
     def test_retries_counted(self):

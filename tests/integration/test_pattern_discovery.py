@@ -5,6 +5,7 @@ import pytest
 from repro import build_deployment
 from repro.tdn.query import DiscoveryQuery, DiscoveryRestrictions
 from repro.tracing.traces import TraceType
+from tests.support import run_process
 
 
 @pytest.fixture
@@ -49,7 +50,7 @@ class TestWildcardDiscovery:
         start_fleet(dep, ["compute-1", "compute-2", "storage-1"])
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
-        advertisements = dep.sim.run_process(
+        advertisements = run_process(dep.sim, 
             dep.tdn.discover_all(
                 DiscoveryQuery.for_pattern("compute-*"),
                 tracker.credentials.certificate,
@@ -68,7 +69,7 @@ class TestWildcardDiscovery:
         dep.sim.run(until=5_000)
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
-        advertisements = dep.sim.run_process(
+        advertisements = run_process(dep.sim, 
             dep.tdn.discover_all(
                 DiscoveryQuery.for_pattern("compute-*"),
                 tracker.credentials.certificate,
@@ -80,7 +81,7 @@ class TestWildcardDiscovery:
         start_fleet(dep, ["compute-1"])
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
-        advertisements = dep.sim.run_process(
+        advertisements = run_process(dep.sim, 
             dep.tdn.discover_all(
                 DiscoveryQuery.for_pattern("gpu-*"),
                 tracker.credentials.certificate,

@@ -7,6 +7,7 @@ import pytest
 from repro.messaging import topics
 from repro.messaging.broker_network import BrokerNetwork
 from repro.sim.engine import Simulator
+from tests.support import build_chain, index_clients, index_patterns
 
 
 @pytest.fixture
@@ -14,7 +15,7 @@ def wired():
     """``(sim, broker, pub, sub)``: two clients on one broker."""
     sim = Simulator()
     network = BrokerNetwork(sim, seed=5)
-    network.build_chain(["b1"])
+    build_chain(network, ["b1"])
     clients = []
     for name in ("pub", "sub"):
         client = network.add_client(name)
@@ -24,7 +25,7 @@ def wired():
 
 
 def broker_side(broker, pattern):
-    return broker.subscription_index.clients_for(pattern)
+    return index_clients(broker._subs, pattern)
 
 
 class TestDispatch:
@@ -75,7 +76,7 @@ class TestDispatch:
         pub.publish("t/x", 1)
         sim.run()
         assert ran == ["later", "first", "sibling"]
-        assert sub.subscriptions() == []
+        assert index_patterns(sub._subs) == []
         pub.publish("t/x", 2)
         sim.run()
         assert ran == ["later", "first", "sibling"]
@@ -107,9 +108,9 @@ class TestBookkeeping:
         _sim, broker, _pub, sub = wired
         sub.subscribe("a/b", lambda m: None)
         sub.subscribe("a/b", lambda m: None)
-        assert sub.subscriptions() == ["a/b"] and broker_side(broker, "a/b") == ["sub"]
+        assert index_patterns(sub._subs) == ["a/b"] and broker_side(broker, "a/b") == ["sub"]
         sub.unsubscribe("a/b")
-        assert sub.subscriptions() == [] and broker_side(broker, "a/b") == []
+        assert index_patterns(sub._subs) == [] and broker_side(broker, "a/b") == []
 
     def test_only_the_last_handler_retracts(self, wired):
         sim, broker, pub, sub = wired
@@ -118,29 +119,29 @@ class TestBookkeeping:
         sub.subscribe("a/b", one)
         sub.subscribe("a/b", two)
         sub.unsubscribe("a/b", one)
-        assert sub.subscriptions() == ["a/b"] and broker_side(broker, "a/b") == ["sub"]
+        assert index_patterns(sub._subs) == ["a/b"] and broker_side(broker, "a/b") == ["sub"]
         pub.publish("a/b", 0)
         sim.run()
         assert got == [2]
         sub.unsubscribe("a/b", two)
-        assert sub.subscriptions() == [] and broker_side(broker, "a/b") == []
+        assert index_patterns(sub._subs) == [] and broker_side(broker, "a/b") == []
 
     def test_unknown_handler_leaves_the_subscription_alone(self, wired):
         _sim, broker, _pub, sub = wired
         sub.subscribe("a/b", lambda m: None)
         sub.unsubscribe("a/b", lambda m: None)
-        assert sub.subscriptions() == ["a/b"] and broker_side(broker, "a/b") == ["sub"]
+        assert index_patterns(sub._subs) == ["a/b"] and broker_side(broker, "a/b") == ["sub"]
 
     def test_patterns_are_canonicalized(self, wired):
         sim, broker, pub, sub = wired
         got = []
         sub.subscribe("/a/b", got.append)
-        assert sub.subscriptions() == ["a/b"]
+        assert index_patterns(sub._subs) == ["a/b"]
         pub.publish("a/b", 0)
         sim.run()
         assert len(got) == 1
         sub.unsubscribe("a/b")
-        assert sub.subscriptions() == [] and broker_side(broker, "a/b") == []
+        assert index_patterns(sub._subs) == [] and broker_side(broker, "a/b") == []
 
     def test_the_client_index_stays_off_the_deployment_gauges(self, wired):
         _sim, broker, _pub, sub = wired

@@ -73,9 +73,9 @@ class TestParsing:
         assert ConstrainedTopic.parse(ct.canonical) == ct
 
     def test_build(self):
-        ct = ConstrainedTopic.build(
+        ct = ConstrainedTopic(
             "Traces", "Broker", AllowedActions.PUBLISH_ONLY,
-            Distribution.DISSEMINATE, "topic-hex", "Load",
+            Distribution.DISSEMINATE, ("topic-hex", "Load"),
         )
         assert ct.canonical == (
             "Constrained/Traces/Broker/Publish-Only/Disseminate/topic-hex/Load"

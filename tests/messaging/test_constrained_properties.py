@@ -35,13 +35,13 @@ class TestRoundTripProperties:
     @given(free_element, free_element, actions, distributions, suffixes)
     def test_build_parse_roundtrip(self, event_type, constrainer, action, dist, sfx):
         """A fully-specified constrained topic reparses identically."""
-        built = ConstrainedTopic.build(event_type, constrainer, action, dist, *sfx)
+        built = ConstrainedTopic(event_type, constrainer, action, dist, tuple(sfx))
         reparsed = ConstrainedTopic.parse(built.canonical)
         assert reparsed == built
 
     @given(free_element, actions, distributions, suffixes)
     def test_canonicalization_idempotent(self, event_type, action, dist, sfx):
-        built = ConstrainedTopic.build(event_type, "Broker", action, dist, *sfx)
+        built = ConstrainedTopic(event_type, "Broker", action, dist, tuple(sfx))
         once = ConstrainedTopic.parse(built.canonical)
         twice = ConstrainedTopic.parse(once.canonical)
         assert once == twice
@@ -53,7 +53,7 @@ class TestRoundTripProperties:
     ):
         """The constrainer, and only the constrainer, performs the
         reserved action(s)."""
-        topic = ConstrainedTopic.build(event_type, constrainer, action, dist)
+        topic = ConstrainedTopic(event_type, constrainer, action, dist, ())
         other = constrainer + "x"
         if action is AllowedActions.PUBLISH_ONLY:
             assert topic.may_publish(constrainer, is_broker=False)

@@ -19,6 +19,7 @@ from repro.messaging.topics import Topic
 from repro.seeds import RESULTS_DIR, SEED_GROUPS
 from repro.sim.engine import Simulator
 from repro.util.snapshots import render_snapshot
+from tests.support import build_chain
 
 
 def committed_seed(name: str) -> dict:
@@ -134,7 +135,7 @@ class TestLateJoiner:
         — via one summary per peer when federated, not a pattern replay."""
         sim = Simulator()
         network = BrokerNetwork(sim, seed=5, federation=federation)
-        network.build_chain(["b1", "b2"])
+        build_chain(network, ["b1", "b2"])
         seen: list[int] = []
         network.broker("b1").subscribe_local("late/topic", lambda m: seen.append(m.body))
         sim.run()
@@ -153,7 +154,7 @@ class TestLateJoiner:
     def test_late_joiner_summary_replay_is_per_peer(self):
         sim = Simulator()
         network = BrokerNetwork(sim, seed=5, federation=True)
-        network.build_chain(["b1", "b2"])
+        build_chain(network, ["b1", "b2"])
         for i in range(10):
             network.broker("b1").subscribe_local(f"t/{i}", lambda m: None)
         network.broker("b1")._interested_brokers("t/0")  # force a flush
@@ -169,7 +170,7 @@ class TestPartitionHealReconvergence:
         both planes reconverge to identical routing."""
         sim = Simulator()
         network = BrokerNetwork(sim, seed=9, federation=federation)
-        network.build_chain(["b1", "b2", "b3"])
+        build_chain(network, ["b1", "b2", "b3"])
         seen: list[int] = []
         network.broker("b3").subscribe_local("p/t", lambda m: seen.append(m.body))
         sim.run()

@@ -16,6 +16,7 @@ from repro.messaging.message import Message
 from repro.messaging.topics import Topic
 from repro.obs import MetricsRegistry
 from repro.sim.engine import Simulator
+from tests.support import build_chain
 
 TOPIC = "Traces/e-1/Change"
 
@@ -41,7 +42,7 @@ def line():
     """b0 - b1 - b2 with one subscriber at b2: two hops (a ring of three has none)."""
     sim = Simulator()
     network = BrokerNetwork(sim, seed=0)
-    network.build_chain(["b0", "b1", "b2"])
+    build_chain(network, ["b0", "b1", "b2"])
     got: list[Message] = []
     network.broker("b2").subscribe_local(TOPIC, got.append)
     return sim, network, got

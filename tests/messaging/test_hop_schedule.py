@@ -19,6 +19,7 @@ from repro.messaging.message import Message
 from repro.messaging.topics import Topic
 from repro.sim.engine import Process, Simulator
 from repro.transport.tcp import tcp_profile
+from tests.support import build_chain
 
 TOPIC = "Traces/e-1/Change"
 
@@ -28,7 +29,7 @@ def line(brokers: int) -> tuple[Simulator, BrokerNetwork, list[Message]]:
     sim = Simulator()
     network = BrokerNetwork(sim, seed=0, default_profile=tcp_profile(jitter_ms=0.0))
     ids = [f"b{i}" for i in range(brokers)]
-    network.build_chain(ids)
+    build_chain(network, ids)
     got: list[Message] = []
     network.broker(ids[-1]).subscribe_local(TOPIC, got.append)
     return sim, network, got

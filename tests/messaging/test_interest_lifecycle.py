@@ -9,13 +9,14 @@ import pytest
 
 from repro.messaging.broker_network import BrokerNetwork
 from repro.sim.engine import Simulator
+from tests.support import build_chain, index_clients, stale_interest_entries, trie_nodes
 
 
 @pytest.fixture
 def net():
     sim = Simulator()
     network = BrokerNetwork(sim, seed=11)
-    network.build_chain(["b1", "b2", "b3"])
+    build_chain(network, ["b1", "b2", "b3"])
     return sim, network
 
 
@@ -92,10 +93,10 @@ class TestIndexHygiene:
         b1 = network.broker("b1")
         sub = make_client(network, "sub", "b3")
         sub.subscribe("dead/pattern", lambda m: None)
-        assert "dead/pattern" in b1.subscription_index
+        assert "dead/pattern" in b1._subs
         sub.unsubscribe("dead/pattern")
-        assert "dead/pattern" not in b1.subscription_index
-        assert b1.subscription_index.pattern_count == 0
+        assert "dead/pattern" not in b1._subs
+        assert len(b1._subs) == 0
 
     def test_detach_prunes_publisher_side_index(self, net):
         sim, network = net
@@ -103,11 +104,11 @@ class TestIndexHygiene:
         sub.subscribe("a/b", lambda m: None)
         sub.subscribe("a/*", lambda m: None)
         sub.subscribe("c/>", lambda m: None)
-        b1_index = network.broker("b1").subscription_index
-        assert b1_index.pattern_count == 3
+        b1_index = network.broker("b1")._subs
+        assert len(b1_index) == 3
         network.broker("b3").detach_client("sub")
-        assert b1_index.pattern_count == 0
-        assert b1_index.node_count() == 0
+        assert len(b1_index) == 0
+        assert trie_nodes(b1_index) == 0
 
     def test_patterns_gauge_returns_to_baseline(self, net):
         sim, network = net
@@ -137,15 +138,15 @@ class TestRetractionSymmetry:
         staying.subscribe("sym/topic", lambda m: None)
         # a self-addressed drop (as a buggy flood echo would deliver) is a no-op
         b3.drop_remote_interest("sym/topic", "b3")
-        assert b3.subscription_index.has_local("sym/topic")
-        assert b3.subscription_index.clients_for("sym/topic") == ["staying", "sub"]
+        assert b3._subs.has_local("sym/topic")
+        assert index_clients(b3._subs, "sym/topic") == ["staying", "sub"]
 
     @pytest.mark.parametrize("federation", [False, True], ids=["verbatim", "federated"])
     def test_unannounced_suppressed_pattern_is_not_retracted(self, federation):
         """A suppressed broker-local pattern is never announced, so its
         unsubscribe must neither count a retraction nor flood one."""
         network = BrokerNetwork(Simulator(), seed=11, federation=federation)
-        network.build_chain(["b1", "b2"])
+        build_chain(network, ["b1", "b2"])
         b1, handler = network.broker("b1"), lambda m: None
         b1.subscribe_local("Constrained/Traces/Limited/sess-1", handler)
         b1.unsubscribe_local("Constrained/Traces/Limited/sess-1", handler)
@@ -165,7 +166,7 @@ class TestRetractionSymmetry:
         _, network = net
         b3 = network.broker("b3")
         b3.note_remote_interest("self/topic", "b3")
-        assert "self/topic" not in b3.subscription_index
+        assert "self/topic" not in b3._subs
 
     def test_remove_client_sweeps_all_brokers(self, net):
         """A client that hopped brokers without unsubscribing leaves
@@ -177,11 +178,11 @@ class TestRetractionSymmetry:
         hopper.subscribe("hop/topic", lambda m: None)
         # hop: attach to b3 without detaching from b2 (the leak)
         network.connect_client(hopper, "b3")
-        assert network.broker("b2").subscription_index.has_local("hop/topic")
+        assert network.broker("b2")._subs.has_local("hop/topic")
 
         network.remove_client("hopper")
-        assert not network.broker("b2").subscription_index.has_local("hop/topic")
-        assert network.stale_interest_entries("hopper") == []
+        assert not network.broker("b2")._subs.has_local("hop/topic")
+        assert stale_interest_entries(network, "hopper") == []
         before = forwarded_out(network)
         pub.publish("hop/topic", 1)
         sim.run()
@@ -193,28 +194,28 @@ class TestRetractionSymmetry:
         sub.subscribe("clean/topic", lambda m: None)
         sim.run()
         network.remove_client("sub")
-        assert network.stale_interest_entries() == []
-        assert network.stale_interest_entries("sub") == []
+        assert stale_interest_entries(network) == []
+        assert stale_interest_entries(network, "sub") == []
 
     def test_stale_diagnostic_detects_injected_leak(self, net):
         """The diagnostic itself must see a fabricated control-plane leak."""
         _, network = net
         network._interest.setdefault("leak/topic", set()).add("b2")
-        findings = network.stale_interest_entries()
+        findings = stale_interest_entries(network)
         assert findings == ["leak/topic advertised by b2 with no local subscriber"]
 
     def test_stale_diagnostic_in_federated_mode(self):
         sim = Simulator()
         network = BrokerNetwork(sim, seed=11, federation=True)
-        network.build_chain(["b1", "b2", "b3"])
+        build_chain(network, ["b1", "b2", "b3"])
         sub = make_client(network, "sub", "b3")
         sub.subscribe("fed/topic", lambda m: None)
-        assert network.stale_interest_entries() == []
+        assert stale_interest_entries(network) == []
         network.remove_client("sub")
-        assert network.stale_interest_entries("sub") == []
+        assert stale_interest_entries(network, "sub") == []
         # inject a leak straight into the plane: the diagnostic reports it
         network.federation.announce("fed/leak", "b2")
-        assert network.stale_interest_entries() == [
+        assert stale_interest_entries(network) == [
             "fed/leak advertised by b2 with no local subscriber"
         ]
 

@@ -8,11 +8,12 @@ stream per direction.
 
 from repro.messaging.broker_network import BrokerNetwork
 from repro.sim.engine import Simulator
+from tests.support import build_chain
 
 
 def build(seed: int = 7) -> BrokerNetwork:
     network = BrokerNetwork(Simulator(), seed=seed)
-    network.build_chain(["b1", "b2"])
+    build_chain(network, ["b1", "b2"])
     return network
 
 

@@ -17,6 +17,7 @@ from repro.messaging.matching import SubscriptionIndex
 from repro.messaging.topics import topic_matches
 from repro.obs import MetricsRegistry
 from repro.sim.engine import Simulator
+from tests.support import build_chain, index_clients, index_patterns, shard_count, trie_nodes
 
 
 def linear_match_patterns(patterns, topic):
@@ -65,8 +66,8 @@ class TestBasicMatching:
         index = SubscriptionIndex()
         index.add_client("/a/b", "c1")
         index.add_client("a/b", "c2")
-        assert index.patterns() == ["a/b"]
-        assert index.clients_for("/a/b") == ["c1", "c2"]
+        assert index_patterns(index) == ["a/b"]
+        assert index_clients(index, "/a/b") == ["c1", "c2"]
 
     def test_invalid_pattern_rejected(self):
         index = SubscriptionIndex()
@@ -80,10 +81,10 @@ class TestLifecycle:
     def test_remove_client_prunes_entry_and_nodes(self):
         index = SubscriptionIndex()
         index.add_client("a/b/*", "c1")
-        assert index.node_count() == 3
+        assert trie_nodes(index) == 3
         assert index.remove_client("a/b/*", "c1")
-        assert index.pattern_count == 0
-        assert index.node_count() == 0
+        assert len(index) == 0
+        assert trie_nodes(index) == 0
         assert index.match_patterns("a/b/c") == []
 
     def test_remove_client_keeps_shared_prefix(self):
@@ -91,16 +92,16 @@ class TestLifecycle:
         index.add_client("a/b/*", "c1")
         index.add_client("a/b/>", "c2")
         index.remove_client("a/b/*", "c1")
-        assert index.patterns() == ["a/b/>"]
-        assert index.node_count() == 3  # a, a/b, a/b/>
+        assert index_patterns(index) == ["a/b/>"]
+        assert trie_nodes(index) == 3  # a, a/b, a/b/>
 
     def test_literal_patterns_allocate_no_trie_nodes(self):
         index = SubscriptionIndex()
         index.add_client("a/b/c", "c1")
         index.add_handler("a/b/d", lambda m: None)
         index.add_remote("a/b/e", "b2")
-        assert index.pattern_count == 3
-        assert index.node_count() == 0
+        assert len(index) == 3
+        assert trie_nodes(index) == 0
         assert index.match_patterns("a/b/c") == ["a/b/c"]
 
     def test_remove_unknown_is_false(self):
@@ -108,7 +109,7 @@ class TestLifecycle:
         assert not index.remove_client("a/b", "nobody")
         index.add_client("a/b", "c1")
         assert not index.remove_client("a/b", "other")
-        assert index.pattern_count == 1
+        assert len(index) == 1
 
     def test_remove_client_everywhere_reports_orphaned_patterns(self):
         index = SubscriptionIndex()
@@ -120,7 +121,7 @@ class TestLifecycle:
         orphaned = index.remove_client_everywhere("c1")
         # only the pattern where c1 was the last local subscriber
         assert orphaned == ["solo/topic"]
-        assert index.patterns() == ["handled/topic", "shared/topic"]
+        assert index_patterns(index) == ["handled/topic", "shared/topic"]
 
     def test_remote_retraction_prunes_empty_entries(self):
         index = SubscriptionIndex()
@@ -128,7 +129,7 @@ class TestLifecycle:
         assert "remote/topic" in index
         assert index.remove_remote("remote/topic", "b2")
         assert "remote/topic" not in index
-        assert index.node_count() == 0
+        assert trie_nodes(index) == 0
 
     def test_handler_removal_prunes(self):
         index = SubscriptionIndex()
@@ -137,7 +138,7 @@ class TestLifecycle:
         assert index.has_local("x/y")
         assert index.remove_handler("x/y", handler)
         assert not index.has_local("x/y")
-        assert index.pattern_count == 0
+        assert len(index) == 0
 
     def test_patterns_gauge_tracks_live_entries(self):
         registry = MetricsRegistry()
@@ -157,7 +158,7 @@ class TestQueries:
         index.add_client("m/cpu", "c2")
         index.add_client("m/cpu", "c3")
         index.add_client("other/x", "c4")
-        assert index.client_count("m/cpu") == 3
+        assert sum(len(clients) for _, clients in index.match_clients("m/cpu")) == 3
 
     def test_match_remote_excludes_self(self):
         index = SubscriptionIndex()
@@ -185,7 +186,7 @@ class TestSharding:
 
     def test_shard_per_distinct_first_segment(self):
         index = index_with_clients(["a/x", "a/y", "b/z", "*/w", ">"])
-        assert index.shard_count == 4  # a, b, *, >
+        assert shard_count(index) == 4  # a, b, *, >
 
     def test_bare_many_shard_matches_any_topic(self):
         index = index_with_clients([">"])
@@ -201,33 +202,33 @@ class TestSharding:
         index = SubscriptionIndex()
         index.add_client("a/x", "c1")
         index.add_client("b/y", "c1")
-        assert index.shard_count == 2
+        assert shard_count(index) == 2
         index.remove_client("a/x", "c1")
-        assert index.shard_count == 1
+        assert shard_count(index) == 1
         assert index.match_patterns("a/x") == []
         index.remove_client("b/y", "c1")
-        assert index.shard_count == 0
-        assert index.node_count() == 0
+        assert shard_count(index) == 0
+        assert trie_nodes(index) == 0
 
     def test_single_segment_pattern_lives_on_shard_node(self):
         index = SubscriptionIndex()
         index.add_client("*", "c1")
-        assert index.shard_count == 1
-        assert index.node_count() == 1
+        assert shard_count(index) == 1
+        assert trie_nodes(index) == 1
         assert index.match_patterns("root") == ["*"]
         index.remove_client("*", "c1")
-        assert index.shard_count == 0
-        assert index.node_count() == 0
+        assert shard_count(index) == 0
+        assert trie_nodes(index) == 0
 
     def test_literal_and_wildcard_patterns_share_a_shard(self):
         index = SubscriptionIndex()
         index.add_client("a/x", "c1")
         index.add_client("a/*", "c1")
-        assert index.shard_count == 1
+        assert shard_count(index) == 1
         index.remove_client("a/*", "c1")
-        assert index.shard_count == 1  # a/x still starts with a
+        assert shard_count(index) == 1  # a/x still starts with a
         index.remove_client("a/x", "c1")
-        assert index.shard_count == 0
+        assert shard_count(index) == 0
 
     def test_shards_gauge_tracks_lifecycle(self):
         metrics = MetricsRegistry()
@@ -310,7 +311,7 @@ class TestEquivalenceWithLinearScan:
                 assert index.match_patterns(topic) == linear_match_patterns(
                     alive.values(), topic
                 )
-        assert index.node_count() == 0
+        assert trie_nodes(index) == 0
 
 
 # ------------------------------------------------------------ stateful model
@@ -428,14 +429,14 @@ class IndexMachine(RuleBasedStateMachine):
     @invariant()
     def counts_and_gauges_follow_the_model(self):
         live = self.live()
-        assert self.index.pattern_count == len(live)
-        assert self.index.patterns() == sorted(live)
+        assert len(self.index) == len(live)
+        assert index_patterns(self.index) == sorted(live)
         assert self.metrics.gauge_value("broker.interest.patterns") == len(live)
         shards = {pattern.split("/")[0] for pattern in live}
-        assert self.index.shard_count == len(shards)
+        assert shard_count(self.index) == len(shards)
         assert self.metrics.gauge_value("broker.interest.shards") == len(shards)
         if not live:
-            assert self.index.node_count() == 0
+            assert trie_nodes(self.index) == 0
 
     @invariant()
     def handlers_keep_registration_order(self):
@@ -460,7 +461,7 @@ class TestIndexMachineDeep(IndexMachine.TestCase):
 def federated_brokers(count):
     network = BrokerNetwork(Simulator(), seed=3, federation=True)
     ids = [f"b{i}" for i in range(count)]
-    network.build_chain(ids)
+    build_chain(network, ids)
     return network, [network.broker(broker_id) for broker_id in ids]
 
 
@@ -486,14 +487,14 @@ class TestLiteralSubscribePath:
         broker.subscribe_local(pattern, handler)
         assert calls == []
         # and the three layers hold that one string
-        (stored,) = broker.subscription_index._by_pattern
+        (stored,) = broker._subs._by_pattern
         accumulator = network.federation._accumulators[broker.broker_id]
         (announced,) = accumulator.patterns
         assert stored is pattern and announced is pattern
         # the tolerated leading "/" is stripped by string tests too
         broker.unsubscribe_local("/" + pattern, handler)
         assert calls == []
-        assert not broker.subscription_index._by_pattern and not accumulator.patterns
+        assert not broker._subs._by_pattern and not accumulator.patterns
 
     def test_literal_pattern_costs_at_most_500_traced_bytes(self):
         """20 000 literal broker subscriptions on a federated net: the
@@ -511,5 +512,5 @@ class TestLiteralSubscribePath:
             per_pattern = (tracemalloc.get_traced_memory()[0] - before) / 20_000
         finally:
             tracemalloc.stop()
-        assert broker.subscription_index.node_count() == 0
+        assert trie_nodes(broker._subs) == 0
         assert per_pattern <= 500, f"{per_pattern:.0f} traced bytes per pattern"

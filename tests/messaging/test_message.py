@@ -76,7 +76,3 @@ class TestMessage:
         plain = make()
         signed = make(signature={"payload": {"k": 1}, "sig": b"s" * 64})
         assert frame_size(signed) > frame_size(plain)
-
-    def test_describe(self):
-        text = make().describe()
-        assert "a/b" in text and "src" in text

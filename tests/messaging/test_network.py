@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, RoutingError
 from repro.messaging.broker_network import BrokerNetwork
 from repro.sim.engine import Simulator
 from repro.transport.udp import udp_profile
+from tests.support import build_chain, network_hops
 
 
 @pytest.fixture
@@ -16,9 +17,9 @@ def sim():
 class TestTopology:
     def test_build_chain(self, sim):
         network = BrokerNetwork(sim, seed=0)
-        brokers = network.build_chain(["a", "b", "c", "d"])
+        brokers = build_chain(network, ["a", "b", "c", "d"])
         assert [b.broker_id for b in brokers] == ["a", "b", "c", "d"]
-        assert network.hop_distance("a", "d") == 3
+        assert network_hops(network, "a", "d") == 3
 
     def test_duplicate_broker_rejected(self, sim):
         network = BrokerNetwork(sim, seed=0)
@@ -39,7 +40,7 @@ class TestTopology:
 
     def test_routing_tables_updated_on_new_links(self, sim):
         network = BrokerNetwork(sim, seed=0)
-        network.build_chain(["a", "b", "c"])
+        build_chain(network, ["a", "b", "c"])
         assert network.broker("a").routing_table["c"] == "b"
         network.connect_brokers("a", "c")
         assert network.broker("a").routing_table["c"] == "c"
@@ -125,7 +126,7 @@ class TestClientLifecycle:
 class TestBrokerFailureFabric:
     def test_fail_broker_updates_routes(self, sim):
         network = BrokerNetwork(sim, seed=0)
-        network.build_chain(["a", "b", "c"])
+        build_chain(network, ["a", "b", "c"])
         network.connect_brokers("a", "c")
         network.fail_broker("b")
         assert network.broker("a").routing_table.get("c") == "c"
@@ -133,7 +134,7 @@ class TestBrokerFailureFabric:
 
     def test_recover_broker_restores_adjacency(self, sim):
         network = BrokerNetwork(sim, seed=0)
-        network.build_chain(["a", "b", "c"])
+        build_chain(network, ["a", "b", "c"])
         network.fail_broker("b")
         assert "b" not in network.broker("a").routing_table
         network.recover_broker("b", neighbors=["a", "c"])

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import RoutingError
-from repro.messaging.routing import all_next_hops, bfs_next_hops, hop_distance
+from repro.messaging.routing import all_next_hops
+from tests.support import bfs_next_hops, hop_distance
 
 CHAIN = {"a": {"b"}, "b": {"a", "c"}, "c": {"b", "d"}, "d": {"c"}}
 STAR = {"hub": {"s1", "s2", "s3"}, "s1": {"hub"}, "s2": {"hub"}, "s3": {"hub"}}

@@ -6,7 +6,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.messaging.routing import all_next_hops, bfs_next_hops, hop_distance
+from repro.messaging.routing import all_next_hops
+from tests.support import bfs_next_hops, hop_distance
 
 
 @st.composite

@@ -27,10 +27,17 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.util.clock import VirtualClock
 
 ProcessGenerator = Generator["Event", Any, Any]
+
+
+def _advance_to(clock: VirtualClock, t: float) -> None:
+    """Move the clock forward to ``t``, never backward (this engine's clock step)."""
+    if t < clock._now:
+        raise ValidationError(f"clock cannot move backward: {t} < {clock._now}")
+    clock._now = t
 
 
 class Event:
@@ -398,7 +405,7 @@ class Simulator:
         if not self._heap:
             return False
         when, _, fn = heapq.heappop(self._heap)
-        self.clock.advance_to(when)
+        _advance_to(self.clock, when)
         fn()
         return True
 
@@ -424,7 +431,7 @@ class Simulator:
                         f"simulation exceeded {max_steps} steps (livelock?)"
                     )
             if until is not None and self.now < until:
-                self.clock.advance_to(until)
+                _advance_to(self.clock, until)
         finally:
             self._running = False
 

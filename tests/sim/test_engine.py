@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Interrupt, Simulator
+from repro.sim.engine import Event, Interrupt, Resource, Simulator
+from tests.support import occupancy, run_process, succeeded
 
 
 def three_users(sim, cpu, hold):
@@ -142,7 +143,7 @@ class TestProcesses:
             yield sim.timeout(1.0)
             return "result"
 
-        assert sim.run_process(proc()) == "result"
+        assert run_process(sim, proc()) == "result"
 
     def test_process_is_joinable(self, sim):
         def child():
@@ -165,14 +166,14 @@ class TestProcesses:
 
         proc = sim.process(bad())
         sim.run()
-        assert proc.triggered and not proc.ok
+        assert proc.triggered and not succeeded(proc)
 
     def test_deadlock_detected(self, sim):
         def stuck():
             yield sim.event("never")
 
         with pytest.raises(SimulationError):
-            sim.run_process(stuck())
+            run_process(sim, stuck())
 
     def test_interrupt(self, sim):
         log = []
@@ -197,7 +198,7 @@ class TestProcesses:
         proc = sim.process(worker())
         sim.call_later(1.0, lambda: proc.interrupt())
         sim.run()
-        assert proc.triggered and proc.ok
+        assert succeeded(proc)
 
     def test_interrupt_after_completion_is_noop(self, sim):
         def worker():
@@ -212,20 +213,6 @@ class TestProcesses:
 
 
 class TestCombinators:
-    def test_all_of(self, sim):
-        def proc():
-            values = yield sim.all_of([sim.timeout(2.0, "a"), sim.timeout(5.0, "b")])
-            return (sim.now, values)
-
-        assert sim.run_process(proc()) == (5.0, ["a", "b"])
-
-    def test_all_of_empty(self, sim):
-        def proc():
-            values = yield sim.all_of([])
-            return values
-
-        assert sim.run_process(proc()) == []
-
     def test_any_of(self, sim):
         def proc():
             index, value = yield sim.any_of(
@@ -233,7 +220,7 @@ class TestCombinators:
             )
             return (sim.now, index, value)
 
-        assert sim.run_process(proc()) == (2.0, 1, "fast")
+        assert run_process(sim, proc()) == (2.0, 1, "fast")
 
     def test_any_of_requires_events(self, sim):
         with pytest.raises(SimulationError):
@@ -278,7 +265,7 @@ class TestQueue:
 
 class TestResource:
     def test_serializes_capacity_one(self, sim):
-        resource = sim.resource(1, "cpu")
+        resource = Resource(sim, 1, "cpu")
         spans = []
 
         def worker(name, duration):
@@ -294,7 +281,7 @@ class TestResource:
         assert spans == [("a", 0.0, 5.0), ("b", 5.0, 8.0)]
 
     def test_capacity_two_runs_in_parallel(self, sim):
-        resource = sim.resource(2)
+        resource = Resource(sim, 2)
         ends = []
 
         def worker(duration):
@@ -307,12 +294,12 @@ class TestResource:
         assert ends == [5.0, 5.0]
 
     def test_release_idle_rejected(self, sim):
-        resource = sim.resource(1)
+        resource = Resource(sim, 1)
         with pytest.raises(SimulationError):
             resource.release()
 
     def test_queue_length(self, sim):
-        resource = sim.resource(1)
+        resource = Resource(sim, 1)
 
         def hold():
             yield from resource.use(10.0)
@@ -321,55 +308,52 @@ class TestResource:
         sim.process(hold())
         sim.process(hold())
         sim.run(until=1.0)
-        assert resource.in_use == 1
-        assert resource.queue_length == 2
+        assert occupancy(resource) == (1, 2)
 
     def test_invalid_capacity(self, sim):
         with pytest.raises(SimulationError):
-            sim.resource(0)
+            Resource(sim, 0)
 
     def test_use_releases_on_completion(self, sim):
-        resource = sim.resource(1)
+        resource = Resource(sim, 1)
 
         def worker():
             yield from resource.use(2.0)
 
         sim.process(worker())
         sim.run()
-        assert resource.in_use == 0
+        assert occupancy(resource)[0] == 0
 
     def test_interrupted_waiter_leaves_the_queue(self, sim):
-        cpu = sim.resource(1)
+        cpu = Resource(sim, 1)
         done, (_a, b, _c) = three_users(sim, cpu, 10.0)
         sim.call_later(5.0, lambda: b.interrupt())
         sim.run()
         # b's dead request must not be handed the slot a releases
         assert done == [(10.0, "a"), (20.0, "c")]
-        assert cpu.in_use == 0
-        assert cpu.queue_length == 0
+        assert occupancy(cpu) == (0, 0)
 
     def test_waiter_interrupted_after_the_grant_passes_the_slot_on(self, sim):
-        cpu = sim.resource(1)
+        cpu = Resource(sim, 1)
         # scheduled first, so at t=10 it runs before a's timer: the interrupt
         # is on its way when a's release grants b the slot
         sim.call_later(10.0, lambda: b.interrupt())
         done, (_a, b, _c) = three_users(sim, cpu, 10.0)
         sim.run()
         assert done == [(10.0, "a"), (20.0, "c")]
-        assert cpu.in_use == 0
-        assert cpu.queue_length == 0
+        assert occupancy(cpu) == (0, 0)
 
     def test_closed_waiter_leaves_the_queue(self, sim):
-        cpu = sim.resource(1)
+        cpu = Resource(sim, 1)
         holder = cpu.use(1.0)
         next(holder)
         waiter = cpu.use(1.0)
         next(waiter)
-        assert (cpu.in_use, cpu.queue_length) == (1, 1)
+        assert occupancy(cpu) == (1, 1)
         waiter.close()
-        assert (cpu.in_use, cpu.queue_length) == (1, 0)
+        assert occupancy(cpu) == (1, 0)
         holder.close()
-        assert (cpu.in_use, cpu.queue_length) == (0, 0)
+        assert occupancy(cpu) == (0, 0)
 
 
 class TestStepCounts:
@@ -396,17 +380,17 @@ class TestStepCounts:
         sim.process(machine.compute(2.0))
         assert count_steps(sim) == 2  # start, timer: no grant in between
         assert sim.now == 2.0
-        assert machine.cpu.in_use == 0
+        assert occupancy(machine.cpu) == (0, 0)
 
     def test_compute_on_a_full_cpu_queues_fifo(self, sim):
-        cpu = sim.resource(1)
+        cpu = Resource(sim, 1)
         done, _ = three_users(sim, cpu, 5.0)
         sim.run(until=1.0)  # the three starts
-        assert (cpu.in_use, cpu.queue_length) == (1, 2)
+        assert occupancy(cpu) == (1, 2)
         # a's timer, then a grant and a timer for each of the two waiters
         assert count_steps(sim) == 5
         assert done == [(5.0, "a"), (10.0, "b"), (15.0, "c")]
-        assert (cpu.in_use, cpu.queue_length) == (0, 0)
+        assert occupancy(cpu) == (0, 0)
 
 
 class TestUnjoinedCompletion:
@@ -454,7 +438,7 @@ class TestUnjoinedCompletion:
         proc = self._finished_at_once(sim)
 
         def look():
-            seen.append((proc.triggered, proc.ok, proc.value, proc.fired, repr(proc)))
+            seen.append((proc.triggered, succeeded(proc), proc.value, proc.fired, repr(proc)))
 
         sim.call_later(0.0, look)  # ahead of the place the fire keeps
         sim.call_later(1.0, look)
@@ -490,7 +474,7 @@ class TestProcessFailure:
 
         proc = sim.process(boom())
         sim.run()
-        assert proc.triggered and not proc.ok
+        assert proc.triggered and not succeeded(proc)
         with pytest.raises(RuntimeError):
             _ = proc.value
 
@@ -517,4 +501,4 @@ class TestProcessFailure:
             raise KeyError("x")
 
         with pytest.raises(KeyError):
-            sim.run_process(boom())
+            run_process(sim, boom())

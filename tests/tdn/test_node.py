@@ -4,7 +4,6 @@ import pytest
 
 from repro.auth.credentials import EntityCredentials
 from repro.crypto.certificates import CertificateAuthority
-from repro.crypto.costmodel import CryptoCostModel
 from repro.errors import DiscoveryError, RegistrationError
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
@@ -12,6 +11,7 @@ from repro.tdn.advertisement import TopicCreationRequest
 from repro.tdn.node import TDNCluster
 from repro.tdn.query import DiscoveryQuery, DiscoveryRestrictions, trace_descriptor
 from repro.util.identifiers import RequestId
+from tests.support import free_cost_model, run_process
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ def setup(rng):
     sim = Simulator()
     ca = CertificateAuthority("ca", rng)
     machines = [
-        Machine(sim, f"m{i}", CryptoCostModel.free(), rng) for i in range(3)
+        Machine(sim, f"m{i}", free_cost_model(), rng) for i in range(3)
     ]
     cluster = TDNCluster(sim, ca, machines, uuid_seed=42)
     entity = EntityCredentials.issue("svc-1", ca, rng)
@@ -42,24 +42,25 @@ class TestTopicCreation:
     def test_creates_signed_advertisement(self, setup):
         sim, ca, cluster, entity, _ = setup
         request, signature = creation_request(entity)
-        ad = sim.run_process(cluster.create_topic(request, signature))
+        ad = run_process(sim, cluster.create_topic(request, signature))
         assert ad.owner_subject == "svc-1"
         assert ad.descriptor == trace_descriptor("svc-1")
-        assert cluster.nodes[0].verify_advertisement(ad)
+        node = cluster.nodes[0]
+        ad.verify_provenance({node.name: node.certificate.public_key})  # raises if not
 
     def test_uuid_minted_at_tdn_is_unique(self, setup):
         sim, ca, cluster, entity, _ = setup
         topics = set()
         for i in range(5):
             request, signature = creation_request(entity)
-            ad = sim.run_process(cluster.create_topic(request, signature))
+            ad = run_process(sim, cluster.create_topic(request, signature))
             topics.add(ad.trace_topic)
         assert len(topics) == 5
 
     def test_replicated_to_peers(self, setup):
         sim, ca, cluster, entity, _ = setup
         request, signature = creation_request(entity)
-        ad = sim.run_process(cluster.create_topic(request, signature))
+        ad = run_process(sim, cluster.create_topic(request, signature))
         sim.run()  # let replication callbacks fire
         for node in cluster.nodes:
             assert node.store.get(ad.trace_topic, sim.now) is not None
@@ -69,14 +70,14 @@ class TestTopicCreation:
         request, _ = creation_request(entity)
         wrong_signature = tracker.sign(request.signing_payload())
         with pytest.raises(RegistrationError):
-            sim.run_process(cluster.create_topic(request, wrong_signature))
+            run_process(sim, cluster.create_topic(request, wrong_signature))
 
     def test_rejects_signature_over_other_fields(self, setup):
         sim, ca, cluster, entity, _ = setup
         request, _ = creation_request(entity)
         signature = entity.sign({"something": "else"})
         with pytest.raises(RegistrationError):
-            sim.run_process(cluster.create_topic(request, signature))
+            run_process(sim, cluster.create_topic(request, signature))
 
     def test_rejects_untrusted_credentials(self, setup, rng):
         sim, ca, cluster, entity, _ = setup
@@ -84,20 +85,20 @@ class TestTopicCreation:
         rogue = EntityCredentials.issue("svc-1", rogue_ca, rng)
         request, signature = creation_request(rogue)
         with pytest.raises(RegistrationError):
-            sim.run_process(cluster.create_topic(request, signature))
+            run_process(sim, cluster.create_topic(request, signature))
 
 
 class TestDiscovery:
     def _create(self, sim, cluster, entity, restrictions=None):
         request, signature = creation_request(entity, restrictions)
-        ad = sim.run_process(cluster.create_topic(request, signature))
+        ad = run_process(sim, cluster.create_topic(request, signature))
         sim.run()
         return ad
 
     def test_authorized_discovery(self, setup):
         sim, ca, cluster, entity, tracker = setup
         ad = self._create(sim, cluster, entity)
-        found = sim.run_process(
+        found = run_process(sim, 
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
         )
         assert found is not None
@@ -108,14 +109,14 @@ class TestDiscovery:
         self._create(
             sim, cluster, entity, DiscoveryRestrictions.allow_only("someone-else")
         )
-        found = sim.run_process(
+        found = run_process(sim, 
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
         )
         assert found is None  # silently ignored, not an error
 
     def test_unknown_entity_gets_silence(self, setup):
         sim, ca, cluster, entity, tracker = setup
-        found = sim.run_process(
+        found = run_process(sim, 
             cluster.discover(DiscoveryQuery.for_entity("ghost"), tracker.certificate)
         )
         assert found is None
@@ -123,7 +124,7 @@ class TestDiscovery:
     def test_no_credentials_gets_silence(self, setup):
         sim, ca, cluster, entity, tracker = setup
         self._create(sim, cluster, entity)
-        found = sim.run_process(
+        found = run_process(sim, 
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), None)
         )
         assert found is None
@@ -131,9 +132,9 @@ class TestDiscovery:
     def test_expired_topic_not_discoverable(self, setup):
         sim, ca, cluster, entity, tracker = setup
         request, signature = creation_request(entity, lifetime=50.0)
-        sim.run_process(cluster.create_topic(request, signature))
+        run_process(sim, cluster.create_topic(request, signature))
         sim.run(until=200.0)
-        found = sim.run_process(
+        found = run_process(sim, 
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
         )
         assert found is None
@@ -142,14 +143,14 @@ class TestDiscovery:
     # earlier answer never decides a later one
     def _ask(self, sim, cluster, tracker):
         query = DiscoveryQuery.for_entity("svc-1")
-        one = sim.run_process(cluster.discover(query, tracker.certificate))
-        every = sim.run_process(cluster.discover_all(query, tracker.certificate))
+        one = run_process(sim, cluster.discover(query, tracker.certificate))
+        every = run_process(sim, cluster.discover_all(query, tracker.certificate))
         return one, every
 
     def test_answered_topic_is_not_discovered_once_expired(self, setup):
         sim, ca, cluster, entity, tracker = setup
         request, signature = creation_request(entity, lifetime=50.0)
-        ad = sim.run_process(cluster.create_topic(request, signature))
+        ad = run_process(sim, cluster.create_topic(request, signature))
         one, every = self._ask(sim, cluster, tracker)
         assert one.trace_topic == ad.trace_topic
         assert [found.trace_topic for found in every] == [ad.trace_topic]
@@ -178,10 +179,10 @@ class TestFailureTolerance:
     def test_survives_node_failure(self, setup):
         sim, ca, cluster, entity, tracker = setup
         request, signature = creation_request(entity)
-        ad = sim.run_process(cluster.create_topic(request, signature))
+        ad = run_process(sim, cluster.create_topic(request, signature))
         sim.run()
         cluster.nodes[0].fail()
-        found = sim.run_process(
+        found = run_process(sim, 
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
         )
         assert found is not None
@@ -192,31 +193,31 @@ class TestFailureTolerance:
         for node in cluster.nodes:
             node.fail()
         with pytest.raises(DiscoveryError):
-            sim.run_process(
+            run_process(sim, 
                 cluster.discover(DiscoveryQuery.for_entity("x"), tracker.certificate)
             )
         with pytest.raises(DiscoveryError):
             request, signature = creation_request(entity)
-            sim.run_process(cluster.create_topic(request, signature))
+            run_process(sim, cluster.create_topic(request, signature))
 
     def test_recovery(self, setup):
         sim, ca, cluster, entity, tracker = setup
         cluster.nodes[0].fail()
         cluster.nodes[0].recover()
-        assert len(cluster.live_nodes()) == 3
+        assert not any(node.failed for node in cluster.nodes)
 
     def test_creation_fails_over_to_live_node(self, setup):
         sim, ca, cluster, entity, tracker = setup
         cluster.nodes[0].fail()
         request, signature = creation_request(entity)
-        ad = sim.run_process(cluster.create_topic(request, signature))
+        ad = run_process(sim, cluster.create_topic(request, signature))
         assert ad.issuing_tdn == "tdn-1"
 
     def test_replication_skips_failed_nodes(self, setup):
         sim, ca, cluster, entity, _ = setup
         cluster.nodes[2].fail()
         request, signature = creation_request(entity)
-        ad = sim.run_process(cluster.create_topic(request, signature))
+        ad = run_process(sim, cluster.create_topic(request, signature))
         sim.run()
         assert cluster.nodes[1].store.get(ad.trace_topic, sim.now) is not None
         assert cluster.nodes[2].store.get(ad.trace_topic, sim.now) is None
@@ -237,13 +238,13 @@ class TestReplicationRace:
         ad = proc.value
         # at this instant the advertisement is stored at tdn-0 only
         cluster.nodes[0].fail()
-        found = sim.run_process(
+        found = run_process(sim, 
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
         )
         # tdn-1 may or may not have the replica yet depending on callback
         # ordering; after the replication delay it definitely does
         sim.run(until=sim.now + cluster.nodes[0].replication_delay_ms + 1.0)
-        found_later = sim.run_process(
+        found_later = run_process(sim, 
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
         )
         assert found_later is not None

@@ -76,12 +76,6 @@ class TestStore:
         assert store.reap_expired(now_ms=500.0) == 1
         assert len(store) == 1
 
-    def test_topics_sorted(self, keypair):
-        store = AdvertisementStore()
-        store.put(make_ad(keypair, 5, entity="a"))
-        store.put(make_ad(keypair, 2, entity="b"))
-        assert store.topics() == [UUID128(2), UUID128(5)]
-
 
 class TestLifetime:
     def test_alive_window(self):

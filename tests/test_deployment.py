@@ -5,16 +5,17 @@ import pytest
 from repro import build_deployment
 from repro.tracing.broker_ops import TraceManager
 from repro.transport.udp import udp_profile
+from tests.support import network_hops
 
 
 class TestBuildDeployment:
     def test_chain_topology(self):
         dep = build_deployment(broker_ids=["a", "b", "c"])
-        assert dep.network.hop_distance("a", "c") == 2
+        assert network_hops(dep.network, "a", "c") == 2
 
     def test_extra_links_add_to_the_chain(self):
         dep = build_deployment(broker_ids=["a", "b", "c"], extra_links=[("a", "c")])
-        assert dep.network.hop_distance("a", "c") == 1
+        assert network_hops(dep.network, "a", "c") == 1
 
     def test_every_broker_has_manager_and_guard(self):
         dep = build_deployment(broker_ids=["a", "b"])
@@ -24,7 +25,7 @@ class TestBuildDeployment:
 
     def test_brokers_registered_with_discovery(self):
         dep = build_deployment(broker_ids=["a", "b"])
-        assert dep.discovery.known_brokers() == ["a", "b"]
+        assert sorted(dep.discovery._brokers) == ["a", "b"]
 
     def test_verifier_trusts_all_tdns(self):
         dep = build_deployment(broker_ids=["a"])

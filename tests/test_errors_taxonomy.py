@@ -57,11 +57,12 @@ class TestRaisedTypes:
     """Spot-check that call sites actually raise the taxonomy now."""
 
     def test_clock_validation(self):
-        from repro.util.clock import VirtualClock
+        from repro.sim.engine import Simulator
 
-        clock = VirtualClock(start=100.0)
+        sim = Simulator(start=100.0)
+        sim._heap.append((50.0, 0, lambda: None))  # an entry behind the clock
         with pytest.raises(errors.ValidationError):
-            clock.advance_to(50.0)
+            sim.step()
 
     def test_stats_empty(self):
         from repro.util.stats import RunningStats

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.seeds import RESULTS_DIR, SEED_GROUPS
-from repro.util.snapshots import snapshot_drift
+from tests.support import snapshot_drift
 
 #: Written by the frozen wall-clock harness (``benchmarks/perf/run.py``); its own
 #: ``bench-smoke`` step regenerates it in place ahead of the seeds step's ``git diff``.

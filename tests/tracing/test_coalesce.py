@@ -14,6 +14,7 @@ from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.tracing.coalesce import PING_BATCH_KIND, relay_ping_batch
 from repro.tracing.failure import AdaptivePingPolicy
+from tests.support import free_cost_model
 
 FAST_POLICY = AdaptivePingPolicy(
     base_interval_ms=500.0,
@@ -41,7 +42,7 @@ class TestRelayRegistry:
         from repro.crypto.costmodel import CryptoCostModel
 
         return Machine(
-            Simulator(), "host", CryptoCostModel.free(), random.Random(1)
+            Simulator(), "host", free_cost_model(), random.Random(1)
         )
 
     def test_relay_delivers_to_registered_sinks(self, host):

@@ -9,6 +9,7 @@ from repro.crypto.signing import seal_for
 from repro.errors import RegistrationError
 from repro.messaging.message import Message
 from repro.tracing.traces import EntityState
+from tests.support import run_process, succeeded
 
 
 @pytest.fixture
@@ -20,20 +21,20 @@ class TestStartupPreconditions:
     def test_register_before_topic_creation_fails(self, dep):
         entity = dep.add_traced_entity("svc")
         with pytest.raises(RegistrationError):
-            dep.sim.run_process(entity.register())
+            run_process(dep.sim, entity.register())
 
     def test_session_required_for_reports(self, dep):
         entity = dep.add_traced_entity("svc")
         with pytest.raises(RegistrationError):
-            dep.sim.run_process(entity.report_state(EntityState.READY))
+            run_process(dep.sim, entity.report_state(EntityState.READY))
         with pytest.raises(RegistrationError):
-            dep.sim.run_process(entity.disable_tracing())
+            run_process(dep.sim, entity.disable_tracing())
 
     def test_token_delivery_requires_registration(self, dep):
         entity = dep.add_traced_entity("svc")
-        dep.sim.run_process(entity.create_trace_topic())
+        run_process(dep.sim, entity.create_trace_topic())
         with pytest.raises(RegistrationError):
-            dep.sim.run_process(entity.deliver_token())
+            run_process(dep.sim, entity.deliver_token())
 
 
 class TestRegistrationTimeout:
@@ -43,7 +44,7 @@ class TestRegistrationTimeout:
         dep.network.fail_broker("b1")  # broker drops everything
         proc = entity.start("b1")
         dep.sim.run(until=30_000)
-        assert proc.triggered and not proc.ok
+        assert proc.triggered and not succeeded(proc)
         with pytest.raises(RegistrationError):
             _ = proc.value
 
@@ -70,7 +71,7 @@ class TestMalformedRegistrationResponse:
         manager._publish_plain = corrupting
         proc = entity.start("b1")
         dep.sim.run(until=30_000)
-        assert proc.triggered and not proc.ok
+        assert proc.triggered and not succeeded(proc)
         with pytest.raises(RegistrationError):
             _ = proc.value
 
@@ -81,26 +82,26 @@ class TestStateMachine:
         entity.start("b1")
         dep.sim.run(until=3_000)
         assert entity.state is EntityState.READY
-        dep.sim.run_process(entity.report_state(EntityState.RECOVERING))
+        run_process(dep.sim, entity.report_state(EntityState.RECOVERING))
         assert entity.state is EntityState.RECOVERING
-        dep.sim.run_process(entity.report_state(EntityState.READY))
-        dep.sim.run_process(entity.report_state(EntityState.SHUTDOWN))
+        run_process(dep.sim, entity.report_state(EntityState.READY))
+        run_process(dep.sim, entity.report_state(EntityState.SHUTDOWN))
         assert entity.state is EntityState.SHUTDOWN
 
     def test_shutdown_is_terminal(self, dep):
         entity = dep.add_traced_entity("svc")
         entity.start("b1")
         dep.sim.run(until=3_000)
-        dep.sim.run_process(entity.shutdown())
+        run_process(dep.sim, entity.shutdown())
         with pytest.raises(ValueError):
-            dep.sim.run_process(entity.report_state(EntityState.READY))
+            run_process(dep.sim, entity.report_state(EntityState.READY))
 
     def test_same_state_report_allowed(self, dep):
         """Re-announcing the current state is a refresh, not a transition."""
         entity = dep.add_traced_entity("svc")
         entity.start("b1")
         dep.sim.run(until=3_000)
-        dep.sim.run_process(entity.report_state(EntityState.READY))
+        run_process(dep.sim, entity.report_state(EntityState.READY))
         assert entity.state is EntityState.READY
 
 
@@ -118,7 +119,7 @@ class TestCrashSemantics:
         entity = dep.add_traced_entity("svc")
         entity.start("b1")
         dep.sim.run(until=3_000)
-        dep.sim.run_process(entity.disable_tracing())
+        run_process(dep.sim, entity.disable_tracing())
         answered = dep.metrics.counter_value("entity.pings_answered")
         dep.sim.run(until=15_000)
         assert dep.metrics.counter_value("entity.pings_answered") == answered
@@ -172,6 +173,6 @@ class TestTrackerPreconditions:
         tracker = dep.add_tracker("w")
         proc = tracker.track("anything")
         dep.sim.run(until=1_000)
-        assert proc.triggered and not proc.ok
+        assert proc.triggered and not succeeded(proc)
         with pytest.raises(NotConnectedError):
             _ = proc.value

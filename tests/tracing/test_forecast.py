@@ -9,6 +9,11 @@ from repro.tracing.tracker import ReceivedTrace
 from repro.tracing.traces import TraceType
 
 
+def errors(forecaster: SeriesForecaster) -> dict[str, float]:
+    """Each predictor's mean squared one-step error, by name."""
+    return {p.name: p.mse() for p in forecaster._predictors}
+
+
 class TestSeriesForecaster:
     def test_no_data_no_forecast(self):
         assert SeriesForecaster().forecast() is None
@@ -18,7 +23,7 @@ class TestSeriesForecaster:
         for _ in range(20):
             forecaster.observe(5.0)
         assert forecaster.forecast() == pytest.approx(5.0)
-        assert all(e == pytest.approx(0.0) for e in forecaster.errors().values())
+        assert all(e == pytest.approx(0.0) for e in errors(forecaster).values())
 
     def test_median_wins_with_outliers(self):
         """A spiky series favors the median over last-value."""
@@ -26,23 +31,23 @@ class TestSeriesForecaster:
         values = [10.0, 10.0, 10.0, 200.0] * 8
         for value in values:
             forecaster.observe(value)
-        errors = forecaster.errors()
-        assert errors["median"] < errors["last"]
+        mse = errors(forecaster)
+        assert mse["median"] < mse["last"]
 
     def test_last_wins_on_trend(self):
         """A steadily rising series favors last-value over the mean."""
         forecaster = SeriesForecaster(window=10)
         for i in range(40):
             forecaster.observe(float(i))
-        errors = forecaster.errors()
-        assert errors["last"] < errors["mean"]
+        mse = errors(forecaster)
+        assert mse["last"] < mse["mean"]
         assert forecaster.best_predictor() == "last"
 
     def test_window_bounds_memory(self):
         forecaster = SeriesForecaster(window=5)
         for i in range(100):
             forecaster.observe(float(i))
-        assert forecaster.sample_count == 5
+        assert len(forecaster._values) == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,7 +85,7 @@ class TestNetworkForecasterLive:
         assert rtt is not None
         # RTT entity<->broker is small: a couple of link crossings + CPU
         assert 0.0 < rtt < 200.0
-        assert forecaster.forecast_loss_rate("svc") == pytest.approx(0.0)
+        assert forecaster.loss["svc"].forecast() == pytest.approx(0.0)
 
     def test_unknown_entity(self):
         dep = build_deployment(broker_ids=["b1"], seed=911)

@@ -20,11 +20,11 @@ class TestPingMessages:
         assert PingResponse.from_dict(resp.to_dict()) == resp
 
     def test_response_must_echo_number_and_timestamp(self):
-        ping = Ping(number=3, issued_ms=100.0)
-        good = PingResponse(3, 100.0, 101.0)
-        assert good.matches(ping)
-        assert not PingResponse(4, 100.0, 101.0).matches(ping)
-        assert not PingResponse(3, 99.0, 101.0).matches(ping)
+        history = PingHistory()
+        history.record_ping(Ping(number=3, issued_ms=100.0))
+        assert not history.record_response(PingResponse(4, 100.0, 101.0), 102.0)
+        assert not history.record_response(PingResponse(3, 99.0, 101.0), 102.0)
+        assert history.record_response(PingResponse(3, 100.0, 101.0), 102.0)
 
 
 class TestHistoryWindow:

@@ -52,7 +52,6 @@ class TestLoadInformation:
     def test_roundtrip(self):
         load = LoadInformation(0.5, 512.0, 2048.0, workload=7)
         assert LoadInformation.from_dict(load.to_dict()) == load
-        assert load.memory_utilization == pytest.approx(0.25)
 
     @pytest.mark.parametrize(
         "kwargs",

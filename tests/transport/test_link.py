@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.transport.disruption import LinkDisruption
-from repro.transport.link import DuplexLink, Link
+from repro.transport.link import Link
 from repro.transport.tcp import tcp_profile
 from repro.transport.udp import udp_profile
 
@@ -84,29 +84,6 @@ class TestDelivery:
         link.send(2)
         assert monitor.metrics.counter_value("transport.msgs.sent") == 2
         assert monitor.metrics.counter_value("transport.msgs.delivered") == 2
-
-
-class TestDuplexLink:
-    def test_both_directions(self, sim):
-        at_a, at_b = [], []
-        duplex = DuplexLink(
-            sim, tcp_profile(),
-            receiver_a=at_a.append, receiver_b=at_b.append,
-            rng=random.Random(0),
-        )
-        duplex.a_to_b.send("to-b")
-        duplex.b_to_a.send("to-a")
-        sim.run()
-        assert at_b == ["to-b"]
-        assert at_a == ["to-a"]
-
-    def test_profile_exposed(self, sim):
-        duplex = DuplexLink(
-            sim, udp_profile(),
-            receiver_a=lambda p: None, receiver_b=lambda p: None,
-            rng=random.Random(0),
-        )
-        assert duplex.profile.name == "UDP"
 
 
 class TestInstrumentsAppearOnFirstUse:

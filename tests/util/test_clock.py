@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import SimulationError
+from repro.sim.engine import Simulator
 from repro.util.clock import (
     NTP_SKEW_MAX_MS,
     NTP_SKEW_MIN_MS,
@@ -12,31 +14,36 @@ from repro.util.clock import (
 
 
 class TestVirtualClock:
+    """Only the simulator moves a virtual clock."""
+
     def test_starts_at_given_time(self):
         assert VirtualClock().now() == 0.0
         assert VirtualClock(100.0).now() == 100.0
 
     def test_advance_to(self):
-        clock = VirtualClock()
-        clock.advance_to(5.0)
-        assert clock.now() == 5.0
+        sim = Simulator()
+        sim.run(until=5.0)
+        assert sim.clock.now() == 5.0
 
     def test_advance_by(self):
-        clock = VirtualClock(10.0)
-        clock.advance_by(2.5)
-        assert clock.now() == 12.5
+        sim = Simulator(10.0)
+        sim.call_later(2.5, lambda: None)
+        sim.run()
+        assert sim.clock.now() == 12.5
 
     def test_cannot_go_backwards(self):
-        clock = VirtualClock(10.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(9.0)
-        with pytest.raises(ValueError):
-            clock.advance_by(-1.0)
+        sim = Simulator(10.0)
+        with pytest.raises(SimulationError):
+            sim.call_at(9.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.call_later(-1.0, lambda: None)
+        sim.run(until=9.0)  # a run into the past is a no-op
+        assert sim.clock.now() == 10.0
 
     def test_advance_to_same_time_ok(self):
-        clock = VirtualClock(10.0)
-        clock.advance_to(10.0)
-        assert clock.now() == 10.0
+        sim = Simulator(10.0)
+        sim.run(until=10.0)
+        assert sim.clock.now() == 10.0
 
 
 class TestSkewedClock:
@@ -46,9 +53,9 @@ class TestSkewedClock:
         assert SkewedClock(reference, -50.0).now() == 950.0
 
     def test_tracks_reference(self):
-        reference = VirtualClock()
-        skewed = SkewedClock(reference, 10.0)
-        reference.advance_to(5.0)
+        sim = Simulator()
+        skewed = SkewedClock(sim.clock, 10.0)
+        sim.run(until=5.0)
         assert skewed.now() == 15.0
 
 

@@ -27,11 +27,6 @@ class TestUUID128:
         dashed = u.hex[:8] + "-" + u.hex[8:]
         assert UUID128.from_hex(dashed) == u
 
-    def test_roundtrip_bytes(self):
-        u = UUID128((1 << 127) | 42)
-        assert UUID128.from_bytes(u.bytes) == u
-        assert len(u.bytes) == 16
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             UUID128(1 << 128)
@@ -41,10 +36,6 @@ class TestUUID128:
     def test_from_hex_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             UUID128.from_hex("abcd")
-
-    def test_from_bytes_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            UUID128.from_bytes(b"\x00" * 15)
 
     def test_hashable_and_equal_by_value(self):
         assert UUID128(7) == UUID128(7)
@@ -97,13 +88,6 @@ class TestSequenceCounter:
         counter = SequenceCounter()
         values = [counter.next() for _ in range(10)]
         assert values == list(range(10))
-
-    def test_peek_does_not_advance(self):
-        counter = SequenceCounter()
-        counter.next()
-        assert counter.peek() == 1
-        assert counter.peek() == 1
-        assert counter.next() == 1
 
     def test_request_ids(self):
         counter = SequenceCounter()

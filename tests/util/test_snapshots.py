@@ -7,7 +7,8 @@ import random
 import pytest
 
 from repro.seeds import RESULTS_DIR, SEED_GROUPS
-from repro.util.snapshots import render_snapshot, snapshot_drift
+from repro.util.snapshots import render_snapshot
+from tests.support import snapshot_drift
 
 #: Every committed JSON seed, from the one table that names them.
 SEED_FILES = tuple(

@@ -6,7 +6,7 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import RunningStats, StatSummary, percentile, summarize
+from repro.util.stats import RunningStats, StatSummary, summarize
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -48,46 +48,12 @@ class TestRunningStats:
         with pytest.raises(ValueError):
             rs.summary()
 
-    def test_merge_matches_combined(self):
-        xs = [1.0, 5.0, 2.0]
-        ys = [10.0, 0.5, 3.0, 7.0]
-        a, b, combined = RunningStats(), RunningStats(), RunningStats()
-        a.extend(xs)
-        b.extend(ys)
-        combined.extend(xs + ys)
-        merged = a.merge(b)
-        assert merged.count == combined.count
-        assert merged.mean == pytest.approx(combined.mean)
-        assert merged.std_dev == pytest.approx(combined.std_dev)
-        assert merged.minimum == combined.minimum
-        assert merged.maximum == combined.maximum
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        b = RunningStats()
-        b.extend([1.0, 2.0])
-        assert a.merge(b).mean == pytest.approx(1.5)
-        assert b.merge(a).mean == pytest.approx(1.5)
-
     @given(st.lists(finite_floats, min_size=2, max_size=50))
     def test_matches_statistics_module(self, samples):
         rs = RunningStats()
         rs.extend(samples)
         assert rs.mean == pytest.approx(statistics.fmean(samples), abs=1e-6)
         assert rs.std_dev == pytest.approx(statistics.stdev(samples), abs=1e-5)
-
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=20),
-        st.lists(finite_floats, min_size=1, max_size=20),
-    )
-    def test_merge_property(self, xs, ys):
-        a, b, c = RunningStats(), RunningStats(), RunningStats()
-        a.extend(xs)
-        b.extend(ys)
-        c.extend(xs + ys)
-        merged = a.merge(b)
-        assert merged.mean == pytest.approx(c.mean, abs=1e-6)
-        assert merged.variance == pytest.approx(c.variance, rel=1e-6, abs=1e-6)
 
 
 class TestSummary:
@@ -96,41 +62,3 @@ class TestSummary:
         assert isinstance(summary, StatSummary)
         assert summary.count == 3
         assert summary.mean == pytest.approx(2.0)
-
-    def test_row_format(self):
-        summary = summarize([72.68, 72.68])
-        row = summary.row("2 hops")
-        assert "2 hops" in row
-        assert "72.68" in row
-
-    def test_header_aligns_with_row(self):
-        header = StatSummary.header()
-        assert "Mean" in header and "Std.Dev" in header
-
-
-class TestPercentile:
-    def test_median(self):
-        assert percentile([1.0, 2.0, 3.0], 50) == 2.0
-
-    def test_interpolation(self):
-        assert percentile([0.0, 10.0], 25) == pytest.approx(2.5)
-
-    def test_extremes(self):
-        data = [5.0, 1.0, 9.0]
-        assert percentile(data, 0) == 1.0
-        assert percentile(data, 100) == 9.0
-
-    def test_single_sample(self):
-        assert percentile([7.0], 99) == 7.0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-
-    @given(st.lists(finite_floats, min_size=1, max_size=30))
-    def test_bounded_by_min_max(self, samples):
-        for q in (0, 25, 50, 75, 100):
-            p = percentile(samples, q)
-            assert min(samples) <= p <= max(samples)
