@@ -64,20 +64,32 @@ class TokenVerificationCache:
             )
         self.capacity = capacity
         self._entries: OrderedDict[bytes, AuthorizationToken] = OrderedDict()
-        self._metrics = metrics
-        if metrics is not None:
-            # materialize the counters so snapshots show explicit zeros
-            metrics.counter("auth.token.cache.hit")
-            metrics.counter("auth.token.cache.miss")
-            metrics.counter("auth.token.cache.evicted")
-
-    # -- recording helpers -----------------------------------------------------
-
-    def _count(self, outcome: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(f"auth.token.cache.{outcome}").inc()
+        # wire bytes -> token_digest, up to ``capacity`` entries: the same
+        # token bytes ride every frame of a session
+        self._digests: dict[bytes, bytes] = {}
+        # without a deployment registry the outcomes count into a private one
+        if metrics is None:
+            metrics = MetricsRegistry()
+        # held, and materialized here so snapshots show explicit zeros
+        self._hits = metrics.counter("auth.token.cache.hit")
+        self._misses = metrics.counter("auth.token.cache.miss")
+        self._evictions = metrics.counter("auth.token.cache.evicted")
 
     # -- cache protocol --------------------------------------------------------
+
+    def digest(self, wire: Canonical) -> bytes:
+        """:func:`token_digest` of ``wire``, computed once per distinct bytes."""
+        if type(wire) is not Canonical:
+            return token_digest(wire)  # raises TokenError
+        digests = self._digests
+        data = wire.data
+        digest = digests.get(data)
+        if digest is None:
+            digest = token_digest(wire)
+            if len(digests) >= self.capacity:
+                del digests[next(iter(digests))]
+            digests[data] = digest
+        return digest
 
     def lookup(
         self, digest: bytes, now_ms: float, skew_tolerance_ms: float = 0.0
@@ -85,15 +97,15 @@ class TokenVerificationCache:
         """The cached token, or None (counted as a miss) when absent/expired."""
         token = self._entries.get(digest)
         if token is None:
-            self._count("miss")
+            self._misses.inc()
             return None
         if token.expired(now_ms, skew_tolerance_ms):
             # validity window over: the entry is dead weight, not a hit
             del self._entries[digest]
-            self._count("miss")
+            self._misses.inc()
             return None
         self._entries.move_to_end(digest)
-        self._count("hit")
+        self._hits.inc()
         return token
 
     def store(self, digest: bytes, token: AuthorizationToken) -> None:
@@ -104,7 +116,7 @@ class TokenVerificationCache:
             return
         while len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
-            self._count("evicted")
+            self._evictions.inc()
         self._entries[digest] = token
 
     def discard(self, digest: bytes) -> None:

@@ -84,16 +84,24 @@ def verify_payload(envelope: SignedEnvelope, public_key: RSAPublicKey) -> Any:
     itself fails — both are indistinguishable to an attacker but useful to
     separate in logs and tests.
     """
+    _verify_signature(envelope, envelope.payload_bytes(), public_key)
+    return envelope.payload
+
+
+def _verify_signature(envelope: SignedEnvelope, signed: bytes, public_key: RSAPublicKey) -> None:
+    """Raise :class:`SignatureError` unless ``envelope`` signs ``signed`` under ``public_key``."""
     if envelope.signer_fingerprint != public_key.fingerprint():
         raise SignatureError("envelope was not signed by the presented key")
-    public_key.verify(envelope.payload_bytes(), envelope.signature)
-    return envelope.payload
+    public_key.verify(signed, envelope.signature)
 
 
 def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> bool:
     """Check the ``signature`` mapping a message carries beside its ``body``.
 
-    False when the envelope parses but signs some other payload (the body
+    The signature is verified over the canonical bytes of ``body`` itself,
+    so a body that differs from what was signed only where Python equality
+    does not look (``True`` for ``1``, ``5`` for ``5.0``) fails to verify.
+    False when the envelope parses but carries some other payload (the body
     was swapped after signing).  Raises :class:`MalformedEnvelopeError`
     when the mapping does not parse and :class:`SignatureError` when the
     signature does not verify under ``public_key``.
@@ -101,7 +109,7 @@ def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> b
     envelope = SignedEnvelope.from_dict(signature)
     if envelope.payload != body:
         return False
-    verify_payload(envelope, public_key)
+    _verify_signature(envelope, canonical_encode(body), public_key)
     return True
 
 

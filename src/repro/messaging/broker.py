@@ -20,7 +20,6 @@ deterministic shortest-path multicast with no duplicates or loops.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import replace
 from functools import cached_property, partial
 from typing import Callable, Generator, Iterator, Protocol
 
@@ -35,7 +34,7 @@ from repro.messaging.message import Message, RoutedFrame
 # bound here so the wall-clock harness's self-test can check that its span
 # recorder also patches names other modules imported (benchmarks/perf/test_perf.py)
 from repro.messaging.topics import topic_matches  # noqa: F401
-from repro.obs import Counter
+from repro.obs import Counter, Histogram
 from repro.sim.engine import Event, Process, Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
@@ -52,6 +51,15 @@ DEFAULT_PER_DELIVERY_MS = 0.09
 
 #: Bucket bounds for the ``broker.fanout`` histogram (deliveries/message).
 FANOUT_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+
+#: Entries each per-topic map of a broker holds (constrained forms, delivery
+#: counters); when full, the oldest entry is dropped.  A broker sees a
+#: handful of topics per hosted or tracked entity.
+TOPIC_MEMO_BOUND = 1024
+
+#: What a topic string that may be constrained starts with: a canonical or
+#: a leading-'/' spelling of the keyword.
+_CONSTRAINED_PREFIXES = (CONSTRAINED_KEYWORD, "/" + CONSTRAINED_KEYWORD)
 
 LocalHandler = Callable[[Message], None]
 
@@ -135,6 +143,12 @@ class Broker:
         # client connections: client_id -> outbound link to that client
         self._client_links: dict[str, Link] = {}
 
+        # per-topic facts of the message path, computed on first sight and
+        # held up to TOPIC_MEMO_BOUND entries each (constrained_form,
+        # _deliver_local)
+        self._constrained_forms: dict[str, ConstrainedTopic | None] = {}
+        self._family_counters: dict[str, Counter] = {}
+
         # enforcement
         self.publish_guards: list[PublishGuard] = []
         self._violations: dict[str, int] = defaultdict(int)
@@ -166,6 +180,14 @@ class Broker:
     @cached_property
     def _delivered_client(self) -> Counter:
         return self.metrics.counter("broker.messages.delivered_client")
+
+    @cached_property
+    def _msgs_delivered(self) -> Counter:
+        return self.metrics.counter("broker.msgs.delivered")
+
+    @cached_property
+    def _fanout(self) -> Histogram:
+        return self.metrics.histogram("broker.fanout", bounds=FANOUT_BUCKETS)
 
     @cached_property
     def _subscriptions_client(self) -> Counter:
@@ -298,15 +320,37 @@ class Broker:
         if self._subs.remove_handler(pattern, handler):
             self._maybe_retract_interest(canonical_pattern(pattern))
 
-    @staticmethod
-    def _parse_pattern(pattern: str) -> tuple[str, ConstrainedTopic | None]:
+    def _parse_pattern(self, pattern: str) -> tuple[str, ConstrainedTopic | None]:
         """Validate ``pattern``: its canonical spelling (the string itself
         unless it had a leading ``/``) and, for a constrained pattern, its
         parsed form.  A literal, unconstrained pattern is never split."""
         canonical = canonical_pattern(pattern)
-        if canonical.partition("/")[0] != CONSTRAINED_KEYWORD:
-            return canonical, None
-        return canonical, ConstrainedTopic.parse(canonical)
+        return canonical, self.constrained_form(canonical)
+
+    def constrained_form(self, topic: str) -> ConstrainedTopic | None:
+        """``ConstrainedTopic.parse(topic)`` if ``is_constrained(topic)``, else None.
+
+        Parsed once per distinct string and held (up to
+        :data:`TOPIC_MEMO_BOUND` entries) for every later publication,
+        subscription and publish guard on this broker.  A string that
+        cannot start with the ``Constrained`` keyword costs one prefix test
+        and is never held; anything but a string is not constrained.
+        """
+        try:
+            if not topic.startswith(_CONSTRAINED_PREFIXES):
+                return None
+        except (AttributeError, TypeError):
+            return None
+        forms = self._constrained_forms
+        try:
+            return forms[topic]
+        except KeyError:
+            pass
+        form = ConstrainedTopic.parse(topic) if is_constrained(topic) else None
+        if len(forms) >= TOPIC_MEMO_BOUND:
+            del forms[next(iter(forms))]
+        forms[topic] = form
+        return form
 
     def _maybe_retract_interest(self, pattern: str) -> None:
         """Tell the fabric nobody here wants ``pattern`` anymore.
@@ -388,7 +432,7 @@ class Broker:
         network's next id whatever id it carried (even when this broker
         is down and drops it).
         """
-        message = replace(message, message_id=next(self._message_ids))
+        message = message.with_message_id(next(self._message_ids))
         if self.failed:
             # a crashed broker generates nothing — its trace processes may
             # still be scheduled, but no self-publication leaves the host
@@ -412,9 +456,8 @@ class Broker:
         yield from self.machine.compute(self.processing_ms)
         self._msgs_ingress.inc()
 
-        constrained: ConstrainedTopic | None = None
-        if is_constrained(message.topic.canonical):
-            constrained = ConstrainedTopic.parse(message.topic.canonical)
+        constrained = self.constrained_form(message.topic.canonical)
+        if constrained is not None:
             publisher = self.broker_id if self_origin else origin
             if not constrained.may_publish(publisher, is_broker=self_origin):
                 self._record_violation(origin, f"publish on {message.topic}")
@@ -592,13 +635,21 @@ class Broker:
                 fanout += 1
 
         if fanout:
-            self.metrics.counter("broker.msgs.delivered").inc(fanout)
-            self.metrics.counter(
-                f"broker.delivered.{topic_family(topic)}"
-            ).inc(fanout)
-        self.metrics.histogram(
-            "broker.fanout", bounds=FANOUT_BUCKETS
-        ).observe(float(fanout))
+            self._msgs_delivered.inc(fanout)
+            family = self._family_counters.get(topic)
+            if family is None:
+                family = self._family_counter(topic)
+            family.inc(fanout)
+        self._fanout.observe(float(fanout))
+
+    def _family_counter(self, topic: str) -> Counter:
+        """Resolve and hold ``broker.delivered.<family>`` for ``topic``."""
+        counters = self._family_counters
+        if len(counters) >= TOPIC_MEMO_BOUND:
+            del counters[next(iter(counters))]
+        counter = self.metrics.counter(f"broker.delivered.{topic_family(topic)}")
+        counters[topic] = counter
+        return counter
 
     # ------------------------------------------------------------------- DoS
 

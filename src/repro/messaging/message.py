@@ -96,6 +96,21 @@ class Message:
         _set_hops(hopped, self.hops + 1)
         return hopped
 
+    def with_message_id(self, message_id: int) -> "Message":
+        """Copy stamped with ``message_id`` (a broker's own publication),
+        filled through the slot setters like :meth:`with_hop`."""
+        stamped = object.__new__(Message)
+        _set_topic(stamped, self.topic)
+        _set_body(stamped, self.body)
+        _set_source(stamped, self.source)
+        _set_message_id(stamped, message_id)
+        _set_created_ms(stamped, self.created_ms)
+        _set_signature(stamped, self.signature)
+        _set_auth_token(stamped, self.auth_token)
+        _set_encrypted(stamped, self.encrypted)
+        _set_hops(stamped, self.hops)
+        return stamped
+
 
 #: Every field's slot setter, in declaration order (``with_hop``); a field
 #: added to :class:`Message` without one here fails at import.

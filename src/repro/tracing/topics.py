@@ -8,7 +8,7 @@ with the trace stream (section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.messaging.topics import Topic
 from repro.tracing.interest import InterestCategory
@@ -21,20 +21,49 @@ REGISTRATION_TOPIC = Topic.parse(
 )
 
 
+#: Suffixes of the broker's Publish-Only topics (Table 2 and §3.5).
+_PUBLISH_SUFFIXES = (
+    "ChangeNotifications", "AllUpdates", "StateTransitions", "Load",
+    "NetworkMetrics", "Interest",
+)
+
+#: Sessions whose two topics a topic set holds; the oldest is dropped
+#: beyond this (an entity re-registers a few times at most).
+SESSION_TOPICS_BOUND = 16
+
+
 @dataclass(frozen=True, slots=True)
 class TraceTopicSet:
-    """All derived topics for one traced entity's trace topic."""
+    """All derived topics for one traced entity's trace topic.
+
+    Equality and hash cover the two identifying fields only.  The
+    publication topics are built once, in ``__post_init__``; each
+    session's two topics on first use, held per session up to
+    :data:`SESSION_TOPICS_BOUND` sessions.
+    """
 
     trace_topic: UUID128
     entity_id: EntityId
+    _published: dict[str, Topic] = field(init=False, repr=False, compare=False)
+    _session_topics: dict[tuple[bool, SessionId], Topic] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        published = {
+            suffix: Topic.of(
+                "Constrained", "Traces", "Broker", "Publish-Only",
+                self.trace_topic.hex, suffix,
+            )
+            for suffix in _PUBLISH_SUFFIXES
+        }
+        object.__setattr__(self, "_published", published)
+        object.__setattr__(self, "_session_topics", {})
 
     # ---- broker -> trackers publication topics (Table 2) ----------------------
 
     def _publish_topic(self, suffix: str) -> Topic:
-        return Topic.of(
-            "Constrained", "Traces", "Broker", "Publish-Only",
-            self.trace_topic.hex, suffix,
-        )
+        return self._published[suffix]
 
     @property
     def change_notifications(self) -> Topic:
@@ -84,17 +113,30 @@ class TraceTopicSet:
         ``Limited`` distribution keeps the hosting broker's subscription
         local — no other broker learns which broker hosts the entity.
         """
-        return Topic.of(
-            "Constrained", "Traces", "Broker", "Subscribe-Only", "Limited",
-            self.trace_topic.hex, session.topic_segment,
-        )
+        topic = self._session_topics.get((True, session))
+        if topic is None:
+            topic = self._hold_session_topic(True, session, Topic.of(
+                "Constrained", "Traces", "Broker", "Subscribe-Only", "Limited",
+                self.trace_topic.hex, session.topic_segment,
+            ))
+        return topic
 
     def broker_to_entity(self, session: SessionId) -> Topic:
         """Broker-initiated traffic to the entity (pings)."""
-        return Topic.of(
-            "Constrained", "Traces", str(self.entity_id), "Subscribe-Only",
-            self.trace_topic.hex, session.topic_segment,
-        )
+        topic = self._session_topics.get((False, session))
+        if topic is None:
+            topic = self._hold_session_topic(False, session, Topic.of(
+                "Constrained", "Traces", str(self.entity_id), "Subscribe-Only",
+                self.trace_topic.hex, session.topic_segment,
+            ))
+        return topic
+
+    def _hold_session_topic(self, to_broker: bool, session: SessionId, topic: Topic) -> Topic:
+        held = self._session_topics
+        if len(held) >= 2 * SESSION_TOPICS_BOUND:
+            del held[next(iter(held))]
+        held[(to_broker, session)] = topic
+        return topic
 
     # ---- registration response (per request) ------------------------------------
 

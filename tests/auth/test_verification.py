@@ -9,7 +9,7 @@ from repro.auth.verification import TokenVerifier, TraceAuthorizationGuard
 from repro.crypto.keys import KeyPair
 from repro.crypto.signing import sign_payload
 from repro.errors import TokenError
-from repro.messaging.message import Message
+from repro.messaging.constrained import ConstrainedTopic, is_constrained
 from repro.messaging.topics import Topic
 from repro.tdn.advertisement import TopicAdvertisement, TopicLifetime
 from repro.tdn.query import DiscoveryRestrictions, trace_descriptor
@@ -124,15 +124,16 @@ class TestTokenVerifier:
             verifier.verify(Canonical.of({"garbage": True}), now_ms=0.0)
 
 
+def constrained_form(topic):
+    """What ``Broker.constrained_form`` holds for a topic string."""
+    return ConstrainedTopic.parse(topic) if is_constrained(topic) else None
+
+
 class TestGuardApplicability:
     def test_applies_to_trace_publication_topics(self, verifier):
         guard = TraceAuthorizationGuard(verifier)
-        message = Message(
-            topic=Topic.parse("Constrained/Traces/Broker/Publish-Only/abc/Load"),
-            body={},
-            source="b1",
-        )
-        assert guard.applies_to(message)
+        topic = Topic.parse("Constrained/Traces/Broker/Publish-Only/abc/Load")
+        assert guard.applies_to(constrained_form(topic.canonical))
 
     @pytest.mark.parametrize(
         "topic",
@@ -145,5 +146,4 @@ class TestGuardApplicability:
     )
     def test_does_not_apply_elsewhere(self, verifier, topic):
         guard = TraceAuthorizationGuard(verifier)
-        message = Message(topic=Topic.parse(topic), body={}, source="x")
-        assert not guard.applies_to(message)
+        assert not guard.applies_to(constrained_form(Topic.parse(topic).canonical))

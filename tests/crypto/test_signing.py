@@ -9,6 +9,7 @@ from repro.crypto.signing import (
     seal_for,
     sign_payload,
     verify_payload,
+    verify_signed_body,
 )
 from repro.errors import DecryptionError, SignatureError
 
@@ -58,6 +59,33 @@ class TestSignedEnvelope:
             signer_fingerprint=envelope.signer_fingerprint,
         )
         assert verify_payload(reordered, keypair.public) == {"a": 1, "b": 2}
+
+
+#: A signed body and three bodies Python calls equal to it whose canonical
+#: bytes differ from what was signed.
+SIGNED_BODY = {"seq": 1, "origin_stamp_ms": 5.0, "payload": {"x": 1}}
+EQUAL_NOT_SIGNED = (
+    {"seq": True, "origin_stamp_ms": 5.0, "payload": {"x": 1}},
+    {"seq": 1, "origin_stamp_ms": 5, "payload": {"x": 1}},
+    {"seq": 1, "origin_stamp_ms": 5.0, "payload": {"x": 1.0}},
+)
+
+
+class TestVerifySignedBody:
+    def test_the_signed_body_verifies(self, keypair):
+        signature = sign_payload(SIGNED_BODY, keypair.private).to_dict()
+        assert verify_signed_body(signature, dict(SIGNED_BODY), keypair.public)
+
+    def test_a_swapped_body_is_false(self, keypair):
+        signature = sign_payload(SIGNED_BODY, keypair.private).to_dict()
+        assert not verify_signed_body(signature, {**SIGNED_BODY, "seq": 2}, keypair.public)
+
+    @pytest.mark.parametrize("body", EQUAL_NOT_SIGNED, ids=("bool", "int", "float"))
+    def test_an_equal_body_with_other_bytes_does_not_verify(self, keypair, body):
+        assert body == SIGNED_BODY
+        signature = sign_payload(SIGNED_BODY, keypair.private).to_dict()
+        with pytest.raises(SignatureError):
+            verify_signed_body(signature, body, keypair.public)
 
 
 class TestSealing:

@@ -166,6 +166,80 @@ class TestMessageIntegrity:
         assert dep.metrics.counter_value("trace.entity_messages_rejected") >= 1
         assert session.entity_state.value != "SHUTDOWN"
 
+    def test_a_body_equal_to_the_signed_one_in_python_only_is_refused(self):
+        """Each verifying site checks the signature over the bytes of the
+        body it received: a body Python calls equal to the signed one
+        (``True`` for ``1``, ``5`` for ``5.0``) but encoding to other bytes
+        is refused at the broker's entity and interest paths and at the
+        tracker."""
+        dep = build_deployment(broker_ids=["b1", "b2"], seed=1)
+        entity = dep.add_traced_entity("svc")
+        tracker = dep.add_tracker("w")
+        tracker.connect("b2")
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        tracker.track("svc")
+        dep.sim.run(until=10_000)
+        session = dep.manager_of("b1").session_of("svc")
+        topics = session.topics
+        counters = (
+            "trace.entity_messages_rejected",
+            "trace.interest_bad_signature",
+            "tracker.traces_bad_signature",
+        )
+        before = [dep.metrics.counter_value(name) for name in counters]
+
+        state = {"kind": "state_transition", "state": "READY", "stamp_ms": 5.0}
+        interest = {
+            "tracker_id": "w",
+            "categories": ["all_updates"],
+            "response_topic": topics.key_delivery("w").canonical,
+            "credentials": {
+                "subject": tracker.credentials.subject,
+                "n": tracker.credentials.public_key.n,
+                "e": tracker.credentials.public_key.e,
+            },
+            "stamp_ms": 5.0,
+        }
+        trace = {
+            "trace_type": "ALLS_WELL",
+            "entity_id": "svc",
+            "seq": 1,
+            "origin_stamp_ms": 5.0,
+            "payload": {"x": 1},
+        }
+        entity_signature = entity.credentials.sign(state).to_dict()
+        tracker_signature = tracker.credentials.sign(interest).to_dict()
+        trace_signature = sign_payload(trace, session.token_private_key).to_dict()
+        for variant in ({"seq": True}, {"origin_stamp_ms": 5}, {"payload": {"x": 1.0}}):
+            assert {**trace, **variant} == trace
+            dep.network.broker("b1").publish_from_broker(
+                Message(
+                    topic=topics.all_updates,
+                    body={**trace, **variant},
+                    source="b1",
+                    created_ms=dep.sim.now,
+                    signature=trace_signature,
+                    auth_token=session.token.wire,
+                )
+            )
+        equal_state = {**state, "stamp_ms": 5}
+        equal_interest = {**interest, "stamp_ms": 5}
+        assert equal_state == state and equal_interest == interest
+        entity.client.publish(
+            topics.entity_to_broker(session.session_id), equal_state, signature=entity_signature
+        )
+        tracker.client.publish(
+            topics.interest_response, equal_interest, signature=tracker_signature
+        )
+        dep.sim.run(until=dep.sim.now + 5_000)
+
+        assert [dep.metrics.counter_value(name) for name in counters] == [
+            before[0] + 1,
+            before[1] + 1,
+            before[2] + 3,
+        ]
+
     def test_unsigned_entity_message_rejected(self, dep):
         entity = dep.add_traced_entity("svc")
         entity.start("b1")

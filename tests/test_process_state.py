@@ -11,7 +11,11 @@ fails on:
 * a module-level binding to an empty mutable container (``{}``, ``[]``,
   ``set()``, ``dict()``, ``list()``, ``OrderedDict()``, ``deque()``,
   ``defaultdict(...)``), an ``itertools.count``, a ``WeakKeyDictionary`` /
-  ``WeakValueDictionary``, or a pool (any constructor named ``...Pool``).
+  ``WeakValueDictionary``, or a pool (any constructor named ``...Pool``);
+* a memo decorator (``@lru_cache``, ``@cache``, ``@functools.cache``, called
+  or not) on a module-level function or on a method of a module-level
+  class: its table is shared by every deployment in the process.  The one
+  exception is :data:`_ALLOWED_MEMOS`.
 
 A third walk keeps the deployment's counts in one place: every event is
 counted in the registry, so a ``Monitor.increment`` call anywhere under
@@ -50,6 +54,37 @@ _STATEFUL_CALLS = frozenset(
 )
 #: Constructors that are flagged when called with no arguments (empty).
 _EMPTY_CALLS = frozenset({"dict", "list", "set", "OrderedDict", "deque"})
+#: Decorators that hold a process-wide memo table.
+_MEMO_DECORATORS = frozenset({"lru_cache", "cache"})
+#: ``path:function`` -> why its process-wide memo cannot leak between runs.
+_ALLOWED_MEMOS = {
+    "repro/messaging/topics.py:_cached_segments": (
+        "a pure function of an immutable str that returns an immutable tuple"
+    ),
+}
+
+
+def _memo_decorator(decorator: ast.expr) -> str | None:
+    """The name of a memo decorator, bare or called, or ``None``."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = getattr(decorator, "attr", None) or getattr(decorator, "id", "")
+    return name if name in _MEMO_DECORATORS else None
+
+
+def _memoized_defs(statements):
+    """``(def, decorator name)`` for each memoized module-level function and
+    method of a module-level class."""
+    for node in statements:
+        defs = [node]
+        if isinstance(node, ast.ClassDef):
+            defs = node.body
+        for item in defs:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in item.decorator_list:
+                    name = _memo_decorator(decorator)
+                    if name is not None:
+                        yield item, name
 
 
 def _stateful(value: ast.expr | None) -> str | None:
@@ -90,6 +125,9 @@ def process_state_sites(root: pathlib.Path = SRC) -> list[str]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
                 sites.append(f"{relative}:{node.lineno}: global {', '.join(node.names)}")
+        for node, decorator in _memoized_defs(_module_statements(tree.body)):
+            if f"{relative}:{node.name}" not in _ALLOWED_MEMOS:
+                sites.append(f"{relative}:{node.lineno}: @{decorator} {node.name}")
         for node in _module_statements(tree.body):
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -107,6 +145,15 @@ def process_state_sites(root: pathlib.Path = SRC) -> list[str]:
 def test_no_process_global_mutable_state():
     sites = process_state_sites()
     assert not sites, "process-global state (make it per deployment):\n" + "\n".join(sites)
+
+
+def test_every_allowed_memo_is_a_memoized_def():
+    memoized = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        relative = path.relative_to(SRC.parent).as_posix()
+        memoized |= {f"{relative}:{node.name}" for node, _ in _memoized_defs(tree.body)}
+    assert set(_ALLOWED_MEMOS) <= memoized
 
 
 def test_guard_flags_each_kind(tmp_path):
@@ -131,9 +178,34 @@ def test_guard_flags_each_kind(tmp_path):
         "def f():\n"
         "    global A\n"
         "    local = {}\n"
+        "    @lru_cache\n"
+        "    def inner(): pass\n"
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def J(): pass\n"
+        "@lru_cache\n"
+        "def K(): pass\n"
+        "@cache\n"
+        "def L(): pass\n"
+        "@functools.cache\n"
+        "def M(): pass\n"
+        "class N:\n"
+        "    @functools.lru_cache()\n"
+        "    def method(self): pass\n"
+        "    @staticmethod\n"
+        "    def plain(): pass\n"
     )
     flagged = [site.split(": ", 1)[1].split(" = ")[0] for site in process_state_sites(package)]
-    assert flagged == ["global A", "A", "B", "C", "D", "E", "F", "G", "H", "I"]
+    assert flagged == [
+        "global A",
+        "@lru_cache J",
+        "@lru_cache K",
+        "@cache L",
+        "@cache M",
+        "@lru_cache method",
+        "A", "B", "C", "D", "E", "F", "G", "H", "I",
+    ]
 
 
 #: The harness reads ``monitor.control.floods`` and
