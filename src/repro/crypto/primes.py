@@ -2,7 +2,13 @@
 
 Miller-Rabin with a deterministic witness set for small inputs and random
 witnesses (from a caller-supplied seeded RNG) above that, so key generation
-is reproducible inside a seeded simulation run.
+is reproducible inside a seeded simulation run.  A random witness is drawn
+as ``rng.randrange(2, n - 1)`` draws it, through the same ``getrandbits``
+calls made directly, so the stream every committed seed depends on is
+unchanged.  Before its drawn witnesses run, a random-witness candidate must
+pass one gcd against the primes below 100, one against those up to 4093,
+and a strong round to base 2: only composites fail these, so the prime
+accepted and the bounds below are those of the drawn rounds alone.
 
 Two error bounds, one per input:
 
@@ -24,11 +30,12 @@ import random
 
 from repro.errors import CryptoInputError
 
-# Primes below 100 — used for fast trial-division rejection.
+# Primes below 100: one gcd against their product rejects most candidates.
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 # The product of the primes 101..4093: one gcd against it rejects a drawn
 # candidate with any factor in that range before the first modular pow.
@@ -65,26 +72,30 @@ def _probable_prime(n: int, rng: random.Random | None, rounds: int, run: int) ->
     """Draw ``rounds`` random witnesses (large ``n``) and run the first ``run``."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    # write n-1 = d * 2^r with d odd
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    # write n-1 = d * 2^r with d odd: 2^r is the lowest set bit of n-1
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
     if n < _DETERMINISTIC_BOUND:
-        witnesses: tuple[int, ...] | list[int] = _DETERMINISTIC_WITNESSES
-    else:
-        rng = rng or random.Random(n)  # deterministic: seeded by the candidate itself
-        # every draw is made, so the stream does not depend on what is run
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)][:run]
-        if math.gcd(_SIEVE_PRODUCT % n, n) != 1:
-            return False
-    return all(_miller_rabin_round(n, a, d, r) for a in witnesses)
+        return all(_miller_rabin_round(n, a, d, r) for a in _DETERMINISTIC_WITNESSES)
+    rng = rng or random.Random(n)  # deterministic: seeded by the candidate itself
+    # every draw is made, so the stream does not depend on what is run.  These
+    # are the getrandbits(k) calls rng.randrange(2, n - 1) makes, a word of
+    # n - 3 or more drawn again; a batch asks for no more words than witnesses
+    # are missing, so it never draws a word randrange would not
+    width = n - 3
+    getrandbits, k = rng.getrandbits, width.bit_length()
+    words: list[int] = []
+    while len(words) < rounds:
+        words += [w for w in map(getrandbits, [k] * (rounds - len(words))) if w < width]
+    if math.gcd(_SIEVE_PRODUCT % n, n) != 1:
+        return False
+    # base 2 first: only a composite fails it, and it rejects most of those
+    # at the price of a pow whose multiplications are by a one-digit int
+    if not _miller_rabin_round(n, 2, d, r):
+        return False
+    return all(_miller_rabin_round(n, 2 + w, d, r) for w in words[:run])
 
 
 def generate_prime(bits: int, rng: random.Random) -> int:

@@ -14,8 +14,9 @@ regardless, so simulated latencies are unaffected by the real key size.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto import digest as _digest
 from repro.crypto.primes import generate_prime, modinv
@@ -34,25 +35,31 @@ MIN_SIGNING_MODULUS_BYTES = len(_SHA1_DIGEST_INFO_PREFIX) + 20 + 11
 
 @dataclass(frozen=True, slots=True)
 class RSAPublicKey:
-    """RSA public key (n, e)."""
+    """RSA public key (n, e).
+
+    Equality, hash and repr are on ``n`` and ``e`` alone; the fingerprint
+    is computed once, when the key is built.
+    """
 
     n: int
     e: int
+    _fingerprint: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # a received key must not be able to raise OverflowError out of
         # fingerprint() or verify() later
         if self.n <= 0 or not 0 < self.e < 1 << 32:
             raise KeyMaterialError("RSA public key needs n > 0 and 0 < e < 2**32")
+        material = self.n.to_bytes(self.byte_length, "big") + self.e.to_bytes(4, "big")
+        object.__setattr__(self, "_fingerprint", _digest.sha1_digest(material))
 
     @property
     def byte_length(self) -> int:
         return (self.n.bit_length() + 7) // 8
 
     def fingerprint(self) -> bytes:
-        """Stable 20-byte identifier for this key."""
-        material = self.n.to_bytes(self.byte_length, "big") + self.e.to_bytes(4, "big")
-        return _digest.sha1_digest(material)
+        """Stable 20-byte identifier for this key: SHA-1 of ``n`` and ``e``."""
+        return self._fingerprint
 
     def verify(self, message: bytes, signature: bytes) -> None:
         """Verify an EMSA-PKCS1-v1_5 SHA-1 signature; raise on failure."""
@@ -86,7 +93,11 @@ class RSAPublicKey:
 
 @dataclass(frozen=True, slots=True)
 class RSAPrivateKey:
-    """RSA private key with CRT acceleration parameters."""
+    """RSA private key with CRT acceleration parameters.
+
+    Equality, hash and repr are on the eight numbers alone; the public half
+    is built once, with the key, so its ``n`` and ``e`` are validated here.
+    """
 
     n: int
     e: int
@@ -96,10 +107,14 @@ class RSAPrivateKey:
     d_p: int
     d_q: int
     q_inv: int
+    _public: RSAPublicKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_public", RSAPublicKey(self.n, self.e))
 
     @property
     def public(self) -> RSAPublicKey:
-        return RSAPublicKey(self.n, self.e)
+        return self._public
 
     @property
     def byte_length(self) -> int:
@@ -152,9 +167,15 @@ class RSAKeyPair:
 def generate_rsa_keypair(
     rng: random.Random, bits: int = DEFAULT_KEY_BITS, e: int = 65537
 ) -> RSAKeyPair:
-    """Generate a fresh RSA key pair of ``bits`` modulus bits."""
+    """Generate a fresh RSA key pair of ``bits`` modulus bits.
+
+    ``e`` must be odd, at least 3 and below 2**32; prime pairs are drawn
+    until ``e`` is coprime to (p - 1)(q - 1).
+    """
     if bits < 128 or bits % 2:
         raise KeyMaterialError(f"modulus bits must be even and >= 128, got {bits}")
+    if not 3 <= e < 1 << 32 or e % 2 == 0:
+        raise KeyMaterialError(f"public exponent must be odd, >= 3 and < 2**32, got {e}")
     half = bits // 2
     while True:
         p = generate_prime(half, rng)
@@ -162,7 +183,7 @@ def generate_rsa_keypair(
         if p == q:
             continue
         phi = (p - 1) * (q - 1)
-        if phi % e == 0:
+        if math.gcd(e, phi) != 1:
             continue
         n = p * q
         if n.bit_length() != bits:

@@ -799,13 +799,14 @@ def _read_token_delivery(payload: dict) -> tuple[AuthorizationToken, RSAPrivateK
     except TokenError as exc:
         raise MalformedFrameError(f"token delivery: {exc}") from exc
     fields = Fields(payload.get("token_private"), RSAPrivateKey)
-    key = RSAPrivateKey(
-        **{f.name: fields.integer(f.name) for f in dataclasses.fields(RSAPrivateKey)}
-    )
+    numbers = {
+        f.name: fields.integer(f.name) for f in dataclasses.fields(RSAPrivateKey) if f.init
+    }
     public = token.token_public_key
-    if (key.n, key.e) != (public.n, public.e):
+    # the key is built only once its n and e are known to make a valid public key
+    if (numbers["n"], numbers["e"]) != (public.n, public.e):
         problem = "is not the private half of the token's key"
-    elif key.byte_length < MIN_SIGNING_MODULUS_BYTES:
+    elif (key := RSAPrivateKey(**numbers)).byte_length < MIN_SIGNING_MODULUS_BYTES:
         problem = f"has a {key.byte_length}-byte modulus, under {MIN_SIGNING_MODULUS_BYTES}"
     elif not (1 < min(key.p, key.q) and key.p * key.q == key.n and min(key.d_p, key.d_q) >= 0):
         problem = "has CRT parameters that cannot sign"

@@ -283,7 +283,11 @@ class TracedEntity:
             "token_delivery",
             {
                 "token": token.to_dict(),
-                "token_private": dataclasses.asdict(token_private),
+                "token_private": {
+                    f.name: getattr(token_private, f.name)
+                    for f in dataclasses.fields(token_private)
+                    if f.init
+                },
             },
         )
         self.monitor.metrics.counter("entity.tokens_delivered").inc()

@@ -1,6 +1,7 @@
 """Tests for repro.crypto.aes, anchored on the FIPS-197 known answers."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +173,78 @@ def ref_cbc_encrypt(key, plaintext, rng):
     return b"".join(out)
 
 
+# --- the T-table CBC decryption the block-parallel pass replaced ------------------
+# The equivalent inverse cipher (FIPS-197 5.3.5), one block at a time through
+# four lookup tables over its own schedule, as repro.crypto.aes decrypted
+# before it ran every block at once; built here from the reference S-boxes
+# and key expansion.  The oracle for aes_cbc_decrypt, exceptions included.
+
+
+def _t_table_td():
+    td0 = []
+    for x in range(256):
+        s = REF_INV_SBOX[x]
+        td0.append(_gmul(s, 14) << 24 | _gmul(s, 9) << 16 | _gmul(s, 13) << 8 | _gmul(s, 11))
+    # rows 1-3 are row 0 rotated right by one more byte each
+    return [[(w >> r | w << 32 - r) & 0xFFFFFFFF for w in td0] for r in (0, 8, 16, 24)]
+
+
+T_TABLE_TD = _t_table_td()
+
+
+def _sub_word(w):
+    b = REF_SBOX
+    return b[w >> 24] << 24 | b[w >> 16 & 255] << 16 | b[w >> 8 & 255] << 8 | b[w & 255]
+
+
+def t_table_inverse_schedule(material):
+    rks = ref_round_keys(material)
+    words = struct.unpack(f">{4 * len(rks)}I", bytes(sum(rks, [])))
+    td0, td1, td2, td3 = T_TABLE_TD
+    inverse = list(words[-4:])
+    for r in range(len(words) - 8, 0, -4):
+        # the tables undo a SubBytes first, so feed them S-box outputs
+        inverse += [
+            td0[w >> 24] ^ td1[w >> 16 & 255] ^ td2[w >> 8 & 255] ^ td3[w & 255]
+            for w in map(_sub_word, words[r : r + 4])
+        ]
+    return tuple(inverse + list(words[:4]))
+
+
+def t_table_decrypt_words(s0, s1, s2, s3, rk):
+    t0, t1, t2, t3 = T_TABLE_TD
+    s0, s1, s2, s3 = s0 ^ rk[0], s1 ^ rk[1], s2 ^ rk[2], s3 ^ rk[3]
+    for i in range(4, len(rk) - 4, 4):
+        s0, s1, s2, s3 = (
+            t0[s0 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s1 & 255] ^ rk[i],
+            t0[s1 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s2 & 255] ^ rk[i + 1],
+            t0[s2 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s3 & 255] ^ rk[i + 2],
+            t0[s3 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s0 & 255] ^ rk[i + 3],
+        )
+    # final round: InvShiftRows + InvSubBytes, no InvMixColumns
+    b = REF_INV_SBOX
+    k0, k1, k2, k3 = rk[-4:]
+    return (
+        k0 ^ b[s0 >> 24] << 24 ^ b[s3 >> 16 & 255] << 16 ^ b[s2 >> 8 & 255] << 8 ^ b[s1 & 255],
+        k1 ^ b[s1 >> 24] << 24 ^ b[s0 >> 16 & 255] << 16 ^ b[s3 >> 8 & 255] << 8 ^ b[s2 & 255],
+        k2 ^ b[s2 >> 24] << 24 ^ b[s1 >> 16 & 255] << 16 ^ b[s0 >> 8 & 255] << 8 ^ b[s3 & 255],
+        k3 ^ b[s3 >> 24] << 24 ^ b[s2 >> 16 & 255] << 16 ^ b[s1 >> 8 & 255] << 8 ^ b[s0 & 255],
+    )
+
+
+def t_table_cbc_decrypt(material, ciphertext):
+    if len(ciphertext) < 32 or len(ciphertext) % 16:
+        raise DecryptionError(f"ciphertext length {len(ciphertext)} invalid for CBC")
+    rk = t_table_inverse_schedule(material)
+    words = struct.unpack(f">{len(ciphertext) // 4}I", ciphertext)
+    out = []
+    for i in range(4, len(words), 4):
+        d0, d1, d2, d3 = t_table_decrypt_words(*words[i : i + 4], rk)
+        # chain on the previous ciphertext block (the IV for the first)
+        out += (d0 ^ words[i - 4], d1 ^ words[i - 3], d2 ^ words[i - 2], d3 ^ words[i - 1])
+    return pkcs7_unpad(struct.pack(f">{len(out)}I", *out))
+
+
 key_material = st.sampled_from([16, 24, 32]).flatmap(
     lambda size: st.binary(min_size=size, max_size=size)
 )
@@ -220,6 +293,14 @@ class TestAgainstReference:
             assert ref_encrypt_block(FIPS_PLAINTEXT, rks).hex() == ct_hex
             assert ref_decrypt_block(bytes.fromhex(ct_hex), rks) == FIPS_PLAINTEXT
 
+    def test_t_table_oracle_meets_sp800_38a(self):
+        # the vectors' blocks plus the padding block test_sp800_38a_cbc pins
+        for key_hex, _ in SP800_38A_VECTORS:
+            material = bytes.fromhex(key_hex)
+            iv = _FixedIV(SP800_38A_IV)
+            ciphertext = aes_cbc_encrypt(AESKey(material), SP800_38A_PLAINTEXT, iv)
+            assert t_table_cbc_decrypt(material, ciphertext) == SP800_38A_PLAINTEXT
+
     @given(key_material, st.binary(min_size=16, max_size=16))
     @settings(max_examples=60, deadline=None)
     def test_blocks_equal_the_reference(self, material, block):
@@ -237,6 +318,48 @@ class TestAgainstReference:
         # same draws in the same order: every committed seed depends on it
         assert rng.random() == ref_rng.random()
         assert aes_cbc_decrypt(AESKey(material), ciphertext) == plaintext
+
+
+def decrypted(decrypt, key, ciphertext):
+    """The plaintext, or the type and message of the error decryption raised."""
+    try:
+        return decrypt(key, ciphertext)
+    except DecryptionError as exc:
+        return type(exc), str(exc)
+
+
+def _decrypt_equals_the_t_tables(examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(
+        key_material,
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from(["intact", "tampered", "truncated", "wrong key"]),
+        st.data(),
+    )
+    def test(material, length, seed, damage, data):
+        rng = random.Random(seed)
+        ciphertext = aes_cbc_encrypt(AESKey(material), rng.randbytes(length), rng)
+        if damage == "tampered":
+            at = data.draw(st.integers(min_value=0, max_value=len(ciphertext) - 1))
+            flip = data.draw(st.integers(min_value=1, max_value=255))
+            ciphertext = ciphertext[:at] + bytes([ciphertext[at] ^ flip]) + ciphertext[at + 1 :]
+        elif damage == "truncated":
+            ciphertext = ciphertext[: data.draw(st.integers(0, len(ciphertext) - 1))]
+        elif damage == "wrong key":
+            material = data.draw(key_material.filter(lambda other: other != material))
+        assert decrypted(aes_cbc_decrypt, AESKey(material), ciphertext) == decrypted(
+            t_table_cbc_decrypt, material, ciphertext
+        )
+
+    return test
+
+
+test_block_parallel_decrypt_equals_the_t_tables = _decrypt_equals_the_t_tables(60)
+#: the deep budget (``-m deep``; CI's "Deep example budgets" step)
+test_block_parallel_decrypt_equals_the_t_tables_deep = pytest.mark.deep(
+    _decrypt_equals_the_t_tables(2_000)
+)
 
 
 class TestAESKey:
@@ -264,8 +387,7 @@ class TestAESKey:
     def test_repr_shows_bits_and_no_secret(self, rng):
         key = generate_aes_key(rng)
         secrets = [repr(key.material)[2:-1], key.material.hex()]
-        for schedule in key.round_keys():
-            secrets += [text for word in schedule for text in (str(word), f"{word:x}")]
+        secrets += [text for word in key.round_keys() for text in (str(word), f"{word:x}")]
         for shown in (repr(key), repr(SymmetricKey(key))):
             assert "AESKey(bits=192)" in shown
             assert not [secret for secret in secrets if secret in shown]
@@ -291,7 +413,10 @@ class TestAESKey:
         ciphertexts = [aes_cbc_encrypt(key, b"a trace", rng) for _ in range(50)]
         assert all(aes_cbc_decrypt(key, c) == b"a trace" for c in ciphertexts)
         assert len(expansions) == 1
-        assert key.round_keys() is key.round_keys()
+        # one schedule, the encryption words, serves both directions
+        schedule = key.round_keys()
+        assert schedule is key.round_keys()
+        assert len(schedule) == 4 * (12 + 1) and all(0 <= w < 2**32 for w in schedule)
 
 
 class TestPKCS7:

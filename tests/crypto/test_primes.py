@@ -110,7 +110,8 @@ class TestGenerationOracle:
         assert_matches_reference(bits, range(500))
 
     def test_keypair_runs_few_miller_rabin_rounds(self, monkeypatch):
-        # the 40-round generator ran 106 rounds for this pair (43 now)
+        # the 40-round generator ran 106 rounds for this pair; 45 now: the base-2
+        # round and 12 drawn rounds of each prime, one round per sieved composite
         calls = 0
         real = primes._miller_rabin_round
 

@@ -1,11 +1,14 @@
 """Tests for repro.crypto.rsa."""
 
+import hashlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.rsa import generate_rsa_keypair
+from repro.crypto import rsa
+from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey, generate_rsa_keypair
 from repro.errors import DecryptionError, KeyMaterialError, PaddingError, SignatureError
 
 
@@ -33,10 +36,72 @@ class TestKeyGeneration:
         with pytest.raises(KeyMaterialError):
             generate_rsa_keypair(random.Random(0), bits=513)
 
+    def test_composite_exponent_draws_again_until_coprime(self):
+        # e = 9 shares the factor 3 with some (p - 1)(q - 1) that 9 does not
+        # divide; those pairs must be drawn again, not refused by modinv
+        for seed in range(20):
+            pair = generate_rsa_keypair(random.Random(seed), bits=128, e=9)
+            private = pair.private
+            assert math.gcd(9, (private.p - 1) * (private.q - 1)) == 1
+            assert pow(pow(12345, private.e, private.n), private.d, private.n) == 12345
+
+    @pytest.mark.parametrize("e", [4, 65536, 1, 2, 0, -3, 2**32 + 1])
+    def test_rejects_an_exponent_no_key_can_have(self, e, monkeypatch):
+        # an even e divides every phi: drawing primes for it would never end,
+        # so the prime source is bounded and the refusal must come first
+        drawn = []
+
+        def bounded(bits, rng):
+            drawn.append(bits)
+            assert len(drawn) < 50, f"still drawing primes for e={e}"
+            return real(bits, rng)
+
+        real = rsa.generate_prime
+        monkeypatch.setattr(rsa, "generate_prime", bounded)
+        with pytest.raises(KeyMaterialError):
+            generate_rsa_keypair(random.Random(0), bits=128, e=e)
+        assert drawn == []
+
     def test_fingerprint_stable_and_distinct(self, keypair, second_keypair):
         assert keypair.public.fingerprint() == keypair.public.fingerprint()
         assert keypair.public.fingerprint() != second_keypair.public.fingerprint()
         assert len(keypair.public.fingerprint()) == 20
+
+
+class TestHeldDerivations:
+    # each key computes its public half and fingerprint once, in fields that
+    # take no part in equality, hash or repr
+
+    def test_fingerprint_is_sha1_of_n_and_e(self, keypair):
+        public = keypair.public
+        material = public.n.to_bytes(public.byte_length, "big") + public.e.to_bytes(4, "big")
+        assert public.fingerprint() == hashlib.sha1(material).digest()
+        assert public.fingerprint() is public.fingerprint()
+
+    def test_private_key_holds_one_public_half(self, keypair):
+        private = keypair.private
+        assert private.public is private.public is keypair.public
+        assert private.public == RSAPublicKey(private.n, private.e)
+
+    def test_equality_hash_and_repr_are_on_the_numbers(self, keypair, second_keypair):
+        public, private = keypair.public, keypair.private
+        public_twin = RSAPublicKey(public.n, public.e)
+        private_twin = RSAPrivateKey(
+            private.n, private.e, private.d, private.p, private.q,
+            private.d_p, private.d_q, private.q_inv,
+        )
+        assert public == public_twin and hash(public) == hash(public_twin)
+        assert private == private_twin and hash(private) == hash(private_twin)
+        assert public != second_keypair.public and private != second_keypair.private
+        assert repr(public) == f"RSAPublicKey(n={public.n}, e={public.e})"
+        assert repr(private) == (
+            f"RSAPrivateKey(n={private.n}, e={private.e}, d={private.d}, p={private.p},"
+            f" q={private.q}, d_p={private.d_p}, d_q={private.d_q}, q_inv={private.q_inv})"
+        )
+
+    def test_private_key_refuses_numbers_no_public_key_has(self):
+        with pytest.raises(KeyMaterialError):
+            RSAPrivateKey(n=0, e=3, d=1, p=1, q=1, d_p=1, d_q=1, q_inv=1)
 
 
 class TestSignatures:

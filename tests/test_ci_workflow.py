@@ -128,16 +128,16 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     (step,) = [step for step in steps if step.get("name") == name]
     assert step["run"] == (
         "python -m pytest tests/test_decode_contract.py tests/messaging/test_matching.py"
-        " tests/analytics/test_store.py tests/crypto/test_primes.py"
+        " tests/analytics/test_store.py tests/crypto/test_primes.py tests/crypto/test_aes.py"
         " tests/analytics/test_availability.py tests/sim/test_engine_oracle.py"
         " tests/messaging/test_routing_properties.py tests/messaging/test_parse_oracle.py"
         " tests/test_reachability.py"
         " -m deep -q"
     )
     # the step runs two contracts, a state machine, a round-trip property, the
-    # prime-generation oracle, the timelines property, the engine oracle, the
-    # continuation oracle, the route-table oracle, the parse oracle and the reachability
-    # tracer; its comment (lost to the YAML parser) names all eleven
+    # prime-generation oracle, the CBC decryption oracle, the timelines property, the
+    # engine oracle, the continuation oracle, the route-table oracle, the parse oracle
+    # and the reachability tracer; its comment (lost to the YAML parser) names all twelve
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -146,6 +146,7 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "SubscriptionIndex state machine" in comment
     assert "from_json(export_json())" in comment
     assert "generate_prime" in comment
+    assert "CBC decryption oracle" in comment and "aes_cbc_decrypt" in comment
     assert "build_timelines" in comment
     assert "reference_engine" in comment
     assert "continuation oracle" in comment and "compute_then" in comment
