@@ -20,7 +20,7 @@ deterministic shortest-path multicast with no duplicates or loops.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Generator, Iterator, Protocol
 
 from repro.errors import NotConnectedError, UnauthorizedError
@@ -404,7 +404,15 @@ class Broker:
         )
 
     def receive_from_neighbor(self, neighbor_id: str, frame: RoutedFrame) -> None:
-        """Link-delivery callback for broker-to-broker frames."""
+        """Link-delivery callback for broker-to-broker frames.
+
+        A frame that must pass a publish guard or be delivered here runs
+        :meth:`_neighbor_ingress` as a process.  Any other frame only
+        crosses this broker: its CPU hold starts in this step
+        (:meth:`~repro.sim.engine.Resource.use_then`), and the hold's
+        timer entry forwards it, so the hop is two heap entries, this
+        delivery and that timer.
+        """
         if self.failed:
             self.metrics.counter("broker.messages.dropped_broker_failed").inc()
             self.metrics.counter("broker.msgs.dropped").inc()
@@ -412,17 +420,9 @@ class Broker:
         if self.publish_guards or self.broker_id in frame.destinations:
             Process(self.sim, self._neighbor_ingress(neighbor_id, frame), self._fwd_name)
         else:
-            # a pass-through waits only on its CPU hold: plain heap
-            # callbacks under the keys the process would have had
-            self.sim.call_later(
-                0.0,
-                partial(
-                    self.machine.compute_then,
-                    self.processing_ms,
-                    self._pass_through,
-                    neighbor_id,
-                    frame,
-                ),
+            # a pass-through waits only on its CPU hold, which starts here
+            self.machine.cpu.use_then(
+                self.processing_ms, self._pass_through, neighbor_id, frame
             )
 
     def publish_from_broker(self, message: Message) -> None:
@@ -515,8 +515,6 @@ class Broker:
         with no guard to pass and no local delivery."""
         self._msgs_forwarded_in.inc()
         self._forward(frame.message.with_hop(), frame.destinations, exclude_neighbor=neighbor_id)
-        # the seq number the finished process would have taken
-        self.sim.skip_seq()
 
     def _dispatch(
         self,

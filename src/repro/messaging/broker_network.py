@@ -13,6 +13,7 @@ system, off the critical path of trace routing).
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Iterable
 
 from repro.crypto.costmodel import PAPER_CALIBRATION, CryptoCostModel
@@ -185,13 +186,13 @@ class BrokerNetwork:
 
         link_ab = Link(
             self.sim, prof,
-            receiver=lambda frame: broker_b.receive_from_neighbor(a, frame),
+            receiver=partial(broker_b.receive_from_neighbor, a),
             rng=rng_ab, name=f"{a}->{b}", monitor=self.monitor, codec=self.codec,
             memo=self.size_memo,
         )
         link_ba = Link(
             self.sim, prof,
-            receiver=lambda frame: broker_a.receive_from_neighbor(b, frame),
+            receiver=partial(broker_a.receive_from_neighbor, b),
             rng=rng_ba, name=f"{b}->{a}", monitor=self.monitor, codec=self.codec,
             memo=self.size_memo,
         )

@@ -27,7 +27,7 @@ The design follows the classic process-interaction style (SimPy-like):
   ran right after the asking step, the hold timer fires first (a full
   resource still queues FIFO and grants in a step of its own).
   :meth:`Resource.use_then` is the same hold for a caller that would only
-  wait on it: plain heap callbacks under the same keys, no process.
+  wait on it: plain heap callbacks, no process.
 """
 
 from __future__ import annotations
@@ -372,11 +372,15 @@ class Resource:
         """Continuation form of :meth:`use`: hold ``duration`` ms, then ``fn(*args)``.
 
         For a caller that would only wait on the hold: no process, no
-        generator.  It pushes what a process running ``yield from
-        use(duration)`` pushes, under the same keys: a free slot is taken
-        in this step and its timer set here; a full resource queues a
-        :meth:`request` whose grant step sets the timer.  The timer entry
-        releases the slot, then calls ``fn(*args)``.
+        generator.  Called from a step, it pushes what a process running
+        ``yield from use(duration)`` in that step pushes, under the same
+        keys: a free slot is taken in this step and its timer set here; a
+        full resource queues a :meth:`request` whose grant step sets the
+        timer.  The timer entry releases the slot, then calls ``fn(*args)``.
+        Called straight from a delivery callback, where a process would
+        first have needed a start entry of its own, the timer is pushed one
+        step earlier, so it may run ahead of a timer tied with it at the
+        same float instant.
         """
         if duration < 0:
             raise SimulationError(f"negative timeout: {duration}")
@@ -430,15 +434,6 @@ class Simulator:
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` milliseconds."""
         self._schedule_call(delay, fn)
-
-    def skip_seq(self) -> None:
-        """Take one sequence number and schedule nothing.
-
-        For a continuation that stands in for a process: the process's
-        finish took a number (a trigger nobody waits for), so taking it
-        here keeps every later key where it was.
-        """
-        self._seq += 1
 
     # -- event factories -------------------------------------------------------
 

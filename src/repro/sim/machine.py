@@ -37,8 +37,6 @@ class Machine:
         self.rng = rng
         self.clock = clock if clock is not None else SkewedClock(sim.clock, 0.0)
         self.cpu = Resource(sim, cpu_capacity, name=f"{name}.cpu")
-        #: CPU-milliseconds of work accepted, queued or not
-        self._busy_ms_total = 0.0
         #: Host-level ping demultiplexer: entity id -> sink for the pings
         #: a co-located sibling's ``ping_batch`` frame carries
         #: (``repro.tracing.coalesce.relay_ping_batch``).
@@ -53,21 +51,8 @@ class Machine:
 
         Returns the CPU's own ``use`` generator rather than wrapping it in
         a second one, so each resume of the caller crosses one frame less.
-        The work is counted busy when the body is made, which a caller's
-        ``yield from`` does in the same step it starts it.
         """
-        self._busy_ms_total += duration_ms
         return self.cpu.use(duration_ms)
-
-    def compute_then(self, duration_ms: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Hold the CPU for ``duration_ms``, then call ``fn(*args)``.
-
-        The continuation form of :meth:`compute`
-        (:meth:`~repro.sim.engine.Resource.use_then`): the same heap
-        entries under the same keys and the same busy time, counted here.
-        """
-        self._busy_ms_total += duration_ms
-        self.cpu.use_then(duration_ms, fn, *args)
 
     def charge(self, op: CryptoOp) -> Generator[Event, None, float]:
         """Charge one cryptographic operation to this machine's CPU.
@@ -77,7 +62,6 @@ class Machine:
         """
         duration = self.cost_model.sample_ms(op)
         if duration > 0:
-            self._busy_ms_total += duration
             yield from self.cpu.use(duration)
         return duration
 

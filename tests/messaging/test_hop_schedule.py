@@ -1,13 +1,13 @@
 """The schedule of a forwarded frame, pinned step by step.
 
-A pass-through hop is three heap entries: the link's delivery, the
-receiving broker's start entry, and the timer of its CPU hold
-(``Machine.compute_then``), after which the frame is forwarded.  Only a
-frame that waits on more than the hold (a publish guard, a local
-delivery) runs as a ``_neighbor_ingress`` process, under the same keys.
-Making the hop cheaper in host time must not add, drop or reorder any of
-the entries: every committed seed and the benchmark's ``sim_digest`` hang
-on that order.
+A pass-through hop is two heap entries: the link's delivery, which
+starts the receiving broker's CPU hold (``Resource.use_then``), and the
+hold's timer, which forwards the frame.  Only a frame that waits on more
+than the hold (a publish guard, a local delivery) runs as a
+``_neighbor_ingress`` process.  The keys below pin that schedule: making
+the hop cheaper in host time must not add, drop or reorder an entry
+without this file saying so.  ``test_hop_oracle`` holds the two-entry hop
+to the three-entry hop it replaced over generated fabrics.
 """
 
 from __future__ import annotations
@@ -52,24 +52,29 @@ def executed_keys(sim: Simulator) -> list[tuple[float, int]]:
 
 def test_two_frames_tied_at_one_broker_run_in_the_pinned_order():
     # two equal-sized frames leave b0 together and reach b1 at the same
-    # float instant (4.463052734375): the keys below are the engine's
-    # order for that tie, as recorded before the hop was made cheaper
+    # float instant (4.463052734375).  Before the hop was two entries, each
+    # delivery at b1 pushed a start entry (keys 8 and 9) that began its
+    # hold, so frame "two"'s delivery (key 6) ran before frame "one"'s hold
+    # began; now "one"'s hold begins inside its own delivery (key 4),
+    # before "two"'s delivery runs.  That is the one pair of entries whose
+    # order changed; the hold timers at b1 take keys 8 and 9, the start
+    # entries and the sequence number each finished pass-through took are
+    # gone, and delivery order and hops are the same
     sim, network, got = line(3)
     publish(network, "one")
     publish(network, "two")
     assert executed_keys(sim) == [
         (0.0, 0), (0.0, 1),                      # both b0 ingress starts
         (2.9, 2), (2.9, 3),                      # b0's CPU timers: forward
-        (4.463052734375, 4), (4.463052734375, 6),  # tied deliveries at b1
-        (4.463052734375, 8), (4.463052734375, 9),  # b1 ingress starts
-        (7.363052734375, 10), (7.363052734375, 11),  # b1's timers: forward
-        (8.92610546875, 12), (8.92610546875, 14),  # deliveries at b2
-        (8.92610546875, 16), (8.92610546875, 17),  # b2 ingress starts
-        (11.82610546875, 18), (11.82610546875, 19),  # b2's processing timers
-        (11.91610546875, 20), (11.91610546875, 21),  # per-delivery timers
+        (4.463052734375, 4), (4.463052734375, 6),  # tied deliveries at b1: holds start
+        (7.363052734375, 8), (7.363052734375, 9),  # b1's timers: forward
+        (8.92610546875, 10), (8.92610546875, 11),  # deliveries at b2
+        (8.92610546875, 12), (8.92610546875, 13),  # b2 ingress starts
+        (11.82610546875, 14), (11.82610546875, 15),  # b2's processing timers
+        (11.91610546875, 16), (11.91610546875, 17),  # per-delivery timers
     ]
     assert [(message.body, message.hops) for message in got] == [("one", 2), ("two", 2)]
-    assert sim._seq == 24
+    assert sim._seq == 20
 
 
 def steps_to_deliver(brokers: int) -> int:
@@ -81,9 +86,9 @@ def steps_to_deliver(brokers: int) -> int:
 
 
 @pytest.mark.parametrize("brokers", [2, 3, 5])
-def test_one_pass_through_hop_is_three_steps(brokers):
-    # delivery, ingress start, CPU timer
-    assert steps_to_deliver(brokers + 1) - steps_to_deliver(brokers) == 3
+def test_one_pass_through_hop_is_two_steps(brokers):
+    # the delivery, which starts the CPU hold, and the hold's timer
+    assert steps_to_deliver(brokers + 1) - steps_to_deliver(brokers) == 2
 
 
 @pytest.mark.parametrize("brokers", [3, 5, 8])

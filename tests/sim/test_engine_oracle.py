@@ -15,8 +15,10 @@ full ``(time, who, what)`` logs and the final ``now`` must be equal:
 A third property holds the continuation hold to the generator hold on
 one engine: the same arrivals on a capacity-k CPU, once as processes
 running ``yield from machine.compute(d)`` and once as start entries
-calling ``machine.compute_then(d, …)``, execute the same ``(time, seq)``
-keys, ties and queued grants included.
+calling ``machine.cpu.use_then(d, …)``, execute the same ``(time, seq)``
+keys, ties and queued grants included.  (The broker's pass-through hop
+calls ``use_then`` without the start entry; ``test_hop_oracle`` holds it
+to this form.)
 """
 
 import random
@@ -171,7 +173,7 @@ arrivals = st.lists(
 
 
 def run_holds(capacity, program, continuation):
-    """Run ``program``'s holds one way; executed keys, last seq, callbacks, busy ms."""
+    """Run ``program``'s holds one way; executed keys, last seq, callbacks, occupancy."""
     sim = engine.Simulator()
     machine = Machine(sim, "m", free_cost_model(), random.Random(0), cpu_capacity=capacity)
     called = []
@@ -184,16 +186,16 @@ def run_holds(capacity, program, continuation):
     def hold_then(who, index, durations):
         called.append((sim.now, who, index))
         if index + 1 < len(durations):
-            machine.compute_then(float(durations[index + 1]), hold_then, who, index + 1, durations)
+            machine.cpu.use_then(float(durations[index + 1]), hold_then, who, index + 1, durations)
         else:
-            # where the generator form's finished process takes its number
-            sim.skip_seq()
+            # the number the generator form's finished process takes
+            sim._seq += 1
 
     def arrive(who, durations):
         if continuation:
             sim.call_later(
                 0.0,
-                lambda: machine.compute_then(float(durations[0]), hold_then, who, 0, durations),
+                lambda: machine.cpu.use_then(float(durations[0]), hold_then, who, 0, durations),
             )
         else:
             sim.process(holder(who, durations), name=who)
@@ -204,7 +206,7 @@ def run_holds(capacity, program, continuation):
     while sim._heap:
         keys.append(sim._heap[0][:2])
         sim.step()
-    return keys, sim._seq, called, machine._busy_ms_total, occupancy(machine.cpu)
+    return keys, sim._seq, called, occupancy(machine.cpu)
 
 
 def _continuation_hold(examples: int):

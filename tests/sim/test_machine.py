@@ -81,24 +81,3 @@ class TestMachine:
         machine = Machine(sim, "m", free_cost_model(), rng, clock=clock)
         assert machine.now() == 40.0
 
-
-class TestUtilization:
-    def test_tracks_busy_time(self, sim, rng):
-        machine = Machine(sim, "m", free_cost_model(), rng, cpu_capacity=1)
-
-        def work():
-            yield from machine.compute(30.0)
-
-        sim.process(work())
-        sim.run(until=100.0)
-        assert machine._busy_ms_total == 30.0
-
-    def test_charge_counts_as_busy(self, sim, rng):
-        machine = Machine(sim, "m", CryptoCostModel(seed=1), rng)
-
-        def work():
-            yield from machine.charge(CryptoOp.TRACE_SIGN)
-
-        sim.process(work())
-        sim.run(until=1000.0)
-        assert machine._busy_ms_total > 15.0

@@ -130,14 +130,16 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
         "python -m pytest tests/test_decode_contract.py tests/messaging/test_matching.py"
         " tests/analytics/test_store.py tests/crypto/test_primes.py tests/crypto/test_aes.py"
         " tests/analytics/test_availability.py tests/sim/test_engine_oracle.py"
+        " tests/messaging/test_hop_oracle.py"
         " tests/messaging/test_routing_properties.py tests/messaging/test_parse_oracle.py"
         " tests/test_reachability.py"
         " -m deep -q"
     )
     # the step runs two contracts, a state machine, a round-trip property, the
     # prime-generation oracle, the CBC decryption oracle, the timelines property, the
-    # engine oracle, the continuation oracle, the route-table oracle, the parse oracle
-    # and the reachability tracer; its comment (lost to the YAML parser) names all twelve
+    # engine oracle, the continuation oracle, the hop oracle, the route-table oracle, the
+    # parse oracle and the reachability tracer; its comment (lost to the YAML parser)
+    # names all thirteen
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -149,7 +151,8 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "CBC decryption oracle" in comment and "aes_cbc_decrypt" in comment
     assert "build_timelines" in comment
     assert "reference_engine" in comment
-    assert "continuation oracle" in comment and "compute_then" in comment
+    assert "continuation oracle" in comment and "use_then" in comment
+    assert "hop oracle" in comment and "three-entry" in comment
     assert "route-table oracle" in comment and "all_next_hops" in comment
     assert "parse oracle" in comment and "Broker._parse_pattern" in comment
     assert "reachability tracer" in comment and "tests/reach_allowlist.py" in comment
