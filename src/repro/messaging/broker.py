@@ -14,7 +14,9 @@ additionally enforces:
 
 Broker-to-broker forwarding wraps the message in a :class:`RoutedFrame`
 carrying the explicit destination set, split by next hop at every broker:
-deterministic shortest-path multicast with no duplicates or loops.
+deterministic shortest-path multicast with no duplicates or loops.  The
+frame also carries the hop count, so a broker the frame only crosses
+forwards the message itself, not a copy.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ class Broker:
         self._violations: dict[str, int] = defaultdict(int)
         self._blacklist: set[str] = set()
 
-        # failure model: a failed broker drops everything it receives
+        # failure model: a failed broker drops everything it receives, and
+        # whatever held its CPU when it failed
         self.failed = False
 
     # Per-hop, per-delivery and per-subscribe instruments: resolved on first
@@ -391,8 +394,7 @@ class Broker:
     def receive_from_client(self, client_id: str, message: Message) -> None:
         """Link-delivery callback for messages a connected client published."""
         if self.failed:
-            self.metrics.counter("broker.messages.dropped_broker_failed").inc()
-            self.metrics.counter("broker.msgs.dropped").inc()
+            self._drop_failed()
             return
         if client_id in self._blacklist:
             self.metrics.counter("broker.dos.dropped_blacklisted").inc()
@@ -414,8 +416,7 @@ class Broker:
         delivery and that timer.
         """
         if self.failed:
-            self.metrics.counter("broker.messages.dropped_broker_failed").inc()
-            self.metrics.counter("broker.msgs.dropped").inc()
+            self._drop_failed()
             return
         if self.publish_guards or self.broker_id in frame.destinations:
             Process(self.sim, self._neighbor_ingress(neighbor_id, frame), self._fwd_name)
@@ -436,13 +437,17 @@ class Broker:
         if self.failed:
             # a crashed broker generates nothing — its trace processes may
             # still be scheduled, but no self-publication leaves the host
-            self.metrics.counter("broker.messages.dropped_broker_failed").inc()
-            self.metrics.counter("broker.msgs.dropped").inc()
+            self._drop_failed()
             return
         self.sim.process(
             self._ingress(message, origin=self.broker_id, from_neighbor=False, self_origin=True),
             name=self._selfpub_name,
         )
+
+    def _drop_failed(self) -> None:
+        """Count a message this broker drops because it is down."""
+        self.metrics.counter("broker.messages.dropped_broker_failed").inc()
+        self.metrics.counter("broker.msgs.dropped").inc()
 
     # -------------------------------------------------------------- processing
 
@@ -454,6 +459,10 @@ class Broker:
         self_origin: bool = False,
     ) -> Generator[Event, None, None]:
         yield from self.machine.compute(self.processing_ms)
+        if self.failed:
+            # crashed while the message held its CPU
+            self._drop_failed()
+            return
         self._msgs_ingress.inc()
 
         constrained = self.constrained_form(message.topic.canonical)
@@ -478,8 +487,12 @@ class Broker:
     def _neighbor_ingress(
         self, neighbor_id: str, frame: RoutedFrame
     ) -> Generator[Event, None, None]:
-        message = frame.message
+        # guards and handlers see the links the message crossed to get here
+        message = frame.message.with_hops(frame.hops)
         yield from self.machine.compute(self.processing_ms)
+        if self.failed:
+            self._drop_failed()
+            return
         self._msgs_forwarded_in.inc()
 
         for guard in self.publish_guards:
@@ -508,13 +521,17 @@ class Broker:
             yield from self._deliver_local(message)
             remaining = tuple(d for d in remaining if d != self.broker_id)
         if remaining:
-            self._forward(message.with_hop(), remaining, exclude_neighbor=neighbor_id)
+            self._forward(frame.message, remaining, neighbor_id, frame.hops + 1)
 
     def _pass_through(self, neighbor_id: str, frame: RoutedFrame) -> None:
         """What :meth:`_neighbor_ingress` does after its hold, for a frame
-        with no guard to pass and no local delivery."""
+        with no guard to pass and no local delivery: the same message goes
+        on, one hop further."""
+        if self.failed:
+            self._drop_failed()
+            return
         self._msgs_forwarded_in.inc()
-        self._forward(frame.message.with_hop(), frame.destinations, exclude_neighbor=neighbor_id)
+        self._forward(frame.message, frame.destinations, neighbor_id, frame.hops + 1)
 
     def _dispatch(
         self,
@@ -534,7 +551,7 @@ class Broker:
 
         destinations = self._interested_brokers(message.topic.canonical)
         if destinations:
-            self._forward(message.with_hop(), tuple(sorted(destinations)), exclude_neighbor=None)
+            self._forward(message, tuple(sorted(destinations)), None, message.hops + 1)
 
     def _interested_brokers(self, topic: str) -> set[str]:
         if self._fed_plane is not None:
@@ -546,28 +563,37 @@ class Broker:
         message: Message,
         destinations: tuple[str, ...],
         exclude_neighbor: str | None,
+        hops: int,
     ) -> None:
+        """Send ``message`` towards ``destinations``, one frame per next hop.
+
+        Every frame carries ``hops``: the links the message will have
+        crossed once it is over the one it is sent on.
+        """
         routing_table = self.routing_table
-        by_next_hop: dict[str, list[str]] = {}
-        for dest in destinations:
-            next_hop = routing_table.get(dest)
+        if len(destinations) == 1:
+            # one destination, the common case: its leg is the incoming tuple
+            legs = ((routing_table.get(destinations[0]), destinations),)
+        else:
+            by_next_hop: dict[str | None, list[str]] = {}
+            for dest in destinations:
+                next_hop = routing_table.get(dest)
+                leg = by_next_hop.get(next_hop)
+                if leg is None:
+                    by_next_hop[next_hop] = [dest]
+                else:
+                    leg.append(dest)
+            # in next-hop order, an unroutable leg (None) first
+            legs = sorted(
+                [(next_hop, tuple(sorted(dests))) for next_hop, dests in by_next_hop.items()],
+                key=lambda leg: leg[0] or "",
+            )
+        for next_hop, dests in legs:
             if next_hop is None:
                 # destination currently unreachable (failed broker or
                 # partition): drop that leg, deliver the rest
-                self.metrics.counter("broker.msgs.unroutable").inc()
+                self.metrics.counter("broker.msgs.unroutable").inc(len(dests))
                 continue
-            leg = by_next_hop.get(next_hop)
-            if leg is None:
-                by_next_hop[next_hop] = [dest]
-            else:
-                leg.append(dest)
-        # a single leg to a single destination, the common case, needs no sort
-        legs = by_next_hop.items()
-        if len(by_next_hop) > 1:
-            legs = sorted(legs)
-        for next_hop, dests in legs:
-            if len(dests) > 1:
-                dests.sort()
             if next_hop == exclude_neighbor:
                 # shortest-path split never routes back where it came from;
                 # a topology change while the frame was in flight can ask
@@ -579,7 +605,7 @@ class Broker:
                     "route.backtrack",
                     broker=self.broker_id,
                     neighbor=next_hop,
-                    destinations=tuple(dests),
+                    destinations=dests,
                 )
                 continue
             link = self.neighbor_links.get(next_hop)
@@ -593,10 +619,10 @@ class Broker:
                     "route.no_link",
                     broker=self.broker_id,
                     next_hop=next_hop,
-                    destinations=tuple(dests),
+                    destinations=dests,
                 )
                 continue
-            link.send(RoutedFrame(message, tuple(dests)))
+            link.send(RoutedFrame(message, dests, hops))
             self._msgs_forwarded_out.inc()
 
     def _deliver_local(

@@ -8,7 +8,7 @@ optional authorization token (section 4.3), and an encrypted-body flag
 
 The broker-to-broker forwarding envelope (:class:`RoutedFrame`) lives here
 too: it is pure wire vocabulary — a message plus its remaining explicit
-destinations — shared by the broker (which splits it per next hop) and the
+destinations and its hop count — shared by the broker (which splits it per next hop) and the
 ``repro.wire`` codecs (which put it on the wire).
 """
 
@@ -39,8 +39,10 @@ class Message:
     :class:`~repro.crypto.signing.SignedEnvelope` dict covering the body;
     ``auth_token`` holds an authorization token's canonical bytes
     (:attr:`AuthorizationToken.wire <repro.auth.tokens.AuthorizationToken.wire>`),
-    encoded once where the token was issued.  ``hops`` counts
-    broker-to-broker forwards for diagnostics.
+    encoded once where the token was issued.  ``hops`` counts the
+    broker-to-broker links the message crossed, for diagnostics: a
+    forward carries it on its :class:`RoutedFrame`, and the receiving
+    broker stamps it here once.
 
     ``message_id`` is 0 until the message enters a network:
     ``BrokerClient.publish`` and ``Broker.publish_from_broker`` draw it
@@ -61,7 +63,7 @@ class Message:
         """Canonical rendering used for wire-size accounting.
 
         ``hops`` is deliberately absent: it is link-local diagnostics, not
-        payload, so a forwarded copy (:meth:`with_hop`) encodes to exactly
+        payload, so a stamped copy (:meth:`with_hops`) encodes to exactly
         the same bytes — which is what makes the per-message encoded-size
         memo in ``repro.wire`` safe.
         """
@@ -76,43 +78,17 @@ class Message:
             "encrypted": self.encrypted,
         }
 
-    def with_hop(self) -> "Message":
-        """Copy with the hop counter incremented (broker forward).
-
-        This runs once per forwarded frame, so the copy's slots are filled
-        through their descriptors: the generated ``__init__`` pays an
-        ``object.__setattr__`` per field, at twice the cost.  The copy is
-        as frozen as any other message.
-        """
-        hopped = object.__new__(Message)
-        _set_topic(hopped, self.topic)
-        _set_body(hopped, self.body)
-        _set_source(hopped, self.source)
-        _set_message_id(hopped, self.message_id)
-        _set_created_ms(hopped, self.created_ms)
-        _set_signature(hopped, self.signature)
-        _set_auth_token(hopped, self.auth_token)
-        _set_encrypted(hopped, self.encrypted)
-        _set_hops(hopped, self.hops + 1)
-        return hopped
+    def with_hops(self, hops: int) -> "Message":
+        """Copy stamped with ``hops`` (the broker that receives a frame
+        stamps the frame's hop count)."""
+        return _copy(self, self.message_id, hops)
 
     def with_message_id(self, message_id: int) -> "Message":
-        """Copy stamped with ``message_id`` (a broker's own publication),
-        filled through the slot setters like :meth:`with_hop`."""
-        stamped = object.__new__(Message)
-        _set_topic(stamped, self.topic)
-        _set_body(stamped, self.body)
-        _set_source(stamped, self.source)
-        _set_message_id(stamped, message_id)
-        _set_created_ms(stamped, self.created_ms)
-        _set_signature(stamped, self.signature)
-        _set_auth_token(stamped, self.auth_token)
-        _set_encrypted(stamped, self.encrypted)
-        _set_hops(stamped, self.hops)
-        return stamped
+        """Copy stamped with ``message_id`` (a broker's own publication)."""
+        return _copy(self, message_id, self.hops)
 
 
-#: Every field's slot setter, in declaration order (``with_hop``); a field
+#: Every field's slot setter, in declaration order (``_copy``); a field
 #: added to :class:`Message` without one here fails at import.
 (
     _set_topic,
@@ -127,18 +103,49 @@ class Message:
 ) = (Message.__dict__[field.name].__set__ for field in fields(Message))
 
 
+def _copy(message: Message, message_id: int, hops: int) -> Message:
+    """``message`` with ``message_id`` and ``hops`` replaced.
+
+    The copy's slots are filled through their descriptors: the generated
+    ``__init__`` pays an ``object.__setattr__`` per field, at twice the
+    cost.  The copy is as frozen as any other message.
+    """
+    copy = object.__new__(Message)
+    _set_topic(copy, message.topic)
+    _set_body(copy, message.body)
+    _set_source(copy, message.source)
+    _set_message_id(copy, message_id)
+    _set_created_ms(copy, message.created_ms)
+    _set_signature(copy, message.signature)
+    _set_auth_token(copy, message.auth_token)
+    _set_encrypted(copy, message.encrypted)
+    _set_hops(copy, hops)
+    return copy
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class RoutedFrame:
-    """Broker-to-broker envelope: a message plus remaining destinations."""
+    """Broker-to-broker envelope: a message plus remaining destinations.
+
+    ``hops`` counts the broker-to-broker links the frame has crossed,
+    the one it is on included.  Like :attr:`Message.hops` it never rides
+    the wire, so a decoded frame carries 0.  A broker that guards or
+    delivers the frame's message stamps it there (:meth:`Message.with_hops`);
+    a broker the frame only crosses forwards the same message.
+    """
 
     message: Message
     destinations: tuple[str, ...]
+    hops: int = 0
 
-    def __init__(self, message: Message, destinations: tuple[str, ...]) -> None:
+    def __init__(
+        self, message: Message, destinations: tuple[str, ...], hops: int = 0
+    ) -> None:
         # one frame per hop: slot descriptors, not object.__setattr__ (see
-        # Message.with_hop); still frozen
+        # _copy); still frozen
         _set_frame_message(self, message)
         _set_frame_destinations(self, destinations)
+        _set_frame_hops(self, hops)
 
     def wire_dict(self) -> dict:
         """The message's wire form plus the destination list."""
@@ -149,3 +156,4 @@ class RoutedFrame:
 
 _set_frame_message = RoutedFrame.__dict__["message"].__set__
 _set_frame_destinations = RoutedFrame.__dict__["destinations"].__set__
+_set_frame_hops = RoutedFrame.__dict__["hops"].__set__

@@ -662,18 +662,13 @@ class TraceManager:
             tracker_id = fields.text("tracker_id")
             response_topic = fields.text("response_topic", None)
             key_topic = Topic.parse(response_topic) if response_topic else None
-            subject = cred.text("subject", "")
+            # read only to validate: a non-text subject is malformed
+            cred.text("subject", "")
         except (MalformedFrameError, InterestError, TopicError):
             self.monitor.metrics.counter("trace.interest_malformed").inc()
             return
 
-        session.interest.record(
-            tracker_id,
-            categories,
-            self.machine.now(),
-            response_topic=response_topic,
-            credential_subject=subject,
-        )
+        session.interest.record(tracker_id, categories, self.machine.now())
         self.monitor.metrics.counter("trace.interest_recorded").inc()
 
         # secured sessions: distribute the trace key once per tracker (§5.1)

@@ -40,8 +40,6 @@ ALL_CATEGORIES = frozenset(InterestCategory)
 class _TrackerInterest:
     categories: frozenset[InterestCategory]
     expires_ms: float
-    response_topic: str | None = None
-    credential_subject: str | None = None
 
 
 @dataclass(slots=True)
@@ -56,8 +54,6 @@ class InterestRegistry:
         tracker_id: str,
         categories: frozenset[InterestCategory],
         now_ms: float,
-        response_topic: str | None = None,
-        credential_subject: str | None = None,
     ) -> None:
         """Record (or refresh) one tracker's interest response."""
         if not categories:
@@ -65,10 +61,7 @@ class InterestRegistry:
             self._trackers.pop(tracker_id, None)
             return
         self._trackers[tracker_id] = _TrackerInterest(
-            categories=categories,
-            expires_ms=now_ms + self.ttl_ms,
-            response_topic=response_topic,
-            credential_subject=credential_subject,
+            categories=categories, expires_ms=now_ms + self.ttl_ms
         )
 
     def _reap(self, now_ms: float) -> None:

@@ -167,6 +167,30 @@ class TestBacktrackingLeg:
         assert record.fields == {"broker": "b1", "neighbor": "b0", "destinations": ("b2",)}
 
 
+class TestUnroutableLeg:
+    def test_an_unroutable_destination_is_counted_and_the_rest_delivered(self):
+        # b0 - b1 - b2 and b0 - b3; b3 is cut off after its interest
+        # arrived.  b0's destinations are b1 and b2 (one leg through b1)
+        # and b3 (no route); b1 delivers and forwards b2's single leg
+        sim = Simulator()
+        network = BrokerNetwork(sim, seed=0)
+        build_chain(network, ["b0", "b1", "b2"])
+        build_chain(network, ["b0", "b3"])
+        got = []
+        for broker_id in ("b1", "b2", "b3"):
+            network.broker(broker_id).subscribe_local(
+                "u/t", lambda m, broker_id=broker_id: got.append((broker_id, m.hops))
+            )
+        sim.run()
+        network.partition_link("b0", "b3")
+        network.broker("b0").publish_from_broker(Message(topic=Topic("u/t"), body=1, source="b0"))
+        sim.run()
+        assert sorted(got) == [("b1", 1), ("b2", 2)]
+        metrics = network.monitor.metrics
+        assert metrics.counter_value("broker.msgs.unroutable") == 1
+        assert metrics.counter_value("broker.msgs.dropped") == 0
+
+
 class TestLegWithoutLink:
     def test_a_leg_whose_next_hop_has_no_link_is_counted_and_journaled(self):
         # line b0-b1-b2-b3, subscriber on b3; b1's route to b3 names a
@@ -376,6 +400,57 @@ class TestBrokerFailureFlag:
         client.publish("any/topic", 1)
         sim.run()
         assert network.broker("b1").metrics.counter_value("broker.msgs.ingress") == before
+
+
+def crash_mid_hold(subscriber: str):
+    """b0 - b1 - b2: b1 crashes while a frame from b0 holds its CPU.
+
+    With ``processing_ms`` 5.0 the frame reaches b1 at about 6 ms, and
+    ``fail_broker("b1")`` runs at 8 ms, before its hold ends.  Returns the
+    times the handler ran and the registry.
+    """
+    sim = Simulator()
+    network = BrokerNetwork(sim, seed=11)
+    for broker_id in ("b0", "b1", "b2"):
+        network.add_broker(broker_id, processing_ms=5.0)
+    build_chain(network, ["b0", "b1", "b2"])
+    got = []
+    network.broker(subscriber).subscribe_local("T/x", lambda m: got.append(sim.now))
+    network.broker("b0").publish_from_broker(Message(topic=Topic("T/x"), body=1, source="b0"))
+    sim.run(until=8.0)
+    network.fail_broker("b1")
+    sim.run()
+    return got, network.monitor.metrics
+
+
+class TestCrashDuringHold:
+    @pytest.mark.parametrize("subscriber", ["b1", "b2"])
+    def test_a_broker_that_crashes_during_the_hold_drops_the_frame(self, subscriber):
+        # b1 delivers locally (an ingress process) or only forwards (a
+        # pass-through hold); either way, once down it does neither
+        got, metrics = crash_mid_hold(subscriber)
+        assert got == []
+        assert metrics.counter_value("broker.messages.dropped_broker_failed") == 1
+        assert metrics.counter_value("broker.msgs.dropped") == 1
+        assert metrics.counter_value("broker.msgs.unroutable") == 0
+        assert metrics.counter_value("broker.msgs.forwarded_in") == 0
+
+    def test_a_publication_whose_origin_crashes_during_the_hold_is_dropped(self):
+        sim = Simulator()
+        network = BrokerNetwork(sim, seed=11)
+        build_chain(network, ["b0", "b1"])
+        got = []
+        network.broker("b1").subscribe_local("T/x", got.append)
+        network.broker("b0").publish_from_broker(
+            Message(topic=Topic("T/x"), body=1, source="b0")
+        )
+        sim.run(until=1.0)
+        network.fail_broker("b0")
+        sim.run()
+        metrics = network.monitor.metrics
+        assert got == []
+        assert metrics.counter_value("broker.msgs.ingress") == 0
+        assert metrics.counter_value("broker.messages.dropped_broker_failed") == 1
 
 
 class TestInterestRetraction:

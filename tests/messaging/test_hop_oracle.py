@@ -13,6 +13,8 @@ when it finished.
 Starting the hold one step earlier changes no routing decision, so over
 any connected fabric both hops must deliver the same multiset of
 ``(subscriber, message id, hops)`` and leave the same registry counters.
+Independently of the oracle, each delivery of either hop must count one
+hop per link of the path its message took.
 What may change is the order in which frames tied at one float instant
 enter a busy CPU.  Every link here has one fixed latency (no jitter, no
 per-byte cost), so no frame waits behind another on a link and a
@@ -43,7 +45,6 @@ TOPICS = ("Fabric/a", "Fabric/b")
 FIXED_LATENCY = tcp_profile(jitter_ms=0.0, per_kb_ms=0.0)
 
 live_receive = Broker.receive_from_neighbor
-live_pass_through = Broker._pass_through
 
 
 def three_entry_receive(self, neighbor_id, frame):
@@ -59,7 +60,8 @@ def three_entry_receive(self, neighbor_id, frame):
 
 def three_entry_pass_through(self, neighbor_id, frame):
     """The oracle's forward: it takes the number the finished process took."""
-    live_pass_through(self, neighbor_id, frame)
+    self._msgs_forwarded_in.inc()
+    self._forward(frame.message, frame.destinations, neighbor_id, frame.hops + 1)
     self.sim._seq += 1
 
 
@@ -158,6 +160,9 @@ def moved_deliveries(fabric):
     """Check both hops on ``fabric``; the deliveries whose time moved."""
     deliveries, snapshot, queued = run_fabric(fabric)
     oracle, oracle_snapshot, oracle_queued = run_three_entry(fabric)
+    # whatever the model, a delivery's hop count is the links of its path
+    for _subscriber, _message_id, hops, _when, brokers in (*deliveries, *oracle):
+        assert hops == len(brokers) - 1
     assert Counter(d[:3] for d in deliveries) == Counter(d[:3] for d in oracle)
     assert snapshot["counters"] == oracle_snapshot["counters"]
     assert snapshot["gauges"] == oracle_snapshot["gauges"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.messaging import message as message_module
 from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
 from repro.messaging.topics import Topic
@@ -108,3 +109,22 @@ def test_a_longer_line_builds_no_more_processes(brokers, monkeypatch):
     sim.run()
     assert len(got) == 1
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("brokers", [3, 5, 8])
+def test_a_longer_line_copies_the_message_once(brokers, monkeypatch):
+    # the frames carry the hop count; the one copy is the stamp at the
+    # delivering broker, which hands its handler the whole count
+    copies = []
+    copy = message_module._copy
+
+    def counting_copy(message, message_id, hops):
+        copies.append(hops)
+        return copy(message, message_id, hops)
+
+    sim, network, got = line(brokers)
+    publish(network, "x")
+    monkeypatch.setattr(message_module, "_copy", counting_copy)
+    sim.run()
+    assert copies == [brokers - 1]
+    assert [message.hops for message in got] == [brokers - 1]

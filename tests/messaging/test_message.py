@@ -30,15 +30,16 @@ class TestMessage:
         other.add_broker("b1")
         assert next(other.message_ids) == 1  # untouched by the first network
 
-    def test_with_hop_increments(self):
+    def test_with_hops_stamps_the_count(self):
         message = make()
-        hopped = message.with_hop().with_hop()
+        stamped = message.with_hops(2)
         assert message.hops == 0
-        assert hopped.hops == 2
-        assert hopped.message_id == message.message_id
+        assert stamped.hops == 2
+        assert stamped.message_id == message.message_id
+        assert stamped.with_hops(0) == message
 
-    def test_with_hop_copies_every_other_field(self):
-        # with_hop builds its copy by hand: walk the dataclass so that a
+    def test_with_hops_copies_every_other_field(self):
+        # the stamp builds its copy by hand: walk the dataclass so that a
         # field added later cannot be dropped silently
         message = Message(
             Topic.parse("a/b"),
@@ -51,13 +52,16 @@ class TestMessage:
             encrypted=True,
             hops=3,
         )
-        hopped = message.with_hop()
-        assert hopped.hops == 4
-        for field in dataclasses.fields(Message):
-            value = getattr(message, field.name)
-            assert value != field.default, f"{field.name} left at its default"
-            if field.name != "hops":
-                assert getattr(hopped, field.name) is value, field.name
+        for stamped, changed, value in (
+            (message.with_hops(4), "hops", 4),
+            (message.with_message_id(9), "message_id", 9),
+        ):
+            assert getattr(stamped, changed) == value
+            for field in dataclasses.fields(Message):
+                original = getattr(message, field.name)
+                assert original != field.default, f"{field.name} left at its default"
+                if field.name != changed:
+                    assert getattr(stamped, field.name) is original, field.name
 
     def test_wire_dict_complete(self):
         message = make(signature={"sig": b"x"}, auth_token={"tok": 1}, encrypted=True)

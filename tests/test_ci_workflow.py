@@ -153,6 +153,7 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "reference_engine" in comment
     assert "continuation oracle" in comment and "use_then" in comment
     assert "hop oracle" in comment and "three-entry" in comment
+    assert "hop count equal to the links of its path" in comment
     assert "route-table oracle" in comment and "all_next_hops" in comment
     assert "parse oracle" in comment and "Broker._parse_pattern" in comment
     assert "reachability tracer" in comment and "tests/reach_allowlist.py" in comment

@@ -133,7 +133,7 @@ class TestMessageRoundTrip:
     @codec_params()
     @given(message=messages)
     def test_hops_never_ride_the_wire(self, codec, message):
-        forwarded = message.with_hop().with_hop()
+        forwarded = message.with_hops(2)
         assert codec.encode(forwarded) == codec.encode(message)
         assert codec.decode(codec.encode(forwarded)) == message
 
@@ -143,6 +143,15 @@ class TestMessageRoundTrip:
     def test_frame_round_trip(self, codec, frame):
         decoded = codec.decode(codec.encode(frame))
         assert decoded == frame
+
+    @codec_params()
+    @settings(max_examples=40)
+    @given(frame=frames, hops=st.integers(min_value=1, max_value=64))
+    def test_frame_hops_never_ride_the_wire(self, codec, frame, hops):
+        forwarded = replace(frame, hops=hops)
+        assert codec.encode(forwarded) == codec.encode(frame)
+        decoded = codec.decode(codec.encode(forwarded))
+        assert decoded.hops == 0 and decoded == frame
 
     @codec_params()
     @settings(max_examples=40)
