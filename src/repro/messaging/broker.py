@@ -208,6 +208,10 @@ class Broker:
     def _interest_retracted(self) -> Counter:
         return self.metrics.counter("broker.interest.retracted")
 
+    @cached_property
+    def _false_positive_forwards(self) -> Counter:
+        return self.metrics.counter("fed.forwards.false_positive")
+
     # ------------------------------------------------------------------ wiring
 
     def attach_neighbor(self, broker_id: str, link: Link) -> None:
@@ -512,7 +516,7 @@ class Broker:
                     # a digest summary matched a topic nobody here wants:
                     # the tolerated cost of summarized interest, distinct
                     # from the stale-interest bug class below
-                    self.metrics.counter("fed.forwards.false_positive").inc()
+                    self._false_positive_forwards.inc()
                 else:
                     # a peer forwarded to us on stale interest: nobody here
                     # consumes this topic anymore (the bug class the interest

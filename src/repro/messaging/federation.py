@@ -24,10 +24,14 @@ the scalability claim (§4) is about.  This module replaces it with
   pattern ever announced.
 
 Cost model: the digest is a byte array its owner updates in place, so
-announce / retract are O(1), a flush is O(changed brokers) with one
-``digest_bits // 8``-byte copy each (8 KiB by default), and a probe is
-O(topic depth) byte tests per peer, whatever the digest width or the
-number of patterns behind it.
+announce / retract are O(1), and a flush is O(changed brokers) with one
+``digest_bits // 8``-byte copy each (8 KiB by default).  The plane also
+keeps the digests **bit-sliced**: one column per digest bit, holding one
+bit ("lane") per broker, 64 brokers to a table.  A probe is one AND of
+two columns per probe key (the topic and each of its proper prefixes) in
+each table, so it costs the same for 2 brokers as for 64, whatever the
+digest width or the number of patterns behind them; only brokers in
+hot-set mode are still tested one by one.
 
 Digest summaries can yield **false positives** — a broker may forward a
 frame to a peer with no matching subscriber.  Routing stays correct
@@ -49,6 +53,7 @@ critical path of trace routing").
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
@@ -61,7 +66,7 @@ from repro.messaging.topics import (
     split_topic,
     topic_matches,
 )
-from repro.obs import Gauge
+from repro.obs import Counter, Gauge
 from repro.sim.monitor import Monitor
 
 #: Patterns a broker may hold before its summary switches from the exact
@@ -106,15 +111,8 @@ def _digest_bits(key: str, modulus: int) -> tuple[int, int]:
     return (value >> 32) % modulus, value % modulus
 
 
-def _locate(bit: int) -> tuple[int, int]:
-    """Where digest bit ``bit`` lives in the byte form: ``(index, mask)``."""
-    return bit >> 3, 1 << (bit & 7)
-
-
-def _byte_tests(key: str, modulus: int) -> tuple[int, int, int, int]:
-    """``key``'s two digest bits as ``(index, mask, index, mask)`` byte tests."""
-    b1, b2 = _digest_bits(key, modulus)
-    return (*_locate(b1), *_locate(b2))
+#: Brokers per lane table: one column entry is an unsigned 64-bit word.
+_LANES = 64
 
 
 def _literal_prefix(segments: list[str]) -> str:
@@ -150,24 +148,40 @@ def pattern_digest_keys(pattern: str) -> tuple[str, ...]:
 class TopicProbe:
     """Pre-hashed digest probes for one concrete topic.
 
-    Computing the blake2 positions once per topic, as ``(byte index,
-    mask)`` pairs, lets a router test the same topic against every peer
-    summary with two indexed byte tests per probe: O(topic depth) per
-    peer, independent of the digest width.
+    The blake2 positions are computed once per topic, as ``(bit, bit)``
+    pairs: the topic's full text first, then each proper prefix (a
+    wildcard pattern's literal prefix is always a *proper* prefix of any
+    topic it matches).  A broker's digest may hold the topic iff both
+    bits of some pair are set in it.
     """
 
-    __slots__ = ("topic", "exact_bits", "prefix_bits")
+    __slots__ = ("topic", "pairs")
 
     def __init__(self, topic: str, modulus: int) -> None:
         segments = split_topic(topic)
         self.topic = "/".join(segments)
-        self.exact_bits = _byte_tests(f"e:{self.topic}", modulus)
-        # a wildcard pattern's literal prefix is always a *proper* prefix
-        # of any topic it matches, so only proper prefixes are probed
-        self.prefix_bits = tuple(
-            _byte_tests("p:" + "/".join(segments[:depth]), modulus)
+        self.pairs = (_digest_bits(f"e:{self.topic}", modulus),) + tuple(
+            _digest_bits("p:" + "/".join(segments[:depth]), modulus)
             for depth in range(1, len(segments))
         )
+
+
+class _LaneTable:
+    """The bit-sliced digests of up to :data:`_LANES` brokers.
+
+    ``columns[bit]`` has lane ``i`` set while bit ``bit`` is set in the
+    live digest of the table's ``i``-th broker; the lane masks say which
+    brokers' *flushed* summaries are in digest mode and which are
+    ``match_all``.
+    """
+
+    __slots__ = ("columns", "ids", "digest_lanes", "match_all_lanes")
+
+    def __init__(self, digest_bits: int) -> None:
+        self.columns = array("Q", bytes(8 * digest_bits))
+        self.ids: list[str] = []
+        self.digest_lanes = 0
+        self.match_all_lanes = 0
 
 
 class InterestSummary:
@@ -187,8 +201,8 @@ class InterestSummary:
         self.broker_id = broker_id
         self.version = version
         self.hot = hot
-        #: ``digest_bits // 8`` bytes (bit layout: :func:`_locate`); empty
-        #: while the hot set carries every pattern
+        #: ``digest_bits // 8`` bytes, bit ``n`` at ``digest[n >> 3] & 1 <<
+        #: (n & 7)``; empty while the hot set carries every pattern
         self.digest = digest
         self.match_all = match_all
         self.pattern_count = pattern_count
@@ -207,27 +221,6 @@ class InterestSummary:
             and self.match_all == other.match_all
         )
 
-    def matches(self, probe: TopicProbe) -> bool:
-        """Could this broker have a subscriber for the probed topic?
-
-        Exact for hot-set patterns; digest probes may return false
-        positives, never false negatives.
-        """
-        for pattern in self.hot:
-            if topic_matches(pattern, probe.topic):
-                return True
-        if self.match_all:
-            return True
-        digest = self.digest
-        if digest:
-            i1, m1, i2, m2 = probe.exact_bits
-            if digest[i1] & m1 and digest[i2] & m2:
-                return True
-            for i1, m1, i2, m2 in probe.prefix_bits:
-                if digest[i1] & m1 and digest[i2] & m2:
-                    return True
-        return False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "exact" if self.exact else "digest"
         return (
@@ -243,17 +236,20 @@ class _InterestAccumulator:
     retractions can clear bits exactly, and owns the digest bytes
     themselves: ``add`` / ``remove`` flip a bit in place exactly when its
     count crosses 0<->1 (O(1) per pattern), and :meth:`build_summary`
-    snapshots them with one copy, never a per-bit rebuild.  A pattern's
-    bits are a pure function of its text, so ``remove`` recomputes them
-    rather than keeping them per pattern.
+    snapshots them with one copy, never a per-bit rebuild.  The same
+    crossings set and clear the broker's lane in its table's columns.  A
+    pattern's bits are a pure function of its text, so ``remove``
+    recomputes them rather than keeping them per pattern.
     """
 
     __slots__ = (
         "broker_id", "config", "modulus", "patterns", "bit_counts", "digest",
-        "match_all_count",
+        "match_all_count", "table", "lane",
     )
 
-    def __init__(self, broker_id: str, config: FederationConfig) -> None:
+    def __init__(
+        self, broker_id: str, config: FederationConfig, table: _LaneTable, lane: int
+    ) -> None:
         self.broker_id = broker_id
         self.config = config
         self.modulus = config.digest_bits
@@ -262,6 +258,9 @@ class _InterestAccumulator:
         #: bit ``n`` is set iff ``n in bit_counts``
         self.digest = bytearray(config.digest_bits // 8)
         self.match_all_count = 0
+        self.table = table
+        #: this broker's bit in every column of ``table``
+        self.lane = lane
 
     def _bits(self, pattern: str) -> tuple[int, ...]:
         """The digest bits of ``pattern``; none for a match-all wildcard."""
@@ -286,6 +285,7 @@ class _InterestAccumulator:
             count = counts.get(bit, 0)
             if not count:
                 self.digest[bit >> 3] |= 1 << (bit & 7)
+                self.table.columns[bit] |= self.lane
             counts[bit] = count + 1
         return True
 
@@ -305,6 +305,7 @@ class _InterestAccumulator:
             else:
                 del counts[bit]
                 self.digest[bit >> 3] &= ~(1 << (bit & 7))
+                self.table.columns[bit] &= ~self.lane
         return True
 
     @property
@@ -340,6 +341,11 @@ class FederatedInterestPlane:
     owner; :meth:`flush` batches the re-broadcasts into the next routing
     epoch, which is what keeps control traffic sub-linear in the pattern
     count (see module docstring).
+
+    The query reads the brokers' digests bit-sliced, one
+    :class:`_LaneTable` per 64 brokers in registration order.  The
+    columns follow the live digests, which equal the flushed ones after a
+    flush, and every reader flushes first.
     """
 
     def __init__(
@@ -353,6 +359,10 @@ class FederatedInterestPlane:
         self._accumulators: dict[str, _InterestAccumulator] = {}
         self._summaries: dict[str, InterestSummary] = {}
         self._dirty: set[str] = set()
+        self._tables: list[_LaneTable] = []
+        #: broker -> hot set, for the flushed summaries that are exact and
+        #: non-empty: the brokers a query still tests one by one
+        self._hot_sets: dict[str, tuple[str, ...]] = {}
         #: topic -> frozenset of interested brokers; reset on any summary
         #: change, so hits are only served between control-plane changes
         self._match_memo: dict[str, frozenset[str]] = {}
@@ -377,16 +387,39 @@ class FederatedInterestPlane:
         )
         if replayed:
             self.metrics.counter("fed.summary.replays").inc(replayed)
+        index = len(self._accumulators)
+        if index % _LANES == 0:
+            self._tables.append(_LaneTable(self.config.digest_bits))
+        table = self._tables[-1]
+        table.ids.append(broker_id)
         self._accumulators[broker_id] = _InterestAccumulator(
-            broker_id, self.config
+            broker_id, self.config, table, 1 << (index % _LANES)
         )
 
     # ----------------------------------------------------------- announcements
 
+    # Instruments held on first use (docs/OBSERVABILITY.md "Adding an
+    # instrument"), never in ``__init__``.
+
     @cached_property
     def _patterns_gauge(self) -> Gauge:
-        # held on first use (docs/OBSERVABILITY.md "Adding an instrument")
         return self.metrics.gauge("fed.interest.patterns")
+
+    @cached_property
+    def _overflowed_gauge(self) -> Gauge:
+        return self.metrics.gauge("fed.summary.overflowed")
+
+    @cached_property
+    def _summary_updates(self) -> Counter:
+        return self.metrics.counter("fed.summary.updates")
+
+    @cached_property
+    def _memo_hit(self) -> Counter:
+        return self.metrics.counter("fed.match.memo.hit")
+
+    @cached_property
+    def _memo_miss(self) -> Counter:
+        return self.metrics.counter("fed.match.memo.miss")
 
     def announce(self, pattern: str, broker_id: str) -> None:
         """Record that ``broker_id`` gained local interest in ``pattern``."""
@@ -437,17 +470,33 @@ class FederatedInterestPlane:
                 continue
             was_exact = previous is None or previous.exact
             if was_exact and not summary.exact:
-                self.metrics.gauge("fed.summary.overflowed").inc()
+                self._overflowed_gauge.inc()
             elif not was_exact and summary.exact:
-                self.metrics.gauge("fed.summary.overflowed").dec()
+                self._overflowed_gauge.dec()
             self._summaries[broker_id] = summary
+            self._index_mode(accumulator, summary)
             flushed += 1
             self.monitor.increment("control.floods")
-            self.metrics.counter("fed.summary.updates").inc()
+            self._summary_updates.inc()
         self._dirty.clear()
         if flushed:
             self._match_memo.clear()
         return flushed
+
+    def _index_mode(
+        self, accumulator: _InterestAccumulator, summary: InterestSummary
+    ) -> None:
+        """File a newly flushed summary under the mode a query reads it in."""
+        table, lane = accumulator.table, accumulator.lane
+        table.digest_lanes &= ~lane
+        table.match_all_lanes &= ~lane
+        self._hot_sets.pop(summary.broker_id, None)
+        if summary.hot:
+            self._hot_sets[summary.broker_id] = summary.hot
+        elif not summary.exact:
+            table.digest_lanes |= lane
+            if summary.match_all:
+                table.match_all_lanes |= lane
 
     def probe(self, topic: str) -> TopicProbe:
         """The (cached) digest probe for a concrete topic."""
@@ -464,22 +513,45 @@ class FederatedInterestPlane:
         self.flush()
         cached = self._match_memo.get(topic)
         if cached is None:
-            self.metrics.counter("fed.match.memo.miss").inc()
-            probe = self.probe(topic)
-            cached = frozenset(
-                broker_id
-                for broker_id, summary in self._summaries.items()
-                if summary.matches(probe)
-            )
+            self._memo_miss.inc()
+            cached = self._match(self.probe(topic))
             if len(self._match_memo) >= _MATCH_MEMO_LIMIT:
                 self._match_memo.clear()
             self._match_memo[topic] = cached
         else:
-            self.metrics.counter("fed.match.memo.hit").inc()
+            self._memo_hit.inc()
         interested = set(cached)
         if exclude is not None:
             interested.discard(exclude)
         return interested
+
+    def _match(self, probe: TopicProbe) -> frozenset[str]:
+        """Every broker whose flushed summary matches the probed topic.
+
+        A digest broker matches when both bits of some probe pair are set
+        in its digest, a ``match_all`` broker always does, and an exact
+        broker when a hot-set pattern matches the topic.
+        """
+        found: list[str] = []
+        pairs = probe.pairs
+        for table in self._tables:
+            columns = table.columns
+            hits = 0
+            for b1, b2 in pairs:
+                hits |= columns[b1] & columns[b2]
+            hits = hits & table.digest_lanes | table.match_all_lanes
+            ids = table.ids
+            while hits:
+                low = hits & -hits
+                found.append(ids[low.bit_length() - 1])
+                hits ^= low
+        topic = probe.topic
+        for broker_id, hot in self._hot_sets.items():
+            for pattern in hot:
+                if topic_matches(pattern, topic):
+                    found.append(broker_id)
+                    break
+        return frozenset(found)
 
     def has_interest(self, topic: str, exclude: str | None = None) -> bool:
         """Any (non-excluded) broker that might want ``topic``?"""

@@ -16,6 +16,7 @@ from repro.messaging.federation import (
     FederationConfig,
     InterestSummary,
     TopicProbe,
+    _digest_bits,
     pattern_digest_keys,
 )
 from repro.messaging.topics import topic_matches
@@ -339,7 +340,13 @@ class TestMembership:
 class TestProbeAndSummaryInternals:
     def test_probe_prefix_depths_are_proper(self):
         probe = TopicProbe("a/b/c", DEFAULT_DIGEST_BITS)
-        assert len(probe.prefix_bits) == 2  # "a" and "a/b", never "a/b/c"
+        pairs = {
+            key: _digest_bits(key, DEFAULT_DIGEST_BITS)
+            for key in ("e:a/b/c", "p:a", "p:a/b", "p:a/b/c")
+        }
+        # the full text, then "a" and "a/b", never "a/b/c"
+        assert probe.pairs == (pairs["e:a/b/c"], pairs["p:a"], pairs["p:a/b"])
+        assert pairs["p:a/b/c"] not in probe.pairs
 
     def test_same_content_ignores_version(self):
         one = InterestSummary("b1", 1, ("a/x",), b"", False, 1)

@@ -132,14 +132,15 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
         " tests/analytics/test_availability.py tests/sim/test_engine_oracle.py"
         " tests/messaging/test_hop_oracle.py"
         " tests/messaging/test_routing_properties.py tests/messaging/test_parse_oracle.py"
+        " tests/messaging/test_interest_index_oracle.py"
         " tests/test_reachability.py"
         " -m deep -q"
     )
     # the step runs two contracts, a state machine, a round-trip property, the
     # prime-generation oracle, the CBC decryption oracle, the timelines property, the
     # engine oracle, the continuation oracle, the hop oracle, the route-table oracle, the
-    # parse oracle and the reachability tracer; its comment (lost to the YAML parser)
-    # names all thirteen
+    # parse oracle, the interest-index oracle and the reachability tracer; its comment
+    # (lost to the YAML parser) names all fourteen
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -156,6 +157,8 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "hop count equal to the links of its path" in comment
     assert "route-table oracle" in comment and "all_next_hops" in comment
     assert "parse oracle" in comment and "Broker._parse_pattern" in comment
+    assert "interest-index oracle" in comment and "InterestSummary.matches" in comment
+    assert "FederatedInterestPlane.interested" in comment and "up to 70 brokers" in comment
     assert "reachability tracer" in comment and "tests/reach_allowlist.py" in comment
 
 
