@@ -144,8 +144,8 @@ def build_report(store: AnalyticsStore, now_ms: float | None = None) -> dict:
 # ------------------------------------------------------------------ rendering
 
 
-def _fmt(value) -> str:
-    """Table-cell formatting: em-dash for missing, ``%g`` floats."""
+def format_cell(value) -> str:
+    """Markdown table-cell formatting: em-dash for missing, ``%g`` floats."""
     if value is None:
         return "—"
     if isinstance(value, bool):
@@ -188,7 +188,7 @@ def render_report_markdown(report: dict) -> str:
     lines.append("| entity | " + " | ".join(n for n, _ in _ENTITY_COLUMNS) + " |")
     lines.append("|---" * (len(_ENTITY_COLUMNS) + 1) + "|")
     for entity_id, row in report["entities"].items():
-        cells = " | ".join(_fmt(row[key]) for _, key in _ENTITY_COLUMNS)
+        cells = " | ".join(format_cell(row[key]) for _, key in _ENTITY_COLUMNS)
         lines.append(f"| {entity_id} | {cells} |")
     lines.append("")
 
@@ -198,8 +198,8 @@ def render_report_markdown(report: dict) -> str:
     if mttr["count"]:
         lines.append(
             f"{mttr['count']} completed recover(ies) from `{mttr['source']}`: "
-            f"mean {_fmt(mttr['mean_ms'])} ms, p50 {_fmt(mttr['p50_ms'])} ms, "
-            f"p90 {_fmt(mttr['p90_ms'])} ms, p99 {_fmt(mttr['p99_ms'])} ms."
+            f"mean {format_cell(mttr['mean_ms'])} ms, p50 {format_cell(mttr['p50_ms'])} ms, "
+            f"p90 {format_cell(mttr['p90_ms'])} ms, p99 {format_cell(mttr['p99_ms'])} ms."
         )
     else:
         lines.append("No completed recoveries in this run.")
@@ -230,7 +230,7 @@ def render_report_markdown(report: dict) -> str:
         )
         lines.append("|---" * (len(_BROKER_COLUMNS) + 1) + "|")
         for broker_id, row in report["brokers"].items():
-            cells = " | ".join(_fmt(row[key]) for _, key in _BROKER_COLUMNS)
+            cells = " | ".join(format_cell(row[key]) for _, key in _BROKER_COLUMNS)
             lines.append(f"| {broker_id} | {cells} |")
         lines.append("")
 

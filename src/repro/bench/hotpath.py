@@ -32,9 +32,8 @@ def run_ping_heavy(
 ) -> dict:
     """Run the co-located ping-heavy scenario; returns the full snapshot.
 
-    ``codec`` selects the wire codec explicitly (never the environment):
-    :func:`run_codec_smoke` runs this scenario once per codec, so the
-    codec must be a function argument, not ambient state.
+    ``codec`` names the wire codec: :func:`run_codec_smoke` runs this
+    scenario once per codec.
     """
     from repro import build_deployment
 

@@ -82,9 +82,6 @@ class RoutingCounters:
 def run_routing_smoke(federation: bool = False) -> dict:
     """Run the scenario and return the routing counters as a snapshot dict.
 
-    The codec is pinned to ``json`` so committed seeds stay valid under
-    the CI codec matrix.
-
     ``federation`` runs the same scenario on the summarized-interest
     control plane; with this scenario's handful of patterns the
     summaries stay exact, so every routing counter must match the
@@ -98,7 +95,6 @@ def run_routing_smoke(federation: bool = False) -> dict:
         broker_ids=["b1", "b2", "b3"],
         seed=SEED,
         federation=federation,
-        codec="json",
     )
     entity = dep.add_traced_entity("demo-service")
     tracker = dep.add_tracker("demo-tracker")

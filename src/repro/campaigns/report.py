@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pathlib
 
+from repro.analytics.reports import format_cell
 from repro.bench.svgplot import Series, line_chart
 
 #: Columns shown per family kind, as (header, dotted metrics path) pairs.
@@ -65,17 +66,6 @@ def _lookup(record: dict, dotted: str):
     return node
 
 
-def _fmt(value) -> str:
-    """Table-cell formatting: blanks for missing, plain repr otherwise."""
-    if value is None:
-        return "—"
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
-
-
 def _param_columns(records: list[dict]) -> list[str]:
     """The union of parameter names across records, sorted."""
     names: set[str] = set()
@@ -98,9 +88,9 @@ def _family_table(records: list[dict], columns) -> list[str]:
         "|" + "|".join("---" for _ in header) + "|",
     ]
     for record in records:
-        cells = [_fmt(record.get("params", {}).get(p)) for p in params]
+        cells = [format_cell(record.get("params", {}).get(p)) for p in params]
         cells.append(str(record.get("seed")))
-        cells += [_fmt(_lookup(record, path)) for _, path in used]
+        cells += [format_cell(_lookup(record, path)) for _, path in used]
         lines.append("| " + " | ".join(cells) + " |")
     return lines
 
@@ -140,14 +130,14 @@ def _dependability_section(records: list[dict]) -> list[str]:
             "| {avail} | {unrec} |".format(
                 family=record["family"],
                 params=params or "—",
-                mean=_fmt(_lookup(record, "metrics.recovery.mean_ms")),
-                p50=_fmt(_lookup(record, "metrics.recovery.p50_ms")),
-                p90=_fmt(_lookup(record, "metrics.recovery.p90_ms")),
-                p99=_fmt(_lookup(record, "metrics.recovery.p99_ms")),
-                avail=_fmt(
+                mean=format_cell(_lookup(record, "metrics.recovery.mean_ms")),
+                p50=format_cell(_lookup(record, "metrics.recovery.p50_ms")),
+                p90=format_cell(_lookup(record, "metrics.recovery.p90_ms")),
+                p99=format_cell(_lookup(record, "metrics.recovery.p99_ms")),
+                avail=format_cell(
                     _lookup(record, "metrics.availability.availability_pct")
                 ),
-                unrec=_fmt(_lookup(record, "metrics.availability.unrecovered")),
+                unrec=format_cell(_lookup(record, "metrics.availability.unrecovered")),
             )
         )
     lines.append("")
@@ -187,9 +177,9 @@ def _baseline_comparison(snapshot: dict) -> list[str]:
         lines.append(
             "| tracing ({family}) | {entities} | {mean} | {max} | — |".format(
                 family=record["family"],
-                entities=_fmt(record.get("params", {}).get("entities")),
-                mean=_fmt(_lookup(record, "metrics.detection.mean_ms")),
-                max=_fmt(_lookup(record, "metrics.detection.max_ms")),
+                entities=format_cell(record.get("params", {}).get("entities")),
+                mean=format_cell(_lookup(record, "metrics.detection.mean_ms")),
+                max=format_cell(_lookup(record, "metrics.detection.max_ms")),
             )
         )
     for name in sorted(baselines):
@@ -197,10 +187,10 @@ def _baseline_comparison(snapshot: dict) -> list[str]:
             lines.append(
                 "| {name} | {entities} | {first} | {last} | {rate} |".format(
                     name=name,
-                    entities=_fmt(record.get("params", {}).get("entities")),
-                    first=_fmt(_lookup(record, "metrics.detect_first_ms")),
-                    last=_fmt(_lookup(record, "metrics.detect_last_ms")),
-                    rate=_fmt(_lookup(record, "metrics.msgs_per_s")),
+                    entities=format_cell(record.get("params", {}).get("entities")),
+                    first=format_cell(_lookup(record, "metrics.detect_first_ms")),
+                    last=format_cell(_lookup(record, "metrics.detect_last_ms")),
+                    rate=format_cell(_lookup(record, "metrics.msgs_per_s")),
                 )
             )
     lines.append("")

@@ -211,7 +211,7 @@ def build_deployment(
     ping_policy: AdaptivePingPolicy | None = None,
     gauge_interval_ms: float = 60_000.0,
     extra_links: Iterable[tuple[str, str]] = (),
-    codec: str | None = None,
+    codec: str = "json",
     federation: FederationConfig | bool | None = None,
 ) -> Deployment:
     """Build a complete deployment.
@@ -221,10 +221,8 @@ def build_deployment(
     nodes serve discovery, and token checks allow 100 ms of clock skew.
 
     ``codec`` names the wire codec every link sizes payloads with
-    (``repro.wire``): an explicit argument wins, then the ``REPRO_CODEC``
-    environment variable (the CI codec matrix), then ``json``.  Harnesses
-    that compare against committed seed snapshots pin ``codec="json"``
-    explicitly.
+    (``repro.wire``); every committed seed snapshot encodes the default,
+    ``json``.
 
     ``federation`` switches the broker fabric's control plane from
     verbatim per-pattern interest flooding to summarized interest
@@ -234,14 +232,6 @@ def build_deployment(
     scenarios pin the verbatim plane — and bit-identical to it anyway
     while every broker's pattern count stays within the hot-set limit.
     """
-    from repro.wire.codec import codec_name_from_env, get_codec
-
-    if codec is None:
-        resolved_codec = codec_name_from_env()
-    else:
-        get_codec(codec)  # fail fast on unknown names
-        resolved_codec = codec
-
     sim = Simulator()
     monitor = Monitor()
     network = BrokerNetwork(
@@ -250,7 +240,7 @@ def build_deployment(
         monitor=monitor,
         default_profile=profile,
         ntp_model=ntp_model,
-        codec=resolved_codec,
+        codec=codec,
         federation=federation,
     )
 

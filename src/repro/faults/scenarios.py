@@ -171,10 +171,6 @@ def build_ring_deployment(
     (:mod:`repro.messaging.federation`); at chaos-scenario pattern counts
     the summaries stay exact, so snapshots must match the verbatim plane
     bit-for-bit (the federation equivalence suite pins this).
-
-    The codec is pinned to ``json`` regardless of ``REPRO_CODEC``: chaos
-    and campaign snapshots are compared bit-for-bit against committed
-    seeds, and those seeds encode json wire sizes.
     """
     from repro import build_deployment
 
@@ -187,7 +183,6 @@ def build_ring_deployment(
         ping_policy=fast_ping_policy(ping_interval_ms),
         extra_links=[(ids[0], ids[-1])] if brokers > 2 else [],
         federation=federation,
-        codec="json",
     )
 
 

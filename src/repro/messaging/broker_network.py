@@ -42,7 +42,7 @@ class BrokerNetwork:
         monitor: Monitor | None = None,
         default_profile: TransportProfile = TCP_CLUSTER,
         ntp_model: NTPSkewModel | None = None,
-        codec: str | None = None,
+        codec: str = "json",
         federation: FederationConfig | bool | None = None,
     ) -> None:
         # Deferred import: repro.wire imports the messaging package back.
@@ -52,17 +52,15 @@ class BrokerNetwork:
         self.streams = RandomStreams(seed)
         self.monitor = monitor or Monitor()
         self.default_profile = default_profile
-        #: Wire codec name for every link this fabric creates; ``None``
-        #: is ``json``.
-        self.codec = codec
         self._ntp_model = ntp_model
         #: Message ids, drawn where a message enters this network (a
         #: client publish or a broker's own publication).  Their digit
         #: width rides the wire, so a run's sizes depend on this counter
         #: alone, never on what else ran in the process.
         self.message_ids = itertools.count(1)
-        #: Encoded sizes, keyed by message id: shared by every link here.
-        self.size_memo = SizeMemo()
+        #: The wire codec, named by ``codec``, and the encoded sizes under
+        #: it, keyed by message id: shared by every link here.
+        self.size_memo = SizeMemo(self.monitor.metrics, codec)
 
         #: Summarized-interest control plane (``repro.messaging.federation``);
         #: ``None`` keeps the verbatim per-pattern flooding path.
@@ -187,14 +185,12 @@ class BrokerNetwork:
         link_ab = Link(
             self.sim, prof,
             receiver=partial(broker_b.receive_from_neighbor, a),
-            rng=rng_ab, name=f"{a}->{b}", monitor=self.monitor, codec=self.codec,
-            memo=self.size_memo,
+            rng=rng_ab, name=f"{a}->{b}", monitor=self.monitor, memo=self.size_memo,
         )
         link_ba = Link(
             self.sim, prof,
             receiver=partial(broker_a.receive_from_neighbor, b),
-            rng=rng_ba, name=f"{b}->{a}", monitor=self.monitor, codec=self.codec,
-            memo=self.size_memo,
+            rng=rng_ba, name=f"{b}->{a}", monitor=self.monitor, memo=self.size_memo,
         )
         broker_a.attach_neighbor(b, link_ab)
         broker_b.attach_neighbor(a, link_ba)
@@ -263,13 +259,13 @@ class BrokerNetwork:
             self.sim, prof,
             receiver=lambda msg, c=client.client_id: broker.receive_from_client(c, msg),
             rng=rng, name=f"{client.client_id}->{broker_id}", monitor=self.monitor,
-            codec=self.codec, memo=self.size_memo,
+            memo=self.size_memo,
         )
         to_client = Link(
             self.sim, prof,
             receiver=client._receive,
             rng=rng, name=f"{broker_id}->{client.client_id}", monitor=self.monitor,
-            codec=self.codec, memo=self.size_memo,
+            memo=self.size_memo,
         )
         broker.attach_client(client.client_id, to_client)
         client.attach(broker, to_broker)

@@ -2,34 +2,28 @@
 
 The codec seam the 64-broker federation scenario will ride: every link
 sizes (and can round-trip) its payloads through one of two :class:`Codec`
-implementations — ``json`` (the legacy canonical rendering, byte
-compatible with every committed seed snapshot) or ``compact`` (the binary
-format of docs/WIRE_FORMAT.md).  See :mod:`repro.wire.codec` for the hot
+implementations, named once per network — ``json`` (the legacy canonical
+rendering, byte compatible with every committed seed snapshot) or
+``compact`` (the binary format of docs/WIRE_FORMAT.md).  See :mod:`repro.wire.codec` for the hot
 path design (a per-network size memo).
 """
 
 from repro.wire.codec import (
-    CODEC_ENV_VAR,
     Codec,
     SizeMemo,
-    codec_names,
     frame_size,
     get_codec,
     modeled_encode_ms,
-    resolve_codec,
 )
 from repro.wire.compact import CompactCodec
 from repro.wire.json_codec import JsonCodec
 
 __all__ = [
-    "CODEC_ENV_VAR",
     "Codec",
     "CompactCodec",
     "JsonCodec",
     "SizeMemo",
-    "codec_names",
     "frame_size",
     "get_codec",
     "modeled_encode_ms",
-    "resolve_codec",
 ]

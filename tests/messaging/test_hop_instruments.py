@@ -59,7 +59,7 @@ def test_second_frame_looks_up_no_hop_instrument_by_name(line, monkeypatch):
     sim, network, got = line
     metrics = network.monitor.metrics
     publish(sim, network, 1)
-    codec_bytes = f"codec.bytes.{network.broker('b0').neighbor_links['b1'].codec.name}"
+    codec_bytes = f"codec.bytes.{network.size_memo.codec.name}"
     held = HELD | {codec_bytes}
     assert held <= set(metrics.names())
 

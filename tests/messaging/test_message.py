@@ -5,8 +5,14 @@ import dataclasses
 from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
 from repro.messaging.topics import Topic
+from repro.obs import MetricsRegistry
 from repro.sim.engine import Simulator
-from repro.wire.codec import frame_size
+from repro.wire.codec import SizeMemo, frame_size
+
+
+def wire_size(payload) -> int:
+    """``payload``'s json size, sized through a fresh network-style memo."""
+    return frame_size(payload, SizeMemo(MetricsRegistry()))
 
 
 def make(topic="a/b", body=None, **kwargs):
@@ -74,9 +80,9 @@ class TestMessage:
     def test_wire_size_grows_with_payload(self):
         small = make(body={"k": 1})
         large = make(body={"k": "x" * 2000})
-        assert frame_size(large) > frame_size(small) + 1500
+        assert wire_size(large) > wire_size(small) + 1500
 
     def test_signed_message_larger_on_wire(self):
         plain = make()
         signed = make(signature={"payload": {"k": 1}, "sig": b"s" * 64})
-        assert frame_size(signed) > frame_size(plain)
+        assert wire_size(signed) > wire_size(plain)

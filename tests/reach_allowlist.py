@@ -41,10 +41,10 @@ ALLOWED: dict[str, str] = {
         "harness: a spans.py target; topic renewal, paper §2.2"
     ),
     "repro.wire.compact:CompactCodec.encode": (
-        "harness: spans.py wraps it so a change of default codec shows up as calls"
+        "harness: a spans.py target; the harness pins codec=\"json\", so it counts 0 calls"
     ),
     "repro.wire.json_codec:JsonCodec.encode": (
-        "harness: a spans.py target (the harness pins codec=json and wraps encode_into)"
+        "harness: a spans.py target; the harness's codec=\"json\" sizes via encode_into"
     ),
     # -- decode
     "repro.analytics.events:AnalyticsEvent.from_dict": "decode: an analytics snapshot row",
@@ -91,9 +91,6 @@ ALLOWED: dict[str, str] = {
     ),
     "repro.util.serialization:Fields._bad": (
         "error-path: builds the MalformedFrameError of a bad field"
-    ),
-    "repro.wire.codec:codec_names": (
-        "error-path: names the known codecs in the unknown-codec error"
     ),
     # -- cli
     "repro.analytics.reports:render_report_json": "cli: repro analytics report --format json",

@@ -5,20 +5,24 @@ import random
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.monitor import Monitor
 from repro.transport.disruption import LinkDisruption
 from repro.transport.link import Link
 from repro.transport.tcp import tcp_profile
 from repro.transport.udp import udp_profile
+from repro.wire import SizeMemo
 
 
 def collect_link(sim, profile, seed=0, monitor=None):
     received = []
+    monitor = monitor or Monitor()
     link = Link(
         sim, profile,
         receiver=lambda payload: received.append((sim.now, payload)),
         rng=random.Random(seed),
-        name="test-link",
         monitor=monitor,
+        memo=SizeMemo(monitor.metrics),
+        name="test-link",
     )
     return link, received
 
@@ -93,7 +97,8 @@ class TestInstrumentsAppearOnFirstUse:
     def monitored_link(self, sim, monitor):
         return Link(
             sim, tcp_profile(), receiver=lambda payload: None,
-            rng=random.Random(0), name="test-link", monitor=monitor, codec="json",
+            rng=random.Random(0), monitor=monitor, memo=SizeMemo(monitor.metrics),
+            name="test-link",
         )
 
     def test_idle_link_registers_nothing(self, sim, monitor):
@@ -122,10 +127,10 @@ class TestInstrumentsAppearOnFirstUse:
         assert monitor.metrics.counter_value("transport.msgs.delivered") == 0
 
     def test_empty_registry_still_counts_the_first_send(self, sim, monitor):
-        """An empty registry is falsy (it has ``__len__``); the link must
-        test for ``None``, not truth, or the first send goes uncounted."""
+        """An empty registry is falsy (it has ``__len__``); the first send
+        into one is counted all the same."""
         link = self.monitored_link(sim, monitor)
-        link._frame_size = lambda payload, codec, metrics, memo: 10  # registers nothing
+        link._frame_size = lambda payload, memo: 10  # registers nothing
         link.send("x")
         assert monitor.metrics.counter_value("transport.msgs.sent") == 1
         assert monitor.metrics.counter_value("transport.bytes.sent") == 10

@@ -5,10 +5,16 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry
 from repro.transport.base import TransportProfile
 from repro.transport.tcp import TCP_CLUSTER, tcp_profile
 from repro.transport.udp import UDP_CLUSTER, udp_profile
-from repro.wire.codec import frame_size
+from repro.wire.codec import SizeMemo, frame_size
+
+
+def wire_size(payload) -> int:
+    """``payload``'s json size, sized through a fresh network-style memo."""
+    return frame_size(payload, SizeMemo(MetricsRegistry()))
 
 
 class TestProfiles:
@@ -64,12 +70,12 @@ class TestProfiles:
 
 class TestWireSize:
     def test_size_of_plain_values(self):
-        assert frame_size(b"1234") > 4
-        assert frame_size({"a": 1}) > frame_size({})
+        assert wire_size(b"1234") > 4
+        assert wire_size({"a": 1}) > wire_size({})
 
     def test_uses_wire_dict_when_available(self):
         class Enveloped:
             def wire_dict(self):
                 return {"payload": "x" * 100}
 
-        assert frame_size(Enveloped()) > 100
+        assert wire_size(Enveloped()) > 100

@@ -20,9 +20,10 @@ from repro import build_deployment
 from repro.errors import SerializationDecodeError
 from repro.messaging.message import Message, RoutedFrame
 from repro.messaging.topics import Topic
+from repro.obs import MetricsRegistry
 from repro.util.serialization import Canonical
 from repro.wire import CompactCodec, JsonCodec
-from repro.wire.codec import frame_size
+from repro.wire.codec import SizeMemo, frame_size
 
 JSON = JsonCodec()
 COMPACT = CompactCodec()
@@ -278,9 +279,12 @@ class TestTokenSplice:
         inline_frame = replace(frame, message=inline)
         assert codec.encode(message) == codec.encode(inline)
         assert codec.encode(frame) == codec.encode(inline_frame)
-        # both forms share a message id: size each without a memo
-        sizes = [frame_size(message, codec), frame_size(frame, codec)]
-        assert sizes == [frame_size(inline, codec), frame_size(inline_frame, codec)]
+        # both forms share a message id: size each in a fresh memo
+        def sized(payload):
+            return frame_size(payload, SizeMemo(MetricsRegistry(), codec.name))
+
+        sizes = [sized(message), sized(frame)]
+        assert sizes == [sized(inline), sized(inline_frame)]
         assert sizes[0] == len(codec.encode(message))
 
     @codec_params()
