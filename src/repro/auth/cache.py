@@ -55,8 +55,8 @@ class TokenVerificationCache:
 
     def __init__(
         self,
+        metrics: MetricsRegistry,
         capacity: int = DEFAULT_TOKEN_CACHE_CAPACITY,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
             raise ConfigurationError(
@@ -67,9 +67,6 @@ class TokenVerificationCache:
         # wire bytes -> token_digest, up to ``capacity`` entries: the same
         # token bytes ride every frame of a session
         self._digests: dict[bytes, bytes] = {}
-        # without a deployment registry the outcomes count into a private one
-        if metrics is None:
-            metrics = MetricsRegistry()
         # held, and materialized here so snapshots show explicit zeros
         self._hits = metrics.counter("auth.token.cache.hit")
         self._misses = metrics.counter("auth.token.cache.miss")

@@ -418,59 +418,18 @@ def run_malicious_termination(params: dict, seed: int, probe: Probe | None = Non
     }
 
 
-def run_baseline_gossip(params: dict, seed: int, probe: Probe | None = None) -> dict:
-    """Gossip failure detection (§7 / Ref [7]) on the campaign grid."""
-    from repro.baselines.gossip import GossipFailureDetector
-    from repro.sim.engine import Simulator
+def _crash_node_zero(system, population: int, duration_ms: float) -> dict:
+    """Run a baseline detector, crash node 0 at 15 s, and time its detection.
 
-    params = workload_family("baseline-gossip").resolve(params)
-    population = int(params["entities"]) + 1  # victim + watchers, like tracing
-    sim = Simulator()
-    detector = GossipFailureDetector(
-        sim,
-        population,
-        gossip_interval_ms=float(params["ping_interval_ms"]) * 2.0,
-        fail_timeout_ms=float(params["ping_interval_ms"]) * 16.0,
-        fanout=min(2, population - 1),
-        seed=seed,
-    )
-    detector.start()
-    sim.run(until=15_000.0)
-    crash_at = sim.now
-    detector.crash(0)
-    sim.run(until=crash_at + float(params["duration_ms"]))
-    times = detector.detection_times_for(0)
-    return {
-        "population": population,
-        "messages_sent": detector.messages_sent,
-        "msgs_per_s": round(detector.messages_sent / (sim.now / 1000.0), 3),
-        "detect_first_ms": round(times[0] - crash_at, 3) if times else None,
-        "detect_last_ms": round(times[-1] - crash_at, 3) if times else None,
-        "detection_spread_ms": round(times[-1] - times[0], 3) if times else None,
-        "all_live_nodes_suspect": detector.all_live_nodes_suspect(0),
-    }
-
-
-def run_baseline_allpairs(params: dict, seed: int, probe: Probe | None = None) -> dict:
-    """All-pairs heartbeating (§1) on the campaign grid."""
-    from repro.baselines.allpairs import AllPairsHeartbeatSystem
-    from repro.sim.engine import Simulator
-
-    params = workload_family("baseline-allpairs").resolve(params)
-    population = int(params["entities"]) + 1
-    sim = Simulator()
-    system = AllPairsHeartbeatSystem(
-        sim,
-        population,
-        heartbeat_interval_ms=float(params["ping_interval_ms"]) * 2.0,
-        failure_timeout_ms=float(params["ping_interval_ms"]) * 7.0,
-        seed=seed,
-    )
+    ``system`` is a gossip or all-pairs baseline on its own simulator;
+    the result holds the keys both baseline families report.
+    """
+    sim = system.sim
     system.start()
     sim.run(until=15_000.0)
     crash_at = sim.now
     system.crash(0)
-    sim.run(until=crash_at + float(params["duration_ms"]))
+    sim.run(until=crash_at + duration_ms)
     times = system.detection_times_for(0)
     return {
         "population": population,
@@ -480,6 +439,43 @@ def run_baseline_allpairs(params: dict, seed: int, probe: Probe | None = None) -
         "detect_last_ms": round(times[-1] - crash_at, 3) if times else None,
         "detection_spread_ms": round(times[-1] - times[0], 3) if times else None,
     }
+
+
+def run_baseline_gossip(params: dict, seed: int, probe: Probe | None = None) -> dict:
+    """Gossip failure detection (§7 / Ref [7]) on the campaign grid."""
+    from repro.baselines.gossip import GossipFailureDetector
+    from repro.sim.engine import Simulator
+
+    params = workload_family("baseline-gossip").resolve(params)
+    population = int(params["entities"]) + 1  # victim + watchers, like tracing
+    detector = GossipFailureDetector(
+        Simulator(),
+        population,
+        gossip_interval_ms=float(params["ping_interval_ms"]) * 2.0,
+        fail_timeout_ms=float(params["ping_interval_ms"]) * 16.0,
+        fanout=min(2, population - 1),
+        seed=seed,
+    )
+    result = _crash_node_zero(detector, population, float(params["duration_ms"]))
+    result["all_live_nodes_suspect"] = detector.all_live_nodes_suspect(0)
+    return result
+
+
+def run_baseline_allpairs(params: dict, seed: int, probe: Probe | None = None) -> dict:
+    """All-pairs heartbeating (§1) on the campaign grid."""
+    from repro.baselines.allpairs import AllPairsHeartbeatSystem
+    from repro.sim.engine import Simulator
+
+    params = workload_family("baseline-allpairs").resolve(params)
+    population = int(params["entities"]) + 1
+    system = AllPairsHeartbeatSystem(
+        Simulator(),
+        population,
+        heartbeat_interval_ms=float(params["ping_interval_ms"]) * 2.0,
+        failure_timeout_ms=float(params["ping_interval_ms"]) * 7.0,
+        seed=seed,
+    )
+    return _crash_node_zero(system, population, float(params["duration_ms"]))
 
 
 #: Parameters every tracing-deployment family shares.

@@ -263,18 +263,18 @@ def generate_aes_key(rng: random.Random, bits: int = 192) -> AESKey:
     return AESKey(bytes(rng.randrange(256) for _ in range(bits // 8)))
 
 
-def pkcs7_pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
-    """Append PKCS#7 padding (always at least one byte)."""
-    pad = block_size - (len(data) % block_size)
+def pkcs7_pad(data: bytes) -> bytes:
+    """Append PKCS#7 padding to a whole block (always at least one byte)."""
+    pad = BLOCK_SIZE - (len(data) % BLOCK_SIZE)
     return data + bytes([pad]) * pad
 
 
-def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
+def pkcs7_unpad(data: bytes) -> bytes:
     """Strip and validate PKCS#7 padding."""
-    if not data or len(data) % block_size:
+    if not data or len(data) % BLOCK_SIZE:
         raise PaddingError("padded data length not a multiple of block size")
     pad = data[-1]
-    if pad < 1 or pad > block_size:
+    if pad < 1 or pad > BLOCK_SIZE:
         raise PaddingError(f"invalid padding byte {pad}")
     if data[-pad:] != bytes([pad]) * pad:
         raise PaddingError("inconsistent padding bytes")

@@ -76,10 +76,10 @@ class CertificateAuthority:
     root certificate) for verification.
     """
 
-    def __init__(self, name: str, rng: random.Random, key_bits: int | None = None) -> None:
+    def __init__(self, name: str, rng: random.Random) -> None:
         self.name = name
         self._rng = rng
-        self._keys = KeyPair.generate(rng, key_bits)
+        self._keys = KeyPair.generate(rng)
         self._serial = 0
         self.root_certificate = self._make_root()
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.crypto.aes import AESKey, aes_cbc_decrypt, aes_cbc_encrypt, generate_aes_key
-from repro.crypto.rsa import RSAKeyPair, generate_rsa_keypair
+from repro.crypto.rsa import DEFAULT_KEY_BITS, RSAKeyPair, generate_rsa_keypair
 from repro.errors import KeyMaterialError
 from repro.util.serialization import Fields
 
@@ -69,12 +69,8 @@ class KeyPair:
     rsa: RSAKeyPair = field(repr=False)
 
     @classmethod
-    def generate(cls, rng: random.Random, bits: int | None = None) -> "KeyPair":
-        if bits is None:
-            pair = generate_rsa_keypair(rng)
-        else:
-            pair = generate_rsa_keypair(rng, bits)
-        return cls(rsa=pair)
+    def generate(cls, rng: random.Random, bits: int = DEFAULT_KEY_BITS) -> "KeyPair":
+        return cls(rsa=generate_rsa_keypair(rng, bits))
 
     @property
     def public(self):

@@ -141,11 +141,9 @@ class SealedPayload:
         )
 
 
-def seal_for(
-    payload: Any, recipient: RSAPublicKey, rng: random.Random, key_bits: int = 192
-) -> SealedPayload:
-    """Encrypt ``payload`` so only ``recipient`` can read it."""
-    session_key = SymmetricKey.generate(rng, key_bits)
+def seal_for(payload: Any, recipient: RSAPublicKey, rng: random.Random) -> SealedPayload:
+    """Encrypt ``payload`` so only ``recipient`` can read it (AES-192 session key)."""
+    session_key = SymmetricKey.generate(rng)
     ciphertext = session_key.encrypt(canonical_encode(payload), rng)
     wrapped = recipient.encrypt(session_key.key.material, rng)
     return SealedPayload(

@@ -49,7 +49,7 @@ DEFAULT_VIOLATION_LIMIT = 3
 DEFAULT_PROCESSING_MS = 2.9
 
 #: Broker CPU cost of handing one message to one local subscriber.
-DEFAULT_PER_DELIVERY_MS = 0.09
+PER_DELIVERY_MS = 0.09
 
 #: Bucket bounds for the ``broker.fanout`` histogram (deliveries/message).
 FANOUT_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -107,21 +107,17 @@ class Broker:
         broker_id: str,
         machine: Machine,
         message_ids: Iterator[int],
-        monitor: Monitor | None = None,
-        processing_ms: float = DEFAULT_PROCESSING_MS,
-        per_delivery_ms: float = DEFAULT_PER_DELIVERY_MS,
-        violation_limit: int = DEFAULT_VIOLATION_LIMIT,
+        monitor: Monitor,
     ) -> None:
         self.sim = sim
         self.broker_id = broker_id
         self.machine = machine
         # the network's id counter (BrokerNetwork.message_ids)
         self._message_ids = message_ids
-        self.monitor = monitor or Monitor()
-        self.metrics = self.monitor.metrics
-        self.processing_ms = processing_ms
-        self.per_delivery_ms = per_delivery_ms
-        self.violation_limit = violation_limit
+        self.monitor = monitor
+        self.metrics = monitor.metrics
+        self.processing_ms = DEFAULT_PROCESSING_MS
+        self.violation_limit = DEFAULT_VIOLATION_LIMIT
         # sim process names, one per way a message enters this broker
         self._ingress_name = f"{broker_id}.ingress"
         self._fwd_name = f"{broker_id}.fwd"
@@ -637,7 +633,7 @@ class Broker:
 
         for _pattern, handlers in self._subs.match_handlers(topic):
             for handler in handlers:
-                yield from self.machine.compute(self.per_delivery_ms)
+                yield from self.machine.compute(PER_DELIVERY_MS)
                 handler(message)
                 self._delivered_broker_local.inc()
                 fanout += 1
@@ -656,7 +652,7 @@ class Broker:
                 link = self._client_links.get(client_id)
                 if link is None:
                     continue
-                yield from self.machine.compute(self.per_delivery_ms)
+                yield from self.machine.compute(PER_DELIVERY_MS)
                 link.send(message)
                 sent.add(client_id)
                 self._delivered_client.inc()

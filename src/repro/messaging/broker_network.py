@@ -118,26 +118,17 @@ class BrokerNetwork:
 
     # ----------------------------------------------------------------- brokers
 
-    def add_broker(
-        self,
-        broker_id: str,
-        machine_name: str | None = None,
-        processing_ms: float | None = None,
-    ) -> Broker:
+    def add_broker(self, broker_id: str, machine_name: str | None = None) -> Broker:
         """Create a broker; by default it gets its own machine."""
         if broker_id in self._brokers:
             raise ConfigurationError(f"duplicate broker id {broker_id!r}")
         machine = self.machine(machine_name or f"machine-{broker_id}")
-        kwargs = {}
-        if processing_ms is not None:
-            kwargs["processing_ms"] = processing_ms
         broker = Broker(
             sim=self.sim,
             broker_id=broker_id,
             machine=machine,
             message_ids=self.message_ids,
             monitor=self.monitor,
-            **kwargs,
         )
         self._brokers[broker_id] = broker
         self._adjacency[broker_id] = set()

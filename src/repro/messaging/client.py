@@ -50,14 +50,14 @@ class BrokerClient:
         client_id: str,
         machine: Machine,
         message_ids: Iterator[int],
-        monitor: Monitor | None = None,
+        monitor: Monitor,
     ) -> None:
         self.sim = sim
         self.client_id = client_id
         self.machine = machine
         # the network's id counter (BrokerNetwork.message_ids)
         self._message_ids = message_ids
-        self.monitor = monitor or Monitor()
+        self.monitor = monitor
         self._broker: Broker | None = None
         self._link_to_broker: Link | None = None
         # no registry: the broker.interest.* gauges count broker-side

@@ -16,6 +16,9 @@ from repro.messaging.broker import Broker
 from repro.sim.engine import Event, Simulator
 from repro.sim.monitor import Monitor
 
+#: Modeled round trip of one discovery request.
+RESPONSE_DELAY_MS = 4.0
+
 
 class PlacementPolicy(enum.Enum):
     """How the discovery service picks a broker for a requester."""
@@ -28,15 +31,9 @@ class PlacementPolicy(enum.Enum):
 class BrokerDiscoveryService:
     """Directory of live brokers with pluggable placement."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        monitor: Monitor | None = None,
-        response_delay_ms: float = 4.0,
-    ) -> None:
+    def __init__(self, sim: Simulator, monitor: Monitor) -> None:
         self.sim = sim
-        self.monitor = monitor or Monitor()
-        self.response_delay_ms = response_delay_ms
+        self.monitor = monitor
         self._brokers: dict[str, Broker] = {}
         self._round_robin_index = 0
 
@@ -52,7 +49,7 @@ class BrokerDiscoveryService:
         self, policy: PlacementPolicy = PlacementPolicy.ROUND_ROBIN
     ) -> Generator[Event, None, Broker]:
         """Process body: resolve one valid broker after the modeled delay."""
-        yield self.sim.timeout(self.response_delay_ms)
+        yield self.sim.timeout(RESPONSE_DELAY_MS)
         self.monitor.metrics.counter("broker.discovery.requests").inc()
         if not self._brokers:
             raise DiscoveryError("no live brokers registered")

@@ -350,11 +350,11 @@ class FederatedInterestPlane:
 
     def __init__(
         self,
-        monitor: Monitor | None = None,
+        monitor: Monitor,
         config: FederationConfig | None = None,
     ) -> None:
-        self.monitor = monitor or Monitor()
-        self.metrics = self.monitor.metrics
+        self.monitor = monitor
+        self.metrics = monitor.metrics
         self.config = (config or FederationConfig()).validated()
         self._accumulators: dict[str, _InterestAccumulator] = {}
         self._summaries: dict[str, InterestSummary] = {}

@@ -29,16 +29,12 @@ from repro.obs import EventJournal, MetricsRegistry
 class Monitor:
     """The registry, the journal and the counts the benchmark still reads."""
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        journal: EventJournal | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, int] = defaultdict(int)
         #: The deployment-wide instrument registry (repro.obs).
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: The deployment-wide structured event journal (repro.obs).
-        self.journal = journal if journal is not None else EventJournal()
+        self.journal = EventJournal()
 
     # -- counters --------------------------------------------------------------
 

@@ -33,6 +33,9 @@ from repro.tdn.query import DiscoveryQuery
 from repro.tdn.registry import AdvertisementStore
 from repro.util.identifiers import UUIDGenerator
 
+#: Modeled service time of one TDN request (creation, renewal, discovery).
+SERVICE_DELAY_MS = 3.0
+
 
 class TDNNode:
     """One Topic Discovery Node."""
@@ -44,15 +47,13 @@ class TDNNode:
         machine: Machine,
         trust_anchor: CertificateAuthority,
         uuid_generator: UUIDGenerator,
-        monitor: Monitor | None = None,
-        service_delay_ms: float = 3.0,
+        monitor: Monitor,
     ) -> None:
         self.sim = sim
         self.name = name
         self.machine = machine
         self.trust_anchor = trust_anchor
-        self.monitor = monitor or Monitor()
-        self.service_delay_ms = service_delay_ms
+        self.monitor = monitor
         self._uuids = uuid_generator
         self._keys = KeyPair.generate(machine.rng)
         self.certificate = trust_anchor.issue(name, self._keys.public)
@@ -89,7 +90,7 @@ class TDNNode:
         """
         if self.failed:
             raise DiscoveryError(f"TDN {self.name!r} is down")
-        yield self.sim.timeout(self.service_delay_ms)
+        yield self.sim.timeout(SERVICE_DELAY_MS)
         now = self.machine.now()
 
         try:
@@ -155,7 +156,7 @@ class TDNNode:
             raise DiscoveryError(f"TDN {self.name!r} is down")
         if additional_lifetime_ms <= 0:
             raise RegistrationError("renewal must extend the lifetime")
-        yield self.sim.timeout(self.service_delay_ms)
+        yield self.sim.timeout(SERVICE_DELAY_MS)
         now = self.machine.now()
 
         stored = self.store.get(advertisement.trace_topic, now)
@@ -224,7 +225,7 @@ class TDNNode:
         metrics = self.monitor.metrics
         metrics.counter("tdn.queries").inc()
         with metrics.timer("tdn.query.latency_ms", self.sim.clock):
-            yield self.sim.timeout(self.service_delay_ms)
+            yield self.sim.timeout(SERVICE_DELAY_MS)
             now = self.machine.now()
             candidates = self.store.find_matching(query, now)
             for advertisement in candidates:
@@ -251,7 +252,7 @@ class TDNNode:
         metrics = self.monitor.metrics
         metrics.counter("tdn.queries").inc()
         with metrics.timer("tdn.query.latency_ms", self.sim.clock):
-            yield self.sim.timeout(self.service_delay_ms)
+            yield self.sim.timeout(SERVICE_DELAY_MS)
             now = self.machine.now()
             permitted: list[TopicAdvertisement] = []
             seen_descriptors: set[str] = set()
@@ -279,13 +280,13 @@ class TDNCluster:
         sim: Simulator,
         trust_anchor: CertificateAuthority,
         machines: list[Machine],
-        monitor: Monitor | None = None,
+        monitor: Monitor,
         uuid_seed: int = 0,
     ) -> None:
         if not machines:
             raise DiscoveryError("a TDN cluster needs at least one node")
         self.sim = sim
-        self.monitor = monitor or Monitor()
+        self.monitor = monitor
         generator = UUIDGenerator(uuid_seed)
         self.nodes = [
             TDNNode(
@@ -294,42 +295,37 @@ class TDNCluster:
                 machine=machine,
                 trust_anchor=trust_anchor,
                 uuid_generator=generator,
-                monitor=self.monitor,
+                monitor=monitor,
             )
             for i, machine in enumerate(machines)
         ]
         for node in self.nodes:
             node.set_peers(self.nodes)
 
+    def _live_node(self) -> TDNNode:
+        """The first node that is up; DiscoveryError when none is."""
+        for node in self.nodes:
+            if not node.failed:
+                return node
+        raise DiscoveryError("all TDN nodes are down")
+
     def create_topic(
         self, request: TopicCreationRequest, signature: SignedEnvelope
     ) -> Generator[Event, None, TopicAdvertisement]:
         """Create at the first live node (clients fail over automatically)."""
-        for node in self.nodes:
-            if not node.failed:
-                result = yield from node.create_topic(request, signature)
-                return result
-        raise DiscoveryError("all TDN nodes are down")
+        return (yield from self._live_node().create_topic(request, signature))
 
     def discover(
         self, query: DiscoveryQuery, credentials
     ) -> Generator[Event, None, TopicAdvertisement | None]:
         """Discover via the first live node."""
-        for node in self.nodes:
-            if not node.failed:
-                result = yield from node.discover(query, credentials)
-                return result
-        raise DiscoveryError("all TDN nodes are down")
+        return (yield from self._live_node().discover(query, credentials))
 
     def discover_all(
         self, query: DiscoveryQuery, credentials
     ) -> Generator[Event, None, list[TopicAdvertisement]]:
         """Wildcard discovery via the first live node."""
-        for node in self.nodes:
-            if not node.failed:
-                result = yield from node.discover_all(query, credentials)
-                return result
-        raise DiscoveryError("all TDN nodes are down")
+        return (yield from self._live_node().discover_all(query, credentials))
 
     def renew_topic(
         self,
@@ -338,10 +334,8 @@ class TDNCluster:
         additional_lifetime_ms: float,
     ) -> Generator[Event, None, TopicAdvertisement]:
         """Renew via the first live node."""
-        for node in self.nodes:
-            if not node.failed:
-                result = yield from node.renew_topic(
-                    advertisement, signature, additional_lifetime_ms
-                )
-                return result
-        raise DiscoveryError("all TDN nodes are down")
+        return (
+            yield from self._live_node().renew_topic(
+                advertisement, signature, additional_lifetime_ms
+            )
+        )

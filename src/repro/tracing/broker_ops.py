@@ -86,10 +86,10 @@ class TraceManager:
         self.monitor = broker.monitor
         self.ping_policy = ping_policy or AdaptivePingPolicy()
         self.gauge_interval_ms = gauge_interval_ms
-        # assigned after construction by their one caller each
+        # assigned after construction by tests only
         self.interest_ttl_ms = 120_000.0
         self.detector_factory = FailureDetector
-        # section 3.5 gating; disable only for the EXP-A4 ablation
+        # section 3.5 gating; the EXP-A4 interest-gating ablation turns it off
         self.gate_by_interest = True
         # batch same-window pings to co-located entities into one frame;
         # client_locator maps an entity id to its host (machine name) so

@@ -52,6 +52,10 @@ from repro.util.serialization import canonical_encode
 DEFAULT_TOPIC_LIFETIME_MS = 3_600_000.0
 #: Default authorization-token validity: kept short per section 4.3.
 DEFAULT_TOKEN_VALIDITY_MS = 600_000.0
+#: Default wait for a registration response before the request is resent.
+DEFAULT_REGISTRATION_TIMEOUT_MS = 10_000.0
+#: Default registration attempts before startup fails (section 3.2).
+DEFAULT_REGISTRATION_ATTEMPTS = 3
 
 
 class TracedEntity:
@@ -65,14 +69,10 @@ class TracedEntity:
         machine: Machine,
         credentials: EntityCredentials,
         tdn: TDNCluster,
-        monitor: Monitor | None = None,
+        monitor: Monitor,
         restrictions: DiscoveryRestrictions | None = None,
         secured: bool = False,
         use_symmetric_channel: bool = False,
-        topic_lifetime_ms: float = DEFAULT_TOPIC_LIFETIME_MS,
-        token_validity_ms: float = DEFAULT_TOKEN_VALIDITY_MS,
-        registration_timeout_ms: float = 10_000.0,
-        registration_attempts: int = 3,
     ) -> None:
         self.sim = sim
         self.entity_id = (
@@ -82,14 +82,14 @@ class TracedEntity:
         self.machine = machine
         self.credentials = credentials
         self.tdn = tdn
-        self.monitor = monitor or Monitor()
+        self.monitor = monitor
         self.restrictions = restrictions or DiscoveryRestrictions.open_to_authenticated()
         self.secured = secured
         self.use_symmetric_channel = use_symmetric_channel
-        self.topic_lifetime_ms = topic_lifetime_ms
-        self.token_validity_ms = token_validity_ms
-        self.registration_timeout_ms = registration_timeout_ms
-        self.registration_attempts = registration_attempts
+        self.topic_lifetime_ms = DEFAULT_TOPIC_LIFETIME_MS
+        self.token_validity_ms = DEFAULT_TOKEN_VALIDITY_MS
+        self.registration_timeout_ms = DEFAULT_REGISTRATION_TIMEOUT_MS
+        self.registration_attempts = DEFAULT_REGISTRATION_ATTEMPTS
 
         self.state = EntityState.INITIALIZING
         self.advertisement = None

@@ -41,6 +41,10 @@ from repro.util.serialization import Fields
 #: Window size of the broker's per-entity ping history.
 PING_HISTORY_WINDOW = 10
 
+#: Bandwidth a NETWORK_METRICS trace reports (100 Mbit/s): pings carry no
+#: bandwidth probe, so the figure is fixed.
+BANDWIDTH_ESTIMATE_KBPS = 100_000.0
+
 
 @dataclass(frozen=True, slots=True)
 class Ping:
@@ -232,12 +236,7 @@ class PingHistory:
     def out_of_order_rate(self) -> float:
         return self._out_of_order / self._responses if self._responses else 0.0
 
-    def network_metrics(
-        self,
-        now_ms: float,
-        deadline_ms: float,
-        bandwidth_estimate_kbps: float = 100_000.0,
-    ) -> NetworkMetrics | None:
+    def network_metrics(self, now_ms: float, deadline_ms: float) -> NetworkMetrics | None:
         """Derive a NETWORK_METRICS trace body; None if no data yet."""
         mean_rtt = self.mean_rtt_ms()
         if mean_rtt is None:
@@ -247,7 +246,7 @@ class PingHistory:
             mean_rtt_ms=mean_rtt,
             jitter_ms=self.jitter_ms(),
             out_of_order_rate=self.out_of_order_rate(),
-            bandwidth_estimate_kbps=bandwidth_estimate_kbps,
+            bandwidth_estimate_kbps=BANDWIDTH_ESTIMATE_KBPS,
         )
 
     def __len__(self) -> int:

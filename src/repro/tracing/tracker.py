@@ -44,6 +44,10 @@ from repro.tracing.traces import TraceType
 from repro.util.identifiers import EntityId
 from repro.util.serialization import Fields
 
+#: Default age below which a gauge is not answered again: the interest the
+#: tracker last registered is still live at the broker.
+DEFAULT_INTEREST_REFRESH_MS = 30_000.0
+
 
 @dataclass(frozen=True, slots=True)
 class ReceivedTrace:
@@ -80,11 +84,10 @@ class Tracker:
         credentials: EntityCredentials,
         tdn: TDNCluster,
         token_verifier: TokenVerifier,
-        monitor: Monitor | None = None,
+        monitor: Monitor,
         interests: frozenset[InterestCategory] = ALL_CATEGORIES,
         proactive_interest: bool = True,
         verify_traces: bool = True,
-        interest_refresh_ms: float = 30_000.0,
     ) -> None:
         self.sim = sim
         self.tracker_id = tracker_id
@@ -93,11 +96,11 @@ class Tracker:
         self.credentials = credentials
         self.tdn = tdn
         self.token_verifier = token_verifier
-        self.monitor = monitor or Monitor()
+        self.monitor = monitor
         self.interests = frozenset(interests)
         self.proactive_interest = proactive_interest
         self.verify_traces = verify_traces
-        self.interest_refresh_ms = interest_refresh_ms
+        self.interest_refresh_ms = DEFAULT_INTEREST_REFRESH_MS
 
         self.client = None
         self.received: list[ReceivedTrace] = []

@@ -51,10 +51,10 @@ def _holds_a_token_mapping(value) -> bool:
 class TestCacheUnit:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            TokenVerificationCache(capacity=0)
+            TokenVerificationCache(MetricsRegistry(), capacity=0)
 
     def test_store_then_lookup_hits(self, token):
-        cache = TokenVerificationCache()
+        cache = TokenVerificationCache(MetricsRegistry())
         digest = token_digest(token.wire)
         assert cache.lookup(digest, now_ms=0.0) is None
         cache.store(digest, token)
@@ -62,20 +62,20 @@ class TestCacheUnit:
         assert digest in cache and len(cache) == 1
 
     def test_expired_entry_is_a_miss_and_is_dropped(self, token):
-        cache = TokenVerificationCache()
+        cache = TokenVerificationCache(MetricsRegistry())
         digest = token_digest(token.wire)
         cache.store(digest, token)
         assert cache.lookup(digest, now_ms=10_500.0) is None
         assert digest not in cache
 
     def test_skew_tolerance_keeps_borderline_entries_alive(self, token):
-        cache = TokenVerificationCache()
+        cache = TokenVerificationCache(MetricsRegistry())
         digest = token_digest(token.wire)
         cache.store(digest, token)
         assert cache.lookup(digest, 10_050.0, skew_tolerance_ms=100.0) is token
 
     def test_lru_eviction_order(self, keypair, second_keypair, rng):
-        cache = TokenVerificationCache(capacity=2)
+        cache = TokenVerificationCache(MetricsRegistry(), capacity=2)
         tokens = [
             make_token(keypair, second_keypair, rng, topic_value=i) for i in (1, 2, 3)
         ]
@@ -90,7 +90,7 @@ class TestCacheUnit:
 
     def test_counters_recorded(self, token):
         metrics = MetricsRegistry()
-        cache = TokenVerificationCache(capacity=1, metrics=metrics)
+        cache = TokenVerificationCache(metrics, capacity=1)
         digest = token_digest(token.wire)
         counters = metrics.snapshot()["counters"]
         assert counters["auth.token.cache.hit"] == 0  # materialized zeros
@@ -104,7 +104,7 @@ class TestCacheUnit:
         assert counters["auth.token.cache.evicted"] == 1
 
     def test_clear_and_discard(self, token):
-        cache = TokenVerificationCache()
+        cache = TokenVerificationCache(MetricsRegistry())
         digest = token_digest(token.wire)
         cache.store(digest, token)
         cache.discard(digest)
@@ -119,7 +119,7 @@ class TestVerifierIntegration:
     def test_revoked_token_rejected_even_while_cached(
         self, second_keypair, token
     ):
-        cache = TokenVerificationCache()
+        cache = TokenVerificationCache(MetricsRegistry())
         verifier = TokenVerifier({"tdn-0": second_keypair.public}, cache=cache)
         wire = token.wire
         digest = token_digest(wire)
@@ -130,7 +130,7 @@ class TestVerifierIntegration:
             verifier.verify(wire, now_ms=1.0)
 
     def test_expiry_forces_reverification(self, second_keypair, token):
-        cache = TokenVerificationCache()
+        cache = TokenVerificationCache(MetricsRegistry())
         verifier = TokenVerifier({"tdn-0": second_keypair.public}, cache=cache)
         wire = token.wire
         digest = token_digest(wire)

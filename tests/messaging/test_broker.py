@@ -412,7 +412,7 @@ def crash_mid_hold(subscriber: str):
     sim = Simulator()
     network = BrokerNetwork(sim, seed=11)
     for broker_id in ("b0", "b1", "b2"):
-        network.add_broker(broker_id, processing_ms=5.0)
+        network.add_broker(broker_id).processing_ms = 5.0
     build_chain(network, ["b0", "b1", "b2"])
     got = []
     network.broker(subscriber).subscribe_local("T/x", lambda m: got.append(sim.now))

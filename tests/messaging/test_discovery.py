@@ -4,8 +4,13 @@ import pytest
 
 from repro.errors import DiscoveryError
 from repro.messaging.broker_network import BrokerNetwork
-from repro.messaging.discovery import BrokerDiscoveryService, PlacementPolicy
+from repro.messaging.discovery import (
+    RESPONSE_DELAY_MS,
+    BrokerDiscoveryService,
+    PlacementPolicy,
+)
 from repro.sim.engine import Simulator
+from repro.sim.monitor import Monitor
 from tests.support import build_chain, run_process
 
 
@@ -14,7 +19,7 @@ def setup():
     sim = Simulator()
     network = BrokerNetwork(sim, seed=0)
     build_chain(network, ["b1", "b2", "b3"])
-    service = BrokerDiscoveryService(sim)
+    service = BrokerDiscoveryService(sim, network.monitor)
     for broker in network.brokers():
         service.register_broker(broker)
     return sim, network, service
@@ -24,7 +29,7 @@ class TestDiscovery:
     def test_charges_response_delay(self, setup):
         sim, _, service = setup
         broker = run_process(sim, service.discover())
-        assert sim.now == pytest.approx(service.response_delay_ms)
+        assert sim.now == pytest.approx(RESPONSE_DELAY_MS)
         assert broker.broker_id in ("b1", "b2", "b3")
 
     def test_round_robin_cycles(self, setup):
@@ -49,7 +54,7 @@ class TestDiscovery:
 
     def test_no_brokers_raises(self):
         sim = Simulator()
-        service = BrokerDiscoveryService(sim)
+        service = BrokerDiscoveryService(sim, Monitor())
         with pytest.raises(DiscoveryError):
             run_process(sim, service.discover())
 

@@ -31,6 +31,7 @@ from repro.messaging.constrained import (
 from repro.messaging.topics import Topic, validate_topic
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
+from repro.sim.monitor import Monitor
 from repro.tracing.topics import SESSION_TOPICS_BOUND, TraceTopicSet
 from repro.util.identifiers import EntityId, SessionId, UUID128
 from tests.support import free_cost_model
@@ -38,7 +39,8 @@ from tests.support import free_cost_model
 
 def bare_broker() -> Broker:
     sim = Simulator()
-    return Broker(sim, "b", Machine(sim, "m", free_cost_model(), random.Random(0)), iter(()))
+    machine = Machine(sim, "m", free_cost_model(), random.Random(0))
+    return Broker(sim, "b", machine, iter(()), Monitor())
 
 
 #: one broker for every example, so later examples read what earlier ones held

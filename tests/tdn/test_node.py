@@ -7,6 +7,7 @@ from repro.crypto.certificates import CertificateAuthority
 from repro.errors import DiscoveryError, RegistrationError
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
+from repro.sim.monitor import Monitor
 from repro.tdn.advertisement import TopicCreationRequest
 from repro.tdn.node import TDNCluster
 from repro.tdn.query import DiscoveryQuery, DiscoveryRestrictions, trace_descriptor
@@ -21,7 +22,7 @@ def setup(rng):
     machines = [
         Machine(sim, f"m{i}", free_cost_model(), rng) for i in range(3)
     ]
-    cluster = TDNCluster(sim, ca, machines, uuid_seed=42)
+    cluster = TDNCluster(sim, ca, machines, Monitor(), uuid_seed=42)
     entity = EntityCredentials.issue("svc-1", ca, rng)
     tracker = EntityCredentials.issue("tracker-1", ca, rng)
     return sim, ca, cluster, entity, tracker

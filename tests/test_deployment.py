@@ -3,7 +3,22 @@
 import pytest
 
 from repro import build_deployment
+from repro.auth.cache import TokenVerificationCache
+from repro.auth.verification import TokenVerifier
+from repro.crypto.aes import pkcs7_pad, pkcs7_unpad
+from repro.crypto.certificates import CertificateAuthority
+from repro.crypto.signing import seal_for
+from repro.messaging.broker import Broker
+from repro.messaging.broker_network import BrokerNetwork
+from repro.messaging.client import BrokerClient
+from repro.messaging.discovery import BrokerDiscoveryService
+from repro.messaging.federation import FederatedInterestPlane
+from repro.sim.monitor import Monitor
+from repro.tdn.node import TDNCluster, TDNNode
 from repro.tracing.broker_ops import TraceManager
+from repro.tracing.entity import TracedEntity
+from repro.tracing.pings import PingHistory
+from repro.tracing.tracker import Tracker
 from repro.transport.udp import udp_profile
 from tests.support import network_hops
 
@@ -60,7 +75,8 @@ class TestBuildDeployment:
             ("TraceManager", "monitor"),
             ("TraceManager", "metrics_every"),
             ("TraceManager", "ping_jitter_frac"),
-            # still attributes, assigned after construction by their one caller
+            # still attributes: tests assign the first two after construction,
+            # the interest-gating ablation the third
             ("TraceManager", "interest_ttl_ms"),
             ("TraceManager", "detector_factory"),
             ("TraceManager", "gate_by_interest"),
@@ -75,6 +91,56 @@ class TestBuildDeployment:
                 TraceManager(dep.network.broker("a"), dep.ca, {}, **{removed: None})
             else:
                 getattr(dep, target)("x", **{removed: None})
+
+    # module constants now; the ones a test or benchmark sets are attributes
+    @pytest.mark.parametrize(
+        "target, removed",
+        [
+            (Broker, "processing_ms"),
+            (Broker, "per_delivery_ms"),
+            (Broker, "violation_limit"),
+            (BrokerNetwork.add_broker, "processing_ms"),
+            (TracedEntity, "topic_lifetime_ms"),
+            (TracedEntity, "token_validity_ms"),
+            (TracedEntity, "registration_timeout_ms"),
+            (TracedEntity, "registration_attempts"),
+            (Tracker, "interest_refresh_ms"),
+            (TDNNode, "service_delay_ms"),
+            (BrokerDiscoveryService, "response_delay_ms"),
+            (TokenVerifier, "skew_tolerance_ms"),
+            (CertificateAuthority, "key_bits"),
+            (seal_for, "key_bits"),
+            (pkcs7_pad, "block_size"),
+            (pkcs7_unpad, "block_size"),
+            (PingHistory.network_metrics, "bandwidth_estimate_kbps"),
+            (Monitor, "metrics"),
+            (Monitor, "journal"),
+        ],
+        ids=lambda value: getattr(value, "__qualname__", value),
+    )
+    def test_retired_runtime_keywords_are_rejected(self, target, removed):
+        # arguments bind before the body runs: the keyword alone must fail
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{removed}'"):
+            target(**{removed: None})
+
+    @pytest.mark.parametrize(
+        "component, registry",
+        [
+            (Broker, "monitor"),
+            (BrokerClient, "monitor"),
+            (TDNNode, "monitor"),
+            (TDNCluster, "monitor"),
+            (BrokerDiscoveryService, "monitor"),
+            (TracedEntity, "monitor"),
+            (Tracker, "monitor"),
+            (FederatedInterestPlane, "monitor"),
+            (TokenVerificationCache, "metrics"),
+        ],
+        ids=lambda value: getattr(value, "__qualname__", value),
+    )
+    def test_components_require_their_creators_registry(self, component, registry):
+        with pytest.raises(TypeError, match=f"missing .*required .*'{registry}'"):
+            component()
 
 
 class TestPrincipalFactories:
