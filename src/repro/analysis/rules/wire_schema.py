@@ -8,6 +8,10 @@ on one side and forgotten on another fails *silently* — the broker counts
 ``trace.entity_messages_unknown`` and drops the message, or the compact
 codec spends inline bytes on a string the json codec frames for free.
 
+A record declared ``@wire_record("<kind>")`` both produces and handles
+its kind: the derived ``to_dict`` writes the tag and the derived
+``from_dict`` refuses any other.
+
 WIRE01 extracts all three vocabularies from the :class:`ProjectIndex`
 and cross-checks them:
 
@@ -45,18 +49,38 @@ def _record(sites: KindSites, kind: str, module: ModuleInfo, node: ast.AST) -> N
     sites.setdefault(kind, []).append((module, node))
 
 
+def declared_kinds(index: ProjectIndex) -> KindSites:
+    """Every kind a ``@wire_record("<kind>")`` class declares, at its decorator."""
+    sites: KindSites = {}
+    for info in index.iter_modules():
+        for node in ast.walk(info.ctx.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in node.decorator_list:
+                if (
+                    isinstance(decorator, ast.Call)
+                    and isinstance(decorator.func, ast.Name)
+                    and decorator.func.id == "wire_record"
+                    and decorator.args
+                    and (kind := index.resolve_constant(info, decorator.args[0])) is not None
+                ):
+                    _record(sites, kind, info, decorator)
+    return sites
+
+
 def produced_kinds(index: ProjectIndex) -> KindSites:
     """Every message kind the project builds, with its production sites.
 
-    Two production shapes: dict literals with a constant-resolvable
-    ``"kind"`` entry (``{"kind": PING_BATCH_KIND, ...}``), and constant
+    Three production shapes: a :func:`declared_kinds` declaration, dict
+    literals with a constant-resolvable ``"kind"`` entry
+    (``{"kind": PING_BATCH_KIND, ...}``), and constant
     strings passed to a *kind-forwarding* function — one whose body puts
     that parameter into a ``{"kind": <param>}`` dict, like
     ``Entity._send_sealed("trace_key", ...)``.  Bodies whose kind is some
     other runtime value (``{"kind": self.kind}``) are invisible to both
     and deliberately out of scope.
     """
-    sites: KindSites = {}
+    sites = declared_kinds(index)
     forwarding = _kind_forwarding_params(index)
     for info in index.iter_modules():
         for node in ast.walk(info.ctx.tree):
@@ -113,9 +137,10 @@ def handled_kinds(index: ProjectIndex) -> KindSites:
 
     A handler comparison is ``<kind-ish> == "literal"`` (either order)
     where the kind-ish side is a name called ``kind`` or a direct
-    ``.get("kind")`` call.
+    ``.get("kind")`` call; a :func:`declared_kinds` declaration handles
+    its kind too.
     """
-    sites: KindSites = {}
+    sites = declared_kinds(index)
     for info in index.iter_modules():
         for node in ast.walk(info.ctx.tree):
             if not (

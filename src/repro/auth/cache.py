@@ -89,7 +89,7 @@ class TokenVerificationCache:
         return digest
 
     def lookup(
-        self, digest: bytes, now_ms: float, skew_tolerance_ms: float = 0.0
+        self, digest: bytes, now_ms: float, skew_tolerance_ms: float
     ) -> AuthorizationToken | None:
         """The cached token, or None (counted as a miss) when absent/expired."""
         token = self._entries.get(digest)

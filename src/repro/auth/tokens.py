@@ -27,6 +27,9 @@ from repro.errors import MalformedFrameError, SignatureError, TokenError
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.util.serialization import Canonical, Fields
 
+#: Clock skew a token's validity window is widened by (section 4, NTP).
+DEFAULT_SKEW_TOLERANCE_MS = 100.0
+
 
 class TokenRights(enum.Enum):
     """Rights a token delegates."""
@@ -108,11 +111,15 @@ class AuthorizationToken:
 
     # -- validation ----------------------------------------------------------------
 
-    def expired(self, now_ms: float, skew_tolerance_ms: float = 100.0) -> bool:
+    def expired(
+        self, now_ms: float, skew_tolerance_ms: float = DEFAULT_SKEW_TOLERANCE_MS
+    ) -> bool:
         """Expiry check with NTP skew tolerance (the paper's 30-100 ms)."""
         return now_ms > self.valid_until_ms + skew_tolerance_ms
 
-    def not_yet_valid(self, now_ms: float, skew_tolerance_ms: float = 100.0) -> bool:
+    def not_yet_valid(
+        self, now_ms: float, skew_tolerance_ms: float = DEFAULT_SKEW_TOLERANCE_MS
+    ) -> bool:
         """Early-use check, skew-tolerant like :meth:`expired`."""
         return now_ms < self.valid_from_ms - skew_tolerance_ms
 

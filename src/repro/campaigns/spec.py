@@ -24,12 +24,13 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, ValidationError
-from repro.util.serialization import Fields
+from repro.util.serialization import wire_record
 
 #: Axis values must stay JSON scalars so specs and snapshots round-trip.
 _SCALAR_TYPES = (int, float, str, bool)
 
 
+@wire_record()
 @dataclass(frozen=True, slots=True)
 class Axis:
     """One swept parameter: a name and its ordered list of values."""
@@ -50,6 +51,7 @@ class Axis:
                 )
 
 
+@wire_record()
 @dataclass(frozen=True, slots=True)
 class CampaignSpec:
     """A named, declarative parameter-sweep campaign.
@@ -101,41 +103,6 @@ class CampaignSpec:
                     f"fixed parameter {name!r} value {value!r} is not a "
                     "JSON scalar"
                 )
-
-    def to_dict(self) -> dict:
-        """JSON-ready spec form; :meth:`from_dict` round-trips it."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "workloads": list(self.workloads),
-            "baselines": list(self.baselines),
-            "axes": [
-                {"name": axis.name, "values": list(axis.values)}
-                for axis in self.axes
-            ],
-            "fixed": dict(self.fixed),
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignSpec":
-        """Parse a spec dict; raises on malformed or non-scalar input."""
-        fields = Fields(data, cls)
-        axes = [Fields(axis, Axis) for axis in fields.items("axes", ())]
-        return cls(
-            name=fields.text("name"),
-            description=fields.text("description", ""),
-            workloads=fields.texts("workloads"),
-            baselines=fields.texts("baselines", ()),
-            axes=tuple(
-                Axis(name=axis.text("name"), values=tuple(axis.items("values")))
-                for axis in axes
-            ),
-            fixed=dict(fields.mapping("fixed", {})),
-            repetitions=fields.integer("repetitions", 1),
-            base_seed=fields.integer("base_seed", 42),
-        )
 
 
 def load_spec(path: str | pathlib.Path) -> CampaignSpec:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import RSAPublicKey
 from repro.errors import CertificateError, SignatureError
-from repro.util.serialization import canonical_encode
+from repro.util.serialization import Fields, canonical_encode
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,6 +47,20 @@ class Certificate:
             "not_after_ms": self.not_after_ms,
             "signature": self.signature,
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Certificate":
+        """Parse :meth:`to_dict`'s form; raises :class:`MalformedFrameError`."""
+        with Fields(data, cls) as fields:
+            return cls(
+                subject=fields.text("subject"),
+                issuer=fields.text("issuer"),
+                public_key=RSAPublicKey(fields.integer("n"), fields.integer("e")),
+                serial=fields.integer("serial"),
+                not_before_ms=fields.number("not_before_ms"),
+                not_after_ms=fields.number("not_after_ms", unbounded=True),
+                signature=fields.octets("signature"),
+            )
 
     def to_be_signed(self) -> bytes:
         """The canonical bytes the issuer signs: every field but the signature."""

@@ -30,9 +30,15 @@ from repro.errors import (
     SerializationDecodeError,
     SignatureError,
 )
-from repro.util.serialization import Fields, canonical_decode, canonical_encode
+from repro.util.serialization import (
+    canonical_decode,
+    canonical_encode,
+    read_record,
+    wire_record,
+)
 
 
+@wire_record()
 @dataclass(frozen=True, slots=True)
 class SignedEnvelope:
     """A payload plus the signature and signer fingerprint."""
@@ -44,24 +50,11 @@ class SignedEnvelope:
     def payload_bytes(self) -> bytes:
         return canonical_encode(self.payload)
 
-    def to_dict(self) -> dict:
-        """Serializable rendering for embedding in messages."""
-        return {
-            "payload": self.payload,
-            "signature": self.signature,
-            "signer_fingerprint": self.signer_fingerprint,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SignedEnvelope":
         """Parse the wire mapping; raises :class:`MalformedEnvelopeError`."""
         try:
-            fields = Fields(data, cls)
-            return cls(
-                payload=fields.value("payload"),
-                signature=fields.octets("signature"),
-                signer_fingerprint=fields.octets("signer_fingerprint"),
-            )
+            return read_record(cls, data)
         except MalformedFrameError as exc:
             raise MalformedEnvelopeError(str(exc)) from exc
 
@@ -113,6 +106,7 @@ def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> b
     return True
 
 
+@wire_record()
 @dataclass(frozen=True, slots=True)
 class SealedPayload:
     """Hybrid-encrypted payload: AES body + RSA-wrapped key."""
@@ -121,24 +115,6 @@ class SealedPayload:
     algorithm: str
     padding: str
     ciphertext: bytes
-
-    def to_dict(self) -> dict:
-        return {
-            "wrapped_key": self.wrapped_key,
-            "algorithm": self.algorithm,
-            "padding": self.padding,
-            "ciphertext": self.ciphertext,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SealedPayload":
-        fields = Fields(data, cls)
-        return cls(
-            wrapped_key=fields.octets("wrapped_key"),
-            algorithm=fields.text("algorithm"),
-            padding=fields.text("padding"),
-            ciphertext=fields.octets("ciphertext"),
-        )
 
 
 def seal_for(payload: Any, recipient: RSAPublicKey, rng: random.Random) -> SealedPayload:

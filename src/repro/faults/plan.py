@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, ValidationError
-from repro.util.serialization import Fields
+from repro.util.serialization import Fields, wire_record
 
 
 class FaultKind(enum.Enum):
@@ -36,6 +36,7 @@ _WINDOW_KINDS = frozenset(
 )
 
 
+@wire_record()
 @dataclass(frozen=True, slots=True)
 class FaultEvent:
     """One scheduled fault.
@@ -97,36 +98,6 @@ class FaultEvent:
         if self.duration_ms is None:
             return None
         return self.at_ms + self.duration_ms
-
-    def to_dict(self) -> dict:
-        """JSON-ready event form; ``from_dict`` round-trips it."""
-        return {
-            "kind": self.kind.value,
-            "at_ms": self.at_ms,
-            "target": self.target,
-            "duration_ms": self.duration_ms,
-            "peer": self.peer,
-            "loss_probability": self.loss_probability,
-            "extra_delay_ms": self.extra_delay_ms,
-            "failover_to": self.failover_to,
-            "detect_after_ms": self.detect_after_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        """Parse one event dict; raises a ``ValidationError`` if invalid."""
-        fields = Fields(data, cls)
-        return cls(
-            kind=fields.member("kind", FaultKind),
-            at_ms=fields.number("at_ms"),
-            target=fields.text("target"),
-            duration_ms=fields.number("duration_ms", None),
-            peer=fields.text("peer", None),
-            loss_probability=fields.number("loss_probability", 0.0),
-            extra_delay_ms=fields.number("extra_delay_ms", 0.0),
-            failover_to=fields.text("failover_to", None),
-            detect_after_ms=fields.number("detect_after_ms", 2000.0),
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,45 +19,27 @@ from dataclasses import dataclass
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import SealedPayload, open_sealed, seal_for
-from repro.errors import MalformedFrameError
-from repro.util.serialization import Fields
+from repro.util.serialization import wire_record
 
 
+@wire_record("key_distribution")
 @dataclass(frozen=True, slots=True)
 class KeyDistributionPayload:
     """The sealed trace-key message published to one tracker."""
 
-    trace_topic_hex: str
+    trace_topic: str
     sealed: SealedPayload
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "key_distribution",
-            "trace_topic": self.trace_topic_hex,
-            "sealed": self.sealed.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KeyDistributionPayload":
-        fields = Fields(data, cls)
-        kind = fields.text("kind")
-        if kind != "key_distribution":
-            raise MalformedFrameError(f"not a key-distribution payload: kind={kind!r}")
-        return cls(
-            trace_topic_hex=fields.text("trace_topic"),
-            sealed=SealedPayload.from_dict(fields.value("sealed")),
-        )
 
 
 def build_key_payload(
     trace_key: SymmetricKey,
-    trace_topic_hex: str,
+    trace_topic: str,
     tracker_public_key: RSAPublicKey,
     rng: random.Random,
 ) -> KeyDistributionPayload:
     """Seal the trace key (+ algorithm + padding) to one tracker."""
     sealed = seal_for(trace_key.to_dict(), tracker_public_key, rng)
-    return KeyDistributionPayload(trace_topic_hex=trace_topic_hex, sealed=sealed)
+    return KeyDistributionPayload(trace_topic=trace_topic, sealed=sealed)
 
 
 def open_key_payload(

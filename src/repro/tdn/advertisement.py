@@ -18,9 +18,10 @@ from repro.crypto.signing import SignedEnvelope, verify_payload
 from repro.errors import DiscoveryError, SignatureError
 from repro.tdn.query import DiscoveryRestrictions
 from repro.util.identifiers import EntityId, RequestId, UUID128
-from repro.util.serialization import Fields
+from repro.util.serialization import Fields, wire_record
 
 
+@wire_record()
 @dataclass(frozen=True, slots=True)
 class TopicLifetime:
     """Validity window of a trace topic."""
@@ -34,14 +35,6 @@ class TopicLifetime:
 
     def alive_at(self, now_ms: float) -> bool:
         return self.created_ms <= now_ms <= self.expires_ms
-
-    def to_dict(self) -> dict:
-        return {"created_ms": self.created_ms, "duration_ms": self.duration_ms}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TopicLifetime":
-        fields = Fields(data, cls)
-        return cls(fields.number("created_ms"), fields.number("duration_ms"))
 
 
 @dataclass(frozen=True, slots=True)

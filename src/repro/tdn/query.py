@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.crypto.certificates import Certificate, CertificateAuthority
 from repro.errors import CertificateError, DiscoveryError
 from repro.util.identifiers import EntityId
-from repro.util.serialization import Fields
+from repro.util.serialization import wire_record
 
 
 def trace_descriptor(entity_id: EntityId | str) -> str:
@@ -77,6 +77,7 @@ class DiscoveryQuery:
         return fnmatch.fnmatchcase(descriptor, self.descriptor)
 
 
+@wire_record()
 @dataclass(frozen=True, slots=True)
 class DiscoveryRestrictions:
     """Who may discover a topic.
@@ -121,20 +122,3 @@ class DiscoveryRestrictions:
         if self.allowed_subjects is None:
             return True
         return credentials.subject in self.allowed_subjects
-
-    def to_dict(self) -> dict:
-        return {
-            "allowed_subjects": (
-                None if self.allowed_subjects is None else sorted(self.allowed_subjects)
-            ),
-            "denied_subjects": sorted(self.denied_subjects),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiscoveryRestrictions":
-        fields = Fields(data, cls)
-        allowed = fields.texts("allowed_subjects", None)
-        return cls(
-            allowed_subjects=None if allowed is None else frozenset(allowed),
-            denied_subjects=frozenset(fields.texts("denied_subjects", ())),
-        )

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.obs import MetricsRegistry
 from repro.tracing.traces import NetworkMetrics
-from repro.util.serialization import Fields
+from repro.util.serialization import wire_record
 
 #: Window size of the broker's per-entity ping history.
 PING_HISTORY_WINDOW = 10
@@ -46,6 +46,7 @@ PING_HISTORY_WINDOW = 10
 BANDWIDTH_ESTIMATE_KBPS = 100_000.0
 
 
+@wire_record("ping")
 @dataclass(frozen=True, slots=True)
 class Ping:
     """Broker-to-entity ping."""
@@ -53,15 +54,8 @@ class Ping:
     number: int
     issued_ms: float
 
-    def to_dict(self) -> dict:
-        return {"kind": "ping", "number": self.number, "issued_ms": self.issued_ms}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Ping":
-        fields = Fields(data, cls)
-        return cls(number=fields.integer("number"), issued_ms=fields.number("issued_ms"))
-
-
+@wire_record("ping_response")
 @dataclass(frozen=True, slots=True)
 class PingResponse:
     """Entity-to-broker response echoing number and timestamp.
@@ -75,23 +69,6 @@ class PingResponse:
     number: int
     issued_ms: float
     entity_stamp_ms: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ping_response",
-            "number": self.number,
-            "issued_ms": self.issued_ms,
-            "entity_stamp_ms": self.entity_stamp_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PingResponse":
-        fields = Fields(data, cls)
-        return cls(
-            number=fields.integer("number"),
-            issued_ms=fields.number("issued_ms"),
-            entity_stamp_ms=fields.number("entity_stamp_ms"),
-        )
 
 
 @dataclass(slots=True)

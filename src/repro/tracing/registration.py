@@ -124,19 +124,9 @@ class TraceRegistrationRequest:
     def from_dict(cls, data: dict) -> "TraceRegistrationRequest":
         try:
             with Fields(data, cls) as fields:
-                cred = Fields(fields.value("credentials"), Certificate)
-                certificate = Certificate(
-                    subject=cred.text("subject"),
-                    issuer=cred.text("issuer"),
-                    public_key=RSAPublicKey(cred.integer("n"), cred.integer("e")),
-                    serial=cred.integer("serial"),
-                    not_before_ms=cred.number("not_before_ms"),
-                    not_after_ms=cred.number("not_after_ms", unbounded=True),
-                    signature=cred.octets("signature"),
-                )
                 return cls(
                     entity_id=EntityId(fields.text("entity_id")),
-                    credentials=certificate,
+                    credentials=Certificate.from_dict(fields.value("credentials")),
                     advertisement=TopicAdvertisement.from_dict(fields.value("advertisement")),
                     request_id=RequestId(fields.integer("request_id")),
                     signature=SignedEnvelope.from_dict(fields.value("signature")),

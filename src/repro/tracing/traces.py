@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.errors import TopicError, ValidationError
 from repro.tracing.interest import InterestCategory
-from repro.util.serialization import Fields
+from repro.util.serialization import wire_record
 
 
 class EntityState(enum.Enum):
@@ -105,6 +105,7 @@ CHANGE_NOTIFICATION_TYPES = _types_in(InterestCategory.CHANGE_NOTIFICATIONS)
 STATE_TRANSITION_TYPES = _types_in(InterestCategory.STATE_TRANSITIONS)
 
 
+@wire_record()
 @dataclass(frozen=True, slots=True)
 class LoadInformation:
     """Load at the traced entity's host: CPU, memory and workload."""
@@ -124,25 +125,8 @@ class LoadInformation:
         if self.workload < 0:
             raise ValidationError("workload must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "cpu_utilization": self.cpu_utilization,
-            "memory_used_mb": self.memory_used_mb,
-            "memory_total_mb": self.memory_total_mb,
-            "workload": self.workload,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LoadInformation":
-        with Fields(data, cls) as fields:
-            return cls(
-                cpu_utilization=fields.number("cpu_utilization"),
-                memory_used_mb=fields.number("memory_used_mb"),
-                memory_total_mb=fields.number("memory_total_mb"),
-                workload=fields.integer("workload"),
-            )
-
-
+@wire_record()
 @dataclass(frozen=True, slots=True)
 class NetworkMetrics:
     """Metrics about the network realm linking broker and entity.
@@ -166,23 +150,3 @@ class NetworkMetrics:
             )
         if self.mean_rtt_ms < 0 or self.jitter_ms < 0:
             raise ValidationError("delay metrics must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "loss_rate": self.loss_rate,
-            "mean_rtt_ms": self.mean_rtt_ms,
-            "jitter_ms": self.jitter_ms,
-            "out_of_order_rate": self.out_of_order_rate,
-            "bandwidth_estimate_kbps": self.bandwidth_estimate_kbps,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkMetrics":
-        with Fields(data, cls) as fields:
-            return cls(
-                loss_rate=fields.number("loss_rate"),
-                mean_rtt_ms=fields.number("mean_rtt_ms"),
-                jitter_ms=fields.number("jitter_ms"),
-                out_of_order_rate=fields.number("out_of_order_rate"),
-                bandwidth_estimate_kbps=fields.number("bandwidth_estimate_kbps"),
-            )

@@ -18,14 +18,20 @@ into every frame that carries it instead of being re-encoded.
 
 :class:`Fields` is the receiving side of the same type universe: the one
 place a decoded mapping becomes typed values (docs/WIRE_FORMAT.md,
-"Decoding").
+"Decoding").  :func:`wire_record` derives a record's ``to_dict`` /
+``from_dict`` from its dataclass fields through the same reads.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import math
+import operator
 import struct
 import sys
+import types
+import typing
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -34,6 +40,7 @@ from repro.errors import (
     ReproError,
     SerializationDecodeError,
     SerializationTypeError,
+    ValidationError,
 )
 
 _TAG_NONE = b"N"
@@ -339,11 +346,13 @@ class Fields:
         if named and not isinstance(exc, MalformedFrameError):
             raise MalformedFrameError(f"{self._owner}: {exc}") from exc
 
-    def value(self, key: str) -> Any:
+    def value(self, key: str, default: Any = _REQUIRED) -> Any:
         """Whatever canonical value ``key`` holds (``None`` included)."""
-        if key not in self._data:
+        if key in self._data:
+            return self._data[key]
+        if default is _REQUIRED:
             raise self._bad(key, "is missing")
-        return self._data[key]
+        return default
 
     integer = _typed((int,), "an int")
     text = _typed((str,), "a str")
@@ -375,10 +384,130 @@ class Fields:
             raise self._bad(key, "must be a list of str")
         return tuple(value)
 
-    def member(self, key: str, enum_class: Any) -> Any:
+    def member(self, key: str, enum_class: Any, default: Any = _REQUIRED) -> Any:
         """The member of ``enum_class`` whose value is the str under ``key``."""
-        value = self.text(key)
+        value = self.text(key, default)
+        if value is default:
+            return value
         try:
             return enum_class(value)
         except ValueError:
             raise self._bad(key, f"names no {enum_class.__name__}: {value!r}") from None
+
+
+#: The read of a field with a dataclass default whose key is absent: the
+#: field is left out of the constructor call, so the class's default applies.
+_OMIT: Any = object()
+
+#: Annotations whose value goes on the wire as it is, with their read.
+_PLAIN_READS: dict[Any, Callable[..., Any]] = {
+    int: Fields.integer,
+    float: Fields.number,
+    str: Fields.text,
+    bytes: Fields.octets,
+    Any: Fields.value,
+}
+
+
+def _then(read: Callable[..., Any], convert: Callable[[Any], Any]) -> Callable[..., Any]:
+    """``read``, with ``convert`` applied to a value that is not the default."""
+    return lambda fields, key, default: (
+        value if (value := read(fields, key, default)) is default else convert(value)
+    )
+
+
+def _field_codec(annotation: Any) -> tuple[Callable[[Any], Any] | None, Callable[..., Any]]:
+    """``(write, read)`` of one annotation; a ``write`` of None sends the value as it is."""
+    if annotation in _PLAIN_READS:
+        return None, _PLAIN_READS[annotation]
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType) and type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        write, read = _field_codec(inner)
+        if write is None:
+            return None, read
+        return (lambda value: None if value is None else write(value)), read
+    if annotation is dict:
+        return dict, _then(Fields.mapping, dict)
+    if annotation is tuple:
+        return list, _then(Fields.items, tuple)
+    if origin is frozenset and args == (str,):
+        return sorted, _then(Fields.texts, frozenset)
+    if origin is tuple and args == (str, ...):
+        return list, Fields.texts
+    if origin is tuple and len(args) == 2 and args[1] is ... and hasattr(args[0], "_wire"):
+        record = args[0]
+        return (
+            lambda values: [record.to_dict(value) for value in values],
+            _then(Fields.items, lambda items: tuple(record.from_dict(item) for item in items)),
+        )
+    if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
+        return operator.attrgetter("value"), (
+            lambda fields, key, default: fields.member(key, annotation, default)
+        )
+    if hasattr(annotation, "_wire"):
+        return annotation.to_dict, _then(Fields.value, annotation.from_dict)
+    raise SerializationTypeError(f"no wire form for the annotation {annotation!r}")
+
+
+def _write_record(record: Any) -> dict:
+    """The wire mapping of a :func:`wire_record` instance: its tag, then each field."""
+    kind, writers, _ = record._wire
+    data: dict = {} if kind is None else {"kind": kind}
+    for name, write in writers:
+        value = getattr(record, name)
+        data[name] = value if write is None else write(value)
+    return data
+
+
+def read_record(cls: Any, data: Any) -> Any:
+    """Decode a :func:`wire_record` class's mapping; raises :class:`MalformedFrameError`.
+
+    A tagged record refuses any other ``kind``.  A value the constructor
+    refuses with a :class:`ValidationError` is reported as malformed; any
+    other error of the constructor passes through.
+    """
+    kind, _, readers = cls._wire
+    fields = Fields(data, cls)
+    if kind is not None and fields.text("kind") != kind:
+        raise fields._bad("kind", f"must be {kind!r}")
+    values = {}
+    for name, read, default in readers:
+        value = read(fields, name, default)
+        if value is not _OMIT:
+            values[name] = value
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise MalformedFrameError(f"{fields._owner}: {exc}") from exc
+
+
+def wire_record(kind: str | None = None) -> Callable[[type], type]:
+    """Derive a frozen dataclass's ``to_dict`` / ``from_dict`` from its fields.
+
+    Each field goes on the wire under its own name, read back by the
+    :class:`Fields` read its annotation names (docs/WIRE_FORMAT.md,
+    "Declared records").  A field with a dataclass default is optional on the
+    wire; one without is required.  ``kind``, when given, is written first
+    and checked on decode.  A ``from_dict`` the class body defines is kept;
+    it can call :func:`read_record`.
+    """
+
+    def declare(cls: type) -> type:
+        hints = typing.get_type_hints(cls)
+        writers, readers = [], []
+        for field in dataclasses.fields(cls):
+            write, read = _field_codec(hints[field.name])
+            writers.append((field.name, write))
+            has_default = (
+                field.default is not dataclasses.MISSING
+                or field.default_factory is not dataclasses.MISSING
+            )
+            readers.append((field.name, read, _OMIT if has_default else _REQUIRED))
+        cls._wire = (kind, tuple(writers), tuple(readers))
+        cls.to_dict = _write_record
+        if "from_dict" not in vars(cls):
+            cls.from_dict = classmethod(read_record)
+        return cls
+
+    return declare

@@ -4,6 +4,7 @@ from pathlib import Path
 
 from repro.analysis import analyze_paths, index_paths
 from repro.analysis.rules.wire_schema import (
+    declared_kinds,
     encoder_attribute_reads,
     handled_kinds,
     produced_kinds,
@@ -32,6 +33,18 @@ class TestUnhandledKindFixture:
     def test_handled_kind_is_not_flagged(self):
         messages = [f.message for f in wire01(FIXTURES / "unhandled_kind")]
         assert not any("'ping'" in m for m in messages)
+
+
+class TestDeclaredKindFixture:
+    def test_a_declaration_produces_and_handles_its_kind(self):
+        index = index_paths([FIXTURES / "declared_kind"])
+        # the untagged record declares nothing; the constant-tagged one resolves
+        assert set(declared_kinds(index)) == {"heartbeat", "goodbye"}
+        assert set(produced_kinds(index)) == {"heartbeat", "goodbye"}
+        assert set(handled_kinds(index)) == {"heartbeat", "goodbye"}
+
+    def test_declared_kinds_raise_no_finding(self):
+        assert wire01(FIXTURES / "declared_kind") == []
 
 
 class TestVocabularyExtraction:

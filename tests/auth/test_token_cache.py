@@ -18,6 +18,7 @@ from repro.auth import (
     TokenVerifier,
     token_digest,
 )
+from repro.auth.tokens import DEFAULT_SKEW_TOLERANCE_MS
 from repro.errors import ConfigurationError, TokenError
 from repro.obs import MetricsRegistry
 from repro.util import serialization
@@ -56,23 +57,23 @@ class TestCacheUnit:
     def test_store_then_lookup_hits(self, token):
         cache = TokenVerificationCache(MetricsRegistry())
         digest = token_digest(token.wire)
-        assert cache.lookup(digest, now_ms=0.0) is None
+        assert cache.lookup(digest, 0.0, DEFAULT_SKEW_TOLERANCE_MS) is None
         cache.store(digest, token)
-        assert cache.lookup(digest, now_ms=100.0) is token
+        assert cache.lookup(digest, 100.0, DEFAULT_SKEW_TOLERANCE_MS) is token
         assert digest in cache and len(cache) == 1
 
     def test_expired_entry_is_a_miss_and_is_dropped(self, token):
         cache = TokenVerificationCache(MetricsRegistry())
         digest = token_digest(token.wire)
         cache.store(digest, token)
-        assert cache.lookup(digest, now_ms=10_500.0) is None
+        assert cache.lookup(digest, 10_500.0, DEFAULT_SKEW_TOLERANCE_MS) is None
         assert digest not in cache
 
     def test_skew_tolerance_keeps_borderline_entries_alive(self, token):
         cache = TokenVerificationCache(MetricsRegistry())
         digest = token_digest(token.wire)
         cache.store(digest, token)
-        assert cache.lookup(digest, 10_050.0, skew_tolerance_ms=100.0) is token
+        assert cache.lookup(digest, 10_050.0, DEFAULT_SKEW_TOLERANCE_MS) is token
 
     def test_lru_eviction_order(self, keypair, second_keypair, rng):
         cache = TokenVerificationCache(MetricsRegistry(), capacity=2)
@@ -83,7 +84,7 @@ class TestCacheUnit:
         cache.store(digests[0], tokens[0])
         cache.store(digests[1], tokens[1])
         # touch the oldest so the *other* entry becomes LRU
-        assert cache.lookup(digests[0], now_ms=0.0) is tokens[0]
+        assert cache.lookup(digests[0], 0.0, DEFAULT_SKEW_TOLERANCE_MS) is tokens[0]
         cache.store(digests[2], tokens[2])
         assert digests[0] in cache and digests[2] in cache
         assert digests[1] not in cache
@@ -94,9 +95,9 @@ class TestCacheUnit:
         digest = token_digest(token.wire)
         counters = metrics.snapshot()["counters"]
         assert counters["auth.token.cache.hit"] == 0  # materialized zeros
-        cache.lookup(digest, now_ms=0.0)  # miss
+        cache.lookup(digest, 0.0, DEFAULT_SKEW_TOLERANCE_MS)  # miss
         cache.store(digest, token)
-        cache.lookup(digest, now_ms=0.0)  # hit
+        cache.lookup(digest, 0.0, DEFAULT_SKEW_TOLERANCE_MS)  # hit
         cache.store(b"other-digest-0000000", token)  # evicts
         counters = metrics.snapshot()["counters"]
         assert counters["auth.token.cache.miss"] == 1
@@ -139,6 +140,22 @@ class TestVerifierIntegration:
         assert cache.lookup(digest, 9_000.0, verifier.skew_tolerance_ms) is not None
         assert cache.lookup(digest, 10_200.0, verifier.skew_tolerance_ms) is None
         assert digest not in cache
+
+    @pytest.mark.parametrize("past_window_ms", [-1.0, 1.0], ids=["inside", "outside"])
+    def test_refresh_check_and_verifier_share_one_skew_tolerance(
+        self, second_keypair, token, past_window_ms
+    ):
+        # the broker refreshes a session's token when token.expired(now) holds,
+        # with the default tolerance; a verifier must reject exactly those tokens
+        verifier = TokenVerifier({"tdn-0": second_keypair.public})
+        now = token.valid_until_ms + DEFAULT_SKEW_TOLERANCE_MS + past_window_ms
+        try:
+            verifier.verify(token.wire, now_ms=now)
+            rejected = False
+        except TokenError:
+            rejected = True
+        assert rejected is (past_window_ms > 0)
+        assert token.expired(now) is rejected
 
 
 class TestDeploymentIntegration:

@@ -49,11 +49,6 @@ ALLOWED: dict[str, str] = {
     # -- decode
     "repro.analytics.events:AnalyticsEvent.from_dict": "decode: an analytics snapshot row",
     "repro.analytics.store:AnalyticsStore.from_json": "decode: an analytics snapshot document",
-    "repro.faults.plan:FaultEvent.from_dict": "decode: one event of a fault-plan document",
-    "repro.faults.plan:FaultEvent.to_dict": (
-        "decode: the encoder whose output the from_dict round trip and the decode "
-        "contract start from"
-    ),
     "repro.faults.plan:FaultPlan.from_dict": "decode: a fault-plan document",
     "repro.faults.plan:FaultPlan.to_dict": (
         "decode: the encoder whose output the from_dict round trip and the decode "
@@ -63,7 +58,6 @@ ALLOWED: dict[str, str] = {
         "decode: the Entity-ID inside a descriptor; rejects a non-trace descriptor"
     ),
     "repro.tdn.query:DiscoveryQuery.parse": "decode: a discovery query string",
-    "repro.tracing.traces:NetworkMetrics.from_dict": "decode: a NETWORK_METRICS trace body",
     "repro.wire.compact:CompactCodec.decode": "decode: compact wire bytes",
     "repro.wire.compact:_DecodeContext.__init__": "decode: compact wire bytes",
     "repro.wire.compact:_DecodeContext.read_str": "decode: compact wire bytes",

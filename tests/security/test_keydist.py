@@ -36,7 +36,7 @@ class TestKeyDistribution:
         trace_key = SymmetricKey.generate(rng)
         payload = build_key_payload(trace_key, "cd" * 16, keypair.public, rng)
         restored = KeyDistributionPayload.from_dict(payload.to_dict())
-        assert restored.trace_topic_hex == "cd" * 16
+        assert restored.trace_topic == "cd" * 16
         assert open_key_payload(restored, keypair.private) == trace_key
 
     def test_wire_form_marks_kind(self, keypair, rng):

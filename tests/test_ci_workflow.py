@@ -166,9 +166,9 @@ def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):
     # benchmarks/perf/spans.py patches its entry points by name; only its own
     # self-test notices a rename before the next benchmark run does
     runs = [step.get("run") or "" for step in workflow["jobs"]["bench-smoke"]["steps"]]
-    # exactly two ids are deselected, each for one frozen assertion a perf PR falsified
-    # on purpose (PR 18: crypto.aes.share > 0.5; PR 19: the topic_matches row of
-    # spans.TARGETS); ci.yml says why and ROADMAP says when they come back
+    # exactly two ids are deselected, each for frozen assertions a perf change falsified
+    # on purpose (crypto.aes.share > 0.5; the topic_matches and trace-steady split_topic
+    # rows of spans.TARGETS); ci.yml says why, and ROADMAP item 5 brings them back
     assert (
         "python -m pytest benchmarks/perf -q"
         " --deselect benchmarks/perf/test_perf.py::test_zero_call_predictions_hold"

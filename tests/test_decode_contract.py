@@ -2,9 +2,10 @@
 
 The classes are *discovered*: every class under ``repro`` (outside
 ``repro.analysis``) that defines ``from_dict`` is under contract, so a new
-one is covered the day it is written.  A valid instance is built from the
-class's own type hints, its ``to_dict()`` form must decode back to an equal
-instance, and every single-point mutation of that form — a dropped key, a
+one is covered the day it is written; a ``@wire_record`` declaration
+defines it.  A valid instance is built from the class's own type hints,
+its ``to_dict()`` form must decode back to an equal instance, and every
+single-point mutation of that form — a dropped key, a
 leaf swapped for a value of each other canonical type, a mapping nested
 where a scalar belongs, the whole mapping replaced by a scalar — must
 decode to a value or raise a :class:`ReproError`, never ``KeyError`` /
@@ -43,7 +44,7 @@ from repro.auth.verification import TokenVerifier
 from repro.crypto.aes import AESKey
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPublicKey
-from repro.errors import ReproError, SerializationDecodeError, TokenError
+from repro.errors import MalformedFrameError, ReproError, SerializationDecodeError, TokenError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.tracing.traces import LoadInformation
 from repro.util.identifiers import UUID128, EntityId
@@ -54,23 +55,25 @@ from tests.auth.test_verification import make_advertisement
 EXAMPLES = 6
 
 
-def _decodable_classes() -> list[type]:
+def _package_classes() -> list[type]:
     found = []
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if info.name.startswith("repro.analysis") or info.name.endswith("__main__"):
             continue
         module = importlib.import_module(info.name)
-        for cls in vars(module).values():
-            if (
-                inspect.isclass(cls)
-                and cls.__module__ == module.__name__
-                and "from_dict" in vars(cls)
-            ):
-                found.append(cls)
+        found.extend(
+            cls
+            for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+        )
     return found
 
 
-CLASSES = _decodable_classes()
+PACKAGE_CLASSES = _package_classes()
+CLASSES = [cls for cls in PACKAGE_CLASSES if "from_dict" in vars(cls)]
+#: The ``@wire_record`` classes: their ``_wire`` is ``(kind, writers, readers)``.
+WIRE_RECORDS = [cls for cls in PACKAGE_CLASSES if "_wire" in vars(cls)]
+TAGGED_RECORDS = [cls for cls in WIRE_RECORDS if cls._wire[0] is not None]
 
 # -- valid instances, from the type hints ---------------------------------------
 
@@ -253,6 +256,28 @@ def test_discovery_finds_the_known_classes():
     names = {cls.__name__ for cls in CLASSES}
     assert len(CLASSES) >= 18
     assert {"SignedEnvelope", "AuthorizationToken", "Ping", "FaultPlan"} <= names
+
+
+def test_every_wire_record_is_under_contract():
+    assert set(WIRE_RECORDS) <= set(CLASSES)
+    assert {cls.__name__ for cls in TAGGED_RECORDS} == {
+        "Ping", "PingResponse", "KeyDistributionPayload"
+    }
+
+
+@pytest.mark.parametrize("cls", TAGGED_RECORDS, ids=lambda cls: cls.__name__)
+@settings(
+    max_examples=EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_a_tagged_record_refuses_another_kind(cls, data):
+    wire = data.draw(_strategy(cls)).to_dict()
+    for kind in ("ping", "ping_response", "key_distribution", "load"):
+        if kind != wire["kind"]:
+            with pytest.raises(MalformedFrameError, match="'kind'"):
+                cls.from_dict({**wire, "kind": kind})
 
 
 # -- the json codec's decode side: the bytes a token travels as -------------------
