@@ -34,12 +34,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.base import SEVERITY_ERROR, SEVERITY_WARNING, Checker, Finding
-from repro.analysis.project import (
-    ModuleInfo,
-    ProjectIndex,
-    call_param_pairs,
-    enclosing_class_map,
-)
+from repro.analysis.project import ModuleInfo, ProjectIndex
 
 #: One occurrence of a kind string: where it was seen.
 KindSites = dict[str, list[tuple[ModuleInfo, ast.AST]]]
@@ -71,17 +66,13 @@ def declared_kinds(index: ProjectIndex) -> KindSites:
 def produced_kinds(index: ProjectIndex) -> KindSites:
     """Every message kind the project builds, with its production sites.
 
-    Three production shapes: a :func:`declared_kinds` declaration, dict
-    literals with a constant-resolvable ``"kind"`` entry
-    (``{"kind": PING_BATCH_KIND, ...}``), and constant
-    strings passed to a *kind-forwarding* function — one whose body puts
-    that parameter into a ``{"kind": <param>}`` dict, like
-    ``Entity._send_sealed("trace_key", ...)``.  Bodies whose kind is some
-    other runtime value (``{"kind": self.kind}``) are invisible to both
-    and deliberately out of scope.
+    Two production shapes: a :func:`declared_kinds` declaration, and a
+    dict literal with a constant-resolvable ``"kind"`` entry
+    (``{"kind": SHUTDOWN_KIND, ...}``).  A body whose kind is a runtime
+    value (``{"kind": self.kind}``) is invisible and deliberately out of
+    scope: the protocol's messages are declared.
     """
     sites = declared_kinds(index)
-    forwarding = _kind_forwarding_params(index)
     for info in index.iter_modules():
         for node in ast.walk(info.ctx.tree):
             if not isinstance(node, ast.Dict):
@@ -93,43 +84,7 @@ def produced_kinds(index: ProjectIndex) -> KindSites:
                     and (kind := index.resolve_constant(info, value)) is not None
                 ):
                     _record(sites, kind, info, node)
-    for info, qualname, fn in index.iter_functions():
-        current_class = enclosing_class_map(info).get(qualname)
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = index.resolve_call(info, node, current_class)
-            if resolved is None:
-                continue
-            params = forwarding.get((resolved[0].name, resolved[1]))
-            if not params:
-                continue
-            for param, arg in call_param_pairs(index, info, node, current_class):
-                if param not in params:
-                    continue
-                kind = index.resolve_constant(info, arg)
-                if kind is not None:
-                    _record(sites, kind, info, node)
     return sites
-
-
-def _kind_forwarding_params(index: ProjectIndex) -> dict[tuple[str, str], set[str]]:
-    """``(module, qualname) -> params`` that flow into a ``"kind"`` entry."""
-    forwarding: dict[tuple[str, str], set[str]] = {}
-    for info, qualname, fn in index.iter_functions():
-        param_names = {arg.arg for arg in [*fn.args.posonlyargs, *fn.args.args]}
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Dict):
-                continue
-            for key, value in zip(node.keys, node.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and key.value == "kind"
-                    and isinstance(value, ast.Name)
-                    and value.id in param_names
-                ):
-                    forwarding.setdefault((info.name, qualname), set()).add(value.id)
-    return forwarding
 
 
 def handled_kinds(index: ProjectIndex) -> KindSites:

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
+from typing import Annotated
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import SignedEnvelope, sign_payload, verify_payload
 from repro.errors import MalformedFrameError, SignatureError, TokenError
 from repro.tdn.advertisement import TopicAdvertisement
-from repro.util.serialization import Canonical, Fields
+from repro.util.serialization import Canonical, read_record, wire_record
 
 #: Clock skew a token's validity window is widened by (section 4, NTP).
 DEFAULT_SKEW_TOLERANCE_MS = 100.0
@@ -38,17 +39,18 @@ class TokenRights(enum.Enum):
     SUBSCRIBE = "subscribe"
 
 
-@dataclass(frozen=True, slots=True)
+@wire_record()
 class AuthorizationToken:
     """A signed delegation of rights over a trace topic.
 
-    ``wire`` is the canonical encoding of :meth:`to_dict`, computed once
+    On the wire its key is ``token_n`` / ``token_e``.  ``wire`` is the
+    canonical encoding of :meth:`to_dict`, computed once
     when the token is built: it is what every trace carries
     (``Message.auth_token``) and what a verifier hashes for its cache key.
     """
 
     advertisement: TopicAdvertisement
-    token_public_key: RSAPublicKey
+    token_public_key: Annotated[RSAPublicKey, "token_"]
     rights: TokenRights
     valid_from_ms: float
     valid_until_ms: float
@@ -144,34 +146,10 @@ class AuthorizationToken:
         except SignatureError as exc:
             raise TokenError(f"token not signed by topic owner: {exc}") from exc
 
-    # -- wire form ----------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready wire form; ``from_dict`` round-trips it."""
-        return {
-            "advertisement": self.advertisement.to_dict(),
-            "token_n": self.token_public_key.n,
-            "token_e": self.token_public_key.e,
-            "rights": self.rights.value,
-            "valid_from_ms": self.valid_from_ms,
-            "valid_until_ms": self.valid_until_ms,
-            "owner_signature": self.owner_signature.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "AuthorizationToken":
         """Parse a wire-form token; raises ``TokenError`` when malformed."""
         try:
-            with Fields(data, cls) as fields:
-                return cls(
-                    advertisement=TopicAdvertisement.from_dict(fields.value("advertisement")),
-                    token_public_key=RSAPublicKey(
-                        fields.integer("token_n"), fields.integer("token_e")
-                    ),
-                    rights=fields.member("rights", TokenRights),
-                    valid_from_ms=fields.number("valid_from_ms"),
-                    valid_until_ms=fields.number("valid_until_ms"),
-                    owner_signature=SignedEnvelope.from_dict(fields.value("owner_signature")),
-                )
+            return read_record(cls, data)
         except MalformedFrameError as exc:
             raise TokenError(f"malformed token: {exc}") from exc

@@ -31,7 +31,6 @@ _SCALAR_TYPES = (int, float, str, bool)
 
 
 @wire_record()
-@dataclass(frozen=True, slots=True)
 class Axis:
     """One swept parameter: a name and its ordered list of values."""
 
@@ -52,7 +51,6 @@ class Axis:
 
 
 @wire_record()
-@dataclass(frozen=True, slots=True)
 class CampaignSpec:
     """A named, declarative parameter-sweep campaign.
 

@@ -10,21 +10,23 @@ be chained back to a trusted certificate authority.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import Annotated
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import RSAPublicKey
 from repro.errors import CertificateError, SignatureError
-from repro.util.serialization import Fields, canonical_encode
+from repro.util.serialization import canonical_encode, wire_record
 
 
-@dataclass(frozen=True, slots=True)
+@wire_record()
 class Certificate:
     """A signed binding of ``subject`` to ``public_key``.
 
     ``issuer`` names the CA (or the subject itself, when self-signed);
     ``signature`` is the issuer's RSA signature over the canonical encoding
-    of all other fields.
+    of all other fields.  It travels embedded in registration requests,
+    its key as ``n`` / ``e``; an expiry of ``inf`` means "never".
     """
 
     subject: str
@@ -32,35 +34,8 @@ class Certificate:
     public_key: RSAPublicKey
     serial: int
     not_before_ms: float
-    not_after_ms: float
+    not_after_ms: Annotated[float, "unbounded"]
     signature: bytes
-
-    def to_dict(self) -> dict:
-        """Wire rendering (embedded in registration requests)."""
-        return {
-            "subject": self.subject,
-            "issuer": self.issuer,
-            "n": self.public_key.n,
-            "e": self.public_key.e,
-            "serial": self.serial,
-            "not_before_ms": self.not_before_ms,
-            "not_after_ms": self.not_after_ms,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Certificate":
-        """Parse :meth:`to_dict`'s form; raises :class:`MalformedFrameError`."""
-        with Fields(data, cls) as fields:
-            return cls(
-                subject=fields.text("subject"),
-                issuer=fields.text("issuer"),
-                public_key=RSAPublicKey(fields.integer("n"), fields.integer("e")),
-                serial=fields.integer("serial"),
-                not_before_ms=fields.number("not_before_ms"),
-                not_after_ms=fields.number("not_after_ms", unbounded=True),
-                signature=fields.octets("signature"),
-            )
 
     def to_be_signed(self) -> bytes:
         """The canonical bytes the issuer signs: every field but the signature."""
@@ -95,29 +70,7 @@ class CertificateAuthority:
         self._rng = rng
         self._keys = KeyPair.generate(rng)
         self._serial = 0
-        self.root_certificate = self._make_root()
-
-    def _make_root(self) -> Certificate:
-        self._serial += 1
-        unsigned = Certificate(
-            subject=self.name,
-            issuer=self.name,
-            public_key=self._keys.public,
-            serial=self._serial,
-            not_before_ms=0.0,
-            not_after_ms=float("inf"),
-            signature=b"",
-        )
-        signature = self._keys.private.sign(unsigned.to_be_signed())
-        return Certificate(
-            subject=unsigned.subject,
-            issuer=unsigned.issuer,
-            public_key=unsigned.public_key,
-            serial=unsigned.serial,
-            not_before_ms=unsigned.not_before_ms,
-            not_after_ms=unsigned.not_after_ms,
-            signature=signature,
-        )
+        self.root_certificate = self.issue(name, self._keys.public, not_before_ms=0.0)
 
     #: Default backdating of not_before: real CAs backdate issuance so a
     #: verifier whose clock runs behind (NTP skew) does not reject a
@@ -148,16 +101,7 @@ class CertificateAuthority:
             not_after_ms=not_after_ms,
             signature=b"",
         )
-        signature = self._keys.private.sign(unsigned.to_be_signed())
-        return Certificate(
-            subject=unsigned.subject,
-            issuer=unsigned.issuer,
-            public_key=unsigned.public_key,
-            serial=unsigned.serial,
-            not_before_ms=unsigned.not_before_ms,
-            not_after_ms=unsigned.not_after_ms,
-            signature=signature,
-        )
+        return replace(unsigned, signature=self._keys.private.sign(unsigned.to_be_signed()))
 
     def verify(self, certificate: Certificate, now_ms: float | None = None) -> None:
         """Raise :class:`CertificateError` unless ``certificate`` is valid.

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from repro.crypto import digest as _digest
 from repro.crypto.primes import generate_prime, modinv
 from repro.errors import DecryptionError, KeyMaterialError, PaddingError, SignatureError
+from repro.util.serialization import wire_record
 
 #: Simulation default modulus size (bits).  See module docstring.
 DEFAULT_KEY_BITS = 512
@@ -91,12 +92,13 @@ class RSAPublicKey:
         return pow(m, self.e, self.n).to_bytes(k, "big")
 
 
-@dataclass(frozen=True, slots=True)
+@wire_record()
 class RSAPrivateKey:
     """RSA private key with CRT acceleration parameters.
 
     Equality, hash and repr are on the eight numbers alone; the public half
     is built once, with the key, so its ``n`` and ``e`` are validated here.
+    On the wire (sealed, section 4.3) it is the eight numbers.
     """
 
     n: int

@@ -16,7 +16,6 @@ Two patterns recur throughout the paper's protocol:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.aes import AESKey
@@ -39,7 +38,6 @@ from repro.util.serialization import (
 
 
 @wire_record()
-@dataclass(frozen=True, slots=True)
 class SignedEnvelope:
     """A payload plus the signature and signer fingerprint."""
 
@@ -107,7 +105,6 @@ def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> b
 
 
 @wire_record()
-@dataclass(frozen=True, slots=True)
 class SealedPayload:
     """Hybrid-encrypted payload: AES body + RSA-wrapped key."""
 

@@ -37,7 +37,6 @@ _WINDOW_KINDS = frozenset(
 
 
 @wire_record()
-@dataclass(frozen=True, slots=True)
 class FaultEvent:
     """One scheduled fault.
 

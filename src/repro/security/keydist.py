@@ -14,7 +14,6 @@ That is exactly the hybrid :func:`~repro.crypto.signing.seal_for` scheme.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
@@ -23,7 +22,6 @@ from repro.util.serialization import wire_record
 
 
 @wire_record("key_distribution")
-@dataclass(frozen=True, slots=True)
 class KeyDistributionPayload:
     """The sealed trace-key message published to one tracker."""
 

@@ -22,7 +22,6 @@ from repro.util.serialization import Fields, wire_record
 
 
 @wire_record()
-@dataclass(frozen=True, slots=True)
 class TopicLifetime:
     """Validity window of a trace topic."""
 

@@ -9,6 +9,7 @@ peers, and routes discovery around failed nodes.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Generator
 
 from repro.crypto.certificates import CertificateAuthority
@@ -107,32 +108,18 @@ class TDNNode:
             raise RegistrationError(f"request signature invalid: {exc}") from exc
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
 
-        trace_topic = self._uuids.next()
-        lifetime = TopicLifetime(created_ms=now, duration_ms=request.lifetime_ms)
-        fields = {
-            "trace_topic": trace_topic.hex,
-            "descriptor": request.descriptor,
-            "owner_subject": request.credentials.subject,
-            "owner_n": request.credentials.public_key.n,
-            "owner_e": request.credentials.public_key.e,
-            "restrictions": request.restrictions.to_dict(),
-            "lifetime": lifetime.to_dict(),
-            "issuing_tdn": self.name,
-        }
-        envelope = sign_payload(fields, self._keys.private)
-        yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-        advertisement = TopicAdvertisement(
-            trace_topic=trace_topic,
-            descriptor=request.descriptor,
-            owner_subject=request.credentials.subject,
-            owner_public_key=request.credentials.public_key,
-            restrictions=request.restrictions,
-            lifetime=lifetime,
-            issuing_tdn=self.name,
-            signature=envelope,
+        advertisement = yield from self._publish(
+            TopicAdvertisement(
+                trace_topic=self._uuids.next(),
+                descriptor=request.descriptor,
+                owner_subject=request.credentials.subject,
+                owner_public_key=request.credentials.public_key,
+                restrictions=request.restrictions,
+                lifetime=TopicLifetime(created_ms=now, duration_ms=request.lifetime_ms),
+                issuing_tdn=self.name,
+                signature=None,
+            )
         )
-        self.store.put(advertisement)
-        self._replicate(advertisement)
         self.monitor.metrics.counter("tdn.advertisements.created").inc()
         self.monitor.metrics.gauge("tdn.advertisements.stored").set(
             float(len(self.store))
@@ -179,25 +166,22 @@ class TDNNode:
             created_ms=stored.lifetime.created_ms,
             duration_ms=stored.lifetime.duration_ms + additional_lifetime_ms,
         )
-        fields = dict(stored.signed_fields())
-        fields["lifetime"] = lifetime.to_dict()
-        fields["issuing_tdn"] = self.name
-        envelope = sign_payload(fields, self._keys.private)
-        yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-        renewed = TopicAdvertisement(
-            trace_topic=stored.trace_topic,
-            descriptor=stored.descriptor,
-            owner_subject=stored.owner_subject,
-            owner_public_key=stored.owner_public_key,
-            restrictions=stored.restrictions,
-            lifetime=lifetime,
-            issuing_tdn=self.name,
-            signature=envelope,
+        renewed = yield from self._publish(
+            replace(stored, lifetime=lifetime, issuing_tdn=self.name)
         )
-        self.store.put(renewed)
-        self._replicate(renewed)
         self.monitor.metrics.counter("tdn.topics_renewed").inc()
         return renewed
+
+    def _publish(
+        self, unsigned: TopicAdvertisement
+    ) -> Generator[Event, None, TopicAdvertisement]:
+        """Sign an advertisement's fields, store it and replicate it cluster-wide."""
+        envelope = sign_payload(unsigned.signed_fields(), self._keys.private)
+        yield from self.machine.charge(CryptoOp.TRACE_SIGN)
+        advertisement = replace(unsigned, signature=envelope)
+        self.store.put(advertisement)
+        self._replicate(advertisement)
+        return advertisement
 
     def _replicate(self, advertisement: TopicAdvertisement) -> None:
         for peer in self._peers:

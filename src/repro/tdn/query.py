@@ -78,7 +78,6 @@ class DiscoveryQuery:
 
 
 @wire_record()
-@dataclass(frozen=True, slots=True)
 class DiscoveryRestrictions:
     """Who may discover a topic.
 

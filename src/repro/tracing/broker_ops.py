@@ -10,17 +10,14 @@ key when the entity asked for confidentiality.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Generator
 
 from repro.auth.credentials import EntityCredentials
-from repro.auth.tokens import AuthorizationToken
 from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.keys import SymmetricKey
-from repro.crypto.rsa import MIN_SIGNING_MODULUS_BYTES, RSAPrivateKey, RSAPublicKey
+from repro.crypto.rsa import MIN_SIGNING_MODULUS_BYTES, RSAPublicKey
 from repro.crypto.signing import (
-    SealedPayload,
     open_sealed,
     seal_for,
     sign_payload,
@@ -45,8 +42,17 @@ from repro.security.confidentiality import wrap_trace_body
 from repro.security.keydist import build_key_payload
 from repro.sim.engine import Event
 from repro.tracing.coalesce import PingCoalescer
+from repro.tracing.entity import (
+    ChannelKeyDelivery,
+    LoadReport,
+    StateReport,
+    SymFrame,
+    TokenDelivery,
+    TokenDeliveryPayload,
+    TraceKeyDelivery,
+)
 from repro.tracing.failure import AdaptivePingPolicy, DetectorVerdict, FailureDetector
-from repro.tracing.interest import InterestCategory, InterestRegistry
+from repro.tracing.interest import InterestCategory, InterestRegistry, InterestResponse
 from repro.tracing.pings import PingResponse
 from repro.tracing.registration import (
     RegistrationError_Response,
@@ -55,9 +61,12 @@ from repro.tracing.registration import (
 )
 from repro.tracing.session import TraceSession
 from repro.tracing.topics import REGISTRATION_TOPIC, TraceTopicSet
-from repro.tracing.traces import EntityState, LoadInformation, TraceType, category_of
+from repro.tracing.traces import EntityState, TraceBody, TraceType, category_of
 from repro.util.identifiers import SessionId, UUIDGenerator
-from repro.util.serialization import Fields, canonical_decode
+from repro.util.serialization import canonical_decode
+
+#: The sealed symmetric keys a session can install, by message kind.
+_SEALED_KEYS = {"trace_key": TraceKeyDelivery, "channel_key": ChannelKeyDelivery}
 
 #: Ping responses per derived NETWORK_METRICS trace.
 METRICS_EVERY = 5
@@ -296,7 +305,7 @@ class TraceManager:
                 yield from self._handle_load_report(session, body)
             elif kind == "token_delivery":
                 yield from self._handle_token_delivery(session, message, body)
-            elif kind == "trace_key" or kind == "channel_key":
+            elif kind in _SEALED_KEYS:
                 yield from self._handle_symmetric_key(session, kind, body)
             elif kind == "disable_tracing":
                 yield from self._handle_disable(session)
@@ -318,8 +327,8 @@ class TraceManager:
                 return None
             yield from self.machine.charge(CryptoOp.TRACE_DECRYPT)
             try:
-                ciphertext = Fields(body, "sym frame").octets("ciphertext")
-                decoded = canonical_decode(session.channel_key.decrypt(ciphertext))
+                frame = SymFrame.from_dict(body)
+                decoded = canonical_decode(session.channel_key.decrypt(frame.ciphertext))
             except (DecryptionError, MalformedFrameError, SerializationDecodeError):
                 return None
             return decoded if isinstance(decoded, dict) else None
@@ -350,11 +359,13 @@ class TraceManager:
 
     # ------------------------------------------------------------ message kinds
 
-    def _open_sealed_control(self, body: dict) -> Generator[Event, None, dict | None]:
+    def _open_sealed_control(
+        self, control: type, body: dict
+    ) -> Generator[Event, None, dict | None]:
+        """The payload a sealed ``control`` message seals to this broker."""
         yield from self.machine.charge(CryptoOp.OPEN_SEALED)
         try:
-            sealed = SealedPayload.from_dict(body.get("sealed"))
-            payload = open_sealed(sealed, self.credentials.keys.private)
+            payload = open_sealed(control.from_dict(body).sealed, self.credentials.keys.private)
         except (DecryptionError, MalformedFrameError):
             self.monitor.metrics.counter("trace.sealed_control_rejected").inc()
             return None
@@ -363,18 +374,18 @@ class TraceManager:
     def _handle_token_delivery(
         self, session: TraceSession, message: Message, body: dict
     ) -> Generator[Event, None, None]:
-        payload = yield from self._open_sealed_control(body)
+        payload = yield from self._open_sealed_control(TokenDelivery, body)
         if payload is None:
             return
         try:
-            token, token_private = _read_token_delivery(payload)
+            delivery = _read_token_delivery(payload)
         except MalformedFrameError as exc:
             self.monitor.metrics.counter("trace.token_delivery_malformed").inc()
             self._log_malformed(exc, session, message)
             return
         first_token = session.token is None
-        session.token = token
-        session.token_private_key = token_private
+        session.token = delivery.token
+        session.token_private_key = delivery.token_private
         self.monitor.metrics.counter("trace.tokens_received").inc()
         if first_token:
             # the very first registration triggers the JOIN trace and the
@@ -399,7 +410,7 @@ class TraceManager:
 
         Counted as ``trace.<kind>s_received`` / ``trace.<kind>_malformed``.
         """
-        payload = yield from self._open_sealed_control(body)
+        payload = yield from self._open_sealed_control(_SEALED_KEYS[kind], body)
         if payload is None:
             return
         try:
@@ -451,18 +462,17 @@ class TraceManager:
         self, session: TraceSession, body: dict
     ) -> Generator[Event, None, None]:
         try:
-            fields = Fields(body, "state report")
-            state = fields.member("state", EntityState)
-            stamp_ms = fields.number("stamp_ms", None)
+            report = StateReport.from_dict(body)
         except MalformedFrameError:
             self.monitor.metrics.counter("trace.state_reports_malformed").inc()
             return
+        state = report.state
         session.entity_state = state
         yield from self.publish_trace(
             session,
             TraceType.for_state(state),
             {"state": state.value},
-            origin_stamp_ms=stamp_ms,
+            origin_stamp_ms=report.stamp_ms,
         )
         if state is EntityState.SHUTDOWN:
             session.active = False
@@ -471,16 +481,15 @@ class TraceManager:
         self, session: TraceSession, body: dict
     ) -> Generator[Event, None, None]:
         try:
-            load = LoadInformation.from_dict(body.get("load"))
-            stamp_ms = Fields(body, "load report").number("stamp_ms", None)
+            report = LoadReport.from_dict(body)
         except MalformedFrameError:
             self.monitor.metrics.counter("trace.load_reports_malformed").inc()
             return
         yield from self.publish_trace(
             session,
             TraceType.LOAD_INFORMATION,
-            load.to_dict(),
-            origin_stamp_ms=stamp_ms,
+            report.load.to_dict(),
+            origin_stamp_ms=report.stamp_ms,
         )
 
     def _handle_disable(self, session: TraceSession) -> Generator[Event, None, None]:
@@ -647,9 +656,7 @@ class TraceManager:
             return
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            with Fields(body, "interest response") as fields:
-                cred = Fields(fields.value("credentials"), "interest credentials")
-                tracker_key = RSAPublicKey(cred.integer("n"), cred.integer("e"))
+            tracker_key = InterestResponse.signer(body).public_key
             if not verify_signed_body(message.signature, body, tracker_key):
                 self.monitor.metrics.counter("trace.interest_tampered").inc()
                 return
@@ -658,23 +665,23 @@ class TraceManager:
             self._log_malformed(exc, session, message)
             return
         try:
-            categories = InterestCategory.parse_many(fields.texts("categories"))
-            tracker_id = fields.text("tracker_id")
-            response_topic = fields.text("response_topic", None)
-            key_topic = Topic.parse(response_topic) if response_topic else None
-            # read only to validate: a non-text subject is malformed
-            cred.text("subject", "")
+            response = InterestResponse.from_dict(body)
+            categories = InterestCategory.parse_many(response.categories)
+            topic = response.response_topic
+            key_topic = Topic.parse(topic) if topic else None
         except (MalformedFrameError, InterestError, TopicError):
             self.monitor.metrics.counter("trace.interest_malformed").inc()
             return
 
+        tracker_id = response.tracker_id
         session.interest.record(tracker_id, categories, self.machine.now())
         self.monitor.metrics.counter("trace.interest_recorded").inc()
 
-        # secured sessions: distribute the trace key once per tracker (§5.1)
-        unkeyed = session.secured and tracker_id not in session.keyed_trackers
-        if unkeyed and key_topic is not None:
-            session.keyed_trackers.add(tracker_id)
+        # secured sessions: the trace key goes out once per tracker key
+        # (§5.1), not per claimed id: the id is the response's own claim
+        keyed = (tracker_id, tracker_key.fingerprint())
+        if session.secured and keyed not in session.keyed_trackers and key_topic is not None:
+            session.keyed_trackers.add(keyed)
             yield from self._distribute_trace_key(session, tracker_id, tracker_key, key_topic)
 
     def _distribute_trace_key(
@@ -740,23 +747,24 @@ class TraceManager:
             self.monitor.metrics.counter("trace.suppressed_no_subscriber").inc()
             return
 
-        body = {
-            "trace_type": trace_type.value,
-            "entity_id": str(session.entity_id),
-            "trace_topic": session.advertisement.trace_topic.hex,
-            "session": session.hex_id,
-            "seq": session.next_trace_seq(),
-            "payload": payload,
-            "origin_stamp_ms": origin_stamp_ms,
-            "broker_stamp_ms": now,
-        }
+        trace = TraceBody(
+            trace_type=trace_type,
+            entity_id=str(session.entity_id),
+            payload=payload,
+            trace_topic=session.advertisement.trace_topic.hex,
+            session=session.hex_id,
+            seq=session.next_trace_seq(),
+            origin_stamp_ms=origin_stamp_ms,
+            broker_stamp_ms=now,
+        )
 
         secured = session.secured and trace_type is not TraceType.GUAGE_INTEREST
         if secured:
             yield from self.machine.charge(CryptoOp.SECURE_WRAP)
-            body = wrap_trace_body(body, session.trace_key, self.machine.rng)
+            body = wrap_trace_body(trace, session.trace_key, self.machine.rng).to_dict()
             yield from self.machine.charge(CryptoOp.TRACE_SIGN_ENCRYPTED)
         else:
+            body = trace.to_dict()
             yield from self.machine.charge(CryptoOp.TRACE_SIGN)
         envelope = sign_payload(body, session.token_private_key)
 
@@ -781,30 +789,26 @@ class TraceManager:
         return [s for s in self.sessions.values() if s.active]
 
 
-def _read_token_delivery(payload: dict) -> tuple[AuthorizationToken, RSAPrivateKey]:
+def _read_token_delivery(payload: dict) -> TokenDeliveryPayload:
     """The delivered token and the key this broker will sign its traces with.
 
     Raises :class:`MalformedFrameError` for anything but a key the first
-    ``publish_trace`` can sign with under this token: the private half of
-    ``token_public_key``, with a modulus long enough for EMSA-PKCS1-v1_5
-    over SHA-1, and CRT factors of it with non-negative exponents.
+    ``publish_trace`` can sign with under the delivered token: the private
+    half of ``token_public_key``, with a modulus long enough for
+    EMSA-PKCS1-v1_5 over SHA-1, and CRT factors of it with non-negative
+    exponents.
     """
     try:
-        token = AuthorizationToken.from_dict(payload.get("token"))
+        delivery = TokenDeliveryPayload.from_dict(payload)
     except TokenError as exc:
         raise MalformedFrameError(f"token delivery: {exc}") from exc
-    fields = Fields(payload.get("token_private"), RSAPrivateKey)
-    numbers = {
-        f.name: fields.integer(f.name) for f in dataclasses.fields(RSAPrivateKey) if f.init
-    }
-    public = token.token_public_key
-    # the key is built only once its n and e are known to make a valid public key
-    if (numbers["n"], numbers["e"]) != (public.n, public.e):
+    key = delivery.token_private
+    if key.public != delivery.token.token_public_key:
         problem = "is not the private half of the token's key"
-    elif (key := RSAPrivateKey(**numbers)).byte_length < MIN_SIGNING_MODULUS_BYTES:
+    elif key.byte_length < MIN_SIGNING_MODULUS_BYTES:
         problem = f"has a {key.byte_length}-byte modulus, under {MIN_SIGNING_MODULUS_BYTES}"
     elif not (1 < min(key.p, key.q) and key.p * key.q == key.n and min(key.d_p, key.d_q) >= 0):
         problem = "has CRT parameters that cannot sign"
     else:
-        return token, key
+        return delivery
     raise MalformedFrameError(f"token delivery: 'token_private' {problem}")

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import MalformedFrameError
 from repro.tracing.pings import Ping
-from repro.util.serialization import Fields
+from repro.util.serialization import wire_record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.sim.machine import Machine
@@ -50,6 +50,23 @@ SLACK_FRAC = 0.05
 PING_BATCH_KIND = "ping_batch"
 
 
+@wire_record()
+class BatchedPing:
+    """One entry of a ``ping_batch``: a ping and the entity it is for."""
+
+    entity_id: str
+    number: int
+    issued_ms: float
+
+
+@wire_record(PING_BATCH_KIND)
+class PingBatch:
+    """Pings for co-located entities in one frame; each entry is a
+    BatchedPing mapping, decoded on its own so a bad one costs only itself."""
+
+    pings: tuple[dict, ...]
+
+
 def relay_ping_batch(machine: "Machine", body: dict) -> int:
     """Demultiplex one ``ping_batch`` frame to the host's ping sinks.
 
@@ -63,21 +80,18 @@ def relay_ping_batch(machine: "Machine", body: dict) -> int:
     as it judges any lost ping.  A frame whose ``pings`` is not a list of
     mappings raises :class:`MalformedFrameError` before any sink is called.
     """
-    entries = [
-        Fields(entry, "ping_batch entry")
-        for entry in Fields(body, PING_BATCH_KIND).items("pings")
-    ]
+    entries = PingBatch.from_dict(body).pings
     sinks = machine.ping_sinks
     delivered = 0
     for entry in entries:
         try:
-            sink = sinks.get(entry.text("entity_id"))
-            if sink is None:
-                continue
-            ping = Ping(entry.integer("number"), entry.number("issued_ms"))
+            batched = BatchedPing.from_dict(entry)
         except MalformedFrameError:
             continue
-        sink(ping)
+        sink = sinks.get(batched.entity_id)
+        if sink is None:
+            continue
+        sink(Ping(batched.number, batched.issued_ms))
         delivered += 1
     return delivered
 
@@ -158,20 +172,12 @@ class PingCoalescer:
                 )
                 continue
             delegate = self._choose_delegate(sessions)
-            body = {
-                "kind": PING_BATCH_KIND,
-                "pings": [
-                    {
-                        "entity_id": str(session.entity_id),
-                        "number": ping.number,
-                        "issued_ms": ping.issued_ms,
-                    }
-                    for session, ping in issued
-                ],
-            }
-            manager._publish_plain(
-                delegate.topics.broker_to_entity(delegate.session_id), body
+            pings = tuple(
+                BatchedPing(str(session.entity_id), ping.number, ping.issued_ms).to_dict()
+                for session, ping in issued
             )
+            topic = delegate.topics.broker_to_entity(delegate.session_id)
+            manager._publish_plain(topic, PingBatch(pings).to_dict())
             metrics.counter("tracker.pings.coalesced").inc(len(issued) - 1)
             metrics.histogram("tracker.ping.batch_size").observe(float(len(issued)))
 

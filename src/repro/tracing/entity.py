@@ -15,14 +15,14 @@ Lifecycle:
 
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import dataclass
 from typing import Generator
 
 from repro.auth.credentials import EntityCredentials
 from repro.auth.tokens import AuthorizationToken, TokenRights
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.keys import SymmetricKey
-from repro.crypto.rsa import RSAPublicKey
+from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import SealedPayload, open_sealed, seal_for
 from repro.errors import (
     DecryptionError,
@@ -40,13 +40,14 @@ from repro.tdn.node import TDNCluster
 from repro.tdn.query import DiscoveryRestrictions, trace_descriptor
 from repro.tracing.pings import Ping, PingResponse
 from repro.tracing.registration import (
+    RegistrationError_Response,
     RegistrationResponse,
     TraceRegistrationRequest,
 )
 from repro.tracing.topics import REGISTRATION_TOPIC, TraceTopicSet
 from repro.tracing.traces import EntityState, VALID_TRANSITIONS, LoadInformation
 from repro.util.identifiers import EntityId, SequenceCounter, SessionId
-from repro.util.serialization import canonical_encode
+from repro.util.serialization import canonical_encode, wire_record
 
 #: Default trace-topic lifetime: one hour.
 DEFAULT_TOPIC_LIFETIME_MS = 3_600_000.0
@@ -56,6 +57,71 @@ DEFAULT_TOKEN_VALIDITY_MS = 600_000.0
 DEFAULT_REGISTRATION_TIMEOUT_MS = 10_000.0
 #: Default registration attempts before startup fails (section 3.2).
 DEFAULT_REGISTRATION_ATTEMPTS = 3
+
+
+# -- entity->broker session messages: each carries ``stamp_ms``, its send
+# time; signed, or once a channel key is shared (§6.3) inside a SymFrame.
+
+
+@wire_record("state_transition")
+class StateReport:
+    """The entity's state machine moved (section 3.3)."""
+
+    state: EntityState
+    stamp_ms: float | None = None
+
+
+@wire_record("load")
+class LoadReport:
+    """Load at the entity's host (section 3.3)."""
+
+    load: LoadInformation
+    stamp_ms: float | None = None
+
+
+@wire_record("disable_tracing")
+class DisableTracing:
+    """The entity reverts to silent mode (section 3.3)."""
+
+    stamp_ms: float | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class _SealedControl:
+    """A control payload sealed to the hosting broker's key."""
+
+    sealed: SealedPayload
+    stamp_ms: float | None = None
+
+
+@wire_record("token_delivery")
+class TokenDelivery(_SealedControl):
+    """Section 4.3: a sealed :class:`TokenDeliveryPayload`."""
+
+
+@wire_record("trace_key")
+class TraceKeyDelivery(_SealedControl):
+    """Section 5.1: the sealed secret trace key."""
+
+
+@wire_record("channel_key")
+class ChannelKeyDelivery(_SealedControl):
+    """Section 6.3: the sealed entity<->broker channel key."""
+
+
+@wire_record("sym")
+class SymFrame:
+    """Section 6.3: a session message's mapping encrypted under the channel key."""
+
+    ciphertext: bytes
+
+
+@wire_record()
+class TokenDeliveryPayload:
+    """What a TokenDelivery seals: the token and its key's private half."""
+
+    token: AuthorizationToken
+    token_private: RSAPrivateKey
 
 
 class TracedEntity:
@@ -233,10 +299,12 @@ class TracedEntity:
                 f"registration of {self.entity_id} timed out after "
                 f"{self.registration_attempts} attempts"
             )
-        if isinstance(message.body, dict) and "error" in message.body:
-            raise RegistrationError(
-                f"broker rejected registration: {message.body['error']}"
-            )
+        try:
+            rejection = RegistrationError_Response.from_dict(message.body)
+        except MalformedFrameError:
+            pass  # not a rejection: the sealed response, or unreadable
+        else:
+            raise RegistrationError(f"broker rejected registration: {rejection.error}")
         yield from self.machine.charge(CryptoOp.OPEN_SEALED)
         try:
             response = RegistrationResponse.from_dict(
@@ -280,15 +348,7 @@ class TracedEntity:
         )
         self.token = token
         yield from self._send_sealed(
-            "token_delivery",
-            {
-                "token": token.to_dict(),
-                "token_private": {
-                    f.name: getattr(token_private, f.name)
-                    for f in dataclasses.fields(token_private)
-                    if f.init
-                },
-            },
+            TokenDelivery, TokenDeliveryPayload(token, token_private).to_dict()
         )
         self.monitor.metrics.counter("entity.tokens_delivered").inc()
 
@@ -318,7 +378,7 @@ class TracedEntity:
         self._require_session()
         yield from self.machine.charge(CryptoOp.SYM_KEYGEN)
         self.trace_key = SymmetricKey.generate(self.machine.rng)
-        yield from self._send_sealed("trace_key", self.trace_key.to_dict())
+        yield from self._send_sealed(TraceKeyDelivery, self.trace_key.to_dict())
         self.monitor.metrics.counter("entity.trace_keys_established").inc()
 
     def establish_channel_key(self) -> Generator[Event, None, None]:
@@ -326,41 +386,37 @@ class TracedEntity:
         self._require_session()
         yield from self.machine.charge(CryptoOp.SYM_KEYGEN)
         self.channel_key = SymmetricKey.generate(self.machine.rng)
-        yield from self._send_sealed("channel_key", self.channel_key.to_dict())
+        yield from self._send_sealed(ChannelKeyDelivery, self.channel_key.to_dict())
         self.monitor.metrics.counter("entity.channel_keys_established").inc()
 
-    def _send_sealed(self, kind: str, payload: dict) -> Generator[Event, None, None]:
+    def _send_sealed(self, control: type, payload: dict) -> Generator[Event, None, None]:
         """Seal a control payload to the broker and send it, signed."""
         if self.broker_public_key is None:
             raise RegistrationError("no broker public key (not registered)")
         yield from self.machine.charge(CryptoOp.SEAL_PAYLOAD)
         sealed = seal_for(payload, self.broker_public_key, self.machine.rng)
-        body = {"kind": kind, "sealed": sealed.to_dict()}
-        yield from self._send_session_message(body, force_sign=True)
+        yield from self._send_session_message(
+            control(sealed, stamp_ms=self.machine.now()), force_sign=True
+        )
 
     # ------------------------------------------------------------- session traffic
 
     def _send_session_message(
-        self, body: dict, force_sign: bool = False
+        self, message, force_sign: bool = False
     ) -> Generator[Event, None, None]:
-        """Authenticate and publish one message on the entity->broker topic.
+        """Authenticate and publish one session message on the entity->broker topic.
 
         Default authentication is a signature (section 4.2); with the 6.3
-        optimization active (and not forced), the body is instead encrypted
-        under the shared channel key — cheaper by ~24 ms per message.
+        optimization active (and not forced), the message is instead
+        encrypted under the shared channel key — cheaper by ~24 ms per message.
         """
         self._require_session()
         topic = self.topics.entity_to_broker(self.session_id)
-        body = dict(body)
-        body["stamp_ms"] = self.machine.now()
+        body = message.to_dict()
         if self.channel_key is not None and not force_sign:
             yield from self.machine.charge(CryptoOp.TRACE_ENCRYPT)
-            ciphertext = self.channel_key.encrypt(
-                canonical_encode(body), self.machine.rng
-            )
-            self.client.publish(
-                topic, {"kind": "sym", "ciphertext": ciphertext}, encrypted=True
-            )
+            frame = SymFrame(self.channel_key.encrypt(canonical_encode(body), self.machine.rng))
+            self.client.publish(topic, frame.to_dict(), encrypted=True)
         else:
             yield from self.machine.charge(CryptoOp.TRACE_SIGN)
             envelope = self.credentials.sign(body)
@@ -393,12 +449,11 @@ class TracedEntity:
         )
 
     def _answer_ping(self, ping: Ping) -> Generator[Event, None, None]:
+        now = self.machine.now()
         response = PingResponse(
-            number=ping.number,
-            issued_ms=ping.issued_ms,
-            entity_stamp_ms=self.machine.now(),
+            number=ping.number, issued_ms=ping.issued_ms, entity_stamp_ms=now, stamp_ms=now
         )
-        yield from self._send_session_message(response.to_dict())
+        yield from self._send_session_message(response)
         self.monitor.metrics.counter("entity.pings_answered").inc()
 
     # ------------------------------------------------------------------- reports
@@ -411,21 +466,17 @@ class TracedEntity:
                     f"illegal transition {self.state.value} -> {new_state.value}"
                 )
             self.state = new_state
-        yield from self._send_session_message(
-            {"kind": "state_transition", "state": new_state.value}
-        )
+        yield from self._send_session_message(StateReport(new_state, self.machine.now()))
         self.monitor.metrics.counter("entity.state_reports").inc()
 
     def report_load(self, load: LoadInformation) -> Generator[Event, None, None]:
         """Report host load (section 3.3)."""
-        yield from self._send_session_message(
-            {"kind": "load", "load": load.to_dict()}
-        )
+        yield from self._send_session_message(LoadReport(load, self.machine.now()))
         self.monitor.metrics.counter("entity.load_reports").inc()
 
     def disable_tracing(self) -> Generator[Event, None, None]:
         """Revert to silent mode; the broker announces and stops pinging."""
-        yield from self._send_session_message({"kind": "disable_tracing"})
+        yield from self._send_session_message(DisableTracing(self.machine.now()))
         self._silent = True
         self.monitor.metrics.counter("entity.silent_mode").inc()
 

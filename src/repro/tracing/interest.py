@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Any
 
+from repro.crypto.rsa import RSAPublicKey
 from repro.errors import InterestError
+from repro.util.serialization import Fields, wire_record
 
 
 class InterestCategory(enum.Enum):
@@ -34,6 +37,33 @@ class InterestCategory(enum.Enum):
 
 
 ALL_CATEGORIES = frozenset(InterestCategory)
+
+
+@wire_record()
+class TrackerCredential:
+    """The subject and key (``n`` / ``e``) an interest response is signed under."""
+
+    public_key: RSAPublicKey
+    subject: str = ""
+
+
+@wire_record()
+class InterestResponse:
+    """A tracker's signed answer to GUAGE_INTEREST: no ``categories``
+    retracts its interest; ``response_topic`` takes a secured session's
+    trace key, sealed to ``credentials``."""
+
+    tracker_id: str
+    categories: tuple[str, ...]
+    credentials: TrackerCredential
+    response_topic: str | None = None
+    stamp_ms: float | None = None
+
+    @classmethod
+    def signer(cls, body: Any) -> TrackerCredential:
+        """The credential ``body`` claims to be signed under: read, and
+        checked against its signature, before the rest of it is trusted."""
+        return TrackerCredential.from_dict(Fields(body, cls).value("credentials"))
 
 
 @dataclass(slots=True)

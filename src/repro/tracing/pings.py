@@ -47,7 +47,6 @@ BANDWIDTH_ESTIMATE_KBPS = 100_000.0
 
 
 @wire_record("ping")
-@dataclass(frozen=True, slots=True)
 class Ping:
     """Broker-to-entity ping."""
 
@@ -56,19 +55,20 @@ class Ping:
 
 
 @wire_record("ping_response")
-@dataclass(frozen=True, slots=True)
 class PingResponse:
     """Entity-to-broker response echoing number and timestamp.
 
     ``entity_stamp_ms`` is the entity's local send time — opaque to the
     broker (clocks differ) but copied into derived traces so a colocated
     tracker can compute end-to-end latency without clock synchronization,
-    exactly the measurement setup of section 6.1.
+    exactly the measurement setup of section 6.1.  ``stamp_ms`` is the
+    send time every session message carries.
     """
 
     number: int
     issued_ms: float
     entity_stamp_ms: float
+    stamp_ms: float | None = None
 
 
 @dataclass(slots=True)

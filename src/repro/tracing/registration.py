@@ -18,6 +18,7 @@ initiating failover) to the moment the entity's re-registration succeeds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from repro.crypto.certificates import Certificate
 from repro.crypto.rsa import RSAPublicKey
@@ -25,8 +26,8 @@ from repro.crypto.signing import SignedEnvelope
 from repro.errors import MalformedFrameError, RegistrationError
 from repro.obs import EventJournal, MetricsRegistry
 from repro.tdn.advertisement import TopicAdvertisement
-from repro.util.identifiers import EntityId, RequestId, SessionId, UUID128
-from repro.util.serialization import Fields
+from repro.util.identifiers import EntityId, RequestId, SessionId
+from repro.util.serialization import read_record, wire_record
 
 
 @dataclass(slots=True)
@@ -81,7 +82,7 @@ class RecoveryProbe:
         return tuple(sorted(self._detected_at))
 
 
-@dataclass(frozen=True, slots=True)
+@wire_record()
 class TraceRegistrationRequest:
     """What an entity publishes on the Registration topic."""
 
@@ -111,67 +112,30 @@ class TraceRegistrationRequest:
             self.entity_id, self.credentials, self.advertisement, self.request_id
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "entity_id": str(self.entity_id),
-            "credentials": self.credentials.to_dict(),
-            "advertisement": self.advertisement.to_dict(),
-            "request_id": self.request_id.value,
-            "signature": self.signature.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TraceRegistrationRequest":
         try:
-            with Fields(data, cls) as fields:
-                return cls(
-                    entity_id=EntityId(fields.text("entity_id")),
-                    credentials=Certificate.from_dict(fields.value("credentials")),
-                    advertisement=TopicAdvertisement.from_dict(fields.value("advertisement")),
-                    request_id=RequestId(fields.integer("request_id")),
-                    signature=SignedEnvelope.from_dict(fields.value("signature")),
-                )
+            return read_record(cls, data)
         except MalformedFrameError as exc:
             raise RegistrationError(f"malformed registration request: {exc}") from exc
 
 
-@dataclass(frozen=True, slots=True)
+@wire_record()
 class RegistrationResponse:
-    """Success response: request id + fresh session id (sealed in transit)."""
+    """Success response: request id + fresh session id (sealed in transit).
+
+    The broker's key travels as ``broker_n`` / ``broker_e``.
+    """
 
     request_id: RequestId
     session_id: SessionId
     broker_id: str
-    broker_public_key: RSAPublicKey
-
-    def to_dict(self) -> dict:
-        return {
-            "request_id": self.request_id.value,
-            "session_id": self.session_id.value.hex,
-            "broker_id": self.broker_id,
-            "broker_n": self.broker_public_key.n,
-            "broker_e": self.broker_public_key.e,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegistrationResponse":
-        with Fields(data, cls) as fields:
-            return cls(
-                request_id=RequestId(fields.integer("request_id")),
-                session_id=SessionId(UUID128.from_hex(fields.text("session_id"))),
-                broker_id=fields.text("broker_id"),
-                broker_public_key=RSAPublicKey(
-                    fields.integer("broker_n"), fields.integer("broker_e")
-                ),
-            )
+    broker_public_key: Annotated[RSAPublicKey, "broker_"]
 
 
-@dataclass(frozen=True, slots=True)
+@wire_record()
 class RegistrationError_Response:
     """Error response returned when verification fails (section 3.2)."""
 
     request_id: RequestId
-    reason: str
-
-    def to_dict(self) -> dict:
-        return {"request_id": self.request_id.value, "error": self.reason}
+    error: str

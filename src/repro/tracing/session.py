@@ -52,8 +52,9 @@ class TraceSession:
     declared_failed: bool = False
     suspicion_announced: bool = False
     response_count: int = 0        # matched ping responses (NETWORK_METRICS cadence)
-    #: trackers already sent this session's trace key (section 5.1)
-    keyed_trackers: set[str] = field(default_factory=set)
+    #: (tracker id, key fingerprint) pairs already sent this session's
+    #: trace key (section 5.1)
+    keyed_trackers: set[tuple[str, bytes]] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if self.current_interval_ms <= 0:

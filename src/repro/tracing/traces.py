@@ -9,7 +9,7 @@ detection to load and network metrics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import field
 
 from repro.errors import TopicError, ValidationError
 from repro.tracing.interest import InterestCategory
@@ -106,7 +106,6 @@ STATE_TRANSITION_TYPES = _types_in(InterestCategory.STATE_TRANSITIONS)
 
 
 @wire_record()
-@dataclass(frozen=True, slots=True)
 class LoadInformation:
     """Load at the traced entity's host: CPU, memory and workload."""
 
@@ -127,7 +126,6 @@ class LoadInformation:
 
 
 @wire_record()
-@dataclass(frozen=True, slots=True)
 class NetworkMetrics:
     """Metrics about the network realm linking broker and entity.
 
@@ -150,3 +148,23 @@ class NetworkMetrics:
             )
         if self.mean_rtt_ms < 0 or self.jitter_ms < 0:
             raise ValidationError("delay metrics must be non-negative")
+
+
+@wire_record()
+class TraceBody:
+    """One trace as its broker signs and publishes it (sections 3.3, 4.3).
+
+    ``payload`` is the type's Table 1 mapping; ``session`` and ``seq``
+    count lost traces; ``origin_stamp_ms`` is the stamp of the entity
+    report the trace derives from.  A tracker needs only the type and the
+    entity, so the rest is optional on the wire.
+    """
+
+    trace_type: TraceType
+    entity_id: str
+    payload: dict = field(default_factory=dict)
+    trace_topic: str | None = None
+    session: str | None = None
+    seq: int | None = None
+    origin_stamp_ms: float | None = None
+    broker_stamp_ms: float | None = None

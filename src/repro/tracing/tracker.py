@@ -38,11 +38,15 @@ from repro.sim.monitor import Monitor
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.tdn.node import TDNCluster
 from repro.tdn.query import DiscoveryQuery
-from repro.tracing.interest import ALL_CATEGORIES, InterestCategory
+from repro.tracing.interest import (
+    ALL_CATEGORIES,
+    InterestCategory,
+    InterestResponse,
+    TrackerCredential,
+)
 from repro.tracing.topics import TraceTopicSet
-from repro.tracing.traces import TraceType
+from repro.tracing.traces import TraceBody, TraceType
 from repro.util.identifiers import EntityId
-from repro.util.serialization import Fields
 
 #: Default age below which a gauge is not answered again: the interest the
 #: tracker last registered is still live at the broker.
@@ -209,7 +213,7 @@ class Tracker:
         self.client.unsubscribe(topics.interest_request)
         self.client.unsubscribe(topics.key_delivery(self.tracker_id))
 
-        yield from self._publish_interest(topics, [], None)  # empty = retraction
+        yield from self._publish_interest(topics, (), None)  # empty = retraction
         self.monitor.metrics.counter("tracker.untracked").inc()
         return True
 
@@ -267,11 +271,11 @@ class Tracker:
         ):
             return
         try:
-            watched.last_gauge_stamp_ms = Fields(message.body, "gauge").number(
-                "broker_stamp_ms", watched.last_gauge_stamp_ms
-            )
+            stamp_ms = TraceBody.from_dict(message.body).broker_stamp_ms
         except MalformedFrameError:
-            pass  # the gauge is answered all the same, it just times no key hand-off
+            stamp_ms = None  # the gauge is answered all the same, it just times no key hand-off
+        if stamp_ms is not None:
+            watched.last_gauge_stamp_ms = stamp_ms
         yield from self._send_interest_response(watched)
 
     def _send_interest_response(
@@ -279,29 +283,26 @@ class Tracker:
     ) -> Generator[Event, None, None]:
         yield from self._publish_interest(
             watched.topics,
-            sorted(c.value for c in self.interests),
+            tuple(sorted(c.value for c in self.interests)),
             watched.topics.key_delivery(self.tracker_id).canonical,
         )
         watched.last_response_ms = self.machine.now()
         self.monitor.metrics.counter("tracker.interest_responses").inc()
 
     def _publish_interest(
-        self, topics: TraceTopicSet, categories: list[str], response_topic: str | None
+        self, topics: TraceTopicSet, categories: tuple[str, ...], response_topic: str | None
     ) -> Generator[Event, None, None]:
         """Sign and publish one interest response (section 3.5)."""
-        body = {
-            "tracker_id": self.tracker_id,
-            "categories": categories,
-            "response_topic": response_topic,
-            "credentials": {
-                "subject": self.credentials.subject,
-                "n": self.credentials.public_key.n,
-                "e": self.credentials.public_key.e,
-            },
-            "stamp_ms": self.machine.now(),
-        }
+        credentials = self.credentials
+        body = InterestResponse(
+            tracker_id=self.tracker_id,
+            categories=categories,
+            credentials=TrackerCredential(credentials.public_key, credentials.subject),
+            response_topic=response_topic,
+            stamp_ms=self.machine.now(),
+        ).to_dict()
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-        envelope = self.credentials.sign(body)
+        envelope = credentials.sign(body)
         self.client.publish(topics.interest_response, body, signature=envelope.to_dict())
 
     # --------------------------------------------------------- key distribution
@@ -410,16 +411,12 @@ class Tracker:
                 return
 
         try:
-            fields = Fields(body, "trace")
-            trace_type = fields.member("trace_type", TraceType)
-            entity_id = fields.text("entity_id")
-            origin = fields.number("origin_stamp_ms", None)
-            payload = fields.mapping("payload", {})
-            session_key = fields.text("session", None)
-            seq = fields.integer("seq", None)
+            trace = TraceBody.from_dict(body)
         except MalformedFrameError:
             self.monitor.metrics.counter("tracker.traces_malformed").inc()
             return
+        trace_type, origin = trace.trace_type, trace.origin_stamp_ms
+        session_key, seq = trace.session, trace.seq
 
         # gap detection: a jump in the session-scoped sequence number means
         # traces were lost in transit (possible on unreliable transports)
@@ -436,10 +433,10 @@ class Tracker:
         latency = (now - origin) if origin is not None else None
         received = ReceivedTrace(
             trace_type=trace_type,
-            entity_id=entity_id,
+            entity_id=trace.entity_id,
             received_ms=now,
             latency_ms=latency,
-            payload=payload,
+            payload=trace.payload,
         )
         self.received.append(received)
         metrics = self.monitor.metrics

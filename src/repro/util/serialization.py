@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import operator
 import struct
@@ -33,7 +34,7 @@ import sys
 import types
 import typing
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Annotated, Any, Callable
 
 from repro.errors import (
     MalformedFrameError,
@@ -42,6 +43,7 @@ from repro.errors import (
     SerializationTypeError,
     ValidationError,
 )
+from repro.util.identifiers import UUID128, EntityId, RequestId, SessionId
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -312,6 +314,20 @@ def _typed(kinds: tuple[type, ...], what: str) -> Callable[..., Any]:
     return read
 
 
+def _sequence(kind: type, what: str) -> Callable[..., Any]:
+    """The :class:`Fields` read of a list whose every element is a ``kind``, as a tuple."""
+
+    def read(self: "Fields", key: str, default: Any = _REQUIRED) -> Any:
+        value = self.items(key, default)
+        if value is default:
+            return value
+        if any(type(item) is not kind for item in value):
+            raise self._bad(key, f"must be a list of {what}")
+        return tuple(value)
+
+    return read
+
+
 class Fields:
     """Typed reads of one received mapping: a receiver never converts, it checks.
 
@@ -375,24 +391,19 @@ class Fields:
         value = self._octets(key, default)
         return value if value is default else bytes(value)
 
-    def texts(self, key: str, default: Any = _REQUIRED) -> Any:
-        """A list whose every element is a str, as a tuple."""
-        value = self.items(key, default)
-        if value is default:
-            return value
-        if any(type(item) is not str for item in value):
-            raise self._bad(key, "must be a list of str")
-        return tuple(value)
+    texts = _sequence(str, "str")
+    mappings = _sequence(dict, "mappings")
 
     def member(self, key: str, enum_class: Any, default: Any = _REQUIRED) -> Any:
         """The member of ``enum_class`` whose value is the str under ``key``."""
         value = self.text(key, default)
         if value is default:
             return value
-        try:
-            return enum_class(value)
-        except ValueError:
-            raise self._bad(key, f"names no {enum_class.__name__}: {value!r}") from None
+        # what ``enum_class(value)`` looks up, without ~1 µs of call: every trace reads one
+        member = enum_class._value2member_map_.get(value)
+        if member is None:
+            raise self._bad(key, f"names no {enum_class.__name__}: {value!r}")
+        return member
 
 
 #: The read of a field with a dataclass default whose key is absent: the
@@ -408,34 +419,81 @@ _PLAIN_READS: dict[Any, Callable[..., Any]] = {
     Any: Fields.value,
 }
 
+#: Identifiers, each written as its plain value: ``(the attribute that is
+#: that value, its read, the identifier's parse of it)``.
+_IDENTIFIERS: dict[type, tuple[str, Callable[..., Any], Callable[[Any], Any]]] = {
+    EntityId: ("name", Fields.text, EntityId),
+    RequestId: ("value", Fields.integer, RequestId),
+    SessionId: ("value.hex", Fields.text, lambda text: SessionId(UUID128.from_hex(text))),
+    UUID128: ("hex", Fields.text, UUID128.from_hex),
+}
+
 
 def _then(read: Callable[..., Any], convert: Callable[[Any], Any]) -> Callable[..., Any]:
-    """``read``, with ``convert`` applied to a value that is not the default."""
-    return lambda fields, key, default: (
-        value if (value := read(fields, key, default)) is default else convert(value)
-    )
+    """``read``, then ``convert`` of a value that is not the default; a
+    value ``convert`` refuses with a named ``ValueError`` is malformed."""
+
+    def then(fields: Fields, key: str, default: Any) -> Any:
+        value = read(fields, key, default)
+        if value is default:
+            return value
+        with fields:
+            return convert(value)
+
+    return then
 
 
-def _field_codec(annotation: Any) -> tuple[Callable[[Any], Any] | None, Callable[..., Any]]:
-    """``(write, read)`` of one annotation; a ``write`` of None sends the value as it is."""
+def _field_codec(annotation: Any, name: str) -> tuple[tuple, Callable[..., Any]]:
+    """``(writers, read)`` of the field ``name``; a writer is ``(wire key, getter, write)``.
+
+    ``Annotated`` states what the type alone cannot: the key prefix of an
+    RSA public key, or that a ``float`` may be ``"unbounded"`` (infinite).
+    """
+    from repro.crypto.rsa import RSAPublicKey  # here: repro.crypto imports this module
+
+    annotated = typing.get_origin(annotation) is Annotated
+    hint, *extras = typing.get_args(annotation) if annotated else (annotation,)
+    if hint is RSAPublicKey:
+        n, e = (f"{extras[0] if extras else ''}{part}" for part in "ne")
+        read = _then(
+            lambda fields, key, default: (fields.integer(n), fields.integer(e)),
+            lambda numbers: RSAPublicKey(*numbers),
+        )
+        return (
+            (n, operator.attrgetter(f"{name}.n"), None),
+            (e, operator.attrgetter(f"{name}.e"), None),
+        ), read
+    write, read = _value_codec(hint)
+    if extras == ["unbounded"]:
+        read = functools.partial(Fields.number, unbounded=True)
+    return ((name, operator.attrgetter(name), write),), read
+
+
+def _value_codec(annotation: Any) -> tuple[Callable[[Any], Any] | None, Callable[..., Any]]:
+    """``(write, read)`` of a value under one key; a ``write`` of None sends it as it is."""
     if annotation in _PLAIN_READS:
         return None, _PLAIN_READS[annotation]
+    if annotation in _IDENTIFIERS:
+        attribute, read, parse = _IDENTIFIERS[annotation]
+        return operator.attrgetter(attribute), _then(read, parse)
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin in (typing.Union, types.UnionType) and type(None) in args:
         (inner,) = [arg for arg in args if arg is not type(None)]
-        write, read = _field_codec(inner)
+        write, read = _value_codec(inner)
         if write is None:
             return None, read
         return (lambda value: None if value is None else write(value)), read
     if annotation is dict:
-        return dict, _then(Fields.mapping, dict)
+        return dict, Fields.mapping
     if annotation is tuple:
         return list, _then(Fields.items, tuple)
     if origin is frozenset and args == (str,):
         return sorted, _then(Fields.texts, frozenset)
     if origin is tuple and args == (str, ...):
         return list, Fields.texts
-    if origin is tuple and len(args) == 2 and args[1] is ... and hasattr(args[0], "_wire"):
+    if origin is tuple and args == (dict, ...):
+        return list, Fields.mappings
+    if origin is tuple and len(args) == 2 and args[1] is ... and hasattr(args[0], "from_dict"):
         record = args[0]
         return (
             lambda values: [record.to_dict(value) for value in values],
@@ -445,7 +503,7 @@ def _field_codec(annotation: Any) -> tuple[Callable[[Any], Any] | None, Callable
         return operator.attrgetter("value"), (
             lambda fields, key, default: fields.member(key, annotation, default)
         )
-    if hasattr(annotation, "_wire"):
+    if hasattr(annotation, "from_dict"):
         return annotation.to_dict, _then(Fields.value, annotation.from_dict)
     raise SerializationTypeError(f"no wire form for the annotation {annotation!r}")
 
@@ -454,9 +512,9 @@ def _write_record(record: Any) -> dict:
     """The wire mapping of a :func:`wire_record` instance: its tag, then each field."""
     kind, writers, _ = record._wire
     data: dict = {} if kind is None else {"kind": kind}
-    for name, write in writers:
-        value = getattr(record, name)
-        data[name] = value if write is None else write(value)
+    for key, get, write in writers:
+        value = get(record)
+        data[key] = value if write is None else write(value)
     return data
 
 
@@ -483,22 +541,27 @@ def read_record(cls: Any, data: Any) -> Any:
 
 
 def wire_record(kind: str | None = None) -> Callable[[type], type]:
-    """Derive a frozen dataclass's ``to_dict`` / ``from_dict`` from its fields.
+    """Make a class a frozen, slotted dataclass whose ``to_dict`` /
+    ``from_dict`` derive from its fields.
 
     Each field goes on the wire under its own name, read back by the
     :class:`Fields` read its annotation names (docs/WIRE_FORMAT.md,
-    "Declared records").  A field with a dataclass default is optional on the
-    wire; one without is required.  ``kind``, when given, is written first
-    and checked on decode.  A ``from_dict`` the class body defines is kept;
-    it can call :func:`read_record`.
+    "Declared records"); an RSA public key goes as two keys.  A field with
+    a default is optional on the wire; one without is required; one the
+    constructor does not take is not on the wire.  ``kind``, when given,
+    is written first and checked on decode.  A ``from_dict`` the class
+    body defines is kept; it can call :func:`read_record`.
     """
 
     def declare(cls: type) -> type:
-        hints = typing.get_type_hints(cls)
+        cls = dataclass(frozen=True, slots=True)(cls)
+        hints = typing.get_type_hints(cls, include_extras=True)
         writers, readers = [], []
         for field in dataclasses.fields(cls):
-            write, read = _field_codec(hints[field.name])
-            writers.append((field.name, write))
+            if not field.init:
+                continue
+            field_writers, read = _field_codec(hints[field.name], field.name)
+            writers.extend(field_writers)
             has_default = (
                 field.default is not dataclasses.MISSING
                 or field.default_factory is not dataclasses.MISSING

@@ -8,6 +8,7 @@ from repro import build_deployment
 from repro.crypto.keys import SymmetricKey
 from repro.messaging.message import Message
 from repro.security.keydist import build_key_payload
+from repro.tracing.interest import InterestResponse, TrackerCredential
 from repro.tracing.traces import TraceType
 
 
@@ -46,6 +47,39 @@ class TestKeyDistribution:
     def test_key_receipt_time_recorded(self, dep):
         _, (tracker,) = bootstrap_secured(dep)
         assert dep.metrics.counter_value("tracker.keys.received") == 1
+
+    def test_a_claimed_tracker_id_does_not_take_the_trackers_key(self, dep):
+        """The trace key went out once per claimed ``tracker_id``, and the
+        claim is the interest response's own: a tracker that signed one
+        naming another tracker kept the real one from ever getting the key."""
+        entity = dep.add_traced_entity("svc", secured=True)
+        mallory = dep.add_tracker("mallory")
+        victim = dep.add_tracker("victim")
+        for tracker in (mallory, victim):
+            tracker.connect("b2")
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        topics = dep.manager_of("b1").session_of("svc").topics
+        forged = InterestResponse(
+            tracker_id="victim",
+            categories=("all_updates",),
+            credentials=TrackerCredential(
+                mallory.credentials.public_key, mallory.credentials.subject
+            ),
+            response_topic=topics.key_delivery("mallory").canonical,
+            stamp_ms=dep.sim.now,
+        ).to_dict()
+        mallory.client.publish(
+            topics.interest_response, forged, signature=mallory.credentials.sign(forged).to_dict()
+        )
+        dep.sim.run(until=5_000)
+        assert dep.metrics.counter_value("trace.keys_distributed") == 1
+
+        victim.track("svc")
+        dep.sim.run(until=205_000)
+        assert victim.trace_key_for("svc") == entity.trace_key
+        assert victim.received
+        assert dep.metrics.counter_value("trace.keys_distributed") == 2
 
     def test_wrong_kind_on_the_key_topic_is_rejected(self, dep):
         """A well-sealed body of another kind is not a key delivery."""

@@ -80,12 +80,6 @@ ALLOWED: dict[str, str] = {
     "repro.tracing.broker_ops:TraceManager._log_malformed": (
         "error-path: a session message that did not parse"
     ),
-    "repro.tracing.registration:RegistrationError_Response.to_dict": (
-        "error-path: the reply to a refused registration"
-    ),
-    "repro.util.serialization:Fields._bad": (
-        "error-path: builds the MalformedFrameError of a bad field"
-    ),
     # -- cli
     "repro.analytics.reports:render_report_json": "cli: repro analytics report --format json",
     "repro.analytics.store:AnalyticsStore.load": "cli: repro analytics report --snapshot FILE",

@@ -261,8 +261,10 @@ def test_discovery_finds_the_known_classes():
 def test_every_wire_record_is_under_contract():
     assert set(WIRE_RECORDS) <= set(CLASSES)
     assert {cls.__name__ for cls in TAGGED_RECORDS} == {
-        "Ping", "PingResponse", "KeyDistributionPayload"
-    }
+        "Ping", "PingResponse", "KeyDistributionPayload", "PingBatch", "StateReport",
+        "LoadReport", "DisableTracing", "TokenDelivery", "TraceKeyDelivery",
+        "ChannelKeyDelivery", "SymFrame",
+    }  # fmt: skip
 
 
 @pytest.mark.parametrize("cls", TAGGED_RECORDS, ids=lambda cls: cls.__name__)

@@ -9,14 +9,42 @@ with ``==`` and ``[1] != (1,)``.
 
 import pytest
 
+from repro.auth.tokens import AuthorizationToken, TokenRights
 from repro.campaigns.spec import Axis, CampaignSpec
+from repro.crypto.certificates import Certificate
+from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import SealedPayload, SignedEnvelope
 from repro.faults.plan import FaultEvent, FaultKind
+from repro.security.confidentiality import SecuredTrace
 from repro.security.keydist import KeyDistributionPayload
-from repro.tdn.advertisement import TopicLifetime
+from repro.tdn.advertisement import TopicAdvertisement, TopicLifetime
 from repro.tdn.query import DiscoveryRestrictions
+from repro.tracing.coalesce import BatchedPing, PingBatch
+from repro.tracing.entity import (
+    ChannelKeyDelivery,
+    DisableTracing,
+    LoadReport,
+    StateReport,
+    SymFrame,
+    TokenDelivery,
+    TokenDeliveryPayload,
+    TraceKeyDelivery,
+)
+from repro.tracing.interest import InterestResponse, TrackerCredential
 from repro.tracing.pings import Ping, PingResponse
-from repro.tracing.traces import LoadInformation, NetworkMetrics
+from repro.tracing.registration import (
+    RegistrationError_Response,
+    RegistrationResponse,
+    TraceRegistrationRequest,
+)
+from repro.tracing.traces import (
+    EntityState,
+    LoadInformation,
+    NetworkMetrics,
+    TraceBody,
+    TraceType,
+)
+from repro.util.identifiers import UUID128, EntityId, RequestId, SessionId
 
 from tests.test_decode_contract import WIRE_RECORDS
 
@@ -27,22 +55,66 @@ SEALED_WIRE = {
     "padding": "PKCS7",
     "ciphertext": b"cipher",
 }
+ENVELOPE = SignedEnvelope({"topic": "t"}, b"sig", b"fp")
+ENVELOPE_WIRE = {"payload": {"topic": "t"}, "signature": b"sig", "signer_fingerprint": b"fp"}
+KEY = RSAPublicKey(77, 3)
+PRIVATE = RSAPrivateKey(n=77, e=7, d=43, p=7, q=11, d_p=1, d_q=3, q_inv=2)
+PRIVATE_WIRE = {"n": 77, "e": 7, "d": 43, "p": 7, "q": 11, "d_p": 1, "d_q": 3, "q_inv": 2}
+CERTIFICATE = Certificate("svc", "ca", KEY, 2, -1.0, float("inf"), b"ca-sig")
+CERTIFICATE_WIRE = {
+    "subject": "svc",
+    "issuer": "ca",
+    "n": 77,
+    "e": 3,
+    "serial": 2,
+    "not_before_ms": -1.0,
+    "not_after_ms": float("inf"),
+    "signature": b"ca-sig",
+}
+#: Hand-written (docs/WIRE_FORMAT.md): its form here is its own ``to_dict()``.
+ADVERTISEMENT = TopicAdvertisement(
+    UUID128(0xAB),
+    "Availability/Traces/svc",
+    "svc",
+    KEY,
+    DiscoveryRestrictions(),
+    TopicLifetime(0.0, 60_000.0),
+    "tdn-0",
+    ENVELOPE,
+)
+TOKEN = AuthorizationToken(ADVERTISEMENT, KEY, TokenRights.PUBLISH, 0.0, 600.0, ENVELOPE)
+TOKEN_WIRE = {
+    "advertisement": ADVERTISEMENT.to_dict(),
+    "token_n": 77,
+    "token_e": 3,
+    "rights": "publish",
+    "valid_from_ms": 0.0,
+    "valid_until_ms": 600.0,
+    "owner_signature": ENVELOPE_WIRE,
+}
+LOAD = LoadInformation(0.25, 512.0, 2048.0, 3)
+LOAD_WIRE = {
+    "cpu_utilization": 0.25,
+    "memory_used_mb": 512.0,
+    "memory_total_mb": 2048.0,
+    "workload": 3,
+}
+TOPIC_HEX = "ab" * 16
+ENTRY_WIRE = {"entity_id": "e-1", "number": 3, "issued_ms": 10.0}
 
 PINNED = [
     (Ping(7, 12.5), {"kind": "ping", "number": 7, "issued_ms": 12.5}),
     (
-        PingResponse(7, 12.5, 30.0),
-        {"kind": "ping_response", "number": 7, "issued_ms": 12.5, "entity_stamp_ms": 30.0},
-    ),
-    (
-        LoadInformation(0.25, 512.0, 2048.0, 3),
+        PingResponse(7, 12.5, 30.0, 30.0),
         {
-            "cpu_utilization": 0.25,
-            "memory_used_mb": 512.0,
-            "memory_total_mb": 2048.0,
-            "workload": 3,
+            "kind": "ping_response",
+            "number": 7,
+            "issued_ms": 12.5,
+            "entity_stamp_ms": 30.0,
+            "stamp_ms": 30.0,
         },
     ),
+    (LOAD, LOAD_WIRE),
     (
         NetworkMetrics(0.1, 20.0, 2.5, 0.0, 100_000.0),
         {
@@ -87,6 +159,83 @@ PINNED = [
         {"kind": "key_distribution", "trace_topic": "ab" * 16, "sealed": SEALED_WIRE},
     ),
     (Axis("entities", (2, 3)), {"name": "entities", "values": [2, 3]}),
+    (CERTIFICATE, CERTIFICATE_WIRE),
+    (PRIVATE, PRIVATE_WIRE),
+    (TOKEN, TOKEN_WIRE),
+    (
+        TraceRegistrationRequest(EntityId("svc"), CERTIFICATE, ADVERTISEMENT, RequestId(4), ENVELOPE),
+        {
+            "entity_id": "svc",
+            "credentials": CERTIFICATE_WIRE,
+            "advertisement": ADVERTISEMENT.to_dict(),
+            "request_id": 4,
+            "signature": ENVELOPE_WIRE,
+        },
+    ),
+    (
+        RegistrationResponse(RequestId(4), SessionId(UUID128(0xCD)), "b1", KEY),
+        {
+            "request_id": 4,
+            "session_id": "cd".zfill(32),
+            "broker_id": "b1",
+            "broker_n": 77,
+            "broker_e": 3,
+        },
+    ),
+    (
+        RegistrationError_Response(RequestId(4), "trace topic lifetime expired"),
+        {"request_id": 4, "error": "trace topic lifetime expired"},
+    ),
+    (StateReport(EntityState.READY, 5.0), {"kind": "state_transition", "state": "READY", "stamp_ms": 5.0}),
+    (LoadReport(LOAD, 5.0), {"kind": "load", "load": LOAD_WIRE, "stamp_ms": 5.0}),
+    (DisableTracing(5.0), {"kind": "disable_tracing", "stamp_ms": 5.0}),
+    (TokenDelivery(SEALED, 5.0), {"kind": "token_delivery", "sealed": SEALED_WIRE, "stamp_ms": 5.0}),
+    (TraceKeyDelivery(SEALED, 5.0), {"kind": "trace_key", "sealed": SEALED_WIRE, "stamp_ms": 5.0}),
+    (
+        ChannelKeyDelivery(SEALED, 5.0),
+        {"kind": "channel_key", "sealed": SEALED_WIRE, "stamp_ms": 5.0},
+    ),
+    (SymFrame(b"cipher"), {"kind": "sym", "ciphertext": b"cipher"}),
+    (TokenDeliveryPayload(TOKEN, PRIVATE), {"token": TOKEN_WIRE, "token_private": PRIVATE_WIRE}),
+    (
+        TraceBody(
+            TraceType.ALLS_WELL,
+            "svc",
+            {"ping_number": 3, "rtt_ms": 2.5},
+            trace_topic=TOPIC_HEX,
+            session="cd".zfill(32),
+            seq=7,
+            origin_stamp_ms=None,
+            broker_stamp_ms=12.0,
+        ),
+        {
+            "trace_type": "ALLS_WELL",
+            "entity_id": "svc",
+            "payload": {"ping_number": 3, "rtt_ms": 2.5},
+            "trace_topic": TOPIC_HEX,
+            "session": "cd".zfill(32),
+            "seq": 7,
+            "origin_stamp_ms": None,
+            "broker_stamp_ms": 12.0,
+        },
+    ),
+    (
+        SecuredTrace(b"cipher", True, TOPIC_HEX),
+        {"ciphertext": b"cipher", "secured": True, "trace_topic": TOPIC_HEX},
+    ),
+    (TrackerCredential(KEY, "w"), {"n": 77, "e": 3, "subject": "w"}),
+    (
+        InterestResponse("w", ("all_updates", "load"), TrackerCredential(KEY, "w"), "t/KeyDelivery", 5.0),
+        {
+            "tracker_id": "w",
+            "categories": ["all_updates", "load"],
+            "credentials": {"n": 77, "e": 3, "subject": "w"},
+            "response_topic": "t/KeyDelivery",
+            "stamp_ms": 5.0,
+        },
+    ),
+    (BatchedPing("e-1", 3, 10.0), ENTRY_WIRE),
+    (PingBatch((ENTRY_WIRE,)), {"kind": "ping_batch", "pings": [ENTRY_WIRE]}),
     (
         CampaignSpec(
             name="c",

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 import repro.auth.tokens as tokens_module
+import repro.tracing.entity as entity_module
 from repro import build_deployment
 from repro.auth.credentials import EntityCredentials
 from repro.auth.tokens import AuthorizationToken, TokenRights
@@ -20,7 +21,8 @@ from repro.errors import RegistrationError, SignatureError, TokenError
 from repro.tdn.advertisement import TopicLifetime
 from repro.tracing.broker_ops import category_of
 from repro.tracing.interest import InterestCategory
-from repro.tracing.traces import TraceType
+from repro.tracing.pings import PingResponse
+from repro.tracing.traces import EntityState, LoadInformation, TraceType
 from tests.support import run_process, succeeded
 
 
@@ -34,6 +36,15 @@ def registered_entity(dep, name="svc", **kwargs):
     entity.start("b1")
     dep.sim.run(until=dep.sim.now + 3_000)
     return entity
+
+
+def send_signed(entity, body):
+    """Publish a hand-built session body, signed, as the entity's client."""
+    entity.client.publish(
+        entity.topics.entity_to_broker(entity.session_id),
+        body,
+        signature=entity.credentials.sign(body).to_dict(),
+    )
 
 
 class TestCategoryOf:
@@ -166,28 +177,90 @@ class TestRegistrationRejections:
         assert proc.triggered and not succeeded(proc)
 
 
+#: Every entity->broker session message: its kind, an entity call that
+#: sends one built by its record, and what the broker's handler counts.
+SESSION_MESSAGES = [
+    (
+        "ping_response",
+        lambda entity: entity._send_session_message(PingResponse(10**6, 0.0, 0.0)),
+        "trace.ping_responses_unmatched",
+    ),
+    (
+        "state_transition",
+        lambda entity: entity.report_state(EntityState.RECOVERING),
+        "trace.published.RECOVERING",
+    ),
+    (
+        "load",
+        lambda entity: entity.report_load(LoadInformation(0.5, 1.0, 2.0, 1)),
+        "trace.published.LOAD_INFORMATION",
+    ),
+    (
+        "disable_tracing",
+        lambda entity: entity.disable_tracing(),
+        "trace.published.REVERTING_TO_SILENT_MODE",
+    ),
+    ("token_delivery", lambda entity: entity.deliver_token(), "trace.tokens_received"),
+    ("trace_key", lambda entity: entity.establish_trace_key(), "trace.trace_keys_received"),
+    ("channel_key", lambda entity: entity.establish_channel_key(), "trace.channel_keys_received"),
+    # with a channel key shared, a report travels inside a sym frame
+    (
+        "sym",
+        lambda entity: entity.report_load(LoadInformation(0.5, 1.0, 2.0, 1)),
+        "trace.published.LOAD_INFORMATION",
+    ),
+]
+
+
+def test_every_session_record_is_a_case():
+    declared = {
+        cls._wire[0]
+        for cls in vars(entity_module).values()
+        if isinstance(cls, type) and cls.__module__ == entity_module.__name__
+        and getattr(cls, "_wire", (None,))[0] is not None
+    }
+    assert declared | {"ping_response"} == {kind for kind, _, _ in SESSION_MESSAGES}
+
+
 class TestEntityMessageHandling:
+    @pytest.mark.parametrize(
+        "kind, send, handled", SESSION_MESSAGES, ids=[case[0] for case in SESSION_MESSAGES]
+    )
+    def test_every_session_kind_reaches_its_handler(self, dep, kind, send, handled):
+        """The entity builds each kind by its record; the broker's session
+        worker must dispatch it to the handler that counts it."""
+        entity = registered_entity(dep, use_symmetric_channel=kind == "sym")
+        assert (entity.channel_key is not None) == (kind == "sym")
+        tracker = dep.add_tracker("w")
+        tracker.connect("b1")
+        tracker.track("svc")
+        dep.sim.run(until=dep.sim.now + 2_000)
+
+        def count():
+            return dep.monitor.count(handled) + dep.metrics.counter_value(handled)
+
+        before = count()
+        run_process(dep.sim, send(entity))
+        dep.sim.run(until=dep.sim.now + 2_000)
+        assert count() > before
+        assert dep.metrics.counter_value("trace.entity_messages_unknown") == 0
+        assert dep.metrics.counter_value("trace.entity_messages_rejected") == 0
+
     def test_unknown_kind_counted(self, dep):
         entity = registered_entity(dep)
-        run_process(dep.sim, entity._send_session_message({"kind": "mystery"}))
+        send_signed(entity, {"kind": "mystery"})
         dep.sim.run(until=dep.sim.now + 2_000)
         assert dep.metrics.counter_value("trace.entity_messages_unknown") == 1
 
     def test_malformed_load_report_counted(self, dep):
         entity = registered_entity(dep)
-        run_process(dep.sim, 
-            entity._send_session_message({"kind": "load", "load": {"bogus": 1}})
-        )
+        send_signed(entity, {"kind": "load", "load": {"bogus": 1}})
         dep.sim.run(until=dep.sim.now + 2_000)
         assert dep.metrics.counter_value("trace.load_reports_malformed") == 1
 
     def test_malformed_state_report_counted(self, dep):
         entity = registered_entity(dep)
-        run_process(dep.sim, 
-            entity._send_session_message(
-                {"kind": "state_transition", "state": "CONFUSED"}
-            )
-        )
+        send_signed(entity, {"kind": "state_transition", "state": "CONFUSED"})
         dep.sim.run(until=dep.sim.now + 2_000)
         assert dep.metrics.counter_value("trace.state_reports_malformed") == 1
 
