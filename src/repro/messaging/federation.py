@@ -23,9 +23,13 @@ the scalability claim (§4) is about.  This module replaces it with
   peer, counted by ``fed.summary.replays``) instead of a replay of every
   pattern ever announced.
 
-Cost model: the digest is a byte array its owner updates in place, so
-announce / retract are O(1), and a flush is O(changed brokers) with one
-``digest_bits // 8``-byte copy each (8 KiB by default).  The plane also
+Cost model: the digest is a byte array its owner updates in place when a
+bit goes from no pattern to one or back, so announce / retract are O(1),
+and a flush is O(changed brokers) with one ``digest_bits // 8``-byte copy
+each (8 KiB by default).  To know when that is, the owner counts only the
+bits two or more of its patterns share; a set bit it does not count has
+exactly one, so the counts cost memory in proportion to the collisions,
+not to the patterns.  The plane also
 keeps the digests **bit-sliced**: one column per digest bit, holding one
 bit ("lane") per broker, 64 brokers to a table.  A probe is one AND of
 two columns per probe key (the topic and each of its proper prefixes) in
@@ -232,14 +236,17 @@ class InterestSummary:
 class _InterestAccumulator:
     """Mutable per-broker interest state behind the published summaries.
 
-    Keeps a counting form of the digest (bit -> reference count) so
-    retractions can clear bits exactly, and owns the digest bytes
-    themselves: ``add`` / ``remove`` flip a bit in place exactly when its
-    count crosses 0<->1 (O(1) per pattern), and :meth:`build_summary`
-    snapshots them with one copy, never a per-bit rebuild.  The same
-    crossings set and clear the broker's lane in its table's columns.  A
-    pattern's bits are a pure function of its text, so ``remove``
-    recomputes them rather than keeping them per pattern.
+    Counts how many patterns set each digest bit, so retractions can
+    clear bits exactly, in the implicit-count form of a counting bloom
+    filter: the digest bytes themselves say which bits have a count of
+    at least 1, and ``bit_counts`` holds only the bits two or more
+    patterns share (a few percent of the set bits at scale).  ``add`` /
+    ``remove`` flip a bit in place exactly when its count crosses 0<->1
+    (O(1) per pattern), and :meth:`build_summary` snapshots the bytes
+    with one copy, never a per-bit rebuild.  The same crossings set and
+    clear the broker's lane in its table's columns.  A pattern's bits
+    are a pure function of its text, so ``remove`` recomputes them
+    rather than keeping them per pattern.
     """
 
     __slots__ = (
@@ -253,9 +260,13 @@ class _InterestAccumulator:
         self.broker_id = broker_id
         self.config = config
         self.modulus = config.digest_bits
-        self.patterns: set[str] = set()
+        #: the announced patterns, in announcement order (a dict's table
+        #: is smaller than a set's)
+        self.patterns: dict[str, None] = {}
+        #: bit -> count, for the bits of count >= 2 only; a bit set in
+        #: ``digest`` and absent here has count 1
         self.bit_counts: dict[int, int] = {}
-        #: bit ``n`` is set iff ``n in bit_counts``
+        #: bit ``n`` is set iff at least one pattern sets it
         self.digest = bytearray(config.digest_bits // 8)
         self.match_all_count = 0
         self.table = table
@@ -276,34 +287,36 @@ class _InterestAccumulator:
         """Record local interest; True if this changed the state."""
         if pattern in self.patterns:
             return False
-        self.patterns.add(pattern)
+        self.patterns[pattern] = None
         bits = self._bits(pattern)
         if not bits:
             self.match_all_count += 1
-        counts = self.bit_counts
+        counts, digest = self.bit_counts, self.digest
         for bit in bits:
-            count = counts.get(bit, 0)
-            if not count:
-                self.digest[bit >> 3] |= 1 << (bit & 7)
+            mask = 1 << (bit & 7)
+            if digest[bit >> 3] & mask:
+                counts[bit] = counts.get(bit, 1) + 1
+            else:
+                digest[bit >> 3] |= mask
                 self.table.columns[bit] |= self.lane
-            counts[bit] = count + 1
         return True
 
     def remove(self, pattern: str) -> bool:
         """Retract local interest; True if this changed the state."""
         if pattern not in self.patterns:
             return False
-        self.patterns.remove(pattern)
+        del self.patterns[pattern]
         bits = self._bits(pattern)
         if not bits:
             self.match_all_count -= 1
         counts = self.bit_counts
         for bit in bits:
-            remaining = counts[bit] - 1
-            if remaining:
-                counts[bit] = remaining
-            else:
+            count = counts.get(bit, 1)
+            if count > 2:
+                counts[bit] = count - 1
+            elif count == 2:
                 del counts[bit]
+            else:
                 self.digest[bit >> 3] &= ~(1 << (bit & 7))
                 self.table.columns[bit] &= ~self.lane
         return True

@@ -256,8 +256,11 @@ class TestIncrementalDigest:
         self.check_against_fresh_plane(plane, surviving, versions)
         for broker_id in self.BROKERS:
             assert plane.is_exact(broker_id)
-            # hot-set summaries carry no digest, so look at the bytes behind them
-            assert not any(plane._accumulators[broker_id].digest)
+            # hot-set summaries carry no digest, so look at the state behind them
+            accumulator = plane._accumulators[broker_id]
+            assert not any(accumulator.digest)
+            assert not accumulator.patterns and not accumulator.bit_counts
+            assert not any(column & accumulator.lane for column in accumulator.table.columns)
 
 
 class TestEpochBatching:

@@ -1,12 +1,17 @@
-"""The bit-sliced interest index against the per-summary scan it replaced.
+"""The federated plane's interest state against the forms it replaced.
 
 ``FederatedInterestPlane.interested`` answers from per-bit broker columns
-(one lane per broker, 64 lanes per table).  The reference below is the
-scan it replaced: ``InterestSummary.matches`` and the byte-test probe it
-read, kept as they were, tested against every flushed summary in turn.
+(one lane per broker, 64 lanes per table).  The first reference below is
+the scan it replaced: ``InterestSummary.matches`` and the byte-test probe
+it read, kept as they were, tested against every flushed summary in turn.
 Every answer must equal the scan's exactly — the same brokers, the same
 digest false positives, the same exclusion — whatever the schedule of
 registrations, announcements, retractions and flushes.
+
+The second is the count oracle: ``_InterestAccumulator`` counts only the
+digest bits two or more patterns share, and the reference accumulator
+counts every set bit, as the plane did before.  Both must hold the same
+digest bytes, lane columns and per-bit counts after every step.
 """
 
 import itertools
@@ -16,6 +21,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
+    invariant,
     precondition,
     rule,
 )
@@ -24,7 +30,10 @@ from repro.bench.scale import run_scale_point
 from repro.messaging.federation import (
     FederatedInterestPlane,
     FederationConfig,
+    InterestSummary,
     _digest_bits,
+    _LaneTable,
+    pattern_digest_keys,
 )
 from repro.messaging.topics import split_topic, topic_matches
 from repro.sim.monitor import Monitor
@@ -194,6 +203,190 @@ TestInterestIndexMachine.settings = settings(
 @pytest.mark.deep
 class TestInterestIndexMachineDeep(InterestIndexMachine.TestCase):
     settings = settings(max_examples=400, stateful_step_count=50, deadline=None)
+
+
+# ------------------------------------------------------------ the count oracle
+
+
+class ReferenceAccumulator:
+    """The full-count accumulator: every set digest bit has a count."""
+
+    def __init__(self, config, table, lane):
+        self.config = config
+        self.modulus = config.digest_bits
+        self.patterns = set()
+        self.bit_counts = {}  # bit n is set iff n in bit_counts
+        self.digest = bytearray(config.digest_bits // 8)
+        self.match_all_count = 0
+        self.table = table
+        self.lane = lane
+
+    def _bits(self, pattern):
+        bits = ()
+        for key in pattern_digest_keys(pattern):
+            bits += _digest_bits(key, self.modulus)
+        return bits
+
+    def add(self, pattern):
+        if pattern in self.patterns:
+            return False
+        self.patterns.add(pattern)
+        bits = self._bits(pattern)
+        if not bits:
+            self.match_all_count += 1
+        for bit in bits:
+            count = self.bit_counts.get(bit, 0)
+            if not count:
+                self.digest[bit >> 3] |= 1 << (bit & 7)
+                self.table.columns[bit] |= self.lane
+            self.bit_counts[bit] = count + 1
+        return True
+
+    def remove(self, pattern):
+        if pattern not in self.patterns:
+            return False
+        self.patterns.remove(pattern)
+        bits = self._bits(pattern)
+        if not bits:
+            self.match_all_count -= 1
+        for bit in bits:
+            remaining = self.bit_counts[bit] - 1
+            if remaining:
+                self.bit_counts[bit] = remaining
+            else:
+                del self.bit_counts[bit]
+                self.digest[bit >> 3] &= ~(1 << (bit & 7))
+                self.table.columns[bit] &= ~self.lane
+        return True
+
+    def build_summary(self, version):
+        overflowed = len(self.patterns) > self.config.hot_set_limit
+        return InterestSummary(
+            broker_id="",
+            version=version,
+            hot=() if overflowed else tuple(sorted(self.patterns)),
+            digest=bytes(self.digest) if overflowed else b"",
+            match_all=overflowed and self.match_all_count > 0,
+            pattern_count=len(self.patterns),
+        )
+
+
+def implied_counts(accumulator):
+    """bit -> count for every set digest bit, absent counts read as 1."""
+    digest = accumulator.digest
+    return {
+        bit: accumulator.bit_counts.get(bit, 1)
+        for bit in range(8 * len(digest))
+        if digest[bit >> 3] & 1 << (bit & 7)
+    }
+
+
+def summary_content(summary):
+    return (summary.hot, summary.digest, summary.match_all, summary.pattern_count)
+
+
+COUNT_BROKERS = ("b1", "b2", "b3")
+#: a/*, a/> and a/*/c share the key "p:a"; > and */b have none; the two
+#: digest bits of "s/4353" and of "a/1578" coincide at 1024 bits
+COUNT_PATTERNS = st.one_of(
+    literals,
+    st.sampled_from(
+        ("a/*", "a/>", "a/*/c", ">", "*/b", "b/a/*", "s/4353", "a/1578")
+    ),
+)
+
+
+class CountOracleMachine(RuleBasedStateMachine):
+    """Random announce / retract / flush schedules on three brokers,
+    mirrored on reference accumulators that share one lane table.
+
+    At ``digest_bits=1024`` a run of 300 literals sets some bits three
+    times or more, so counts cross 2<->3 as well as 1<->2 and 0<->1.
+    """
+
+    @initialize(hot_set_limit=st.sampled_from((1, 4)))
+    def start(self, hot_set_limit):
+        config = FederationConfig(hot_set_limit=hot_set_limit, digest_bits=1024)
+        self.plane = FederatedInterestPlane(monitor=Monitor(), config=config)
+        self.table = _LaneTable(config.digest_bits)
+        self.references = {}
+        for index, broker_id in enumerate(COUNT_BROKERS):
+            self.plane.register_broker(broker_id)
+            self.references[broker_id] = ReferenceAccumulator(
+                config, self.table, 1 << index
+            )
+
+    @rule(broker_id=st.sampled_from(COUNT_BROKERS), pattern=COUNT_PATTERNS)
+    def announce(self, broker_id, pattern):
+        self.references[broker_id].add(pattern)
+        self.plane.announce(pattern, broker_id)
+
+    @rule(
+        broker_id=st.sampled_from(COUNT_BROKERS), first=bulk_firsts, count=bulk_counts
+    )
+    def announce_bulk(self, broker_id, first, count):
+        for i in range(first, first + count):
+            self.references[broker_id].add(f"n/{i}")
+            self.plane.announce(f"n/{i}", broker_id)
+
+    @rule(broker_id=st.sampled_from(COUNT_BROKERS), pattern=COUNT_PATTERNS)
+    def retract(self, broker_id, pattern):  # unknown patterns included
+        expected = self.references[broker_id].remove(pattern)
+        assert self.plane.retract(pattern, broker_id) == expected
+
+    @rule(
+        broker_id=st.sampled_from(COUNT_BROKERS), first=bulk_firsts, count=bulk_counts
+    )
+    def retract_bulk(self, broker_id, first, count):
+        for i in range(first, first + count):
+            self.references[broker_id].remove(f"n/{i}")
+            self.plane.retract(f"n/{i}", broker_id)
+
+    @rule()
+    def flush(self):
+        self.plane.flush()
+        for broker_id, reference in self.references.items():
+            summary = self.plane._accumulators[broker_id].build_summary(0)
+            assert summary_content(summary) == summary_content(
+                reference.build_summary(0)
+            )
+
+    @invariant()
+    def same_state(self):
+        (table,) = self.plane._tables
+        assert table.columns == self.table.columns
+        for broker_id, reference in self.references.items():
+            accumulator = self.plane._accumulators[broker_id]
+            assert set(accumulator.patterns) == reference.patterns
+            assert accumulator.match_all_count == reference.match_all_count
+            assert accumulator.digest == reference.digest
+            assert implied_counts(accumulator) == reference.bit_counts
+            # only the shared bits are counted
+            assert all(count >= 2 for count in accumulator.bit_counts.values())
+
+
+TestCountOracleMachine = CountOracleMachine.TestCase
+TestCountOracleMachine.settings = settings(
+    max_examples=50, stateful_step_count=20, deadline=None
+)
+
+
+@pytest.mark.deep
+class TestCountOracleMachineDeep(CountOracleMachine.TestCase):
+    settings = settings(max_examples=300, stateful_step_count=40, deadline=None)
+
+
+def test_a_literal_whose_two_bits_coincide_counts_that_bit_twice():
+    plane = small_plane("b1")
+    accumulator = plane._accumulators["b1"]
+    (bit, same) = _digest_bits("e:s/4353", 1024)
+    assert bit == same
+    plane.announce("s/4353", "b1")
+    assert accumulator.bit_counts == {bit: 2}
+    assert plane._tables[0].columns[bit] == 1
+    plane.retract("s/4353", "b1")
+    assert accumulator.bit_counts == {} and not any(accumulator.digest)
+    assert plane._tables[0].columns[bit] == 0
 
 
 # ------------------------------------------------------- summary mode changes

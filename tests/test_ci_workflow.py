@@ -139,8 +139,8 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     # the step runs two contracts, a state machine, a round-trip property, the
     # prime-generation oracle, the CBC decryption oracle, the timelines property, the
     # engine oracle, the continuation oracle, the hop oracle, the route-table oracle, the
-    # parse oracle, the interest-index oracle and the reachability tracer; its comment
-    # (lost to the YAML parser) names all fourteen
+    # parse oracle, the interest-index oracle, the count oracle and the reachability
+    # tracer; its comment (lost to the YAML parser) names all fifteen
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -159,6 +159,8 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "parse oracle" in comment and "Broker._parse_pattern" in comment
     assert "interest-index oracle" in comment and "InterestSummary.matches" in comment
     assert "FederatedInterestPlane.interested" in comment and "up to 70 brokers" in comment
+    assert "count oracle" in comment and "_InterestAccumulator" in comment
+    assert "full-count reference accumulator" in comment
     assert "reachability tracer" in comment and "tests/reach_allowlist.py" in comment
 
 
