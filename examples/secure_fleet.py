@@ -80,7 +80,7 @@ def main() -> None:
     )
     attacker.connect("core")
     dep.sim.process(
-        attacker.flood(fleet.advertisement.trace_topic, "fleet-coordinator", count=8)
+        attacker.flood(fleet.advertisement.fields.trace_topic, "fleet-coordinator", count=8)
     )
     dep.sim.run(until=60_000)
     broker = dep.network.broker("core")

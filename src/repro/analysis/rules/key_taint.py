@@ -79,7 +79,7 @@ SANITIZER_NAMES = frozenset(
         "wrap_trace_body",
         "unwrap_trace_body",
         "sign_payload",
-        "verify_payload",
+        "verify_signed",
         "encrypt",
         "decrypt",
         "aes_cbc_encrypt",

@@ -23,9 +23,10 @@ from typing import Annotated
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
-from repro.crypto.signing import SignedEnvelope, sign_payload, verify_payload
+from repro.crypto.signing import SignedEnvelope, sign_payload, verify_signed
 from repro.errors import MalformedFrameError, SignatureError, TokenError
 from repro.tdn.advertisement import TopicAdvertisement
+from repro.util.identifiers import UUID128
 from repro.util.serialization import Canonical, read_record, wire_record
 
 #: Clock skew a token's validity window is widened by (section 4, NTP).
@@ -37,6 +38,20 @@ class TokenRights(enum.Enum):
 
     PUBLISH = "publish"
     SUBSCRIBE = "subscribe"
+
+
+@wire_record()
+class TokenGrant:
+    """What the topic owner signs to delegate rights over its trace topic (§4.2).
+
+    The token's key goes on the wire as ``token_n`` / ``token_e``.
+    """
+
+    trace_topic: UUID128
+    token_public_key: Annotated[RSAPublicKey, "token_"]
+    rights: TokenRights
+    valid_from_ms: float
+    valid_until_ms: float
 
 
 @wire_record()
@@ -60,25 +75,17 @@ class AuthorizationToken:
     def __post_init__(self) -> None:
         object.__setattr__(self, "wire", Canonical.of(self.to_dict()))
 
-    # -- creation ---------------------------------------------------------------
+    def grant(self) -> TokenGrant:
+        """The statement the owner signature covers."""
+        return TokenGrant(
+            self.advertisement.fields.trace_topic,
+            self.token_public_key,
+            self.rights,
+            self.valid_from_ms,
+            self.valid_until_ms,
+        )
 
-    @staticmethod
-    def signed_fields(
-        advertisement: TopicAdvertisement,
-        token_public_key: RSAPublicKey,
-        rights: TokenRights,
-        valid_from_ms: float,
-        valid_until_ms: float,
-    ) -> dict:
-        """The exact field dict the owner signature covers (§4.2)."""
-        return {
-            "trace_topic": advertisement.trace_topic.hex,
-            "token_n": token_public_key.n,
-            "token_e": token_public_key.e,
-            "rights": rights.value,
-            "valid_from_ms": valid_from_ms,
-            "valid_until_ms": valid_until_ms,
-        }
+    # -- creation ---------------------------------------------------------------
 
     @classmethod
     def create(
@@ -96,18 +103,20 @@ class AuthorizationToken:
         which the entity hands to its broker over the secured channel.
         """
         token_keys = KeyPair.generate(rng)
-        valid_until = now_ms + duration_ms
-        fields = cls.signed_fields(
-            advertisement, token_keys.public, rights, now_ms, valid_until
+        grant = TokenGrant(
+            advertisement.fields.trace_topic,
+            token_keys.public,
+            rights,
+            now_ms,
+            now_ms + duration_ms,
         )
-        signature = sign_payload(fields, owner_private_key)
         token = cls(
             advertisement=advertisement,
-            token_public_key=token_keys.public,
+            token_public_key=grant.token_public_key,
             rights=rights,
             valid_from_ms=now_ms,
-            valid_until_ms=valid_until,
-            owner_signature=signature,
+            valid_until_ms=grant.valid_until_ms,
+            owner_signature=sign_payload(grant.to_dict(), owner_private_key),
         )
         return token, token_keys.private
 
@@ -132,19 +141,13 @@ class AuthorizationToken:
         token carries, so a forger would also need to forge the TDN
         signature (verified separately by :class:`TokenVerifier`).
         """
-        expected = self.signed_fields(
-            self.advertisement,
-            self.token_public_key,
-            self.rights,
-            self.valid_from_ms,
-            self.valid_until_ms,
-        )
-        if self.owner_signature.payload != expected:
-            raise TokenError("token signature covers different fields")
+        owner_key = self.advertisement.fields.owner_public_key
         try:
-            verify_payload(self.owner_signature, self.advertisement.owner_public_key)
+            signed = verify_signed(self.owner_signature, self.grant().to_dict(), owner_key)
         except SignatureError as exc:
             raise TokenError(f"token not signed by topic owner: {exc}") from exc
+        if not signed:
+            raise TokenError("token signature covers different fields")
 
     @classmethod
     def from_dict(cls, data: dict) -> "AuthorizationToken":

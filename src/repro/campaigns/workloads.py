@@ -266,7 +266,7 @@ def run_unauthorized_publisher(params: dict, seed: int, probe: Probe | None = No
     )
     attacker_broker = list(dep.managers)[1 % len(dep.managers)]
     attacker.connect(attacker_broker)
-    trace_topic = victim.advertisement.trace_topic
+    trace_topic = victim.advertisement.fields.trace_topic
     dep.sim.process(
         attacker.inject_with_forged_token(
             trace_topic, "svc", victim.advertisement
@@ -398,7 +398,7 @@ def run_malicious_termination(params: dict, seed: int, probe: Probe | None = Non
     attacker.connect(attacker_broker)
     dep.sim.process(
         attacker.flood(
-            victim.advertisement.trace_topic,
+            victim.advertisement.fields.trace_topic,
             "svc",
             count=int(params["flood"]),
             spacing_ms=500.0,

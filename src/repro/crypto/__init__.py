@@ -17,7 +17,7 @@ from repro.crypto.digest import sha1_digest
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, RSAPrivateKey, generate_rsa_keypair
 from repro.crypto.aes import AESKey, aes_cbc_encrypt, aes_cbc_decrypt, generate_aes_key
 from repro.crypto.keys import SymmetricKey, KeyPair
-from repro.crypto.signing import sign_payload, verify_payload, SignedEnvelope, seal_for, open_sealed, SealedPayload
+from repro.crypto.signing import sign_payload, verify_signed, SignedEnvelope, seal_for, open_sealed, SealedPayload
 from repro.crypto.certificates import Certificate, CertificateAuthority
 from repro.crypto.costmodel import CryptoCostModel, CryptoOp, PAPER_CALIBRATION
 
@@ -34,7 +34,7 @@ __all__ = [
     "SymmetricKey",
     "KeyPair",
     "sign_payload",
-    "verify_payload",
+    "verify_signed",
     "SignedEnvelope",
     "seal_for",
     "open_sealed",

@@ -5,7 +5,9 @@ Two patterns recur throughout the paper's protocol:
 * **Signing** (section 3.2): "The signing is done by computing the checksum
   for the message and encrypting this message digest with its private key."
   :func:`sign_payload` produces a :class:`SignedEnvelope` whose signature is
-  an RSA PKCS#1 v1.5 signature over the canonical encoding of the payload.
+  an RSA PKCS#1 v1.5 signature over the canonical encoding of the payload,
+  and :func:`verify_signed` is the one check of an envelope against the
+  statement its verifier expects.
 
 * **Sealing** (sections 3.2, 5.1): "The response message is encrypted with a
   randomly generated secret key, and this secret key is encrypted using the
@@ -45,9 +47,6 @@ class SignedEnvelope:
     signature: bytes
     signer_fingerprint: bytes
 
-    def payload_bytes(self) -> bytes:
-        return canonical_encode(self.payload)
-
     @classmethod
     def from_dict(cls, data: dict) -> "SignedEnvelope":
         """Parse the wire mapping; raises :class:`MalformedEnvelopeError`."""
@@ -67,41 +66,31 @@ def sign_payload(payload: Any, private_key: RSAPrivateKey) -> SignedEnvelope:
     )
 
 
-def verify_payload(envelope: SignedEnvelope, public_key: RSAPublicKey) -> Any:
-    """Verify an envelope; returns the payload or raises.
+def verify_signed(envelope: SignedEnvelope, expected: Any, public_key: RSAPublicKey) -> bool:
+    """Check that ``envelope`` signs exactly ``expected`` under ``public_key``.
 
-    Raises :class:`SignatureError` if the fingerprint does not match the
-    presented key (the claimed signer is someone else) or if the signature
-    itself fails — both are indistinguishable to an attacker but useful to
-    separate in logs and tests.
+    False when the envelope carries some other payload.  The signature is
+    verified over the canonical bytes of ``expected`` itself, never over
+    the envelope's copy, so a payload that differs from it only where
+    Python equality does not look (``True`` for ``1``, ``5`` for ``5.0``)
+    fails to verify.  Raises :class:`SignatureError` if the fingerprint
+    does not match the presented key (the claimed signer is someone else)
+    or if the signature itself fails — both are indistinguishable to an
+    attacker but useful to separate in logs and tests.
     """
-    _verify_signature(envelope, envelope.payload_bytes(), public_key)
-    return envelope.payload
-
-
-def _verify_signature(envelope: SignedEnvelope, signed: bytes, public_key: RSAPublicKey) -> None:
-    """Raise :class:`SignatureError` unless ``envelope`` signs ``signed`` under ``public_key``."""
+    if envelope.payload != expected:
+        return False
     if envelope.signer_fingerprint != public_key.fingerprint():
         raise SignatureError("envelope was not signed by the presented key")
-    public_key.verify(signed, envelope.signature)
+    public_key.verify(canonical_encode(expected), envelope.signature)
+    return True
 
 
 def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> bool:
-    """Check the ``signature`` mapping a message carries beside its ``body``.
-
-    The signature is verified over the canonical bytes of ``body`` itself,
-    so a body that differs from what was signed only where Python equality
-    does not look (``True`` for ``1``, ``5`` for ``5.0``) fails to verify.
-    False when the envelope parses but carries some other payload (the body
-    was swapped after signing).  Raises :class:`MalformedEnvelopeError`
-    when the mapping does not parse and :class:`SignatureError` when the
-    signature does not verify under ``public_key``.
-    """
-    envelope = SignedEnvelope.from_dict(signature)
-    if envelope.payload != body:
-        return False
-    _verify_signature(envelope, canonical_encode(body), public_key)
-    return True
+    """:func:`verify_signed` of the ``signature`` mapping a message carries
+    beside its ``body``; raises :class:`MalformedEnvelopeError` when the
+    mapping does not parse."""
+    return verify_signed(SignedEnvelope.from_dict(signature), body, public_key)
 
 
 @wire_record()

@@ -7,15 +7,23 @@ TDN cluster for failure tolerance, and answer discovery queries only for
 requesters whose credentials satisfy the creator's discovery restrictions.
 """
 
-from repro.tdn.advertisement import TopicAdvertisement, TopicCreationRequest, TopicLifetime
+from repro.tdn.advertisement import (
+    AdvertisedTopic,
+    TopicAdvertisement,
+    TopicCreationRequest,
+    TopicLifetime,
+    TopicRenewal,
+)
 from repro.tdn.query import DiscoveryRestrictions, DiscoveryQuery
 from repro.tdn.registry import AdvertisementStore
 from repro.tdn.node import TDNNode, TDNCluster
 
 __all__ = [
+    "AdvertisedTopic",
     "TopicAdvertisement",
     "TopicCreationRequest",
     "TopicLifetime",
+    "TopicRenewal",
     "DiscoveryRestrictions",
     "DiscoveryQuery",
     "AdvertisementStore",

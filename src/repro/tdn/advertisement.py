@@ -9,16 +9,15 @@ step of the protocol leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Annotated, Mapping
 
 from repro.crypto.certificates import Certificate
 from repro.crypto.rsa import RSAPublicKey
-from repro.crypto.signing import SignedEnvelope, verify_payload
+from repro.crypto.signing import SignedEnvelope, verify_signed
 from repro.errors import DiscoveryError, SignatureError
 from repro.tdn.query import DiscoveryRestrictions
 from repro.util.identifiers import EntityId, RequestId, UUID128
-from repro.util.serialization import Fields, wire_record
+from repro.util.serialization import wire_record
 
 
 @wire_record()
@@ -36,9 +35,9 @@ class TopicLifetime:
         return self.created_ms <= now_ms <= self.expires_ms
 
 
-@dataclass(frozen=True, slots=True)
+@wire_record()
 class TopicCreationRequest:
-    """What an entity sends the TDN to create its trace topic."""
+    """What an entity sends the TDN to create its trace topic; signed whole."""
 
     credentials: Certificate
     descriptor: str
@@ -46,30 +45,29 @@ class TopicCreationRequest:
     lifetime_ms: float
     request_id: RequestId
 
-    def signing_payload(self) -> dict:
-        """The canonical dict the entity signs."""
-        return {
-            "subject": self.credentials.subject,
-            "credential_fingerprint": self.credentials.fingerprint(),
-            "descriptor": self.descriptor,
-            "restrictions": self.restrictions.to_dict(),
-            "lifetime_ms": self.lifetime_ms,
-            "request_id": self.request_id.value,
-        }
+
+@wire_record()
+class TopicRenewal:
+    """What a topic owner signs to extend its topic's lifetime (section 2.2)."""
+
+    trace_topic: UUID128
+    additional_lifetime_ms: float
 
 
-@dataclass(frozen=True, slots=True)
-class TopicAdvertisement:
-    """The TDN-signed provenance record of a trace topic."""
+@wire_record()
+class AdvertisedTopic:
+    """The fields the TDN signs to bind a trace topic to its owner.
+
+    The owner's key goes on the wire as ``owner_n`` / ``owner_e``.
+    """
 
     trace_topic: UUID128
     descriptor: str
     owner_subject: str
-    owner_public_key: RSAPublicKey
+    owner_public_key: Annotated[RSAPublicKey, "owner_"]
     restrictions: DiscoveryRestrictions
     lifetime: TopicLifetime
     issuing_tdn: str
-    signature: SignedEnvelope  # signed by the issuing TDN's key
 
     @property
     def entity_id(self) -> EntityId:
@@ -81,18 +79,13 @@ class TopicAdvertisement:
             )
         return EntityId(self.descriptor[len(prefix):])
 
-    def signed_fields(self) -> dict:
-        """The canonical dict the TDN signs (and verifiers re-derive)."""
-        return {
-            "trace_topic": self.trace_topic.hex,
-            "descriptor": self.descriptor,
-            "owner_subject": self.owner_subject,
-            "owner_n": self.owner_public_key.n,
-            "owner_e": self.owner_public_key.e,
-            "restrictions": self.restrictions.to_dict(),
-            "lifetime": self.lifetime.to_dict(),
-            "issuing_tdn": self.issuing_tdn,
-        }
+
+@wire_record()
+class TopicAdvertisement:
+    """The TDN-signed provenance record of a trace topic."""
+
+    fields: AdvertisedTopic
+    signature: SignedEnvelope  # by the issuing TDN's key, over ``fields``
 
     def verify_provenance(self, trusted_tdn_keys: Mapping[str, RSAPublicKey]) -> None:
         """Check that a trusted TDN signed exactly these fields.
@@ -100,36 +93,12 @@ class TopicAdvertisement:
         Raises :class:`SignatureError`.  The three messages travel in the
         broker's registration rejections, so their bytes are wire format.
         """
-        tdn_key = trusted_tdn_keys.get(self.issuing_tdn)
+        tdn_key = trusted_tdn_keys.get(self.fields.issuing_tdn)
         if tdn_key is None:
             raise SignatureError("advertisement from unknown TDN")
-        if self.signature.payload != self.signed_fields():
-            raise SignatureError("advertisement fields mismatch")
         try:
-            verify_payload(self.signature, tdn_key)
+            signed = verify_signed(self.signature, self.fields.to_dict(), tdn_key)
         except SignatureError as exc:
             raise SignatureError("advertisement signature invalid") from exc
-
-    def to_dict(self) -> dict:
-        """Wire rendering (embedded in registration messages)."""
-        return {
-            "fields": self.signed_fields(),
-            "signature": self.signature.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TopicAdvertisement":
-        with Fields(data, cls) as outer:
-            fields = Fields(outer.value("fields"), cls)
-            return cls(
-                trace_topic=UUID128.from_hex(fields.text("trace_topic")),
-                descriptor=fields.text("descriptor"),
-                owner_subject=fields.text("owner_subject"),
-                owner_public_key=RSAPublicKey(
-                    fields.integer("owner_n"), fields.integer("owner_e")
-                ),
-                restrictions=DiscoveryRestrictions.from_dict(fields.value("restrictions")),
-                lifetime=TopicLifetime.from_dict(fields.value("lifetime")),
-                issuing_tdn=fields.text("issuing_tdn"),
-                signature=SignedEnvelope.from_dict(outer.value("signature")),
-            )
+        if not signed:
+            raise SignatureError("advertisement fields mismatch")

@@ -15,7 +15,7 @@ from typing import Generator
 from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.keys import KeyPair
-from repro.crypto.signing import SignedEnvelope, sign_payload, verify_payload
+from repro.crypto.signing import SignedEnvelope, sign_payload, verify_signed
 from repro.errors import (
     CertificateError,
     DiscoveryError,
@@ -26,9 +26,11 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
 from repro.tdn.advertisement import (
+    AdvertisedTopic,
     TopicAdvertisement,
     TopicCreationRequest,
     TopicLifetime,
+    TopicRenewal,
 )
 from repro.tdn.query import DiscoveryQuery
 from repro.tdn.registry import AdvertisementStore
@@ -100,16 +102,18 @@ class TDNNode:
             raise RegistrationError(f"bad credentials: {exc}") from exc
         yield from self.machine.charge(CryptoOp.CERT_VERIFY)
 
-        if signature.payload != request.signing_payload():
-            raise RegistrationError("signature covers a different request")
         try:
-            verify_payload(signature, request.credentials.public_key)
+            signed = verify_signed(
+                signature, request.to_dict(), request.credentials.public_key
+            )
         except SignatureError as exc:
             raise RegistrationError(f"request signature invalid: {exc}") from exc
+        if not signed:
+            raise RegistrationError("signature covers a different request")
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
 
         advertisement = yield from self._publish(
-            TopicAdvertisement(
+            AdvertisedTopic(
                 trace_topic=self._uuids.next(),
                 descriptor=request.descriptor,
                 owner_subject=request.credentials.subject,
@@ -117,7 +121,6 @@ class TDNNode:
                 restrictions=request.restrictions,
                 lifetime=TopicLifetime(created_ms=now, duration_ms=request.lifetime_ms),
                 issuing_tdn=self.name,
-                signature=None,
             )
         )
         self.monitor.metrics.counter("tdn.advertisements.created").inc()
@@ -127,58 +130,52 @@ class TDNNode:
         return advertisement
 
     def renew_topic(
-        self,
-        advertisement: TopicAdvertisement,
-        signature: SignedEnvelope,
-        additional_lifetime_ms: float,
+        self, renewal: TopicRenewal, signature: SignedEnvelope
     ) -> Generator[Event, None, TopicAdvertisement]:
         """Extend a topic's lifetime before it expires.
 
-        Only the topic owner can renew: the request signature must verify
-        against the advertisement's owner key, and the advertisement must
-        still be live.  Returns the re-signed advertisement, which also
-        replaces the stored copy cluster-wide.
+        Only the topic owner can renew: the renewal signature must verify
+        against the stored advertisement's owner key, and the advertisement
+        must still be live.  Returns the re-signed advertisement, which
+        also replaces the stored copy cluster-wide.
         """
         if self.failed:
             raise DiscoveryError(f"TDN {self.name!r} is down")
-        if additional_lifetime_ms <= 0:
+        if renewal.additional_lifetime_ms <= 0:
             raise RegistrationError("renewal must extend the lifetime")
         yield self.sim.timeout(SERVICE_DELAY_MS)
         now = self.machine.now()
 
-        stored = self.store.get(advertisement.trace_topic, now)
+        stored = self.store.get(renewal.trace_topic, now)
         if stored is None:
             raise RegistrationError("topic unknown or already expired")
 
-        expected_payload = {
-            "renew": stored.trace_topic.hex,
-            "additional_lifetime_ms": additional_lifetime_ms,
-        }
-        if signature.payload != expected_payload:
-            raise RegistrationError("renewal signature covers different fields")
+        fields = stored.fields
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            verify_payload(signature, stored.owner_public_key)
+            signed = verify_signed(signature, renewal.to_dict(), fields.owner_public_key)
         except SignatureError as exc:
             raise RegistrationError(f"renewal not signed by owner: {exc}") from exc
+        if not signed:
+            raise RegistrationError("renewal signature covers different fields")
 
         lifetime = TopicLifetime(
-            created_ms=stored.lifetime.created_ms,
-            duration_ms=stored.lifetime.duration_ms + additional_lifetime_ms,
+            created_ms=fields.lifetime.created_ms,
+            duration_ms=fields.lifetime.duration_ms + renewal.additional_lifetime_ms,
         )
         renewed = yield from self._publish(
-            replace(stored, lifetime=lifetime, issuing_tdn=self.name)
+            replace(fields, lifetime=lifetime, issuing_tdn=self.name)
         )
         self.monitor.metrics.counter("tdn.topics_renewed").inc()
         return renewed
 
     def _publish(
-        self, unsigned: TopicAdvertisement
+        self, fields: AdvertisedTopic
     ) -> Generator[Event, None, TopicAdvertisement]:
         """Sign an advertisement's fields, store it and replicate it cluster-wide."""
-        envelope = sign_payload(unsigned.signed_fields(), self._keys.private)
+        signature = sign_payload(fields.to_dict(), self._keys.private)
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-        advertisement = replace(unsigned, signature=envelope)
+        advertisement = TopicAdvertisement(fields, signature)
         self.store.put(advertisement)
         self._replicate(advertisement)
         return advertisement
@@ -214,7 +211,7 @@ class TDNNode:
             candidates = self.store.find_matching(query, now)
             for advertisement in candidates:
                 yield from self.machine.charge(CryptoOp.CERT_VERIFY)
-                if advertisement.restrictions.permits(
+                if advertisement.fields.restrictions.permits(
                     credentials, self.trust_anchor, now
                 ):
                     metrics.counter("tdn.queries.answered").inc()
@@ -241,14 +238,14 @@ class TDNNode:
             permitted: list[TopicAdvertisement] = []
             seen_descriptors: set[str] = set()
             for advertisement in self.store.find_matching(query, now):
-                if advertisement.descriptor in seen_descriptors:
+                if advertisement.fields.descriptor in seen_descriptors:
                     continue  # newest advertisement per descriptor wins
                 yield from self.machine.charge(CryptoOp.CERT_VERIFY)
-                if advertisement.restrictions.permits(
+                if advertisement.fields.restrictions.permits(
                     credentials, self.trust_anchor, now
                 ):
                     permitted.append(advertisement)
-                    seen_descriptors.add(advertisement.descriptor)
+                    seen_descriptors.add(advertisement.fields.descriptor)
             if permitted:
                 metrics.counter("tdn.queries.answered").inc()
             else:
@@ -312,14 +309,7 @@ class TDNCluster:
         return (yield from self._live_node().discover_all(query, credentials))
 
     def renew_topic(
-        self,
-        advertisement: TopicAdvertisement,
-        signature: SignedEnvelope,
-        additional_lifetime_ms: float,
+        self, renewal: TopicRenewal, signature: SignedEnvelope
     ) -> Generator[Event, None, TopicAdvertisement]:
         """Renew via the first live node."""
-        return (
-            yield from self._live_node().renew_topic(
-                advertisement, signature, additional_lifetime_ms
-            )
-        )
+        return (yield from self._live_node().renew_topic(renewal, signature))

@@ -22,19 +22,21 @@ class AdvertisementStore:
         return len(self._by_topic)
 
     def put(self, advertisement: TopicAdvertisement) -> None:
-        topic = advertisement.trace_topic
+        fields = advertisement.fields
+        topic = fields.trace_topic
         if topic in self._by_topic:
             # re-registration replaces (e.g. refreshed lifetime)
             self._remove_descriptor_index(self._by_topic[topic])
         self._by_topic[topic] = advertisement
-        self._by_descriptor.setdefault(advertisement.descriptor, []).append(topic)
+        self._by_descriptor.setdefault(fields.descriptor, []).append(topic)
 
     def _remove_descriptor_index(self, advertisement: TopicAdvertisement) -> None:
-        topics = self._by_descriptor.get(advertisement.descriptor)
-        if topics and advertisement.trace_topic in topics:
-            topics.remove(advertisement.trace_topic)
+        fields = advertisement.fields
+        topics = self._by_descriptor.get(fields.descriptor)
+        if topics and fields.trace_topic in topics:
+            topics.remove(fields.trace_topic)
             if not topics:
-                del self._by_descriptor[advertisement.descriptor]
+                del self._by_descriptor[fields.descriptor]
 
     def remove(self, topic: UUID128) -> None:
         advertisement = self._by_topic.pop(topic, None)
@@ -45,7 +47,7 @@ class AdvertisementStore:
         advertisement = self._by_topic.get(topic)
         if advertisement is None:
             return None
-        if not advertisement.lifetime.alive_at(now_ms):
+        if not advertisement.fields.lifetime.alive_at(now_ms):
             self.remove(topic)
             return None
         return advertisement
@@ -63,7 +65,7 @@ class AdvertisementStore:
             advertisement = self.get(topic, now_ms)
             if advertisement is not None:
                 results.append(advertisement)
-        results.sort(key=lambda ad: ad.lifetime.created_ms, reverse=True)
+        results.sort(key=lambda ad: ad.fields.lifetime.created_ms, reverse=True)
         return results
 
     def find_matching(self, query, now_ms: float) -> list[TopicAdvertisement]:
@@ -85,7 +87,7 @@ class AdvertisementStore:
         expired = [
             topic
             for topic, ad in self._by_topic.items()
-            if not ad.lifetime.alive_at(now_ms)
+            if not ad.fields.lifetime.alive_at(now_ms)
         ]
         for topic in expired:
             self.remove(topic)

@@ -21,7 +21,7 @@ from repro.crypto.signing import (
     open_sealed,
     seal_for,
     sign_payload,
-    verify_payload,
+    verify_signed,
     verify_signed_body,
 )
 from repro.errors import (
@@ -145,7 +145,7 @@ class TraceManager:
             return
 
         advertisement = request.advertisement
-        topics = TraceTopicSet(advertisement.trace_topic, request.entity_id)
+        topics = TraceTopicSet(advertisement.fields.trace_topic, request.entity_id)
         response_topic = topics.registration_response(
             request.entity_id, request.request_id.value
         )
@@ -257,12 +257,14 @@ class TraceManager:
         # 2. proof of possession: the signature must decrypt with the
         #    entity's public key and match the message digest (section 3.2)
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
-        if request.signature.payload != request.expected_payload():
-            return "signature covers different fields"
         try:
-            verify_payload(request.signature, request.credentials.public_key)
+            signed = verify_signed(
+                request.signature, request.claim().to_dict(), request.credentials.public_key
+            )
         except SignatureError as exc:
             return str(exc)
+        if not signed:
+            return "signature covers different fields"
 
         # 3. the advertisement must be TDN-signed and owned by the requester
         yield from self.machine.charge(CryptoOp.CERT_VERIFY)
@@ -271,9 +273,9 @@ class TraceManager:
             advertisement.verify_provenance(self.tdn_public_keys)
         except SignatureError as exc:
             return str(exc)
-        if advertisement.owner_subject != request.credentials.subject:
+        if advertisement.fields.owner_subject != request.credentials.subject:
             return "trace topic owned by another entity"
-        if not advertisement.lifetime.alive_at(self.machine.now()):
+        if not advertisement.fields.lifetime.alive_at(self.machine.now()):
             return "trace topic lifetime expired"
         return None
 
@@ -337,7 +339,7 @@ class TraceManager:
             return None
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            owner_key = session.advertisement.owner_public_key
+            owner_key = session.advertisement.fields.owner_public_key
             if not verify_signed_body(message.signature, body, owner_key):
                 return None
         except SignatureError as exc:
@@ -695,7 +697,7 @@ class TraceManager:
         yield from self.machine.charge(CryptoOp.SEAL_PAYLOAD)
         payload = build_key_payload(
             session.trace_key,
-            session.advertisement.trace_topic.hex,
+            session.advertisement.fields.trace_topic.hex,
             tracker_key,
             self.machine.rng,
         )
@@ -751,7 +753,7 @@ class TraceManager:
             trace_type=trace_type,
             entity_id=str(session.entity_id),
             payload=payload,
-            trace_topic=session.advertisement.trace_topic.hex,
+            trace_topic=session.advertisement.fields.trace_topic.hex,
             session=session.hex_id,
             seq=session.next_trace_seq(),
             origin_stamp_ms=origin_stamp_ms,

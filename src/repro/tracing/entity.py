@@ -35,11 +35,12 @@ from repro.messaging.message import Message
 from repro.sim.engine import Event, Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
-from repro.tdn.advertisement import TopicCreationRequest
+from repro.tdn.advertisement import TopicCreationRequest, TopicRenewal
 from repro.tdn.node import TDNCluster
 from repro.tdn.query import DiscoveryRestrictions, trace_descriptor
 from repro.tracing.pings import Ping, PingResponse
 from repro.tracing.registration import (
+    RegistrationClaim,
     RegistrationError_Response,
     RegistrationResponse,
     TraceRegistrationRequest,
@@ -231,10 +232,10 @@ class TracedEntity:
             request_id=self._requests.next_request_id(),
         )
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-        signature = self.credentials.sign(request.signing_payload())
+        signature = self.credentials.sign(request.to_dict())
         self.advertisement = yield from self.tdn.create_topic(request, signature)
         self.topics = TraceTopicSet(
-            trace_topic=self.advertisement.trace_topic, entity_id=self.entity_id
+            trace_topic=self.advertisement.fields.trace_topic, entity_id=self.entity_id
         )
         self.monitor.metrics.counter("entity.topics_created").inc()
 
@@ -258,12 +259,14 @@ class TracedEntity:
         message: Message | None = None
         for attempt in range(self.registration_attempts):
             request_id = self._requests.next_request_id()
-            payload = TraceRegistrationRequest.signing_payload(
-                self.entity_id, self.credentials.certificate,
-                self.advertisement, request_id,
+            claim = RegistrationClaim(
+                self.entity_id,
+                self.credentials.certificate.fingerprint(),
+                self.advertisement.fields.trace_topic,
+                request_id,
             )
             yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-            signature = self.credentials.sign(payload)
+            signature = self.credentials.sign(claim.to_dict())
             request = TraceRegistrationRequest(
                 entity_id=self.entity_id,
                 credentials=self.credentials.certificate,
@@ -362,15 +365,10 @@ class TracedEntity:
         """Extend the trace topic's lifetime at the TDN before it expires."""
         if self.advertisement is None:
             raise RegistrationError("no trace topic to renew")
-        payload = {
-            "renew": self.advertisement.trace_topic.hex,
-            "additional_lifetime_ms": additional_lifetime_ms,
-        }
+        renewal = TopicRenewal(self.advertisement.fields.trace_topic, additional_lifetime_ms)
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-        signature = self.credentials.sign(payload)
-        self.advertisement = yield from self.tdn.renew_topic(
-            self.advertisement, signature, additional_lifetime_ms
-        )
+        signature = self.credentials.sign(renewal.to_dict())
+        self.advertisement = yield from self.tdn.renew_topic(renewal, signature)
         self.monitor.metrics.counter("entity.topics_renewed").inc()
 
     def establish_trace_key(self) -> Generator[Event, None, None]:

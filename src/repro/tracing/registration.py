@@ -26,7 +26,7 @@ from repro.crypto.signing import SignedEnvelope
 from repro.errors import MalformedFrameError, RegistrationError
 from repro.obs import EventJournal, MetricsRegistry
 from repro.tdn.advertisement import TopicAdvertisement
-from repro.util.identifiers import EntityId, RequestId, SessionId
+from repro.util.identifiers import UUID128, EntityId, RequestId, SessionId
 from repro.util.serialization import read_record, wire_record
 
 
@@ -83,6 +83,17 @@ class RecoveryProbe:
 
 
 @wire_record()
+class RegistrationClaim:
+    """What an entity signs to register: its identity, credentials and
+    trace topic, bound to one request (section 3.2)."""
+
+    entity_id: EntityId
+    credential_fingerprint: bytes
+    trace_topic: UUID128
+    request_id: RequestId
+
+
+@wire_record()
 class TraceRegistrationRequest:
     """What an entity publishes on the Registration topic."""
 
@@ -92,24 +103,13 @@ class TraceRegistrationRequest:
     request_id: RequestId
     signature: SignedEnvelope
 
-    @staticmethod
-    def signing_payload(
-        entity_id: EntityId,
-        credentials: Certificate,
-        advertisement: TopicAdvertisement,
-        request_id: RequestId,
-    ) -> dict:
-        """The canonical fields the entity signs."""
-        return {
-            "entity_id": str(entity_id),
-            "credential_fingerprint": credentials.fingerprint(),
-            "trace_topic": advertisement.trace_topic.hex,
-            "request_id": request_id.value,
-        }
-
-    def expected_payload(self) -> dict:
-        return self.signing_payload(
-            self.entity_id, self.credentials, self.advertisement, self.request_id
+    def claim(self) -> RegistrationClaim:
+        """The statement ``signature`` covers."""
+        return RegistrationClaim(
+            self.entity_id,
+            self.credentials.fingerprint(),
+            self.advertisement.fields.trace_topic,
+            self.request_id,
         )
 
     @classmethod

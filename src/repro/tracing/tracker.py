@@ -164,7 +164,7 @@ class Tracker:
         self, eid: EntityId, advertisement: TopicAdvertisement
     ) -> Generator[Event, None, TopicAdvertisement]:
         """Subscribe to the selected trace streams of one advertisement."""
-        topics = TraceTopicSet(advertisement.trace_topic, eid)
+        topics = TraceTopicSet(advertisement.fields.trace_topic, eid)
         watched = _WatchedEntity(
             advertisement=advertisement, topics=topics, categories=self.interests
         )
@@ -239,7 +239,7 @@ class Tracker:
         )
         tracked = []
         for advertisement in advertisements:
-            entity_id = advertisement.entity_id
+            entity_id = advertisement.fields.entity_id
             if str(entity_id) in self._watched:
                 continue
             yield from self._wire_subscriptions(entity_id, advertisement)

@@ -378,14 +378,15 @@ class Fields:
     _octets = _typed((bytes, bytearray), "bytes")
 
     def number(self, key: str, default: Any = _REQUIRED, unbounded: bool = False) -> Any:
-        """A finite float; ``unbounded`` admits the infinities too, for an
-        expiry that means "never"."""
+        """A finite int or float, as received, so a signed statement rebuilt
+        from it encodes to the bytes its signer signed; ``unbounded`` admits
+        the infinities too, for an expiry that means "never"."""
         value = self._number(key, default)
         if value is default:
             return value
         if not (-_FLOAT_MAX <= value <= _FLOAT_MAX or unbounded and abs(value) == math.inf):
             raise self._bad(key, "must be a finite number")
-        return float(value)
+        return value
 
     def octets(self, key: str, default: Any = _REQUIRED) -> Any:
         value = self._octets(key, default)

@@ -3,37 +3,14 @@
 import pytest
 
 from repro.auth.tokens import AuthorizationToken, TokenRights
-from repro.crypto.signing import SignedEnvelope, sign_payload
 from repro.errors import TokenError
-from repro.tdn.advertisement import TopicAdvertisement, TopicLifetime
-from repro.tdn.query import DiscoveryRestrictions, trace_descriptor
-from repro.util.identifiers import UUID128
+from tests.auth.test_verification import make_advertisement
 
 
 @pytest.fixture
 def advertisement(keypair, second_keypair):
     """An advertisement owned by `keypair`, 'signed' by a TDN stand-in."""
-    fields = {
-        "trace_topic": UUID128(77).hex,
-        "descriptor": trace_descriptor("svc"),
-        "owner_subject": "svc",
-        "owner_n": keypair.public.n,
-        "owner_e": keypair.public.e,
-        "restrictions": DiscoveryRestrictions.open_to_authenticated().to_dict(),
-        "lifetime": TopicLifetime(0.0, 1e9).to_dict(),
-        "issuing_tdn": "tdn-0",
-    }
-    signature = sign_payload(fields, second_keypair.private)  # TDN key
-    return TopicAdvertisement(
-        trace_topic=UUID128(77),
-        descriptor=trace_descriptor("svc"),
-        owner_subject="svc",
-        owner_public_key=keypair.public,
-        restrictions=DiscoveryRestrictions.open_to_authenticated(),
-        lifetime=TopicLifetime(0.0, 1e9),
-        issuing_tdn="tdn-0",
-        signature=signature,
-    )
+    return make_advertisement(keypair, second_keypair, topic_value=77)
 
 
 class TestCreation:
@@ -111,7 +88,7 @@ class TestWireForm:
             advertisement, keypair.private, TokenRights.PUBLISH, 0.0, 100.0, rng
         )
         restored = AuthorizationToken.from_dict(token.to_dict())
-        assert restored.advertisement.trace_topic == token.advertisement.trace_topic
+        assert restored.advertisement.fields.trace_topic == token.advertisement.fields.trace_topic
         assert restored.token_public_key == token.token_public_key
         restored.verify_owner_signature()
 

@@ -11,24 +11,14 @@ from repro.crypto.signing import sign_payload
 from repro.errors import TokenError
 from repro.messaging.constrained import ConstrainedTopic, is_constrained
 from repro.messaging.topics import Topic
-from repro.tdn.advertisement import TopicAdvertisement, TopicLifetime
+from repro.tdn.advertisement import AdvertisedTopic, TopicAdvertisement, TopicLifetime
 from repro.tdn.query import DiscoveryRestrictions, trace_descriptor
 from repro.util.identifiers import UUID128
 from repro.util.serialization import Canonical
 
 
 def make_advertisement(owner_pair, tdn_pair, tdn_name="tdn-0", topic_value=5):
-    fields = {
-        "trace_topic": UUID128(topic_value).hex,
-        "descriptor": trace_descriptor("svc"),
-        "owner_subject": "svc",
-        "owner_n": owner_pair.public.n,
-        "owner_e": owner_pair.public.e,
-        "restrictions": DiscoveryRestrictions.open_to_authenticated().to_dict(),
-        "lifetime": TopicLifetime(0.0, 1e9).to_dict(),
-        "issuing_tdn": tdn_name,
-    }
-    return TopicAdvertisement(
+    fields = AdvertisedTopic(
         trace_topic=UUID128(topic_value),
         descriptor=trace_descriptor("svc"),
         owner_subject="svc",
@@ -36,8 +26,8 @@ def make_advertisement(owner_pair, tdn_pair, tdn_name="tdn-0", topic_value=5):
         restrictions=DiscoveryRestrictions.open_to_authenticated(),
         lifetime=TopicLifetime(0.0, 1e9),
         issuing_tdn=tdn_name,
-        signature=sign_payload(fields, tdn_pair.private),
     )
+    return TopicAdvertisement(fields, sign_payload(fields.to_dict(), tdn_pair.private))
 
 
 @pytest.fixture
@@ -110,8 +100,9 @@ class TestTokenVerifier:
         attacker signed was accepted."""
         verifier.verify(valid_token_wire, now_ms=0.0)
         attacker = KeyPair.generate(rng)
+        genuine = make_advertisement(keypair, second_keypair)
         forged_ad = replace(
-            make_advertisement(keypair, second_keypair), owner_public_key=attacker.public
+            genuine, fields=replace(genuine.fields, owner_public_key=attacker.public)
         )
         forged, _ = AuthorizationToken.create(
             forged_ad, attacker.private, TokenRights.PUBLISH, 0.0, 10_000.0, rng

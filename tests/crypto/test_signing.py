@@ -8,7 +8,7 @@ from repro.crypto.signing import (
     open_sealed,
     seal_for,
     sign_payload,
-    verify_payload,
+    verify_signed,
     verify_signed_body,
 )
 from repro.errors import DecryptionError, SignatureError
@@ -18,7 +18,7 @@ class TestSignedEnvelope:
     def test_roundtrip(self, keypair):
         payload = {"trace": "ALLS_WELL", "n": 3, "data": b"\x01"}
         envelope = sign_payload(payload, keypair.private)
-        assert verify_payload(envelope, keypair.public) == payload
+        assert verify_signed(envelope, payload, keypair.public)
 
     def test_tampered_payload_rejected(self, keypair):
         envelope = sign_payload({"x": 1}, keypair.private)
@@ -28,12 +28,12 @@ class TestSignedEnvelope:
             signer_fingerprint=envelope.signer_fingerprint,
         )
         with pytest.raises(SignatureError):
-            verify_payload(tampered, keypair.public)
+            verify_signed(tampered, {"x": 2}, keypair.public)
 
     def test_wrong_key_rejected(self, keypair, second_keypair):
         envelope = sign_payload({"x": 1}, keypair.private)
         with pytest.raises(SignatureError):
-            verify_payload(envelope, second_keypair.public)
+            verify_signed(envelope, {"x": 1}, second_keypair.public)
 
     def test_fingerprint_mismatch_detected_first(self, keypair, second_keypair):
         envelope = sign_payload({"x": 1}, keypair.private)
@@ -43,13 +43,13 @@ class TestSignedEnvelope:
             signer_fingerprint=second_keypair.public.fingerprint(),
         )
         with pytest.raises(SignatureError):
-            verify_payload(forged, second_keypair.public)
+            verify_signed(forged, {"x": 1}, second_keypair.public)
 
     def test_dict_roundtrip(self, keypair):
         envelope = sign_payload({"a": [1, 2]}, keypair.private)
         restored = SignedEnvelope.from_dict(envelope.to_dict())
         assert restored == envelope
-        assert verify_payload(restored, keypair.public) == {"a": [1, 2]}
+        assert verify_signed(restored, {"a": [1, 2]}, keypair.public)
 
     def test_payload_key_order_irrelevant(self, keypair):
         envelope = sign_payload({"a": 1, "b": 2}, keypair.private)
@@ -58,7 +58,7 @@ class TestSignedEnvelope:
             signature=envelope.signature,
             signer_fingerprint=envelope.signer_fingerprint,
         )
-        assert verify_payload(reordered, keypair.public) == {"a": 1, "b": 2}
+        assert verify_signed(reordered, {"a": 1, "b": 2}, keypair.public)
 
 
 #: A signed body and three bodies Python calls equal to it whose canonical

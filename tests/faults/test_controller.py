@@ -97,7 +97,7 @@ class TestPartitionHeal:
         # the tracker's interest in the entity's heartbeat topic is known on
         # every broker again: each one can route toward a subscriber
         session = dep.manager_of(ENTITY_BROKER).session_of(ENTITY_ID)
-        topics = TraceTopicSet(session.advertisement.trace_topic, ENTITY_ID)
+        topics = TraceTopicSet(session.advertisement.fields.trace_topic, ENTITY_ID)
         heartbeat = topics.all_updates.canonical
         for broker in dep.network.brokers():
             assert broker.has_any_subscriber(heartbeat), broker.broker_id

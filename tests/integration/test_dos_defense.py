@@ -33,7 +33,7 @@ class TestSpuriousTraces:
         attacker.connect("b2")
         before = len(tracker.traces_of_type(TraceType.FAILED))
         dep.sim.process(
-            attacker.inject_without_token(entity.advertisement.trace_topic, "victim")
+            attacker.inject_without_token(entity.advertisement.fields.trace_topic, "victim")
         )
         dep.sim.run(until=10_000)
         assert len(tracker.traces_of_type(TraceType.FAILED)) == before
@@ -50,7 +50,7 @@ class TestSpuriousTraces:
         attacker.connect("b2")
         dep.sim.process(
             attacker.inject_with_forged_token(
-                entity.advertisement.trace_topic, "victim", entity.advertisement
+                entity.advertisement.fields.trace_topic, "victim", entity.advertisement
             )
         )
         dep.sim.run(until=10_000)
@@ -64,7 +64,7 @@ class TestSpuriousTraces:
         )
         attacker.connect("b2")
         dep.sim.process(
-            attacker.flood(entity.advertisement.trace_topic, "victim", count=10)
+            attacker.flood(entity.advertisement.fields.trace_topic, "victim", count=10)
         )
         dep.sim.run(until=20_000)
         broker = dep.network.broker("b2")
@@ -81,7 +81,7 @@ class TestSpuriousTraces:
         )
         attacker.connect("b1")  # even from the victim's own broker
         dep.sim.process(
-            attacker.flood(entity.advertisement.trace_topic, "victim", count=20)
+            attacker.flood(entity.advertisement.fields.trace_topic, "victim", count=20)
         )
         dep.sim.run(until=30_000)
         session = dep.manager_of("b1").session_of("victim")
@@ -157,6 +157,6 @@ class TestLocationHiding:
     def test_topic_reregistration_after_compromise(self, dep):
         """Section 5.2: if the trace topic leaks, register a fresh one."""
         entity, tracker = bootstrap(dep)
-        old_topic = entity.advertisement.trace_topic
+        old_topic = entity.advertisement.fields.trace_topic
         run_process(dep.sim, entity.create_trace_topic())
-        assert entity.advertisement.trace_topic != old_topic
+        assert entity.advertisement.fields.trace_topic != old_topic

@@ -5,6 +5,7 @@ import pytest
 from repro import build_deployment
 from repro.errors import RegistrationError
 from repro.messaging.discovery import PlacementPolicy
+from repro.tdn.advertisement import TopicRenewal
 from repro.tracing.traces import TraceType
 from repro.transport.udp import udp_profile
 from tests.support import run_process, succeeded
@@ -20,9 +21,9 @@ class TestTopicRenewal:
         entity = dep.add_traced_entity("svc")
         entity.topic_lifetime_ms = 60_000.0
         run_process(dep.sim, entity.create_trace_topic())
-        old_expiry = entity.advertisement.lifetime.expires_ms
+        old_expiry = entity.advertisement.fields.lifetime.expires_ms
         run_process(dep.sim, entity.renew_topic(120_000.0))
-        assert entity.advertisement.lifetime.expires_ms == old_expiry + 120_000.0
+        assert entity.advertisement.fields.lifetime.expires_ms == old_expiry + 120_000.0
         assert dep.metrics.counter_value("tdn.topics_renewed") == 1
 
     def test_renewed_topic_discoverable_past_original_expiry(self, dep):
@@ -41,15 +42,10 @@ class TestTopicRenewal:
         entity = dep.add_traced_entity("svc")
         imposter = dep.add_traced_entity("imposter")
         run_process(dep.sim, entity.create_trace_topic())
-        payload = {
-            "renew": entity.advertisement.trace_topic.hex,
-            "additional_lifetime_ms": 1e9,
-        }
-        forged = imposter.credentials.sign(payload)
-        with pytest.raises(RegistrationError):
-            run_process(dep.sim, 
-                dep.tdn.renew_topic(entity.advertisement, forged, 1e9)
-            )
+        renewal = TopicRenewal(entity.advertisement.fields.trace_topic, 1e9)
+        forged = imposter.credentials.sign(renewal.to_dict())
+        with pytest.raises(RegistrationError, match="^renewal not signed by owner: "):
+            run_process(dep.sim, dep.tdn.renew_topic(renewal, forged))
 
     def test_expired_topic_cannot_be_renewed(self, dep):
         entity = dep.add_traced_entity("svc")
@@ -71,9 +67,9 @@ class TestTopicRenewal:
         run_process(dep.sim, entity.renew_topic(60_000.0))
         dep.sim.run(until=dep.sim.now + 100.0)  # replication callbacks
         for node in dep.tdn.nodes:
-            stored = node.store.get(entity.advertisement.trace_topic, dep.sim.now)
+            stored = node.store.get(entity.advertisement.fields.trace_topic, dep.sim.now)
             assert stored is not None
-            assert stored.lifetime.expires_ms == entity.advertisement.lifetime.expires_ms
+            assert stored.fields.lifetime.expires_ms == entity.advertisement.fields.lifetime.expires_ms
 
 
 class TestDiscoveredStartup:

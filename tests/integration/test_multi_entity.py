@@ -33,7 +33,7 @@ class TestMultipleEntities:
         entity_b.start("b1")
         dep.sim.run(until=4_000)
         assert (
-            entity_a.advertisement.trace_topic != entity_b.advertisement.trace_topic
+            entity_a.advertisement.fields.trace_topic != entity_b.advertisement.fields.trace_topic
         )
 
     def test_one_tracker_many_entities(self, dep):

@@ -56,7 +56,7 @@ class TestWildcardDiscovery:
                 tracker.credentials.certificate,
             )
         )
-        names = sorted(str(ad.entity_id) for ad in advertisements)
+        names = sorted(str(ad.fields.entity_id) for ad in advertisements)
         assert names == ["compute-1", "compute-2"]
 
     def test_restrictions_filter_silently(self, dep):
@@ -75,7 +75,7 @@ class TestWildcardDiscovery:
                 tracker.credentials.certificate,
             )
         )
-        assert [str(ad.entity_id) for ad in advertisements] == ["compute-open"]
+        assert [str(ad.fields.entity_id) for ad in advertisements] == ["compute-open"]
 
     def test_no_match_returns_empty(self, dep):
         start_fleet(dep, ["compute-1"])
@@ -110,4 +110,4 @@ class TestBulkTracking:
         dep.sim.run(until=8_000)
         proc = tracker.track_matching("compute-*")
         dep.sim.run(until=15_000)
-        assert [str(ad.entity_id) for ad in proc.value] == ["compute-2"]
+        assert [str(ad.fields.entity_id) for ad in proc.value] == ["compute-2"]

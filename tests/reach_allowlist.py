@@ -54,7 +54,7 @@ ALLOWED: dict[str, str] = {
         "decode: the encoder whose output the from_dict round trip and the decode "
         "contract start from"
     ),
-    "repro.tdn.advertisement:TopicAdvertisement.entity_id": (
+    "repro.tdn.advertisement:AdvertisedTopic.entity_id": (
         "decode: the Entity-ID inside a descriptor; rejects a non-trace descriptor"
     ),
     "repro.tdn.query:DiscoveryQuery.parse": "decode: a discovery query string",

@@ -41,7 +41,7 @@ class TestSpuriousPublisher:
         )
         attacker.connect("b3")
         dep.sim.process(
-            attacker.flood(entity.advertisement.trace_topic, "victim", count=5)
+            attacker.flood(entity.advertisement.fields.trace_topic, "victim", count=5)
         )
         dep.sim.run(until=10_000)
         # blacklisting cuts the flood short at the violation limit
@@ -60,7 +60,7 @@ class TestSpuriousPublisher:
         )
         attacker.connect("b3")
         dep.sim.process(
-            attacker.flood(entity.advertisement.trace_topic, "victim", count=50)
+            attacker.flood(entity.advertisement.fields.trace_topic, "victim", count=50)
         )
         dep.sim.run(until=60_000)
         broker = dep.network.broker("b3")

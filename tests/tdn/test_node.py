@@ -36,7 +36,7 @@ def creation_request(entity, restrictions=None, lifetime=1_000_000.0):
         lifetime_ms=lifetime,
         request_id=RequestId(1),
     )
-    return request, entity.sign(request.signing_payload())
+    return request, entity.sign(request.to_dict())
 
 
 class TestTopicCreation:
@@ -44,8 +44,8 @@ class TestTopicCreation:
         sim, ca, cluster, entity, _ = setup
         request, signature = creation_request(entity)
         ad = run_process(sim, cluster.create_topic(request, signature))
-        assert ad.owner_subject == "svc-1"
-        assert ad.descriptor == trace_descriptor("svc-1")
+        assert ad.fields.owner_subject == "svc-1"
+        assert ad.fields.descriptor == trace_descriptor("svc-1")
         node = cluster.nodes[0]
         ad.verify_provenance({node.name: node.certificate.public_key})  # raises if not
 
@@ -55,7 +55,7 @@ class TestTopicCreation:
         for i in range(5):
             request, signature = creation_request(entity)
             ad = run_process(sim, cluster.create_topic(request, signature))
-            topics.add(ad.trace_topic)
+            topics.add(ad.fields.trace_topic)
         assert len(topics) == 5
 
     def test_replicated_to_peers(self, setup):
@@ -64,12 +64,12 @@ class TestTopicCreation:
         ad = run_process(sim, cluster.create_topic(request, signature))
         sim.run()  # let replication callbacks fire
         for node in cluster.nodes:
-            assert node.store.get(ad.trace_topic, sim.now) is not None
+            assert node.store.get(ad.fields.trace_topic, sim.now) is not None
 
     def test_rejects_bad_signature(self, setup):
         sim, ca, cluster, entity, tracker = setup
         request, _ = creation_request(entity)
-        wrong_signature = tracker.sign(request.signing_payload())
+        wrong_signature = tracker.sign(request.to_dict())
         with pytest.raises(RegistrationError):
             run_process(sim, cluster.create_topic(request, wrong_signature))
 
@@ -103,7 +103,7 @@ class TestDiscovery:
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
         )
         assert found is not None
-        assert found.trace_topic == ad.trace_topic
+        assert found.fields.trace_topic == ad.fields.trace_topic
 
     def test_unauthorized_gets_silence(self, setup):
         sim, ca, cluster, entity, tracker = setup
@@ -153,27 +153,27 @@ class TestDiscovery:
         request, signature = creation_request(entity, lifetime=50.0)
         ad = run_process(sim, cluster.create_topic(request, signature))
         one, every = self._ask(sim, cluster, tracker)
-        assert one.trace_topic == ad.trace_topic
-        assert [found.trace_topic for found in every] == [ad.trace_topic]
+        assert one.fields.trace_topic == ad.fields.trace_topic
+        assert [found.fields.trace_topic for found in every] == [ad.fields.trace_topic]
         sim.run(until=200.0)
         assert self._ask(sim, cluster, tracker) == (None, [])
 
     def test_recreated_topic_is_discovered_newest(self, setup):
         sim, ca, cluster, entity, tracker = setup
         first = self._create(sim, cluster, entity)
-        assert self._ask(sim, cluster, tracker)[0].trace_topic == first.trace_topic
+        assert self._ask(sim, cluster, tracker)[0].fields.trace_topic == first.fields.trace_topic
         second = self._create(sim, cluster, entity)
         one, every = self._ask(sim, cluster, tracker)
-        assert one.trace_topic == second.trace_topic
-        assert [found.trace_topic for found in every] == [second.trace_topic]
+        assert one.fields.trace_topic == second.fields.trace_topic
+        assert [found.fields.trace_topic for found in every] == [second.fields.trace_topic]
 
     def test_unanswered_query_is_answered_once_the_topic_exists(self, setup):
         sim, ca, cluster, entity, tracker = setup
         assert self._ask(sim, cluster, tracker) == (None, [])
         ad = self._create(sim, cluster, entity)
         one, every = self._ask(sim, cluster, tracker)
-        assert one.trace_topic == ad.trace_topic
-        assert [found.trace_topic for found in every] == [ad.trace_topic]
+        assert one.fields.trace_topic == ad.fields.trace_topic
+        assert [found.fields.trace_topic for found in every] == [ad.fields.trace_topic]
 
 
 class TestFailureTolerance:
@@ -187,7 +187,7 @@ class TestFailureTolerance:
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
         )
         assert found is not None
-        assert found.trace_topic == ad.trace_topic
+        assert found.fields.trace_topic == ad.fields.trace_topic
 
     def test_all_nodes_down_raises(self, setup):
         sim, ca, cluster, entity, tracker = setup
@@ -212,7 +212,7 @@ class TestFailureTolerance:
         cluster.nodes[0].fail()
         request, signature = creation_request(entity)
         ad = run_process(sim, cluster.create_topic(request, signature))
-        assert ad.issuing_tdn == "tdn-1"
+        assert ad.fields.issuing_tdn == "tdn-1"
 
     def test_replication_skips_failed_nodes(self, setup):
         sim, ca, cluster, entity, _ = setup
@@ -220,8 +220,8 @@ class TestFailureTolerance:
         request, signature = creation_request(entity)
         ad = run_process(sim, cluster.create_topic(request, signature))
         sim.run()
-        assert cluster.nodes[1].store.get(ad.trace_topic, sim.now) is not None
-        assert cluster.nodes[2].store.get(ad.trace_topic, sim.now) is None
+        assert cluster.nodes[1].store.get(ad.fields.trace_topic, sim.now) is not None
+        assert cluster.nodes[2].store.get(ad.fields.trace_topic, sim.now) is None
 
 
 class TestReplicationRace:
@@ -249,4 +249,4 @@ class TestReplicationRace:
             cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
         )
         assert found_later is not None
-        assert found_later.trace_topic == ad.trace_topic
+        assert found_later.fields.trace_topic == ad.fields.trace_topic

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.crypto.signing import SignedEnvelope
-from repro.tdn.advertisement import TopicAdvertisement, TopicLifetime
+from repro.tdn.advertisement import AdvertisedTopic, TopicAdvertisement, TopicLifetime
 from repro.tdn.query import DiscoveryRestrictions, trace_descriptor
 from repro.tdn.registry import AdvertisementStore
 from repro.util.identifiers import UUID128
 
 
 def make_ad(keypair, topic_value, entity="svc", created=0.0, duration=1000.0):
-    return TopicAdvertisement(
+    fields = AdvertisedTopic(
         trace_topic=UUID128(topic_value),
         descriptor=trace_descriptor(entity),
         owner_subject=entity,
@@ -18,7 +18,9 @@ def make_ad(keypair, topic_value, entity="svc", created=0.0, duration=1000.0):
         restrictions=DiscoveryRestrictions.open_to_authenticated(),
         lifetime=TopicLifetime(created_ms=created, duration_ms=duration),
         issuing_tdn="tdn-0",
-        signature=SignedEnvelope(payload={}, signature=b"", signer_fingerprint=b""),
+    )
+    return TopicAdvertisement(
+        fields, SignedEnvelope(payload={}, signature=b"", signer_fingerprint=b"")
     )
 
 
@@ -45,7 +47,7 @@ class TestStore:
         store.put(make_ad(keypair, 1, entity="a"))
         store.put(make_ad(keypair, 2, entity="b"))
         found = store.find_by_descriptor(trace_descriptor("a"), 0.0)
-        assert [ad.trace_topic for ad in found] == [UUID128(1)]
+        assert [ad.fields.trace_topic for ad in found] == [UUID128(1)]
 
     def test_reregistration_newest_first(self, keypair):
         """A re-registered topic (after compromise) shadows the old one."""
@@ -53,7 +55,7 @@ class TestStore:
         store.put(make_ad(keypair, 1, entity="a", created=0.0))
         store.put(make_ad(keypair, 2, entity="a", created=50.0))
         found = store.find_by_descriptor(trace_descriptor("a"), 60.0)
-        assert [ad.trace_topic for ad in found] == [UUID128(2), UUID128(1)]
+        assert [ad.fields.trace_topic for ad in found] == [UUID128(2), UUID128(1)]
 
     def test_put_same_topic_replaces(self, keypair):
         store = AdvertisementStore()

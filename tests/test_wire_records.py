@@ -3,13 +3,16 @@
 A declared record takes its wire keys from its field names, so renaming a
 field renames a key on the wire; this table is where that shows.  Each
 expected form is a literal: its sequences are ``list``s, because
-``verify_provenance`` and ``verify_signed_body`` compare decoded payloads
-with ``==`` and ``[1] != (1,)``.
+``verify_signed`` compares a received payload with the statement its
+verifier rebuilds using ``==``, and ``[1] != (1,)``.  ``TokenGrant``,
+``RegistrationClaim`` and ``AdvertisedTopic`` are what a signature
+covers, and they ride broker links: a change to their form is a change
+to the bytes every signer signs.
 """
 
 import pytest
 
-from repro.auth.tokens import AuthorizationToken, TokenRights
+from repro.auth.tokens import AuthorizationToken, TokenGrant, TokenRights
 from repro.campaigns.spec import Axis, CampaignSpec
 from repro.crypto.certificates import Certificate
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
@@ -17,7 +20,13 @@ from repro.crypto.signing import SealedPayload, SignedEnvelope
 from repro.faults.plan import FaultEvent, FaultKind
 from repro.security.confidentiality import SecuredTrace
 from repro.security.keydist import KeyDistributionPayload
-from repro.tdn.advertisement import TopicAdvertisement, TopicLifetime
+from repro.tdn.advertisement import (
+    AdvertisedTopic,
+    TopicAdvertisement,
+    TopicCreationRequest,
+    TopicLifetime,
+    TopicRenewal,
+)
 from repro.tdn.query import DiscoveryRestrictions
 from repro.tracing.coalesce import BatchedPing, PingBatch
 from repro.tracing.entity import (
@@ -33,6 +42,7 @@ from repro.tracing.entity import (
 from repro.tracing.interest import InterestResponse, TrackerCredential
 from repro.tracing.pings import Ping, PingResponse
 from repro.tracing.registration import (
+    RegistrationClaim,
     RegistrationError_Response,
     RegistrationResponse,
     TraceRegistrationRequest,
@@ -45,6 +55,7 @@ from repro.tracing.traces import (
     TraceType,
 )
 from repro.util.identifiers import UUID128, EntityId, RequestId, SessionId
+from repro.util.serialization import canonical_encode
 
 from tests.test_decode_contract import WIRE_RECORDS
 
@@ -71,8 +82,7 @@ CERTIFICATE_WIRE = {
     "not_after_ms": float("inf"),
     "signature": b"ca-sig",
 }
-#: Hand-written (docs/WIRE_FORMAT.md): its form here is its own ``to_dict()``.
-ADVERTISEMENT = TopicAdvertisement(
+ADVERTISED = AdvertisedTopic(
     UUID128(0xAB),
     "Availability/Traces/svc",
     "svc",
@@ -80,11 +90,22 @@ ADVERTISEMENT = TopicAdvertisement(
     DiscoveryRestrictions(),
     TopicLifetime(0.0, 60_000.0),
     "tdn-0",
-    ENVELOPE,
 )
+ADVERTISED_WIRE = {
+    "trace_topic": "000000000000000000000000000000ab",
+    "descriptor": "Availability/Traces/svc",
+    "owner_subject": "svc",
+    "owner_n": 77,
+    "owner_e": 3,
+    "restrictions": {"allowed_subjects": None, "denied_subjects": []},
+    "lifetime": {"created_ms": 0.0, "duration_ms": 60000.0},
+    "issuing_tdn": "tdn-0",
+}
+ADVERTISEMENT = TopicAdvertisement(ADVERTISED, ENVELOPE)
+ADVERTISEMENT_WIRE = {"fields": ADVERTISED_WIRE, "signature": ENVELOPE_WIRE}
 TOKEN = AuthorizationToken(ADVERTISEMENT, KEY, TokenRights.PUBLISH, 0.0, 600.0, ENVELOPE)
 TOKEN_WIRE = {
-    "advertisement": ADVERTISEMENT.to_dict(),
+    "advertisement": ADVERTISEMENT_WIRE,
     "token_n": 77,
     "token_e": 3,
     "rights": "publish",
@@ -161,13 +182,51 @@ PINNED = [
     (Axis("entities", (2, 3)), {"name": "entities", "values": [2, 3]}),
     (CERTIFICATE, CERTIFICATE_WIRE),
     (PRIVATE, PRIVATE_WIRE),
+    (ADVERTISED, ADVERTISED_WIRE),
+    (ADVERTISEMENT, ADVERTISEMENT_WIRE),
+    (
+        TokenGrant(UUID128(0xAB), KEY, TokenRights.PUBLISH, 0.0, 600.0),
+        {
+            "trace_topic": "000000000000000000000000000000ab",
+            "token_n": 77,
+            "token_e": 3,
+            "rights": "publish",
+            "valid_from_ms": 0.0,
+            "valid_until_ms": 600.0,
+        },
+    ),
     (TOKEN, TOKEN_WIRE),
+    (
+        RegistrationClaim(EntityId("svc"), CERTIFICATE.fingerprint(), UUID128(0xAB), RequestId(4)),
+        {
+            "entity_id": "svc",
+            "credential_fingerprint": b"\x07\xe1G0\xe7\x01\xc0[|\x80\xab[o\x88\xe2\xe4u\x80\xa46",
+            "trace_topic": "000000000000000000000000000000ab",
+            "request_id": 4,
+        },
+    ),
+    (
+        TopicCreationRequest(
+            CERTIFICATE, "Availability/Traces/svc", DiscoveryRestrictions(), 60_000.0, RequestId(4)
+        ),
+        {
+            "credentials": CERTIFICATE_WIRE,
+            "descriptor": "Availability/Traces/svc",
+            "restrictions": {"allowed_subjects": None, "denied_subjects": []},
+            "lifetime_ms": 60_000.0,
+            "request_id": 4,
+        },
+    ),
+    (
+        TopicRenewal(UUID128(0xAB), 120_000.0),
+        {"trace_topic": "000000000000000000000000000000ab", "additional_lifetime_ms": 120_000.0},
+    ),
     (
         TraceRegistrationRequest(EntityId("svc"), CERTIFICATE, ADVERTISEMENT, RequestId(4), ENVELOPE),
         {
             "entity_id": "svc",
             "credentials": CERTIFICATE_WIRE,
-            "advertisement": ADVERTISEMENT.to_dict(),
+            "advertisement": ADVERTISEMENT_WIRE,
             "request_id": 4,
             "signature": ENVELOPE_WIRE,
         },
@@ -272,3 +331,12 @@ def test_wire_form_is_pinned(record, wire):
 
 def test_every_wire_record_is_pinned():
     assert {type(record) for record, _ in PINNED} == set(WIRE_RECORDS)
+
+
+def test_a_float_field_keeps_the_number_it_received():
+    """A verifier rebuilds a signed statement from the fields it read, so
+    a read keeps an int an int: the rebuilt lifetime encodes to the bytes
+    its sender wrote."""
+    wire = {"created_ms": 0, "duration_ms": 60_000}
+    rebuilt = TopicLifetime.from_dict(wire).to_dict()
+    assert canonical_encode(rebuilt) == canonical_encode(wire)

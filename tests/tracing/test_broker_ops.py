@@ -116,11 +116,16 @@ class TestRegistrationRejections:
         [
             (lambda ad: ad, None),
             (
-                lambda ad: replace(ad, issuing_tdn="tdn-9"),
+                lambda ad: replace(ad, fields=replace(ad.fields, issuing_tdn="tdn-9")),
                 "advertisement from unknown TDN",
             ),
             (
-                lambda ad: replace(ad, lifetime=TopicLifetime(ad.lifetime.created_ms, 1e12)),
+                lambda ad: replace(
+                    ad,
+                    fields=replace(
+                        ad.fields, lifetime=TopicLifetime(ad.fields.lifetime.created_ms, 1e12)
+                    ),
+                ),
                 "advertisement fields mismatch",
             ),
             (
