@@ -352,13 +352,10 @@ def generate_report(snapshot: dict, out_dir: str | pathlib.Path) -> list[pathlib
         "---",
         "",
         "*Generated by `repro campaign report` — do not edit by hand.*",
-        "*Regenerate with:*",
+        "*Regenerate the committed seeds with:*",
         "",
         "```sh",
-        "PYTHONPATH=src python -m repro campaign run "
-        f"--spec benchmarks/campaigns/{snapshot.get('campaign', '<name>')}.json "
-        f"--seed {snapshot.get('seed')} "
-        f"--out benchmarks/results/campaigns/{snapshot.get('campaign', '<name>')}",
+        "PYTHONPATH=src python -m repro seeds",
         "```",
     ]
 

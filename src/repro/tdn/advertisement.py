@@ -48,9 +48,14 @@ class TopicCreationRequest:
 
 @wire_record()
 class TopicRenewal:
-    """What a topic owner signs to extend its topic's lifetime (section 2.2)."""
+    """What a topic owner signs to extend its topic's lifetime (section 2.2).
+
+    ``current_duration_ms`` is the lifetime being extended, so one signed
+    renewal extends a topic once: after it, the stored lifetime differs.
+    """
 
     trace_topic: UUID128
+    current_duration_ms: float
     additional_lifetime_ms: float
 
 

@@ -158,6 +158,11 @@ class TDNNode:
             raise RegistrationError(f"renewal not signed by owner: {exc}") from exc
         if not signed:
             raise RegistrationError("renewal signature covers different fields")
+        if renewal.current_duration_ms != fields.lifetime.duration_ms:
+            raise RegistrationError(
+                f"stale renewal: it extends a {renewal.current_duration_ms} ms lifetime, "
+                f"the topic's is {fields.lifetime.duration_ms} ms"
+            )
 
         lifetime = TopicLifetime(
             created_ms=fields.lifetime.created_ms,

@@ -365,7 +365,10 @@ class TracedEntity:
         """Extend the trace topic's lifetime at the TDN before it expires."""
         if self.advertisement is None:
             raise RegistrationError("no trace topic to renew")
-        renewal = TopicRenewal(self.advertisement.fields.trace_topic, additional_lifetime_ms)
+        fields = self.advertisement.fields
+        renewal = TopicRenewal(
+            fields.trace_topic, fields.lifetime.duration_ms, additional_lifetime_ms
+        )
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
         signature = self.credentials.sign(renewal.to_dict())
         self.advertisement = yield from self.tdn.renew_topic(renewal, signature)

@@ -59,5 +59,6 @@ class TestContent:
         assert "`churn_cycles`" in report
 
     def test_regeneration_footer_names_the_command(self, report):
-        assert "repro campaign run" in report
-        assert "benchmarks/campaigns/smoke.json" in report
+        # the committed seed's one producer (src/repro/seeds.py)
+        assert report.endswith("```sh\nPYTHONPATH=src python -m repro seeds\n```\n")
+        assert "repro campaign run" not in report

@@ -27,7 +27,7 @@ from repro.faults.scenarios import (
 from repro.tracing.topics import TraceTopicSet
 from repro.tracing.traces import TraceType
 from repro.util.snapshots import render_snapshot
-from tests.support import index_patterns
+from tests.support import empty_kinds, index_clients, index_patterns, index_remote
 
 
 def run_chaos(plan, seed=42, until=60_000.0):
@@ -122,15 +122,14 @@ class TestEntityChurn:
         for broker in dep.network.brokers():
             connected = set(broker.client_ids)
             index = broker._subs
+            # no kind may keep an emptied key (pruning invariant)
+            assert not empty_kinds(index), broker.broker_id
             for pattern in index_patterns(index):
-                entry = index._by_pattern[pattern]
-                # an index entry must never be empty (pruning invariant)
-                assert not entry.is_empty(), pattern
                 # client subscriptions only for currently attached clients
-                orphans = set(entry.clients) - connected
+                orphans = set(index_clients(index, pattern)) - connected
                 assert not orphans, f"{broker.broker_id}:{pattern} -> {orphans}"
                 # remote interest only names live brokers
-                for remote in entry.remote:
+                for remote in index_remote(index, pattern):
                     assert not dep.network.broker(remote).failed
 
     def test_churned_entity_recovers_twice(self):

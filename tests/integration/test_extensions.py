@@ -42,10 +42,27 @@ class TestTopicRenewal:
         entity = dep.add_traced_entity("svc")
         imposter = dep.add_traced_entity("imposter")
         run_process(dep.sim, entity.create_trace_topic())
-        renewal = TopicRenewal(entity.advertisement.fields.trace_topic, 1e9)
+        fields = entity.advertisement.fields
+        renewal = TopicRenewal(fields.trace_topic, fields.lifetime.duration_ms, 1e9)
         forged = imposter.credentials.sign(renewal.to_dict())
         with pytest.raises(RegistrationError, match="^renewal not signed by owner: "):
             run_process(dep.sim, dep.tdn.renew_topic(renewal, forged))
+
+    def test_replayed_renewal_extends_once(self, dep):
+        """One signed renewal extends the lifetime it names, and only once."""
+        entity = dep.add_traced_entity("svc")
+        run_process(dep.sim, entity.create_trace_topic())
+        fields = entity.advertisement.fields
+        renewal = TopicRenewal(fields.trace_topic, fields.lifetime.duration_ms, 60_000.0)
+        envelope = entity.credentials.sign(renewal.to_dict())
+        renewed = run_process(dep.sim, dep.tdn.renew_topic(renewal, envelope))
+        extended = fields.lifetime.duration_ms + 60_000.0
+        assert renewed.fields.lifetime.duration_ms == extended
+        with pytest.raises(RegistrationError, match="^stale renewal: "):
+            run_process(dep.sim, dep.tdn.renew_topic(renewal, envelope))
+        stored = dep.tdn.nodes[0].store.get(fields.trace_topic, dep.sim.now)
+        assert stored.fields.lifetime.duration_ms == extended
+        assert dep.metrics.counter_value("tdn.topics_renewed") == 1
 
     def test_expired_topic_cannot_be_renewed(self, dep):
         entity = dep.add_traced_entity("svc")

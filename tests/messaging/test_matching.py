@@ -17,7 +17,14 @@ from repro.messaging.matching import SubscriptionIndex
 from repro.messaging.topics import topic_matches
 from repro.obs import MetricsRegistry
 from repro.sim.engine import Simulator
-from tests.support import build_chain, index_clients, index_patterns, shard_count, trie_nodes
+from tests.support import (
+    build_chain,
+    empty_kinds,
+    index_clients,
+    index_patterns,
+    shard_count,
+    trie_nodes,
+)
 
 
 def linear_match_patterns(patterns, topic):
@@ -254,7 +261,7 @@ class TestSharding:
         index = SubscriptionIndex()
         pattern = "/".join(["Traces", "e1", "Change"])
         index.add_handler(pattern, lambda m: None)
-        (stored,) = index._by_pattern
+        (stored,) = index._handlers
         assert stored is pattern
 
 
@@ -439,6 +446,15 @@ class IndexMachine(RuleBasedStateMachine):
             assert trie_nodes(self.index) == 0
 
     @invariant()
+    def no_kind_holds_an_empty_key(self):
+        assert empty_kinds(self.index) == []
+        if not self.live():
+            index = self.index
+            assert not (index._clients or index._handlers or index._remote)
+            assert not index._shards
+            assert not index._trie.children and index._trie.pattern is None
+
+    @invariant()
     def handlers_keep_registration_order(self):
         for pattern, held in self.handlers.items():
             assert self.index.handlers_for(pattern) == held
@@ -487,19 +503,20 @@ class TestLiteralSubscribePath:
         broker.subscribe_local(pattern, handler)
         assert calls == []
         # and the three layers hold that one string
-        (stored,) = broker._subs._by_pattern
+        (stored,) = broker._subs._handlers
         accumulator = network.federation._accumulators[broker.broker_id]
         (announced,) = accumulator.patterns
         assert stored is pattern and announced is pattern
         # the tolerated leading "/" is stripped by string tests too
         broker.unsubscribe_local("/" + pattern, handler)
         assert calls == []
-        assert not broker._subs._by_pattern and not accumulator.patterns
+        assert not index_patterns(broker._subs) and not accumulator.patterns
 
-    def test_literal_pattern_costs_at_most_300_traced_bytes(self):
+    def test_literal_pattern_costs_at_most_200_traced_bytes(self):
         """20 000 literal broker subscriptions on a federated net: the
-        string, one index entry and one pattern entry each, no trie, and
-        digest counts only for the few bits two patterns share."""
+        string, one handler-dict slot and its tuple, one pattern entry
+        on the plane each, no trie, and digest counts only for the few
+        bits two patterns share."""
         _network, (broker,) = federated_brokers(1)
         handler = MACHINE_HANDLERS[0]
         broker.subscribe_local("Traces/warm/Change", handler)
@@ -514,4 +531,4 @@ class TestLiteralSubscribePath:
         finally:
             tracemalloc.stop()
         assert trie_nodes(broker._subs) == 0
-        assert per_pattern <= 300, f"{per_pattern:.0f} traced bytes per pattern"
+        assert per_pattern <= 200, f"{per_pattern:.0f} traced bytes per pattern"

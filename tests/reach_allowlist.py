@@ -139,7 +139,6 @@ ALLOWED: dict[str, str] = {
         "repr: ConstrainedTopic.__str__ renders it"
     ),
     "repro.messaging.federation:InterestSummary.__repr__": "repr",
-    "repro.messaging.matching:PatternEntry.__repr__": "repr",
     "repro.messaging.matching:SubscriptionIndex.__len__": "repr: container dunder",
     "repro.obs.instruments:Counter.__repr__": "repr",
     "repro.obs.instruments:Gauge.__repr__": "repr",
@@ -212,7 +211,10 @@ ALLOWED: dict[str, str] = {
     "repro.messaging.federation:pattern_digest_keys": (
         "paper §2: a wildcard subscription's digest key"
     ),
-    "repro.messaging.matching:SubscriptionIndex._matching_entries.<locals>.collect": (
+    "repro.messaging.matching:SubscriptionIndex._candidates": (
+        "paper §2: the trie walk of a wildcard subscription"
+    ),
+    "repro.messaging.matching:SubscriptionIndex._candidates.<locals>.collect": (
         "paper §2: the trie walk of a wildcard subscription"
     ),
     "repro.sim.engine:Interrupt.__init__": (

@@ -123,8 +123,8 @@ def stale_interest_entries(network, client_id: str | None = None) -> list[str]:
             stale.append(f"{pattern} advertised by {owner} with no local subscriber")
     if client_id is not None:
         for broker in network.brokers():
-            for pattern, entry in sorted(broker._subs._by_pattern.items()):
-                if client_id in entry.clients:
+            for pattern in index_patterns(broker._subs):
+                if client_id in index_clients(broker._subs, pattern):
                     stale.append(
                         f"{pattern} on {broker.broker_id} still lists client {client_id}"
                     )
@@ -185,13 +185,31 @@ def snapshot_drift(live: dict, seed: dict) -> list[str]:
 
 def index_patterns(index) -> list[str]:
     """Every live pattern of a ``SubscriptionIndex``, sorted."""
-    return sorted(index._by_pattern)
+    return sorted({*index._clients, *index._handlers, *index._remote})
 
 
 def index_clients(index, pattern: str) -> list[str]:
     """Client ids subscribed to exactly ``pattern`` (any spelling), sorted."""
-    entry = index._lookup(pattern)
-    return sorted(entry.clients) if entry is not None else []
+    return sorted(index._clients.get(index._key(pattern), ()))
+
+
+def index_remote(index, pattern: str) -> list[str]:
+    """Peer brokers with interest in exactly ``pattern``, sorted."""
+    return sorted(index._remote.get(index._key(pattern), ()))
+
+
+def empty_kinds(index) -> list[str]:
+    """``kind:pattern`` for every key a kind holds with nothing behind it.
+
+    An emptied kind must delete its key, so this is always empty.
+    """
+    kinds = {"clients": index._clients, "handlers": index._handlers, "remote": index._remote}
+    return [
+        f"{kind}:{pattern}"
+        for kind, table in kinds.items()
+        for pattern, held in sorted(table.items())
+        if not held
+    ]
 
 
 def trie_nodes(index) -> int:

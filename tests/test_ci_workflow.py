@@ -147,6 +147,7 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "from_dict" in comment
     assert "canonical_decode" in comment and "TokenVerifier.verify" in comment
     assert "SubscriptionIndex state machine" in comment
+    assert "empty-kind invariant" in comment
     assert "from_json(export_json())" in comment
     assert "generate_prime" in comment
     assert "CBC decryption oracle" in comment and "aes_cbc_decrypt" in comment

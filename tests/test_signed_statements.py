@@ -123,7 +123,8 @@ def _creation(world):
 
 def _renewal(world):
     entity, dep = world.entity, world.dep
-    renewal = TopicRenewal(entity.advertisement.fields.trace_topic, 5_000.0)
+    fields = entity.advertisement.fields
+    renewal = TopicRenewal(fields.trace_topic, fields.lifetime.duration_ms, 5_000.0)
 
     def run(envelope):
         return _reason(

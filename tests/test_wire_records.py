@@ -218,8 +218,12 @@ PINNED = [
         },
     ),
     (
-        TopicRenewal(UUID128(0xAB), 120_000.0),
-        {"trace_topic": "000000000000000000000000000000ab", "additional_lifetime_ms": 120_000.0},
+        TopicRenewal(UUID128(0xAB), 60_000.0, 120_000.0),
+        {
+            "trace_topic": "000000000000000000000000000000ab",
+            "current_duration_ms": 60_000.0,
+            "additional_lifetime_ms": 120_000.0,
+        },
     ),
     (
         TraceRegistrationRequest(EntityId("svc"), CERTIFICATE, ADVERTISEMENT, RequestId(4), ENVELOPE),
