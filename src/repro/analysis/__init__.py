@@ -32,8 +32,8 @@ DOC01   Public modules, classes and functions of the packages the docs
         send readers into carry a docstring.
 DOC02   Relative links in README.md and docs/*.md resolve, and every
         docs/ page is reachable from README.md.
-DOC03   EXPERIMENTS.md sections end with the command that regenerates
-        each benchmark they cite.
+DOC03   EXPERIMENTS.md sections end with the commands that regenerate
+        the result files and bench scripts they cite.
 ======  ======================================================================
 
 Every rule reads one :class:`~repro.analysis.project.ProjectIndex` of

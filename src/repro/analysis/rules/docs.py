@@ -6,7 +6,7 @@ benchmark entry points.  These rules keep those pointers true: DOC01 —
 the packages the docs send readers into document their public surface;
 DOC02 — no relative link is broken and no ``docs/`` page falls out of
 the navigation graph README.md promises; DOC03 — every EXPERIMENTS.md
-section ends with the exact command that regenerates the tables it cites.
+section ends with the exact command that regenerates the files it cites.
 
 All three are rooted at :meth:`ProjectIndex.repo_root`, so they are
 inert on fixture packages and single-file runs.
@@ -156,64 +156,60 @@ class DocLinkChecker(Checker):
 BEGIN = "<!-- regen:begin -->"
 END = "<!-- regen:end -->"
 
-_CITE = re.compile(r"(?:benchmarks/)?\b(bench_\w+\.py)")
+#: The one command that rewrites every seeded result file (``src/repro/seeds.py``).
+SEEDS_FOOTER = "> Regenerate: `PYTHONPATH=src python -m repro seeds`"
+
+_RESULT = re.compile(r"\bresults/([\w./-]+\.(?:txt|svg|json|md))\b")
+_SCRIPT = re.compile(r"(?:benchmarks/)?\b(bench_\w+\.py)")
 _SECTION = re.compile(r"^## ", re.MULTILINE)
 
 
-def bench_style(path: Path) -> str:
-    """``pytest`` if the file defines test functions, else ``script``."""
-    text = path.read_text(encoding="utf-8")
-    return "pytest" if re.search(r"^def test_", text, re.MULTILINE) else "script"
+def footer_block(results: list[str], scripts: list[str]) -> str:
+    """The footer a section citing ``results`` and ``scripts`` must end with.
 
-
-def footer_block(bench_dir: Path, cited: list[str]) -> str:
-    """The footer a section citing ``cited`` must end with.
-
-    Pytest-style benches (the ones ``pytest benchmarks/`` collects) get a
-    ``python -m pytest`` line; script-style benches get a plain ``python``
-    line, because the blanket pytest invocation silently skips them.
+    Cited result files are seeds: ``repro seeds`` rewrites them all.  A cited
+    ``bench_*.py`` is a host-measurement script (``bench_scale.py``), run
+    directly, one line each.
     """
-    lines = [BEGIN]
-    for name in cited:
-        if bench_style(bench_dir / name) == "pytest":
-            lines.append(
-                f"> Regenerate: `PYTHONPATH=src python -m pytest benchmarks/{name} -s`"
-            )
-        else:
-            lines.append(
-                f"> Regenerate: `PYTHONPATH=src python benchmarks/{name}`"
-                " *(script-style: not collected by `pytest benchmarks/`)*"
-            )
+    lines = [BEGIN, *([SEEDS_FOOTER] if results else [])]
+    lines += [
+        f"> Regenerate: `PYTHONPATH=src python benchmarks/{name}`"
+        " *(a host measurement, not a seed)*"
+        for name in scripts
+    ]
     lines.append(END)
     return "\n".join(lines)
 
 
-def cited_in(section: str) -> list[str]:
-    """Benchmark files cited in a section, in first-mention order."""
-    return list(dict.fromkeys(_CITE.findall(section)))
+def cited_in(section: str) -> tuple[list[str], list[str]]:
+    """``(result files, bench scripts)`` a section cites, in first-mention order."""
+    return (
+        list(dict.fromkeys(_RESULT.findall(section))),
+        list(dict.fromkeys(_SCRIPT.findall(section))),
+    )
 
 
 def footer_drift(root: Path) -> Iterator[tuple[int, str]]:
     """``(heading line, message)`` per EXPERIMENTS.md section out of step.
 
-    A section (or the preamble) citing a ``bench_*.py`` that does not
-    exist is one finding; a ``## `` section citing benchmarks that does
-    not end with exactly one :func:`footer_block` for them is another.
+    A section (or the preamble) citing a ``results/`` file or a
+    ``bench_*.py`` that does not exist is one finding; a ``## `` section
+    citing either that does not end with exactly one :func:`footer_block`
+    for them is another.
     """
     text = (root / "EXPERIMENTS.md").read_text(encoding="utf-8")
-    bench_dir = root / "benchmarks"
     starts = [0, *(match.start() for match in _SECTION.finditer(text)), len(text)]
     for start, end in zip(starts, starts[1:]):
         section = text[start:end]
         line = line_at(text, start)
-        cited = cited_in(section.partition(BEGIN)[0])
-        missing = [name for name in cited if not (bench_dir / name).is_file()]
+        results, scripts = cited_in(section.partition(BEGIN)[0])
+        cited = [f"benchmarks/results/{name}" for name in results]
+        cited += [f"benchmarks/{name}" for name in scripts]
+        missing = [path for path in cited if not (root / path).is_file()]
         if missing:
-            yield line, "cites missing file(s) " + ", ".join(
-                f"benchmarks/{name}" for name in missing
-            )
-        elif cited and section.startswith("## "):
-            expected = footer_block(bench_dir, cited)
+            yield line, "cites missing file(s) " + ", ".join(missing)
+        elif (results or scripts) and section.startswith("## "):
+            expected = footer_block(results, scripts)
             if section.count(BEGIN) != 1 or not section.rstrip().endswith(expected):
                 yield line, (
                     f"section {section.splitlines()[0][3:]!r}: regeneration footer "
@@ -225,13 +221,13 @@ def footer_drift(root: Path) -> Iterator[tuple[int, str]]:
 class ExperimentsFooterChecker(Checker):
     """DOC03: EXPERIMENTS.md sections end with a current regeneration footer.
 
-    Findings sit on the section heading; every cited benchmark must exist.
+    Findings sit on the section heading; every cited file must exist.
     """
 
     rule = "DOC03"
     description = (
-        "EXPERIMENTS.md sections carry a current 'Regenerate:' footer for "
-        "each benchmarks/bench_*.py they cite"
+        "EXPERIMENTS.md sections carry a current 'Regenerate:' footer: "
+        "`repro seeds` for the result files they cite, one line per bench script"
     )
     default_hint = "paste the footer from the message as the section's last lines"
 

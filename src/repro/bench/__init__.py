@@ -1,8 +1,8 @@
 """Benchmark harness reproducing every table and figure of the paper.
 
 Each experiment module exposes a ``run_*`` function returning structured
-rows plus helpers that render paper-vs-measured tables.  The pytest
-benchmarks under ``benchmarks/`` are thin wrappers over these.
+rows plus helpers that render paper-vs-measured tables, and the producers
+of its ``repro seeds`` rows (:data:`repro.seeds.PAPER_GROUPS`).
 
 Experiment index (see DESIGN.md section 3):
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.errors import BenchmarkError
 from repro.bench import paper_data
 from repro.bench.routing_smoke import RoutingCounters
-from repro.bench.tables import ComparisonRow
+from repro.bench.tables import ComparisonRow, render_comparison, require, require_within_paper
 from repro.bench.topology import single_broker_colocated
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.traces import TraceType
@@ -120,3 +120,26 @@ def comparison_rows(results: list[EntitiesResult]) -> list[ComparisonRow]:
         )
         for r in results
     ]
+
+
+def table4_entities() -> tuple[str]:
+    """``table4_entities.txt``: Table 4 at 10/20/30 entities, 45 s windows.
+
+    Mean and deviation grow super-linearly (the 20->30 step exceeds the
+    10->20 one), each mean within 25 % of the paper's.
+    """
+    results = run_entities_sweep(duration_ms=45_000.0)
+    rows = comparison_rows(results)
+    ordered = sorted(results, key=lambda r: r.entity_count)
+    means = [r.summary.mean for r in ordered]
+    stds = [r.summary.std_dev for r in ordered]
+    require(means == sorted(means), f"means do not grow: {means}")
+    require(stds == sorted(stds), f"deviations do not grow: {stds}")
+    require(means[2] - means[1] > means[1] - means[0], f"not super-linear: {means}")
+    require_within_paper(rows, rel=0.25)
+    lines = ["", "routing counters per case:"]
+    for result in results:
+        if result.routing is not None:
+            lines.append(f"  entities={result.entity_count:<3d} {result.routing.render()}")
+    title = "Table 4: trace routing overhead by traced entities (TCP)"
+    return (render_comparison(title, rows) + "\n".join(lines) + "\n",)

@@ -1,30 +1,22 @@
 """EXP-T3-micro: per-operation security costs.
 
-Two complementary measurements:
-
-* **Calibrated virtual costs** — what the simulator charges (sampled from
-  the cost model), reported against the paper's Table 3 micro rows.
-  These agree by construction; the table verifies the calibration wiring.
-* **Actual pure-Python costs** — wall-clock times of our real RSA/AES
-  primitives, reported for transparency (they do *not* match 2003 Java
-  on Xeons, nor do they need to: virtual time is what the macro
-  benchmarks consume).
+The calibrated virtual costs — what the simulator charges (sampled from
+the cost model) — reported against the paper's Table 3 micro rows.  These
+agree by construction; the table verifies the calibration wiring.  What
+our real pure-Python RSA/AES primitives cost in wall time is a host
+measurement, not a result: ``benchmarks/perf/run.py`` reports it as the
+``crypto.rsa`` / ``crypto.aes`` layers.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass
 
 from repro.bench import paper_data
-from repro.bench.tables import ComparisonRow
-from repro.crypto.aes import generate_aes_key
+from repro.bench.tables import ComparisonRow, render_comparison, require, require_within_paper
 from repro.crypto.costmodel import CryptoCostModel, CryptoOp
-from repro.crypto.keys import SymmetricKey
-from repro.crypto.rsa import generate_rsa_keypair
 from repro.obs import MetricsRegistry
-from repro.util.stats import StatSummary, summarize
+from repro.util.stats import StatSummary
 
 #: Mapping of Table 3 micro rows to cost-model operations.
 MICRO_ROWS: list[tuple[str, CryptoOp]] = [
@@ -78,31 +70,17 @@ def comparison_rows(results: list[MicroResult]) -> list[ComparisonRow]:
     ]
 
 
-def measure_real_primitives(iterations: int = 20, seed: int = 4) -> dict[str, StatSummary]:
-    """Wall-clock costs of the actual pure-Python primitives (ms)."""
-    rng = random.Random(seed)
-    keypair = generate_rsa_keypair(rng)
-    sym = SymmetricKey(generate_aes_key(rng, 192))
-    message = bytes(rng.randrange(256) for _ in range(512))
-
-    def timed(fn) -> list[float]:
-        times = []
-        for _ in range(iterations):
-            # This helper exists to measure *real* host time: the calibration
-            # source the virtual cost model is fitted against.
-            start = time.perf_counter()  # repro: noqa[DET01]
-            fn()
-            times.append((time.perf_counter() - start) * 1000.0)  # repro: noqa[DET01]
-        return times
-
-    signature = keypair.private.sign(message)
-    ciphertext = sym.encrypt(message, rng)
-    results = {
-        "rsa_sign": summarize(timed(lambda: keypair.private.sign(message))),
-        "rsa_verify": summarize(
-            timed(lambda: keypair.public.verify(message, signature))
-        ),
-        "aes_encrypt": summarize(timed(lambda: sym.encrypt(message, rng))),
-        "aes_decrypt": summarize(timed(lambda: sym.decrypt(ciphertext))),
-    }
-    return results
+def table3_microcosts() -> tuple[str]:
+    """``table3_microcosts.txt``: the calibrated micro block at 2 000 samples,
+    each row within 8 % of the paper, in the orderings section 6.3 relies on."""
+    results = run_calibrated_micro(samples=2_000)
+    rows = comparison_rows(results)
+    require_within_paper(rows, rel=0.08)
+    cost = {r.label: r.calibrated.mean for r in results}
+    sign, verify = cost["Sign Trace Message"], cost["Verify Signature in Trace Message"]
+    encrypt, decrypt = cost["Encrypting Trace Message"], cost["Decrypting Trace Message"]
+    require(sign > verify, "signing is not dearer than verifying")
+    require(encrypt < decrypt, "encrypting is not cheaper than decrypting")
+    require(sign + verify > 5 * (encrypt + decrypt), "signatures not 5x the symmetric pair")
+    title = "Table 3: Security and Authorization related costs (ms)"
+    return (render_comparison(title, rows) + "\n",)

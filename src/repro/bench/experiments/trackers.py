@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 from repro.errors import BenchmarkError
 from repro.bench.routing_smoke import RoutingCounters
+from repro.bench.svgplot import series_dict_to_svg
+from repro.bench.tables import render_series, require
 from repro.bench.topology import star_with_trackers
 from repro.tracing.traces import TraceType
 from repro.transport.base import TransportProfile
 from repro.transport.tcp import TCP_CLUSTER
+from repro.transport.udp import UDP_CLUSTER
 from repro.util.stats import StatSummary, summarize
 
 
@@ -78,3 +81,37 @@ def growth_ratio(results: list[TrackersResult]) -> float:
     """Mean latency at the largest population over the smallest."""
     ordered = sorted(results, key=lambda r: r.tracker_count)
     return ordered[-1].summary.mean / ordered[0].summary.mean
+
+
+def figure4_trackers() -> tuple[str, str]:
+    """``figure4_trackers.txt`` and ``.svg``: 10-100 trackers over TCP and UDP.
+
+    The paper's claim: a 10x tracker population costs well under 25 % extra
+    trace time.  Every population stays under 120 ms, UDP below TCP.
+    """
+    by_transport = {
+        profile.name: run_trackers_sweep(profile=profile, duration_ms=60_000.0)
+        for profile in (TCP_CLUSTER, UDP_CLUSTER)
+    }
+    for transport, results in by_transport.items():
+        ratio = growth_ratio(results)
+        require(ratio < 1.25, f"{transport}: grew {ratio:.2f}x from 10 to 100 trackers")
+        require(all(r.summary.mean < 120.0 for r in results), f"{transport}: 120 ms or more")
+    for tcp, udp in zip(by_transport["TCP"], by_transport["UDP"], strict=True):
+        require(udp.summary.mean < tcp.summary.mean, f"N={tcp.tracker_count}: UDP not below")
+
+    series = {
+        f"{transport} trace time (ms)": [(r.tracker_count, r.summary.mean) for r in results]
+        for transport, results in by_transport.items()
+    }
+    lines = ["", "routing counters per case:"]
+    for transport, results in by_transport.items():
+        for r in results:
+            if r.routing is not None:
+                lines.append(f"  {transport} N={r.tracker_count:<3d} {r.routing.render()}")
+    title = "Figure 4: trace time vs number of trackers"
+    text = render_series(title, "trackers", series) + "\n".join(lines)
+    figure = series_dict_to_svg(
+        title, "trackers", "trace time (ms)", series, y_from_zero=True
+    )
+    return text + "\n", figure

@@ -1,9 +1,11 @@
-"""Paper-vs-measured table rendering for benchmark output."""
+"""Paper-vs-measured table rendering for benchmark output, and the checks
+that refuse a result whose shape the paper contradicts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import PaperShapeError
 from repro.util.stats import StatSummary
 
 
@@ -65,3 +67,19 @@ def render_series(title: str, xlabel: str, series: dict[str, list[tuple[float, f
             cells.append(f"{y:>16.2f}" if y is not None else f"{'-':>16s}")
         lines.append(f"{x:>10.0f} " + " ".join(cells))
     return "\n".join(lines)
+
+
+def require(holds: bool, message: str) -> None:
+    """Raise :class:`PaperShapeError` with ``message`` unless ``holds``."""
+    if not holds:
+        raise PaperShapeError(message)
+
+
+def require_within_paper(rows: list[ComparisonRow], rel: float) -> None:
+    """Every row's measured mean lies within ``rel`` of the paper's mean."""
+    for row in rows:
+        require(
+            abs(row.measured.mean - row.paper_mean) <= rel * abs(row.paper_mean),
+            f"{row.label}: ours {row.measured.mean:.2f} ms is not within "
+            f"{rel:.0%} of the paper's {row.paper_mean:.2f} ms",
+        )

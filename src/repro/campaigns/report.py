@@ -252,12 +252,17 @@ def _baseline_figure(snapshot: dict) -> str | None:
     )
 
 
-def generate_report(snapshot: dict, out_dir: str | pathlib.Path) -> list[pathlib.Path]:
+def generate_report(
+    snapshot: dict, out_dir: str | pathlib.Path, regenerate: tuple[str, str]
+) -> list[pathlib.Path]:
     """Render ``report.md`` and figures for a campaign snapshot.
 
+    ``regenerate`` is ``(what, command)`` for the footer: "*Regenerate
+    {what} with:*" over the shell ``command`` that rewrites these files.
     Returns the list of files written.  Output is a pure function of
-    the snapshot, so regenerating from the committed snapshot must be a
-    no-op diff (the ``campaign`` row of :mod:`repro.seeds` enforces this).
+    the snapshot and ``regenerate``, so regenerating from the committed
+    snapshot must be a no-op diff (the ``campaign`` row of
+    :mod:`repro.seeds` enforces this).
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -352,10 +357,10 @@ def generate_report(snapshot: dict, out_dir: str | pathlib.Path) -> list[pathlib
         "---",
         "",
         "*Generated by `repro campaign report` — do not edit by hand.*",
-        "*Regenerate the committed seeds with:*",
+        f"*Regenerate {regenerate[0]} with:*",
         "",
         "```sh",
-        "PYTHONPATH=src python -m repro seeds",
+        regenerate[1],
         "```",
     ]
 

@@ -47,7 +47,7 @@ def _cmd_info(_args) -> int:
     print("       Entities in Distributed Systems'")
     print()
     print("experiments: Tables 3-4, Figures 2-5 and the ablations, one")
-    print("             benchmarks/bench_*.py script each (EXPERIMENTS.md)")
+    print("             `repro seeds` row each (EXPERIMENTS.md)")
     print(f"calibrated crypto operations: {len(PAPER_CALIBRATION)}")
     print("docs: README.md, DESIGN.md, EXPERIMENTS.md")
     return 0
@@ -166,6 +166,11 @@ def _cmd_faults(args) -> int:
     return 0
 
 
+def _regenerate(command: str) -> tuple[str, str]:
+    """A campaign report's footer: the ``repro`` command that wrote it."""
+    return "this report", f"PYTHONPATH=src python -m repro {command}"
+
+
 def _cmd_campaign(args) -> int:
     """Run a campaign, or regenerate its report.
 
@@ -191,7 +196,10 @@ def _cmd_campaign(args) -> int:
                 pathlib.Path(args.snapshot).read_text(encoding="utf-8")
             )
             out_dir = args.out or pathlib.Path(args.snapshot).parent
-            written = generate_report(snapshot, out_dir)
+            command = f"campaign report --snapshot {args.snapshot}"
+            if args.out:
+                command += f" --out {args.out}"
+            written = generate_report(snapshot, out_dir, _regenerate(command))
             for path in written:
                 print(f"wrote {path}")
             return 0
@@ -220,7 +228,10 @@ def _cmd_campaign(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         snapshot_path = out_dir / "snapshot.json"
         snapshot_path.write_text(rendered, encoding="utf-8")
-        written = generate_report(snapshot, out_dir)
+        command = f"campaign run --spec {args.spec}"
+        if args.seed is not None:
+            command += f" --seed {args.seed}"
+        written = generate_report(snapshot, out_dir, _regenerate(f"{command} --out {args.out}"))
         if not args.json:
             print(f"wrote {snapshot_path}")
             for path in written:

@@ -48,6 +48,11 @@ class BenchmarkError(ReproError, RuntimeError):
     """An experiment run produced no usable measurement."""
 
 
+class PaperShapeError(BenchmarkError):
+    """A paper experiment's result contradicts the shape the paper reports
+    (a band, an ordering or a tolerance); ``repro seeds`` refuses to write it."""
+
+
 # --- serialization ----------------------------------------------------------
 
 

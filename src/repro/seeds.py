@@ -7,6 +7,11 @@ arguments, writes which file under ``benchmarks/results/``: ``repro seeds``
 walks it into the working tree (with ``git diff --exit-code
 benchmarks/results`` that is both the CI gate and the re-seed procedure)
 and ``tests/test_seeds.py`` walks it into a scratch directory.
+
+:data:`PAPER_GROUPS` are the paper's tables, figures and ablations, one row
+per experiment: each producer runs it, refuses a result whose shape the
+paper contradicts (``PaperShapeError``, before anything is written) and
+renders the text and SVG files.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from repro.analytics import (
     build_report,
     render_report_markdown,
 )
+from repro.bench.experiments import ablations, entities, hops, keydist, microcosts, trackers
 from repro.bench.hotpath import run_codec_smoke
 from repro.bench.routing_smoke import run_routing_smoke
 from repro.bench.scale import run_scale_point
@@ -51,10 +57,24 @@ def _snapshot(file: str, run: Callable[[], dict]) -> SeedGroup:
     return SeedGroup((file,), lambda results: _write(results / file, render_snapshot(run())))
 
 
+def _paper(files: tuple[str, ...], render: Callable[[], tuple[str, ...]]) -> SeedGroup:
+    """A group whose ``render()`` returns the text of each of ``files``, in order."""
+
+    def produce(results: pathlib.Path) -> None:
+        for file, text in zip(files, render(), strict=True):
+            _write(results / file, text)
+
+    return SeedGroup(files, produce)
+
+
 def _smoke_campaign(results: pathlib.Path) -> None:
     snapshot = run_campaign(load_spec(SMOKE_CAMPAIGN_SPEC), seed=42)
     _write(results / "campaigns/smoke/snapshot.json", render_snapshot(snapshot))
-    generate_report(snapshot, results / "campaigns/smoke")
+    generate_report(
+        snapshot,
+        results / "campaigns/smoke",
+        regenerate=("the committed seeds", "PYTHONPATH=src python -m repro seeds"),
+    )
 
 
 def _analytics(results: pathlib.Path) -> None:
@@ -66,6 +86,33 @@ def _analytics(results: pathlib.Path) -> None:
     )
     _write(results / "analytics/report.md", render_report_markdown(build_report(store)) + "\n")
     store.save(results / "analytics/analytics_seed.json")
+
+
+PAPER_GROUPS: dict[str, SeedGroup] = {
+    "table3-hops": _paper(("table3_hops.txt", "figure2_hops.svg"), hops.table3_hops),
+    "table3-microcosts": _paper(("table3_microcosts.txt",), microcosts.table3_microcosts),
+    "table3-keydist": _paper(("table3_keydist.txt",), keydist.table3_keydist),
+    "figure4-trackers": _paper(
+        ("figure4_trackers.txt", "figure4_trackers.svg"), trackers.figure4_trackers
+    ),
+    "figure5-signing-opt": _paper(
+        ("figure5_signing_opt.txt", "figure5_signing_opt.svg"), hops.figure5_signing_opt
+    ),
+    "table4-entities": _paper(("table4_entities.txt",), entities.table4_entities),
+    "ablation-msgcount": _paper(("ablation_msgcount.txt",), ablations.ablation_msgcount),
+    "baseline-gossip": _paper(("baseline_gossip.txt",), ablations.baseline_gossip),
+    "ablation-adaptive-ping": _paper(
+        ("ablation_adaptive_ping.txt",), ablations.ablation_adaptive_ping
+    ),
+    "ablation-interest-gating": _paper(
+        ("ablation_interest_gating.txt",), ablations.ablation_interest_gating
+    ),
+    "ablation-thresholds": _paper(("ablation_thresholds.txt",), ablations.ablation_thresholds),
+    "chaos-recovery": _paper(("chaos_recovery.txt",), ablations.chaos_recovery),
+    "replication-stability": _paper(
+        ("replication_stability.txt",), hops.replication_stability
+    ),
+}
 
 
 SEED_GROUPS: dict[str, SeedGroup] = {
@@ -85,4 +132,5 @@ SEED_GROUPS: dict[str, SeedGroup] = {
     "analytics": SeedGroup(
         ("analytics/analytics_seed.json", "analytics/report.md"), _analytics
     ),
+    **PAPER_GROUPS,
 }

@@ -75,8 +75,13 @@ class TDNNode:
         self.failed = True
 
     def recover(self) -> None:
-        """Bring the node back."""
+        """Bring the node back, caught up: replication skipped it while it was
+        down, so it pulls every live peer's store, keeping per topic the
+        advertisement that lives longest (a renewal it missed included)."""
         self.failed = False
+        for peer in self._peers:
+            if not peer.failed:
+                self.store.merge_from(peer.store)
 
     # ------------------------------------------------------------ topic creation
 

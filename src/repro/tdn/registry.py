@@ -30,6 +30,15 @@ class AdvertisementStore:
         self._by_topic[topic] = advertisement
         self._by_descriptor.setdefault(fields.descriptor, []).append(topic)
 
+    def merge_from(self, other: "AdvertisementStore") -> None:
+        """Take each advertisement ``other`` holds whose topic this store lacks
+        or holds with an earlier expiry (a renewal it missed)."""
+        for topic, advertisement in other._by_topic.items():
+            held = self._by_topic.get(topic)
+            expires = advertisement.fields.lifetime.expires_ms
+            if held is None or held.fields.lifetime.expires_ms < expires:
+                self.put(advertisement)
+
     def _remove_descriptor_index(self, advertisement: TopicAdvertisement) -> None:
         fields = advertisement.fields
         topics = self._by_descriptor.get(fields.descriptor)

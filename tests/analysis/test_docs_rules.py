@@ -28,15 +28,15 @@ def mini_repo(tmp_path):
     # outside the covered packages: no docstrings required
     (package / "sim" / "__init__.py").write_text("")
     (package / "sim" / "engine.py").write_text("def step():\n    return 1\n")
-    (tmp_path / "benchmarks").mkdir()
-    (tmp_path / "benchmarks" / "bench_a.py").write_text("def test_a():\n    pass\n")
+    (tmp_path / "benchmarks" / "results").mkdir(parents=True)
+    (tmp_path / "benchmarks" / "results" / "a.txt").write_text("table A\n")
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "A.md").write_text("intro\n\nsee [gone](GONE.md)\n")
     (tmp_path / "docs" / "ORPHAN.md").write_text("nobody links here\n")
     (tmp_path / "README.md").write_text("[a](docs/A.md)\n")
     (tmp_path / "EXPERIMENTS.md").write_text(
-        "# Experiments\n\n## Table A\n\nfrom `benchmarks/bench_a.py`\n\n"
-        "## Table B\n\ncites bench_missing.py\n"
+        "# Experiments\n\n## Table A\n\nfrom `results/a.txt`\n\n"
+        "## Table B\n\ncites results/missing.txt\n"
     )
     return tmp_path
 
@@ -55,14 +55,16 @@ def test_each_doc_rule_names_path_and_line(mini_repo):
         ("DOC03", "EXPERIMENTS.md", 7),  # cited file missing
     }
     footer = next(f for f in findings if f.rule == "DOC03" and f.line == 3)
-    assert "python -m pytest benchmarks/bench_a.py -s" in footer.message
+    assert "> Regenerate: `PYTHONPATH=src python -m repro seeds`" in footer.message
+    missing = next(f for f in findings if f.rule == "DOC03" and f.line == 7)
+    assert "benchmarks/results/missing.txt" in missing.message
 
 
 def test_current_footer_and_noqa_are_clean(mini_repo):
     experiments = mini_repo / "EXPERIMENTS.md"
     experiments.write_text(
-        "## Table A\n\nfrom `benchmarks/bench_a.py`\n\n<!-- regen:begin -->\n"
-        "> Regenerate: `PYTHONPATH=src python -m pytest benchmarks/bench_a.py -s`\n"
+        "## Table A\n\nfrom `results/a.txt`\n\n<!-- regen:begin -->\n"
+        "> Regenerate: `PYTHONPATH=src python -m repro seeds`\n"
         "<!-- regen:end -->\n"
     )
     mod = mini_repo / "src" / "repro" / "obs" / "mod.py"

@@ -1,8 +1,8 @@
 """Fast smoke tests of the experiment runners (short durations).
 
-The full paper-accuracy runs live in ``benchmarks/``; these tests check
-the runners' mechanics — result structure, slopes, sample counts — at a
-fraction of the simulated duration.
+The full paper-accuracy runs are the paper rows of ``repro seeds``
+(``src/repro/seeds.py``); these tests check the runners' mechanics — result
+structure, slopes, sample counts — at a fraction of the simulated duration.
 """
 
 import pytest
@@ -25,11 +25,7 @@ from repro.bench.experiments.hops import (
     slope_per_hop,
 )
 from repro.bench.experiments.keydist import run_keydist_case
-from repro.bench.experiments.microcosts import (
-    MICRO_ROWS,
-    measure_real_primitives,
-    run_calibrated_micro,
-)
+from repro.bench.experiments.microcosts import MICRO_ROWS, run_calibrated_micro
 from repro.bench.experiments.trackers import growth_ratio, run_trackers_case
 from repro.bench.tables import render_comparison
 from repro.util.stats import summarize
@@ -91,11 +87,6 @@ class TestMicroRunner:
         by_label = {row.label: row for row in rows}
         assert 24.0 < by_label["Sign Trace Message"].paper_mean < 25.0
         assert "Sign Trace Message" in render_comparison("Table 3", rows)
-
-    def test_real_primitives_measured(self):
-        timings = measure_real_primitives(iterations=3)
-        assert set(timings) == {"rsa_sign", "rsa_verify", "aes_encrypt", "aes_decrypt"}
-        assert all(s.mean > 0 for s in timings.values())
 
 
 class TestTrackersRunner:

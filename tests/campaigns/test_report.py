@@ -4,6 +4,8 @@ The content tests read the smoke campaign the ``seed_run`` fixture produced
 (``tests/test_seeds.py`` holds it byte-equal to the committed artifacts).
 """
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -27,14 +29,23 @@ class TestPurity:
         the committed artifacts: the JSON round trip loses nothing the report
         reads, where the seed producer renders from the live snapshot."""
         snapshot_file, *artifacts = SEED_GROUPS["campaign"].files
+        snapshot_path = RESULTS_DIR / snapshot_file
         assert main(
-            ["campaign", "report", "--snapshot", str(RESULTS_DIR / snapshot_file),
-             "--out", str(tmp_path)]
+            ["campaign", "report", "--snapshot", str(snapshot_path), "--out", str(tmp_path)]
         ) == 0
         capsys.readouterr()
         for file in artifacts:
             name = file.rsplit("/", 1)[-1]
-            assert (tmp_path / name).read_text() == (RESULTS_DIR / file).read_text(), name
+            expected = (RESULTS_DIR / file).read_text()
+            if name == "report.md":  # the footer names the command that wrote it
+                expected = expected.replace(
+                    "*Regenerate the committed seeds with:*", "*Regenerate this report with:*"
+                ).replace(
+                    "python -m repro seeds",
+                    f"python -m repro campaign report --snapshot {snapshot_path}"
+                    f" --out {tmp_path}",
+                )
+            assert (tmp_path / name).read_text() == expected, name
 
 
 class TestContent:
@@ -62,3 +73,26 @@ class TestContent:
         # the committed seed's one producer (src/repro/seeds.py)
         assert report.endswith("```sh\nPYTHONPATH=src python -m repro seeds\n```\n")
         assert "repro campaign run" not in report
+
+    def test_a_report_outside_the_seeds_names_its_own_command(self, tmp_path, capsys):
+        spec = tmp_path / "tiny.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "tiny",
+                    "workloads": ["churn-mobile"],
+                    "axes": [{"name": "entities", "values": [2]}],
+                    "fixed": {"brokers": 3, "churn_cycles": 1},
+                    "base_seed": 42,
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["campaign", "run", "--spec", str(spec), "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = (out / "report.md").read_text()
+        assert report.endswith(
+            "*Regenerate this report with:*\n\n```sh\n"
+            f"PYTHONPATH=src python -m repro campaign run --spec {spec} --out {out}\n```\n"
+        )
+        assert "repro seeds" not in report

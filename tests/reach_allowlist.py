@@ -229,6 +229,9 @@ ALLOWED: dict[str, str] = {
     "repro.tdn.node:TDNNode.renew_topic": "paper §2.2: topic lifetime renewal",
     "repro.tdn.query:DiscoveryQuery.for_pattern": "paper §2.2: wildcard discovery",
     "repro.tdn.query:DiscoveryQuery.matches": "paper §2.2: wildcard discovery",
+    "repro.tdn.registry:AdvertisementStore.merge_from": (
+        "paper §2.2: a TDN replica comes back and catches up"
+    ),
     "repro.tdn.registry:AdvertisementStore._remove_descriptor_index": (
         "paper §2.2: expired advertisements are reaped"
     ),

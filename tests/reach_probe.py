@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import pathlib
 import runpy
-import shutil
 import sys
 import threading
 
@@ -31,22 +30,6 @@ def _seeds(workdir: pathlib.Path) -> None:
 
     for group in SEED_GROUPS.values():
         group.produce(workdir)
-
-
-def _benches(workdir: pathlib.Path) -> None:
-    """The paper benches, from a copy: a run rewrites its result files."""
-    import pytest
-
-    copy = workdir / "benchmarks"
-    shutil.copytree(
-        REPO / "benchmarks", copy, ignore=shutil.ignore_patterns("perf", "__pycache__")
-    )
-    benches = sorted(str(path) for path in copy.glob("bench_*.py"))
-    code = pytest.main(
-        ["-q", "-p", "no:cacheprovider", "--benchmark-disable", "--rootdir", str(copy), *benches]
-    )
-    if code != 0:
-        raise SystemExit(f"paper benches exited {code}")
 
 
 def _perf(workdir: pathlib.Path) -> None:
@@ -97,7 +80,6 @@ def _examples(workdir: pathlib.Path) -> None:
 
 RUNS = {
     "seeds": _seeds,
-    "benches": _benches,
     "perf": _perf,
     "cli": _cli,
     "examples": _examples,

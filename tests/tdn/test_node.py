@@ -8,7 +8,7 @@ from repro.errors import DiscoveryError, RegistrationError
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
-from repro.tdn.advertisement import TopicCreationRequest
+from repro.tdn.advertisement import TopicCreationRequest, TopicRenewal
 from repro.tdn.node import TDNCluster
 from repro.tdn.query import DiscoveryQuery, DiscoveryRestrictions, trace_descriptor
 from repro.util.identifiers import RequestId
@@ -206,6 +206,44 @@ class TestFailureTolerance:
         cluster.nodes[0].fail()
         cluster.nodes[0].recover()
         assert not any(node.failed for node in cluster.nodes)
+
+    def test_a_recovered_node_learns_the_renewal_it_missed(self, rng):
+        sim = Simulator()
+        ca = CertificateAuthority("ca", rng)
+        machines = [Machine(sim, f"m{i}", free_cost_model(), rng) for i in range(2)]
+        cluster = TDNCluster(sim, ca, machines, Monitor(), uuid_seed=42)
+        entity = EntityCredentials.issue("svc-1", ca, rng)
+        tracker = EntityCredentials.issue("tracker-1", ca, rng)
+        request, signature = creation_request(entity, lifetime=20_000.0)
+        ad = run_process(sim, cluster.create_topic(request, signature))
+        sim.run()
+        cluster.nodes[1].fail()
+        renewal = TopicRenewal(ad.fields.trace_topic, 20_000.0, 600_000.0)
+        run_process(sim, cluster.renew_topic(renewal, entity.sign(renewal.to_dict())))
+        sim.run()
+        cluster.nodes[1].recover()
+        cluster.nodes[0].fail()
+        sim.run(until=60_000.0)
+        found = run_process(
+            sim, cluster.discover(DiscoveryQuery.for_entity("svc-1"), tracker.certificate)
+        )
+        assert found is not None
+        assert found.fields.lifetime.duration_ms == 620_000.0
+
+    def test_recovery_keeps_the_longer_lifetime(self, setup):
+        sim, ca, cluster, entity, _ = setup
+        request, signature = creation_request(entity, lifetime=20_000.0)
+        ad = run_process(sim, cluster.create_topic(request, signature))
+        sim.run()
+        topic = ad.fields.trace_topic
+        cluster.nodes[2].fail()
+        renewal = TopicRenewal(topic, 20_000.0, 600_000.0)
+        run_process(sim, cluster.renew_topic(renewal, entity.sign(renewal.to_dict())))
+        sim.run()
+        cluster.nodes[1].store.put(ad)  # a peer still holding the older copy
+        cluster.nodes[2].recover()
+        for node in (cluster.nodes[0], cluster.nodes[2]):
+            assert node.store.get(topic, sim.now).fields.lifetime.duration_ms == 620_000.0
 
     def test_creation_fails_over_to_live_node(self, setup):
         sim, ca, cluster, entity, tracker = setup

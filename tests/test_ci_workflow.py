@@ -121,6 +121,17 @@ def test_bench_smoke_compiles_and_runs_bench_tests(workflow):
     assert any("tests/bench" in run for run in runs)
 
 
+def test_no_step_installs_or_runs_the_paper_bench_plugin(workflow):
+    # the paper's tables are `repro seeds` rows: CI installs the test tools only, and
+    # pytest collects nothing under benchmarks/ but the wall-clock harness's self-test
+    for run in _all_runs(workflow):
+        for install in re.findall(r"pip install ([^\n]*)", run):
+            packages = {package.split("==")[0] for package in install.split()}
+            assert packages <= {"pytest", "hypothesis", "pyyaml", "ruff"}, run
+        for match in re.finditer(r"pytest\s+(?:\S+\s+)*?benchmarks(\S*)", run):
+            assert match.group(1).startswith("/perf"), run
+
+
 def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     # tier-1 deselects the `deep` marker (pyproject addopts); this step is where it runs
     steps = workflow["jobs"]["bench-smoke"]["steps"]

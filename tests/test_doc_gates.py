@@ -53,18 +53,24 @@ class TestDocstrings:
 class TestExperiments:
     def test_cited_benches_exist_and_are_classified(self):
         text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
-        cited = docs.cited_in(text)
-        assert "bench_table3_hops.py" in cited
-        assert "bench_scale.py" in cited
-        for name in cited:
-            assert (BENCH_DIR / name).exists()
-        assert docs.bench_style(BENCH_DIR / "bench_table3_hops.py") == "pytest"
-        assert docs.bench_style(BENCH_DIR / "bench_scale.py") == "script"
+        results, scripts = docs.cited_in(text)
+        assert "table3_hops.txt" in results
+        assert "table4_entities.txt" in results
+        assert scripts == ["bench_scale.py"]  # the one host-measurement script
+        assert (BENCH_DIR / "bench_scale.py").is_file()
+        for name in results:
+            assert (BENCH_DIR / "results" / name).is_file(), name
+
+    def test_seeded_files_share_the_one_seeds_footer(self):
+        footer = docs.footer_block(["table3_hops.txt", "figure2_hops.svg"], [])
+        assert footer.splitlines()[1:-1] == [docs.SEEDS_FOOTER]
+        assert "PYTHONPATH=src python -m repro seeds" in docs.SEEDS_FOOTER
 
     def test_script_style_footer_carries_the_warning(self):
-        footer = docs.footer_block(BENCH_DIR, ["bench_scale.py"])
-        assert "not collected by `pytest benchmarks/`" in footer
+        footer = docs.footer_block([], ["bench_scale.py"])
         assert "PYTHONPATH=src python benchmarks/bench_scale.py" in footer
+        assert "host measurement" in footer
+        assert docs.SEEDS_FOOTER not in footer
 
 
 class TestTrajectoryTables:

@@ -1,9 +1,9 @@
 """Every ``src/repro`` def is reached by a committed run or allow-listed with a reason.
 
-The committed runs are ``repro seeds``, the paper benches, the four
-wall-clock workloads at smoke scale, ``repro info`` / ``quickstart`` /
-``demo failure`` / ``demo secure`` / ``metrics`` and the examples
-``tests/test_examples.py`` executes (``tests/reach_probe.py`` names them).
+The committed runs are ``repro seeds`` (the paper's tables and figures
+included), the four wall-clock workloads at smoke scale, ``repro info`` /
+``quickstart`` / ``demo failure`` / ``demo secure`` / ``metrics`` and the
+examples ``tests/test_examples.py`` executes (``tests/reach_probe.py`` names them).
 Each runs in its own process under ``PYTHONHASHSEED=0`` with a profile hook
 that records the code objects it enters.  ``analysis/`` (a CI-only tool
 with its own tests) and ``cli.py`` (handlers beyond the run list) are out
@@ -34,7 +34,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
 PROBE = pathlib.Path(__file__).resolve().parent / "reach_probe.py"
 #: the longest run first: two workers finish together
-RUNS = ("benches", "seeds", "perf", "cli", "examples")
+RUNS = ("seeds", "perf", "cli", "examples")
 
 
 def _in_scope(relative: str) -> bool:

@@ -3,7 +3,9 @@
 Walks the same table CI does: each :data:`repro.seeds.SEED_GROUPS`
 producer runs once per session into a scratch directory (the ``seed_run``
 fixture, which the sanity tests beside the old per-seed mirrors read too)
-and must reproduce its committed files byte for byte.  After an
+and must reproduce its committed files byte for byte.  The paper rows
+(:data:`repro.seeds.PAPER_GROUPS`, about a minute together) run only under
+``-m deep``; CI's "Committed seeds" step runs every row.  After an
 *intentional* change, re-seed with ``python -m repro seeds`` and review
 ``git diff benchmarks/results`` in the PR.
 """
@@ -12,42 +14,29 @@ import json
 
 import pytest
 
-from repro.seeds import RESULTS_DIR, SEED_GROUPS
+from repro.seeds import PAPER_GROUPS, RESULTS_DIR, SEED_GROUPS
 from tests.support import snapshot_drift
 
 #: Written by the frozen wall-clock harness (``benchmarks/perf/run.py``); its own
 #: ``bench-smoke`` step regenerates it in place ahead of the seeds step's ``git diff``.
 HARNESS_OWNED = "perf_smoke_digests.txt"
 
-#: Paper artefacts the ``benchmarks/bench_*.py`` runs write and nothing regenerates in
-#: tier-1 or CI yet; ROADMAP item 10 empties this by moving the names into the table.
-NOT_YET_GATED = (
-    "ablation_adaptive_ping.txt",
-    "ablation_interest_gating.txt",
-    "ablation_msgcount.txt",
-    "ablation_thresholds.txt",
-    "baseline_gossip.txt",
-    "chaos_recovery.txt",
-    "figure2_hops.svg",
-    "figure4_trackers.svg",
-    "figure4_trackers.txt",
-    "figure5_signing_opt.svg",
-    "figure5_signing_opt.txt",
-    "replication_stability.txt",
-    "scale_curve.json",
-    "scale_curve.txt",
-    "table3_hops.txt",
-    "table3_keydist.txt",
-    "table3_microcosts.txt",
-    "table4_entities.txt",
-)
+#: Host measurements, not seeds: ``benchmarks/bench_scale.py`` times each scale point
+#: and reads its peak RSS in a fresh subprocess, so the numbers are this host's.
+HOST_MEASUREMENTS = ("scale_curve.json", "scale_curve.txt")
 
 
 def _files_under(root) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
-@pytest.mark.parametrize("name", SEED_GROUPS)
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.deep) if name in PAPER_GROUPS else name
+        for name in SEED_GROUPS
+    ],
+)
 def test_producer_reproduces_its_committed_files(name, seed_run):
     files = SEED_GROUPS[name].files
     produced = seed_run(name)
@@ -63,4 +52,4 @@ def test_producer_reproduces_its_committed_files(name, seed_run):
 def test_every_committed_result_has_a_producer_or_is_named_here():
     gated = {file for group in SEED_GROUPS.values() for file in group.files}
     assert len(gated) == sum(len(group.files) for group in SEED_GROUPS.values())
-    assert _files_under(RESULTS_DIR) == gated | {HARNESS_OWNED, *NOT_YET_GATED}
+    assert _files_under(RESULTS_DIR) == gated | {HARNESS_OWNED, *HOST_MEASUREMENTS}
