@@ -127,8 +127,7 @@ class Broker:
         self.neighbor_links: dict[str, Link] = {}
         self.routing_table: dict[str, str] = {}
         self._announce: Callable[[str, str], None] | None = None
-        # returns whether the pattern had been announced for this broker
-        self._retract: Callable[[str, str], bool] | None = None
+        self._retract: Callable[[str, str], None] | None = None
         # summarized-interest plane; when set, remote routing queries go
         # through peer summaries instead of verbatim remote-interest rows
         self._fed_plane = None
@@ -221,13 +220,13 @@ class Broker:
     def set_interest_announcer(
         self,
         announce: Callable[[str, str], None],
-        retract: Callable[[str, str], bool] | None = None,
+        retract: Callable[[str, str], None] | None = None,
     ) -> None:
         """Callbacks the fabric provides to flood/retract subscription interest.
 
-        ``retract`` returns whether the pattern had been announced for the
-        broker, so a pattern that never was (a suppressed one) is not
-        counted as retracted.
+        The broker calls ``announce`` when a pattern becomes announced and
+        ``retract`` when it stops being announced (see
+        :meth:`announced_patterns`), never twice in a row for one pattern.
         """
         self._announce = announce
         self._retract = retract
@@ -260,7 +259,7 @@ class Broker:
         failed cannot leave stale fabric interest behind.
         """
         for pattern in self._subs.remove_client_everywhere(client_id):
-            self._maybe_retract_interest(pattern)
+            self._retract_interest(pattern)
 
     @property
     def client_ids(self) -> list[str]:
@@ -290,14 +289,14 @@ class Broker:
                 raise UnauthorizedError(
                     f"{client_id!r} may not subscribe to constrained topic {pattern!r}"
                 )
-        self._subs.add_client(pattern, client_id)
         self._subscriptions_client.inc()
-        self._propagate_interest(pattern, suppressed=False)
+        if self._subs.add_client(pattern, client_id):
+            self._announce_interest(pattern)
 
     def remove_client_subscription(self, client_id: str, pattern: str) -> None:
         """Drop one client subscription, retracting interest if last."""
         if self._subs.remove_client(pattern, client_id):
-            self._maybe_retract_interest(canonical_pattern(pattern))
+            self._retract_interest(canonical_pattern(pattern))
 
     def subscribe_local(self, pattern: str, handler: LocalHandler) -> None:
         """The broker's own subscription (e.g. to a session topic).
@@ -314,14 +313,23 @@ class Broker:
                     f"broker {self.broker_id!r} may not subscribe to {pattern!r}"
                 )
             suppressed = constrained.suppressed()
-        self._subs.add_handler(pattern, handler)
         self._subscriptions_broker.inc()
-        self._propagate_interest(pattern, suppressed=suppressed)
+        if self._subs.add_handler(pattern, handler, quiet=suppressed):
+            self._announce_interest(pattern)
 
     def unsubscribe_local(self, pattern: str, handler: LocalHandler) -> None:
         """Remove a broker-own subscription, retracting interest if last."""
         if self._subs.remove_handler(pattern, handler):
-            self._maybe_retract_interest(canonical_pattern(pattern))
+            self._retract_interest(canonical_pattern(pattern))
+
+    def announced_patterns(self) -> list[str]:
+        """The patterns this broker announces to the fabric, in no order.
+
+        A pattern is announced while it has a client subscriber or a
+        handler whose pattern is not ``Suppress``-constrained.  The
+        federated plane reads this when it builds an exact summary.
+        """
+        return self._subs.announced()
 
     def _parse_pattern(self, pattern: str) -> tuple[str, ConstrainedTopic | None]:
         """Validate ``pattern``: its canonical spelling (the string itself
@@ -355,24 +363,18 @@ class Broker:
         forms[topic] = form
         return form
 
-    def _maybe_retract_interest(self, pattern: str) -> None:
-        """Tell the fabric nobody here wants ``pattern`` anymore.
+    def _announce_interest(self, pattern: str) -> None:
+        """Tell the fabric ``pattern`` just became announced here."""
+        if self._announce is not None:
+            self._announce(pattern, self.broker_id)
+            self._interest_announced.inc()
 
-        Called when the last local subscription (client or broker) for a
-        pattern disappears; peers stop forwarding matching traffic to us.
-        A retraction mirrors an announcement: a pattern the fabric was
-        never told about (a suppressed one) is not counted.
-        """
-        if self._subs.has_local(pattern):
-            return
-        if self._retract is not None and self._retract(pattern, self.broker_id):
+    def _retract_interest(self, pattern: str) -> None:
+        """Tell the fabric ``pattern`` is no longer announced here: peers
+        stop forwarding matching traffic to us."""
+        if self._retract is not None:
+            self._retract(pattern, self.broker_id)
             self._interest_retracted.inc()
-
-    def _propagate_interest(self, pattern: str, suppressed: bool) -> None:
-        if suppressed or self._announce is None:
-            return
-        self._announce(pattern, self.broker_id)
-        self._interest_announced.inc()
 
     def note_remote_interest(self, pattern: str, broker_id: str) -> None:
         """The fabric records that ``broker_id`` has subscribers for ``pattern``."""

@@ -135,7 +135,7 @@ class BrokerNetwork:
         if self.federation is not None:
             # late joiners receive one summary per established peer
             # (fed.summary.replays), not a replay of every pattern
-            self.federation.register_broker(broker_id)
+            self.federation.register_broker(broker_id, broker.announced_patterns)
             broker.set_interest_announcer(self.federation.announce, self.federation.retract)
             broker.set_federation(self.federation)
         else:
@@ -385,19 +385,13 @@ class BrokerNetwork:
             other.note_remote_interest(pattern, broker_id)
         self.monitor.increment("control.floods")
 
-    def _retract_interest(self, pattern: str, broker_id: str) -> bool:
-        """Flood an interest retraction (last subscriber gone).
-
-        Returns whether ``broker_id`` had announced ``pattern``; a pattern
-        it never announced (a suppressed one) floods nothing.
-        """
-        owners = self._interest.get(pattern)
-        if owners is None or broker_id not in owners:
-            return False
+    def _retract_interest(self, pattern: str, broker_id: str) -> None:
+        """Flood an interest retraction (``pattern`` no longer announced
+        at ``broker_id``)."""
+        owners = self._interest[pattern]
         owners.discard(broker_id)
         if not owners:
             del self._interest[pattern]
         for other in self._brokers.values():
             other.drop_remote_interest(pattern, broker_id)
         self.monitor.metrics.counter("broker.interest.retraction_floods").inc()
-        return True

@@ -61,7 +61,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.messaging.topics import (
@@ -247,22 +247,33 @@ class _InterestAccumulator:
     clear the broker's lane in its table's columns.  A pattern's bits
     are a pure function of its text, so ``remove`` recomputes them
     rather than keeping them per pattern.
+
+    The accumulator keeps no pattern itself: the broker announces a
+    pattern once and retracts it once, so ``count`` is all it needs, and
+    an exact summary reads the patterns from the broker's own
+    ``announced`` view.
     """
 
     __slots__ = (
-        "broker_id", "config", "modulus", "patterns", "bit_counts", "digest",
-        "match_all_count", "table", "lane",
+        "broker_id", "config", "modulus", "announced", "count", "bit_counts",
+        "digest", "match_all_count", "table", "lane",
     )
 
     def __init__(
-        self, broker_id: str, config: FederationConfig, table: _LaneTable, lane: int
+        self,
+        broker_id: str,
+        config: FederationConfig,
+        table: _LaneTable,
+        lane: int,
+        announced: Callable[[], Iterable[str]],
     ) -> None:
         self.broker_id = broker_id
         self.config = config
         self.modulus = config.digest_bits
-        #: the announced patterns, in announcement order (a dict's table
-        #: is smaller than a set's)
-        self.patterns: dict[str, None] = {}
+        #: the broker's announced patterns, read for an exact summary only
+        self.announced = announced
+        #: how many patterns the broker announces
+        self.count = 0
         #: bit -> count, for the bits of count >= 2 only; a bit set in
         #: ``digest`` and absent here has count 1
         self.bit_counts: dict[int, int] = {}
@@ -283,11 +294,9 @@ class _InterestAccumulator:
             bits += _digest_bits(key, self.modulus)
         return bits
 
-    def add(self, pattern: str) -> bool:
-        """Record local interest; True if this changed the state."""
-        if pattern in self.patterns:
-            return False
-        self.patterns[pattern] = None
+    def add(self, pattern: str) -> None:
+        """Record a newly announced pattern."""
+        self.count += 1
         bits = self._bits(pattern)
         if not bits:
             self.match_all_count += 1
@@ -299,13 +308,10 @@ class _InterestAccumulator:
             else:
                 digest[bit >> 3] |= mask
                 self.table.columns[bit] |= self.lane
-        return True
 
-    def remove(self, pattern: str) -> bool:
-        """Retract local interest; True if this changed the state."""
-        if pattern not in self.patterns:
-            return False
-        del self.patterns[pattern]
+    def remove(self, pattern: str) -> None:
+        """Forget a retracted pattern, which was announced."""
+        self.count -= 1
         bits = self._bits(pattern)
         if not bits:
             self.match_all_count -= 1
@@ -319,21 +325,16 @@ class _InterestAccumulator:
             else:
                 self.digest[bit >> 3] &= ~(1 << (bit & 7))
                 self.table.columns[bit] &= ~self.lane
-        return True
-
-    @property
-    def overflowed(self) -> bool:
-        return len(self.patterns) > self.config.hot_set_limit
 
     def build_summary(self, version: int) -> InterestSummary:
-        if not self.overflowed:
+        if self.count <= self.config.hot_set_limit:
             return InterestSummary(
                 broker_id=self.broker_id,
                 version=version,
-                hot=tuple(sorted(self.patterns)),
+                hot=tuple(sorted(self.announced())),
                 digest=b"",
                 match_all=False,
-                pattern_count=len(self.patterns),
+                pattern_count=self.count,
             )
         return InterestSummary(
             broker_id=self.broker_id,
@@ -341,7 +342,7 @@ class _InterestAccumulator:
             hot=(),
             digest=bytes(self.digest),
             match_all=self.match_all_count > 0,
-            pattern_count=len(self.patterns),
+            pattern_count=self.count,
         )
 
 
@@ -383,12 +384,17 @@ class FederatedInterestPlane:
 
     # ------------------------------------------------------------- membership
 
-    def register_broker(self, broker_id: str) -> None:
+    def register_broker(
+        self, broker_id: str, announced: Callable[[], Iterable[str]]
+    ) -> None:
         """Add a broker to the plane, replaying peer summaries to it.
 
-        The late-joiner cost is one summary per established peer —
-        counted by ``fed.summary.replays`` — instead of the verbatim
-        plane's one message per (pattern, owner) pair.
+        ``announced`` is the broker's view of its announced patterns
+        (:meth:`~repro.messaging.broker.Broker.announced_patterns`); the
+        plane reads it only to build an exact summary.  The late-joiner
+        cost is one summary per established peer — counted by
+        ``fed.summary.replays`` — instead of the verbatim plane's one
+        message per (pattern, owner) pair.
         """
         if broker_id in self._accumulators:
             return
@@ -406,7 +412,7 @@ class FederatedInterestPlane:
         table = self._tables[-1]
         table.ids.append(broker_id)
         self._accumulators[broker_id] = _InterestAccumulator(
-            broker_id, self.config, table, 1 << (index % _LANES)
+            broker_id, self.config, table, 1 << (index % _LANES), announced
         )
 
     # ----------------------------------------------------------- announcements
@@ -435,24 +441,16 @@ class FederatedInterestPlane:
         return self.metrics.counter("fed.match.memo.miss")
 
     def announce(self, pattern: str, broker_id: str) -> None:
-        """Record that ``broker_id`` gained local interest in ``pattern``."""
-        accumulator = self._accumulator(broker_id)
-        if accumulator.add(pattern):
-            self._patterns_gauge.inc()
-            self._dirty.add(broker_id)
+        """Record that ``pattern`` became announced at ``broker_id``."""
+        self._accumulator(broker_id).add(pattern)
+        self._patterns_gauge.inc()
+        self._dirty.add(broker_id)
 
-    def retract(self, pattern: str, broker_id: str) -> bool:
-        """Record that ``broker_id`` lost its last local subscriber.
-
-        True if ``pattern`` had been announced for ``broker_id`` (and is
-        now retracted); False, changing nothing, if it never was.
-        """
-        accumulator = self._accumulator(broker_id)
-        if not accumulator.remove(pattern):
-            return False
+    def retract(self, pattern: str, broker_id: str) -> None:
+        """Record that ``pattern``, announced at ``broker_id``, no longer is."""
+        self._accumulator(broker_id).remove(pattern)
         self._patterns_gauge.dec()
         self._dirty.add(broker_id)
-        return True
 
     def _accumulator(self, broker_id: str) -> _InterestAccumulator:
         accumulator = self._accumulators.get(broker_id)

@@ -36,14 +36,19 @@ Wildcards follow the topic grammar: ``*`` matches exactly one segment and
 a trailing ``>`` matches one or more remaining segments.  Patterns are
 canonicalized on insertion (a tolerated leading ``/`` is stripped), so
 ``/a/b`` and ``a/b`` share one key.  A pattern that arrives canonical
-is stored as the very string it arrived as, so the broker, this index
-and the federation plane share one string per pattern.
+is stored as the very string it arrived as, so the broker and this
+index share one string per pattern (the federation plane keeps none).
 
 Lifecycle correctness is part of the contract: every removal deletes
 the key of a kind that became empty and prunes trie nodes nobody needs,
-so a retracted pattern costs nothing on later messages, and :meth:`SubscriptionIndex.remove_client`
-/ :meth:`remove_client_everywhere` report exactly which patterns lost
-their last subscriber so the broker can retract interest from its peers.
+so a retracted pattern costs nothing on later messages.  The index also
+says which patterns the broker announces to its peers: a pattern is
+*announced* while it has a client subscriber or a handler not registered
+as ``quiet`` (a ``Suppress``-constrained topic the broker alone
+consumes).  Every client and handler add / remove reports whether it
+flipped that, and :meth:`SubscriptionIndex.remove_client_everywhere`
+lists the patterns it left unannounced, so the broker announces a pattern
+once and retracts it once.
 
 Determinism: match results are returned in sorted-pattern order and
 subscriber lists are sorted, so routing never depends on hash order
@@ -118,7 +123,8 @@ class SubscriptionIndex:
     Each kind of interest is one dict keyed by the canonical pattern:
     ``_clients`` (pattern -> client ids), ``_handlers`` (pattern ->
     handlers in registration order) and ``_remote`` (pattern -> peer
-    broker ids).  A pattern is *live* while any of the three holds it; a
+    broker ids); ``_quiet`` holds the handler patterns that are not
+    announced.  A pattern is *live* while any of the three holds it; a
     kind that empties deletes its key, so no dict ever holds an empty
     set or tuple.  Wildcard patterns are also reachable through a trie
     whose root's children are first topic segments (including ``*`` and
@@ -137,6 +143,8 @@ class SubscriptionIndex:
         #: tuple is safe to iterate while handlers (un)subscribe
         self._handlers: dict[str, tuple[Callable, ...]] = {}
         self._remote: dict[str, set[str]] = {}
+        #: handler patterns registered ``quiet``: held, never announced
+        self._quiet: set[str] = set()
         #: first segment -> live patterns starting with it
         self._shards: dict[str, int] = {}
         #: wildcard patterns only
@@ -163,11 +171,8 @@ class SubscriptionIndex:
             or canonical in self._remote
         )
 
-    def _admit(self, pattern: str) -> str:
-        """``pattern``'s canonical text, made live if no kind held it."""
-        canonical = canonical_pattern(pattern)
-        if self._is_live(canonical):
-            return canonical
+    def _admit(self, canonical: str) -> None:
+        """Make live a canonical pattern no kind holds yet."""
         first = canonical.partition("/")[0]
         live = self._shards.get(first, 0)
         self._shards[first] = live + 1
@@ -181,7 +186,6 @@ class SubscriptionIndex:
             for segment in segments:
                 node = node.children.setdefault(sys.intern(segment), _TrieNode())
             node.pattern = canonical
-        return canonical
 
     def _release(self, pattern: str) -> None:
         """Drop a pattern no kind holds any more, and every trie node it
@@ -217,76 +221,107 @@ class SubscriptionIndex:
         stripped (a canonical pattern never starts with one)."""
         return pattern[1:] if pattern[:1] == "/" else pattern
 
-    def _add(self, table: dict[str, set[str]], pattern: str, member: str) -> None:
-        canonical = self._admit(pattern)
-        held = table.get(canonical)
-        if held is None:
-            table[canonical] = {member}
-        else:
-            held.add(member)
-
-    def _discard(self, table: dict[str, set[str]], pattern: str, member: str) -> bool:
-        """Take ``member`` out of ``pattern``'s set; True if it was there."""
-        key = self._key(pattern)
-        held = table.get(key)
-        if held is None or member not in held:
-            return False
-        held.discard(member)
-        if not held:
-            del table[key]
-            self._release(key)
-        return True
-
     # --------------------------------------------------------------- mutation
 
-    def add_client(self, pattern: str, client_id: str) -> None:
-        """Record a client subscription on ``pattern``."""
-        self._add(self._clients, pattern, client_id)
+    def add_client(self, pattern: str, client_id: str) -> bool:
+        """Record a client subscription on ``pattern``; True if that made
+        the pattern announced."""
+        canonical = canonical_pattern(pattern)
+        held = self._clients.get(canonical)
+        if held is not None:
+            held.add(client_id)
+            return False
+        handled = canonical in self._handlers
+        if not handled and canonical not in self._remote:
+            self._admit(canonical)
+        self._clients[canonical] = {client_id}
+        return not handled or canonical in self._quiet
 
     def remove_client(self, pattern: str, client_id: str) -> bool:
-        """Remove one client subscription; True if it was present."""
-        return self._discard(self._clients, pattern, client_id)
+        """Remove one client subscription; True if that left the pattern
+        unannounced (an unknown subscription changes nothing)."""
+        key = self._key(pattern)
+        held = self._clients.get(key)
+        if held is None or client_id not in held:
+            return False
+        held.discard(client_id)
+        if held:
+            return False
+        del self._clients[key]
+        if key in self._handlers:
+            return key in self._quiet
+        self._release(key)
+        return True
 
     def remove_client_everywhere(self, client_id: str) -> list[str]:
         """Drop every subscription of ``client_id``.
 
-        Returns the (sorted) patterns that thereby lost their **last**
-        local subscriber — exactly the set the broker must retract
-        interest for when a client detaches or is terminated.
+        Returns the (sorted) patterns this left unannounced — exactly the
+        set the broker must retract interest for when a client detaches or
+        is terminated.
         """
-        orphaned: list[str] = []
-        for pattern in [p for p, held in self._clients.items() if client_id in held]:
-            self._discard(self._clients, pattern, client_id)
-            if not self.has_local(pattern):
-                orphaned.append(pattern)
-        return sorted(orphaned)
+        patterns = [p for p, held in self._clients.items() if client_id in held]
+        return sorted(p for p in patterns if self.remove_client(p, client_id))
 
-    def add_handler(self, pattern: str, handler: Callable) -> None:
-        """Record a broker-local handler subscription on ``pattern``."""
-        canonical = self._admit(pattern)
-        self._handlers[canonical] = (*self._handlers.get(canonical, ()), handler)
+    def add_handler(self, pattern: str, handler: Callable, quiet: bool = False) -> bool:
+        """Record a broker-local handler subscription on ``pattern``; True
+        if that made the pattern announced.
+
+        A ``quiet`` handler never announces its pattern; every handler of
+        one pattern is registered with the same ``quiet``.
+        """
+        canonical = canonical_pattern(pattern)
+        held = self._handlers.get(canonical)
+        if held is not None:
+            self._handlers[canonical] = (*held, handler)
+            return False
+        subscribed = canonical in self._clients
+        if not subscribed and canonical not in self._remote:
+            self._admit(canonical)
+        self._handlers[canonical] = (handler,)
+        if quiet:
+            self._quiet.add(canonical)
+            return False
+        return not subscribed
 
     def remove_handler(self, pattern: str, handler: Callable) -> bool:
-        """Remove one handler; True if it was present."""
+        """Remove one handler; True if that left the pattern unannounced
+        (an unknown handler changes nothing)."""
         key = self._key(pattern)
         handlers = self._handlers.get(key, ())
         if handler not in handlers:
             return False
-        at = handlers.index(handler)
         if len(handlers) > 1:
+            at = handlers.index(handler)
             self._handlers[key] = handlers[:at] + handlers[at + 1:]
-        else:
-            del self._handlers[key]
-            self._release(key)
-        return True
+            return False
+        del self._handlers[key]
+        quiet = key in self._quiet
+        self._quiet.discard(key)
+        if key in self._clients:
+            return False
+        self._release(key)
+        return not quiet
 
     def add_remote(self, pattern: str, broker_id: str) -> None:
         """Record a peer broker's interest in ``pattern``."""
-        self._add(self._remote, pattern, broker_id)
+        canonical = canonical_pattern(pattern)
+        if not self._is_live(canonical):
+            self._admit(canonical)
+        self._remote.setdefault(canonical, set()).add(broker_id)
 
     def remove_remote(self, pattern: str, broker_id: str) -> bool:
-        """Retract one peer's interest, pruning the pattern if it dies."""
-        return self._discard(self._remote, pattern, broker_id)
+        """Retract one peer's interest, pruning the pattern if it dies;
+        True if it was present."""
+        key = self._key(pattern)
+        held = self._remote.get(key)
+        if held is None or broker_id not in held:
+            return False
+        held.discard(broker_id)
+        if not held:
+            del self._remote[key]
+            self._release(key)
+        return True
 
     # ---------------------------------------------------------------- queries
 
@@ -378,10 +413,13 @@ class SubscriptionIndex:
 
     # ----------------------------------------------------------- introspection
 
-    def has_local(self, pattern: str) -> bool:
-        """Does this exact pattern still have a local subscriber?"""
-        key = self._key(pattern)
-        return key in self._clients or key in self._handlers
+    def announced(self) -> list[str]:
+        """Every announced pattern, in no particular order."""
+        clients, quiet = self._clients, self._quiet
+        return [
+            *clients,
+            *(p for p in self._handlers if p not in clients and p not in quiet),
+        ]
 
     def handlers_for(self, pattern: str) -> list[Callable]:
         """Handlers registered on exactly ``pattern``, in registration

@@ -290,6 +290,11 @@ class Queue:
     def __len__(self) -> int:
         return len(self._items)
 
+    @property
+    def waiting(self) -> int:
+        """Gets still waiting for an item."""
+        return len(self._getters)
+
     def put(self, item: Any) -> None:
         if self._getters:
             self._getters.popleft().succeed(item)

@@ -159,13 +159,7 @@ class TraceManager:
             self.monitor.journal.record(self.sim.now, "registration_rejected", reason=reason)
             return
 
-        # a re-registration supersedes the entity's previous session: the
-        # old ping loop winds down and the new session takes over (this is
-        # how a recovered entity resumes tracing, section 3.2)
         previous = self.sessions_by_entity.get(str(request.entity_id))
-        if previous is not None and previous.active:
-            previous.active = False
-            self.monitor.metrics.counter("trace.sessions_superseded").inc()
 
         # success: mint a session and wire the topics
         session_id = SessionId(self._session_ids.next())
@@ -194,7 +188,7 @@ class TraceManager:
         session.history.metrics = self.monitor.metrics
         self.sessions[session.hex_id] = session
         self.sessions_by_entity[str(request.entity_id)] = session
-        self.sim.process(
+        session.worker = self.sim.process(
             self._session_worker(session),
             name=f"{self.broker.broker_id}.worker.{request.entity_id}",
         )
@@ -205,10 +199,17 @@ class TraceManager:
             session.inbox.put,
         )
         # ... and to the interest-response topic (section 3.5)
-        self.broker.subscribe_local(
-            topics.interest_response.canonical,
-            lambda msg, s=session: self._on_interest_response(s, msg),
-        )
+        session.on_interest = lambda msg, s=session: self._on_interest_response(s, msg)
+        self.broker.subscribe_local(topics.interest_response.canonical, session.on_interest)
+
+        # a re-registration supersedes the entity's previous session: the
+        # old ping loop winds down and the new session takes over (this is
+        # how a recovered entity resumes tracing, section 3.2).  It is
+        # retired once the new one listens on the shared interest topic,
+        # so the broker's interest in that topic never lapses.
+        if previous is not None and previous.active:
+            self._retire(previous)
+            self.monitor.metrics.counter("trace.sessions_superseded").inc()
 
         # sealed response: only the entity can read the session id
         yield from self.machine.charge(CryptoOp.SEAL_PAYLOAD)
@@ -290,9 +291,29 @@ class TraceManager:
 
     # --------------------------------------------------------- entity messages
 
+    def _retire(self, session: TraceSession) -> None:
+        """End a session for good: superseded, shut down, silent,
+        disconnected or declared failed (section 3.2).
+
+        The session stops being active, its entity->broker and interest
+        handlers are unsubscribed, and the manager forgets it.  Its worker
+        ends: an idle one is interrupted where it waits for a message, and
+        a busy one finishes the message it holds first (the SHUTDOWN or
+        silent-mode trace it may be publishing included).
+        """
+        session.active = False
+        topics = session.topics
+        self.broker.unsubscribe_local(
+            topics.entity_to_broker(session.session_id).canonical, session.inbox.put
+        )
+        self.broker.unsubscribe_local(topics.interest_response.canonical, session.on_interest)
+        del self.sessions[session.hex_id]
+        if session.inbox.waiting:
+            session.worker.interrupt("retired")
+
     def _session_worker(self, session: TraceSession) -> Generator[Event, None, None]:
         """FIFO handler loop for one session's entity messages."""
-        while True:
+        while session.active:
             message = yield session.inbox.get()
             body = yield from self._authenticate_entity_message(session, message)
             if body is None:
@@ -476,8 +497,8 @@ class TraceManager:
             {"state": state.value},
             origin_stamp_ms=report.stamp_ms,
         )
-        if state is EntityState.SHUTDOWN:
-            session.active = False
+        if state is EntityState.SHUTDOWN and session.active:
+            self._retire(session)
 
     def _handle_load_report(
         self, session: TraceSession, body: dict
@@ -495,7 +516,8 @@ class TraceManager:
         )
 
     def _handle_disable(self, session: TraceSession) -> Generator[Event, None, None]:
-        session.active = False
+        if session.active:
+            self._retire(session)
         yield from self.publish_trace(
             session,
             TraceType.REVERTING_TO_SILENT_MODE,
@@ -508,7 +530,7 @@ class TraceManager:
         session = self.sessions_by_entity.get(entity_id)
         if session is None or not session.active:
             return
-        session.active = False
+        self._retire(session)
         self.sim.process(
             self.publish_trace(
                 session, TraceType.DISCONNECT, {"entity_id": entity_id}, force=True
@@ -589,7 +611,7 @@ class TraceManager:
                 )
             elif verdict is DetectorVerdict.FAILED:
                 session.declared_failed = True
-                session.active = False
+                self._retire(session)
                 # detection latency: time from the last sign of life (or
                 # session start, if the entity never answered) to the
                 # declaration — the Figure 5 quantity

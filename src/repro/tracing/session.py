@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.auth.tokens import AuthorizationToken
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey
-from repro.sim.engine import Queue
+from repro.sim.engine import Process, Queue
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.tracing.failure import AdaptivePingPolicy, FailureDetector
 from repro.tracing.interest import InterestRegistry
@@ -55,6 +56,10 @@ class TraceSession:
     #: (tracker id, key fingerprint) pairs already sent this session's
     #: trace key (section 5.1)
     keyed_trackers: set[tuple[str, bytes]] = field(default_factory=set)
+
+    # what the hosting broker runs for the session until it is retired
+    worker: Process | None = None          # handles ``inbox`` in order
+    on_interest: Callable | None = None    # its handler on ``topics.interest_response``
 
     def __post_init__(self) -> None:
         if self.current_interval_ms <= 0:

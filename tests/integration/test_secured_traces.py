@@ -81,6 +81,36 @@ class TestKeyDistribution:
         assert victim.received
         assert dep.metrics.counter_value("trace.keys_distributed") == 2
 
+    def test_a_superseded_session_hands_no_old_key_to_a_new_tracker(self, dep):
+        """After the entity re-registers with a fresh trace key, a tracker
+        that gauges interest only then gets one key, the current one: the
+        superseded session no longer answers on the shared interest topic."""
+        entity, _ = bootstrap_secured(dep)
+        old_key = entity.trace_key
+        host, retracted = dep.network.broker("b1"), []
+        retract = host._retract
+        host._retract = lambda pattern, owner: (retracted.append(pattern), retract(pattern, owner))
+        dep.sim.process(entity.reregister())
+        dep.sim.run(until=40_000)
+        assert entity.trace_key != old_key
+        assert dep.metrics.counter_value("trace.sessions_superseded") == 1
+        # the new session listened on the interest topic before the old
+        # one was retired: the broker's interest in it never lapsed
+        interest_topic = dep.manager_of("b1").session_of("svc").topics.interest_response
+        assert interest_topic.canonical not in retracted
+
+        late = dep.add_tracker("late")
+        late.connect("b2")
+        late.track("svc")
+        dep.sim.run(until=70_000)
+        handed = [
+            record
+            for record in dep.journal.records("key.distributed")
+            if record.fields["tracker"] == "late"
+        ]
+        assert len(handed) == 1
+        assert late.trace_key_for("svc") == entity.trace_key
+
     def test_wrong_kind_on_the_key_topic_is_rejected(self, dep):
         """A well-sealed body of another kind is not a key delivery."""
         entity = dep.add_traced_entity("svc", secured=True)

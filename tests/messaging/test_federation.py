@@ -21,7 +21,7 @@ from repro.messaging.federation import (
 )
 from repro.messaging.topics import topic_matches
 from repro.sim.monitor import Monitor
-from tests.support import flushed_summary
+from tests.support import BrokerViews, flushed_summary
 
 
 @pytest.fixture
@@ -30,13 +30,15 @@ def monitor():
 
 
 def make_plane(monitor, hot_set_limit=4, digest_bits=1024, brokers=("b1", "b2")):
+    """A plane, and stand-in brokers that announce and retract on it."""
     plane = FederatedInterestPlane(
         monitor=monitor,
         config=FederationConfig(hot_set_limit=hot_set_limit, digest_bits=digest_bits),
     )
+    views = BrokerViews(plane)
     for broker_id in brokers:
-        plane.register_broker(broker_id)
-    return plane
+        views.register(broker_id)
+    return plane, views
 
 
 class TestConfig:
@@ -71,13 +73,6 @@ class TestDigestKeys:
     def test_wildcard_characters_inside_a_segment_are_literal(self):
         assert pattern_digest_keys("a*b/c>") == ("e:a*b/c>",)
 
-    def test_retract_reports_whether_anything_was_announced(self, monitor):
-        plane = make_plane(monitor)
-        assert not plane.retract("a/b", "b1")
-        plane.announce("a/b", "b1")
-        assert plane.retract("a/b", "b1")
-        assert not plane.retract("a/b", "b1")
-
     def test_rootless_wildcard_has_no_keys(self):
         """``>`` and ``*/...`` can only be covered by match_all."""
         assert pattern_digest_keys(">") == ()
@@ -86,9 +81,9 @@ class TestDigestKeys:
 
 class TestSummaryModes:
     def test_exact_below_hot_set_limit(self, monitor):
-        plane = make_plane(monitor, hot_set_limit=4)
+        plane, views = make_plane(monitor, hot_set_limit=4)
         for i in range(4):
-            plane.announce(f"t/{i}", "b1")
+            views.announce(f"t/{i}", "b1")
         summary = flushed_summary(plane, "b1")
         assert summary.exact
         assert summary.hot == tuple(sorted(f"t/{i}" for i in range(4)))
@@ -96,9 +91,9 @@ class TestSummaryModes:
         assert plane.is_exact("b1")
 
     def test_digest_above_hot_set_limit(self, monitor):
-        plane = make_plane(monitor, hot_set_limit=4)
+        plane, views = make_plane(monitor, hot_set_limit=4)
         for i in range(5):
-            plane.announce(f"t/{i}", "b1")
+            views.announce(f"t/{i}", "b1")
         summary = flushed_summary(plane, "b1")
         assert not summary.exact
         assert summary.hot == ()
@@ -108,23 +103,23 @@ class TestSummaryModes:
         assert monitor.metrics.gauge_value("fed.summary.overflowed") == 1
 
     def test_retraction_returns_to_exact(self, monitor):
-        plane = make_plane(monitor, hot_set_limit=4)
+        plane, views = make_plane(monitor, hot_set_limit=4)
         for i in range(5):
-            plane.announce(f"t/{i}", "b1")
+            views.announce(f"t/{i}", "b1")
         assert not plane.is_exact("b1")
-        plane.retract("t/4", "b1")
+        views.retract("t/4", "b1")
         assert plane.is_exact("b1")
         assert monitor.metrics.gauge_value("fed.summary.overflowed") == 0
 
     def test_retraction_clears_digest_bits_exactly(self, monitor):
         """Counting-bloom removal: retracting all but one pattern leaves
         exactly that pattern's bits set (no residue, no over-clearing)."""
-        plane = make_plane(monitor, hot_set_limit=1)
+        plane, views = make_plane(monitor, hot_set_limit=1)
         for i in range(10):
-            plane.announce(f"t/{i}", "b1")
+            views.announce(f"t/{i}", "b1")
         for i in range(1, 10):
-            plane.retract(f"t/{i}", "b1")
-        plane.announce("u/other", "b1")  # force past limit: digest mode
+            views.retract(f"t/{i}", "b1")
+        views.announce("u/other", "b1")  # force past limit: digest mode
         assert not flushed_summary(plane, "b1").exact
         assert plane.interested("t/0") == {"b1"}
         # all retracted patterns must have had their bits cleared; their
@@ -162,16 +157,16 @@ class TestNoFalseNegatives:
 
     @pytest.mark.parametrize("hot_set_limit", [1, 100])
     def test_matches_superset_of_true_interest(self, monitor, hot_set_limit):
-        plane = make_plane(monitor, hot_set_limit=hot_set_limit)
+        plane, views = make_plane(monitor, hot_set_limit=hot_set_limit)
         for pattern in self.PATTERNS:
-            plane.announce(pattern, "b1")
+            views.announce(pattern, "b1")
         for topic, expected in self.TOPICS:
             if expected:
                 assert plane.interested(topic) == {"b1"}, topic
 
     def test_no_interest_no_match_in_exact_mode(self, monitor):
-        plane = make_plane(monitor, hot_set_limit=100)
-        plane.announce("a/b", "b1")
+        plane, views = make_plane(monitor, hot_set_limit=100)
+        views.announce("a/b", "b1")
         assert plane.interested("zzz/unrelated") == set()
 
 
@@ -194,10 +189,10 @@ class TestIncrementalDigest:
 
     def check_against_fresh_plane(self, plane, surviving, versions):
         plane.flush()
-        fresh = make_plane(Monitor(), hot_set_limit=plane.config.hot_set_limit)
+        fresh, views = make_plane(Monitor(), hot_set_limit=plane.config.hot_set_limit)
         for broker_id, patterns in surviving.items():
             for pattern in sorted(patterns):
-                fresh.announce(pattern, broker_id)
+                views.announce(pattern, broker_id)
         for broker_id, patterns in surviving.items():
             summary = flushed_summary(plane, broker_id)
             assert self.content(summary) == self.content(flushed_summary(fresh, broker_id))
@@ -235,31 +230,31 @@ class TestIncrementalDigest:
     )
     @settings(max_examples=100, deadline=None)
     def test_any_interleaving_equals_a_fresh_plane(self, hot_set_limit, steps):
-        plane = make_plane(Monitor(), hot_set_limit=hot_set_limit)
-        surviving = {broker_id: set() for broker_id in self.BROKERS}
+        """Only the steps a broker takes reach the plane: a pattern's
+        first announce, and the retract of an announced one."""
+        plane, views = make_plane(Monitor(), hot_set_limit=hot_set_limit)
+        surviving = views.announced
         versions = {}
         for action, broker_id, pattern in steps:
-            if action == "announce":  # duplicates included
-                plane.announce(pattern, broker_id)
-                surviving[broker_id].add(pattern)
-            elif action == "retract":  # unknown patterns included
-                plane.retract(pattern, broker_id)
-                surviving[broker_id].discard(pattern)
-            else:
+            held = pattern in surviving[broker_id]
+            if action == "announce" and not held:
+                views.announce(pattern, broker_id)
+            elif action == "retract" and held:
+                views.retract(pattern, broker_id)
+            elif action == "flush":
                 self.check_against_fresh_plane(plane, surviving, versions)
         self.check_against_fresh_plane(plane, surviving, versions)
 
         for broker_id, patterns in surviving.items():
             for pattern in sorted(patterns):
-                plane.retract(pattern, broker_id)
-            patterns.clear()
+                views.retract(pattern, broker_id)
         self.check_against_fresh_plane(plane, surviving, versions)
         for broker_id in self.BROKERS:
             assert plane.is_exact(broker_id)
             # hot-set summaries carry no digest, so look at the state behind them
             accumulator = plane._accumulators[broker_id]
             assert not any(accumulator.digest)
-            assert not accumulator.patterns and not accumulator.bit_counts
+            assert accumulator.count == 0 and not accumulator.bit_counts
             assert not any(column & accumulator.lane for column in accumulator.table.columns)
 
 
@@ -269,72 +264,74 @@ class TestEpochBatching:
 
     def test_burst_costs_one_flood(self, monitor):
         """N announcements then one query: one summary broadcast, not N."""
-        plane = make_plane(monitor, hot_set_limit=100)
+        plane, views = make_plane(monitor, hot_set_limit=100)
         for i in range(50):
-            plane.announce(f"t/{i}", "b1")
+            views.announce(f"t/{i}", "b1")
         assert self.floods(monitor) == 0  # nothing flushed yet
         plane.interested("t/0")
         assert self.floods(monitor) == 1
         assert monitor.metrics.counter_value("fed.summary.updates") == 1
 
     def test_unchanged_summary_not_rebroadcast(self, monitor):
-        plane = make_plane(monitor)
-        plane.announce("t/1", "b1")
+        """A change that leaves the content equal costs no flood."""
+        plane, views = make_plane(monitor, hot_set_limit=1)
+        for pattern in ("a/*", "x/y"):
+            views.announce(pattern, "b1")
         plane.interested("t/1")
         before = self.floods(monitor)
-        plane.announce("t/1", "b1")  # duplicate: no state change
+        views.announce("a/>", "b1")  # the digest key a/* already set
         plane.interested("t/1")
         assert self.floods(monitor) == before
 
     def test_flush_covers_multiple_dirty_brokers(self, monitor):
-        plane = make_plane(monitor)
-        plane.announce("a/x", "b1")
-        plane.announce("b/y", "b2")
+        plane, views = make_plane(monitor)
+        views.announce("a/x", "b1")
+        views.announce("b/y", "b2")
         assert plane.flush() == 2
         assert self.floods(monitor) == 2
 
     def test_memo_hits_between_changes(self, monitor):
-        plane = make_plane(monitor)
-        plane.announce("t/1", "b1")
+        plane, views = make_plane(monitor)
+        views.announce("t/1", "b1")
         plane.interested("t/1")
         plane.interested("t/1")
         assert monitor.metrics.counter_value("fed.match.memo.hit") == 1
-        plane.announce("t/2", "b1")  # dirties -> memo invalidated on flush
+        views.announce("t/2", "b1")  # dirties -> memo invalidated on flush
         plane.interested("t/1")
         assert monitor.metrics.counter_value("fed.match.memo.miss") == 2
 
 
 class TestMembership:
     def test_late_joiner_replays_one_summary_per_active_peer(self, monitor):
-        plane = make_plane(monitor, brokers=("b1", "b2", "b3"))
-        plane.announce("a/x", "b1")
-        plane.announce("b/y", "b2")
-        plane.register_broker("b9")
+        plane, views = make_plane(monitor, brokers=("b1", "b2", "b3"))
+        views.announce("a/x", "b1")
+        views.announce("b/y", "b2")
+        views.register("b9")
         assert monitor.metrics.counter_value("fed.summary.replays") == 2
 
     def test_register_is_idempotent(self, monitor):
-        plane = make_plane(monitor)
-        plane.announce("a/x", "b1")
-        plane.register_broker("b1")
-        assert sorted(plane._accumulators["b1"].patterns) == ["a/x"]
+        plane, views = make_plane(monitor)
+        views.announce("a/x", "b1")
+        plane.register_broker("b1", lambda: ())
+        assert plane._accumulators["b1"].count == 1
+        assert flushed_summary(plane, "b1").hot == ("a/x",)
 
     def test_unregistered_broker_rejected(self, monitor):
-        plane = make_plane(monitor)
+        plane, views = make_plane(monitor)
         with pytest.raises(ConfigurationError):
             plane.announce("a/x", "ghost")
 
     def test_interest_gauge_tracks_live_patterns(self, monitor):
-        plane = make_plane(monitor)
-        plane.announce("a/x", "b1")
-        plane.announce("a/y", "b1")
+        plane, views = make_plane(monitor)
+        views.announce("a/x", "b1")
+        views.announce("a/y", "b1")
         assert monitor.metrics.gauge_value("fed.interest.patterns") == 2
-        plane.retract("a/x", "b1")
-        plane.retract("a/x", "b1")  # double retract must not underflow
+        views.retract("a/x", "b1")
         assert monitor.metrics.gauge_value("fed.interest.patterns") == 1
 
     def test_exclusion(self, monitor):
-        plane = make_plane(monitor)
-        plane.announce("a/x", "b1")
+        plane, views = make_plane(monitor)
+        views.announce("a/x", "b1")
         assert plane.interested("a/x", exclude="b1") == set()
         assert not plane.has_interest("a/x", exclude="b1")
         assert plane.has_interest("a/x")

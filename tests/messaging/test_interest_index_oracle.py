@@ -37,6 +37,7 @@ from repro.messaging.federation import (
 )
 from repro.messaging.topics import split_topic, topic_matches
 from repro.sim.monitor import Monitor
+from tests.support import BrokerViews
 
 # --------------------------------------------------------------- the reference
 
@@ -140,6 +141,8 @@ class InterestIndexMachine(RuleBasedStateMachine):
             monitor=Monitor(),
             config=FederationConfig(hot_set_limit=hot_set_limit, digest_bits=1024),
         )
+        # only the steps a broker takes reach the plane
+        self.views = BrokerViews(self.plane)
         self.brokers = []
         self.register(count)
         for slot, first, count in loads:
@@ -153,37 +156,35 @@ class InterestIndexMachine(RuleBasedStateMachine):
     def register(self, count):
         for _ in range(min(count, MAX_BROKERS - len(self.brokers))):
             broker_id = f"b{len(self.brokers):02d}"
-            self.plane.register_broker(broker_id)
+            self.views.register(broker_id)
             self.brokers.append(broker_id)
 
     @rule(slot=broker_slots, pattern=ORACLE_PATTERNS)
     def announce(self, slot, pattern):
-        self.plane.announce(pattern, self.broker(slot))
+        self.views.announce(pattern, self.broker(slot))
 
     @rule(slot=broker_slots, first=bulk_firsts, count=bulk_counts)
     def announce_bulk(self, slot, first, count):
         for i in range(first, first + count):
-            self.plane.announce(f"n/{i}", self.broker(slot))
+            self.views.announce(f"n/{i}", self.broker(slot))
 
     @rule(slot=broker_slots, pattern=ORACLE_PATTERNS)
-    def retract(self, slot, pattern):  # unknown patterns included
-        self.plane.retract(pattern, self.broker(slot))
+    def retract(self, slot, pattern):
+        self.views.retract(pattern, self.broker(slot))
 
     @rule(slot=broker_slots, data=st.data())
     def retract_held(self, slot, data):
         """Retract a pattern the broker holds, outside the runs, so that
         summaries often lose ``match_all`` or go back to hot-set mode."""
         broker_id = self.broker(slot)
-        held = sorted(
-            p for p in self.plane._accumulators[broker_id].patterns if not p.startswith("n/")
-        )
+        held = sorted(p for p in self.views.announced[broker_id] if not p.startswith("n/"))
         if held:
-            self.plane.retract(data.draw(st.sampled_from(held)), broker_id)
+            self.views.retract(data.draw(st.sampled_from(held)), broker_id)
 
     @rule(slot=broker_slots, first=bulk_firsts, count=bulk_counts)
     def retract_bulk(self, slot, first, count):
         for i in range(first, first + count):
-            self.plane.retract(f"n/{i}", self.broker(slot))
+            self.views.retract(f"n/{i}", self.broker(slot))
 
     @rule()
     def flush(self):
@@ -228,8 +229,6 @@ class ReferenceAccumulator:
         return bits
 
     def add(self, pattern):
-        if pattern in self.patterns:
-            return False
         self.patterns.add(pattern)
         bits = self._bits(pattern)
         if not bits:
@@ -240,11 +239,8 @@ class ReferenceAccumulator:
                 self.digest[bit >> 3] |= 1 << (bit & 7)
                 self.table.columns[bit] |= self.lane
             self.bit_counts[bit] = count + 1
-        return True
 
     def remove(self, pattern):
-        if pattern not in self.patterns:
-            return False
         self.patterns.remove(pattern)
         bits = self._bits(pattern)
         if not bits:
@@ -257,7 +253,6 @@ class ReferenceAccumulator:
                 del self.bit_counts[bit]
                 self.digest[bit >> 3] &= ~(1 << (bit & 7))
                 self.table.columns[bit] &= ~self.lane
-        return True
 
     def build_summary(self, version):
         overflowed = len(self.patterns) > self.config.hot_set_limit
@@ -298,7 +293,9 @@ COUNT_PATTERNS = st.one_of(
 
 class CountOracleMachine(RuleBasedStateMachine):
     """Random announce / retract / flush schedules on three brokers,
-    mirrored on reference accumulators that share one lane table.
+    mirrored on reference accumulators that share one lane table.  Only
+    the steps a broker takes are drawn: a pattern's first announce and
+    the retract of an announced one.
 
     At ``digest_bits=1024`` a run of 300 literals sets some bits three
     times or more, so counts cross 2<->3 as well as 1<->2 and 0<->1.
@@ -308,39 +305,44 @@ class CountOracleMachine(RuleBasedStateMachine):
     def start(self, hot_set_limit):
         config = FederationConfig(hot_set_limit=hot_set_limit, digest_bits=1024)
         self.plane = FederatedInterestPlane(monitor=Monitor(), config=config)
+        self.views = BrokerViews(self.plane)
         self.table = _LaneTable(config.digest_bits)
         self.references = {}
         for index, broker_id in enumerate(COUNT_BROKERS):
-            self.plane.register_broker(broker_id)
+            self.views.register(broker_id)
             self.references[broker_id] = ReferenceAccumulator(
                 config, self.table, 1 << index
             )
 
+    def _announce(self, broker_id, pattern):
+        if self.views.announce(pattern, broker_id):
+            self.references[broker_id].add(pattern)
+
+    def _retract(self, broker_id, pattern):
+        if self.views.retract(pattern, broker_id):
+            self.references[broker_id].remove(pattern)
+
     @rule(broker_id=st.sampled_from(COUNT_BROKERS), pattern=COUNT_PATTERNS)
     def announce(self, broker_id, pattern):
-        self.references[broker_id].add(pattern)
-        self.plane.announce(pattern, broker_id)
+        self._announce(broker_id, pattern)
 
     @rule(
         broker_id=st.sampled_from(COUNT_BROKERS), first=bulk_firsts, count=bulk_counts
     )
     def announce_bulk(self, broker_id, first, count):
         for i in range(first, first + count):
-            self.references[broker_id].add(f"n/{i}")
-            self.plane.announce(f"n/{i}", broker_id)
+            self._announce(broker_id, f"n/{i}")
 
     @rule(broker_id=st.sampled_from(COUNT_BROKERS), pattern=COUNT_PATTERNS)
-    def retract(self, broker_id, pattern):  # unknown patterns included
-        expected = self.references[broker_id].remove(pattern)
-        assert self.plane.retract(pattern, broker_id) == expected
+    def retract(self, broker_id, pattern):
+        self._retract(broker_id, pattern)
 
     @rule(
         broker_id=st.sampled_from(COUNT_BROKERS), first=bulk_firsts, count=bulk_counts
     )
     def retract_bulk(self, broker_id, first, count):
         for i in range(first, first + count):
-            self.references[broker_id].remove(f"n/{i}")
-            self.plane.retract(f"n/{i}", broker_id)
+            self._retract(broker_id, f"n/{i}")
 
     @rule()
     def flush(self):
@@ -357,7 +359,7 @@ class CountOracleMachine(RuleBasedStateMachine):
         assert table.columns == self.table.columns
         for broker_id, reference in self.references.items():
             accumulator = self.plane._accumulators[broker_id]
-            assert set(accumulator.patterns) == reference.patterns
+            assert accumulator.count == len(reference.patterns)
             assert accumulator.match_all_count == reference.match_all_count
             assert accumulator.digest == reference.digest
             assert implied_counts(accumulator) == reference.bit_counts
@@ -377,14 +379,14 @@ class TestCountOracleMachineDeep(CountOracleMachine.TestCase):
 
 
 def test_a_literal_whose_two_bits_coincide_counts_that_bit_twice():
-    plane = small_plane("b1")
+    plane, views = small_plane("b1")
     accumulator = plane._accumulators["b1"]
     (bit, same) = _digest_bits("e:s/4353", 1024)
     assert bit == same
-    plane.announce("s/4353", "b1")
+    views.announce("s/4353", "b1")
     assert accumulator.bit_counts == {bit: 2}
     assert plane._tables[0].columns[bit] == 1
-    plane.retract("s/4353", "b1")
+    views.retract("s/4353", "b1")
     assert accumulator.bit_counts == {} and not any(accumulator.digest)
     assert plane._tables[0].columns[bit] == 0
 
@@ -396,18 +398,19 @@ def small_plane(*brokers):
     plane = FederatedInterestPlane(
         monitor=Monitor(), config=FederationConfig(hot_set_limit=1, digest_bits=1024)
     )
+    views = BrokerViews(plane)
     for broker_id in brokers:
-        plane.register_broker(broker_id)
-    return plane
+        views.register(broker_id)
+    return plane, views
 
 
 def test_a_summary_back_in_hot_set_mode_leaves_the_columns_unread():
     """Its live digest still holds "a/*"'s prefix key, which "a/b/a" probes."""
-    plane = small_plane("b1", "b2")
-    plane.announce("a/*", "b1")
-    plane.announce("n/1", "b1")
+    plane, views = small_plane("b1", "b2")
+    views.announce("a/*", "b1")
+    views.announce("n/1", "b1")
     assert_agrees(plane)
-    plane.retract("n/1", "b1")
+    views.retract("n/1", "b1")
     assert plane.is_exact("b1")
     assert plane.interested("a/b/a") == set()
     assert plane.interested("a/b") == {"b1"}
@@ -415,24 +418,24 @@ def test_a_summary_back_in_hot_set_mode_leaves_the_columns_unread():
 
 
 def test_a_summary_in_digest_mode_is_not_read_by_its_old_hot_set():
-    plane = small_plane("b1", "b2")
-    plane.announce("a/b", "b1")
+    plane, views = small_plane("b1", "b2")
+    views.announce("a/b", "b1")
     assert_agrees(plane)
     for pattern in ("n/1", "n/2"):
-        plane.announce(pattern, "b1")
-    plane.retract("a/b", "b1")
+        views.announce(pattern, "b1")
+    views.retract("a/b", "b1")
     assert not plane.is_exact("b1")
     assert plane.interested("a/b") == reference_interested(plane, "a/b") == set()
     assert_agrees(plane)
 
 
 def test_a_summary_that_loses_match_all_leaves_that_lane():
-    plane = small_plane("b1", "b2")
+    plane, views = small_plane("b1", "b2")
     for pattern in (">", "n/1"):
-        plane.announce(pattern, "b1")
+        views.announce(pattern, "b1")
     assert plane.interested("q") == {"b1"}
-    plane.retract(">", "b1")
-    plane.announce("n/2", "b1")
+    views.retract(">", "b1")
+    views.announce("n/2", "b1")
     assert plane.interested("q") == set()
     assert_agrees(plane)
 

@@ -138,7 +138,7 @@ class TestRetractionSymmetry:
         staying.subscribe("sym/topic", lambda m: None)
         # a self-addressed drop (as a buggy flood echo would deliver) is a no-op
         b3.drop_remote_interest("sym/topic", "b3")
-        assert b3._subs.has_local("sym/topic")
+        assert b3.announced_patterns() == ["sym/topic"]
         assert index_clients(b3._subs, "sym/topic") == ["staying", "sub"]
 
     @pytest.mark.parametrize("federation", [False, True], ids=["verbatim", "federated"])
@@ -178,10 +178,10 @@ class TestRetractionSymmetry:
         hopper.subscribe("hop/topic", lambda m: None)
         # hop: attach to b3 without detaching from b2 (the leak)
         network.connect_client(hopper, "b3")
-        assert network.broker("b2")._subs.has_local("hop/topic")
+        assert network.broker("b2").announced_patterns() == ["hop/topic"]
 
         network.remove_client("hopper")
-        assert not network.broker("b2")._subs.has_local("hop/topic")
+        assert network.broker("b2").announced_patterns() == []
         assert stale_interest_entries(network, "hopper") == []
         before = forwarded_out(network)
         pub.publish("hop/topic", 1)
@@ -216,8 +216,101 @@ class TestRetractionSymmetry:
         # inject a leak straight into the plane: the diagnostic reports it
         network.federation.announce("fed/leak", "b2")
         assert stale_interest_entries(network) == [
-            "fed/leak advertised by b2 with no local subscriber"
+            "b2 announces 0 patterns, the plane counts 1"
         ]
+
+
+def interest_counts(network):
+    registry = network.monitor.metrics
+    return (
+        registry.counter_value("broker.interest.announced"),
+        registry.counter_value("broker.interest.retracted"),
+    )
+
+
+def plane_count(network, broker_id):
+    """How many patterns the fabric holds for ``broker_id``."""
+    if network.federation is not None:
+        return network.federation._accumulators[broker_id].count
+    return sum(broker_id in owners for owners in network._interest.values())
+
+
+@pytest.mark.parametrize("federation", [False, True], ids=["verbatim", "federated"])
+class TestAnnounceOnce:
+    """A broker announces a pattern when it starts being announced (a
+    client subscriber, or a handler not ``Suppress``-constrained) and
+    retracts it when it stops, never once per subscriber."""
+
+    def chain(self, federation):
+        network = BrokerNetwork(Simulator(), seed=11, federation=federation)
+        build_chain(network, ["b1", "b2", "b3"])
+        return network
+
+    def test_two_handlers_announce_and_retract_once(self, federation):
+        network = self.chain(federation)
+        b1 = network.broker("b1")
+        first, second = (lambda m: None), (lambda m: None)
+        b1.subscribe_local("T/x", first)
+        b1.subscribe_local("T/x", second)
+        # the federated plane floods once per changed summary, on a query
+        network.broker("b3")._interested_brokers("T/x")
+        b1.unsubscribe_local("T/x", first)
+        b1.unsubscribe_local("T/x", second)
+        assert interest_counts(network) == (1, 1)
+        assert network.monitor.count("control.floods") == 1
+        assert plane_count(network, "b1") == 0
+        assert stale_interest_entries(network) == []
+
+    def test_a_second_client_announces_nothing(self, federation):
+        network = self.chain(federation)
+        for name in ("c1", "c2"):
+            make_client(network, name, "b1").subscribe("T/x", lambda m: None)
+        assert interest_counts(network) == (1, 0)
+        assert plane_count(network, "b1") == 1
+        network.broker("b1").detach_client("c1")
+        assert interest_counts(network) == (1, 0)
+        network.broker("b1").detach_client("c2")
+        assert interest_counts(network) == (1, 1)
+        assert plane_count(network, "b1") == 0
+
+    def test_an_unknown_unsubscribe_retracts_nothing(self, federation):
+        network = self.chain(federation)
+        b1, handler = network.broker("b1"), (lambda m: None)
+        b1.unsubscribe_local("T/x", handler)
+        b1.remove_client_subscription("ghost", "T/x")
+        b1.subscribe_local("T/x", handler)
+        b1.unsubscribe_local("T/x", lambda m: None)  # another handler
+        assert interest_counts(network) == (1, 0)
+        assert plane_count(network, "b1") == 1
+        b1.unsubscribe_local("T/x", handler)
+        b1.unsubscribe_local("T/x", handler)
+        assert interest_counts(network) == (1, 1)
+        assert plane_count(network, "b1") == 0
+
+    @pytest.mark.parametrize("client_first", [True, False], ids=["client-first", "handler-first"])
+    def test_a_suppressed_pattern_is_announced_while_a_client_holds_it(
+        self, federation, client_first
+    ):
+        """A ``Suppress`` pattern's handler is never announced, so the
+        pattern is retracted when its client leaves, whoever came first."""
+        network = self.chain(federation)
+        b1, pattern = network.broker("b1"), "Constrained/Traces/Broker/Publish-Only/Suppress/x"
+        client, handler = make_client(network, "c1", "b1"), (lambda m: None)
+        if client_first:
+            client.subscribe(pattern, lambda m: None)
+            b1.subscribe_local(pattern, handler)
+        else:
+            b1.subscribe_local(pattern, handler)
+            client.subscribe(pattern, lambda m: None)
+        assert b1.announced_patterns() == [pattern]
+        assert interest_counts(network) == (1, 0)
+        b1.detach_client("c1")
+        assert b1.announced_patterns() == []
+        assert interest_counts(network) == (1, 1)
+        assert network.broker("b3")._interested_brokers(pattern) == set()
+        assert stale_interest_entries(network) == []
+        b1.unsubscribe_local(pattern, handler)
+        assert interest_counts(network) == (1, 1)
 
 
 class TestStaleForwardDetection:

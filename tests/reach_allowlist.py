@@ -199,6 +199,9 @@ ALLOWED: dict[str, str] = {
         "paper §5: the malicious-entity termination family"
     ),
     "repro.campaigns.workloads:run_token_replay_flood": "paper §5: the token-replay DoS family",
+    "repro.messaging.broker:Broker.announced_patterns": (
+        "paper §2: a federated broker's exact summary (its hot set)"
+    ),
     "repro.messaging.discovery:BrokerDiscoveryService.deregister_broker": (
         "paper §2.1: a crashed broker leaves the discoverable set"
     ),
@@ -217,11 +220,8 @@ ALLOWED: dict[str, str] = {
     "repro.messaging.matching:SubscriptionIndex._candidates.<locals>.collect": (
         "paper §2: the trie walk of a wildcard subscription"
     ),
-    "repro.sim.engine:Interrupt.__init__": (
-        "paper §3.2: a superseded session's worker is retired (ROADMAP item 1)"
-    ),
-    "repro.sim.engine:Process.interrupt": (
-        "paper §3.2: a superseded session's worker is retired (ROADMAP item 1)"
+    "repro.messaging.matching:SubscriptionIndex.announced": (
+        "paper §2: a federated broker's exact summary (its hot set)"
     ),
     "repro.tdn.node:TDNNode.discover_all": "paper §2.2: wildcard discovery",
     "repro.tdn.node:TDNNode.fail": "paper §2.2: a TDN replica goes down",

@@ -6,14 +6,18 @@ is why they live here and not in ``src/repro``.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import deque
+from types import GeneratorType
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.crypto.costmodel import CryptoCostModel, CryptoOp, OpCost
 from repro.errors import RoutingError, SimulationError
+from repro.messaging.federation import _InterestAccumulator, _LaneTable
 from repro.messaging.routing import _sorted_adjacency, _walk
 from repro.sim.engine import Event, Resource, Simulator
+from repro.tracing.broker_ops import TraceManager
 
 # -------------------------------------------------------------------- crypto
 
@@ -97,30 +101,35 @@ def build_chain(network, broker_ids: Iterable[str], profile=None) -> list:
 
 
 def stale_interest_entries(network, client_id: str | None = None) -> list[str]:
-    """Fabric-interest rows with no live local subscriber behind them.
+    """Fabric interest that no broker's announced patterns back.
 
-    Every ``(pattern, owner)`` the control plane still advertises must be
-    backed by a local subscription on the owning broker, and if
-    ``client_id`` is given, no broker may still index a subscription for
-    that client.
+    On the verbatim plane every ``(pattern, owner)`` the fabric advertises
+    must be a pattern the owning broker announces.  The federated plane
+    keeps no patterns, so each broker's count there must equal the number
+    of patterns it announces, and its digest must be the one those
+    patterns alone set.  If ``client_id`` is given, no broker may still
+    index a subscription for that client.
     """
     stale: list[str] = []
     if network.federation is not None:
         accumulators = network.federation._accumulators
-        advertised = [
-            (pattern, owner)
-            for owner in sorted(accumulators)
-            for pattern in sorted(accumulators[owner].patterns)
-        ]
+        for owner in sorted(accumulators):
+            accumulator = accumulators[owner]
+            announced = network._brokers[owner].announced_patterns()
+            if accumulator.count != len(announced):
+                stale.append(
+                    f"{owner} announces {len(announced)} patterns, "
+                    f"the plane counts {accumulator.count}"
+                )
+            elif accumulator.digest != announced_digest(accumulator.config, announced):
+                stale.append(f"{owner}: the digest holds bits no announced pattern sets")
     else:
         interest = network._interest
-        advertised = [
-            (pattern, owner) for pattern in sorted(interest) for owner in sorted(interest[pattern])
-        ]
-    for pattern, owner in advertised:
-        broker = network._brokers.get(owner)
-        if broker is None or not broker._subs.has_local(pattern):
-            stale.append(f"{pattern} advertised by {owner} with no local subscriber")
+        for pattern in sorted(interest):
+            for owner in sorted(interest[pattern]):
+                broker = network._brokers.get(owner)
+                if broker is None or pattern not in broker.announced_patterns():
+                    stale.append(f"{pattern} advertised by {owner} with no local subscriber")
     if client_id is not None:
         for broker in network.brokers():
             for pattern in index_patterns(broker._subs):
@@ -129,6 +138,56 @@ def stale_interest_entries(network, client_id: str | None = None) -> list[str]:
                         f"{pattern} on {broker.broker_id} still lists client {client_id}"
                     )
     return stale
+
+
+# ------------------------------------------------------------------ sessions
+
+#: where a hosting broker subscribes a session's handlers (tracing/topics.py)
+_SESSION_TOPIC = "Constrained/Traces/Broker/Subscribe-Only/Limited/"
+_INTEREST_PREFIX, _INTEREST_SUFFIX = "Constrained/Traces/Broker/Subscribe-Only/", "/Interest"
+
+
+def session_counts(manager) -> dict[str, int]:
+    """What one ``TraceManager`` holds per session, counted five ways.
+
+    ``workers`` counts every ``_session_worker`` generator of the manager
+    that has not finished, reachable or not; the two handler counts read
+    the broker's own index.  With no orphan, all five are equal.
+    """
+    gc.collect()
+    code = TraceManager._session_worker.__code__
+    workers = sum(
+        1
+        for obj in gc.get_objects()
+        if type(obj) is GeneratorType
+        and obj.gi_code is code
+        and obj.gi_frame is not None
+        and obj.gi_frame.f_locals.get("self") is manager
+    )
+    handlers = manager.broker._subs._handlers
+    return {
+        "sessions": len(manager.sessions),
+        "active": len(manager.active_sessions()),
+        "workers": workers,
+        "session_handlers": sum(
+            len(held) for pattern, held in handlers.items() if pattern.startswith(_SESSION_TOPIC)
+        ),
+        "interest_handlers": sum(
+            len(held)
+            for pattern, held in handlers.items()
+            if pattern.startswith(_INTEREST_PREFIX) and pattern.endswith(_INTEREST_SUFFIX)
+        ),
+    }
+
+
+def orphan_sessions(dep) -> list[str]:
+    """Brokers whose session counts disagree (see :func:`session_counts`)."""
+    found = []
+    for broker in dep.network.brokers():
+        counts = session_counts(dep.manager_of(broker.broker_id))
+        if len(set(counts.values())) > 1:
+            found.append(f"{broker.broker_id}: {counts}")
+    return found
 
 
 # ----------------------------------------------------------------- snapshots
@@ -231,3 +290,49 @@ def flushed_summary(plane, broker_id: str):
     """A broker's summary on a ``FederatedInterestPlane`` after a flush."""
     plane.flush()
     return plane._summaries.get(broker_id)
+
+
+class BrokerViews:
+    """Stand-in brokers for a bare ``FederatedInterestPlane``.
+
+    Keeps each registered broker's announced patterns, hands them to the
+    plane as that broker's view, and passes on only the steps a broker
+    takes: the first announce of a pattern and the retract of an
+    announced one.  ``announce`` and ``retract`` return whether the plane
+    was told.
+    """
+
+    def __init__(self, plane) -> None:
+        self.plane = plane
+        self.announced: dict[str, dict[str, None]] = {}
+
+    def register(self, broker_id: str) -> None:
+        held = self.announced.setdefault(broker_id, {})
+        self.plane.register_broker(broker_id, held.keys)
+
+    def announce(self, pattern: str, broker_id: str) -> bool:
+        held = self.announced[broker_id]
+        if pattern in held:
+            return False
+        held[pattern] = None
+        self.plane.announce(pattern, broker_id)
+        return True
+
+    def retract(self, pattern: str, broker_id: str) -> bool:
+        held = self.announced[broker_id]
+        if pattern not in held:
+            return False
+        del held[pattern]
+        self.plane.retract(pattern, broker_id)
+        return True
+
+
+def announced_digest(config, patterns: Iterable[str]) -> bytearray:
+    """The digest a fresh accumulator holds after announcing ``patterns``."""
+    patterns = list(patterns)
+    fresh = _InterestAccumulator(
+        "fresh", config, _LaneTable(config.digest_bits), 1, lambda: patterns
+    )
+    for pattern in patterns:
+        fresh.add(pattern)
+    return fresh.digest

@@ -143,15 +143,15 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
         " tests/analytics/test_availability.py tests/sim/test_engine_oracle.py"
         " tests/messaging/test_hop_oracle.py"
         " tests/messaging/test_routing_properties.py tests/messaging/test_parse_oracle.py"
-        " tests/messaging/test_interest_index_oracle.py"
+        " tests/messaging/test_interest_index_oracle.py tests/messaging/test_announce_machine.py"
         " tests/test_reachability.py"
         " -m deep -q"
     )
     # the step runs two contracts, a state machine, a round-trip property, the
     # prime-generation oracle, the CBC decryption oracle, the timelines property, the
     # engine oracle, the continuation oracle, the hop oracle, the route-table oracle, the
-    # parse oracle, the interest-index oracle, the count oracle and the reachability
-    # tracer; its comment (lost to the YAML parser) names all fifteen
+    # parse oracle, the interest-index oracle, the count oracle, the announce machine
+    # and the reachability tracer; its comment (lost to the YAML parser) names all sixteen
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -173,6 +173,7 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "FederatedInterestPlane.interested" in comment and "up to 70 brokers" in comment
     assert "count oracle" in comment and "_InterestAccumulator" in comment
     assert "full-count reference accumulator" in comment
+    assert "announce machine" in comment and "announced view" in comment
     assert "reachability tracer" in comment and "tests/reach_allowlist.py" in comment
 
 
