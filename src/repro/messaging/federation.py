@@ -152,11 +152,11 @@ def pattern_digest_keys(pattern: str) -> tuple[str, ...]:
 class TopicProbe:
     """Pre-hashed digest probes for one concrete topic.
 
-    The blake2 positions are computed once per topic, as ``(bit, bit)``
-    pairs: the topic's full text first, then each proper prefix (a
-    wildcard pattern's literal prefix is always a *proper* prefix of any
-    topic it matches).  A broker's digest may hold the topic iff both
-    bits of some pair are set in it.
+    The blake2 positions are computed when the probe is built, as
+    ``(bit, bit)`` pairs: the topic's full text first, then each proper
+    prefix (a wildcard pattern's literal prefix is always a *proper*
+    prefix of any topic it matches).  A broker's digest may hold the
+    topic iff both bits of some pair are set in it.
     """
 
     __slots__ = ("topic", "pairs")
@@ -380,7 +380,6 @@ class FederatedInterestPlane:
         #: topic -> frozenset of interested brokers; reset on any summary
         #: change, so hits are only served between control-plane changes
         self._match_memo: dict[str, frozenset[str]] = {}
-        self._probe_cache: dict[str, TopicProbe] = {}
 
     # ------------------------------------------------------------- membership
 
@@ -510,14 +509,12 @@ class FederatedInterestPlane:
                 table.match_all_lanes |= lane
 
     def probe(self, topic: str) -> TopicProbe:
-        """The (cached) digest probe for a concrete topic."""
-        probe = self._probe_cache.get(topic)
-        if probe is None:
-            if len(self._probe_cache) >= _MATCH_MEMO_LIMIT:
-                self._probe_cache.clear()
-            probe = TopicProbe(topic, self.config.digest_bits)
-            self._probe_cache[topic] = probe
-        return probe
+        """A fresh digest probe for a concrete topic.
+
+        Built on every match-memo miss and kept by nobody: a topic's memo
+        entry already answers its next query until a summary changes.
+        """
+        return TopicProbe(topic, self.config.digest_bits)
 
     def interested(self, topic: str, exclude: str | None = None) -> set[str]:
         """Brokers whose summary matches ``topic`` (maybe false positives)."""

@@ -22,8 +22,9 @@ each in its own dict keyed by pattern:
 
 At the 100k-entity scale nearly every pattern is literal (one exact
 topic per traced entity) and held by one kind, so nearly every pattern
-costs one dict entry and its set or tuple: no per-pattern object and no
-trie node.
+costs one dict entry and its client set, or no more than its entry when
+one handler holds it (the handler is stored bare): no per-pattern object
+and no trie node.
 
 A :class:`~repro.messaging.client.BrokerClient` holds an index of its own
 too, using only the handler kind: a tracker of N entities subscribes to
@@ -121,17 +122,18 @@ class SubscriptionIndex:
     """Exact lookup for literal patterns plus a segment trie for wildcards.
 
     Each kind of interest is one dict keyed by the canonical pattern:
-    ``_clients`` (pattern -> client ids), ``_handlers`` (pattern ->
-    handlers in registration order) and ``_remote`` (pattern -> peer
-    broker ids); ``_quiet`` holds the handler patterns that are not
-    announced.  A pattern is *live* while any of the three holds it; a
-    kind that empties deletes its key, so no dict ever holds an empty
-    set or tuple.  Wildcard patterns are also reachable through a trie
-    whose root's children are first topic segments (including ``*`` and
-    ``>``), so a match query descends into at most three of them — the
-    topic's first segment, ``*`` and ``>``.  Trie segment strings are
-    interned on insertion (:func:`sys.intern`); literal patterns are
-    never split into segments at all.
+    ``_clients`` (pattern -> client ids), ``_handlers`` (pattern -> its
+    only handler, or a tuple of two or more in registration order) and
+    ``_remote`` (pattern -> peer broker ids); ``_quiet`` holds the
+    handler patterns that are not announced.  A pattern is *live* while
+    any of the three holds it; a kind that empties deletes its key, so no
+    dict ever holds an empty set or tuple, and no tuple holds one handler.
+    Wildcard patterns are also reachable through a trie whose root's
+    children are first topic segments (including ``*`` and ``>``), so a
+    match query descends into at most three of them — the topic's first
+    segment, ``*`` and ``>``.  Trie segment strings are interned on
+    insertion (:func:`sys.intern`); literal patterns are never split into
+    segments at all.
 
     A *shard* is a distinct first segment over all live patterns, literal
     and wildcard alike, kept by a reference count.
@@ -139,9 +141,10 @@ class SubscriptionIndex:
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self._clients: dict[str, set[str]] = {}
+        #: a pattern's only handler, bare, or a tuple of two or more in
         #: registration order; replaced, never mutated, so a matched
         #: tuple is safe to iterate while handlers (un)subscribe
-        self._handlers: dict[str, tuple[Callable, ...]] = {}
+        self._handlers: dict[str, Callable | tuple[Callable, ...]] = {}
         self._remote: dict[str, set[str]] = {}
         #: handler patterns registered ``quiet``: held, never announced
         self._quiet: set[str] = set()
@@ -273,12 +276,14 @@ class SubscriptionIndex:
         canonical = canonical_pattern(pattern)
         held = self._handlers.get(canonical)
         if held is not None:
-            self._handlers[canonical] = (*held, handler)
+            self._handlers[canonical] = (
+                (*held, handler) if type(held) is tuple else (held, handler)
+            )
             return False
         subscribed = canonical in self._clients
         if not subscribed and canonical not in self._remote:
             self._admit(canonical)
-        self._handlers[canonical] = (handler,)
+        self._handlers[canonical] = handler
         if quiet:
             self._quiet.add(canonical)
             return False
@@ -288,12 +293,15 @@ class SubscriptionIndex:
         """Remove one handler; True if that left the pattern unannounced
         (an unknown handler changes nothing)."""
         key = self._key(pattern)
-        handlers = self._handlers.get(key, ())
-        if handler not in handlers:
+        held = self._handlers.get(key)
+        if type(held) is tuple:
+            if handler not in held:
+                return False
+            at = held.index(handler)
+            rest = held[:at] + held[at + 1:]
+            self._handlers[key] = rest if len(rest) > 1 else rest[0]
             return False
-        if len(handlers) > 1:
-            at = handlers.index(handler)
-            self._handlers[key] = handlers[:at] + handlers[at + 1:]
+        if held is None or held != handler:
             return False
         del self._handlers[key]
         quiet = key in self._quiet
@@ -392,7 +400,10 @@ class SubscriptionIndex:
         """``(pattern, handlers)`` per matching pattern, handlers in
         registration order; the tuple is immutable, so a handler may
         (un)subscribe while it is iterated."""
-        return self._matched(self._handlers, topic)
+        return [
+            (pattern, held if type(held) is tuple else (held,))
+            for pattern, held in self._matched(self._handlers, topic)
+        ]
 
     def match_remote(self, topic: str, exclude: str | None = None) -> set[str]:
         """Peer brokers with interest in ``topic``."""
@@ -424,7 +435,10 @@ class SubscriptionIndex:
     def handlers_for(self, pattern: str) -> list[Callable]:
         """Handlers registered on exactly ``pattern``, in registration
         order; the list is a copy."""
-        return list(self._handlers.get(self._key(pattern), ()))
+        held = self._handlers.get(self._key(pattern))
+        if held is None:
+            return []
+        return list(held) if type(held) is tuple else [held]
 
     def __len__(self) -> int:
         # every live pattern counts once, in the shard of its first segment

@@ -196,10 +196,21 @@ class Process(Event):
         sim._seq += 1
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        A process interrupted while it waits on a :meth:`Queue.get` leaves
+        that queue's line, and an item the get was handed but the process
+        has not yet seen goes back to the queue.
+        """
         if self._state != Event.PENDING:
             return
-        self.sim._schedule_call(0.0, lambda: self._resume(None, Interrupt(cause)))
+        self.sim._schedule_call(0.0, lambda: self._interrupted(cause))
+
+    def _interrupted(self, cause: Any) -> None:
+        waiting = self._waiting_on
+        if type(waiting) is _Get:
+            waiting.abandon()
+        self._resume(None, Interrupt(cause))
 
     def _resume(self, send_value: Any = None, throw_exc: BaseException | None = None) -> None:
         if self._state != Event.PENDING:
@@ -272,11 +283,34 @@ class AnyOf(Event):
             self.fail(event._exception)
 
 
+class _Get(Event):
+    """A :meth:`Queue.get`: the event and the queue whose line it is in."""
+
+    __slots__ = ("queue",)
+
+    def __init__(self, queue: "Queue") -> None:
+        super().__init__(queue.sim, ("{}.get", queue.name))
+        self.queue = queue
+
+    def abandon(self) -> None:
+        """The one process waiting here was interrupted: leave the line,
+        or give back the item this get holds and nobody has seen."""
+        queue = self.queue
+        if self._state == Event.PENDING:
+            queue._getters.remove(self)
+        elif queue._getters:
+            queue._getters.popleft().succeed(self._value)
+        else:
+            queue._items.appendleft(self._value)
+
+
 class Queue:
     """Unbounded FIFO between processes.
 
     ``put`` never blocks; ``get`` returns an event that fires with the next
-    item, preserving both item order and getter arrival order.
+    item, preserving both item order and getter arrival order.  Each get
+    is waited on by one process; if that process is interrupted, the get
+    is abandoned (a process that still wants an item calls ``get`` again).
     """
 
     __slots__ = ("sim", "_items", "_getters", "name")
@@ -302,7 +336,7 @@ class Queue:
             self._items.append(item)
 
     def get(self) -> Event:
-        event = Event(self.sim, ("{}.get", self.name))
+        event = _Get(self)
         if self._items:
             event.succeed(self._items.popleft())
         else:

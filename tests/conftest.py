@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import analyze_index, index_paths
+from repro.crypto import rsa
 from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.rsa import generate_rsa_keypair
@@ -18,6 +20,63 @@ from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.sim.monitor import Monitor
 from tests import support
+
+
+class KeyPairMemo:
+    """``generate_rsa_keypair`` memoized on its inputs, RNG state included.
+
+    A draw from a ``random.Random`` is keyed by ``(bits, e, rng.getstate())``;
+    a hit returns the (immutable) key pair that draw made and sets the RNG
+    to the state the draw left it in, so a run cannot tell a hit from a
+    draw: every output is the same by construction.  Every deployment a
+    test builds draws the same CA, TDN, broker and principal keys, and
+    key generation is most of what building one costs.
+    """
+
+    def __init__(self, draw) -> None:
+        self.draw = draw
+        self.enabled = True
+        self.hits = 0
+        self._made: dict[tuple, tuple] = {}
+
+    def __call__(self, rng, bits=rsa.DEFAULT_KEY_BITS, e=65537):
+        if not self.enabled or type(rng) is not random.Random:
+            return self.draw(rng, bits, e)
+        key = (bits, e, rng.getstate())
+        made = self._made.get(key)
+        if made is None:
+            made = self._made[key] = (self.draw(rng, bits, e), rng.getstate())
+        else:
+            self.hits += 1
+            rng.setstate(made[1])
+        return made[0]
+
+
+@pytest.fixture(scope="session")
+def keypair_memo():
+    """The session's :class:`KeyPairMemo`, bound in place of
+    ``generate_rsa_keypair`` in every module that imported it."""
+    original = rsa.generate_rsa_keypair
+    memo = KeyPairMemo(original)
+    bound = [
+        module
+        for module in list(sys.modules.values())
+        if getattr(module, "generate_rsa_keypair", None) is original
+    ]
+    for module in bound:
+        module.generate_rsa_keypair = memo
+    yield memo
+    for module in bound:
+        module.generate_rsa_keypair = original
+
+
+@pytest.fixture(autouse=True)
+def _memoized_keypairs(request, keypair_memo):
+    """Every test draws key pairs through the memo but those under
+    ``tests/crypto``, which test key generation itself."""
+    keypair_memo.enabled = "crypto" not in request.node.path.relative_to(
+        Path(__file__).parent
+    ).parts[:1]
 
 
 @pytest.fixture

@@ -6,6 +6,9 @@ and control traffic is batched per epoch — one ``control.floods`` per
 changed summary, never one per pattern.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -353,3 +356,27 @@ class TestProbeAndSummaryInternals:
         two = InterestSummary("b1", 7, ("a/x",), b"", False, 1)
         assert one.same_content(two)
         assert not one.same_content(None)
+
+
+class TestWindowState:
+    def test_a_published_topic_retains_at_most_400_traced_bytes(self, monitor):
+        """5 000 distinct topics queried against digest-mode brokers: the
+        plane keeps each topic's memo entry and nothing else (no probe)."""
+        plane, views = make_plane(monitor, hot_set_limit=4, digest_bits=DEFAULT_DIGEST_BITS)
+        for broker_id in ("b1", "b2"):
+            for i in range(8):
+                views.announce(f"Traces/{broker_id}-{i}/Change", broker_id)
+        plane.interested("Traces/warm/Change")
+        assert not plane._hot_sets  # no topic_matches, so no segment cache
+        topics = [f"Traces/{i:06x}/Change" for i in range(5_000)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for topic in topics:
+                plane.interested(topic)
+            gc.collect()
+            per_topic = (tracemalloc.get_traced_memory()[0] - before) / len(topics)
+        finally:
+            tracemalloc.stop()
+        assert per_topic <= 400, f"{per_topic:.0f} traced bytes per published topic"

@@ -3,7 +3,9 @@
 # ``request()``.  Kept as the oracle of ``test_engine_oracle.py`` (random
 # programs must log identically on both engines); nothing in ``src/`` imports
 # it.  Known defect, fixed in the engine and so never drawn there: a process
-# interrupted while queued in ``use`` leaks the slot.
+# interrupted while queued in ``use`` leaks the slot.  Changed in step with
+# the engine since: a process interrupted while it waits on ``Queue.get``
+# abandons the get (``_Get.abandon``), which the oracle draws.
 """The discrete-event engine: events, processes, queues and resources.
 
 The design follows the classic process-interaction style (SimPy-like):
@@ -150,7 +152,13 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             return
-        self.sim._schedule_call(0.0, lambda: self._resume(None, Interrupt(cause)))
+        self.sim._schedule_call(0.0, lambda: self._interrupted(cause))
+
+    def _interrupted(self, cause: Any) -> None:
+        waiting = self._waiting_on
+        if type(waiting) is _Get:
+            waiting.abandon()
+        self._resume(None, Interrupt(cause))
 
     def _resume(self, send_value: Any, throw_exc: BaseException | None) -> None:
         if self.triggered:
@@ -244,6 +252,27 @@ class AnyOf(Event):
             self.fail(event._exception)  # type: ignore[arg-type]
 
 
+class _Get(Event):
+    """A :meth:`Queue.get`: the event and the queue whose line it is in."""
+
+    __slots__ = ("queue",)
+
+    def __init__(self, queue: "Queue") -> None:
+        super().__init__(queue.sim, f"{queue.name}.get")
+        self.queue = queue
+
+    def abandon(self) -> None:
+        """The one process waiting here was interrupted: leave the line,
+        or give back the item this get holds and nobody has seen."""
+        queue = self.queue
+        if self._state == Event.PENDING:
+            queue._getters.remove(self)
+        elif queue._getters:
+            queue._getters.popleft().succeed(self._value)
+        else:
+            queue._items.appendleft(self._value)
+
+
 class Queue:
     """Unbounded FIFO between processes.
 
@@ -269,7 +298,7 @@ class Queue:
             self._items.append(item)
 
     def get(self) -> Event:
-        event = Event(self.sim, f"{self.name}.get")
+        event = _Get(self)
         if self._items:
             event.succeed(self._items.popleft())
         else:

@@ -262,6 +262,43 @@ class TestQueue:
         queue.put(2)
         assert len(queue) == 2
 
+    @staticmethod
+    def getter(queue, name, got):
+        got.append((name, (yield queue.get())))
+
+    def test_interrupted_getter_leaves_the_line(self, sim):
+        queue, got = sim.queue("q"), []
+        a = sim.process(self.getter(queue, "a", got))
+        sim.run(until=1.0)
+        a.interrupt()
+        sim.run(until=2.0)
+        assert queue.waiting == 0
+        sim.process(self.getter(queue, "b", got))
+        sim.run(until=3.0)
+        queue.put("x")
+        sim.run()
+        # a's abandoned get must not swallow the item b waits for
+        assert got == [("b", "x")]
+        assert queue.waiting == 0 and len(queue) == 0
+
+    def test_item_handed_to_an_interrupted_getter_goes_back(self, sim):
+        queue, got = sim.queue("q"), []
+        a = sim.process(self.getter(queue, "a", got))
+        sim.run(until=1.0)
+
+        def interrupt_then_put():
+            # the interrupt is on its way when the put hands a's get the item
+            a.interrupt()
+            queue.put("x")
+            queue.put("y")
+
+        sim.call_later(0.0, interrupt_then_put)
+        sim.run(until=2.0)
+        assert got == [] and list(queue._items) == ["x", "y"]
+        sim.process(self.getter(queue, "b", got))
+        sim.run()
+        assert got == [("b", "x")] and list(queue._items) == ["y"]
+
 
 class TestResource:
     def test_serializes_capacity_one(self, sim):

@@ -164,7 +164,7 @@ def session_counts(manager) -> dict[str, int]:
         and obj.gi_frame is not None
         and obj.gi_frame.f_locals.get("self") is manager
     )
-    handlers = manager.broker._subs._handlers
+    handlers = index_handlers(manager.broker._subs)
     return {
         "sessions": len(manager.sessions),
         "active": len(manager.active_sessions()),
@@ -242,9 +242,26 @@ def snapshot_drift(live: dict, seed: dict) -> list[str]:
 # ------------------------------------------------------------------ matching
 
 
+def index_handlers(index) -> dict[str, tuple]:
+    """``pattern -> handlers`` of a ``SubscriptionIndex``, each a tuple in
+    registration order; the one read of its handler storage.
+
+    The index holds a pattern's only handler bare and two or more as a
+    tuple, so a stored tuple of fewer than two fails here.
+    """
+    handlers = {}
+    for pattern, held in index._handlers.items():
+        if type(held) is tuple:
+            assert len(held) > 1, f"{pattern!r} holds the tuple {held!r}"
+            handlers[pattern] = held
+        else:
+            handlers[pattern] = (held,)
+    return handlers
+
+
 def index_patterns(index) -> list[str]:
     """Every live pattern of a ``SubscriptionIndex``, sorted."""
-    return sorted({*index._clients, *index._handlers, *index._remote})
+    return sorted({*index._clients, *index_handlers(index), *index._remote})
 
 
 def index_clients(index, pattern: str) -> list[str]:
@@ -262,7 +279,7 @@ def empty_kinds(index) -> list[str]:
 
     An emptied kind must delete its key, so this is always empty.
     """
-    kinds = {"clients": index._clients, "handlers": index._handlers, "remote": index._remote}
+    kinds = {"clients": index._clients, "handlers": index_handlers(index), "remote": index._remote}
     return [
         f"{kind}:{pattern}"
         for kind, table in kinds.items()
