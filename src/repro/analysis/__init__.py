@@ -33,7 +33,8 @@ DOC01   Public modules, classes and functions of the packages the docs
 DOC02   Relative links in README.md and docs/*.md resolve, and every
         docs/ page is reachable from README.md.
 DOC03   EXPERIMENTS.md sections end with the commands that regenerate
-        the result files and bench scripts they cite.
+        the result files and bench scripts they cite, and quote "ours"
+        numbers those result files hold.
 ======  ======================================================================
 
 Every rule reads one :class:`~repro.analysis.project.ProjectIndex` of

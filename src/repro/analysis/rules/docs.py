@@ -6,7 +6,8 @@ benchmark entry points.  These rules keep those pointers true: DOC01 —
 the packages the docs send readers into document their public surface;
 DOC02 — no relative link is broken and no ``docs/`` page falls out of
 the navigation graph README.md promises; DOC03 — every EXPERIMENTS.md
-section ends with the exact command that regenerates the files it cites.
+section ends with the exact command that regenerates the files it cites,
+and every number it quotes as "ours" is in one of them.
 
 All three are rooted at :meth:`ProjectIndex.repo_root`, so they are
 inert on fixture packages and single-file runs.
@@ -162,6 +163,7 @@ SEEDS_FOOTER = "> Regenerate: `PYTHONPATH=src python -m repro seeds`"
 _RESULT = re.compile(r"\bresults/([\w./-]+\.(?:txt|svg|json|md))\b")
 _SCRIPT = re.compile(r"(?:benchmarks/)?\b(bench_\w+\.py)")
 _SECTION = re.compile(r"^## ", re.MULTILINE)
+_NUMBER = re.compile(r"\d+(?:\.\d+)?")
 
 
 def footer_block(results: list[str], scripts: list[str]) -> str:
@@ -189,13 +191,29 @@ def cited_in(section: str) -> tuple[list[str], list[str]]:
     )
 
 
-def footer_drift(root: Path) -> Iterator[tuple[int, str]]:
-    """``(heading line, message)`` per EXPERIMENTS.md section out of step.
+def stale_cells(section: str, held: set[str]) -> Iterator[tuple[int, str]]:
+    """``(line offset, number)`` per number in a table column headed "ours…"
+    that ``held`` lacks; a table's first ``|`` row is its header."""
+    ours: list[int] | None = None
+    for offset, row in enumerate(section.splitlines()):
+        cells = row.strip("| ").split("|")
+        if not row.startswith("|"):
+            ours = None
+        elif ours is None:
+            ours = [i for i, c in enumerate(cells) if c.strip().lower().startswith("ours")]
+        else:
+            quoted = " ".join(cells[i] for i in ours if i < len(cells))
+            yield from ((offset, n) for n in _NUMBER.findall(quoted) if n not in held)
+
+
+def experiments_drift(root: Path) -> Iterator[tuple[int, str]]:
+    """``(line, message)`` per EXPERIMENTS.md section out of step.
 
     A section (or the preamble) citing a ``results/`` file or a
     ``bench_*.py`` that does not exist is one finding; a ``## `` section
     citing either that does not end with exactly one :func:`footer_block`
-    for them is another.
+    for them is another; each :func:`stale_cells` number against the
+    tokens of its cited ``results/*.txt`` files is one more, on its row.
     """
     text = (root / "EXPERIMENTS.md").read_text(encoding="utf-8")
     starts = [0, *(match.start() for match in _SECTION.finditer(text)), len(text)]
@@ -208,7 +226,12 @@ def footer_drift(root: Path) -> Iterator[tuple[int, str]]:
         missing = [path for path in cited if not (root / path).is_file()]
         if missing:
             yield line, "cites missing file(s) " + ", ".join(missing)
-        elif (results or scripts) and section.startswith("## "):
+            continue
+        texts = [f"results/{name}" for name in results if name.endswith(".txt")]
+        held = " ".join((root / "benchmarks" / t).read_text(encoding="utf-8") for t in texts)
+        for offset, number in stale_cells(section, set(_NUMBER.findall(held))):
+            yield line + offset, f"'ours' cell {number} is in no cited file: {', '.join(texts)}"
+        if (results or scripts) and section.startswith("## "):
             expected = footer_block(results, scripts)
             if section.count(BEGIN) != 1 or not section.rstrip().endswith(expected):
                 yield line, (
@@ -219,21 +242,21 @@ def footer_drift(root: Path) -> Iterator[tuple[int, str]]:
 
 
 class ExperimentsFooterChecker(Checker):
-    """DOC03: EXPERIMENTS.md sections end with a current regeneration footer.
-
-    Findings sit on the section heading; every cited file must exist.
+    """DOC03: EXPERIMENTS.md sections end with a current regeneration footer
+    and quote only "ours" numbers their cited results hold.
     """
 
     rule = "DOC03"
     description = (
         "EXPERIMENTS.md sections carry a current 'Regenerate:' footer: "
-        "`repro seeds` for the result files they cite, one line per bench script"
+        "`repro seeds` for the result files they cite, one line per bench script; "
+        "every number in an 'ours' column is in a cited results/*.txt file"
     )
-    default_hint = "paste the footer from the message as the section's last lines"
+    default_hint = "paste the footer the message gives, or copy the cell from its results file"
 
     def check(self, index: ProjectIndex) -> Iterator[Finding]:
         root = index.repo_root()
         if root is None or not (root / "EXPERIMENTS.md").is_file():
             return
-        for line, message in footer_drift(root):
+        for line, message in experiments_drift(root):
             yield self.doc_finding(root / "EXPERIMENTS.md", line, message)

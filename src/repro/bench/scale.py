@@ -7,7 +7,7 @@ brokers in a ring, one trace-topic subscription per simulated entity
 spread round-robin across them — publishes a seeded sample of trace
 events from far-side brokers, and snapshots the *deterministic*
 counters: control-plane floods, summary updates, delivery totals,
-digest false positives, pattern/shard gauges.
+digest false positives, pattern gauges.
 
 Everything here is reproducible bit-for-bit per seed (RandomStreams +
 blake2b digests, no wall clock), which is what lets the reduced point
@@ -110,9 +110,8 @@ def run_scale_point(
     counters = {name: metrics.counter_value(name) for name in SCALE_COUNTERS}
     digest_summaries = 0
     if network.federation is not None:
-        digest_summaries = sum(
-            1 for summary in network.federation.iter_summaries() if not summary.exact
-        )
+        network.federation.flush()
+        digest_summaries = int(metrics.gauge_value("fed.summary.overflowed"))
     return {
         "scenario": "fabric-scale",
         "brokers": brokers,
@@ -125,6 +124,5 @@ def run_scale_point(
         "control_floods": network.monitor.count("control.floods"),
         "interest_patterns_gauge": metrics.gauge_value("broker.interest.patterns"),
         "fed_patterns_gauge": metrics.gauge_value("fed.interest.patterns"),
-        "shards_gauge": metrics.gauge_value("broker.interest.shards"),
         "digest_summaries": digest_summaries,
     }

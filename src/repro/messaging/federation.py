@@ -61,7 +61,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.errors import ConfigurationError
 from repro.messaging.topics import (
@@ -86,6 +86,10 @@ DEFAULT_DIGEST_BITS = 1 << 16
 
 #: Bound on the per-topic match memo before it is reset wholesale.
 _MATCH_MEMO_LIMIT = 1 << 16
+
+#: The one answer for a topic no broker wants: the memo holds this set
+#: for every such topic instead of a fresh empty one each.
+_NOBODY: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,19 +195,17 @@ class _LaneTable:
 class InterestSummary:
     """One broker's aggregated interest, as exchanged with its peers."""
 
-    __slots__ = ("broker_id", "version", "hot", "digest", "match_all", "pattern_count")
+    __slots__ = ("broker_id", "hot", "digest", "match_all", "pattern_count")
 
     def __init__(
         self,
         broker_id: str,
-        version: int,
         hot: tuple[str, ...],
         digest: bytes,
         match_all: bool,
         pattern_count: int,
     ) -> None:
         self.broker_id = broker_id
-        self.version = version
         self.hot = hot
         #: ``digest_bits // 8`` bytes, bit ``n`` at ``digest[n >> 3] & 1 <<
         #: (n & 7)``; empty while the hot set carries every pattern
@@ -217,7 +219,7 @@ class InterestSummary:
         return not self.digest and not self.match_all
 
     def same_content(self, other: "InterestSummary | None") -> bool:
-        """Equality modulo version — the test for 'worth re-broadcasting'."""
+        """Same routing content — the test for 'worth re-broadcasting'."""
         return (
             other is not None
             and self.hot == other.hot
@@ -227,10 +229,7 @@ class InterestSummary:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "exact" if self.exact else "digest"
-        return (
-            f"<InterestSummary {self.broker_id} v{self.version} {mode} "
-            f"patterns={self.pattern_count}>"
-        )
+        return f"<InterestSummary {self.broker_id} {mode} patterns={self.pattern_count}>"
 
 
 class _InterestAccumulator:
@@ -326,11 +325,10 @@ class _InterestAccumulator:
                 self.digest[bit >> 3] &= ~(1 << (bit & 7))
                 self.table.columns[bit] &= ~self.lane
 
-    def build_summary(self, version: int) -> InterestSummary:
+    def build_summary(self) -> InterestSummary:
         if self.count <= self.config.hot_set_limit:
             return InterestSummary(
                 broker_id=self.broker_id,
-                version=version,
                 hot=tuple(sorted(self.announced())),
                 digest=b"",
                 match_all=False,
@@ -338,7 +336,6 @@ class _InterestAccumulator:
             )
         return InterestSummary(
             broker_id=self.broker_id,
-            version=version,
             hot=(),
             digest=bytes(self.digest),
             match_all=self.match_all_count > 0,
@@ -474,8 +471,7 @@ class FederatedInterestPlane:
         for broker_id in sorted(self._dirty):
             accumulator = self._accumulators[broker_id]
             previous = self._summaries.get(broker_id)
-            version = (previous.version + 1) if previous is not None else 1
-            summary = accumulator.build_summary(version)
+            summary = accumulator.build_summary()
             if summary.same_content(previous):
                 continue
             was_exact = previous is None or previous.exact
@@ -559,7 +555,7 @@ class FederatedInterestPlane:
                 if topic_matches(pattern, topic):
                     found.append(broker_id)
                     break
-        return frozenset(found)
+        return frozenset(found) if found else _NOBODY
 
     def has_interest(self, topic: str, exclude: str | None = None) -> bool:
         """Any (non-excluded) broker that might want ``topic``?"""
@@ -576,9 +572,3 @@ class FederatedInterestPlane:
         self.flush()
         summary = self._summaries.get(broker_id)
         return summary is None or summary.exact
-
-    def iter_summaries(self) -> Iterator[InterestSummary]:
-        """Flush pending changes, then yield every broker summary."""
-        self.flush()
-        for broker_id in sorted(self._summaries):
-            yield self._summaries[broker_id]

@@ -75,9 +75,6 @@ from repro.obs.registry import MetricsRegistry
 #: Registry gauge tracking live patterns (deployment-wide total).
 PATTERNS_GAUGE = "broker.interest.patterns"
 
-#: Registry gauge tracking live first-segment shards (deployment-wide).
-SHARDS_GAUGE = "broker.interest.shards"
-
 
 def canonical_pattern(pattern: str) -> str:
     """``pattern``'s canonical spelling; TopicValidationError if invalid.
@@ -134,9 +131,6 @@ class SubscriptionIndex:
     segment, ``*`` and ``>``.  Trie segment strings are interned on
     insertion (:func:`sys.intern`); literal patterns are never split into
     segments at all.
-
-    A *shard* is a distinct first segment over all live patterns, literal
-    and wildcard alike, kept by a reference count.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
@@ -148,22 +142,16 @@ class SubscriptionIndex:
         self._remote: dict[str, set[str]] = {}
         #: handler patterns registered ``quiet``: held, never announced
         self._quiet: set[str] = set()
-        #: first segment -> live patterns starting with it
-        self._shards: dict[str, int] = {}
         #: wildcard patterns only
         self._trie = _TrieNode()
         self._metrics = metrics
 
-    # Gauges: resolved on first use and held (docs/OBSERVABILITY.md
+    # The gauge is resolved on first use and held (docs/OBSERVABILITY.md
     # "Adding an instrument"); only touched when the index has a registry.
 
     @cached_property
     def _patterns_gauge(self) -> Gauge:
         return self._metrics.gauge(PATTERNS_GAUGE)
-
-    @cached_property
-    def _shards_gauge(self) -> Gauge:
-        return self._metrics.gauge(SHARDS_GAUGE)
 
     # ------------------------------------------------------------- liveness
 
@@ -176,13 +164,8 @@ class SubscriptionIndex:
 
     def _admit(self, canonical: str) -> None:
         """Make live a canonical pattern no kind holds yet."""
-        first = canonical.partition("/")[0]
-        live = self._shards.get(first, 0)
-        self._shards[first] = live + 1
         if self._metrics is not None:
             self._patterns_gauge.inc()
-            if not live:
-                self._shards_gauge.inc()
         segments = _wildcard_segments(canonical)
         if segments is not None:
             node = self._trie
@@ -195,16 +178,8 @@ class SubscriptionIndex:
         leaves childless."""
         if self._is_live(pattern):
             return
-        first = pattern.partition("/")[0]
-        live = self._shards[first] - 1
-        if live:
-            self._shards[first] = live
-        else:
-            del self._shards[first]
         if self._metrics is not None:
             self._patterns_gauge.dec()
-            if not live:
-                self._shards_gauge.dec()
         segments = _wildcard_segments(pattern)
         if segments is None:
             return
@@ -441,8 +416,8 @@ class SubscriptionIndex:
         return list(held) if type(held) is tuple else [held]
 
     def __len__(self) -> int:
-        # every live pattern counts once, in the shard of its first segment
-        return sum(self._shards.values())
+        # every live pattern counts once, whichever kinds hold it
+        return len(self._clients.keys() | self._handlers.keys() | self._remote.keys())
 
     def __contains__(self, pattern: str) -> bool:
         return self._is_live(self._key(pattern))

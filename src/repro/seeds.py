@@ -30,7 +30,8 @@ from repro.bench.experiments import ablations, entities, hops, keydist, microcos
 from repro.bench.hotpath import run_codec_smoke
 from repro.bench.routing_smoke import run_routing_smoke
 from repro.bench.scale import run_scale_point
-from repro.campaigns import generate_report, load_spec, run_campaign
+from repro.campaigns import expand, generate_report, load_spec, run_campaign
+from repro.errors import AuditIncompleteError
 from repro.faults import run_scenario
 from repro.util.snapshots import render_snapshot
 
@@ -68,7 +69,16 @@ def _paper(files: tuple[str, ...], render: Callable[[], tuple[str, ...]]) -> See
 
 
 def _smoke_campaign(results: pathlib.Path) -> None:
-    snapshot = run_campaign(load_spec(SMOKE_CAMPAIGN_SPEC), seed=42)
+    """Snapshot and report; an unbalanced audit of any tracing point, or a
+    point left unaudited, raises ``AuditIncompleteError`` before writing."""
+    spec = load_spec(SMOKE_CAMPAIGN_SPEC)
+    audits: list = []
+    snapshot = run_campaign(
+        spec, seed=42, probe=lambda deployment: audits.append(assert_audit_complete(deployment))
+    )
+    points = sum(point.kind != "baseline" for point in expand(spec, seed=42))
+    if len(audits) < points:
+        raise AuditIncompleteError(f"smoke campaign audited {len(audits)} of {points} points")
     _write(results / "campaigns/smoke/snapshot.json", render_snapshot(snapshot))
     generate_report(
         snapshot,

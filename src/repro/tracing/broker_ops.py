@@ -10,7 +10,7 @@ key when the entity asked for confidentiality.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Callable, Generator
 
 from repro.auth.credentials import EntityCredentials
 from repro.crypto.certificates import CertificateAuthority
@@ -83,9 +83,9 @@ class TraceManager:
         broker: Broker,
         ca: CertificateAuthority,
         tdn_public_keys: dict[str, RSAPublicKey],
+        client_locator: Callable[[str], str | None],
         ping_policy: AdaptivePingPolicy | None = None,
         gauge_interval_ms: float = DEFAULT_GAUGE_INTERVAL_MS,
-        client_locator=None,
     ) -> None:
         self.broker = broker
         self.sim = broker.sim

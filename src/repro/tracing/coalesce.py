@@ -110,7 +110,7 @@ class PingCoalescer:
     def __init__(
         self,
         manager: "TraceManager",
-        locate_host: Callable[[str], str | None] | None = None,
+        locate_host: Callable[[str], str | None],
     ) -> None:
         self.manager = manager
         self.locate_host = locate_host
@@ -149,7 +149,7 @@ class PingCoalescer:
         groups: dict[str, list["TraceSession"]] = {}
         for session in live:
             entity_id = str(session.entity_id)
-            host = self.locate_host(entity_id) if self.locate_host else None
+            host = self.locate_host(entity_id)
             # entities whose host is unknown never share a frame
             key = f"host:{host}" if host else f"solo:{entity_id}"
             groups.setdefault(key, []).append(session)

@@ -75,6 +75,26 @@ def test_current_footer_and_noqa_are_clean(mini_repo):
     assert findings == []
 
 
+def test_a_stale_ours_cell_is_a_finding_on_its_row(mini_repo):
+    """Only numbers in a column headed "ours" are checked, each against the
+    tokens of the results files the section cites."""
+    (mini_repo / "benchmarks" / "results" / "a.txt").write_text(
+        "Case  paper mean  ours mean  ours sd\nx          72.68      74.66     3.39\n"
+    )
+    (mini_repo / "EXPERIMENTS.md").write_text(
+        "## Table A\n\nfrom `results/a.txt`\n\n"
+        "| Case | paper mean | ours mean (sd) |\n|------|-----|-----|\n"
+        "| x | 72.68 | 74.66 (3.39) |\n"
+        "| y | 70.24 | 73.46 (3.39) |\n\n"
+        "<!-- regen:begin -->\n"
+        "> Regenerate: `PYTHONPATH=src python -m repro seeds`\n"
+        "<!-- regen:end -->\n"
+    )
+    findings = analyze_paths([mini_repo / "src"], select_checkers(["DOC03"]))
+    assert located(findings) == {("DOC03", "EXPERIMENTS.md", 8)}
+    (finding,) = findings
+    assert "73.46" in finding.message and "results/a.txt" in finding.message
+
 def test_inert_without_a_repository_root(mini_repo):
     (mini_repo / "README.md").unlink()
     assert analyze_paths([mini_repo / "src"], select_checkers(DOC_RULES)) == []

@@ -3,25 +3,22 @@
 Two directions, both required by docs/ANALYTICS.md:
 
 * every chaos scenario and every campaign-smoke point must audit clean —
-  no state mutation without journal evidence;
+  no state mutation without journal evidence (the smoke points are
+  audited by the ``campaign`` seed producer, which ``tests/test_seeds.py``
+  runs);
 * the gate must *trip* when an evidence write is suppressed, with a
   message naming the missing kind (a gate that cannot fail gates
   nothing).
 """
 
-import pathlib
-
 import pytest
 
 from repro import build_deployment
 from repro.analytics import DEFAULT_RULES, AnalyticsStore, assert_audit_complete
-from repro.campaigns import expand, load_spec, run_campaign
 from repro.errors import AuditIncompleteError
 from repro.faults import SCENARIOS, run_scenario
 from repro.obs.journal import EventJournal
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-SMOKE_SPEC = REPO_ROOT / "benchmarks" / "campaigns" / "smoke.json"
+from repro.seeds import SEED_GROUPS
 
 
 class TestChaosScenariosAuditClean:
@@ -56,24 +53,6 @@ class TestChaosScenariosAuditClean:
             )
 
 
-class TestCampaignSmokeAuditsClean:
-    def test_every_tracing_point_audits_complete(self):
-        audited = []
-
-        def probe(dep):
-            assert_audit_complete(dep)
-            audited.append(dep)
-
-        spec = load_spec(SMOKE_SPEC)
-        run_campaign(spec, seed=42, probe=probe)
-        # every non-baseline point builds (at least) one deployment
-        workload_points = sum(
-            1 for point in expand(spec, seed=42) if point.kind != "baseline"
-        )
-        assert workload_points > 0
-        assert len(audited) >= workload_points
-
-
 class TestGateTripsOnSuppressedEvidence:
     """Satellite contract: suppress one journal write, fail actionably."""
 
@@ -100,6 +79,13 @@ class TestGateTripsOnSuppressedEvidence:
         assert "session.created" in message
         assert "trace.sessions_created" in message  # points at the counter
         assert "must journal a 'session.created' record" in message
+
+    def test_the_campaign_seed_producer_raises_before_writing(
+        self, suppressed_session_evidence, tmp_path
+    ):
+        with pytest.raises(AuditIncompleteError, match="session.created"):
+            SEED_GROUPS["campaign"].produce(tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_same_deployment_passes_without_suppression(self):
         dep = build_deployment(broker_ids=["b1", "b2"], seed=5)

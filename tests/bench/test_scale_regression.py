@@ -41,7 +41,6 @@ class TestAgainstCommittedSeed:
         would multiply it by the broker count)."""
         assert live_snapshot["interest_patterns_gauge"] == SMOKE_ENTITIES
         assert live_snapshot["fed_patterns_gauge"] == SMOKE_ENTITIES
-        assert live_snapshot["shards_gauge"] == SMOKE_BROKERS
 
 
 class TestValidation:

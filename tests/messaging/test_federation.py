@@ -17,7 +17,6 @@ from repro.messaging.federation import (
     DEFAULT_DIGEST_BITS,
     FederatedInterestPlane,
     FederationConfig,
-    InterestSummary,
     TopicProbe,
     _digest_bits,
     pattern_digest_keys,
@@ -190,7 +189,7 @@ class TestIncrementalDigest:
             return ((), b"", False, True)
         return (summary.hot, summary.digest, summary.match_all, summary.exact)
 
-    def check_against_fresh_plane(self, plane, surviving, versions):
+    def check_against_fresh_plane(self, plane, surviving, broadcast):
         plane.flush()
         fresh, views = make_plane(Monitor(), hot_set_limit=plane.config.hot_set_limit)
         for broker_id, patterns in surviving.items():
@@ -199,11 +198,11 @@ class TestIncrementalDigest:
         for broker_id, patterns in surviving.items():
             summary = flushed_summary(plane, broker_id)
             assert self.content(summary) == self.content(flushed_summary(fresh, broker_id))
-            if summary is not None and summary.version != versions.get(broker_id):
+            if summary is not None and summary is not broadcast.get(broker_id):
                 # this flush re-broadcast it.  A change that leaves the content
                 # equal (a/> joining a/*) is not re-broadcast, so peers keep
                 # the count they were last sent.
-                versions[broker_id] = summary.version
+                broadcast[broker_id] = summary
                 assert summary.pattern_count == len(patterns)
         for topic in self.TOPICS:
             interested = plane.interested(topic)
@@ -237,7 +236,7 @@ class TestIncrementalDigest:
         first announce, and the retract of an announced one."""
         plane, views = make_plane(Monitor(), hot_set_limit=hot_set_limit)
         surviving = views.announced
-        versions = {}
+        broadcast = {}
         for action, broker_id, pattern in steps:
             held = pattern in surviving[broker_id]
             if action == "announce" and not held:
@@ -245,13 +244,13 @@ class TestIncrementalDigest:
             elif action == "retract" and held:
                 views.retract(pattern, broker_id)
             elif action == "flush":
-                self.check_against_fresh_plane(plane, surviving, versions)
-        self.check_against_fresh_plane(plane, surviving, versions)
+                self.check_against_fresh_plane(plane, surviving, broadcast)
+        self.check_against_fresh_plane(plane, surviving, broadcast)
 
         for broker_id, patterns in surviving.items():
             for pattern in sorted(patterns):
                 views.retract(pattern, broker_id)
-        self.check_against_fresh_plane(plane, surviving, versions)
+        self.check_against_fresh_plane(plane, surviving, broadcast)
         for broker_id in self.BROKERS:
             assert plane.is_exact(broker_id)
             # hot-set summaries carry no digest, so look at the state behind them
@@ -351,24 +350,19 @@ class TestProbeAndSummaryInternals:
         assert probe.pairs == (pairs["e:a/b/c"], pairs["p:a"], pairs["p:a/b"])
         assert pairs["p:a/b/c"] not in probe.pairs
 
-    def test_same_content_ignores_version(self):
-        one = InterestSummary("b1", 1, ("a/x",), b"", False, 1)
-        two = InterestSummary("b1", 7, ("a/x",), b"", False, 1)
-        assert one.same_content(two)
-        assert not one.same_content(None)
-
 
 class TestWindowState:
-    def test_a_published_topic_retains_at_most_400_traced_bytes(self, monitor):
-        """5 000 distinct topics queried against digest-mode brokers: the
-        plane keeps each topic's memo entry and nothing else (no probe)."""
+    """5 000 distinct topics queried against two digest-mode brokers."""
+
+    @staticmethod
+    def traced_bytes_per_topic(monitor, prefix):
         plane, views = make_plane(monitor, hot_set_limit=4, digest_bits=DEFAULT_DIGEST_BITS)
         for broker_id in ("b1", "b2"):
             for i in range(8):
                 views.announce(f"Traces/{broker_id}-{i}/Change", broker_id)
-        plane.interested("Traces/warm/Change")
+        plane.interested(f"{prefix}/warm/Change")
         assert not plane._hot_sets  # no topic_matches, so no segment cache
-        topics = [f"Traces/{i:06x}/Change" for i in range(5_000)]
+        topics = [f"{prefix}/{i:06x}/Change" for i in range(5_000)]
         gc.collect()
         tracemalloc.start()
         try:
@@ -376,7 +370,17 @@ class TestWindowState:
             for topic in topics:
                 plane.interested(topic)
             gc.collect()
-            per_topic = (tracemalloc.get_traced_memory()[0] - before) / len(topics)
+            return (tracemalloc.get_traced_memory()[0] - before) / len(topics)
         finally:
             tracemalloc.stop()
+
+    def test_a_published_topic_retains_at_most_400_traced_bytes(self, monitor):
+        """The plane keeps each topic's memo entry and nothing else (no probe)."""
+        per_topic = self.traced_bytes_per_topic(monitor, "Traces")
         assert per_topic <= 400, f"{per_topic:.0f} traced bytes per published topic"
+
+    def test_a_topic_nobody_wants_retains_at_most_64_traced_bytes(self, monitor):
+        """A memo entry for a topic no broker wants holds the one shared
+        empty answer, not an empty set of its own."""
+        per_topic = self.traced_bytes_per_topic(monitor, "Untracked")
+        assert per_topic <= 64, f"{per_topic:.0f} traced bytes per unwanted topic"

@@ -254,11 +254,10 @@ class ReferenceAccumulator:
                 self.digest[bit >> 3] &= ~(1 << (bit & 7))
                 self.table.columns[bit] &= ~self.lane
 
-    def build_summary(self, version):
+    def build_summary(self):
         overflowed = len(self.patterns) > self.config.hot_set_limit
         return InterestSummary(
             broker_id="",
-            version=version,
             hot=() if overflowed else tuple(sorted(self.patterns)),
             digest=bytes(self.digest) if overflowed else b"",
             match_all=overflowed and self.match_all_count > 0,
@@ -348,10 +347,8 @@ class CountOracleMachine(RuleBasedStateMachine):
     def flush(self):
         self.plane.flush()
         for broker_id, reference in self.references.items():
-            summary = self.plane._accumulators[broker_id].build_summary(0)
-            assert summary_content(summary) == summary_content(
-                reference.build_summary(0)
-            )
+            summary = self.plane._accumulators[broker_id].build_summary()
+            assert summary_content(summary) == summary_content(reference.build_summary())
 
     @invariant()
     def same_state(self):

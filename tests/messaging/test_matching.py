@@ -23,7 +23,6 @@ from tests.support import (
     index_clients,
     index_handlers,
     index_patterns,
-    shard_count,
     trie_nodes,
 )
 
@@ -190,11 +189,7 @@ SEGMENTS = ["alpha", "beta", "gamma", "delta", "x"]
 
 
 class TestSharding:
-    """First-segment shards: creation, probing and pruning."""
-
-    def test_shard_per_distinct_first_segment(self):
-        index = index_with_clients(["a/x", "a/y", "b/z", "*/w", ">"])
-        assert shard_count(index) == 4  # a, b, *, >
+    """Matching by first segment, and pruning of the trie."""
 
     def test_bare_many_shard_matches_any_topic(self):
         index = index_with_clients([">"])
@@ -210,43 +205,20 @@ class TestSharding:
         index = SubscriptionIndex()
         index.add_client("a/x", "c1")
         index.add_client("b/y", "c1")
-        assert shard_count(index) == 2
         index.remove_client("a/x", "c1")
-        assert shard_count(index) == 1
         assert index.match_patterns("a/x") == []
+        assert len(index) == 1
         index.remove_client("b/y", "c1")
-        assert shard_count(index) == 0
+        assert len(index) == 0
         assert trie_nodes(index) == 0
 
     def test_single_segment_pattern_lives_on_shard_node(self):
         index = SubscriptionIndex()
         index.add_client("*", "c1")
-        assert shard_count(index) == 1
         assert trie_nodes(index) == 1
         assert index.match_patterns("root") == ["*"]
         index.remove_client("*", "c1")
-        assert shard_count(index) == 0
         assert trie_nodes(index) == 0
-
-    def test_literal_and_wildcard_patterns_share_a_shard(self):
-        index = SubscriptionIndex()
-        index.add_client("a/x", "c1")
-        index.add_client("a/*", "c1")
-        assert shard_count(index) == 1
-        index.remove_client("a/*", "c1")
-        assert shard_count(index) == 1  # a/x still starts with a
-        index.remove_client("a/x", "c1")
-        assert shard_count(index) == 0
-
-    def test_shards_gauge_tracks_lifecycle(self):
-        metrics = MetricsRegistry()
-        index = SubscriptionIndex(metrics=metrics)
-        index.add_client("a/x", "c1")
-        index.add_client("a/y", "c1")
-        index.add_client("b/z", "c1")
-        assert metrics.gauge_value("broker.interest.shards") == 2
-        index.remove_client_everywhere("c1")
-        assert metrics.gauge_value("broker.interest.shards") == 0
 
     def test_segments_are_interned(self):
         """Shared trie segment strings collapse to one object per process."""
@@ -481,9 +453,6 @@ class IndexMachine(RuleBasedStateMachine):
         assert len(self.index) == len(live)
         assert index_patterns(self.index) == sorted(live)
         assert self.metrics.gauge_value("broker.interest.patterns") == len(live)
-        shards = {pattern.split("/")[0] for pattern in live}
-        assert shard_count(self.index) == len(shards)
-        assert self.metrics.gauge_value("broker.interest.shards") == len(shards)
         if not live:
             assert trie_nodes(self.index) == 0
 
@@ -493,7 +462,6 @@ class IndexMachine(RuleBasedStateMachine):
         if not self.live():
             index = self.index
             assert not (index._clients or index_handlers(index) or index._remote)
-            assert not index._shards
             assert not index._trie.children and index._trie.pattern is None
 
     @invariant()

@@ -298,11 +298,6 @@ def trie_nodes(index) -> int:
     return total
 
 
-def shard_count(index) -> int:
-    """Distinct first segments over live patterns."""
-    return len(index._shards)
-
-
 def flushed_summary(plane, broker_id: str):
     """A broker's summary on a ``FederatedInterestPlane`` after a flush."""
     plane.flush()

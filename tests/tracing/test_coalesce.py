@@ -109,6 +109,16 @@ class TestDeploymentCoalescing:
         batch = dep.snapshot()["histograms"]["tracker.ping.batch_size"]
         assert batch["count"] > 0 and batch["max"] <= 3
 
+    def test_an_entity_the_locator_cannot_place_pings_alone(self):
+        dep, _, _ = build_colocated()
+        dep.managers["b1"].coalescer.locate_host = lambda entity_id: None
+        before = dep.snapshot()["counters"]
+        dep.sim.run(until=30_000)
+        after = dep.snapshot()["counters"]
+        assert after["tracker.pings.sent"] > before["tracker.pings.sent"]
+        coalesced = "tracker.pings.coalesced"
+        assert after.get(coalesced, 0) == before.get(coalesced, 0)
+
     def test_crashed_delegate_still_relays_siblings(self):
         dep, entities, _ = build_colocated()
         dep.sim.run(until=15_000)
