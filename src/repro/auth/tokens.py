@@ -143,11 +143,9 @@ class AuthorizationToken:
         """
         owner_key = self.advertisement.fields.owner_public_key
         try:
-            signed = verify_signed(self.owner_signature, self.grant().to_dict(), owner_key)
+            verify_signed(self.owner_signature, self.grant().to_dict(), owner_key)
         except SignatureError as exc:
             raise TokenError(f"token not signed by topic owner: {exc}") from exc
-        if not signed:
-            raise TokenError("token signature covers different fields")
 
     @classmethod
     def from_dict(cls, data: dict) -> "AuthorizationToken":

@@ -5,9 +5,9 @@ Two patterns recur throughout the paper's protocol:
 * **Signing** (section 3.2): "The signing is done by computing the checksum
   for the message and encrypting this message digest with its private key."
   :func:`sign_payload` produces a :class:`SignedEnvelope` whose signature is
-  an RSA PKCS#1 v1.5 signature over the canonical encoding of the payload,
-  and :func:`verify_signed` is the one check of an envelope against the
-  statement its verifier expects.
+  an RSA PKCS#1 v1.5 signature over the canonical encoding of the payload.
+  The envelope carries no copy of the payload: :func:`verify_signed` checks
+  it against the statement its verifier rebuilds.
 
 * **Sealing** (sections 3.2, 5.1): "The response message is encrypted with a
   randomly generated secret key, and this secret key is encrypted using the
@@ -41,9 +41,8 @@ from repro.util.serialization import (
 
 @wire_record()
 class SignedEnvelope:
-    """A payload plus the signature and signer fingerprint."""
+    """A signature and its signer's fingerprint; the statement travels apart."""
 
-    payload: Any
     signature: bytes
     signer_fingerprint: bytes
 
@@ -60,37 +59,31 @@ def sign_payload(payload: Any, private_key: RSAPrivateKey) -> SignedEnvelope:
     """Sign the canonical encoding of ``payload``."""
     encoded = canonical_encode(payload)
     return SignedEnvelope(
-        payload=payload,
         signature=private_key.sign(encoded),
         signer_fingerprint=private_key.public.fingerprint(),
     )
 
 
-def verify_signed(envelope: SignedEnvelope, expected: Any, public_key: RSAPublicKey) -> bool:
+def verify_signed(envelope: SignedEnvelope, expected: Any, public_key: RSAPublicKey) -> None:
     """Check that ``envelope`` signs exactly ``expected`` under ``public_key``.
 
-    False when the envelope carries some other payload.  The signature is
-    verified over the canonical bytes of ``expected`` itself, never over
-    the envelope's copy, so a payload that differs from it only where
-    Python equality does not look (``True`` for ``1``, ``5`` for ``5.0``)
-    fails to verify.  Raises :class:`SignatureError` if the fingerprint
-    does not match the presented key (the claimed signer is someone else)
-    or if the signature itself fails — both are indistinguishable to an
-    attacker but useful to separate in logs and tests.
+    The signature is verified over the canonical bytes of ``expected``, so a
+    statement that differs from the signed one, even only where Python
+    equality does not look (``True`` for ``1``, ``5`` for ``5.0``), fails.
+    Raises :class:`SignatureError` on every failure: the fingerprint names
+    another signer than the presented key, or the signature does not verify
+    over ``expected``.
     """
-    if envelope.payload != expected:
-        return False
     if envelope.signer_fingerprint != public_key.fingerprint():
         raise SignatureError("envelope was not signed by the presented key")
     public_key.verify(canonical_encode(expected), envelope.signature)
-    return True
 
 
-def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> bool:
+def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> None:
     """:func:`verify_signed` of the ``signature`` mapping a message carries
     beside its ``body``; raises :class:`MalformedEnvelopeError` when the
     mapping does not parse."""
-    return verify_signed(SignedEnvelope.from_dict(signature), body, public_key)
+    verify_signed(SignedEnvelope.from_dict(signature), body, public_key)
 
 
 @wire_record()

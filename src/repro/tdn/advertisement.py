@@ -95,15 +95,13 @@ class TopicAdvertisement:
     def verify_provenance(self, trusted_tdn_keys: Mapping[str, RSAPublicKey]) -> None:
         """Check that a trusted TDN signed exactly these fields.
 
-        Raises :class:`SignatureError`.  The three messages travel in the
+        Raises :class:`SignatureError`.  The two messages travel in the
         broker's registration rejections, so their bytes are wire format.
         """
         tdn_key = trusted_tdn_keys.get(self.fields.issuing_tdn)
         if tdn_key is None:
             raise SignatureError("advertisement from unknown TDN")
         try:
-            signed = verify_signed(self.signature, self.fields.to_dict(), tdn_key)
+            verify_signed(self.signature, self.fields.to_dict(), tdn_key)
         except SignatureError as exc:
             raise SignatureError("advertisement signature invalid") from exc
-        if not signed:
-            raise SignatureError("advertisement fields mismatch")

@@ -108,13 +108,9 @@ class TDNNode:
         yield from self.machine.charge(CryptoOp.CERT_VERIFY)
 
         try:
-            signed = verify_signed(
-                signature, request.to_dict(), request.credentials.public_key
-            )
+            verify_signed(signature, request.to_dict(), request.credentials.public_key)
         except SignatureError as exc:
             raise RegistrationError(f"request signature invalid: {exc}") from exc
-        if not signed:
-            raise RegistrationError("signature covers a different request")
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
 
         advertisement = yield from self._publish(
@@ -158,11 +154,9 @@ class TDNNode:
         fields = stored.fields
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            signed = verify_signed(signature, renewal.to_dict(), fields.owner_public_key)
+            verify_signed(signature, renewal.to_dict(), fields.owner_public_key)
         except SignatureError as exc:
             raise RegistrationError(f"renewal not signed by owner: {exc}") from exc
-        if not signed:
-            raise RegistrationError("renewal signature covers different fields")
         if renewal.current_duration_ms != fields.lifetime.duration_ms:
             raise RegistrationError(
                 f"stale renewal: it extends a {renewal.current_duration_ms} ms lifetime, "

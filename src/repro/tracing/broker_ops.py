@@ -259,13 +259,11 @@ class TraceManager:
         #    entity's public key and match the message digest (section 3.2)
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            signed = verify_signed(
+            verify_signed(
                 request.signature, request.claim().to_dict(), request.credentials.public_key
             )
         except SignatureError as exc:
             return str(exc)
-        if not signed:
-            return "signature covers different fields"
 
         # 3. the advertisement must be TDN-signed and owned by the requester
         yield from self.machine.charge(CryptoOp.CERT_VERIFY)
@@ -360,9 +358,9 @@ class TraceManager:
             return None
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            owner_key = session.advertisement.fields.owner_public_key
-            if not verify_signed_body(message.signature, body, owner_key):
-                return None
+            verify_signed_body(
+                message.signature, body, session.advertisement.fields.owner_public_key
+            )
         except SignatureError as exc:
             self._log_malformed(exc, session, message)
             return None
@@ -681,9 +679,7 @@ class TraceManager:
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
             tracker_key = InterestResponse.signer(body).public_key
-            if not verify_signed_body(message.signature, body, tracker_key):
-                self.monitor.metrics.counter("trace.interest_tampered").inc()
-                return
+            verify_signed_body(message.signature, body, tracker_key)
         except (MalformedFrameError, SignatureError) as exc:
             self.monitor.metrics.counter("trace.interest_bad_signature").inc()
             self._log_malformed(exc, session, message)

@@ -384,9 +384,7 @@ class Tracker:
             )
             yield from self.machine.charge(op)
             try:
-                if not verify_signed_body(message.signature, body, token.token_public_key):
-                    self.monitor.metrics.counter("tracker.traces_tampered").inc()
-                    return
+                verify_signed_body(message.signature, body, token.token_public_key)
             except SignatureError as exc:
                 self.monitor.metrics.counter("tracker.traces_bad_signature").inc()
                 self.monitor.log_malformed(

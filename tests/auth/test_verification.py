@@ -107,7 +107,7 @@ class TestTokenVerifier:
         forged, _ = AuthorizationToken.create(
             forged_ad, attacker.private, TokenRights.PUBLISH, 0.0, 10_000.0, rng
         )
-        with pytest.raises(TokenError, match="advertisement fields mismatch"):
+        with pytest.raises(TokenError, match="advertisement signature invalid"):
             verifier.verify(forged.wire, now_ms=0.0)
 
     def test_malformed_rejected(self, verifier):

@@ -136,5 +136,5 @@ class TestAblations:
 
     def test_adaptive_ping_ablation(self):
         adaptive, fixed = run_adaptive_ping_ablation()
-        assert adaptive == AdaptivePingResult("adaptive (section 3.3)", 2512.4015911837905, 6)
-        assert fixed == AdaptivePingResult("fixed interval", 10819.901591183792, 6)
+        assert adaptive == AdaptivePingResult("adaptive (section 3.3)", 2511.9813411837895, 6)
+        assert fixed == AdaptivePingResult("fixed interval", 10819.481341183793, 6)

@@ -18,17 +18,12 @@ class TestSignedEnvelope:
     def test_roundtrip(self, keypair):
         payload = {"trace": "ALLS_WELL", "n": 3, "data": b"\x01"}
         envelope = sign_payload(payload, keypair.private)
-        assert verify_signed(envelope, payload, keypair.public)
+        assert verify_signed(envelope, payload, keypair.public) is None
 
     def test_tampered_payload_rejected(self, keypair):
         envelope = sign_payload({"x": 1}, keypair.private)
-        tampered = SignedEnvelope(
-            payload={"x": 2},
-            signature=envelope.signature,
-            signer_fingerprint=envelope.signer_fingerprint,
-        )
-        with pytest.raises(SignatureError):
-            verify_signed(tampered, {"x": 2}, keypair.public)
+        with pytest.raises(SignatureError, match="signature does not verify"):
+            verify_signed(envelope, {"x": 2}, keypair.public)
 
     def test_wrong_key_rejected(self, keypair, second_keypair):
         envelope = sign_payload({"x": 1}, keypair.private)
@@ -38,27 +33,23 @@ class TestSignedEnvelope:
     def test_fingerprint_mismatch_detected_first(self, keypair, second_keypair):
         envelope = sign_payload({"x": 1}, keypair.private)
         forged = SignedEnvelope(
-            payload=envelope.payload,
             signature=envelope.signature,
             signer_fingerprint=second_keypair.public.fingerprint(),
         )
-        with pytest.raises(SignatureError):
+        with pytest.raises(SignatureError, match="signature does not verify"):
             verify_signed(forged, {"x": 1}, second_keypair.public)
+        with pytest.raises(SignatureError, match="not signed by the presented key"):
+            verify_signed(envelope, {"x": 1}, second_keypair.public)
 
     def test_dict_roundtrip(self, keypair):
         envelope = sign_payload({"a": [1, 2]}, keypair.private)
         restored = SignedEnvelope.from_dict(envelope.to_dict())
         assert restored == envelope
-        assert verify_signed(restored, {"a": [1, 2]}, keypair.public)
+        verify_signed(restored, {"a": [1, 2]}, keypair.public)
 
     def test_payload_key_order_irrelevant(self, keypair):
         envelope = sign_payload({"a": 1, "b": 2}, keypair.private)
-        reordered = SignedEnvelope(
-            payload={"b": 2, "a": 1},
-            signature=envelope.signature,
-            signer_fingerprint=envelope.signer_fingerprint,
-        )
-        assert verify_signed(reordered, {"a": 1, "b": 2}, keypair.public)
+        verify_signed(envelope, {"b": 2, "a": 1}, keypair.public)
 
 
 #: A signed body and three bodies Python calls equal to it whose canonical
@@ -74,11 +65,12 @@ EQUAL_NOT_SIGNED = (
 class TestVerifySignedBody:
     def test_the_signed_body_verifies(self, keypair):
         signature = sign_payload(SIGNED_BODY, keypair.private).to_dict()
-        assert verify_signed_body(signature, dict(SIGNED_BODY), keypair.public)
+        assert verify_signed_body(signature, dict(SIGNED_BODY), keypair.public) is None
 
-    def test_a_swapped_body_is_false(self, keypair):
+    def test_a_swapped_body_is_refused(self, keypair):
         signature = sign_payload(SIGNED_BODY, keypair.private).to_dict()
-        assert not verify_signed_body(signature, {**SIGNED_BODY, "seq": 2}, keypair.public)
+        with pytest.raises(SignatureError, match="signature does not verify"):
+            verify_signed_body(signature, {**SIGNED_BODY, "seq": 2}, keypair.public)
 
     @pytest.mark.parametrize("body", EQUAL_NOT_SIGNED, ids=("bool", "int", "float"))
     def test_an_equal_body_with_other_bytes_does_not_verify(self, keypair, body):

@@ -166,12 +166,11 @@ class TestMessageIntegrity:
         assert dep.metrics.counter_value("trace.entity_messages_rejected") >= 1
         assert session.entity_state.value != "SHUTDOWN"
 
-    def test_a_body_equal_to_the_signed_one_in_python_only_is_refused(self):
-        """Each verifying site checks the signature over the bytes of the
-        body it received: a body Python calls equal to the signed one
-        (``True`` for ``1``, ``5`` for ``5.0``) but encoding to other bytes
-        is refused at the broker's entity and interest paths and at the
-        tracker."""
+    @staticmethod
+    def _refusals(state_edits, interest_edits, trace_edits) -> list[int]:
+        """Sign a state report, an interest response and a trace, send each
+        signature beside its body changed by each edit, and return how much
+        the entity, interest and tracker refusal counters rose."""
         dep = build_deployment(broker_ids=["b1", "b2"], seed=1)
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
@@ -211,34 +210,48 @@ class TestMessageIntegrity:
         entity_signature = entity.credentials.sign(state).to_dict()
         tracker_signature = tracker.credentials.sign(interest).to_dict()
         trace_signature = sign_payload(trace, session.token_private_key).to_dict()
-        for variant in ({"seq": True}, {"origin_stamp_ms": 5}, {"payload": {"x": 1.0}}):
-            assert {**trace, **variant} == trace
+        for edit in trace_edits:
             dep.network.broker("b1").publish_from_broker(
                 Message(
                     topic=topics.all_updates,
-                    body={**trace, **variant},
+                    body={**trace, **edit},
                     source="b1",
                     created_ms=dep.sim.now,
                     signature=trace_signature,
                     auth_token=session.token.wire,
                 )
             )
-        equal_state = {**state, "stamp_ms": 5}
-        equal_interest = {**interest, "stamp_ms": 5}
-        assert equal_state == state and equal_interest == interest
-        entity.client.publish(
-            topics.entity_to_broker(session.session_id), equal_state, signature=entity_signature
-        )
-        tracker.client.publish(
-            topics.interest_response, equal_interest, signature=tracker_signature
-        )
+        for edit in state_edits:
+            entity.client.publish(
+                topics.entity_to_broker(session.session_id),
+                {**state, **edit},
+                signature=entity_signature,
+            )
+        for edit in interest_edits:
+            tracker.client.publish(
+                topics.interest_response, {**interest, **edit}, signature=tracker_signature
+            )
         dep.sim.run(until=dep.sim.now + 5_000)
+        return [dep.metrics.counter_value(name) - b for name, b in zip(counters, before)]
 
-        assert [dep.metrics.counter_value(name) for name in counters] == [
-            before[0] + 1,
-            before[1] + 1,
-            before[2] + 3,
-        ]
+    def test_a_body_equal_to_the_signed_one_in_python_only_is_refused(self):
+        """Each verifying site checks the signature over the bytes of the
+        body it received: a body Python calls equal to the signed one
+        (``True`` for ``1``, ``5`` for ``5.0``) but encoding to other bytes
+        is refused at the broker's entity and interest paths and at the
+        tracker."""
+        signed = {"seq": 1, "origin_stamp_ms": 5.0, "payload": {"x": 1}, "stamp_ms": 5.0}
+        stamp = {"stamp_ms": 5}
+        traces = ({"seq": True}, {"origin_stamp_ms": 5}, {"payload": {"x": 1.0}})
+        assert all({**signed, **edit} == signed for edit in (stamp, *traces))
+        assert self._refusals([stamp], [stamp], traces) == [1, 1, 3]
+
+    def test_a_swapped_body_is_counted_as_a_bad_signature(self):
+        """A signature beside a body other than the one signed is refused
+        through the one failure mode of every verifying site: the tracker
+        and the interest path count it as a bad signature."""
+        swapped = {"stamp_ms": 6.0}
+        assert self._refusals([swapped], [swapped], [{"seq": 2}]) == [1, 1, 1]
 
     def test_unsigned_entity_message_rejected(self, dep):
         entity = dep.add_traced_entity("svc")

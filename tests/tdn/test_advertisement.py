@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.crypto.signing import sign_payload
-from repro.errors import DiscoveryError
+from repro.crypto.signing import sign_payload, verify_signed
+from repro.errors import DiscoveryError, SignatureError
 from repro.tdn.advertisement import (
     AdvertisedTopic,
     TopicAdvertisement,
@@ -49,12 +49,15 @@ class TestAdvertisement:
     def test_signature_covers_all_fields(self, keypair, second_keypair):
         """The TDN signs the whole field record, owner key as two keys."""
         ad = make_advertisement(keypair, second_keypair)
-        signed = ad.signature.payload
-        assert signed == ad.fields.to_dict()
+        signed = ad.fields.to_dict()
         assert signed["trace_topic"] == ad.fields.trace_topic.hex
         assert signed["owner_n"] == keypair.public.n
         assert signed["issuing_tdn"] == "tdn-0"
         assert len(signed) == 8
+        verify_signed(ad.signature, signed, second_keypair.public)
+        for key in signed:
+            with pytest.raises(SignatureError):
+                verify_signed(ad.signature, {**signed, key: None}, second_keypair.public)
 
 
 class TestCreationRequest:

@@ -20,7 +20,7 @@ def make_ad(keypair, topic_value, entity="svc", created=0.0, duration=1000.0):
         issuing_tdn="tdn-0",
     )
     return TopicAdvertisement(
-        fields, SignedEnvelope(payload={}, signature=b"", signer_fingerprint=b"")
+        fields, SignedEnvelope(signature=b"", signer_fingerprint=b"")
     )
 
 

@@ -4,14 +4,14 @@ Five statements carry the provenance chain: the topic-creation request and
 the renewal a TDN checks, the advertisement a broker and a token verifier
 check, the registration claim a broker checks and the token grant every
 routing broker checks.  Each check rebuilds the statement it expects and
-hands it to ``verify_signed``.  For each one, an envelope over another
-statement is refused with the check's mismatch reason, an envelope signed
-by another key with its signature reason, and an envelope whose payload is
-``==`` to the statement but was signed over other canonical bytes
-(``5`` for ``5.0``, ``True`` for ``1``) is refused too: the signature is
-verified over the statement's own bytes, never over the envelope's copy.
-The reasons are the exact strings the checks raise or send, because a
-broker's registration rejection carries its reason on the wire.
+hands it to ``verify_signed``; an envelope carries no copy of what it
+signs.  For each one, an envelope signed by another key is refused with
+the check's foreign-key reason, and an envelope over another statement,
+or over a statement ``==`` to it with other canonical bytes (``5`` for
+``5.0``, ``True`` for ``1``), with its bad-signature reason: the signature
+is verified over the statement's own bytes.  The reasons are the exact
+strings the checks raise or send, because a broker's registration
+rejection carries its reason on the wire.
 """
 
 from dataclasses import dataclass, replace
@@ -23,10 +23,14 @@ from repro import build_deployment
 from repro.auth.tokens import AuthorizationToken, TokenRights
 from repro.crypto.signing import sign_payload
 from repro.errors import RegistrationError, SignatureError, TokenError
+from repro.messaging.message import RoutedFrame
 from repro.tdn.advertisement import TopicAdvertisement, TopicCreationRequest, TopicRenewal
 from repro.tdn.query import DiscoveryRestrictions, trace_descriptor
 from repro.tracing.registration import TraceRegistrationRequest
+from repro.transport.link import Link
 from repro.util.identifiers import RequestId
+from repro.util.serialization import canonical_decode, canonical_encode
+from repro.wire.codec import get_codec
 from tests.support import run_process
 
 FOREIGN_KEY = "envelope was not signed by the presented key"
@@ -54,7 +58,6 @@ class Check:
     key: str  # the statement field the cases vary
     other: Callable[[Any], Any]  # another value: another statement
     equal: Callable[[Any], Any]  # a value == to it with other canonical bytes
-    mismatch: str
     refused: str  # the signature reason; ``{}`` is where the cause goes
 
 
@@ -137,29 +140,24 @@ def _renewal(world):
 CHECKS = [
     Check(
         "token", _token, "valid_from_ms", lambda v: v + 1.0, int,
-        "token signature covers different fields",
         "token not signed by topic owner: {}",
     ),
     Check(
         "registration", _registration, "request_id", lambda v: v + 1, bool,
-        "signature covers different fields",
         "{}",
     ),
     Check(
         "advertisement", _advertisement, "lifetime",
         lambda v: {**v, "duration_ms": v["duration_ms"] + 1.0},
         lambda v: {**v, "duration_ms": int(v["duration_ms"])},
-        "advertisement fields mismatch",
         "advertisement signature invalid",
     ),
     Check(
         "creation", _creation, "lifetime_ms", lambda v: v + 1.0, int,
-        "signature covers a different request",
         "request signature invalid: {}",
     ),
     Check(
         "renewal", _renewal, "additional_lifetime_ms", lambda v: v + 1.0, int,
-        "renewal signature covers different fields",
         "renewal not signed by owner: {}",
     ),
 ]  # fmt: skip
@@ -185,7 +183,7 @@ def test_an_envelope_over_another_statement_is_a_mismatch(check, world):
     statement, signer, run = check.setup(world)
     other = {**statement, check.key: check.other(statement[check.key])}
     assert other != statement
-    assert run(sign_payload(other, signer)) == check.mismatch
+    assert run(sign_payload(other, signer)) == check.refused.format(BAD_SIGNATURE)
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.name)
@@ -215,3 +213,37 @@ def test_a_statement_built_with_an_int_where_a_float_goes_still_verifies():
     dep.sim.run(until=5_000)
     assert entity.session_id is not None
     assert dep.metrics.counter_value("trace.registrations_rejected") == 0
+
+
+def test_a_published_trace_carries_each_signed_statement_once(monkeypatch):
+    """A signature is a digest, not a copy: the encoded frame of a trace
+    holds its body once and its token's advertised fields once, and the
+    grant the owner signed not at all (the token carries its fields, the
+    signature covers them)."""
+    sent = []
+    send = Link.send
+
+    def record(link, payload):
+        sent.append(payload)
+        return send(link, payload)
+
+    monkeypatch.setattr(Link, "send", record)
+    dep = build_deployment(broker_ids=["b1", "b2"], seed=4900)
+    entity = dep.add_traced_entity("svc")
+    tracker = dep.add_tracker("w")
+    tracker.connect("b2")
+    entity.start("b1")
+    dep.sim.run(until=3_000)
+    tracker.track("svc")
+    dep.sim.run(until=10_000)
+
+    trace = next(
+        frame.message
+        for frame in sent
+        if isinstance(frame, RoutedFrame) and frame.message.auth_token is not None
+    )
+    token = AuthorizationToken.from_dict(canonical_decode(trace.auth_token.data))
+    wire = get_codec("json").encode(trace)
+    assert wire.count(canonical_encode(trace.body)) == 1
+    assert wire.count(canonical_encode(token.advertisement.fields.to_dict())) == 1
+    assert wire.count(canonical_encode(token.grant().to_dict())) == 0

@@ -2,9 +2,7 @@
 
 A declared record takes its wire keys from its field names, so renaming a
 field renames a key on the wire; this table is where that shows.  Each
-expected form is a literal: its sequences are ``list``s, because
-``verify_signed`` compares a received payload with the statement its
-verifier rebuilds using ``==``, and ``[1] != (1,)``.  ``TokenGrant``,
+expected form is a literal, its sequences ``list``s.  ``TokenGrant``,
 ``RegistrationClaim`` and ``AdvertisedTopic`` are what a signature
 covers, and they ride broker links: a change to their form is a change
 to the bytes every signer signs.
@@ -66,8 +64,8 @@ SEALED_WIRE = {
     "padding": "PKCS7",
     "ciphertext": b"cipher",
 }
-ENVELOPE = SignedEnvelope({"topic": "t"}, b"sig", b"fp")
-ENVELOPE_WIRE = {"payload": {"topic": "t"}, "signature": b"sig", "signer_fingerprint": b"fp"}
+ENVELOPE = SignedEnvelope(b"sig", b"fp")
+ENVELOPE_WIRE = {"signature": b"sig", "signer_fingerprint": b"fp"}
 KEY = RSAPublicKey(77, 3)
 PRIVATE = RSAPrivateKey(n=77, e=7, d=43, p=7, q=11, d_p=1, d_q=3, q_inv=2)
 PRIVATE_WIRE = {"n": 77, "e": 7, "d": 43, "p": 7, "q": 11, "d_p": 1, "d_q": 3, "q_inv": 2}
@@ -148,14 +146,7 @@ PINNED = [
     ),
     (TopicLifetime(1_000.0, 60_000.0), {"created_ms": 1_000.0, "duration_ms": 60_000.0}),
     (SEALED, SEALED_WIRE),
-    (
-        SignedEnvelope({"ids": [1, 2], "topic": "t"}, b"sig", b"fp"),
-        {
-            "payload": {"ids": [1, 2], "topic": "t"},
-            "signature": b"sig",
-            "signer_fingerprint": b"fp",
-        },
-    ),
+    (ENVELOPE, ENVELOPE_WIRE),
     (
         DiscoveryRestrictions(frozenset({"w2", "w1"}), frozenset({"x"})),
         {"allowed_subjects": ["w1", "w2"], "denied_subjects": ["x"]},

@@ -126,7 +126,7 @@ class TestRegistrationRejections:
                         ad.fields, lifetime=TopicLifetime(ad.fields.lifetime.created_ms, 1e12)
                     ),
                 ),
-                "advertisement fields mismatch",
+                "advertisement signature invalid",
             ),
             (
                 lambda ad: replace(
