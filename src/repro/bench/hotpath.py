@@ -17,8 +17,8 @@ from repro.faults.scenarios import CHAOS_PING_POLICY
 #: traces and ping rounds per entity.
 HOTPATH_PING_POLICY = CHAOS_PING_POLICY
 
-#: Every traced entity lives on this one machine — the co-location that
-#: makes ping coalescing bite.
+#: Every traced entity lives on this one machine, so the signatures on
+#: their ping answers queue on one host CPU (the paper's §6.4 co-location).
 EDGE_HOST = "edge-host"
 
 DEFAULT_ENTITY_COUNT = 12

@@ -272,12 +272,6 @@ def build_deployment(
     verifier = _make_verifier()
     broker_verifiers: dict[str, TokenVerifier] = {}
 
-    def _locate_client_host(client_id: str) -> str | None:
-        try:
-            return network.client(client_id).machine.name
-        except KeyError:
-            return None
-
     discovery = BrokerDiscoveryService(sim, monitor=monitor)
     managers: dict[str, TraceManager] = {}
     for broker_id in ids:
@@ -293,7 +287,6 @@ def build_deployment(
             tdn_public_keys=trusted_keys,
             ping_policy=ping_policy,
             gauge_interval_ms=gauge_interval_ms,
-            client_locator=_locate_client_host,
         )
 
     return Deployment(

@@ -11,7 +11,7 @@ latencies.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Generator
+from typing import Generator
 
 from repro.crypto.costmodel import CryptoCostModel, CryptoOp
 from repro.sim.engine import Event, Resource, Simulator
@@ -37,10 +37,6 @@ class Machine:
         self.rng = rng
         self.clock = clock if clock is not None else SkewedClock(sim.clock, 0.0)
         self.cpu = Resource(sim, cpu_capacity, name=f"{name}.cpu")
-        #: Host-level ping demultiplexer: entity id -> sink for the pings
-        #: a co-located sibling's ``ping_batch`` frame carries
-        #: (``repro.tracing.coalesce.relay_ping_batch``).
-        self.ping_sinks: dict[str, Callable[[Any], None]] = {}
 
     def now(self) -> float:
         """This machine's local (possibly skewed) time."""

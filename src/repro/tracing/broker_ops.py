@@ -10,7 +10,7 @@ key when the entity asked for confidentiality.
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import Generator
 
 from repro.auth.credentials import EntityCredentials
 from repro.crypto.certificates import CertificateAuthority
@@ -41,7 +41,6 @@ from repro.messaging.topics import Topic
 from repro.security.confidentiality import wrap_trace_body
 from repro.security.keydist import build_key_payload
 from repro.sim.engine import Event
-from repro.tracing.coalesce import PingCoalescer
 from repro.tracing.entity import (
     ChannelKeyDelivery,
     LoadReport,
@@ -53,7 +52,7 @@ from repro.tracing.entity import (
 )
 from repro.tracing.failure import AdaptivePingPolicy, DetectorVerdict, FailureDetector
 from repro.tracing.interest import InterestCategory, InterestRegistry, InterestResponse
-from repro.tracing.pings import PingResponse
+from repro.tracing.pings import Ping, PingResponse
 from repro.tracing.registration import (
     RegistrationError_Response,
     RegistrationResponse,
@@ -83,7 +82,6 @@ class TraceManager:
         broker: Broker,
         ca: CertificateAuthority,
         tdn_public_keys: dict[str, RSAPublicKey],
-        client_locator: Callable[[str], str | None],
         ping_policy: AdaptivePingPolicy | None = None,
         gauge_interval_ms: float = DEFAULT_GAUGE_INTERVAL_MS,
     ) -> None:
@@ -100,10 +98,6 @@ class TraceManager:
         self.detector_factory = FailureDetector
         # section 3.5 gating; the EXP-A4 interest-gating ablation turns it off
         self.gate_by_interest = True
-        # batch same-window pings to co-located entities into one frame;
-        # client_locator maps an entity id to its host (machine name) so
-        # the coalescer knows who shares a wire (docs/PERFORMANCE.md)
-        self.coalescer = PingCoalescer(self, locate_host=client_locator)
         # installed by a fault controller; when present, FAILED verdicts
         # open a recovery window and successful registrations close it
         self.recovery_probe = None
@@ -568,17 +562,13 @@ class TraceManager:
                 # handle_broker_restart() clears the stale window then.
                 yield self.sim.timeout(session.current_interval_ms)
                 continue
-            # hand the due ping to the coalescer and sleep until its
-            # flush; the flush (scheduled first, so it fires first on
-            # the tie) issues, records and numbers the ping for us
-            delay = self.coalescer.submit(session)
-            if delay > 0.0:
-                yield self.sim.timeout(delay)
-            if not session.active or session.declared_failed:
-                break
-            if self.broker.failed:
-                # died inside the flush window: nothing was issued
-                continue
+            # the ping goes out the moment it is due (section 3.3)
+            ping = Ping(number=session.next_ping_number(), issued_ms=self.machine.now())
+            session.history.record_ping(ping)
+            self.monitor.metrics.counter("tracker.pings.sent").inc()
+            self._publish_plain(
+                session.topics.broker_to_entity(session.session_id), ping.to_dict()
+            )
 
             # wait until this ping can be judged, but never longer than the
             # ping interval itself (a deadline above the interval must not
@@ -641,10 +631,6 @@ class TraceManager:
             )
             remaining = max(0.0, session.current_interval_ms - judge_wait)
             if remaining:
-                # no timer jitter here: the coalescer's flush slack absorbs
-                # scheduler drift, and phase lock is *wanted* — same-interval
-                # sessions flushed together stay merged and keep sharing one
-                # wire frame
                 yield self.sim.timeout(remaining)
 
     # ----------------------------------------------------------- interest (3.5)

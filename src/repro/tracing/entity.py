@@ -323,13 +323,10 @@ class TracedEntity:
         self.broker_public_key = response.broker_public_key
         self.monitor.metrics.counter("entity.registered").inc()
 
-        # subscribe to the broker->entity session topic for pings, and
-        # set the host-level sink so pings multiplexed into a
-        # co-located sibling's ping_batch frame still reach this entity
+        # subscribe to the broker->entity session topic for pings
         self.client.subscribe(
             self.topics.broker_to_entity(self.session_id), self._on_broker_message
         )
-        self.machine.ping_sinks[str(self.entity_id)] = self._on_relayed_ping
 
     def _on_registration_response(self, message: Message) -> None:
         if self._registration_event is not None and not self._registration_event.triggered:
@@ -427,23 +424,12 @@ class TracedEntity:
         """Pings (and future broker-initiated control) arrive here."""
         body = message.body
         kind = body.get("kind") if isinstance(body, dict) else None
+        if kind != "ping" or self._crashed or self._silent:
+            return
         try:
-            if kind == "ping_batch":
-                # host-level demultiplexing happens whatever this entity's
-                # own state: the host agent relays co-located siblings'
-                # pings even when this entity's process is down; each sink
-                # applies its own entity's liveness gates
-                from repro.tracing.coalesce import relay_ping_batch
-
-                relay_ping_batch(self.machine, body)
-            elif kind == "ping" and not (self._crashed or self._silent):
-                self._on_relayed_ping(Ping.from_dict(body))
+            ping = Ping.from_dict(body)
         except MalformedFrameError:
             self.monitor.metrics.counter("entity.pings_malformed").inc()
-
-    def _on_relayed_ping(self, ping: Ping) -> None:
-        """Answer one ping (direct or relayed) unless crashed or silent."""
-        if self._crashed or self._silent:
             return
         self.sim.process(
             self._answer_ping(ping), name=f"entity.{self.entity_id}.pong"

@@ -12,7 +12,7 @@ byte layout normatively; this module is the reference implementation.
 
 Frame layout (all multi-byte integers are LEB128 varints unless noted)::
 
-    frame   := MAGIC(0xC3) VERSION(0x01) KIND body
+    frame   := MAGIC(0xC3) VERSION(0x02) KIND body
     KIND    := 0x01 message | 0x02 routed-frame | 0x03 plain value
     message := flags:u8 message_id:uvarint created_ms:f64be
                source:str-ref topic:(uvarint nsegs, nsegs * str-ref)
@@ -44,7 +44,7 @@ from repro.messaging.topics import Topic
 from repro.util.serialization import Canonical
 
 MAGIC = 0xC3
-VERSION = 0x01
+VERSION = 0x02
 
 KIND_MESSAGE = 0x01
 KIND_FRAME = 0x02
@@ -71,8 +71,9 @@ _CV_DICT = 0x08
 _CV_END = 0xFF
 
 #: The static intern table: the protocol's topic segments and body/token
-#: vocabulary.  APPEND ONLY — indexes are wire format; reordering or
-#: removing entries breaks decode of previously captured frames.
+#: vocabulary.  APPEND ONLY within a ``VERSION`` — indexes are wire
+#: format; reordering or removing entries needs a new ``VERSION``, so a
+#: frame captured under the old table is refused rather than misread.
 STATIC_STRINGS: tuple[str, ...] = (
     # trace-topic segments (repro.tracing.topics, repro.tdn.query)
     "Availability",
@@ -96,8 +97,6 @@ STATIC_STRINGS: tuple[str, ...] = (
     "kind",
     "ping",
     "ping_response",
-    "ping_batch",
-    "pings",
     "number",
     "issued_ms",
     "entity_stamp_ms",

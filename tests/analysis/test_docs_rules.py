@@ -95,6 +95,32 @@ def test_a_stale_ours_cell_is_a_finding_on_its_row(mini_repo):
     (finding,) = findings
     assert "73.46" in finding.message and "results/a.txt" in finding.message
 
+
+def test_a_wrong_figure5_cell_is_a_finding(mini_repo):
+    """The shipped Figure 5 header heads its two measured columns "ours, ...",
+    and not its derived saving column, a difference no file holds."""
+    shipped = (Path(__file__).parents[2] / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    header = next(line for line in shipped.splitlines() if "ours, per-message" in line)
+    (mini_repo / "benchmarks" / "results" / "a.txt").write_text(
+        "hops per-message signing symmetric channel (6.3)\n"
+        "   2            74.56            44.74\n"
+        "   4            87.50            57.68\n"
+    )
+    (mini_repo / "EXPERIMENTS.md").write_text(
+        "## Figure 5\n\nfrom `results/a.txt`\n\n"
+        f"{header}\n|------|-----:|-----:|-----:|\n"
+        "| 2 | 74.56 | 44.74 | 29.8 |\n"
+        "| 4 | 87.50 | 57.74 | 29.8 |\n\n"
+        "<!-- regen:begin -->\n"
+        "> Regenerate: `PYTHONPATH=src python -m repro seeds`\n"
+        "<!-- regen:end -->\n"
+    )
+    findings = analyze_paths([mini_repo / "src"], select_checkers(["DOC03"]))
+    assert located(findings) == {("DOC03", "EXPERIMENTS.md", 8)}
+    (finding,) = findings
+    assert "57.74" in finding.message
+
+
 def test_inert_without_a_repository_root(mini_repo):
     (mini_repo / "README.md").unlink()
     assert analyze_paths([mini_repo / "src"], select_checkers(DOC_RULES)) == []

@@ -124,17 +124,17 @@ class TestAblations:
     def test_message_count_case(self):
         result = run_message_count_case(3, watchers_per_entity=1, duration_ms=10_000.0)
         assert result == MessageCountResult(
-            population=3, watchers=3, allpairs_msgs_per_s=6.0, tracing_msgs_per_s=16.8
+            population=3, watchers=3, allpairs_msgs_per_s=6.0, tracing_msgs_per_s=18.0
         )
 
     def test_interest_gating_ablation(self):
         results = run_interest_gating_ablation(entity_count=2, duration_ms=10_000.0)
         assert results == [
-            GatingResult(gated=True, published=4, suppressed=34, delivered=30),
-            GatingResult(gated=False, published=38, suppressed=0, delivered=30),
+            GatingResult(gated=True, published=4, suppressed=38, delivered=32),
+            GatingResult(gated=False, published=42, suppressed=0, delivered=32),
         ]
 
     def test_adaptive_ping_ablation(self):
         adaptive, fixed = run_adaptive_ping_ablation()
-        assert adaptive == AdaptivePingResult("adaptive (section 3.3)", 2511.9813411837895, 6)
-        assert fixed == AdaptivePingResult("fixed interval", 10819.481341183793, 6)
+        assert adaptive == AdaptivePingResult("adaptive (section 3.3)", 2169.4813411837895, 6)
+        assert fixed == AdaptivePingResult("fixed interval", 10319.481341183793, 6)

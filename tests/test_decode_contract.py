@@ -261,7 +261,7 @@ def test_discovery_finds_the_known_classes():
 def test_every_wire_record_is_under_contract():
     assert set(WIRE_RECORDS) <= set(CLASSES)
     assert {cls.__name__ for cls in TAGGED_RECORDS} == {
-        "Ping", "PingResponse", "KeyDistributionPayload", "PingBatch", "StateReport",
+        "Ping", "PingResponse", "KeyDistributionPayload", "StateReport",
         "LoadReport", "DisableTracing", "TokenDelivery", "TraceKeyDelivery",
         "ChannelKeyDelivery", "SymFrame",
     }  # fmt: skip

@@ -26,7 +26,6 @@ from repro.tdn.advertisement import (
     TopicRenewal,
 )
 from repro.tdn.query import DiscoveryRestrictions
-from repro.tracing.coalesce import BatchedPing, PingBatch
 from repro.tracing.entity import (
     ChannelKeyDelivery,
     DisableTracing,
@@ -119,7 +118,6 @@ LOAD_WIRE = {
     "workload": 3,
 }
 TOPIC_HEX = "ab" * 16
-ENTRY_WIRE = {"entity_id": "e-1", "number": 3, "issued_ms": 10.0}
 
 PINNED = [
     (Ping(7, 12.5), {"kind": "ping", "number": 7, "issued_ms": 12.5}),
@@ -288,8 +286,6 @@ PINNED = [
             "stamp_ms": 5.0,
         },
     ),
-    (BatchedPing("e-1", 3, 10.0), ENTRY_WIRE),
-    (PingBatch((ENTRY_WIRE,)), {"kind": "ping_batch", "pings": [ENTRY_WIRE]}),
     (
         CampaignSpec(
             name="c",

@@ -20,6 +20,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import RegistrationError, SignatureError, TokenError
 from repro.tdn.advertisement import TopicLifetime
 from repro.tracing.broker_ops import category_of
+from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.interest import InterestCategory
 from repro.tracing.pings import PingResponse
 from repro.tracing.traces import EntityState, LoadInformation, TraceType
@@ -396,3 +397,52 @@ class TestSessionBookkeeping:
     def test_disconnect_of_unknown_is_noop(self, dep):
         dep.manager_of("b1").handle_client_disconnect("ghost")
         assert dep.monitor.count("trace.published.DISCONNECT") == 0
+
+
+#: A policy whose interval never moves: 500 ms whatever the history.
+FIXED_500 = AdaptivePingPolicy(
+    base_interval_ms=500.0,
+    min_interval_ms=500.0,
+    max_interval_ms=500.0,
+    growth_factor=1.0,
+    response_deadline_ms=200.0,
+)
+
+
+class TestPingLoop:
+    """A due ping goes out when it is due, in a frame of its own (§3.3)."""
+
+    @pytest.fixture
+    def published(self):
+        """Six entities on one host under FIXED_500; every body b1 publishes."""
+        dep = build_deployment(broker_ids=["b1"], seed=801, ping_policy=FIXED_500)
+        manager = dep.manager_of("b1")
+        frames = []
+        publish = manager._publish_plain
+
+        def recording(topic, body):
+            frames.append((str(topic), body))
+            publish(topic, body)
+
+        manager._publish_plain = recording
+        for index in range(6):
+            dep.add_traced_entity(f"e{index}", machine_name="shared-host").start("b1")
+        dep.sim.run(until=20_000)
+        return dep, frames
+
+    def test_consecutive_pings_are_one_interval_apart(self, published):
+        _, frames = published
+        issued = {}
+        for topic, body in frames:
+            if body.get("kind") == "ping":
+                issued.setdefault(topic, []).append(body["issued_ms"])
+        assert len(issued) == 6
+        for times in issued.values():
+            assert len(times) >= 30
+            gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+            assert gaps == pytest.approx([500.0] * len(gaps), abs=1e-9)
+
+    def test_each_ping_has_its_own_frame(self, published):
+        dep, frames = published
+        pings = [body for _, body in frames if body.get("kind") == "ping"]
+        assert len(pings) == dep.metrics.counter_value("tracker.pings.sent") > 0

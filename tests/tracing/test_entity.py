@@ -145,27 +145,6 @@ class TestMalformedPing:
         assert dep.metrics.counter_value("entity.pings_answered") > answered
 
 
-    @pytest.mark.parametrize("pings", [7, [7], [{"entity_id": "svc", "number": 1}, None]])
-    def test_malformed_ping_batch_is_counted_and_dropped(self, dep, pings):
-        """``"pings": 7`` used to raise TypeError out of ``Simulator.run``."""
-        entity = dep.add_traced_entity("svc")
-        entity.start("b1")
-        dep.sim.run(until=3_000)
-        dep.network.broker("b1").publish_from_broker(
-            Message(
-                topic=entity.topics.broker_to_entity(entity.session_id),
-                body={"kind": "ping_batch", "pings": pings},
-                source="b1",
-                created_ms=dep.sim.now,
-            )
-        )
-        dep.sim.run(until=3_500)
-        assert dep.metrics.counter_value("entity.pings_malformed") == 1
-        answered = dep.metrics.counter_value("entity.pings_answered")
-        dep.sim.run(until=10_000)
-        assert dep.metrics.counter_value("entity.pings_answered") > answered
-
-
 class TestTrackerPreconditions:
     def test_track_before_connect_raises(self, dep):
         from repro.errors import NotConnectedError
