@@ -42,6 +42,8 @@ class MessageCountResult:
     watchers: int
     allpairs_msgs_per_s: float
     tracing_msgs_per_s: float
+    #: FAILED verdicts in a run where every entity stays up
+    false_failures: int
 
     @property
     def reduction_factor(self) -> float:
@@ -96,6 +98,7 @@ def run_message_count_case(
         watchers=population * watchers_per_entity,
         allpairs_msgs_per_s=allpairs_rate,
         tracing_msgs_per_s=tracing_msgs / (duration_ms / 1000.0),
+        false_failures=len(dep.journal.records("failure_declared")),
     )
 
 
@@ -426,6 +429,8 @@ def ablation_msgcount() -> tuple[str]:
     require(factors[-1] > 5.0, f"reduction at the largest N is {factors[-1]:.2f}x")
     for r in results:
         require(r.allpairs_msgs_per_s == r.population * (r.population - 1), "not N(N-1)")
+        # no entity fails here: a FAILED verdict is the broker's own overload
+        require(r.false_failures == 0, f"{r.false_failures} false FAILED at N = {r.population}")
     series = {
         "all-pairs msgs/s": [(r.population, r.allpairs_msgs_per_s) for r in results],
         "tracing msgs/s": [(r.population, r.tracing_msgs_per_s) for r in results],

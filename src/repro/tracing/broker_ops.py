@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.auth.credentials import EntityCredentials
-from repro.crypto.certificates import CertificateAuthority
+from repro.crypto.certificates import Certificate, CertificateAuthority
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import MIN_SIGNING_MODULUS_BYTES, RSAPublicKey
@@ -33,7 +33,6 @@ from repro.errors import (
     SerializationDecodeError,
     SignatureError,
     TokenError,
-    TopicError,
 )
 from repro.messaging.broker import Broker
 from repro.messaging.message import Message
@@ -108,8 +107,8 @@ class TraceManager:
         self._session_ids = UUIDGenerator(
             seed=self.machine.rng.getrandbits(64)
         )
-        self.sessions: dict[str, TraceSession] = {}          # by session hex
-        self.sessions_by_entity: dict[str, TraceSession] = {}
+        self.sessions: dict[str, TraceSession] = {}          # live, by entity id
+        self.interest: dict[str, InterestRegistry] = {}      # outlives sessions
 
         self.broker.subscribe_local(
             REGISTRATION_TOPIC.canonical, self._on_registration_message
@@ -153,23 +152,23 @@ class TraceManager:
             self.monitor.journal.record(self.sim.now, "registration_rejected", reason=reason)
             return
 
-        previous = self.sessions_by_entity.get(str(request.entity_id))
+        entity = str(request.entity_id)
+        registered_before = entity in self.interest
 
         # success: mint a session and wire the topics
         session_id = SessionId(self._session_ids.next())
-        # interest continuity: trackers that were following the superseded
-        # session are still subscribed (publication topics derive from the
-        # trace topic), so the new session inherits their registrations
-        if previous is not None:
-            interest = previous.interest
-        else:
-            interest = InterestRegistry(ttl_ms=self.interest_ttl_ms)
         session = TraceSession(
             entity_id=request.entity_id,
             session_id=session_id,
             advertisement=advertisement,
             topics=topics,
             started_ms=self.sim.now,
+            # interest continuity: trackers that were following an earlier
+            # session are still subscribed (publication topics derive from
+            # the trace topic), so the new session inherits their interest
+            interest=self.interest.setdefault(
+                entity, InterestRegistry(ttl_ms=self.interest_ttl_ms)
+            ),
             # entity messages are handled strictly in arrival order per
             # session (verification times differ per message kind, so
             # concurrent handlers could otherwise reorder, e.g. a state
@@ -177,11 +176,8 @@ class TraceManager:
             inbox=self.sim.queue(name=f"session-{session_id.value.hex[:8]}"),
             ping_policy=self.ping_policy,
             detector=self.detector_factory(),
-            interest=interest,
         )
         session.history.metrics = self.monitor.metrics
-        self.sessions[session.hex_id] = session
-        self.sessions_by_entity[str(request.entity_id)] = session
         session.worker = self.sim.process(
             self._session_worker(session),
             name=f"{self.broker.broker_id}.worker.{request.entity_id}",
@@ -193,7 +189,9 @@ class TraceManager:
             session.inbox.put,
         )
         # ... and to the interest-response topic (section 3.5)
-        session.on_interest = lambda msg, s=session: self._on_interest_response(s, msg)
+        session.on_interest = lambda msg, s=session: self.sim.process(
+            self._handle_interest_response(s, msg), name=f"{self.broker.broker_id}.interest"
+        )
         self.broker.subscribe_local(topics.interest_response.canonical, session.on_interest)
 
         # a re-registration supersedes the entity's previous session: the
@@ -201,9 +199,11 @@ class TraceManager:
         # how a recovered entity resumes tracing, section 3.2).  It is
         # retired once the new one listens on the shared interest topic,
         # so the broker's interest in that topic never lapses.
-        if previous is not None and previous.active:
+        previous = self.sessions.get(entity)
+        if previous is not None:
             self._retire(previous)
             self.monitor.metrics.counter("trace.sessions_superseded").inc()
+        self.sessions[entity] = session
 
         # sealed response: only the entity can read the session id
         yield from self.machine.charge(CryptoOp.SEAL_PAYLOAD)
@@ -227,7 +227,7 @@ class TraceManager:
             entity=str(request.entity_id),
             broker=self.broker.broker_id,
             session=session.hex_id[:8],
-            superseded_previous=previous is not None,
+            superseded_previous=registered_before,
         )
         if self.recovery_probe is not None:
             self.recovery_probe.mark_reregistered(
@@ -299,7 +299,7 @@ class TraceManager:
             topics.entity_to_broker(session.session_id).canonical, session.inbox.put
         )
         self.broker.unsubscribe_local(topics.interest_response.canonical, session.on_interest)
-        del self.sessions[session.hex_id]
+        del self.sessions[str(session.entity_id)]
         if session.inbox.waiting:
             session.worker.interrupt("retired")
 
@@ -307,6 +307,9 @@ class TraceManager:
         """FIFO handler loop for one session's entity messages."""
         while session.active:
             message = yield session.inbox.get()
+            if isinstance(message, Event):  # a ping judgment (``_ping_loop``)
+                message.succeed()
+                continue
             body = yield from self._authenticate_entity_message(session, message)
             if body is None:
                 self.monitor.metrics.counter("trace.entity_messages_rejected").inc()
@@ -326,6 +329,11 @@ class TraceManager:
                 yield from self._handle_disable(session)
             else:
                 self.monitor.metrics.counter("trace.entity_messages_unknown").inc()
+        # release a ping judgment queued behind the message that retired it
+        while session.inbox:
+            item = yield session.inbox.get()
+            if isinstance(item, Event):
+                item.succeed()
 
     def _authenticate_entity_message(
         self, session: TraceSession, message: Message
@@ -434,6 +442,12 @@ class TraceManager:
             self.monitor.metrics.counter(f"trace.{kind}_malformed").inc()
             return
         self.monitor.metrics.counter(f"trace.{kind}s_received").inc()
+        if kind == "trace_key":
+            # a new key reaches every tracker still interested at once, not
+            # at its next interest response (re-registration, failover)
+            session.keyed_trackers.clear()
+            for certificate in session.interest.certificates(self.machine.now()):
+                yield from self._seal_trace_key(session, certificate)
 
     def _handle_ping_response(
         self, session: TraceSession, body: dict
@@ -519,8 +533,8 @@ class TraceManager:
 
     def handle_client_disconnect(self, entity_id: str) -> None:
         """Announce a dropped entity connection with a DISCONNECT trace."""
-        session = self.sessions_by_entity.get(entity_id)
-        if session is None or not session.active:
+        session = self.sessions.get(entity_id)
+        if session is None:
             return
         self._retire(session)
         self.sim.process(
@@ -563,7 +577,8 @@ class TraceManager:
                 yield self.sim.timeout(session.current_interval_ms)
                 continue
             # the ping goes out the moment it is due (section 3.3)
-            ping = Ping(number=session.next_ping_number(), issued_ms=self.machine.now())
+            ping = Ping(number=session.ping_number, issued_ms=self.machine.now())
+            session.ping_number += 1
             session.history.record_ping(ping)
             self.monitor.metrics.counter("tracker.pings.sent").inc()
             self._publish_plain(
@@ -578,12 +593,21 @@ class TraceManager:
             yield self.sim.timeout(judge_wait)
             if not session.active:
                 break
+            # judge once the worker has handled what reached the session by
+            # now: a response that arrived in time is not a miss, however
+            # long its authentication waits on this broker's CPU
+            now, judged_at = self.machine.now(), self.sim.now
+            caught_up = self.sim.event()
+            session.inbox.put(caught_up)
+            yield caught_up
+            backlog = self.sim.now - judged_at
+            if not session.active:
+                break
             if self.broker.failed:
                 # crashed between issuing the ping and judging it — the
                 # response (if any) was dropped by the dead broker, so
                 # judging now would count phantom misses
                 continue
-            now = self.machine.now()
             misses = session.history.consecutive_misses(now, deadline)
             verdict = session.detector.judge(misses)
 
@@ -629,7 +653,7 @@ class TraceManager:
                 session.active_duration_ms(now),
                 now,
             )
-            remaining = max(0.0, session.current_interval_ms - judge_wait)
+            remaining = max(0.0, session.current_interval_ms - judge_wait - backlog)
             if remaining:
                 yield self.sim.timeout(remaining)
 
@@ -649,12 +673,6 @@ class TraceManager:
             force=True,
         )
 
-    def _on_interest_response(self, session: TraceSession, message: Message) -> None:
-        self.sim.process(
-            self._handle_interest_response(session, message),
-            name=f"{self.broker.broker_id}.interest",
-        )
-
     def _handle_interest_response(
         self, session: TraceSession, message: Message
     ) -> Generator[Event, None, None]:
@@ -662,50 +680,53 @@ class TraceManager:
         if message.signature is None:
             self.monitor.metrics.counter("trace.interest_unsigned").inc()
             return
+        # the certificate must verify against the trust anchor, as at
+        # registration, and the signature under the certificate's key
+        yield from self.machine.charge(CryptoOp.CERT_VERIFY)
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            tracker_key = InterestResponse.signer(body).public_key
-            verify_signed_body(message.signature, body, tracker_key)
-        except (MalformedFrameError, SignatureError) as exc:
+            certificate = InterestResponse.signer(body)
+            self.ca.verify(certificate, now_ms=self.machine.now())
+            verify_signed_body(message.signature, body, certificate.public_key)
+        except (CertificateError, MalformedFrameError, SignatureError) as exc:
             self.monitor.metrics.counter("trace.interest_bad_signature").inc()
             self._log_malformed(exc, session, message)
             return
         try:
-            response = InterestResponse.from_dict(body)
-            categories = InterestCategory.parse_many(response.categories)
-            topic = response.response_topic
-            key_topic = Topic.parse(topic) if topic else None
-        except (MalformedFrameError, InterestError, TopicError):
+            categories = InterestCategory.parse_many(InterestResponse.from_dict(body).categories)
+        except (MalformedFrameError, InterestError):
             self.monitor.metrics.counter("trace.interest_malformed").inc()
             return
 
-        tracker_id = response.tracker_id
-        session.interest.record(tracker_id, categories, self.machine.now())
+        session.interest.record(certificate, categories, self.machine.now())
         self.monitor.metrics.counter("trace.interest_recorded").inc()
+        if not categories:
+            # a tracker that retracts drops the key; tracking again re-keys it
+            session.keyed_trackers.discard(certificate.subject)
+        elif session.secured:
+            yield from self._seal_trace_key(session, certificate)
 
-        # secured sessions: the trace key goes out once per tracker key
-        # (§5.1), not per claimed id: the id is the response's own claim
-        keyed = (tracker_id, tracker_key.fingerprint())
-        if session.secured and keyed not in session.keyed_trackers and key_topic is not None:
-            session.keyed_trackers.add(keyed)
-            yield from self._distribute_trace_key(session, tracker_id, tracker_key, key_topic)
-
-    def _distribute_trace_key(
-        self,
-        session: TraceSession,
-        tracker_id: str,
-        tracker_key: RSAPublicKey,
-        key_topic: Topic,
+    def _seal_trace_key(
+        self, session: TraceSession, certificate: Certificate
     ) -> Generator[Event, None, None]:
-        yield from self.machine.charge(CryptoOp.CERT_VERIFY)
+        """Seal the trace key to a certified tracker once per key (§5.1), if
+        the advertisement's discovery restrictions admit it, as TDN's do."""
+        subject = certificate.subject
+        if subject in session.keyed_trackers:
+            return
+        restrictions = session.advertisement.fields.restrictions
+        if not restrictions.permits(certificate, self.ca, self.machine.now()):
+            self.monitor.metrics.counter("trace.keys_withheld").inc()
+            return
+        session.keyed_trackers.add(subject)
         yield from self.machine.charge(CryptoOp.SEAL_PAYLOAD)
         payload = build_key_payload(
             session.trace_key,
             session.advertisement.fields.trace_topic.hex,
-            tracker_key,
+            certificate.public_key,
             self.machine.rng,
         )
-        self._publish_plain(key_topic, payload.to_dict())
+        self._publish_plain(session.topics.key_delivery(subject), payload.to_dict())
         self.monitor.metrics.counter("trace.keys_distributed").inc()
         # audit evidence for the key hand-off (repro.analytics.audit)
         self.monitor.journal.record(
@@ -714,7 +735,7 @@ class TraceManager:
             principal=str(session.entity_id),
             entity=str(session.entity_id),
             broker=self.broker.broker_id,
-            tracker=tracker_id,
+            tracker=subject,
         )
 
     # --------------------------------------------------------------- publication
@@ -759,10 +780,11 @@ class TraceManager:
             payload=payload,
             trace_topic=session.advertisement.fields.trace_topic.hex,
             session=session.hex_id,
-            seq=session.next_trace_seq(),
+            seq=session.trace_seq,
             origin_stamp_ms=origin_stamp_ms,
             broker_stamp_ms=now,
         )
+        session.trace_seq += 1
 
         secured = session.secured and trace_type is not TraceType.GUAGE_INTEREST
         if secured:
@@ -789,10 +811,11 @@ class TraceManager:
     # ------------------------------------------------------------------- lookup
 
     def session_of(self, entity_id: str) -> TraceSession | None:
-        return self.sessions_by_entity.get(entity_id)
+        """The entity's live session on this broker, if it has one."""
+        return self.sessions.get(entity_id)
 
     def active_sessions(self) -> list[TraceSession]:
-        return [s for s in self.sessions.values() if s.active]
+        return list(self.sessions.values())
 
 
 def _read_token_delivery(payload: dict) -> TokenDeliveryPayload:

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.rsa import RSAPublicKey
+from repro.crypto.certificates import Certificate
 from repro.errors import InterestError
 from repro.util.serialization import Fields, wire_record
 
@@ -40,58 +40,51 @@ ALL_CATEGORIES = frozenset(InterestCategory)
 
 
 @wire_record()
-class TrackerCredential:
-    """The subject and key (``n`` / ``e``) an interest response is signed under."""
-
-    public_key: RSAPublicKey
-    subject: str = ""
-
-
-@wire_record()
 class InterestResponse:
-    """A tracker's signed answer to GUAGE_INTEREST: no ``categories``
-    retracts its interest; ``response_topic`` takes a secured session's
-    trace key, sealed to ``credentials``."""
+    """A tracker's answer to GUAGE_INTEREST, signed under the key of the
+    CA ``certificate`` it carries: interest is recorded, and a secured
+    session's trace key sealed, for that certificate's subject.  No
+    ``categories`` retracts the subject's interest."""
 
-    tracker_id: str
     categories: tuple[str, ...]
-    credentials: TrackerCredential
-    response_topic: str | None = None
-    stamp_ms: float | None = None
+    certificate: Certificate
+    stamp_ms: float
 
     @classmethod
-    def signer(cls, body: Any) -> TrackerCredential:
-        """The credential ``body`` claims to be signed under: read, and
-        checked against its signature, before the rest of it is trusted."""
-        return TrackerCredential.from_dict(Fields(body, cls).value("credentials"))
+    def signer(cls, body: Any) -> Certificate:
+        """The certificate ``body`` claims to be signed under: checked
+        against the CA and the signature before the rest is trusted."""
+        return Certificate.from_dict(Fields(body, cls).value("certificate"))
 
 
 @dataclass(slots=True)
 class _TrackerInterest:
+    certificate: Certificate
     categories: frozenset[InterestCategory]
     expires_ms: float
 
 
 @dataclass(slots=True)
 class InterestRegistry:
-    """Per-session record of which trackers want which trace streams."""
+    """Per-entity record of which certified trackers want which trace
+    streams; it outlives the entity's sessions on one broker."""
 
     ttl_ms: float = 120_000.0
     _trackers: dict[str, _TrackerInterest] = field(default_factory=dict)
 
     def record(
         self,
-        tracker_id: str,
+        certificate: Certificate,
         categories: frozenset[InterestCategory],
         now_ms: float,
     ) -> None:
-        """Record (or refresh) one tracker's interest response."""
+        """Record (or refresh) the interest of ``certificate``'s subject."""
         if not categories:
             # an empty response is a retraction
-            self._trackers.pop(tracker_id, None)
+            self._trackers.pop(certificate.subject, None)
             return
-        self._trackers[tracker_id] = _TrackerInterest(
-            categories=categories, expires_ms=now_ms + self.ttl_ms
+        self._trackers[certificate.subject] = _TrackerInterest(
+            certificate=certificate, categories=categories, expires_ms=now_ms + self.ttl_ms
         )
 
     def _reap(self, now_ms: float) -> None:
@@ -103,6 +96,11 @@ class InterestRegistry:
         """Is anyone currently interested in ``category``?"""
         self._reap(now_ms)
         return any(category in i.categories for i in self._trackers.values())
+
+    def certificates(self, now_ms: float) -> list[Certificate]:
+        """The certificates of every tracker whose interest is still live."""
+        self._reap(now_ms)
+        return [i.certificate for i in self._trackers.values()]
 
     def __len__(self) -> int:
         return len(self._trackers)

@@ -13,7 +13,8 @@ Paper detection thresholds encoded here and in ``tracing/failure.py``:
 
 * history window: the last **10** pings (``PING_HISTORY_WINDOW``);
 * a ping is judged *missed* once its response is **400 ms** overdue
-  (``AdaptivePingPolicy.response_deadline_ms``);
+  (``AdaptivePingPolicy.response_deadline_ms``) and has not reached the
+  session by then (the broker judges only after handling what did);
 * **3** consecutive misses raise a FAILURE_SUSPICION trace, **6** declare
   the entity FAILED (``FailureDetector`` defaults, section 3.3);
 * the ping interval adapts between **125 ms** and **8000 ms** around a

@@ -27,12 +27,13 @@ class TraceSession:
     advertisement: TopicAdvertisement
     topics: TraceTopicSet
     started_ms: float
-    #: entity messages awaiting the session worker, in arrival order
+    #: entity messages and ping judgments awaiting the session worker, in arrival order
     inbox: Queue
+    #: the entity's registry on this broker, shared with its later sessions
+    interest: InterestRegistry
     ping_policy: AdaptivePingPolicy = field(default_factory=AdaptivePingPolicy)
     detector: FailureDetector = field(default_factory=FailureDetector)
     history: PingHistory = field(default_factory=PingHistory)
-    interest: InterestRegistry = field(default_factory=InterestRegistry)
 
     # delegation (section 4.3)
     token: AuthorizationToken | None = None
@@ -47,15 +48,15 @@ class TraceSession:
     # liveness bookkeeping
     entity_state: EntityState = EntityState.INITIALIZING
     current_interval_ms: float = 0.0
-    ping_number: int = 0
-    trace_seq: int = 0
+    ping_number: int = 0           # the next ping's number
+    trace_seq: int = 0             # the next trace's (trackers detect gaps)
     active: bool = True            # set False on silent mode / shutdown
     declared_failed: bool = False
     suspicion_announced: bool = False
     response_count: int = 0        # matched ping responses (NETWORK_METRICS cadence)
-    #: (tracker id, key fingerprint) pairs already sent this session's
-    #: trace key (section 5.1)
-    keyed_trackers: set[tuple[str, bytes]] = field(default_factory=set)
+    #: certified tracker subjects already sent this session's trace key
+    #: (section 5.1)
+    keyed_trackers: set[str] = field(default_factory=set)
 
     # what the hosting broker runs for the session until it is retired
     worker: Process | None = None          # handles ``inbox`` in order
@@ -67,25 +68,13 @@ class TraceSession:
 
     @property
     def hex_id(self) -> str:
-        """The session id as hex: the manager's index key and the wire form."""
+        """The session id as hex, its wire form."""
         return self.session_id.value.hex
 
     @property
     def secured(self) -> bool:
         """Are this session's traces confidentiality-protected?"""
         return self.trace_key is not None
-
-    def next_ping_number(self) -> int:
-        number = self.ping_number
-        self.ping_number += 1
-        return number
-
-    def next_trace_seq(self) -> int:
-        """Session-scoped sequence number stamped into published traces,
-        letting trackers detect missed traces on lossy transports."""
-        seq = self.trace_seq
-        self.trace_seq += 1
-        return seq
 
     def active_duration_ms(self, now_ms: float) -> float:
         return now_ms - self.started_ms

@@ -149,10 +149,10 @@ class TraceTopicSet:
 
     # ---- tracker key distribution (§5.1) -------------------------------------------
 
-    def key_delivery(self, tracker_id: str) -> Topic:
-        """Per-tracker topic for secure trace-key payloads."""
+    def key_delivery(self, subject: str) -> Topic:
+        """Where a certified tracker ``subject`` receives the trace key."""
         return Topic.of(
-            "Constrained", "Traces", tracker_id, "Subscribe-Only",
+            "Constrained", "Traces", subject, "Subscribe-Only",
             self.trace_topic.hex, "KeyDelivery",
         )
 

@@ -38,12 +38,7 @@ from repro.sim.monitor import Monitor
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.tdn.node import TDNCluster
 from repro.tdn.query import DiscoveryQuery
-from repro.tracing.interest import (
-    ALL_CATEGORIES,
-    InterestCategory,
-    InterestResponse,
-    TrackerCredential,
-)
+from repro.tracing.interest import ALL_CATEGORIES, InterestCategory, InterestResponse
 from repro.tracing.topics import TraceTopicSet
 from repro.tracing.traces import TraceBody, TraceType
 from repro.util.identifiers import EntityId
@@ -69,9 +64,7 @@ class _WatchedEntity:
     advertisement: TopicAdvertisement
     topics: TraceTopicSet
     trace_key: SymmetricKey | None = None
-    key_received_ms: float | None = None
     last_gauge_stamp_ms: float | None = None
-    keydist_latency_ms: float | None = None
     last_response_ms: float | None = None
     categories: frozenset = field(default_factory=lambda: ALL_CATEGORIES)
 
@@ -180,7 +173,7 @@ class Tracker:
             lambda msg, w=watched: self._on_gauge(w, msg),
         )
         self.client.subscribe(
-            topics.key_delivery(self.tracker_id),
+            topics.key_delivery(self.credentials.subject),
             lambda msg, w=watched: self._on_key_delivery(w, msg),
         )
         self.monitor.metrics.counter("tracker.tracking").inc()
@@ -211,9 +204,9 @@ class Tracker:
         for category in sorted(watched.categories, key=lambda c: c.value):
             self.client.unsubscribe(topics.topic_for_category(category))
         self.client.unsubscribe(topics.interest_request)
-        self.client.unsubscribe(topics.key_delivery(self.tracker_id))
+        self.client.unsubscribe(topics.key_delivery(self.credentials.subject))
 
-        yield from self._publish_interest(topics, (), None)  # empty = retraction
+        yield from self._publish_interest(topics, ())  # empty = retraction
         self.monitor.metrics.counter("tracker.untracked").inc()
         return True
 
@@ -282,27 +275,22 @@ class Tracker:
         self, watched: _WatchedEntity
     ) -> Generator[Event, None, None]:
         yield from self._publish_interest(
-            watched.topics,
-            tuple(sorted(c.value for c in self.interests)),
-            watched.topics.key_delivery(self.tracker_id).canonical,
+            watched.topics, tuple(sorted(c.value for c in self.interests))
         )
         watched.last_response_ms = self.machine.now()
         self.monitor.metrics.counter("tracker.interest_responses").inc()
 
     def _publish_interest(
-        self, topics: TraceTopicSet, categories: tuple[str, ...], response_topic: str | None
+        self, topics: TraceTopicSet, categories: tuple[str, ...]
     ) -> Generator[Event, None, None]:
         """Sign and publish one interest response (section 3.5)."""
-        credentials = self.credentials
         body = InterestResponse(
-            tracker_id=self.tracker_id,
             categories=categories,
-            credentials=TrackerCredential(credentials.public_key, credentials.subject),
-            response_topic=response_topic,
+            certificate=self.credentials.certificate,
             stamp_ms=self.machine.now(),
         ).to_dict()
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-        envelope = credentials.sign(body)
+        envelope = self.credentials.sign(body)
         self.client.publish(topics.interest_response, body, signature=envelope.to_dict())
 
     # --------------------------------------------------------- key distribution
@@ -325,16 +313,11 @@ class Tracker:
         except (DecryptionError, MalformedFrameError):
             self.monitor.metrics.counter("tracker.key_payload_rejected").inc()
             return
-        watched.key_received_ms = self.machine.now()
+        self.monitor.metrics.counter("tracker.keys.received").inc()
         if watched.last_gauge_stamp_ms is not None:
             # measured against the gauge that elicited our interest response
-            watched.keydist_latency_ms = (
-                watched.key_received_ms - watched.last_gauge_stamp_ms
-            )
-        self.monitor.metrics.counter("tracker.keys.received").inc()
-        if watched.keydist_latency_ms is not None:
             self.monitor.metrics.histogram("tracker.keydist.latency_ms").observe(
-                watched.keydist_latency_ms
+                self.machine.now() - watched.last_gauge_stamp_ms
             )
 
     # ------------------------------------------------------------------ traces

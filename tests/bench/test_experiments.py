@@ -124,7 +124,8 @@ class TestAblations:
     def test_message_count_case(self):
         result = run_message_count_case(3, watchers_per_entity=1, duration_ms=10_000.0)
         assert result == MessageCountResult(
-            population=3, watchers=3, allpairs_msgs_per_s=6.0, tracing_msgs_per_s=18.0
+            population=3, watchers=3, allpairs_msgs_per_s=6.0, tracing_msgs_per_s=18.0,
+            false_failures=0,
         )
 
     def test_interest_gating_ablation(self):
@@ -136,5 +137,5 @@ class TestAblations:
 
     def test_adaptive_ping_ablation(self):
         adaptive, fixed = run_adaptive_ping_ablation()
-        assert adaptive == AdaptivePingResult("adaptive (section 3.3)", 2169.4813411837895, 6)
-        assert fixed == AdaptivePingResult("fixed interval", 10319.481341183793, 6)
+        assert adaptive == AdaptivePingResult("adaptive (section 3.3)", 2168.9978058773577, 6)
+        assert fixed == AdaptivePingResult("fixed interval", 10318.997805877363, 6)

@@ -190,14 +190,8 @@ class TestMessageIntegrity:
 
         state = {"kind": "state_transition", "state": "READY", "stamp_ms": 5.0}
         interest = {
-            "tracker_id": "w",
             "categories": ["all_updates"],
-            "response_topic": topics.key_delivery("w").canonical,
-            "credentials": {
-                "subject": tracker.credentials.subject,
-                "n": tracker.credentials.public_key.n,
-                "e": tracker.credentials.public_key.e,
-            },
+            "certificate": tracker.credentials.certificate.to_dict(),
             "stamp_ms": 5.0,
         }
         trace = {

@@ -140,12 +140,13 @@ class TestLifecycle:
     def test_graceful_shutdown(self, dep):
         entity, tracker = bootstrap(dep)
         dep.sim.run(until=10_000)
+        session = dep.manager_of("b1").session_of("svc")
         dep.sim.process(entity.shutdown())
         dep.sim.run(until=15_000)
         shutdown_traces = tracker.traces_of_type(TraceType.SHUTDOWN)
         assert shutdown_traces
-        session = dep.manager_of("b1").session_of("svc")
         assert not session.active
+        assert dep.manager_of("b1").session_of("svc") is None
         pings_at_shutdown = dep.metrics.counter_value("tracker.pings.sent")
         dep.sim.run(until=25_000)
         assert dep.metrics.counter_value("tracker.pings.sent") <= pings_at_shutdown + 1
@@ -153,10 +154,12 @@ class TestLifecycle:
     def test_silent_mode(self, dep):
         entity, tracker = bootstrap(dep)
         dep.sim.run(until=10_000)
+        session = dep.manager_of("b1").session_of("svc")
         dep.sim.process(entity.disable_tracing())
         dep.sim.run(until=15_000)
         assert tracker.traces_of_type(TraceType.REVERTING_TO_SILENT_MODE)
-        assert not dep.manager_of("b1").session_of("svc").active
+        assert not session.active
+        assert dep.manager_of("b1").session_of("svc") is None
 
     def test_disconnect_trace(self, dep):
         entity, tracker = bootstrap(dep)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import build_deployment
+from repro.crypto.costmodel import PAPER_CALIBRATION, CryptoCostModel, CryptoOp, OpCost
 from repro.tracing.failure import AdaptivePingPolicy, DetectorVerdict
 from repro.tracing.traces import TraceType
 
@@ -35,6 +36,7 @@ def bootstrap(dep):
 class TestCrashDetection:
     def test_suspicion_then_failure(self, dep):
         entity, tracker = bootstrap(dep)
+        session = dep.manager_of("b1").session_of("svc")
         entity.crash()
         dep.sim.run(until=40_000)
 
@@ -44,7 +46,7 @@ class TestCrashDetection:
         assert len(failed) == 1
         assert suspicion[0].received_ms < failed[0].received_ms
 
-        session = dep.manager_of("b1").session_of("svc")
+        assert dep.manager_of("b1").session_of("svc") is None
         assert session.declared_failed
         assert session.detector.verdict is DetectorVerdict.FAILED
 
@@ -78,6 +80,24 @@ class TestCrashDetection:
         late = [t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
                 if t.received_ms > 10_000]
         assert late
+
+    def test_a_response_awaiting_authentication_is_not_a_miss(self, dep):
+        # the hosting broker takes longer to authenticate a ping response
+        # than the response deadline, though each one reaches it in time:
+        # the entity answered, so the broker neither suspects nor fails it
+        _, tracker = bootstrap(dep)
+        session = dep.manager_of("b1").session_of("svc")
+        slow = {op: OpCost(300.0, 0.0) for op in (CryptoOp.TRACE_VERIFY, CryptoOp.TRACE_DECRYPT)}
+        dep.manager_of("b1").machine.cost_model = CryptoCostModel(
+            {**PAPER_CALIBRATION, **slow}, seed=1
+        )
+        answered = dep.metrics.counter_value("trace.ping_responses")
+        dep.sim.run(until=40_000)
+
+        assert dep.metrics.counter_value("trace.ping_responses") > answered + 10
+        assert not dep.journal.records("failure_suspicion")
+        assert not tracker.traces_of_type(TraceType.FAILED)
+        assert dep.manager_of("b1").session_of("svc") is session
 
 
 class TestAdaptiveInterval:

@@ -53,8 +53,7 @@ class TestReregistration:
         dep.sim.run(until=20_000)
         manager = dep.manager_of("b1")
         assert dep.metrics.counter_value("trace.sessions_superseded") == 1
-        active = [s for s in manager.sessions.values() if s.active]
-        assert len(active) == 1
+        assert [s.active for s in manager.sessions.values()] == [True]
 
     def test_recovery_announces_state_transitions(self, dep):
         entity, tracker = bootstrap(dep)

@@ -167,7 +167,7 @@ def session_counts(manager) -> dict[str, int]:
     handlers = index_handlers(manager.broker._subs)
     return {
         "sessions": len(manager.sessions),
-        "active": len(manager.active_sessions()),
+        "active": sum(s.active for s in manager.sessions.values()),
         "workers": workers,
         "session_handlers": sum(
             len(held) for pattern, held in handlers.items() if pattern.startswith(_SESSION_TOPIC)

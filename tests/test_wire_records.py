@@ -36,7 +36,7 @@ from repro.tracing.entity import (
     TokenDeliveryPayload,
     TraceKeyDelivery,
 )
-from repro.tracing.interest import InterestResponse, TrackerCredential
+from repro.tracing.interest import InterestResponse
 from repro.tracing.pings import Ping, PingResponse
 from repro.tracing.registration import (
     RegistrationClaim,
@@ -275,14 +275,11 @@ PINNED = [
         SecuredTrace(b"cipher", True, TOPIC_HEX),
         {"ciphertext": b"cipher", "secured": True, "trace_topic": TOPIC_HEX},
     ),
-    (TrackerCredential(KEY, "w"), {"n": 77, "e": 3, "subject": "w"}),
     (
-        InterestResponse("w", ("all_updates", "load"), TrackerCredential(KEY, "w"), "t/KeyDelivery", 5.0),
+        InterestResponse(("all_updates", "load"), CERTIFICATE, 5.0),
         {
-            "tracker_id": "w",
             "categories": ["all_updates", "load"],
-            "credentials": {"n": 77, "e": 3, "subject": "w"},
-            "response_topic": "t/KeyDelivery",
+            "certificate": CERTIFICATE_WIRE,
             "stamp_ms": 5.0,
         },
     ),
