@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Why not just heartbeat everyone?  The paper's opening argument, measured.
 
-Compares three availability-tracking designs on the same simulation
-kernel:
+Compares three availability-tracking designs:
 
 * all-pairs heartbeats — N x (N-1) messages per period (section 1),
-* gossip failure detection (van Renesse et al., Ref [7]),
-* the paper's interest-gated broker tracing.
+  computed from that formula,
+* gossip failure detection (van Renesse et al., Ref [7]), simulated,
+* the paper's interest-gated broker tracing, simulated on the same
+  kernel as gossip.
 
 Run:  python examples/baseline_comparison.py
 """

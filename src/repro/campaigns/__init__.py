@@ -13,8 +13,8 @@ Layout:
 * :mod:`repro.campaigns.spec` — the spec model and its deterministic
   expansion into a run matrix;
 * :mod:`repro.campaigns.workloads` — the workload-family registry:
-  churn-mobile, the §5 adversarial families, and the gossip /
-  all-pairs baselines;
+  churn-mobile, the §5 adversarial families, and the gossip
+  baseline;
 * :mod:`repro.campaigns.runner` — in-process execution in matrix order
   plus the byte-stable campaign snapshot;
 * :mod:`repro.campaigns.report` — markdown tables + SVG figures from a

@@ -266,10 +266,6 @@ class Broker:
         """Ids of every client currently attached, sorted."""
         return sorted(self._client_links)
 
-    def has_client(self, client_id: str) -> bool:
-        """Whether a client link for ``client_id`` is currently attached."""
-        return client_id in self._client_links
-
     # ----------------------------------------------------------- subscriptions
 
     def add_client_subscription(self, client_id: str, pattern: str) -> None:

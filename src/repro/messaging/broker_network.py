@@ -213,10 +213,6 @@ class BrokerNetwork:
         self._clients[client_id] = client
         return client
 
-    def client(self, client_id: str) -> BrokerClient:
-        """The client endpoint called ``client_id``."""
-        return self._clients[client_id]
-
     def remove_client(self, client_id: str) -> None:
         """Forget a client so its id can be reused (e.g. after migration).
 

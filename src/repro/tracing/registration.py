@@ -43,7 +43,7 @@ class RecoveryProbe:
     """
 
     metrics: MetricsRegistry
-    journal: EventJournal | None = None
+    journal: EventJournal
     _detected_at: dict[str, float] = field(default_factory=dict)
     _causes: dict[str, str] = field(default_factory=dict)
 
@@ -54,10 +54,7 @@ class RecoveryProbe:
         self._detected_at[entity_id] = at_ms
         self._causes[entity_id] = cause
         self.metrics.counter("trace.recovery.detected").inc()
-        if self.journal is not None:
-            self.journal.record(
-                at_ms, "recovery.detected", entity=entity_id, cause=cause
-            )
+        self.journal.record(at_ms, "recovery.detected", entity=entity_id, cause=cause)
 
     def mark_reregistered(self, entity_id: str, at_ms: float) -> None:
         """Close the window on a successful registration, if one is open."""
@@ -68,14 +65,9 @@ class RecoveryProbe:
         elapsed = at_ms - detected
         self.metrics.histogram("trace.recovery_ms").observe(elapsed)
         self.metrics.counter("trace.recovery.completed").inc()
-        if self.journal is not None:
-            self.journal.record(
-                at_ms,
-                "recovery.completed",
-                entity=entity_id,
-                cause=cause,
-                recovery_ms=elapsed,
-            )
+        self.journal.record(
+            at_ms, "recovery.completed", entity=entity_id, cause=cause, recovery_ms=elapsed
+        )
 
     def pending(self) -> tuple[str, ...]:
         """Entities whose recovery window is still open (sorted)."""

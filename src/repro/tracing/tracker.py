@@ -27,6 +27,7 @@ from repro.errors import (
     MalformedFrameError,
     SignatureError,
     TokenError,
+    UnauthorizedError,
 )
 from repro.messaging.broker_network import BrokerNetwork
 from repro.messaging.message import Message
@@ -105,7 +106,6 @@ class Tracker:
         self._watched: dict[str, _WatchedEntity] = {}
         # per-session trace sequence tracking for gap detection
         self._last_seq: dict[str, int] = {}
-        self.missed_trace_count = 0
 
     # ------------------------------------------------------------------ wiring
 
@@ -156,26 +156,41 @@ class Tracker:
     def _wire_subscriptions(
         self, eid: EntityId, advertisement: TopicAdvertisement
     ) -> Generator[Event, None, TopicAdvertisement]:
-        """Subscribe to the selected trace streams of one advertisement."""
+        """Subscribe to the selected trace streams of one advertisement.
+
+        All or nothing: if the broker refuses one subscribe, the ones
+        already made are undone and the entity is not watched.
+        """
         topics = TraceTopicSet(advertisement.fields.trace_topic, eid)
         watched = _WatchedEntity(
             advertisement=advertisement, topics=topics, categories=self.interests
         )
-        self._watched[str(eid)] = watched
-
-        for category in sorted(self.interests, key=lambda c: c.value):
-            self.client.subscribe(
+        wanted = [
+            (
                 topics.topic_for_category(category),
                 lambda msg, w=watched: self._on_trace_message(w, msg),
             )
-        self.client.subscribe(
-            topics.interest_request,
-            lambda msg, w=watched: self._on_gauge(w, msg),
+            for category in sorted(self.interests, key=lambda c: c.value)
+        ]
+        wanted.append(
+            (topics.interest_request, lambda msg, w=watched: self._on_gauge(w, msg))
         )
-        self.client.subscribe(
-            topics.key_delivery(self.credentials.subject),
-            lambda msg, w=watched: self._on_key_delivery(w, msg),
+        wanted.append(
+            (
+                topics.key_delivery(self.credentials.subject),
+                lambda msg, w=watched: self._on_key_delivery(w, msg),
+            )
         )
+        subscribed = []
+        try:
+            for topic, handler in wanted:
+                self.client.subscribe(topic, handler)
+                subscribed.append((topic, handler))
+        except UnauthorizedError:
+            for topic, handler in subscribed:
+                self.client.unsubscribe(topic, handler)
+            raise
+        self._watched[str(eid)] = watched
         self.monitor.metrics.counter("tracker.tracking").inc()
 
         if self.proactive_interest:
@@ -404,9 +419,7 @@ class Tracker:
         if session_key is not None and seq is not None:
             last = self._last_seq.get(session_key)
             if last is not None and seq > last + 1:
-                gap = seq - last - 1
-                self.missed_trace_count += gap
-                self.monitor.metrics.counter("tracker.traces_missed").inc(gap)
+                self.monitor.metrics.counter("tracker.traces_missed").inc(seq - last - 1)
             if last is None or seq > last:
                 self._last_seq[session_key] = seq
 

@@ -19,10 +19,10 @@ SMOKE_SEED = RESULTS_DIR / SEED_GROUPS["campaign"].files[0]
 #: A two-point campaign cheap enough to execute in-process.
 TINY = CampaignSpec(
     name="tiny",
-    workloads=("baseline-allpairs",),
+    workloads=("unauthorized-publisher",),
     baselines=("baseline-gossip",),
     axes=(),
-    fixed={"duration_ms": 20_000.0},
+    fixed={"duration_ms": 30_000.0, "flood": 4},
     base_seed=5,
 )
 
@@ -32,12 +32,12 @@ class TestRunPoint:
         point = expand(TINY)[0]
         record = run_point(point)
         assert record["index"] == point.index
-        assert record["family"] == "baseline-allpairs"
+        assert record["family"] == "unauthorized-publisher"
         assert record["kind"] == "workload"
         assert record["params"] == point.params
         assert record["seed"] == 5
         assert record["repetition"] == 0
-        assert record["metrics"]["population"] >= 3
+        assert record["metrics"]["defense"]["terminated"] == 1
 
 
 class TestRunCampaign:
@@ -50,7 +50,7 @@ class TestRunCampaign:
         assert snapshot["point_count"] == 2
         assert snapshot["spec"] == TINY.to_dict()
         assert snapshot["families"] == {
-            "baseline-allpairs": {"kind": "workload", "points": 1},
+            "unauthorized-publisher": {"kind": "workload", "points": 1},
             "baseline-gossip": {"kind": "baseline", "points": 1},
         }
         metrics = registry.snapshot()

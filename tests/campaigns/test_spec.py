@@ -1,5 +1,7 @@
 """CampaignSpec validation, round-trip, and matrix expansion."""
 
+import pathlib
+
 import pytest
 
 from repro.campaigns import (
@@ -10,6 +12,11 @@ from repro.campaigns import (
     unused_parameters,
 )
 from repro.errors import ConfigurationError, ValidationError
+
+#: Every campaign spec the repository ships, the offline ones included.
+COMMITTED_SPECS = sorted(
+    (pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "campaigns").glob("*.json")
+)
 
 
 def _spec(**overrides) -> CampaignSpec:
@@ -121,3 +128,11 @@ class TestLints:
         spec = _spec(axes=(Axis("entites", (2, 3)),))  # typo: no family accepts
         assert unused_parameters(spec) == ("entites",)
         assert unused_parameters(_spec()) == ()
+
+    @pytest.mark.parametrize("path", COMMITTED_SPECS, ids=lambda path: path.name)
+    def test_every_committed_spec_is_valid(self, path):
+        """A committed spec names only registered families and accepted
+        parameters, so it expands; nothing else runs the offline ones."""
+        spec = load_spec(path)
+        assert expand(spec, seed=42)
+        assert unused_parameters(spec) == ()

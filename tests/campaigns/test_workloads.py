@@ -12,7 +12,6 @@ _CHEAP = {
     "token-replay-flood": {"duration_ms": 30_000.0, "flood": 4},
     "malicious-termination": {"duration_ms": 45_000.0, "flood": 4},
     "baseline-gossip": {"duration_ms": 20_000.0},
-    "baseline-allpairs": {"duration_ms": 20_000.0},
 }
 
 
@@ -32,7 +31,6 @@ class TestRegistry:
             "token-replay-flood",
             "malicious-termination",
             "baseline-gossip",
-            "baseline-allpairs",
         }
         for family in WORKLOADS.values():
             assert family.kind in {"protocol", "adversarial", "baseline"}

@@ -3,8 +3,9 @@
 import pytest
 
 from repro import build_deployment
+from repro.auth.credentials import EntityCredentials
 from repro.crypto.signing import sign_payload
-from repro.errors import DiscoveryError
+from repro.errors import DiscoveryError, UnauthorizedError
 from repro.messaging.message import Message
 from repro.tdn.query import DiscoveryRestrictions
 from repro.tracing.traces import TraceType
@@ -43,6 +44,36 @@ class TestDiscoveryRestrictions:
         friend.track("svc")
         dep.sim.run(until=20_000)
         assert friend.traces_of_type(TraceType.ALLS_WELL)
+
+
+class TestRefusedSubscription:
+    def test_a_refused_subscribe_leaves_the_tracker_tracking_nothing(self):
+        """A tracker holding another subject's credentials discovers the
+        topic but may not subscribe to that subject's KeyDelivery topic.
+        The broker refuses and records the violation, and the tracker
+        undoes the subscribes it already made: it watches nothing and
+        receives no trace and no gauge."""
+        dep = build_deployment(broker_ids=["b1", "b2"], seed=300)
+        entity = dep.add_traced_entity("svc")
+        tracker = dep.add_tracker("t1")
+        tracker.credentials = EntityCredentials.issue("victim", dep.ca, tracker.machine.rng)
+        tracker.connect("b2")
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        proc = tracker.track("svc")
+        dep.sim.run(until=150_000)
+        assert proc.triggered and not succeeded(proc)
+        with pytest.raises(UnauthorizedError):
+            _ = proc.value
+        assert tracker._watched == {}
+        assert tracker.received == []
+        for name in ("tracker.traces.received", "tracker.gauges_received", "tracker.tracking"):
+            assert dep.metrics.counter_value(name) == 0, name
+        assert dep.metrics.counter_value("trace.interest_recorded") == 0
+        assert dep.metrics.counter_value("broker.violations") == 1
+        (violation,) = dep.journal.records("violation")
+        assert violation.principal == "t1"
+        assert "KeyDelivery" in violation.fields["what"]
 
 
 class TestTokenEnforcement:

@@ -121,7 +121,7 @@ class TestGapDetection:
         dep.sim.run(until=3_000)
         tracker.track("svc")
         dep.sim.run(until=40_000)
-        assert tracker.missed_trace_count == 0
+        assert dep.metrics.counter_value("tracker.traces_missed") == 0
 
     def test_gaps_detected_on_lossy_udp(self):
         # broker-to-broker links are lossy UDP; the entity and tracker use
@@ -144,8 +144,7 @@ class TestGapDetection:
         received = len(tracker.received)
         assert received > 0
         # with 25% per-link loss across several links, some traces vanish
-        assert tracker.missed_trace_count > 0
-        assert dep.metrics.counter_value("tracker.traces_missed") == tracker.missed_trace_count
+        assert dep.metrics.counter_value("tracker.traces_missed") > 0
 
 
 class TestRegistrationRetries:

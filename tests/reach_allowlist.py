@@ -146,7 +146,6 @@ ALLOWED: dict[str, str] = {
     "repro.obs.registry:MetricsRegistry.__len__": "repr: container dunder",
     "repro.sim.engine:Event.__repr__": "repr",
     "repro.sim.engine:Event.fired": "repr: Event.__repr__ reads it",
-    "repro.sim.engine:Queue.__len__": "repr: container dunder",
     "repro.sim.machine:Machine.__repr__": "repr",
     "repro.tracing.entity:TracedEntity.__repr__": "repr",
     "repro.tracing.interest:InterestRegistry.__len__": "repr: container dunder",
@@ -168,33 +167,6 @@ ALLOWED: dict[str, str] = {
         "paper §4: TokenVerifier.revoke evicts the cached verdict"
     ),
     "repro.auth.verification:TokenVerifier.revoke": "paper §4: token revocation",
-    "repro.baselines.allpairs:AllPairsHeartbeatSystem.__init__": (
-        "paper §1: the all-to-all heartbeat baseline (S11)"
-    ),
-    "repro.baselines.allpairs:AllPairsHeartbeatSystem._check_loop": (
-        "paper §1: the all-to-all heartbeat baseline (S11)"
-    ),
-    "repro.baselines.allpairs:AllPairsHeartbeatSystem._deliver": (
-        "paper §1: the all-to-all heartbeat baseline (S11)"
-    ),
-    "repro.baselines.allpairs:AllPairsHeartbeatSystem._heartbeat_loop": (
-        "paper §1: the all-to-all heartbeat baseline (S11)"
-    ),
-    "repro.baselines.allpairs:AllPairsHeartbeatSystem.believes_failed": (
-        "paper §1: the all-to-all heartbeat baseline (S11)"
-    ),
-    "repro.baselines.allpairs:AllPairsHeartbeatSystem.crash": (
-        "paper §1: the all-to-all heartbeat baseline (S11)"
-    ),
-    "repro.baselines.allpairs:AllPairsHeartbeatSystem.detection_times_for": (
-        "paper §1: the all-to-all heartbeat baseline (S11)"
-    ),
-    "repro.baselines.allpairs:AllPairsHeartbeatSystem.start": (
-        "paper §1: the all-to-all heartbeat baseline (S11)"
-    ),
-    "repro.campaigns.workloads:run_baseline_allpairs": (
-        "paper §1: the all-to-all heartbeat baseline family"
-    ),
     "repro.campaigns.workloads:run_malicious_termination": (
         "paper §5: the malicious-entity termination family"
     ),
