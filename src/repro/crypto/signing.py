@@ -7,7 +7,10 @@ Two patterns recur throughout the paper's protocol:
   :func:`sign_payload` produces a :class:`SignedEnvelope` whose signature is
   an RSA PKCS#1 v1.5 signature over the canonical encoding of the payload.
   The envelope carries no copy of the payload: :func:`verify_signed` checks
-  it against the statement its verifier rebuilds.
+  it against the statement its verifier rebuilds.  A message body is signed
+  as the :class:`~repro.util.serialization.Canonical` it travels as, so it
+  is encoded once, by its signer: :func:`verify_signed_body` checks the
+  signature over the bytes received and reads the value from them.
 
 * **Sealing** (sections 3.2, 5.1): "The response message is encrypted with a
   randomly generated secret key, and this secret key is encrypted using the
@@ -32,6 +35,7 @@ from repro.errors import (
     SignatureError,
 )
 from repro.util.serialization import (
+    Canonical,
     canonical_decode,
     canonical_encode,
     read_record,
@@ -79,11 +83,34 @@ def verify_signed(envelope: SignedEnvelope, expected: Any, public_key: RSAPublic
     public_key.verify(canonical_encode(expected), envelope.signature)
 
 
-def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> None:
+def verify_signed_body(signature: Any, body: Any, public_key: RSAPublicKey) -> Any:
     """:func:`verify_signed` of the ``signature`` mapping a message carries
-    beside its ``body``; raises :class:`MalformedEnvelopeError` when the
-    mapping does not parse."""
-    verify_signed(SignedEnvelope.from_dict(signature), body, public_key)
+    beside its ``body``, over the body's bytes as received; returns the
+    value they hold (:func:`signed_value`).
+
+    Raises :class:`MalformedEnvelopeError` when the mapping does not parse,
+    the body is not a :class:`Canonical` or its bytes do not decode, and
+    :class:`SignatureError` when the signature does not verify.
+    """
+    envelope = SignedEnvelope.from_dict(signature)
+    value = signed_value(body)
+    # the encoding of a Canonical is its data: nothing is re-encoded
+    verify_signed(envelope, body, public_key)
+    return value
+
+
+def signed_value(body: Any) -> Any:
+    """The value a signed ``body`` holds, verified or not; raises
+    :class:`MalformedEnvelopeError` for a body that is not a
+    :class:`Canonical` or whose bytes do not decode."""
+    if type(body) is not Canonical:
+        raise MalformedEnvelopeError(
+            f"a signed body travels as Canonical bytes, got {type(body).__name__}"
+        )
+    try:
+        return body.value
+    except SerializationDecodeError as exc:
+        raise MalformedEnvelopeError(f"signed body does not decode: {exc}") from exc
 
 
 @wire_record()

@@ -35,7 +35,9 @@ class Message:
     """One routable message.
 
     ``body`` is the application payload (canonically encodable, or raw
-    ``bytes`` when encrypted).  ``signature`` holds a serialized
+    ``bytes`` when encrypted); a signed body is the
+    :class:`~repro.util.serialization.Canonical` its signer signed, so it
+    is encoded once.  ``signature`` holds a serialized
     :class:`~repro.crypto.signing.SignedEnvelope` dict covering the body;
     ``auth_token`` holds an authorization token's canonical bytes
     (:attr:`AuthorizationToken.wire <repro.auth.tokens.AuthorizationToken.wire>`),

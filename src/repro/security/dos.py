@@ -27,6 +27,7 @@ from repro.sim.machine import Machine
 from repro.tracing.topics import TraceTopicSet
 from repro.tracing.traces import TraceType
 from repro.util.identifiers import EntityId, UUID128
+from repro.util.serialization import Canonical
 
 
 class SpuriousTracePublisher:
@@ -93,7 +94,7 @@ class SpuriousTracePublisher:
             rng=self.machine.rng,
         )
         topics = TraceTopicSet(trace_topic, _as_entity(victim))
-        body = self._fake_body(trace_topic, victim)
+        body = Canonical.of(self._fake_body(trace_topic, victim))
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
         from repro.crypto.signing import sign_payload
 

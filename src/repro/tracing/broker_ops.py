@@ -21,6 +21,7 @@ from repro.crypto.signing import (
     open_sealed,
     seal_for,
     sign_payload,
+    signed_value,
     verify_signed,
     verify_signed_body,
 )
@@ -61,7 +62,7 @@ from repro.tracing.session import TraceSession
 from repro.tracing.topics import REGISTRATION_TOPIC, TraceTopicSet
 from repro.tracing.traces import EntityState, TraceBody, TraceType, category_of
 from repro.util.identifiers import SessionId, UUIDGenerator
-from repro.util.serialization import canonical_decode
+from repro.util.serialization import Canonical, canonical_decode
 
 #: The sealed symmetric keys a session can install, by message kind.
 _SEALED_KEYS = {"trace_key": TraceKeyDelivery, "channel_key": ChannelKeyDelivery}
@@ -356,17 +357,17 @@ class TraceManager:
                 return None
             return decoded if isinstance(decoded, dict) else None
 
-        if message.signature is None or not isinstance(body, dict):
+        if message.signature is None:
             return None
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            verify_signed_body(
+            body = verify_signed_body(
                 message.signature, body, session.advertisement.fields.owner_public_key
             )
         except SignatureError as exc:
             self._log_malformed(exc, session, message)
             return None
-        return body
+        return body if isinstance(body, dict) else None
 
     def _log_malformed(
         self, exc: Exception, session: TraceSession, message: Message
@@ -685,9 +686,9 @@ class TraceManager:
         yield from self.machine.charge(CryptoOp.CERT_VERIFY)
         yield from self.machine.charge(CryptoOp.TRACE_VERIFY)
         try:
-            certificate = InterestResponse.signer(body)
+            certificate = InterestResponse.signer(signed_value(body))
             self.ca.verify(certificate, now_ms=self.machine.now())
-            verify_signed_body(message.signature, body, certificate.public_key)
+            body = verify_signed_body(message.signature, body, certificate.public_key)
         except (CertificateError, MalformedFrameError, SignatureError) as exc:
             self.monitor.metrics.counter("trace.interest_bad_signature").inc()
             self._log_malformed(exc, session, message)
@@ -789,10 +790,11 @@ class TraceManager:
         secured = session.secured and trace_type is not TraceType.GUAGE_INTEREST
         if secured:
             yield from self.machine.charge(CryptoOp.SECURE_WRAP)
-            body = wrap_trace_body(trace, session.trace_key, self.machine.rng).to_dict()
+            wrapped = wrap_trace_body(trace, session.trace_key, self.machine.rng)
+            body = Canonical.of(wrapped.to_dict())
             yield from self.machine.charge(CryptoOp.TRACE_SIGN_ENCRYPTED)
         else:
-            body = trace.to_dict()
+            body = Canonical.of(trace.to_dict())
             yield from self.machine.charge(CryptoOp.TRACE_SIGN)
         envelope = sign_payload(body, session.token_private_key)
 

@@ -48,7 +48,7 @@ from repro.tracing.registration import (
 from repro.tracing.topics import REGISTRATION_TOPIC, TraceTopicSet
 from repro.tracing.traces import EntityState, VALID_TRANSITIONS, LoadInformation
 from repro.util.identifiers import EntityId, SequenceCounter, SessionId
-from repro.util.serialization import canonical_encode, wire_record
+from repro.util.serialization import Canonical, canonical_encode, wire_record
 
 #: Default trace-topic lifetime: one hour.
 DEFAULT_TOPIC_LIFETIME_MS = 3_600_000.0
@@ -417,8 +417,9 @@ class TracedEntity:
             self.client.publish(topic, frame.to_dict(), encrypted=True)
         else:
             yield from self.machine.charge(CryptoOp.TRACE_SIGN)
-            envelope = self.credentials.sign(body)
-            self.client.publish(topic, body, signature=envelope.to_dict())
+            signed = Canonical.of(body)
+            envelope = self.credentials.sign(signed)
+            self.client.publish(topic, signed, signature=envelope.to_dict())
 
     def _on_broker_message(self, message: Message) -> None:
         """Pings (and future broker-initiated control) arrive here."""

@@ -20,7 +20,7 @@ from repro.auth.tokens import AuthorizationToken
 from repro.auth.verification import TokenVerifier
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.keys import SymmetricKey
-from repro.crypto.signing import verify_signed_body
+from repro.crypto.signing import signed_value, verify_signed_body
 from repro.errors import (
     DecryptionError,
     DiscoveryError,
@@ -43,6 +43,7 @@ from repro.tracing.interest import ALL_CATEGORIES, InterestCategory, InterestRes
 from repro.tracing.topics import TraceTopicSet
 from repro.tracing.traces import TraceBody, TraceType
 from repro.util.identifiers import EntityId
+from repro.util.serialization import Canonical
 
 #: Default age below which a gauge is not answered again: the interest the
 #: tracker last registered is still live at the broker.
@@ -279,7 +280,7 @@ class Tracker:
         ):
             return
         try:
-            stamp_ms = TraceBody.from_dict(message.body).broker_stamp_ms
+            stamp_ms = TraceBody.from_dict(signed_value(message.body)).broker_stamp_ms
         except MalformedFrameError:
             stamp_ms = None  # the gauge is answered all the same, it just times no key hand-off
         if stamp_ms is not None:
@@ -299,11 +300,13 @@ class Tracker:
         self, topics: TraceTopicSet, categories: tuple[str, ...]
     ) -> Generator[Event, None, None]:
         """Sign and publish one interest response (section 3.5)."""
-        body = InterestResponse(
-            categories=categories,
-            certificate=self.credentials.certificate,
-            stamp_ms=self.machine.now(),
-        ).to_dict()
+        body = Canonical.of(
+            InterestResponse(
+                categories=categories,
+                certificate=self.credentials.certificate,
+                stamp_ms=self.machine.now(),
+            ).to_dict()
+        )
         yield from self.machine.charge(CryptoOp.TRACE_SIGN)
         envelope = self.credentials.sign(body)
         self.client.publish(topics.interest_response, body, signature=envelope.to_dict())
@@ -365,9 +368,6 @@ class Tracker:
         self, watched: _WatchedEntity, message: Message
     ) -> Generator[Event, None, None]:
         body = message.body
-        if not isinstance(body, dict):
-            return
-
         if self.verify_traces:
             token = yield from self._check_token(message)
             if token is None:
@@ -382,7 +382,7 @@ class Tracker:
             )
             yield from self.machine.charge(op)
             try:
-                verify_signed_body(message.signature, body, token.token_public_key)
+                body = verify_signed_body(message.signature, body, token.token_public_key)
             except SignatureError as exc:
                 self.monitor.metrics.counter("tracker.traces_bad_signature").inc()
                 self.monitor.log_malformed(
@@ -394,6 +394,13 @@ class Tracker:
                     tracker=self.tracker_id,
                 )
                 return
+        else:
+            try:
+                body = signed_value(body)
+            except MalformedFrameError:
+                return
+        if not isinstance(body, dict):
+            return
 
         if message.encrypted or body.get("secured"):
             if watched.trace_key is None:

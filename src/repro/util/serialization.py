@@ -13,8 +13,10 @@ in sorted key order).
 
 :class:`Canonical` holds a value as its encoded bytes: placed anywhere in
 a container, it encodes to exactly the bytes the plain value would, so a
-value encoded once (an authorization token, where it is issued) is spliced
-into every frame that carries it instead of being re-encoded.
+value encoded once (an authorization token where it is issued, a signed
+body where it is signed) is spliced into every frame that carries it
+instead of being re-encoded.  ``Canonical.of`` also keeps the value it
+encoded, so a reader in the same process never decodes it again.
 
 :class:`Fields` is the receiving side of the same type universe: the one
 place a decoded mapping becomes typed values (docs/WIRE_FORMAT.md,
@@ -263,6 +265,10 @@ def _decode_from(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
     raise SerializationDecodeError(f"unknown tag {tag!r} at offset {offset - 1}")
 
 
+#: What a :class:`Canonical` built from bytes holds in place of a value.
+_UNHELD: Any = object()
+
+
 @dataclass(frozen=True, slots=True)
 class Canonical:
     """A canonical value held as its encoded bytes.
@@ -270,12 +276,18 @@ class Canonical:
     :func:`canonical_encode` emits ``data`` verbatim wherever a
     ``Canonical`` sits, so a container holding ``Canonical.of(v)`` encodes
     to exactly the bytes of the same container holding ``v``.  Equal
-    bytes are equal values; ``data`` is whatever was received, and
-    :attr:`value` raises :class:`SerializationDecodeError` when it does
-    not decode.
+    bytes are equal values.
+
+    ``Canonical.of(v)`` encodes ``v`` once and keeps it: :attr:`value`
+    is ``v`` itself, which now belongs to the ``Canonical`` and must not
+    be mutated.  ``Canonical(data)`` holds received bytes and no value:
+    :attr:`value` decodes ``data`` on every read and raises
+    :class:`SerializationDecodeError` when it does not decode.  Nothing
+    else pairs bytes with a value, so the two always agree.
     """
 
     data: bytes
+    held: Any = dataclasses.field(default=_UNHELD, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.data) is not bytes:
@@ -285,13 +297,16 @@ class Canonical:
 
     @classmethod
     def of(cls, value: Any) -> "Canonical":
-        """Encode ``value`` once."""
-        return cls(canonical_encode(value))
+        """Encode ``value`` once, and hold it beside its bytes."""
+        encoded = cls(canonical_encode(value))
+        object.__setattr__(encoded, "held", value)
+        return encoded
 
     @property
     def value(self) -> Any:
-        """The held value, decoded afresh on every read."""
-        return canonical_decode(self.data)
+        """The value ``of`` encoded, or ``data`` decoded."""
+        held = self.held
+        return canonical_decode(self.data) if held is _UNHELD else held
 
 
 _REQUIRED: Any = object()

@@ -358,7 +358,9 @@ def _encode_message_body(message: Message, out: bytearray) -> None:
     for segment in segments:
         ctx.write_str(segment, out)
     if not flags & FLAG_BODY_NONE:
-        _encode_value(message.body, ctx, out)
+        body = message.body
+        # a signed body by its value, as the token below: its strings intern
+        _encode_value(body.value if type(body) is Canonical else body, ctx, out)
     if flags & FLAG_SIGNATURE:
         _encode_value(message.signature, ctx, out)
     if flags & FLAG_AUTH_TOKEN:
@@ -390,6 +392,8 @@ def _decode_message_body(data: bytes, offset: int) -> tuple[Message, int]:
     signature = None
     if flags & FLAG_SIGNATURE:
         signature, offset = _decode_value(data, offset, ctx)
+        # back in the form it was signed in, as the token
+        body = Canonical.of(body)
     auth_token = None
     if flags & FLAG_AUTH_TOKEN:
         token_value, offset = _decode_value(data, offset, ctx)

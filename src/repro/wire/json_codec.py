@@ -7,9 +7,9 @@ over ``wire_dict()``, exactly the rendering every send was sized with before
 the codec seam existed.  That byte-for-byte equivalence is a hard requirement:
 every committed seed snapshot (``benchmarks/results/*.json``) pins wire
 sizes produced by this encoding, so the default codec must never change
-them.  An authorization token rides as a
+them.  An authorization token and a signed body ride as a
 :class:`~repro.util.serialization.Canonical`, whose bytes are spliced into
-the frame unchanged: the same bytes its plain dict would encode to.
+the frame unchanged: the same bytes their plain values would encode to.
 """
 
 from __future__ import annotations
@@ -48,17 +48,18 @@ def message_from_wire_dict(data: dict) -> Message:
     """Rebuild a :class:`Message` from its ``wire_dict()`` rendering.
 
     ``hops`` never rides the wire (it is link-local diagnostics), so the
-    reconstructed message always carries ``hops=0``.  The token comes back
-    in the form it travelled in: its canonical bytes.
+    reconstructed message always carries ``hops=0``.  The token, and a
+    body that carries a signature, come back in the form they travelled
+    in: their canonical bytes.
     """
-    auth_token = data["auth_token"]
+    auth_token, body, signature = data["auth_token"], data["body"], data["signature"]
     return Message(
         topic=Topic(data["topic"]),
-        body=data["body"],
+        body=body if signature is None else Canonical.of(body),
         source=data["source"],
         message_id=data["message_id"],
         created_ms=data["created_ms"],
-        signature=data["signature"],
+        signature=signature,
         auth_token=None if auth_token is None else Canonical.of(auth_token),
         encrypted=data["encrypted"],
     )

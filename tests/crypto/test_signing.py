@@ -8,10 +8,12 @@ from repro.crypto.signing import (
     open_sealed,
     seal_for,
     sign_payload,
+    signed_value,
     verify_signed,
     verify_signed_body,
 )
-from repro.errors import DecryptionError, SignatureError
+from repro.errors import DecryptionError, MalformedEnvelopeError, SignatureError
+from repro.util.serialization import Canonical
 
 
 class TestSignedEnvelope:
@@ -64,20 +66,37 @@ EQUAL_NOT_SIGNED = (
 
 class TestVerifySignedBody:
     def test_the_signed_body_verifies(self, keypair):
-        signature = sign_payload(SIGNED_BODY, keypair.private).to_dict()
-        assert verify_signed_body(signature, dict(SIGNED_BODY), keypair.public) is None
+        body = Canonical.of(dict(SIGNED_BODY))
+        signature = sign_payload(body, keypair.private).to_dict()
+        assert verify_signed_body(signature, body, keypair.public) is body.value
+        received = Canonical(body.data)
+        assert verify_signed_body(signature, received, keypair.public) == SIGNED_BODY
 
     def test_a_swapped_body_is_refused(self, keypair):
-        signature = sign_payload(SIGNED_BODY, keypair.private).to_dict()
+        signature = sign_payload(Canonical.of(SIGNED_BODY), keypair.private).to_dict()
+        swapped = Canonical.of({**SIGNED_BODY, "seq": 2})
         with pytest.raises(SignatureError, match="signature does not verify"):
-            verify_signed_body(signature, {**SIGNED_BODY, "seq": 2}, keypair.public)
+            verify_signed_body(signature, swapped, keypair.public)
 
     @pytest.mark.parametrize("body", EQUAL_NOT_SIGNED, ids=("bool", "int", "float"))
     def test_an_equal_body_with_other_bytes_does_not_verify(self, keypair, body):
         assert body == SIGNED_BODY
         signature = sign_payload(SIGNED_BODY, keypair.private).to_dict()
-        with pytest.raises(SignatureError):
-            verify_signed_body(signature, body, keypair.public)
+        with pytest.raises(SignatureError, match="signature does not verify"):
+            verify_signed_body(signature, Canonical.of(body), keypair.public)
+
+    def test_a_body_that_is_not_signed_bytes_is_malformed(self, keypair):
+        """A plain mapping is not re-encoded to be checked, and signed bytes
+        that do not decode are no body."""
+        signature = sign_payload(SIGNED_BODY, keypair.private).to_dict()
+        with pytest.raises(MalformedEnvelopeError, match="travels as Canonical bytes"):
+            verify_signed_body(signature, dict(SIGNED_BODY), keypair.public)
+        garbage = Canonical(b"d")
+        signature = sign_payload(garbage, keypair.private).to_dict()
+        with pytest.raises(MalformedEnvelopeError, match="does not decode"):
+            verify_signed_body(signature, garbage, keypair.public)
+        with pytest.raises(MalformedEnvelopeError, match="does not decode"):
+            signed_value(garbage)
 
 
 class TestSealing:

@@ -192,7 +192,7 @@ class TestMessageIntegrity:
 
         body = {"kind": "state_transition", "state": "SHUTDOWN", "stamp_ms": 0.0}
         envelope = entity.credentials.sign({"something": "else"})
-        entity.client.publish(topic, body, signature=envelope.to_dict())
+        entity.client.publish(topic, Canonical.of(body), signature=envelope.to_dict())
         dep.sim.run(until=6_000)
         assert dep.metrics.counter_value("trace.entity_messages_rejected") >= 1
         assert session.entity_state.value != "SHUTDOWN"
@@ -200,8 +200,9 @@ class TestMessageIntegrity:
     @staticmethod
     def _refusals(state_edits, interest_edits, trace_edits) -> list[int]:
         """Sign a state report, an interest response and a trace, send each
-        signature beside its body changed by each edit, and return how much
-        the entity, interest and tracker refusal counters rose."""
+        signature beside its body changed by each edit, once as a plain
+        mapping and once as the ``Canonical`` a signer sends, and return how
+        much the entity, interest and tracker refusal counters rose."""
         dep = build_deployment(broker_ids=["b1", "b2"], seed=1)
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
@@ -235,27 +236,30 @@ class TestMessageIntegrity:
         entity_signature = entity.credentials.sign(state).to_dict()
         tracker_signature = tracker.credentials.sign(interest).to_dict()
         trace_signature = sign_payload(trace, session.token_private_key).to_dict()
-        for edit in trace_edits:
-            dep.network.broker("b1").publish_from_broker(
-                Message(
-                    topic=topics.all_updates,
-                    body={**trace, **edit},
-                    source="b1",
-                    created_ms=dep.sim.now,
-                    signature=trace_signature,
-                    auth_token=session.token.wire,
+        for form in (dict, Canonical.of):
+            for edit in trace_edits:
+                dep.network.broker("b1").publish_from_broker(
+                    Message(
+                        topic=topics.all_updates,
+                        body=form({**trace, **edit}),
+                        source="b1",
+                        created_ms=dep.sim.now,
+                        signature=trace_signature,
+                        auth_token=session.token.wire,
+                    )
                 )
-            )
-        for edit in state_edits:
-            entity.client.publish(
-                topics.entity_to_broker(session.session_id),
-                {**state, **edit},
-                signature=entity_signature,
-            )
-        for edit in interest_edits:
-            tracker.client.publish(
-                topics.interest_response, {**interest, **edit}, signature=tracker_signature
-            )
+            for edit in state_edits:
+                entity.client.publish(
+                    topics.entity_to_broker(session.session_id),
+                    form({**state, **edit}),
+                    signature=entity_signature,
+                )
+            for edit in interest_edits:
+                tracker.client.publish(
+                    topics.interest_response,
+                    form({**interest, **edit}),
+                    signature=tracker_signature,
+                )
         dep.sim.run(until=dep.sim.now + 5_000)
         return [dep.metrics.counter_value(name) - b for name, b in zip(counters, before)]
 
@@ -264,19 +268,25 @@ class TestMessageIntegrity:
         body it received: a body Python calls equal to the signed one
         (``True`` for ``1``, ``5`` for ``5.0``) but encoding to other bytes
         is refused at the broker's entity and interest paths and at the
-        tracker."""
+        tracker, as a plain mapping and as ``Canonical`` bytes alike."""
         signed = {"seq": 1, "origin_stamp_ms": 5.0, "payload": {"x": 1}, "stamp_ms": 5.0}
         stamp = {"stamp_ms": 5}
         traces = ({"seq": True}, {"origin_stamp_ms": 5}, {"payload": {"x": 1.0}})
         assert all({**signed, **edit} == signed for edit in (stamp, *traces))
-        assert self._refusals([stamp], [stamp], traces) == [1, 1, 3]
+        assert self._refusals([stamp], [stamp], traces) == [2, 2, 6]
 
     def test_a_swapped_body_is_counted_as_a_bad_signature(self):
         """A signature beside a body other than the one signed is refused
         through the one failure mode of every verifying site: the tracker
         and the interest path count it as a bad signature."""
         swapped = {"stamp_ms": 6.0}
-        assert self._refusals([swapped], [swapped], [{"seq": 2}]) == [1, 1, 1]
+        assert self._refusals([swapped], [swapped], [{"seq": 2}]) == [2, 2, 2]
+
+    def test_a_signed_body_is_accepted_only_as_the_bytes_signed(self):
+        """The unedited body verifies as the ``Canonical`` its signer sends;
+        the same body as a plain mapping is refused at every site, since a
+        verifier checks received bytes and re-encodes nothing."""
+        assert self._refusals([{}], [{}], [{}]) == [1, 1, 1]
 
     def test_unsigned_entity_message_rejected(self, dep):
         entity = dep.add_traced_entity("svc")
@@ -302,7 +312,7 @@ class TestMessageIntegrity:
 
         body = {"kind": "disable_tracing", "stamp_ms": 0.0}
         envelope = imposter.credentials.sign(body)
-        imposter.client.publish(topic, body, signature=envelope.to_dict())
+        imposter.client.publish(topic, Canonical.of(body), signature=envelope.to_dict())
         dep.sim.run(until=8_000)
         assert session.active  # the forged disable was ignored
 

@@ -275,8 +275,8 @@ class TestEncryptedTraces:
         assert captured
         for message in captured:
             assert message.encrypted
-            assert message.body.get("secured") is True
-            assert "payload" not in message.body
+            assert message.body.value.get("secured") is True
+            assert "payload" not in message.body.value
 
     def test_latencies_higher_than_auth_only(self):
         """auth+security costs more than auth alone (Table 3 gap)."""

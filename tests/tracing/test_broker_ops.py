@@ -5,11 +5,13 @@ bookkeeping paths directly.
 """
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 import repro.auth.tokens as tokens_module
+import repro.tracing.broker_ops as broker_ops
 import repro.tracing.entity as entity_module
 from repro import build_deployment
 from repro.auth.credentials import EntityCredentials
@@ -18,12 +20,14 @@ from repro.auth.verification import TokenVerifier
 from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.keys import KeyPair
 from repro.errors import RegistrationError, SignatureError, TokenError
+from repro.faults.scenarios import run_scenario
 from repro.tdn.advertisement import TopicLifetime
 from repro.tracing.broker_ops import category_of
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.interest import InterestCategory
 from repro.tracing.pings import PingResponse
 from repro.tracing.traces import EntityState, LoadInformation, TraceType
+from repro.util.serialization import Canonical
 from tests.support import run_process, succeeded
 
 
@@ -41,10 +45,11 @@ def registered_entity(dep, name="svc", **kwargs):
 
 def send_signed(entity, body):
     """Publish a hand-built session body, signed, as the entity's client."""
+    signed = Canonical.of(body)
     entity.client.publish(
         entity.topics.entity_to_broker(entity.session_id),
-        body,
-        signature=entity.credentials.sign(body).to_dict(),
+        signed,
+        signature=entity.credentials.sign(signed).to_dict(),
     )
 
 
@@ -299,12 +304,7 @@ class TestEntityMessageHandling:
         received = len(tracker.received)
         stamps = ["soon", float("nan"), float("inf"), True]
         for stamp in stamps:
-            body = {**report, "stamp_ms": stamp}
-            entity.client.publish(
-                entity.topics.entity_to_broker(entity.session_id),
-                body,
-                signature=entity.credentials.sign(body).to_dict(),
-            )
+            send_signed(entity, {**report, "stamp_ms": stamp})
         dep.sim.run(until=dep.sim.now + 500)
         assert dep.metrics.counter_value(f"trace.{kind}_reports_malformed") == len(stamps)
         assert dep.metrics.counter_value("tracker.traces_malformed") == 0
@@ -446,3 +446,39 @@ class TestPingLoop:
         dep, frames = published
         pings = [body for _, body in frames if body.get("kind") == "ping"]
         assert len(pings) == dep.metrics.counter_value("tracker.pings.sent") > 0
+
+
+class TestTracesSignedOnce:
+    """Every trace a broker publishes is signed once, and a session that
+    ``_retire`` removed from ``sessions`` publishes nothing after that but
+    the one trace that announces its end."""
+
+    #: The traces published for a session already retired (section 3.3).
+    _ENDINGS = {TraceType.FAILED, TraceType.DISCONNECT, TraceType.REVERTING_TO_SILENT_MODE}
+
+    @pytest.mark.parametrize("scenario", ["broker-crash", "entity-churn"])
+    def test_signatures_equal_publications(self, scenario, monkeypatch):
+        signed = []
+        sign = broker_ops.sign_payload
+
+        def counting(payload, private_key):
+            caller = sys._getframe(1)
+            assert caller.f_code.co_name == "publish_trace"
+            manager, session = caller.f_locals["self"], caller.f_locals["session"]
+            live = manager.sessions.get(str(session.entity_id)) is session
+            signed.append((session, caller.f_locals["trace_type"], live))
+            return sign(payload, private_key)
+
+        monkeypatch.setattr(broker_ops, "sign_payload", counting)
+        counts = {}
+        run_scenario(
+            scenario, deployment_probe=lambda dep: counts.update(dep.monitor.counters())
+        )
+
+        published = sum(n for name, n in counts.items() if name.startswith("trace.published."))
+        assert len(signed) == published > 0
+        after_retirement = [(session, kind) for session, kind, live in signed if not live]
+        assert after_retirement  # each scenario retires a session that says so
+        assert {kind for _, kind in after_retirement} <= self._ENDINGS
+        retired = [id(session) for session, _ in after_retirement]
+        assert len(retired) == len(set(retired))

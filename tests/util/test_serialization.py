@@ -304,10 +304,11 @@ class TestCanonical:
         assert bytes(out) == b"kept" + canonical_encode(plain)
 
     @given(_any_values)
-    def test_value_decodes_the_held_bytes(self, value):
+    def test_value_is_held_or_decodes_the_received_bytes(self, value):
         held = Canonical.of(value)
         assert held.data == _reference_encode(value)
-        assert held.value == _tuples_to_lists(value)
+        assert held.value is value
+        assert Canonical(held.data).value == _tuples_to_lists(value)
         assert held == Canonical(held.data)
 
     def test_holds_bytes_only(self):
@@ -315,6 +316,20 @@ class TestCanonical:
             Canonical("d1:ae")
         with pytest.raises(SerializationTypeError):
             Canonical(bytearray(b"N"))
+
+    def test_of_holds_its_value_and_received_bytes_hold_none(self):
+        value = {"seq": 1, "payload": {"x": (1, 2)}}
+        held = Canonical.of(value)
+        assert held.value is value  # nothing decoded: the tuple stays a tuple
+        received = Canonical(held.data)
+        assert received.value == {"seq": 1, "payload": {"x": [1, 2]}}
+        assert received.value is not received.value  # decoded on every read
+        assert received == held and hash(received) == hash(held)
+        assert repr(received) == repr(held)
+        with pytest.raises(TypeError):
+            Canonical(held.data, value)
+        with pytest.raises(TypeError):
+            Canonical(data=held.data, held=value)
 
     def test_bytes_that_do_not_decode_fail_on_read_not_on_hold(self):
         held = Canonical(b"d")

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import build_deployment
+from repro.crypto.signing import verify_signed_body
 from repro.errors import SerializationDecodeError
 from repro.messaging.message import Message, RoutedFrame
 from repro.messaging.topics import Topic
 from repro.obs import MetricsRegistry
+from repro.tracing.traces import TraceBody, TraceType
 from repro.util.serialization import Canonical
 from repro.wire import CompactCodec, JsonCodec
 from repro.wire.codec import SizeMemo, frame_size
@@ -87,6 +89,14 @@ wire_tokens = artifact_dicts.map(lambda d: None if d is None else Canonical.of(d
 
 encrypted_bodies = st.binary(min_size=0, max_size=200)
 
+
+def _as_sent(message: Message) -> Message:
+    """A signed body travels as the ``Canonical`` its signer signed."""
+    if message.signature is None:
+        return message
+    return replace(message, body=Canonical.of(message.body))
+
+
 messages = st.builds(
     Message,
     topic=topics,
@@ -97,7 +107,7 @@ messages = st.builds(
     signature=artifact_dicts,
     auth_token=wire_tokens,
     encrypted=st.just(False),
-)
+).map(_as_sent)
 
 encrypted_messages = st.builds(
     Message,
@@ -108,7 +118,7 @@ encrypted_messages = st.builds(
     signature=artifact_dicts,
     auth_token=wire_tokens,
     encrypted=st.just(True),
-)
+).map(_as_sent)
 
 any_message = st.one_of(messages, encrypted_messages)
 
@@ -293,3 +303,23 @@ class TestTokenSplice:
         decoded = codec.decode(codec.encode(message))
         assert decoded == replace(message, hops=0)
         assert type(decoded.auth_token) is Canonical and decoded.auth_token == token.wire
+
+
+class TestSignedBodySplice:
+    @codec_params()
+    def test_bytes_equal_the_plain_body_form(self, codec, real_trace):
+        message, _ = real_trace
+        # signed as encoded, not re-encoded: the frame is the plain body's
+        assert type(message.body) is Canonical
+        plain = replace(message, body=message.body.value)
+        assert codec.encode(message) == codec.encode(plain)
+
+    @codec_params()
+    def test_a_decoded_trace_verifies_and_reads_as_sent(self, codec, real_trace):
+        message, token = real_trace
+        decoded = codec.decode(codec.encode(message))
+        assert type(decoded.body) is Canonical and decoded.body == message.body
+        value = verify_signed_body(decoded.signature, decoded.body, token.token_public_key)
+        assert value == message.body.value
+        trace = TraceBody.from_dict(value)
+        assert trace.trace_type is TraceType.ALLS_WELL and trace.entity_id == "svc"
