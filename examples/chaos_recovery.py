@@ -26,6 +26,8 @@ def main() -> None:
     entity = dep.add_traced_entity("svc")
     tracker = dep.add_tracker("watchdog")
     tracker.connect("b3")
+    received = []
+    tracker.on_trace.append(received.append)
     entity.start("b1")
 
     # 2. the fault schedule: one broker crash with failover, as data
@@ -65,7 +67,7 @@ def main() -> None:
     detected = registry.counter_value("trace.recovery.detected")
     completed = registry.counter_value("trace.recovery.completed")
     recovery = registry.snapshot()["histograms"].get("trace.recovery_ms", {})
-    heartbeats = tracker.traces_of_type(TraceType.ALLS_WELL)
+    heartbeats = [t for t in received if t.trace_type is TraceType.ALLS_WELL]
     post_crash = [t for t in heartbeats if t.received_ms > 20_000.0]
 
     print(f"\nfailures detected: {detected}, recoveries completed: {completed}")

@@ -10,7 +10,7 @@ recovers (RECOVERING -> READY), and services report their host load.
 Run:  python examples/grid_service_monitor.py
 """
 
-from repro import build_deployment, EntityState, TraceType
+from repro import EntityState, TraceType, build_deployment
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.interest import InterestCategory
 from repro.tracing.traces import LoadInformation
@@ -43,14 +43,17 @@ def main() -> None:
         "job-scheduler", interests=frozenset({InterestCategory.LOAD})
     )
     scheduler.connect("site-a")
+    ops_seen, scheduler_seen = [], []
+    ops.on_trace.append(ops_seen.append)
+    scheduler.on_trace.append(scheduler_seen.append)
     for name in SERVICES:
         ops.track(name)
         scheduler.track(name)
 
     # live event log at the operations console
-    ops.on_trace = lambda t: print(
+    ops.on_trace.append(lambda t: print(
         f"  [{t.received_ms/1000:7.2f}s] {t.entity_id:<12s} {t.trace_type.value}"
-    )
+    ))
 
     print("== grid running ==")
     dep.sim.run(until=12_000)
@@ -77,15 +80,15 @@ def main() -> None:
 
     print("\n== summary ==")
     for name in SERVICES:
-        kinds = [t.trace_type for t in ops.received if t.entity_id == name]
+        kinds = [t.trace_type for t in ops_seen if t.entity_id == name]
         failed = TraceType.FAILED in kinds
         shutdown = TraceType.SHUTDOWN in kinds
         status = "FAILED" if failed else ("SHUTDOWN" if shutdown else "READY")
         print(f"  {name:<12s} traces={len(kinds):3d}  final={status}")
 
-    load_traces = scheduler.traces_of_type(TraceType.LOAD_INFORMATION)
+    load_traces = [t for t in scheduler_seen if t.trace_type is TraceType.LOAD_INFORMATION]
     print(f"\nscheduler saw {len(load_traces)} load reports and "
-          f"{len(scheduler.received) - len(load_traces)} other traces "
+          f"{len(scheduler_seen) - len(load_traces)} other traces "
           "(selective interest keeps its stream lean)")
     detection = dep.journal.records("failure_declared")
     if detection:

@@ -9,7 +9,7 @@ entity-delegated authorization token and verified end to end.
 Run:  python examples/quickstart.py
 """
 
-from repro import build_deployment, TraceType
+from repro import TraceType, build_deployment
 
 
 def main() -> None:
@@ -20,6 +20,9 @@ def main() -> None:
     entity = dep.add_traced_entity("payment-service")
     tracker = dep.add_tracker("ops-dashboard")
     tracker.connect("broker-c")
+    # the tracker keeps only each entity's last trace: keep them all here
+    received = []
+    tracker.on_trace.append(received.append)
 
     # 3. the entity runs its full startup protocol: trace-topic creation at
     #    the TDN, registration with its broker, token delegation
@@ -33,16 +36,16 @@ def main() -> None:
     dep.sim.run(until=30_000)  # 30 virtual seconds
 
     # 5. what arrived?
-    heartbeats = tracker.traces_of_type(TraceType.ALLS_WELL)
-    latencies = tracker.latencies(TraceType.ALLS_WELL)
-    print(f"\nreceived {len(tracker.received)} traces, "
+    heartbeats = [t for t in received if t.trace_type is TraceType.ALLS_WELL]
+    latencies = [t.latency_ms for t in heartbeats if t.latency_ms is not None]
+    print(f"\nreceived {len(received)} traces, "
           f"{len(heartbeats)} of them ALLS_WELL heartbeats")
     if latencies:
         mean = sum(latencies) / len(latencies)
         print(f"mean end-to-end trace latency: {mean:.2f} ms "
               f"(crypto-dominated, as the paper reports)")
 
-    metrics = tracker.traces_of_type(TraceType.NETWORK_METRICS)
+    metrics = [t for t in received if t.trace_type is TraceType.NETWORK_METRICS]
     if metrics:
         last = metrics[-1].payload
         print(f"latest network metrics: rtt={last['mean_rtt_ms']:.2f} ms, "

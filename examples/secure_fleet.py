@@ -16,7 +16,7 @@ of its trace topic to a named partner (section 3.1).  The demo shows:
 Run:  python examples/secure_fleet.py
 """
 
-from repro import build_deployment, TraceType
+from repro import TraceType, build_deployment
 from repro.errors import DiscoveryError
 from repro.security.dos import SpuriousTracePublisher, attack_surface
 from repro.tdn.query import DiscoveryRestrictions
@@ -36,10 +36,12 @@ def main() -> None:
     # -- authorized partner ---------------------------------------------------
     partner = dep.add_tracker("partner-dashboard")
     partner.connect("core")
+    partner_seen = []
+    partner.on_trace.append(partner_seen.append)
     partner.track("fleet-coordinator")
     dep.sim.run(until=20_000)
     key = partner.trace_key_for("fleet-coordinator")
-    heartbeats = partner.traces_of_type(TraceType.ALLS_WELL)
+    heartbeats = [t for t in partner_seen if t.trace_type is TraceType.ALLS_WELL]
     print(f"partner-dashboard: trace key received = {key is not None}, "
           f"decrypted heartbeats = {len(heartbeats)}")
 
@@ -84,7 +86,7 @@ def main() -> None:
     )
     dep.sim.run(until=60_000)
     broker = dep.network.broker("core")
-    fake_failed = partner.traces_of_type(TraceType.FAILED)
+    fake_failed = [t for t in partner_seen if t.trace_type is TraceType.FAILED]
     print(f"mallory: injected {attacker.attempts} forged traces; "
           f"partner saw {len(fake_failed)} FAILED traces; "
           f"terminated = {broker.is_blacklisted('mallory')}")

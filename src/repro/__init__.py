@@ -15,11 +15,11 @@ Quickstart::
     entity = dep.add_traced_entity("service-42")
     tracker = dep.add_tracker("watcher-1")
     tracker.connect("b3")
+    tracker.on_trace.append(print)  # every verified trace, as it arrives
     entity.start("b1")
     dep.sim.run(until=5_000)
     tracker.track("service-42")
     dep.sim.run(until=60_000)
-    print(tracker.received)
 """
 
 from repro.deployment import Deployment, build_deployment

@@ -7,7 +7,7 @@ trace streams — into a durable, queryable record:
 * :mod:`repro.analytics.store` — the append-only event log, held in
   memory, whose one on-disk form is its JSON snapshot.
 * :mod:`repro.analytics.ingest` — the feeds: a tracker ``on_trace``
-  adapter and a post-run journal copy.
+  sink and a post-run journal copy.
 * :mod:`repro.analytics.availability` — the up/down interval algebra
   the reports fold the stored ``trace.observed`` events through.
 * :mod:`repro.analytics.reports` — SLO-style queries (uptime %, outage

@@ -2,8 +2,8 @@
 
 Two feeds populate an :class:`~repro.analytics.store.AnalyticsStore`:
 
-* :class:`TraceIngestor` hooks a tracker's ``on_trace`` callback (the
-  same chaining seam the network forecaster uses) and
+* :class:`TraceIngestor` is one of a tracker's ``on_trace`` sinks (as
+  the network forecaster is) and
   persists every verified trace as a ``trace.observed`` event *while the
   run executes* — appends consume no virtual time and draw no random
   numbers, so an instrumented run stays bit-identical to a bare one
@@ -41,8 +41,7 @@ class TraceIngestor:
     def __init__(self, store: AnalyticsStore, tracker: "Tracker") -> None:
         self.store = store
         self.tracker = tracker
-        self._previous_hook = tracker.on_trace
-        tracker.on_trace = self._observe
+        tracker.on_trace.append(self._observe)
 
     def _observe(self, trace: "ReceivedTrace") -> None:
         self.store.append(
@@ -56,8 +55,6 @@ class TraceIngestor:
         metrics = self.store.metrics
         if metrics is not None:
             metrics.counter(_TRACES).inc()
-        if self._previous_hook is not None:
-            self._previous_hook(trace)
 
 
 def ingest_journal(store: AnalyticsStore, journal: "EventJournal") -> int:

@@ -24,7 +24,12 @@ from typing import Annotated
 from repro.crypto.keys import KeyPair
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.crypto.signing import SignedEnvelope, sign_payload, verify_signed
-from repro.errors import MalformedFrameError, SignatureError, TokenError
+from repro.errors import (
+    MalformedFrameError,
+    SerializationDecodeError,
+    SignatureError,
+    TokenError,
+)
 from repro.tdn.advertisement import TopicAdvertisement
 from repro.util.identifiers import UUID128
 from repro.util.serialization import Canonical, read_record, wire_record
@@ -58,10 +63,10 @@ class TokenGrant:
 class AuthorizationToken:
     """A signed delegation of rights over a trace topic.
 
-    On the wire its key is ``token_n`` / ``token_e``.  ``wire`` is the
-    canonical encoding of :meth:`to_dict`, computed once
-    when the token is built: it is what every trace carries
-    (``Message.auth_token``) and what a verifier hashes for its cache key.
+    On the wire its key is ``token_n`` / ``token_e``.  :attr:`wire` is
+    the canonical encoding of :meth:`to_dict`: it is what every trace
+    carries (``Message.auth_token``) and what a verifier hashes for its
+    cache key.
     """
 
     advertisement: TopicAdvertisement
@@ -70,10 +75,30 @@ class AuthorizationToken:
     valid_from_ms: float
     valid_until_ms: float
     owner_signature: SignedEnvelope
-    wire: Canonical = field(init=False, repr=False, compare=False)
+    _encoded: Canonical | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wire", Canonical.of(self.to_dict()))
+    @property
+    def wire(self) -> Canonical:
+        """The token's bytes: the ones it was read from, or encoded once on first use."""
+        encoded = self._encoded
+        if encoded is None:
+            encoded = Canonical.of(self.to_dict())
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
+
+    @classmethod
+    def from_wire(cls, wire: Canonical) -> "AuthorizationToken":
+        """Parse received bytes; the token keeps them as its :attr:`wire`.
+
+        Raises ``TokenError`` when they do not decode to a token.
+        """
+        try:
+            value = wire.value
+        except SerializationDecodeError as exc:
+            raise TokenError(f"malformed token: {exc}") from exc
+        token = cls.from_dict(value)
+        object.__setattr__(token, "_encoded", wire)
+        return token
 
     def grant(self) -> TokenGrant:
         """The statement the owner signature covers."""

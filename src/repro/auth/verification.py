@@ -17,7 +17,7 @@ from repro.auth.cache import TokenVerificationCache, token_digest
 from repro.auth.tokens import DEFAULT_SKEW_TOLERANCE_MS, AuthorizationToken, TokenRights
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.rsa import RSAPublicKey
-from repro.errors import SerializationDecodeError, SignatureError, TokenError
+from repro.errors import SignatureError, TokenError
 from repro.messaging.broker import Broker
 from repro.messaging.constrained import (
     BROKER_CONSTRAINER,
@@ -78,11 +78,7 @@ class TokenVerifier:
         """
         if token_digest(wire) in self._revoked:
             raise TokenError("token has been revoked")
-        try:
-            token_dict = wire.value
-        except SerializationDecodeError as exc:
-            raise TokenError(f"malformed token: {exc}") from exc
-        token = AuthorizationToken.from_dict(token_dict)
+        token = AuthorizationToken.from_wire(wire)
 
         if token.expired(now_ms, self.skew_tolerance_ms):
             raise TokenError(

@@ -29,6 +29,7 @@ from repro.sim.engine import Simulator
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.interest import InterestCategory
 from repro.tracing.traces import TraceType
+from repro.tracing.tracker import first_arrivals
 from repro.util.snapshots import render_snapshot
 
 # ---------------------------------------------------------------- EXP-A1
@@ -170,6 +171,7 @@ def run_gossip_comparison(
         "w", interests=frozenset({InterestCategory.CHANGE_NOTIFICATIONS})
     )
     watcher.connect("b2")
+    first = first_arrivals(watcher)
     entity.start("b1")
     dep.sim.run(until=3_000.0)
     watcher.track("svc-0")
@@ -178,8 +180,7 @@ def run_gossip_comparison(
     base_msgs = _tracing_message_count(dep)
     entity.crash()
     dep.sim.run(until=trace_crash_at + duration_ms)
-    failed = watcher.traces_of_type(TraceType.FAILED)
-    if not failed:
+    if TraceType.FAILED not in first:
         raise BenchmarkError("tracing never detected the crash")
     tracing_msgs_per_s = (_tracing_message_count(dep) - base_msgs) / (
         duration_ms / 1000.0
@@ -190,7 +191,7 @@ def run_gossip_comparison(
         gossip_detect_first_ms=times[0] - crash_at,
         gossip_detect_last_ms=times[-1] - crash_at,
         gossip_msgs_per_s=gossip_msgs_per_s,
-        tracing_detect_ms=failed[0].received_ms - trace_crash_at,
+        tracing_detect_ms=first[TraceType.FAILED] - trace_crash_at,
         tracing_msgs_per_s=tracing_msgs_per_s,
     )
 
@@ -396,6 +397,7 @@ def run_adaptive_ping_ablation(seed: int = 23) -> list[AdaptivePingResult]:
             "w", interests=frozenset({InterestCategory.CHANGE_NOTIFICATIONS})
         )
         watcher.connect("b1")
+        first = first_arrivals(watcher)
         entity.start("b1")
         dep.sim.run(until=5_000.0)
         watcher.track("svc")
@@ -404,13 +406,12 @@ def run_adaptive_ping_ablation(seed: int = 23) -> list[AdaptivePingResult]:
         crash_at = dep.sim.now
         entity.crash()
         dep.sim.run(until=crash_at + 120_000.0)
-        failed = watcher.traces_of_type(TraceType.FAILED)
-        if not failed:
+        if TraceType.FAILED not in first:
             raise BenchmarkError(f"{label}: failure never detected")
         results.append(
             AdaptivePingResult(
                 label=label,
-                detection_ms=failed[0].received_ms - crash_at,
+                detection_ms=first[TraceType.FAILED] - crash_at,
                 pings_sent=dep.metrics.counter_value("tracker.pings.sent") - pings_before,
             )
         )

@@ -19,6 +19,7 @@ from repro.bench.tables import ComparisonRow, render_comparison, require, requir
 from repro.bench.topology import single_broker_colocated
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.traces import TraceType
+from repro.tracing.tracker import latency_samples
 from repro.transport.base import TransportProfile
 from repro.transport.tcp import TCP_CLUSTER
 from repro.util.stats import StatSummary, summarize
@@ -77,13 +78,11 @@ def run_entities_case(
     # warm-up: let interest propagate and the startup backlog drain fully
     warmup_end = dep.sim.now + 15_000.0
     dep.sim.run(until=warmup_end)
-    for tracker in trackers:
-        tracker.received.clear()
+    per_tracker = [latency_samples(tracker, TraceType.ALLS_WELL) for tracker in trackers]
     dep.sim.run(until=warmup_end + duration_ms)
 
-    latencies: list[float] = []
-    for tracker in trackers:
-        latencies.extend(tracker.latencies(TraceType.ALLS_WELL))
+    # concatenated in tracker order, so the samples sum in one fixed order
+    latencies = [sample for samples in per_tracker for sample in samples]
     if not latencies:
         raise BenchmarkError(f"no heartbeats with {entity_count} entities")
     return EntitiesResult(

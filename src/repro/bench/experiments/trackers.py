@@ -20,6 +20,7 @@ from repro.bench.svgplot import series_dict_to_svg
 from repro.bench.tables import render_series, require
 from repro.bench.topology import star_with_trackers
 from repro.tracing.traces import TraceType
+from repro.tracing.tracker import latency_samples
 from repro.transport.base import TransportProfile
 from repro.transport.tcp import TCP_CLUSTER
 from repro.transport.udp import UDP_CLUSTER
@@ -46,6 +47,7 @@ def run_trackers_case(
     dep, entity, measuring, load_trackers = star_with_trackers(
         tracker_count, profile=profile, seed=seed
     )
+    latencies = latency_samples(measuring, TraceType.ALLS_WELL)
     entity.start("broker-entity")
     dep.sim.run(until=3_000.0)
     measuring.track("traced-entity")
@@ -53,7 +55,6 @@ def run_trackers_case(
         tracker.track("traced-entity")
     dep.sim.run(until=3_000.0 + duration_ms)
 
-    latencies = measuring.latencies(TraceType.ALLS_WELL)
     if not latencies:
         raise BenchmarkError(f"no heartbeats with {tracker_count} trackers")
     return TrackersResult(

@@ -177,11 +177,15 @@ def _churn_plan(entities: list[str], params: dict) -> FaultPlan:
     return FaultPlan(name="campaign-churn", events=tuple(events))
 
 
+def _received(dep, trace_type: TraceType) -> int:
+    """Traces of ``trace_type`` the deployment's one tracker verified."""
+    return dep.metrics.counter_value(f"tracker.traces_received.{trace_type.value.lower()}")
+
+
 def _bootstrap_tracing(dep, entities: int):
     """Start ``entities`` traced entities round-robin and one tracker.
 
-    Returns ``(entity_ids, tracker)`` with tracking active from
-    ``_TRACK_AT_MS``.
+    Returns ``entity_ids``, with tracking active from ``_TRACK_AT_MS``.
     """
     ids = [f"e{i:02d}" for i in range(entities)]
     broker_ids = list(dep.managers)
@@ -194,7 +198,7 @@ def _bootstrap_tracing(dep, entities: int):
     dep.sim.run(until=_TRACK_AT_MS)
     for entity_id in ids:
         tracker.track(entity_id)
-    return ids, tracker
+    return ids
 
 
 def run_churn_mobile(params: dict, seed: int, probe: Probe | None = None) -> dict:
@@ -204,7 +208,7 @@ def run_churn_mobile(params: dict, seed: int, probe: Probe | None = None) -> dic
     dep = build_ring_deployment(
         int(params["brokers"]), seed, float(params["ping_interval_ms"])
     )
-    entity_ids, tracker = _bootstrap_tracing(dep, int(params["entities"]))
+    entity_ids = _bootstrap_tracing(dep, int(params["entities"]))
     controller = FaultController(dep, _churn_plan(entity_ids, params))
     controller.start()
     dep.sim.run(until=duration_ms)
@@ -222,7 +226,7 @@ def run_churn_mobile(params: dict, seed: int, probe: Probe | None = None) -> dic
             dep, int(params["entities"]), duration_ms - _TRACK_AT_MS
         ),
         "detection": _distribution_block(dep, *_DETECTION),
-        "failed_verdicts": len(tracker.traces_of_type(TraceType.FAILED)),
+        "failed_verdicts": _received(dep, TraceType.FAILED),
     }
 
 
@@ -239,7 +243,7 @@ def _attack_deployment(params: dict, seed: int):
     dep.sim.run(until=_TRACK_AT_MS)
     tracker.track("svc")
     dep.sim.run(until=8_000.0)  # token delivered, tracing warm
-    return dep, victim, tracker
+    return dep, victim
 
 
 def _defense_block(dep, attacker_broker: str) -> dict:
@@ -260,7 +264,7 @@ def run_unauthorized_publisher(params: dict, seed: int, probe: Probe | None = No
     from repro.security.dos import SpuriousTracePublisher
 
     params = workload_family("unauthorized-publisher").resolve(params)
-    dep, victim, tracker = _attack_deployment(params, seed)
+    dep, victim = _attack_deployment(params, seed)
     attacker = SpuriousTracePublisher(
         dep.sim, "attacker", dep.network, dep.network.machine("machine-attacker")
     )
@@ -286,8 +290,8 @@ def run_unauthorized_publisher(params: dict, seed: int, probe: Probe | None = No
         "counters": _counters(dep),
         "attack": {"attempts": attacker.attempts},
         "defense": _defense_block(dep, attacker_broker),
-        "forged_failed_seen": len(tracker.traces_of_type(TraceType.FAILED)),
-        "alls_well_received": len(tracker.traces_of_type(TraceType.ALLS_WELL)),
+        "forged_failed_seen": _received(dep, TraceType.FAILED),
+        "alls_well_received": _received(dep, TraceType.ALLS_WELL),
     }
 
 
@@ -305,7 +309,7 @@ def run_token_replay_flood(params: dict, seed: int, probe: Probe | None = None) 
     violations the attacker is terminated and blacklisted (§5.2).
     """
     params = workload_family("token-replay-flood").resolve(params)
-    dep, victim, tracker = _attack_deployment(params, seed)
+    dep, victim = _attack_deployment(params, seed)
 
     captured: list = []
     sniffer = dep.network.add_client(
@@ -376,7 +380,7 @@ def run_malicious_termination(params: dict, seed: int, probe: Probe | None = Non
     from repro.security.dos import SpuriousTracePublisher
 
     params = workload_family("malicious-termination").resolve(params)
-    dep, victim, tracker = _attack_deployment(params, seed)
+    dep, victim = _attack_deployment(params, seed)
     churn = FaultPlan(
         name="campaign-malicious-termination",
         events=tuple(
@@ -414,7 +418,7 @@ def run_malicious_termination(params: dict, seed: int, probe: Probe | None = Non
         "defense": _defense_block(dep, attacker_broker),
         "recovery": _distribution_block(dep, *_RECOVERY),
         "genuine_churn_cycles": int(params["churn_cycles"]),
-        "failed_verdicts_seen": len(tracker.traces_of_type(TraceType.FAILED)),
+        "failed_verdicts_seen": _received(dep, TraceType.FAILED),
     }
 
 

@@ -65,24 +65,29 @@ def _start_tracing(dep, entity_id, tracker_id, tracker_broker, secured=False):
 
 
 def _run_quickstart(args):
-    """The minimal scenario: one traced entity, one tracker, three brokers."""
-    from repro import build_deployment
+    """The minimal scenario: one traced entity, one tracker, three brokers.
+
+    Returns the deployment and the tracker's heartbeat latencies.
+    """
+    from repro import TraceType, build_deployment
+    from repro.tracing.tracker import latency_samples
 
     dep = build_deployment(broker_ids=["b1", "b2", "b3"], seed=args.seed)
     _, tracker = _start_tracing(dep, "demo-service", "demo-tracker", "b3")
+    latencies = latency_samples(tracker, TraceType.ALLS_WELL)
     dep.sim.run(until=float(args.duration) * 1000.0)
-    return dep, tracker
+    return dep, latencies
 
 
 def _cmd_quickstart(args) -> int:
     from repro import TraceType
 
-    _, tracker = _run_quickstart(args)
-    latencies = tracker.latencies(TraceType.ALLS_WELL)
-    print(f"traces received: {len(tracker.received)}")
-    for kind in sorted({t.trace_type.value for t in tracker.received}):
-        count = sum(1 for t in tracker.received if t.trace_type.value == kind)
-        print(f"  {kind:<20s} x{count}")
+    dep, latencies = _run_quickstart(args)
+    print(f"traces received: {dep.metrics.counter_value('tracker.traces.received')}")
+    for kind in sorted(t.value for t in TraceType):
+        count = dep.metrics.counter_value(f"tracker.traces_received.{kind.lower()}")
+        if count:
+            print(f"  {kind:<20s} x{count}")
     if latencies:
         print(f"mean heartbeat latency: {sum(latencies)/len(latencies):.2f} ms")
     return 0
@@ -317,10 +322,11 @@ def _cmd_seeds(_args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from repro import build_deployment, TraceType
+    from repro import TraceType, build_deployment
 
     if args.scenario == "failure":
         from repro.tracing.failure import AdaptivePingPolicy
+        from repro.tracing.tracker import first_arrivals
 
         dep = build_deployment(
             broker_ids=["b1", "b2"], seed=args.seed,
@@ -330,20 +336,21 @@ def _cmd_demo(args) -> int:
             ),
         )
         entity, tracker = _start_tracing(dep, "svc", "w", "b2")
+        first = first_arrivals(tracker)
         dep.sim.run(until=10_000)
         print("crashing the entity at t=10s ...")
         entity.crash()
         dep.sim.run(until=60_000)
         for kind in (TraceType.FAILURE_SUSPICION, TraceType.FAILED):
-            traces = tracker.traces_of_type(kind)
-            when = f"t={traces[0].received_ms/1000:.2f}s" if traces else "never"
+            when = f"t={first[kind]/1000:.2f}s" if kind in first else "never"
             print(f"  {kind.value:<20s} {when}")
     elif args.scenario == "secure":
         dep = build_deployment(broker_ids=["b1", "b2"], seed=args.seed)
         _, tracker = _start_tracing(dep, "svc", "w", "b2", secured=True)
         dep.sim.run(until=30_000)
+        heartbeats = dep.metrics.counter_value("tracker.traces_received.alls_well")
         print(f"trace key distributed: {tracker.trace_key_for('svc') is not None}")
-        print(f"decrypted heartbeats:  {len(tracker.traces_of_type(TraceType.ALLS_WELL))}")
+        print(f"decrypted heartbeats:  {heartbeats}")
     return 0
 
 

@@ -117,18 +117,15 @@ class NetworkForecaster:
         self.store = store
         self.rtt: dict[str, SeriesForecaster] = {}
         self.loss: dict[str, SeriesForecaster] = {}
-        self._previous_hook = tracker.on_trace
-        tracker.on_trace = self._observe
+        tracker.on_trace.append(self._observe)
 
     def _observe(self, trace: ReceivedTrace) -> None:
         if trace.trace_type is TraceType.NETWORK_METRICS:
             self._sample(trace)
-        if self._previous_hook is not None:
-            self._previous_hook(trace)
 
     def _sample(self, trace: ReceivedTrace) -> None:
         # the payload is signed, not typed; raising here would end the tracker's
-        # trace process before the hooks chained behind this one run
+        # trace process before the sinks after this one run
         try:
             fields = Fields(trace.payload, "network_metrics")
             rtt_ms = fields.number("mean_rtt_ms")

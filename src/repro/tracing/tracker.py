@@ -69,6 +69,11 @@ class _WatchedEntity:
     last_gauge_stamp_ms: float | None = None
     last_response_ms: float | None = None
     categories: frozenset = field(default_factory=lambda: ALL_CATEGORIES)
+    # the last trace received, and the session-scoped sequence number gap
+    # detection compares the next one against; both go at untrack
+    last_trace: ReceivedTrace | None = None
+    session: str | None = None
+    last_seq: int | None = None
 
 
 class Tracker:
@@ -102,11 +107,12 @@ class Tracker:
         self.interest_refresh_ms = DEFAULT_INTEREST_REFRESH_MS
 
         self.client = None
-        self.received: list[ReceivedTrace] = []
-        self.on_trace: Callable[[ReceivedTrace], None] | None = None
+        #: trace sinks: each verified trace is handed to every sink, in
+        #: list order.  A reader that wants history keeps it in a sink
+        #: (:func:`latency_samples`, :func:`first_arrivals`); the tracker
+        #: keeps none.
+        self.on_trace: list[Callable[[ReceivedTrace], None]] = []
         self._watched: dict[str, _WatchedEntity] = {}
-        # per-session trace sequence tracking for gap detection
-        self._last_seq: dict[str, int] = {}
 
     # ------------------------------------------------------------------ wiring
 
@@ -422,13 +428,14 @@ class Tracker:
         session_key, seq = trace.session, trace.seq
 
         # gap detection: a jump in the session-scoped sequence number means
-        # traces were lost in transit (possible on unreliable transports)
+        # traces were lost in transit (possible on unreliable transports);
+        # a new session starts the count afresh
         if session_key is not None and seq is not None:
-            last = self._last_seq.get(session_key)
+            last = watched.last_seq if watched.session == session_key else None
             if last is not None and seq > last + 1:
                 self.monitor.metrics.counter("tracker.traces_missed").inc(seq - last - 1)
             if last is None or seq > last:
-                self._last_seq[session_key] = seq
+                watched.session, watched.last_seq = session_key, seq
 
         now = self.machine.now()
         latency = (now - origin) if origin is not None else None
@@ -439,7 +446,7 @@ class Tracker:
             latency_ms=latency,
             payload=trace.payload,
         )
-        self.received.append(received)
+        watched.last_trace = received
         metrics = self.monitor.metrics
         detail = trace_type.value.lower()
         metrics.counter("tracker.traces.received").inc()
@@ -447,21 +454,22 @@ class Tracker:
         if latency is not None:
             metrics.histogram("tracker.trace.latency_ms").observe(latency)
             metrics.histogram(f"tracker.trace.latency_ms.{detail}").observe(latency)
-        if self.on_trace is not None:
-            self.on_trace(received)
+        for sink in self.on_trace:
+            sink(received)
 
     # ------------------------------------------------------------------- misc
 
-    def traces_of_type(self, trace_type: TraceType) -> list[ReceivedTrace]:
-        return [t for t in self.received if t.trace_type is trace_type]
+    @property
+    def received(self) -> tuple[ReceivedTrace, ...]:
+        """The last trace of each watched entity that has sent one.
 
-    def latencies(self, trace_type: TraceType | None = None) -> list[float]:
-        return [
-            t.latency_ms
-            for t in self.received
-            if t.latency_ms is not None
-            and (trace_type is None or t.trace_type is trace_type)
-        ]
+        Not a history: a reader that wants one attaches a sink to
+        :attr:`on_trace`.  Since ``received_ms`` only grows, "heard from an
+        entity since ``t``" reads the same here as on a full history.
+        """
+        return tuple(
+            w.last_trace for w in self._watched.values() if w.last_trace is not None
+        )
 
     def trace_key_for(self, entity_id: str) -> SymmetricKey | None:
         watched = self._watched.get(entity_id)
@@ -469,3 +477,24 @@ class Tracker:
 
     def __repr__(self) -> str:
         return f"<Tracker {self.tracker_id} watching {sorted(self._watched)}>"
+
+
+
+def latency_samples(tracker: Tracker, trace_type: TraceType) -> list[float]:
+    """The end-to-end latency of each trace of ``trace_type`` the tracker
+    verifies from now on, in arrival order (Figure 4's and Table 4's samples)."""
+    samples: list[float] = []
+
+    def keep(trace: ReceivedTrace) -> None:
+        if trace.trace_type is trace_type and trace.latency_ms is not None:
+            samples.append(trace.latency_ms)
+
+    tracker.on_trace.append(keep)
+    return samples
+
+
+def first_arrivals(tracker: Tracker) -> dict[TraceType, float]:
+    """When the tracker first verifies a trace of each type, from now on."""
+    first: dict[TraceType, float] = {}
+    tracker.on_trace.append(lambda trace: first.setdefault(trace.trace_type, trace.received_ms))
+    return first

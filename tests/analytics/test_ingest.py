@@ -1,4 +1,4 @@
-"""Ingestion feeds: the tracker hook chain and the journal copy."""
+"""Ingestion feeds: the tracker's trace sinks and the journal copy."""
 
 from repro.analytics import AnalyticsStore, TraceIngestor, ingest_journal
 from repro.obs import MetricsRegistry
@@ -12,7 +12,11 @@ class _StubTracker:
 
     def __init__(self, tracker_id="t1"):
         self.tracker_id = tracker_id
-        self.on_trace = None
+        self.on_trace = []
+
+    def hand(self, trace):
+        for sink in self.on_trace:
+            sink(trace)
 
 
 def _trace(entity="svc", at_ms=100.0, latency=7.5, kind=TraceType.ALLS_WELL):
@@ -27,23 +31,23 @@ class TestTraceIngestor:
         store = AnalyticsStore()
         tracker = _StubTracker()
         TraceIngestor(store, tracker)
-        tracker.on_trace(_trace(at_ms=50.0))
-        tracker.on_trace(_trace(at_ms=80.0, kind=TraceType.FAILED, latency=None))
+        tracker.hand(_trace(at_ms=50.0))
+        tracker.hand(_trace(at_ms=80.0, kind=TraceType.FAILED, latency=None))
         events = store.events(kind="trace.observed")
         assert [e.time_ms for e in events] == [50.0, 80.0]
         assert events[0].value == 7.5
         assert events[0].fields["trace_type"] == TraceType.ALLS_WELL.value
         assert events[0].fields["tracker"] == "t1"
 
-    def test_chains_the_previous_hook(self):
+    def test_an_earlier_sink_keeps_firing(self):
         store = AnalyticsStore()
         tracker = _StubTracker()
         seen = []
-        tracker.on_trace = seen.append
+        tracker.on_trace.append(seen.append)
         TraceIngestor(store, tracker)
         trace = _trace()
-        tracker.on_trace(trace)
-        assert seen == [trace]  # an earlier hook (the forecaster's) keeps firing
+        tracker.hand(trace)
+        assert seen == [trace]  # an earlier sink (the forecaster's) keeps firing
         assert store.count() == 1
 
     def test_ingestion_is_instrumented(self):
@@ -52,7 +56,7 @@ class TestTraceIngestor:
         store.bind_metrics(registry)
         tracker = _StubTracker()
         TraceIngestor(store, tracker)
-        tracker.on_trace(_trace())
+        tracker.hand(_trace())
         assert registry.counter_value("analytics.ingest.traces") == 1
         assert registry.counter_value("analytics.events.ingested") == 1
 

@@ -22,8 +22,10 @@ from repro.auth.tokens import DEFAULT_SKEW_TOLERANCE_MS
 from repro.errors import ConfigurationError, TokenError
 from repro.obs import MetricsRegistry
 from repro.util import serialization
+from repro.util.serialization import Canonical
 
 from tests.auth.test_verification import make_advertisement
+from tests.support import TraceLog
 
 
 def make_token(keypair, second_keypair, rng, valid_until_ms=10_000.0, topic_value=5):
@@ -141,6 +143,25 @@ class TestVerifierIntegration:
         assert cache.lookup(digest, 10_200.0, verifier.skew_tolerance_ms) is None
         assert digest not in cache
 
+    def test_a_cache_miss_keeps_the_received_bytes_and_encodes_no_token(
+        self, second_keypair, token, monkeypatch
+    ):
+        received = Canonical(token.wire.data)  # bytes off the wire, no value held
+        verifier = TokenVerifier({"tdn-0": second_keypair.public})
+        token_encodes = []
+        encode = serialization._encode_into
+
+        def watched(value, *rest):
+            if _holds_a_token_mapping(value):
+                token_encodes.append(value)
+            return encode(value, *rest)
+
+        monkeypatch.setattr(serialization, "_encode_into", watched)
+        verified = verifier.verify(received, now_ms=0.0)
+        assert token_encodes == []
+        assert verified.wire is received
+        assert verified == token
+
     @pytest.mark.parametrize("past_window_ms", [-1.0, 1.0], ids=["inside", "outside"])
     def test_refresh_check_and_verifier_share_one_skew_tolerance(
         self, second_keypair, token, past_window_ms
@@ -187,6 +208,7 @@ class TestDeploymentIntegration:
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
         tracker.connect("b3")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
@@ -217,11 +239,11 @@ class TestDeploymentIntegration:
 
         monkeypatch.setattr(AuthorizationToken, "to_dict", counted_to_dict)
         hits = dep.metrics.counter_value("auth.token.cache.hit")
-        received = len(tracker.received)
+        received = len(log)
         dep.sim.run(until=60_000)
 
         assert token_encodes == [] and to_dict_calls == []
-        assert len(tracker.received) > received
+        assert len(log) > received
         assert dep.metrics.counter_value("auth.token.cache.hit") > hits
 
     def test_every_broker_gets_its_own_verifier(self):

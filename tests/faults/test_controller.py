@@ -27,23 +27,25 @@ from repro.faults.scenarios import (
 from repro.tracing.topics import TraceTopicSet
 from repro.tracing.traces import TraceType
 from repro.util.snapshots import render_snapshot
-from tests.support import empty_kinds, index_clients, index_patterns, index_remote
+from tests.support import TraceLog, empty_kinds, index_clients, index_patterns, index_remote
 
 
 def run_chaos(plan, seed=42, until=60_000.0):
-    """Bootstrapped chaos deployment with ``plan`` driven to ``until``."""
+    """Bootstrapped chaos deployment with ``plan`` driven to ``until``;
+    returns the deployment, the entity, the tracker's log and the controller."""
     dep = build_chaos_deployment(seed)
     entity = dep.add_traced_entity(ENTITY_ID)
     tracker = dep.add_tracker(TRACKER_ID)
     tracker.interest_refresh_ms = 0.0
     tracker.connect(TRACKER_BROKER)
+    log = TraceLog(tracker)
     entity.start(ENTITY_BROKER)
     controller = FaultController(dep, plan)
     controller.start()
     dep.sim.run(until=3_000)
     tracker.track(ENTITY_ID)
     dep.sim.run(until=until)
-    return dep, entity, tracker, controller
+    return dep, entity, log, controller
 
 
 class TestLifecycle:
@@ -88,7 +90,7 @@ class TestDeterministicReplay:
 class TestPartitionHeal:
     def test_interest_reconverges_fabric_wide(self):
         plan = scenario_plan("link-partition")
-        dep, entity, tracker, _ = run_chaos(plan, until=60_000.0)
+        dep, entity, log, _ = run_chaos(plan, until=60_000.0)
 
         # fault window closed and the link is back in the routing fabric
         assert dep.metrics.gauge_value("faults.active") == 0.0
@@ -104,14 +106,14 @@ class TestPartitionHeal:
 
         # heartbeats flow end-to-end after the heal
         heal_ms = plan.events[0].revert_at_ms
-        late = [t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
+        late = [t for t in log.of_type(TraceType.ALLS_WELL)
                 if t.received_ms > heal_ms + 5_000]
         assert late, "tracker should receive heartbeats after the heal"
 
 
 class TestEntityChurn:
     def test_no_orphan_subscriptions_after_churn(self):
-        dep, entity, tracker, _ = run_chaos(
+        dep, entity, log, _ = run_chaos(
             scenario_plan("entity-churn"), until=90_000.0
         )
 
@@ -133,21 +135,21 @@ class TestEntityChurn:
                     assert not dep.network.broker(remote).failed
 
     def test_churned_entity_recovers_twice(self):
-        dep, entity, tracker, controller = run_chaos(
+        dep, entity, log, controller = run_chaos(
             scenario_plan("entity-churn"), until=90_000.0
         )
         assert dep.metrics.counter_value("faults.injected.entity_crash") == 2
         assert dep.metrics.counter_value("trace.recovery.completed") == 2
         assert controller.probe.pending() == ()
         # the tracker observed both failures and both recoveries
-        assert len(tracker.traces_of_type(TraceType.FAILED)) >= 2
-        kinds = [t.trace_type for t in tracker.received]
+        assert len(log.of_type(TraceType.FAILED)) >= 2
+        kinds = [t.trace_type for t in log.traces]
         assert TraceType.RECOVERING in kinds
 
 
 class TestLinkWindows:
     def test_packet_loss_window_drops_and_restores(self):
-        dep, entity, tracker, _ = run_chaos(
+        dep, entity, log, _ = run_chaos(
             scenario_plan("packet-loss"), until=60_000.0
         )
         assert dep.metrics.counter_value("transport.msgs.dropped") > 0
@@ -159,7 +161,7 @@ class TestLinkWindows:
             assert link.disruption is None
 
     def test_delay_spike_inflates_rtt_then_heals(self):
-        dep, entity, tracker, _ = run_chaos(
+        dep, entity, log, _ = run_chaos(
             scenario_plan("delay-spike"), until=60_000.0
         )
         reverts = dep.journal.records("fault.reverted")

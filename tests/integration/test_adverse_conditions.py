@@ -8,6 +8,7 @@ from repro.tracing.traces import TraceType
 from repro.transport.tcp import tcp_profile
 from repro.transport.udp import udp_profile
 from repro.util.clock import NTPSkewModel
+from tests.support import TraceLog
 
 
 class TestClockSkew:
@@ -22,11 +23,12 @@ class TestClockSkew:
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
         dep.sim.run(until=30_000)
-        assert tracker.traces_of_type(TraceType.ALLS_WELL)
+        assert log.of_type(TraceType.ALLS_WELL)
         assert dep.metrics.counter_value("auth.invalid_token") == 0
         assert dep.metrics.counter_value("tracker.tokens_rejected") == 0
 
@@ -38,13 +40,14 @@ class TestClockSkew:
         entity.token_validity_ms = 5_000.0
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         # wrench the forwarding broker's clock one minute ahead
         dep.network.machine("machine-b2").clock.offset_ms = 60_000.0
         tracker.track("svc")
         dep.sim.run(until=20_000)
-        assert not tracker.traces_of_type(TraceType.ALLS_WELL)
+        assert not log.of_type(TraceType.ALLS_WELL)
         assert dep.metrics.counter_value("auth.invalid_token") > 0
 
     def test_latency_measurement_immune_to_skew(self):
@@ -58,11 +61,12 @@ class TestClockSkew:
         entity = dep.add_traced_entity("svc", machine_name="shared")
         tracker = dep.add_tracker("w", machine_name="shared")
         tracker.connect("b1")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
         dep.sim.run(until=30_000)
-        latencies = tracker.latencies(TraceType.ALLS_WELL)
+        latencies = log.latencies(TraceType.ALLS_WELL)
         assert latencies
         # all positive and plausible despite the broker's skewed clock
         assert all(20.0 < latency < 300.0 for latency in latencies)
@@ -91,12 +95,13 @@ class TestLossyNetworks:
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
         tracker.connect("b1")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
         dep.sim.run(until=120_000)
 
-        metrics = tracker.traces_of_type(TraceType.NETWORK_METRICS)
+        metrics = log.of_type(TraceType.NETWORK_METRICS)
         assert metrics
         measured_loss = metrics[-1].payload["loss_rate"]
         assert measured_loss > 0.0

@@ -10,7 +10,7 @@ from repro.messaging.message import Message
 from repro.tdn.query import DiscoveryRestrictions
 from repro.tracing.traces import TraceType
 from repro.util.serialization import Canonical
-from tests.support import succeeded
+from tests.support import TraceLog, succeeded
 
 
 @pytest.fixture
@@ -39,11 +39,12 @@ class TestDiscoveryRestrictions:
         )
         friend = dep.add_tracker("friend")
         friend.connect("b2")
+        friend_log = TraceLog(friend)
         entity.start("b1")
         dep.sim.run(until=3_000)
         friend.track("svc")
         dep.sim.run(until=20_000)
-        assert friend.traces_of_type(TraceType.ALLS_WELL)
+        assert friend_log.of_type(TraceType.ALLS_WELL)
 
 
 class TestRefusedSubscription:
@@ -58,6 +59,7 @@ class TestRefusedSubscription:
         tracker = dep.add_tracker("t1")
         tracker.credentials = EntityCredentials.issue("victim", dep.ca, tracker.machine.rng)
         tracker.connect("b2")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         proc = tracker.track("svc")
@@ -66,7 +68,7 @@ class TestRefusedSubscription:
         with pytest.raises(UnauthorizedError):
             _ = proc.value
         assert tracker._watched == {}
-        assert tracker.received == []
+        assert log.traces == []
         for name in ("tracker.traces.received", "tracker.gauges_received", "tracker.tracking"):
             assert dep.metrics.counter_value(name) == 0, name
         assert dep.metrics.counter_value("trace.interest_recorded") == 0
@@ -81,11 +83,12 @@ class TestTokenEnforcement:
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
         dep.sim.run(until=20_000)
-        assert tracker.received
+        assert log.traces
         assert dep.metrics.counter_value("tracker.tokens_rejected") == 0
         assert dep.metrics.counter_value("auth.invalid_token") == 0
 
@@ -95,13 +98,14 @@ class TestTokenEnforcement:
         entity.token_validity_ms = 10_000.0  # short-lived token
         tracker = dep.add_tracker("w")
         tracker.connect("b1")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
         dep.sim.run(until=60_000)
         # publication halted once the token expired (entity never refreshed)
         assert dep.metrics.counter_value("trace.token_expired") > 0
-        last_received = max(t.received_ms for t in tracker.received)
+        last_received = max(t.received_ms for t in log.traces)
         assert last_received < 12_000.0
 
     def test_token_refresh_restores_publication(self):
@@ -110,6 +114,7 @@ class TestTokenEnforcement:
         entity.token_validity_ms = 10_000.0
         tracker = dep.add_tracker("w")
         tracker.connect("b1")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
@@ -120,7 +125,7 @@ class TestTokenEnforcement:
 
         dep.sim.process(refresh())
         dep.sim.run(until=40_000)
-        assert any(t.received_ms > 16_000 for t in tracker.received)
+        assert any(t.received_ms > 16_000 for t in log.traces)
 
 
 #: Tokens that are not one, by what breaks: the wire type, the bytes, the value.
@@ -140,11 +145,12 @@ class TestMalformedTokens:
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
         dep.sim.run(until=10_000)
-        return dep.manager_of("b1").session_of("svc"), tracker
+        return dep.manager_of("b1").session_of("svc"), tracker, log
 
     def _forged_failure(self, dep, session, malformed):
         body = {"trace_type": "FAILED", "entity_id": "svc", "payload": {}}
@@ -159,26 +165,26 @@ class TestMalformedTokens:
 
     @pytest.mark.parametrize("malformed", sorted(MALFORMED_TOKENS))
     def test_at_the_broker_guard(self, dep, tracked, malformed):
-        session, tracker = tracked
+        session, tracker, log = tracked
         before = dep.metrics.counter_value("auth.invalid_token")
         dep.network.broker("b1").publish_from_broker(
             self._forged_failure(dep, session, malformed)
         )
         dep.sim.run(until=dep.sim.now + 5_000)
         assert dep.metrics.counter_value("auth.invalid_token") == before + 1
-        assert not tracker.traces_of_type(TraceType.FAILED)
-        assert tracker.traces_of_type(TraceType.ALLS_WELL)[-1].received_ms > dep.sim.now - 5_000
+        assert not log.of_type(TraceType.FAILED)
+        assert log.of_type(TraceType.ALLS_WELL)[-1].received_ms > dep.sim.now - 5_000
 
     @pytest.mark.parametrize("malformed", sorted(MALFORMED_TOKENS))
     def test_at_the_tracker(self, dep, tracked, malformed):
-        session, tracker = tracked
+        session, tracker, log = tracked
         before = dep.metrics.counter_value("tracker.tokens_rejected")
         # delivered as the tracker's link would, past every broker guard
         tracker.client._receive(self._forged_failure(dep, session, malformed))
         dep.sim.run(until=dep.sim.now + 5_000)
         assert dep.metrics.counter_value("tracker.tokens_rejected") == before + 1
-        assert not tracker.traces_of_type(TraceType.FAILED)
-        assert tracker.traces_of_type(TraceType.ALLS_WELL)[-1].received_ms > dep.sim.now - 5_000
+        assert not log.of_type(TraceType.FAILED)
+        assert log.of_type(TraceType.ALLS_WELL)[-1].received_ms > dep.sim.now - 5_000
 
 
 class TestMessageIntegrity:
@@ -326,6 +332,7 @@ class TestMessageIntegrity:
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
@@ -368,5 +375,5 @@ class TestMessageIntegrity:
         assert records[0].fields["session"] == session.hex_id[:8]
         assert records[0].fields["broker"] == "b1"
         assert all(record.fields["entity"] == "svc" for record in records)
-        assert session.active and not tracker.traces_of_type(TraceType.FAILED)
-        assert tracker.traces_of_type(TraceType.ALLS_WELL)[-1].received_ms > injected_at + 30_000
+        assert session.active and not log.of_type(TraceType.FAILED)
+        assert log.of_type(TraceType.ALLS_WELL)[-1].received_ms > injected_at + 30_000

@@ -5,7 +5,7 @@ import pytest
 from repro import build_deployment
 from repro.security.dos import SpuriousTracePublisher, attack_surface
 from repro.tracing.traces import TraceType
-from tests.support import run_process
+from tests.support import TraceLog, run_process
 
 
 @pytest.fixture
@@ -17,33 +17,34 @@ def bootstrap(dep):
     entity = dep.add_traced_entity("victim")
     tracker = dep.add_tracker("watcher")
     tracker.connect("b2")
+    log = TraceLog(tracker)
     entity.start("b1")
     dep.sim.run(until=3_000)
     tracker.track("victim")
     dep.sim.run(until=6_000)
-    return entity, tracker
+    return entity, log
 
 
 class TestSpuriousTraces:
     def test_tokenless_trace_discarded(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         attacker = SpuriousTracePublisher(
             dep.sim, "mallory", dep.network, dep.network.machine("mallory-host")
         )
         attacker.connect("b2")
-        before = len(tracker.traces_of_type(TraceType.FAILED))
+        before = len(log.of_type(TraceType.FAILED))
         dep.sim.process(
             attacker.inject_without_token(entity.advertisement.fields.trace_topic, "victim")
         )
         dep.sim.run(until=10_000)
-        assert len(tracker.traces_of_type(TraceType.FAILED)) == before
+        assert len(log.of_type(TraceType.FAILED)) == before
         # rejected at the first line of defense: the constrained-topic rule
         # (entities may not publish on Broker/Publish-Only topics); the token
         # guard would catch it too if the constraint were ever bypassed
         assert dep.metrics.counter_value("broker.messages.rejected_constrained") >= 1
 
     def test_forged_token_trace_discarded(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         attacker = SpuriousTracePublisher(
             dep.sim, "mallory", dep.network, dep.network.machine("mallory-host")
         )
@@ -54,11 +55,11 @@ class TestSpuriousTraces:
             )
         )
         dep.sim.run(until=10_000)
-        assert not tracker.traces_of_type(TraceType.FAILED)
+        assert not log.of_type(TraceType.FAILED)
         assert dep.metrics.counter_value("broker.messages.rejected_constrained") >= 1
 
     def test_flood_triggers_termination(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         attacker = SpuriousTracePublisher(
             dep.sim, "mallory", dep.network, dep.network.machine("mallory-host")
         )
@@ -71,11 +72,11 @@ class TestSpuriousTraces:
         assert broker.is_blacklisted("mallory")
         assert dep.metrics.counter_value("broker.dos.terminated") >= 1
         # the victim's trace stream is unaffected throughout
-        assert tracker.traces_of_type(TraceType.ALLS_WELL)
-        assert not tracker.traces_of_type(TraceType.FAILED)
+        assert log.of_type(TraceType.ALLS_WELL)
+        assert not log.of_type(TraceType.FAILED)
 
     def test_victim_not_declared_failed_during_attack(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         attacker = SpuriousTracePublisher(
             dep.sim, "mallory", dep.network, dep.network.machine("mallory-host")
         )
@@ -93,13 +94,13 @@ class TestCompromisedBroker:
     a token the topic owner signed (section 4.3)."""
 
     def test_tokenless_broker_publication_not_routed(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         from repro.messaging.message import Message
         from repro.messaging.topics import Topic
 
         session = dep.manager_of("b1").session_of("victim")
         rogue_broker = dep.network.broker("b1")
-        before = len(tracker.traces_of_type(TraceType.FAILED))
+        before = len(log.of_type(TraceType.FAILED))
         rogue_broker.publish_from_broker(
             Message(
                 topic=Topic.parse(session.topics.change_notifications.canonical),
@@ -109,11 +110,11 @@ class TestCompromisedBroker:
             )
         )
         dep.sim.run(until=10_000)
-        assert len(tracker.traces_of_type(TraceType.FAILED)) == before
+        assert len(log.of_type(TraceType.FAILED)) == before
         assert dep.metrics.counter_value("auth.missing_token") >= 1
 
     def test_forged_token_broker_publication_not_routed(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         from repro.auth.tokens import AuthorizationToken, TokenRights
         from repro.crypto.keys import KeyPair
         from repro.crypto.signing import sign_payload
@@ -143,7 +144,7 @@ class TestCompromisedBroker:
             )
         )
         dep.sim.run(until=10_000)
-        assert not tracker.traces_of_type(TraceType.FAILED)
+        assert not log.of_type(TraceType.FAILED)
         assert dep.metrics.counter_value("auth.invalid_token") >= 1
 
 
@@ -156,7 +157,7 @@ class TestLocationHiding:
 
     def test_topic_reregistration_after_compromise(self, dep):
         """Section 5.2: if the trace topic leaks, register a fresh one."""
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         old_topic = entity.advertisement.fields.trace_topic
         run_process(dep.sim, entity.create_trace_topic())
         assert entity.advertisement.fields.trace_topic != old_topic

@@ -5,7 +5,7 @@ import pytest
 from repro import build_deployment
 from repro.tracing.interest import InterestCategory
 from repro.tracing.traces import EntityState, LoadInformation, TraceType
-from tests.support import run_process
+from tests.support import TraceLog, run_process
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def bootstrap(dep, entity_kwargs=None, tracker_kwargs=None,
     entity.start(entity_broker)
     dep.sim.run(until=3_000)
     tracker.track("svc")
-    return entity, tracker
+    return entity, TraceLog(tracker)
 
 
 class TestRegistration:
@@ -41,49 +41,49 @@ class TestRegistration:
         assert dep.manager_of("b3").session_of("svc") is None
 
     def test_join_trace_published(self, dep):
-        _, tracker = bootstrap(dep)
+        _, log = bootstrap(dep)
         dep.sim.run(until=10_000)
         assert dep.monitor.count("trace.published.JOIN") == 1
 
 
 class TestTraceFlow:
     def test_alls_well_heartbeats_flow(self, dep):
-        _, tracker = bootstrap(dep)
+        _, log = bootstrap(dep)
         dep.sim.run(until=30_000)
-        heartbeats = tracker.traces_of_type(TraceType.ALLS_WELL)
+        heartbeats = log.of_type(TraceType.ALLS_WELL)
         assert len(heartbeats) >= 10
         for trace in heartbeats:
             assert trace.entity_id == "svc"
             assert trace.latency_ms is not None and trace.latency_ms > 0
 
     def test_network_metrics_derived(self, dep):
-        _, tracker = bootstrap(dep)
+        _, log = bootstrap(dep)
         dep.sim.run(until=30_000)
-        metrics = tracker.traces_of_type(TraceType.NETWORK_METRICS)
+        metrics = log.of_type(TraceType.NETWORK_METRICS)
         assert metrics
         payload = metrics[-1].payload
         assert payload["loss_rate"] == 0.0
         assert payload["mean_rtt_ms"] > 0
 
     def test_state_transitions_reported(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         dep.sim.run(until=10_000)
         dep.sim.process(entity.report_state(EntityState.RECOVERING))
         dep.sim.run(until=12_000)
         dep.sim.process(entity.report_state(EntityState.READY))
         dep.sim.run(until=14_000)
-        seen = [t.trace_type for t in tracker.received
+        seen = [t.trace_type for t in log.traces
                 if t.trace_type in (TraceType.RECOVERING, TraceType.READY)]
         assert TraceType.RECOVERING in seen
         assert seen.count(TraceType.READY) >= 1
 
     def test_load_reports_flow(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         dep.sim.run(until=10_000)
         load = LoadInformation(0.75, 1024.0, 4096.0, workload=12)
         dep.sim.process(entity.report_load(load))
         dep.sim.run(until=12_000)
-        received = tracker.traces_of_type(TraceType.LOAD_INFORMATION)
+        received = log.of_type(TraceType.LOAD_INFORMATION)
         assert received
         assert received[-1].payload["cpu_utilization"] == 0.75
 
@@ -104,14 +104,14 @@ class TestInterestGating:
         assert dep.metrics.counter_value("trace.suppressed_no_interest") > 5
 
     def test_selective_interest(self, dep):
-        entity, tracker = bootstrap(
+        entity, log = bootstrap(
             dep,
             tracker_kwargs=dict(
                 interests=frozenset({InterestCategory.CHANGE_NOTIFICATIONS})
             ),
         )
         dep.sim.run(until=20_000)
-        assert not tracker.traces_of_type(TraceType.ALLS_WELL)
+        assert not log.of_type(TraceType.ALLS_WELL)
         # heartbeats were suppressed at the source, not filtered at delivery
         assert dep.monitor.count("trace.published.ALLS_WELL") == 0
 
@@ -138,12 +138,12 @@ class TestInterestGating:
 
 class TestLifecycle:
     def test_graceful_shutdown(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         dep.sim.run(until=10_000)
         session = dep.manager_of("b1").session_of("svc")
         dep.sim.process(entity.shutdown())
         dep.sim.run(until=15_000)
-        shutdown_traces = tracker.traces_of_type(TraceType.SHUTDOWN)
+        shutdown_traces = log.of_type(TraceType.SHUTDOWN)
         assert shutdown_traces
         assert not session.active
         assert dep.manager_of("b1").session_of("svc") is None
@@ -152,21 +152,21 @@ class TestLifecycle:
         assert dep.metrics.counter_value("tracker.pings.sent") <= pings_at_shutdown + 1
 
     def test_silent_mode(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         dep.sim.run(until=10_000)
         session = dep.manager_of("b1").session_of("svc")
         dep.sim.process(entity.disable_tracing())
         dep.sim.run(until=15_000)
-        assert tracker.traces_of_type(TraceType.REVERTING_TO_SILENT_MODE)
+        assert log.of_type(TraceType.REVERTING_TO_SILENT_MODE)
         assert not session.active
         assert dep.manager_of("b1").session_of("svc") is None
 
     def test_disconnect_trace(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         dep.sim.run(until=10_000)
         dep.manager_of("b1").handle_client_disconnect("svc")
         dep.sim.run(until=15_000)
-        assert tracker.traces_of_type(TraceType.DISCONNECT)
+        assert log.of_type(TraceType.DISCONNECT)
 
 
 class TestObservability:
@@ -192,10 +192,10 @@ class TestObservability:
         assert dep.metrics.counter_value("tracker.traces.received") >= 10
 
     def test_trace_latency_histogram_matches_tracker_samples(self, dep):
-        _, tracker = bootstrap(dep)
+        _, log = bootstrap(dep)
         dep.sim.run(until=30_000)
         hist = dep.metrics.histogram("tracker.trace.latency_ms.alls_well")
-        latencies = tracker.latencies(TraceType.ALLS_WELL)
+        latencies = log.latencies(TraceType.ALLS_WELL)
         assert hist.count == len(latencies)
         assert hist.mean == pytest.approx(sum(latencies) / len(latencies))
 
@@ -224,13 +224,14 @@ class TestDeterminism:
             entity = dep.add_traced_entity("svc")
             tracker = dep.add_tracker("w")
             tracker.connect("b2")
+            log = TraceLog(tracker)
             entity.start("b1")
             dep.sim.run(until=2_000)
             tracker.track("svc")
             dep.sim.run(until=20_000)
             return [
                 (t.trace_type.value, round(t.received_ms, 9))
-                for t in tracker.received
+                for t in log.traces
             ]
 
         assert run() == run()

@@ -8,7 +8,7 @@ from repro.messaging.discovery import PlacementPolicy
 from repro.tdn.advertisement import TopicRenewal
 from repro.tracing.traces import TraceType
 from repro.transport.udp import udp_profile
-from tests.support import run_process, succeeded
+from tests.support import TraceLog, run_process, succeeded
 
 
 @pytest.fixture
@@ -137,11 +137,12 @@ class TestGapDetection:
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
         tracker.connect("b2", transport_profile=tcp_profile())
+        log = TraceLog(tracker)
         entity.start("b1", transport_profile=tcp_profile())
         dep.sim.run(until=5_000)
         tracker.track("svc")
         dep.sim.run(until=120_000)
-        received = len(tracker.received)
+        received = len(log)
         assert received > 0
         # with 25% per-link loss across several links, some traces vanish
         assert dep.metrics.counter_value("tracker.traces_missed") > 0
@@ -183,26 +184,56 @@ class TestUntrack:
         entity = dep.add_traced_entity("svc")
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
+        log = TraceLog(tracker)
         entity.start("b1")
         dep.sim.run(until=3_000)
         tracker.track("svc")
         dep.sim.run(until=15_000)
-        assert tracker.traces_of_type(TraceType.ALLS_WELL)
+        assert log.of_type(TraceType.ALLS_WELL)
 
         proc = tracker.untrack("svc")
         dep.sim.run(until=17_000)
         assert proc.value is True
-        received_at_untrack = len(tracker.received)
+        assert tracker.received == ()  # the last trace went with the entity
+        received_at_untrack = len(log)
         published_at_untrack = dep.monitor.count("trace.published.ALLS_WELL")
 
         dep.sim.run(until=40_000)
         # nothing more delivered to the tracker ...
-        assert len(tracker.received) == received_at_untrack
+        assert len(log) == received_at_untrack
         # ... and (being the only tracker) publication stopped at once,
         # well before the interest TTL would have expired
         published_after = dep.monitor.count("trace.published.ALLS_WELL")
         assert published_after <= published_at_untrack + 2
         assert dep.metrics.counter_value("trace.suppressed_no_interest") > 0
+
+    def test_retracking_counts_no_phantom_lost_traces(self):
+        """Traces published while a tracker was not watching were not lost
+        in transit: re-tracking adds nothing to ``tracker.traces_missed``
+        (a run where the tracker never comes back is the baseline)."""
+
+        def missed(retrack: bool) -> int:
+            dep = build_deployment(broker_ids=["b1", "b2", "b3"], seed=7)
+            entity = dep.add_traced_entity("svc")
+            t1, t2 = dep.add_tracker("t1"), dep.add_tracker("t2")
+            t1.connect("b2")
+            t2.connect("b3")
+            log = TraceLog(t1)
+            entity.start("b1")
+            dep.sim.run(until=3_000)
+            t1.track("svc")
+            t2.track("svc")  # keeps the entity publishing while t1 looks away
+            dep.sim.run(until=30_000)
+            t1.untrack("svc")
+            dep.sim.run(until=90_000)
+            if retrack:
+                t1.track("svc")
+            dep.sim.run(until=120_000)
+            heard_again = [t for t in log.traces if t.received_ms > 90_000]
+            assert bool(heard_again) is retrack
+            return dep.metrics.counter_value("tracker.traces_missed")
+
+        assert missed(retrack=True) == missed(retrack=False)
 
     def test_untrack_unknown_entity_returns_false(self, dep):
         tracker = dep.add_tracker("w")
@@ -216,6 +247,7 @@ class TestUntrack:
         stayer = dep.add_tracker("stayer")
         leaver = dep.add_tracker("leaver")
         stayer.connect("b2")
+        stayer_log = TraceLog(stayer)
         leaver.connect("b2")
         entity.start("b1")
         dep.sim.run(until=3_000)
@@ -224,6 +256,6 @@ class TestUntrack:
         dep.sim.run(until=10_000)
         leaver.untrack("svc")
         dep.sim.run(until=30_000)
-        late = [t for t in stayer.traces_of_type(TraceType.ALLS_WELL)
+        late = [t for t in stayer_log.of_type(TraceType.ALLS_WELL)
                 if t.received_ms > 12_000]
         assert late

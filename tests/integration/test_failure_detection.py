@@ -6,6 +6,7 @@ from repro import build_deployment
 from repro.crypto.costmodel import PAPER_CALIBRATION, CryptoCostModel, CryptoOp, OpCost
 from repro.tracing.failure import AdaptivePingPolicy, DetectorVerdict
 from repro.tracing.traces import TraceType
+from tests.support import TraceLog
 
 FAST_POLICY = AdaptivePingPolicy(
     base_interval_ms=500.0,
@@ -26,22 +27,23 @@ def bootstrap(dep):
     entity = dep.add_traced_entity("svc")
     tracker = dep.add_tracker("watcher")
     tracker.connect("b2")
+    log = TraceLog(tracker)
     entity.start("b1")
     dep.sim.run(until=3_000)
     tracker.track("svc")
     dep.sim.run(until=6_000)
-    return entity, tracker
+    return entity, log
 
 
 class TestCrashDetection:
     def test_suspicion_then_failure(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         session = dep.manager_of("b1").session_of("svc")
         entity.crash()
         dep.sim.run(until=40_000)
 
-        suspicion = tracker.traces_of_type(TraceType.FAILURE_SUSPICION)
-        failed = tracker.traces_of_type(TraceType.FAILED)
+        suspicion = log.of_type(TraceType.FAILURE_SUSPICION)
+        failed = log.of_type(TraceType.FAILED)
         assert len(suspicion) == 1
         assert len(failed) == 1
         assert suspicion[0].received_ms < failed[0].received_ms
@@ -59,13 +61,13 @@ class TestCrashDetection:
         assert dep.metrics.counter_value("tracker.pings.sent") == pings
 
     def test_healthy_entity_never_suspected(self, dep):
-        _, tracker = bootstrap(dep)
+        _, log = bootstrap(dep)
         dep.sim.run(until=60_000)
-        assert not tracker.traces_of_type(TraceType.FAILURE_SUSPICION)
-        assert not tracker.traces_of_type(TraceType.FAILED)
+        assert not log.of_type(TraceType.FAILURE_SUSPICION)
+        assert not log.of_type(TraceType.FAILED)
 
     def test_brief_outage_clears_suspicion(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         entity.crash()
         # crash long enough for suspicion (3 misses) but not failure (6):
         # recover the moment the broker announces suspicion
@@ -77,7 +79,7 @@ class TestCrashDetection:
         assert not session.declared_failed
         assert session.detector.verdict is DetectorVerdict.ALIVE
         # heartbeats resumed after recovery
-        late = [t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
+        late = [t for t in log.of_type(TraceType.ALLS_WELL)
                 if t.received_ms > 10_000]
         assert late
 
@@ -85,7 +87,7 @@ class TestCrashDetection:
         # the hosting broker takes longer to authenticate a ping response
         # than the response deadline, though each one reaches it in time:
         # the entity answered, so the broker neither suspects nor fails it
-        _, tracker = bootstrap(dep)
+        _, log = bootstrap(dep)
         session = dep.manager_of("b1").session_of("svc")
         slow = {op: OpCost(300.0, 0.0) for op in (CryptoOp.TRACE_VERIFY, CryptoOp.TRACE_DECRYPT)}
         dep.manager_of("b1").machine.cost_model = CryptoCostModel(
@@ -96,7 +98,7 @@ class TestCrashDetection:
 
         assert dep.metrics.counter_value("trace.ping_responses") > answered + 10
         assert not dep.journal.records("failure_suspicion")
-        assert not tracker.traces_of_type(TraceType.FAILED)
+        assert not log.of_type(TraceType.FAILED)
         assert dep.manager_of("b1").session_of("svc") is session
 
 
@@ -125,6 +127,7 @@ class TestAdaptiveInterval:
             entity = dep.add_traced_entity("svc")
             tracker = dep.add_tracker("w")
             tracker.connect("b1")
+            log = TraceLog(tracker)
             entity.start("b1")
             dep.sim.run(until=5_000)
             tracker.track("svc")
@@ -132,7 +135,7 @@ class TestAdaptiveInterval:
             entity.crash()
             crash_time = dep.sim.now
             dep.sim.run(until=120_000)
-            failed = tracker.traces_of_type(TraceType.FAILED)
+            failed = log.of_type(TraceType.FAILED)
             assert failed, "failure never detected"
             return failed[0].received_ms - crash_time
 

@@ -5,6 +5,7 @@ import pytest
 from repro import build_deployment
 from repro.tracing.interest import InterestCategory
 from repro.tracing.traces import TraceType
+from tests.support import TraceLog
 
 
 @pytest.fixture
@@ -18,12 +19,13 @@ class TestMultipleEntities:
         entity_b = dep.add_traced_entity("svc-b")
         tracker = dep.add_tracker("w")
         tracker.connect("b3")
+        log = TraceLog(tracker)
         entity_a.start("b1")
         entity_b.start("b2")
         dep.sim.run(until=4_000)
         tracker.track("svc-a")  # only tracks A
         dep.sim.run(until=20_000)
-        entities_seen = {t.entity_id for t in tracker.received}
+        entities_seen = {t.entity_id for t in log.traces}
         assert entities_seen == {"svc-a"}
 
     def test_distinct_trace_topics(self, dep):
@@ -42,11 +44,12 @@ class TestMultipleEntities:
             dep.add_traced_entity(name).start("b1")
         tracker = dep.add_tracker("w")
         tracker.connect("b3")
+        log = TraceLog(tracker)
         dep.sim.run(until=5_000)
         for name in names:
             tracker.track(name)
         dep.sim.run(until=30_000)
-        seen = {t.entity_id for t in tracker.traces_of_type(TraceType.ALLS_WELL)}
+        seen = {t.entity_id for t in log.of_type(TraceType.ALLS_WELL)}
         assert seen == set(names)
 
     def test_failure_of_one_does_not_affect_others(self, dep):
@@ -54,6 +57,7 @@ class TestMultipleEntities:
         entity_b = dep.add_traced_entity("svc-b")
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
+        log = TraceLog(tracker)
         entity_a.start("b1")
         entity_b.start("b1")
         dep.sim.run(until=4_000)
@@ -62,10 +66,10 @@ class TestMultipleEntities:
         dep.sim.run(until=8_000)
         entity_a.crash()
         dep.sim.run(until=120_000)
-        failed = {t.entity_id for t in tracker.traces_of_type(TraceType.FAILED)}
+        failed = {t.entity_id for t in log.of_type(TraceType.FAILED)}
         assert failed == {"svc-a"}
         late_b = [
-            t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
+            t for t in log.of_type(TraceType.ALLS_WELL)
             if t.entity_id == "svc-b" and t.received_ms > 60_000
         ]
         assert late_b
@@ -79,13 +83,14 @@ class TestMultipleTrackers:
             tracker = dep.add_tracker(f"w{i}")
             tracker.connect(broker)
             trackers.append(tracker)
+        logs = [TraceLog(tracker) for tracker in trackers]
         entity.start("b1")
         dep.sim.run(until=4_000)
         for tracker in trackers:
             tracker.track("svc")
         dep.sim.run(until=20_000)
-        for tracker in trackers:
-            assert tracker.traces_of_type(TraceType.ALLS_WELL)
+        for log in logs:
+            assert log.of_type(TraceType.ALLS_WELL)
 
     def test_mixed_interests(self, dep):
         entity = dep.add_traced_entity("svc")
@@ -96,7 +101,9 @@ class TestMultipleTrackers:
             "ch", interests=frozenset({InterestCategory.CHANGE_NOTIFICATIONS})
         )
         hb_tracker.connect("b2")
+        hb_log = TraceLog(hb_tracker)
         ch_tracker.connect("b3")
+        ch_log = TraceLog(ch_tracker)
         entity.start("b1")
         dep.sim.run(until=4_000)
         hb_tracker.track("svc")
@@ -105,17 +112,19 @@ class TestMultipleTrackers:
         entity.crash()
         dep.sim.run(until=120_000)
 
-        assert hb_tracker.traces_of_type(TraceType.ALLS_WELL)
-        assert not hb_tracker.traces_of_type(TraceType.FAILED)
-        assert ch_tracker.traces_of_type(TraceType.FAILED)
-        assert not ch_tracker.traces_of_type(TraceType.ALLS_WELL)
+        assert hb_log.of_type(TraceType.ALLS_WELL)
+        assert not hb_log.of_type(TraceType.FAILED)
+        assert ch_log.of_type(TraceType.FAILED)
+        assert not ch_log.of_type(TraceType.ALLS_WELL)
 
     def test_secured_keys_per_tracker(self, dep):
         entity = dep.add_traced_entity("svc", secured=True)
         tracker_a = dep.add_tracker("wa")
         tracker_b = dep.add_tracker("wb")
         tracker_a.connect("b2")
+        log_a = TraceLog(tracker_a)
         tracker_b.connect("b3")
+        log_b = TraceLog(tracker_b)
         entity.start("b1")
         dep.sim.run(until=4_000)
         tracker_a.track("svc")
@@ -123,5 +132,5 @@ class TestMultipleTrackers:
         dep.sim.run(until=30_000)
         assert tracker_a.trace_key_for("svc") == entity.trace_key
         assert tracker_b.trace_key_for("svc") == entity.trace_key
-        assert tracker_a.traces_of_type(TraceType.ALLS_WELL)
-        assert tracker_b.traces_of_type(TraceType.ALLS_WELL)
+        assert log_a.of_type(TraceType.ALLS_WELL)
+        assert log_b.of_type(TraceType.ALLS_WELL)

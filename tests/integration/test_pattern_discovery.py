@@ -5,7 +5,7 @@ import pytest
 from repro import build_deployment
 from repro.tdn.query import DiscoveryQuery, DiscoveryRestrictions
 from repro.tracing.traces import TraceType
-from tests.support import run_process
+from tests.support import TraceLog, run_process
 
 
 @pytest.fixture
@@ -95,11 +95,12 @@ class TestBulkTracking:
         start_fleet(dep, ["compute-1", "compute-2", "compute-3", "db-1"])
         tracker = dep.add_tracker("w")
         tracker.connect("b2")
+        log = TraceLog(tracker)
         proc = tracker.track_matching("compute-*")
         dep.sim.run(until=40_000)
         tracked = proc.value
         assert len(tracked) == 3
-        seen = {t.entity_id for t in tracker.traces_of_type(TraceType.ALLS_WELL)}
+        seen = {t.entity_id for t in log.of_type(TraceType.ALLS_WELL)}
         assert seen == {"compute-1", "compute-2", "compute-3"}
 
     def test_track_matching_skips_already_tracked(self, dep):

@@ -5,6 +5,7 @@ import pytest
 from repro import build_deployment
 from repro.tracing.failure import AdaptivePingPolicy
 from repro.tracing.traces import TraceType
+from tests.support import TraceLog
 
 FAST_POLICY = AdaptivePingPolicy(
     base_interval_ms=500.0, min_interval_ms=100.0,
@@ -24,26 +25,27 @@ def bootstrap(dep, tracker_broker="b3"):
     tracker = dep.add_tracker("w")
     tracker.interest_refresh_ms = 0.0  # always answer gauges promptly
     tracker.connect(tracker_broker)
+    log = TraceLog(tracker)
     entity.start("b1")
     dep.sim.run(until=3_000)
     tracker.track("svc")
     dep.sim.run(until=6_000)
-    return entity, tracker
+    return entity, log
 
 
 class TestReregistration:
     def test_failed_entity_resumes_after_reregistration(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         entity.crash()
         dep.sim.run(until=60_000)
-        assert tracker.traces_of_type(TraceType.FAILED)
+        assert log.of_type(TraceType.FAILED)
         old_session = entity.session_id
 
         dep.sim.process(entity.reregister())
         dep.sim.run(until=90_000)
         assert entity.session_id != old_session
         # the tracker sees fresh heartbeats without resubscribing
-        late = [t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
+        late = [t for t in log.of_type(TraceType.ALLS_WELL)
                 if t.received_ms > 62_000]
         assert late
 
@@ -56,19 +58,19 @@ class TestReregistration:
         assert [s.active for s in manager.sessions.values()] == [True]
 
     def test_recovery_announces_state_transitions(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         entity.crash()
         dep.sim.run(until=60_000)
         dep.sim.process(entity.reregister())
         dep.sim.run(until=90_000)
-        kinds = [t.trace_type for t in tracker.received]
+        kinds = [t.trace_type for t in log.traces]
         assert TraceType.RECOVERING in kinds
         assert TraceType.JOIN in kinds  # re-registration re-announces JOIN
 
 
 class TestBrokerFailure:
     def test_failed_broker_stops_traffic(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         dep.network.fail_broker("b1")
         marker = dep.sim.now
         dep.sim.run(until=marker + 10_000)
@@ -76,7 +78,7 @@ class TestBrokerFailure:
         # client traffic at the dead broker to show it gets dropped
         entity.client.publish("app.data", {"status": "still-alive"})
         dep.sim.run(until=marker + 20_000)
-        late = [t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
+        late = [t for t in log.of_type(TraceType.ALLS_WELL)
                 if t.received_ms > marker + 1_000]
         assert not late
         assert dep.metrics.counter_value("broker.messages.dropped_broker_failed") > 0
@@ -84,15 +86,15 @@ class TestBrokerFailure:
     def test_routing_steers_around_failed_broker(self, dep):
         # ring topology so b2's failure leaves a path b1-b3
         dep.network.connect_brokers("b1", "b3")
-        entity, tracker = bootstrap(dep)
-        count_before = len(tracker.traces_of_type(TraceType.ALLS_WELL))
+        entity, log = bootstrap(dep)
+        count_before = len(log.of_type(TraceType.ALLS_WELL))
         dep.network.fail_broker("b2")
         dep.sim.run(until=30_000)
-        count_after = len(tracker.traces_of_type(TraceType.ALLS_WELL))
+        count_after = len(log.of_type(TraceType.ALLS_WELL))
         assert count_after > count_before  # traces now flow b1 -> b3
 
     def test_entity_migrates_to_live_broker(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         dep.network.fail_broker("b1")
         dep.sim.run(until=12_000)
 
@@ -100,17 +102,17 @@ class TestBrokerFailure:
         dep.sim.run(until=40_000)
         assert entity.client.broker.broker_id == "b2"
         assert dep.manager_of("b2").session_of("svc") is not None
-        late = [t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
+        late = [t for t in log.of_type(TraceType.ALLS_WELL)
                 if t.received_ms > 20_000]
         assert late, "tracker should keep receiving after migration"
 
     def test_recovered_broker_rejoins(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         dep.network.fail_broker("b2")
         dep.sim.run(until=12_000)
         dep.network.recover_broker("b2", neighbors=["b1", "b3"])
         dep.sim.run(until=40_000)
-        late = [t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
+        late = [t for t in log.of_type(TraceType.ALLS_WELL)
                 if t.received_ms > 13_000]
         assert late
 
@@ -121,7 +123,7 @@ class TestBrokerRestart:
     ``reset_incarnation``)."""
 
     def test_entity_survives_broker_restart_without_false_failure(self, dep):
-        entity, tracker = bootstrap(dep)
+        entity, log = bootstrap(dep)
         neighbors = dep.network.neighbors_of("b1")
         dep.network.fail_broker("b1")
         restart_at = dep.sim.now + 8_000
@@ -130,11 +132,11 @@ class TestBrokerRestart:
 
         # the entity never crashed, so the restarted broker must not have
         # declared it FAILED off pre-crash ping state
-        assert not tracker.traces_of_type(TraceType.FAILED)
+        assert not log.of_type(TraceType.FAILED)
         session = dep.manager_of("b1").session_of("svc")
         assert session is not None and session.active
         assert not session.declared_failed
-        late = [t for t in tracker.traces_of_type(TraceType.ALLS_WELL)
+        late = [t for t in log.of_type(TraceType.ALLS_WELL)
                 if t.received_ms > restart_at + 1_000]
         assert late, "heartbeats should resume after the restart"
 

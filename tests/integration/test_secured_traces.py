@@ -12,6 +12,7 @@ from repro.messaging.message import Message
 from repro.security.keydist import build_key_payload
 from repro.tdn.query import DiscoveryRestrictions
 from repro.tracing.traces import TraceType
+from tests.support import TraceLog
 
 
 @pytest.fixture
@@ -19,12 +20,14 @@ def dep():
     return build_deployment(broker_ids=["b1", "b2"], seed=300)
 
 
-def bootstrap_secured(dep, tracker_count=1):
+def bootstrap_secured(dep, tracker_count=1, sink=None):
     entity = dep.add_traced_entity("svc", secured=True)
     trackers = []
     for i in range(tracker_count):
         tracker = dep.add_tracker(f"watcher-{i}")
         tracker.connect("b2")
+        if sink is not None:
+            tracker.on_trace.append(sink)
         trackers.append(tracker)
     entity.start("b1")
     dep.sim.run(until=3_000)
@@ -250,8 +253,9 @@ class TestKeyDistribution:
 
 class TestEncryptedTraces:
     def test_traces_decrypt_at_keyed_tracker(self, dep):
-        _, (tracker,) = bootstrap_secured(dep)
-        heartbeats = tracker.traces_of_type(TraceType.ALLS_WELL)
+        heard = []
+        bootstrap_secured(dep, sink=heard.append)
+        heartbeats = [t for t in heard if t.trace_type is TraceType.ALLS_WELL]
         assert heartbeats
         assert all("rtt_ms" in t.payload for t in heartbeats)
 
@@ -288,11 +292,12 @@ class TestEncryptedTraces:
             )
             tracker = dep.add_tracker("w", machine_name="host")
             tracker.connect("b2")
+            log = TraceLog(tracker)
             entity.start("b1")
             dep.sim.run(until=3_000)
             tracker.track("svc")
             dep.sim.run(until=60_000)
-            latencies = tracker.latencies(TraceType.ALLS_WELL)
+            latencies = log.latencies(TraceType.ALLS_WELL)
             return sum(latencies) / len(latencies)
 
         assert mean_latency(True) > mean_latency(False) + 5.0
@@ -306,14 +311,15 @@ class TestUnauthorizedAccess:
         snoop.connect("b2")
         keyed = dep.add_tracker("legit")
         keyed.connect("b2")
+        snoop_log, keyed_log = TraceLog(snoop), TraceLog(keyed)
         entity.start("b1")
         dep.sim.run(until=3_000)
         keyed.track("svc")
         snoop.track("svc")  # subscribes but never answers gauge requests
         dep.sim.run(until=30_000)
 
-        assert keyed.traces_of_type(TraceType.ALLS_WELL)
-        assert not snoop.traces_of_type(TraceType.ALLS_WELL)
+        assert keyed_log.of_type(TraceType.ALLS_WELL)
+        assert not snoop_log.of_type(TraceType.ALLS_WELL)
         assert snoop.monitor.metrics.counter_value("tracker.traces_no_key_yet") > 0 or \
             dep.metrics.counter_value("tracker.traces_no_key_yet") > 0
 
@@ -328,6 +334,7 @@ class TestUnauthorizedAccess:
         victim = dep.add_tracker("victim")
         for tracker in (mallory, victim):
             tracker.connect("b2")
+        victim_log = TraceLog(victim)
         entity.start("b1")
         dep.sim.run(until=3_000)
         victim.track("svc")
@@ -337,7 +344,7 @@ class TestUnauthorizedAccess:
             disguise(mallory, victim)
         mallory.untrack("svc")
         dep.sim.run(until=90_000)
-        return len(victim.received), dep.metrics.counter_value("trace.interest_bad_signature")
+        return len(victim_log), dep.metrics.counter_value("trace.interest_bad_signature")
 
     def test_a_tracker_cannot_retract_another_trackers_interest(self):
         """A retraction is recorded under the certificate it is signed

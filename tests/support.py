@@ -18,6 +18,8 @@ from repro.messaging.federation import _InterestAccumulator, _LaneTable
 from repro.messaging.routing import _sorted_adjacency, _walk
 from repro.sim.engine import Event, Resource, Simulator
 from repro.tracing.broker_ops import TraceManager
+from repro.tracing.traces import TraceType
+from repro.tracing.tracker import ReceivedTrace
 
 # -------------------------------------------------------------------- crypto
 
@@ -188,6 +190,81 @@ def orphan_sessions(dep) -> list[str]:
         if len(set(counts.values())) > 1:
             found.append(f"{broker.broker_id}: {counts}")
     return found
+
+
+# ------------------------------------------------------------------- traces
+
+
+class TraceLog:
+    """Every trace a tracker hands its sinks once the log is attached, in order.
+
+    The tracker keeps only the last trace per watched entity; a test that
+    reads history attaches a log before the traces it wants arrive.
+    """
+
+    def __init__(self, tracker) -> None:
+        self.traces: list[ReceivedTrace] = []
+        tracker.on_trace.append(self.traces.append)
+
+    def __len__(self) -> int:
+        return len(self.traces)
+
+    def of_type(self, trace_type: TraceType) -> list[ReceivedTrace]:
+        return [t for t in self.traces if t.trace_type is trace_type]
+
+    def latencies(self, trace_type: TraceType | None = None) -> list[float]:
+        return [
+            t.latency_ms
+            for t in self.traces
+            if t.latency_ms is not None and (trace_type is None or t.trace_type is trace_type)
+        ]
+
+
+# ---------------------------------------------------------------- run state
+
+
+def run_sizes(dep) -> dict[str, int]:
+    """The size of every container a deployment's run owns, by name.
+
+    A run in steady state holds state in proportion to what is live
+    (sessions, watched entities, subscriptions) or up to a cap (the size
+    memo, the token caches), never in proportion to virtual time, so two
+    horizons of one steady run read equal here (ROADMAP item 23).
+    """
+    sizes = {"journal": len(dep.journal)}
+    for tracker_id, tracker in dep.trackers.items():
+        watched = tracker._watched.values()
+        sizes[f"tracker.{tracker_id}.watched"] = len(tracker._watched)
+        sizes[f"tracker.{tracker_id}.last_traces"] = len(tracker.received)
+        sizes[f"tracker.{tracker_id}.sequences"] = sum(w.session is not None for w in watched)
+        sizes[f"tracker.{tracker_id}.sinks"] = len(tracker.on_trace)
+    for broker in dep.network.brokers():
+        name = broker.broker_id
+        manager = dep.manager_of(name)
+        index = broker._subs
+        sizes[f"{name}.sessions"] = len(manager.sessions)
+        sizes[f"{name}.interest_registries"] = len(manager.interest)
+        sizes[f"{name}.inboxes"] = sum(len(s.inbox) for s in manager.sessions.values())
+        sizes[f"{name}.clients"] = len(broker._client_links)
+        sizes[f"{name}.subscriptions"] = len(index_patterns(index))
+        sizes[f"{name}.handlers"] = sum(len(h) for h in index_handlers(index).values())
+        sizes[f"{name}.constrained_forms"] = len(broker._constrained_forms)
+    verifiers = {"tracker": dep.token_verifier, **dep.broker_verifiers}
+    for owner, verifier in verifiers.items():
+        if verifier.cache is not None:
+            sizes[f"token_cache.{owner}"] = len(verifier.cache)
+            sizes[f"token_cache.{owner}.digests"] = len(verifier.cache._digests)
+    registry = dep.metrics
+    sizes["metrics.instruments"] = sum(
+        len(table) for table in (registry._counters, registry._gauges, registry._histograms)
+    )
+    sizes["monitor.counts"] = len(dep.monitor._counters)
+    memo = dep.network.size_memo
+    sizes["size_memo.sizes"] = len(memo.sizes)
+    sizes["size_memo.overheads"] = len(memo.overheads)
+    if dep.network.federation is not None:
+        sizes["federation.match_memo"] = len(dep.network.federation._match_memo)
+    return sizes
 
 
 # ----------------------------------------------------------------- snapshots

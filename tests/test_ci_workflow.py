@@ -144,14 +144,15 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
         " tests/messaging/test_hop_oracle.py"
         " tests/messaging/test_routing_properties.py tests/messaging/test_parse_oracle.py"
         " tests/messaging/test_interest_index_oracle.py tests/messaging/test_announce_machine.py"
-        " tests/test_reachability.py"
+        " tests/test_reachability.py tests/test_soak.py"
         " -m deep -q"
     )
     # the step runs two contracts, a state machine, a round-trip property, the
     # prime-generation oracle, the CBC decryption oracle, the timelines property, the
     # engine oracle, the continuation oracle, the hop oracle, the route-table oracle, the
     # parse oracle, the interest-index oracle, the count oracle, the announce machine
-    # and the reachability tracer; its comment (lost to the YAML parser) names all sixteen
+    # the reachability tracer and the soak gate; its comment (lost to the YAML parser)
+    # names all seventeen
     text = WORKFLOW.read_text()
     comment = text[: text.index(f"      - name: {name}")]
     comment = comment[comment.rindex("\n      - ") :]
@@ -175,6 +176,7 @@ def test_bench_smoke_runs_the_deep_decode_contract(workflow):
     assert "full-count reference accumulator" in comment
     assert "announce machine" in comment and "announced view" in comment
     assert "reachability tracer" in comment and "tests/reach_allowlist.py" in comment
+    assert "soak gate" in comment and "run_sizes" in comment
 
 
 def test_bench_smoke_runs_the_wall_clock_harness_self_test(workflow):

@@ -28,7 +28,7 @@ from repro.tracing.interest import InterestCategory
 from repro.tracing.pings import PingResponse
 from repro.tracing.traces import EntityState, LoadInformation, TraceType
 from repro.util.serialization import Canonical
-from tests.support import run_process, succeeded
+from tests.support import TraceLog, run_process, succeeded
 
 
 @pytest.fixture
@@ -299,9 +299,10 @@ class TestEntityMessageHandling:
         entity = registered_entity(dep)
         tracker = dep.add_tracker("w")
         tracker.connect("b1")
+        log = TraceLog(tracker)
         tracker.track("svc")
         dep.sim.run(until=dep.sim.now + 2_000)
-        received = len(tracker.received)
+        received = len(log)
         stamps = ["soon", float("nan"), float("inf"), True]
         for stamp in stamps:
             send_signed(entity, {**report, "stamp_ms": stamp})
@@ -309,7 +310,7 @@ class TestEntityMessageHandling:
         assert dep.metrics.counter_value(f"trace.{kind}_reports_malformed") == len(stamps)
         assert dep.metrics.counter_value("tracker.traces_malformed") == 0
         reported = (TraceType.READY, TraceType.LOAD_INFORMATION)
-        assert not [t for t in tracker.received[received:] if t.trace_type in reported]
+        assert not [t for t in log.traces[received:] if t.trace_type in reported]
 
     def test_messages_processed_in_order(self, dep):
         """The per-session worker preserves arrival order even though the
@@ -317,6 +318,7 @@ class TestEntityMessageHandling:
         entity = registered_entity(dep)
         tracker = dep.add_tracker("w")
         tracker.connect("b1")
+        log = TraceLog(tracker)
         tracker.track("svc")
         dep.sim.run(until=dep.sim.now + 2_000)
 
@@ -326,7 +328,7 @@ class TestEntityMessageHandling:
         dep.sim.process(entity.report_state(EntityState.READY))
         dep.sim.run(until=dep.sim.now + 5_000)
         states = [
-            t.trace_type for t in tracker.received
+            t.trace_type for t in log.traces
             if t.trace_type in (TraceType.RECOVERING, TraceType.READY)
         ]
         assert states == [TraceType.RECOVERING, TraceType.READY]

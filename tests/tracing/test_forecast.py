@@ -94,21 +94,22 @@ class TestNetworkForecasterLive:
         forecaster = NetworkForecaster(tracker)
         assert forecaster.forecast_rtt_ms("ghost") is None
 
-    def test_a_sampleless_metrics_trace_is_counted_and_the_chained_hook_still_runs(self):
+    def test_a_sampleless_metrics_trace_is_counted_and_the_next_sink_still_runs(self):
         # a verified NETWORK_METRICS trace is signed, not typed; raising out of the
-        # hook ends the tracker's trace process before an earlier-attached ingestor runs
+        # sink ends the tracker's trace process before a later-attached ingestor runs
         dep = build_deployment(broker_ids=["b1"], seed=912)
         tracker = dep.add_tracker("w")
-        seen = []
-        tracker.on_trace = seen.append
         forecaster = NetworkForecaster(tracker)
+        seen = []
+        tracker.on_trace.append(seen.append)
         traces = [
             ReceivedTrace(TraceType.NETWORK_METRICS, "svc", 1.0, None, payload)
             for payload in ({}, {"mean_rtt_ms": "soon", "loss_rate": 0.0})
         ]
 
         for trace in traces:
-            tracker.on_trace(trace)
+            for sink in tracker.on_trace:
+                sink(trace)
 
         assert seen == traces
         assert forecaster.forecast_rtt_ms("svc") is None
