@@ -16,7 +16,7 @@ Repeat verifications of a byte-identical token are answered by the
 revocation, or a broker restart clears it.
 """
 
-from repro.auth.cache import TokenVerificationCache, token_digest
+from repro.auth.cache import TokenVerificationCache
 from repro.auth.credentials import EntityCredentials
 from repro.auth.tokens import AuthorizationToken, TokenRights
 from repro.auth.verification import TokenVerifier, TraceAuthorizationGuard
@@ -28,5 +28,4 @@ __all__ = [
     "TokenVerificationCache",
     "TokenVerifier",
     "TraceAuthorizationGuard",
-    "token_digest",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.auth.cache import TokenVerificationCache, token_digest
+from repro.auth.cache import TokenVerificationCache
 from repro.auth.tokens import DEFAULT_SKEW_TOLERANCE_MS, AuthorizationToken, TokenRights
 from repro.crypto.costmodel import CryptoOp
 from repro.crypto.rsa import RSAPublicKey
@@ -32,6 +32,14 @@ from repro.util.serialization import Canonical
 
 #: Event-type element identifying trace traffic on constrained topics.
 TRACES_EVENT_TYPE = "Traces"
+
+
+def _token_bytes(wire: Canonical) -> bytes:
+    """The bytes a token travels as; anything but a :class:`Canonical` is a
+    :class:`TokenError`, raised before anything is decoded."""
+    if type(wire) is not Canonical:
+        raise TokenError(f"token must travel as Canonical bytes, got {type(wire).__name__}")
+    return wire.data
 
 
 class TokenVerifier:
@@ -57,15 +65,15 @@ class TokenVerifier:
         # key is part of the entry, or an advertisement naming a verified
         # topic would lend its TDN check to any owner key
         self._advertisement_cache: set[tuple[UUID128, RSAPublicKey]] = set()
-        # digests of revoked tokens; verify() refuses them outright
+        # the bytes of revoked tokens; verify() refuses them outright
         self._revoked: set[bytes] = set()
 
     def revoke(self, wire: Canonical) -> None:
         """Revoke a token by its wire form: evict it and refuse it forever."""
-        digest = token_digest(wire)
-        self._revoked.add(digest)
+        data = _token_bytes(wire)
+        self._revoked.add(data)
         if self.cache is not None:
-            self.cache.discard(digest)
+            self.cache.discard(data)
 
     def verify(self, wire: Canonical, now_ms: float) -> AuthorizationToken:
         """Full validation; raises :class:`TokenError` on any failure.
@@ -76,7 +84,7 @@ class TokenVerifier:
         TDN's signature over the advertisement, and the owner's signature
         over the token fields.
         """
-        if token_digest(wire) in self._revoked:
+        if _token_bytes(wire) in self._revoked:
             raise TokenError("token has been revoked")
         token = AuthorizationToken.from_wire(wire)
 
@@ -98,22 +106,21 @@ class TokenVerifier:
     ) -> Generator[Event, None, AuthorizationToken]:
         """The §4.3 check as one process step on ``machine``; raises like :meth:`verify`.
 
-        With a cache attached, the digest of the received bytes is looked
-        up first: verified before and still inside its validity window, it
+        With a cache attached, the received bytes are looked up first: verified before and still inside its validity window, it
         is answered at no charge and nothing is decoded.  Otherwise
         ``TOKEN_VERIFY`` is charged, the token decoded, fully verified and
         stored.
         """
         cache = self.cache
         if cache is not None:
-            digest = cache.digest(wire)
-            cached = cache.lookup(digest, machine.now(), self.skew_tolerance_ms)
+            data = _token_bytes(wire)
+            cached = cache.lookup(data, machine.now(), self.skew_tolerance_ms)
             if cached is not None:
                 return cached
         yield from machine.charge(CryptoOp.TOKEN_VERIFY)
         token = self.verify(wire, machine.now())
         if cache is not None:
-            cache.store(digest, token)
+            cache.store(data, token)
         return token
 
     def _verify_advertisement(self, token: AuthorizationToken) -> None:

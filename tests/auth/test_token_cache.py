@@ -7,6 +7,7 @@ a revoked token stops working even while cached, and a restarted broker
 starts with a cold cache.
 """
 
+import random
 import sys
 
 import pytest
@@ -16,16 +17,17 @@ from repro.auth import (
     TokenRights,
     TokenVerificationCache,
     TokenVerifier,
-    token_digest,
 )
 from repro.auth.tokens import DEFAULT_SKEW_TOLERANCE_MS
 from repro.errors import ConfigurationError, TokenError
 from repro.obs import MetricsRegistry
+from repro.sim.engine import Simulator
+from repro.sim.machine import Machine
 from repro.util import serialization
 from repro.util.serialization import Canonical
 
 from tests.auth.test_verification import make_advertisement
-from tests.support import TraceLog
+from tests.support import TraceLog, free_cost_model, run_process
 
 
 def make_token(keypair, second_keypair, rng, valid_until_ms=10_000.0, topic_value=5):
@@ -58,49 +60,49 @@ class TestCacheUnit:
 
     def test_store_then_lookup_hits(self, token):
         cache = TokenVerificationCache(MetricsRegistry())
-        digest = token_digest(token.wire)
-        assert cache.lookup(digest, 0.0, DEFAULT_SKEW_TOLERANCE_MS) is None
-        cache.store(digest, token)
-        assert cache.lookup(digest, 100.0, DEFAULT_SKEW_TOLERANCE_MS) is token
-        assert digest in cache and len(cache) == 1
+        key = token.wire.data
+        assert cache.lookup(key, 0.0, DEFAULT_SKEW_TOLERANCE_MS) is None
+        cache.store(key, token)
+        assert cache.lookup(key, 100.0, DEFAULT_SKEW_TOLERANCE_MS) is token
+        assert key in cache and len(cache) == 1
 
     def test_expired_entry_is_a_miss_and_is_dropped(self, token):
         cache = TokenVerificationCache(MetricsRegistry())
-        digest = token_digest(token.wire)
-        cache.store(digest, token)
-        assert cache.lookup(digest, 10_500.0, DEFAULT_SKEW_TOLERANCE_MS) is None
-        assert digest not in cache
+        key = token.wire.data
+        cache.store(key, token)
+        assert cache.lookup(key, 10_500.0, DEFAULT_SKEW_TOLERANCE_MS) is None
+        assert key not in cache
 
     def test_skew_tolerance_keeps_borderline_entries_alive(self, token):
         cache = TokenVerificationCache(MetricsRegistry())
-        digest = token_digest(token.wire)
-        cache.store(digest, token)
-        assert cache.lookup(digest, 10_050.0, DEFAULT_SKEW_TOLERANCE_MS) is token
+        key = token.wire.data
+        cache.store(key, token)
+        assert cache.lookup(key, 10_050.0, DEFAULT_SKEW_TOLERANCE_MS) is token
 
     def test_lru_eviction_order(self, keypair, second_keypair, rng):
         cache = TokenVerificationCache(MetricsRegistry(), capacity=2)
         tokens = [
             make_token(keypair, second_keypair, rng, topic_value=i) for i in (1, 2, 3)
         ]
-        digests = [token_digest(t.wire) for t in tokens]
-        cache.store(digests[0], tokens[0])
-        cache.store(digests[1], tokens[1])
+        keys = [t.wire.data for t in tokens]
+        cache.store(keys[0], tokens[0])
+        cache.store(keys[1], tokens[1])
         # touch the oldest so the *other* entry becomes LRU
-        assert cache.lookup(digests[0], 0.0, DEFAULT_SKEW_TOLERANCE_MS) is tokens[0]
-        cache.store(digests[2], tokens[2])
-        assert digests[0] in cache and digests[2] in cache
-        assert digests[1] not in cache
+        assert cache.lookup(keys[0], 0.0, DEFAULT_SKEW_TOLERANCE_MS) is tokens[0]
+        cache.store(keys[2], tokens[2])
+        assert keys[0] in cache and keys[2] in cache
+        assert keys[1] not in cache
 
     def test_counters_recorded(self, token):
         metrics = MetricsRegistry()
         cache = TokenVerificationCache(metrics, capacity=1)
-        digest = token_digest(token.wire)
+        key = token.wire.data
         counters = metrics.snapshot()["counters"]
         assert counters["auth.token.cache.hit"] == 0  # materialized zeros
-        cache.lookup(digest, 0.0, DEFAULT_SKEW_TOLERANCE_MS)  # miss
-        cache.store(digest, token)
-        cache.lookup(digest, 0.0, DEFAULT_SKEW_TOLERANCE_MS)  # hit
-        cache.store(b"other-digest-0000000", token)  # evicts
+        cache.lookup(key, 0.0, DEFAULT_SKEW_TOLERANCE_MS)  # miss
+        cache.store(key, token)
+        cache.lookup(key, 0.0, DEFAULT_SKEW_TOLERANCE_MS)  # hit
+        cache.store(b"other-token-bytes", token)  # evicts
         counters = metrics.snapshot()["counters"]
         assert counters["auth.token.cache.miss"] == 1
         assert counters["auth.token.cache.hit"] == 1
@@ -108,14 +110,14 @@ class TestCacheUnit:
 
     def test_clear_and_discard(self, token):
         cache = TokenVerificationCache(MetricsRegistry())
-        digest = token_digest(token.wire)
-        cache.store(digest, token)
-        cache.discard(digest)
+        key = token.wire.data
+        cache.store(key, token)
+        cache.discard(key)
         assert len(cache) == 0
-        cache.discard(digest)  # absent: no-op
-        cache.store(digest, token)
+        cache.discard(key)  # absent: no-op
+        cache.store(key, token)
         cache.clear()
-        assert digest not in cache
+        assert key not in cache
 
 
 class TestVerifierIntegration:
@@ -125,10 +127,10 @@ class TestVerifierIntegration:
         cache = TokenVerificationCache(MetricsRegistry())
         verifier = TokenVerifier({"tdn-0": second_keypair.public}, cache=cache)
         wire = token.wire
-        digest = token_digest(wire)
-        cache.store(digest, verifier.verify(wire, now_ms=0.0))
+        key = wire.data
+        cache.store(key, verifier.verify(wire, now_ms=0.0))
         verifier.revoke(wire)
-        assert digest not in cache  # revocation purges the cache entry
+        assert key not in cache  # revocation purges the cache entry
         with pytest.raises(TokenError):
             verifier.verify(wire, now_ms=1.0)
 
@@ -136,12 +138,43 @@ class TestVerifierIntegration:
         cache = TokenVerificationCache(MetricsRegistry())
         verifier = TokenVerifier({"tdn-0": second_keypair.public}, cache=cache)
         wire = token.wire
-        digest = token_digest(wire)
-        cache.store(digest, verifier.verify(wire, now_ms=0.0))
+        key = wire.data
+        cache.store(key, verifier.verify(wire, now_ms=0.0))
         # inside the window the cache answers; past it the entry is purged
-        assert cache.lookup(digest, 9_000.0, verifier.skew_tolerance_ms) is not None
-        assert cache.lookup(digest, 10_200.0, verifier.skew_tolerance_ms) is None
-        assert digest not in cache
+        assert cache.lookup(key, 9_000.0, verifier.skew_tolerance_ms) is not None
+        assert cache.lookup(key, 10_200.0, verifier.skew_tolerance_ms) is None
+        assert key not in cache
+
+    def test_equal_bytes_in_another_canonical_hit_the_cache(self, second_keypair, token):
+        """The key is the bytes a token travels as, not the object carrying
+        them: each frame's token decodes to its own ``Canonical``."""
+        metrics = MetricsRegistry()
+        verifier = TokenVerifier(
+            {"tdn-0": second_keypair.public}, cache=TokenVerificationCache(metrics)
+        )
+        sim = Simulator()
+        machine = Machine(sim, "m", free_cost_model(), random.Random(0))
+        first = run_process(sim, verifier.check(token.wire, machine))
+        again = Canonical(bytes(bytearray(token.wire.data)))
+        assert again is not token.wire and again.data is not token.wire.data
+        assert run_process(sim, verifier.check(again, machine)) is first
+        assert metrics.counter_value("auth.token.cache.hit") == 1
+        assert metrics.counter_value("auth.token.cache.miss") == 1
+
+    @pytest.mark.parametrize("wire", [None, b"token", {"token_n": 1}], ids=repr)
+    def test_a_token_not_carried_as_canonical_is_refused(self, second_keypair, wire):
+        verifier = TokenVerifier(
+            {"tdn-0": second_keypair.public},
+            cache=TokenVerificationCache(MetricsRegistry()),
+        )
+        machine = Machine(Simulator(), "m", free_cost_model(), random.Random(0))
+        for attempt in (
+            lambda: verifier.verify(wire, now_ms=0.0),
+            lambda: verifier.revoke(wire),
+            lambda: next(verifier.check(wire, machine)),
+        ):
+            with pytest.raises(TokenError, match="must travel as Canonical bytes"):
+                attempt()
 
     def test_a_cache_miss_keeps_the_received_bytes_and_encodes_no_token(
         self, second_keypair, token, monkeypatch

@@ -253,7 +253,6 @@ def run_sizes(dep) -> dict[str, int]:
     for owner, verifier in verifiers.items():
         if verifier.cache is not None:
             sizes[f"token_cache.{owner}"] = len(verifier.cache)
-            sizes[f"token_cache.{owner}.digests"] = len(verifier.cache._digests)
     registry = dep.metrics
     sizes["metrics.instruments"] = sum(
         len(table) for table in (registry._counters, registry._gauges, registry._histograms)
