@@ -203,25 +203,12 @@ class TDNNode:
 
         Unauthorized requests get *no response* — the paper's TDN simply
         ignores them, so the requester cannot distinguish "not authorized"
-        from "no such topic".
+        from "no such topic".  The first answer :meth:`discover_all` gives:
+        an exact query names one descriptor, so the walk, its
+        ``CERT_VERIFY`` charges and its counters are the same.
         """
-        if self.failed:
-            raise DiscoveryError(f"TDN {self.name!r} is down")
-        metrics = self.monitor.metrics
-        metrics.counter("tdn.queries").inc()
-        with metrics.timer("tdn.query.latency_ms", self.sim.clock):
-            yield self.sim.timeout(SERVICE_DELAY_MS)
-            now = self.machine.now()
-            candidates = self.store.find_matching(query, now)
-            for advertisement in candidates:
-                yield from self.machine.charge(CryptoOp.CERT_VERIFY)
-                if advertisement.fields.restrictions.permits(
-                    credentials, self.trust_anchor, now
-                ):
-                    metrics.counter("tdn.queries.answered").inc()
-                    return advertisement
-            metrics.counter("tdn.queries.ignored").inc()
-            return None
+        permitted = yield from self.discover_all(query, credentials)
+        return permitted[0] if permitted else None
 
     def discover_all(
         self, query: DiscoveryQuery, credentials

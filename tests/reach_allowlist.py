@@ -195,7 +195,6 @@ ALLOWED: dict[str, str] = {
     "repro.messaging.matching:SubscriptionIndex.announced": (
         "paper §2: a federated broker's exact summary (its hot set)"
     ),
-    "repro.tdn.node:TDNNode.discover_all": "paper §2.2: wildcard discovery",
     "repro.tdn.node:TDNNode.fail": "paper §2.2: a TDN replica goes down",
     "repro.tdn.node:TDNNode.recover": "paper §2.2: a TDN replica comes back",
     "repro.tdn.node:TDNNode.renew_topic": "paper §2.2: topic lifetime renewal",

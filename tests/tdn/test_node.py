@@ -4,6 +4,7 @@ import pytest
 
 from repro.auth.credentials import EntityCredentials
 from repro.crypto.certificates import CertificateAuthority
+from repro.crypto.costmodel import CryptoOp
 from repro.errors import DiscoveryError, RegistrationError
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
@@ -166,6 +167,48 @@ class TestDiscovery:
         one, every = self._ask(sim, cluster, tracker)
         assert one.fields.trace_topic == second.fields.trace_topic
         assert [found.fields.trace_topic for found in every] == [second.fields.trace_topic]
+
+    @pytest.mark.parametrize("newest_permitted", [True, False], ids=["permitted", "refused"])
+    def test_discover_is_the_first_answer_of_discover_all(
+        self, setup, monkeypatch, newest_permitted
+    ):
+        """One walk answers both: ``discover`` returns ``discover_all``'s
+        first advertisement, after the same ``CERT_VERIFY`` charges and
+        the same counts, also when the newest advertisement of the
+        descriptor is not permitted and an older one answers."""
+        sim, ca, cluster, entity, tracker = setup
+        older = self._create(sim, cluster, entity)
+        newest = self._create(
+            sim, cluster, entity,
+            None if newest_permitted else DiscoveryRestrictions.allow_only("someone-else"),
+        )
+        node = cluster.nodes[0]
+        charges = []
+        charge = node.machine.charge
+
+        def counted(op):
+            charges.append(op)
+            return charge(op)
+
+        monkeypatch.setattr(node.machine, "charge", counted)
+        metrics = node.monitor.metrics
+        names = ("tdn.queries", "tdn.queries.answered", "tdn.queries.ignored")
+        query = DiscoveryQuery.for_entity("svc-1")
+
+        def ask(walk):
+            charges.clear()
+            before = [metrics.counter_value(name) for name in names]
+            answer = run_process(sim, walk(query, tracker.certificate))
+            counts = [metrics.counter_value(name) - b for name, b in zip(names, before)]
+            return answer, list(charges), counts
+
+        one, one_charges, one_counts = ask(node.discover)
+        every, every_charges, every_counts = ask(node.discover_all)
+        expected = newest if newest_permitted else older
+        assert [found.fields.trace_topic for found in every] == [expected.fields.trace_topic]
+        assert one == every[0]
+        assert one_charges == every_charges == [CryptoOp.CERT_VERIFY] * (1 if newest_permitted else 2)
+        assert one_counts == every_counts == [1, 1, 0]
 
     def test_unanswered_query_is_answered_once_the_topic_exists(self, setup):
         sim, ca, cluster, entity, tracker = setup
