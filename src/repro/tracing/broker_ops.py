@@ -175,7 +175,7 @@ class TraceManager:
             # concurrent handlers could otherwise reorder, e.g. a state
             # report overtaking the token delivery it depends on)
             inbox=self.sim.queue(name=f"session-{session_id.value.hex[:8]}"),
-            ping_policy=self.ping_policy,
+            current_interval_ms=self.ping_policy.base_interval_ms,
             detector=self.detector_factory(),
         )
         session.history.metrics = self.monitor.metrics
@@ -558,9 +558,8 @@ class TraceManager:
         """
         for session in self.active_sessions():
             session.history.reset_incarnation()
-            if not session.declared_failed:
-                session.detector.reset()
-                session.suspicion_announced = False
+            session.detector.reset()
+            session.suspicion_announced = False
 
     # ------------------------------------------------------------------ pinging
 
@@ -570,7 +569,7 @@ class TraceManager:
         # random initial phase: colocated sessions must not ping in lockstep
         # (their registration times are often harmonically related)
         yield self.sim.timeout(self.machine.rng.uniform(0.0, session.current_interval_ms))
-        while session.active and not session.declared_failed:
+        while session.active:
             if self.broker.failed:
                 # the broker process is down: a dead host issues no pings
                 # and judges no misses.  Idle until the fabric recovers us;
@@ -623,7 +622,6 @@ class TraceManager:
                     self.sim.now, "failure_suspicion", entity=str(session.entity_id)
                 )
             elif verdict is DetectorVerdict.FAILED:
-                session.declared_failed = True
                 self._retire(session)
                 # detection latency: time from the last sign of life (or
                 # session start, if the entity never answered) to the
@@ -661,7 +659,7 @@ class TraceManager:
     # ----------------------------------------------------------- interest (3.5)
 
     def _gauge_loop(self, session: TraceSession) -> Generator[Event, None, None]:
-        while session.active and not session.declared_failed:
+        while session.active:
             yield from self.gauge_interest(session)
             yield self.sim.timeout(self.gauge_interval_ms)
 

@@ -10,7 +10,7 @@ from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RSAPrivateKey
 from repro.sim.engine import Process, Queue
 from repro.tdn.advertisement import TopicAdvertisement
-from repro.tracing.failure import AdaptivePingPolicy, FailureDetector
+from repro.tracing.failure import FailureDetector
 from repro.tracing.interest import InterestRegistry
 from repro.tracing.pings import PingHistory
 from repro.tracing.topics import TraceTopicSet
@@ -31,7 +31,8 @@ class TraceSession:
     inbox: Queue
     #: the entity's registry on this broker, shared with its later sessions
     interest: InterestRegistry
-    ping_policy: AdaptivePingPolicy = field(default_factory=AdaptivePingPolicy)
+    #: the ping interval in force; the manager's policy sets and adapts it
+    current_interval_ms: float
     detector: FailureDetector = field(default_factory=FailureDetector)
     history: PingHistory = field(default_factory=PingHistory)
 
@@ -47,11 +48,9 @@ class TraceSession:
 
     # liveness bookkeeping
     entity_state: EntityState = EntityState.INITIALIZING
-    current_interval_ms: float = 0.0
     ping_number: int = 0           # the next ping's number
     trace_seq: int = 0             # the next trace's (trackers detect gaps)
-    active: bool = True            # set False on silent mode / shutdown
-    declared_failed: bool = False
+    active: bool = True            # set False when the session is retired
     suspicion_announced: bool = False
     response_count: int = 0        # matched ping responses (NETWORK_METRICS cadence)
     #: certified tracker subjects already sent this session's trace key
@@ -61,10 +60,6 @@ class TraceSession:
     # what the hosting broker runs for the session until it is retired
     worker: Process | None = None          # handles ``inbox`` in order
     on_interest: Callable | None = None    # its handler on ``topics.interest_response``
-
-    def __post_init__(self) -> None:
-        if self.current_interval_ms <= 0:
-            self.current_interval_ms = self.ping_policy.base_interval_ms
 
     @property
     def hex_id(self) -> str:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import build_deployment
 from repro.security.dos import SpuriousTracePublisher, attack_surface
+from repro.tracing.failure import DetectorVerdict
 from repro.tracing.traces import TraceType
 from tests.support import TraceLog, run_process
 
@@ -86,7 +87,7 @@ class TestSpuriousTraces:
         )
         dep.sim.run(until=30_000)
         session = dep.manager_of("b1").session_of("victim")
-        assert not session.declared_failed
+        assert session.detector.verdict is not DetectorVerdict.FAILED
 
 
 class TestCompromisedBroker:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import build_deployment
-from repro.tracing.failure import AdaptivePingPolicy
+from repro.tracing.failure import AdaptivePingPolicy, DetectorVerdict
 from repro.tracing.traces import TraceType
 from tests.support import TraceLog
 
@@ -135,7 +135,7 @@ class TestBrokerRestart:
         assert not log.of_type(TraceType.FAILED)
         session = dep.manager_of("b1").session_of("svc")
         assert session is not None and session.active
-        assert not session.declared_failed
+        assert session.detector.verdict is not DetectorVerdict.FAILED
         late = [t for t in log.of_type(TraceType.ALLS_WELL)
                 if t.received_ms > restart_at + 1_000]
         assert late, "heartbeats should resume after the restart"
