@@ -68,13 +68,11 @@ def run_message_count_case(
     # analytic all-pairs rate (1 heartbeat per entity per second)
     allpairs_rate = allpairs_message_rate(population)
 
-    dep = build_deployment(broker_ids=["b1", "b2"], seed=seed)
     policy = AdaptivePingPolicy(
         base_interval_ms=1_000.0, min_interval_ms=500.0,
         max_interval_ms=1_000.0, response_deadline_ms=400.0,
     )
-    for manager in dep.managers.values():
-        manager.ping_policy = policy
+    dep = build_deployment(broker_ids=["b1", "b2"], seed=seed, ping_policy=policy)
 
     entities = []
     for i in range(population):
