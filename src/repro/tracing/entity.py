@@ -212,12 +212,7 @@ class TracedEntity:
         """Process body: create topic, connect, register, delegate."""
         yield from self.create_trace_topic()
         self.connect(broker_id, transport_profile)
-        yield from self.register()
-        yield from self.deliver_token()
-        if self.use_symmetric_channel:
-            yield from self.establish_channel_key()
-        if self.secured:
-            yield from self.establish_trace_key()
+        yield from self._register_and_delegate()
         yield from self.report_state(EntityState.READY)
         assert self.session_id is not None
         return self.session_id
@@ -328,6 +323,15 @@ class TracedEntity:
             self.topics.broker_to_entity(self.session_id), self._on_broker_message
         )
 
+    def _register_and_delegate(self) -> Generator[Event, None, None]:
+        """Register, deliver a fresh token, and establish the keys in use."""
+        yield from self.register()
+        yield from self.deliver_token()
+        if self.use_symmetric_channel:
+            yield from self.establish_channel_key()
+        if self.secured:
+            yield from self.establish_trace_key()
+
     def _on_registration_response(self, message: Message) -> None:
         if self._registration_event is not None and not self._registration_event.triggered:
             self._registration_event.succeed(message)
@@ -335,7 +339,11 @@ class TracedEntity:
     # ------------------------------------------------------- delegation & keys
 
     def deliver_token(self) -> Generator[Event, None, None]:
-        """Step 5: generate the authorization token and seal it to the broker."""
+        """Step 5: generate the authorization token and seal it to the broker.
+
+        Called again before the token expires, it is the near-expiry
+        renewal of section 4.3: the broker signs with the newest token.
+        """
         self._require_session()
         yield from self.machine.charge(CryptoOp.TOKEN_GENERATE_AND_SIGN)
         token, token_private = AuthorizationToken.create(
@@ -351,10 +359,6 @@ class TracedEntity:
             TokenDelivery, TokenDeliveryPayload(token, token_private).to_dict()
         )
         self.monitor.metrics.counter("entity.tokens_delivered").inc()
-
-    def refresh_token(self) -> Generator[Event, None, None]:
-        """Generate and deliver a fresh token (near-expiry renewal, §4.3)."""
-        yield from self.deliver_token()
 
     def renew_topic(
         self, additional_lifetime_ms: float
@@ -494,12 +498,7 @@ class TracedEntity:
         """
         self._crashed = False
         self._silent = False
-        yield from self.register()
-        yield from self.deliver_token()
-        if self.use_symmetric_channel:
-            yield from self.establish_channel_key()
-        if self.secured:
-            yield from self.establish_trace_key()
+        yield from self._register_and_delegate()
         if self.state is not EntityState.READY:
             yield from self.report_state(EntityState.READY)
         else:

@@ -120,10 +120,7 @@ class TestTokenEnforcement:
         tracker.track("svc")
         dep.sim.run(until=15_000)  # token now expired
 
-        def refresh():
-            yield from entity.refresh_token()
-
-        dep.sim.process(refresh())
+        dep.sim.process(entity.deliver_token())  # the near-expiry renewal of §4.3
         dep.sim.run(until=40_000)
         assert any(t.received_ms > 16_000 for t in log.traces)
 

@@ -221,7 +221,6 @@ ALLOWED: dict[str, str] = {
     "repro.tracing.entity:TracedEntity.disable_tracing": (
         "paper §3: REVERTING_TO_SILENT_MODE (Table 1)"
     ),
-    "repro.tracing.entity:TracedEntity.refresh_token": "paper §4.3: near-expiry token renewal",
     "repro.tracing.entity:TracedEntity.renew_topic": "paper §2.2: topic lifetime renewal",
     "repro.tracing.entity:TracedEntity.start_discovered": (
         "paper §2.1: an entity finds its broker through discovery"
