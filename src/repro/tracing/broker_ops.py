@@ -773,17 +773,19 @@ class TraceManager:
             self.monitor.metrics.counter("trace.suppressed_no_subscriber").inc()
             return
 
+        stream = topic.canonical
+        seq = session.trace_seq.get(stream, 0)
+        session.trace_seq[stream] = seq + 1
         trace = TraceBody(
             trace_type=trace_type,
             entity_id=str(session.entity_id),
             payload=payload,
             trace_topic=session.advertisement.fields.trace_topic.hex,
             session=session.hex_id,
-            seq=session.trace_seq,
+            seq=seq,
             origin_stamp_ms=origin_stamp_ms,
             broker_stamp_ms=now,
         )
-        session.trace_seq += 1
 
         secured = session.secured and trace_type is not TraceType.GUAGE_INTEREST
         if secured:

@@ -49,7 +49,9 @@ class TraceSession:
     # liveness bookkeeping
     entity_state: EntityState = EntityState.INITIALIZING
     ping_number: int = 0           # the next ping's number
-    trace_seq: int = 0             # the next trace's (trackers detect gaps)
+    #: the next trace's number, per publication topic: a tracker sees only
+    #: the streams it selected and detects gaps in each on its own
+    trace_seq: dict[str, int] = field(default_factory=dict)
     active: bool = True            # set False when the session is retired
     suspicion_announced: bool = False
     response_count: int = 0        # matched ping responses (NETWORK_METRICS cadence)

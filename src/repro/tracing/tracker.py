@@ -69,11 +69,11 @@ class _WatchedEntity:
     last_gauge_stamp_ms: float | None = None
     last_response_ms: float | None = None
     categories: frozenset = field(default_factory=lambda: ALL_CATEGORIES)
-    # the last trace received, and the session-scoped sequence number gap
-    # detection compares the next one against; both go at untrack
+    # the last trace received, and per publication topic the session and
+    # sequence number gap detection compares the stream's next trace
+    # against; both go at untrack
     last_trace: ReceivedTrace | None = None
-    session: str | None = None
-    last_seq: int | None = None
+    last_seq: dict[str, tuple[str, int]] = field(default_factory=dict)
 
 
 class Tracker:
@@ -427,15 +427,18 @@ class Tracker:
         trace_type, origin = trace.trace_type, trace.origin_stamp_ms
         session_key, seq = trace.session, trace.seq
 
-        # gap detection: a jump in the session-scoped sequence number means
-        # traces were lost in transit (possible on unreliable transports);
-        # a new session starts the count afresh
+        # gap detection: the broker numbers each publication topic of a
+        # session on its own, so a jump in one stream's numbers means traces
+        # were lost in transit (possible on unreliable transports); a new
+        # session starts the count afresh
         if session_key is not None and seq is not None:
-            last = watched.last_seq if watched.session == session_key else None
+            stream = message.topic.canonical
+            held = watched.last_seq.get(stream)
+            last = held[1] if held is not None and held[0] == session_key else None
             if last is not None and seq > last + 1:
                 self.monitor.metrics.counter("tracker.traces_missed").inc(seq - last - 1)
             if last is None or seq > last:
-                watched.session, watched.last_seq = session_key, seq
+                watched.last_seq[stream] = (session_key, seq)
 
         now = self.machine.now()
         latency = (now - origin) if origin is not None else None

@@ -6,6 +6,7 @@ from repro import build_deployment
 from repro.errors import RegistrationError
 from repro.messaging.discovery import PlacementPolicy
 from repro.tdn.advertisement import TopicRenewal
+from repro.tracing.interest import InterestCategory
 from repro.tracing.traces import TraceType
 from repro.transport.udp import udp_profile
 from tests.support import TraceLog, run_process, succeeded
@@ -121,6 +122,46 @@ class TestGapDetection:
         dep.sim.run(until=3_000)
         tracker.track("svc")
         dep.sim.run(until=40_000)
+        assert dep.metrics.counter_value("tracker.traces_missed") == 0
+
+    def test_a_stream_only_another_tracker_selected_is_no_gap(self):
+        """Each publication topic is numbered on its own: the NETWORK_METRICS
+        traces one tracker selected are no lost heartbeats to a tracker that
+        selected only ALL_UPDATES."""
+        dep = build_deployment(broker_ids=["b1", "b2"], seed=22)
+        entity = dep.add_traced_entity("svc")
+        every = dep.add_tracker("a")
+        heartbeats = dep.add_tracker(
+            "b", interests=frozenset({InterestCategory.ALL_UPDATES})
+        )
+        every.connect("b2")
+        heartbeats.connect("b2")
+        log = TraceLog(heartbeats)
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        every.track("svc")
+        heartbeats.track("svc")
+        dep.sim.run(until=50_000)
+        assert dep.monitor.count("trace.published.NETWORK_METRICS") > 0
+        assert len(log.of_type(TraceType.ALLS_WELL)) == len(log) > 0
+        assert dep.metrics.counter_value("tracker.traces_missed") == 0
+
+    def test_a_gauge_is_no_gap(self):
+        """A GUAGE_INTEREST request travels on the interest topic, which the
+        tracker answers but does not count traces on: the trace after a
+        gauge follows its predecessor on its own stream."""
+        dep = build_deployment(broker_ids=["b1", "b2"], seed=22)
+        entity = dep.add_traced_entity("svc")
+        tracker = dep.add_tracker("a")
+        tracker.connect("b2")
+        log = TraceLog(tracker)
+        entity.start("b1")
+        dep.sim.run(until=3_000)
+        tracker.track("svc")
+        dep.sim.run(until=130_000)
+        gauges = dep.monitor.count("trace.published.GUAGE_INTEREST")
+        assert gauges >= 2
+        assert any(t.received_ms > 121_000 for t in log.of_type(TraceType.ALLS_WELL))
         assert dep.metrics.counter_value("tracker.traces_missed") == 0
 
     def test_gaps_detected_on_lossy_udp(self):

@@ -236,7 +236,7 @@ def run_sizes(dep) -> dict[str, int]:
         watched = tracker._watched.values()
         sizes[f"tracker.{tracker_id}.watched"] = len(tracker._watched)
         sizes[f"tracker.{tracker_id}.last_traces"] = len(tracker.received)
-        sizes[f"tracker.{tracker_id}.sequences"] = sum(w.session is not None for w in watched)
+        sizes[f"tracker.{tracker_id}.sequences"] = sum(len(w.last_seq) for w in watched)
         sizes[f"tracker.{tracker_id}.sinks"] = len(tracker.on_trace)
     for broker in dep.network.brokers():
         name = broker.broker_id
@@ -245,6 +245,9 @@ def run_sizes(dep) -> dict[str, int]:
         sizes[f"{name}.sessions"] = len(manager.sessions)
         sizes[f"{name}.interest_registries"] = len(manager.interest)
         sizes[f"{name}.inboxes"] = sum(len(s.inbox) for s in manager.sessions.values())
+        sizes[f"{name}.trace_streams"] = sum(
+            len(s.trace_seq) for s in manager.sessions.values()
+        )
         sizes[f"{name}.clients"] = len(broker._client_links)
         sizes[f"{name}.subscriptions"] = len(index_patterns(index))
         sizes[f"{name}.handlers"] = sum(len(h) for h in index_handlers(index).values())
