@@ -106,7 +106,8 @@ class TokenVerifier:
     ) -> Generator[Event, None, AuthorizationToken]:
         """The §4.3 check as one process step on ``machine``; raises like :meth:`verify`.
 
-        With a cache attached, the received bytes are looked up first: verified before and still inside its validity window, it
+        With a cache attached, the received bytes are looked up first:
+        verified before and still inside its validity window, the token
         is answered at no charge and nothing is decoded.  Otherwise
         ``TOKEN_VERIFY`` is charged, the token decoded, fully verified and
         stored.

@@ -207,7 +207,8 @@ class TestDiscovery:
         expected = newest if newest_permitted else older
         assert [found.fields.trace_topic for found in every] == [expected.fields.trace_topic]
         assert one == every[0]
-        assert one_charges == every_charges == [CryptoOp.CERT_VERIFY] * (1 if newest_permitted else 2)
+        checked = 1 if newest_permitted else 2
+        assert one_charges == every_charges == [CryptoOp.CERT_VERIFY] * checked
         assert one_counts == every_counts == [1, 1, 0]
 
     def test_unanswered_query_is_answered_once_the_topic_exists(self, setup):
