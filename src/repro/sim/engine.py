@@ -122,7 +122,7 @@ class Event:
                 self._state = Event.FIRED
         if self._state == Event.FIRED:
             # late subscriber: run at the current timestamp, preserving order
-            self.sim._schedule_call(0.0, lambda: fn(self))
+            self.sim.call_later(0.0, lambda: fn(self))
         else:
             self._callbacks.append(fn)
 
@@ -204,7 +204,7 @@ class Process(Event):
         """
         if self._state != Event.PENDING:
             return
-        self.sim._schedule_call(0.0, lambda: self._interrupted(cause))
+        self.sim.call_later(0.0, lambda: self._interrupted(cause))
 
     def _interrupted(self, cause: Any) -> None:
         waiting = self._waiting_on
@@ -435,7 +435,7 @@ class Resource:
             sim._seq += 1
         else:
             self.request()._callbacks.append(
-                lambda _granted: sim._schedule_call(duration, expire)
+                lambda _granted: sim.call_later(duration, expire)
             )
 
 
@@ -460,19 +460,19 @@ class Simulator:
 
     # -- scheduling primitives ------------------------------------------------
 
-    def _schedule_call(self, delay: float, fn: Callable[[], None]) -> None:
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` at absolute virtual time ``when``, keyed at ``when`` exactly."""
+        if when < self.clock._now:
+            raise SimulationError(f"cannot schedule in the past: {when} < {self.clock._now}")
+        heappush(self._heap, (when, self._seq, fn))
+        self._seq += 1
+
+    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` after ``delay`` milliseconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         heappush(self._heap, (self.clock._now + delay, self._seq, fn))
         self._seq += 1
-
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` at absolute virtual time ``when``."""
-        self._schedule_call(when - self.clock._now, fn)
-
-    def call_later(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` after ``delay`` milliseconds."""
-        self._schedule_call(delay, fn)
 
     # -- event factories -------------------------------------------------------
 

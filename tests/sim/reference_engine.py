@@ -5,7 +5,9 @@
 # it.  Known defect, fixed in the engine and so never drawn there: a process
 # interrupted while queued in ``use`` leaks the slot.  Changed in step with
 # the engine since: a process interrupted while it waits on ``Queue.get``
-# abandons the get (``_Get.abandon``), which the oracle draws.
+# abandons the get (``_Get.abandon``), which the oracle draws; and
+# ``call_at(when, fn)`` keys its entry at ``when`` itself, not at
+# ``now + (when - now)``, and refuses a ``when`` in the past.
 """The discrete-event engine: events, processes, queues and resources.
 
 The design follows the classic process-interaction style (SimPy-like):
@@ -389,8 +391,11 @@ class Simulator:
         self._seq += 1
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` at absolute virtual time ``when``."""
-        self._schedule_call(when - self.now, fn)
+        """Run ``fn()`` at absolute virtual time ``when``, keyed at ``when`` exactly."""
+        if when < self.now:
+            raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
+        heapq.heappush(self._heap, (when, self._seq, fn))
+        self._seq += 1
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` milliseconds."""

@@ -65,6 +65,16 @@ class TestClockAndScheduling:
         sim.run()
         assert at == [7.5]
 
+    def test_call_at_fires_at_when_exactly(self, sim):
+        """Keyed at ``when`` itself: ``now + (when - now)`` rounds to
+        97.46356926930312 for this pair, one ulp past ``when``."""
+        now, when = 23.634577631987064, 97.46356926930311
+        assert now + (when - now) != when
+        seen = []
+        sim.call_at(now, lambda: sim.call_at(when, lambda: seen.append(sim.now)))
+        sim.run()
+        assert seen == [when]
+
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
 

@@ -42,6 +42,7 @@ _always = [
     st.tuples(st.just("any_of"), ms, ms),
     st.tuples(st.just("watch"), st.integers(0, 30)),
     st.tuples(st.just("stale"), ms),
+    st.tuples(st.just("at"), ms),
     st.just(("boom",)),
 ]
 _use = st.tuples(st.just("use"), slot, ms)
@@ -115,6 +116,10 @@ def run_program(eng, program):
                     early = sim.event("early").succeed(who)
                     yield sim.timeout(op[1])
                     label += f" {early.fired} {(yield early)}"
+                elif kind == "at":
+                    # an absolute time: the callback runs at it exactly
+                    when = sim.now + op[1]
+                    sim.call_at(when, lambda who=who, t=when: note(who, f"at {sim.now == t}"))
                 elif kind == "interrupt":
                     procs[op[1] % len(procs)].interrupt(who)
                 elif kind == "boom":
