@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -49,18 +48,8 @@ class TransportProfile:
         """One latency draw for a payload of ``size_bytes``."""
         jitter = rng.gauss(0.0, self.jitter_ms) if self.jitter_ms else 0.0
         latency = self.base_latency_ms + jitter + self.per_kb_ms * (size_bytes / 1024.0)
-        return max(0.01, latency)
+        return latency if latency > 0.01 else 0.01
 
     def sample_loss(self, rng: random.Random) -> bool:
         """True if this packet instance is lost."""
         return self.loss_probability > 0 and rng.random() < self.loss_probability
-
-
-class DeliveryReceipt(NamedTuple):
-    """What a link reports about one send attempt."""
-
-    delivered: bool
-    latency_ms: float
-    retransmits: int
-    size_bytes: int
-

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.obs import Counter, Gauge, Histogram
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Monitor
-from repro.transport.base import DeliveryReceipt, TransportProfile
+from repro.transport.base import TransportProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wire.codec import SizeMemo
@@ -58,7 +58,6 @@ class Link:
         self._rng = rng
         self._monitor = monitor
         self._metrics = monitor.metrics
-        self._last_arrival = 0.0
         self._latest_arrival = 0.0
         # Optional fault window installed by repro.faults; ``None`` on the
         # healthy path so no extra RNG draws happen outside a chaos run.
@@ -92,15 +91,14 @@ class Link:
     def _inflight(self) -> Gauge:
         return self._metrics.gauge("transport.inflight")
 
-    def send(self, payload: Any) -> DeliveryReceipt:
-        """Send ``payload``; schedules receiver callback in virtual time."""
+    def send(self, payload: Any) -> None:
+        """Send ``payload``: one heap entry, keyed at its arrival, or none if lost."""
         profile, rng, sim = self.profile, self._rng, self.sim
         size = self._frame_size(payload, self._memo)
         self._msgs_sent.inc()
         self._bytes_sent.inc(size)
         self._codec_bytes.inc(size)
         latency = profile.sample_latency_ms(size, rng)
-        retransmits = 0
 
         disruption = self.disruption
         if disruption is not None:
@@ -112,7 +110,7 @@ class Link:
                 self._monitor.journal.record(
                     sim.now, "link.drop", size_bytes=size, link=self.name, injected=True
                 )
-                return DeliveryReceipt(False, latency, 0, size)
+                return
             latency += extra_delay_ms
 
         # a loss-free profile draws nothing here (sample_loss would not)
@@ -122,8 +120,9 @@ class Link:
                 self._monitor.journal.record(
                     sim.now, "link.drop", size_bytes=size, link=self.name
                 )
-                return DeliveryReceipt(False, latency, 0, size)
+                return
             # reliable: pay retransmission penalties until a send survives
+            retransmits = 0
             while retransmits < profile.max_retransmits:
                 retransmits += 1
                 latency += profile.retransmit_timeout_ms
@@ -133,25 +132,23 @@ class Link:
 
         now = sim.now
         arrival = now + latency
-        if profile.ordered:
-            if arrival < self._last_arrival:
-                arrival = self._last_arrival
-                latency = arrival - now
-            self._last_arrival = arrival
-        elif arrival < self._latest_arrival:
+        if arrival >= self._latest_arrival:
+            self._latest_arrival = arrival
+        elif profile.ordered:
+            # FIFO: never ahead of the latest delivery already scheduled
+            arrival = self._latest_arrival
+            latency = arrival - now
+        else:
             # this payload overtakes one sent earlier: a reordered delivery
             self._metrics.counter("transport.msgs.reordered").inc()
             self._monitor.journal.record(
                 now, "link.reorder", size_bytes=size, link=self.name
             )
-        if arrival > self._latest_arrival:
-            self._latest_arrival = arrival
 
         self._msgs_delivered.inc()
         self._latency_ms.observe(latency)
         self._inflight.inc()
         sim.call_at(arrival, partial(self._deliver, payload))
-        return DeliveryReceipt(True, latency, retransmits, size)
 
     def _deliver(self, payload: Any) -> None:
         self._inflight.dec()

@@ -131,54 +131,48 @@ class SizeMemo:
         self._encode_ms.observe(modeled_encode_ms(codec.name, size))
         return size
 
-    def message_size(self, message: Message) -> int:
-        """``message``'s encoded size, encoded on a miss only."""
-        sizes = self.sizes
-        key = message.message_id
-        size = sizes.get(key)
-        if size is not None:
-            sizes.move_to_end(key)
-            self._hit.inc()
-            return size
-        size = self._encode_size(message)
-        self._miss.inc()
-        if key:
-            sizes[key] = size
-            if len(sizes) > SIZE_MEMO_CAPACITY:
-                sizes.popitem(last=False)
-        return size
-
-    def frame_overhead(self, frame: RoutedFrame) -> int:
-        """``codec.frame_overhead(frame)``, computed once per destination tuple.
-
-        The overhead is a pure function of the destinations
-        (docs/WIRE_FORMAT.md), and a frame crossing N brokers towards one
-        destination set carries an equal tuple at every hop.
-        """
-        destinations = frame.destinations
-        if type(destinations) is not tuple:
-            destinations = tuple(destinations)
-        overheads = self.overheads
-        overhead = overheads.get(destinations)
-        if overhead is None:
-            overhead = self.codec.frame_overhead(frame)
-            if len(overheads) >= OVERHEAD_MEMO_CAPACITY:
-                del overheads[next(iter(overheads))]
-            overheads[destinations] = overhead
-        return overhead
-
 
 def frame_size(payload: Any, memo: SizeMemo) -> int:
     """Bytes ``payload`` occupies on the wire under ``memo``'s codec.
 
-    Messages are sized once per message in ``memo``; routed frames reuse
-    the memoized message size plus the codec's exact destination overhead
-    (memoized per destination tuple), so broker forwarding re-renders
-    neither.  Plain values are encoded directly (uncached — they carry no
-    identity to key a memo on).
+    A message is encoded on its first send only and its size kept in
+    ``memo.sizes``; a routed frame adds the codec's exact destination
+    overhead (docs/WIRE_FORMAT.md), a pure function of the destinations
+    computed once per destination tuple into ``memo.overheads``, since a
+    frame crossing N brokers towards one destination set carries an equal
+    tuple at every hop.  So broker forwarding re-renders neither.  Plain
+    values are encoded directly (uncached: they carry no identity to key
+    a memo on).
     """
     if isinstance(payload, RoutedFrame):
-        return memo.message_size(payload.message) + memo.frame_overhead(payload)
-    if isinstance(payload, Message):
-        return memo.message_size(payload)
-    return memo._encode_size(payload)
+        message = payload.message
+    elif isinstance(payload, Message):
+        message = payload
+    else:
+        return memo._encode_size(payload)
+    sizes = memo.sizes
+    key = message.message_id
+    size = sizes.get(key)
+    if size is not None:
+        sizes.move_to_end(key)
+        memo._hit.inc()
+    else:
+        size = memo._encode_size(message)
+        memo._miss.inc()
+        if key:
+            sizes[key] = size
+            if len(sizes) > SIZE_MEMO_CAPACITY:
+                sizes.popitem(last=False)
+    if message is payload:
+        return size
+    destinations = payload.destinations
+    if type(destinations) is not tuple:
+        destinations = tuple(destinations)
+    overheads = memo.overheads
+    overhead = overheads.get(destinations)
+    if overhead is None:
+        overhead = memo.codec.frame_overhead(payload)
+        if len(overheads) >= OVERHEAD_MEMO_CAPACITY:
+            del overheads[next(iter(overheads))]
+        overheads[destinations] = overhead
+    return size + overhead

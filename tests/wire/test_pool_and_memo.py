@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.messaging.message import Message, RoutedFrame
 from repro.messaging.topics import Topic
@@ -151,3 +151,64 @@ class TestOverheadMemo:
         as_list = RoutedFrame(message, ["b-1", "b-2"])
         as_tuple = RoutedFrame(message, ("b-1", "b-2"))
         assert frame_size(as_list, memo) == frame_size(as_tuple, memo)
+
+
+bodies = st.one_of(
+    st.text(max_size=20),
+    st.integers(),
+    st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
+)
+destination_sets = st.lists(st.text(min_size=1, max_size=6), max_size=3).map(tuple)
+#: one send: a bare message or a routed frame (message id 0 to 3, 0 never
+#: kept), or a plain value
+sends = st.one_of(
+    st.tuples(st.just("message"), st.integers(0, 3), bodies),
+    st.tuples(st.just("frame"), st.integers(0, 3), bodies, destination_sets),
+    st.tuples(st.just("plain"), bodies),
+)
+
+EVERY_ARM = [
+    ("message", 0, "x"),
+    ("message", 0, "x"),
+    ("frame", 1, "y", ("b-1",)),
+    ("message", 1, "y"),
+    ("frame", 1, "y", ()),
+    ("plain", {"n": 1}),
+]
+
+
+class TestFrameSizeOracle:
+    """``frame_size`` against ``len(memo.codec.encode(payload))`` on all
+    three arms, under both codecs, with the memo's hits and misses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["json", "compact"]), st.lists(sends, min_size=1, max_size=12))
+    @example("json", EVERY_ARM)
+    @example("compact", EVERY_ARM)
+    def test_every_arm_sizes_what_the_codec_encodes(self, codec_name, drawn):
+        metrics = MetricsRegistry()
+        memo = SizeMemo(metrics, codec_name)
+        messages = {}  # a network never reuses an id for another message
+        kept, hits, misses, encodes = set(), 0, 0, 0
+        for send in drawn:
+            if send[0] == "plain":
+                payload = send[1]
+                encodes += 1
+            else:
+                message_id, body = send[1], send[2]
+                message = make_message(body=body, message_id=message_id)
+                if message_id:
+                    message = messages.setdefault(message_id, message)
+                payload = message if send[0] == "message" else RoutedFrame(message, send[3])
+                if message_id in kept:
+                    hits += 1
+                else:
+                    misses += 1
+                    encodes += 1
+                if message_id:
+                    kept.add(message_id)
+            assert frame_size(payload, memo) == len(memo.codec.encode(payload))
+        assert metrics.counter_value("codec.encode.memo.hit") == hits
+        assert metrics.counter_value("codec.encode.memo.miss") == misses
+        assert metrics.histogram("codec.encode.ms").count == encodes
+        assert set(memo.sizes) == kept
